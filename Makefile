@@ -1,12 +1,22 @@
 GO ?= go
 
-.PHONY: build test lint fmt
+.PHONY: build test bench-test bench-agree lint fmt
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# bench/ is its own module (the BENCHMARK.json ledger; see bench/README.md),
+# so the targets above never reach it.
+bench-test:
+	$(GO) test -C bench ./...
+
+# Compare two result directories written by the benchmark, e.g. parent vs
+# change: make bench-agree A=/tmp/parent-out B=bench/out
+bench-agree:
+	$(GO) run -C bench -buildvcs=false . -agree $(A) $(B)
 
 # The same lane CI's lint job runs: formatting, vet, and the repo's own
 # invariant analyzers — all nine, the per-package rules plus the

@@ -352,31 +352,6 @@ func BenchmarkFigLifecycle(b *testing.B) {
 	})
 }
 
-// --- Vectorized scan pipeline (row path vs batch path, measured) ---
-
-func BenchmarkFigVector(b *testing.B) {
-	benchFigure(b, "FigVector", func() (*experiments.Figure, error) {
-		rep, err := benchRunner().ExpVector(experiments.UserVisits, 3)
-		if err != nil {
-			return nil, err
-		}
-		f := rep.Figure()
-		// Smuggle the headline out through the figure cache so the metric
-		// survives benchFigure's memoization.
-		f.Series = append(f.Series, experiments.Series{
-			Label:  "min speedup",
-			Points: []experiments.Point{{X: "all", Seconds: rep.MinSpeedup}},
-		})
-		return f, nil
-	}, func(f *experiments.Figure) {
-		metric(b, f, "batch [Mrec/s]", "scan-sel", "scan_batch_mrec_s")
-		metric(b, f, "row [Mrec/s]", "scan-sel", "scan_row_mrec_s")
-		metric(b, f, "speedup [×]", "scan-sel", "speedup_x")
-		metric(b, f, "speedup [×]", "wide-scan", "wide_speedup_x")
-		metric(b, f, "min speedup", "all", "min_speedup_x")
-	})
-}
-
 // --- Related work (§5): full-text indexing comparison ---
 
 func BenchmarkSection5FullTextComparison(b *testing.B) {

@@ -9,7 +9,6 @@
 //	hailbench [-quick] -cache [-pack-scans] [-cache-budget N] [-offer-rate 0.25] [-jobs 6] [-workload UserVisits]
 //	hailbench [-quick] -dispatch [-cache-budget N] [-workload UserVisits]
 //	hailbench [-quick] -lifecycle [-offer-rate 0.5] [-jobs 6] [-workload UserVisits] [-adaptive-budget N]
-//	hailbench [-quick] -vector [-workload UserVisits]
 //	hailbench [-quick] -obs [-workload UserVisits] [-json BENCH_obs.json]
 //	hailbench [-quick] -serve [-queries 240] [-tenants 4] [-workload UserVisits] [-json BENCH_serve.json]
 //
@@ -49,13 +48,6 @@
 // cold column's replicas so the new column converges inside the same
 // budget — the trajectory that was BudgetDenied forever before the
 // lifecycle manager.
-//
-// -vector runs the vectorized-scan A/B: each benchmark query executes
-// through the legacy row-at-a-time record reader and the batch pipeline
-// (selection vectors + late materialization), gated byte-identical, and
-// reports measured records/s, MB/s and the batch path's speedup — the one
-// experiment whose numbers are wall-clock throughput rather than
-// cost-model seconds.
 //
 // -obs runs the benchmark query set with the observability layer fully
 // wired (per-query trace spans, metrics registry, namenode gauges) and
@@ -101,7 +93,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	cacheMode := fs.Bool("cache", false, "run the result-cache trajectory experiment")
 	dispatchMode := fs.Bool("dispatch", false, "run the scan-split packing (dispatch) experiment")
 	lifecycleMode := fs.Bool("lifecycle", false, "run the adaptive replica lifecycle (workload shift + eviction) experiment")
-	vectorMode := fs.Bool("vector", false, "run the vectorized-scan A/B (row path vs batch pipeline, measured throughput)")
 	obsMode := fs.Bool("obs", false, "run the observability experiment (traced benchmark queries, task-latency p50/p95/p99)")
 	serveMode := fs.Bool("serve", false, "run the resident-server storm (concurrent multi-tenant queries over one shared cache+indexer, p50/p99 + throughput)")
 	serveQueries := fs.Int("queries", 240, "serve: concurrent queries in the storm")
@@ -129,69 +120,75 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	r.NNShards = *nnShards
 
-	// The trajectory experiments and the paper-figure list are separate
-	// modes; reject combinations that would silently ignore a flag.
-	modes := 0
-	for _, on := range []bool{*adaptiveMode, *cacheMode, *dispatchMode, *lifecycleMode, *vectorMode, *obsMode, *serveMode} {
-		if on {
-			modes++
+	// The trajectory experiments, one row each: the flag that selects the
+	// mode, the tuning flags it accepts (every other one is rejected rather
+	// than silently ignored), the experiment, and the figure it reports.
+	// The experiments read w when run, after -workload has been resolved.
+	w := experiments.UserVisits
+	rate := adaptive.RateFromFlag(*offerRate)
+	modes := []struct {
+		on     bool
+		flag   string
+		knobs  string
+		run    func() (fmt.Stringer, error)
+		figure string
+	}{
+		{*adaptiveMode, "adaptive", "workload jobs offer-rate adaptive-budget adaptive-evict",
+			func() (fmt.Stringer, error) { return r.ExpAdaptive(w, *jobs, rate) }, "FigAdaptive"},
+		{*cacheMode, "cache", "workload jobs offer-rate adaptive-budget cache-budget pack-scans",
+			func() (fmt.Stringer, error) { return r.ExpCache(w, *jobs, *cacheBudget, rate, *packScans) }, "FigCache"},
+		{*dispatchMode, "dispatch", "workload cache-budget",
+			func() (fmt.Stringer, error) { return r.ExpDispatch(w, *cacheBudget) }, "FigDispatch"},
+		{*lifecycleMode, "lifecycle", "workload jobs offer-rate adaptive-budget",
+			func() (fmt.Stringer, error) { return r.ExpLifecycle(w, *jobs, rate) }, "FigLifecycle"},
+		{*obsMode, "obs", "workload",
+			func() (fmt.Stringer, error) { return r.ExpObs(w) }, "FigObs"},
+		{*serveMode, "serve", "workload queries tenants",
+			func() (fmt.Stringer, error) { return r.ExpServe(w, *serveQueries, *serveTenants) }, "FigServe"},
+	}
+	mode := -1 // figure mode
+	for i, m := range modes {
+		if !m.on {
+			continue
 		}
+		if mode >= 0 {
+			return fmt.Errorf("%w: -adaptive, -cache, -dispatch, -lifecycle, -obs and -serve are mutually exclusive", errUsage)
+		}
+		mode = i
 	}
-	if modes > 1 {
-		return fmt.Errorf("%w: -adaptive, -cache, -dispatch, -lifecycle, -vector, -obs and -serve are mutually exclusive", errUsage)
-	}
-	if modes > 0 && *only != "" {
+	if mode >= 0 && *only != "" {
 		return fmt.Errorf("%w: -only does not combine with the trajectory experiments", errUsage)
 	}
-	if modes == 0 {
-		if stray := cliutil.Stray(fs, "offer-rate", "jobs", "workload", "adaptive-budget"); len(stray) > 0 {
-			return fmt.Errorf("%w: %s only applies with -adaptive, -cache or -lifecycle", errUsage, strings.Join(stray, ", "))
+	// The tuning flags, grouped by where they apply. One set outside the
+	// active mode's knobs is a usage error; the trajectory knobs name the
+	// mode that fixes its own sequence instead of their homes.
+	accepted := map[string]bool{}
+	if mode >= 0 {
+		for _, k := range strings.Fields(modes[mode].knobs) {
+			accepted[k] = true
 		}
 	}
-	if !*cacheMode && !*dispatchMode {
-		if stray := cliutil.Stray(fs, "cache-budget"); len(stray) > 0 {
-			return fmt.Errorf("%w: %s only applies with -cache or -dispatch", errUsage, strings.Join(stray, ", "))
+	for i, g := range []struct{ knobs, home string }{
+		{"offer-rate jobs workload adaptive-budget", "-adaptive, -cache or -lifecycle"},
+		{"cache-budget", "-cache or -dispatch"},
+		{"pack-scans", "-cache"},
+		{"adaptive-evict", "-adaptive (-lifecycle always evicts)"},
+		{"queries tenants", "-serve"},
+	} {
+		var unaccepted []string
+		for _, k := range strings.Fields(g.knobs) {
+			if !accepted[k] {
+				unaccepted = append(unaccepted, k)
+			}
 		}
-	}
-	if !*cacheMode {
-		if stray := cliutil.Stray(fs, "pack-scans"); len(stray) > 0 {
-			return fmt.Errorf("%w: %s only applies with -cache", errUsage, strings.Join(stray, ", "))
+		stray := cliutil.Stray(fs, unaccepted...)
+		if len(stray) == 0 {
+			continue
 		}
-	}
-	if !*adaptiveMode {
-		if stray := cliutil.Stray(fs, "adaptive-evict"); len(stray) > 0 {
-			return fmt.Errorf("%w: %s only applies with -adaptive (-lifecycle always evicts)", errUsage, strings.Join(stray, ", "))
+		if i == 0 && mode >= 0 {
+			return fmt.Errorf("%w: %s does not combine with -%s", errUsage, strings.Join(stray, ", "), modes[mode].flag)
 		}
-	}
-	if *dispatchMode {
-		// The dispatch experiment fixes its own job sequence and never
-		// converts blocks; reject flags it would silently ignore.
-		if stray := cliutil.Stray(fs, "jobs", "offer-rate", "adaptive-budget"); len(stray) > 0 {
-			return fmt.Errorf("%w: %s does not combine with -dispatch", errUsage, strings.Join(stray, ", "))
-		}
-	}
-	if *vectorMode {
-		// The vector A/B fixes its own query set and repeat count.
-		if stray := cliutil.Stray(fs, "jobs", "offer-rate", "adaptive-budget"); len(stray) > 0 {
-			return fmt.Errorf("%w: %s does not combine with -vector", errUsage, strings.Join(stray, ", "))
-		}
-	}
-	if *obsMode {
-		// The observability experiment fixes its own query set.
-		if stray := cliutil.Stray(fs, "jobs", "offer-rate", "adaptive-budget"); len(stray) > 0 {
-			return fmt.Errorf("%w: %s does not combine with -obs", errUsage, strings.Join(stray, ", "))
-		}
-	}
-	if *serveMode {
-		// The server storm fixes its own query shapes and server config.
-		if stray := cliutil.Stray(fs, "jobs", "offer-rate", "adaptive-budget"); len(stray) > 0 {
-			return fmt.Errorf("%w: %s does not combine with -serve", errUsage, strings.Join(stray, ", "))
-		}
-	}
-	if !*serveMode {
-		if stray := cliutil.Stray(fs, "queries", "tenants"); len(stray) > 0 {
-			return fmt.Errorf("%w: %s only applies with -serve", errUsage, strings.Join(stray, ", "))
-		}
+		return fmt.Errorf("%w: %s only applies with %s", errUsage, strings.Join(stray, ", "), g.home)
 	}
 
 	// writeJSON persists the run's report for the CI perf-trajectory
@@ -207,8 +204,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return os.WriteFile(*jsonPath, append(data, '\n'), 0o644)
 	}
 
-	if modes > 0 {
-		w := experiments.UserVisits
+	if mode >= 0 {
 		switch strings.ToLower(*workloadName) {
 		case "uservisits":
 		case "synthetic":
@@ -219,66 +215,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		r.AdaptiveBudget = *adaptiveBudget
 		r.AdaptiveEvict = *adaptiveEvict
 		start := time.Now()
-		switch {
-		case *dispatchMode:
-			rep, err := r.ExpDispatch(w, *cacheBudget)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout, rep)
-			fmt.Fprintf(stdout, "(FigDispatch computed in %.1fs real time)\n", time.Since(start).Seconds())
-			return writeJSON(rep)
-		case *lifecycleMode:
-			rep, err := r.ExpLifecycle(w, *jobs, adaptive.RateFromFlag(*offerRate))
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout, rep)
-			fmt.Fprintf(stdout, "(FigLifecycle computed in %.1fs real time)\n", time.Since(start).Seconds())
-			return writeJSON(rep)
-		case *serveMode:
-			rep, err := r.ExpServe(w, *serveQueries, *serveTenants)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout, rep)
-			fmt.Fprintf(stdout, "(FigServe computed in %.1fs real time)\n", time.Since(start).Seconds())
-			return writeJSON(rep)
-		case *obsMode:
-			rep, err := r.ExpObs(w)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout, rep)
-			fmt.Fprintf(stdout, "(FigObs computed in %.1fs real time)\n", time.Since(start).Seconds())
-			return writeJSON(rep)
-		case *vectorMode:
-			repeats := 3
-			if *quick {
-				repeats = 2
-			}
-			rep, err := r.ExpVector(w, repeats)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout, rep)
-			fmt.Fprintf(stdout, "(FigVector computed in %.1fs real time)\n", time.Since(start).Seconds())
-			return writeJSON(rep)
-		case *cacheMode:
-			rep, err := r.ExpCache(w, *jobs, *cacheBudget, adaptive.RateFromFlag(*offerRate), *packScans)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout, rep)
-			fmt.Fprintf(stdout, "(FigCache computed in %.1fs real time)\n", time.Since(start).Seconds())
-			return writeJSON(rep)
-		}
-		rep, err := r.ExpAdaptive(w, *jobs, adaptive.RateFromFlag(*offerRate))
+		rep, err := modes[mode].run()
 		if err != nil {
 			return err
 		}
 		fmt.Fprintln(stdout, rep)
-		fmt.Fprintf(stdout, "(FigAdaptive computed in %.1fs real time)\n", time.Since(start).Seconds())
+		fmt.Fprintf(stdout, "(%s computed in %.1fs real time)\n", modes[mode].figure, time.Since(start).Seconds())
 		return writeJSON(rep)
 	}
 

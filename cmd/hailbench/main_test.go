@@ -302,40 +302,6 @@ func TestBenchJSONFiguresWithShards(t *testing.T) {
 	}
 }
 
-// TestBenchVectorSmoke drives the vectorized-scan A/B end to end: both
-// execution paths on the quick fixture, equivalence-gated, with the
-// report's throughput fields landing in the JSON artifact.
-func TestBenchVectorSmoke(t *testing.T) {
-	jsonPath := filepath.Join(t.TempDir(), "BENCH_vector.json")
-	var out, errb bytes.Buffer
-	err := run([]string{"-quick", "-vector", "-json", jsonPath}, &out, &errb)
-	if err != nil {
-		t.Fatalf("run: %v (stderr: %s)", err, errb.String())
-	}
-	s := out.String()
-	for _, want := range []string{"FigVector", "scan-sel", "speedup", "byte-identical"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("output missing %q:\n%s", want, s)
-		}
-	}
-	raw, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatalf("JSON artifact not written: %v", err)
-	}
-	var rep experiments.VectorReport
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatalf("bad JSON artifact: %v", err)
-	}
-	if len(rep.Queries) != 3 || rep.MinSpeedup <= 0 {
-		t.Errorf("artifact implausible: %d queries, min speedup %v", len(rep.Queries), rep.MinSpeedup)
-	}
-	for _, q := range rep.Queries {
-		if q.BatchRecPerSec <= 0 || q.Rows == 0 {
-			t.Errorf("%s: throughput not recorded: %+v", q.Name, q)
-		}
-	}
-}
-
 // TestBenchObsSmoke drives the observability experiment end to end:
 // traced benchmark queries, equivalence- and coverage-gated, with
 // non-zero latency quantiles per query in the JSON artifact.
@@ -375,8 +341,8 @@ func TestBenchObsSmoke(t *testing.T) {
 
 func TestBenchObsBadFlags(t *testing.T) {
 	var out, errb bytes.Buffer
-	if err := run([]string{"-obs", "-vector"}, &out, &errb); err == nil {
-		t.Error("accepted -obs with -vector")
+	if err := run([]string{"-obs", "-cache"}, &out, &errb); err == nil {
+		t.Error("accepted -obs with -cache")
 	}
 	if err := run([]string{"-obs", "-jobs", "3"}, &out, &errb); err == nil {
 		t.Error("accepted -jobs with -obs")
@@ -386,16 +352,16 @@ func TestBenchObsBadFlags(t *testing.T) {
 	}
 }
 
+// TestBenchVectorBadFlags: the row-vs-batch A/B mode is gone (bench/
+// measures the one scan path end to end), so -vector is an unknown flag —
+// a usage error, not a silently ignored one.
 func TestBenchVectorBadFlags(t *testing.T) {
 	var out, errb bytes.Buffer
-	if err := run([]string{"-vector", "-cache"}, &out, &errb); err == nil {
-		t.Error("accepted -vector with -cache")
+	if err := run([]string{"-quick", "-vector"}, &out, &errb); err != errUsage {
+		t.Errorf("-vector: err = %v, want the usage error", err)
 	}
-	if err := run([]string{"-vector", "-jobs", "3"}, &out, &errb); err == nil {
-		t.Error("accepted -jobs with -vector")
-	}
-	if err := run([]string{"-vector", "-only", "Fig4a"}, &out, &errb); err == nil {
-		t.Error("accepted -vector with -only")
+	if !strings.Contains(errb.String(), "flag provided but not defined: -vector") {
+		t.Errorf("stderr does not name the unknown flag:\n%s", errb.String())
 	}
 }
 

@@ -14,7 +14,7 @@
 // Endpoints:
 //
 //	POST /query    {"tenant","file","query","splitting","pack_scans",
-//	                "adaptive","no_cache","row_path","trace","limit"}
+//	                "adaptive","no_cache","trace","limit"}
 //	GET  /metrics  process metrics registry (JSON; ?format=text for the table)
 //	GET  /trace    retained query traces (?id=N → Chrome trace_event JSON)
 //	GET  /tenants  per-tenant budget ledgers

@@ -101,6 +101,17 @@ func use() error {
 	return save()
 }
 `,
+		// A nested module is not part of "./..." (go list's rule): its
+		// violation must not fail the enclosing module's run.
+		"nested/go.mod": "module smoketest/nested\n\ngo 1.24\n",
+		"nested/sink.go": `package nested
+
+func save() error { return nil }
+
+func use() {
+	save()
+}
+`,
 	})
 	code, out, errOut := runCapture(t, "-C", dir, "./...")
 	if code != 0 {

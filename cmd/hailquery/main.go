@@ -6,7 +6,7 @@
 //	hailquery -fs /tmp/hailfs -name /logs/uv \
 //	          -q '@HailQuery(filter="@3 between(1999-01-01,2000-01-01)", projection={@1})' \
 //	          [-splitting] [-pack-scans] [-adaptive] [-offer-rate 0.25] [-adaptive-budget N] [-adaptive-evict] \
-//	          [-cache] [-cache-budget N] [-row-path] [-stats] [-limit 20]
+//	          [-cache] [-cache-budget N] [-stats] [-limit 20]
 //	          [-trace out.json] [-metrics]
 //
 // The job uses the HailInputFormat: if some replica of each block carries
@@ -14,8 +14,7 @@
 // performs an index scan on that replica; otherwise it falls back to a
 // PAX column scan. Either way the candidate rows stream through the
 // vectorized batch pipeline (selection-vector kernels, late
-// materialization); -row-path selects the legacy row-at-a-time reader,
-// which produces byte-identical output and exists for A/B measurement. -splitting enables the HailSplitting policy, and
+// materialization). -splitting enables the HailSplitting policy, and
 // -pack-scans extends packing to the blocks HailSplitting leaves
 // per-block: no-index scan blocks (and, with -cache, fully-cached blocks)
 // are grouped by a preferred alive replica node into per-node splits,
@@ -93,7 +92,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	adaptiveEvict := fs.Bool("adaptive-evict", false, "adaptive: evict the coldest adaptive replicas when a build would exceed -adaptive-budget, instead of denying it")
 	cacheMode := fs.Bool("cache", false, "enable the block-level result cache for this job")
 	cacheBudget := fs.Int64("cache-budget", qcache.DefaultBudget, "cache: byte budget for cached block results")
-	rowPath := fs.Bool("row-path", false, "use the legacy row-at-a-time record reader instead of the vectorized batch pipeline (byte-identical output; for A/B measurement)")
 	nnShards := fs.Int("nn-shards", 0, "namenode directory shards (0 = default, 1 = unsharded)")
 	stats := fs.Bool("stats", false, "print access-path statistics")
 	tracePath := fs.String("trace", "", "write the query's trace as Chrome trace_event JSON to this path (load in chrome://tracing or ui.perfetto.dev)")
@@ -135,7 +133,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	input := &core.InputFormat{Cluster: cluster, Query: q, Splitting: *splitting, PackScans: *packScans, RowPath: *rowPath}
+	input := &core.InputFormat{Cluster: cluster, Query: q, Splitting: *splitting, PackScans: *packScans}
 	engine := &mapred.Engine{Cluster: cluster}
 	var idx *adaptive.Indexer
 	if *adaptiveMode {

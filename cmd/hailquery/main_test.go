@@ -293,6 +293,15 @@ func TestQueryCacheFlagValidation(t *testing.T) {
 	if err := run(append(base, "-adaptive-budget", "1024"), &out, &errb); err == nil {
 		t.Error("accepted -adaptive-budget without -adaptive")
 	}
+	// There is one scan path and no flag selecting another: -row-path is
+	// an unknown flag, rejected rather than silently ignored.
+	errb.Reset()
+	if err := run(append(base, "-row-path"), &out, &errb); err != errUsage {
+		t.Errorf("-row-path: err = %v, want the usage error", err)
+	}
+	if !strings.Contains(errb.String(), "flag provided but not defined: -row-path") {
+		t.Errorf("stderr does not name the unknown flag:\n%s", errb.String())
+	}
 }
 
 // TestQueryShardedNamenode: -nn-shards loads the filesystem under a

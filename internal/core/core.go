@@ -27,9 +27,9 @@
 // late — only for the rows that survived, at row granularity via
 // pax.ColumnCursor.NextSelected. Batches reach batch-aware map functions
 // (mapred.Job.MapBatch) directly and ordinary map functions through a
-// row-compat shim (mapred.Batch.Each), with output, I/O accounting and
-// cache keys byte-identical to the legacy row path (InputFormat.RowPath),
-// which is kept so the speedup stays measured (experiments.ExpVector).
+// row-compat shim (mapred.Batch.Each). This is the only scan path; a
+// row-at-a-time reader survives as a test-side oracle (vector_test.go)
+// that holds its output and I/O accounting byte-identical.
 package core
 
 import (

@@ -305,7 +305,7 @@ func TestHailSplittingCoverage(t *testing.T) {
 	cluster, _, sum, _ := uvFixture(t, 8000, workload.UserVisitsOptions{})
 	q := workload.BobQueries()[0].Query
 	f := &InputFormat{Cluster: cluster, Query: q, Splitting: true, SplitsPerNode: 2}
-	splits, err := f.Splits("/uv")
+	splits, _, err := f.SplitsWithStats("/uv")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,7 +549,7 @@ func TestOpenBlockMatchesWholeSplitRead(t *testing.T) {
 		t.Fatalf("QuerySignature = %q, %v", sig, ok)
 	}
 
-	splits, err := f.Splits("/uv")
+	splits, _, err := f.SplitsWithStats("/uv")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/hdfs"
 	"repro/internal/mapred"
@@ -61,33 +60,20 @@ type InputFormat struct {
 	// packing is that their work is already done (qcache.CachedReplica is
 	// the canonical implementation).
 	CachedReplica func(b hdfs.BlockID) (hdfs.NodeID, bool)
-	// RowPath selects the legacy row-at-a-time record reader instead of
-	// the vectorized batch pipeline. The two produce byte-identical
-	// output and I/O accounting; the knob exists so the batch path's
-	// speedup stays measured (experiments.ExpVector, hailquery
-	// -row-path), not asserted.
-	RowPath bool
-
-	// nnOps holds the namenode-lookup count of the most recent Splits
-	// call, for the legacy SplitPhaseStats accessor. Counting itself
-	// happens on a per-call splitPlanner, so concurrent Splits calls on a
-	// shared InputFormat never corrupt each other's totals; this field is
-	// only the last call's published result (atomic: last writer wins).
-	nnOps int64
 }
 
-// splitPlanner carries one Splits call's state — today just the namenode
-// lookup counter. Every call gets a fresh planner, which is what makes a
-// single InputFormat shareable across concurrent jobs: the split phase
-// itself is pure directory reads, and the one mutable accumulator lives
-// here instead of on the shared struct.
+// splitPlanner carries one SplitsWithStats call's state — today just the
+// namenode lookup counter. Every call gets a fresh planner, which is what
+// makes a single InputFormat shareable across concurrent jobs: the split
+// phase itself is pure directory reads, and the one mutable accumulator
+// lives here instead of on the shared struct.
 type splitPlanner struct {
 	*InputFormat
 	nnOps int64
 }
 
 // AdaptiveObserver is the adaptive indexing layer's view of the split
-// phase. ObserveJob is called once per Splits invocation that has a
+// phase. ObserveJob is called once per SplitsWithStats call that has a
 // usable filter column: `indexed` blocks get index-scan splits, `missing`
 // blocks have no replica indexed on `column` and get full-scan splits.
 type AdaptiveObserver interface {
@@ -207,23 +193,18 @@ func (f *splitPlanner) partitionByIndex(blocks []hdfs.BlockID, col int) (indexed
 	return indexed, missing
 }
 
-// Splits implements the split phase (§4.3). The stats of the call are
-// published for SplitPhaseStats; callers running concurrent jobs over one
-// shared InputFormat should use SplitsWithStats, whose per-call stats
-// cannot be clobbered by an overlapping call.
-func (f *InputFormat) Splits(file string) ([]mapred.Split, error) {
-	splits, stats, err := f.SplitsWithStats(file)
-	if err != nil {
-		return nil, err
-	}
-	atomic.StoreInt64(&f.nnOps, int64(stats.NameNodeOps))
-	return splits, nil
-}
-
-// SplitsWithStats implements mapred.StatsInputFormat: the split phase
-// plus that call's own stats. All mutable split-phase state lives on a
-// per-call planner, so one InputFormat value may serve any number of
-// concurrent jobs.
+// SplitsWithStats implements the split phase (§4.3) and returns that
+// call's own stats. All mutable split-phase state lives on a per-call
+// planner, so one InputFormat value may serve any number of concurrent
+// jobs.
+//
+// HAIL's split phase needs no block-header reads — all index information
+// lives in the namenode's Dir_rep (§6.4.1: HAIL "does not have to read any
+// block header to compute input splits"), so BytesRead and Seeks stay zero
+// by design. The phase is not free, though: liveness-aware location
+// resolution and especially the adaptive path (partitionByIndex probes
+// every block) are namenode directory lookups, reported in NameNodeOps so
+// the metadata cost is measured rather than hidden behind a zero struct.
 func (f *InputFormat) SplitsWithStats(file string) ([]mapred.Split, mapred.TaskStats, error) {
 	p := &splitPlanner{InputFormat: f, nnOps: 1} // 1: the FileBlocks lookup below
 	blocks, err := f.Cluster.NameNode().FileBlocks(file)
@@ -253,18 +234,6 @@ func (f *InputFormat) SplitsWithStats(file string) ([]mapred.Split, mapred.TaskS
 		}
 	}
 	return splits, mapred.TaskStats{NameNodeOps: int(p.nnOps)}, nil
-}
-
-// SplitPhaseStats: HAIL's split phase needs no block-header reads — all
-// index information lives in the namenode's Dir_rep (§6.4.1: HAIL "does
-// not have to read any block header to compute input splits"), so
-// BytesRead and Seeks stay zero by design. The phase is not free, though:
-// liveness-aware location resolution and especially the adaptive path
-// (partitionByIndex probes every block) are namenode directory lookups,
-// reported in NameNodeOps so the metadata cost of the latest Splits call
-// is measured rather than hidden behind a zero struct.
-func (f *InputFormat) SplitPhaseStats() mapred.TaskStats {
-	return mapred.TaskStats{NameNodeOps: int(atomic.LoadInt64(&f.nnOps))}
 }
 
 // cachedAliveReplica is the packing probe for fully-cached blocks: the
@@ -506,27 +475,15 @@ func (f *InputFormat) Open(split mapred.Split, node hdfs.NodeID) (mapred.RecordR
 		query:   f.Query,
 		split:   split,
 		node:    node,
-		rowPath: f.RowPath,
 	}, nil
 }
 
 // QuerySignature implements mapred.QuerySigner: the HailRecordReader is a
-// pure function of (block bytes, query, scan path), so the query's
-// normalized signature — conjuncts merged and ordered, projection
-// preserved — keys the block-level result cache, prefixed with the scan
-// path when the legacy row-at-a-time reader is selected. The row and
-// batch paths are byte-equivalent today, but that equivalence is an
-// invariant maintained by tests (experiments.ExpVector), not by
-// construction — keying the knob means cache correctness never rides on
-// it. RowPath=false (the default) leaves every signature unchanged.
-// This is the unkeyed knob sigflow exists to catch; see
-// TestRowPathIsCacheKeyed for the runtime regression.
+// pure function of (block bytes, query), so the query's normalized
+// signature — conjuncts merged and ordered, projection preserved — keys
+// the block-level result cache.
 func (f *InputFormat) QuerySignature() (string, bool) {
-	sig := f.Query.Signature()
-	if f.RowPath {
-		sig = "rowpath|" + sig
-	}
-	return sig, true
+	return f.Query.Signature(), true
 }
 
 // OpenBlock implements mapred.BlockOpener: a reader for one block of the

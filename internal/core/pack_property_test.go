@@ -59,7 +59,7 @@ func TestPackingPolicyProperty(t *testing.T) {
 					for pi, pol := range policies {
 						f := pol
 						f.Cluster, f.Query = cluster, q
-						splits, err := f.Splits("/uv")
+						splits, _, err := f.SplitsWithStats("/uv")
 						if err != nil {
 							t.Fatalf("%s q%d p%d: %v", step, qi, pi, err)
 						}
@@ -200,7 +200,7 @@ func TestDropReplicaCacheProperty(t *testing.T) {
 			}
 			checkSplits := func(step string) {
 				in := newInput()
-				splits, err := in.Splits("/uv")
+				splits, _, err := in.SplitsWithStats("/uv")
 				if err != nil {
 					t.Fatalf("%s: %v", step, err)
 				}

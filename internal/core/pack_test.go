@@ -79,7 +79,7 @@ func TestPackedScanSplitsCoverage(t *testing.T) {
 	cluster, _, sum, _ := uvFixture(t, 8000, workload.UserVisitsOptions{})
 	q := scanOnlyQuery()
 	packed := &InputFormat{Cluster: cluster, Query: q, Splitting: true, SplitsPerNode: 2, PackScans: true}
-	splits, err := packed.Splits("/uv")
+	splits, _, err := packed.SplitsWithStats("/uv")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestScanSplitLocationsAliveAfterKill(t *testing.T) {
 	} {
 		f := cfg.in
 		f.Cluster, f.Query = cluster, cfg.q
-		splits, err := f.Splits("/uv")
+		splits, _, err := f.SplitsWithStats("/uv")
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.name, err)
 		}
@@ -175,7 +175,7 @@ func TestPerBlockIndexPinDeterministic(t *testing.T) {
 	f := &InputFormat{Cluster: cluster, Query: q}
 	var first []mapred.Split
 	for i := 0; i < 5; i++ {
-		splits, err := f.Splits("/uv1")
+		splits, _, err := f.SplitsWithStats("/uv1")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,18 +221,18 @@ func (o *countingObserver) ObserveJob(_ string, _ int, indexed, missing []hdfs.B
 	o.indexed, o.missing = len(indexed), len(missing)
 }
 
-// TestSplitPhaseStatsCountNameNodeOps is the satellite regression for the
-// hard-coded-zero SplitPhaseStats: the adaptive path performs per-block
-// directory lookups during Splits, and those must be accounted — while
+// TestSplitPhaseStatsCountNameNodeOps is the regression for hard-coded-zero
+// split-phase stats: the adaptive path performs per-block directory
+// lookups during the split phase, and those must be accounted — while
 // block-header I/O stays zero by design (§6.4.1).
 func TestSplitPhaseStatsCountNameNodeOps(t *testing.T) {
 	cluster, _, sum, _ := uvFixture(t, 5000, workload.UserVisitsOptions{})
 	obs := &countingObserver{}
 	f := &InputFormat{Cluster: cluster, Query: scanOnlyQuery(), Adaptive: obs}
-	if _, err := f.Splits("/uv"); err != nil {
+	_, st, err := f.SplitsWithStats("/uv")
+	if err != nil {
 		t.Fatal(err)
 	}
-	st := f.SplitPhaseStats()
 	if obs.missing != sum.Blocks {
 		t.Fatalf("observer saw %d missing blocks, want %d", obs.missing, sum.Blocks)
 	}
@@ -245,7 +245,7 @@ func TestSplitPhaseStatsCountNameNodeOps(t *testing.T) {
 		t.Errorf("split phase reported block I/O (%+v); HAIL reads no headers at split time", st)
 	}
 
-	// The counter is per-Splits-call, not cumulative, and flows into the
+	// The counter is per call, not cumulative, and flows into the
 	// engine's JobResult.
 	e := &mapred.Engine{Cluster: cluster}
 	res, err := e.Run(&mapred.Job{

@@ -30,36 +30,24 @@ const batchRows = pax.PartitionSize
 // (query.MatchesBatch), and the remaining projection columns are decoded
 // only when the batch has surviving rows — late materialization. Column
 // bytes are read (and I/O-accounted) once per block at cursor creation,
-// in ascending column order, so the batch pipeline's BytesRead/Seeks/
-// PartitionsScanned are byte-identical to the legacy row path's; only
-// decoding and filtering are restructured. rowPath selects the legacy
-// row-at-a-time path, kept for A/B measurement (experiments.ExpVector).
+// in ascending column order, so BytesRead/Seeks/PartitionsScanned equal
+// those of one contiguous range read per needed column — the accounting
+// the test-side row oracle (rowOracleReader) holds this pipeline to.
 type recordReader struct {
 	cluster *hdfs.Cluster
 	query   *query.Query
 	split   mapred.Split
 	node    hdfs.NodeID
-	rowPath bool
 
 	batch mapred.Batch    // reused across blocks; fn must not retain it
 	sel   query.Selection // reused selection vector
 	ident query.Selection // reused identity selection for compacted batches
 }
 
-// Read implements mapred.RecordReader. The default path streams batches
-// and materializes records through Batch.Each's scratch row, so ordinary
-// map functions get the kernel speedup without change; rowPath runs the
-// legacy scalar scan.
+// Read implements mapred.RecordReader: it streams batches and
+// materializes records through Batch.Each's scratch row, so ordinary map
+// functions get the kernel speedup without change.
 func (r *recordReader) Read(fn func(mapred.Record)) (mapred.TaskStats, error) {
-	if r.rowPath {
-		var stats mapred.TaskStats
-		for _, b := range r.split.Blocks {
-			if err := r.readBlockRows(b, fn, &stats); err != nil {
-				return stats, err
-			}
-		}
-		return stats, nil
-	}
 	return r.ReadBatches(func(b *mapred.Batch) { b.Each(fn) })
 }
 
@@ -93,8 +81,8 @@ func (r *recordReader) openReplica(b hdfs.BlockID) ([]byte, hdfs.NodeID, error) 
 	return data, servedBy, err
 }
 
-// blockScan is the per-block prologue shared by both execution paths: the
-// parsed PAX reader and the index-resolved candidate row range.
+// blockScan is the per-block prologue: the parsed PAX reader and the
+// index-resolved candidate row range.
 type blockScan struct {
 	reader         *pax.Reader
 	q              *query.Query
@@ -107,7 +95,7 @@ type blockScan struct {
 // replica's clustered index when one matches a filter predicate; a full
 // scan keeps the whole block. All access-path stats (Blocks, RemoteReads,
 // IndexScans/FullScans, IndexBytesRead, PartitionsScanned) are accounted
-// here, identically for the row and batch pipelines.
+// here.
 func (r *recordReader) openBlockScan(b hdfs.BlockID, stats *mapred.TaskStats) (*blockScan, error) {
 	data, servedBy, err := r.openReplica(b)
 	if err != nil {
@@ -173,9 +161,9 @@ func (r *recordReader) openBlockScan(b hdfs.BlockID, stats *mapred.TaskStats) (*
 }
 
 // neededColumns returns the distinct columns the scan must touch
-// (filter ∪ projection) in ascending order — the read order both paths
-// use so the seek count never depends on map iteration order — plus the
-// distinct filter columns, also ascending.
+// (filter ∪ projection) in ascending order — the read order, so the seek
+// count never depends on map iteration order — plus the distinct filter
+// columns, also ascending.
 func neededColumns(q *query.Query, proj []int) (cols, filterCols []int) {
 	need := make(map[int]bool)
 	for _, p := range q.Filter {
@@ -226,16 +214,15 @@ func (r *recordReader) readBlockBatches(b hdfs.BlockID, fn func(*mapred.Batch), 
 
 // streamRange drives the candidate row range through the batch pipeline.
 // Cursors for every needed column are opened up front in ascending column
-// order — that is where all raw reads happen, reproducing the row path's
-// I/O accounting exactly — then each batch decodes the filter columns and
+// order — that is where all raw reads happen, one contiguous range per
+// column — then each batch decodes the filter columns and
 // runs the selection-vector kernels. Projection columns are materialized
 // at row granularity: when the filters discard part of a batch, the
 // projection-only cursors decode (and, for strings, allocate) values for
 // the surviving rows alone, and the already-decoded filter columns are
 // compacted in place, so every emitted batch is dense. A selective scan
 // therefore pays projection decoding proportional to its selectivity,
-// not its scan range — the late-materialization payoff ExpVector
-// measures.
+// not its scan range — the late-materialization payoff.
 func (r *recordReader) streamRange(bs *blockScan, fn func(*mapred.Batch), stats *mapred.TaskStats) error {
 	cols, filterCols := neededColumns(bs.q, bs.proj)
 	sch := bs.reader.Schema()
@@ -322,68 +309,4 @@ func isProjected(proj []int, col int) bool {
 		}
 	}
 	return false
-}
-
-// readBlockRows is the legacy row-at-a-time per-block execution, kept
-// behind InputFormat.RowPath so the vectorized pipeline's speedup is
-// measured against it rather than asserted.
-func (r *recordReader) readBlockRows(b hdfs.BlockID, fn func(mapred.Record), stats *mapred.TaskStats) error {
-	bs, err := r.openBlockScan(b, stats)
-	if err != nil {
-		return err
-	}
-	if bs.toRow > bs.fromRow {
-		if err := r.emitRange(bs, fn, stats); err != nil {
-			return err
-		}
-	}
-	if bs.reader.NumBad() > 0 {
-		bad, err := bs.reader.ReadAllBad()
-		if err != nil {
-			return err
-		}
-		for _, line := range bad {
-			stats.RecordsDelivered++
-			fn(mapred.Record{Raw: line, Bad: true})
-		}
-	}
-	stats.AddIO(bs.reader.Stats())
-	return nil
-}
-
-// emitRange reads the filter and projection columns over the candidate row
-// range, post-filters row by row, and emits projected rows. Only the
-// needed columns are touched — the PAX advantage — and each is read as one
-// contiguous range. The projected row handed to fn is a scratch buffer
-// reused across records (the same object-reuse contract as Batch.Each).
-func (r *recordReader) emitRange(bs *blockScan, fn func(mapred.Record), stats *mapred.TaskStats) error {
-	q, proj := bs.q, bs.proj
-	cols, _ := neededColumns(q, proj)
-	needed := make(map[int][]schema.Value, len(cols))
-	for _, col := range cols {
-		vals, err := bs.reader.ReadColumnRange(col, bs.fromRow, bs.toRow)
-		if err != nil {
-			return err
-		}
-		needed[col] = vals
-	}
-
-	n := bs.toRow - bs.fromRow
-	stats.RecordsScanned += int64(n)
-	row := make(schema.Row, len(proj))
-rows:
-	for i := 0; i < n; i++ {
-		for _, p := range q.Filter {
-			if !p.Matches(needed[p.Column][i]) {
-				continue rows
-			}
-		}
-		for j, c := range proj {
-			row[j] = needed[c][i]
-		}
-		stats.RecordsDelivered++
-		stats.AttrsDelivered += int64(len(proj))
-		fn(mapred.Record{Row: row})
-	}
-	return nil
 }

@@ -10,15 +10,114 @@ import (
 	"repro/internal/workload"
 )
 
-// runPath runs one query over the file with the given execution path,
-// single-threaded so the output order is deterministic.
-func runPath(t *testing.T, cluster *hdfs.Cluster, file string, q *query.Query, rowPath bool) *mapred.JobResult {
+// rowOracleInput is the reference the batch pipeline is held to: the
+// HailInputFormat split phase with a row-at-a-time record reader. It is
+// the reader production ran before the vectorized pipeline replaced it,
+// kept here — and only here — because the two are written independently
+// below the shared per-block prologue (openBlockScan): boxed
+// pax.Reader.ReadColumnRange + Predicate.Matches per row on this side,
+// column cursors + selection-vector kernels on the other.
+type rowOracleInput struct{ f *InputFormat }
+
+func (o rowOracleInput) SplitsWithStats(file string) ([]mapred.Split, mapred.TaskStats, error) {
+	return o.f.SplitsWithStats(file)
+}
+
+func (o rowOracleInput) Open(split mapred.Split, node hdfs.NodeID) (mapred.RecordReader, error) {
+	return &rowOracleReader{r: recordReader{cluster: o.f.Cluster, query: o.f.Query, split: split, node: node}}, nil
+}
+
+// rowOracleReader holds its recordReader in a named field, not embedded,
+// so it never satisfies mapred.BatchReader by promotion.
+type rowOracleReader struct{ r recordReader }
+
+func (o *rowOracleReader) Read(fn func(mapred.Record)) (mapred.TaskStats, error) {
+	var stats mapred.TaskStats
+	for _, b := range o.r.split.Blocks {
+		if err := o.readBlockRows(b, fn, &stats); err != nil {
+			return stats, err
+		}
+	}
+	return stats, nil
+}
+
+// readBlockRows is the per-block row execution: the candidate range row
+// by row, then the bad records flagged, one at a time.
+func (o *rowOracleReader) readBlockRows(b hdfs.BlockID, fn func(mapred.Record), stats *mapred.TaskStats) error {
+	bs, err := o.r.openBlockScan(b, stats)
+	if err != nil {
+		return err
+	}
+	if bs.toRow > bs.fromRow {
+		if err := emitRange(bs, fn, stats); err != nil {
+			return err
+		}
+	}
+	if bs.reader.NumBad() > 0 {
+		bad, err := bs.reader.ReadAllBad()
+		if err != nil {
+			return err
+		}
+		for _, line := range bad {
+			stats.RecordsDelivered++
+			fn(mapred.Record{Raw: line, Bad: true})
+		}
+	}
+	stats.AddIO(bs.reader.Stats())
+	return nil
+}
+
+// emitRange reads the filter and projection columns over the candidate row
+// range — each as one contiguous boxed range, ascending column order —
+// post-filters row by row, and emits projected rows through a reused
+// scratch row (the same object-reuse contract as Batch.Each).
+func emitRange(bs *blockScan, fn func(mapred.Record), stats *mapred.TaskStats) error {
+	q, proj := bs.q, bs.proj
+	cols, _ := neededColumns(q, proj)
+	needed := make(map[int][]schema.Value, len(cols))
+	for _, col := range cols {
+		vals, err := bs.reader.ReadColumnRange(col, bs.fromRow, bs.toRow)
+		if err != nil {
+			return err
+		}
+		needed[col] = vals
+	}
+
+	n := bs.toRow - bs.fromRow
+	stats.RecordsScanned += int64(n)
+	row := make(schema.Row, len(proj))
+rows:
+	for i := 0; i < n; i++ {
+		for _, p := range q.Filter {
+			if !p.Matches(needed[p.Column][i]) {
+				continue rows
+			}
+		}
+		for j, c := range proj {
+			row[j] = needed[c][i]
+		}
+		stats.RecordsDelivered++
+		stats.AttrsDelivered += int64(len(proj))
+		fn(mapred.Record{Row: row})
+	}
+	return nil
+}
+
+// runPath runs one query over the file — through the production batch
+// pipeline, or through the row oracle — single-threaded so the output
+// order is deterministic.
+func runPath(t *testing.T, cluster *hdfs.Cluster, file string, q *query.Query, rowOracle bool) *mapred.JobResult {
 	t.Helper()
+	f := &InputFormat{Cluster: cluster, Query: q, Splitting: true}
+	var input mapred.InputFormat = f
+	if rowOracle {
+		input = rowOracleInput{f}
+	}
 	e := &mapred.Engine{Cluster: cluster, Parallelism: 1}
 	res, err := e.Run(&mapred.Job{
 		Name:   "vector-ab",
 		File:   file,
-		Input:  &InputFormat{Cluster: cluster, Query: q, Splitting: true, RowPath: rowPath},
+		Input:  input,
 		Map:    workload.PassthroughMap,
 		MapSig: workload.PassthroughMapSig,
 	})
@@ -35,12 +134,12 @@ func normStats(s mapred.TaskStats) mapred.TaskStats {
 	return s
 }
 
-// TestBatchPathMatchesRowPath is the tentpole's equivalence gate at the
-// core layer: for every Bob query plus scan/edge cases (no filter, string
-// range, half-bounded predicate, empty result), the vectorized pipeline
-// and the legacy row path must produce byte-identical output in identical
-// order, and identical TaskStats up to the batch-only counters — same
-// bytes, same seeks, same partitions, same records.
+// TestBatchPathMatchesRowPath is the scan pipeline's equivalence gate:
+// for every Bob query plus scan/edge cases (no filter, string and integer
+// ranges on unindexed attributes, half-bounded predicate, empty result),
+// the vectorized pipeline and the row oracle must produce byte-identical
+// output in identical order, and identical TaskStats up to the batch-only
+// counters — same bytes, same seeks, same partitions, same records.
 func TestBatchPathMatchesRowPath(t *testing.T) {
 	cluster, _, _, _ := uvFixture(t, 6_000, workload.UserVisitsOptions{NeedleEvery: 500, BadEvery: 750})
 	s := workload.UserVisitsSchema()
@@ -51,6 +150,10 @@ func TestBatchPathMatchesRowPath(t *testing.T) {
 		{ // string range on a non-indexed attribute
 			Filter:     []query.Predicate{query.Between(workload.UVCountryCode, schema.StringVal("AR"), schema.StringVal("MX"))},
 			Projection: []int{workload.UVSourceIP, workload.UVCountryCode},
+		},
+		{ // integer range on a non-indexed attribute: every row through the kernels
+			Filter:     []query.Predicate{query.Between(workload.UVDuration, schema.IntVal(100), schema.IntVal(199))},
+			Projection: []int{workload.UVSourceIP},
 		},
 		{ // half-bounded predicate
 			Filter:     []query.Predicate{query.AtLeast(workload.UVAdRevenue, schema.FloatVal(900))},
@@ -72,7 +175,7 @@ func TestBatchPathMatchesRowPath(t *testing.T) {
 		row := runPath(t, cluster, "/uv", q, true)
 		batch := runPath(t, cluster, "/uv", q, false)
 		if len(row.Output) != len(batch.Output) {
-			t.Fatalf("%s: row path emitted %d records, batch path %d", q, len(row.Output), len(batch.Output))
+			t.Fatalf("%s: row oracle emitted %d records, batch path %d", q, len(row.Output), len(batch.Output))
 		}
 		for i := range row.Output {
 			if row.Output[i] != batch.Output[i] {
@@ -84,7 +187,7 @@ func TestBatchPathMatchesRowPath(t *testing.T) {
 			t.Errorf("%s: stats diverge:\nrow:   %+v\nbatch: %+v", q, normStats(rs), normStats(bs))
 		}
 		if rs.RowsScanned != 0 || rs.BatchesEmitted != 0 {
-			t.Errorf("%s: row path reported batch counters: %+v", q, rs)
+			t.Errorf("%s: row oracle reported batch counters: %+v", q, rs)
 		}
 		if bs.RowsScanned != bs.RecordsScanned {
 			t.Errorf("%s: RowsScanned = %d, RecordsScanned = %d", q, bs.RowsScanned, bs.RecordsScanned)
@@ -129,11 +232,10 @@ func TestMapBatchMatchesMap(t *testing.T) {
 }
 
 // TestScanAllocationsNotPerRow pins down the scratch-buffer reuse: on an
-// all-fixed-width schema, a whole-split read must not allocate per row —
-// neither in the batch pipeline (reused vectors, selection and scratch
-// row) nor in the legacy row path (reused projected row). The bound is
-// generous for per-block/per-batch setup but orders of magnitude below
-// one allocation per row.
+// all-fixed-width schema, a whole-split read must not allocate per row
+// (reused vectors, selection and scratch row). The bound is generous for
+// per-block/per-batch setup but orders of magnitude below one allocation
+// per row.
 func TestScanAllocationsNotPerRow(t *testing.T) {
 	const nRows = 16_000
 	cluster, err := hdfs.NewCluster(2)
@@ -156,68 +258,46 @@ func TestScanAllocationsNotPerRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rowPath := range []bool{false, true} {
-		f := &InputFormat{Cluster: cluster, Query: q, Splitting: true, RowPath: rowPath}
-		splits, err := f.Splits("/synalloc")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rows int64
-		allocs := testing.AllocsPerRun(5, func() {
-			rows = 0
-			for _, split := range splits {
-				rr, err := f.Open(split, split.Locations[0])
-				if err != nil {
-					t.Fatal(err)
-				}
-				st, err := rr.Read(func(mapred.Record) {})
-				if err != nil {
-					t.Fatal(err)
-				}
-				rows += st.RecordsScanned
+	f := &InputFormat{Cluster: cluster, Query: q, Splitting: true}
+	splits, _, err := f.SplitsWithStats("/synalloc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows int64
+	allocs := testing.AllocsPerRun(5, func() {
+		rows = 0
+		for _, split := range splits {
+			rr, err := f.Open(split, split.Locations[0])
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
-		if rows != nRows {
-			t.Fatalf("rowPath=%v: scanned %d rows, want %d", rowPath, rows, nRows)
+			st, err := rr.Read(func(mapred.Record) {})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows += st.RecordsScanned
 		}
-		// ~half the rows qualify, so one allocation per delivered row
-		// would show up as thousands.
-		if allocs > 600 {
-			t.Errorf("rowPath=%v: %v allocations for a %d-row scan — per-row allocation regressed", rowPath, allocs, nRows)
-		}
+	})
+	if rows != nRows {
+		t.Fatalf("scanned %d rows, want %d", rows, nRows)
+	}
+	// ~half the rows qualify, so one allocation per delivered row
+	// would show up as thousands.
+	if allocs > 600 {
+		t.Errorf("%v allocations for a %d-row scan — per-row allocation regressed", allocs, nRows)
 	}
 }
 
-// TestRowPathIsCacheKeyed pins the fix for the real finding hailint's
-// sigflow analyzer surfaced on this tree: InputFormat.RowPath is read on
-// the block-scan path (Open threads it into the reader), so it must be
-// part of the cache key. Before the fix, a query run with -row-path and
-// the same query run on the batch path shared qcache entries — correct
-// only as long as the two paths stay byte-equivalent, a property tests
-// maintain but nothing enforces at cache-probe time. Two InputFormats
-// differing only in RowPath must therefore sign differently, and the
-// default (batch) signature must stay exactly the query's own signature
-// so existing cache keys are unchanged.
+// TestRowPathIsCacheKeyed pins what is left of the cache-key policy now
+// that there is one scan path and no knob selecting it: the input
+// format's signature is exactly the query's own, so every cache key
+// admitted before the row path was retired stays valid.
 func TestRowPathIsCacheKeyed(t *testing.T) {
 	q := &query.Query{
 		Filter:     []query.Predicate{query.AtLeast(workload.UVAdRevenue, schema.FloatVal(100))},
 		Projection: []int{workload.UVSourceIP},
 	}
-	batch := &InputFormat{Query: q}
-	row := &InputFormat{Query: q, RowPath: true}
-
-	bSig, ok := batch.QuerySignature()
-	if !ok {
-		t.Fatal("batch QuerySignature not ok")
-	}
-	rSig, ok := row.QuerySignature()
-	if !ok {
-		t.Fatal("row QuerySignature not ok")
-	}
-	if bSig == rSig {
-		t.Fatalf("RowPath is not cache-keyed: both paths sign %q — the block cache would serve one path's bytes for the other", bSig)
-	}
-	if bSig != q.Signature() {
-		t.Fatalf("batch signature changed by the fix: %q != %q — existing cache keys must stay valid", bSig, q.Signature())
+	if sig, ok := (&InputFormat{Query: q}).QuerySignature(); !ok || sig != q.Signature() {
+		t.Fatalf("QuerySignature() = %q, %v; want the query's own signature %q", sig, ok, q.Signature())
 	}
 }

@@ -89,22 +89,12 @@ func (r *Runner) ExpAdaptive(w Workload, jobs int, offerRate float64) (*Adaptive
 		return nil, fmt.Errorf("adaptive: need at least one job, got %d", jobs)
 	}
 
-	// A fresh, uncached fixture: the adaptive indexer mutates the cluster
-	// (new and replaced replicas), so it must not share state with the
-	// static-figure fixtures.
-	lines := r.lines(w)
-	blockSize := r.blockTextBytes(w, lines)
-	cluster, err := r.newCluster()
+	// The adaptive indexer mutates the cluster (new and replaced replicas).
+	f, err := r.freshHAILFixture(w, r.blockTextBytes)
 	if err != nil {
 		return nil, err
 	}
-	client := &core.Client{Cluster: cluster, Config: hailConfig(w, blockSize)}
-	f := &fixture{workload: w, system: HAIL, cluster: cluster, file: "/" + w.String(), lines: lines}
-	f.hailSum, err = client.Upload(f.file, lines)
-	if err != nil {
-		return nil, err
-	}
-	f.scale = r.newScale(w, f.hailSum.TextBytes, f.hailSum.Rows, f.hailSum.Blocks)
+	cluster := f.cluster
 
 	idx := adaptive.New(cluster, offerRate)
 	idx.SetBudgetBytes(r.AdaptiveBudget)

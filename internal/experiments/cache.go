@@ -130,22 +130,15 @@ func (r *Runner) ExpCache(w Workload, jobs int, budget int64, offerRate float64,
 	// mode uses the dispatch experiment's finer block size: packing's win
 	// is blocks / (nodes × SplitsPerNode), so the trajectory needs many
 	// more blocks than packing slots for the dispatch drop to register.
-	lines := r.lines(w)
-	blockSize := r.blockTextBytes(w, lines)
+	blockSize := r.blockTextBytes
 	if packScans {
-		blockSize = r.dispatchBlockSize(w, lines)
+		blockSize = r.dispatchBlockSize
 	}
-	cluster, err := r.newCluster()
+	f, err := r.freshHAILFixture(w, blockSize)
 	if err != nil {
 		return nil, err
 	}
-	client := &core.Client{Cluster: cluster, Config: hailConfig(w, blockSize)}
-	f := &fixture{workload: w, system: HAIL, cluster: cluster, file: "/" + w.String(), lines: lines}
-	f.hailSum, err = client.Upload(f.file, lines)
-	if err != nil {
-		return nil, err
-	}
-	f.scale = r.newScale(w, f.hailSum.TextBytes, f.hailSum.Rows, f.hailSum.Blocks)
+	cluster := f.cluster
 
 	q := adaptiveQuery(w)
 	cache := qcache.New(budget)

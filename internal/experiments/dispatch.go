@@ -165,20 +165,11 @@ func (r *Runner) dispatchJobTimes(f *fixture, res *mapred.JobResult) (e2e, workS
 // fixture. cacheBudget 0 selects qcache.DefaultBudget for the cache-hot
 // scenario.
 func (r *Runner) ExpDispatch(w Workload, cacheBudget int64) (*DispatchReport, error) {
-	lines := r.lines(w)
-	blockSize := r.dispatchBlockSize(w, lines)
-
-	cluster, err := r.newCluster()
+	f, err := r.freshHAILFixture(w, r.dispatchBlockSize)
 	if err != nil {
 		return nil, err
 	}
-	client := &core.Client{Cluster: cluster, Config: hailConfig(w, blockSize)}
-	f := &fixture{workload: w, system: HAIL, cluster: cluster, file: "/" + w.String(), lines: lines}
-	f.hailSum, err = client.Upload(f.file, lines)
-	if err != nil {
-		return nil, err
-	}
-	f.scale = r.newScale(w, f.hailSum.TextBytes, f.hailSum.Rows, f.hailSum.Blocks)
+	cluster := f.cluster
 
 	// The query filters on an attribute no replica is indexed on — the
 	// adaptive sequence's job-1 shape: every block is a scan split.
@@ -296,7 +287,7 @@ func (r *Runner) ExpDispatch(w Workload, cacheBudget int64) (*DispatchReport, er
 	// --- Failover: kill a packed split's pinned node at ~50% progress.
 	// The job must complete with only the victim's blocks re-resolved. ---
 	input := newInput(true, nil)
-	splits, err := input.Splits(f.file)
+	splits, _, err := input.SplitsWithStats(f.file)
 	if err != nil {
 		return nil, err
 	}

@@ -248,6 +248,29 @@ func trojanIndexColumn(w Workload) int {
 	return 0
 }
 
+// freshHAILFixture uploads w into a new cluster under the paper's HAIL
+// layout. The fixture is private to the caller — the trajectory
+// experiments mutate their cluster (adaptive conversions, evictions, node
+// kills), so they must not share state with the memoized static-figure
+// fixtures. blockSize picks the block size from the generated lines:
+// r.blockTextBytes for the figures' granularity, r.dispatchBlockSize for
+// the packing experiments' finer one.
+func (r *Runner) freshHAILFixture(w Workload, blockSize func(Workload, []string) int) (*fixture, error) {
+	lines := r.lines(w)
+	cluster, err := r.newCluster()
+	if err != nil {
+		return nil, err
+	}
+	client := &core.Client{Cluster: cluster, Config: hailConfig(w, blockSize(w, lines))}
+	f := &fixture{workload: w, system: HAIL, cluster: cluster, file: "/" + w.String(), lines: lines}
+	f.hailSum, err = client.Upload(f.file, lines)
+	if err != nil {
+		return nil, err
+	}
+	f.scale = r.newScale(w, f.hailSum.TextBytes, f.hailSum.Rows, f.hailSum.Blocks)
+	return f, nil
+}
+
 func (r *Runner) fixture(w Workload, s System) (*fixture, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -256,6 +279,14 @@ func (r *Runner) fixture(w Workload, s System) (*fixture, error) {
 		r.fixtures = make(map[string]*fixture)
 	}
 	if f, ok := r.fixtures[key]; ok {
+		return f, nil
+	}
+	if s == HAIL {
+		f, err := r.freshHAILFixture(w, r.blockTextBytes)
+		if err != nil {
+			return nil, err
+		}
+		r.fixtures[key] = f
 		return f, nil
 	}
 	lines := r.lines(w)
@@ -289,13 +320,6 @@ func (r *Runner) fixture(w Workload, s System) (*fixture, error) {
 			return nil, err
 		}
 		f.scale = r.newScale(w, f.trojanSum.Text.TextBytes, f.trojanSum.Rows, f.trojanSum.Blocks)
-	case HAIL:
-		client := &core.Client{Cluster: cluster, Config: hailConfig(w, blockSize)}
-		f.hailSum, err = client.Upload(f.file, lines)
-		if err != nil {
-			return nil, err
-		}
-		f.scale = r.newScale(w, f.hailSum.TextBytes, f.hailSum.Rows, f.hailSum.Blocks)
 	}
 	r.fixtures[key] = f
 	return f, nil

@@ -107,20 +107,13 @@ func (r *Runner) ExpLifecycle(w Workload, jobsPerPhase int, offerRate float64) (
 		return nil, fmt.Errorf("lifecycle: need at least two jobs per phase, got %d", jobsPerPhase)
 	}
 
-	// Fresh fixture: the lifecycle mutates the cluster heavily.
-	lines := r.lines(w)
-	blockSize := r.blockTextBytes(w, lines)
-	cluster, err := r.newCluster()
+	// The lifecycle mutates the cluster heavily.
+	f, err := r.freshHAILFixture(w, r.blockTextBytes)
 	if err != nil {
 		return nil, err
 	}
-	client := &core.Client{Cluster: cluster, Config: hailConfig(w, blockSize)}
-	f := &fixture{workload: w, system: HAIL, cluster: cluster, file: "/" + w.String(), lines: lines}
-	f.hailSum, err = client.Upload(f.file, lines)
-	if err != nil {
-		return nil, err
-	}
-	f.scale = r.newScale(w, f.hailSum.TextBytes, f.hailSum.Rows, f.hailSum.Blocks)
+	cluster := f.cluster
+	blockSize := r.blockTextBytes(w, f.lines)
 
 	nn := cluster.NameNode()
 	blocks, err := nn.FileBlocks(f.file)

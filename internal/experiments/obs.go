@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mapred"
 	"repro/internal/obs"
+	"repro/internal/query"
 	"repro/internal/workload"
 )
 
@@ -55,6 +56,28 @@ type ObsReport struct {
 	Metrics  []obs.Metric `json:"metrics"`
 }
 
+// obsBenchQueries picks the observed query set, one per scan shape: a
+// selective full scan (no usable index — every row flows through the
+// kernels), a selective index scan (the kernels run over the
+// index-narrowed range), and a wide no-filter materialization.
+func obsBenchQueries(w Workload) []struct {
+	name string
+	q    *query.Query
+} {
+	indexed := workload.SynQueries()[0].Query // @1 between(0,99), wide proj
+	if w == UserVisits {
+		indexed = workload.BobQueries()[4].Query // @4 between(1,100), 20%
+	}
+	return []struct {
+		name string
+		q    *query.Query
+	}{
+		{"scan-sel", adaptiveQuery(w)},
+		{"index-sel", indexed},
+		{"wide-scan", &query.Query{}},
+	}
+}
+
 // ExpObs runs the observability experiment on the HAIL fixture.
 func (r *Runner) ExpObs(w Workload) (*ObsReport, error) {
 	f, err := r.fixture(w, HAIL)
@@ -65,7 +88,7 @@ func (r *Runner) ExpObs(w Workload) (*ObsReport, error) {
 	reg := obs.NewRegistry()
 	f.cluster.NameNode().BindObs(reg)
 
-	for _, bq := range vectorBenchQueries(w) {
+	for _, bq := range obsBenchQueries(w) {
 		input := &core.InputFormat{
 			Cluster: f.cluster, Query: bq.q,
 			Splitting: true, SplitsPerNode: SplitsPerNodePaper,

@@ -110,17 +110,11 @@ func (r *Runner) ExpServe(w Workload, queries, tenants int) (*ServeReport, error
 	// serial references; its saved directory is what the server loads —
 	// the two share no state, so reference rows cannot be contaminated by
 	// the storm's cache entries or adaptive builds.
-	lines := r.lines(w)
-	blockSize := r.blockTextBytes(w, lines)
-	cluster, err := r.newCluster()
+	f, err := r.freshHAILFixture(w, r.blockTextBytes)
 	if err != nil {
 		return nil, err
 	}
-	client := &core.Client{Cluster: cluster, Config: hailConfig(w, blockSize)}
-	file := "/" + w.String()
-	if _, err := client.Upload(file, lines); err != nil {
-		return nil, err
-	}
+	cluster, file := f.cluster, f.file
 	dir, err := os.MkdirTemp("", "hail-serve-")
 	if err != nil {
 		return nil, err

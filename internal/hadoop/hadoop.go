@@ -90,11 +90,13 @@ type TextInputFormat struct {
 	Cluster *hdfs.Cluster
 }
 
-// Splits creates one split per HDFS block (the default policy, §4.2).
-func (f *TextInputFormat) Splits(file string) ([]mapred.Split, error) {
+// SplitsWithStats creates one split per HDFS block (the default policy,
+// §4.2). The standard split phase only consults the namenode, so its
+// stats are zero.
+func (f *TextInputFormat) SplitsWithStats(file string) ([]mapred.Split, mapred.TaskStats, error) {
 	blocks, err := f.Cluster.NameNode().FileBlocks(file)
 	if err != nil {
-		return nil, err
+		return nil, mapred.TaskStats{}, err
 	}
 	splits := make([]mapred.Split, 0, len(blocks))
 	for _, b := range blocks {
@@ -103,11 +105,8 @@ func (f *TextInputFormat) Splits(file string) ([]mapred.Split, error) {
 			Locations: f.Cluster.NameNode().GetHosts(b),
 		})
 	}
-	return splits, nil
+	return splits, mapred.TaskStats{}, nil
 }
-
-// SplitPhaseStats: the standard split phase only consults the namenode.
-func (f *TextInputFormat) SplitPhaseStats() mapred.TaskStats { return mapred.TaskStats{} }
 
 // Open returns a line record reader for the split.
 func (f *TextInputFormat) Open(split mapred.Split, node hdfs.NodeID) (mapred.RecordReader, error) {

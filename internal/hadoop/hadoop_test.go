@@ -129,7 +129,7 @@ func TestSplitsOnePerBlockWithLocations(t *testing.T) {
 	data := lines(500)
 	c, sum := upload(t, 5, 4096, data)
 	f := &TextInputFormat{Cluster: c}
-	splits, err := f.Splits("/data")
+	splits, _, err := f.SplitsWithStats("/data")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,8 +144,8 @@ func TestSplitsOnePerBlockWithLocations(t *testing.T) {
 			t.Errorf("split has %d locations, want 3 replicas", len(s.Locations))
 		}
 	}
-	if _, err := f.Splits("/missing"); err == nil {
-		t.Error("Splits on missing file succeeded")
+	if _, _, err := f.SplitsWithStats("/missing"); err == nil {
+		t.Error("SplitsWithStats on missing file succeeded")
 	}
 }
 

@@ -237,8 +237,16 @@ func LoadModule(root string, patterns []string) (pkgs []*Package, err error) {
 			name := d.Name()
 			// Never skip the walk root itself: "." (and any base whose last
 			// element starts with a dot) must still be descended into.
-			if p != base && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
+			if p != base {
+				if name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+					return filepath.SkipDir
+				}
+				// A subdirectory with its own go.mod is another module
+				// (bench/ here): "./..." stops at its boundary, as it does
+				// for go list.
+				if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil {
+					return filepath.SkipDir
+				}
 			}
 			if hasGoFiles(p) && !seen[p] {
 				seen[p] = true

@@ -10,8 +10,7 @@ import "repro/internal/schema"
 // record-reader boundary.
 //
 // Bad records ride in their own final batch per block (Cols and Sel
-// empty, Bad set), preserving the row path's good-then-bad delivery
-// order.
+// empty, Bad set): good rows first, then bad, per block.
 type Batch struct {
 	// Cols holds the projected attributes' vectors, in projection order.
 	// Vectors are owned by the reader and reused between batches.
@@ -20,8 +19,8 @@ type Batch struct {
 	// vectors for the rows that satisfy the filter.
 	Sel []int32
 	// Bad carries schema-violating records, flagged through to the map
-	// function as the row path does (HAIL delivers bad records rather
-	// than dropping them).
+	// function (HAIL delivers bad records rather than dropping them,
+	// §4.3).
 	Bad []string
 
 	scratch schema.Row

@@ -316,24 +316,11 @@ func (e *Engine) Run(job *Job) (*JobResult, error) {
 	runSpan.SetStr("job", job.Name)
 
 	planSpan := tr.StartSpan("plan", "phase", 0, runSpan)
-	// Prefer the per-call stats path: a shared input format's
-	// SplitPhaseStats accumulator is clobbered by overlapping jobs, while
-	// SplitsWithStats returns this call's own numbers.
-	var splits []Split
-	var splitStats TaskStats
-	var err error
-	if sf, ok := job.Input.(StatsInputFormat); ok {
-		splits, splitStats, err = sf.SplitsWithStats(job.File)
-	} else {
-		splits, err = job.Input.Splits(job.File)
-	}
+	splits, splitStats, err := job.Input.SplitsWithStats(job.File)
 	if err != nil {
 		planSpan.End()
 		runSpan.End()
 		return nil, fmt.Errorf("mapred: split phase for %q: %v", job.Name, err)
-	}
-	if _, ok := job.Input.(StatsInputFormat); !ok {
-		splitStats = job.Input.SplitPhaseStats()
 	}
 	res := &JobResult{SplitPhase: splitStats}
 	planSpan.SetInt("splits", int64(len(splits)))

@@ -100,7 +100,8 @@ type TaskStats struct {
 	// RowsScanned, RowsSelected and BatchesEmitted are the vectorized
 	// pipeline's counters: rows pushed through the selection-vector
 	// kernels, rows surviving the full conjunction, and non-empty batches
-	// handed to the map layer. The legacy row path leaves them zero.
+	// handed to the map layer. Row-at-a-time readers (the text and trojan
+	// baselines) leave them zero.
 	RowsScanned    int64
 	RowsSelected   int64
 	BatchesEmitted int64
@@ -221,26 +222,16 @@ func (s Split) Fallback(nn *hdfs.NameNode, alive func(hdfs.NodeID) bool) (Split,
 // them. Each system (Hadoop text scan, Hadoop++ trojan, HAIL) provides its
 // own implementation — the UDF surface the paper works through.
 type InputFormat interface {
-	// Splits implements the job client's split phase.
-	Splits(file string) ([]Split, error)
-	// Open creates the record reader for a split, executing on the given
-	// node. SetupCost reports any per-split-phase extras (e.g. Hadoop++
-	// reading block headers) — see SplitPhaseStats.
-	Open(split Split, node hdfs.NodeID) (RecordReader, error)
-	// SplitPhaseStats reports the I/O the split phase itself performed
-	// (Hadoop++ reads every block's index header at split time; HAIL and
-	// Hadoop read nothing, §6.4.1).
-	SplitPhaseStats() TaskStats
-}
-
-// StatsInputFormat is the concurrency-safe split phase: SplitsWithStats
-// returns the splits together with that call's own stats, so one input
-// format instance can serve overlapping jobs without the Splits /
-// SplitPhaseStats pair racing (a shared per-instance accumulator read
-// after a concurrent call reset it reports garbage). The engine prefers
-// this interface when the job's input implements it.
-type StatsInputFormat interface {
+	// SplitsWithStats implements the job client's split phase and reports
+	// the I/O and namenode lookups that call itself performed (Hadoop++
+	// reads every block's index header at split time; HAIL and Hadoop read
+	// nothing, §6.4.1). Returning the stats from the call, rather than
+	// from an accumulator on the instance, is what lets one input format
+	// serve overlapping jobs.
 	SplitsWithStats(file string) ([]Split, TaskStats, error)
+	// Open creates the record reader for a split, executing on the given
+	// node.
+	Open(split Split, node hdfs.NodeID) (RecordReader, error)
 }
 
 // RecordReader iterates the records of one split, invoking fn for each.

@@ -27,9 +27,9 @@ type fakeInput struct {
 	opens map[hdfs.NodeID]int
 }
 
-func (f *fakeInput) Splits(string) ([]Split, error) { return f.splits, nil }
-
-func (f *fakeInput) SplitPhaseStats() TaskStats { return TaskStats{} }
+func (f *fakeInput) SplitsWithStats(string) ([]Split, TaskStats, error) {
+	return f.splits, TaskStats{}, nil
+}
 
 func (f *fakeInput) Open(split Split, node hdfs.NodeID) (RecordReader, error) {
 	f.mu.Lock()

@@ -14,7 +14,7 @@ import (
 // same read sequence ReadColumnRange performs: one contiguous range per
 // fixed-size column, the sparse offset list plus one partition-bounded
 // value range for variable-size columns. A serialized block therefore
-// costs the same bytes and seeks whether it is scanned row at a time or
+// costs the same bytes and seeks whether a range is boxed eagerly or
 // streamed in batches; what the cursor changes is decoding, which happens
 // lazily, PartitionSize rows at a time, into a reused typed Vector
 // instead of boxing the whole range into []schema.Value up front.
@@ -36,8 +36,8 @@ type ColumnCursor struct {
 // NewColumnCursor opens a cursor over attribute col for rows [fromRow,
 // toRow). All raw reads (and their IOStats) happen here, in the same
 // order ReadColumnRange would issue them, so creating cursors for several
-// columns in ascending column order reproduces the row path's seek count
-// exactly.
+// columns in ascending column order costs exactly the seeks of reading
+// those columns' ranges eagerly.
 func (r *Reader) NewColumnCursor(col, fromRow, toRow int) (*ColumnCursor, error) {
 	if col < 0 || col >= r.sch.NumFields() {
 		return nil, fmt.Errorf("pax: column %d out of range", col)

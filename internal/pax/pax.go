@@ -15,7 +15,8 @@
 // skips r%n terminators.
 //
 // Reading has two granularities. Reader.ReadColumnRange boxes a row range
-// into []schema.Value eagerly — the legacy row path. ColumnCursor is the
+// into []schema.Value eagerly — what Unmarshal rebuilds a Block from, and
+// what the scan tests' row oracle reads with. ColumnCursor is the
 // vectorized access path: it performs the same raw reads (same bytes,
 // same seeks) once at creation, then decodes lazily, batch by batch, into
 // reused typed schema.Vectors; NextSelected decodes only the rows a

@@ -12,13 +12,12 @@
 // Correctness rests on the replica generation baked into every key
 // (hdfs.NameNode.Generation): adaptive re-indexing, node-loss healing and
 // node revival all bump it, making stale entries unreachable. Nothing in
-// a key records how the map output was computed: the vectorized batch
-// pipeline and the legacy row path emit byte-identical KV streams for the
-// same (query, map identity), so entries produced by one execution path
-// replay correctly into jobs running the other. On top of
-// that, the cache's InvalidateBlock can be registered as the namenode's
-// replica-change hook to actively purge the block's entries, so the
-// budget is not squatted by garbage.
+// a key records which map form computed the output: Job.Map and
+// Job.MapBatch emit byte-identical KV streams for the same (query, map
+// identity), so entries produced by one replay correctly into jobs
+// running the other. On top of that, the cache's InvalidateBlock can be
+// registered as the namenode's replica-change hook to actively purge the
+// block's entries, so the budget is not squatted by garbage.
 //
 // The cache is sharded by block ID — Get/Put/Invalidate for one block
 // touch exactly one shard's mutex — with one byte budget enforced across

@@ -273,7 +273,6 @@ type QueryRequest struct {
 	PackScans bool `json:"pack_scans,omitempty"`
 	Adaptive  bool `json:"adaptive,omitempty"`
 	NoCache   bool `json:"no_cache,omitempty"`
-	RowPath   bool `json:"row_path,omitempty"`
 	// Trace records this query's span tree into the /trace ring buffer.
 	Trace bool `json:"trace,omitempty"`
 	// Limit caps the rows returned (0 = all).
@@ -429,7 +428,6 @@ func (s *Server) runQuery(req *QueryRequest) (*QueryResponse, error) {
 		Query:     q,
 		Splitting: req.Splitting,
 		PackScans: req.PackScans,
-		RowPath:   req.RowPath,
 	}
 	engine := &mapred.Engine{
 		Cluster:     s.cluster,

@@ -109,6 +109,13 @@ func newTestServer(t *testing.T, dir string, cfg Config) *Server {
 func postQuery(t *testing.T, ts *httptest.Server, req QueryRequest) (*QueryResponse, int) {
 	t.Helper()
 	body, _ := json.Marshal(req)
+	return postBody(t, ts, body)
+}
+
+// postBody posts a raw /query body — what a client that does not share
+// this package's QueryRequest type sends.
+func postBody(t *testing.T, ts *httptest.Server, body []byte) (*QueryResponse, int) {
+	t.Helper()
 	resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -183,6 +190,40 @@ func TestServeQueryMatchesReference(t *testing.T) {
 	}
 	if _, code := postQuery(t, ts, QueryRequest{File: "/missing", Query: indexedQ}); code != http.StatusNotFound {
 		t.Errorf("missing file → status %d, want 404", code)
+	}
+}
+
+// TestRetiredRowPathFieldSharesCache: "row_path" used to select a second,
+// slower reader whose byte-identical results were cached under their own
+// keys — any tenant could fill the shared cache with duplicates. There is
+// one scan path now, so an old client still sending the field gets the
+// same bytes from the same cache entries as everyone else.
+func TestRetiredRowPathFieldSharesCache(t *testing.T) {
+	dir := makeFS(t, 700)
+	want := referenceRows(t, dir, "/t", indexedQ)
+	s := newTestServer(t, dir, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	query, _ := json.Marshal(indexedQ)
+	old, code := postBody(t, ts, []byte(`{"file":"/t","splitting":true,"row_path":true,"query":`+string(query)+`}`))
+	if code != http.StatusOK {
+		t.Fatalf("request carrying the retired field: status %d: %v", code, old.Rows)
+	}
+	sameRows(t, "with row_path", sorted(old.Rows), want)
+	warm := s.CacheStats()
+	if warm.Entries+warm.SplitEntries == 0 {
+		t.Fatal("first query admitted nothing into the shared cache")
+	}
+
+	resp, _ := postQuery(t, ts, QueryRequest{File: "/t", Query: indexedQ, Splitting: true})
+	sameRows(t, "without row_path", sorted(resp.Rows), want)
+	if resp.BlocksFromCache == 0 {
+		t.Error("the same query without the retired field missed the cache the first one warmed")
+	}
+	if st := s.CacheStats(); st.Entries != warm.Entries || st.SplitEntries != warm.SplitEntries {
+		t.Errorf("cache holds %d+%d entries after the second query, want the first query's %d+%d (one entry set, not two)",
+			st.Entries, st.SplitEntries, warm.Entries, warm.SplitEntries)
 	}
 }
 

@@ -15,41 +15,37 @@ import (
 type InputFormat struct {
 	System *System
 	Query  *query.Query
-
-	splitStats mapred.TaskStats
 }
 
-// Splits creates one split per trojan block, reading each block's header
-// (the cost HAIL avoids by keeping index metadata in the namenode).
-func (f *InputFormat) Splits(file string) ([]mapred.Split, error) {
+// SplitsWithStats creates one split per trojan block, reading each
+// block's header (the cost HAIL avoids by keeping index metadata in the
+// namenode); the returned stats are those header reads.
+func (f *InputFormat) SplitsWithStats(file string) ([]mapred.Split, mapred.TaskStats, error) {
 	blocks, err := f.System.Cluster.NameNode().FileBlocks(binaryFile(file))
 	if err != nil {
-		return nil, err
+		return nil, mapred.TaskStats{}, err
 	}
-	f.splitStats = mapred.TaskStats{}
+	var stats mapred.TaskStats
 	splits := make([]mapred.Split, 0, len(blocks))
 	for _, b := range blocks {
 		// Header read: one seek plus a few hundred bytes per block.
 		data, _, err := f.System.Cluster.ReadBlockAny(b, 0)
 		if err != nil {
-			return nil, err
+			return nil, mapred.TaskStats{}, err
 		}
 		r, err := NewBlockReader(data)
 		if err != nil {
-			return nil, err
+			return nil, mapred.TaskStats{}, err
 		}
-		f.splitStats.Seeks++
-		f.splitStats.BytesRead += int64(r.HeaderBytes())
+		stats.Seeks++
+		stats.BytesRead += int64(r.HeaderBytes())
 		splits = append(splits, mapred.Split{
 			Blocks:    []hdfs.BlockID{b},
 			Locations: f.System.Cluster.NameNode().GetHosts(b),
 		})
 	}
-	return splits, nil
+	return splits, stats, nil
 }
-
-// SplitPhaseStats reports the per-block header reads of the split phase.
-func (f *InputFormat) SplitPhaseStats() mapred.TaskStats { return f.splitStats }
 
 // Open returns the trojan record reader.
 func (f *InputFormat) Open(split mapred.Split, node hdfs.NodeID) (mapred.RecordReader, error) {
