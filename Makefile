@@ -1,12 +1,21 @@
 GO ?= go
 
-.PHONY: build test bench-test bench-agree lint fmt
+.PHONY: build test fuzz bench-test bench-agree lint fmt
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# The decoders of stored bytes, 20 s each (go test takes one fuzz target
+# per run). Their seeds run as ordinary tests under `make test`. Inputs
+# are tens of KB, so minimizing each new one for the default 60 s would
+# eat the whole budget.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzNewReader$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/pax
+	$(GO) test -run '^$$' -fuzz '^FuzzParseFrame$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzIndexUnmarshal$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/index
 
 # bench/ is its own module (the BENCHMARK.json ledger; see bench/README.md),
 # so the targets above never reach it.

@@ -208,9 +208,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "-- %d rows, %d map tasks\n", len(res.Output), len(res.Tasks))
 	if *stats {
 		st := res.TotalStats()
-		fmt.Fprintf(stdout, "-- %d index scans, %d full scans, %.2f MB data read, %.1f KB index read, %d seeks\n",
+		// A replica that failed checksum verification was left for another:
+		// the answer is whole, but a stored copy is bad and should be seen.
+		failovers := ""
+		if st.ChecksumFailovers > 0 {
+			failovers = fmt.Sprintf(", %d checksum failovers", st.ChecksumFailovers)
+		}
+		fmt.Fprintf(stdout, "-- %d index scans, %d full scans, %.2f MB data read, %.1f KB index read, %d seeks%s\n",
 			st.IndexScans, st.FullScans,
-			float64(st.BytesRead)/1e6, float64(st.IndexBytesRead)/1e3, st.Seeks)
+			float64(st.BytesRead)/1e6, float64(st.IndexBytesRead)/1e3, st.Seeks, failovers)
 		// The split phase reads no block headers (§6.4.1) but does pay
 		// namenode directory lookups — report them instead of hiding them.
 		fmt.Fprintf(stdout, "-- split phase: %d namenode directory ops, 0 block-header reads\n",

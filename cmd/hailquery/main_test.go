@@ -64,6 +64,9 @@ func TestQuerySmoke(t *testing.T) {
 	if !strings.Contains(s, "index scans") {
 		t.Errorf("-stats output missing, output:\n%s", s)
 	}
+	if strings.Contains(s, "checksum failovers") {
+		t.Errorf("-stats reports checksum failovers on a healthy filesystem, output:\n%s", s)
+	}
 }
 
 // TestQueryAdaptiveConverges drives the full load → query → re-query CLI

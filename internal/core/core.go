@@ -17,7 +17,11 @@
 // index scan when a matching clustered index exists — partition range
 // lookup in memory, contiguous column-range reads, post-filtering — and
 // falls back to a PAX column scan otherwise, applying the selection and
-// projection from the job's HailQuery annotation either way.
+// projection from the job's HailQuery annotation either way. It reads
+// through an hdfs replica view: the two headers, the index when it will be
+// used and the candidate range of each needed column are the only bytes
+// verified and touched, all of them before the block's first emit, so a
+// corrupt chunk fails over to the next replica and never shows in output.
 //
 // Execution inside the record reader is vectorized and streaming: the
 // candidate row range (whole block, or the index-narrowed slice of it)

@@ -34,22 +34,34 @@ func FrameReplica(paxData, indexData []byte) []byte {
 	return out
 }
 
+// parseFrameHeader decodes the frame header of a replica of the given
+// total size and returns the lengths of its two sections. It is the one
+// decoder of the header: ParseFrame applies it to a replica held in
+// memory, the record reader to the first bytes of a replica view.
+func parseFrameHeader(hdr []byte, total int) (paxLen, ixLen int, err error) {
+	if len(hdr) < frameHeader {
+		return 0, 0, fmt.Errorf("hail: replica frame too short (%d bytes)", len(hdr))
+	}
+	if string(hdr[:4]) != frameMagic {
+		return 0, 0, fmt.Errorf("hail: bad replica frame magic %q", hdr[:4])
+	}
+	if v := binary.LittleEndian.Uint16(hdr[4:]); v != frameVersion {
+		return 0, 0, fmt.Errorf("hail: unsupported replica frame version %d", v)
+	}
+	paxLen = int(binary.LittleEndian.Uint32(hdr[6:]))
+	ixLen = int(binary.LittleEndian.Uint32(hdr[10:]))
+	if frameHeader+paxLen+ixLen != total {
+		return 0, 0, fmt.Errorf("hail: replica frame length mismatch: header says %d+%d, have %d payload bytes",
+			paxLen, ixLen, total-frameHeader)
+	}
+	return paxLen, ixLen, nil
+}
+
 // ParseFrame splits a stored replica back into PAX and index bytes.
 func ParseFrame(data []byte) (paxData, indexData []byte, err error) {
-	if len(data) < frameHeader {
-		return nil, nil, fmt.Errorf("hail: replica frame too short (%d bytes)", len(data))
-	}
-	if string(data[:4]) != frameMagic {
-		return nil, nil, fmt.Errorf("hail: bad replica frame magic %q", data[:4])
-	}
-	if v := binary.LittleEndian.Uint16(data[4:]); v != frameVersion {
-		return nil, nil, fmt.Errorf("hail: unsupported replica frame version %d", v)
-	}
-	paxLen := int(binary.LittleEndian.Uint32(data[6:]))
-	ixLen := int(binary.LittleEndian.Uint32(data[10:]))
-	if frameHeader+paxLen+ixLen != len(data) {
-		return nil, nil, fmt.Errorf("hail: replica frame length mismatch: header says %d+%d, have %d payload bytes",
-			paxLen, ixLen, len(data)-frameHeader)
+	paxLen, ixLen, err := parseFrameHeader(data, len(data))
+	if err != nil {
+		return nil, nil, err
 	}
 	paxData = data[frameHeader : frameHeader+paxLen]
 	if ixLen > 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -23,25 +24,37 @@ const batchRows = pax.PartitionSize
 // the full conjunction, reconstructs the projected attributes of
 // qualifying tuples, and passes bad records through flagged.
 //
-// The default execution is vectorized and streaming: the candidate row
-// range flows through the reader in fixed-size batches (batchRows rows).
-// Per batch, the filter columns are decoded from PAX bytes into typed
-// vectors, the conjunction runs as selection-vector kernels
-// (query.MatchesBatch), and the remaining projection columns are decoded
-// only when the batch has surviving rows — late materialization. Column
-// bytes are read (and I/O-accounted) once per block at cursor creation,
-// in ascending column order, so BytesRead/Seeks/PartitionsScanned equal
-// those of one contiguous range read per needed column — the accounting
-// the test-side row oracle (rowOracleReader) holds this pipeline to.
+// It reads what the access path says and nothing else. A block is opened
+// as an hdfs replica view; the frame header, the PAX header, the index
+// (only when a filter matches the sort column), one contiguous range per
+// needed column and the bad-record section are fetched through it, each
+// range CRC-verified by the datanode as it is handed out and none of it
+// copied. All of a block's range reads complete before its first batch is
+// emitted, so a corrupt chunk anywhere the scan would look fails the block
+// over to its next replica — exactly as an unreadable replica does — and
+// never after partial output.
+//
+// Execution is vectorized and streaming: the candidate row range flows
+// through the reader in fixed-size batches (batchRows rows). Per batch,
+// the filter columns are decoded from PAX bytes into typed vectors, the
+// conjunction runs as selection-vector kernels (query.MatchesBatch), and
+// the remaining projection columns are decoded only when the batch has
+// surviving rows — late materialization. Column bytes are read (and
+// I/O-accounted) once per block at cursor creation, in ascending column
+// order, so BytesRead/Seeks/PartitionsScanned equal those of one
+// contiguous range read per needed column — the accounting the test-side
+// row oracle (rowOracleReader) holds this pipeline to.
 type recordReader struct {
 	cluster *hdfs.Cluster
 	query   *query.Query
 	split   mapred.Split
 	node    hdfs.NodeID
 
-	batch mapred.Batch    // reused across blocks; fn must not retain it
-	sel   query.Selection // reused selection vector
-	ident query.Selection // reused identity selection for compacted batches
+	view  hdfs.ReplicaView // the replica being scanned; reused across blocks
+	scan  blockScan        // the block being scanned; reused across blocks
+	batch mapred.Batch     // reused across blocks; fn must not retain it
+	sel   query.Selection  // reused selection vector
+	ident query.Selection  // reused identity selection for compacted batches
 }
 
 // Read implements mapred.RecordReader: it streams batches and
@@ -64,53 +77,102 @@ func (r *recordReader) ReadBatches(fn func(*mapred.Batch)) (mapred.TaskStats, er
 	return stats, nil
 }
 
-// openReplica fetches the preferred replica's bytes: the one with the
-// matching index if the split recorded one (via getHostsWithIndex),
-// otherwise the closest available replica.
-func (r *recordReader) openReplica(b hdfs.BlockID) ([]byte, hdfs.NodeID, error) {
-	if preferred, ok := r.split.Replica[b]; ok {
-		data, err := r.cluster.ReadBlockFrom(preferred, b)
-		if err == nil {
-			return data, preferred, nil
-		}
-		// Preferred replica unreachable (e.g. node died): fall back to
-		// any replica; the access path degrades to a scan if that
-		// replica's index does not match (§6.4.3, HAIL vs HAIL-1Idx).
-	}
-	data, servedBy, err := r.cluster.ReadBlockAny(b, r.node)
-	return data, servedBy, err
-}
-
-// blockScan is the per-block prologue: the parsed PAX reader and the
-// index-resolved candidate row range.
+// blockScan is one block opened for scanning: the parsed PAX reader, the
+// index-resolved candidate row range and — once fetch has run — every byte
+// the scan will decode. A reader has one, valid until it opens the next
+// block (or the next replica of this one).
 type blockScan struct {
 	reader         *pax.Reader
 	q              *query.Query
 	proj           []int
 	fromRow, toRow int
+
+	cols, filterCols []int               // filter ∪ projection, and the filter columns
+	cursors          []*pax.ColumnCursor // by column; one per needed column over [fromRow, toRow)
+	bad              []string
 }
 
-// openBlockScan opens block b's preferred replica, parses it, and picks
-// the access path: an index scan narrows the candidate range via the
-// replica's clustered index when one matches a filter predicate; a full
-// scan keeps the whole block. All access-path stats (Blocks, RemoteReads,
-// IndexScans/FullScans, IndexBytesRead, PartitionsScanned) are accounted
-// here.
+// openBlockScan opens block b on the first replica that can serve every
+// byte the scan needs: the split's pinned replica (the one with the
+// matching index, via getHostsWithIndex) if it recorded one, then the
+// executing node's own, then the remaining holders in registration order.
+// When the pinned replica is unreachable or corrupt the access path
+// degrades to a scan if the next replica's index does not match (§6.4.3,
+// HAIL vs HAIL-1Idx).
 func (r *recordReader) openBlockScan(b hdfs.BlockID, stats *mapred.TaskStats) (*blockScan, error) {
-	data, servedBy, err := r.openReplica(b)
-	if err != nil {
-		return nil, err
+	var lastErr error
+	pinned, isPinned := r.split.Replica[b]
+	if isPinned {
+		bs, next, err := r.scanReplica(b, pinned, stats)
+		if !next {
+			return bs, err
+		}
+		lastErr = err
 	}
+	for _, h := range r.cluster.ReplicaOrder(b, r.node) {
+		if isPinned && h == pinned {
+			continue
+		}
+		bs, next, err := r.scanReplica(b, h, stats)
+		if !next {
+			return bs, err
+		}
+		lastErr = err
+	}
+	if lastErr == nil {
+		return nil, fmt.Errorf("hail: block %d has no replicas", b)
+	}
+	return nil, fmt.Errorf("hail: all replicas of block %d unreadable: %v", b, lastErr)
+}
+
+// scanReplica is one attempt at a block: open the replica on node, run the
+// prologue, fetch every range the scan will touch. next reports a failure
+// that is the replica's rather than the block's — the node is dead, the
+// replica is gone, or a chunk failed verification — so another replica may
+// still serve the scan. A failed attempt leaves nothing in stats but, for
+// a corrupt chunk, the failover it caused.
+func (r *recordReader) scanReplica(b hdfs.BlockID, node hdfs.NodeID, stats *mapred.TaskStats) (bs *blockScan, next bool, err error) {
+	if r.view, err = r.cluster.OpenBlockFrom(node, b); err != nil {
+		return nil, true, err
+	}
+	before := *stats
+	if bs, err = r.openView(b, node, stats); err == nil {
+		err = bs.fetch(stats)
+	}
+	if err == nil {
+		return bs, false, nil
+	}
+	*stats = before
+	if errors.Is(err, hdfs.ErrCorruptChunk) {
+		stats.ChecksumFailovers++
+		return nil, true, err
+	}
+	return nil, false, err
+}
+
+// openView is the per-replica prologue over r.view, block b's replica on
+// servedBy: parse the frame and PAX headers and pick the access path — an
+// index scan narrows the candidate range via the replica's clustered
+// index when one matches a filter predicate, a full scan keeps the whole
+// block. Only the two headers are read, plus the index when it will be
+// used. All access-path stats (Blocks, RemoteReads, IndexScans/FullScans,
+// IndexBytesRead, PartitionsScanned) are accounted here.
+func (r *recordReader) openView(b hdfs.BlockID, servedBy hdfs.NodeID, stats *mapred.TaskStats) (*blockScan, error) {
 	if servedBy != r.node {
 		stats.RemoteReads++
 	}
 	stats.Blocks++
 
-	paxData, ixData, err := ParseFrame(data)
+	total := r.view.Len()
+	hdr, err := r.view.Range(0, min(frameHeader, total))
 	if err != nil {
 		return nil, err
 	}
-	reader, err := pax.NewReader(paxData)
+	paxLen, ixLen, err := parseFrameHeader(hdr, total)
+	if err != nil {
+		return nil, err
+	}
+	reader, err := pax.NewReaderAt(&r.view, frameHeader, paxLen)
 	if err != nil {
 		return nil, err
 	}
@@ -118,7 +180,8 @@ func (r *recordReader) openBlockScan(b hdfs.BlockID, stats *mapred.TaskStats) (*
 	if q == nil {
 		q = &query.Query{}
 	}
-	bs := &blockScan{
+	bs := &r.scan
+	*bs = blockScan{
 		reader: reader,
 		q:      q,
 		proj:   q.ProjectionOrAll(reader.Schema()),
@@ -126,18 +189,22 @@ func (r *recordReader) openBlockScan(b hdfs.BlockID, stats *mapred.TaskStats) (*
 	}
 
 	indexed := false
-	if ixData != nil {
+	if ixLen > 0 {
 		for _, p := range q.Filter {
 			if p.Column != reader.SortColumn() {
 				continue
+			}
+			// Reading the index costs its bytes plus one seek (§4.3:
+			// "we read the index entirely into main memory").
+			ixData, err := r.view.Range(frameHeader+paxLen, ixLen)
+			if err != nil {
+				return nil, err
 			}
 			ix, err := index.Unmarshal(ixData)
 			if err != nil {
 				return nil, fmt.Errorf("hail: block %d index: %v", b, err)
 			}
-			// Reading the index costs its bytes plus one seek (§4.3:
-			// "we read the index entirely into main memory").
-			stats.IndexBytesRead += int64(len(ixData))
+			stats.IndexBytesRead += int64(ixLen)
 			stats.Seeks++
 			f, t, ok := ix.PartitionRange(p.Lo, p.Hi)
 			indexed = true
@@ -158,6 +225,32 @@ func (r *recordReader) openBlockScan(b hdfs.BlockID, stats *mapred.TaskStats) (*
 		stats.PartitionsScanned += int64((bs.toRow - bs.fromRow + pax.PartitionSize - 1) / pax.PartitionSize)
 	}
 	return bs, nil
+}
+
+// fetch performs every remaining read of the block: a cursor per needed
+// column over the candidate range, opened in ascending column order — one
+// contiguous range per column, which is where the column bytes are read —
+// and then the bad-record section. After it returns the scan only decodes
+// bytes it already holds.
+func (bs *blockScan) fetch(stats *mapred.TaskStats) error {
+	if bs.toRow > bs.fromRow {
+		bs.cols, bs.filterCols = neededColumns(bs.q, bs.proj)
+		bs.cursors = make([]*pax.ColumnCursor, bs.reader.Schema().NumFields())
+		for _, col := range bs.cols {
+			cur, err := bs.reader.NewColumnCursor(col, bs.fromRow, bs.toRow)
+			if err != nil {
+				return err
+			}
+			bs.cursors[col] = cur
+		}
+	}
+	bad, err := bs.reader.ReadAllBad()
+	if err != nil {
+		return err
+	}
+	bs.bad = bad
+	stats.AddIO(bs.reader.Stats())
+	return nil
 }
 
 // neededColumns returns the distinct columns the scan must touch
@@ -198,42 +291,30 @@ func (r *recordReader) readBlockBatches(b hdfs.BlockID, fn func(*mapred.Batch), 
 	}
 	// Bad records are handed to the map function flagged, whatever the
 	// access path (§4.3).
-	if bs.reader.NumBad() > 0 {
-		bad, err := bs.reader.ReadAllBad()
-		if err != nil {
-			return err
-		}
-		stats.RecordsDelivered += int64(len(bad))
+	if len(bs.bad) > 0 {
+		stats.RecordsDelivered += int64(len(bs.bad))
 		stats.BatchesEmitted++
-		r.batch.Cols, r.batch.Sel, r.batch.Bad = nil, nil, bad
+		r.batch.Cols, r.batch.Sel, r.batch.Bad = nil, nil, bs.bad
 		fn(&r.batch)
 	}
-	stats.AddIO(bs.reader.Stats())
 	return nil
 }
 
 // streamRange drives the candidate row range through the batch pipeline.
-// Cursors for every needed column are opened up front in ascending column
-// order — that is where all raw reads happen, one contiguous range per
-// column — then each batch decodes the filter columns and
-// runs the selection-vector kernels. Projection columns are materialized
-// at row granularity: when the filters discard part of a batch, the
-// projection-only cursors decode (and, for strings, allocate) values for
-// the surviving rows alone, and the already-decoded filter columns are
-// compacted in place, so every emitted batch is dense. A selective scan
-// therefore pays projection decoding proportional to its selectivity,
-// not its scan range — the late-materialization payoff.
+// The cursors fetch opened hold every column byte already; each batch
+// decodes the filter columns and runs the selection-vector kernels.
+// Projection columns are materialized at row granularity: when the
+// filters discard part of a batch, the projection-only cursors decode
+// (and, for strings, allocate) values for the surviving rows alone, and
+// the already-decoded filter columns are compacted in place, so every
+// emitted batch is dense. A selective scan therefore pays projection
+// decoding proportional to its selectivity, not its scan range — the
+// late-materialization payoff.
 func (r *recordReader) streamRange(bs *blockScan, fn func(*mapred.Batch), stats *mapred.TaskStats) error {
-	cols, filterCols := neededColumns(bs.q, bs.proj)
+	cols, filterCols, cursors := bs.cols, bs.filterCols, bs.cursors
 	sch := bs.reader.Schema()
-	cursors := make(map[int]*pax.ColumnCursor, len(cols))
 	vecs := make(map[int]*schema.Vector, len(cols))
 	for _, col := range cols {
-		cur, err := bs.reader.NewColumnCursor(col, bs.fromRow, bs.toRow)
-		if err != nil {
-			return err
-		}
-		cursors[col] = cur
 		vecs[col] = schema.NewVector(sch.Field(col).Type)
 	}
 	isFilter := make(map[int]bool, len(filterCols))

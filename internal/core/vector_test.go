@@ -14,9 +14,11 @@ import (
 // HailInputFormat split phase with a row-at-a-time record reader. It is
 // the reader production ran before the vectorized pipeline replaced it,
 // kept here — and only here — because the two are written independently
-// below the shared per-block prologue (openBlockScan): boxed
-// pax.Reader.ReadColumnRange + Predicate.Matches per row on this side,
-// column cursors + selection-vector kernels on the other.
+// below the shared per-replica prologue (openView: frame, PAX header,
+// index lookup): boxed pax.Reader.ReadColumnRange + Predicate.Matches per
+// row on this side, column cursors + selection-vector kernels on the
+// other. The oracle opens no cursors and knows no failover; it reads the
+// replica the pipeline would try first.
 type rowOracleInput struct{ f *InputFormat }
 
 func (o rowOracleInput) SplitsWithStats(file string) ([]mapred.Split, mapred.TaskStats, error) {
@@ -44,7 +46,15 @@ func (o *rowOracleReader) Read(fn func(mapred.Record)) (mapred.TaskStats, error)
 // readBlockRows is the per-block row execution: the candidate range row
 // by row, then the bad records flagged, one at a time.
 func (o *rowOracleReader) readBlockRows(b hdfs.BlockID, fn func(mapred.Record), stats *mapred.TaskStats) error {
-	bs, err := o.r.openBlockScan(b, stats)
+	node, pinned := o.r.split.Replica[b]
+	if !pinned {
+		node = o.r.cluster.ReplicaOrder(b, o.r.node)[0]
+	}
+	var err error
+	if o.r.view, err = o.r.cluster.OpenBlockFrom(node, b); err != nil {
+		return err
+	}
+	bs, err := o.r.openView(b, node, stats)
 	if err != nil {
 		return err
 	}
@@ -53,15 +63,13 @@ func (o *rowOracleReader) readBlockRows(b hdfs.BlockID, fn func(mapred.Record), 
 			return err
 		}
 	}
-	if bs.reader.NumBad() > 0 {
-		bad, err := bs.reader.ReadAllBad()
-		if err != nil {
-			return err
-		}
-		for _, line := range bad {
-			stats.RecordsDelivered++
-			fn(mapred.Record{Raw: line, Bad: true})
-		}
+	bad, err := bs.reader.ReadAllBad()
+	if err != nil {
+		return err
+	}
+	for _, line := range bad {
+		stats.RecordsDelivered++
+		fn(mapred.Record{Raw: line, Bad: true})
 	}
 	stats.AddIO(bs.reader.Stats())
 	return nil

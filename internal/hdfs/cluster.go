@@ -341,32 +341,60 @@ func (c *Cluster) ReplaceReplica(b BlockID, node NodeID, data []byte, info Repli
 	return c.updateReplicaDirty(b, node, info)
 }
 
-// ReadBlockFrom reads and verifies a replica from a specific datanode.
-func (c *Cluster) ReadBlockFrom(node NodeID, b BlockID) ([]byte, error) {
+// OpenBlockFrom opens a read-only view of the replica a specific datanode
+// stores — the read path of anything that wants part of a block: the
+// view's Range verifies and returns just the bytes asked for, without a
+// copy.
+func (c *Cluster) OpenBlockFrom(node NodeID, b BlockID) (ReplicaView, error) {
 	dn, err := c.DataNode(node)
+	if err != nil {
+		return ReplicaView{}, err
+	}
+	return dn.Open(b)
+}
+
+// ReadBlockFrom reads a replica from a specific datanode in full: every
+// chunk verified, and the bytes copied so the caller owns them. It is for
+// callers that need the whole block (adaptive conversion, recovery, the
+// Hadoop and Trojan baselines); a query that needs a few column ranges
+// opens a view instead.
+func (c *Cluster) ReadBlockFrom(node NodeID, b BlockID) ([]byte, error) {
+	v, err := c.OpenBlockFrom(node, b)
 	if err != nil {
 		return nil, err
 	}
-	return dn.Read(b)
+	data, err := v.Range(0, v.Len())
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte(nil), data...), nil
 }
 
-// ReadBlockAny reads the block from the first alive replica holder,
-// preferring the given node (the HDFS client's locality preference).
-func (c *Cluster) ReadBlockAny(b BlockID, preferred NodeID) ([]byte, NodeID, error) {
+// ReplicaOrder lists the block's replica holders in the order a reader
+// running on the preferred node tries them: that node first if it holds a
+// replica (the HDFS client's locality preference), then the rest in
+// registration order.
+func (c *Cluster) ReplicaOrder(b BlockID, preferred NodeID) []NodeID {
 	hosts := c.nn.GetHosts(b)
+	for i, h := range hosts {
+		if h == preferred {
+			copy(hosts[1:i+1], hosts[:i])
+			hosts[0] = h
+			break
+		}
+	}
+	return hosts
+}
+
+// ReadBlockAny reads the block in full from the first replica holder, in
+// ReplicaOrder, that is alive and passes verification.
+func (c *Cluster) ReadBlockAny(b BlockID, preferred NodeID) ([]byte, NodeID, error) {
+	hosts := c.ReplicaOrder(b, preferred)
 	if len(hosts) == 0 {
 		return nil, 0, fmt.Errorf("hdfs: block %d has no replicas", b)
 	}
-	ordered := make([]NodeID, 0, len(hosts))
-	for _, h := range hosts {
-		if h == preferred {
-			ordered = append([]NodeID{h}, ordered...)
-		} else {
-			ordered = append(ordered, h)
-		}
-	}
 	var lastErr error
-	for _, h := range ordered {
+	for _, h := range hosts {
 		data, err := c.ReadBlockFrom(h, b)
 		if err == nil {
 			return data, h, nil

@@ -3,11 +3,15 @@ package hdfs
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // storedReplica is one replica on a datanode's local disk: the data file
 // and its separate checksum file (§3.2: "for each replica two files are
-// created on local disk").
+// created on local disk"). Both slices are immutable once stored — every
+// change (flush, replace, CorruptByte) installs fresh slices under the
+// datanode lock — so a copy of the struct taken under that lock is a
+// consistent snapshot that may be read without it.
 type storedReplica struct {
 	data []byte
 	sums []uint32
@@ -25,6 +29,10 @@ type DataNode struct {
 	bytesFlushed int64
 	packetsRecv  int64
 	verifyCount  int64
+
+	// Read-side counters, bumped by ReplicaView.Range outside the lock.
+	chunksVerified   atomic.Int64
+	checksumFailures atomic.Int64
 }
 
 // NewDataNode returns an empty, alive datanode.
@@ -112,23 +120,69 @@ func (dn *DataNode) drop(b BlockID) bool {
 	return true
 }
 
-// Read returns a verified copy of the replica's bytes. Reads check the
-// stored checksum file, mirroring HDFS's read-path verification.
-func (dn *DataNode) Read(b BlockID) ([]byte, error) {
+// Open returns a read-only view of the replica as stored right now. The
+// datanode lock is held for the map lookup only; verification happens in
+// ReplicaView.Range, for exactly the bytes a reader asks for.
+func (dn *DataNode) Open(b BlockID) (ReplicaView, error) {
 	dn.mu.RLock()
-	defer dn.mu.RUnlock()
-	if !dn.alive {
-		return nil, fmt.Errorf("hdfs: datanode %d is dead", dn.id)
-	}
+	alive := dn.alive
 	rep, ok := dn.replicas[b]
+	dn.mu.RUnlock()
+	if !alive {
+		return ReplicaView{}, fmt.Errorf("hdfs: datanode %d is dead", dn.id)
+	}
 	if !ok {
-		return nil, fmt.Errorf("hdfs: datanode %d has no replica of block %d", dn.id, b)
+		return ReplicaView{}, fmt.Errorf("hdfs: datanode %d has no replica of block %d", dn.id, b)
 	}
-	if err := VerifyStored(rep.data, rep.sums); err != nil {
-		return nil, fmt.Errorf("hdfs: datanode %d block %d: %v", dn.id, b, err)
-	}
-	return append([]byte(nil), rep.data...), nil
+	return ReplicaView{dn: dn, block: b, rep: rep}, nil
 }
+
+// ReplicaView is a snapshot of one stored replica, taken by DataNode.Open.
+// Stored bytes are immutable, so the view keeps reading the replica it
+// opened whatever happens to the datanode afterwards — replace, drop,
+// corruption, death; a fresh Open sees the new state. The zero value is
+// an empty replica.
+type ReplicaView struct {
+	dn    *DataNode
+	block BlockID
+	rep   storedReplica
+}
+
+// Len returns the size of the replica's data file.
+func (v *ReplicaView) Len() int { return len(v.rep.data) }
+
+// Range returns bytes [off, off+n) of the replica after checking every
+// 512-byte chunk that overlaps them against the stored checksum file —
+// HDFS's read-path verification at the granularity the checksum file
+// already has (§3.2). The result aliases the stored bytes: no copy is
+// made, callers must not write to it, and hdfs never will. A mismatch is
+// an ErrCorruptChunk naming node, block and chunk, and is counted in the
+// datanode's ChecksumFailures.
+func (v *ReplicaView) Range(off, n int) ([]byte, error) {
+	if off < 0 || n < 0 || off+n > len(v.rep.data) {
+		return nil, fmt.Errorf("hdfs: block %d: read [%d,%d) outside the %d-byte replica", v.block, off, off+n, len(v.rep.data))
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	bad, checked := firstCorruptChunk(v.rep.data, v.rep.sums, off, n)
+	v.dn.chunksVerified.Add(int64(checked))
+	if bad >= 0 {
+		v.dn.checksumFailures.Add(1)
+		return nil, fmt.Errorf("hdfs: datanode %d block %d chunk %d: %w", v.dn.id, v.block, bad, ErrCorruptChunk)
+	}
+	return v.rep.data[off : off+n : off+n], nil
+}
+
+// ChunksVerified returns how many 512-byte chunks reads of this node's
+// replicas have CRC-checked so far: the bytes a query really moved, next
+// to the bytes pax.IOStats says it asked for.
+func (dn *DataNode) ChunksVerified() int64 { return dn.chunksVerified.Load() }
+
+// ChecksumFailures returns how many reads of this node's replicas hit a
+// chunk that failed verification. Readers fail over to another replica;
+// this counter is what keeps the bad copy from being skipped silently.
+func (dn *DataNode) ChecksumFailures() int64 { return dn.checksumFailures.Load() }
 
 // HasReplica reports whether the node stores the block.
 func (dn *DataNode) HasReplica(b BlockID) bool {
@@ -150,7 +204,9 @@ func (dn *DataNode) ReplicaSize(b BlockID) int {
 }
 
 // CorruptByte flips one bit of a stored replica, for failure-injection
-// tests of the checksum machinery.
+// tests of the checksum machinery. The flip is copy-on-write: views opened
+// before it keep the bytes they opened. The checksum file is not touched,
+// so flipping the same bit again restores the replica.
 func (dn *DataNode) CorruptByte(b BlockID, offset int) error {
 	dn.mu.Lock()
 	defer dn.mu.Unlock()
@@ -161,6 +217,7 @@ func (dn *DataNode) CorruptByte(b BlockID, offset int) error {
 	if offset < 0 || offset >= len(rep.data) {
 		return fmt.Errorf("hdfs: corrupt offset %d out of range", offset)
 	}
+	rep.data = append([]byte(nil), rep.data...)
 	rep.data[offset] ^= 0x01
 	dn.replicas[b] = rep
 	return nil

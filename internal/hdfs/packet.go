@@ -15,9 +15,15 @@
 package hdfs
 
 import (
+	"errors"
 	"fmt"
 	"hash/crc32"
 )
+
+// ErrCorruptChunk is wrapped by every error that reports stored bytes
+// failing their chunk checksum, so readers can tell a bad copy (fail over
+// to another replica) from a malformed one.
+var ErrCorruptChunk = errors.New("stored chunk corrupt")
 
 // Chunk and packet framing constants (paper §3.2: "the data is further
 // partitioned into chunks of constant size 512B ... In total a packet has
@@ -38,10 +44,12 @@ type Packet struct {
 // NumChunks returns the number of chunks in the packet.
 func (p *Packet) NumChunks() int { return len(p.Sums) }
 
+// numChunks returns how many 512-byte chunks cover n bytes.
+func numChunks(n int) int { return (n + ChunkSize - 1) / ChunkSize }
+
 // checksumChunks computes one CRC-32 (IEEE) per 512-byte chunk of data.
 func checksumChunks(data []byte) []uint32 {
-	n := (len(data) + ChunkSize - 1) / ChunkSize
-	sums := make([]uint32, 0, n)
+	sums := make([]uint32, 0, numChunks(len(data)))
 	for off := 0; off < len(data); off += ChunkSize {
 		end := off + ChunkSize
 		if end > len(data) {
@@ -80,14 +88,11 @@ func BuildPackets(block []byte) []Packet {
 // the carried ones. This is what the last datanode in the pipeline does for
 // every packet (§3.2 step 9).
 func (p *Packet) Verify() error {
-	want := checksumChunks(p.Data)
-	if len(want) != len(p.Sums) {
-		return fmt.Errorf("hdfs: packet %d carries %d checksums for %d chunks", p.Seq, len(p.Sums), len(want))
+	if want := numChunks(len(p.Data)); want != len(p.Sums) {
+		return fmt.Errorf("hdfs: packet %d carries %d checksums for %d chunks", p.Seq, len(p.Sums), want)
 	}
-	for i := range want {
-		if want[i] != p.Sums[i] {
-			return fmt.Errorf("hdfs: packet %d chunk %d checksum mismatch", p.Seq, i)
-		}
+	if bad, _ := firstCorruptChunk(p.Data, p.Sums, 0, len(p.Data)); bad >= 0 {
+		return fmt.Errorf("hdfs: packet %d chunk %d checksum mismatch", p.Seq, bad)
 	}
 	return nil
 }
@@ -116,18 +121,36 @@ func Reassemble(pkts []Packet) ([]byte, error) {
 	return out, nil
 }
 
-// VerifyStored checks stored block bytes against a stored checksum file
-// (one CRC-32 per 512-byte chunk), as the read path does before handing
-// data to a record reader.
-func VerifyStored(data []byte, sums []uint32) error {
-	want := checksumChunks(data)
-	if len(want) != len(sums) {
-		return fmt.Errorf("hdfs: checksum file has %d entries for %d chunks", len(sums), len(want))
-	}
-	for i := range want {
-		if want[i] != sums[i] {
-			return fmt.Errorf("hdfs: stored chunk %d corrupt", i)
+// firstCorruptChunk is the one chunk-verification loop: it recomputes the
+// CRC of every chunk overlapping data[off:off+n] and compares it with the
+// chunk's entry in sums. It returns the index of the first chunk that does
+// not match (or has no entry), -1 if all do, and how many it checked.
+// Packet.Verify, VerifyStored and ReplicaView.Range all come here, so a
+// whole-replica read and a range read cannot disagree about what
+// "verified" means.
+func firstCorruptChunk(data []byte, sums []uint32, off, n int) (bad, checked int) {
+	for c := off / ChunkSize; c*ChunkSize < off+n; c++ {
+		end := (c + 1) * ChunkSize
+		if end > len(data) {
+			end = len(data)
 		}
+		checked++
+		if c >= len(sums) || crc32.ChecksumIEEE(data[c*ChunkSize:end]) != sums[c] {
+			return c, checked
+		}
+	}
+	return -1, checked
+}
+
+// VerifyStored checks stored block bytes against a stored checksum file
+// (one CRC-32 per 512-byte chunk) in full, as Load does for every replica
+// it adopts.
+func VerifyStored(data []byte, sums []uint32) error {
+	if want := numChunks(len(data)); want != len(sums) {
+		return fmt.Errorf("hdfs: checksum file has %d entries for %d chunks", len(sums), want)
+	}
+	if bad, _ := firstCorruptChunk(data, sums, 0, len(data)); bad >= 0 {
+		return fmt.Errorf("hdfs: chunk %d: %w", bad, ErrCorruptChunk)
 	}
 	return nil
 }

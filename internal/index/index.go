@@ -184,6 +184,12 @@ func Unmarshal(data []byte) (*Index, error) {
 	p += 4
 	nKeys := int(binary.LittleEndian.Uint32(data[p:]))
 	p += 4
+	// Every key takes at least two bytes (an empty string's length), so a
+	// count the remaining bytes cannot hold is corrupt — and must not be
+	// trusted as an allocation size.
+	if nKeys > (len(data)-p)/2 {
+		return nil, fmt.Errorf("index: %d keys cannot fit %d bytes", nKeys, len(data)-p)
+	}
 	ix.keys = make([]schema.Value, 0, nKeys)
 	for i := 0; i < nKeys; i++ {
 		switch ix.keyType {

@@ -105,6 +105,11 @@ type TaskStats struct {
 	RowsScanned    int64
 	RowsSelected   int64
 	BatchesEmitted int64
+	// ChecksumFailovers counts block reads that left a replica because one
+	// of its chunks failed checksum verification and were served by
+	// another. The work of the abandoned attempt appears nowhere else in
+	// the stats; this is the trace it leaves.
+	ChecksumFailovers int
 }
 
 // Add accumulates other into s.
@@ -127,6 +132,7 @@ func (s *TaskStats) Add(other TaskStats) {
 	s.RowsScanned += other.RowsScanned
 	s.RowsSelected += other.RowsSelected
 	s.BatchesEmitted += other.BatchesEmitted
+	s.ChecksumFailovers += other.ChecksumFailovers
 }
 
 // AddIO folds a PAX reader's I/O statistics into the task stats.

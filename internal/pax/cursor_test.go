@@ -276,3 +276,106 @@ func TestColumnCursorBounds(t *testing.T) {
 		t.Errorf("Next on empty cursor: n=%d err=%v", n, err)
 	}
 }
+
+// recordingSource serves a buffer and remembers every range asked of it.
+type recordingSource struct {
+	buf    []byte
+	ranges [][2]int // {off, n}
+}
+
+func (s *recordingSource) Range(off, n int) ([]byte, error) {
+	s.ranges = append(s.ranges, [2]int{off, n})
+	return s.buf[off : off+n], nil
+}
+
+// TestReaderFetchesWhatIOStatsCounts: a Reader over a range source must
+// ask the source for exactly the ranges its IOStats account — same bytes,
+// same seeks — and for nothing else: the header reads stay inside the
+// header, every read stays inside the block's window of the source, and
+// decoding a cursor asks for nothing more. This is what makes the stats
+// the cost model uses a description of the bytes a scan really moves.
+func TestReaderFetchesWhatIOStatsCounts(t *testing.T) {
+	b := buildBlock(t, 3*PartitionSize+100, 27)
+	b.AppendBad("bad one")
+	b.AppendBad("")
+	b.AppendBad("bad,three")
+	data, err := b.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The block sits in the middle of a larger store, as a PAX block does
+	// inside a framed replica.
+	const base = 37
+	src := &recordingSource{buf: append(append(make([]byte, base), data...), "trailing index bytes"...)}
+	r, err := NewReaderAt(src, base, len(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	headerEnd := base + r.colOff[0]
+	for _, rg := range src.ranges {
+		if rg[0] < base || rg[0]+rg[1] > headerEnd {
+			t.Errorf("opening the reader fetched [%d,%d), outside the header [%d,%d)", rg[0], rg[0]+rg[1], base, headerEnd)
+		}
+	}
+	if st := r.Stats(); st != (IOStats{}) {
+		t.Errorf("header reads were accounted: %+v", st)
+	}
+	src.ranges = nil
+
+	from, to := PartitionSize+10, 3*PartitionSize+50
+	var cursors []*ColumnCursor
+	for _, col := range []int{0, 2, 4} { // int32, float64, string
+		c, err := r.NewColumnCursor(col, from, to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cursors = append(cursors, c)
+	}
+	bad, err := r.ReadAllBad()
+	if err != nil || len(bad) != 3 {
+		t.Fatalf("ReadAllBad: %d records, %v", len(bad), err)
+	}
+
+	var want IOStats
+	lastEnd := -1
+	for _, rg := range src.ranges {
+		if rg[0] < base || rg[0]+rg[1] > base+len(data) {
+			t.Errorf("read [%d,%d) leaves the block's window [%d,%d)", rg[0], rg[0]+rg[1], base, base+len(data))
+		}
+		if rg[0] != lastEnd {
+			want.Seeks++
+		}
+		want.BytesRead += int64(rg[1])
+		lastEnd = rg[0] + rg[1]
+	}
+	if got := r.Stats(); got != want {
+		t.Errorf("IOStats %+v, but the source served %+v in %d ranges", got, want, len(src.ranges))
+	}
+
+	// A bytes-backed reader accounts the same reads.
+	ref, err := NewReader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, col := range []int{0, 2, 4} {
+		if _, err := ref.ReadColumnRange(col, from, to); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := ref.ReadAllBad(); err != nil {
+		t.Fatal(err)
+	}
+	if r.Stats() != ref.Stats() {
+		t.Errorf("range-source stats %+v != bytes-backed stats %+v", r.Stats(), ref.Stats())
+	}
+
+	served := len(src.ranges)
+	for i, col := range []int{0, 2, 4} {
+		if got := drainCursor(t, cursors[i], testSchema.Field(col).Type, 500); len(got) != to-from {
+			t.Fatalf("col %d: drained %d rows, want %d", col, len(got), to-from)
+		}
+	}
+	if len(src.ranges) != served {
+		t.Errorf("decoding fetched %d more ranges; all reads belong to cursor creation", len(src.ranges)-served)
+	}
+}

@@ -14,6 +14,11 @@
 // Attributes": tuple reconstruction for row r starts at offset[r/n] and
 // skips r%n terminators.
 //
+// A Reader looks at a serialized block through a RangeSource — the block's
+// bytes in memory (NewReader) or a window of any store that serves byte
+// ranges (NewReaderAt; the record reader passes an hdfs replica view) —
+// and asks it only for the header and the ranges a caller reads.
+//
 // Reading has two granularities. Reader.ReadColumnRange boxes a row range
 // into []schema.Value eagerly — what Unmarshal rebuilds a Block from, and
 // what the scan tests' row oracle reads with. ColumnCursor is the

@@ -1,6 +1,7 @@
 package pax
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"sort"
 	"testing"
@@ -506,5 +507,51 @@ func TestSortedBlockBinarySearchable(t *testing.T) {
 		if i >= n || b.Value(i, 0).Compare(target) != 0 {
 			t.Fatalf("binary search missed value %v", target)
 		}
+	}
+}
+
+// TestReaderHeaderCountsMustFitAreas is the regression test for counts the
+// header parse used to trust: numRows and numBad size allocations
+// (make([]schema.Value, 0, numRows) in ReadColumnRange and so Unmarshal,
+// make([]string, 0, numBad) in ReadAllBad), so a flipped count on an
+// otherwise valid block took the process down with an unrecoverable
+// out-of-memory instead of returning an error. Each must agree with the
+// area it describes.
+func TestReaderHeaderCountsMustFitAreas(t *testing.T) {
+	b := buildBlock(t, 10, 7)
+	b.AppendBad("one bad record")
+	data, err := b.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const numRowsAt, numBadAt = 10, 14 // after magic, version, sortCol
+	dirAt := fixedHeader + len(testSchema.String()) + 2
+	put := func(at int, v uint32) []byte {
+		c := append([]byte(nil), data...)
+		binary.LittleEndian.PutUint32(c[at:], v)
+		return c
+	}
+	urlLen := binary.LittleEndian.Uint32(data[dirAt+4*8+4:])
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"numBad huge", put(numBadAt, 0x7fffffff)},
+		{"numBad one more than the area holds", put(numBadAt, uint32(len("one bad record")+4)/4+1)},
+		{"numRows huge", put(numRowsAt, 0x7fffffff)},
+		{"numRows off by one", put(numRowsAt, 11)},
+		{"fixed column one value short", put(dirAt+4, 9*4)},
+		{"string column shorter than its terminators", put(dirAt+4*8+4, 4+10-1)},
+	} {
+		if _, err := NewReader(tc.data); err == nil {
+			t.Errorf("%s: header accepted", tc.name)
+		}
+		if _, err := Unmarshal(tc.data); err == nil {
+			t.Errorf("%s: Unmarshal succeeded", tc.name)
+		}
+	}
+	// The same fields at their smallest legal values still open.
+	if _, err := NewReader(put(dirAt+4*8+4, urlLen)); err != nil {
+		t.Errorf("unchanged block rejected: %v", err)
 	}
 }

@@ -24,17 +24,38 @@ func (s *IOStats) Add(other IOStats) {
 	s.Seeks += other.Seeks
 }
 
+// RangeSource is what a Reader reads a serialized block through: bytes
+// [off, off+n) of some store, valid and unchanged for as long as the
+// Reader and its cursors are used. A source may verify what it hands out
+// (an hdfs replica view checks the covering chunks' CRCs) and may return
+// a sub-slice of its own storage; the Reader never writes to it.
+type RangeSource interface {
+	Range(off, n int) ([]byte, error)
+}
+
+// bytesSource serves ranges of a block held in memory.
+type bytesSource []byte
+
+// Range is only reached through Reader.fetch, which has checked the bounds.
+func (b *bytesSource) Range(off, n int) ([]byte, error) { return (*b)[off : off+n], nil }
+
 // Reader provides random access to a serialized PAX block without decoding
 // the whole block, mirroring how the HailRecordReader reads only the
-// qualifying column ranges from disk. It tracks IOStats: consecutive reads
-// of adjacent ranges count as one seek.
+// qualifying column ranges from disk. Every byte it looks at — header
+// included — comes through its RangeSource, so what a scan fetches is what
+// it reads. It tracks IOStats for the data reads: consecutive reads of
+// adjacent ranges count as one seek.
 type Reader struct {
-	data    []byte
+	src  RangeSource
+	mem  bytesSource // NewReader's source, held here so it costs no allocation of its own
+	base int         // offset of the block within src
+	size int         // serialized size of the block
+
 	sch     *schema.Schema
 	sortCol int
 	numRows int
 	numBad  int
-	colOff  []int // absolute offset of each column area
+	colOff  []int // offset of each column area within the block
 	colLen  []int
 	badOff  int
 	badLen  int
@@ -43,67 +64,109 @@ type Reader struct {
 	lastEnd int64 // end offset of the previous raw read, -1 initially
 }
 
-// NewReader parses the block header. It validates the directory against the
-// data length so that a corrupted or truncated block fails fast here rather
-// than during reads.
+// fixedHeader is the part of the block header before the schema DDL.
+const fixedHeader = 4 + 2 + 4 + 4 + 4 + 2
+
+// NewReader opens a block held in memory.
 func NewReader(data []byte) (*Reader, error) {
-	r := &Reader{data: data, lastEnd: -1}
-	if len(data) < 4+2+4+4+4+2 {
-		return nil, fmt.Errorf("pax: block too short (%d bytes)", len(data))
-	}
-	if string(data[:4]) != blockMagic {
-		return nil, fmt.Errorf("pax: bad magic %q", data[:4])
-	}
-	p := 4
-	version := binary.LittleEndian.Uint16(data[p:])
-	p += 2
-	if version != blockVersion {
-		return nil, fmt.Errorf("pax: unsupported version %d", version)
-	}
-	r.sortCol = int(int32(binary.LittleEndian.Uint32(data[p:])))
-	p += 4
-	r.numRows = int(binary.LittleEndian.Uint32(data[p:]))
-	p += 4
-	r.numBad = int(binary.LittleEndian.Uint32(data[p:]))
-	p += 4
-	schemaLen := int(binary.LittleEndian.Uint16(data[p:]))
-	p += 2
-	if p+schemaLen+2 > len(data) {
-		return nil, fmt.Errorf("pax: truncated schema")
-	}
-	sch, err := schema.ParseSchema(string(data[p : p+schemaLen]))
-	if err != nil {
+	r := &Reader{mem: data}
+	return r.open(&r.mem, 0, len(data))
+}
+
+// NewReaderAt opens the block serialized in bytes [off, off+size) of src,
+// fetching only the header.
+func NewReaderAt(src RangeSource, off, size int) (*Reader, error) {
+	return new(Reader).open(src, off, size)
+}
+
+func (r *Reader) open(src RangeSource, off, size int) (*Reader, error) {
+	r.src, r.base, r.size, r.lastEnd = src, off, size, -1
+	if err := r.parseHeader(); err != nil {
 		return nil, err
 	}
-	r.sch = sch
-	p += schemaLen
-	nCols := int(binary.LittleEndian.Uint16(data[p:]))
-	p += 2
-	if nCols != sch.NumFields() {
-		return nil, fmt.Errorf("pax: directory has %d columns, schema has %d", nCols, sch.NumFields())
+	return r, nil
+}
+
+// parseHeader reads the block header and validates it against the block
+// size and against itself — the areas the directory lists must lie inside
+// the block, after the header and one after another, and the row and
+// bad-record counts must fit the areas they describe — so that a
+// corrupted or truncated block fails here rather than during reads, and
+// no count read from disk is trusted as an allocation size.
+func (r *Reader) parseHeader() error {
+	if r.size < fixedHeader {
+		return fmt.Errorf("pax: block too short (%d bytes)", r.size)
 	}
-	if p+nCols*8+8 > len(data) {
-		return nil, fmt.Errorf("pax: truncated column directory")
+	hdr, err := r.fetch(0, fixedHeader)
+	if err != nil {
+		return err
+	}
+	if string(hdr[:4]) != blockMagic {
+		return fmt.Errorf("pax: bad magic %q", hdr[:4])
+	}
+	if version := binary.LittleEndian.Uint16(hdr[4:]); version != blockVersion {
+		return fmt.Errorf("pax: unsupported version %d", version)
+	}
+	r.sortCol = int(int32(binary.LittleEndian.Uint32(hdr[6:])))
+	r.numRows = int(binary.LittleEndian.Uint32(hdr[10:]))
+	r.numBad = int(binary.LittleEndian.Uint32(hdr[14:]))
+	schemaLen := int(binary.LittleEndian.Uint16(hdr[18:]))
+
+	p := fixedHeader
+	if p+schemaLen+2 > r.size {
+		return fmt.Errorf("pax: truncated schema")
+	}
+	ddl, err := r.fetch(p, schemaLen+2)
+	if err != nil {
+		return err
+	}
+	sch, err := schema.ParseSchema(string(ddl[:schemaLen]))
+	if err != nil {
+		return err
+	}
+	r.sch = sch
+	nCols := int(binary.LittleEndian.Uint16(ddl[schemaLen:]))
+	p += schemaLen + 2
+	if nCols != sch.NumFields() {
+		return fmt.Errorf("pax: directory has %d columns, schema has %d", nCols, sch.NumFields())
+	}
+	if p+nCols*8+8 > r.size {
+		return fmt.Errorf("pax: truncated column directory")
+	}
+	dir, err := r.fetch(p, nCols*8+8)
+	if err != nil {
+		return err
 	}
 	r.colOff = make([]int, nCols)
 	r.colLen = make([]int, nCols)
+	next := p + nCols*8 + 8 // areas follow the header in order, without overlap
 	for i := 0; i < nCols; i++ {
-		r.colOff[i] = int(binary.LittleEndian.Uint32(data[p:]))
-		r.colLen[i] = int(binary.LittleEndian.Uint32(data[p+4:]))
-		p += 8
-		if r.colOff[i]+r.colLen[i] > len(data) {
-			return nil, fmt.Errorf("pax: column %d area out of bounds", i)
+		r.colOff[i] = int(binary.LittleEndian.Uint32(dir[i*8:]))
+		r.colLen[i] = int(binary.LittleEndian.Uint32(dir[i*8+4:]))
+		if r.colOff[i] < next || r.colOff[i]+r.colLen[i] > r.size {
+			return fmt.Errorf("pax: column %d area out of bounds", i)
+		}
+		next = r.colOff[i] + r.colLen[i]
+		if t := sch.Field(i).Type; t.FixedSize() {
+			if r.colLen[i] != r.numRows*t.Width() {
+				return fmt.Errorf("pax: column %d area is %d bytes, %d rows need %d", i, r.colLen[i], r.numRows, r.numRows*t.Width())
+			}
+		} else if need := numPartitions(r.numRows)*4 + r.numRows; r.colLen[i] < need {
+			return fmt.Errorf("pax: column %d area is %d bytes, %d rows need at least %d", i, r.colLen[i], r.numRows, need)
 		}
 	}
-	r.badOff = int(binary.LittleEndian.Uint32(data[p:]))
-	r.badLen = int(binary.LittleEndian.Uint32(data[p+4:]))
-	if r.badOff+r.badLen > len(data) {
-		return nil, fmt.Errorf("pax: bad-record area out of bounds")
+	r.badOff = int(binary.LittleEndian.Uint32(dir[nCols*8:]))
+	r.badLen = int(binary.LittleEndian.Uint32(dir[nCols*8+4:]))
+	if r.badOff < next || r.badOff+r.badLen > r.size {
+		return fmt.Errorf("pax: bad-record area out of bounds")
+	}
+	if r.numBad > r.badLen/4 {
+		return fmt.Errorf("pax: %d bad records cannot fit a %d-byte area", r.numBad, r.badLen)
 	}
 	if r.sortCol < -1 || r.sortCol >= nCols {
-		return nil, fmt.Errorf("pax: sort column %d out of range", r.sortCol)
+		return fmt.Errorf("pax: sort column %d out of range", r.sortCol)
 	}
-	return r, nil
+	return nil
 }
 
 // Schema returns the block schema parsed from the header.
@@ -119,7 +182,7 @@ func (r *Reader) NumBad() int { return r.numBad }
 func (r *Reader) SortColumn() int { return r.sortCol }
 
 // BlockSize returns the total serialized size.
-func (r *Reader) BlockSize() int { return len(r.data) }
+func (r *Reader) BlockSize() int { return r.size }
 
 // Stats returns the accumulated I/O accounting.
 func (r *Reader) Stats() IOStats { return r.stats }
@@ -130,18 +193,28 @@ func (r *Reader) ResetStats() {
 	r.lastEnd = -1
 }
 
-// raw reads data[off:off+n], accounting for a seek when the range is not
-// adjacent to the previous read.
-func (r *Reader) raw(off, n int) ([]byte, error) {
-	if off < 0 || n < 0 || off+n > len(r.data) {
+// fetch returns bytes [off, off+n) of the block, unaccounted: the header
+// reads come through here directly.
+func (r *Reader) fetch(off, n int) ([]byte, error) {
+	if off < 0 || n < 0 || off+n > r.size {
 		return nil, fmt.Errorf("pax: read [%d,%d) out of bounds", off, off+n)
+	}
+	return r.src.Range(r.base+off, n)
+}
+
+// raw is fetch for data reads: it accounts the bytes, and a seek when the
+// range is not adjacent to the previous read.
+func (r *Reader) raw(off, n int) ([]byte, error) {
+	b, err := r.fetch(off, n)
+	if err != nil {
+		return nil, err
 	}
 	if int64(off) != r.lastEnd {
 		r.stats.Seeks++
 	}
 	r.stats.BytesRead += int64(n)
 	r.lastEnd = int64(off + n)
-	return r.data[off : off+n], nil
+	return b, nil
 }
 
 // ReadColumnRange reads the values of attribute col for rows [fromRow,
@@ -261,22 +334,26 @@ func (r *Reader) ReadBad(i int) (string, error) {
 	}
 }
 
-// ReadAllBad reads the whole bad-record section.
+// ReadAllBad reads the whole bad-record section, as one range.
 func (r *Reader) ReadAllBad() ([]string, error) {
+	if r.numBad == 0 {
+		return nil, nil
+	}
+	sec, err := r.raw(r.badOff, r.badLen)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]string, 0, r.numBad)
-	p := r.badOff
 	for k := 0; k < r.numBad; k++ {
-		hdr, err := r.raw(p, 4)
-		if err != nil {
-			return nil, err
+		if len(sec) < 4 {
+			return nil, fmt.Errorf("pax: bad record %d truncated", k)
 		}
-		n := int(binary.LittleEndian.Uint32(hdr))
-		body, err := r.raw(p+4, n)
-		if err != nil {
-			return nil, err
+		n := int(binary.LittleEndian.Uint32(sec))
+		if n > len(sec)-4 {
+			return nil, fmt.Errorf("pax: bad record %d truncated", k)
 		}
-		out = append(out, string(body))
-		p += 4 + n
+		out = append(out, string(sec[4:4+n]))
+		sec = sec[4+n:]
 	}
 	return out, nil
 }
