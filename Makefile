@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test fuzz bench-test bench-agree lint fmt
+.PHONY: build test fuzz bench-test bench-agree lint fmt loc
 
 build:
 	$(GO) build ./...
@@ -41,3 +41,11 @@ lint:
 
 fmt:
 	gofmt -w .
+
+# The size ROADMAP item 4 tracks, so every simplicity PR quotes the same
+# two numbers: non-test Go lines outside bench/ and the lint fixtures, and
+# the two top-level documents.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' -print0 \
+		| xargs -0 cat | wc -l | xargs echo "non-test Go lines:"
+	@cat README.md ARCHITECTURE.md | wc -l | xargs echo "README.md + ARCHITECTURE.md lines:"

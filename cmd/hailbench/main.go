@@ -104,7 +104,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	workloadName := fs.String("workload", "UserVisits", "adaptive/cache/dispatch/lifecycle: workload (UserVisits or Synthetic)")
 	adaptiveBudget := fs.Int64("adaptive-budget", 0, "adaptive/cache/lifecycle: cap on extra replica bytes adaptive builds may store (0 = unlimited; lifecycle auto-sizes)")
 	cacheBudget := fs.Int64("cache-budget", qcache.DefaultBudget, "cache/dispatch: byte budget for cached block results")
-	nnShards := fs.Int("nn-shards", 0, "namenode directory shards (0 = default, 1 = unsharded)")
 	jsonPath := fs.String("json", "", "write the run's report as JSON to this path")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
@@ -118,7 +117,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *quick {
 		r = experiments.NewQuickRunner()
 	}
-	r.NNShards = *nnShards
 
 	// The trajectory experiments, one row each: the flag that selects the
 	// mode, the tuning flags it accepts (every other one is rejected rather
@@ -263,19 +261,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if failed {
 		return fmt.Errorf("some experiments failed")
-	}
-	// With an explicit -nn-shards the run is (also) a lock-spread
-	// measurement: print the per-shard directory-operation spread over
-	// every cluster the figures used, and wrap the JSON artifact so the
-	// counters ride along. Without the flag the artifact keeps its
-	// historical shape (a bare figure list).
-	if len(cliutil.Stray(fs, "nn-shards")) > 0 {
-		st := r.NNShardStats()
-		fmt.Fprintf(stdout, "%s\n", st)
-		return writeJSON(struct {
-			Figures  []*experiments.Figure  `json:"figures"`
-			NameNode experiments.ShardStats `json:"namenode_shards"`
-		}{figures, st})
 	}
 	return writeJSON(figures)
 }

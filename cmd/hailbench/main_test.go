@@ -238,70 +238,6 @@ func TestBenchJSONFigures(t *testing.T) {
 	}
 }
 
-// TestBenchShardCounters: -nn-shards surfaces the per-shard directory
-// operation counters in the adaptive report's JSON, and the synthetic
-// workload satisfies the ≤40% busiest-shard bound.
-func TestBenchShardCounters(t *testing.T) {
-	jsonPath := filepath.Join(t.TempDir(), "BENCH_shards.json")
-	var out, errb bytes.Buffer
-	err := run([]string{
-		"-quick", "-adaptive", "-workload", "Synthetic", "-jobs", "4",
-		"-offer-rate", "0.5", "-nn-shards", "8", "-json", jsonPath,
-	}, &out, &errb)
-	if err != nil {
-		t.Fatalf("run: %v (stderr: %s)", err, errb.String())
-	}
-	if !strings.Contains(out.String(), "namenode: 8 shard(s)") {
-		t.Errorf("stdout missing shard spread line:\n%s", out.String())
-	}
-	raw, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep experiments.AdaptiveReport
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatal(err)
-	}
-	st := rep.NameNode
-	if st.Shards != 8 || len(st.Ops) != 8 || st.TotalOps == 0 {
-		t.Fatalf("JSON namenode_shards = %+v, want 8 populated shards", st)
-	}
-	if st.MaxShare > 0.40 {
-		t.Errorf("busiest shard absorbed %.0f%% of directory ops (>40%%): %v", 100*st.MaxShare, st.Ops)
-	}
-}
-
-// TestBenchJSONFiguresWithShards: figure-mode JSON gains the shard
-// counters when -nn-shards is explicit (and only then — see
-// TestBenchJSONFigures for the historical bare-list shape).
-func TestBenchJSONFiguresWithShards(t *testing.T) {
-	if testing.Short() {
-		t.Skip("figure fixture too slow for -short")
-	}
-	jsonPath := filepath.Join(t.TempDir(), "BENCH_figs_shards.json")
-	var out, errb bytes.Buffer
-	if err := run([]string{"-quick", "-only", "Fig4a", "-nn-shards", "8", "-json", jsonPath}, &out, &errb); err != nil {
-		t.Fatalf("run: %v (stderr: %s)", err, errb.String())
-	}
-	var wrapped struct {
-		Figures  []*experiments.Figure  `json:"figures"`
-		NameNode experiments.ShardStats `json:"namenode_shards"`
-	}
-	raw, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(raw, &wrapped); err != nil {
-		t.Fatal(err)
-	}
-	if len(wrapped.Figures) != 1 || wrapped.Figures[0].ID != "Fig4a" {
-		t.Errorf("wrapped figures = %+v, want one Fig4a", wrapped.Figures)
-	}
-	if wrapped.NameNode.Shards != 8 || wrapped.NameNode.TotalOps == 0 {
-		t.Errorf("wrapped namenode_shards = %+v, want 8 populated shards", wrapped.NameNode)
-	}
-}
-
 // TestBenchObsSmoke drives the observability experiment end to end:
 // traced benchmark queries, equivalence- and coverage-gated, with
 // non-zero latency quantiles per query in the JSON artifact.
@@ -352,16 +288,22 @@ func TestBenchObsBadFlags(t *testing.T) {
 	}
 }
 
-// TestBenchVectorBadFlags: the row-vs-batch A/B mode is gone (bench/
-// measures the one scan path end to end), so -vector is an unknown flag —
-// a usage error, not a silently ignored one.
+// TestBenchVectorBadFlags: retired flags are unknown flags — a usage error
+// (exit status 2), not silently ignored. -vector selected the row-vs-batch
+// A/B mode (bench/ measures the one scan path end to end); -nn-shards
+// selected the namenode directory's shard count, now fixed.
 func TestBenchVectorBadFlags(t *testing.T) {
-	var out, errb bytes.Buffer
-	if err := run([]string{"-quick", "-vector"}, &out, &errb); err != errUsage {
-		t.Errorf("-vector: err = %v, want the usage error", err)
-	}
-	if !strings.Contains(errb.String(), "flag provided but not defined: -vector") {
-		t.Errorf("stderr does not name the unknown flag:\n%s", errb.String())
+	for flag, args := range map[string][]string{
+		"-vector":    {"-quick", "-vector"},
+		"-nn-shards": {"-quick", "-adaptive", "-nn-shards", "8"},
+	} {
+		var out, errb bytes.Buffer
+		if err := run(args, &out, &errb); err != errUsage {
+			t.Errorf("%s: err = %v, want the usage error", flag, err)
+		}
+		if !strings.Contains(errb.String(), "flag provided but not defined: "+flag) {
+			t.Errorf("%s: stderr does not name the unknown flag:\n%s", flag, errb.String())
+		}
 	}
 }
 

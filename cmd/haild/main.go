@@ -103,7 +103,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, shutdown 
 	heatDecay := fs.Duration("heat-decay", 0, "adaptive: wall-clock interval per heat-decay step for eviction ranking (0 = off)")
 	persistEvery := fs.Duration("persist-every", 30*time.Second, "period of background manifest+registry persistence (0 = only at shutdown)")
 	parallelism := fs.Int("parallelism", 0, "per-query engine task parallelism (0 = GOMAXPROCS)")
-	nnShards := fs.Int("nn-shards", 0, "namenode directory shards (0 = default)")
 	traceBuffer := fs.Int("trace-buffer", 16, "how many opt-in query traces /trace retains")
 	var tenants tenantFlags
 	fs.Var(&tenants, "tenant", "tenant budget spec name:cacheBytes:adaptiveBytes (repeatable; 0 = unlimited)")
@@ -120,7 +119,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, shutdown 
 
 	srv, err := server.New(server.Config{
 		FSDir:          *fsDir,
-		NNShards:       *nnShards,
 		MaxInFlight:    *maxInFlight,
 		QueueTimeout:   *queueTimeout,
 		CacheBudget:    *cacheBudget,

@@ -140,4 +140,13 @@ func TestUsageErrors(t *testing.T) {
 	if err := run([]string{"-fs", "x", "-tenant", ":1:2"}, &out, &errb, nil, nil); err == nil {
 		t.Fatal("empty tenant name accepted")
 	}
+	// The namenode directory has one layout; the flag that chose its shard
+	// count is an unknown flag, not a silently ignored one.
+	errb.Reset()
+	if err := run([]string{"-fs", "x", "-nn-shards", "8"}, &out, &errb, nil, nil); err != errUsage {
+		t.Fatalf("-nn-shards: err = %v, want the usage error", err)
+	}
+	if !strings.Contains(errb.String(), "flag provided but not defined: -nn-shards") {
+		t.Fatalf("stderr does not name the unknown flag:\n%s", errb.String())
+	}
 }

@@ -71,10 +71,8 @@ import (
 	"repro/internal/hdfs"
 	"repro/internal/mapred"
 	"repro/internal/obs"
-	"repro/internal/pax"
 	"repro/internal/qcache"
 	"repro/internal/query"
-	"repro/internal/schema"
 	"repro/internal/workload"
 )
 
@@ -92,7 +90,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	adaptiveEvict := fs.Bool("adaptive-evict", false, "adaptive: evict the coldest adaptive replicas when a build would exceed -adaptive-budget, instead of denying it")
 	cacheMode := fs.Bool("cache", false, "enable the block-level result cache for this job")
 	cacheBudget := fs.Int64("cache-budget", qcache.DefaultBudget, "cache: byte budget for cached block results")
-	nnShards := fs.Int("nn-shards", 0, "namenode directory shards (0 = default, 1 = unsharded)")
 	stats := fs.Bool("stats", false, "print access-path statistics")
 	tracePath := fs.String("trace", "", "write the query's trace as Chrome trace_event JSON to this path (load in chrome://tracing or ui.perfetto.dev)")
 	metrics := fs.Bool("metrics", false, "print the process metrics registry (counters, gauges, latency histograms) after the query")
@@ -120,11 +117,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	cluster, err := hdfs.LoadShards(*fsDir, *nnShards)
+	cluster, err := hdfs.Load(*fsDir)
 	if err != nil {
 		return fmt.Errorf("loading filesystem: %v", err)
 	}
-	sch, err := fileSchema(cluster, *name)
+	sch, err := core.FileSchema(cluster, *name)
 	if err != nil {
 		return err
 	}
@@ -227,7 +224,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			reg.Counter("engine.tasks").Value(), reg.Counter("engine.tasks_local").Value(),
 			reg.Counter("engine.tasks_repacked").Value(), reg.Counter("engine.blocks_rerun").Value(),
 			reg.Counter("engine.namenode_ops").Value())
-		fmt.Fprintf(stdout, "-- %s\n", cluster.NameNode().ShardStats())
 	}
 	if cache != nil {
 		cs := cache.Stats()
@@ -319,29 +315,4 @@ func main() {
 		os.Exit(2)
 	}
 	os.Exit(1)
-}
-
-// fileSchema reads the schema from the first block of the file — every
-// HAIL block carries its schema in the Block Metadata (§3.1).
-func fileSchema(cluster *hdfs.Cluster, name string) (*schema.Schema, error) {
-	blocks, err := cluster.NameNode().FileBlocks(name)
-	if err != nil {
-		return nil, err
-	}
-	if len(blocks) == 0 {
-		return nil, fmt.Errorf("file %s has no blocks", name)
-	}
-	data, _, err := cluster.ReadBlockAny(blocks[0], 0)
-	if err != nil {
-		return nil, err
-	}
-	paxData, _, err := core.ParseFrame(data)
-	if err != nil {
-		return nil, err
-	}
-	r, err := pax.NewReader(paxData)
-	if err != nil {
-		return nil, err
-	}
-	return r.Schema(), nil
 }

@@ -296,59 +296,20 @@ func TestQueryCacheFlagValidation(t *testing.T) {
 	if err := run(append(base, "-adaptive-budget", "1024"), &out, &errb); err == nil {
 		t.Error("accepted -adaptive-budget without -adaptive")
 	}
-	// There is one scan path and no flag selecting another: -row-path is
-	// an unknown flag, rejected rather than silently ignored.
-	errb.Reset()
-	if err := run(append(base, "-row-path"), &out, &errb); err != errUsage {
-		t.Errorf("-row-path: err = %v, want the usage error", err)
-	}
-	if !strings.Contains(errb.String(), "flag provided but not defined: -row-path") {
-		t.Errorf("stderr does not name the unknown flag:\n%s", errb.String())
-	}
-}
-
-// TestQueryShardedNamenode: -nn-shards loads the filesystem under a
-// sharded directory; results are identical and -stats reports the shard
-// spread.
-func TestQueryShardedNamenode(t *testing.T) {
-	dir := makeFS(t, 700)
-	query := func(extra ...string) string {
-		t.Helper()
-		args := append([]string{
-			"-fs", dir, "-name", "/t",
-			"-q", `@HailQuery(filter="@1 = 3", projection={@2})`,
-			"-stats", "-limit", "0",
-		}, extra...)
-		var out, errb bytes.Buffer
-		if err := run(args, &out, &errb); err != nil {
-			t.Fatalf("run %v: %v (stderr: %s)", extra, err, errb.String())
+	// Retired flags are unknown flags, rejected rather than silently
+	// ignored: there is one scan path (-row-path) and one namenode
+	// directory layout (-nn-shards).
+	for flag, args := range map[string][]string{
+		"-row-path":  {"-row-path"},
+		"-nn-shards": {"-nn-shards", "8"},
+	} {
+		errb.Reset()
+		if err := run(append(base, args...), &out, &errb); err != errUsage {
+			t.Errorf("%s: err = %v, want the usage error", flag, err)
 		}
-		return out.String()
-	}
-
-	sharded := query("-nn-shards", "8")
-	if !strings.Contains(sharded, "namenode: 8 shard(s)") {
-		t.Errorf("-stats missing shard spread line:\n%s", sharded)
-	}
-	unsharded := query("-nn-shards", "1")
-	if !strings.Contains(unsharded, "namenode: 1 shard(s)") {
-		t.Errorf("-stats missing unsharded line:\n%s", unsharded)
-	}
-
-	// Observable output — rows, access-path stats, seek accounting —
-	// must not depend on the shard layout. Only the namenode stats line
-	// is stripped (shard count and op spread legitimately differ).
-	strip := func(s string) string {
-		var keep []string
-		for _, l := range strings.Split(s, "\n") {
-			if !strings.Contains(l, "namenode:") {
-				keep = append(keep, l)
-			}
+		if !strings.Contains(errb.String(), "flag provided but not defined: "+flag) {
+			t.Errorf("%s: stderr does not name the unknown flag:\n%s", flag, errb.String())
 		}
-		return strings.Join(keep, "\n")
-	}
-	if strip(sharded) != strip(unsharded) {
-		t.Errorf("query output differs between shard layouts:\n%s\nvs\n%s", sharded, unsharded)
 	}
 }
 

@@ -382,3 +382,89 @@ chunks:
 		}
 	}
 }
+
+// TestFileSchemaReadsHeadersOnly: the schema probe verifies the header
+// chunks of block 0's first replica and nothing else of it. A bit flipped
+// in a data chunk of that replica goes unnoticed; a bit flipped in its
+// header chunk fails the probe over to the next holder, as does a dead
+// node; with every holder's header bad the probe names block and chunk.
+func TestFileSchemaReadsHeadersOnly(t *testing.T) {
+	cluster, err := hdfs.NewCluster(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := workload.UserVisitsSchema()
+	client := &Client{Cluster: cluster, Config: LayoutConfig{
+		Schema:      want,
+		SortColumns: []int{workload.UVVisitDate, workload.UVSourceIP, workload.UVAdRevenue},
+		BlockSize:   256 << 10,
+	}}
+	if _, err := client.Upload("/uv", workload.GenerateUserVisits(4_000, 7, workload.UserVisitsOptions{})); err != nil {
+		t.Fatal(err)
+	}
+	blocks, err := cluster.NameNode().FileBlocks("/uv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := blocks[0]
+	hosts := cluster.ReplicaOrder(b, 0)
+	first, _ := cluster.DataNode(hosts[0])
+	probe := func(name string) {
+		t.Helper()
+		got, err := FileSchema(cluster, "/uv")
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("%s: schema %v, want %v", name, got, want)
+		}
+	}
+
+	size := first.ReplicaSize(b)
+	before := chunksVerified(cluster)
+	probe("clean")
+	if n := chunksVerified(cluster) - before; n*512 > int64(size)/10 {
+		t.Errorf("the probe verified %d chunks of a %d-byte replica", n, size)
+	}
+
+	// A data chunk: the last byte of the replica is far from both headers.
+	if err := first.CorruptByte(b, size-1); err != nil {
+		t.Fatal(err)
+	}
+	fails0 := first.ChecksumFailures()
+	probe("bit flipped in a data chunk")
+	if first.ChecksumFailures() != fails0 {
+		t.Error("the probe read the corrupt data chunk")
+	}
+	if _, err := cluster.ReadBlockFrom(hosts[0], b); !errors.Is(err, hdfs.ErrCorruptChunk) {
+		t.Errorf("whole read of the corrupt replica: err = %v", err)
+	}
+
+	// The header chunk: the frame header's first bytes.
+	if err := first.CorruptByte(b, 3); err != nil {
+		t.Fatal(err)
+	}
+	fails0 = first.ChecksumFailures()
+	probe("bit flipped in the header chunk")
+	if first.ChecksumFailures() != fails0+1 {
+		t.Errorf("header corruption: %d checksum failures on the first replica, want 1", first.ChecksumFailures()-fails0)
+	}
+
+	// A dead second holder on top: the third serves.
+	if err := cluster.KillNode(hosts[1]); err != nil {
+		t.Fatal(err)
+	}
+	probe("first replica corrupt, second dead")
+
+	third, _ := cluster.DataNode(hosts[2])
+	if err := third.CorruptByte(b, 3); err != nil {
+		t.Fatal(err)
+	}
+	_, err = FileSchema(cluster, "/uv")
+	if !errors.Is(err, hdfs.ErrCorruptChunk) || !strings.Contains(err.Error(), fmt.Sprintf("block %d", b)) {
+		t.Errorf("every holder unreadable: err = %v", err)
+	}
+	if _, err := FileSchema(cluster, "/missing"); !errors.Is(err, hdfs.ErrNoSuchFile) {
+		t.Errorf("missing file: err = %v", err)
+	}
+}

@@ -2,7 +2,12 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+
+	"repro/internal/hdfs"
+	"repro/internal/pax"
+	"repro/internal/schema"
 )
 
 // A HAIL block replica as stored on a datanode is the sorted PAX block
@@ -68,4 +73,54 @@ func ParseFrame(data []byte) (paxData, indexData []byte, err error) {
 		indexData = data[frameHeader+paxLen:]
 	}
 	return paxData, indexData, nil
+}
+
+// openFrame reads the two headers every reader of a stored replica starts
+// with — the frame header and, through it, the PAX header — and returns
+// the PAX reader over the view and where the index section sits.
+func openFrame(view *hdfs.ReplicaView) (reader *pax.Reader, ixOff, ixLen int, err error) {
+	total := view.Len()
+	hdr, err := view.Range(0, min(frameHeader, total))
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	paxLen, ixLen, err := parseFrameHeader(hdr, total)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	reader, err = pax.NewReaderAt(view, frameHeader, paxLen)
+	return reader, frameHeader + paxLen, ixLen, err
+}
+
+// FileSchema returns the schema of a HAIL file: every block carries it in
+// its Block Metadata (§3.1), so the two headers of the first block's
+// replica are all it reads. Replicas are tried in ReplicaOrder(b, 0); a
+// dead node, a dropped replica or a corrupt header chunk moves on to the
+// next holder, as a whole-block ReadBlockAny would.
+func FileSchema(cluster *hdfs.Cluster, file string) (*schema.Schema, error) {
+	blocks, err := cluster.NameNode().FileBlocks(file)
+	if err != nil {
+		return nil, err
+	}
+	b := blocks[0] // a file exists from its first AddBlock on
+	var lastErr error
+	for _, h := range cluster.ReplicaOrder(b, 0) {
+		view, err := cluster.OpenBlockFrom(h, b)
+		if err != nil {
+			lastErr = err
+			continue
+		}
+		reader, _, _, err := openFrame(&view)
+		if err == nil {
+			return reader.Schema(), nil
+		}
+		if !errors.Is(err, hdfs.ErrCorruptChunk) {
+			return nil, fmt.Errorf("hail: block %d on node %d: %w", b, h, err)
+		}
+		lastErr = err
+	}
+	if lastErr == nil {
+		return nil, fmt.Errorf("hail: block %d has no replicas", b)
+	}
+	return nil, fmt.Errorf("hail: all replicas of block %d unreadable: %w", b, lastErr)
 }

@@ -163,16 +163,7 @@ func (r *recordReader) openView(b hdfs.BlockID, servedBy hdfs.NodeID, stats *map
 	}
 	stats.Blocks++
 
-	total := r.view.Len()
-	hdr, err := r.view.Range(0, min(frameHeader, total))
-	if err != nil {
-		return nil, err
-	}
-	paxLen, ixLen, err := parseFrameHeader(hdr, total)
-	if err != nil {
-		return nil, err
-	}
-	reader, err := pax.NewReaderAt(&r.view, frameHeader, paxLen)
+	reader, ixOff, ixLen, err := openFrame(&r.view)
 	if err != nil {
 		return nil, err
 	}
@@ -196,7 +187,7 @@ func (r *recordReader) openView(b hdfs.BlockID, servedBy hdfs.NodeID, stats *map
 			}
 			// Reading the index costs its bytes plus one seek (§4.3:
 			// "we read the index entirely into main memory").
-			ixData, err := r.view.Range(frameHeader+paxLen, ixLen)
+			ixData, err := r.view.Range(ixOff, ixLen)
 			if err != nil {
 				return nil, err
 			}

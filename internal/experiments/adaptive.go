@@ -59,8 +59,6 @@ type AdaptiveReport struct {
 	// block in a single job — the worst case the offer rate bounds.
 	FullBuildSeconds float64
 	Jobs             []AdaptiveJob
-	// NameNode is the run's per-shard directory-operation spread.
-	NameNode ShardStats `json:"namenode_shards"`
 }
 
 // adaptiveQuery filters on an attribute the static layout never indexes:
@@ -151,7 +149,6 @@ func (r *Runner) ExpAdaptive(w Workload, jobs int, offerRate float64) (*Adaptive
 			}
 		}
 	}
-	rep.NameNode = shardStatsOf(cluster)
 	return rep, nil
 }
 
@@ -258,7 +255,6 @@ func (rep *AdaptiveReport) String() string {
 	if rep.OfferRate <= 0 {
 		fmt.Fprintf(&b, "conversion disabled (observe only); job %d at %.0f%% index scans\n",
 			last.Job, 100*last.IndexScanFraction)
-		fmt.Fprintf(&b, "%s\n", rep.NameNode)
 		return b.String()
 	}
 	// The offer count is ceil(rate × missing), so the bound carries one
@@ -268,6 +264,5 @@ func (rep *AdaptiveReport) String() string {
 		rep.Jobs[0].Seconds-rep.BaselineSeconds,
 		rep.OfferRate, rep.TotalBlocks, rep.FullBuildSeconds, bound,
 		last.Job, 100*last.IndexScanFraction)
-	fmt.Fprintf(&b, "%s\n", rep.NameNode)
 	return b.String()
 }

@@ -87,8 +87,6 @@ type CacheReport struct {
 	// (real measured bytes, unscaled).
 	BytesSaved int64
 	Jobs       []CacheJob
-	// NameNode is the run's per-shard directory-operation spread.
-	NameNode ShardStats `json:"namenode_shards"`
 }
 
 // multiset builds the row→count map of a job output.
@@ -262,7 +260,6 @@ func (r *Runner) ExpCache(w Workload, jobs int, budget int64, offerRate float64,
 		})
 	}
 	rep.BytesSaved = cache.Stats().BytesSaved
-	rep.NameNode = shardStatsOf(cluster)
 	return rep, nil
 }
 
@@ -328,6 +325,5 @@ func (rep *CacheReport) String() string {
 	}
 	fmt.Fprintf(&b, "adaptive phase converted %d blocks, invalidating %d cache entries; all %d jobs byte-equivalent to uncached execution\n",
 		rebuilt, invalidated, len(rep.Jobs))
-	fmt.Fprintf(&b, "%s\n", rep.NameNode)
 	return b.String()
 }

@@ -89,8 +89,6 @@ type DispatchReport struct {
 	CacheBudget   int64
 	Scenarios     []DispatchScenario
 	Failover      DispatchFailover
-	// NameNode is the run's per-shard directory-operation spread.
-	NameNode ShardStats `json:"namenode_shards"`
 	// SplitPhaseNameNodeOps is the packed run's split-phase directory
 	// lookup count (mapred.TaskStats.NameNodeOps) — the metadata cost the
 	// split phase pays instead of block-header reads (§6.4.1).
@@ -344,7 +342,6 @@ func (r *Runner) ExpDispatch(w Workload, cacheBudget int64) (*DispatchReport, er
 	if err := cluster.ReviveNode(victim); err != nil {
 		return nil, err
 	}
-	rep.NameNode = shardStatsOf(cluster)
 	return rep, nil
 }
 
@@ -400,6 +397,5 @@ func (rep *DispatchReport) String() string {
 		fo.Victim, fo.TasksRepacked, fo.VictimBlocks, fo.BlocksRerun, rep.TotalBlocks)
 	fmt.Fprintf(&b, "split phase: %d namenode directory ops, 0 block-header reads (§6.4.1)\n",
 		rep.SplitPhaseNameNodeOps)
-	fmt.Fprintf(&b, "%s\n", rep.NameNode)
 	return b.String()
 }

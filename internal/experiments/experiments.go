@@ -124,14 +124,9 @@ type Runner struct {
 	// builds that would exceed the budget retire the coldest adaptive
 	// replicas instead of being denied, mirroring -adaptive-evict.
 	AdaptiveEvict bool
-	// NNShards is the namenode directory shard count for every cluster
-	// the Runner creates (0 = hdfs.DefaultShards; 1 = the historical
-	// unsharded layout), mirroring the CLIs' -nn-shards flag.
-	NNShards int
 
 	mu       sync.Mutex
 	fixtures map[string]*fixture
-	tracker  clusterTracker
 }
 
 // NewRunner returns a Runner with full-fidelity defaults: ~64 partitions
@@ -257,7 +252,7 @@ func trojanIndexColumn(w Workload) int {
 // the packing experiments' finer one.
 func (r *Runner) freshHAILFixture(w Workload, blockSize func(Workload, []string) int) (*fixture, error) {
 	lines := r.lines(w)
-	cluster, err := r.newCluster()
+	cluster, err := hdfs.NewCluster(r.Nodes)
 	if err != nil {
 		return nil, err
 	}
@@ -291,7 +286,7 @@ func (r *Runner) fixture(w Workload, s System) (*fixture, error) {
 	}
 	lines := r.lines(w)
 	blockSize := r.blockTextBytes(w, lines)
-	cluster, err := r.newCluster()
+	cluster, err := hdfs.NewCluster(r.Nodes)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,11 @@
 package experiments
 
 import (
+	"runtime"
 	"testing"
+	"time"
+
+	"repro/internal/hdfs"
 )
 
 // The experiment tests run the full pipelines on quick fixtures and assert
@@ -19,6 +23,31 @@ func skipIfShort(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-figure suite skipped in -short mode")
 	}
+}
+
+// TestRunnerDoesNotRetainClusters: a trajectory experiment's cluster is
+// private to it. Once the experiment lets go of its fixture, nothing in
+// the Runner may keep the cluster — every stored replica's bytes — alive.
+func TestRunnerDoesNotRetainClusters(t *testing.T) {
+	r := quickRunner()
+	freed := make(chan struct{})
+	func() {
+		f, err := r.freshHAILFixture(Synthetic, r.blockTextBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(f.cluster, func(*hdfs.Cluster) { close(freed) })
+	}()
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			runtime.KeepAlive(r)
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the Runner still reaches a fresh fixture's cluster after the fixture was dropped")
 }
 
 func value(f *Figure, series, x string) float64 {

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/hdfs"
 	"repro/internal/mapred"
 	"repro/internal/query"
 	"repro/internal/schema"
@@ -88,7 +89,7 @@ func (r *Runner) Fig8() (*Figure, error) {
 // re-runs with a mid-job node kill and composes the degraded time.
 func (r *Runner) hailFaultRun(sortCols []int, bq workload.BenchQuery) (e2e, slowdownPct float64, err error) {
 	lines := r.lines(UserVisits)
-	cluster, err := r.newCluster()
+	cluster, err := hdfs.NewCluster(r.Nodes)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -74,8 +74,6 @@ type LifecycleReport struct {
 	TotalEvicted      int
 	TotalEvictedBytes int64
 	FinalFractionB    float64
-	// NameNode is the run's per-shard directory-operation spread.
-	NameNode ShardStats `json:"namenode_shards"`
 }
 
 // lifecycleQueries returns the two-phase workload: phase A is the
@@ -149,15 +147,17 @@ func (r *Runner) ExpLifecycle(w Workload, jobsPerPhase int, offerRate float64) (
 	}
 
 	// Budget: the runner's explicit cap, or ~1.25 columns' worth of
-	// adaptive replicas (one stored replica per block, measured from
-	// block 0).
+	// adaptive replicas (one stored replica per block, sized by block 0's
+	// first alive replica as Dir_rep records it).
 	budget := r.AdaptiveBudget
 	if budget <= 0 {
-		data, _, err := cluster.ReadBlockAny(blocks[0], 0)
-		if err != nil {
-			return nil, err
+		for _, n := range cluster.ReplicaOrder(blocks[0], 0) {
+			if dn, err := cluster.DataNode(n); err == nil && dn.Alive() {
+				info, _ := nn.ReplicaInfo(blocks[0], n)
+				budget = int64(float64(info.Size) * float64(len(blocks)) * 1.25)
+				break
+			}
 		}
-		budget = int64(float64(len(data)) * float64(len(blocks)) * 1.25)
 	}
 
 	idx := adaptive.New(cluster, offerRate)
@@ -262,7 +262,6 @@ func (r *Runner) ExpLifecycle(w Workload, jobsPerPhase int, offerRate float64) (
 	if rep.TotalEvicted == 0 {
 		return nil, fmt.Errorf("lifecycle: phase B converged without evicting anything — the budget was never binding")
 	}
-	rep.NameNode = shardStatsOf(cluster)
 	return rep, nil
 }
 
@@ -298,6 +297,5 @@ func (rep *LifecycleReport) String() string {
 	fmt.Fprintf(&b, "workload shift @%d → @%d converged to %.0f%% index scans on the new column inside a %.1f MB budget: %d cold replicas (%.1f MB) evicted — pre-lifecycle this was BudgetDenied forever\n",
 		rep.ColumnA+1, rep.ColumnB+1, 100*rep.FinalFractionB,
 		float64(rep.BudgetBytes)/1e6, rep.TotalEvicted, float64(rep.TotalEvictedBytes)/1e6)
-	fmt.Fprintf(&b, "%s\n", rep.NameNode)
 	return b.String()
 }

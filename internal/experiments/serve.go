@@ -159,7 +159,6 @@ func (r *Runner) ExpServe(w Workload, queries, tenants int) (*ServeReport, error
 	const maxInFlight = 32
 	srv, err := server.New(server.Config{
 		FSDir:        dir,
-		NNShards:     r.NNShards,
 		MaxInFlight:  maxInFlight,
 		QueueTimeout: 2 * time.Minute, // storms queue, they must not 429
 		OfferRate:    1.0,

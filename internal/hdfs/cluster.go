@@ -76,20 +76,12 @@ func (c *Cluster) updateReplicaDirty(b BlockID, node NodeID, info ReplicaInfo) e
 	return nil
 }
 
-// NewCluster creates a cluster with n datanodes (IDs 0..n-1) and the
-// default namenode shard count.
+// NewCluster creates a cluster with n datanodes (IDs 0..n-1).
 func NewCluster(n int) (*Cluster, error) {
-	return NewClusterShards(n, DefaultShards)
-}
-
-// NewClusterShards creates a cluster with n datanodes whose namenode
-// directory is partitioned into the given number of shards (values below
-// 1 select DefaultShards; pass 1 for the historical unsharded layout).
-func NewClusterShards(n, shards int) (*Cluster, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("hdfs: cluster needs at least one datanode")
 	}
-	c := &Cluster{nn: NewNameNodeShards(shards)}
+	c := &Cluster{nn: NewNameNode()}
 	for i := 0; i < n; i++ {
 		c.dns = append(c.dns, NewDataNode(NodeID(i)))
 	}

@@ -14,29 +14,36 @@ import (
 // instead of leaking Go map (or shard) iteration order.
 
 // TestFilesSortedAcrossShards: Files() returns sorted names no matter how
-// insertion order and the ring spread them over shards.
+// insertion order and the name hash spread them over shards.
 func TestFilesSortedAcrossShards(t *testing.T) {
-	for _, shards := range []int{1, 8} {
-		nn := NewNameNodeShards(shards)
-		rng := rand.New(rand.NewSource(7))
-		var names []string
-		for i := 0; i < 64; i++ {
-			names = append(names, filepath.Join("/dir", string(rune('a'+rng.Intn(26))), string(rune('a'+i%26))))
+	nn := NewNameNode()
+	rng := rand.New(rand.NewSource(7))
+	var names []string
+	for i := 0; i < 64; i++ {
+		names = append(names, filepath.Join("/dir", string(rune('a'+rng.Intn(26))), string(rune('a'+i%26))))
+	}
+	rng.Shuffle(len(names), func(i, j int) { names[i], names[j] = names[j], names[i] })
+	for i, f := range names {
+		nn.AddBlock(f, BlockID(i))
+	}
+	got := nn.Files()
+	if !sort.StringsAreSorted(got) {
+		t.Fatalf("Files() not sorted: %v", got)
+	}
+	want := append([]string(nil), names...)
+	sort.Strings(want)
+	want = dedupeSorted(want)
+	if len(got) != len(want) {
+		t.Fatalf("Files() = %d names, want %d", len(got), len(want))
+	}
+	holding := 0
+	for _, s := range nn.shards {
+		if len(s.files) > 0 {
+			holding++
 		}
-		rng.Shuffle(len(names), func(i, j int) { names[i], names[j] = names[j], names[i] })
-		for i, f := range names {
-			nn.AddBlock(f, BlockID(i))
-		}
-		got := nn.Files()
-		if !sort.StringsAreSorted(got) {
-			t.Fatalf("shards=%d: Files() not sorted: %v", shards, got)
-		}
-		want := append([]string(nil), names...)
-		sort.Strings(want)
-		want = dedupeSorted(want)
-		if len(got) != len(want) {
-			t.Fatalf("shards=%d: Files() = %d names, want %d", shards, len(got), len(want))
-		}
+	}
+	if holding < 2 {
+		t.Fatalf("%d names landed on %d shard(s); the merge was never cross-shard", len(want), holding)
 	}
 }
 
@@ -54,7 +61,7 @@ func dedupeSorted(in []string) []string {
 // per affected block, in ascending block order — the cross-shard merge
 // must not leak per-shard map iteration order.
 func TestInvalidateNodeHookOrder(t *testing.T) {
-	nn := NewNameNodeShards(8)
+	nn := NewNameNode()
 	for b := BlockID(0); b < 40; b++ {
 		nn.RegisterReplica(b, 1, ReplicaInfo{SortColumn: -1})
 		if b%2 == 0 {
@@ -88,11 +95,11 @@ func TestInvalidateNodeHookOrder(t *testing.T) {
 
 // TestManifestReplicaOrderDeterministic: Save writes manifest replicas
 // sorted by (block, node), so two saves of equal state produce identical
-// manifests regardless of shard layout.
+// manifests whatever order the shards and their maps were walked in.
 func TestManifestReplicaOrderDeterministic(t *testing.T) {
-	write := func(shards int, dir string) []manifestReplica {
+	write := func(dir string) []manifestReplica {
 		t.Helper()
-		c, err := NewClusterShards(4, shards)
+		c, err := NewCluster(4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,14 +123,14 @@ func TestManifestReplicaOrderDeterministic(t *testing.T) {
 		return m.Replicas
 	}
 
-	reps1 := write(1, t.TempDir())
-	reps8 := write(8, t.TempDir())
-	if len(reps1) == 0 || len(reps1) != len(reps8) {
-		t.Fatalf("manifest replica counts differ: %d vs %d", len(reps1), len(reps8))
+	reps1 := write(t.TempDir())
+	reps2 := write(t.TempDir())
+	if len(reps1) == 0 || len(reps1) != len(reps2) {
+		t.Fatalf("manifest replica counts differ: %d vs %d", len(reps1), len(reps2))
 	}
 	for i := range reps1 {
-		if reps1[i] != reps8[i] {
-			t.Fatalf("manifest replica %d differs between shard layouts: %+v vs %+v", i, reps1[i], reps8[i])
+		if reps1[i] != reps2[i] {
+			t.Fatalf("manifest replica %d differs between two saves of equal state: %+v vs %+v", i, reps1[i], reps2[i])
 		}
 		if i > 0 {
 			prev, cur := reps1[i-1], reps1[i]

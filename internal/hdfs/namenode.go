@@ -1,13 +1,11 @@
 package hdfs
 
 import (
+	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/hdfs/shardmap"
 )
 
 // NodeID identifies a datanode.
@@ -27,10 +25,9 @@ type ReplicaInfo struct {
 	IndexSize  int
 }
 
-// DefaultShards is the namenode directory's default shard count. Eight
-// shards spread the metadata path's lock traffic without measurable
-// overhead at one; `-nn-shards` overrides it in the CLIs.
-const DefaultShards = 8
+// numShards is how many independently locked partitions the namenode
+// directory has.
+const numShards = 8
 
 // NameNode keeps the paper's two directories (§3.3):
 //
@@ -41,18 +38,17 @@ const DefaultShards = 8
 // only Dir_block; Dir_rep is HAIL's extension, and is what lets the
 // scheduler send map tasks to the replica with the right index.
 //
-// The directories are partitioned into independently locked shards by a
-// consistent-hash ring over directory keys (file names route by name,
-// block-keyed state by "block/<id>"), so concurrent map tasks, adaptive
-// conversions and cache generation reads contend per shard instead of on
-// one global lock. The NameNode type itself is a thin façade: every
-// public method keeps the exact observable behaviour of the historical
-// single-map implementation (the oracle-equivalence property test in
-// oracle_test.go holds the two to identical observations), and
-// cross-shard aggregations return deterministic, sorted results.
+// The directories are partitioned into numShards independently locked
+// shards — block-keyed state by block id modulo numShards, file names by
+// a hash of the name — so concurrent map tasks, adaptive conversions and
+// cache generation reads contend per shard instead of on one global
+// lock. The NameNode type itself is a thin façade: every public method
+// keeps the exact observable behaviour of a single-map implementation
+// (the oracle-equivalence property test in oracle_test.go holds the two
+// to identical observations), and cross-shard aggregations return
+// deterministic, sorted results.
 type NameNode struct {
-	ring   *shardmap.Ring
-	shards []*dirShard
+	shards [numShards]*dirShard
 
 	// onChange, if set, is called (outside every shard lock) with each
 	// block whose generation was bumped — the result cache's active
@@ -65,8 +61,8 @@ type NameNode struct {
 
 // dirShard is one partition of the namenode directory. Each shard owns
 // the file table, Dir_block, Dir_rep, the replica generations and the
-// incremental-save dirty marks for the keys the ring routes to it, under
-// its own lock.
+// incremental-save dirty marks for the keys routed to it, under its own
+// lock.
 type dirShard struct {
 	mu     sync.RWMutex
 	ops    atomic.Uint64 // directory operations served (lock acquisitions)
@@ -98,7 +94,7 @@ type repEntry struct {
 }
 
 // lock/rlock count the acquisition so per-shard contention is measurable
-// (hailbench -json reports the spread).
+// (ShardOps, and the gauges BindObs puts on /metrics).
 func (s *dirShard) lock() *dirShard {
 	s.ops.Add(1)
 	s.mu.Lock()
@@ -111,115 +107,43 @@ func (s *dirShard) rlock() *dirShard {
 	return s
 }
 
-// NewNameNode returns an empty namenode with DefaultShards directory
-// shards.
-func NewNameNode() *NameNode { return NewNameNodeShards(DefaultShards) }
-
-// NewNameNodeShards returns an empty namenode whose directory is
-// partitioned into the given number of shards. Values below 1 select
-// DefaultShards — the single "0 means default" convention every layer
-// (CLI flags, the experiment Runner) relies on; pass 1 explicitly for
-// the historical unsharded layout.
-func NewNameNodeShards(shards int) *NameNode {
-	if shards < 1 {
-		shards = DefaultShards
-	}
-	ring := shardmap.New(shards)
-	nn := &NameNode{ring: ring}
-	for i := 0; i < ring.NumShards(); i++ {
-		nn.shards = append(nn.shards, &dirShard{
+// NewNameNode returns an empty namenode.
+func NewNameNode() *NameNode {
+	nn := &NameNode{}
+	for i := range nn.shards {
+		nn.shards[i] = &dirShard{
 			files:  make(map[string][]BlockID),
 			blocks: make(map[BlockID][]NodeID),
 			reps:   make(map[repKey]ReplicaInfo),
 			gens:   make(map[BlockID]uint64),
-		})
+		}
 	}
 	return nn
 }
 
-// blockShardKey is the ring key for block-scoped state. The format is
-// chosen with the ring's hash so that even the first handful of block IDs
-// (small files) spread across shards — see shardmap's small-population
-// test.
-func blockShardKey(b BlockID) string {
-	return "block/" + strconv.FormatInt(int64(b), 10)
-}
-
+// blockShard routes block-keyed state. The id goes through uint64 so that
+// any value a manifest can hold, negative ones included, has a shard.
 func (nn *NameNode) blockShard(b BlockID) *dirShard {
-	return nn.shards[nn.ring.Shard(blockShardKey(b))]
+	return nn.shards[uint64(b)%numShards]
 }
 
+// fileShard routes a file's block list by the FNV-1a hash of its name.
 func (nn *NameNode) fileShard(file string) *dirShard {
-	return nn.shards[nn.ring.Shard(file)]
+	h := uint32(2166136261)
+	for i := 0; i < len(file); i++ {
+		h = (h ^ uint32(file[i])) * 16777619
+	}
+	return nn.shards[h%numShards]
 }
-
-// NumShards returns the directory's shard count.
-func (nn *NameNode) NumShards() int { return len(nn.shards) }
 
 // ShardOps returns a snapshot of per-shard directory-operation counts
-// (every lock acquisition, read or write). hailbench reports them so the
-// lock-spread across shards is measured, not asserted.
+// (every lock acquisition, read or write).
 func (nn *NameNode) ShardOps() []uint64 {
 	out := make([]uint64, len(nn.shards))
 	for i, s := range nn.shards {
 		out[i] = s.ops.Load()
 	}
 	return out
-}
-
-// DirShardStats summarizes how directory operations spread over the
-// namenode's shards — the measured counterpart to the sharding's "no
-// global lock" claim. hailquery -stats prints it and hailbench embeds it
-// in -json reports.
-type DirShardStats struct {
-	// Shards is the directory shard count.
-	Shards int `json:"shards"`
-	// Ops is the per-shard directory-operation count (lock acquisitions).
-	Ops []uint64 `json:"ops"`
-	// TotalOps is the sum over Ops.
-	TotalOps uint64 `json:"total_ops"`
-	// MaxShare is the busiest shard's fraction of TotalOps (1.0 for a
-	// single shard).
-	MaxShare float64 `json:"max_share"`
-}
-
-// CombineShardStats aggregates the shard counters of one or more
-// namenodes (an experiment run may spread its traffic over several
-// clusters) into one spread summary.
-func CombineShardStats(nns ...*NameNode) DirShardStats {
-	var st DirShardStats
-	for _, nn := range nns {
-		ops := nn.ShardOps()
-		if st.Shards < nn.NumShards() {
-			st.Shards = nn.NumShards()
-		}
-		if len(st.Ops) < len(ops) {
-			st.Ops = append(st.Ops, make([]uint64, len(ops)-len(st.Ops))...)
-		}
-		for i, n := range ops {
-			st.Ops[i] += n
-			st.TotalOps += n
-		}
-	}
-	var max uint64
-	for _, n := range st.Ops {
-		if n > max {
-			max = n
-		}
-	}
-	if st.TotalOps > 0 {
-		st.MaxShare = float64(max) / float64(st.TotalOps)
-	}
-	return st
-}
-
-// ShardStats returns this namenode's own spread summary.
-func (nn *NameNode) ShardStats() DirShardStats { return CombineShardStats(nn) }
-
-// String renders the spread as a one-line summary.
-func (st DirShardStats) String() string {
-	return fmt.Sprintf("namenode: %d shard(s), %d directory ops, busiest %.0f%%",
-		st.Shards, st.TotalOps, 100*st.MaxShare)
 }
 
 // SetReplicaChangeHook installs fn as the replica-change observer: it is
@@ -284,6 +208,10 @@ func (nn *NameNode) InvalidateNode(node NodeID) {
 	nn.notifyChanged(nn.hook(), changed...)
 }
 
+// ErrNoSuchFile is what FileBlocks returns (wrapped, with the name) for a
+// file the namenode has never been given a block of.
+var ErrNoSuchFile = errors.New("hdfs: no such file")
+
 // AddBlock appends a block to a file's block list.
 func (nn *NameNode) AddBlock(file string, b BlockID) {
 	s := nn.fileShard(file).lock()
@@ -297,7 +225,7 @@ func (nn *NameNode) FileBlocks(file string) ([]BlockID, error) {
 	defer s.mu.RUnlock()
 	bs, ok := s.files[file]
 	if !ok {
-		return nil, fmt.Errorf("hdfs: no such file %q", file)
+		return nil, fmt.Errorf("%w %q", ErrNoSuchFile, file)
 	}
 	return append([]BlockID(nil), bs...), nil
 }

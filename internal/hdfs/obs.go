@@ -26,5 +26,4 @@ func (nn *NameNode) BindObs(reg *obs.Registry) {
 		}
 		return int64(total)
 	})
-	reg.SetGaugeFunc("hdfs.namenode.shards", func() int64 { return int64(len(nn.shards)) })
 }

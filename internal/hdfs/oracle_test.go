@@ -124,11 +124,10 @@ func TestOracleEquivalence(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(seed)))
-			nodes := 3 + rng.Intn(4)                     // 3..6 datanodes
-			shards := []int{1, 2, 3, 8, 16}[rng.Intn(5)] // includes the unsharded layout
+			nodes := 3 + rng.Intn(4) // 3..6 datanodes
 			maxBlocks := BlockID(2 + rng.Intn(8))
 
-			cluster, err := NewClusterShards(nodes, shards)
+			cluster, err := NewCluster(nodes)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -163,16 +163,8 @@ func (c *Cluster) LastSaveReport() SaveReport {
 }
 
 // Load reconstructs a cluster from a directory written by Save, verifying
-// every replica against its checksum file. The namenode gets the default
-// shard count.
+// every replica against its checksum file.
 func Load(dir string) (*Cluster, error) {
-	return LoadShards(dir, DefaultShards)
-}
-
-// LoadShards is Load with an explicit namenode shard count — the shard
-// layout is a per-process runtime choice, not persisted state, so the
-// same filesystem directory can be opened at any shard count.
-func LoadShards(dir string, shards int) (*Cluster, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
 	if err != nil {
 		return nil, err
@@ -181,7 +173,7 @@ func LoadShards(dir string, shards int) (*Cluster, error) {
 	if err := json.Unmarshal(raw, &m); err != nil {
 		return nil, fmt.Errorf("hdfs: bad manifest: %v", err)
 	}
-	c, err := NewClusterShards(m.Nodes, shards)
+	c, err := NewCluster(m.Nodes)
 	if err != nil {
 		return nil, err
 	}

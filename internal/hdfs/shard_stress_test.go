@@ -46,16 +46,13 @@ func assertManifestConsistent(t *testing.T, dir string) {
 // CI has a dedicated lane for this package); the assertions only check
 // invariants that hold under any interleaving.
 func TestShardStress(t *testing.T) {
-	const (
-		nodes  = 6
-		shards = 8
-	)
+	const nodes = 6
 	iters := 400
 	if testing.Short() {
 		iters = 80
 	}
 
-	c, err := NewClusterShards(nodes, shards)
+	c, err := NewCluster(nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,8 +184,8 @@ func TestShardStress(t *testing.T) {
 	// The per-shard contention counters must account for real traffic on
 	// more than one shard.
 	ops := nn.ShardOps()
-	if len(ops) != shards {
-		t.Fatalf("ShardOps returned %d shards, want %d", len(ops), shards)
+	if len(ops) != numShards {
+		t.Fatalf("ShardOps returned %d shards, want %d", len(ops), numShards)
 	}
 	busy := 0
 	for _, n := range ops {

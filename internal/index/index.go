@@ -215,7 +215,14 @@ func Unmarshal(data []byte) (*Index, error) {
 			if p+8 > len(data) {
 				return nil, fmt.Errorf("index: truncated keys")
 			}
-			ix.keys = append(ix.keys, schema.FloatVal(math.Float64frombits(binary.LittleEndian.Uint64(data[p:]))))
+			k := math.Float64frombits(binary.LittleEndian.Uint64(data[p:]))
+			// Compare reads NaN as equal to everything, so it would pass
+			// the ascending check below and then misdirect the lookups'
+			// binary searches; no parsed row holds one (schema.ParseValue).
+			if math.IsNaN(k) {
+				return nil, fmt.Errorf("index: key %d is NaN", i)
+			}
+			ix.keys = append(ix.keys, schema.FloatVal(k))
 			p += 8
 		case schema.String:
 			if p+2 > len(data) {

@@ -1,7 +1,10 @@
 package index
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -271,6 +274,17 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 		if _, err := Unmarshal(swapped); err == nil {
 			t.Error("out-of-order keys accepted")
 		}
+	}
+	// A NaN key compares equal to both neighbours, so the ordering check
+	// cannot see it; the lookups' binary searches would.
+	fix, _ := Build(sortedBlock(3*pax.PartitionSize, 2, 7), 2)
+	fdata, err := fix.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(fdata[19+8:], math.Float64bits(math.NaN()))
+	if _, err := Unmarshal(fdata); err == nil || !strings.Contains(err.Error(), "key 1 is NaN") {
+		t.Errorf("NaN key: err = %v, want one naming key 1", err)
 	}
 }
 

@@ -22,6 +22,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"path/filepath"
@@ -34,7 +35,6 @@ import (
 	"repro/internal/hdfs"
 	"repro/internal/mapred"
 	"repro/internal/obs"
-	"repro/internal/pax"
 	"repro/internal/qcache"
 	"repro/internal/query"
 	"repro/internal/schema"
@@ -45,9 +45,6 @@ import (
 type Config struct {
 	// FSDir is the HAIL filesystem directory (hailload's output).
 	FSDir string
-	// NNShards is the namenode shard count passed to hdfs.LoadShards
-	// (0 = default).
-	NNShards int
 
 	// MaxInFlight bounds concurrently executing queries; further requests
 	// queue up to QueueTimeout and are then rejected with 429. 0 defaults
@@ -145,7 +142,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.TraceBuffer <= 0 {
 		cfg.TraceBuffer = 16
 	}
-	cluster, err := hdfs.LoadShards(cfg.FSDir, cfg.NNShards)
+	cluster, err := hdfs.Load(cfg.FSDir)
 	if err != nil {
 		return nil, fmt.Errorf("server: loading filesystem: %v", err)
 	}
@@ -353,26 +350,13 @@ func (s *Server) fileSchema(file string) (*schema.Schema, error) {
 	if ok {
 		return sch, nil
 	}
-	blocks, err := s.cluster.NameNode().FileBlocks(file)
-	if err != nil {
+	sch, err := core.FileSchema(s.cluster, file)
+	if errors.Is(err, hdfs.ErrNoSuchFile) {
 		return nil, &httpError{http.StatusNotFound, err.Error()}
 	}
-	if len(blocks) == 0 {
-		return nil, &httpError{http.StatusNotFound, fmt.Sprintf("file %s has no blocks", file)}
-	}
-	data, _, err := s.cluster.ReadBlockAny(blocks[0], 0)
 	if err != nil {
 		return nil, err
 	}
-	paxData, _, err := core.ParseFrame(data)
-	if err != nil {
-		return nil, err
-	}
-	rd, err := pax.NewReader(paxData)
-	if err != nil {
-		return nil, err
-	}
-	sch = rd.Schema()
 	s.schemaMu.Lock()
 	s.schemas[file] = sch
 	s.schemaMu.Unlock()

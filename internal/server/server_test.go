@@ -58,7 +58,7 @@ func makeFS(t *testing.T, n int) string {
 // loaded from the same directory — no cache, no adaptive, no sharing.
 func referenceRows(t *testing.T, dir, file, annotation string) []string {
 	t.Helper()
-	cluster, err := hdfs.LoadShards(dir, 0)
+	cluster, err := hdfs.Load(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
