@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test fuzz bench-test bench-agree lint fmt loc
+.PHONY: build test fuzz profile-upload bench-test bench-agree lint fmt loc
 
 build:
 	$(GO) build ./...
@@ -14,8 +14,16 @@ test:
 # eat the whole budget.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzNewReader$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/pax
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/pax
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFrame$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexUnmarshal$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/index
+
+# CPU and allocation profiles of the ledger's upload op (BenchmarkUploadBob:
+# 100k lines, Bob's layout, fresh 4-node cluster), for the perf PR that
+# acts on them: go tool pprof -top core.test upload.cpu.pprof
+profile-upload:
+	$(GO) test -run '^$$' -bench '^BenchmarkUploadBob$$' -benchtime 10x -o core.test \
+		-cpuprofile upload.cpu.pprof -memprofile upload.mem.pprof ./internal/core
 
 # bench/ is its own module (the BENCHMARK.json ledger; see bench/README.md),
 # so the targets above never reach it.

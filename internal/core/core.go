@@ -116,10 +116,11 @@ type UploadSummary struct {
 
 // BuildIndexedReplica converts a marshalled PAX block into the stored
 // form of a replica clustered and indexed on col: sort on col, build the
-// sparse clustered index, and frame both (§3.2 step 7). Both conversion
-// paths share it — the upload pipeline's per-replica transform and the
-// adaptive indexer's lazy query-time conversion — so the stored layout
-// and the registered ReplicaInfo cannot diverge between them.
+// sparse clustered index, and frame both (§3.2 step 7). Every conversion
+// path shares it — the upload pipeline's per-replica transform, the
+// adaptive indexer's lazy query-time conversion and recovery — so the
+// stored layout and the registered ReplicaInfo cannot diverge between
+// them. The block is serialized once, straight into the frame.
 func BuildIndexedReplica(paxData []byte, col int) ([]byte, hdfs.ReplicaInfo, error) {
 	b, err := pax.Unmarshal(paxData)
 	if err != nil {
@@ -132,16 +133,31 @@ func BuildIndexedReplica(paxData []byte, col int) ([]byte, hdfs.ReplicaInfo, err
 	if err != nil {
 		return nil, hdfs.ReplicaInfo{}, err
 	}
-	sorted, err := b.Marshal()
-	if err != nil {
-		return nil, hdfs.ReplicaInfo{}, err
-	}
 	ixData, err := ix.Marshal()
 	if err != nil {
 		return nil, hdfs.ReplicaInfo{}, err
 	}
-	framed := FrameReplica(sorted, ixData)
+	paxLen := b.MarshalSize()
+	framed := appendFrameHeader(make([]byte, 0, frameHeader+paxLen+len(ixData)), paxLen, len(ixData))
+	if framed, err = b.MarshalAppend(framed); err != nil {
+		return nil, hdfs.ReplicaInfo{}, err
+	}
+	framed = append(framed, ixData...)
 	return framed, hdfs.ReplicaInfo{SortColumn: col, HasIndex: true, IndexSize: len(ixData)}, nil
+}
+
+// buildReplica is what a datanode stores for a PAX block it holds in
+// memory, whichever way the block reached it (upload pipeline, recovery):
+// the replica clustered and indexed on col, or for col < 0 the block as
+// received — validated, framed, no index.
+func buildReplica(paxData []byte, col int) ([]byte, hdfs.ReplicaInfo, error) {
+	if col >= 0 {
+		return BuildIndexedReplica(paxData, col)
+	}
+	if _, err := pax.Unmarshal(paxData); err != nil {
+		return nil, hdfs.ReplicaInfo{}, err
+	}
+	return FrameReplica(paxData, nil), hdfs.ReplicaInfo{SortColumn: -1}, nil
 }
 
 // Client uploads text data to HDFS the HAIL way.
@@ -153,7 +169,10 @@ type Client struct {
 
 // Upload parses, blocks, converts and ships the given lines (§3.1–3.2).
 // Bad records go to the block's bad-record section instead of failing the
-// upload.
+// upload. One row, one block and one serialization buffer serve the whole
+// upload: each line is parsed into the row and copied into the block's
+// arenas, and a full block is serialized, written through the pipeline —
+// which keeps none of it — and emptied for the next.
 func (cl *Client) Upload(file string, lines []string) (UploadSummary, error) {
 	if err := cl.Config.Validate(); err != nil {
 		return UploadSummary{}, err
@@ -167,23 +186,29 @@ func (cl *Client) Upload(file string, lines []string) (UploadSummary, error) {
 	var sum UploadSummary
 	block := pax.NewBlock(cl.Config.Schema)
 	blockText := 0
+	var row schema.Row
+	var paxData []byte
 
 	flush := func() error {
 		if block.NumRows() == 0 && block.NumBad() == 0 {
 			return nil
 		}
-		if err := cl.uploadBlock(file, block, &sum); err != nil {
+		var err error
+		if paxData, err = block.MarshalAppend(paxData[:0]); err != nil {
 			return err
 		}
-		block = pax.NewBlock(cl.Config.Schema)
+		if err := cl.writeBlock(file, paxData, &sum); err != nil {
+			return err
+		}
+		block.Reset()
 		blockText = 0
 		return nil
 	}
 
 	for _, line := range lines {
 		sum.TextBytes += int64(len(line) + 1)
-		row, err := parser.ParseLine(line)
-		if err != nil {
+		var err error
+		if row, err = parser.ParseInto(row, line); err != nil {
 			block.AppendBad(line)
 			sum.BadRecords++
 		} else {
@@ -205,30 +230,16 @@ func (cl *Client) Upload(file string, lines []string) (UploadSummary, error) {
 	return sum, nil
 }
 
-// uploadBlock serializes one PAX block and writes it through the pipeline
-// with the per-replica sort+index transform.
-func (cl *Client) uploadBlock(file string, block *pax.Block, sum *UploadSummary) error {
-	paxData, err := block.Marshal()
-	if err != nil {
-		return err
-	}
+// writeBlock writes one serialized PAX block through the pipeline with the
+// per-replica sort+index transform.
+func (cl *Client) writeBlock(file string, paxData []byte, sum *UploadSummary) error {
 	cfg := cl.Config
-	transform := func(pos int, node hdfs.NodeID, data []byte) ([]byte, hdfs.ReplicaInfo, error) {
-		// Each datanode reassembles the PAX block in memory (§3.2 step 6)
-		// — `data` here is exactly the reassembled packet payload — then
-		// sorts on its own attribute and builds its clustered index.
-		col := cfg.SortColumns[pos]
-		if col < 0 {
-			// Unsorted PAX replica: validate and store as received.
-			if _, err := pax.Unmarshal(data); err != nil {
-				return nil, hdfs.ReplicaInfo{}, err
-			}
-			framed := FrameReplica(data, nil)
-			return framed, hdfs.ReplicaInfo{SortColumn: -1}, nil
-		}
-		return BuildIndexedReplica(data, col)
+	// Each datanode reassembles the PAX block in memory (§3.2 step 6) —
+	// `data` here is exactly the reassembled packet payload — then sorts
+	// on its own attribute and builds its clustered index.
+	transform := func(pos int, _ hdfs.NodeID, data []byte) ([]byte, hdfs.ReplicaInfo, error) {
+		return buildReplica(data, cfg.SortColumns[pos])
 	}
-
 	id, stats, err := cl.Cluster.WriteBlock(file, paxData, cfg.Replication(), transform)
 	if err != nil {
 		return err

@@ -47,30 +47,66 @@ func getBenchFixture(b *testing.B) *benchFixtureT {
 	return benchFix
 }
 
-func BenchmarkHailUpload(b *testing.B) {
-	lines := workload.GenerateUserVisits(20_000, 9, workload.UserVisitsOptions{})
+// bobLayout is the benchmark ledger's upload configuration (bench/fixture.go):
+// three replicas clustered on sourceIP, visitDate and adRevenue, 2 MiB blocks.
+func bobLayout() LayoutConfig {
+	return LayoutConfig{
+		Schema:      workload.UserVisitsSchema(),
+		SortColumns: []int{workload.UVSourceIP, workload.UVVisitDate, workload.UVAdRevenue},
+		BlockSize:   2 << 20,
+	}
+}
+
+// BenchmarkUploadBob is the ledger's upload op outside bench/: a fresh
+// 4-node cluster and one Upload of 100k generated lines with Bob's layout
+// (5k under -short, for CI's -benchtime=1x lane). `make profile-upload`
+// profiles it.
+func BenchmarkUploadBob(b *testing.B) {
+	n := 100_000
+	if testing.Short() {
+		n = 5_000
+	}
+	lines := workload.GenerateUserVisits(n, 1, workload.UserVisitsOptions{NeedleEvery: 25_000, BadEvery: 10_007})
 	var textBytes int64
 	for _, l := range lines {
 		textBytes += int64(len(l) + 1)
 	}
 	b.SetBytes(textBytes)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	b.ReportAllocs()
+	for b.Loop() {
 		cluster, err := hdfs.NewCluster(4)
 		if err != nil {
 			b.Fatal(err)
 		}
-		client := &Client{
-			Cluster: cluster,
-			Config: LayoutConfig{
-				Schema:      workload.UserVisitsSchema(),
-				SortColumns: []int{workload.UVVisitDate, workload.UVSourceIP, workload.UVAdRevenue},
-				BlockSize:   1 << 20,
-			},
-		}
+		client := &Client{Cluster: cluster, Config: bobLayout()}
 		if _, err := client.Upload("/uv", lines); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkBuildIndexedReplica is the per-replica transform on one 2 MiB
+// block of the same lines, by the type of the sort column.
+func BenchmarkBuildIndexedReplica(b *testing.B) {
+	paxData := userVisitsPax(b, workload.GenerateUserVisits(14_000, 1, workload.UserVisitsOptions{NeedleEvery: 25_000, BadEvery: 10_007}))
+	for _, tc := range []struct {
+		name string
+		col  int
+	}{
+		{"string", workload.UVSourceIP},
+		{"date", workload.UVVisitDate},
+		{"float64", workload.UVAdRevenue},
+		{"int32", workload.UVDuration},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(paxData)))
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, _, err := BuildIndexedReplica(paxData, tc.col); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

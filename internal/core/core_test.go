@@ -396,6 +396,87 @@ func TestBadRecordsDeliveredFlagged(t *testing.T) {
 	}
 }
 
+// TestBuildIndexedReplicaAllocationsDoNotGrowWithRows is the allocation
+// gate of the per-replica transform: arenas, directories, sort keys and
+// the frame are a fixed number of allocations per column, so the same
+// bound holds for a two-partition and an eight-partition block. A
+// per-value allocation creeping back in (the boxed Block this replaced
+// made six per row) fails here by two orders of magnitude.
+func TestBuildIndexedReplicaAllocationsDoNotGrowWithRows(t *testing.T) {
+	const bound = 128
+	for _, rows := range []int{2 * pax.PartitionSize, 8 * pax.PartitionSize} {
+		paxData := userVisitsPax(t, workload.GenerateUserVisits(rows, 3, workload.UserVisitsOptions{BadEvery: 1000}))
+		for _, col := range []int{workload.UVSourceIP, workload.UVVisitDate, workload.UVAdRevenue, workload.UVDuration} {
+			allocs := testing.AllocsPerRun(5, func() {
+				if _, _, err := BuildIndexedReplica(paxData, col); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > bound {
+				t.Errorf("BuildIndexedReplica of %d rows on column %d: %v allocations, want at most %d", rows, col, allocs, bound)
+			}
+		}
+	}
+}
+
+// TestUploadStoresNULLineAsBadRecord: a line with a NUL byte in a string
+// field parses field by field but cannot be stored zero-terminated. It
+// used to fail the whole upload at Marshal, after earlier blocks were
+// written and registered; it is a bad record — kept verbatim in the
+// length-prefixed section — and everything around it is stored as usual.
+func TestUploadStoresNULLineAsBadRecord(t *testing.T) {
+	lines := workload.GenerateUserVisits(3000, 42, workload.UserVisitsOptions{})
+	lines[2499] = strings.Replace(lines[2499], "http://", "http://\x00", 1)
+	cluster, err := hdfs.NewCluster(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := &Client{Cluster: cluster, Config: LayoutConfig{
+		Schema:      workload.UserVisitsSchema(),
+		SortColumns: []int{workload.UVDestURL, -1, workload.UVAdRevenue},
+		BlockSize:   64 << 10,
+	}}
+	sum, err := client.Upload("/uv", lines)
+	if err != nil {
+		t.Fatalf("upload with a NUL byte in line 2500: %v", err)
+	}
+	if sum.Rows != 2999 || sum.BadRecords != 1 {
+		t.Fatalf("rows/bad = %d/%d, want 2999/1", sum.Rows, sum.BadRecords)
+	}
+	res, err := (&mapred.Engine{Cluster: cluster}).Run(&mapred.Job{
+		Name:  "all",
+		File:  "/uv",
+		Input: &InputFormat{Cluster: cluster, Query: &query.Query{}},
+		Map: func(r mapred.Record, emit mapred.Emit) {
+			if r.Bad {
+				emit("bad", r.Raw)
+			} else {
+				emit("good", r.Row.Line(','))
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[string]int)
+	for _, kv := range res.Output {
+		got[kv.Key+" "+kv.Value]++
+	}
+	for i, line := range lines {
+		kind := "good "
+		if i == 2499 {
+			kind = "bad "
+		}
+		if got[kind+line] == 0 {
+			t.Fatalf("line %d did not come back as a %srecord: %q", i+1, kind, line)
+		}
+		got[kind+line]--
+	}
+	if len(res.Output) != len(lines) {
+		t.Errorf("%d records came back, want %d", len(res.Output), len(lines))
+	}
+}
+
 func TestFailoverFallsBackToScan(t *testing.T) {
 	// §6.4.3: when the node holding the matching index dies, HAIL reads a
 	// surviving replica — whose index does not match — and full-scans it.

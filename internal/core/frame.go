@@ -29,14 +29,15 @@ const (
 // FrameReplica assembles the stored form of one replica. indexData may be
 // nil for unsorted replicas.
 func FrameReplica(paxData, indexData []byte) []byte {
-	out := make([]byte, 0, frameHeader+len(paxData)+len(indexData))
+	out := appendFrameHeader(make([]byte, 0, frameHeader+len(paxData)+len(indexData)), len(paxData), len(indexData))
+	return append(append(out, paxData...), indexData...)
+}
+
+func appendFrameHeader(out []byte, paxLen, ixLen int) []byte {
 	out = append(out, frameMagic...)
 	out = binary.LittleEndian.AppendUint16(out, frameVersion)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(paxData)))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(indexData)))
-	out = append(out, paxData...)
-	out = append(out, indexData...)
-	return out
+	out = binary.LittleEndian.AppendUint32(out, uint32(paxLen))
+	return binary.LittleEndian.AppendUint32(out, uint32(ixLen))
 }
 
 // parseFrameHeader decodes the frame header of a replica of the given

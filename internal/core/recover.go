@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/hdfs"
-	"repro/internal/index"
-	"repro/internal/pax"
 )
 
 // Replica recovery. When a datanode dies, HDFS re-replicates its blocks
@@ -109,9 +107,9 @@ func pickTarget(cluster *hdfs.Cluster, b hdfs.BlockID, alive map[hdfs.NodeID]boo
 	return 0, false
 }
 
-// recoverReplica reads the block from a surviving holder, re-sorts it on
-// the lost replica's attribute, rebuilds the index and stores the result
-// on the target node.
+// recoverReplica reads the block from a surviving holder, builds from its
+// rows the replica that was lost — re-sorted on col and re-indexed, or
+// unsorted for col < 0 — and stores it on the target node.
 func recoverReplica(cluster *hdfs.Cluster, b hdfs.BlockID, from, to hdfs.NodeID, col int) error {
 	data, err := cluster.ReadBlockFrom(from, b)
 	if err != nil {
@@ -121,34 +119,10 @@ func recoverReplica(cluster *hdfs.Cluster, b hdfs.BlockID, from, to hdfs.NodeID,
 	if err != nil {
 		return err
 	}
-	blk, err := pax.Unmarshal(paxData)
+	framed, info, err := buildReplica(paxData, col)
 	if err != nil {
 		return err
 	}
-	info := hdfs.ReplicaInfo{SortColumn: -1}
-	var ixData []byte
-	if col >= 0 {
-		if _, err := blk.SortBy(col); err != nil {
-			return err
-		}
-		ix, err := index.Build(blk, col)
-		if err != nil {
-			return err
-		}
-		ixData, err = ix.Marshal()
-		if err != nil {
-			return err
-		}
-		info = hdfs.ReplicaInfo{SortColumn: col, HasIndex: true, IndexSize: len(ixData)}
-	}
-	sorted, err := blk.Marshal()
-	if err != nil {
-		return err
-	}
-	framed := FrameReplica(sorted, ixData)
 	info.Size = len(framed)
-	if err := cluster.StoreRecoveredReplica(b, to, framed, info); err != nil {
-		return err
-	}
-	return nil
+	return cluster.StoreRecoveredReplica(b, to, framed, info)
 }

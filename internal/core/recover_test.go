@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/hdfs"
 	"repro/internal/pax"
+	"repro/internal/schema"
 	"repro/internal/workload"
 )
 
@@ -23,6 +26,15 @@ func TestRecoverFileRestoresIndexes(t *testing.T) {
 	// Kill a node holding visitDate-indexed replicas: some blocks lose
 	// their matching index.
 	victim := cluster.NameNode().GetHostsWithIndex(sum.BlockIDs[0], workload.UVVisitDate)[0]
+	// What each block is about to lose, and who held it before.
+	lost := make(map[hdfs.BlockID][]byte)
+	holders := make(map[hdfs.BlockID][]hdfs.NodeID)
+	for _, b := range sum.BlockIDs {
+		holders[b] = cluster.NameNode().GetHosts(b)
+		if data, err := cluster.ReadBlockFrom(victim, b); err == nil {
+			lost[b] = data
+		}
+	}
 	if err := cluster.KillNode(victim); err != nil {
 		t.Fatal(err)
 	}
@@ -55,6 +67,75 @@ func TestRecoverFileRestoresIndexes(t *testing.T) {
 	for k, v := range wantResults {
 		if got[k] != v {
 			t.Fatalf("result %q changed after recovery", k)
+		}
+	}
+
+	// Each recovered replica is exactly what the one replica builder makes
+	// of the survivor recovery read (the first alive holder), and holds the
+	// rows of the replica that was lost. Not its bytes: re-sorting a
+	// differently sorted survivor orders ties by the survivor's order, the
+	// upload ordered them by arrival.
+	for b, lostData := range lost {
+		var survivor, target hdfs.NodeID = -1, -1
+		for _, h := range holders[b] {
+			if h != victim && survivor < 0 {
+				survivor = h
+			}
+		}
+		for _, h := range cluster.NameNode().GetHosts(b) {
+			if !slices.Contains(holders[b], h) {
+				target = h
+			}
+		}
+		if survivor < 0 || target < 0 {
+			t.Fatalf("block %d: holders %v, now %v: no survivor or no new holder", b, holders[b], cluster.NameNode().GetHosts(b))
+		}
+		lostPax, _, err := ParseFrame(lostData)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lostBlock, err := pax.Unmarshal(lostPax)
+		if err != nil {
+			t.Fatal(err)
+		}
+		survivorData, err := cluster.ReadBlockFrom(survivor, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		survivorPax, _, err := ParseFrame(survivorData)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := BuildIndexedReplica(survivorPax, lostBlock.SortColumn())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := cluster.ReadBlockFrom(target, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("block %d: the replica recovered onto node %d is not BuildIndexedReplica of node %d's block", b, target, survivor)
+		}
+		gotPax, _, err := ParseFrame(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotBlock, err := pax.Unmarshal(gotPax)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := make(map[string]int)
+		for r := 0; r < lostBlock.NumRows(); r++ {
+			rows[schema.RowKey(lostBlock.Row(r))]++
+		}
+		for r := 0; r < gotBlock.NumRows(); r++ {
+			rows[schema.RowKey(gotBlock.Row(r))]--
+		}
+		for k, n := range rows {
+			if n != 0 {
+				t.Fatalf("block %d: row %q is %+d times in the lost replica over the recovered one", b, k, n)
+			}
 		}
 	}
 

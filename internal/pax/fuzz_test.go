@@ -1,6 +1,8 @@
 package pax
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/fuzzcheck"
@@ -55,5 +57,69 @@ func FuzzNewReader(f *testing.F) {
 				t.Fatalf("ReadAllBad returned %d records, header says %d", len(bad), r.NumBad())
 			}
 		})
+	})
+}
+
+// withGarbageAfterLastString returns the marshalled block data with junk
+// (terminators included) between the last string column's final value and
+// the bad-record section, the directory patched to match: bytes the header
+// parse accepts and only the terminator scan tells from values.
+func withGarbageAfterLastString(data []byte) []byte {
+	junk := []byte("junk\x00after\x00the\x00values")
+	dirAt := fixedHeader + len(testSchema.String()) + 2
+	urlDir, badDir := dirAt+4*8, dirAt+5*8
+	badOff := int(binary.LittleEndian.Uint32(data[badDir:]))
+	out := append(append(append([]byte(nil), data[:badOff]...), junk...), data[badOff:]...)
+	binary.LittleEndian.PutUint32(out[urlDir+4:], binary.LittleEndian.Uint32(data[urlDir+4:])+uint32(len(junk)))
+	binary.LittleEndian.PutUint32(out[badDir:], uint32(badOff+len(junk)))
+	return out
+}
+
+// FuzzUnmarshal: whatever the bytes, Unmarshal yields an error or a block
+// that can be sorted on every attribute and marshalled — the datanode's
+// transform — without a panic, without allocating out of proportion to
+// the input and without writing to the input it aliases; and what Marshal
+// writes, Unmarshal reads back to the same bytes.
+func FuzzUnmarshal(f *testing.F) {
+	f.Add(fuzzSeedBlock(f, 2*PartitionSize+17))
+	small := fuzzSeedBlock(f, 10)
+	f.Add(small)
+	f.Add(small[:len(small)/2])
+	f.Add(small[:len(small)-1])
+	f.Add(withGarbageAfterLastString(small))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		input := bytes.Clone(data)
+		var b *Block
+		var err error
+		fuzzcheck.BoundedAlloc(t, len(data), func() { b, err = Unmarshal(data) })
+		if err != nil {
+			return
+		}
+		for col := 0; col < b.Schema().NumFields(); col++ {
+			var out []byte
+			fuzzcheck.BoundedAlloc(t, len(data), func() {
+				if _, err = b.SortBy(col); err == nil {
+					out, err = b.Marshal()
+				}
+			})
+			if err != nil {
+				t.Fatalf("sorting on %d and marshalling: %v", col, err)
+			}
+			for r := 1; r < b.NumRows(); r++ {
+				if b.Value(r-1, col).Compare(b.Value(r, col)) > 0 {
+					t.Fatalf("sorted on %d, rows %d and %d are out of order", col, r-1, r)
+				}
+			}
+			back, err := Unmarshal(out)
+			if err != nil {
+				t.Fatalf("Unmarshal of Marshal's output: %v", err)
+			}
+			if again, err := back.Marshal(); err != nil || !bytes.Equal(again, out) {
+				t.Fatalf("block sorted on %d does not round-trip (%v)", col, err)
+			}
+		}
+		if !bytes.Equal(data, input) {
+			t.Fatal("the input was written to")
+		}
 	})
 }

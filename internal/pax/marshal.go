@@ -1,10 +1,11 @@
 package pax
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
-	"strings"
+	"slices"
 
 	"repro/internal/schema"
 )
@@ -33,147 +34,118 @@ const (
 )
 
 // Marshal serializes the block.
-func (b *Block) Marshal() ([]byte, error) {
-	nRows := b.NumRows()
-	if nRows > math.MaxUint32 {
-		return nil, fmt.Errorf("pax: too many rows (%d)", nRows)
+func (b *Block) Marshal() ([]byte, error) { return b.MarshalAppend(nil) }
+
+// headerSize returns the length of the block header given the schema DDL.
+func (b *Block) headerSize(ddl string) int { return fixedHeader + len(ddl) + 2 + len(b.cols)*8 + 8 }
+
+// MarshalSize returns the length of the block's serialized form.
+func (b *Block) MarshalSize() int {
+	size := b.headerSize(b.sch.String()) + len(b.bad)
+	for i := range b.cols {
+		size += b.ColumnBytes(i)
+	}
+	return size
+}
+
+// MarshalAppend appends the block's serialized form to dst, growing it at
+// most once: the header, then each arena copied as it stands.
+func (b *Block) MarshalAppend(dst []byte) ([]byte, error) {
+	if b.numRows > math.MaxUint32 {
+		return nil, fmt.Errorf("pax: too many rows (%d)", b.numRows)
 	}
 	ddl := b.sch.String()
 	if len(ddl) > math.MaxUint16 {
 		return nil, fmt.Errorf("pax: schema too large")
 	}
-	nCols := len(b.cols)
-
-	headerLen := 4 + 2 + 4 + 4 + 4 + 2 + len(ddl) + 2 + nCols*8 + 8
-	colAreas := make([][]byte, nCols)
-	for i, c := range b.cols {
-		area, err := marshalColumn(c)
-		if err != nil {
-			return nil, fmt.Errorf("pax: column %d (%s): %v", i, b.sch.Field(i).Name, err)
-		}
-		colAreas[i] = area
-	}
-	badArea := marshalBad(b.bad)
-
-	total := headerLen
-	for _, a := range colAreas {
-		total += len(a)
-	}
-	total += len(badArea)
+	total := b.MarshalSize()
 	if total > math.MaxUint32 {
 		return nil, fmt.Errorf("pax: block too large (%d bytes)", total)
 	}
+	for i := range b.cols {
+		// The terminator is what ends a value for every reader, so a value
+		// holding one cannot be stored.
+		if c := &b.cols[i]; c.typ == schema.String && c.holdsNUL(b.numRows) {
+			return nil, fmt.Errorf("pax: column %d (%s): string value contains NUL", i, b.sch.Field(i).Name)
+		}
+	}
 
-	out := make([]byte, 0, total)
+	out := slices.Grow(dst, total)
 	out = append(out, blockMagic...)
 	out = binary.LittleEndian.AppendUint16(out, blockVersion)
 	out = binary.LittleEndian.AppendUint32(out, uint32(int32(b.sortCol)))
-	out = binary.LittleEndian.AppendUint32(out, uint32(nRows))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(b.bad)))
+	out = binary.LittleEndian.AppendUint32(out, uint32(b.numRows))
+	out = binary.LittleEndian.AppendUint32(out, uint32(b.numBad))
 	out = binary.LittleEndian.AppendUint16(out, uint16(len(ddl)))
 	out = append(out, ddl...)
-	out = binary.LittleEndian.AppendUint16(out, uint16(nCols))
-	off := headerLen
-	for _, a := range colAreas {
+	out = binary.LittleEndian.AppendUint16(out, uint16(len(b.cols)))
+	off := b.headerSize(ddl)
+	for i := range b.cols {
 		out = binary.LittleEndian.AppendUint32(out, uint32(off))
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(a)))
-		off += len(a)
+		out = binary.LittleEndian.AppendUint32(out, uint32(b.ColumnBytes(i)))
+		off += b.ColumnBytes(i)
 	}
 	out = binary.LittleEndian.AppendUint32(out, uint32(off))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(badArea)))
-	for _, a := range colAreas {
-		out = append(out, a...)
-	}
-	out = append(out, badArea...)
-	return out, nil
-}
-
-func marshalColumn(c *column) ([]byte, error) {
-	switch c.typ {
-	case schema.Int32, schema.Date:
-		out := make([]byte, 0, 4*len(c.i32))
-		for _, v := range c.i32 {
-			out = binary.LittleEndian.AppendUint32(out, uint32(v))
-		}
-		return out, nil
-	case schema.Int64:
-		out := make([]byte, 0, 8*len(c.i64))
-		for _, v := range c.i64 {
-			out = binary.LittleEndian.AppendUint64(out, uint64(v))
-		}
-		return out, nil
-	case schema.Float64:
-		out := make([]byte, 0, 8*len(c.f64))
-		for _, v := range c.f64 {
-			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
-		}
-		return out, nil
-	case schema.String:
-		nParts := numPartitions(len(c.str))
-		valBytes := 0
-		for _, s := range c.str {
-			if strings.IndexByte(s, 0) >= 0 {
-				return nil, fmt.Errorf("string value contains NUL")
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(b.bad)))
+	for i := range b.cols {
+		c := &b.cols[i]
+		if c.typ == schema.String {
+			for r := 0; r < b.numRows; r += PartitionSize {
+				out = binary.LittleEndian.AppendUint32(out, c.starts[r])
 			}
-			valBytes += len(s) + 1
 		}
-		out := make([]byte, 0, nParts*4+valBytes)
-		off := 0
-		for i, s := range c.str {
-			if i%PartitionSize == 0 {
-				out = binary.LittleEndian.AppendUint32(out, uint32(off))
-			}
-			off += len(s) + 1
-		}
-		for _, s := range c.str {
-			out = append(out, s...)
-			out = append(out, 0)
-		}
-		return out, nil
+		out = append(out, c.data...)
 	}
-	return nil, fmt.Errorf("invalid column type")
+	return append(out, b.bad...), nil
 }
 
-func marshalBad(bad []string) []byte {
-	sz := 0
-	for _, s := range bad {
-		sz += 4 + len(s)
-	}
-	out := make([]byte, 0, sz)
-	for _, s := range bad {
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(s)))
-		out = append(out, s...)
-	}
-	return out
-}
-
-// Unmarshal fully decodes a serialized block back into an in-memory Block.
-// The upload path uses this when a datanode reassembles a block from
-// packets; query-time access should prefer Reader, which touches only the
-// byte ranges a query needs.
+// Unmarshal decodes a serialized block into an in-memory Block that
+// aliases data: the header is validated, every string column is scanned
+// once for its terminators and the bad-record section for its lengths, and
+// nothing is copied. data must stay unchanged while the block is in use;
+// the block never writes to it. The upload path uses this when a datanode
+// reassembles a block from packets; query-time access should prefer
+// Reader, which touches only the byte ranges a query needs.
 func Unmarshal(data []byte) (*Block, error) {
 	r, err := NewReader(data)
 	if err != nil {
 		return nil, err
 	}
-	b := NewBlock(r.Schema())
-	b.sortCol = r.SortColumn()
-	n := r.NumRows()
-	for col := 0; col < r.Schema().NumFields(); col++ {
-		vals, err := r.ReadColumnRange(col, 0, n)
-		if err != nil {
-			return nil, err
+	b := &Block{sch: r.sch, cols: make([]column, len(r.colOff)), numRows: r.numRows, numBad: r.numBad, sortCol: r.sortCol, aliased: true}
+	for i := range b.cols {
+		c := &b.cols[i]
+		c.typ = r.sch.Field(i).Type
+		area := data[r.colOff[i] : r.colOff[i]+r.colLen[i]]
+		if c.typ.FixedSize() {
+			c.data = slices.Clip(area)
+			continue
 		}
-		for _, v := range vals {
-			b.cols[col].append(v)
+		// The header parse has checked that the area can hold the offset
+		// list and a terminator per row.
+		vals := area[numPartitions(r.numRows)*4:]
+		c.starts = make([]uint32, r.numRows+1)
+		at := 0
+		for row := range r.numRows {
+			if row%PartitionSize == 0 && binary.LittleEndian.Uint32(area[row/PartitionSize*4:]) != uint32(at) {
+				return nil, fmt.Errorf("pax: column %d offset list disagrees with its values at row %d", i, row)
+			}
+			z := bytes.IndexByte(vals[at:], 0)
+			if z < 0 {
+				return nil, fmt.Errorf("pax: unterminated string value in column %d", i)
+			}
+			at += z + 1
+			c.starts[row+1] = uint32(at)
 		}
+		c.data = vals[:at:at]
 	}
-	for i := 0; i < r.NumBad(); i++ {
-		s, err := r.ReadBad(i)
-		if err != nil {
-			return nil, err
+	b.bad = data[r.badOff : r.badOff+r.badLen]
+	at := 0
+	for k := range r.numBad {
+		if len(b.bad)-at < 4 || int(binary.LittleEndian.Uint32(b.bad[at:])) > len(b.bad)-at-4 {
+			return nil, fmt.Errorf("pax: bad record %d truncated", k)
 		}
-		b.bad = append(b.bad, s)
+		at += 4 + int(binary.LittleEndian.Uint32(b.bad[at:]))
 	}
+	b.bad = b.bad[:at:at]
 	return b, nil
 }

@@ -19,9 +19,16 @@
 // ranges (NewReaderAt; the record reader passes an hdfs replica view) —
 // and asks it only for the header and the ranges a caller reads.
 //
+// A Block holds its columns in the serialized form's own layout — packed
+// little-endian bytes, zero-terminated strings behind a row directory, the
+// bad-record section as stored — so Unmarshal validates and aliases its
+// input instead of decoding it, SortBy sorts (key, row) pairs of the sort
+// column and gathers each column once, and Marshal is a header plus
+// copies.
+//
 // Reading has two granularities. Reader.ReadColumnRange boxes a row range
-// into []schema.Value eagerly — what Unmarshal rebuilds a Block from, and
-// what the scan tests' row oracle reads with. ColumnCursor is the
+// into []schema.Value eagerly — what the scan tests' row oracle reads
+// with. ColumnCursor is the
 // vectorized access path: it performs the same raw reads (same bytes,
 // same seeks) once at creation, then decodes lazily, batch by batch, into
 // reused typed schema.Vectors; NextSelected decodes only the rows a
@@ -31,8 +38,11 @@
 package pax
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"repro/internal/schema"
 )
@@ -43,160 +53,110 @@ import (
 // values").
 const PartitionSize = 1024
 
-// column is the in-memory representation of one attribute's values.
+// column is one attribute's values, laid out as Marshal writes them.
 type column struct {
 	typ schema.Type
-	i32 []int32 // Int32, Date
-	i64 []int64
-	f64 []float64
-	str []string
-}
-
-func newColumn(t schema.Type) *column { return &column{typ: t} }
-
-func (c *column) len() int {
-	switch c.typ {
-	case schema.Int32, schema.Date:
-		return len(c.i32)
-	case schema.Int64:
-		return len(c.i64)
-	case schema.Float64:
-		return len(c.f64)
-	case schema.String:
-		return len(c.str)
-	}
-	return 0
+	// data is the packed little-endian values of a fixed-size attribute, or
+	// the zero-terminated values of a string attribute back to back.
+	data []byte
+	// starts is a string attribute's row directory: row r's value and its
+	// terminator are data[starts[r]:starts[r+1]], so it holds one entry
+	// more than there are rows. Nil for fixed-size attributes.
+	starts []uint32
 }
 
 func (c *column) append(v schema.Value) {
 	switch c.typ {
 	case schema.Int32, schema.Date:
-		c.i32 = append(c.i32, int32(v.Long()))
+		c.data = binary.LittleEndian.AppendUint32(c.data, uint32(v.Long()))
 	case schema.Int64:
-		c.i64 = append(c.i64, v.Long())
+		c.data = binary.LittleEndian.AppendUint64(c.data, uint64(v.Long()))
 	case schema.Float64:
-		c.f64 = append(c.f64, v.Float())
+		c.data = binary.LittleEndian.AppendUint64(c.data, math.Float64bits(v.Float()))
 	case schema.String:
-		c.str = append(c.str, v.Str())
+		c.data = append(append(c.data, v.Str()...), 0)
+		c.starts = append(c.starts, uint32(len(c.data)))
 	}
 }
+
+// holdsNUL reports whether a value of the string column, which has the given
+// number of rows, contains a zero byte besides its terminator. AppendRow
+// does not look; Unmarshal's scan rules it out.
+func (c *column) holdsNUL(rows int) bool { return bytes.Count(c.data, []byte{0}) != rows }
+
+// str returns row i's bytes, without the terminator, aliasing the column.
+func (c *column) str(i int) []byte { return c.data[c.starts[i] : c.starts[i+1]-1] }
 
 func (c *column) value(i int) schema.Value {
 	switch c.typ {
 	case schema.Int32:
-		return schema.IntVal(c.i32[i])
+		return schema.IntVal(int32(binary.LittleEndian.Uint32(c.data[i*4:])))
 	case schema.Date:
-		return schema.DateVal(c.i32[i])
+		return schema.DateVal(int32(binary.LittleEndian.Uint32(c.data[i*4:])))
 	case schema.Int64:
-		return schema.LongVal(c.i64[i])
+		return schema.LongVal(int64(binary.LittleEndian.Uint64(c.data[i*8:])))
 	case schema.Float64:
-		return schema.FloatVal(c.f64[i])
+		return schema.FloatVal(math.Float64frombits(binary.LittleEndian.Uint64(c.data[i*8:])))
 	case schema.String:
-		return schema.StringVal(c.str[i])
+		return schema.StringVal(string(c.str(i)))
 	}
 	panic("pax: invalid column type")
-}
-
-// compare orders the values at rows i and j.
-func (c *column) compare(i, j int) int {
-	switch c.typ {
-	case schema.Int32, schema.Date:
-		a, b := c.i32[i], c.i32[j]
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		}
-		return 0
-	case schema.Int64:
-		a, b := c.i64[i], c.i64[j]
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		}
-		return 0
-	case schema.Float64:
-		a, b := c.f64[i], c.f64[j]
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		}
-		return 0
-	case schema.String:
-		a, b := c.str[i], c.str[j]
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		}
-		return 0
-	}
-	panic("pax: invalid column type")
-}
-
-// permute reorders the column in place so that new position i holds the
-// value previously at perm[i].
-func (c *column) permute(perm []int) {
-	switch c.typ {
-	case schema.Int32, schema.Date:
-		out := make([]int32, len(c.i32))
-		for i, p := range perm {
-			out[i] = c.i32[p]
-		}
-		c.i32 = out
-	case schema.Int64:
-		out := make([]int64, len(c.i64))
-		for i, p := range perm {
-			out[i] = c.i64[p]
-		}
-		c.i64 = out
-	case schema.Float64:
-		out := make([]float64, len(c.f64))
-		for i, p := range perm {
-			out[i] = c.f64[p]
-		}
-		c.f64 = out
-	case schema.String:
-		out := make([]string, len(c.str))
-		for i, p := range perm {
-			out[i] = c.str[p]
-		}
-		c.str = out
-	}
 }
 
 // Block is an in-memory PAX block: the unit HAIL sorts, indexes and flushes.
+//
+// A block returned by Unmarshal aliases the bytes it was decoded from and
+// never writes to them: its slices are cap-limited, so appending copies
+// first, and SortBy gathers into fresh arenas.
 type Block struct {
-	sch  *schema.Schema
-	cols []*column
-	bad  []string // bad records, verbatim input lines
+	sch     *schema.Schema
+	cols    []column
+	numRows int
+	bad     []byte // bad records, verbatim input lines: {len uint32, bytes} each
+	numBad  int
 	// sortCol is the attribute the good rows are clustered on, or -1.
 	sortCol int
+	// aliased marks arenas that belong to Unmarshal's caller: Reset drops
+	// them where it would otherwise keep them to be overwritten.
+	aliased bool
 }
 
 // NewBlock returns an empty block for the given schema.
 func NewBlock(s *schema.Schema) *Block {
-	cols := make([]*column, s.NumFields())
-	for i := 0; i < s.NumFields(); i++ {
-		cols[i] = newColumn(s.Field(i).Type)
+	b := &Block{sch: s, cols: make([]column, s.NumFields())}
+	for i := range b.cols {
+		b.cols[i].typ = s.Field(i).Type
 	}
-	return &Block{sch: s, cols: cols, sortCol: -1}
+	b.Reset()
+	return b
+}
+
+// Reset empties the block, keeping its arenas for the rows to come.
+func (b *Block) Reset() {
+	if b.aliased {
+		for i := range b.cols {
+			b.cols[i].data, b.cols[i].starts = nil, nil
+		}
+		b.bad, b.aliased = nil, false
+	}
+	for i := range b.cols {
+		c := &b.cols[i]
+		c.data = c.data[:0]
+		if c.typ == schema.String {
+			c.starts = append(c.starts[:0], 0)
+		}
+	}
+	b.numRows, b.bad, b.numBad, b.sortCol = 0, b.bad[:0], 0, -1
 }
 
 // Schema returns the block's schema.
 func (b *Block) Schema() *schema.Schema { return b.sch }
 
 // NumRows returns the number of good (parsed) rows.
-func (b *Block) NumRows() int { return b.cols[0].len() }
+func (b *Block) NumRows() int { return b.numRows }
 
 // NumBad returns the number of bad records.
-func (b *Block) NumBad() int { return len(b.bad) }
+func (b *Block) NumBad() int { return b.numBad }
 
 // SortColumn returns the attribute index the rows are clustered on, or -1
 // if the block is in arrival order.
@@ -207,24 +167,38 @@ func (b *Block) AppendRow(r schema.Row) error {
 	if len(r) != len(b.cols) {
 		return fmt.Errorf("pax: row has %d values, schema has %d", len(r), len(b.cols))
 	}
-	for i, v := range r {
-		want := b.sch.Field(i).Type
-		if v.Type() != want {
-			return fmt.Errorf("pax: row value %d is %s, schema wants %s", i, v.Type(), want)
+	for i := range r {
+		c := &b.cols[i]
+		if r[i].Type() != c.typ {
+			return fmt.Errorf("pax: row value %d is %s, schema wants %s", i, r[i].Type(), c.typ)
+		}
+		// The row directory, like the serialized block, counts in uint32.
+		if c.typ == schema.String && len(c.data)+len(r[i].Str())+1 > math.MaxUint32 {
+			return fmt.Errorf("pax: block too large: column %d would pass %d bytes", i, math.MaxUint32)
 		}
 	}
-	for i, v := range r {
-		b.cols[i].append(v)
+	for i := range r {
+		b.cols[i].append(r[i])
 	}
+	b.numRows++
 	b.sortCol = -1
 	return nil
 }
 
 // AppendBad adds one bad record (the unparsed input line).
-func (b *Block) AppendBad(line string) { b.bad = append(b.bad, line) }
+func (b *Block) AppendBad(line string) {
+	b.bad = append(binary.LittleEndian.AppendUint32(b.bad, uint32(len(line))), line...)
+	b.numBad++
+}
 
 // BadRecord returns the i-th bad record.
-func (b *Block) BadRecord(i int) string { return b.bad[i] }
+func (b *Block) BadRecord(i int) string {
+	sec := b.bad
+	for ; i > 0; i-- {
+		sec = sec[4+binary.LittleEndian.Uint32(sec):]
+	}
+	return string(sec[4 : 4+binary.LittleEndian.Uint32(sec)])
+}
 
 // Value returns the value of attribute col in row r.
 func (b *Block) Value(r, col int) schema.Value { return b.cols[col].value(r) }
@@ -232,8 +206,8 @@ func (b *Block) Value(r, col int) schema.Value { return b.cols[col].value(r) }
 // Row materializes row r across all attributes.
 func (b *Block) Row(r int) schema.Row {
 	row := make(schema.Row, len(b.cols))
-	for i, c := range b.cols {
-		row[i] = c.value(r)
+	for i := range b.cols {
+		row[i] = b.cols[i].value(r)
 	}
 	return row
 }
@@ -247,57 +221,26 @@ func (b *Block) Rows() []schema.Row {
 	return out
 }
 
-// SortBy clusters the block on attribute col: it stable-sorts the rows by
-// that attribute and applies the resulting permutation (the paper's "sort
-// index") to every column, preserving row integrity. It returns the
-// permutation so callers can account for the reorganization cost.
-func (b *Block) SortBy(col int) ([]int, error) {
-	if col < 0 || col >= len(b.cols) {
-		return nil, fmt.Errorf("pax: sort column %d out of range [0,%d)", col, len(b.cols))
-	}
-	n := b.NumRows()
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	key := b.cols[col]
-	sort.SliceStable(perm, func(i, j int) bool { return key.compare(perm[i], perm[j]) < 0 })
-	for _, c := range b.cols {
-		c.permute(perm)
-	}
-	b.sortCol = col
-	return perm, nil
-}
-
 // Clone deep-copies the block. Each replica of a block starts from the same
 // logical content and is then sorted independently (paper §3.2).
 func (b *Block) Clone() *Block {
-	nb := NewBlock(b.sch)
-	nb.sortCol = b.sortCol
+	nb := *b
+	nb.cols = make([]column, len(b.cols))
 	for i, c := range b.cols {
-		nc := nb.cols[i]
-		nc.i32 = append(nc.i32, c.i32...)
-		nc.i64 = append(nc.i64, c.i64...)
-		nc.f64 = append(nc.f64, c.f64...)
-		nc.str = append(nc.str, c.str...)
+		nb.cols[i] = column{typ: c.typ, data: bytes.Clone(c.data), starts: slices.Clone(c.starts)}
 	}
-	nb.bad = append(nb.bad, b.bad...)
-	return nb
+	nb.bad, nb.aliased = bytes.Clone(b.bad), false
+	return &nb
 }
 
 // ColumnBytes returns the serialized size in bytes of attribute col,
 // including the sparse offset list for variable-size attributes.
 func (b *Block) ColumnBytes(col int) int {
-	c := b.cols[col]
-	n := c.len()
+	c := &b.cols[col]
 	if c.typ.FixedSize() {
-		return n * c.typ.Width()
+		return len(c.data)
 	}
-	sz := numPartitions(n) * 4 // sparse offset list, one uint32 per partition
-	for _, s := range c.str {
-		sz += len(s) + 1 // zero-terminated
-	}
-	return sz
+	return numPartitions(b.numRows)*4 + len(c.data)
 }
 
 // numPartitions returns the number of PartitionSize-row partitions needed

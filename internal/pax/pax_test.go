@@ -1,9 +1,11 @@
 package pax
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -553,5 +555,97 @@ func TestReaderHeaderCountsMustFitAreas(t *testing.T) {
 	// The same fields at their smallest legal values still open.
 	if _, err := NewReader(put(dirAt+4*8+4, urlLen)); err != nil {
 		t.Errorf("unchanged block rejected: %v", err)
+	}
+}
+
+// TestUnmarshalAliasesWithoutWriting pins what aliasing the input must not
+// cost: whatever is then done to the block — appends and a sort, or a
+// Reset and refill — the caller's bytes, those behind the block included,
+// stay as they were, and the block reads as a copy would.
+func TestUnmarshalAliasesWithoutWriting(t *testing.T) {
+	src := buildBlock(t, PartitionSize+50, 21)
+	src.AppendBad("bad one")
+	data, err := src.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := append(data, "the caller's bytes behind the block"...)
+	data = buf[:len(data)]
+	input := bytes.Clone(buf)
+	rng := rand.New(rand.NewSource(22))
+
+	b, err := Unmarshal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra := testRow(rng)
+	if err := b.AppendRow(extra); err != nil {
+		t.Fatal(err)
+	}
+	b.AppendBad("bad two")
+	if !b.Row(b.NumRows()-1).Equal(extra) || b.BadRecord(0) != "bad one" || b.BadRecord(1) != "bad two" {
+		t.Error("appends to an unmarshalled block read back wrong")
+	}
+	if _, err := b.SortBy(4); err != nil {
+		t.Fatal(err)
+	}
+
+	if b, err = Unmarshal(data); err != nil {
+		t.Fatal(err)
+	}
+	b.Reset()
+	for i := 0; i < 100; i++ {
+		if err := b.AppendRow(testRow(rng)); err != nil {
+			t.Fatal(err)
+		}
+		b.AppendBad("bad again")
+	}
+	if !bytes.Equal(buf, input) {
+		t.Fatal("the bytes given to Unmarshal were written to")
+	}
+}
+
+// TestUnmarshalScansWhatTheHeaderCannotCheck covers the two errors left
+// to Unmarshal once the header parse has passed — a string column with
+// fewer terminators than rows, a bad-record section shorter than its
+// lengths say — and the bytes it tolerates: junk behind the last value.
+func TestUnmarshalScansWhatTheHeaderCannotCheck(t *testing.T) {
+	src := buildBlock(t, 10, 23)
+	src.AppendBad("one bad record")
+	data, err := src.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Unmarshal(withGarbageAfterLastString(data))
+	if err != nil {
+		t.Fatalf("junk after the last string value: %v", err)
+	}
+	if again, err := b.Marshal(); err != nil || !bytes.Equal(again, data) {
+		t.Errorf("block with junk after the last value does not marshal to the clean block (%v)", err)
+	}
+
+	dirAt := fixedHeader + len(testSchema.String()) + 2
+	urlOff := int(binary.LittleEndian.Uint32(data[dirAt+4*8:]))
+	urlLen := int(binary.LittleEndian.Uint32(data[dirAt+4*8+4:]))
+	unterminated := bytes.Clone(data)
+	for i := urlOff + 4; i < urlOff+urlLen; i++ { // past the one-partition offset list
+		if unterminated[i] == 0 {
+			unterminated[i] = 'x'
+			break
+		}
+	}
+	if _, err := Unmarshal(unterminated); err == nil || !strings.Contains(err.Error(), "unterminated string") {
+		t.Errorf("string column one terminator short: %v", err)
+	}
+	badOff := int(binary.LittleEndian.Uint32(data[dirAt+5*8:]))
+	truncated := bytes.Clone(data)
+	binary.LittleEndian.PutUint32(truncated[badOff:], uint32(len("one bad record")+1))
+	if _, err := Unmarshal(truncated); err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Errorf("bad record longer than its section: %v", err)
+	}
+	offsets := bytes.Clone(data)
+	offsets[urlOff] ^= 1
+	if _, err := Unmarshal(offsets); err == nil {
+		t.Error("offset list that disagrees with the values accepted")
 	}
 }

@@ -1,0 +1,186 @@
+package pax
+
+import (
+	"bytes"
+	"cmp"
+	"encoding/binary"
+	"fmt"
+	"slices"
+
+	"repro/internal/schema"
+)
+
+// sortKey pairs a row with an order-preserving image of its sort value:
+// images compared as unsigned integers order rows as schema.Value.Compare
+// orders the values.
+type sortKey struct {
+	key uint64
+	row uint32
+}
+
+// SortBy clusters the block on attribute col: it stable-sorts the rows by
+// that attribute and applies the resulting permutation (the paper's "sort
+// index") to every column, preserving row integrity. It returns the
+// permutation so callers can account for the reorganization cost.
+//
+// Only the sort column is looked at to find the order — one (key, row)
+// pair per row, radix-sorted — and every column is then gathered once
+// through it. Rows with equal values keep their order; -0.0 and +0.0 are
+// equal values, as they are to Value.Compare. NaN, which no parsed row
+// holds, sorts somewhere.
+func (b *Block) SortBy(col int) ([]int, error) {
+	if col < 0 || col >= len(b.cols) {
+		return nil, fmt.Errorf("pax: sort column %d out of range [0,%d)", col, len(b.cols))
+	}
+	n := b.numRows
+	keys := make([]sortKey, 2*n)
+	keys, scratch := keys[:n], keys[n:]
+	for i := range keys {
+		keys[i].row = uint32(i)
+	}
+	switch c := &b.cols[col]; c.typ {
+	case schema.Int32, schema.Date:
+		for i := range keys {
+			keys[i].key = uint64(binary.LittleEndian.Uint32(c.data[i*4:]) ^ 1<<31)
+		}
+		radixSort(keys, scratch)
+	case schema.Int64:
+		for i := range keys {
+			keys[i].key = binary.LittleEndian.Uint64(c.data[i*8:]) ^ 1<<63
+		}
+		radixSort(keys, scratch)
+	case schema.Float64:
+		for i := range keys {
+			keys[i].key = floatKey(binary.LittleEndian.Uint64(c.data[i*8:]))
+		}
+		radixSort(keys, scratch)
+	case schema.String:
+		if c.holdsNUL(n) {
+			// A key's zero padding would pass for the NUL inside a value.
+			// The block cannot be marshalled; it can still be sorted, by
+			// comparison.
+			slices.SortStableFunc(keys, func(x, y sortKey) int { return bytes.Compare(c.str(int(x.row)), c.str(int(y.row))) })
+		} else {
+			c.sortStrings(keys, scratch, 0)
+		}
+	}
+	perm := make([]int, n)
+	for i, k := range keys {
+		perm[i] = int(k.row)
+	}
+	for i := range b.cols {
+		b.cols[i].gather(perm)
+	}
+	b.sortCol = col
+	return perm, nil
+}
+
+// floatKey maps a float64's bits to its order-preserving image: negative
+// values have all bits flipped, others the sign bit, and the two zeros,
+// which compare equal, share one image.
+func floatKey(bits uint64) uint64 {
+	switch {
+	case bits<<1 == 0:
+		return 1 << 63
+	case bits>>63 != 0:
+		return ^bits
+	}
+	return bits | 1<<63
+}
+
+// sortStrings stable-sorts keys by the bytes of their rows' values from
+// offset depth on, given that the values agree before depth and none is
+// shorter. The image of a value is its next eight bytes, big-endian,
+// zero-padded: the order is byte-wise, and as no value contains a zero
+// byte, padding sorts a shorter value before every longer one it
+// prefixes. Rows whose images agree are equal if the images end in
+// padding, and are sorted on the eight bytes that follow if not.
+func (c *column) sortStrings(keys, scratch []sortKey, depth int) {
+	for i := range keys {
+		rest := c.str(int(keys[i].row))[depth:]
+		if len(rest) >= 8 {
+			keys[i].key = binary.BigEndian.Uint64(rest)
+			continue
+		}
+		keys[i].key = 0
+		for j, ch := range rest {
+			keys[i].key |= uint64(ch) << (56 - 8*j)
+		}
+	}
+	radixSort(keys, scratch)
+	for lo := 0; lo < len(keys); {
+		hi := lo + 1
+		for hi < len(keys) && keys[hi].key == keys[lo].key {
+			hi++
+		}
+		if hi-lo > 1 && byte(keys[lo].key) != 0 {
+			c.sortStrings(keys[lo:hi], scratch[lo:hi], depth+8)
+		}
+		lo = hi
+	}
+}
+
+// radixMin is the length below which a comparison sort beats counting
+// eight bytes per key.
+const radixMin = 64
+
+// radixSort stable-sorts keys by key, least significant byte first,
+// skipping the bytes all keys share. scratch has the length of keys.
+func radixSort(keys, scratch []sortKey) {
+	if len(keys) < radixMin {
+		slices.SortStableFunc(keys, func(x, y sortKey) int { return cmp.Compare(x.key, y.key) })
+		return
+	}
+	var counts [8][256]uint32
+	for _, k := range keys {
+		for d := range counts {
+			counts[d][byte(k.key>>(8*d))]++
+		}
+	}
+	src, dst := keys, scratch
+	for d := range counts {
+		count := &counts[d]
+		if count[byte(src[0].key>>(8*d))] == uint32(len(src)) {
+			continue
+		}
+		next := uint32(0)
+		for i, n := range count {
+			count[i], next = next, next+n
+		}
+		for _, k := range src {
+			i := byte(k.key >> (8 * d))
+			dst[count[i]] = k
+			count[i]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &keys[0] {
+		copy(keys, src)
+	}
+}
+
+// gather reorders the column so that new row i holds what row perm[i]
+// held, into a fresh arena.
+func (c *column) gather(perm []int) {
+	out := make([]byte, len(c.data))
+	switch c.typ.Width() {
+	case 4:
+		for i, p := range perm {
+			binary.LittleEndian.PutUint32(out[i*4:], binary.LittleEndian.Uint32(c.data[p*4:]))
+		}
+	case 8:
+		for i, p := range perm {
+			binary.LittleEndian.PutUint64(out[i*8:], binary.LittleEndian.Uint64(c.data[p*8:]))
+		}
+	default:
+		starts := make([]uint32, len(c.starts))
+		at := 0
+		for i, p := range perm {
+			starts[i] = uint32(at)
+			at += copy(out[at:], c.data[c.starts[p]:c.starts[p+1]])
+		}
+		starts[len(perm)] = uint32(at)
+		c.starts = starts
+	}
+	c.data = out
+}

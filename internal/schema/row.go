@@ -2,6 +2,7 @@ package schema
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -48,30 +49,48 @@ func NewParser(s *Schema) *Parser { return &Parser{Schema: s, Sep: ','} }
 // ParseLine parses one text line. On success it returns the typed row; on
 // failure it returns a descriptive error and the row is nil.
 func (p *Parser) ParseLine(line string) (Row, error) {
+	row, err := p.ParseInto(make(Row, 0, p.Schema.NumFields()), line)
+	if err != nil {
+		return nil, err
+	}
+	return row, nil
+}
+
+// ParseInto is ParseLine into the caller's row: it overwrites dst from its
+// start and returns it, so a loop that copies each row out before parsing
+// the next line (pax.Block.AppendRow does) parses without allocating.
+// String values alias line. After an error dst holds nothing of use.
+//
+// A line holding a NUL byte is a bad record whatever its fields: no string
+// attribute can store one (PAX values are zero-terminated) and no other
+// type parses it.
+func (p *Parser) ParseInto(dst Row, line string) (Row, error) {
+	if strings.IndexByte(line, 0) >= 0 {
+		return dst, fmt.Errorf("schema: NUL byte in %q", line)
+	}
 	n := p.Schema.NumFields()
-	row := make(Row, 0, n)
+	row := slices.Grow(dst[:0], n)[:n]
 	rest := line
-	for i := 0; i < n; i++ {
+	for i := range row {
+		f := &p.Schema.fields[i]
 		var fieldText string
 		if i == n-1 {
 			// Last field consumes the remainder; a stray separator in it
 			// means a field-count mismatch.
-			if p.Schema.Field(i).Type != String && strings.IndexByte(rest, p.Sep) >= 0 {
-				return nil, fmt.Errorf("schema: too many fields in %q", line)
+			if f.Type != String && strings.IndexByte(rest, p.Sep) >= 0 {
+				return row, fmt.Errorf("schema: too many fields in %q", line)
 			}
 			fieldText = rest
 		} else {
 			j := strings.IndexByte(rest, p.Sep)
 			if j < 0 {
-				return nil, fmt.Errorf("schema: too few fields in %q", line)
+				return row, fmt.Errorf("schema: too few fields in %q", line)
 			}
 			fieldText, rest = rest[:j], rest[j+1:]
 		}
-		v, err := ParseValue(p.Schema.Field(i).Type, fieldText)
-		if err != nil {
-			return nil, fmt.Errorf("schema: field %d (%s): %v", i, p.Schema.Field(i).Name, err)
+		if err := row[i].parse(f.Type, fieldText); err != nil {
+			return row, fmt.Errorf("schema: field %d (%s): %v", i, f.Name, err)
 		}
-		row = append(row, v)
 	}
 	return row, nil
 }

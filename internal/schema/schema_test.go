@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestParseSchema(t *testing.T) {
@@ -211,6 +212,60 @@ func TestDateRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestParseDateAgreesWithTimeParse holds ParseDate's arithmetic fast path
+// to the layout-driven parse it shortcuts: the same day number for every
+// date of eight centuries and at the ends of the range, and the same
+// verdict on everything that only looks like a date.
+func TestParseDateAgreesWithTimeParse(t *testing.T) {
+	check := func(s string) {
+		t.Helper()
+		ref, refErr := time.Parse("2006-01-02", s)
+		got, err := ParseDate(s)
+		if (err == nil) != (refErr == nil) || (err == nil && int64(got) != ref.Unix()/86400) {
+			t.Fatalf("ParseDate(%q) = %d, %v; time.Parse says %d, %v", s, got, err, ref.Unix()/86400, refErr)
+		}
+	}
+	for d := time.Date(1599, 12, 25, 0, 0, 0, 0, time.UTC); d.Year() < 2401; d = d.AddDate(0, 0, 1) {
+		check(d.Format("2006-01-02"))
+	}
+	for _, s := range []string{
+		"0001-01-01", "0001-03-01", "0000-01-01", "0000-12-31", "9999-12-31", "0400-02-29", "0100-02-29",
+		"1900-02-29", "2000-02-29", "1999-02-29", "1999-04-31", "1999-06-30", "1999-13-01", "1999-00-10",
+		"1999-01-00", "1999-01-32", "199a-01-01", "1999-1-01", "1999-01-1", " 1999-01-01", "1999-01-01 ",
+		"1999/01/01", "+999-01-01", "1999-0a-01", "", "1999-01-011",
+	} {
+		check(s)
+	}
+}
+
+// TestParseIntoReusesTheRow: the upload loop's parse allocates nothing per
+// line, agrees with ParseLine, and a NUL byte anywhere makes a bad record.
+func TestParseIntoReusesTheRow(t *testing.T) {
+	p := NewParser(MustNew(Field{"ip", String}, Field{"day", Date}, Field{"rev", Float64}, Field{"n", Int32}, Field{"big", Int64}))
+	lines := []string{"134.96.223.160,1999-06-15,12.5,-7,1234567890123", ",1970-01-01,0,0,0"}
+	var row Row
+	for _, line := range lines {
+		want, err := p.ParseLine(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row, err = p.ParseInto(row, line); err != nil || !row.Equal(want) {
+			t.Errorf("ParseInto(%q) = %v, %v; ParseLine gives %v", line, row, err, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { row, _ = p.ParseInto(row, lines[0]) }); allocs != 0 {
+		t.Errorf("ParseInto into a row of sufficient capacity allocates %v times per line", allocs)
+	}
+	for _, line := range []string{"134.96.\x00223.160,1999-06-15,12.5,-7,1", "a,1999-06-15,12.5,-7,1\x00"} {
+		if _, err := p.ParseInto(row, line); err == nil {
+			t.Errorf("ParseInto(%q) accepted a NUL byte", line)
+		}
+		if r, err := p.ParseLine(line); err == nil || r != nil {
+			t.Errorf("ParseLine(%q) = %v, %v", line, r, err)
+		}
 	}
 }
 

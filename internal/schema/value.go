@@ -129,45 +129,95 @@ func (v Value) Equal(o Value) bool { return v.typ == o.typ && v.Compare(o) == 0 
 // ParseValue parses the textual representation of a value of type t.
 // Float parsing rejects NaN so that sort orders are total.
 func ParseValue(t Type, s string) (Value, error) {
+	var v Value
+	err := v.parse(t, s)
+	return v, err
+}
+
+// parse is ParseValue in place: Parser.ParseInto fills a row with it
+// without moving each 40-byte Value twice.
+func (v *Value) parse(t Type, s string) error {
 	switch t {
 	case Int32:
 		n, err := strconv.ParseInt(s, 10, 32)
 		if err != nil {
-			return Value{}, fmt.Errorf("schema: bad int32 %q: %v", s, err)
+			return fmt.Errorf("schema: bad int32 %q: %v", s, err)
 		}
-		return IntVal(int32(n)), nil
+		*v = IntVal(int32(n))
 	case Int64:
 		n, err := strconv.ParseInt(s, 10, 64)
 		if err != nil {
-			return Value{}, fmt.Errorf("schema: bad int64 %q: %v", s, err)
+			return fmt.Errorf("schema: bad int64 %q: %v", s, err)
 		}
-		return LongVal(n), nil
+		*v = LongVal(n)
 	case Float64:
 		f, err := strconv.ParseFloat(s, 64)
 		if err != nil || math.IsNaN(f) {
-			return Value{}, fmt.Errorf("schema: bad float64 %q", s)
+			return fmt.Errorf("schema: bad float64 %q", s)
 		}
-		return FloatVal(f), nil
+		*v = FloatVal(f)
 	case Date:
 		d, err := ParseDate(s)
 		if err != nil {
-			return Value{}, err
+			return err
 		}
-		return DateVal(d), nil
+		*v = DateVal(d)
 	case String:
-		return StringVal(s), nil
+		*v = StringVal(s)
 	default:
-		return Value{}, fmt.Errorf("schema: cannot parse value of invalid type")
+		return fmt.Errorf("schema: cannot parse value of invalid type")
 	}
+	return nil
 }
 
 // ParseDate parses a YYYY-MM-DD date into days since the Unix epoch.
 func ParseDate(s string) (int32, error) {
+	if days, ok := parseCivil(s); ok {
+		return days, nil
+	}
 	t, err := time.Parse("2006-01-02", s)
 	if err != nil {
 		return 0, fmt.Errorf("schema: bad date %q: %v", s, err)
 	}
 	return int32(t.Unix() / 86400), nil
+}
+
+// parseCivil is ParseDate's fast path, several times cheaper than a
+// layout-driven time.Parse on the upload path's every row: exactly
+// YYYY-MM-DD with a year from 0001 and a day the month has. Anything else
+// is left to time.Parse, which decides what is an error and words it.
+func parseCivil(s string) (days int32, ok bool) {
+	if len(s) != 10 || s[4] != '-' || s[7] != '-' {
+		return 0, false
+	}
+	num := func(s string) int {
+		n := 0
+		for i := 0; i < len(s); i++ {
+			if s[i] < '0' || s[i] > '9' {
+				return -1
+			}
+			n = n*10 + int(s[i]-'0')
+		}
+		return n
+	}
+	y, m, d := num(s[:4]), num(s[5:7]), num(s[8:])
+	if y < 1 || m < 1 || m > 12 || d < 1 {
+		return 0, false
+	}
+	monthDays := [...]int{31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31}
+	if leap := y%4 == 0 && (y%100 != 0 || y%400 == 0); d > monthDays[m-1] && !(leap && m == 2 && d == 29) {
+		return 0, false
+	}
+	// Days from the civil date, counting years from March so that the leap
+	// day is the last of its year (the proleptic Gregorian calendar time
+	// uses; http://howardhinnant.github.io/date_algorithms.html).
+	if m <= 2 {
+		y--
+	}
+	yearOfEra := y % 400
+	dayOfYear := (153*((m+9)%12)+2)/5 + d - 1
+	dayOfEra := yearOfEra*365 + yearOfEra/4 - yearOfEra/100 + dayOfYear
+	return int32(y/400*146097 + dayOfEra - 719468), true
 }
 
 // FormatDate renders days since the Unix epoch as YYYY-MM-DD.
