@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -236,6 +238,87 @@ func TestBenchJSONFigures(t *testing.T) {
 	if len(figs) != 1 || figs[0].ID != "Fig4a" {
 		t.Errorf("artifact figures = %+v, want one Fig4a", figs)
 	}
+}
+
+// TestFiguresGolden freezes the reproduction: figure mode — every paper
+// figure, table and ablation from the count-driven cost model — must
+// repeat testdata/figures.quick.json, structure exactly and numbers to
+// 1e-9 relative (an FMA platform may differ in a last digit). A change
+// that moves a paper number on purpose regenerates the file with the
+// command itself:
+//
+//	go run ./cmd/hailbench -quick -json cmd/hailbench/testdata/figures.quick.json
+func TestFiguresGolden(t *testing.T) {
+	if d := jsonDiff("$", 1.0, 1.0+1e-6); d == "" {
+		t.Fatal("jsonDiff accepts an edited number")
+	}
+	if d := jsonDiff("$", 1.0, 1.0+1e-12); d != "" {
+		t.Fatalf("jsonDiff rejects a last-digit difference: %s", d)
+	}
+	if testing.Short() {
+		t.Skip("figure fixtures too slow for -short")
+	}
+	jsonPath := filepath.Join(t.TempDir(), "figures.json")
+	var out, errb bytes.Buffer
+	if err := run([]string{"-quick", "-json", jsonPath}, &out, &errb); err != nil {
+		t.Fatalf("run: %v (stderr: %s)", err, errb.String())
+	}
+	load := func(path string) any {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v any
+		if err := json.Unmarshal(raw, &v); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		return v
+	}
+	if d := jsonDiff("$", load(filepath.Join("testdata", "figures.quick.json")), load(jsonPath)); d != "" {
+		t.Fatalf("figure mode no longer repeats the golden file: %s", d)
+	}
+}
+
+// jsonDiff describes the first difference between two decoded JSON
+// values, or returns "" when they agree: same shape, same keys, same
+// strings, numbers within 1e-9 relative.
+func jsonDiff(path string, want, got any) string {
+	switch w := want.(type) {
+	case map[string]any:
+		g, ok := got.(map[string]any)
+		if !ok || len(g) != len(w) {
+			return fmt.Sprintf("%s: want an object of %d keys, got %v", path, len(w), got)
+		}
+		for k, wv := range w {
+			gv, ok := g[k]
+			if !ok {
+				return fmt.Sprintf("%s: key %q missing", path, k)
+			}
+			if d := jsonDiff(path+"."+k, wv, gv); d != "" {
+				return d
+			}
+		}
+	case []any:
+		g, ok := got.([]any)
+		if !ok || len(g) != len(w) {
+			return fmt.Sprintf("%s: want an array of %d, got %v", path, len(w), got)
+		}
+		for i := range w {
+			if d := jsonDiff(fmt.Sprintf("%s[%d]", path, i), w[i], g[i]); d != "" {
+				return d
+			}
+		}
+	case float64:
+		g, ok := got.(float64)
+		if !ok || math.Abs(g-w) > 1e-9*math.Max(math.Abs(w), math.Abs(g)) {
+			return fmt.Sprintf("%s: want %v, got %v", path, w, got)
+		}
+	default:
+		if want != got {
+			return fmt.Sprintf("%s: want %v, got %v", path, want, got)
+		}
+	}
+	return ""
 }
 
 // TestBenchObsSmoke drives the observability experiment end to end:

@@ -1,17 +1,20 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/hadoop"
 	"repro/internal/hdfs"
 	"repro/internal/index"
 	"repro/internal/mapred"
 	"repro/internal/pax"
 	"repro/internal/query"
 	"repro/internal/schema"
+	"repro/internal/trojan"
 	"repro/internal/workload"
 )
 
@@ -604,12 +607,13 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOpenBlockMatchesWholeSplitRead: reading a split block by block via
-// OpenBlock must deliver exactly what Open's whole-split reader delivers,
-// in the same order — the invariant the engine's result-cache path
-// depends on for byte-identical output.
-func TestOpenBlockMatchesWholeSplitRead(t *testing.T) {
-	cluster, _, _, _ := uvFixture(t, 3_000, workload.UserVisitsOptions{})
+// TestBlockAtATimeMatchesWholeSplitRead is what the engine's one task loop
+// relies on, for every input format: opening a split one narrowed block at
+// a time delivers the records, order and summed TaskStats of one
+// whole-split Open — so its output, and every result-cache entry, is
+// byte-identical to a whole-split read.
+func TestBlockAtATimeMatchesWholeSplitRead(t *testing.T) {
+	cluster, _, _, lines := uvFixture(t, 3_000, workload.UserVisitsOptions{})
 	q := &query.Query{
 		Filter: []query.Predicate{
 			query.Between(workload.UVVisitDate,
@@ -618,51 +622,86 @@ func TestOpenBlockMatchesWholeSplitRead(t *testing.T) {
 		},
 		Projection: []int{workload.UVSourceIP, workload.UVAdRevenue},
 	}
-	f := &InputFormat{Cluster: cluster, Query: q, Splitting: true, SplitsPerNode: 2}
-	if _, ok := any(f).(mapred.QuerySigner); !ok {
-		t.Fatal("InputFormat must implement mapred.QuerySigner")
-	}
-	if _, ok := any(f).(mapred.BlockOpener); !ok {
-		t.Fatal("InputFormat must implement mapred.BlockOpener")
-	}
-	sig, ok := f.QuerySignature()
-	if !ok || sig == "" {
+	hail := &InputFormat{Cluster: cluster, Query: q, Splitting: true, SplitsPerNode: 1}
+	if sig, ok := mapred.QuerySigner(hail).QuerySignature(); !ok || sig == "" {
 		t.Fatalf("QuerySignature = %q, %v", sig, ok)
 	}
-
-	splits, _, err := f.SplitsWithStats("/uv")
-	if err != nil {
+	up := &hadoop.Uploader{Cluster: cluster, BlockSize: 64 << 10, Replication: 3}
+	if _, err := up.Upload("/text", lines); err != nil {
 		t.Fatal(err)
 	}
-	read := func(rr mapred.RecordReader) []string {
-		var rows []string
-		if _, err := rr.Read(func(r mapred.Record) { rows = append(rows, r.Row.Line(',')) }); err != nil {
-			t.Fatal(err)
-		}
-		return rows
+	sys := &trojan.System{
+		Cluster: cluster, Schema: workload.UserVisitsSchema(), BlockSize: 64 << 10,
+		Replication: 3, IndexColumn: workload.UVVisitDate,
 	}
-	for _, split := range splits {
-		node := split.Locations[0]
-		whole, err := f.Open(split, node)
+	if _, err := sys.Upload("/trojan", lines); err != nil {
+		t.Fatal(err)
+	}
+
+	read := func(rr mapred.RecordReader, err error) ([]string, mapred.TaskStats) {
+		t.Helper()
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := read(whole)
-		var got []string
-		for _, b := range split.Blocks {
-			rr, err := f.OpenBlock(split, b, node)
+		var rows []string
+		stats, err := rr.Read(func(r mapred.Record) { rows = append(rows, r.Raw+"|"+r.Row.Line(',')) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows, stats
+	}
+	for _, tc := range []struct {
+		name  string
+		file  string
+		input mapred.InputFormat
+	}{
+		{"core", "/uv", hail},
+		{"hadoop", "/text", &hadoop.TextInputFormat{Cluster: cluster}},
+		{"trojan", "/trojan", &trojan.InputFormat{System: sys, Query: q}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			splits, _, err := tc.input.SplitsWithStats(tc.file)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got = append(got, read(rr)...)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("per-block read %d rows, whole split %d", len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("row %d: per-block %q, whole-split %q", i, got[i], want[i])
+			// The baselines plan one block per split; pack theirs into one so
+			// every format is held to the multi-block contract.
+			if tc.input != mapred.InputFormat(hail) {
+				all := mapred.Split{Locations: splits[0].Locations}
+				for _, s := range splits {
+					all.Blocks = append(all.Blocks, s.Blocks...)
+				}
+				splits = []mapred.Split{all}
 			}
-		}
+			multi := 0
+			for _, split := range splits {
+				if len(split.Blocks) > 1 {
+					multi++
+				}
+				node := split.Locations[0]
+				want, wantStats := read(tc.input.Open(split, node))
+				var got []string
+				var gotStats mapred.TaskStats
+				for i := range split.Blocks {
+					one := split
+					one.Blocks = split.Blocks[i : i+1 : i+1]
+					rows, stats := read(tc.input.Open(one, node))
+					got = append(got, rows...)
+					gotStats.Add(stats)
+				}
+				if len(want) == 0 {
+					t.Fatal("whole-split read delivered nothing")
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("block at a time read %d rows, whole split %d — or an order differs", len(got), len(want))
+				}
+				if gotStats != wantStats {
+					t.Fatalf("summed stats differ:\nblock at a time: %+v\nwhole split:     %+v", gotStats, wantStats)
+				}
+			}
+			if multi == 0 {
+				t.Fatal("no multi-block split exercised")
+			}
+		})
 	}
 }

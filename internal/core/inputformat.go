@@ -485,12 +485,3 @@ func (f *InputFormat) Open(split mapred.Split, node hdfs.NodeID) (mapred.RecordR
 func (f *InputFormat) QuerySignature() (string, bool) {
 	return f.Query.Signature(), true
 }
-
-// OpenBlock implements mapred.BlockOpener: a reader for one block of the
-// split, with the split's replica pinning intact — exactly what Open's
-// reader would do when it reaches that block.
-func (f *InputFormat) OpenBlock(split mapred.Split, b hdfs.BlockID, node hdfs.NodeID) (mapred.RecordReader, error) {
-	sub := split
-	sub.Blocks = []hdfs.BlockID{b}
-	return f.Open(sub, node)
-}

@@ -307,7 +307,7 @@ func (r *Runner) ExpDispatch(w Workload, cacheBudget int64) (*DispatchReport, er
 			}
 		}
 	}
-	e := &mapred.Engine{Cluster: cluster, Parallelism: 2}
+	e := &mapred.Engine{Cluster: cluster, Parallelism: 1} // inline, in order: the kill lands at the same task every run
 	var once sync.Once
 	var killErr error
 	e.OnProgress = func(done, total int) {

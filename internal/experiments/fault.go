@@ -134,8 +134,11 @@ func (r *Runner) hailFaultRun(sortCols []int, bq workload.BenchQuery) (e2e, slow
 
 	// Kill a node that holds replicas indexed on the filter attribute, at
 	// 50% progress, and measure how many blocks degraded to full scans.
+	// Parallelism 1 runs the tasks inline and in order, so which blocks
+	// degrade — and the figure — does not depend on who wins a race with
+	// the kill.
 	victim := cluster.NameNode().GetHostsWithIndex(sum.BlockIDs[0], bq.Query.Filter[0].Column)[0]
-	e := &mapred.Engine{Cluster: cluster, Parallelism: 2}
+	e := &mapred.Engine{Cluster: cluster, Parallelism: 1}
 	var once sync.Once
 	var killErr error
 	e.OnProgress = func(done, total int) {

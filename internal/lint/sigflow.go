@@ -27,9 +27,8 @@ func (*sigReadsFact) AFact() {}
 // facts, (a) the set of tracked fields the signature canonicalization
 // transitively reads (the keyed set, rooted at each QuerySignature
 // method) and (b) the set read on the block-scan path (rooted at the same
-// receiver's Open/OpenBlock, expanded through the reader types those
-// constructors build), and reports every scan-path read outside the keyed
-// set.
+// receiver's Open, expanded through the reader types it builds), and
+// reports every scan-path read outside the keyed set.
 //
 // Tracked fields are those of query-package types and of the
 // QuerySignature receiver itself. Three classes are exempt by
@@ -148,13 +147,12 @@ func runSigFlow(pass *Pass) error {
 		}
 		keyed := reads[fn]
 
-		// Scan roots: the receiver's Open/OpenBlock, expanded through every
-		// local type a root (transitively) constructs — the reader object
-		// Open returns is driven by the engine, so its whole method set is
-		// on the scan path.
+		// Scan root: the receiver's Open, expanded through every local type
+		// it (transitively) constructs — the reader object Open returns is
+		// driven by the engine, so its whole method set is on the scan path.
 		scanFns := make(map[*types.Func]bool)
 		for _, m := range methodsOf[recv.Obj().Name()] {
-			if m.Name() == "Open" || m.Name() == "OpenBlock" {
+			if m.Name() == "Open" {
 				scanFns[m] = true
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/hdfs"
@@ -79,8 +80,9 @@ const localityTolerance = 2
 // and TaskTrackers (task execution).
 type Engine struct {
 	Cluster *hdfs.Cluster
-	// Parallelism bounds concurrent task execution; 0 = GOMAXPROCS. This
-	// is an execution-speed knob, not a model parameter (sim models slot
+	// Parallelism bounds concurrent task execution; 0 = GOMAXPROCS, 1 runs
+	// the job inline on the caller, in task order. This is an
+	// execution-speed knob, not a model parameter (sim models slot
 	// parallelism analytically).
 	Parallelism int
 	// Scheduling selects the locality policy (DefaultScheduling unless
@@ -99,8 +101,8 @@ type Engine struct {
 	// Cache, if set, is consulted per block before a map task reads it:
 	// a hit replays the block's cached map output and skips the read
 	// entirely, a miss computes and admits it. Caching only engages for
-	// jobs that declare a MapSig and whose input format implements both
-	// QuerySigner and BlockOpener; all other jobs run unchanged.
+	// jobs that declare a MapSig and whose input format implements
+	// QuerySigner; all other jobs run unchanged.
 	Cache ResultCache
 	// Obs, if set, receives engine metrics: task latency and scheduling
 	// wait histograms plus dispatch/failover/namenode-op counters. Left
@@ -147,12 +149,11 @@ func (e *Engine) metrics() *engineMetrics {
 }
 
 // cacheContext is the per-job resolution of the result-cache wiring: the
-// key material (file, query signature, map identity) and the per-block
-// opener. nil means the job runs uncached.
+// key material (file, query signature, map identity). nil means the job
+// runs uncached.
 type cacheContext struct {
 	cache    ResultCache
 	sc       SplitCache // non-nil when the cache admits whole packed splits
-	opener   BlockOpener
 	nn       *hdfs.NameNode
 	file     string
 	querySig string
@@ -173,17 +174,13 @@ func (e *Engine) cacheContext(job *Job) *cacheContext {
 	if !ok {
 		return nil
 	}
-	opener, ok := job.Input.(BlockOpener)
-	if !ok {
-		return nil
-	}
 	sig, ok := signer.QuerySignature()
 	if !ok {
 		return nil
 	}
 	sc, _ := e.Cache.(SplitCache)
 	return &cacheContext{
-		cache: e.Cache, sc: sc, opener: opener, nn: e.Cluster.NameNode(),
+		cache: e.Cache, sc: sc, nn: e.Cluster.NameNode(),
 		file: job.File, querySig: sig, mapSig: job.MapSig,
 	}
 }
@@ -239,14 +236,6 @@ func (cc *cacheContext) splitKey(split Split) (SplitCacheKey, bool) {
 	}, true
 }
 
-// blockOut is one block's completed execution within a task: its map
-// output and the stats it cost. runTask keeps them per block so a
-// mid-split failure re-executes only the blocks that are not yet done.
-type blockOut struct {
-	kvs   []KV
-	stats TaskStats
-}
-
 // readRecords drives a record reader through the job's map function,
 // taking the batch fast path when both sides support it: a MapBatch job
 // whose reader streams batches never materializes individual records.
@@ -260,41 +249,6 @@ func readRecords(job *Job, rr RecordReader, emit Emit) (TaskStats, error) {
 		}
 	}
 	return rr.Read(func(r Record) { job.Map(r, emit) })
-}
-
-// runBlock executes one block of a split on runOn. With a cache context
-// the block goes through the result cache (a hit replays the stored map
-// output without touching storage, a miss computes and admits it);
-// without one it runs through the input format's per-block reader.
-func runBlock(job *Job, cc *cacheContext, opener BlockOpener, split Split, b hdfs.BlockID, runOn hdfs.NodeID) (blockOut, error) {
-	var key CacheKey
-	if cc != nil {
-		// The generation is read once and used for both Get and Put: if a
-		// concurrent replica change bumps it mid-read, the admitted entry
-		// is keyed at the old generation and simply never found again.
-		key = cc.key(split, b, runOn)
-		if ckvs, _, ok := cc.cache.Get(key); ok {
-			job.Trace.Count("qcache.block_hit", 1)
-			return blockOut{kvs: ckvs, stats: TaskStats{Blocks: 1, BlocksFromCache: 1}}, nil
-		}
-		job.Trace.Count("qcache.block_miss", 1)
-		opener = cc.opener
-	}
-	rr, err := opener.OpenBlock(split, b, runOn)
-	if err != nil {
-		return blockOut{}, err
-	}
-	var bkvs []KV
-	emit := func(k, v string) { bkvs = append(bkvs, KV{k, v}) }
-	bstats, err := readRecords(job, rr, emit)
-	if err != nil {
-		return blockOut{}, err
-	}
-	if cc != nil {
-		cc.cache.Put(key, bkvs, bstats)
-		job.Trace.Count("qcache.block_put", 1)
-	}
-	return blockOut{kvs: bkvs, stats: bstats}, nil
 }
 
 // Run executes the job: split phase, map phase with locality scheduling
@@ -336,87 +290,98 @@ func (e *Engine) Run(job *Job) (*JobResult, error) {
 	schedSpan.End()
 	cc := e.cacheContext(job)
 
+	// One slot per task. Every task's span opens with the map phase, so its
+	// wait child (and engine.task_wait_seconds) measures map-phase start →
+	// claim; both are zero Spans (inert, allocation-free) when tracing is
+	// off.
+	tasks := make([]struct {
+		tsp, wsp obs.Span
+		report   TaskReport
+		kvs      []KV
+		err      error
+	}, len(splits))
+	mapSpan := tr.StartSpan("map", "phase", 0, runSpan)
+	if tr.Enabled() {
+		for i := range tasks {
+			tasks[i].tsp = tr.StartSpan(fmt.Sprintf("task %d", i), "task", i+1, mapSpan)
+			tasks[i].wsp = tr.StartSpan("wait", "task", i+1, tasks[i].tsp)
+		}
+	}
+	var mapStart time.Time
+	if m != nil {
+		mapStart = time.Now() //lint:allow wallclock start stamp shared by the workers, consumed only by taskWait.Observe
+	}
+
+	// The dispatcher: workers claim task indices in order from one counter
+	// until none is left. The caller is one of them, so Parallelism 1 runs
+	// the whole job inline, in task order, on no goroutine.
+	var next, done atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(tasks) {
+				return
+			}
+			t := &tasks[i]
+			t.wsp.End()
+			var execStart time.Time
+			if m != nil {
+				m.taskWait.Observe(time.Since(mapStart))
+				execStart = time.Now()
+			}
+			t.report, t.kvs, t.err = e.runTask(job, cc, i, splits[i], assignments[i], t.tsp)
+			if m != nil {
+				m.taskSeconds.Observe(time.Since(execStart))
+			}
+			if t.err == nil && e.PostTask != nil {
+				ptSpan := tr.StartSpan("posttask", "adaptive", i+1, t.tsp)
+				e.PostTask(t.report)
+				ptSpan.End()
+			}
+			t.tsp.End()
+			if e.OnProgress != nil {
+				e.OnProgress(int(done.Add(1)), len(tasks))
+			}
+		}
+	}
 	par := e.Parallelism
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-
-	type taskOutcome struct {
-		report TaskReport
-		kvs    []KV
-		err    error
-	}
-	outcomes := make([]taskOutcome, len(splits))
-	sem := make(chan struct{}, par)
 	var wg sync.WaitGroup
-	var progressMu sync.Mutex
-	done := 0
-
-	mapSpan := tr.StartSpan("map", "phase", 0, runSpan)
-	for i := range splits {
+	for w := min(par, len(tasks)); w > 1; w-- {
 		wg.Add(1)
-		// Task spans open at submission so the wait child measures the
-		// time blocked on an execution slot; both are zero Spans (inert,
-		// allocation-free) when tracing is off.
-		var tsp, wsp obs.Span
-		if tr.Enabled() {
-			tsp = tr.StartSpan(fmt.Sprintf("task %d", i), "task", i+1, mapSpan)
-			wsp = tr.StartSpan("wait", "task", i+1, tsp)
-		}
-		var waitStart time.Time
-		if m != nil {
-			waitStart = time.Now() //lint:allow wallclock start stamp handed to the task goroutine, consumed only by taskWait.Observe
-		}
-		sem <- struct{}{}
-		go func(taskID int, tsp, wsp obs.Span, waitStart time.Time) {
+		go func() {
 			defer wg.Done()
-			defer func() { <-sem }()
-			wsp.End()
-			var execStart time.Time
-			if m != nil {
-				m.taskWait.Observe(time.Since(waitStart))
-				execStart = time.Now()
-			}
-			report, kvs, err := e.runTask(job, cc, taskID, splits[taskID], assignments[taskID], tsp)
-			if m != nil {
-				m.taskSeconds.Observe(time.Since(execStart))
-			}
-			outcomes[taskID] = taskOutcome{report, kvs, err}
-			if err == nil && e.PostTask != nil {
-				ptSpan := tr.StartSpan("posttask", "adaptive", taskID+1, tsp)
-				e.PostTask(report)
-				ptSpan.End()
-			}
-			tsp.End()
-			progressMu.Lock()
-			done++
-			d := done
-			progressMu.Unlock()
-			if e.OnProgress != nil {
-				e.OnProgress(d, len(splits))
-			}
-		}(i, tsp, wsp, waitStart)
+			work()
+		}()
 	}
+	work()
 	wg.Wait()
 	mapSpan.End()
 
 	assembleSpan := tr.StartSpan("assemble", "phase", 0, runSpan)
-	var mapOut []KV
-	for _, o := range outcomes {
-		if o.err != nil {
+	outLen := 0
+	for i := range tasks {
+		outLen += len(tasks[i].kvs)
+	}
+	mapOut := make([]KV, 0, outLen)
+	for i := range tasks {
+		t := &tasks[i]
+		if t.err != nil {
 			assembleSpan.End()
 			runSpan.End()
-			return nil, o.err
+			return nil, t.err
 		}
-		res.Tasks = append(res.Tasks, o.report)
-		if o.report.Attempts > 1 {
-			res.ReExecuted += o.report.Attempts - 1
+		res.Tasks = append(res.Tasks, t.report)
+		if t.report.Attempts > 1 {
+			res.ReExecuted += t.report.Attempts - 1
 		}
-		if o.report.Repacks > 0 {
+		if t.report.Repacks > 0 {
 			res.Repacked++
 		}
-		res.BlocksRerun += o.report.BlocksRerun
-		mapOut = append(mapOut, o.kvs...)
+		res.BlocksRerun += t.report.BlocksRerun
+		mapOut = append(mapOut, t.kvs...)
 	}
 	if m != nil {
 		m.recordJob(res)
@@ -503,30 +468,117 @@ func (e *Engine) schedule(splits []Split) []hdfs.NodeID {
 	return out
 }
 
-// runTask executes one map task, retrying when the assigned node (or a
-// replica it reads) dies mid-task. Retries model Hadoop's task
-// re-execution after the expiry interval, with one HAIL-specific upgrade
-// for packed splits: a packed split runs block by block (through the
-// result cache when one is wired, through the input format's BlockOpener
-// otherwise), so when a pinned replica node dies mid-task the split is
-// repacked via Split.Fallback and only the blocks not yet done are
-// re-executed — a node loss no longer forces rescanning a whole packed
-// split elsewhere. Input formats without a BlockOpener keep the
-// historical whole-split retry.
-func (e *Engine) runTask(job *Job, cc *cacheContext, taskID int, split Split, node hdfs.NodeID, tsp obs.Span) (TaskReport, []KV, error) {
+// runTask executes one map task: one loop over the split's blocks, the
+// same for every input format and every split size. Per block it probes
+// the result cache when the job is cacheable, otherwise opens the split
+// narrowed to that block and maps its records straight into the task's
+// output; a reader that fails mid-block has its partial output truncated
+// away. A fully split-cached packed split is answered with one split-level
+// lookup before its first block, and a packed split computed in one
+// attempt is admitted at split level after its last.
+//
+// Progress is a cursor: blocks [0,pos) are done and their output is in kvs,
+// in split order, so the result is byte-identical to a whole-split read.
+// When the node or a replica it reads dies mid-task the attempt fails and
+// the task is retried (Hadoop's re-execution after the expiry interval):
+// dead replica pins are re-resolved via Split.Fallback — which never
+// reorders Blocks — and the retry resumes at pos, so a node loss costs
+// only the blocks not yet done. started is the high-water mark of blocks
+// begun; a block begun twice is one BlocksRerun.
+//
+// A panic under this function — map function, batch accessor, decoder —
+// is the task boundary's to catch: it fails the job with an error naming
+// task, block and executing node instead of killing the process, and the
+// failed block's output never reaches the cache.
+func (e *Engine) runTask(job *Job, cc *cacheContext, taskID int, split Split, node hdfs.NodeID, tsp obs.Span) (report TaskReport, kvs []KV, err error) {
 	const maxAttempts = 4
 	tr := job.Trace
-	opener, _ := job.Input.(BlockOpener)
-	blockwise := cc != nil || (opener != nil && len(split.Blocks) > 1)
-	var done map[hdfs.BlockID]blockOut
-	var attempted map[hdfs.BlockID]bool
-	if blockwise {
-		done = make(map[hdfs.BlockID]blockOut, len(split.Blocks))
-		attempted = make(map[hdfs.BlockID]bool, len(split.Blocks))
+	var (
+		stats          TaskStats
+		pos, started   int
+		repacks, rerun int
+		runOn          = node
+	)
+	emit := func(k, v string) { kvs = append(kvs, KV{k, v}) }
+	defer func() {
+		if p := recover(); p != nil {
+			e.Obs.Counter("engine.task_panics").Inc()
+			where := "after its last block"
+			if pos < len(split.Blocks) {
+				where = fmt.Sprintf("block %d", split.Blocks[pos])
+			}
+			report, kvs = TaskReport{}, nil
+			err = fmt.Errorf("mapred: task %d %s on node %d panicked: %v", taskID, where, runOn, p)
+		}
+	}()
+
+	// attempt runs the split from the cursor to its end on runOn.
+	attempt := func() error {
+		asp := tr.StartSpan("attempt", "task", taskID+1, tsp)
+		defer asp.End()
+		asp.SetInt("node", int64(runOn))
+		var skey SplitCacheKey
+		splitCacheable := false
+		if cc != nil && cc.sc != nil && pos == 0 {
+			if k, ok := cc.splitKey(split); ok {
+				if ckvs, _, hit := cc.sc.GetSplit(k); hit {
+					tr.Count("qcache.split_hit", 1)
+					kvs, pos = ckvs, len(split.Blocks)
+					stats = TaskStats{Blocks: pos, BlocksFromCache: pos}
+					return nil
+				}
+				tr.Count("qcache.split_miss", 1)
+				skey, splitCacheable = k, true
+			}
+		}
+		for ; pos < len(split.Blocks); pos++ {
+			if pos < started {
+				rerun++
+			}
+			started = pos + 1
+			var key CacheKey
+			if cc != nil {
+				// The generation is read once and used for both Get and
+				// Put: if a concurrent replica change bumps it mid-read, the
+				// admitted entry is keyed at the old generation and simply
+				// never found again.
+				key = cc.key(split, split.Blocks[pos], runOn)
+				if ckvs, _, ok := cc.cache.Get(key); ok {
+					tr.Count("qcache.block_hit", 1)
+					kvs = append(kvs, ckvs...)
+					stats.Blocks++
+					stats.BlocksFromCache++
+					continue
+				}
+				tr.Count("qcache.block_miss", 1)
+			}
+			mark := len(kvs)
+			block := split
+			block.Blocks = split.Blocks[pos : pos+1 : pos+1]
+			rr, err := job.Input.Open(block, runOn)
+			var bstats TaskStats
+			if err == nil {
+				bstats, err = readRecords(job, rr, emit)
+			}
+			if err != nil {
+				kvs = kvs[:mark]
+				return err
+			}
+			if cc != nil {
+				cc.cache.Put(key, kvs[mark:], bstats)
+				tr.Count("qcache.block_put", 1)
+			}
+			stats.Add(bstats)
+		}
+		if splitCacheable {
+			cc.sc.PutSplit(skey, split.Blocks, kvs, stats)
+			tr.Count("qcache.split_put", 1)
+		}
+		return nil
 	}
-	var repacks, rerun int
+
 	var lastErr error
-	for attempt := 1; attempt <= maxAttempts; attempt++ {
+	for n := 1; n <= maxAttempts; n++ {
 		// Packed-split failover: if any pinned replica node has died —
 		// whether mid-task or between the split phase and now — re-resolve
 		// the affected blocks' replicas via the namenode instead of
@@ -540,31 +592,12 @@ func (e *Engine) runTask(job *Job, cc *cacheContext, taskID int, split Split, no
 				tr.Count("engine.blocks_repinned", int64(repinned))
 			}
 		}
-		runOn := node
-		if !e.nodeAlive(runOn) {
-			runOn = e.pickAliveFallback(split)
-			if runOn == -1 {
+		if runOn = node; !e.nodeAlive(runOn) {
+			if runOn = e.pickAliveFallback(split); runOn == -1 {
 				return TaskReport{}, nil, fmt.Errorf("mapred: no alive node for task %d", taskID)
 			}
 		}
-		asp := tr.StartSpan("attempt", "task", taskID+1, tsp)
-		asp.SetInt("node", int64(runOn))
-		var stats TaskStats
-		var kvs []KV
-		var err error
-		if blockwise {
-			stats, kvs, err = e.runTaskBlocks(job, cc, opener, split, runOn, done, attempted, &rerun)
-		} else {
-			var rr RecordReader
-			rr, err = job.Input.Open(split, runOn)
-			if err == nil {
-				emit := func(k, v string) { kvs = append(kvs, KV{k, v}) }
-				stats, err = readRecords(job, rr, emit)
-			}
-		}
-		asp.End()
-		if err != nil {
-			lastErr = err
+		if lastErr = attempt(); lastErr != nil {
 			continue
 		}
 		if job.Combine != nil {
@@ -587,65 +620,13 @@ func (e *Engine) runTask(job *Job, cc *cacheContext, taskID int, split Split, no
 			Split:       split,
 			Node:        runOn,
 			Stats:       stats,
-			Attempts:    attempt,
+			Attempts:    n,
 			Local:       local,
 			Repacks:     repacks,
 			BlocksRerun: rerun,
 		}, kvs, nil
 	}
 	return TaskReport{}, nil, fmt.Errorf("mapred: task %d failed after %d attempts: %v", taskID, maxAttempts, lastErr)
-}
-
-// runTaskBlocks is runTask's block-wise attempt: it executes the split's
-// not-yet-done blocks in order, recording each completed block in done so
-// a retry skips it. A fully split-cached packed split is answered with a
-// single split-level lookup; a computed packed split is admitted at split
-// level on the way out. The assembled output preserves split block order,
-// so it is byte-identical to a whole-split read.
-func (e *Engine) runTaskBlocks(job *Job, cc *cacheContext, opener BlockOpener, split Split, runOn hdfs.NodeID,
-	done map[hdfs.BlockID]blockOut, attempted map[hdfs.BlockID]bool, rerun *int) (TaskStats, []KV, error) {
-
-	var skey SplitCacheKey
-	splitCacheable := false
-	if cc != nil && cc.sc != nil && len(done) == 0 {
-		if k, ok := cc.splitKey(split); ok {
-			if ckvs, _, hit := cc.sc.GetSplit(k); hit {
-				job.Trace.Count("qcache.split_hit", 1)
-				return TaskStats{
-					Blocks:          len(split.Blocks),
-					BlocksFromCache: len(split.Blocks),
-				}, ckvs, nil
-			}
-			job.Trace.Count("qcache.split_miss", 1)
-			skey, splitCacheable = k, true
-		}
-	}
-	for _, b := range split.Blocks {
-		if _, ok := done[b]; ok {
-			continue
-		}
-		if attempted[b] {
-			*rerun++
-		}
-		attempted[b] = true
-		out, err := runBlock(job, cc, opener, split, b, runOn)
-		if err != nil {
-			return TaskStats{}, nil, err
-		}
-		done[b] = out
-	}
-	var stats TaskStats
-	var kvs []KV
-	for _, b := range split.Blocks {
-		o := done[b]
-		stats.Add(o.stats)
-		kvs = append(kvs, o.kvs...)
-	}
-	if splitCacheable {
-		cc.sc.PutSplit(skey, split.Blocks, kvs, stats)
-		job.Trace.Count("qcache.split_put", 1)
-	}
-	return stats, kvs, nil
 }
 
 // nodeAlive reports whether the node exists and is up.

@@ -236,7 +236,10 @@ type InputFormat interface {
 	// serve overlapping jobs.
 	SplitsWithStats(file string) ([]Split, TaskStats, error)
 	// Open creates the record reader for a split, executing on the given
-	// node.
+	// node. The engine opens every split one block at a time (the split
+	// narrowed to that block, replica pinning intact), so the reader of an
+	// n-block split must deliver exactly the n one-block readers' records,
+	// order and summed stats.
 	Open(split Split, node hdfs.NodeID) (RecordReader, error)
 }
 
@@ -253,14 +256,6 @@ type RecordReader interface {
 // cache. ok reports whether the input format supports signatures at all.
 type QuerySigner interface {
 	QuerySignature() (sig string, ok bool)
-}
-
-// BlockOpener is implemented by input formats that can open a record
-// reader for a single block of a split — the granularity the result cache
-// works at. The returned reader must behave exactly as Open's reader would
-// for that block (same replica preference, same stats accounting).
-type BlockOpener interface {
-	OpenBlock(split Split, b hdfs.BlockID, node hdfs.NodeID) (RecordReader, error)
 }
 
 // CacheKey identifies one block's cached map output. Two executions with
@@ -287,7 +282,8 @@ type CacheKey struct {
 // ResultCache is the engine's view of the block-level result cache
 // (internal/qcache): per-block map outputs with the stats the computation
 // cost, so hits can account for the work they saved. Implementations must
-// be safe for concurrent use by many task goroutines.
+// be safe for concurrent use by many task goroutines, and Put must copy
+// what it keeps: kvs is a window of the running task's output.
 type ResultCache interface {
 	Get(k CacheKey) ([]KV, TaskStats, bool)
 	Put(k CacheKey, kvs []KV, stats TaskStats)

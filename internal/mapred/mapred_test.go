@@ -368,15 +368,9 @@ func TestCombinerShrinksMapOutput(t *testing.T) {
 
 // --- result-cache engine path ---
 
-// sig makes fakeInput cacheable: QuerySignature/OpenBlock turn it into a
-// QuerySigner + BlockOpener like core.InputFormat.
+// sig makes fakeInput cacheable: QuerySignature turns it into a
+// QuerySigner like core.InputFormat.
 func (f *fakeInput) QuerySignature() (string, bool) { return f.sig, f.sig != "" }
-
-func (f *fakeInput) OpenBlock(split Split, b hdfs.BlockID, node hdfs.NodeID) (RecordReader, error) {
-	sub := split
-	sub.Blocks = []hdfs.BlockID{b}
-	return f.Open(sub, node)
-}
 
 // mapCache is an unbounded in-memory ResultCache for engine tests.
 type mapCache struct {

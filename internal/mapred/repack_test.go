@@ -8,60 +8,65 @@ import (
 	"repro/internal/hdfs"
 )
 
-// fakeBlockInput is a fakeInput whose reader works block by block and
-// fails when a block's pinned replica node is dead — the shape the engine
-// needs to exercise packed-split repacking. It implements BlockOpener, so
-// multi-block splits run block-wise with per-block retry.
+// fakeBlockInput is a fakeInput whose reader fails when a block's pinned
+// replica node is dead — the shape the engine needs to exercise
+// packed-split repacking — and can be told to fail a block mid-read, once.
 type fakeBlockInput struct {
 	fakeInput
 	mu sync.Mutex
-	// blockOpens counts OpenBlock calls per block.
+	// blockOpens counts Open calls per block.
 	blockOpens map[hdfs.BlockID]int
-	// failBlocks makes the read of a block fail once, then succeed.
+	// failOnce makes the read of a block fail once, then succeed.
 	failOnce map[hdfs.BlockID]bool
+	// failLate makes a failing read deliver the block's records first.
+	failLate bool
 }
 
-func (f *fakeBlockInput) OpenBlock(split Split, b hdfs.BlockID, node hdfs.NodeID) (RecordReader, error) {
+func (f *fakeBlockInput) Open(split Split, node hdfs.NodeID) (RecordReader, error) {
 	f.mu.Lock()
 	if f.blockOpens == nil {
 		f.blockOpens = make(map[hdfs.BlockID]int)
 	}
-	f.blockOpens[b]++
+	for _, b := range split.Blocks {
+		f.blockOpens[b]++
+	}
 	f.mu.Unlock()
-	sub := split
-	sub.Blocks = []hdfs.BlockID{b}
-	return &fakeBlockReader{input: f, split: sub, block: b, node: node}, nil
+	return &fakeBlockReader{input: f, split: split}, nil
 }
 
 type fakeBlockReader struct {
 	input *fakeBlockInput
 	split Split
-	block hdfs.BlockID
-	node  hdfs.NodeID
 }
 
 func (r *fakeBlockReader) Read(fn func(Record)) (TaskStats, error) {
 	f := r.input
-	f.mu.Lock()
-	if f.failOnce[r.block] {
-		delete(f.failOnce, r.block)
-		f.mu.Unlock()
-		return TaskStats{}, fmt.Errorf("block %d read failed (injected)", r.block)
-	}
-	f.mu.Unlock()
-	// A pinned replica on a dead node is unreadable.
-	if pin, ok := r.split.Replica[r.block]; ok {
-		dn, err := f.cluster.DataNode(pin)
-		if err != nil || !dn.Alive() {
-			return TaskStats{}, fmt.Errorf("block %d: pinned replica on dead node %d", r.block, pin)
-		}
-	}
 	var stats TaskStats
-	stats.Blocks++
-	for _, rec := range f.records[r.block] {
-		stats.RecordsScanned++
-		stats.RecordsDelivered++
-		fn(rec)
+	for _, b := range r.split.Blocks {
+		f.mu.Lock()
+		fail := f.failOnce[b]
+		delete(f.failOnce, b)
+		f.mu.Unlock()
+		failed := fmt.Errorf("block %d read failed (injected)", b)
+		if fail && !f.failLate {
+			return stats, failed
+		}
+		// A pinned replica on a dead node is unreadable.
+		if pin, ok := r.split.Replica[b]; ok {
+			dn, err := f.cluster.DataNode(pin)
+			if err != nil || !dn.Alive() {
+				return stats, fmt.Errorf("block %d: pinned replica on dead node %d", b, pin)
+			}
+		}
+		stats.Blocks++
+		for _, rec := range f.records[b] {
+			stats.RecordsScanned++
+			stats.RecordsDelivered++
+			fn(rec)
+		}
+		if fail {
+			return stats, failed
+		}
 	}
 	return stats, nil
 }

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -541,4 +542,49 @@ func TestRegistrySidecarNeverTorn(t *testing.T) {
 	if len(entries) != 1 {
 		t.Fatalf("leftover files in dir: %v", entries)
 	}
+}
+
+// TestQueryPanicIsA500NotACrash: a panic on an engine worker — here a nil
+// dereference in the cache probe under the task loop — fails that query
+// with a 500 naming where it happened; the daemon keeps its admission slot
+// count, its goroutines and its ability to answer the next query.
+func TestQueryPanicIsA500NotACrash(t *testing.T) {
+	dir := makeFS(t, 700)
+	s := newTestServer(t, dir, Config{MaxInFlight: 2, Parallelism: 4})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	want := referenceRows(t, dir, "/t", indexedQ)
+
+	// One healthy query first, so the baseline already counts the HTTP
+	// client's and server's connection goroutines.
+	if _, code := postQuery(t, ts, QueryRequest{File: "/t", Query: indexedQ, NoCache: true}); code != http.StatusOK {
+		t.Fatalf("warm-up: status %d", code)
+	}
+	baseline := runtime.NumGoroutine()
+
+	cache := s.cache
+	s.cache = nil
+	resp, code := postQuery(t, ts, QueryRequest{File: "/t", Query: indexedQ})
+	s.cache = cache
+	if code != http.StatusInternalServerError || !strings.Contains(resp.Rows[0], "panicked: runtime error") ||
+		!strings.Contains(resp.Rows[0], "mapred: task ") {
+		t.Fatalf("panicking query: status %d, body %q; want a 500 naming the task", code, resp.Rows)
+	}
+	if got := s.reg.Counter("engine.task_panics").Value(); got == 0 {
+		t.Error("engine.task_panics not bumped")
+	}
+	if len(s.sem) != 0 {
+		t.Errorf("%d admission slot(s) still held after the panic", len(s.sem))
+	}
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > baseline; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, %d before the panicking query", runtime.NumGoroutine(), baseline)
+		}
+	}
+
+	next, code := postQuery(t, ts, QueryRequest{File: "/t", Query: indexedQ})
+	if code != http.StatusOK {
+		t.Fatalf("query after the panic: status %d", code)
+	}
+	sameRows(t, "query after the panic", sorted(next.Rows), want)
 }
