@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test fuzz profile-upload bench-test bench-agree lint fmt loc
+.PHONY: build test fuzz profile-upload profile-scan bench-test bench-agree lint fmt loc
 
 build:
 	$(GO) build ./...
@@ -24,6 +24,15 @@ fuzz:
 profile-upload:
 	$(GO) test -run '^$$' -bench '^BenchmarkUploadBob$$' -benchtime 10x -o core.test \
 		-cpuprofile upload.cpu.pprof -memprofile upload.mem.pprof ./internal/core
+
+# The same for the ledger's two scan ops as users run them, passthrough map
+# in both forms (BenchmarkWideScanPassthrough, BenchmarkIndexScanPassthrough;
+# 200k lines, Bob's layout): go tool pprof -top core.test wide-scan.cpu.pprof
+profile-scan:
+	$(GO) test -run '^$$' -bench '^BenchmarkWideScanPassthrough$$' -benchtime 30x -o core.test \
+		-cpuprofile wide-scan.cpu.pprof -memprofile wide-scan.mem.pprof ./internal/core
+	$(GO) test -run '^$$' -bench '^BenchmarkIndexScanPassthrough$$' -benchtime 2000x -o core.test \
+		-cpuprofile index-scan.cpu.pprof -memprofile index-scan.mem.pprof ./internal/core
 
 # bench/ is its own module (the BENCHMARK.json ledger; see bench/README.md),
 # so the targets above never reach it.

@@ -143,3 +143,59 @@ func BenchmarkFullScanQuery(b *testing.B) {
 	// Filter on duration — never indexed — forces the PAX column scan.
 	benchQuery(b, `@HailQuery(filter="@9 between(1,100)", projection={@1})`, false)
 }
+
+// bobFix is the ledger's scan fixture outside bench/: 200k generated
+// lines (5k under -short) uploaded with Bob's layout, shared by the
+// passthrough benchmarks.
+var bobFix *hdfs.Cluster
+
+func benchPassthrough(b *testing.B, annotation string) {
+	if bobFix == nil {
+		n := 200_000
+		if testing.Short() {
+			n = 5_000
+		}
+		cluster, err := hdfs.NewCluster(4)
+		if err != nil {
+			b.Fatal(err)
+		}
+		lines := workload.GenerateUserVisits(n, 1, workload.UserVisitsOptions{NeedleEvery: 25_000, BadEvery: 10_007})
+		if _, err := (&Client{Cluster: cluster, Config: bobLayout()}).Upload("/uv", lines); err != nil {
+			b.Fatal(err)
+		}
+		bobFix = cluster
+	}
+	q, err := mustParse(annotation)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := &mapred.Engine{Cluster: bobFix, Parallelism: 1}
+	b.ReportAllocs()
+	for b.Loop() {
+		res, err := e.Run(&mapred.Job{
+			Name: "bench", File: "/uv",
+			Input:    &InputFormat{Cluster: bobFix, Query: q},
+			Map:      workload.PassthroughMap,
+			MapBatch: workload.PassthroughMapBatch,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Output) == 0 {
+			b.Fatal("no output")
+		}
+	}
+}
+
+// BenchmarkWideScanPassthrough and BenchmarkIndexScanPassthrough are the
+// ledger's two scan ops as users run them — the passthrough map in both
+// forms, so decode, format, emit and output assembly are all in the
+// profile (the benchmarks above map to nothing). `make profile-scan`
+// profiles them.
+func BenchmarkWideScanPassthrough(b *testing.B) {
+	benchPassthrough(b, `@HailQuery(filter="@9 between(1,999)")`)
+}
+
+func BenchmarkIndexScanPassthrough(b *testing.B) {
+	benchPassthrough(b, `@HailQuery(filter="@3 between(1999-01-01,2000-01-01)", projection={@1})`)
+}

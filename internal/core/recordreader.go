@@ -3,7 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/hdfs"
 	"repro/internal/index"
@@ -51,7 +51,7 @@ type recordReader struct {
 	node    hdfs.NodeID
 
 	view  hdfs.ReplicaView // the replica being scanned; reused across blocks
-	scan  blockScan        // the block being scanned; reused across blocks
+	scan  blockScan        // the block being scanned; its column scratch is reused across blocks
 	batch mapred.Batch     // reused across blocks; fn must not retain it
 	sel   query.Selection  // reused selection vector
 	ident query.Selection  // reused identity selection for compacted batches
@@ -81,15 +81,52 @@ func (r *recordReader) ReadBatches(fn func(*mapred.Batch)) (mapred.TaskStats, er
 // index-resolved candidate row range and — once fetch has run — every byte
 // the scan will decode. A reader has one, valid until it opens the next
 // block (or the next replica of this one).
+//
+// The column lay-out below the line is scratch that outlives the block: it
+// is built for the first block's schema and kept while the next ones share
+// it, as the blocks of a file do, so the vectors keep their capacity and
+// nothing but the cursors is set up again per block.
 type blockScan struct {
 	reader         *pax.Reader
 	q              *query.Query
-	proj           []int
 	fromRow, toRow int
+	bad            []string
 
-	cols, filterCols []int               // filter ∪ projection, and the filter columns
-	cursors          []*pax.ColumnCursor // by column; one per needed column over [fromRow, toRow)
-	bad              []string
+	sch              *schema.Schema      // the schema the lay-out is for
+	proj             []int               // the projection, resolved against sch
+	cols, filterCols []int               // filter ∪ projection, and the filter columns; ascending
+	isFilter         []bool              // by column
+	vecs             []*schema.Vector    // by column; nil where the scan does not look
+	projVecs         []*schema.Vector    // vecs in projection order: a batch's Cols
+	cursors          []*pax.ColumnCursor // by column; over [fromRow, toRow) once fetch has run
+}
+
+// layOut resolves the query's columns against a block's schema.
+func (bs *blockScan) layOut(sch *schema.Schema) error {
+	if bs.sch.Equal(sch) {
+		return nil
+	}
+	n := sch.NumFields()
+	proj := bs.q.ProjectionOrAll(sch)
+	cols, filterCols := neededColumns(bs.q, proj)
+	if len(cols) > 0 && (cols[0] < 0 || cols[len(cols)-1] >= n) {
+		return fmt.Errorf("hail: query %s names a column outside the block's %d", bs.q, n)
+	}
+	bs.sch, bs.proj, bs.cols, bs.filterCols = sch, proj, cols, filterCols
+	bs.isFilter = make([]bool, n)
+	for _, c := range filterCols {
+		bs.isFilter[c] = true
+	}
+	bs.vecs = make([]*schema.Vector, n)
+	for _, c := range cols {
+		bs.vecs[c] = schema.NewVector(sch.Field(c).Type)
+	}
+	bs.projVecs = make([]*schema.Vector, len(proj))
+	for j, c := range proj {
+		bs.projVecs[j] = bs.vecs[c]
+	}
+	bs.cursors = make([]*pax.ColumnCursor, n)
+	return nil
 }
 
 // openBlockScan opens block b on the first replica that can serve every
@@ -172,11 +209,9 @@ func (r *recordReader) openView(b hdfs.BlockID, servedBy hdfs.NodeID, stats *map
 		q = &query.Query{}
 	}
 	bs := &r.scan
-	*bs = blockScan{
-		reader: reader,
-		q:      q,
-		proj:   q.ProjectionOrAll(reader.Schema()),
-		toRow:  reader.NumRows(),
+	bs.reader, bs.q, bs.fromRow, bs.toRow, bs.bad = reader, q, 0, reader.NumRows(), nil
+	if err := bs.layOut(reader.Schema()); err != nil {
+		return nil, err
 	}
 
 	indexed := false
@@ -225,8 +260,6 @@ func (r *recordReader) openView(b hdfs.BlockID, servedBy hdfs.NodeID, stats *map
 // bytes it already holds.
 func (bs *blockScan) fetch(stats *mapred.TaskStats) error {
 	if bs.toRow > bs.fromRow {
-		bs.cols, bs.filterCols = neededColumns(bs.q, bs.proj)
-		bs.cursors = make([]*pax.ColumnCursor, bs.reader.Schema().NumFields())
 		for _, col := range bs.cols {
 			cur, err := bs.reader.NewColumnCursor(col, bs.fromRow, bs.toRow)
 			if err != nil {
@@ -245,27 +278,17 @@ func (bs *blockScan) fetch(stats *mapred.TaskStats) error {
 }
 
 // neededColumns returns the distinct columns the scan must touch
-// (filter ∪ projection) in ascending order — the read order, so the seek
-// count never depends on map iteration order — plus the distinct filter
-// columns, also ascending.
+// (filter ∪ projection) in ascending order — the read order — plus the
+// distinct filter columns, also ascending.
 func neededColumns(q *query.Query, proj []int) (cols, filterCols []int) {
-	need := make(map[int]bool)
 	for _, p := range q.Filter {
-		if !need[p.Column] {
-			need[p.Column] = true
-			filterCols = append(filterCols, p.Column)
-		}
+		filterCols = append(filterCols, p.Column)
 	}
-	sort.Ints(filterCols)
-	for _, c := range proj {
-		need[c] = true
-	}
-	cols = make([]int, 0, len(need))
-	for c := range need {
-		cols = append(cols, c)
-	}
-	sort.Ints(cols)
-	return cols, filterCols
+	slices.Sort(filterCols)
+	filterCols = slices.Compact(filterCols)
+	cols = append(append(cols, filterCols...), proj...)
+	slices.Sort(cols)
+	return slices.Compact(cols), filterCols
 }
 
 // readBlockBatches is the vectorized per-block execution: stream the
@@ -296,27 +319,12 @@ func (r *recordReader) readBlockBatches(b hdfs.BlockID, fn func(*mapred.Batch), 
 // decodes the filter columns and runs the selection-vector kernels.
 // Projection columns are materialized at row granularity: when the
 // filters discard part of a batch, the projection-only cursors decode
-// (and, for strings, allocate) values for the surviving rows alone, and
-// the already-decoded filter columns are compacted in place, so every
-// emitted batch is dense. A selective scan therefore pays projection
-// decoding proportional to its selectivity, not its scan range — the
-// late-materialization payoff.
+// values for the surviving rows alone, and the already-decoded filter
+// columns are compacted in place, so every emitted batch is dense. A
+// selective scan therefore pays projection decoding proportional to its
+// selectivity, not its scan range — the late-materialization payoff.
 func (r *recordReader) streamRange(bs *blockScan, fn func(*mapred.Batch), stats *mapred.TaskStats) error {
-	cols, filterCols, cursors := bs.cols, bs.filterCols, bs.cursors
-	sch := bs.reader.Schema()
-	vecs := make(map[int]*schema.Vector, len(cols))
-	for _, col := range cols {
-		vecs[col] = schema.NewVector(sch.Field(col).Type)
-	}
-	isFilter := make(map[int]bool, len(filterCols))
-	for _, c := range filterCols {
-		isFilter[c] = true
-	}
-	projVecs := make([]*schema.Vector, len(bs.proj))
-	for j, c := range bs.proj {
-		projVecs[j] = vecs[c]
-	}
-
+	cols, filterCols, cursors, vecs := bs.cols, bs.filterCols, bs.cursors, bs.vecs
 	for remaining := bs.toRow - bs.fromRow; remaining > 0; {
 		n := batchRows
 		if n > remaining {
@@ -334,7 +342,7 @@ func (r *recordReader) streamRange(bs *blockScan, fn func(*mapred.Batch), stats 
 		stats.RowsSelected += int64(len(r.sel))
 		partial := len(r.sel) > 0 && len(r.sel) < n
 		for _, col := range cols {
-			if isFilter[col] {
+			if bs.isFilter[col] {
 				continue
 			}
 			var err error
@@ -366,7 +374,7 @@ func (r *recordReader) streamRange(bs *blockScan, fn func(*mapred.Batch), stats 
 		stats.RecordsDelivered += int64(len(sel))
 		stats.AttrsDelivered += int64(len(sel) * len(bs.proj))
 		stats.BatchesEmitted++
-		r.batch.Cols, r.batch.Sel, r.batch.Bad = projVecs, sel, nil
+		r.batch.Cols, r.batch.Sel, r.batch.Bad = bs.projVecs, sel, nil
 		fn(&r.batch)
 	}
 	return nil

@@ -296,6 +296,47 @@ func TestScanAllocationsNotPerRow(t *testing.T) {
 	}
 }
 
+// TestPassthroughScanAllocationsNotPerRow is the same gate on the path
+// users run, end to end: a full scan of all nine UserVisits attributes —
+// five of them strings — through Engine.Run with the passthrough map in
+// batch form. String vectors alias the replica, rows are formatted once
+// per batch and every key is a substring of that text, so what is left to
+// allocate is per block and per batch: at most one allocation per fifty
+// delivered rows, where boxing rows through Batch.Each costs thirteen per
+// row.
+func TestPassthroughScanAllocationsNotPerRow(t *testing.T) {
+	const nRows = 30_000
+	cluster, err := hdfs.NewCluster(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := bobLayout()
+	cfg.BlockSize = 1 << 20
+	if _, err := (&Client{Cluster: cluster, Config: cfg}).Upload("/uv", workload.GenerateUserVisits(nRows, 3, workload.UserVisitsOptions{})); err != nil {
+		t.Fatal(err)
+	}
+	e := &mapred.Engine{Cluster: cluster, Parallelism: 1}
+	job := &mapred.Job{
+		Name: "alloc-gate", File: "/uv",
+		Input:    &InputFormat{Cluster: cluster, Query: &query.Query{}},
+		Map:      workload.PassthroughMap,
+		MapBatch: workload.PassthroughMapBatch,
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		res, err := e.Run(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Output) != nRows {
+			t.Fatalf("delivered %d rows, want %d", len(res.Output), nRows)
+		}
+	})
+	t.Logf("%v allocations to deliver %d rows", allocs, nRows)
+	if allocs > nRows/50 {
+		t.Errorf("%v allocations to deliver %d rows — more than one per fifty", allocs, nRows)
+	}
+}
+
 // TestRowPathIsCacheKeyed pins what is left of the cache-key policy now
 // that there is one scan path and no knob selecting it: the input
 // format's signature is exactly the query's own, so every cache key

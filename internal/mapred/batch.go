@@ -1,6 +1,11 @@
 package mapred
 
-import "repro/internal/schema"
+import (
+	"math"
+	"slices"
+
+	"repro/internal/schema"
+)
 
 // Batch is one unit of the vectorized record stream: a fixed-size run of
 // rows (pax.PartitionSize in the HAIL reader) in columnar form, plus the
@@ -13,7 +18,8 @@ import "repro/internal/schema"
 // empty, Bad set): good rows first, then bad, per block.
 type Batch struct {
 	// Cols holds the projected attributes' vectors, in projection order.
-	// Vectors are owned by the reader and reused between batches.
+	// Vectors are owned by the reader and reused between batches; a string
+	// vector's bytes are a range of the replica being scanned.
 	Cols []*schema.Vector
 	// Sel is the selection vector: ascending row indexes into Cols'
 	// vectors for the rows that satisfy the filter.
@@ -23,7 +29,9 @@ type Batch struct {
 	// §4.3).
 	Bad []string
 
-	scratch schema.Row
+	scratch schema.Row // Each's row
+	text    []byte     // Lines' output, rebuilt per batch
+	ends    []int32    // Lines' row-end directory
 }
 
 // NumRows returns the number of records the batch delivers (selected
@@ -34,7 +42,9 @@ func (b *Batch) NumRows() int { return len(b.Sel) + len(b.Bad) }
 // lets every existing MapFunc consume the batch stream unchanged. The
 // Record's Row is a scratch buffer reused across calls (Hadoop's object
 // reuse contract): it is valid only for the duration of fn and must be
-// copied to be retained.
+// copied to be retained. Boxing costs one allocation per string value
+// (schema.Vector.Value); a map function that only wants the rows' text
+// should use Lines.
 func (b *Batch) Each(fn func(Record)) {
 	if len(b.Sel) > 0 {
 		if cap(b.scratch) < len(b.Cols) {
@@ -51,6 +61,42 @@ func (b *Batch) Each(fn func(Record)) {
 	for _, line := range b.Bad {
 		fn(Record{Raw: line, Bad: true})
 	}
+}
+
+// Lines renders the selected rows as text, straight from the vectors: text
+// holds each row's schema.Row.Line(sep) form back to back, in selection
+// order, and row k is text[ends[k-1]:ends[k]] (from 0 for the first). Bad
+// records are not part of it. The rows are formatted into a scratch the
+// batch owns and become one string per batch, so the cost is one
+// allocation per batch, not several per row; ends is reused by the next
+// call.
+//
+// A substring of text keeps all of text reachable — about 120 KB for a
+// full batch of nine-attribute rows. Every retainer of map output today
+// (a cache entry, a job result, a haild response) holds a block's rows
+// together, so nothing extra stays live; a map function that keeps one
+// row in a thousand should clone it.
+func (b *Batch) Lines(sep byte) (text string, ends []int32) {
+	b.text, b.ends = b.text[:0], slices.Grow(b.ends[:0], len(b.Sel))
+	for k, i := range b.Sel {
+		for c, vec := range b.Cols {
+			if c > 0 {
+				b.text = append(b.text, sep)
+			}
+			b.text = vec.AppendText(b.text, int(i))
+		}
+		b.ends = append(b.ends, int32(len(b.text)))
+		if k == 0 {
+			// The first row sizes the scratch for the rest, with an eighth
+			// to spare: growing it a quarter at a time from nothing would
+			// allocate five times the batch.
+			b.text = slices.Grow(b.text, len(b.text)*len(b.Sel)*9/8)
+		}
+	}
+	if len(b.text) > math.MaxInt32 {
+		panic("mapred: a batch's text exceeds the row-end directory's 2 GiB")
+	}
+	return string(b.text), b.ends
 }
 
 // MapBatchFunc is a map function that consumes whole batches. It must be

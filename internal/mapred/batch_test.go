@@ -1,0 +1,108 @@
+package mapred
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/schema"
+)
+
+// randomBatch builds a batch of n rows over every attribute type, with the
+// values that format differently from how a glance would write them:
+// negative and 64-bit integers, floats with exponents, ±Inf, dates outside
+// four-digit years, empty strings and strings holding the separator.
+func randomBatch(rng *rand.Rand, n int) *Batch {
+	types := []schema.Type{schema.String, schema.Int32, schema.Float64, schema.Date, schema.Int64, schema.String}
+	floats := []float64{0, -0.25, 1e21, 1e-7, 123456.789, math.Inf(1), math.Inf(-1), math.MaxFloat64, math.SmallestNonzeroFloat64}
+	strs := []string{"", ",", "a,b", "172.101.11.46", "http://x.example.com/p?q=1,2", "ünï"}
+	b := &Batch{}
+	for _, typ := range types {
+		vec := schema.NewVector(typ)
+		for i := 0; i < n; i++ {
+			switch typ {
+			case schema.Int32:
+				vec.Append(schema.IntVal(int32(rng.Uint32())))
+			case schema.Int64:
+				vec.Append(schema.LongVal(int64(rng.Uint64())))
+			case schema.Float64:
+				if rng.Intn(2) == 0 {
+					vec.Append(schema.FloatVal(floats[rng.Intn(len(floats))]))
+				} else {
+					vec.Append(schema.FloatVal(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(40)-20))))
+				}
+			case schema.Date:
+				if rng.Intn(8) == 0 {
+					vec.Append(schema.DateVal(int32(rng.Uint32())))
+				} else {
+					vec.Append(schema.DateVal(rng.Int31n(40_000) - 10_000))
+				}
+			case schema.String:
+				vec.Append(schema.StringVal(strs[rng.Intn(len(strs))]))
+			}
+		}
+		b.Cols = append(b.Cols, vec)
+	}
+	return b
+}
+
+// TestLinesMatchesEachAndRowLine: Batch.Lines is Each + Row.Line without
+// the rows — the same text, row for row, for any selection. The engine's
+// passthrough job emits from Lines and its caches and oracles were filled
+// from Row.Line, so the two may not differ by a byte.
+func TestLinesMatchesEachAndRowLine(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for round := 0; round < 200; round++ {
+		n := 1 + rng.Intn(40)
+		b := randomBatch(rng, n)
+		b.Bad = []string{"a bad record is no part of Lines"}
+		switch round % 3 {
+		case 0: // every row
+			for i := 0; i < n; i++ {
+				b.Sel = append(b.Sel, int32(i))
+			}
+		case 1: // some rows
+			for i := 0; i < n; i++ {
+				if rng.Intn(3) == 0 {
+					b.Sel = append(b.Sel, int32(i))
+				}
+			}
+		case 2: // none
+		}
+		for _, sep := range []byte{',', '|'} {
+			var want []string
+			b.Each(func(r Record) {
+				if !r.Bad {
+					want = append(want, r.Row.Line(sep))
+				}
+			})
+			text, ends := b.Lines(sep)
+			if len(ends) != len(want) {
+				t.Fatalf("round %d: Lines has %d rows, Each delivered %d", round, len(ends), len(want))
+			}
+			from := int32(0)
+			for k, to := range ends {
+				if got := text[from:to]; got != want[k] {
+					t.Fatalf("round %d row %d (batch row %d): Lines gives %q, Row.Line %q", round, k, b.Sel[k], got, want[k])
+				}
+				from = to
+			}
+			if int(from) != len(text) {
+				t.Fatalf("round %d: %d bytes of text after the last row", round, len(text)-int(from))
+			}
+		}
+	}
+}
+
+// TestLinesAllocatesPerBatchNotPerRow: once the batch's scratch has grown,
+// Lines costs the one string it returns.
+func TestLinesAllocatesPerBatchNotPerRow(t *testing.T) {
+	b := randomBatch(rand.New(rand.NewSource(31)), 1024)
+	for i := 0; i < 1024; i++ {
+		b.Sel = append(b.Sel, int32(i))
+	}
+	b.Lines(',')
+	if allocs := testing.AllocsPerRun(20, func() { b.Lines(',') }); allocs > 2 {
+		t.Errorf("Lines over 1,024 rows allocates %v times", allocs)
+	}
+}

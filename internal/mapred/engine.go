@@ -3,6 +3,7 @@ package mapred
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -499,7 +500,14 @@ func (e *Engine) runTask(job *Job, cc *cacheContext, taskID int, split Split, no
 		repacks, rerun int
 		runOn          = node
 	)
-	emit := func(k, v string) { kvs = append(kvs, KV{k, v}) }
+	// A full output doubles: append's own growth of a large slice, a quarter
+	// at a time, would allocate five times the task's final output.
+	emit := func(k, v string) {
+		if len(kvs) == cap(kvs) {
+			kvs = slices.Grow(kvs, max(len(kvs), 64))
+		}
+		kvs = append(kvs, KV{k, v})
+	}
 	defer func() {
 		if p := recover(); p != nil {
 			e.Obs.Counter("engine.task_panics").Inc()

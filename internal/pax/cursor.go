@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/schema"
 )
@@ -20,6 +21,7 @@ import (
 // instead of boxing the whole range into []schema.Value up front.
 type ColumnCursor struct {
 	typ schema.Type
+	col int    // the attribute, for error messages
 	raw []byte // the column's value bytes for the (partition-aligned) range
 
 	// Fixed-size columns: raw holds exactly the requested rows.
@@ -46,7 +48,7 @@ func (r *Reader) NewColumnCursor(col, fromRow, toRow int) (*ColumnCursor, error)
 		return nil, fmt.Errorf("pax: row range [%d,%d) out of bounds (rows=%d)", fromRow, toRow, r.numRows)
 	}
 	t := r.sch.Field(col).Type
-	c := &ColumnCursor{typ: t, remaining: toRow - fromRow}
+	c := &ColumnCursor{typ: t, col: col, remaining: toRow - fromRow}
 	if fromRow == toRow {
 		return c, nil
 	}
@@ -85,12 +87,8 @@ func (r *Reader) NewColumnCursor(col, fromRow, toRow int) (*ColumnCursor, error)
 		return nil, err
 	}
 	c.raw = raw
-	for row := pFrom * PartitionSize; row < fromRow; row++ {
-		z := indexByteFrom(c.raw, c.bpos, 0)
-		if z < 0 {
-			return nil, fmt.Errorf("pax: unterminated string value in column %d", col)
-		}
-		c.bpos = z + 1
+	if err := c.nextString(fromRow-pFrom*PartitionSize, nil); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
@@ -130,10 +128,9 @@ func (c *ColumnCursor) Next(n int, dst *schema.Vector) (int, error) {
 // NextSelected advances the cursor n rows like Next, but decodes only the
 // rows whose batch-relative indices appear in sel (ascending, each in
 // [0,n)), appending len(sel) values to dst — late materialization at row
-// granularity: a selective filter pays decoding (and, for strings, the
-// per-value allocation) only for surviving rows, while the cursor still
-// walks past the rest. dst is Reset first and receives values in sel
-// order. Returns the rows advanced, like Next.
+// granularity: a selective filter pays decoding only for surviving rows,
+// while the cursor still walks past the rest. dst is Reset first and
+// receives values in sel order. Returns the rows advanced, like Next.
 func (c *ColumnCursor) NextSelected(n int, sel []int32, dst *schema.Vector) (int, error) {
 	if n > c.remaining {
 		n = c.remaining
@@ -146,14 +143,17 @@ func (c *ColumnCursor) NextSelected(n int, sel []int32, dst *schema.Vector) (int
 		raw := c.raw[c.pos*c.width:]
 		switch c.typ {
 		case schema.Int32, schema.Date:
+			dst.I32 = slices.Grow(dst.I32, len(sel))
 			for _, s := range sel {
 				dst.I32 = append(dst.I32, int32(binary.LittleEndian.Uint32(raw[int(s)*4:])))
 			}
 		case schema.Int64:
+			dst.I64 = slices.Grow(dst.I64, len(sel))
 			for _, s := range sel {
 				dst.I64 = append(dst.I64, int64(binary.LittleEndian.Uint64(raw[int(s)*8:])))
 			}
 		case schema.Float64:
+			dst.F64 = slices.Grow(dst.F64, len(sel))
 			for _, s := range sel {
 				dst.F64 = append(dst.F64, math.Float64frombits(binary.LittleEndian.Uint64(raw[int(s)*8:])))
 			}
@@ -162,14 +162,17 @@ func (c *ColumnCursor) NextSelected(n int, sel []int32, dst *schema.Vector) (int
 		c.remaining -= n
 		return n, nil
 	}
+	dst.Bytes = c.raw[:len(c.raw):len(c.raw)]
+	dst.Start, dst.End = slices.Grow(dst.Start, len(sel)), slices.Grow(dst.End, len(sel))
 	k := 0
 	for i := 0; i < n; i++ {
 		z := indexByteFrom(c.raw, c.bpos, 0)
 		if z < 0 {
-			return 0, fmt.Errorf("pax: unterminated string value")
+			return 0, c.unterminated()
 		}
 		if k < len(sel) && int(sel[k]) == i {
-			dst.Str = append(dst.Str, string(c.raw[c.bpos:z]))
+			dst.Start = append(dst.Start, uint32(c.bpos))
+			dst.End = append(dst.End, uint32(z))
 			k++
 		}
 		c.bpos = z + 1
@@ -186,14 +189,17 @@ func (c *ColumnCursor) nextFixed(n int, dst *schema.Vector) {
 	raw := c.raw[c.pos*c.width:]
 	switch c.typ {
 	case schema.Int32, schema.Date:
+		dst.I32 = slices.Grow(dst.I32, n)
 		for i := 0; i < n; i++ {
 			dst.I32 = append(dst.I32, int32(binary.LittleEndian.Uint32(raw[i*4:])))
 		}
 	case schema.Int64:
+		dst.I64 = slices.Grow(dst.I64, n)
 		for i := 0; i < n; i++ {
 			dst.I64 = append(dst.I64, int64(binary.LittleEndian.Uint64(raw[i*8:])))
 		}
 	case schema.Float64:
+		dst.F64 = slices.Grow(dst.F64, n)
 		for i := 0; i < n; i++ {
 			dst.F64 = append(dst.F64, math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:])))
 		}
@@ -201,16 +207,28 @@ func (c *ColumnCursor) nextFixed(n int, dst *schema.Vector) {
 	c.pos += n
 }
 
+// nextString walks n values' terminators. What it delivers into dst is
+// where each value lies, not the value: dst.Bytes is the column range
+// itself, its capacity clamped so that appending to it copies.
 func (c *ColumnCursor) nextString(n int, dst *schema.Vector) error {
+	if dst != nil {
+		dst.Bytes = c.raw[:len(c.raw):len(c.raw)]
+		dst.Start, dst.End = slices.Grow(dst.Start, n), slices.Grow(dst.End, n)
+	}
 	for i := 0; i < n; i++ {
 		z := indexByteFrom(c.raw, c.bpos, 0)
 		if z < 0 {
-			return fmt.Errorf("pax: unterminated string value")
+			return c.unterminated()
 		}
 		if dst != nil {
-			dst.Str = append(dst.Str, string(c.raw[c.bpos:z]))
+			dst.Start = append(dst.Start, uint32(c.bpos))
+			dst.End = append(dst.End, uint32(z))
 		}
 		c.bpos = z + 1
 	}
 	return nil
+}
+
+func (c *ColumnCursor) unterminated() error {
+	return fmt.Errorf("pax: unterminated string value in column %d", c.col)
 }

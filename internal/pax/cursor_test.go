@@ -1,8 +1,12 @@
 package pax
 
 import (
+	"bytes"
+	"encoding/binary"
+	"strings"
 	"testing"
 
+	"repro/internal/hdfs"
 	"repro/internal/schema"
 )
 
@@ -377,5 +381,115 @@ func TestReaderFetchesWhatIOStatsCounts(t *testing.T) {
 	}
 	if len(src.ranges) != served {
 		t.Errorf("decoding fetched %d more ranges; all reads belong to cursor creation", len(src.ranges)-served)
+	}
+}
+
+// TestStringVectorNeverWritesTheReplica: a decoded string vector's Bytes
+// is the stored column range itself, and a replica is immutable. Whatever
+// a caller then does to the vector — Append grows Bytes, Gather moves
+// spans — must leave the block's bytes, and so the checksums stored beside
+// them, as they were. Append is the one that could not: without the
+// capacity clamp it would write the new value over whatever follows the
+// column in the block.
+func TestStringVectorNeverWritesTheReplica(t *testing.T) {
+	b := buildBlock(t, 2*PartitionSize+100, 28)
+	b.AppendBad("what follows the last column")
+	data, err := b.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sums []uint32
+	for _, p := range hdfs.BuildPackets(data) {
+		sums = append(sums, p.Sums...)
+	}
+	stored := bytes.Clone(data)
+
+	const url = 4
+	r, err := NewReader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, selected := range []bool{false, true} {
+		c, err := r.NewColumnCursor(url, 0, r.NumRows())
+		if err != nil {
+			t.Fatal(err)
+		}
+		vec := schema.NewVector(schema.String)
+		for c.Remaining() > 0 {
+			if selected {
+				_, err = c.NextSelected(PartitionSize, []int32{0, 3, 50}, vec)
+			} else {
+				_, err = c.Next(PartitionSize, vec)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if cap(vec.Bytes) != len(vec.Bytes) {
+			t.Errorf("decoded Bytes has %d spare bytes of the block behind it", cap(vec.Bytes)-len(vec.Bytes))
+		}
+		n, last := vec.Len(), string(vec.StrAt(vec.Len()-1))
+		vec.Append(schema.StringVal("appended, not written into the block"))
+		vec.Gather([]int32{1, int32(n - 1), int32(n)})
+		if got := string(vec.StrAt(1)); got != last {
+			t.Errorf("after Append and Gather the last decoded value reads %q, want %q", got, last)
+		}
+		if got := vec.Value(2).Str(); got != "appended, not written into the block" {
+			t.Errorf("appended value reads %q", got)
+		}
+		if !bytes.Equal(data, stored) {
+			t.Fatal("the block's bytes were written to")
+		}
+		if err := hdfs.VerifyStored(data, sums); err != nil {
+			t.Fatalf("the block no longer matches its stored checksums: %v", err)
+		}
+	}
+}
+
+// TestCursorUnterminatedErrorNamesTheColumn: a string column one
+// terminator short fails the same way wherever the walk meets it — at
+// cursor creation, in Next or in NextSelected — and says which column.
+func TestCursorUnterminatedErrorNamesTheColumn(t *testing.T) {
+	b := buildBlock(t, 10, 23)
+	data, err := b.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const url = 4
+	dirAt := fixedHeader + len(testSchema.String()) + 2
+	urlOff := int(binary.LittleEndian.Uint32(data[dirAt+url*8:]))
+	urlLen := int(binary.LittleEndian.Uint32(data[dirAt+url*8+4:]))
+	for i := urlOff + urlLen - 1; ; i-- { // the last value's terminator
+		if data[i] == 0 {
+			data[i] = 'x'
+			break
+		}
+	}
+	decode := map[string]func(c *ColumnCursor, vec *schema.Vector) error{
+		"Next": func(c *ColumnCursor, vec *schema.Vector) error {
+			_, err := c.Next(10, vec)
+			return err
+		},
+		"Next skipping": func(c *ColumnCursor, _ *schema.Vector) error {
+			_, err := c.Next(10, nil)
+			return err
+		},
+		"NextSelected": func(c *ColumnCursor, vec *schema.Vector) error {
+			_, err := c.NextSelected(10, []int32{2, 9}, vec)
+			return err
+		},
+	}
+	for name, fn := range decode {
+		r, err := NewReader(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := r.NewColumnCursor(url, 0, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fn(c, schema.NewVector(schema.String)); err == nil || !strings.Contains(err.Error(), "unterminated string value in column 4") {
+			t.Errorf("%s over a column one terminator short: %v", name, err)
+		}
 	}
 }

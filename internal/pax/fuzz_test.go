@@ -26,9 +26,11 @@ func fuzzSeedBlock(f *testing.F, rows int) []byte {
 }
 
 // FuzzNewReader: whatever the bytes, opening a block and reading all of it
-// the way a scan does — one cursor per column over every row, then the
-// bad-record section — yields values or an error, never a panic, and
-// allocates in proportion to the input.
+// the way a scan does — one cursor per column over every row, decoding
+// whole batches and then selected rows, then the bad-record section —
+// yields values or an error, never a panic, and allocates in proportion to
+// the input. Every string value is looked at, so a span outside the
+// vector's Bytes is a failure here and not in a map function.
 func FuzzNewReader(f *testing.F) {
 	f.Add(fuzzSeedBlock(f, 2*PartitionSize+17))
 	small := fuzzSeedBlock(f, 10)
@@ -41,15 +43,36 @@ func FuzzNewReader(f *testing.F) {
 			if err != nil {
 				return
 			}
-			for col := 0; col < r.Schema().NumFields(); col++ {
-				c, err := r.NewColumnCursor(col, 0, r.NumRows())
-				if err != nil {
-					continue
+			touch := func(vec *schema.Vector) {
+				for i := 0; vec.Type() == schema.String && i < vec.Len(); i++ {
+					_ = vec.StrAt(i)
 				}
+			}
+			sel := []int32{0, 1, 5, PartitionSize - 1}
+			for col := 0; col < r.Schema().NumFields(); col++ {
 				vec := schema.NewVector(r.Schema().Field(col).Type)
-				for {
-					if n, err := c.Next(PartitionSize, vec); err != nil || n == 0 {
-						break
+				if c, err := r.NewColumnCursor(col, 0, r.NumRows()); err == nil {
+					for {
+						if n, err := c.Next(PartitionSize, vec); err != nil || n == 0 {
+							break
+						}
+						touch(vec)
+					}
+				}
+				if c, err := r.NewColumnCursor(col, 0, r.NumRows()); err == nil {
+					for c.Remaining() > 0 {
+						n := min(PartitionSize, c.Remaining())
+						k := 0
+						for k < len(sel) && int(sel[k]) < n {
+							k++
+						}
+						if _, err := c.NextSelected(n, sel[:k], vec); err != nil {
+							break
+						}
+						if vec.Len() != k {
+							t.Fatalf("NextSelected delivered %d values for %d selected rows", vec.Len(), k)
+						}
+						touch(vec)
 					}
 				}
 			}

@@ -2,6 +2,7 @@ package query
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/schema"
 )
@@ -17,9 +18,9 @@ type Selection []int32
 // selected), reusing sel's capacity. This is the starting selection for
 // each batch.
 func MakeSelection(sel Selection, n int) Selection {
-	sel = sel[:0]
-	for i := 0; i < n; i++ {
-		sel = append(sel, int32(i))
+	sel = slices.Grow(sel[:0], n)[:n]
+	for i := range sel {
+		sel[i] = int32(i)
 	}
 	return sel
 }
@@ -90,13 +91,14 @@ func (p Predicate) FilterVector(vec *schema.Vector, sel Selection) Selection {
 		if hasHi {
 			hi = p.Hi.Str()
 		}
-		vals := vec.Str
+		// The values are windows of the column's bytes; string(v) in a
+		// comparison does not copy them (TestStringKernelDoesNotAllocate).
 		for _, i := range sel {
-			v := vals[i]
-			if hasLo && v < lo {
+			v := vec.StrAt(int(i))
+			if hasLo && string(v) < lo {
 				continue
 			}
-			if hasHi && v > hi {
+			if hasHi && string(v) > hi {
 				continue
 			}
 			out = append(out, i)

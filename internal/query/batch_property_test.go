@@ -149,3 +149,24 @@ func TestMatchesBatchMatchesRow(t *testing.T) {
 		}
 	}
 }
+
+// TestStringKernelDoesNotAllocate pins what the string kernel relies on:
+// a string vector's values are byte windows, and comparing string(window)
+// with a bound converts nothing — the compiler compares the bytes in
+// place. Were it to copy, every row of a string filter would allocate.
+func TestStringKernelDoesNotAllocate(t *testing.T) {
+	vec := schema.NewVector(schema.String)
+	for i := 0; i < 1024; i++ {
+		vec.Append(schema.StringVal([]string{"a value longer than a small-string buffer would hold", "m", "zz"}[i%3]))
+	}
+	p := Between(0, schema.StringVal("b"), schema.StringVal("n"))
+	sel := MakeSelection(nil, 1024)
+	allocs := testing.AllocsPerRun(20, func() {
+		if got := p.FilterVector(vec, MakeSelection(sel, 1024)); len(got) != 341 {
+			t.Fatalf("kernel kept %d rows, want 341", len(got))
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("string kernel over 1,024 rows allocates %v times", allocs)
+	}
+}

@@ -1,6 +1,8 @@
 package schema
 
 import (
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -238,6 +240,50 @@ func TestParseDateAgreesWithTimeParse(t *testing.T) {
 		"1999/01/01", "+999-01-01", "1999-0a-01", "", "1999-01-011",
 	} {
 		check(s)
+	}
+}
+
+// TestFormatDateAgreesWithTimeFormat holds the one date formatter to the
+// layout-driven format it replaced: the same text for every day of the
+// years 0001 to 9999 — which is also every date parseCivil accepts, so the
+// two must invert each other over it — and, outside them, for the ends of
+// int32, both sides of year 0 and of year 10000, and random days.
+func TestFormatDateAgreesWithTimeFormat(t *testing.T) {
+	var got, ref []byte
+	check := func(days int32) {
+		got = AppendDate(got[:0], days)
+		ref = time.Unix(int64(days)*86400, 0).UTC().AppendFormat(ref[:0], "2006-01-02")
+		if string(got) != string(ref) {
+			t.Fatalf("AppendDate(%d) = %q, time.Format says %q", days, got, ref)
+		}
+	}
+	first := int32(time.Date(1, 1, 1, 0, 0, 0, 0, time.UTC).Unix() / 86400)
+	last := int32(time.Date(9999, 12, 31, 0, 0, 0, 0, time.UTC).Unix() / 86400)
+	for d := first; d <= last; d++ {
+		check(d)
+		if back, ok := parseCivil(string(got)); !ok || back != d {
+			t.Fatalf("parseCivil(%q) = %d, %v; it is day %d", got, back, ok, d)
+		}
+	}
+	yearZero := int32(time.Date(0, 1, 1, 0, 0, 0, 0, time.UTC).Unix() / 86400)
+	for _, d := range []int32{
+		math.MinInt32, math.MinInt32 + 1, math.MaxInt32 - 1, math.MaxInt32,
+		first - 367, first - 366, first - 2, first - 1, yearZero - 1, yearZero, yearZero + 1,
+		last + 1, last + 2, last + 366, last + 367,
+	} {
+		check(d)
+	}
+	rng := rand.New(rand.NewSource(23))
+	for i := 0; i < 100_000; i++ {
+		check(int32(rng.Uint32()))
+	}
+	for _, d := range []int32{first, -1, 0, 10_957, last} {
+		if s := FormatDate(d); s != DateVal(d).String() || s != string(AppendDate(nil, d)) {
+			t.Errorf("FormatDate(%d) = %q, Value.String %q", d, s, DateVal(d).String())
+		}
+		if back, err := ParseDate(FormatDate(d)); err != nil || back != d {
+			t.Errorf("ParseDate(FormatDate(%d)) = %d, %v", d, back, err)
+		}
 	}
 }
 

@@ -221,8 +221,35 @@ func parseCivil(s string) (days int32, ok bool) {
 }
 
 // FormatDate renders days since the Unix epoch as YYYY-MM-DD.
-func FormatDate(days int32) string {
-	return time.Unix(int64(days)*86400, 0).UTC().Format("2006-01-02")
+func FormatDate(days int32) string { return string(AppendDate(nil, days)) }
+
+// AppendDate appends FormatDate(days) to dst: the one date formatter, for
+// the row path (Value.String), the text baselines and the batch path
+// (Vector.AppendText). It is parseCivil's inverse, by arithmetic, for the
+// years ParseDate's fast path accepts; outside 0001–9999 the year is not
+// four digits and time words it.
+func AppendDate(dst []byte, days int32) []byte {
+	const minDays, maxDays = -719162, 2932896 // 0001-01-01 and 9999-12-31
+	if days < minDays || days > maxDays {
+		return time.Unix(int64(days)*86400, 0).UTC().AppendFormat(dst, "2006-01-02")
+	}
+	// Days since 0000-03-01 (positive here), then the same March-based
+	// year parseCivil counts in.
+	z := int(days) + 719468
+	dayOfEra := z % 146097
+	yearOfEra := (dayOfEra - dayOfEra/1460 + dayOfEra/36524 - dayOfEra/146096) / 365
+	dayOfYear := dayOfEra - (365*yearOfEra + yearOfEra/4 - yearOfEra/100)
+	mp := (5*dayOfYear + 2) / 153 // months since March
+	d := dayOfYear - (153*mp+2)/5 + 1
+	y, m := z/146097*400+yearOfEra, mp+3
+	if m > 12 {
+		m -= 12
+		y++
+	}
+	return append(dst,
+		byte('0'+y/1000), byte('0'+y/100%10), byte('0'+y/10%10), byte('0'+y%10), '-',
+		byte('0'+m/10), byte('0'+m%10), '-',
+		byte('0'+d/10), byte('0'+d%10))
 }
 
 // MustDate is ParseDate for statically known dates; it panics on error.

@@ -482,14 +482,14 @@ func (s *Server) runQuery(req *QueryRequest) (*QueryResponse, error) {
 	resp.FullScans = st.FullScans
 	resp.BlocksFromCache = st.BlocksFromCache
 	resp.BytesRead = st.BytesRead
-	rows := make([]string, 0, len(res.Output))
-	for i, kv := range res.Output {
-		if req.Limit > 0 && i >= req.Limit {
-			break
-		}
-		rows = append(rows, kv.Key)
+	n := len(res.Output)
+	if req.Limit > 0 && req.Limit < n {
+		n = req.Limit
 	}
-	resp.Rows = rows
+	resp.Rows = make([]string, n)
+	for i := range resp.Rows {
+		resp.Rows[i] = res.Output[i].Key
+	}
 
 	if tap != nil {
 		tap.mu.Lock()

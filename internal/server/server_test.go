@@ -588,3 +588,29 @@ func TestQueryPanicIsA500NotACrash(t *testing.T) {
 	}
 	sameRows(t, "query after the panic", sorted(next.Rows), want)
 }
+
+// TestLimitSizesRowsByTheLimit: a limited query's response holds the rows
+// it returns, not a slot per row the query matched — `limit: 10` over a
+// large file used to allocate (and keep, while encoding) the full-size
+// slice to fill ten entries. The rows are the unlimited answer's prefix.
+func TestLimitSizesRowsByTheLimit(t *testing.T) {
+	s := newTestServer(t, makeFS(t, 700), Config{})
+	all, err := s.runQuery(&QueryRequest{File: "/t", Query: adaptiveQ})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if all.RowCount < 100 || len(all.Rows) != all.RowCount || cap(all.Rows) != all.RowCount {
+		t.Fatalf("unlimited: row_count %d, %d rows, cap %d", all.RowCount, len(all.Rows), cap(all.Rows))
+	}
+	for _, limit := range []int{1, 10, all.RowCount, all.RowCount + 5} {
+		got, err := s.runQuery(&QueryRequest{File: "/t", Query: adaptiveQ, Limit: limit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := min(limit, all.RowCount)
+		if got.RowCount != all.RowCount || cap(got.Rows) != want {
+			t.Errorf("limit %d: row_count %d (want %d), cap(rows) %d (want %d)", limit, got.RowCount, all.RowCount, cap(got.Rows), want)
+		}
+		sameRows(t, fmt.Sprintf("limit %d", limit), got.Rows, all.Rows[:want])
+	}
+}
