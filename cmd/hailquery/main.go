@@ -184,12 +184,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		idx.SetTrace(tr)
 	}
 	res, err := engine.Run(&mapred.Job{
-		Name:   "hailquery",
-		File:   *name,
-		Input:  input,
-		Map:    workload.PassthroughMap,
-		MapSig: workload.PassthroughMapSig, // required for the result cache to engage
-		Trace:  tr,
+		Name:     "hailquery",
+		File:     *name,
+		Input:    input,
+		Map:      workload.PassthroughMap,
+		MapBatch: workload.PassthroughMapBatch,
+		MapSig:   workload.PassthroughMapSig, // required for the result cache to engage
+		Trace:    tr,
 	})
 	if err != nil {
 		return err
@@ -231,10 +232,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			cs.Hits, cs.Misses, cs.Entries,
 			float64(cs.Bytes)/1e3, float64(cs.Budget)/1e6,
 			cs.Evictions, cs.Invalidations, cs.Rejected, float64(cs.BytesSaved)/1e3)
-		if cs.SplitPuts > 0 || cs.SplitHits > 0 {
-			fmt.Fprintf(stdout, "-- cache: %d split-level hits, %d split entries admitted (%d resident)\n",
-				cs.SplitHits, cs.SplitPuts, cs.SplitEntries)
-		}
 	}
 	if idx != nil {
 		plan := idx.LastJob()

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/hdfs"
 	"repro/internal/mapred"
+	"repro/internal/qcache"
 	"repro/internal/query"
 	"repro/internal/workload"
 )
@@ -144,37 +145,50 @@ func BenchmarkFullScanQuery(b *testing.B) {
 	benchQuery(b, `@HailQuery(filter="@9 between(1,100)", projection={@1})`, false)
 }
 
+// uploadBob uploads n generated lines (short under -short) to a fresh
+// 4-node cluster with Bob's layout at the given block size.
+func uploadBob(b *testing.B, n, short, blockSize int) *hdfs.Cluster {
+	b.Helper()
+	if testing.Short() {
+		n = short
+	}
+	cluster, err := hdfs.NewCluster(4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := bobLayout()
+	cfg.BlockSize = blockSize
+	lines := workload.GenerateUserVisits(n, 1, workload.UserVisitsOptions{NeedleEvery: 25_000, BadEvery: 10_007})
+	if _, err := (&Client{Cluster: cluster, Config: cfg}).Upload("/uv", lines); err != nil {
+		b.Fatal(err)
+	}
+	return cluster
+}
+
 // bobFix is the ledger's scan fixture outside bench/: 200k generated
 // lines (5k under -short) uploaded with Bob's layout, shared by the
-// passthrough benchmarks.
+// passthrough and hot-job benchmarks.
 var bobFix *hdfs.Cluster
 
-func benchPassthrough(b *testing.B, annotation string) {
+func getBobFix(b *testing.B) *hdfs.Cluster {
 	if bobFix == nil {
-		n := 200_000
-		if testing.Short() {
-			n = 5_000
-		}
-		cluster, err := hdfs.NewCluster(4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		lines := workload.GenerateUserVisits(n, 1, workload.UserVisitsOptions{NeedleEvery: 25_000, BadEvery: 10_007})
-		if _, err := (&Client{Cluster: cluster, Config: bobLayout()}).Upload("/uv", lines); err != nil {
-			b.Fatal(err)
-		}
-		bobFix = cluster
+		bobFix = uploadBob(b, 200_000, 5_000, 2<<20)
 	}
+	return bobFix
+}
+
+func benchPassthrough(b *testing.B, annotation string) {
+	cluster := getBobFix(b)
 	q, err := mustParse(annotation)
 	if err != nil {
 		b.Fatal(err)
 	}
-	e := &mapred.Engine{Cluster: bobFix, Parallelism: 1}
+	e := &mapred.Engine{Cluster: cluster, Parallelism: 1}
 	b.ReportAllocs()
 	for b.Loop() {
 		res, err := e.Run(&mapred.Job{
 			Name: "bench", File: "/uv",
-			Input:    &InputFormat{Cluster: bobFix, Query: q},
+			Input:    &InputFormat{Cluster: cluster, Query: q},
 			Map:      workload.PassthroughMap,
 			MapBatch: workload.PassthroughMapBatch,
 		})
@@ -193,9 +207,93 @@ func benchPassthrough(b *testing.B, annotation string) {
 // profile (the benchmarks above map to nothing). `make profile-scan`
 // profiles them.
 func BenchmarkWideScanPassthrough(b *testing.B) {
-	benchPassthrough(b, `@HailQuery(filter="@9 between(1,999)")`)
+	benchPassthrough(b, wideQ)
 }
 
 func BenchmarkIndexScanPassthrough(b *testing.B) {
 	benchPassthrough(b, `@HailQuery(filter="@3 between(1999-01-01,2000-01-01)", projection={@1})`)
 }
+
+// wideQ is the ledger's wide-scan query (every row, all attributes);
+// selectiveQ a one-month index scan projecting one attribute.
+const (
+	wideQ      = `@HailQuery(filter="@9 between(1,999)")`
+	selectiveQ = `@HailQuery(filter="@3 between(1999-01-01,1999-02-01)", projection={@1})`
+)
+
+// probedCache is what a cached job needs of qcache.Cache: the engine's
+// view plus the split phase's packing probe.
+type probedCache interface {
+	mapred.ResultCache
+	CachedReplica(file string, b hdfs.BlockID, gen uint64, query, mapSig string) (hdfs.NodeID, bool)
+}
+
+// cachedJob returns a runner of one cached passthrough job over /uv — the
+// way hailquery -cache [-pack-scans] and haild wire it: every run gets a
+// fresh input format and, when packing, the cache's packing probe.
+func cachedJob(tb testing.TB, cluster *hdfs.Cluster, cache probedCache, annotation string, pack bool) func() *mapred.JobResult {
+	tb.Helper()
+	q, err := mustParse(annotation)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	nn := cluster.NameNode()
+	e := &mapred.Engine{Cluster: cluster, Parallelism: 1, Cache: cache}
+	return func() *mapred.JobResult {
+		in := &InputFormat{Cluster: cluster, Query: q, PackScans: pack}
+		if pack {
+			sig, _ := in.QuerySignature()
+			in.CachedReplica = func(blk hdfs.BlockID) (hdfs.NodeID, bool) {
+				return cache.CachedReplica("/uv", blk, nn.Generation(blk), sig, workload.PassthroughMapSig)
+			}
+		}
+		res, err := e.Run(&mapred.Job{
+			Name: "hot", File: "/uv", Input: in,
+			Map:      workload.PassthroughMap,
+			MapBatch: workload.PassthroughMapBatch,
+			MapSig:   workload.PassthroughMapSig,
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return res
+	}
+}
+
+// benchHotJob times a fully cached job: one cold and one warm run first, so
+// the loop sees only hits. residentMB is what the cache holds afterwards —
+// the same packed and unpacked.
+func benchHotJob(b *testing.B, cluster *hdfs.Cluster, annotation string, pack bool) {
+	cache := qcache.New(1 << 30)
+	run := cachedJob(b, cluster, cache, annotation, pack)
+	run()
+	run()
+	b.ReportAllocs()
+	for b.Loop() {
+		if st := run().TotalStats(); st.Blocks == 0 || st.BlocksFromCache != st.Blocks {
+			b.Fatalf("hot job answered %d of %d blocks from the cache", st.BlocksFromCache, st.Blocks)
+		}
+	}
+	b.ReportMetric(float64(cache.Stats().Bytes)/1e6, "residentMB")
+}
+
+// smallFix is the many-small-blocks shape: 20k lines (2k under -short) in
+// 32 KiB blocks, where a hot job's cost is dispatch and lookups, not rows.
+var smallFix *hdfs.Cluster
+
+func benchHotJobShapes(b *testing.B, pack bool) {
+	b.Run("wide", func(b *testing.B) { benchHotJob(b, getBobFix(b), wideQ, pack) })
+	b.Run("small-blocks", func(b *testing.B) {
+		if smallFix == nil {
+			smallFix = uploadBob(b, 20_000, 2_000, 32<<10)
+		}
+		benchHotJob(b, smallFix, selectiveQ, pack)
+	})
+}
+
+// BenchmarkHotPackedJob and BenchmarkHotUnpackedJob are ROADMAP 1(e)'s
+// condition as a committed benchmark: the fully cached job of hailquery
+// -cache with and without -pack-scans, on the ledger's 200k-row file (every
+// row, all attributes) and on a file of many small blocks (selective).
+func BenchmarkHotPackedJob(b *testing.B)   { benchHotJobShapes(b, true) }
+func BenchmarkHotUnpackedJob(b *testing.B) { benchHotJobShapes(b, false) }

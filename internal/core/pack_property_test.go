@@ -138,9 +138,8 @@ func assertRegisteredPins(t *testing.T, cluster *hdfs.Cluster, splits []mapred.S
 // Under random drop/kill/revive sequences interleaved with cached packed
 // execution:
 //
-//  1. after any DropReplica, no qcache entry (block- or split-level)
-//     survives for the dropped block — the generation bump's change hook
-//     must purge both granularities;
+//  1. after any DropReplica, no qcache entry survives for the dropped
+//     block — the generation bump's change hook must purge them;
 //  2. packed-scan pinning (including the CachedReplica probe's pins)
 //     never selects a dropped replica — no ghost pins;
 //  3. cached execution stays multiset-identical to the healthy-cluster
@@ -241,9 +240,8 @@ func TestDropReplicaCacheProperty(t *testing.T) {
 						t.Fatalf("step %d: DropReplica(%d,%d): %v", step, b, victim, err)
 					}
 					// Invariant 1: nothing cached survives for the block.
-					if be, se := cache.BlockEntries(b); be != 0 || se != 0 {
-						t.Fatalf("step %d: %d block / %d split cache entries survive for dropped block %d",
-							step, be, se, b)
+					if n := cache.BlockEntries(b); n != 0 {
+						t.Fatalf("step %d: %d cache entries survive for dropped block %d", step, n, b)
 					}
 					// Invariant 2: no split pins the dropped replica.
 					checkSplits(fmt.Sprintf("step%d-drop", step))

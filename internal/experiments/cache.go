@@ -55,10 +55,6 @@ type CacheJob struct {
 	HitBlocks int // blocks answered from the cache
 	HitRate   float64
 	Rows      int
-	// SplitHits is the packed-split-level cache hits this job produced
-	// (PackScans only: a fully cached packed split replays with one
-	// lookup).
-	SplitHits int64
 	// Cache counter deltas for this job, and occupancy after it.
 	Hits          int64
 	Misses        int64
@@ -251,7 +247,6 @@ func (r *Runner) ExpCache(w Workload, jobs int, budget int64, offerRate float64,
 			Rows:          len(res.Output),
 			Hits:          d.Hits,
 			Misses:        d.Misses,
-			SplitHits:     d.SplitHits,
 			Evictions:     d.Evictions,
 			Invalidations: d.Invalidations,
 			CacheBytes:    cs.Bytes,
@@ -314,8 +309,8 @@ func (rep *CacheReport) String() string {
 		cold.WorkSeconds, hot.WorkSeconds, speedup,
 		float64(rep.BytesSaved)/1e6)
 	if rep.PackScans {
-		fmt.Fprintf(&b, "packed scans: %d dispatched tasks per job (vs %d blocks), %d split-level hits on the hot job\n",
-			hot.Tasks, rep.TotalBlocks, hot.SplitHits)
+		fmt.Fprintf(&b, "packed scans: %d dispatched tasks per job (vs %d blocks)\n",
+			hot.Tasks, rep.TotalBlocks)
 	}
 	var invalidated int64
 	var rebuilt int

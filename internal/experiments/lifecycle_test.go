@@ -77,8 +77,8 @@ func TestExpLifecycleSynthetic(t *testing.T) {
 
 // TestExpCachePacked is the ROADMAP's -pack-scans mode for the cache
 // trajectory: same cold/hot/invalidate sequence, but the dispatched task
-// count drops to the per-node split count and the hot job replays whole
-// packed splits from the split-level cache.
+// count drops to the per-node split count and the hot job answers every
+// block of every packed split from the cache.
 func TestExpCachePacked(t *testing.T) {
 	rep, err := quickRunner().ExpCache(UserVisits, 4, 0, 0.5, true)
 	if err != nil {
@@ -90,9 +90,6 @@ func TestExpCachePacked(t *testing.T) {
 	cold, hot := rep.Jobs[0], rep.Jobs[1]
 	if hot.HitRate < 1.0 {
 		t.Errorf("packed hot job hit only %.0f%% of blocks", 100*hot.HitRate)
-	}
-	if hot.SplitHits == 0 {
-		t.Error("packed hot job produced no split-level hits")
 	}
 	// The dispatch bound falls: tasks are a function of cluster size, not
 	// block count.

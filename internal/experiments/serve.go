@@ -73,7 +73,6 @@ type ServeReport struct {
 
 	// Shared-state counters after the storm.
 	CacheHits        int64 `json:"cache_hits"`
-	CacheSplitHits   int64 `json:"cache_split_hits"`
 	CacheEntries     int   `json:"cache_entries"`
 	AdaptiveReplicas int   `json:"adaptive_replicas"`
 }
@@ -282,7 +281,6 @@ func (r *Runner) ExpServe(w Workload, queries, tenants int) (*ServeReport, error
 	}
 	st := srv.CacheStats()
 	rep.CacheHits = st.Hits
-	rep.CacheSplitHits = st.SplitHits
 	rep.CacheEntries = st.Entries
 	rep.AdaptiveReplicas = len(srv.Indexer().Replicas())
 
@@ -302,7 +300,7 @@ func (rep *ServeReport) String() string {
 		rep.Queries, rep.ColdLane, rep.WallMs, rep.ThroughputQPS)
 	fmt.Fprintf(&b, "  latency  p50 %.2f ms   p95 %.2f ms   p99 %.2f ms   mean %.2f ms   queue-wait p99 %.2f ms\n",
 		rep.P50Ms, rep.P95Ms, rep.P99Ms, rep.MeanMs, rep.QueueWaitP99Ms)
-	fmt.Fprintf(&b, "  shared state: %d cache hits + %d split hits (%d entries), %d adaptive replicas after %d warmup jobs\n",
-		rep.CacheHits, rep.CacheSplitHits, rep.CacheEntries, rep.AdaptiveReplicas, rep.WarmupJobs)
+	fmt.Fprintf(&b, "  shared state: %d cache hits (%d entries), %d adaptive replicas after %d warmup jobs\n",
+		rep.CacheHits, rep.CacheEntries, rep.AdaptiveReplicas, rep.WarmupJobs)
 	return b.String()
 }

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -154,7 +153,6 @@ func (e *Engine) metrics() *engineMetrics {
 // runs uncached.
 type cacheContext struct {
 	cache    ResultCache
-	sc       SplitCache // non-nil when the cache admits whole packed splits
 	nn       *hdfs.NameNode
 	file     string
 	querySig string
@@ -179,9 +177,8 @@ func (e *Engine) cacheContext(job *Job) *cacheContext {
 	if !ok {
 		return nil
 	}
-	sc, _ := e.Cache.(SplitCache)
 	return &cacheContext{
-		cache: e.Cache, sc: sc, nn: e.Cluster.NameNode(),
+		cache: e.Cache, nn: e.Cluster.NameNode(),
 		file: job.File, querySig: sig, mapSig: job.MapSig,
 	}
 }
@@ -200,41 +197,6 @@ func (cc *cacheContext) key(split Split, b hdfs.BlockID, runOn hdfs.NodeID) Cach
 		File: cc.file, Block: b, Gen: cc.nn.Generation(b),
 		Query: cc.querySig, MapSig: cc.mapSig, Replica: replica,
 	}
-}
-
-// splitKey builds the split-level cache key for a packed split. ok is
-// false when the split is not split-cacheable: fewer than two blocks, or
-// blocks not all pinned to one replica node (a Fallback repack produces
-// mixed pins — such a split falls back to per-block entries, which remain
-// correct at any pinning).
-func (cc *cacheContext) splitKey(split Split) (SplitCacheKey, bool) {
-	if len(split.Blocks) < 2 {
-		return SplitCacheKey{}, false
-	}
-	var rep hdfs.NodeID
-	for i, b := range split.Blocks {
-		r, ok := split.Replica[b]
-		if !ok || (i > 0 && r != rep) {
-			return SplitCacheKey{}, false
-		}
-		rep = r
-	}
-	ids := make([]int64, 0, len(split.Blocks))
-	for _, b := range split.Blocks {
-		ids = append(ids, int64(b))
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	var sig strings.Builder
-	for i, id := range ids {
-		if i > 0 {
-			sig.WriteByte(',')
-		}
-		fmt.Fprintf(&sig, "%d:%d", id, cc.nn.Generation(hdfs.BlockID(id)))
-	}
-	return SplitCacheKey{
-		File: cc.file, BlockSig: sig.String(),
-		Query: cc.querySig, MapSig: cc.mapSig, Replica: rep,
-	}, true
 }
 
 // readRecords drives a record reader through the job's map function,
@@ -294,13 +256,24 @@ func (e *Engine) Run(job *Job) (*JobResult, error) {
 	// One slot per task. Every task's span opens with the map phase, so its
 	// wait child (and engine.task_wait_seconds) measures map-phase start →
 	// claim; both are zero Spans (inert, allocation-free) when tracing is
-	// off.
+	// off. A task's output is one chunk per block, in split order; the
+	// chunks of all tasks are windows of one array sized by the job's block
+	// count.
 	tasks := make([]struct {
 		tsp, wsp obs.Span
 		report   TaskReport
-		kvs      []KV
+		chunks   [][]KV
 		err      error
 	}, len(splits))
+	nblocks := 0
+	for _, s := range splits {
+		nblocks += len(s.Blocks)
+	}
+	free := make([][]KV, nblocks)
+	for i, s := range splits {
+		n := len(s.Blocks)
+		tasks[i].chunks, free = free[:0:n], free[n:]
+	}
 	mapSpan := tr.StartSpan("map", "phase", 0, runSpan)
 	if tr.Enabled() {
 		for i := range tasks {
@@ -330,7 +303,7 @@ func (e *Engine) Run(job *Job) (*JobResult, error) {
 				m.taskWait.Observe(time.Since(mapStart))
 				execStart = time.Now()
 			}
-			t.report, t.kvs, t.err = e.runTask(job, cc, i, splits[i], assignments[i], t.tsp)
+			t.report, t.chunks, t.err = e.runTask(job, cc, i, splits[i], assignments[i], t.tsp, t.chunks)
 			if m != nil {
 				m.taskSeconds.Observe(time.Since(execStart))
 			}
@@ -362,11 +335,16 @@ func (e *Engine) Run(job *Job) (*JobResult, error) {
 	mapSpan.End()
 
 	assembleSpan := tr.StartSpan("assemble", "phase", 0, runSpan)
+	// The one place KV headers are copied: the chunks may be the cache's own
+	// slices, which nothing downstream of here may write through.
 	outLen := 0
 	for i := range tasks {
-		outLen += len(tasks[i].kvs)
+		for _, c := range tasks[i].chunks {
+			outLen += len(c)
+		}
 	}
 	mapOut := make([]KV, 0, outLen)
+	res.Tasks = make([]TaskReport, 0, len(tasks))
 	for i := range tasks {
 		t := &tasks[i]
 		if t.err != nil {
@@ -382,7 +360,9 @@ func (e *Engine) Run(job *Job) (*JobResult, error) {
 			res.Repacked++
 		}
 		res.BlocksRerun += t.report.BlocksRerun
-		mapOut = append(mapOut, t.kvs...)
+		for _, c := range t.chunks {
+			mapOut = append(mapOut, c...)
+		}
 	}
 	if m != nil {
 		m.recordJob(res)
@@ -470,28 +450,28 @@ func (e *Engine) schedule(splits []Split) []hdfs.NodeID {
 }
 
 // runTask executes one map task: one loop over the split's blocks, the
-// same for every input format and every split size. Per block it probes
-// the result cache when the job is cacheable, otherwise opens the split
-// narrowed to that block and maps its records straight into the task's
-// output; a reader that fails mid-block has its partial output truncated
-// away. A fully split-cached packed split is answered with one split-level
-// lookup before its first block, and a packed split computed in one
-// attempt is admitted at split level after its last.
+// same for every input format and every split size. A task's output is the
+// list of its blocks' outputs, appended to chunks (the task's empty window
+// of the job's chunk array) in split order. Per block the loop probes the
+// result cache when the job is cacheable — a hit's chunk is the cache's own
+// slice, shared and read-only, not a copy — and otherwise opens the split
+// narrowed to that block and maps its records into a fresh chunk; a reader
+// that fails mid-block has its chunk dropped.
 //
-// Progress is a cursor: blocks [0,pos) are done and their output is in kvs,
-// in split order, so the result is byte-identical to a whole-split read.
-// When the node or a replica it reads dies mid-task the attempt fails and
-// the task is retried (Hadoop's re-execution after the expiry interval):
-// dead replica pins are re-resolved via Split.Fallback — which never
-// reorders Blocks — and the retry resumes at pos, so a node loss costs
-// only the blocks not yet done. started is the high-water mark of blocks
-// begun; a block begun twice is one BlocksRerun.
+// Progress is a cursor: blocks [0,pos) are done and chunks holds their
+// output, so the result is byte-identical to a whole-split read. When the
+// node or a replica it reads dies mid-task the attempt fails and the task
+// is retried (Hadoop's re-execution after the expiry interval): dead
+// replica pins are re-resolved via Split.Fallback — which never reorders
+// Blocks — and the retry resumes at pos, so a node loss costs only the
+// blocks not yet done. started is the high-water mark of blocks begun; a
+// block begun twice is one BlocksRerun.
 //
 // A panic under this function — map function, batch accessor, decoder —
 // is the task boundary's to catch: it fails the job with an error naming
 // task, block and executing node instead of killing the process, and the
 // failed block's output never reaches the cache.
-func (e *Engine) runTask(job *Job, cc *cacheContext, taskID int, split Split, node hdfs.NodeID, tsp obs.Span) (report TaskReport, kvs []KV, err error) {
+func (e *Engine) runTask(job *Job, cc *cacheContext, taskID int, split Split, node hdfs.NodeID, tsp obs.Span, chunks [][]KV) (report TaskReport, out [][]KV, err error) {
 	const maxAttempts = 4
 	tr := job.Trace
 	var (
@@ -499,9 +479,10 @@ func (e *Engine) runTask(job *Job, cc *cacheContext, taskID int, split Split, no
 		pos, started   int
 		repacks, rerun int
 		runOn          = node
+		kvs            []KV // the chunk of the block being computed
 	)
-	// A full output doubles: append's own growth of a large slice, a quarter
-	// at a time, would allocate five times the task's final output.
+	// A full chunk doubles: append's own growth of a large slice, a quarter
+	// at a time, would allocate five times the block's final output.
 	emit := func(k, v string) {
 		if len(kvs) == cap(kvs) {
 			kvs = slices.Grow(kvs, max(len(kvs), 64))
@@ -515,7 +496,7 @@ func (e *Engine) runTask(job *Job, cc *cacheContext, taskID int, split Split, no
 			if pos < len(split.Blocks) {
 				where = fmt.Sprintf("block %d", split.Blocks[pos])
 			}
-			report, kvs = TaskReport{}, nil
+			report, out = TaskReport{}, nil
 			err = fmt.Errorf("mapred: task %d %s on node %d panicked: %v", taskID, where, runOn, p)
 		}
 	}()
@@ -525,20 +506,6 @@ func (e *Engine) runTask(job *Job, cc *cacheContext, taskID int, split Split, no
 		asp := tr.StartSpan("attempt", "task", taskID+1, tsp)
 		defer asp.End()
 		asp.SetInt("node", int64(runOn))
-		var skey SplitCacheKey
-		splitCacheable := false
-		if cc != nil && cc.sc != nil && pos == 0 {
-			if k, ok := cc.splitKey(split); ok {
-				if ckvs, _, hit := cc.sc.GetSplit(k); hit {
-					tr.Count("qcache.split_hit", 1)
-					kvs, pos = ckvs, len(split.Blocks)
-					stats = TaskStats{Blocks: pos, BlocksFromCache: pos}
-					return nil
-				}
-				tr.Count("qcache.split_miss", 1)
-				skey, splitCacheable = k, true
-			}
-		}
 		for ; pos < len(split.Blocks); pos++ {
 			if pos < started {
 				rerun++
@@ -553,14 +520,14 @@ func (e *Engine) runTask(job *Job, cc *cacheContext, taskID int, split Split, no
 				key = cc.key(split, split.Blocks[pos], runOn)
 				if ckvs, _, ok := cc.cache.Get(key); ok {
 					tr.Count("qcache.block_hit", 1)
-					kvs = append(kvs, ckvs...)
+					chunks = append(chunks, ckvs)
 					stats.Blocks++
 					stats.BlocksFromCache++
 					continue
 				}
 				tr.Count("qcache.block_miss", 1)
 			}
-			mark := len(kvs)
+			kvs = nil
 			block := split
 			block.Blocks = split.Blocks[pos : pos+1 : pos+1]
 			rr, err := job.Input.Open(block, runOn)
@@ -569,18 +536,13 @@ func (e *Engine) runTask(job *Job, cc *cacheContext, taskID int, split Split, no
 				bstats, err = readRecords(job, rr, emit)
 			}
 			if err != nil {
-				kvs = kvs[:mark]
 				return err
 			}
-			if cc != nil {
-				cc.cache.Put(key, kvs[mark:], bstats)
+			if cc != nil && cc.cache.Put(key, kvs, bstats) {
 				tr.Count("qcache.block_put", 1)
 			}
+			chunks = append(chunks, kvs)
 			stats.Add(bstats)
-		}
-		if splitCacheable {
-			cc.sc.PutSplit(skey, split.Blocks, kvs, stats)
-			tr.Count("qcache.split_put", 1)
 		}
 		return nil
 	}
@@ -609,11 +571,13 @@ func (e *Engine) runTask(job *Job, cc *cacheContext, taskID int, split Split, no
 			continue
 		}
 		if job.Combine != nil {
-			kvs = runReduce(job.Combine, kvs)
+			chunks = append(chunks[:0], runReduce(job.Combine, slices.Concat(chunks...)))
 		}
 		var outBytes int64
-		for _, kv := range kvs {
-			outBytes += int64(len(kv.Key) + len(kv.Value) + 2)
+		for _, c := range chunks {
+			for _, kv := range c {
+				outBytes += int64(len(kv.Key) + len(kv.Value) + 2)
+			}
 		}
 		stats.OutputBytes = outBytes
 		local := false
@@ -632,7 +596,7 @@ func (e *Engine) runTask(job *Job, cc *cacheContext, taskID int, split Split, no
 			Local:       local,
 			Repacks:     repacks,
 			BlocksRerun: rerun,
-		}, kvs, nil
+		}, chunks, nil
 	}
 	return TaskReport{}, nil, fmt.Errorf("mapred: task %d failed after %d attempts: %v", taskID, maxAttempts, lastErr)
 }

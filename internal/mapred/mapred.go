@@ -20,6 +20,11 @@
 // batch form with Job.MapBatch; either way the emitted output — and thus
 // every qcache entry keyed by (block, generation, query signature,
 // MapSig, replica) — is byte-identical.
+//
+// A task's output is the list of its blocks' outputs. That is what makes
+// the block the only granularity the result cache needs: a cached block's
+// chunk is the cache's own slice, shared by every job that hits it and
+// copied exactly once, into the job's output.
 package mapred
 
 import (
@@ -282,40 +287,13 @@ type CacheKey struct {
 // ResultCache is the engine's view of the block-level result cache
 // (internal/qcache): per-block map outputs with the stats the computation
 // cost, so hits can account for the work they saved. Implementations must
-// be safe for concurrent use by many task goroutines, and Put must copy
-// what it keeps: kvs is a window of the running task's output.
+// be safe for concurrent use by many task goroutines. The slice Get returns
+// goes into the task's output as is, so it must never change afterwards;
+// Put must copy what it keeps (kvs has spare capacity the entry should not
+// pin) and reports whether it admitted the entry.
 type ResultCache interface {
 	Get(k CacheKey) ([]KV, TaskStats, bool)
-	Put(k CacheKey, kvs []KV, stats TaskStats)
-}
-
-// SplitCacheKey identifies the cached output of one packed split. BlockSig
-// is the canonical identity of the split's block set: the ascending
-// "block:generation" list joined with commas. Embedding every member
-// block's generation — not just the maximum — makes any replica-topology
-// change in the set unreachable (a bump below the maximum would leave the
-// maximum, and a max-only key, unchanged). Replica is the node all of the
-// split's blocks are pinned to; a split with mixed or missing pins (e.g.
-// after a Fallback repack) is not split-cacheable and falls back to
-// per-block entries.
-type SplitCacheKey struct {
-	File     string
-	BlockSig string
-	Query    string
-	MapSig   string
-	Replica  hdfs.NodeID
-}
-
-// SplitCache is implemented by result caches that additionally admit the
-// whole output of a packed split under one key, so a fully-cached packed
-// split replays with a single lookup instead of one per block — the
-// admission granularity that keeps dispatch-bound hot jobs cheap once
-// scan splits are packed. PutSplit receives the member blocks alongside
-// the key so the cache can index the entry per block (for invalidation)
-// without re-parsing the key's signature.
-type SplitCache interface {
-	GetSplit(k SplitCacheKey) ([]KV, TaskStats, bool)
-	PutSplit(k SplitCacheKey, blocks []hdfs.BlockID, kvs []KV, stats TaskStats)
+	Put(k CacheKey, kvs []KV, stats TaskStats) bool
 }
 
 // Job describes one MapReduce job.

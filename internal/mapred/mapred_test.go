@@ -398,12 +398,13 @@ func (c *mapCache) Get(k CacheKey) ([]KV, TaskStats, bool) {
 	return kvs, c.s[k], ok
 }
 
-func (c *mapCache) Put(k CacheKey, kvs []KV, stats TaskStats) {
+func (c *mapCache) Put(k CacheKey, kvs []KV, stats TaskStats) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.m[k] = append([]KV(nil), kvs...)
 	c.s[k] = stats
 	c.lastKey = k
+	return true
 }
 
 func runCounting(t *testing.T, e *Engine, f *fakeInput, name string) *JobResult {

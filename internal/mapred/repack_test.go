@@ -2,6 +2,7 @@ package mapred
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -20,6 +21,9 @@ type fakeBlockInput struct {
 	failOnce map[hdfs.BlockID]bool
 	// failLate makes a failing read deliver the block's records first.
 	failLate bool
+	// killOn kills a node while the block is being read, once: the
+	// block's records are delivered, then its pinned replica is gone.
+	killOn map[hdfs.BlockID]hdfs.NodeID
 }
 
 func (f *fakeBlockInput) Open(split Split, node hdfs.NodeID) (RecordReader, error) {
@@ -66,6 +70,16 @@ func (r *fakeBlockReader) Read(fn func(Record)) (TaskStats, error) {
 		}
 		if fail {
 			return stats, failed
+		}
+		f.mu.Lock()
+		victim, kill := f.killOn[b]
+		delete(f.killOn, b)
+		f.mu.Unlock()
+		if kill {
+			if err := f.cluster.KillNode(victim); err != nil {
+				return stats, err
+			}
+			return stats, fmt.Errorf("block %d: node %d died mid-read", b, victim)
 		}
 	}
 	return stats, nil
@@ -198,6 +212,71 @@ func TestPackedSplitMidTaskFailureRerunsOnlyAffectedBlocks(t *testing.T) {
 		}
 		if n != want {
 			t.Errorf("block %d opened %d times, want %d", b, n, want)
+		}
+	}
+}
+
+// TestPackedCachedSplitMidSplitKill: the pinned node of a packed, partly
+// cached split dies while block 4 is being read. The blocks before it —
+// 0–2 hits whose chunks are the cache's own slices, 3 computed — stay done:
+// the retry repins and resumes at block 4, only that block is rerun, its
+// half-delivered chunk is dropped, the cached entries are untouched, and
+// the output is the uncached run's byte for byte.
+func TestPackedCachedSplitMidSplitKill(t *testing.T) {
+	job := func(f *fakeBlockInput) *Job {
+		return &Job{Name: "kill", File: "/fake", Input: f, MapSig: "raw", Map: func(r Record, emit Emit) { emit(r.Raw, "1") }}
+	}
+	c, f := packedFixture(t, 4, 6, 1, 2)
+	want, err := (&Engine{Cluster: c}).Run(job(f))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	c, f = packedFixture(t, 4, 6, 1, 2)
+	f.sig = "q"
+	cache := newMapCache()
+	e := &Engine{Cluster: c, Cache: cache, Parallelism: 1}
+	// Warm blocks 0–2 only.
+	whole := f.splits[0]
+	head := whole
+	head.Blocks = whole.Blocks[:3]
+	f.splits = []Split{head}
+	if _, err := e.Run(job(f)); err != nil {
+		t.Fatal(err)
+	}
+	warm := make(map[CacheKey][]KV)
+	for k, kvs := range cache.m {
+		warm[k] = append([]KV(nil), kvs...)
+	}
+
+	f.splits = []Split{whole}
+	f.blockOpens = nil
+	f.killOn = map[hdfs.BlockID]hdfs.NodeID{4: 1}
+	res, err := e.Run(job(f))
+	if err != nil {
+		t.Fatal(err)
+	}
+	task := res.Tasks[0]
+	if task.Attempts != 2 || task.Repacks != 1 || res.BlocksRerun != 1 {
+		t.Errorf("attempts=%d repacks=%d rerun=%d, want 2,1,1 (only the interrupted block)", task.Attempts, task.Repacks, res.BlocksRerun)
+	}
+	if st := task.Stats; st.Blocks != 6 || st.BlocksFromCache != 3 {
+		t.Errorf("stats: %d blocks, %d from cache, want 6 and 3", st.Blocks, st.BlocksFromCache)
+	}
+	for b, want := range map[hdfs.BlockID]int{3: 1, 4: 2, 5: 1} {
+		if f.blockOpens[b] != want {
+			t.Errorf("block %d opened %d times, want %d", b, f.blockOpens[b], want)
+		}
+	}
+	if len(f.blockOpens) != 3 {
+		t.Errorf("opened blocks %v, want only 3, 4 and 5 (0–2 are cached)", f.blockOpens)
+	}
+	if !slices.Equal(res.Output, want.Output) {
+		t.Errorf("output differs from the uncached run:\n got %v\nwant %v", res.Output, want.Output)
+	}
+	for k, kvs := range warm {
+		if !slices.Equal(cache.m[k], kvs) {
+			t.Errorf("cached entry %+v changed under the failed task: %v, was %v", k, cache.m[k], kvs)
 		}
 	}
 }

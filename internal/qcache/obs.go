@@ -19,11 +19,7 @@ func (c *Cache) BindObs(reg *obs.Registry) {
 	bind("qcache.evictions", func(s Stats) int64 { return s.Evictions })
 	bind("qcache.invalidations", func(s Stats) int64 { return s.Invalidations })
 	bind("qcache.rejected", func(s Stats) int64 { return s.Rejected })
-	bind("qcache.split_hits", func(s Stats) int64 { return s.SplitHits })
-	bind("qcache.split_misses", func(s Stats) int64 { return s.SplitMisses })
-	bind("qcache.split_puts", func(s Stats) int64 { return s.SplitPuts })
 	bind("qcache.bytes_saved", func(s Stats) int64 { return s.BytesSaved })
 	bind("qcache.bytes", func(s Stats) int64 { return s.Bytes })
 	bind("qcache.entries", func(s Stats) int64 { return int64(s.Entries) })
-	bind("qcache.split_entries", func(s Stats) int64 { return int64(s.SplitEntries) })
 }

@@ -2,12 +2,14 @@
 // (file, block, replica generation, normalized query, map identity,
 // replica), the KV output a map task produced over that block, so a
 // repeated job replays the output instead of re-reading the block and
-// re-running the record reader and map function over it. HAIL's workloads
-// are exactly the shape this pays off for — the adaptive experiment's job
-// sequence repeats one selection until the file converges — and the
-// data-skipping literature (PAPERS.md, "Provenance-based Data Skipping")
-// frames the same idea as not re-touching data a prior query already
-// answered over.
+// re-running the record reader and map function over it. It is the only
+// tier: a task's output is the list of its blocks' outputs, so a hit hands
+// the engine the entry's own slice and a packed split of cached blocks
+// costs one lookup per block and no copy. HAIL's workloads are exactly the
+// shape this pays off for — the adaptive experiment's job sequence repeats
+// one selection until the file converges — and the data-skipping
+// literature (PAPERS.md, "Provenance-based Data Skipping") frames the same
+// idea as not re-touching data a prior query already answered over.
 //
 // Correctness rests on the replica generation baked into every key
 // (hdfs.NameNode.Generation): adaptive re-indexing, node-loss healing and
@@ -69,20 +71,12 @@ type Stats struct {
 	Evictions     int64
 	Invalidations int64 // entries purged by InvalidateBlock
 	Rejected      int64 // entries larger than the whole budget
-	// Split-level counters: packed-split entries admitted and served
-	// (GetSplit/PutSplit), counted separately from the per-block numbers.
-	SplitHits   int64
-	SplitMisses int64
-	SplitPuts   int64
 	// BytesSaved accumulates the data + index bytes hits avoided
 	// re-reading (from the stats recorded at admission).
 	BytesSaved int64
 	Bytes      int64 // resident entry bytes
 	Entries    int
-	// SplitEntries is the resident packed-split entry count (their bytes
-	// are included in Bytes).
-	SplitEntries int
-	Budget       int64 // configured byte budget
+	Budget     int64 // configured byte budget
 }
 
 // Sub returns the counter deltas s − prev; occupancy fields (Bytes,
@@ -94,9 +88,6 @@ func (s Stats) Sub(prev Stats) Stats {
 	s.Evictions -= prev.Evictions
 	s.Invalidations -= prev.Invalidations
 	s.Rejected -= prev.Rejected
-	s.SplitHits -= prev.SplitHits
-	s.SplitMisses -= prev.SplitMisses
-	s.SplitPuts -= prev.SplitPuts
 	s.BytesSaved -= prev.BytesSaved
 	return s
 }
@@ -122,40 +113,15 @@ type shard struct {
 	protected *list.List
 }
 
-// splitEntry is one packed split's cached output (mapred.SplitCache).
-// Split entries live in a single store beside the per-block shards: packed
-// splits are few (SplitsPerNode × nodes per job), so one mutex suffices,
-// and the store needs a cross-block view anyway — InvalidateBlock must
-// find every split entry a block participates in, whatever shard the
-// block itself hashes to.
-type splitEntry struct {
-	key    mapred.SplitCacheKey
-	blocks []hdfs.BlockID
-	kvs    []mapred.KV
-	stats  mapred.TaskStats
-	bytes  int64
-	elem   *list.Element
-}
-
 // Cache is a sharded, concurrency-safe block-level result cache
-// implementing mapred.ResultCache, with split-level admission for packed
-// splits (mapred.SplitCache) on top.
+// implementing mapred.ResultCache.
 type Cache struct {
 	budget int64
 	shards [numShards]shard
-	// bytes is the resident total across shards and the split store; Put
-	// enforces the budget against it, evicting round-robin across shards
-	// (probation first).
+	// bytes is the resident total across shards; Put enforces the budget
+	// against it, evicting round-robin across shards (probation first).
 	bytes       atomic.Int64
 	evictCursor atomic.Uint32
-
-	// Split-level store: entries keyed by the packed split's sorted
-	// (block, generation) signature, in an LRU list for eviction, with a
-	// per-block reverse index for invalidation.
-	splitMu      sync.Mutex
-	splits       map[mapred.SplitCacheKey]*splitEntry
-	splitByBlock map[hdfs.BlockID]map[*splitEntry]struct{}
-	splitLRU     *list.List
 
 	hits          atomic.Int64
 	misses        atomic.Int64
@@ -163,9 +129,6 @@ type Cache struct {
 	evictions     atomic.Int64
 	invalidations atomic.Int64
 	rejected      atomic.Int64
-	splitHits     atomic.Int64
-	splitMisses   atomic.Int64
-	splitPuts     atomic.Int64
 	bytesSaved    atomic.Int64
 }
 
@@ -180,12 +143,7 @@ func New(budget int64) *Cache {
 	if budget < minBudget {
 		budget = minBudget
 	}
-	c := &Cache{
-		budget:       budget,
-		splits:       make(map[mapred.SplitCacheKey]*splitEntry),
-		splitByBlock: make(map[hdfs.BlockID]map[*splitEntry]struct{}),
-		splitLRU:     list.New(),
-	}
+	c := &Cache{budget: budget}
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.entries = make(map[mapred.CacheKey]*entry)
@@ -218,14 +176,10 @@ func entryBytes(k mapred.CacheKey, kvs []mapred.KV) int64 {
 // in exactly the cache's own currency.
 func EntryCost(k mapred.CacheKey, kvs []mapred.KV) int64 { return entryBytes(k, kvs) }
 
-// SplitEntryCost is EntryCost for a packed-split entry (PutSplit).
-func SplitEntryCost(k mapred.SplitCacheKey, blocks int, kvs []mapred.KV) int64 {
-	return splitEntryBytes(k, blocks, kvs)
-}
-
 // Get returns the cached map output for the key. On a hit the entry is
 // promoted (probation → protected, or refreshed within protected). The
-// returned slice is shared and must be treated as read-only.
+// returned slice is the entry's own, shared with every other hit: the
+// engine puts it into the task's output as is, so it is read-only.
 func (c *Cache) Get(k mapred.CacheKey) ([]mapred.KV, mapred.TaskStats, bool) {
 	s := c.shard(k.Block)
 	s.mu.Lock()
@@ -254,12 +208,13 @@ func (c *Cache) Get(k mapred.CacheKey) ([]mapred.KV, mapred.TaskStats, bool) {
 // budget are rejected outright; otherwise colder entries are evicted —
 // probationary entries across all shards before any protected one —
 // until the total fits. Re-putting an existing key replaces its value in
-// place.
-func (c *Cache) Put(k mapred.CacheKey, kvs []mapred.KV, stats mapred.TaskStats) {
+// place. The result reports whether the entry was admitted, so a ledger
+// above the cache charges only for what is resident.
+func (c *Cache) Put(k mapred.CacheKey, kvs []mapred.KV, stats mapred.TaskStats) bool {
 	cost := entryBytes(k, kvs)
 	if cost > c.budget {
 		c.rejected.Add(1)
-		return
+		return false
 	}
 	s := c.shard(k.Block)
 	s.mu.Lock()
@@ -285,22 +240,21 @@ func (c *Cache) Put(k mapred.CacheKey, kvs []mapred.KV, stats mapred.TaskStats) 
 	s.mu.Unlock()
 	c.bytes.Add(cost)
 	c.puts.Add(1)
-	c.enforceBudget(e, nil)
+	c.enforceBudget(e)
+	return true
 }
 
 // enforceBudget evicts until the resident total fits the budget: one
-// round-robin sweep pops probationary tails across shards, then the
-// split-level LRU is drained, and a final sweep reaches into protected
-// LRUs. The just-admitted entry (block- or split-level) is never the
-// victim — evicting everything else always suffices, since its cost is at
-// most the budget.
-func (c *Cache) enforceBudget(keep *entry, keepSplit *splitEntry) {
+// round-robin sweep pops probationary tails across shards, a second
+// reaches into protected LRUs. The just-admitted entry is never the victim
+// — evicting everything else always suffices, since its cost is at most
+// the budget.
+func (c *Cache) enforceBudget(keep *entry) {
 	c.evictShards(keep, true)
-	c.evictSplits(keepSplit)
 	c.evictShards(keep, false)
 }
 
-// evictShards is one round-robin sweep over the per-block shards.
+// evictShards is one round-robin sweep over the shards.
 func (c *Cache) evictShards(keep *entry, probationOnly bool) {
 	start := int(c.evictCursor.Add(1) % numShards) // mod before int: never negative on 32-bit
 	for i := 0; i < numShards; i++ {
@@ -319,27 +273,6 @@ func (c *Cache) evictShards(keep *entry, probationOnly bool) {
 			c.evictions.Add(1)
 		}
 		s.mu.Unlock()
-	}
-}
-
-// evictSplits drains split-level entries coldest-first until the budget
-// fits (or only keepSplit remains).
-func (c *Cache) evictSplits(keepSplit *splitEntry) {
-	c.splitMu.Lock()
-	defer c.splitMu.Unlock()
-	for c.bytes.Load() > c.budget {
-		var victim *splitEntry
-		for el := c.splitLRU.Back(); el != nil; el = el.Prev() {
-			if e := el.Value.(*splitEntry); e != keepSplit {
-				victim = e
-				break
-			}
-		}
-		if victim == nil {
-			return
-		}
-		c.removeSplitLocked(victim)
-		c.evictions.Add(1)
 	}
 }
 
@@ -379,11 +312,10 @@ func (s *shard) removeLocked(e *entry) {
 	s.bytes -= e.bytes
 }
 
-// InvalidateBlock purges every entry for the block — per-block and
-// packed-split entries alike — whatever its generation. Registered as the
-// namenode's replica-change hook it turns generation bumps into active
-// space reclamation; generation keying alone already guarantees the
-// purged entries could never have been served again.
+// InvalidateBlock purges every entry for the block, whatever its
+// generation. Registered as the namenode's replica-change hook it turns
+// generation bumps into active space reclamation; generation keying alone
+// already guarantees the purged entries could never have been served again.
 func (c *Cache) InvalidateBlock(b hdfs.BlockID) {
 	s := c.shard(b)
 	s.mu.Lock()
@@ -393,95 +325,6 @@ func (c *Cache) InvalidateBlock(b hdfs.BlockID) {
 		c.invalidations.Add(1)
 	}
 	s.mu.Unlock()
-
-	c.splitMu.Lock()
-	for e := range c.splitByBlock[b] {
-		c.removeSplitLocked(e)
-		c.invalidations.Add(1)
-	}
-	c.splitMu.Unlock()
-}
-
-// splitEntryBytes is the budget charge for one packed-split entry.
-func splitEntryBytes(k mapred.SplitCacheKey, blocks int, kvs []mapred.KV) int64 {
-	n := int64(entryOverhead + len(k.File) + len(k.BlockSig) + len(k.Query) + len(k.MapSig))
-	n += int64(blocks) * 16 // member-block reverse-index bookkeeping
-	for _, kv := range kvs {
-		n += int64(len(kv.Key) + len(kv.Value) + kvOverhead)
-	}
-	return n
-}
-
-// GetSplit returns the cached output of a whole packed split. On a hit
-// the entry is refreshed to the LRU front. The returned slice is shared
-// and must be treated as read-only.
-func (c *Cache) GetSplit(k mapred.SplitCacheKey) ([]mapred.KV, mapred.TaskStats, bool) {
-	c.splitMu.Lock()
-	e, ok := c.splits[k]
-	if !ok {
-		c.splitMu.Unlock()
-		c.splitMisses.Add(1)
-		return nil, mapred.TaskStats{}, false
-	}
-	c.splitLRU.MoveToFront(e.elem)
-	kvs, stats := e.kvs, e.stats
-	c.splitMu.Unlock()
-	c.splitHits.Add(1)
-	c.bytesSaved.Add(stats.BytesRead + stats.IndexBytesRead)
-	return kvs, stats, true
-}
-
-// PutSplit admits one packed split's assembled map output, indexed under
-// every member block so invalidating any of them purges the whole entry.
-// Entries larger than the budget are rejected; re-putting an existing key
-// replaces it in place.
-func (c *Cache) PutSplit(k mapred.SplitCacheKey, blocks []hdfs.BlockID, kvs []mapred.KV, stats mapred.TaskStats) {
-	cost := splitEntryBytes(k, len(blocks), kvs)
-	if cost > c.budget {
-		c.rejected.Add(1)
-		return
-	}
-	e := &splitEntry{
-		key:    k,
-		blocks: append([]hdfs.BlockID(nil), blocks...),
-		kvs:    append([]mapred.KV(nil), kvs...),
-		stats:  stats,
-		bytes:  cost,
-	}
-	c.splitMu.Lock()
-	if old, ok := c.splits[k]; ok {
-		c.removeSplitLocked(old)
-	}
-	e.elem = c.splitLRU.PushFront(e)
-	c.splits[k] = e
-	for _, b := range blocks {
-		bb := c.splitByBlock[b]
-		if bb == nil {
-			bb = make(map[*splitEntry]struct{})
-			c.splitByBlock[b] = bb
-		}
-		bb[e] = struct{}{}
-	}
-	c.splitMu.Unlock()
-	c.bytes.Add(cost)
-	c.splitPuts.Add(1)
-	c.enforceBudget(nil, e)
-}
-
-// removeSplitLocked unlinks a split entry from the store. Caller holds
-// splitMu.
-func (c *Cache) removeSplitLocked(e *splitEntry) {
-	c.splitLRU.Remove(e.elem)
-	delete(c.splits, e.key)
-	for _, b := range e.blocks {
-		if bb := c.splitByBlock[b]; bb != nil {
-			delete(bb, e)
-			if len(bb) == 0 {
-				delete(c.splitByBlock, b)
-			}
-		}
-	}
-	c.bytes.Add(-e.bytes)
 }
 
 // CachedReplica reports whether the cache holds the block's map output
@@ -509,20 +352,14 @@ func (c *Cache) CachedReplica(file string, b hdfs.BlockID, gen uint64, query, ma
 	return best, found
 }
 
-// BlockEntries reports the resident entries touching block b: block-level
-// entries in b's shard and packed-split entries any of whose member
-// blocks is b. The eviction and replica-drop property tests use it to
-// assert that no entry — at either granularity — survives for a block
-// whose replica topology changed.
-func (c *Cache) BlockEntries(b hdfs.BlockID) (blockEntries, splitEntries int) {
+// BlockEntries reports the resident entries for block b. The eviction and
+// replica-drop property tests use it to assert that no entry survives for
+// a block whose replica topology changed.
+func (c *Cache) BlockEntries(b hdfs.BlockID) int {
 	s := c.shard(b)
 	s.mu.Lock()
-	blockEntries = len(s.byBlock[b])
-	s.mu.Unlock()
-	c.splitMu.Lock()
-	splitEntries = len(c.splitByBlock[b])
-	c.splitMu.Unlock()
-	return blockEntries, splitEntries
+	defer s.mu.Unlock()
+	return len(s.byBlock[b])
 }
 
 // Stats returns a snapshot of the cache counters and occupancy.
@@ -534,9 +371,6 @@ func (c *Cache) Stats() Stats {
 		Evictions:     c.evictions.Load(),
 		Invalidations: c.invalidations.Load(),
 		Rejected:      c.rejected.Load(),
-		SplitHits:     c.splitHits.Load(),
-		SplitMisses:   c.splitMisses.Load(),
-		SplitPuts:     c.splitPuts.Load(),
 		BytesSaved:    c.bytesSaved.Load(),
 		Budget:        c.budget,
 	}
@@ -547,18 +381,9 @@ func (c *Cache) Stats() Stats {
 		st.Entries += len(s.entries)
 		s.mu.Unlock()
 	}
-	c.splitMu.Lock()
-	for el := c.splitLRU.Front(); el != nil; el = el.Next() {
-		st.Bytes += el.Value.(*splitEntry).bytes
-	}
-	st.SplitEntries = len(c.splits)
-	c.splitMu.Unlock()
 	return st
 }
 
 // Interface conformance: the engine consumes the cache through
-// mapred.ResultCache and, for packed splits, mapred.SplitCache.
-var (
-	_ mapred.ResultCache = (*Cache)(nil)
-	_ mapred.SplitCache  = (*Cache)(nil)
-)
+// mapred.ResultCache.
+var _ mapred.ResultCache = (*Cache)(nil)

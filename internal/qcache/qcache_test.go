@@ -148,7 +148,9 @@ func TestOversizedEntryRejected(t *testing.T) {
 	if entryBytes(key(0, 1), huge) <= c.budget {
 		t.Fatal("test payload no longer exceeds the floored budget")
 	}
-	c.Put(key(0, 1), huge, mapred.TaskStats{})
+	if c.Put(key(0, 1), huge, mapred.TaskStats{}) {
+		t.Error("Put reports the oversized entry admitted")
+	}
 	if st := c.Stats(); st.Rejected != 1 || st.Entries != 0 {
 		t.Errorf("oversized entry not rejected: %+v", st)
 	}
@@ -163,7 +165,9 @@ func TestLargeEntryFitsGlobalBudget(t *testing.T) {
 	if cost >= c.budget || cost <= c.budget/numShards {
 		t.Fatalf("test payload %d outside (budget/shards, budget) = (%d, %d)", cost, c.budget/numShards, c.budget)
 	}
-	c.Put(key(3, 1), big, mapred.TaskStats{})
+	if !c.Put(key(3, 1), big, mapred.TaskStats{}) {
+		t.Fatal("Put reports the entry refused")
+	}
 	if _, _, ok := c.Get(key(3, 1)); !ok {
 		t.Fatal("entry within the total budget rejected")
 	}
@@ -261,32 +265,52 @@ func TestTinyBudgetFloor(t *testing.T) {
 	}
 }
 
-// TestBlockEntriesAndInvalidation: BlockEntries must see both
-// granularities an entry can live at, and InvalidateBlock — the
-// replica-drop purge path — must clear both.
+// TestBlockEntriesAndInvalidation: BlockEntries must see every generation
+// of a block's entries, and InvalidateBlock — the replica-drop purge path —
+// must clear them and nothing else.
 func TestBlockEntriesAndInvalidation(t *testing.T) {
 	c := New(1 << 20)
 	c.Put(key(1, 1), kvs(3, "a"), mapred.TaskStats{})
 	c.Put(key(1, 2), kvs(3, "b"), mapred.TaskStats{}) // second generation, same block
-	sk := mapred.SplitCacheKey{File: "/f", BlockSig: "1:2,2:1", Query: "q", MapSig: "m", Replica: 0}
-	c.PutSplit(sk, []hdfs.BlockID{1, 2}, kvs(4, "s"), mapred.TaskStats{})
+	c.Put(key(2, 1), kvs(4, "c"), mapred.TaskStats{})
 
-	if be, se := c.BlockEntries(1); be != 2 || se != 1 {
-		t.Fatalf("BlockEntries(1) = (%d,%d), want (2,1)", be, se)
-	}
-	if be, se := c.BlockEntries(2); be != 0 || se != 1 {
-		t.Fatalf("BlockEntries(2) = (%d,%d), want (0,1)", be, se)
+	if n := c.BlockEntries(1); n != 2 {
+		t.Fatalf("BlockEntries(1) = %d, want 2", n)
 	}
 	c.InvalidateBlock(1)
-	if be, se := c.BlockEntries(1); be != 0 || se != 0 {
-		t.Errorf("BlockEntries(1) = (%d,%d) after invalidation, want (0,0)", be, se)
+	if n := c.BlockEntries(1); n != 0 {
+		t.Errorf("BlockEntries(1) = %d after invalidation, want 0", n)
 	}
-	// The split entry was a member of block 2 as well: invalidating
-	// block 1 must have purged it everywhere.
-	if be, se := c.BlockEntries(2); be != 0 || se != 0 {
-		t.Errorf("BlockEntries(2) = (%d,%d) after member invalidation, want (0,0)", be, se)
+	if n := c.BlockEntries(2); n != 1 {
+		t.Errorf("BlockEntries(2) = %d after invalidating block 1, want 1", n)
 	}
-	if st := c.Stats(); st.Invalidations != 3 {
-		t.Errorf("Invalidations = %d, want 3 (two block entries + one split entry)", st.Invalidations)
+	if st := c.Stats(); st.Invalidations != 2 || st.Bytes != EntryCost(key(2, 1), kvs(4, "c")) {
+		t.Errorf("after invalidation: %+v, want 2 invalidations and block 2's bytes", st)
+	}
+}
+
+// TestCachedReplicaProbe: the split phase's packing probe finds resident
+// per-block entries by (file, block, generation, query, map identity) and
+// reports the replica deterministically (lowest node ID).
+func TestCachedReplicaProbe(t *testing.T) {
+	c := New(1 << 20)
+	put := func(b hdfs.BlockID, gen uint64, rep hdfs.NodeID) {
+		c.Put(mapred.CacheKey{File: "/f", Block: b, Gen: gen, Query: "q", MapSig: "m", Replica: rep},
+			kvs(1, "v"), mapred.TaskStats{})
+	}
+	put(5, 3, 2)
+	put(5, 3, 1)
+	put(5, 2, 0) // stale generation
+	if n, ok := c.CachedReplica("/f", 5, 3, "q", "m"); !ok || n != 1 {
+		t.Errorf("CachedReplica = %d, %v; want 1, true", n, ok)
+	}
+	if _, ok := c.CachedReplica("/f", 5, 4, "q", "m"); ok {
+		t.Error("probe hit at a generation never admitted")
+	}
+	if _, ok := c.CachedReplica("/f", 6, 3, "q", "m"); ok {
+		t.Error("probe hit for a block never admitted")
+	}
+	if _, ok := c.CachedReplica("/f", 5, 3, "other", "m"); ok {
+		t.Error("probe ignored the query signature")
 	}
 }

@@ -454,12 +454,13 @@ func (s *Server) runQuery(req *QueryRequest) (*QueryResponse, error) {
 
 	start := time.Now() //lint:allow wallclock query latency is reported to the tenant (LatencyMS), not just observed
 	res, err := engine.Run(&mapred.Job{
-		Name:   "haild:" + tenant,
-		File:   req.File,
-		Input:  input,
-		Map:    workload.PassthroughMap,
-		MapSig: workload.PassthroughMapSig,
-		Trace:  tr,
+		Name:     "haild:" + tenant,
+		File:     req.File,
+		Input:    input,
+		Map:      workload.PassthroughMap,
+		MapBatch: workload.PassthroughMapBatch,
+		MapSig:   workload.PassthroughMapSig,
+		Trace:    tr,
 	})
 	if err != nil {
 		return nil, err

@@ -28,6 +28,11 @@ import (
 // column a, replica 1 unsorted PAX (so column c is adaptive territory).
 func makeFS(t *testing.T, n int) string {
 	t.Helper()
+	return makeFSBlocks(t, n, 2048)
+}
+
+func makeFSBlocks(t *testing.T, n, blockSize int) string {
+	t.Helper()
 	cluster, err := hdfs.NewCluster(4)
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +48,7 @@ func makeFS(t *testing.T, n int) string {
 	}
 	client := &core.Client{
 		Cluster: cluster,
-		Config:  core.LayoutConfig{Schema: sch, SortColumns: []int{0, -1}, BlockSize: 2048},
+		Config:  core.LayoutConfig{Schema: sch, SortColumns: []int{0, -1}, BlockSize: blockSize},
 	}
 	if _, err := client.Upload("/t", lines); err != nil {
 		t.Fatal(err)
@@ -213,7 +218,7 @@ func TestRetiredRowPathFieldSharesCache(t *testing.T) {
 	}
 	sameRows(t, "with row_path", sorted(old.Rows), want)
 	warm := s.CacheStats()
-	if warm.Entries+warm.SplitEntries == 0 {
+	if warm.Entries == 0 {
 		t.Fatal("first query admitted nothing into the shared cache")
 	}
 
@@ -222,9 +227,9 @@ func TestRetiredRowPathFieldSharesCache(t *testing.T) {
 	if resp.BlocksFromCache == 0 {
 		t.Error("the same query without the retired field missed the cache the first one warmed")
 	}
-	if st := s.CacheStats(); st.Entries != warm.Entries || st.SplitEntries != warm.SplitEntries {
-		t.Errorf("cache holds %d+%d entries after the second query, want the first query's %d+%d (one entry set, not two)",
-			st.Entries, st.SplitEntries, warm.Entries, warm.SplitEntries)
+	if st := s.CacheStats(); st.Entries != warm.Entries {
+		t.Errorf("cache holds %d entries after the second query, want the first query's %d (one entry set, not two)",
+			st.Entries, warm.Entries)
 	}
 }
 
@@ -261,8 +266,8 @@ func TestTenantCacheBudget(t *testing.T) {
 	defer ts.Close()
 
 	postQuery(t, ts, QueryRequest{Tenant: "capped", File: "/t", Query: indexedQ})
-	if st := s.CacheStats(); st.Entries != 0 || st.SplitEntries != 0 {
-		t.Fatalf("capped tenant admitted %d+%d entries into the shared cache", st.Entries, st.SplitEntries)
+	if st := s.CacheStats(); st.Entries != 0 {
+		t.Fatalf("capped tenant admitted %d entries into the shared cache", st.Entries)
 	}
 	// The free tenant warms the cache; the capped tenant still gets hits
 	// from it (reads are never budget-gated).
@@ -275,12 +280,24 @@ func TestTenantCacheBudget(t *testing.T) {
 		t.Error("capped tenant should read the shared cache")
 	}
 
-	var reports []TenantReport
+	byName := tenantReports(t, ts)
+	if byName["capped"].CacheDenied == 0 {
+		t.Error("capped tenant shows no cache denials")
+	}
+	if byName["free"].CacheCharged == 0 {
+		t.Error("free tenant shows no cache charges")
+	}
+}
+
+// tenantReports fetches /tenants, by tenant name.
+func tenantReports(t *testing.T, ts *httptest.Server) map[string]TenantReport {
+	t.Helper()
 	r, err := http.Get(ts.URL + "/tenants")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Body.Close()
+	var reports []TenantReport
 	if err := json.NewDecoder(r.Body).Decode(&reports); err != nil {
 		t.Fatal(err)
 	}
@@ -288,11 +305,75 @@ func TestTenantCacheBudget(t *testing.T) {
 	for _, rep := range reports {
 		byName[rep.Tenant] = rep
 	}
-	if byName["capped"].CacheDenied == 0 {
-		t.Error("capped tenant shows no cache denials")
+	return byName
+}
+
+// TestPackedQueryChargesItsTenantOnce: packing changes how many tasks a
+// query runs as, not what it leaves in the cache or what its tenant pays
+// for it — the same query packed and unpacked, each on a fresh server,
+// charges the same bytes and leaves the same bytes resident.
+func TestPackedQueryChargesItsTenantOnce(t *testing.T) {
+	dir := makeFS(t, 3000)
+	run := func(pack bool) (tasks int, charged, resident int64) {
+		s := newTestServer(t, dir, Config{})
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		resp, code := postQuery(t, ts, QueryRequest{Tenant: "a", File: "/t", Query: adaptiveQ, PackScans: pack})
+		if code != http.StatusOK {
+			t.Fatalf("pack=%v: status %d: %v", pack, code, resp.Rows)
+		}
+		return resp.Tasks, tenantReports(t, ts)["a"].CacheCharged, s.CacheStats().Bytes
 	}
-	if byName["free"].CacheCharged == 0 {
-		t.Error("free tenant shows no cache charges")
+	tasks, charged, resident := run(false)
+	packedTasks, packedCharged, packedResident := run(true)
+	if packedTasks >= tasks {
+		t.Fatalf("packed query ran %d tasks, unpacked %d: nothing was packed", packedTasks, tasks)
+	}
+	if charged == 0 || packedCharged != charged || packedResident != resident {
+		t.Errorf("packed query charged %d B and left %d B resident, unpacked %d B and %d B; want equal",
+			packedCharged, packedResident, charged, resident)
+	}
+}
+
+// TestTenantNotChargedForRejectedEntry: an entry the cache refuses (larger
+// than its whole budget) is resident nowhere, so it costs its tenant
+// nothing — the allowance is still there for the next, smaller query.
+func TestTenantNotChargedForRejectedEntry(t *testing.T) {
+	const wideQ = `@HailQuery(filter="@1 between(0,6)")`
+	dir := makeFSBlocks(t, 3000, 1<<20) // one block
+	post := func(ts *httptest.Server, q string) {
+		t.Helper()
+		if resp, code := postQuery(t, ts, QueryRequest{Tenant: "a", File: "/t", Query: q}); code != http.StatusOK {
+			t.Fatalf("status %d: %v", code, resp.Rows)
+		}
+	}
+	// What the wide block costs, from a cache big enough to hold it.
+	s := newTestServer(t, dir, Config{})
+	ts := httptest.NewServer(s.Handler())
+	post(ts, wideQ)
+	wideCost := tenantReports(t, ts)["a"].CacheCharged
+	ts.Close()
+	const budget = 32 << 10
+	if st := s.CacheStats(); st.Entries != 1 || wideCost <= budget {
+		t.Fatalf("fixture: %d entries costing %d B, want one block over %d B", st.Entries, wideCost, budget)
+	}
+
+	// An allowance of exactly that, against a cache too small for it.
+	s = newTestServer(t, dir, Config{
+		CacheBudget: budget,
+		Tenants:     map[string]TenantLimits{"a": {CacheBytes: wideCost}},
+	})
+	ts = httptest.NewServer(s.Handler())
+	defer ts.Close()
+	post(ts, wideQ)
+	if st, rep := s.CacheStats(), tenantReports(t, ts)["a"]; st.Rejected != 1 || st.Entries != 0 || rep.CacheCharged != 0 {
+		t.Fatalf("after the over-budget block: %d rejected, %d entries, tenant charged %d B; want 1, 0, 0",
+			st.Rejected, st.Entries, rep.CacheCharged)
+	}
+	post(ts, indexedQ)
+	if st, rep := s.CacheStats(), tenantReports(t, ts)["a"]; st.Entries != 1 || rep.CacheCharged != st.Bytes || rep.CacheDenied != 0 {
+		t.Errorf("after the small query: %d entries / %d B resident, tenant charged %d B, denied %d; want it admitted and charged",
+			st.Entries, st.Bytes, rep.CacheCharged, rep.CacheDenied)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/hdfs"
 	"repro/internal/mapred"
 	"repro/internal/qcache"
 )
@@ -17,7 +16,7 @@ import (
 // query admitted the bytes. 0 means unlimited.
 type TenantLimits struct {
 	// CacheBytes caps the cumulative result-cache bytes this tenant's
-	// queries may admit (qcache.EntryCost / SplitEntryCost currency).
+	// queries may admit (qcache.EntryCost currency).
 	CacheBytes int64
 	// AdaptiveBytes caps the cumulative adaptive replica bytes this
 	// tenant's queries may trigger; once exceeded, further queries run
@@ -151,20 +150,16 @@ func (c tenantCache) Get(k mapred.CacheKey) ([]mapred.KV, mapred.TaskStats, bool
 	return c.shared.Get(k)
 }
 
-func (c tenantCache) Put(k mapred.CacheKey, kvs []mapred.KV, stats mapred.TaskStats) {
-	if !c.ts.admitCache(qcache.EntryCost(k, kvs)) {
-		return
+func (c tenantCache) Put(k mapred.CacheKey, kvs []mapred.KV, stats mapred.TaskStats) bool {
+	cost := qcache.EntryCost(k, kvs)
+	if !c.ts.admitCache(cost) {
+		return false
 	}
-	c.shared.Put(k, kvs, stats)
-}
-
-func (c tenantCache) GetSplit(k mapred.SplitCacheKey) ([]mapred.KV, mapred.TaskStats, bool) {
-	return c.shared.GetSplit(k)
-}
-
-func (c tenantCache) PutSplit(k mapred.SplitCacheKey, blocks []hdfs.BlockID, kvs []mapred.KV, stats mapred.TaskStats) {
-	if !c.ts.admitCache(qcache.SplitEntryCost(k, len(blocks), kvs)) {
-		return
+	if !c.shared.Put(k, kvs, stats) {
+		// The cache refused it (larger than the whole budget): nothing
+		// became resident, so nothing is charged.
+		c.ts.cacheCharged.Add(-cost)
+		return false
 	}
-	c.shared.PutSplit(k, blocks, kvs, stats)
+	return true
 }
