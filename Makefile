@@ -8,15 +8,16 @@ build:
 test:
 	$(GO) test ./...
 
-# The decoders of stored bytes, 20 s each (go test takes one fuzz target
-# per run). Their seeds run as ordinary tests under `make test`. Inputs
-# are tens of KB, so minimizing each new one for the default 60 s would
-# eat the whole budget.
+# The decoders of stored bytes and the float formatter the scan prints
+# with, 20 s each (go test takes one fuzz target per run). Their seeds
+# run as ordinary tests under `make test`. Inputs are tens of KB, so
+# minimizing each new one for the default 60 s would eat the whole budget.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzNewReader$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/pax
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/pax
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFrame$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexUnmarshal$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/index
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendFloat$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/schema
 
 # CPU and allocation profiles of the ledger's upload op (BenchmarkUploadBob:
 # 100k lines, Bob's layout, fresh 4-node cluster), for the perf PR that

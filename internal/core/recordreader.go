@@ -298,8 +298,9 @@ func (r *recordReader) readBlockBatches(b hdfs.BlockID, fn func(*mapred.Batch), 
 	if err != nil {
 		return err
 	}
+	selected := 0
 	if bs.toRow > bs.fromRow {
-		if err := r.streamRange(bs, fn, stats); err != nil {
+		if selected, err = r.streamRange(bs, fn, stats); err != nil {
 			return err
 		}
 	}
@@ -309,6 +310,7 @@ func (r *recordReader) readBlockBatches(b hdfs.BlockID, fn func(*mapred.Batch), 
 		stats.RecordsDelivered += int64(len(bs.bad))
 		stats.BatchesEmitted++
 		r.batch.Cols, r.batch.Sel, r.batch.Bad = nil, nil, bs.bad
+		r.batch.Expect = selected + len(bs.bad)
 		fn(&r.batch)
 	}
 	return nil
@@ -323,8 +325,14 @@ func (r *recordReader) readBlockBatches(b hdfs.BlockID, fn func(*mapred.Batch), 
 // columns are compacted in place, so every emitted batch is dense. A
 // selective scan therefore pays projection decoding proportional to its
 // selectivity, not its scan range — the late-materialization payoff.
-func (r *recordReader) streamRange(bs *blockScan, fn func(*mapred.Batch), stats *mapred.TaskStats) error {
+//
+// Every batch carries the block's expected record count (Batch.Expect):
+// the rows selected so far, the bad records, and the rows left at the
+// selectivity seen so far, empty batches included. It is exact when every
+// batch survives whole. streamRange returns the rows it selected.
+func (r *recordReader) streamRange(bs *blockScan, fn func(*mapred.Batch), stats *mapred.TaskStats) (selected int, err error) {
 	cols, filterCols, cursors, vecs := bs.cols, bs.filterCols, bs.cursors, bs.vecs
+	scanned := 0
 	for remaining := bs.toRow - bs.fromRow; remaining > 0; {
 		n := batchRows
 		if n > remaining {
@@ -333,10 +341,12 @@ func (r *recordReader) streamRange(bs *blockScan, fn func(*mapred.Batch), stats 
 		remaining -= n
 		for _, col := range filterCols {
 			if _, err := cursors[col].Next(n, vecs[col]); err != nil {
-				return err
+				return selected, err
 			}
 		}
 		r.sel = bs.q.MatchesBatch(func(c int) *schema.Vector { return vecs[c] }, query.MakeSelection(r.sel, n))
+		scanned += n
+		selected += len(r.sel)
 		stats.RecordsScanned += int64(n)
 		stats.RowsScanned += int64(n)
 		stats.RowsSelected += int64(len(r.sel))
@@ -345,7 +355,6 @@ func (r *recordReader) streamRange(bs *blockScan, fn func(*mapred.Batch), stats 
 			if bs.isFilter[col] {
 				continue
 			}
-			var err error
 			switch {
 			case len(r.sel) == 0:
 				_, err = cursors[col].Next(n, nil) // skip the bytes, decode nothing
@@ -355,7 +364,7 @@ func (r *recordReader) streamRange(bs *blockScan, fn func(*mapred.Batch), stats 
 				_, err = cursors[col].Next(n, vecs[col])
 			}
 			if err != nil {
-				return err
+				return selected, err
 			}
 		}
 		if len(r.sel) == 0 {
@@ -375,9 +384,10 @@ func (r *recordReader) streamRange(bs *blockScan, fn func(*mapred.Batch), stats 
 		stats.AttrsDelivered += int64(len(sel) * len(bs.proj))
 		stats.BatchesEmitted++
 		r.batch.Cols, r.batch.Sel, r.batch.Bad = bs.projVecs, sel, nil
+		r.batch.Expect = selected + len(bs.bad) + (remaining*selected+scanned-1)/scanned
 		fn(&r.batch)
 	}
-	return nil
+	return selected, nil
 }
 
 // isProjected reports whether col appears in the (short, ascending)

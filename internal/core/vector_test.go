@@ -1,7 +1,10 @@
 package core
 
 import (
+	"runtime"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/hdfs"
 	"repro/internal/mapred"
@@ -334,6 +337,85 @@ func TestPassthroughScanAllocationsNotPerRow(t *testing.T) {
 	t.Logf("%v allocations to deliver %d rows", allocs, nRows)
 	if allocs > nRows/50 {
 		t.Errorf("%v allocations to deliver %d rows — more than one per fifty", allocs, nRows)
+	}
+}
+
+// TestFullScanSizesEachBlockOnce: a block's output chunk is allocated once,
+// at the size the reader expects, not doubled up to it. The map emits one
+// empty KV per record, so the KV headers are all there is to allocate:
+// one exact chunk per block plus the assemble copy is 2 × the output's
+// headers, where doubling from 64 costs ≈ 5 ×. A map that emits two KVs
+// per record outgrows the estimate and falls back to doubling, with the
+// row path's output.
+func TestFullScanSizesEachBlockOnce(t *testing.T) {
+	const nLines = 50_000
+	cluster, err := hdfs.NewCluster(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := (&Client{Cluster: cluster, Config: bobLayout()}).Upload("/uv", workload.GenerateUserVisits(nLines, 5, workload.UserVisitsOptions{BadEvery: 997}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sum.BlockIDs) < 3 {
+		t.Fatalf("%d blocks, want several", len(sum.BlockIDs))
+	}
+	e := &mapred.Engine{Cluster: cluster, Parallelism: 1}
+	in := &InputFormat{Cluster: cluster, Query: &query.Query{Projection: []int{workload.UVDuration}}}
+
+	empty := &mapred.Job{
+		Name: "one-empty-kv", File: "/uv", Input: in,
+		Map: func(mapred.Record, mapred.Emit) {},
+		MapBatch: func(b *mapred.Batch, emit mapred.Emit) {
+			for range b.NumRows() {
+				emit("", "")
+			}
+		},
+	}
+	if res, err := e.Run(empty); err != nil || len(res.Output) != nLines {
+		t.Fatalf("one KV per record: %v, want %d KVs", err, nLines)
+	}
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := e.Run(empty); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	headers := float64(nLines) * float64(unsafe.Sizeof(mapred.KV{}))
+	const perBlock = 32 << 10 // the reader's own: cursors, vectors, views
+	t.Logf("%.0f B/run for %.0f B of KV headers in %d blocks (%.2f ×)", perRun, headers, len(sum.BlockIDs), perRun/headers)
+	if limit := 2.5*headers + perBlock*float64(len(sum.BlockIDs)); perRun > limit {
+		t.Errorf("a full scan allocates %.0f B/run, more than 2.5 × its %.0f B of KV headers plus %d B a block", perRun, headers, perBlock)
+	}
+
+	line := func(r mapred.Record) string {
+		if r.Bad {
+			return r.Raw
+		}
+		return r.Row.Line(',')
+	}
+	twice := &mapred.Job{
+		Name: "two-kvs", File: "/uv", Input: in,
+		Map: func(r mapred.Record, emit mapred.Emit) {
+			emit(line(r), "1")
+			emit(line(r), "2")
+		},
+	}
+	rows, err := e.Run(twice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twice.MapBatch = func(b *mapred.Batch, emit mapred.Emit) { b.Each(func(r mapred.Record) { twice.Map(r, emit) }) }
+	batches, err := e.Run(twice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows.Output) != 2*nLines || !slices.Equal(batches.Output, rows.Output) {
+		t.Errorf("two KVs per record: batch path gives %d KVs, row path %d (want %d, equal)", len(batches.Output), len(rows.Output), 2*nLines)
 	}
 }
 

@@ -28,6 +28,12 @@ type Batch struct {
 	// function (HAIL delivers bad records rather than dropping them,
 	// §4.3).
 	Bad []string
+	// Expect, if positive, is the reader's estimate of the records its
+	// current block delivers in all, this batch and the ones before it
+	// included. The engine sizes the block's output by it once instead of
+	// growing it batch by batch; a wrong estimate costs memory, never
+	// output.
+	Expect int
 
 	scratch schema.Row // Each's row
 	text    []byte     // Lines' output, rebuilt per batch

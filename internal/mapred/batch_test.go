@@ -3,6 +3,7 @@ package mapred
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"repro/internal/schema"
@@ -11,15 +12,28 @@ import (
 // randomBatch builds a batch of n rows over every attribute type, with the
 // values that format differently from how a glance would write them:
 // negative and 64-bit integers, floats with exponents, ±Inf, dates outside
-// four-digit years, empty strings and strings holding the separator.
+// four-digit years, empty strings and strings holding the separator. The
+// last column is random floats: short decimals, as stored floats are, one
+// ulp off them, and raw bit patterns.
 func randomBatch(rng *rand.Rand, n int) *Batch {
-	types := []schema.Type{schema.String, schema.Int32, schema.Float64, schema.Date, schema.Int64, schema.String}
+	types := []schema.Type{schema.String, schema.Int32, schema.Float64, schema.Date, schema.Int64, schema.String, schema.Float64}
 	floats := []float64{0, -0.25, 1e21, 1e-7, 123456.789, math.Inf(1), math.Inf(-1), math.MaxFloat64, math.SmallestNonzeroFloat64}
 	strs := []string{"", ",", "a,b", "172.101.11.46", "http://x.example.com/p?q=1,2", "ünï"}
 	b := &Batch{}
-	for _, typ := range types {
+	for c, typ := range types {
 		vec := schema.NewVector(typ)
 		for i := 0; i < n; i++ {
+			if c == len(types)-1 {
+				v := float64(rng.Intn(10_000_000)-5_000_000) / math.Pow10(rng.Intn(8))
+				switch rng.Intn(4) {
+				case 0:
+					v = math.Nextafter(v, math.Inf(1))
+				case 1:
+					v = math.Float64frombits(rng.Uint64())
+				}
+				vec.Append(schema.FloatVal(v))
+				continue
+			}
 			switch typ {
 			case schema.Int32:
 				vec.Append(schema.IntVal(int32(rng.Uint32())))
@@ -46,10 +60,28 @@ func randomBatch(rng *rand.Rand, n int) *Batch {
 	return b
 }
 
+// strconvLine is Row.Line with every float formatted by strconv itself:
+// the text schema.AppendFloat must reproduce.
+func strconvLine(r schema.Row, sep byte) string {
+	var b []byte
+	for i, v := range r {
+		if i > 0 {
+			b = append(b, sep)
+		}
+		if v.Type() == schema.Float64 {
+			b = strconv.AppendFloat(b, v.Float(), 'g', -1, 64)
+		} else {
+			b = append(b, v.String()...)
+		}
+	}
+	return string(b)
+}
+
 // TestLinesMatchesEachAndRowLine: Batch.Lines is Each + Row.Line without
-// the rows — the same text, row for row, for any selection. The engine's
-// passthrough job emits from Lines and its caches and oracles were filled
-// from Row.Line, so the two may not differ by a byte.
+// the rows — the same text, row for row, for any selection — and both
+// format floats as strconv does. The engine's passthrough job emits from
+// Lines and its caches and oracles were filled from Row.Line, so the two
+// may not differ by a byte.
 func TestLinesMatchesEachAndRowLine(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for round := 0; round < 200; round++ {
@@ -74,6 +106,9 @@ func TestLinesMatchesEachAndRowLine(t *testing.T) {
 			b.Each(func(r Record) {
 				if !r.Bad {
 					want = append(want, r.Row.Line(sep))
+					if ref := strconvLine(r.Row, sep); want[len(want)-1] != ref {
+						t.Fatalf("round %d: Row.Line gives %q, strconv %q", round, want[len(want)-1], ref)
+					}
 				}
 			})
 			text, ends := b.Lines(sep)

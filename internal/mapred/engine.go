@@ -90,7 +90,8 @@ type Engine struct {
 	Scheduling SchedulingPolicy
 	// OnProgress, if set, is called after every completed task with
 	// (done, total). The fault-tolerance experiment uses it to kill a
-	// node at 50% progress (§6.4.3).
+	// node at 50% progress (§6.4.3). Like PostTask, it runs under the
+	// task's panic boundary: a panic in it fails the job.
 	OnProgress func(done, total int)
 	// PostTask, if set, runs on the worker goroutine after each
 	// successful task, while the task still occupies its execution slot.
@@ -201,14 +202,17 @@ func (cc *cacheContext) key(split Split, b hdfs.BlockID, runOn hdfs.NodeID) Cach
 
 // readRecords drives a record reader through the job's map function,
 // taking the batch fast path when both sides support it: a MapBatch job
-// whose reader streams batches never materializes individual records.
-// All other combinations fall back to the record form (for batch-capable
-// readers that is still the vectorized pipeline, surfaced through
-// Batch.Each).
-func readRecords(job *Job, rr RecordReader, emit Emit) (TaskStats, error) {
+// whose reader streams batches never materializes individual records, and
+// reserve is offered each batch before the map sees it. All other
+// combinations fall back to the record form (for batch-capable readers
+// that is still the vectorized pipeline, surfaced through Batch.Each).
+func readRecords(job *Job, rr RecordReader, emit Emit, reserve func(*Batch)) (TaskStats, error) {
 	if job.MapBatch != nil {
 		if br, ok := rr.(BatchReader); ok {
-			return br.ReadBatches(func(b *Batch) { job.MapBatch(b, emit) })
+			return br.ReadBatches(func(b *Batch) {
+				reserve(b)
+				job.MapBatch(b, emit)
+			})
 		}
 	}
 	return rr.Read(func(r Record) { job.Map(r, emit) })
@@ -309,12 +313,15 @@ func (e *Engine) Run(job *Job) (*JobResult, error) {
 			}
 			if t.err == nil && e.PostTask != nil {
 				ptSpan := tr.StartSpan("posttask", "adaptive", i+1, t.tsp)
-				e.PostTask(t.report)
+				t.err = e.hook(i, "PostTask", t.report.Node, func() { e.PostTask(t.report) })
 				ptSpan.End()
 			}
 			t.tsp.End()
 			if e.OnProgress != nil {
-				e.OnProgress(int(done.Add(1)), len(tasks))
+				err := e.hook(i, "OnProgress", t.report.Node, func() { e.OnProgress(int(done.Add(1)), len(tasks)) })
+				if t.err == nil {
+					t.err = err
+				}
 			}
 		}
 	}
@@ -481,8 +488,17 @@ func (e *Engine) runTask(job *Job, cc *cacheContext, taskID int, split Split, no
 		runOn          = node
 		kvs            []KV // the chunk of the block being computed
 	)
-	// A full chunk doubles: append's own growth of a large slice, a quarter
-	// at a time, would allocate five times the block's final output.
+	// A block's chunk is sized once, to the records its reader expects the
+	// block to deliver, when a batch would not fit and the estimate covers
+	// it. Past the estimate — a map that emits several KVs per record, a
+	// reader that sets no Expect — a full chunk doubles: append's own growth
+	// of a large slice, a quarter at a time, would allocate five times the
+	// block's final output.
+	reserve := func(b *Batch) {
+		if need := len(kvs) + b.NumRows(); need > cap(kvs) && b.Expect >= need {
+			kvs = append(make([]KV, 0, b.Expect), kvs...)
+		}
+	}
 	emit := func(k, v string) {
 		if len(kvs) == cap(kvs) {
 			kvs = slices.Grow(kvs, max(len(kvs), 64))
@@ -491,13 +507,12 @@ func (e *Engine) runTask(job *Job, cc *cacheContext, taskID int, split Split, no
 	}
 	defer func() {
 		if p := recover(); p != nil {
-			e.Obs.Counter("engine.task_panics").Inc()
 			where := "after its last block"
 			if pos < len(split.Blocks) {
 				where = fmt.Sprintf("block %d", split.Blocks[pos])
 			}
 			report, out = TaskReport{}, nil
-			err = fmt.Errorf("mapred: task %d %s on node %d panicked: %v", taskID, where, runOn, p)
+			err = e.taskPanic(taskID, where, runOn, p)
 		}
 	}()
 
@@ -533,7 +548,7 @@ func (e *Engine) runTask(job *Job, cc *cacheContext, taskID int, split Split, no
 			rr, err := job.Input.Open(block, runOn)
 			var bstats TaskStats
 			if err == nil {
-				bstats, err = readRecords(job, rr, emit)
+				bstats, err = readRecords(job, rr, emit, reserve)
 			}
 			if err != nil {
 				return err
@@ -599,6 +614,27 @@ func (e *Engine) runTask(job *Job, cc *cacheContext, taskID int, split Split, no
 		}, chunks, nil
 	}
 	return TaskReport{}, nil, fmt.Errorf("mapred: task %d failed after %d attempts: %v", taskID, maxAttempts, lastErr)
+}
+
+// taskPanic is the error a panic caught at the task boundary fails the job
+// with, naming the task, where in it the panic struck and the node it ran
+// on.
+func (e *Engine) taskPanic(taskID int, where string, node hdfs.NodeID, p any) error {
+	e.Obs.Counter("engine.task_panics").Inc()
+	return fmt.Errorf("mapred: task %d %s on node %d panicked: %v", taskID, where, node, p)
+}
+
+// hook runs one of the per-task callbacks (PostTask, OnProgress) on the
+// task's worker under the same boundary as the task itself: a panic in it
+// fails the job instead of killing the process.
+func (e *Engine) hook(taskID int, name string, node hdfs.NodeID, fn func()) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = e.taskPanic(taskID, name, node, p)
+		}
+	}()
+	fn()
+	return nil
 }
 
 // nodeAlive reports whether the node exists and is up.

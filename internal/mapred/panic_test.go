@@ -143,3 +143,44 @@ func TestMidBlockFailureLeavesNoPartialOutput(t *testing.T) {
 		}
 	}
 }
+
+// TestPostTaskPanicFailsTheJob: PostTask and OnProgress run on the worker
+// after the task, and a panic in either fails the job like a map panic —
+// an error naming task and node, engine.task_panics counted once, and the
+// workers gone — instead of killing the process.
+func TestPostTaskPanicFailsTheJob(t *testing.T) {
+	for _, par := range []int{1, 2} {
+		for _, hook := range []string{"PostTask", "OnProgress"} {
+			t.Run(fmt.Sprintf("%s parallelism %d", hook, par), func(t *testing.T) {
+				c, f := buildFake(t, 4, 12, 5)
+				reg := obs.NewRegistry()
+				e := &Engine{Cluster: c, Parallelism: par, Obs: reg}
+				if hook == "PostTask" {
+					e.PostTask = func(r TaskReport) {
+						if r.TaskID == 5 {
+							panic("hook failed")
+						}
+					}
+				} else {
+					e.OnProgress = func(done, total int) {
+						if done == 6 {
+							panic("hook failed")
+						}
+					}
+				}
+				baseline := runtime.NumGoroutine()
+				res, err := e.Run(&Job{Name: "hooked", File: "/fake", Input: f, Map: func(r Record, emit Emit) { emit(r.Raw, "1") }})
+				if err == nil {
+					t.Fatalf("job with a panicking %s succeeded: %d rows", hook, len(res.Output))
+				}
+				if want := regexp.MustCompile(`^mapred: task \d+ ` + hook + ` on node \d+ panicked: hook failed$`); !want.MatchString(err.Error()) {
+					t.Errorf("error %q does not match %s", err, want)
+				}
+				settledGoroutines(t, baseline)
+				if got := reg.Counter("engine.task_panics").Value(); got != 1 {
+					t.Errorf("engine.task_panics = %d, want 1", got)
+				}
+			})
+		}
+	}
+}

@@ -3,6 +3,9 @@ package pax
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -446,50 +449,168 @@ func TestStringVectorNeverWritesTheReplica(t *testing.T) {
 	}
 }
 
-// TestCursorUnterminatedErrorNamesTheColumn: a string column one
-// terminator short fails the same way wherever the walk meets it — at
-// cursor creation, in Next or in NextSelected — and says which column.
-func TestCursorUnterminatedErrorNamesTheColumn(t *testing.T) {
-	b := buildBlock(t, 10, 23)
+// walkSchema stores strings on both sides of longTerm: "short" averages a
+// few bytes a value, "long" tens.
+var walkSchema = schema.MustNew(
+	schema.Field{Name: "id", Type: schema.Int32},
+	schema.Field{Name: "short", Type: schema.String},
+	schema.Field{Name: "long", Type: schema.String},
+)
+
+// walkBlock builds n rows of walkSchema: empty and one-byte values in both
+// string columns, with a 200-byte value among the short ones now and then.
+func walkBlock(n int, seed int64) *Block {
+	rng := rand.New(rand.NewSource(seed))
+	short := []string{"", "a", "bc", "d"}
+	long := []string{"", "a", strings.Repeat("u", 30), strings.Repeat("w", 200)}
+	b := NewBlock(walkSchema)
+	for i := 0; i < n; i++ {
+		s := short[rng.Intn(len(short))]
+		if rng.Intn(64) == 0 {
+			s = strings.Repeat("x", 200)
+		}
+		if err := b.AppendRow(schema.Row{schema.IntVal(int32(i)), schema.StringVal(s), schema.StringVal(long[rng.Intn(len(long))])}); err != nil {
+			panic(err)
+		}
+	}
+	return b
+}
+
+// TestColumnCursorShortAndLongWalksAgree: the byte loop and bytes.IndexByte
+// find the same terminators. Each string column is read with the walk its
+// mean length picks and with the other one, batch by batch through Next,
+// Next skipping, NextSelected and NextSelected with nothing selected; every
+// value delivered must be ReadColumnRange's, at the same span either way.
+func TestColumnCursorShortAndLongWalksAgree(t *testing.T) {
+	b := walkBlock(3*PartitionSize+77, 31)
 	data, err := b.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	const url = 4
-	dirAt := fixedHeader + len(testSchema.String()) + 2
-	urlOff := int(binary.LittleEndian.Uint32(data[dirAt+url*8:]))
-	urlLen := int(binary.LittleEndian.Uint32(data[dirAt+url*8+4:]))
-	for i := urlOff + urlLen - 1; ; i-- { // the last value's terminator
-		if data[i] == 0 {
-			data[i] = 'x'
-			break
+	type span struct{ row, start, end uint32 }
+	for col, wantLong := range map[int]bool{1: false, 2: true} {
+		for _, rg := range [][2]int{{0, b.NumRows()}, {PartitionSize - 3, 2*PartitionSize + 5}, {3 * PartitionSize, 3*PartitionSize + 1}} {
+			from, to := rg[0], rg[1]
+			ref, err := NewReader(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ref.ReadColumnRange(col, from, to)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var spans [2][]span
+			for w, flip := range []bool{false, true} {
+				r, err := NewReader(data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c, err := r.NewColumnCursor(col, from, to)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if c.long != wantLong {
+					t.Fatalf("col %d [%d,%d): long walk %v, want %v", col, from, to, c.long, wantLong)
+				}
+				c.long = c.long != flip
+				vec := schema.NewVector(schema.String)
+				for i, row := 0, 0; c.Remaining() > 0; i++ {
+					const batchN = 100
+					n := min(batchN, c.Remaining())
+					var sel []int32
+					switch i % 4 {
+					case 0:
+						_, err = c.Next(n, vec)
+						for k := 0; k < n; k++ {
+							sel = append(sel, int32(k))
+						}
+					case 1:
+						_, err = c.Next(n, nil)
+					case 2:
+						for k := i % 3; k < n; k += 3 {
+							sel = append(sel, int32(k))
+						}
+						_, err = c.NextSelected(n, sel, vec)
+					case 3:
+						sel = []int32{}
+						_, err = c.NextSelected(n, sel, vec)
+					}
+					if err != nil {
+						t.Fatalf("col %d long=%v batch %d: %v", col, c.long, i, err)
+					}
+					if i%4 != 1 && vec.Len() != len(sel) {
+						t.Fatalf("col %d long=%v batch %d: %d values for %d selected", col, c.long, i, vec.Len(), len(sel))
+					}
+					for j, s := range sel {
+						got := vec.StrAt(j)
+						if string(got) != want[row+int(s)].Str() {
+							t.Fatalf("col %d long=%v row %d: %q, want %q", col, c.long, from+row+int(s), got, want[row+int(s)].Str())
+						}
+						spans[w] = append(spans[w], span{uint32(row) + uint32(s), vec.Start[j], vec.End[j]})
+					}
+					row += n
+				}
+			}
+			if !slices.Equal(spans[0], spans[1]) {
+				t.Errorf("col %d [%d,%d): the two walks deliver different spans", col, from, to)
+			}
 		}
 	}
-	decode := map[string]func(c *ColumnCursor, vec *schema.Vector) error{
-		"Next": func(c *ColumnCursor, vec *schema.Vector) error {
-			_, err := c.Next(10, vec)
-			return err
-		},
-		"Next skipping": func(c *ColumnCursor, _ *schema.Vector) error {
-			_, err := c.Next(10, nil)
-			return err
-		},
-		"NextSelected": func(c *ColumnCursor, vec *schema.Vector) error {
-			_, err := c.NextSelected(10, []int32{2, 9}, vec)
-			return err
-		},
-	}
-	for name, fn := range decode {
-		r, err := NewReader(data)
+}
+
+// TestCursorUnterminatedErrorNamesTheColumn: a string column one
+// terminator short fails the same way wherever the walk meets it — at
+// cursor creation, in Next or in NextSelected, with either terminator walk
+// — and says which column.
+func TestCursorUnterminatedErrorNamesTheColumn(t *testing.T) {
+	testBlock, walk := buildBlock(t, 10, 23), walkBlock(10, 23)
+	for _, tc := range []struct {
+		b        *Block
+		col      int
+		wantLong bool
+	}{{testBlock, 4, false}, {walk, 1, false}, {walk, 2, true}} {
+		data, err := tc.b.Marshal()
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := r.NewColumnCursor(url, 0, 10)
-		if err != nil {
-			t.Fatal(err)
+		dirAt := fixedHeader + len(tc.b.Schema().String()) + 2
+		off := int(binary.LittleEndian.Uint32(data[dirAt+tc.col*8:]))
+		n := int(binary.LittleEndian.Uint32(data[dirAt+tc.col*8+4:]))
+		for i := off + n - 1; ; i-- { // the last value's terminator
+			if data[i] == 0 {
+				data[i] = 'x'
+				break
+			}
 		}
-		if err := fn(c, schema.NewVector(schema.String)); err == nil || !strings.Contains(err.Error(), "unterminated string value in column 4") {
-			t.Errorf("%s over a column one terminator short: %v", name, err)
+		decode := map[string]func(c *ColumnCursor, vec *schema.Vector) error{
+			"Next": func(c *ColumnCursor, vec *schema.Vector) error {
+				_, err := c.Next(10, vec)
+				return err
+			},
+			"Next skipping": func(c *ColumnCursor, _ *schema.Vector) error {
+				_, err := c.Next(10, nil)
+				return err
+			},
+			"NextSelected": func(c *ColumnCursor, vec *schema.Vector) error {
+				_, err := c.NextSelected(10, []int32{2, 9}, vec)
+				return err
+			},
+		}
+		for name, fn := range decode {
+			r, err := NewReader(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := r.NewColumnCursor(tc.col, 0, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.long != tc.wantLong {
+				t.Fatalf("column %d: long walk %v, want %v", tc.col, c.long, tc.wantLong)
+			}
+			if err := fn(c, schema.NewVector(schema.String)); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unterminated string value in column %d", tc.col)) {
+				t.Errorf("%s over column %d one terminator short: %v", name, tc.col, err)
+			}
 		}
 	}
 }

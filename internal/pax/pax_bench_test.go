@@ -1,6 +1,8 @@
 package pax
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -106,6 +108,30 @@ func BenchmarkReadStringColumnRange(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := r.ReadColumnRange(4, 1024, 9*1024); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTerminatorWalk is the evidence behind longTerm: a cursor
+// decoding 1,024 string values of one length, its terminators found by the
+// byte loop and by bytes.IndexByte. One op is the whole 1,024 values.
+func BenchmarkTerminatorWalk(b *testing.B) {
+	for _, size := range []int{3, 8, 12, 24, 45} {
+		raw := bytes.Repeat(append(bytes.Repeat([]byte{'v'}, size), 0), PartitionSize)
+		for _, long := range []bool{false, true} {
+			walk := "loop"
+			if long {
+				walk = "IndexByte"
+			}
+			b.Run(fmt.Sprintf("%dB/%s", size, walk), func(b *testing.B) {
+				vec := schema.NewVector(schema.String)
+				for i := 0; i < b.N; i++ {
+					c := ColumnCursor{typ: schema.String, raw: raw, remaining: PartitionSize, long: long}
+					if _, err := c.Next(PartitionSize, vec); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -1,6 +1,11 @@
 package schema
 
-import "testing"
+import (
+	"math"
+	"math/rand"
+	"strconv"
+	"testing"
+)
 
 // Parsing text rows to typed binary is the HAIL client's main CPU cost at
 // upload (§3.1); the sim package's ParseMBps constant abstracts this rate.
@@ -40,5 +45,34 @@ func BenchmarkRowLine(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = row.Line(',')
+	}
+}
+
+// BenchmarkAppendFloat: the float formatter against strconv's shortest
+// formatting on the values a scan prints — the generator's one-decimal
+// adRevenue — and on values one ulp off a short decimal, which take the
+// whole fast-path search and then strconv.
+func BenchmarkAppendFloat(b *testing.B) {
+	rng := rand.New(rand.NewSource(43))
+	short, long := make([]float64, 1024), make([]float64, 1024)
+	for i := range short {
+		short[i] = float64(rng.Intn(10_000)) / 10
+		long[i] = math.Nextafter(short[i]+0.1, math.Inf(1))
+	}
+	for _, c := range []struct {
+		name string
+		vals []float64
+	}{{"one-decimal", short}, {"ulp-off", long}} {
+		buf := make([]byte, 0, 32)
+		b.Run(c.name+"/strconv", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				buf = strconv.AppendFloat(buf[:0], c.vals[i%len(c.vals)], 'g', -1, 64)
+			}
+		})
+		b.Run(c.name+"/AppendFloat", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				buf = AppendFloat(buf[:0], c.vals[i%len(c.vals)])
+			}
+		})
 	}
 }

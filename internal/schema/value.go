@@ -82,7 +82,8 @@ func (v Value) String() string {
 	case Int32, Int64:
 		return strconv.FormatInt(v.num, 10)
 	case Float64:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		var buf [32]byte
+		return string(AppendFloat(buf[:0], v.f))
 	case Date:
 		return FormatDate(int32(v.num))
 	case String:
@@ -250,6 +251,69 @@ func AppendDate(dst []byte, days int32) []byte {
 		byte('0'+y/1000), byte('0'+y/100%10), byte('0'+y/10%10), byte('0'+y%10), '-',
 		byte('0'+m/10), byte('0'+m%10), '-',
 		byte('0'+d/10), byte('0'+d%10))
+}
+
+// AppendFloat appends f's shortest text — exactly strconv.AppendFloat(dst,
+// f, 'g', -1, 64) — to dst: the one float formatter, for the row path
+// (Value.String) and the batch path (Vector.AppendText), as AppendDate is
+// the one date formatter.
+//
+// Stored floats were parsed from short decimals, so the fast path looks
+// for the fewest fraction digits d that give f back: m = |f|·10^d rounded,
+// accepted when m/10^d == |f|. m and 10^d are exact and the division
+// rounds correctly, so that is exactly "m·10⁻ᵈ parses to f". While
+// |f|·10^d < 1e15 at most one m per d can parse to f, so the first d
+// accepted has strconv's digits; past that bound several can, and the
+// search stops. Only 1e-4 ≤ |f| < 1e6 is tried, the range in which 'g'
+// prints no exponent. Everything else — NaN, ±Inf, ±0, other magnitudes,
+// and values that need more digits — is strconv's.
+func AppendFloat(dst []byte, f float64) []byte {
+	a := math.Abs(f)
+	if !(a >= 1e-4 && a < 1e6) {
+		return strconv.AppendFloat(dst, f, 'g', -1, 64)
+	}
+	pow := 1.0
+	for d := 0; ; d++ {
+		x := a * pow
+		if x >= 1e15 {
+			break
+		}
+		if m := uint64(x + 0.5); float64(m)/pow == a {
+			if d > 0 && m%10 == 0 {
+				break // defensive: m/10 at d-1 is the same decimal and was not accepted
+			}
+			return appendDecimal(dst, f < 0, m, d)
+		}
+		pow *= 10
+	}
+	return strconv.AppendFloat(dst, f, 'g', -1, 64)
+}
+
+// appendDecimal appends m·10⁻ᵈ in positional notation: at least one integer
+// digit, then d fraction digits.
+func appendDecimal(dst []byte, neg bool, m uint64, d int) []byte {
+	var buf [24]byte // m < 1e15: 15 digits, a point and a leading zero
+	i := len(buf)
+	for k := 0; k < d; k++ {
+		i--
+		buf[i] = byte('0' + m%10)
+		m /= 10
+	}
+	if d > 0 {
+		i--
+		buf[i] = '.'
+	}
+	for {
+		i--
+		buf[i] = byte('0' + m%10)
+		if m /= 10; m == 0 {
+			break
+		}
+	}
+	if neg {
+		dst = append(dst, '-')
+	}
+	return append(dst, buf[i:]...)
 }
 
 // MustDate is ParseDate for statically known dates; it panics on error.

@@ -151,7 +151,7 @@ func (v *Vector) AppendText(dst []byte, i int) []byte {
 	case Int64:
 		return strconv.AppendInt(dst, v.I64[i], 10)
 	case Float64:
-		return strconv.AppendFloat(dst, v.F64[i], 'g', -1, 64)
+		return AppendFloat(dst, v.F64[i])
 	case String:
 		return append(dst, v.StrAt(i)...)
 	}
