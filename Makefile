@@ -46,7 +46,7 @@ bench-agree:
 	$(GO) run -C bench -buildvcs=false . -agree $(A) $(B)
 
 # The same lane CI's lint job runs: formatting, vet, and the repo's own
-# invariant analyzers — all nine, the per-package rules plus the
+# invariant analyzers — all seven, the per-package rules plus the
 # whole-module dataflow proofs (sigflow, lockgraph, goleak); see
 # ARCHITECTURE.md "Statically enforced invariants". staticcheck runs
 # when installed — CI pins it; the offline dev container may not have it.

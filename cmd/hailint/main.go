@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	hailint [-analyzers spanend,sigflow,...] [-list] [-json] [-factdir dir] [patterns...]
+//	hailint [-analyzers spanend,sigflow,...] [-list] [-json] [patterns...]
 //
 // Patterns default to ./... and accept ./dir and ./dir/... forms. Exit
 // status is 0 for a clean tree, 1 on diagnostics, 2 on usage or load
@@ -14,12 +14,6 @@
 //
 //	[{"file":"internal/core/inputformat.go","line":509,"col":14,
 //	  "analyzer":"sigflow","message":"..."}]
-//
-// -factdir additionally writes each analyzed package's exported analysis
-// facts (per-function field-read summaries, lock-acquisition edges,
-// nontermination marks) as <dir>/<pkg-path>.facts.json, the auditable
-// image of the cross-package dataflow the whole-module analyzers ran on;
-// CI caches it alongside staticcheck's analysis cache.
 //
 // Intentional exceptions are suppressed in the code itself with
 //
@@ -34,8 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"repro/internal/lint"
 )
@@ -51,7 +43,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	list := fs.Bool("list", false, "list analyzers and exit")
 	dir := fs.String("C", ".", "module root to analyze")
 	jsonOut := fs.Bool("json", false, "print diagnostics as a JSON array instead of plain lines")
-	factDir := fs.String("factdir", "", "write per-package analysis-fact dumps (<pkg>.facts.json) under this directory")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -77,16 +68,10 @@ func run(args []string, stdout, stderr *os.File) int {
 		fmt.Fprintf(stderr, "hailint: %v\n", err)
 		return 2
 	}
-	diags, facts, err := lint.RunAnalyzersFacts(pkgs, suite)
+	diags, err := lint.RunAnalyzers(pkgs, suite)
 	if err != nil {
 		fmt.Fprintf(stderr, "hailint: %v\n", err)
 		return 2
-	}
-	if *factDir != "" {
-		if err := writeFacts(*factDir, pkgs, facts); err != nil {
-			fmt.Fprintf(stderr, "hailint: %v\n", err)
-			return 2
-		}
 	}
 	if *jsonOut {
 		if err := writeJSON(stdout, diags); err != nil {
@@ -129,26 +114,6 @@ func writeJSON(stdout *os.File, diags []lint.Diagnostic) error {
 	enc := json.NewEncoder(stdout)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
-}
-
-// writeFacts dumps each requested package's facts, one JSON file per
-// package, slashes flattened so the directory stays one level deep
-// ("repro__internal__core.facts.json").
-func writeFacts(dir string, pkgs []*lint.Package, facts *lint.FactSet) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	for _, pkg := range pkgs {
-		b, err := facts.PackageFactsJSON(pkg.Path)
-		if err != nil {
-			return err
-		}
-		name := strings.ReplaceAll(pkg.Path, "/", "__") + ".facts.json"
-		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func firstLine(s string) string {

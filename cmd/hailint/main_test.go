@@ -52,20 +52,37 @@ func TestList(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("-list exited %d", code)
 	}
-	for _, name := range []string{"spanend", "genbump", "lockorder", "wallclock", "atomicfield", "errsink", "sigflow", "lockgraph", "goleak"} {
+	want := []string{"spanend", "genbump", "wallclock", "errsink", "sigflow", "lockgraph", "goleak"}
+	if lines := strings.Split(strings.TrimSpace(out), "\n"); len(lines) != len(want) {
+		t.Errorf("-list printed %d analyzers, want %d:\n%s", len(lines), len(want), out)
+	}
+	for _, name := range want {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list output missing %s:\n%s", name, out)
 		}
 	}
 }
 
+// TestUnknownAnalyzer covers the usage errors: an unknown analyzer name —
+// including the retired lockorder and atomicfield — and the retired
+// -factdir flag each exit 2 and name the offender on stderr.
 func TestUnknownAnalyzer(t *testing.T) {
-	code, _, errOut := runCapture(t, "-analyzers", "nonesuch")
-	if code != 2 {
-		t.Fatalf("unknown analyzer exited %d, want 2", code)
-	}
-	if !strings.Contains(errOut, "nonesuch") {
-		t.Errorf("stderr does not name the unknown analyzer:\n%s", errOut)
+	for _, c := range []struct {
+		args []string
+		name string // what stderr must mention
+	}{
+		{[]string{"-analyzers", "nonesuch"}, "nonesuch"},
+		{[]string{"-analyzers", "lockorder"}, "lockorder"},
+		{[]string{"-analyzers", "atomicfield"}, "atomicfield"},
+		{[]string{"-factdir", "x"}, "factdir"},
+	} {
+		code, _, errOut := runCapture(t, c.args...)
+		if code != 2 {
+			t.Errorf("%v exited %d, want 2", c.args, code)
+		}
+		if !strings.Contains(errOut, c.name) {
+			t.Errorf("%v: stderr does not name %s:\n%s", c.args, c.name, errOut)
+		}
 	}
 }
 
@@ -184,49 +201,5 @@ func use() {
 	}
 	if strings.TrimSpace(out) != "[]" {
 		t.Errorf("clean -json output = %q, want []", out)
-	}
-}
-
-func TestFactDir(t *testing.T) {
-	// Two packages: dep exports a goleak nontermination fact and a
-	// sigflow-free body; app imports dep. The dump for dep must carry the
-	// goleak object fact, proving the CLI surfaces the cross-package
-	// dataflow the analyzers ran on.
-	dir := writeModule(t, map[string]string{
-		"go.mod": "module smoketest\n\ngo 1.24\n",
-		"dep/dep.go": `package dep
-
-// Forever never returns.
-func Forever() {
-	for {
-	}
-}
-`,
-		"app/app.go": `package app
-
-import "smoketest/dep"
-
-// Use references the dependency so both packages load.
-func Use() { _ = dep.Forever }
-`,
-	})
-	facts := filepath.Join(t.TempDir(), "facts")
-	code, out, errOut := runCapture(t, "-C", dir, "-factdir", facts, "./...")
-	if code != 0 {
-		t.Fatalf("exited %d\nstdout:\n%s\nstderr:\n%s", code, out, errOut)
-	}
-	b, err := os.ReadFile(filepath.Join(facts, "smoketest__dep.facts.json"))
-	if err != nil {
-		t.Fatalf("fact dump for dep not written: %v", err)
-	}
-	var doc map[string]map[string]any
-	if err := json.Unmarshal(b, &doc); err != nil {
-		t.Fatalf("fact dump is not valid JSON: %v\n%s", err, b)
-	}
-	if _, ok := doc["goleak"]["obj:Forever"]; !ok {
-		t.Errorf("dep fact dump missing goleak's obj:Forever nontermination fact:\n%s", b)
-	}
-	if _, err := os.Stat(filepath.Join(facts, "smoketest__app.facts.json")); err != nil {
-		t.Errorf("fact dump for app not written: %v", err)
 	}
 }

@@ -14,6 +14,7 @@
 package hadoop
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 
@@ -138,7 +139,7 @@ func (r *lineReader) Read(fn func(mapred.Record)) (mapred.TaskStats, error) {
 			stats.RemoteReads++
 		}
 		for len(data) > 0 {
-			nl := indexByte(data, '\n')
+			nl := bytes.IndexByte(data, '\n')
 			var line []byte
 			if nl < 0 {
 				line, data = data, nil
@@ -154,13 +155,4 @@ func (r *lineReader) Read(fn func(mapred.Record)) (mapred.TaskStats, error) {
 		}
 	}
 	return stats, nil
-}
-
-func indexByte(b []byte, c byte) int {
-	for i, x := range b {
-		if x == c {
-			return i
-		}
-	}
-	return -1
 }

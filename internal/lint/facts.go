@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/token"
 	"go/types"
@@ -18,10 +17,9 @@ import (
 // dependencies are analyzed before dependents, so by the time a pass
 // imports a fact the exporting pass has already run.
 //
-// Fact types must be pointers to JSON-marshalable structs (the CLI's
-// -factdir flag dumps the store per package for CI caching and audit) and
-// must be registered in the owning Analyzer's FactTypes — exporting an
-// unregistered fact type is a programming error and panics.
+// Fact types must be pointers to structs and must be registered in the
+// owning Analyzer's FactTypes — exporting an unregistered fact type is a
+// programming error and panics.
 type Fact interface {
 	AFact()
 }
@@ -38,14 +36,14 @@ type pkgFactKey struct {
 	t   reflect.Type
 }
 
-// A FactSet is the in-memory fact store for one RunAnalyzers call.
-type FactSet struct {
+// A factSet is the in-memory fact store for one RunAnalyzers call.
+type factSet struct {
 	obj map[objFactKey]Fact
 	pkg map[pkgFactKey]Fact
 }
 
-func newFactSet() *FactSet {
-	return &FactSet{
+func newFactSet() *factSet {
+	return &factSet{
 		obj: make(map[objFactKey]Fact),
 		pkg: make(map[pkgFactKey]Fact),
 	}
@@ -70,14 +68,14 @@ func copyFact(dst, src Fact) {
 	reflect.ValueOf(dst).Elem().Set(reflect.ValueOf(src).Elem())
 }
 
-func (fs *FactSet) exportObject(a *Analyzer, obj types.Object, fact Fact) {
+func (fs *factSet) exportObject(a *Analyzer, obj types.Object, fact Fact) {
 	if obj == nil {
 		panic(fmt.Sprintf("lint: %s: ExportObjectFact on nil object", a.Name))
 	}
 	fs.obj[objFactKey{a, obj, validFact(a, fact)}] = fact
 }
 
-func (fs *FactSet) importObject(a *Analyzer, obj types.Object, fact Fact) bool {
+func (fs *factSet) importObject(a *Analyzer, obj types.Object, fact Fact) bool {
 	if obj == nil {
 		return false
 	}
@@ -89,11 +87,11 @@ func (fs *FactSet) importObject(a *Analyzer, obj types.Object, fact Fact) bool {
 	return true
 }
 
-func (fs *FactSet) exportPackage(a *Analyzer, pkg *types.Package, fact Fact) {
+func (fs *factSet) exportPackage(a *Analyzer, pkg *types.Package, fact Fact) {
 	fs.pkg[pkgFactKey{a, pkg, validFact(a, fact)}] = fact
 }
 
-func (fs *FactSet) importPackage(a *Analyzer, pkg *types.Package, fact Fact) bool {
+func (fs *factSet) importPackage(a *Analyzer, pkg *types.Package, fact Fact) bool {
 	got, ok := fs.pkg[pkgFactKey{a, pkg, validFact(a, fact)}]
 	if !ok {
 		return false
@@ -141,7 +139,7 @@ type ModulePass struct {
 	Fset     *token.FileSet
 	Pkgs     []*Package
 
-	facts  *FactSet
+	facts  *factSet
 	allows map[string][]allowDirective
 	diags  *[]Diagnostic
 }
@@ -165,8 +163,8 @@ func (mp *ModulePass) ImportPackageFact(pkg *types.Package, fact Fact) bool {
 }
 
 // ReportfAt records a module-phase diagnostic at a previously resolved
-// position (facts carry token.Position, not token.Pos, so they stay
-// serializable), honoring lint:allow directives at that position.
+// position (facts carry token.Position, not token.Pos, so no package's
+// FileSet is needed), honoring lint:allow directives at that position.
 func (mp *ModulePass) ReportfAt(pos token.Position, format string, args ...any) {
 	for _, d := range mp.allows[pos.Filename] {
 		if d.analyzer == mp.Analyzer.Name && (d.line == pos.Line || d.line == pos.Line-1) {
@@ -178,42 +176,4 @@ func (mp *ModulePass) ReportfAt(pos token.Position, format string, args ...any) 
 		Analyzer: mp.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// factObjectName renders an object for the JSON dump: methods as
-// (T).Name, everything else by plain name.
-func factObjectName(obj types.Object) string {
-	if f, ok := obj.(*types.Func); ok {
-		if recv := recvNamed(f); recv != nil {
-			return "(" + recv.Obj().Name() + ")." + f.Name()
-		}
-	}
-	return obj.Name()
-}
-
-// PackageFactsJSON serializes every fact attached to the named package —
-// package facts under "package", object facts under "obj:<name>" — keyed
-// by analyzer. The dump is the CI-cacheable, human-auditable image of the
-// in-memory store; the store itself stays authoritative.
-func (fs *FactSet) PackageFactsJSON(pkgPath string) ([]byte, error) {
-	doc := make(map[string]map[string]any)
-	bucket := func(analyzer string) map[string]any {
-		b, ok := doc[analyzer]
-		if !ok {
-			b = make(map[string]any)
-			doc[analyzer] = b
-		}
-		return b
-	}
-	for k, f := range fs.pkg {
-		if k.pkg.Path() == pkgPath {
-			bucket(k.a.Name)["package"] = f
-		}
-	}
-	for k, f := range fs.obj {
-		if k.obj.Pkg() != nil && k.obj.Pkg().Path() == pkgPath {
-			bucket(k.a.Name)["obj:"+factObjectName(k.obj)] = f
-		}
-	}
-	return json.MarshalIndent(doc, "", "  ")
 }

@@ -18,12 +18,10 @@ import (
 // trailing line comment is already taken by a lint:allow directive). Every
 // diagnostic must match a want on its line and every want must be hit.
 
-func TestSpanEnd(t *testing.T)     { testFixture(t, SpanEnd, "spanend") }
-func TestGenBump(t *testing.T)     { testFixture(t, GenBump, "genbump") }
-func TestLockOrder(t *testing.T)   { testFixture(t, LockOrder, "lockorder") }
-func TestWallClock(t *testing.T)   { testFixture(t, WallClock, "wallclock") }
-func TestAtomicField(t *testing.T) { testFixture(t, AtomicField, "atomicfield") }
-func TestErrSink(t *testing.T)     { testFixture(t, ErrSink, "errsink") }
+func TestSpanEnd(t *testing.T)   { testFixture(t, SpanEnd, "spanend") }
+func TestGenBump(t *testing.T)   { testFixture(t, GenBump, "genbump") }
+func TestWallClock(t *testing.T) { testFixture(t, WallClock, "wallclock") }
+func TestErrSink(t *testing.T)   { testFixture(t, ErrSink, "errsink") }
 
 // The whole-module dataflow analyzers: each fixture imports a model
 // dependency package (query, lockz, work) that RunAnalyzers pulls into

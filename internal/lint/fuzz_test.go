@@ -52,7 +52,7 @@ func FuzzLoadFixture(f *testing.F) {
 		}
 		// A package that loads must also survive the full suite, facts
 		// included — the analyzers walk the same exotic AST.
-		_, _, _ = RunAnalyzersFacts([]*Package{pkg}, All())
+		_, _ = RunAnalyzers([]*Package{pkg}, All())
 	})
 }
 

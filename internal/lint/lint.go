@@ -4,15 +4,14 @@
 // correctness rules at `go vet` time instead of trusting runtime checks to
 // be exercised:
 //
-//	spanend     every obs span reaches End() on all paths, or escapes
-//	genbump     hdfs replica/generation mutations fire notifyChanged
-//	lockorder   shard/datanode locks never nest; no namenode calls under them
-//	wallclock   bare time.Now/time.Since only where wall-clock is the point
-//	atomicfield fields touched via sync/atomic are atomic everywhere
-//	errsink     error results of repo-internal calls are never dropped
-//	sigflow     every knob read on the block-scan path is cache-key material
-//	lockgraph   the module-wide lock-acquisition graph is acyclic
-//	goleak      every spawned goroutine has a provable termination path
+//	spanend   every obs span reaches End() on all paths, or escapes
+//	genbump   hdfs replica/generation mutations fire notifyChanged
+//	wallclock bare time.Now/time.Since only where wall-clock is the point
+//	errsink   error results of repo-internal calls are never dropped
+//	sigflow   every knob read on the block-scan path is cache-key material
+//	lockgraph the module-wide lock-acquisition graph is acyclic, and
+//	          shard/datanode locks are leaves
+//	goleak    every spawned goroutine has a provable termination path
 //
 // The last three are whole-module dataflow analyses: package passes export
 // typed facts (per-function field-read summaries, lock-acquisition edges,
@@ -81,7 +80,7 @@ type Pass struct {
 
 	diags  *[]Diagnostic
 	allows map[string][]allowDirective // filename → directives
-	facts  *FactSet
+	facts  *factSet
 }
 
 // Diagnostic is one reported violation.
@@ -166,14 +165,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// RunAnalyzers applies each analyzer to each package and returns every
-// diagnostic, sorted by position. Malformed lint:allow comments are
-// reported once per package set regardless of which analyzers run.
-func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	diags, _, err := RunAnalyzersFacts(pkgs, analyzers)
-	return diags, err
-}
-
 // expandUniverse returns the requested packages plus their transitive
 // module-local dependencies in dependency order (imports before
 // importers), so a pass can import any fact a dependency's pass exported.
@@ -197,11 +188,14 @@ func expandUniverse(pkgs []*Package) []*Package {
 	return order
 }
 
-// RunAnalyzersFacts is RunAnalyzers exposing the fact store: packages are
-// analyzed in dependency order — including dependencies of the requested
-// set, whose passes run facts-only (their diagnostics belong to runs that
-// request them) — then each analyzer's Finish hook sees the whole module.
-func RunAnalyzersFacts(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, *FactSet, error) {
+// RunAnalyzers applies each analyzer to each package and returns every
+// diagnostic, sorted by position. Packages are analyzed in dependency
+// order — including dependencies of the requested set, whose passes run
+// facts-only (their diagnostics belong to runs that request them) — then
+// each analyzer's Finish hook sees the whole module. Malformed lint:allow
+// comments are reported once per package set regardless of which
+// analyzers run.
+func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	facts := newFactSet()
 	requested := make(map[*Package]bool, len(pkgs))
@@ -239,7 +233,7 @@ func RunAnalyzersFacts(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, *F
 				facts:      facts,
 			}
 			if err := a.Run(pass); err != nil {
-				return nil, nil, fmt.Errorf("%s: %s: %v", a.Name, pkg.Path, err)
+				return nil, fmt.Errorf("%s: %s: %v", a.Name, pkg.Path, err)
 			}
 		}
 	}
@@ -256,7 +250,7 @@ func RunAnalyzersFacts(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, *F
 			diags:    &diags,
 		}
 		if err := a.Finish(mp); err != nil {
-			return nil, nil, fmt.Errorf("%s: finish: %v", a.Name, err)
+			return nil, fmt.Errorf("%s: finish: %v", a.Name, err)
 		}
 	}
 	sort.Slice(diags, func(i, j int) bool {
@@ -272,19 +266,17 @@ func RunAnalyzersFacts(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, *F
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	return diags, facts, nil
+	return diags, nil
 }
 
-// All returns the full hailint suite in stable order: the six per-package
-// rules of the original suite, then the three whole-module dataflow
-// analyzers built on the facts mechanism.
+// All returns the full hailint suite in stable order: the four per-package
+// rules, then the three whole-module dataflow analyzers built on the facts
+// mechanism.
 func All() []*Analyzer {
 	return []*Analyzer{
 		SpanEnd,
 		GenBump,
-		LockOrder,
 		WallClock,
-		AtomicField,
 		ErrSink,
 		SigFlow,
 		LockGraph,

@@ -4,15 +4,17 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
+	"slices"
 	"sort"
+	"strings"
 )
 
-// A lockEdge records "while holding From (in FromMode), To was acquired
-// (in ToMode)". Positions are resolved token.Positions so the fact stays
-// serializable and the module phase can report without a package context.
+// A lockEdge records "while holding From, To was acquired" at one site.
+// Positions are resolved token.Positions so the module phase can report
+// without a package context.
 type lockEdge struct {
-	From, FromMode string
-	To, ToMode     string
+	From, To string
 	// Upgrade marks a read-to-write reacquisition of the same instance —
 	// a genuine RWMutex upgrade, distinct from ordering between two
 	// instances of one class.
@@ -21,7 +23,7 @@ type lockEdge struct {
 }
 
 // lockGraphFact is lockgraph's package fact: every acquisition edge
-// observed in the package, deduplicated and sorted.
+// observed in the package, one per (site, class pair), sorted.
 type lockGraphFact struct {
 	Edges []lockEdge
 }
@@ -38,31 +40,40 @@ type lockAcquiresFact struct {
 
 func (*lockAcquiresFact) AFact() {}
 
-// LockGraph lifts lockorder's pairwise leaf rules into a module-wide
-// proof: every sync.Mutex/RWMutex acquisition is classified into a lock
-// class — (package, owner type, field) for `x.mu.Lock()`, (package, var)
-// for package-level mutexes — and a held-set interpretation of each
-// function records which classes are acquired while which are held.
-// Cross-package nesting flows through facts: a call made under a held
-// lock contributes edges to everything the callee transitively acquires.
-// The module phase then reports (a) read-to-write upgrades of one
-// RWMutex instance, (b) nested acquisition within one class (intra-class
-// order is undefined: shard A→B here and B→A elsewhere deadlocks), and
-// (c) every strongly connected component of the class graph — the
-// deadlock cycles no single package can see.
+// LockGraph proves the module's lock discipline: every sync.Mutex/RWMutex
+// acquisition is classified into a lock class — (package, owner type,
+// field) for `x.mu.Lock()`, (package, var) for package-level mutexes — and
+// a held-set interpretation of each function records which classes are
+// acquired while which are held. Cross-package nesting flows through
+// facts: a call made under a held lock contributes edges to everything the
+// callee transitively acquires. The module phase then reports (a)
+// read-to-write upgrades of one RWMutex instance, (b) nested acquisition
+// within one class (intra-class order is undefined: shard A→B here and B→A
+// elsewhere deadlocks), (c) any edge out of a leaf class — dirShard.mu and
+// DataNode.mu, whose critical sections do their own map work and take no
+// other lock, directly or through any callee — and (d) every strongly
+// connected component of the class graph: the deadlock cycles no single
+// package can see.
 //
-// Goroutine and closure bodies are interpreted on their own empty stacks:
-// their internal nesting is policed, but their acquisitions are not
-// attributed to the spawning function. Helpers that return while holding
-// a lock are not modeled (lockorder owns the dirShard lock()/rlock()
-// discipline); their critical sections are analyzed where the lock is
-// visible.
+// An in-package function that returns holding a lock it acquired (net of
+// its deferred releases) — hdfs's counting lock()/rlock() — is an
+// acquisition at its call site; the held instance takes the name the
+// result is assigned to, so `s := nn.blockShard(b).lock()` is released by
+// `s.mu.Unlock()`. Goroutine and closure bodies are interpreted on their
+// own empty stacks: their internal nesting is policed, but their
+// acquisitions are not attributed to the spawning function.
 var LockGraph = &Analyzer{
 	Name:      "lockgraph",
-	Doc:       "the module-wide lock-acquisition graph must stay acyclic, with no RWMutex upgrades",
+	Doc:       "the module-wide lock-acquisition graph must stay acyclic, with leaf shard/datanode locks and no RWMutex upgrades",
 	Run:       runLockGraph,
 	Finish:    finishLockGraph,
 	FactTypes: []Fact{(*lockGraphFact)(nil), (*lockAcquiresFact)(nil)},
+}
+
+// leafClass reports whether a lock class is one of the storage layer's
+// leaf locks: the namenode directory shards and the datanodes.
+func leafClass(class string) bool {
+	return strings.HasSuffix(class, ".dirShard.mu") || strings.HasSuffix(class, ".DataNode.mu")
 }
 
 // lgHeld is one held lock: class, mode ("R"/"W"), and the rendered
@@ -82,31 +93,38 @@ type lgCall struct {
 type lgState struct {
 	pass    *Pass
 	edges   []lockEdge
-	edgeKey map[string]bool
+	edgeAt  map[lgEdgeKey]int               // index into edges
 	direct  map[*types.Func]map[string]bool // fn → "mode:class" acquired directly
 	callees map[*types.Func][]*types.Func
 	calls   []lgCall
 	cur     *types.Func // function being walked (nil inside closures/goroutines)
+
+	// helpers are the lock-returning functions known when the walk began,
+	// with the locks each leaves held (instances in its own terms);
+	// returnsHeld is what this walk found.
+	helpers, returnsHeld map[*types.Func][]lgHeld
+	// exits and deferred belong to the function being walked: the held
+	// set at each return (and at a fall-through end), and its deferred
+	// releases.
+	exits    [][]lgHeld
+	deferred []lgHeld
+}
+
+type lgEdgeKey struct {
+	from, to string
+	pos      token.Pos
 }
 
 func runLockGraph(pass *Pass) error {
-	st := &lgState{
-		pass:    pass,
-		edgeKey: make(map[string]bool),
-		direct:  make(map[*types.Func]map[string]bool),
-		callees: make(map[*types.Func][]*types.Func),
+	// A helper built on another helper is found only once the inner one is
+	// known, so walk until the set of lock-returning helpers is stable. It
+	// only grows, and a package without helpers is walked once.
+	helpers := map[*types.Func][]lgHeld{}
+	st := walkLockGraph(pass, helpers)
+	for !maps.EqualFunc(st.returnsHeld, helpers, slices.Equal[[]lgHeld]) {
+		helpers = st.returnsHeld
+		st = walkLockGraph(pass, helpers)
 	}
-	for _, fd := range funcDecls(pass) {
-		fn := declaredFunc(pass.Info, fd)
-		if fn == nil {
-			continue
-		}
-		st.direct[fn] = make(map[string]bool)
-		st.cur = fn
-		var held []lgHeld
-		st.walk(fd.Body.List, &held)
-	}
-	st.cur = nil
 
 	// Transitive acquires: seed with direct acquisitions plus imported
 	// summaries of cross-package callees, then close over the in-package
@@ -149,9 +167,9 @@ func runLockGraph(pass *Pass) error {
 			}
 		}
 		for a := range acq {
-			mode, class := a[:1], a[2:]
+			class := a[2:] // "mode:class"
 			for _, h := range c.held {
-				st.addEdge(h, class, mode, false, c.pos)
+				st.addEdge(h, class, false, c.pos)
 			}
 		}
 	}
@@ -169,37 +187,86 @@ func runLockGraph(pass *Pass) error {
 		pass.ExportObjectFact(fn, &lockAcquiresFact{Acquires: out})
 	}
 	if len(st.edges) > 0 {
-		sort.Slice(st.edges, func(i, j int) bool {
-			a, b := st.edges[i], st.edges[j]
-			if a.From != b.From {
-				return a.From < b.From
-			}
-			if a.To != b.To {
-				return a.To < b.To
-			}
-			return a.FromMode+a.ToMode < b.FromMode+b.ToMode
-		})
+		sort.SliceStable(st.edges, func(i, j int) bool { return posLess(st.edges[i].Pos, st.edges[j].Pos) })
 		pass.ExportPackageFact(&lockGraphFact{Edges: st.edges})
 	}
 	return nil
+}
+
+// walkLockGraph interprets every function of the package, given the
+// lock-returning helpers known so far.
+func walkLockGraph(pass *Pass, helpers map[*types.Func][]lgHeld) *lgState {
+	st := &lgState{
+		pass:        pass,
+		edgeAt:      make(map[lgEdgeKey]int),
+		direct:      make(map[*types.Func]map[string]bool),
+		callees:     make(map[*types.Func][]*types.Func),
+		helpers:     helpers,
+		returnsHeld: make(map[*types.Func][]lgHeld),
+	}
+	for _, fd := range funcDecls(pass) {
+		fn := declaredFunc(pass.Info, fd)
+		if fn == nil {
+			continue
+		}
+		st.direct[fn] = make(map[string]bool)
+		st.cur, st.exits, st.deferred = fn, nil, nil
+		var held []lgHeld
+		st.walk(fd.Body.List, &held)
+		if n := len(fd.Body.List); n == 0 || !isReturn(fd.Body.List[n-1]) {
+			st.exits = append(st.exits, held)
+		}
+		if h := st.heldAtExit(); len(h) > 0 {
+			st.returnsHeld[fn] = h
+		}
+	}
+	st.cur = nil
+	return st
+}
+
+func isReturn(s ast.Stmt) bool {
+	_, ok := s.(*ast.ReturnStmt)
+	return ok
+}
+
+// heldAtExit returns the locks the walked function holds at every exit,
+// net of its deferred releases: what its caller holds after the call.
+func (st *lgState) heldAtExit() []lgHeld {
+	if len(st.exits) == 0 {
+		return nil
+	}
+	var out []lgHeld
+next:
+	for _, h := range st.exits[0] {
+		if slices.Contains(st.deferred, h) {
+			continue
+		}
+		for _, exit := range st.exits[1:] {
+			if !slices.Contains(exit, h) {
+				continue next
+			}
+		}
+		out = append(out, h)
+	}
+	return out
 }
 
 func (st *lgState) calleesOf(fn *types.Func) []*types.Func {
 	return st.callees[fn]
 }
 
-func (st *lgState) addEdge(from lgHeld, toClass, toMode string, upgrade bool, pos token.Pos) {
-	key := from.class + "|" + from.mode + "|" + toClass + "|" + toMode
-	if upgrade {
-		key += "|up"
-	}
-	if st.edgeKey[key] {
+// addEdge records one edge per (site, class pair). A call to a
+// lock-returning helper reaches the same site twice — as an acquisition,
+// which knows about upgrades, and as a call — so the flag is merged.
+func (st *lgState) addEdge(from lgHeld, toClass string, upgrade bool, pos token.Pos) {
+	key := lgEdgeKey{from.class, toClass, pos}
+	if i, ok := st.edgeAt[key]; ok {
+		st.edges[i].Upgrade = st.edges[i].Upgrade || upgrade
 		return
 	}
-	st.edgeKey[key] = true
+	st.edgeAt[key] = len(st.edges)
 	st.edges = append(st.edges, lockEdge{
-		From: from.class, FromMode: from.mode,
-		To: toClass, ToMode: toMode,
+		From: from.class, To: toClass,
 		Upgrade: upgrade,
 		Pos:     st.pass.Fset.Position(pos),
 	})
@@ -258,14 +325,23 @@ func (st *lgState) walk(stmts []ast.Stmt, held *[]lgHeld) {
 		case *ast.DeferStmt:
 			if class, mode, op, ok := st.mutexOp(x.Call); ok {
 				// defer mu.Unlock() keeps the section open to the end — no
-				// state change; a deferred acquire (pathological) still
-				// pushes so later acquisitions see it.
-				if op == "acquire" || op == "try" {
+				// state change, but the function does not return holding
+				// it; a deferred acquire (pathological) still pushes so
+				// later acquisitions see it.
+				switch {
+				case op == "release" && st.cur != nil:
+					st.deferred = append(st.deferred, lgHeld{class: class.name, mode: mode, inst: class.inst})
+				case op != "release":
 					st.acquire(held, class, mode, x.Call, op == "acquire")
 				}
 				continue
 			}
 			st.scanStmt(s, held)
+		case *ast.ReturnStmt:
+			st.scanStmt(s, held)
+			if st.cur != nil {
+				st.exits = append(st.exits, slices.Clone(*held))
+			}
 		case *ast.GoStmt:
 			// Fresh stack: interpret a literal body with nothing held.
 			if lit, ok := x.Call.Fun.(*ast.FuncLit); ok {
@@ -297,31 +373,56 @@ func (st *lgState) walkBranch(stmts []ast.Stmt, held []lgHeld) {
 }
 
 // scanStmt applies every call in a simple statement, in traversal order:
-// mutex operations mutate the held set, anything else is recorded as a
-// call site with the current held snapshot. Closure bodies are walked on
-// their own empty stacks.
+// mutex operations mutate the held set, a lock-returning helper acquires,
+// anything else is recorded as a call site with the current held snapshot.
+// Closure bodies are walked on their own empty stacks.
 func (st *lgState) scanStmt(s ast.Stmt, held *[]lgHeld) {
 	ast.Inspect(s, func(n ast.Node) bool {
 		if lit, ok := n.(*ast.FuncLit); ok {
 			st.walkDetached(lit.Body.List)
 			return false
 		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
+		if call, ok := n.(*ast.CallExpr); ok {
+			st.applyCall(s, call, held)
 		}
-		if class, mode, op, ok := st.mutexOp(call); ok {
-			switch op {
-			case "acquire", "try":
-				st.acquire(held, class, mode, call, op == "acquire")
-			case "release":
-				st.release(held, class, mode)
-			}
-			return true
-		}
-		st.recordCall(call, *held)
 		return true
 	})
+}
+
+func (st *lgState) applyCall(s ast.Stmt, call *ast.CallExpr, held *[]lgHeld) {
+	if class, mode, op, ok := st.mutexOp(call); ok {
+		switch op {
+		case "acquire", "try":
+			st.acquire(held, class, mode, call, op == "acquire")
+		case "release":
+			st.release(held, class, mode)
+		}
+		return
+	}
+	st.recordCall(call, *held)
+	fn := calleeFunc(st.pass.Info, call)
+	for _, h := range st.helpers[fn] {
+		class := lgClass{name: h.class, inst: helperInst(s, call, fn, h.inst)}
+		st.acquire(held, class, h.mode, call, true)
+	}
+}
+
+// helperInst names, in the caller's terms, the instance a lock-returning
+// helper leaves held: the identifier its result is assigned to, else the
+// call's receiver when the helper locked its own receiver, else the call
+// itself — an instance the caller can never release.
+func helperInst(s ast.Stmt, call *ast.CallExpr, fn *types.Func, inst string) string {
+	if as, ok := s.(*ast.AssignStmt); ok && len(as.Lhs) == 1 && len(as.Rhs) == 1 && ast.Unparen(as.Rhs[0]) == call {
+		if id, ok := as.Lhs[0].(*ast.Ident); ok && id.Name != "_" {
+			return id.Name
+		}
+	}
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil && recv.Name() == inst {
+			return types.ExprString(sel.X)
+		}
+	}
+	return types.ExprString(call)
 }
 
 // scanExpr records calls (and polices mutex ops) inside a condition or
@@ -362,7 +463,7 @@ func (st *lgState) acquire(held *[]lgHeld, class lgClass, mode string, call *ast
 	if blocking {
 		for _, h := range *held {
 			upgrade := h.class == class.name && h.inst == class.inst && h.mode == "R" && mode == "W"
-			st.addEdge(h, class.name, mode, upgrade, call.Pos())
+			st.addEdge(h, class.name, upgrade, call.Pos())
 		}
 	}
 	*held = append(*held, lgHeld{class: class.name, mode: mode, inst: class.inst})
@@ -443,28 +544,14 @@ func (st *lgState) mutexOp(call *ast.CallExpr) (lgClass, string, string, bool) {
 }
 
 // finishLockGraph assembles every package's edges and reports upgrades,
-// intra-class nesting, and cross-class cycles (as strongly connected
-// components, one report per component).
+// intra-class nesting and leaf violations at each site, and cross-class
+// cycles (as strongly connected components, one report per component).
 func finishLockGraph(mp *ModulePass) error {
-	type edgeKey struct {
-		from, fromMode, to, toMode string
-		up                         bool
-	}
-	best := make(map[edgeKey]lockEdge)
-	for _, pf := range mp.AllPackageFacts() {
-		f := pf.Fact.(*lockGraphFact)
-		for _, e := range f.Edges {
-			k := edgeKey{e.From, e.FromMode, e.To, e.ToMode, e.Upgrade}
-			if old, ok := best[k]; !ok || posLess(e.Pos, old.Pos) {
-				best[k] = e
-			}
-		}
-	}
 	var edges []lockEdge
-	for _, e := range best {
-		edges = append(edges, e)
+	for _, pf := range mp.AllPackageFacts() {
+		edges = append(edges, pf.Fact.(*lockGraphFact).Edges...)
 	}
-	sort.Slice(edges, func(i, j int) bool { return posLess(edges[i].Pos, edges[j].Pos) })
+	sort.SliceStable(edges, func(i, j int) bool { return posLess(edges[i].Pos, edges[j].Pos) })
 
 	adj := make(map[string][]string)
 	nodes := make(map[string]bool)
@@ -476,6 +563,9 @@ func finishLockGraph(mp *ModulePass) error {
 		case e.From == e.To:
 			mp.ReportfAt(e.Pos,
 				"nested acquisition within lock class %s — intra-class ordering is undefined (A→B here, B→A elsewhere deadlocks)", e.From)
+		case leafClass(e.From):
+			mp.ReportfAt(e.Pos,
+				"acquiring %s while leaf lock %s is held — shard/datanode critical sections take no other lock", e.To, e.From)
 		default:
 			adj[e.From] = append(adj[e.From], e.To)
 			nodes[e.From], nodes[e.To] = true, true

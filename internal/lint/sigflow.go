@@ -35,11 +35,10 @@ func (*sigReadsFact) AFact() {}
 // construction: fields whose type lives in the hdfs package (the storage
 // handle — block bytes are keyed by generation, so topology changes
 // already miss), address-taken fields (atomic accumulators are outputs,
-// not knobs; atomicfield polices them), and split-phase-only fields
-// (split shape is keyed separately: the split cache key carries the
-// sorted (block, generation) set and the pinned replica). MapSig's side
-// of the key is enforced at runtime — mapred.Engine refuses to cache when
-// Job.MapSig is empty.
+// not knobs), and split-phase-only fields (the cache is per block, and
+// how blocks are grouped into splits changes no block's output). MapSig's
+// side of the key is enforced at runtime — mapred.Engine refuses to cache
+// when Job.MapSig is empty.
 var SigFlow = &Analyzer{
 	Name:      "sigflow",
 	Doc:       "every knob read on the block-scan path must flow into QuerySignature",

@@ -6,7 +6,8 @@
 // dependency's exported lock closes the cycle — which no single package
 // can see. RWMutex upgrades and intra-class nesting are reported too;
 // ordered acyclic nesting, sequential sections, TryLock, and
-// goroutine-fresh stacks are the accepted shapes.
+// goroutine-fresh stacks are the accepted shapes. leaf.go models the
+// storage layer's leaf locks and its lock-returning helpers.
 package lockgraph
 
 import (
