@@ -172,7 +172,8 @@ type Client struct {
 // upload. One row, one block and one serialization buffer serve the whole
 // upload: each line is parsed into the row and copied into the block's
 // arenas, and a full block is serialized, written through the pipeline —
-// which keeps none of it — and emptied for the next.
+// which reassembles its own copy for the datanodes to read — and emptied
+// for the next.
 func (cl *Client) Upload(file string, lines []string) (UploadSummary, error) {
 	if err := cl.Config.Validate(); err != nil {
 		return UploadSummary{}, err

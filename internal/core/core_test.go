@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -419,6 +420,39 @@ func TestBuildIndexedReplicaAllocationsDoNotGrowWithRows(t *testing.T) {
 				t.Errorf("BuildIndexedReplica of %d rows on column %d: %v allocations, want at most %d", rows, col, allocs, bound)
 			}
 		}
+	}
+}
+
+// TestUploadAllocatesLittleMoreThanItStores is the allocation gate of the
+// whole upload: one 20k-line upload with Bob's replicas may allocate at
+// most three times the bytes it stores. Every replica is written once —
+// the sort is a permutation gathered while marshalling into the frame, the
+// pipeline reassembles each block once, the datanode keeps the bytes its
+// transform returned — which measures ≈2.2 ×; one more copy of every
+// replica anywhere on the path adds a whole StoredBytes (≈5.2 × with all
+// three). Blocks are 256 KiB so that the ten of them amortize the client
+// arenas' one-time growth, as the 2 MiB blocks of a large upload do.
+func TestUploadAllocatesLittleMoreThanItStores(t *testing.T) {
+	lines := workload.GenerateUserVisits(20_000, 1, workload.UserVisitsOptions{NeedleEvery: 25_000, BadEvery: 10_007})
+	cluster, err := hdfs.NewCluster(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := bobLayout()
+	cfg.BlockSize = 256 << 10
+	client := &Client{Cluster: cluster, Config: cfg}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sum, err := client.Upload("/uv", lines)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocated := after.TotalAlloc - before.TotalAlloc
+	ratio := float64(allocated) / float64(sum.StoredBytes)
+	t.Logf("%d B allocated for %d B stored in %d blocks (%.2f ×)", allocated, sum.StoredBytes, sum.Blocks, ratio)
+	if ratio > 3 {
+		t.Errorf("upload allocated %.2f × the bytes it stores, want at most 3 ×", ratio)
 	}
 }
 

@@ -1,6 +1,7 @@
 package hdfs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -18,6 +19,11 @@ var ErrReplicaExists = errors.New("node already stores a replica of the block")
 // (0 = DN1), and the returned bytes replace the received block on that
 // node only. The returned ReplicaInfo is registered with the namenode's
 // Dir_rep. A nil transform gives classic HDFS byte-identical replicas.
+//
+// block is the block reassembled once and shared by every position: it is
+// read-only, and may be returned as is. The returned bytes are handed to
+// the datanode, which stores them without a copy, so neither the transform
+// nor its caller may write to them afterwards.
 type ReplicaTransform func(position int, node NodeID, block []byte) ([]byte, ReplicaInfo, error)
 
 // UploadStats describes one block upload for tests and the cost model.
@@ -160,10 +166,11 @@ func (c *Cluster) pickPipeline(replication int) ([]*DataNode, error) {
 // WriteBlock uploads one block with the given replication factor, running
 // the full packet pipeline: framing into checksummed packets, forwarding
 // along the chain, tail-only verification, the backwards ACK chain, and
-// per-node flush. With a transform (HAIL mode) every datanode reassembles
-// the block in memory, transforms it, recomputes its own checksums and
-// flushes; without one (HDFS mode) nodes store the packets' bytes and the
-// checksums they carried.
+// per-node flush. With a transform (HAIL mode) the block is reassembled in
+// memory once and every datanode transforms it, recomputes its own
+// checksums and flushes what its transform returned; without one (HDFS
+// mode) nodes store the packets' bytes and their checksums. data stays the
+// caller's: HDFS mode stores one copy of it, shared by every replica.
 func (c *Cluster) WriteBlock(file string, data []byte, replication int, transform ReplicaTransform) (BlockID, UploadStats, error) {
 	c.mu.Lock()
 	pipeline, err := c.pickPipeline(replication)
@@ -193,7 +200,7 @@ func (c *Cluster) WriteBlock(file string, data []byte, replication int, transfor
 	nextAck := 0
 	for i := range pkts {
 		p := &pkts[i]
-		for pos, dn := range pipeline {
+		for _, dn := range pipeline {
 			if !dn.Alive() {
 				return 0, stats, fmt.Errorf("hdfs: datanode %d died during upload of block %d", dn.ID(), id)
 			}
@@ -201,7 +208,6 @@ func (c *Cluster) WriteBlock(file string, data []byte, replication int, transfor
 			dn.packetsRecv++
 			dn.mu.Unlock()
 			stats.LinkBytes += perPacketBytes(p)
-			_ = pos
 		}
 		tail := pipeline[len(pipeline)-1]
 		if err := p.Verify(); err != nil {
@@ -226,16 +232,22 @@ func (c *Cluster) WriteBlock(file string, data []byte, replication int, transfor
 
 	// Flush phase. In HDFS mode data was logically streamed to disk as
 	// packets arrived; in HAIL mode each node reassembles, transforms,
-	// recomputes checksums for its own bytes and only then flushes.
+	// recomputes checksums for its own bytes and only then flushes. Every
+	// node receives the same packets, so the block is reassembled once and
+	// each transform reads it.
+	var block []byte
+	if transform != nil {
+		if block, err = Reassemble(pkts); err != nil {
+			return 0, stats, err
+		}
+	} else {
+		block = bytes.Clone(data)
+	}
 	flushed := make([]NodeID, 0, len(pipeline))
 	for pos, dn := range pipeline {
-		stored := data
+		stored := block
 		info := ReplicaInfo{Size: len(data), SortColumn: -1}
 		if transform != nil {
-			block, err := Reassemble(pkts)
-			if err != nil {
-				return 0, stats, err
-			}
 			stored, info, err = transform(pos, dn.ID(), block)
 			if err != nil {
 				return 0, stats, fmt.Errorf("hdfs: transform on datanode %d: %v", dn.ID(), err)
@@ -269,7 +281,8 @@ func (c *Cluster) WriteBlock(file string, data []byte, replication int, transfor
 // use it: re-replication after a datanode loss (StoreRecoveredReplica)
 // and the adaptive indexer, which stores a freshly sorted+indexed copy of
 // a block so later jobs get index scans. The replica's checksum file is
-// computed here.
+// computed here. data is handed over: the datanode stores it without a
+// copy, and the caller must not write to it afterwards.
 func (c *Cluster) StoreAdditionalReplica(b BlockID, node NodeID, data []byte, info ReplicaInfo) error {
 	dn, err := c.DataNode(node)
 	if err != nil {
@@ -320,7 +333,8 @@ func (c *Cluster) StoreRecoveredReplica(b BlockID, node NodeID, data []byte, inf
 // ReplaceReplica overwrites an existing replica's stored bytes with a
 // reorganized copy (same rows, different sort order, new index) and
 // updates the namenode's Dir_rep entry — the adaptive indexer's in-place
-// conversion of an unsorted PAX replica into a sorted, indexed one.
+// conversion of an unsorted PAX replica into a sorted, indexed one. data
+// is handed over as in StoreAdditionalReplica.
 func (c *Cluster) ReplaceReplica(b BlockID, node NodeID, data []byte, info ReplicaInfo) error {
 	dn, err := c.DataNode(node)
 	if err != nil {

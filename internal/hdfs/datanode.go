@@ -66,7 +66,11 @@ func (dn *DataNode) Revive() {
 	dn.alive = true
 }
 
-// flush writes a replica's data and checksum files to the local store.
+// flush writes a replica's data and checksum files to the local store. It
+// stores the slices it is given: the caller hands them over and never
+// writes to them again. Replicas on different nodes may share bytes; that
+// is safe because stored bytes are immutable and CorruptByte copies on
+// write, so corruption on one node cannot leak to its siblings.
 func (dn *DataNode) flush(b BlockID, data []byte, sums []uint32) error {
 	dn.mu.Lock()
 	defer dn.mu.Unlock()
@@ -76,9 +80,7 @@ func (dn *DataNode) flush(b BlockID, data []byte, sums []uint32) error {
 	if _, dup := dn.replicas[b]; dup {
 		return fmt.Errorf("hdfs: datanode %d already stores block %d", dn.id, b)
 	}
-	// Copy: a disk write materializes its own bytes. Replicas sharing a
-	// slice would let corruption on one node leak to its siblings.
-	dn.replicas[b] = storedReplica{data: append([]byte(nil), data...), sums: append([]uint32(nil), sums...)}
+	dn.replicas[b] = storedReplica{data: data, sums: sums}
 	dn.bytesFlushed += int64(len(data)) + int64(4*len(sums))
 	return nil
 }
@@ -86,7 +88,8 @@ func (dn *DataNode) flush(b BlockID, data []byte, sums []uint32) error {
 // replace overwrites an existing replica's data and checksum files — the
 // datanode side of adaptive reorganization: the block's rows are unchanged
 // but their order (and the attached index) differ, so the files are
-// rewritten wholesale. Unlike flush it requires the replica to exist.
+// rewritten wholesale. Unlike flush it requires the replica to exist; like
+// flush it stores the slices it is given.
 func (dn *DataNode) replace(b BlockID, data []byte, sums []uint32) error {
 	dn.mu.Lock()
 	defer dn.mu.Unlock()
@@ -96,7 +99,7 @@ func (dn *DataNode) replace(b BlockID, data []byte, sums []uint32) error {
 	if _, ok := dn.replicas[b]; !ok {
 		return fmt.Errorf("hdfs: datanode %d has no replica of block %d to replace", dn.id, b)
 	}
-	dn.replicas[b] = storedReplica{data: append([]byte(nil), data...), sums: append([]uint32(nil), sums...)}
+	dn.replicas[b] = storedReplica{data: data, sums: sums}
 	dn.bytesFlushed += int64(len(data)) + int64(4*len(sums))
 	return nil
 }
@@ -205,7 +208,8 @@ func (dn *DataNode) ReplicaSize(b BlockID) int {
 
 // CorruptByte flips one bit of a stored replica, for failure-injection
 // tests of the checksum machinery. The flip is copy-on-write: views opened
-// before it keep the bytes they opened. The checksum file is not touched,
+// before it keep the bytes they opened, and replicas on other nodes that
+// share those bytes keep them too. The checksum file is not touched,
 // so flipping the same bit again restores the replica.
 func (dn *DataNode) CorruptByte(b BlockID, offset int) error {
 	dn.mu.Lock()

@@ -175,6 +175,83 @@ func TestClusterHAILModeTransformPerReplica(t *testing.T) {
 	}
 }
 
+// TestHDFSModeKeepsNoCallerBytes pins the one copy HDFS mode makes: the
+// caller may reuse its buffer as soon as WriteBlock returns (the HAIL
+// client does, block after block), so the replicas — which share that one
+// copy — must not alias it, and corrupting one of them must leave its
+// siblings verifying.
+func TestHDFSModeKeepsNoCallerBytes(t *testing.T) {
+	c, _ := NewCluster(4)
+	data := randBlock(3*ChunksPerPacket*ChunkSize+77, 12)
+	want := bytes.Clone(data)
+	id, stats, err := c.WriteBlock("/f", data, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range data {
+		data[i] = ^data[i]
+	}
+	for _, node := range stats.PipelineNodes {
+		got, err := c.ReadBlockFrom(node, id)
+		if err != nil {
+			t.Fatalf("node %d after the caller reused its buffer: %v", node, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("node %d stores the caller's buffer, not a copy of it", node)
+		}
+	}
+	victim, _ := c.DataNode(stats.PipelineNodes[0])
+	if err := victim.CorruptByte(id, 1000); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ReadBlockFrom(victim.ID(), id); !errors.Is(err, ErrCorruptChunk) {
+		t.Fatalf("corrupted replica read: %v", err)
+	}
+	for _, node := range stats.PipelineNodes[1:] {
+		if got, err := c.ReadBlockFrom(node, id); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("corrupting node %d's replica reached its sibling on node %d (%v)", victim.ID(), node, err)
+		}
+	}
+}
+
+// TestHAILModeStoresWhatTheTransformReturns pins the two ownership rules of
+// the HAIL pipeline: the block is reassembled once, so every position's
+// transform reads the same bytes, and the datanode keeps the slice its
+// transform returned instead of copying it.
+func TestHAILModeStoresWhatTheTransformReturns(t *testing.T) {
+	c, _ := NewCluster(4)
+	data := randBlock(2*ChunksPerPacket*ChunkSize+5, 13)
+	var seen, returned [][]byte
+	transform := func(pos int, node NodeID, block []byte) ([]byte, ReplicaInfo, error) {
+		seen = append(seen, block)
+		out := append([]byte{byte(pos)}, block...)
+		returned = append(returned, out)
+		return out, ReplicaInfo{SortColumn: pos}, nil
+	}
+	id, stats, err := c.WriteBlock("/f", data, 3, transform)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pos, node := range stats.PipelineNodes {
+		if !bytes.Equal(seen[pos], data) {
+			t.Fatalf("position %d's transform read other bytes than the block", pos)
+		}
+		if &seen[pos][0] != &seen[0][0] {
+			t.Errorf("position %d's transform read its own reassembly of the block", pos)
+		}
+		if &seen[pos][0] == &data[0] {
+			t.Errorf("position %d's transform read the caller's buffer", pos)
+		}
+		dn, _ := c.DataNode(node)
+		dn.mu.RLock()
+		stored := dn.replicas[id].data
+		dn.mu.RUnlock()
+		if &stored[0] != &returned[pos][0] || len(stored) != len(returned[pos]) {
+			t.Errorf("node %d stores a copy of what its transform returned", node)
+		}
+	}
+}
+
 func TestGetHostsWithIndex(t *testing.T) {
 	c, _ := NewCluster(5)
 	transform := func(pos int, node NodeID, block []byte) ([]byte, ReplicaInfo, error) {

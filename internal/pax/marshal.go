@@ -49,7 +49,8 @@ func (b *Block) MarshalSize() int {
 }
 
 // MarshalAppend appends the block's serialized form to dst, growing it at
-// most once: the header, then each arena copied as it stands.
+// most once: the header, then each column — an arena copied as it stands,
+// or, on a sorted block, its values gathered through the row order.
 func (b *Block) MarshalAppend(dst []byte) ([]byte, error) {
 	if b.numRows > math.MaxUint32 {
 		return nil, fmt.Errorf("pax: too many rows (%d)", b.numRows)
@@ -89,12 +90,27 @@ func (b *Block) MarshalAppend(dst []byte) ([]byte, error) {
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(b.bad)))
 	for i := range b.cols {
 		c := &b.cols[i]
+		if b.perm == nil {
+			if c.typ == schema.String {
+				for r := 0; r < b.numRows; r += PartitionSize {
+					out = binary.LittleEndian.AppendUint32(out, c.starts[r])
+				}
+			}
+			out = append(out, c.data...)
+			continue
+		}
 		if c.typ == schema.String {
-			for r := 0; r < b.numRows; r += PartitionSize {
-				out = binary.LittleEndian.AppendUint32(out, c.starts[r])
+			// The offset list: where each partition's first value will sit
+			// once the values before it are gathered.
+			at := uint32(0)
+			for r, p := range b.perm {
+				if r%PartitionSize == 0 {
+					out = binary.LittleEndian.AppendUint32(out, at)
+				}
+				at += c.starts[p+1] - c.starts[p]
 			}
 		}
-		out = append(out, c.data...)
+		out = c.appendGathered(out, b.perm)
 	}
 	return append(out, b.bad...), nil
 }

@@ -22,9 +22,10 @@
 // A Block holds its columns in the serialized form's own layout — packed
 // little-endian bytes, zero-terminated strings behind a row directory, the
 // bad-record section as stored — so Unmarshal validates and aliases its
-// input instead of decoding it, SortBy sorts (key, row) pairs of the sort
-// column and gathers each column once, and Marshal is a header plus
-// copies.
+// input instead of decoding it. SortBy sorts (key, row) pairs of the sort
+// column and records the order as a permutation; it moves no value bytes.
+// Marshal writes the header and then each column once, gathered through
+// that permutation straight into the output.
 //
 // Reading has two granularities. Reader.ReadColumnRange boxes a row range
 // into []schema.Value eagerly — what the scan tests' row oracle reads
@@ -107,7 +108,7 @@ func (c *column) value(i int) schema.Value {
 //
 // A block returned by Unmarshal aliases the bytes it was decoded from and
 // never writes to them: its slices are cap-limited, so appending copies
-// first, and SortBy gathers into fresh arenas.
+// first, and SortBy only records an order.
 type Block struct {
 	sch     *schema.Schema
 	cols    []column
@@ -116,6 +117,10 @@ type Block struct {
 	numBad  int
 	// sortCol is the attribute the good rows are clustered on, or -1.
 	sortCol int
+	// perm is the block's row order: logical row r is stored at physical
+	// row perm[r] of every column. Nil means arrival order. SortBy sets it;
+	// every accessor and Marshal read through it.
+	perm []uint32
 	// aliased marks arenas that belong to Unmarshal's caller: Reset drops
 	// them where it would otherwise keep them to be overwritten.
 	aliased bool
@@ -146,7 +151,7 @@ func (b *Block) Reset() {
 			c.starts = append(c.starts[:0], 0)
 		}
 	}
-	b.numRows, b.bad, b.numBad, b.sortCol = 0, b.bad[:0], 0, -1
+	b.numRows, b.bad, b.numBad, b.sortCol, b.perm = 0, b.bad[:0], 0, -1, nil
 }
 
 // Schema returns the block's schema.
@@ -162,7 +167,9 @@ func (b *Block) NumBad() int { return b.numBad }
 // if the block is in arrival order.
 func (b *Block) SortColumn() int { return b.sortCol }
 
-// AppendRow adds one parsed row. The row must match the schema.
+// AppendRow adds one parsed row. The row must match the schema. On a
+// sorted block it first moves every column into its sorted order, since a
+// new row goes behind the sorted ones.
 func (b *Block) AppendRow(r schema.Row) error {
 	if len(r) != len(b.cols) {
 		return fmt.Errorf("pax: row has %d values, schema has %d", len(r), len(b.cols))
@@ -177,6 +184,7 @@ func (b *Block) AppendRow(r schema.Row) error {
 			return fmt.Errorf("pax: block too large: column %d would pass %d bytes", i, math.MaxUint32)
 		}
 	}
+	b.materialize()
 	for i := range r {
 		b.cols[i].append(r[i])
 	}
@@ -200,14 +208,23 @@ func (b *Block) BadRecord(i int) string {
 	return string(sec[4 : 4+binary.LittleEndian.Uint32(sec)])
 }
 
+// physical returns the column position of logical row r.
+func (b *Block) physical(r int) int {
+	if b.perm == nil {
+		return r
+	}
+	return int(b.perm[r])
+}
+
 // Value returns the value of attribute col in row r.
-func (b *Block) Value(r, col int) schema.Value { return b.cols[col].value(r) }
+func (b *Block) Value(r, col int) schema.Value { return b.cols[col].value(b.physical(r)) }
 
 // Row materializes row r across all attributes.
 func (b *Block) Row(r int) schema.Row {
 	row := make(schema.Row, len(b.cols))
+	p := b.physical(r)
 	for i := range b.cols {
-		row[i] = b.cols[i].value(r)
+		row[i] = b.cols[i].value(p)
 	}
 	return row
 }
@@ -229,8 +246,29 @@ func (b *Block) Clone() *Block {
 	for i, c := range b.cols {
 		nb.cols[i] = column{typ: c.typ, data: bytes.Clone(c.data), starts: slices.Clone(c.starts)}
 	}
-	nb.bad, nb.aliased = bytes.Clone(b.bad), false
+	nb.bad, nb.perm, nb.aliased = bytes.Clone(b.bad), slices.Clone(b.perm), false
 	return &nb
+}
+
+// materialize rewrites every column in the block's row order into fresh
+// arenas and drops the permutation.
+func (b *Block) materialize() {
+	if b.perm == nil {
+		return
+	}
+	for i := range b.cols {
+		c := &b.cols[i]
+		data := c.appendGathered(make([]byte, 0, len(c.data)), b.perm)
+		if c.typ == schema.String {
+			starts := make([]uint32, len(c.starts))
+			for r, p := range b.perm {
+				starts[r+1] = starts[r] + c.starts[p+1] - c.starts[p]
+			}
+			c.starts = starts
+		}
+		c.data = data
+	}
+	b.perm = nil
 }
 
 // ColumnBytes returns the serialized size in bytes of attribute col,

@@ -3,7 +3,9 @@ package pax
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -647,5 +649,149 @@ func TestUnmarshalScansWhatTheHeaderCannotCheck(t *testing.T) {
 	offsets[urlOff] ^= 1
 	if _, err := Unmarshal(offsets); err == nil {
 		t.Error("offset list that disagrees with the values accepted")
+	}
+}
+
+// TestSortedBlockReadsThroughItsOrder covers a sorted block, whose columns
+// stay where they were while its row order is a permutation: every
+// accessor and every later change must see the rows in the sorted order.
+// Each case runs on a block AppendRow built and on one Unmarshal aliases,
+// sorted on a fixed-size and on a string attribute.
+func TestSortedBlockReadsThroughItsOrder(t *testing.T) {
+	type sorted struct {
+		b            *Block
+		col          int
+		perm         []int        // what SortBy returned
+		before, want []schema.Row // arrival order, oracle order
+	}
+	oracle := func(rows []schema.Row, col int) []schema.Row {
+		out := slices.Clone(rows)
+		sort.SliceStable(out, func(i, j int) bool { return out[i][col].Compare(out[j][col]) < 0 })
+		return out
+	}
+	sameRows := func(t *testing.T, what string, got, want []schema.Row) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d rows, want %d", what, len(got), len(want))
+		}
+		for i := range want {
+			if !got[i].Equal(want[i]) {
+				t.Fatalf("%s: row %d is %v, want %v", what, i, got[i], want[i])
+			}
+		}
+	}
+	cases := []struct {
+		name  string
+		check func(t *testing.T, s sorted)
+	}{
+		{"Value and Row follow the oracle", func(t *testing.T, s sorted) {
+			for i, want := range s.want {
+				if !s.b.Row(i).Equal(want) {
+					t.Fatalf("Row(%d) = %v, want %v", i, s.b.Row(i), want)
+				}
+				for c := range want {
+					if s.b.Value(i, c).Compare(want[c]) != 0 {
+						t.Fatalf("Value(%d, %d) = %v, want %v", i, c, s.b.Value(i, c), want[c])
+					}
+				}
+			}
+		}},
+		{"AppendRow goes behind the sorted rows", func(t *testing.T, s sorted) {
+			extra := testRow(rand.New(rand.NewSource(31)))
+			if err := s.b.AppendRow(extra); err != nil {
+				t.Fatal(err)
+			}
+			if s.b.SortColumn() != -1 {
+				t.Errorf("SortColumn after AppendRow = %d, want -1", s.b.SortColumn())
+			}
+			want := append(slices.Clone(s.want), extra)
+			sameRows(t, "after AppendRow", s.b.Rows(), want)
+			data, err := s.b.Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			back, err := Unmarshal(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameRows(t, "marshalled after AppendRow", back.Rows(), want)
+		}},
+		{"Clone is independent of the original", func(t *testing.T, s sorted) {
+			orig, err := s.b.Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := s.b.Clone()
+			sameRows(t, "clone", c.Rows(), s.want)
+			if err := c.AppendRow(testRow(rand.New(rand.NewSource(32)))); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.SortBy((s.col + 1) % testSchema.NumFields()); err != nil {
+				t.Fatal(err)
+			}
+			if s.b.SortColumn() != s.col {
+				t.Errorf("changing the clone moved the original's sort column to %d", s.b.SortColumn())
+			}
+			sameRows(t, "original after changing the clone", s.b.Rows(), s.want)
+			if again, err := s.b.Marshal(); err != nil || !bytes.Equal(again, orig) {
+				t.Errorf("changing the clone changed the original's bytes (%v)", err)
+			}
+		}},
+		{"Reset leaves an empty unsorted block", func(t *testing.T, s sorted) {
+			s.b.Reset()
+			if s.b.NumRows() != 0 || s.b.NumBad() != 0 || s.b.SortColumn() != -1 || s.b.perm != nil {
+				t.Fatalf("after Reset: %d rows, %d bad, sorted on %d, order %v", s.b.NumRows(), s.b.NumBad(), s.b.SortColumn(), s.b.perm != nil)
+			}
+			refill := s.before[:50]
+			for _, r := range refill {
+				if err := s.b.AppendRow(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sameRows(t, "refilled after Reset", s.b.Rows(), refill)
+		}},
+		{"SortBy's permutation is relative to the order before it", func(t *testing.T, s sorted) {
+			for i, p := range s.perm {
+				if !s.want[i].Equal(s.before[p]) {
+					t.Fatalf("first sort: row %d is not arrival row %d", i, p)
+				}
+			}
+			next := (s.col + 1) % testSchema.NumFields()
+			perm, err := s.b.SortBy(next)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range perm {
+				if !s.b.Row(i).Equal(s.want[p]) {
+					t.Fatalf("re-sort: row %d is not row %d of the first sort", i, p)
+				}
+			}
+			sameRows(t, "re-sorted", s.b.Rows(), oracle(s.want, next))
+		}},
+	}
+	for _, tc := range cases {
+		for _, col := range []int{1, 4} {
+			for _, decoded := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/col=%d/unmarshalled=%v", tc.name, col, decoded), func(t *testing.T) {
+					b := buildBlock(t, 2*PartitionSize+300, int64(40+col))
+					b.AppendBad("bad")
+					before := b.Rows()
+					if decoded {
+						data, err := b.Marshal()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if b, err = Unmarshal(data); err != nil {
+							t.Fatal(err)
+						}
+					}
+					perm, err := b.SortBy(col)
+					if err != nil {
+						t.Fatal(err)
+					}
+					tc.check(t, sorted{b: b, col: col, perm: perm, before: before, want: oracle(before, col)})
+				})
+			}
+		}
 	}
 }

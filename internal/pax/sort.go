@@ -19,15 +19,17 @@ type sortKey struct {
 }
 
 // SortBy clusters the block on attribute col: it stable-sorts the rows by
-// that attribute and applies the resulting permutation (the paper's "sort
-// index") to every column, preserving row integrity. It returns the
-// permutation so callers can account for the reorganization cost.
+// that attribute and records the resulting permutation (the paper's "sort
+// index") as the block's row order, which every column then follows,
+// preserving row integrity. It returns the permutation relative to the
+// order the block had before the call — new row i is old row perm[i] — so
+// callers can account for the reorganization cost.
 //
 // Only the sort column is looked at to find the order — one (key, row)
-// pair per row, radix-sorted — and every column is then gathered once
-// through it. Rows with equal values keep their order; -0.0 and +0.0 are
-// equal values, as they are to Value.Compare. NaN, which no parsed row
-// holds, sorts somewhere.
+// pair per row, radix-sorted — and no value moves: Marshal gathers each
+// column through the order as it writes it. Rows with equal values keep
+// their order; -0.0 and +0.0 are equal values, as they are to
+// Value.Compare. NaN, which no parsed row holds, sorts somewhere.
 func (b *Block) SortBy(col int) ([]int, error) {
 	if col < 0 || col >= len(b.cols) {
 		return nil, fmt.Errorf("pax: sort column %d out of range [0,%d)", col, len(b.cols))
@@ -35,23 +37,25 @@ func (b *Block) SortBy(col int) ([]int, error) {
 	n := b.numRows
 	keys := make([]sortKey, 2*n)
 	keys, scratch := keys[:n], keys[n:]
+	// A key's row is physical, so the column is read as stored; keys start
+	// in the block's current order, which a stable sort keeps among equals.
 	for i := range keys {
-		keys[i].row = uint32(i)
+		keys[i].row = uint32(b.physical(i))
 	}
 	switch c := &b.cols[col]; c.typ {
 	case schema.Int32, schema.Date:
 		for i := range keys {
-			keys[i].key = uint64(binary.LittleEndian.Uint32(c.data[i*4:]) ^ 1<<31)
+			keys[i].key = uint64(binary.LittleEndian.Uint32(c.data[int(keys[i].row)*4:]) ^ 1<<31)
 		}
 		radixSort(keys, scratch)
 	case schema.Int64:
 		for i := range keys {
-			keys[i].key = binary.LittleEndian.Uint64(c.data[i*8:]) ^ 1<<63
+			keys[i].key = binary.LittleEndian.Uint64(c.data[int(keys[i].row)*8:]) ^ 1<<63
 		}
 		radixSort(keys, scratch)
 	case schema.Float64:
 		for i := range keys {
-			keys[i].key = floatKey(binary.LittleEndian.Uint64(c.data[i*8:]))
+			keys[i].key = floatKey(binary.LittleEndian.Uint64(c.data[int(keys[i].row)*8:]))
 		}
 		radixSort(keys, scratch)
 	case schema.String:
@@ -64,14 +68,22 @@ func (b *Block) SortBy(col int) ([]int, error) {
 			c.sortStrings(keys, scratch, 0)
 		}
 	}
-	perm := make([]int, n)
+	// Old logical row of each physical row, for the permutation returned.
+	var logical []uint32
+	if b.perm != nil {
+		logical = make([]uint32, n)
+		for i, p := range b.perm {
+			logical[p] = uint32(i)
+		}
+	}
+	order, perm := make([]uint32, n), make([]int, n)
 	for i, k := range keys {
-		perm[i] = int(k.row)
+		order[i], perm[i] = k.row, int(k.row)
+		if logical != nil {
+			perm[i] = int(logical[k.row])
+		}
 	}
-	for i := range b.cols {
-		b.cols[i].gather(perm)
-	}
-	b.sortCol = col
+	b.perm, b.sortCol = order, col
 	return perm, nil
 }
 
@@ -159,28 +171,29 @@ func radixSort(keys, scratch []sortKey) {
 	}
 }
 
-// gather reorders the column so that new row i holds what row perm[i]
-// held, into a fresh arena.
-func (c *column) gather(perm []int) {
-	out := make([]byte, len(c.data))
+// appendGathered appends the column's values to dst in the order perm
+// gives — perm[i] is the physical row that goes i-th — terminators
+// included and without a string column's offset list.
+func (c *column) appendGathered(dst []byte, perm []uint32) []byte {
+	dst = slices.Grow(dst, len(c.data))
+	at := len(dst)
 	switch c.typ.Width() {
 	case 4:
-		for i, p := range perm {
-			binary.LittleEndian.PutUint32(out[i*4:], binary.LittleEndian.Uint32(c.data[p*4:]))
+		dst = dst[:at+len(perm)*4]
+		for _, p := range perm {
+			binary.LittleEndian.PutUint32(dst[at:], binary.LittleEndian.Uint32(c.data[int(p)*4:]))
+			at += 4
 		}
 	case 8:
-		for i, p := range perm {
-			binary.LittleEndian.PutUint64(out[i*8:], binary.LittleEndian.Uint64(c.data[p*8:]))
+		dst = dst[:at+len(perm)*8]
+		for _, p := range perm {
+			binary.LittleEndian.PutUint64(dst[at:], binary.LittleEndian.Uint64(c.data[int(p)*8:]))
+			at += 8
 		}
 	default:
-		starts := make([]uint32, len(c.starts))
-		at := 0
-		for i, p := range perm {
-			starts[i] = uint32(at)
-			at += copy(out[at:], c.data[c.starts[p]:c.starts[p+1]])
+		for _, p := range perm {
+			dst = append(dst, c.data[c.starts[p]:c.starts[p+1]]...)
 		}
-		starts[len(perm)] = uint32(at)
-		c.starts = starts
 	}
-	c.data = out
+	return dst
 }
