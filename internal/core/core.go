@@ -7,7 +7,9 @@
 // datanode in the pipeline reassembles the block in memory, sorts it on its
 // own attribute, builds a sparse clustered index, recomputes checksums and
 // flushes — so with replication three, every block is stored in three sort
-// orders with three different clustered indexes, for (almost) free.
+// orders with three different clustered indexes, for (almost) free. The
+// datanodes build their replicas at the same time, and the client parses
+// the next block meanwhile, with one block in flight.
 //
 // Query side (§4): HailInputFormat asks the namenode which replicas carry
 // an index matching the job's filter attribute (getHostsWithIndex) and
@@ -171,9 +173,14 @@ type Client struct {
 // Bad records go to the block's bad-record section instead of failing the
 // upload. One row, one block and one serialization buffer serve the whole
 // upload: each line is parsed into the row and copied into the block's
-// arenas, and a full block is serialized, written through the pipeline —
-// which reassembles its own copy for the datanodes to read — and emptied
-// for the next.
+// arenas, and a full block is serialized and emptied for the next.
+//
+// The client streams on while the pipeline works, as in the paper: a
+// serialized block is written through the pipeline on its own goroutine
+// while the next block is parsed. At most one block is in flight — the
+// next serialization waits for it, because it reuses the buffer the
+// pipeline is still reading — so blocks are written, and get their IDs, in
+// file order. Upload never returns while a write is in flight.
 func (cl *Client) Upload(file string, lines []string) (UploadSummary, error) {
 	if err := cl.Config.Validate(); err != nil {
 		return UploadSummary{}, err
@@ -183,6 +190,13 @@ func (cl *Client) Upload(file string, lines []string) (UploadSummary, error) {
 		sep = ','
 	}
 	parser := &schema.Parser{Schema: cl.Config.Schema, Sep: sep}
+	sortColumns := cl.Config.SortColumns
+	// Each datanode reassembles the PAX block in memory (§3.2 step 6) —
+	// `data` here is exactly the reassembled packet payload — then sorts
+	// on its own attribute and builds its clustered index.
+	transform := func(pos int, _ hdfs.NodeID, data []byte) ([]byte, hdfs.ReplicaInfo, error) {
+		return buildReplica(data, sortColumns[pos])
+	}
 
 	var sum UploadSummary
 	block := pax.NewBlock(cl.Config.Schema)
@@ -190,17 +204,40 @@ func (cl *Client) Upload(file string, lines []string) (UploadSummary, error) {
 	var row schema.Row
 	var paxData []byte
 
+	// The writer fills written's block-side counts, and owns it until the
+	// upload's last wait; the parser fills sum's text-side counts meanwhile.
+	var written UploadSummary
+	done := make(chan error, 1)
+	inFlight := false
+	wait := func() error {
+		if !inFlight {
+			return nil
+		}
+		inFlight = false
+		return <-done
+	}
+	finish := func(err error) (UploadSummary, error) {
+		if werr := wait(); err == nil {
+			err = werr
+		}
+		written.TextBytes, written.Rows, written.BadRecords = sum.TextBytes, sum.Rows, sum.BadRecords
+		return written, err
+	}
 	flush := func() error {
 		if block.NumRows() == 0 && block.NumBad() == 0 {
 			return nil
+		}
+		if err := wait(); err != nil {
+			return err
 		}
 		var err error
 		if paxData, err = block.MarshalAppend(paxData[:0]); err != nil {
 			return err
 		}
-		if err := cl.writeBlock(file, paxData, &sum); err != nil {
-			return err
-		}
+		inFlight = true
+		go func(data []byte) {
+			done <- cl.writeBlock(file, data, transform, &written)
+		}(paxData)
 		block.Reset()
 		blockText = 0
 		return nil
@@ -214,33 +251,24 @@ func (cl *Client) Upload(file string, lines []string) (UploadSummary, error) {
 			sum.BadRecords++
 		} else {
 			if err := block.AppendRow(row); err != nil {
-				return sum, err
+				return finish(err)
 			}
 			sum.Rows++
 		}
 		blockText += len(line) + 1
 		if blockText >= cl.Config.BlockSize {
 			if err := flush(); err != nil {
-				return sum, err
+				return finish(err)
 			}
 		}
 	}
-	if err := flush(); err != nil {
-		return sum, err
-	}
-	return sum, nil
+	return finish(flush())
 }
 
 // writeBlock writes one serialized PAX block through the pipeline with the
-// per-replica sort+index transform.
-func (cl *Client) writeBlock(file string, paxData []byte, sum *UploadSummary) error {
+// per-replica sort+index transform and adds it to sum.
+func (cl *Client) writeBlock(file string, paxData []byte, transform hdfs.ReplicaTransform, sum *UploadSummary) error {
 	cfg := cl.Config
-	// Each datanode reassembles the PAX block in memory (§3.2 step 6) —
-	// `data` here is exactly the reassembled packet payload — then sorts
-	// on its own attribute and builds its clustered index.
-	transform := func(pos int, _ hdfs.NodeID, data []byte) ([]byte, hdfs.ReplicaInfo, error) {
-		return buildReplica(data, cfg.SortColumns[pos])
-	}
 	id, stats, err := cl.Cluster.WriteBlock(file, paxData, cfg.Replication(), transform)
 	if err != nil {
 		return err

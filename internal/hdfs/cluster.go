@@ -24,7 +24,20 @@ var ErrReplicaExists = errors.New("node already stores a replica of the block")
 // read-only, and may be returned as is. The returned bytes are handed to
 // the datanode, which stores them without a copy, so neither the transform
 // nor its caller may write to them afterwards.
+//
+// Every datanode builds its replica on its own machine, so the transform is
+// called concurrently for the positions of one block: it must not share
+// mutable state between positions.
 type ReplicaTransform func(position int, node NodeID, block []byte) ([]byte, ReplicaInfo, error)
+
+// builtReplica is what one pipeline position will flush: its bytes, their
+// checksum file and its Dir_rep entry, or the error its transform returned.
+type builtReplica struct {
+	data []byte
+	sums []uint32
+	info ReplicaInfo
+	err  error
+}
 
 // UploadStats describes one block upload for tests and the cost model.
 type UploadStats struct {
@@ -167,10 +180,14 @@ func (c *Cluster) pickPipeline(replication int) ([]*DataNode, error) {
 // the full packet pipeline: framing into checksummed packets, forwarding
 // along the chain, tail-only verification, the backwards ACK chain, and
 // per-node flush. With a transform (HAIL mode) the block is reassembled in
-// memory once and every datanode transforms it, recomputes its own
-// checksums and flushes what its transform returned; without one (HDFS
-// mode) nodes store the packets' bytes and their checksums. data stays the
-// caller's: HDFS mode stores one copy of it, shared by every replica.
+// memory once and every datanode transforms it and recomputes its own
+// checksums — all positions at once, position 0 on the caller's goroutine —
+// and flushes what its transform returned; without one (HDFS mode) nodes
+// store the packets' bytes and their checksums. data stays the caller's:
+// HDFS mode stores one copy of it and one checksum file, shared by every
+// replica. Nothing is flushed until every transform has succeeded, and
+// replicas are flushed and registered in pipeline order, so the namenode
+// sees exactly what a serial pipeline would leave.
 func (c *Cluster) WriteBlock(file string, data []byte, replication int, transform ReplicaTransform) (BlockID, UploadStats, error) {
 	c.mu.Lock()
 	pipeline, err := c.pickPipeline(replication)
@@ -182,7 +199,11 @@ func (c *Cluster) WriteBlock(file string, data []byte, replication int, transfor
 	c.nextBlock++
 	c.mu.Unlock()
 
-	stats := UploadStats{AcksInOrder: true}
+	stats := UploadStats{
+		AcksInOrder:   true,
+		PipelineNodes: make([]NodeID, 0, len(pipeline)),
+		ReplicaSizes:  make([]int, 0, len(pipeline)),
+	}
 	for _, dn := range pipeline {
 		stats.PipelineNodes = append(stats.PipelineNodes, dn.ID())
 	}
@@ -198,6 +219,7 @@ func (c *Cluster) WriteBlock(file string, data []byte, replication int, transfor
 	// believes DN2, and CL believes DN1").
 	perPacketBytes := func(p *Packet) int64 { return int64(len(p.Data)) + int64(4*len(p.Sums)) }
 	nextAck := 0
+	ackIDs := make([]NodeID, 0, len(pipeline))
 	for i := range pkts {
 		p := &pkts[i]
 		for _, dn := range pipeline {
@@ -219,7 +241,7 @@ func (c *Cluster) WriteBlock(file string, data []byte, replication int, transfor
 
 		// ACK chain: the ack for packet p travels tail→…→DN1→client with
 		// node IDs appended; the client checks sequence order (§3.2 step 15).
-		ackIDs := make([]NodeID, 0, len(pipeline))
+		ackIDs = ackIDs[:0]
 		for pos := len(pipeline) - 1; pos >= 0; pos-- {
 			ackIDs = append(ackIDs, pipeline[pos].ID())
 		}
@@ -230,41 +252,64 @@ func (c *Cluster) WriteBlock(file string, data []byte, replication int, transfor
 		nextAck++
 	}
 
-	// Flush phase. In HDFS mode data was logically streamed to disk as
-	// packets arrived; in HAIL mode each node reassembles, transforms,
-	// recomputes checksums for its own bytes and only then flushes. Every
-	// node receives the same packets, so the block is reassembled once and
-	// each transform reads it.
-	var block []byte
-	if transform != nil {
-		if block, err = Reassemble(pkts); err != nil {
-			return 0, stats, err
+	// Build phase. In HDFS mode data was logically streamed to disk as
+	// packets arrived: every replica is the same bytes with the same
+	// checksums, so they share one copy and one checksum file. In HAIL mode
+	// each node reassembles, transforms and recomputes checksums for its
+	// own bytes (§3.2 steps 6–7) on its own machine: every node receives
+	// the same packets, so the block is reassembled once, and the positions'
+	// transforms run at once, each writing only its own slot.
+	replicas := make([]builtReplica, len(pipeline))
+	if transform == nil {
+		stored := bytes.Clone(data)
+		shared := builtReplica{data: stored, sums: checksumChunks(stored), info: ReplicaInfo{Size: len(data), SortColumn: -1}}
+		for pos := range replicas {
+			replicas[pos] = shared
 		}
 	} else {
-		block = bytes.Clone(data)
-	}
-	flushed := make([]NodeID, 0, len(pipeline))
-	for pos, dn := range pipeline {
-		stored := block
-		info := ReplicaInfo{Size: len(data), SortColumn: -1}
-		if transform != nil {
-			stored, info, err = transform(pos, dn.ID(), block)
-			if err != nil {
-				return 0, stats, fmt.Errorf("hdfs: transform on datanode %d: %v", dn.ID(), err)
-			}
-			info.Size = len(stored)
-		}
-		// Each replica gets its own checksum file: in HAIL mode sort
-		// orders differ per replica, so checksums must be recomputed per
-		// node (§3.2 step 7); in HDFS mode this equals the carried sums.
-		sums := checksumChunks(stored)
-		if err := dn.flush(id, stored, sums); err != nil {
+		block, err := Reassemble(pkts)
+		if err != nil {
 			return 0, stats, err
 		}
-		stats.ReplicaSizes = append(stats.ReplicaSizes, len(stored))
+		build := func(pos int) {
+			r := &replicas[pos]
+			if r.data, r.info, r.err = transform(pos, pipeline[pos].ID(), block); r.err == nil {
+				// Sort orders differ per replica, so each gets its own
+				// checksum file (§3.2 step 7).
+				r.info.Size = len(r.data)
+				r.sums = checksumChunks(r.data)
+			}
+		}
+		var wg sync.WaitGroup
+		for pos := 1; pos < len(pipeline); pos++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				build(pos)
+			}()
+		}
+		build(0)
+		wg.Wait()
+		// Every error is checked before anything is flushed, so a failed
+		// transform leaves no replica of the block behind.
+		for pos, r := range replicas {
+			if r.err != nil {
+				return 0, stats, fmt.Errorf("hdfs: transform on datanode %d: %v", pipeline[pos].ID(), r.err)
+			}
+		}
+	}
+
+	// Flush phase, in pipeline order.
+	flushed := make([]NodeID, 0, len(pipeline))
+	for pos, dn := range pipeline {
+		r := replicas[pos]
+		if err := dn.flush(id, r.data, r.sums); err != nil {
+			return 0, stats, err
+		}
+		stats.ReplicaSizes = append(stats.ReplicaSizes, len(r.data))
 		// The datanode informs the namenode about its new replica,
 		// including size, index and sort order (§3.2 steps 11 and 14).
-		c.registerReplicaDirty(id, dn.ID(), info)
+		c.registerReplicaDirty(id, dn.ID(), r.info)
 		flushed = append(flushed, dn.ID())
 	}
 	if len(flushed) != replication {

@@ -5,8 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func randBlock(n int, seed int64) []byte {
@@ -221,11 +224,12 @@ func TestHDFSModeKeepsNoCallerBytes(t *testing.T) {
 func TestHAILModeStoresWhatTheTransformReturns(t *testing.T) {
 	c, _ := NewCluster(4)
 	data := randBlock(2*ChunksPerPacket*ChunkSize+5, 13)
-	var seen, returned [][]byte
+	// Transforms run concurrently: each records into its own position.
+	seen, returned := make([][]byte, 3), make([][]byte, 3)
 	transform := func(pos int, node NodeID, block []byte) ([]byte, ReplicaInfo, error) {
-		seen = append(seen, block)
+		seen[pos] = block
 		out := append([]byte{byte(pos)}, block...)
-		returned = append(returned, out)
+		returned[pos] = out
 		return out, ReplicaInfo{SortColumn: pos}, nil
 	}
 	id, stats, err := c.WriteBlock("/f", data, 3, transform)
@@ -275,6 +279,10 @@ func TestGetHostsWithIndex(t *testing.T) {
 	}
 }
 
+// TestTransformErrorFailsUpload: a transform failing at any position fails
+// the upload and leaves nothing behind — no datanode stores the block, the
+// namenode lists no holder for it, and the file does not get it. Every
+// position's error is checked before the first flush.
 func TestTransformErrorFailsUpload(t *testing.T) {
 	c, _ := NewCluster(3)
 	transform := func(pos int, node NodeID, block []byte) ([]byte, ReplicaInfo, error) {
@@ -285,6 +293,52 @@ func TestTransformErrorFailsUpload(t *testing.T) {
 	}
 	if _, _, err := c.WriteBlock("/f", randBlock(1000, 7), 3, transform); err == nil {
 		t.Error("upload with failing transform succeeded")
+	}
+	const failed = BlockID(0) // the cluster's first block
+	for n := 0; n < c.NumNodes(); n++ {
+		if dn, _ := c.DataNode(NodeID(n)); dn.HasReplica(failed) {
+			t.Errorf("node %d stores a replica of the failed block", n)
+		}
+	}
+	if hosts := c.NameNode().GetHosts(failed); len(hosts) != 0 {
+		t.Errorf("GetHosts of the failed block = %v, want none", hosts)
+	}
+	if blocks, _ := c.NameNode().FileBlocks("/f"); len(blocks) != 0 {
+		t.Errorf("file lists blocks %v after its only upload failed", blocks)
+	}
+}
+
+// TestWriteBlockRunsTransformsConcurrently: every datanode builds its
+// replica on its own machine (§3.2 step 7), so no position's transform may
+// wait for another's to finish. Each transform here returns only once all
+// three have entered; a pipeline that ran them one after another would
+// never get past the first.
+func TestWriteBlockRunsTransformsConcurrently(t *testing.T) {
+	c, _ := NewCluster(3)
+	const replication = 3
+	var entered sync.WaitGroup
+	entered.Add(replication)
+	all := make(chan struct{})
+	go func() {
+		entered.Wait()
+		close(all)
+	}()
+	transform := func(pos int, node NodeID, block []byte) ([]byte, ReplicaInfo, error) {
+		entered.Done()
+		select {
+		case <-all:
+			return block, ReplicaInfo{SortColumn: pos}, nil
+		case <-time.After(5 * time.Second):
+			return nil, ReplicaInfo{}, fmt.Errorf("position %d: the other transforms never started", pos)
+		}
+	}
+	id, stats, err := c.WriteBlock("/f", randBlock(10_000, 14), replication, transform)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Registration still follows the pipeline, as a serial one leaves it.
+	if hosts := c.NameNode().GetHosts(id); !slices.Equal(hosts, stats.PipelineNodes) {
+		t.Errorf("GetHosts = %v, want the pipeline %v", hosts, stats.PipelineNodes)
 	}
 }
 

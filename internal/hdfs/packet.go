@@ -11,7 +11,8 @@
 // appending its ID. Two upload modes exist: classic HDFS (flush chunk data
 // and checksums as packets arrive) and HAIL (assemble the whole block in
 // memory, transform it per replica — sort + index —, recompute checksums,
-// then flush; §3.2).
+// then flush; §3.2). As on a real cluster, the pipeline's datanodes build
+// their replicas concurrently.
 package hdfs
 
 import (
