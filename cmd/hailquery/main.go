@@ -187,7 +187,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Name:     "hailquery",
 		File:     *name,
 		Input:    input,
-		Map:      workload.PassthroughMap,
 		MapBatch: workload.PassthroughMapBatch,
 		MapSig:   workload.PassthroughMapSig, // required for the result cache to engage
 		Trace:    tr,

@@ -31,11 +31,11 @@
 // PAX bytes into typed vectors, the conjunction runs as selection-vector
 // kernels (query.MatchesBatch), and projection columns are materialized
 // late — only for the rows that survived, at row granularity via
-// pax.ColumnCursor.NextSelected. Batches reach batch-aware map functions
-// (mapred.Job.MapBatch) directly and ordinary map functions through a
-// row-compat shim (mapred.Batch.Each). This is the only scan path; a
-// row-at-a-time reader survives as a test-side oracle (vector_test.go)
-// that holds its output and I/O accounting byte-identical.
+// pax.ColumnCursor.NextSelected. Batches reach batch map functions
+// (mapred.Job.MapBatch) directly and row map functions through
+// mapred.Batch.Each. This is the only scan path; a row-at-a-time reader
+// survives as a test-side oracle (vector_test.go) that holds its output
+// and I/O accounting byte-identical.
 package core
 
 import (

@@ -672,13 +672,15 @@ func TestBlockAtATimeMatchesWholeSplitRead(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	read := func(rr mapred.RecordReader, err error) ([]string, mapred.TaskStats) {
+	read := func(rr mapred.BatchReader, err error) ([]string, mapred.TaskStats) {
 		t.Helper()
 		if err != nil {
 			t.Fatal(err)
 		}
 		var rows []string
-		stats, err := rr.Read(func(r mapred.Record) { rows = append(rows, r.Raw+"|"+r.Row.Line(',')) })
+		stats, err := rr.ReadBatches(func(b *mapred.Batch) {
+			b.Each(func(r mapred.Record) { rows = append(rows, r.Raw+"|"+r.Row.Line(',')) })
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -731,6 +733,11 @@ func TestBlockAtATimeMatchesWholeSplitRead(t *testing.T) {
 				}
 				if gotStats != wantStats {
 					t.Fatalf("summed stats differ:\nblock at a time: %+v\nwhole split:     %+v", gotStats, wantStats)
+				}
+				// The baselines run no selection kernels: their batches leave
+				// the vectorized pipeline's counters alone.
+				if st := wantStats; tc.name != "core" && (st.RowsScanned != 0 || st.RowsSelected != 0 || st.BatchesEmitted != 0) {
+					t.Fatalf("baseline reader set the batch counters: %+v", st)
 				}
 			}
 			if multi == 0 {

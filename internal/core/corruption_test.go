@@ -325,12 +325,14 @@ chunks:
 			t.Fatal(err)
 		}
 		var out []string
-		st, err := rr.Read(func(r mapred.Record) {
-			if r.Bad {
-				out = append(out, "bad\x00"+r.Raw)
-			} else {
-				out = append(out, r.Row.Line(','))
-			}
+		st, err := rr.ReadBatches(func(b *mapred.Batch) {
+			b.Each(func(r mapred.Record) {
+				if r.Bad {
+					out = append(out, "bad\x00"+r.Raw)
+				} else {
+					out = append(out, r.Row.Line(','))
+				}
+			})
 		})
 		if err != nil {
 			t.Fatal(err)

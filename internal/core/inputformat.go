@@ -469,7 +469,7 @@ func (f *splitPlanner) hailSplits(blocks []hdfs.BlockID, col int) ([]mapred.Spli
 }
 
 // Open creates the HailRecordReader for a split.
-func (f *InputFormat) Open(split mapred.Split, node hdfs.NodeID) (mapred.RecordReader, error) {
+func (f *InputFormat) Open(split mapred.Split, node hdfs.NodeID) (mapred.BatchReader, error) {
 	return &recordReader{
 		cluster: f.Cluster,
 		query:   f.Query,

@@ -57,13 +57,6 @@ type recordReader struct {
 	ident query.Selection  // reused identity selection for compacted batches
 }
 
-// Read implements mapred.RecordReader: it streams batches and
-// materializes records through Batch.Each's scratch row, so ordinary map
-// functions get the kernel speedup without change.
-func (r *recordReader) Read(fn func(mapred.Record)) (mapred.TaskStats, error) {
-	return r.ReadBatches(func(b *mapred.Batch) { b.Each(fn) })
-}
-
 // ReadBatches implements mapred.BatchReader: the split's blocks as a lazy
 // batch stream. The batch passed to fn is reused; it is valid only for
 // the duration of the call.

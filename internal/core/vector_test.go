@@ -10,6 +10,7 @@ import (
 	"repro/internal/mapred"
 	"repro/internal/query"
 	"repro/internal/schema"
+	"repro/internal/trojan"
 	"repro/internal/workload"
 )
 
@@ -19,24 +20,25 @@ import (
 // kept here — and only here — because the two are written independently
 // below the shared per-replica prologue (openView: frame, PAX header,
 // index lookup): boxed pax.Reader.ReadColumnRange + Predicate.Matches per
-// row on this side, column cursors + selection-vector kernels on the
-// other. The oracle opens no cursors and knows no failover; it reads the
-// replica the pipeline would try first.
+// row, batched through schema.Vector.Append, on this side; column cursors
+// + selection-vector kernels on the other. The oracle opens no cursors and
+// knows no failover; it reads the replica the pipeline would try first.
 type rowOracleInput struct{ f *InputFormat }
 
 func (o rowOracleInput) SplitsWithStats(file string) ([]mapred.Split, mapred.TaskStats, error) {
 	return o.f.SplitsWithStats(file)
 }
 
-func (o rowOracleInput) Open(split mapred.Split, node hdfs.NodeID) (mapred.RecordReader, error) {
+func (o rowOracleInput) Open(split mapred.Split, node hdfs.NodeID) (mapred.BatchReader, error) {
 	return &rowOracleReader{r: recordReader{cluster: o.f.Cluster, query: o.f.Query, split: split, node: node}}, nil
 }
 
 // rowOracleReader holds its recordReader in a named field, not embedded,
-// so it never satisfies mapred.BatchReader by promotion.
+// so none of the pipeline's methods is promoted to it: its ReadBatches is
+// its own.
 type rowOracleReader struct{ r recordReader }
 
-func (o *rowOracleReader) Read(fn func(mapred.Record)) (mapred.TaskStats, error) {
+func (o *rowOracleReader) ReadBatches(fn func(*mapred.Batch)) (mapred.TaskStats, error) {
 	var stats mapred.TaskStats
 	for _, b := range o.r.split.Blocks {
 		if err := o.readBlockRows(b, fn, &stats); err != nil {
@@ -47,8 +49,8 @@ func (o *rowOracleReader) Read(fn func(mapred.Record)) (mapred.TaskStats, error)
 }
 
 // readBlockRows is the per-block row execution: the candidate range row
-// by row, then the bad records flagged, one at a time.
-func (o *rowOracleReader) readBlockRows(b hdfs.BlockID, fn func(mapred.Record), stats *mapred.TaskStats) error {
+// by row into one batch, then the bad records flagged in another.
+func (o *rowOracleReader) readBlockRows(b hdfs.BlockID, fn func(*mapred.Batch), stats *mapred.TaskStats) error {
 	node, pinned := o.r.split.Replica[b]
 	if !pinned {
 		node = o.r.cluster.ReplicaOrder(b, o.r.node)[0]
@@ -70,9 +72,9 @@ func (o *rowOracleReader) readBlockRows(b hdfs.BlockID, fn func(mapred.Record), 
 	if err != nil {
 		return err
 	}
-	for _, line := range bad {
-		stats.RecordsDelivered++
-		fn(mapred.Record{Raw: line, Bad: true})
+	if len(bad) > 0 {
+		stats.RecordsDelivered += int64(len(bad))
+		fn(&mapred.Batch{Bad: bad})
 	}
 	stats.AddIO(bs.reader.Stats())
 	return nil
@@ -80,9 +82,9 @@ func (o *rowOracleReader) readBlockRows(b hdfs.BlockID, fn func(mapred.Record), 
 
 // emitRange reads the filter and projection columns over the candidate row
 // range — each as one contiguous boxed range, ascending column order —
-// post-filters row by row, and emits projected rows through a reused
-// scratch row (the same object-reuse contract as Batch.Each).
-func emitRange(bs *blockScan, fn func(mapred.Record), stats *mapred.TaskStats) error {
+// post-filters row by row, and appends each qualifying row's projected
+// values to vectors: one batch for the range, every row selected.
+func emitRange(bs *blockScan, fn func(*mapred.Batch), stats *mapred.TaskStats) error {
 	q, proj := bs.q, bs.proj
 	cols, _ := neededColumns(q, proj)
 	needed := make(map[int][]schema.Value, len(cols))
@@ -96,7 +98,10 @@ func emitRange(bs *blockScan, fn func(mapred.Record), stats *mapred.TaskStats) e
 
 	n := bs.toRow - bs.fromRow
 	stats.RecordsScanned += int64(n)
-	row := make(schema.Row, len(proj))
+	batch := &mapred.Batch{Cols: make([]*schema.Vector, len(proj))}
+	for j, c := range proj {
+		batch.Cols[j] = schema.NewVector(bs.reader.Schema().Field(c).Type)
+	}
 rows:
 	for i := 0; i < n; i++ {
 		for _, p := range q.Filter {
@@ -105,11 +110,14 @@ rows:
 			}
 		}
 		for j, c := range proj {
-			row[j] = needed[c][i]
+			batch.Cols[j].Append(needed[c][i])
 		}
+		batch.Sel = append(batch.Sel, int32(len(batch.Sel)))
 		stats.RecordsDelivered++
 		stats.AttrsDelivered += int64(len(proj))
-		fn(mapred.Record{Row: row})
+	}
+	if len(batch.Sel) > 0 {
+		fn(batch)
 	}
 	return nil
 }
@@ -209,35 +217,58 @@ func TestBatchPathMatchesRowPath(t *testing.T) {
 	}
 }
 
-// TestMapBatchMatchesMap: a job that opts into MapBatch must emit exactly
-// what the record form emits — the engine's readRecords fast path and the
-// Batch.Each shim are interchangeable.
+// TestMapBatchMatchesMap: a job that maps whole batches must emit exactly
+// what the record form emits over Batch.Each, whether it sets MapBatch
+// beside Map or alone — over HAIL's batches and over the typed batches of
+// a baseline (Hadoop++'s trojan reader).
 func TestMapBatchMatchesMap(t *testing.T) {
-	cluster, _, _, _ := uvFixture(t, 4_000, workload.UserVisitsOptions{BadEvery: 900})
+	cluster, _, _, lines := uvFixture(t, 4_000, workload.UserVisitsOptions{BadEvery: 900})
 	bq := workload.BobQueries()[0]
-	run := func(mb mapred.MapBatchFunc) *mapred.JobResult {
-		e := &mapred.Engine{Cluster: cluster, Parallelism: 1}
-		res, err := e.Run(&mapred.Job{
-			Name:     "mapbatch-ab",
-			File:     "/uv",
-			Input:    &InputFormat{Cluster: cluster, Query: bq.Query, Splitting: true},
-			Map:      workload.PassthroughMap,
-			MapBatch: mb,
-			MapSig:   workload.PassthroughMapSig,
-		})
-		if err != nil {
-			t.Fatal(err)
+	sys := &trojan.System{
+		Cluster: cluster, Schema: workload.UserVisitsSchema(), BlockSize: 64 << 10,
+		Replication: 3, IndexColumn: workload.UVVisitDate,
+	}
+	if _, err := sys.Upload("/trojan", lines); err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range []struct {
+		name, file string
+		input      mapred.InputFormat
+	}{
+		{"hail", "/uv", &InputFormat{Cluster: cluster, Query: bq.Query, Splitting: true}},
+		{"trojan", "/trojan", &trojan.InputFormat{System: sys, Query: bq.Query}},
+	} {
+		run := func(m mapred.MapFunc, mb mapred.MapBatchFunc) *mapred.JobResult {
+			e := &mapred.Engine{Cluster: cluster, Parallelism: 1}
+			res, err := e.Run(&mapred.Job{
+				Name:     "mapbatch-ab",
+				File:     in.file,
+				Input:    in.input,
+				Map:      m,
+				MapBatch: mb,
+				MapSig:   workload.PassthroughMapSig,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
 		}
-		return res
-	}
-	record := run(nil)
-	batched := run(workload.PassthroughMapBatch)
-	if len(record.Output) != len(batched.Output) {
-		t.Fatalf("record form emitted %d, batch form %d", len(record.Output), len(batched.Output))
-	}
-	for i := range record.Output {
-		if record.Output[i] != batched.Output[i] {
-			t.Fatalf("output %d differs: %q vs %q", i, record.Output[i], batched.Output[i])
+		record := run(workload.PassthroughMap, nil)
+		if len(record.Output) == 0 {
+			t.Fatalf("%s: the record form emitted nothing", in.name)
+		}
+		for form, batched := range map[string]*mapred.JobResult{
+			"Map and MapBatch": run(workload.PassthroughMap, workload.PassthroughMapBatch),
+			"MapBatch alone":   run(nil, workload.PassthroughMapBatch),
+		} {
+			if len(record.Output) != len(batched.Output) {
+				t.Fatalf("%s, %s: record form emitted %d, batch form %d", in.name, form, len(record.Output), len(batched.Output))
+			}
+			for i := range record.Output {
+				if record.Output[i] != batched.Output[i] {
+					t.Fatalf("%s, %s: output %d differs: %q vs %q", in.name, form, i, record.Output[i], batched.Output[i])
+				}
+			}
 		}
 	}
 }
@@ -282,7 +313,7 @@ func TestScanAllocationsNotPerRow(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st, err := rr.Read(func(mapred.Record) {})
+			st, err := rr.ReadBatches(func(b *mapred.Batch) { b.Each(func(mapred.Record) {}) })
 			if err != nil {
 				t.Fatal(err)
 			}

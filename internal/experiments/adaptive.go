@@ -113,7 +113,7 @@ func (r *Runner) ExpAdaptive(w Workload, jobs int, offerRate float64) (*Adaptive
 				Cluster: cluster, Query: q, Adaptive: idx,
 				Splitting: true, SplitsPerNode: SplitsPerNodePaper,
 			},
-			Map: workload.PassthroughMap,
+			MapBatch: workload.PassthroughMapBatch,
 		})
 		if err != nil {
 			return nil, err

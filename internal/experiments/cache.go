@@ -164,7 +164,7 @@ func (r *Runner) ExpCache(w Workload, jobs int, budget int64, offerRate float64,
 			Cluster: cluster, Query: q,
 			Splitting: true, SplitsPerNode: SplitsPerNodePaper,
 		},
-		Map: workload.PassthroughMap,
+		MapBatch: workload.PassthroughMapBatch,
 	})
 	if err != nil {
 		return nil, err
@@ -197,7 +197,7 @@ func (r *Runner) ExpCache(w Workload, jobs int, budget int64, offerRate float64,
 		}
 		res, err := engine.Run(&mapred.Job{
 			Name: fmt.Sprintf("cache-job-%d", j), File: f.file,
-			Input: newInput(idx), Map: workload.PassthroughMap,
+			Input: newInput(idx), MapBatch: workload.PassthroughMapBatch,
 			MapSig: workload.PassthroughMapSig,
 		})
 		if err != nil {

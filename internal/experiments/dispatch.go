@@ -194,7 +194,7 @@ func (r *Runner) ExpDispatch(w Workload, cacheBudget int64) (*DispatchReport, er
 		}
 		return e.Run(&mapred.Job{
 			Name: name, File: f.file,
-			Input: newInput(pack, cache), Map: workload.PassthroughMap,
+			Input: newInput(pack, cache), MapBatch: workload.PassthroughMapBatch,
 			MapSig: workload.PassthroughMapSig,
 		})
 	}
@@ -317,7 +317,7 @@ func (r *Runner) ExpDispatch(w Workload, cacheBudget int64) (*DispatchReport, er
 	}
 	killRes, err := e.Run(&mapred.Job{
 		Name: "dispatch-packed-kill", File: f.file,
-		Input: newInput(true, nil), Map: workload.PassthroughMap,
+		Input: newInput(true, nil), MapBatch: workload.PassthroughMapBatch,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: packed job with node kill failed: %v", err)

@@ -148,8 +148,8 @@ func (r *Runner) hailFaultRun(sortCols []int, bq workload.BenchQuery) (e2e, slow
 	}
 	resKill, err := e.Run(&mapred.Job{
 		Name: bq.Name + "-kill", File: f.file,
-		Input: &core.InputFormat{Cluster: cluster, Query: bq.Query},
-		Map:   workload.PassthroughMap,
+		Input:    &core.InputFormat{Cluster: cluster, Query: bq.Query},
+		MapBatch: workload.PassthroughMapBatch,
 	})
 	if err != nil {
 		return 0, 0, err

@@ -28,13 +28,13 @@ func (r *Runner) runQuery(f *fixture, bq workload.BenchQuery, splitting bool) (*
 		job.Map = bq.HadoopMap
 	case HadoopPP:
 		job.Input = &trojan.InputFormat{System: f.trojanSys, Query: bq.Query}
-		job.Map = workload.PassthroughMap
+		job.MapBatch = workload.PassthroughMapBatch
 	case HAIL:
 		job.Input = &core.InputFormat{
 			Cluster: f.cluster, Query: bq.Query,
 			Splitting: splitting, SplitsPerNode: SplitsPerNodePaper,
 		}
-		job.Map = workload.PassthroughMap
+		job.MapBatch = workload.PassthroughMapBatch
 	}
 	return e.Run(job)
 }

@@ -130,7 +130,7 @@ func (r *Runner) ExpLifecycle(w Workload, jobsPerPhase int, offerRate float64) (
 				Cluster: cluster, Query: q,
 				Splitting: true, SplitsPerNode: SplitsPerNodePaper,
 			},
-			Map: workload.PassthroughMap,
+			MapBatch: workload.PassthroughMapBatch,
 		})
 		if err != nil {
 			return nil, err
@@ -187,7 +187,7 @@ func (r *Runner) ExpLifecycle(w Workload, jobsPerPhase int, offerRate float64) (
 					Cluster: cluster, Query: q, Adaptive: idx,
 					Splitting: true, SplitsPerNode: SplitsPerNodePaper,
 				},
-				Map: workload.PassthroughMap,
+				MapBatch: workload.PassthroughMapBatch,
 			})
 			if err != nil {
 				return err

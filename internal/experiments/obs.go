@@ -99,7 +99,7 @@ func (r *Runner) ExpObs(w Workload) (*ObsReport, error) {
 		base := &mapred.Engine{Cluster: f.cluster}
 		baseRes, err := base.Run(&mapred.Job{
 			Name: "obs-base-" + bq.name, File: f.file,
-			Input: input, Map: workload.PassthroughMap,
+			Input: input, MapBatch: workload.PassthroughMapBatch,
 		})
 		if err != nil {
 			return nil, err
@@ -113,7 +113,7 @@ func (r *Runner) ExpObs(w Workload) (*ObsReport, error) {
 		start := time.Now()
 		res, err := e.Run(&mapred.Job{
 			Name: "obs-" + bq.name, File: f.file,
-			Input: input, Map: workload.PassthroughMap,
+			Input: input, MapBatch: workload.PassthroughMapBatch,
 			Trace: tr,
 		})
 		wall := time.Since(start)

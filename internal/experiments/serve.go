@@ -137,10 +137,10 @@ func (r *Runner) ExpServe(w Workload, queries, tenants int) (*ServeReport, error
 		}
 		engine := &mapred.Engine{Cluster: cluster}
 		res, err := engine.Run(&mapred.Job{
-			Name:  "serve-reference",
-			File:  file,
-			Input: &core.InputFormat{Cluster: cluster, Query: q},
-			Map:   workload.PassthroughMap,
+			Name:     "serve-reference",
+			File:     file,
+			Input:    &core.InputFormat{Cluster: cluster, Query: q},
+			MapBatch: workload.PassthroughMapBatch,
 		})
 		if err != nil {
 			return nil, err

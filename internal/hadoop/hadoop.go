@@ -110,20 +110,22 @@ func (f *TextInputFormat) SplitsWithStats(file string) ([]mapred.Split, mapred.T
 }
 
 // Open returns a line record reader for the split.
-func (f *TextInputFormat) Open(split mapred.Split, node hdfs.NodeID) (mapred.RecordReader, error) {
+func (f *TextInputFormat) Open(split mapred.Split, node hdfs.NodeID) (mapred.BatchReader, error) {
 	return &lineReader{cluster: f.Cluster, split: split, node: node}, nil
 }
 
-// lineReader reads whole blocks and delivers one Record per text line,
-// leaving parsing to the map function — exactly what makes the Hadoop
-// baseline pay full-scan I/O plus per-record split CPU for every query.
+// lineReader reads whole blocks and delivers each block's text lines as
+// one batch of raw records (Batch.Raw), leaving parsing to the map
+// function — exactly what makes the Hadoop baseline pay full-scan I/O plus
+// per-record split CPU for every query.
 type lineReader struct {
 	cluster *hdfs.Cluster
 	split   mapred.Split
 	node    hdfs.NodeID
+	batch   mapred.Batch // reused across blocks; fn must not retain it
 }
 
-func (r *lineReader) Read(fn func(mapred.Record)) (mapred.TaskStats, error) {
+func (r *lineReader) ReadBatches(fn func(*mapred.Batch)) (mapred.TaskStats, error) {
 	var stats mapred.TaskStats
 	for _, b := range r.split.Blocks {
 		data, servedBy, err := r.cluster.ReadBlockAny(b, r.node)
@@ -138,6 +140,7 @@ func (r *lineReader) Read(fn func(mapred.Record)) (mapred.TaskStats, error) {
 		if servedBy != r.node {
 			stats.RemoteReads++
 		}
+		raw := r.batch.Raw[:0]
 		for len(data) > 0 {
 			nl := bytes.IndexByte(data, '\n')
 			var line []byte
@@ -149,9 +152,13 @@ func (r *lineReader) Read(fn func(mapred.Record)) (mapred.TaskStats, error) {
 			if len(line) == 0 && len(data) == 0 {
 				break
 			}
-			stats.RecordsScanned++
-			stats.RecordsDelivered++
-			fn(mapred.Record{Raw: string(line)})
+			raw = append(raw, string(line))
+		}
+		stats.RecordsScanned += int64(len(raw))
+		stats.RecordsDelivered += int64(len(raw))
+		r.batch.Raw = raw
+		if len(raw) > 0 {
+			fn(&r.batch)
 		}
 	}
 	return stats, nil

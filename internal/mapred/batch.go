@@ -7,15 +7,18 @@ import (
 	"repro/internal/schema"
 )
 
-// Batch is one unit of the vectorized record stream: a fixed-size run of
-// rows (pax.PartitionSize in the HAIL reader) in columnar form, plus the
-// selection vector of rows that survived the job's filter. Record readers
-// that stream batches deliver the projected attributes as typed vectors
-// and never materialize non-qualifying rows — late materialization at the
-// record-reader boundary.
+// Batch is one unit of the record stream every reader yields. A columnar
+// reader delivers a run of rows (pax.PartitionSize in the HAIL reader, a
+// whole block in the trojan one) as typed vectors of the projected
+// attributes plus the selection vector of rows that survived the job's
+// filter, and never materializes non-qualifying rows — late
+// materialization at the record-reader boundary. A text reader delivers
+// unparsed lines instead (Raw).
 //
-// Bad records ride in their own final batch per block (Cols and Sel
-// empty, Bad set): good rows first, then bad, per block.
+// A batch's records are its selected rows, then its raw lines, then its
+// bad records. HAIL's reader puts a block's bad records in their own final
+// batch (Cols and Sel empty, Bad set): good rows first, then bad, per
+// block.
 type Batch struct {
 	// Cols holds the projected attributes' vectors, in projection order.
 	// Vectors are owned by the reader and reused between batches; a string
@@ -24,6 +27,10 @@ type Batch struct {
 	// Sel is the selection vector: ascending row indexes into Cols'
 	// vectors for the rows that satisfy the filter.
 	Sel []int32
+	// Raw carries unparsed text lines, each one record: a text reader
+	// leaves splitting them to the map function (Hadoop's TextInputFormat,
+	// §4.1).
+	Raw []string
 	// Bad carries schema-violating records, flagged through to the map
 	// function (HAIL delivers bad records rather than dropping them,
 	// §4.3).
@@ -40,15 +47,16 @@ type Batch struct {
 	ends    []int32    // Lines' row-end directory
 }
 
-// NumRows returns the number of records the batch delivers (selected
-// good rows plus bad records).
-func (b *Batch) NumRows() int { return len(b.Sel) + len(b.Bad) }
+// NumRows returns the number of records the batch delivers: selected rows,
+// raw lines and bad records.
+func (b *Batch) NumRows() int { return len(b.Sel) + len(b.Raw) + len(b.Bad) }
 
-// Each materializes the batch record by record — the row-compat shim that
-// lets every existing MapFunc consume the batch stream unchanged. The
-// Record's Row is a scratch buffer reused across calls (Hadoop's object
-// reuse contract): it is valid only for the duration of fn and must be
-// copied to be retained. Boxing costs one allocation per string value
+// Each materializes the batch record by record, in order — selected rows,
+// then raw lines (Record.Raw), then bad records (Record.Bad) — the adapter
+// through which a row MapFunc consumes the batch stream. The Record's Row
+// is a scratch buffer reused across calls (Hadoop's object reuse
+// contract): it is valid only for the duration of fn and must be copied to
+// be retained. Boxing costs one allocation per string value
 // (schema.Vector.Value); a map function that only wants the rows' text
 // should use Lines.
 func (b *Batch) Each(fn func(Record)) {
@@ -64,6 +72,9 @@ func (b *Batch) Each(fn func(Record)) {
 			fn(Record{Row: row})
 		}
 	}
+	for _, line := range b.Raw {
+		fn(Record{Raw: line})
+	}
 	for _, line := range b.Bad {
 		fn(Record{Raw: line, Bad: true})
 	}
@@ -71,11 +82,11 @@ func (b *Batch) Each(fn func(Record)) {
 
 // Lines renders the selected rows as text, straight from the vectors: text
 // holds each row's schema.Row.Line(sep) form back to back, in selection
-// order, and row k is text[ends[k-1]:ends[k]] (from 0 for the first). Bad
-// records are not part of it. The rows are formatted into a scratch the
-// batch owns and become one string per batch, so the cost is one
-// allocation per batch, not several per row; ends is reused by the next
-// call.
+// order, and row k is text[ends[k-1]:ends[k]] (from 0 for the first). Raw
+// lines and bad records are not part of it. The rows are formatted into a
+// scratch the batch owns and become one string per batch, so the cost is
+// one allocation per batch, not several per row; ends is reused by the
+// next call.
 //
 // A substring of text keeps all of text reachable — about 120 KB for a
 // full batch of nine-attribute rows. Every retainer of map output today
@@ -111,9 +122,11 @@ func (b *Batch) Lines(sep byte) (text string, ends []int32) {
 // distinguishing which form computed them.
 type MapBatchFunc func(b *Batch, emit Emit)
 
-// BatchReader is implemented by record readers that can stream batches
-// instead of records. The batch passed to fn (and its vectors) is only
-// valid for the duration of the call.
+// BatchReader is the record reader of one split, the one shape every input
+// format's reader has: it streams the split's records as batches, block
+// after block, and accumulates its real I/O into the returned stats. The
+// batch passed to fn (and its vectors) is only valid for the duration of
+// the call.
 type BatchReader interface {
 	ReadBatches(fn func(*Batch)) (TaskStats, error)
 }

@@ -1,8 +1,10 @@
 package mapred
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -126,6 +128,33 @@ func TestLinesMatchesEachAndRowLine(t *testing.T) {
 				t.Fatalf("round %d: %d bytes of text after the last row", round, len(text)-int(from))
 			}
 		}
+	}
+}
+
+// TestEachDeliversRowsThenRawThenBad: a batch's records are its selected
+// rows in selection order, then its raw lines, then its bad records, and
+// NumRows counts all three.
+func TestEachDeliversRowsThenRawThenBad(t *testing.T) {
+	vec := schema.NewVector(schema.Int32)
+	for i := int32(0); i < 4; i++ {
+		vec.Append(schema.IntVal(10 * i))
+	}
+	b := &Batch{
+		Cols: []*schema.Vector{vec},
+		Sel:  []int32{1, 3},
+		Raw:  []string{"raw one", "raw two"},
+		Bad:  []string{"bad"},
+	}
+	if got := b.NumRows(); got != 5 {
+		t.Errorf("NumRows = %d, want 5", got)
+	}
+	var got []string
+	b.Each(func(r Record) {
+		got = append(got, fmt.Sprintf("%s|%q|%v", r.Row.Line(','), r.Raw, r.Bad))
+	})
+	want := []string{`10|""|false`, `30|""|false`, `|"raw one"|false`, `|"raw two"|false`, `|"bad"|true`}
+	if !slices.Equal(got, want) {
+		t.Errorf("Each delivered\n %q\nwant\n %q", got, want)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,7 +30,7 @@ type TaskReport struct {
 
 // JobResult is the full outcome of a job run.
 type JobResult struct {
-	Output     []KV // map output for map-only jobs, reduce output otherwise
+	Output     []KV // the blocks' chunks, in task order
 	Tasks      []TaskReport
 	SplitPhase TaskStats // I/O performed during the split phase
 	// ReExecuted counts task attempts lost to node failures and retried.
@@ -54,25 +53,8 @@ func (r *JobResult) TotalStats() TaskStats {
 	return total
 }
 
-// SchedulingPolicy selects how the JobTracker trades locality against
-// slot utilization.
-type SchedulingPolicy int
-
-const (
-	// DefaultScheduling models Hadoop's FIFO behaviour: a task prefers
-	// its split's locations, but when those trackers are clearly busier
-	// than an idle one, it takes the free remote slot (losing locality).
-	DefaultScheduling SchedulingPolicy = iota
-	// DelayScheduling models the Delay Scheduler of Zaharia et al.
-	// (paper §4.3: "one can significantly improve data locality by
-	// simply using an adequate scheduling policy (e.g. the Delay
-	// Scheduler)"): a task waits for a slot on a preferred node instead
-	// of running remotely, accepting transient imbalance.
-	DelayScheduling
-)
-
-// localityTolerance is the load imbalance DefaultScheduling accepts
-// before trading locality for a free slot.
+// localityTolerance is the load imbalance the scheduler accepts before
+// trading locality for a free slot.
 const localityTolerance = 2
 
 // Engine executes jobs against a cluster. It plays the roles of JobClient
@@ -85,9 +67,6 @@ type Engine struct {
 	// execution-speed knob, not a model parameter (sim models slot
 	// parallelism analytically).
 	Parallelism int
-	// Scheduling selects the locality policy (DefaultScheduling unless
-	// set).
-	Scheduling SchedulingPolicy
 	// OnProgress, if set, is called after every completed task with
 	// (done, total). The fault-tolerance experiment uses it to kill a
 	// node at 50% progress (§6.4.3). Like PostTask, it runs under the
@@ -161,13 +140,9 @@ type cacheContext struct {
 }
 
 // cacheContext decides whether this job's per-block results are cacheable
-// and assembles the context if so. Combine jobs run uncached: entries
-// hold pre-combine map output, so a high-fan-in aggregation would cache
-// the unshrunk KV stream — all copy cost, near-zero hit value — and
-// pre-combining per block would weaken the byte-identical replay
-// guarantee for combiners that are only multiset-idempotent.
+// and assembles the context if so.
 func (e *Engine) cacheContext(job *Job) *cacheContext {
-	if e.Cache == nil || job.MapSig == "" || job.Combine != nil {
+	if e.Cache == nil || job.MapSig == "" {
 		return nil
 	}
 	signer, ok := job.Input.(QuerySigner)
@@ -200,35 +175,18 @@ func (cc *cacheContext) key(split Split, b hdfs.BlockID, runOn hdfs.NodeID) Cach
 	}
 }
 
-// readRecords drives a record reader through the job's map function,
-// taking the batch fast path when both sides support it: a MapBatch job
-// whose reader streams batches never materializes individual records, and
-// reserve is offered each batch before the map sees it. All other
-// combinations fall back to the record form (for batch-capable readers
-// that is still the vectorized pipeline, surfaced through Batch.Each).
-func readRecords(job *Job, rr RecordReader, emit Emit, reserve func(*Batch)) (TaskStats, error) {
-	if job.MapBatch != nil {
-		if br, ok := rr.(BatchReader); ok {
-			return br.ReadBatches(func(b *Batch) {
-				reserve(b)
-				job.MapBatch(b, emit)
-			})
-		}
-	}
-	return rr.Read(func(r Record) { job.Map(r, emit) })
-}
-
-// Run executes the job: split phase, map phase with locality scheduling
-// and failure recovery, then an optional reduce phase.
+// Run executes the job: the split phase, then the map phase with locality
+// scheduling and failure recovery, then the assembly of the blocks'
+// chunks into the job's output.
 //
 // When job.Trace is set, Run records a span tree whose root ("run") has
-// contiguous phase children — plan, schedule, map, assemble, reduce — so
+// contiguous phase children — plan, schedule, map, assemble — so
 // the phases' durations sum to the job's wall-clock; per-task spans (with
 // wait/attempt/posttask children) live under "map" on their own trace
 // lanes. When e.Obs is set, task latencies and dispatch/failover counters
 // land in the registry. Both are independent and both default to off.
 func (e *Engine) Run(job *Job) (*JobResult, error) {
-	if job.Map == nil {
+	if job.Map == nil && job.MapBatch == nil {
 		return nil, fmt.Errorf("mapred: job %q has no map function", job.Name)
 	}
 	tr := job.Trace
@@ -374,16 +332,8 @@ func (e *Engine) Run(job *Job) (*JobResult, error) {
 	if m != nil {
 		m.recordJob(res)
 	}
+	res.Output = mapOut
 	assembleSpan.End()
-
-	if job.Reduce == nil {
-		res.Output = mapOut
-		runSpan.End()
-		return res, nil
-	}
-	reduceSpan := tr.StartSpan("reduce", "phase", 0, runSpan)
-	res.Output = runReduce(job.Reduce, mapOut)
-	reduceSpan.End()
 	runSpan.End()
 	return res, nil
 }
@@ -410,7 +360,8 @@ func (m *engineMetrics) recordJob(res *JobResult) {
 
 // schedule assigns each split a node, preferring the split's locations and
 // spreading load evenly over the trackers (the paper's locality-and-
-// availability policy, §4.2), modulated by the locality policy.
+// availability policy, §4.2). Like Hadoop's FIFO scheduler, it gives up
+// locality when the split's trackers are clearly busier than an idle one.
 func (e *Engine) schedule(splits []Split) []hdfs.NodeID {
 	loads := make(map[hdfs.NodeID]int)
 	alive := make(map[hdfs.NodeID]bool)
@@ -442,13 +393,9 @@ func (e *Engine) schedule(splits []Split) []hdfs.NodeID {
 		if best == -1 {
 			// No preferred location is alive: availability-only.
 			best = leastLoaded()
-		} else if e.Scheduling == DefaultScheduling {
-			// FIFO behaviour: a clearly idler remote tracker steals the
-			// task; delay scheduling would instead wait for the local
-			// slot.
-			if idle := leastLoaded(); loads[best]-loads[idle] > localityTolerance {
-				best = idle
-			}
+		} else if idle := leastLoaded(); loads[best]-loads[idle] > localityTolerance {
+			// A clearly idler remote tracker steals the task.
+			best = idle
 		}
 		loads[best]++
 		out[i] = best
@@ -505,6 +452,18 @@ func (e *Engine) runTask(job *Job, cc *cacheContext, taskID int, split Split, no
 		}
 		kvs = append(kvs, KV{k, v})
 	}
+	// consume maps one batch: whole, after reserve has sized the block's
+	// chunk by it, for a MapBatch job; record by record for a Map job.
+	var consume func(*Batch)
+	if job.MapBatch != nil {
+		consume = func(b *Batch) {
+			reserve(b)
+			job.MapBatch(b, emit)
+		}
+	} else {
+		mapRecord := func(r Record) { job.Map(r, emit) }
+		consume = func(b *Batch) { b.Each(mapRecord) }
+	}
 	defer func() {
 		if p := recover(); p != nil {
 			where := "after its last block"
@@ -548,7 +507,7 @@ func (e *Engine) runTask(job *Job, cc *cacheContext, taskID int, split Split, no
 			rr, err := job.Input.Open(block, runOn)
 			var bstats TaskStats
 			if err == nil {
-				bstats, err = readRecords(job, rr, emit, reserve)
+				bstats, err = rr.ReadBatches(consume)
 			}
 			if err != nil {
 				return err
@@ -584,9 +543,6 @@ func (e *Engine) runTask(job *Job, cc *cacheContext, taskID int, split Split, no
 		}
 		if lastErr = attempt(); lastErr != nil {
 			continue
-		}
-		if job.Combine != nil {
-			chunks = append(chunks[:0], runReduce(job.Combine, slices.Concat(chunks...)))
 		}
 		var outBytes int64
 		for _, c := range chunks {
@@ -665,24 +621,4 @@ func (e *Engine) pickAliveFallback(split Split) hdfs.NodeID {
 		return -1
 	}
 	return alive[0]
-}
-
-// runReduce shuffles map output by key and applies the reduce function in
-// sorted key order, so results are deterministic.
-func runReduce(reduce ReduceFunc, mapOut []KV) []KV {
-	groups := make(map[string][]string)
-	for _, kv := range mapOut {
-		groups[kv.Key] = append(groups[kv.Key], kv.Value)
-	}
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var out []KV
-	emit := func(k, v string) { out = append(out, KV{k, v}) }
-	for _, k := range keys {
-		reduce(k, groups[k], emit)
-	}
-	return out
 }

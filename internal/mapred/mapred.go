@@ -1,10 +1,11 @@
-// Package mapred is an in-process MapReduce substrate modelled on Hadoop
-// MapReduce as the paper describes it (§4.2): a job client computes input
-// splits via an InputFormat, a job tracker schedules one map task per split
-// honouring data locality, task trackers execute map tasks whose record
-// readers pull records out of HDFS blocks, and an optional shuffle/reduce
-// phase follows. Node failures are detected after an expiry interval and
-// failed tasks are re-executed on surviving nodes (§6.4.3).
+// Package mapred is an in-process, map-only MapReduce substrate modelled on
+// Hadoop MapReduce as the paper describes it (§4.2): a job client computes
+// input splits via an InputFormat, a job tracker schedules one map task per
+// split honouring data locality, and task trackers execute map tasks whose
+// record readers pull records out of HDFS blocks. Every query the paper
+// evaluates is map-only, and so is every job here. Node failures are
+// detected after an expiry interval and failed tasks are re-executed on
+// surviving nodes (§6.4.3).
 //
 // All record movement is real: map functions see real records read from
 // real stored block bytes, and per-task statistics (bytes, seeks, records)
@@ -12,16 +13,16 @@
 // the sim package turns the measured statistics into simulated cluster
 // time.
 //
-// Record readers may stream either records (RecordReader) or columnar
-// batches (BatchReader): a Batch carries the projected attributes as
-// typed vectors plus a selection vector of qualifying rows, and
-// Batch.Each is the row-compat shim that materializes it for ordinary
-// map functions through a reused scratch row. Jobs can opt into the
-// batch form with Job.MapBatch; either way the emitted output — and thus
-// every qcache entry keyed by (block, generation, query signature,
-// MapSig, replica) — is byte-identical.
+// Every record reader streams batches (BatchReader). A Batch carries the
+// projected attributes as typed vectors plus a selection vector of
+// qualifying rows, a text reader's raw lines, and bad records. A job maps
+// each batch whole (Job.MapBatch) or record by record (Job.Map, through
+// Batch.Each, the row adapter that materializes the batch through a reused
+// scratch row); either way the emitted output — and thus every qcache entry
+// keyed by (block, generation, query signature, MapSig, replica) — is
+// byte-identical.
 //
-// A task's output is the list of its blocks' outputs. That is what makes
+// A job's output is its blocks' chunks in task order. That is what makes
 // the block the only granularity the result cache needs: a cached block's
 // chunk is the cache's own slice, shared by every job that hits it and
 // copied exactly once, into the job's output.
@@ -56,20 +57,17 @@ type Record struct {
 	Bad bool
 }
 
-// KV is one key/value pair emitted by a map or reduce function.
+// KV is one key/value pair emitted by a map function.
 type KV struct {
 	Key   string
 	Value string
 }
 
-// Emit collects output from map and reduce functions.
+// Emit collects a map function's output.
 type Emit func(key, value string)
 
-// MapFunc is a user map function.
+// MapFunc is a user map function over one record.
 type MapFunc func(r Record, emit Emit)
-
-// ReduceFunc is a user reduce function, called once per distinct key.
-type ReduceFunc func(key string, values []string, emit Emit)
 
 // TaskStats aggregates the real resource usage of one map task. The
 // experiment harness scales these with the block scale factor and feeds
@@ -105,8 +103,8 @@ type TaskStats struct {
 	// RowsScanned, RowsSelected and BatchesEmitted are the vectorized
 	// pipeline's counters: rows pushed through the selection-vector
 	// kernels, rows surviving the full conjunction, and non-empty batches
-	// handed to the map layer. Row-at-a-time readers (the text and trojan
-	// baselines) leave them zero.
+	// handed to the map layer. The baselines' readers (text and trojan),
+	// which run no selection kernels, leave them zero.
 	RowsScanned    int64
 	RowsSelected   int64
 	BatchesEmitted int64
@@ -245,13 +243,7 @@ type InputFormat interface {
 	// narrowed to that block, replica pinning intact), so the reader of an
 	// n-block split must deliver exactly the n one-block readers' records,
 	// order and summed stats.
-	Open(split Split, node hdfs.NodeID) (RecordReader, error)
-}
-
-// RecordReader iterates the records of one split, invoking fn for each.
-// Implementations must accumulate their real I/O into the returned stats.
-type RecordReader interface {
-	Read(fn func(Record)) (TaskStats, error)
+	Open(split Split, node hdfs.NodeID) (BatchReader, error)
 }
 
 // QuerySigner is implemented by input formats whose record readers are a
@@ -296,30 +288,27 @@ type ResultCache interface {
 	Put(k CacheKey, kvs []KV, stats TaskStats) bool
 }
 
-// Job describes one MapReduce job.
+// Job describes one map-only MapReduce job. At least one of Map and
+// MapBatch must be set.
 type Job struct {
 	Name  string
 	File  string
 	Input InputFormat
-	Map   MapFunc
-	// MapBatch, if set, is the batch-at-a-time form of Map. When the
-	// split's record reader implements BatchReader, the engine feeds it
-	// whole batches and skips per-record materialization entirely; Map
-	// remains required as the fallback for readers that only stream
-	// records. MapBatch must emit exactly what Map would over
-	// Batch.Each's record stream — cached results do not record which
-	// form computed them.
+	// Map is the record-at-a-time map function: the engine hands it every
+	// record of every batch, through Batch.Each. It is the form for a row
+	// UDF, such as a baseline's text map that splits each raw line itself.
+	Map MapFunc
+	// MapBatch is the batch-at-a-time map function: the engine hands it
+	// whole batches and materializes no record. When it is set, Map is not
+	// called. A job that sets both must have MapBatch emit exactly what Map
+	// would over Batch.Each's record stream — cached results do not record
+	// which form computed them.
 	MapBatch MapBatchFunc
-	// Combine, if set, is applied to each map task's output per key
-	// before the shuffle (Hadoop's combiner), shrinking the intermediate
-	// data. It must be semantically idempotent with Reduce.
-	Combine ReduceFunc
-	Reduce  ReduceFunc // nil for map-only jobs (all of the paper's queries)
-	// MapSig declares a stable identity for the Map function (and
-	// Combine, if any), e.g. "workload.Passthrough". Map functions are
-	// closures the engine cannot compare, so result caching is opt-in:
-	// jobs with an empty MapSig are never cached, and two jobs must only
-	// share a MapSig if their Map and Combine behave identically.
+	// MapSig declares a stable identity for the map function, e.g.
+	// "workload.Passthrough". Map functions are closures the engine cannot
+	// compare, so result caching is opt-in: jobs with an empty MapSig are
+	// never cached, and two jobs must only share a MapSig if their map
+	// functions behave identically.
 	MapSig string
 	// Trace, if set, records this job's execution as a tree of timed
 	// spans (split planning, scheduling, per-task wait/attempt/repack,

@@ -2,20 +2,22 @@ package mapred
 
 import (
 	"fmt"
-	"strconv"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/hdfs"
 )
 
-// fakeInput serves records straight from memory, one split per "block",
-// with configurable locations. It lets engine tests control scheduling and
+// fakeInput serves text records straight from memory, one split per
+// "block", with configurable locations; its reader delivers each block as
+// one batch of raw lines. It lets engine tests control scheduling and
 // failure behaviour precisely.
 type fakeInput struct {
 	cluster *hdfs.Cluster
 	splits  []Split
-	records map[hdfs.BlockID][]Record
+	records map[hdfs.BlockID][]string
 	// failOnDead makes Open/Read fail when the assigned node is dead,
 	// emulating a reader that loses its replica.
 	failOnDead bool
@@ -31,7 +33,7 @@ func (f *fakeInput) SplitsWithStats(string) ([]Split, TaskStats, error) {
 	return f.splits, TaskStats{}, nil
 }
 
-func (f *fakeInput) Open(split Split, node hdfs.NodeID) (RecordReader, error) {
+func (f *fakeInput) Open(split Split, node hdfs.NodeID) (BatchReader, error) {
 	f.mu.Lock()
 	if f.opens == nil {
 		f.opens = make(map[hdfs.NodeID]int)
@@ -47,7 +49,7 @@ type fakeReader struct {
 	node  hdfs.NodeID
 }
 
-func (r *fakeReader) Read(fn func(Record)) (TaskStats, error) {
+func (r *fakeReader) ReadBatches(fn func(*Batch)) (TaskStats, error) {
 	if r.input.failOnDead {
 		dn, err := r.input.cluster.DataNode(r.node)
 		if err != nil || !dn.Alive() {
@@ -57,11 +59,10 @@ func (r *fakeReader) Read(fn func(Record)) (TaskStats, error) {
 	var stats TaskStats
 	for _, b := range r.split.Blocks {
 		stats.Blocks++
-		for _, rec := range r.input.records[b] {
-			stats.RecordsScanned++
-			stats.RecordsDelivered++
-			fn(rec)
-		}
+		lines := r.input.records[b]
+		stats.RecordsScanned += int64(len(lines))
+		stats.RecordsDelivered += int64(len(lines))
+		fn(&Batch{Raw: lines})
 	}
 	return stats, nil
 }
@@ -72,11 +73,11 @@ func buildFake(t *testing.T, nodes, blocks, recsPerBlock int) (*hdfs.Cluster, *f
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &fakeInput{cluster: c, records: make(map[hdfs.BlockID][]Record)}
+	f := &fakeInput{cluster: c, records: make(map[hdfs.BlockID][]string)}
 	for b := 0; b < blocks; b++ {
 		id := hdfs.BlockID(b)
 		for i := 0; i < recsPerBlock; i++ {
-			f.records[id] = append(f.records[id], Record{Raw: fmt.Sprintf("b%d-r%d", b, i)})
+			f.records[id] = append(f.records[id], fmt.Sprintf("b%d-r%d", b, i))
 		}
 		f.splits = append(f.splits, Split{
 			Blocks:    []hdfs.BlockID{id},
@@ -116,40 +117,6 @@ func TestEngineMapOnly(t *testing.T) {
 		}
 		if !task.Local {
 			t.Errorf("task %d not scheduled on a preferred location", task.TaskID)
-		}
-	}
-}
-
-func TestEngineReduce(t *testing.T) {
-	c, f := buildFake(t, 3, 6, 10)
-	e := &Engine{Cluster: c}
-	job := &Job{
-		Name:  "wordcount",
-		Input: f,
-		Map: func(r Record, emit Emit) {
-			// Key by block prefix: 6 groups of 10.
-			emit(r.Raw[:2], "1")
-		},
-		Reduce: func(key string, values []string, emit Emit) {
-			emit(key, strconv.Itoa(len(values)))
-		},
-	}
-	res, err := e.Run(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Output) != 6 {
-		t.Fatalf("reduce output = %d groups, want 6", len(res.Output))
-	}
-	for _, kv := range res.Output {
-		if kv.Value != "10" {
-			t.Errorf("group %s = %s, want 10", kv.Key, kv.Value)
-		}
-	}
-	// Reduce output must be deterministic (sorted keys).
-	for i := 1; i < len(res.Output); i++ {
-		if res.Output[i-1].Key >= res.Output[i].Key {
-			t.Error("reduce output keys not sorted")
 		}
 	}
 }
@@ -217,8 +184,39 @@ func TestEngineMidJobKill(t *testing.T) {
 func TestEngineRequiresMapFunc(t *testing.T) {
 	c, f := buildFake(t, 2, 1, 1)
 	e := &Engine{Cluster: c}
-	if _, err := e.Run(&Job{Name: "nomap", Input: f}); err == nil {
-		t.Error("job without map function ran")
+	_, err := e.Run(&Job{Name: "nomap", Input: f})
+	if err == nil || !strings.Contains(err.Error(), `job "nomap" has no map function`) {
+		t.Errorf("job with neither Map nor MapBatch: err = %v", err)
+	}
+}
+
+// TestEngineRunsMapBatchOnly: Map is optional — a job that sets MapBatch
+// alone runs, gets every batch whole, and emits what the Map form emits.
+func TestEngineRunsMapBatchOnly(t *testing.T) {
+	c, f := buildFake(t, 4, 6, 7)
+	e := &Engine{Cluster: c, Parallelism: 1}
+	rows, err := e.Run(&Job{Name: "map", Input: f, Map: func(r Record, emit Emit) { emit(r.Raw, "1") }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := 0
+	res, err := e.Run(&Job{Name: "mapbatch", Input: f, MapBatch: func(b *Batch, emit Emit) {
+		batches++
+		for _, line := range b.Raw {
+			emit(line, "1")
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Output) != 42 || !slices.Equal(res.Output, rows.Output) {
+		t.Errorf("MapBatch-only job emitted %d KVs, the Map job %d (want 42, equal)", len(res.Output), len(rows.Output))
+	}
+	if batches != 6 {
+		t.Errorf("MapBatch saw %d batches, want one per block (6)", batches)
+	}
+	if res.TotalStats() != rows.TotalStats() {
+		t.Errorf("stats differ:\nMapBatch: %+v\nMap:      %+v", res.TotalStats(), rows.TotalStats())
 	}
 }
 
@@ -246,61 +244,21 @@ func TestOutputBytesAccounted(t *testing.T) {
 	}
 }
 
-func TestDelaySchedulingKeepsLocality(t *testing.T) {
-	// All splits prefer node 0; DefaultScheduling spills to idle remote
-	// trackers, DelayScheduling waits for the local node.
-	c, err := hdfs.NewCluster(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := &fakeInput{cluster: c, records: map[hdfs.BlockID][]Record{}}
-	for b := 0; b < 20; b++ {
-		id := hdfs.BlockID(b)
-		f.records[id] = []Record{{Raw: "x"}}
-		f.splits = append(f.splits, Split{
-			Blocks:    []hdfs.BlockID{id},
-			Locations: []hdfs.NodeID{0},
-		})
-	}
-	countLocal := func(policy SchedulingPolicy) int {
-		e := &Engine{Cluster: c, Scheduling: policy}
-		res, err := e.Run(&Job{Name: "loc", Input: f, Map: func(Record, Emit) {}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		local := 0
-		for _, task := range res.Tasks {
-			if task.Local {
-				local++
-			}
-		}
-		return local
-	}
-	def := countLocal(DefaultScheduling)
-	delay := countLocal(DelayScheduling)
-	if delay != 20 {
-		t.Errorf("delay scheduling achieved %d/20 local tasks, want 20", delay)
-	}
-	if def >= delay {
-		t.Errorf("default scheduling locality (%d) should be below delay scheduling's (%d)", def, delay)
-	}
-}
-
 func TestDefaultSchedulingBalancesLoad(t *testing.T) {
 	c, err := hdfs.NewCluster(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &fakeInput{cluster: c, records: map[hdfs.BlockID][]Record{}}
+	f := &fakeInput{cluster: c, records: map[hdfs.BlockID][]string{}}
 	for b := 0; b < 40; b++ {
 		id := hdfs.BlockID(b)
-		f.records[id] = []Record{{Raw: "x"}}
+		f.records[id] = []string{"x"}
 		f.splits = append(f.splits, Split{
 			Blocks:    []hdfs.BlockID{id},
 			Locations: []hdfs.NodeID{0}, // hot node
 		})
 	}
-	e := &Engine{Cluster: c, Scheduling: DefaultScheduling}
+	e := &Engine{Cluster: c}
 	res, err := e.Run(&Job{Name: "bal", Input: f, Map: func(Record, Emit) {}})
 	if err != nil {
 		t.Fatal(err)
@@ -314,55 +272,6 @@ func TestDefaultSchedulingBalancesLoad(t *testing.T) {
 	}
 	if len(counts) < 3 {
 		t.Errorf("tasks spread over %d trackers, want spillover", len(counts))
-	}
-}
-
-func TestCombinerShrinksMapOutput(t *testing.T) {
-	c, f := buildFake(t, 3, 6, 100)
-	sum := func(key string, values []string, emit Emit) {
-		total := 0
-		for _, v := range values {
-			n, _ := strconv.Atoi(v)
-			total += n
-		}
-		emit(key, strconv.Itoa(total))
-	}
-	run := func(withCombiner bool) (*JobResult, error) {
-		e := &Engine{Cluster: c}
-		job := &Job{
-			Name:  "sum",
-			Input: f,
-			Map: func(r Record, emit Emit) {
-				emit("k", "1") // every record contributes 1 to one key
-			},
-			Reduce: sum,
-		}
-		if withCombiner {
-			job.Combine = sum
-		}
-		return e.Run(job)
-	}
-	plain, err := run(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	combined, err := run(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same final result.
-	if len(plain.Output) != 1 || len(combined.Output) != 1 ||
-		plain.Output[0] != combined.Output[0] {
-		t.Fatalf("combiner changed the result: %v vs %v", plain.Output, combined.Output)
-	}
-	if combined.Output[0].Value != "600" {
-		t.Errorf("sum = %s, want 600", combined.Output[0].Value)
-	}
-	// Far less intermediate output with the combiner: one KV per task
-	// instead of one per record.
-	if combined.TotalStats().OutputBytes*10 >= plain.TotalStats().OutputBytes {
-		t.Errorf("combiner barely shrank output: %d vs %d bytes",
-			combined.TotalStats().OutputBytes, plain.TotalStats().OutputBytes)
 	}
 }
 

@@ -26,7 +26,7 @@ type fakeBlockInput struct {
 	killOn map[hdfs.BlockID]hdfs.NodeID
 }
 
-func (f *fakeBlockInput) Open(split Split, node hdfs.NodeID) (RecordReader, error) {
+func (f *fakeBlockInput) Open(split Split, node hdfs.NodeID) (BatchReader, error) {
 	f.mu.Lock()
 	if f.blockOpens == nil {
 		f.blockOpens = make(map[hdfs.BlockID]int)
@@ -43,7 +43,7 @@ type fakeBlockReader struct {
 	split Split
 }
 
-func (r *fakeBlockReader) Read(fn func(Record)) (TaskStats, error) {
+func (r *fakeBlockReader) ReadBatches(fn func(*Batch)) (TaskStats, error) {
 	f := r.input
 	var stats TaskStats
 	for _, b := range r.split.Blocks {
@@ -63,11 +63,10 @@ func (r *fakeBlockReader) Read(fn func(Record)) (TaskStats, error) {
 			}
 		}
 		stats.Blocks++
-		for _, rec := range f.records[b] {
-			stats.RecordsScanned++
-			stats.RecordsDelivered++
-			fn(rec)
-		}
+		lines := f.records[b]
+		stats.RecordsScanned += int64(len(lines))
+		stats.RecordsDelivered += int64(len(lines))
+		fn(&Batch{Raw: lines})
 		if fail {
 			return stats, failed
 		}
@@ -95,14 +94,14 @@ func packedFixture(t *testing.T, nodes, blocks int, pin, backup hdfs.NodeID) (*h
 	}
 	f := &fakeBlockInput{}
 	f.cluster = c
-	f.records = make(map[hdfs.BlockID][]Record)
+	f.records = make(map[hdfs.BlockID][]string)
 	split := Split{Locations: []hdfs.NodeID{pin}, Replica: make(map[hdfs.BlockID]hdfs.NodeID)}
 	for b := 0; b < blocks; b++ {
 		id := hdfs.BlockID(b)
 		c.NameNode().RegisterReplica(id, pin, hdfs.ReplicaInfo{})
 		c.NameNode().RegisterReplica(id, backup, hdfs.ReplicaInfo{})
 		for i := 0; i < 3; i++ {
-			f.records[id] = append(f.records[id], Record{Raw: fmt.Sprintf("b%d-r%d", b, i)})
+			f.records[id] = append(f.records[id], fmt.Sprintf("b%d-r%d", b, i))
 		}
 		split.Blocks = append(split.Blocks, id)
 		split.Replica[id] = pin

@@ -6,21 +6,6 @@ import (
 	"repro/internal/schema"
 )
 
-// HAIL can suggest a schema from raw sample lines (§3.1 footnote).
-func ExampleInferSchema() {
-	lines := []string{
-		"172.101.11.46,1999-06-15,42.5,371",
-		"10.1.2.3,2001-01-01,0.1,9",
-	}
-	s, err := schema.InferSchema(lines, ',')
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(s)
-	// Output:
-	// attr1:string,attr2:date,attr3:float64,attr4:int32
-}
-
 func ExampleParser_ParseLine() {
 	s, _ := schema.ParseSchema("ip:string,day:date,rev:float64")
 	p := schema.NewParser(s)

@@ -457,7 +457,6 @@ func (s *Server) runQuery(req *QueryRequest) (*QueryResponse, error) {
 		Name:     "haild:" + tenant,
 		File:     req.File,
 		Input:    input,
-		Map:      workload.PassthroughMap,
 		MapBatch: workload.PassthroughMapBatch,
 		MapSig:   workload.PassthroughMapSig,
 		Trace:    tr,

@@ -48,21 +48,25 @@ func (f *InputFormat) SplitsWithStats(file string) ([]mapred.Split, mapred.TaskS
 }
 
 // Open returns the trojan record reader.
-func (f *InputFormat) Open(split mapred.Split, node hdfs.NodeID) (mapred.RecordReader, error) {
+func (f *InputFormat) Open(split mapred.Split, node hdfs.NodeID) (mapred.BatchReader, error) {
 	return &recordReader{format: f, split: split, node: node}, nil
 }
 
 // recordReader is Hadoop++'s itemize UDF: an index scan over the row
 // layout when the filter matches the trojan index attribute, a full binary
 // scan otherwise. Row layout means every touched row is read completely —
-// projection saves no I/O (contrast with HAIL's PAX column ranges).
+// projection saves no I/O (contrast with HAIL's PAX column ranges). The
+// qualifying rows' projected values are appended to typed vectors and
+// delivered as one batch per block, every row selected.
 type recordReader struct {
 	format *InputFormat
 	split  mapred.Split
 	node   hdfs.NodeID
+	batch  mapred.Batch    // reused across blocks; fn must not retain it
+	sel    query.Selection // the identity selection over the batch's rows
 }
 
-func (r *recordReader) Read(fn func(mapred.Record)) (mapred.TaskStats, error) {
+func (r *recordReader) ReadBatches(fn func(*mapred.Batch)) (mapred.TaskStats, error) {
 	var stats mapred.TaskStats
 	q := r.format.Query
 	if q == nil {
@@ -81,7 +85,13 @@ func (r *recordReader) Read(fn func(mapred.Record)) (mapred.TaskStats, error) {
 		if err != nil {
 			return stats, err
 		}
-		proj := q.ProjectionOrAll(br.Schema())
+		sch := br.Schema()
+		proj := q.ProjectionOrAll(sch)
+		cols := make([]*schema.Vector, len(proj))
+		for j, c := range proj {
+			cols[j] = schema.NewVector(sch.Field(c).Type)
+		}
+		delivered := 0
 
 		// Pick the access path.
 		byteOff, fromRow, toRow := 0, 0, br.NumRows()
@@ -120,19 +130,23 @@ func (r *recordReader) Read(fn func(mapred.Record)) (mapred.TaskStats, error) {
 				if !q.MatchesRow(row) {
 					return nil
 				}
-				out := make(schema.Row, len(proj))
 				for j, c := range proj {
-					out[j] = row[c]
+					cols[j].Append(row[c])
 				}
-				stats.RecordsDelivered++
-				stats.AttrsDelivered += int64(len(proj))
-				fn(mapred.Record{Row: out})
+				delivered++
 				return nil
 			})
 			stats.BytesRead += bytes
 			if err != nil {
 				return stats, err
 			}
+		}
+		if delivered > 0 {
+			stats.RecordsDelivered += int64(delivered)
+			stats.AttrsDelivered += int64(delivered * len(proj))
+			r.sel = query.MakeSelection(r.sel, delivered)
+			r.batch.Cols, r.batch.Sel, r.batch.Expect = cols, r.sel, delivered
+			fn(&r.batch)
 		}
 	}
 	return stats, nil

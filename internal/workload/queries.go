@@ -22,9 +22,9 @@ type BenchQuery struct {
 	HadoopMap mapred.MapFunc
 }
 
-// PassthroughMap is the map function for HAIL and Hadoop++ jobs: records
-// arrive filtered and projected, so it just emits them (§4.1's two-line
-// HAIL map function). Bad records are counted but not emitted, as Bob's
+// PassthroughMap is the row form of the map function for HAIL and
+// Hadoop++ jobs: records arrive filtered and projected, so it just emits
+// them (§4.1's two-line HAIL map function). Bad records are counted but not emitted, as Bob's
 // queries only concern well-formed rows.
 func PassthroughMap(r mapred.Record, emit mapred.Emit) {
 	if r.Bad {
@@ -33,9 +33,9 @@ func PassthroughMap(r mapred.Record, emit mapred.Emit) {
 	emit(r.Row.Line(','), "")
 }
 
-// PassthroughMapBatch is PassthroughMap in batch form: jobs that set it
-// (alongside Map) let the engine consume the record reader's vectorized
-// batch stream directly. The rows are formatted once per batch, from the
+// PassthroughMapBatch is PassthroughMap in batch form: a job that sets it
+// (alone or beside Map) maps the record reader's batches whole, with no
+// record materialized. The rows are formatted once per batch, from the
 // column bytes (Batch.Lines), and every emitted key is a substring of
 // that one text — no row is boxed and nothing is allocated per row. The
 // output is byte-identical to PassthroughMap's and the two share
