@@ -8,16 +8,20 @@ build:
 test:
 	$(GO) test ./...
 
-# The decoders of stored bytes and the float formatter the scan prints
-# with, 20 s each (go test takes one fuzz target per run). Their seeds
-# run as ordinary tests under `make test`. Inputs are tens of KB, so
-# minimizing each new one for the default 60 s would eat the whole budget.
+# The decoders of stored bytes, the float formatter the scan prints with,
+# the annotation parser, and the engine against its text oracle
+# (FuzzEngine: a whole upload and one to three jobs per input), 20 s each
+# (go test takes one fuzz target per run). Their seeds run as ordinary
+# tests under `make test`. Inputs are tens of KB, so minimizing each new
+# one for the default 60 s would eat the whole budget.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzNewReader$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/pax
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/pax
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFrame$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexUnmarshal$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/index
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendFloat$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/schema
+	$(GO) test -run '^$$' -fuzz '^FuzzParseAnnotation$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/query
+	$(GO) test -run '^$$' -fuzz '^FuzzEngine$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/core
 
 # CPU and allocation profiles of the ledger's upload op (BenchmarkUploadBob:
 # 100k lines, Bob's layout, fresh 4-node cluster), for the perf PR that
@@ -46,10 +50,11 @@ bench-agree:
 	$(GO) run -C bench -buildvcs=false . -agree $(A) $(B)
 
 # The same lane CI's lint job runs: formatting, vet, and the repo's own
-# invariant analyzers — all seven, the per-package rules plus the
-# whole-module dataflow proofs (sigflow, lockgraph, goleak); see
-# ARCHITECTURE.md "Statically enforced invariants". staticcheck runs
-# when installed — CI pins it; the offline dev container may not have it.
+# invariant analyzers — all six, the per-package rules (genbump,
+# wallclock, errsink) plus the whole-module dataflow proofs (sigflow,
+# lockgraph, goleak); see ARCHITECTURE.md "Statically enforced
+# invariants". staticcheck runs when installed — CI pins it; the offline
+# dev container may not have it.
 lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...

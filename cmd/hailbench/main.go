@@ -29,18 +29,16 @@
 // -cache runs the block-level result-cache trajectory: a cold job
 // populates the cache, an identical hot job answers its blocks from it,
 // then the adaptive indexer is switched on so its replica conversions
-// invalidate affected entries — every job verified result-equivalent to
-// uncached execution. With -pack-scans the same trajectory runs under
+// invalidate affected entries. With -pack-scans the same trajectory runs under
 // packed scan splits (fully-cached blocks pinned at their cached
 // replica), so the hot jobs' dispatch bound falls alongside their map
 // work.
 //
 // -dispatch runs the scan-split packing experiment: the adaptive job-1
 // and cache-hot workloads execute with per-block and with packed scan
-// splits, reporting dispatch counts and simulated wall time for both,
-// gated on byte-equivalent results; a final phase kills a packed split's
-// pinned node mid-job and verifies the job completes with only the
-// affected blocks re-resolved.
+// splits, reporting dispatch counts and simulated wall time for both; a
+// final phase kills a packed split's pinned node mid-job and verifies the
+// job completes with only the affected blocks re-resolved.
 //
 // -lifecycle runs the adaptive replica lifecycle experiment: converge on
 // one never-indexed column under a fixed extra-storage budget, then shift
@@ -52,8 +50,8 @@
 // -obs runs the benchmark query set with the observability layer fully
 // wired (per-query trace spans, metrics registry, namenode gauges) and
 // reports each query's task-latency p50/p95/p99 from the registry's
-// histograms — gated on byte-equivalence to unobserved execution, a
-// validating span tree, and the root span covering ≥90% of wall-clock.
+// histograms — gated on a validating span tree and the root span
+// covering ≥90% of wall-clock.
 //
 // -serve runs the resident-server storm: a server.Server (the haild
 // stack) is booted over a saved filesystem, the adaptive query is warmed

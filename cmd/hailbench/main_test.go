@@ -84,7 +84,7 @@ func TestBenchDispatchSmoke(t *testing.T) {
 		t.Fatalf("run: %v (stderr: %s)", err, errb.String())
 	}
 	s := out.String()
-	for _, want := range []string{"FigDispatch", "adaptive-job1", "cache-hot", "failover:", "byte-equivalent"} {
+	for _, want := range []string{"FigDispatch", "adaptive-job1", "cache-hot", "failover:", "dispatched tasks"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("output missing %q:\n%s", want, s)
 		}
@@ -322,7 +322,7 @@ func jsonDiff(path string, want, got any) string {
 }
 
 // TestBenchObsSmoke drives the observability experiment end to end:
-// traced benchmark queries, equivalence- and coverage-gated, with
+// traced benchmark queries, validity- and coverage-gated, with
 // non-zero latency quantiles per query in the JSON artifact.
 func TestBenchObsSmoke(t *testing.T) {
 	jsonPath := filepath.Join(t.TempDir(), "BENCH_obs.json")
@@ -332,7 +332,7 @@ func TestBenchObsSmoke(t *testing.T) {
 		t.Fatalf("run: %v (stderr: %s)", err, errb.String())
 	}
 	s := out.String()
-	for _, want := range []string{"FigObs", "task p50 [ms]", "task p99 [ms]", "byte-identical"} {
+	for _, want := range []string{"FigObs", "task p50 [ms]", "task p99 [ms]", "root covers"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("output missing %q:\n%s", want, s)
 		}

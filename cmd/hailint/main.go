@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	hailint [-analyzers spanend,sigflow,...] [-list] [-json] [patterns...]
+//	hailint [-analyzers sigflow,goleak,...] [-list] [-json] [patterns...]
 //
 // Patterns default to ./... and accept ./dir and ./dir/... forms. Exit
 // status is 0 for a clean tree, 1 on diagnostics, 2 on usage or load

@@ -52,7 +52,7 @@ func TestList(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("-list exited %d", code)
 	}
-	want := []string{"spanend", "genbump", "wallclock", "errsink", "sigflow", "lockgraph", "goleak"}
+	want := []string{"genbump", "wallclock", "errsink", "sigflow", "lockgraph", "goleak"}
 	if lines := strings.Split(strings.TrimSpace(out), "\n"); len(lines) != len(want) {
 		t.Errorf("-list printed %d analyzers, want %d:\n%s", len(lines), len(want), out)
 	}
@@ -64,7 +64,7 @@ func TestList(t *testing.T) {
 }
 
 // TestUnknownAnalyzer covers the usage errors: an unknown analyzer name —
-// including the retired lockorder and atomicfield — and the retired
+// including the retired lockorder, atomicfield and spanend — and the retired
 // -factdir flag each exit 2 and name the offender on stderr.
 func TestUnknownAnalyzer(t *testing.T) {
 	for _, c := range []struct {
@@ -74,6 +74,7 @@ func TestUnknownAnalyzer(t *testing.T) {
 		{[]string{"-analyzers", "nonesuch"}, "nonesuch"},
 		{[]string{"-analyzers", "lockorder"}, "lockorder"},
 		{[]string{"-analyzers", "atomicfield"}, "atomicfield"},
+		{[]string{"-analyzers", "spanend"}, "spanend"},
 		{[]string{"-factdir", "x"}, "factdir"},
 	} {
 		code, _, errOut := runCapture(t, c.args...)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/hdfs"
 )
@@ -26,7 +27,9 @@ type RecoveryReport struct {
 // whose replica set lost nodes. For each under-replicated block it reads a
 // surviving replica, determines which sort orders are missing relative to
 // the config, and writes a fresh replica — re-sorted and re-indexed — to
-// an alive node that does not yet hold one.
+// an alive node that does not yet hold one. It is deterministic: missing
+// orders are rebuilt in config order, each on the lowest-ID alive node
+// without a replica of the block, so equal states recover alike.
 func RecoverFile(cluster *hdfs.Cluster, file string, cfg LayoutConfig) (RecoveryReport, error) {
 	var rep RecoveryReport
 	if err := cfg.Validate(); err != nil {
@@ -37,70 +40,57 @@ func RecoverFile(cluster *hdfs.Cluster, file string, cfg LayoutConfig) (Recovery
 	if err != nil {
 		return rep, err
 	}
-	aliveSet := make(map[hdfs.NodeID]bool)
-	for _, n := range cluster.AliveNodes() {
-		aliveSet[n] = true
-	}
+	alive := cluster.AliveNodes() // ascending IDs
 
 	for _, b := range blocks {
 		rep.BlocksScanned++
-		// Which configured sort orders are still served by alive nodes?
-		// cfg.SortColumns is a multiset: count each clustering attribute.
-		missing := make(map[int]int)
-		for _, col := range cfg.SortColumns {
-			missing[col]++
-		}
+		// The configured sort orders alive holders still serve, counted:
+		// cfg.SortColumns is a multiset.
+		served := make(map[int]int)
 		var holders []hdfs.NodeID
 		for _, node := range nn.GetHosts(b) {
-			if !aliveSet[node] {
+			if !slices.Contains(alive, node) {
 				continue
 			}
 			holders = append(holders, node)
-			info, ok := nn.ReplicaInfo(b, node)
-			if !ok {
-				continue
-			}
-			if missing[info.SortColumn] > 0 {
-				missing[info.SortColumn]--
+			if info, ok := nn.ReplicaInfo(b, node); ok {
+				served[info.SortColumn]++
 			}
 		}
 		if len(holders) == 0 {
 			return rep, fmt.Errorf("hail: block %d has no alive replicas, cannot recover", b)
 		}
 
-		for col, count := range missing {
-			for i := 0; i < count; i++ {
-				target, ok := pickTarget(cluster, b, aliveSet)
-				if !ok {
-					// Not enough distinct alive nodes to restore full
-					// replication; recover what is possible.
-					continue
-				}
-				if err := recoverReplica(cluster, b, holders[0], target, col); err != nil {
-					return rep, err
-				}
-				rep.ReplicasRecovered++
-				if col >= 0 {
-					rep.IndexesRebuilt++
-				}
+		for _, col := range cfg.SortColumns {
+			if served[col] > 0 {
+				served[col]--
+				continue
+			}
+			target, ok := pickTarget(cluster, b, alive)
+			if !ok {
+				// Not enough distinct alive nodes to restore full
+				// replication; recover what is possible.
+				continue
+			}
+			if err := recoverReplica(cluster, b, holders[0], target, col); err != nil {
+				return rep, err
+			}
+			rep.ReplicasRecovered++
+			if col >= 0 {
+				rep.IndexesRebuilt++
 			}
 		}
 	}
 	return rep, nil
 }
 
-// pickTarget finds an alive node that does not yet hold a replica of b.
-func pickTarget(cluster *hdfs.Cluster, b hdfs.BlockID, alive map[hdfs.NodeID]bool) (hdfs.NodeID, bool) {
-	has := make(map[hdfs.NodeID]bool)
-	for _, n := range cluster.NameNode().GetHosts(b) {
-		if alive[n] {
-			// Only alive holders block a target; a dead node's stale
-			// replica entry must not prevent re-replication.
-			has[n] = true
-		}
-	}
-	for n := range alive {
-		if !has[n] {
+// pickTarget finds the first alive node that does not yet hold a replica
+// of b. A dead node's stale replica entry does not block re-replication:
+// only alive nodes are candidates.
+func pickTarget(cluster *hdfs.Cluster, b hdfs.BlockID, alive []hdfs.NodeID) (hdfs.NodeID, bool) {
+	hosts := cluster.NameNode().GetHosts(b)
+	for _, n := range alive {
+		if !slices.Contains(hosts, n) {
 			return n, true
 		}
 	}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/hdfs"
@@ -170,6 +172,49 @@ func TestRecoverFileRestoresIndexes(t *testing.T) {
 			if aliveWithIndex == 0 {
 				t.Errorf("block %d: no alive replica indexed on %d after recovery", b, col)
 			}
+		}
+	}
+}
+
+// TestRecoverFileIsDeterministic repeats one recovery — six nodes, two
+// holders of block 0 killed — on fresh clusters and requires one
+// post-recovery layout: which node holds which sort order of which block.
+func TestRecoverFileIsDeterministic(t *testing.T) {
+	lines := workload.GenerateUserVisits(1500, 9, workload.UserVisitsOptions{})
+	var first string
+	for run := 0; run < 20; run++ {
+		cluster, err := hdfs.NewCluster(6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		client := &Client{Cluster: cluster, Config: LayoutConfig{
+			Schema:      workload.UserVisitsSchema(),
+			SortColumns: []int{workload.UVVisitDate, workload.UVSourceIP, workload.UVAdRevenue},
+			BlockSize:   32 << 10,
+		}}
+		sum, err := client.Upload("/uv", lines)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, victim := range cluster.NameNode().GetHosts(sum.BlockIDs[0])[:2] {
+			if err := cluster.KillNode(victim); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := RecoverFile(cluster, "/uv", client.Config); err != nil {
+			t.Fatal(err)
+		}
+		var layout strings.Builder
+		for _, b := range sum.BlockIDs {
+			for _, h := range cluster.NameNode().GetHosts(b) {
+				info, _ := cluster.NameNode().ReplicaInfo(b, h)
+				fmt.Fprintf(&layout, "block %d: node %d sorted on %d\n", b, h, info.SortColumn)
+			}
+		}
+		if run == 0 {
+			first = layout.String()
+		} else if layout.String() != first {
+			t.Fatalf("run %d recovered\n%s\nrun 0 recovered\n%s", run, layout.String(), first)
 		}
 	}
 }

@@ -23,10 +23,11 @@ import (
 //     conversions replace/add replicas, each bumping the block's
 //     generation and purging the block's entries via the namenode's
 //     replica-change hook — the converted blocks are recomputed (now as
-//     index scans) while untouched blocks keep hitting;
-//   - every job's result is checked against an uncached reference run:
-//     the multiset of rows must be identical throughout, and jobs before
-//     any invalidation must match the cold run byte for byte.
+//     index scans) while untouched blocks keep hitting.
+//
+// That cached execution answers as uncached execution does — cold, hot
+// and across generation bumps — is core.FuzzEngine's to prove, not this
+// trajectory's.
 //
 // Reported seconds come from the same calibrated cost model as the other
 // figures; WorkSeconds isolates the slot-parallel map work, where the
@@ -85,27 +86,6 @@ type CacheReport struct {
 	Jobs       []CacheJob
 }
 
-// multiset builds the row→count map of a job output.
-func multiset(kvs []mapred.KV) map[string]int {
-	m := make(map[string]int, len(kvs))
-	for _, kv := range kvs {
-		m[kv.Key+"\x00"+kv.Value]++
-	}
-	return m
-}
-
-func sameMultiset(a, b map[string]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
 // ExpCache runs `jobs` identical jobs (at least cacheAdaptiveFrom) with
 // the result cache enabled, switching the adaptive indexer on at job
 // cacheAdaptiveFrom so its replica replacements exercise invalidation.
@@ -113,8 +93,7 @@ func sameMultiset(a, b map[string]int) bool {
 // adaptive.DefaultOfferRate. With packScans the cached jobs run under the
 // PackScans split policy (scan blocks packed per node, fully-cached
 // blocks pinned at their cached replica), so the trajectory additionally
-// shows the hot jobs' dispatch bound falling; the uncached reference
-// stays per-block, making the equivalence gate cross-policy.
+// shows the hot jobs' dispatch bound falling.
 func (r *Runner) ExpCache(w Workload, jobs int, budget int64, offerRate float64, packScans bool) (*CacheReport, error) {
 	if jobs < cacheAdaptiveFrom {
 		return nil, fmt.Errorf("cache: need at least %d jobs (cold, hot, invalidate), got %d", cacheAdaptiveFrom, jobs)
@@ -155,22 +134,6 @@ func (r *Runner) ExpCache(w Workload, jobs int, budget int64, offerRate float64,
 		return in
 	}
 
-	// Uncached reference: the equivalence baseline, always per-block so
-	// the packed mode's gate is cross-policy.
-	refEngine := &mapred.Engine{Cluster: cluster}
-	refRes, err := refEngine.Run(&mapred.Job{
-		Name: "cache-reference", File: f.file,
-		Input: &core.InputFormat{
-			Cluster: cluster, Query: q,
-			Splitting: true, SplitsPerNode: SplitsPerNodePaper,
-		},
-		MapBatch: workload.PassthroughMapBatch,
-	})
-	if err != nil {
-		return nil, err
-	}
-	reference := multiset(refRes.Output)
-
 	cluster.NameNode().SetReplicaChangeHook(cache.InvalidateBlock)
 	defer cluster.NameNode().SetReplicaChangeHook(nil)
 	idx := adaptive.New(cluster, adaptive.Disabled)
@@ -184,7 +147,6 @@ func (r *Runner) ExpCache(w Workload, jobs int, budget int64, offerRate float64,
 		OfferRate:   offerRate,
 		TotalBlocks: f.scale.RealBlocks,
 	}
-	var coldOutput []mapred.KV
 	prev := cache.Stats()
 	for j := 1; j <= jobs; j++ {
 		phase := "hot"
@@ -205,27 +167,6 @@ func (r *Runner) ExpCache(w Workload, jobs int, budget int64, offerRate float64,
 		}
 		if err := idx.LastErr(); err != nil {
 			return nil, err
-		}
-
-		// Correctness gate: cached execution must be indistinguishable
-		// from uncached execution.
-		if !sameMultiset(multiset(res.Output), reference) {
-			return nil, fmt.Errorf("cache: job %d result diverged from uncached reference", j)
-		}
-		if j == 1 {
-			coldOutput = res.Output
-		} else if j < cacheAdaptiveFrom {
-			// Before any invalidation the replica topology is untouched,
-			// so the output must match the cold run byte for byte, order
-			// included.
-			if len(res.Output) != len(coldOutput) {
-				return nil, fmt.Errorf("cache: hot job %d returned %d rows, cold run %d", j, len(res.Output), len(coldOutput))
-			}
-			for i := range res.Output {
-				if res.Output[i] != coldOutput[i] {
-					return nil, fmt.Errorf("cache: hot job %d row %d differs from cold run", j, i)
-				}
-			}
 		}
 
 		plan := idx.LastJob()
@@ -318,7 +259,6 @@ func (rep *CacheReport) String() string {
 		invalidated += j.Invalidations
 		rebuilt += j.BlocksBuilt
 	}
-	fmt.Fprintf(&b, "adaptive phase converted %d blocks, invalidating %d cache entries; all %d jobs byte-equivalent to uncached execution\n",
-		rebuilt, invalidated, len(rep.Jobs))
+	fmt.Fprintf(&b, "adaptive phase converted %d blocks, invalidating %d cache entries\n", rebuilt, invalidated)
 	return b.String()
 }

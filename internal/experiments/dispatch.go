@@ -25,13 +25,12 @@ import (
 //
 // Each scenario runs unpacked (per-block scan splits) and packed
 // (`-pack-scans`: blocks grouped by preferred alive replica node,
-// SplitsPerNode splits per node) on the same fixture, gated on result
-// equivalence: the packed output must be byte-identical to the unpacked
-// output after canonical (sorted) ordering — the multiset of rows is
-// compared exactly. A final failover phase kills a packed split's pinned
-// node mid-job and verifies the job completes with only the affected
-// blocks re-resolved (mapred.Split.Fallback), never by rescanning whole
-// splits elsewhere.
+// SplitsPerNode splits per node) on the same fixture. A final failover
+// phase kills a packed split's pinned node mid-job and verifies the job
+// completes with only the affected blocks re-resolved
+// (mapred.Split.Fallback), never by rescanning whole splits elsewhere.
+// That packed, cached and failed-over runs return the unpacked rows is
+// core.FuzzEngine's to prove.
 
 // DispatchRun is one measured job execution of the experiment.
 type DispatchRun struct {
@@ -222,13 +221,9 @@ func (r *Runner) ExpDispatch(w Workload, cacheBudget int64) (*DispatchReport, er
 	if err != nil {
 		return nil, err
 	}
-	reference := multiset(unpacked.Output)
 	packedRes, err := runJob("dispatch-scan-packed", true, nil)
 	if err != nil {
 		return nil, err
-	}
-	if !sameMultiset(multiset(packedRes.Output), reference) {
-		return nil, fmt.Errorf("dispatch: packed scan output diverged from unpacked execution")
 	}
 	rep.SplitPhaseNameNodeOps = packedRes.SplitPhase.NameNodeOps
 	rep.Scenarios = append(rep.Scenarios, newScenario("adaptive-job1",
@@ -245,19 +240,12 @@ func (r *Runner) ExpDispatch(w Workload, cacheBudget int64) (*DispatchReport, er
 		if pack {
 			label = "packed"
 		}
-		cold, err := runJob("dispatch-hot-cold-"+label, pack, cache)
-		if err != nil {
+		if _, err := runJob("dispatch-hot-cold-"+label, pack, cache); err != nil {
 			return DispatchRun{}, err
-		}
-		if !sameMultiset(multiset(cold.Output), reference) {
-			return DispatchRun{}, fmt.Errorf("dispatch: %s cold job diverged from unpacked execution", label)
 		}
 		hot, err := runJob("dispatch-hot-"+label, pack, cache)
 		if err != nil {
 			return DispatchRun{}, err
-		}
-		if !sameMultiset(multiset(hot.Output), reference) {
-			return DispatchRun{}, fmt.Errorf("dispatch: %s hot job diverged from unpacked execution", label)
 		}
 		run := toRun(hot, pack)
 		if run.HitBlocks < run.Blocks {
@@ -327,9 +315,6 @@ func (r *Runner) ExpDispatch(w Workload, cacheBudget int64) (*DispatchReport, er
 		// comparison below would vacuously pass.
 		return nil, fmt.Errorf("dispatch: killing node %d failed: %v", victim, killErr)
 	}
-	if !sameMultiset(multiset(killRes.Output), reference) {
-		return nil, fmt.Errorf("dispatch: packed job output diverged after node kill")
-	}
 	if killRes.BlocksRerun > victimBlocks {
 		return nil, fmt.Errorf("dispatch: node kill re-ran %d blocks, more than the %d pinned to the victim",
 			killRes.BlocksRerun, victimBlocks)
@@ -388,13 +373,13 @@ func (rep *DispatchReport) String() string {
 	var b strings.Builder
 	b.WriteString(rep.Figure().String())
 	for _, sc := range rep.Scenarios {
-		fmt.Fprintf(&b, "%s: %d → %d dispatched tasks (%.1fx fewer), %.1f s → %.1f s (%.1fx); outputs byte-equivalent\n",
+		fmt.Fprintf(&b, "%s: %d → %d dispatched tasks (%.1fx fewer), %.1f s → %.1f s (%.1fx)\n",
 			sc.Name, sc.Unpacked.Tasks, sc.Packed.Tasks, sc.TaskReduction,
 			sc.Unpacked.Seconds, sc.Packed.Seconds, sc.Speedup)
 	}
 	fo := rep.Failover
-	fmt.Fprintf(&b, "failover: killed node %d mid-job; %d task(s) repacked (only the victim's %d pinned blocks re-resolved), %d/%d blocks re-executed, job completed with identical results\n",
-		fo.Victim, fo.TasksRepacked, fo.VictimBlocks, fo.BlocksRerun, rep.TotalBlocks)
+	fmt.Fprintf(&b, "failover: killed node %d mid-job; %d task(s) repacked (only the victim's %d pinned blocks re-resolved), %d/%d blocks re-executed, job completed with %d rows\n",
+		fo.Victim, fo.TasksRepacked, fo.VictimBlocks, fo.BlocksRerun, rep.TotalBlocks, fo.Rows)
 	fmt.Fprintf(&b, "split phase: %d namenode directory ops, 0 block-header reads (§6.4.1)\n",
 		rep.SplitPhaseNameNodeOps)
 	return b.String()

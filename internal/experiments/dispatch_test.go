@@ -7,10 +7,9 @@ import (
 
 // TestExpDispatch runs the packed-vs-unpacked dispatch experiment on
 // quick fixtures. The acceptance gates — ≥4x task reduction on both the
-// adaptive-job-1 and cache-hot scenarios, byte-equivalent results, and a
-// mid-job node kill that re-resolves only the affected blocks — are
-// enforced inside ExpDispatch itself; the test additionally pins the
-// report's invariants.
+// adaptive-job-1 and cache-hot scenarios and a mid-job node kill that
+// re-resolves only the affected blocks — are enforced inside ExpDispatch
+// itself; the test additionally pins the report's invariants.
 func TestExpDispatch(t *testing.T) {
 	r := NewQuickRunner()
 	rep, err := r.ExpDispatch(UserVisits, 0)

@@ -18,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hadoop"
 	"repro/internal/hdfs"
+	"repro/internal/schema"
 	"repro/internal/sim"
 	"repro/internal/trojan"
 	"repro/internal/workload"
@@ -220,18 +221,19 @@ func (r *Runner) blockTextBytes(w Workload, lines []string) int {
 // Synthetic (only attr1 is ever filtered; §6.2 notes HAIL cannot benefit
 // from its other indexes there).
 func hailConfig(w Workload, blockSize int) core.LayoutConfig {
+	cols := []int{0, 1, 2}
 	if w == UserVisits {
-		return core.LayoutConfig{
-			Schema:      workload.UserVisitsSchema(),
-			SortColumns: []int{workload.UVVisitDate, workload.UVSourceIP, workload.UVAdRevenue},
-			BlockSize:   blockSize,
-		}
+		cols = []int{workload.UVVisitDate, workload.UVSourceIP, workload.UVAdRevenue}
 	}
-	return core.LayoutConfig{
-		Schema:      workload.SyntheticSchema(),
-		SortColumns: []int{0, 1, 2},
-		BlockSize:   blockSize,
+	return core.LayoutConfig{Schema: schemaOf(w), SortColumns: cols, BlockSize: blockSize}
+}
+
+// schemaOf returns the workload's schema.
+func schemaOf(w Workload) *schema.Schema {
+	if w == UserVisits {
+		return workload.UserVisitsSchema()
 	}
+	return workload.SyntheticSchema()
 }
 
 // trojanIndexColumn: Hadoop++ gets one index for the whole dataset:
@@ -292,10 +294,6 @@ func (r *Runner) fixture(w Workload, s System) (*fixture, error) {
 	}
 	f := &fixture{workload: w, system: s, cluster: cluster, file: "/" + w.String(), lines: lines}
 
-	sch := workload.UserVisitsSchema()
-	if w == Synthetic {
-		sch = workload.SyntheticSchema()
-	}
 	switch s {
 	case Hadoop:
 		up := &hadoop.Uploader{Cluster: cluster, BlockSize: blockSize, Replication: 3}
@@ -306,7 +304,7 @@ func (r *Runner) fixture(w Workload, s System) (*fixture, error) {
 		f.scale = r.newScale(w, f.hadoopSum.TextBytes, int64(len(lines)), f.hadoopSum.Blocks)
 	case HadoopPP:
 		sys := &trojan.System{
-			Cluster: cluster, Schema: sch, BlockSize: blockSize,
+			Cluster: cluster, Schema: schemaOf(w), BlockSize: blockSize,
 			Replication: 3, IndexColumn: trojanIndexColumn(w),
 		}
 		f.trojanSys = sys

@@ -25,7 +25,7 @@ func (r *Runner) runQuery(f *fixture, bq workload.BenchQuery, splitting bool) (*
 	switch f.system {
 	case Hadoop:
 		job.Input = &hadoop.TextInputFormat{Cluster: f.cluster}
-		job.Map = bq.HadoopMap
+		job.MapBatch = hadoop.Map(schemaOf(f.workload), bq.Query)
 	case HadoopPP:
 		job.Input = &trojan.InputFormat{System: f.trojanSys, Query: bq.Query}
 		job.MapBatch = workload.PassthroughMapBatch

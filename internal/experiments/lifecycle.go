@@ -299,3 +299,24 @@ func (rep *LifecycleReport) String() string {
 		float64(rep.BudgetBytes)/1e6, rep.TotalEvicted, float64(rep.TotalEvictedBytes)/1e6)
 	return b.String()
 }
+
+// multiset builds the row→count map of a job output.
+func multiset(kvs []mapred.KV) map[string]int {
+	m := make(map[string]int, len(kvs))
+	for _, kv := range kvs {
+		m[kv.Key+"\x00"+kv.Value]++
+	}
+	return m
+}
+
+func sameMultiset(a, b map[string]int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k, v := range a {
+		if b[k] != v {
+			return false
+		}
+	}
+	return true
+}

@@ -15,16 +15,16 @@ import (
 // ExpObs runs the benchmark query set with the observability layer fully
 // wired — per-query trace, process metrics registry, namenode gauges —
 // and reports the task-latency distribution each query's registry
-// histograms recorded. Three gates run before anything is reported:
+// histograms recorded. Two gates run before anything is reported:
 //
-//  1. Equivalence: every traced run's output is byte-identical to the
-//     same query executed with observability disabled (the layer must
-//     not change execution).
-//  2. Trace validity: the span tree validates — every span closed
+//  1. Trace validity: the span tree validates — every span closed
 //     exactly once, children nested, timestamps monotonic.
-//  3. Coverage: the root span accounts for ≥90% of the measured
+//  2. Coverage: the root span accounts for ≥90% of the measured
 //     wall-clock, and its phase children for ≥85% of the root — the
 //     trace explains the run rather than sampling it.
+//
+// That tracing changes neither output nor stats is core.FuzzEngine's to
+// prove.
 
 // ObsQuery is one query's observed run.
 type ObsQuery struct {
@@ -95,16 +95,6 @@ func (r *Runner) ExpObs(w Workload) (*ObsReport, error) {
 		}
 		sig, _ := input.QuerySignature()
 
-		// Reference run, observability disabled: the equivalence baseline.
-		base := &mapred.Engine{Cluster: f.cluster}
-		baseRes, err := base.Run(&mapred.Job{
-			Name: "obs-base-" + bq.name, File: f.file,
-			Input: input, MapBatch: workload.PassthroughMapBatch,
-		})
-		if err != nil {
-			return nil, err
-		}
-
 		// Per-query histograms need a per-query registry; the process-wide
 		// one (reg) accumulates across queries for the final snapshot.
 		qreg := obs.NewRegistry()
@@ -121,27 +111,12 @@ func (r *Runner) ExpObs(w Workload) (*ObsReport, error) {
 			return nil, err
 		}
 
-		// Gate 1: byte-identical to the unobserved run.
-		if len(res.Output) != len(baseRes.Output) {
-			return nil, fmt.Errorf("obs: %s: traced run emitted %d records, baseline %d",
-				bq.name, len(res.Output), len(baseRes.Output))
-		}
-		for i := range res.Output {
-			if res.Output[i] != baseRes.Output[i] {
-				return nil, fmt.Errorf("obs: %s: output %d differs from the unobserved run", bq.name, i)
-			}
-		}
-		if res.TotalStats() != baseRes.TotalStats() {
-			return nil, fmt.Errorf("obs: %s: stats diverge from the unobserved run:\nbase:   %+v\ntraced: %+v",
-				bq.name, baseRes.TotalStats(), res.TotalStats())
-		}
-
-		// Gate 2: structural validity.
+		// Gate 1: structural validity.
 		if err := tr.Validate(); err != nil {
 			return nil, err
 		}
 
-		// Gate 3: coverage. Span 0 is the run root; its direct children are
+		// Gate 2: coverage. Span 0 is the run root; its direct children are
 		// the contiguous phases.
 		spans := tr.SpanInfos()
 		if len(spans) == 0 || spans[0].Name != "run" {
@@ -218,7 +193,7 @@ func (rep *ObsReport) String() string {
 	var b strings.Builder
 	b.WriteString(rep.Figure().String())
 	for _, q := range rep.Queries {
-		fmt.Fprintf(&b, "%s: %d tasks, %d spans, %.1f ms wall — root covers %.0f%%, phases %.0f%%, outputs byte-identical to unobserved run\n",
+		fmt.Fprintf(&b, "%s: %d tasks, %d spans, %.1f ms wall — root covers %.0f%%, phases %.0f%%\n",
 			q.Name, q.Tasks, q.Spans, q.WallMs, 100*q.RootCoverage, 100*q.PhaseCoverage)
 	}
 	return b.String()

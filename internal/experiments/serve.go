@@ -125,10 +125,7 @@ func (r *Runner) ExpServe(w Workload, queries, tenants int) (*ServeReport, error
 
 	hot, adaptiveAnn := serveQueries(w)
 	shapes := append(append([]string(nil), hot...), adaptiveAnn)
-	sch := workload.UserVisitsSchema()
-	if w == Synthetic {
-		sch = workload.SyntheticSchema()
-	}
+	sch := schemaOf(w)
 	refRows := make(map[string][]string, len(shapes))
 	for _, ann := range shapes {
 		q, err := query.ParseAnnotation(sch, ann)

@@ -2,8 +2,9 @@
 // experiments: standard Hadoop MapReduce over standard HDFS. Files are
 // uploaded as plain text blocks with byte-identical replicas; queries scan
 // every block, and the user map function splits each text record into
-// attributes itself (the "MAP FUNCTION FOR HADOOP MAPREDUCE" pseudo-code in
-// §4.1).
+// attributes, filters and projects it itself (the "MAP FUNCTION FOR HADOOP
+// MAPREDUCE" pseudo-code in §4.1). That map function is derived from the
+// same annotation HAIL reads (Map), so the two systems answer one query.
 //
 // One simplification relative to real HDFS: blocks are cut at line
 // boundaries instead of at a fixed byte count. Real Hadoop cuts at a fixed
@@ -20,6 +21,8 @@ import (
 
 	"repro/internal/hdfs"
 	"repro/internal/mapred"
+	"repro/internal/query"
+	"repro/internal/schema"
 )
 
 // DefaultBlockSize is HDFS's default of 64 MB (§2.1). Experiments use much
@@ -162,4 +165,18 @@ func (r *lineReader) ReadBatches(fn func(*mapred.Batch)) (mapred.TaskStats, erro
 		}
 	}
 	return stats, nil
+}
+
+// Map is the standard-Hadoop map function of a query over schema s: per raw
+// line of the batch, split, filter and project it (query.EvalText), and
+// emit the projected row. A line that does not parse is dropped, as a
+// hand-written map that checks its input drops it.
+func Map(s *schema.Schema, q *query.Query) mapred.MapBatchFunc {
+	return func(b *mapred.Batch, emit mapred.Emit) {
+		for _, line := range b.Raw {
+			if row, ok := q.EvalText(s, line); ok {
+				emit(row, "")
+			}
+		}
+	}
 }

@@ -2,11 +2,15 @@ package hadoop
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/hdfs"
 	"repro/internal/mapred"
+	"repro/internal/query"
+	"repro/internal/schema"
+	"repro/internal/workload"
 )
 
 func lines(n int) []string {
@@ -165,5 +169,72 @@ func TestScanSurvivesNodeFailure(t *testing.T) {
 	}
 	if len(res.Output) != len(data) {
 		t.Errorf("scan after failure saw %d lines, want %d", len(res.Output), len(data))
+	}
+}
+
+// TestMapThroughTextInputFormat runs the map derived from an annotation
+// over lines stored as text: the lines on which a hand-written text map
+// once disagreed with HAIL's parser (an impossible date, a NUL byte, a
+// duration that is not a number) select nothing, the adRevenue ranges of
+// Bob-Q4 and Bob-Q5 keep their inclusive ends, and a trailing String
+// attribute keeps the separators it holds.
+func TestMapThroughTextInputFormat(t *testing.T) {
+	uv := func(ip, date, rev, word, duration string) string {
+		return ip + ",http://x/," + date + "," + rev + ",agent,DEU,de-DE," + word + "," + duration
+	}
+	bob := workload.BobQueries()
+	notes := schema.MustNew(schema.Field{Name: "n", Type: schema.Int32}, schema.Field{Name: "note", Type: schema.String})
+	late, err := query.ParseAnnotation(notes, `@HailQuery(filter="@1 between(5,9)", projection={@2,@1})`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		s     *schema.Schema
+		q     *query.Query
+		lines []string
+		want  []string
+	}{
+		{"Bob-Q1", workload.UserVisitsSchema(), bob[0].Query, []string{
+			uv("1.2.3.4", "1999-02-30", "5.5", "word", "42"),
+			uv("1.2.3.5", "1999-06-15", "5.5", "wo\x00rd", "42"),
+			uv("1.2.3.6", "1999-06-15", "5.5", "word", "42"),
+		}, []string{"1.2.3.6"}},
+		{"Bob-Q2", workload.UserVisitsSchema(), bob[1].Query, []string{
+			uv(workload.NeedleIP, "1992-12-22", "5.5", "word", "abc"),
+			uv(workload.NeedleIP, "1992-12-22", "5.50", "word", "07"),
+		}, []string{"word,7,5.5"}},
+		{"Bob-Q4", workload.UserVisitsSchema(), bob[3].Query, []string{
+			uv("1.2.3.4", "1999-06-15", "0.9", "a", "1"),
+			uv("1.2.3.4", "1999-06-15", "1", "b", "2"),
+			uv("1.2.3.4", "1999-06-15", "5.5", "c", "3"),
+			uv("1.2.3.4", "1999-06-15", "10", "d", "4"),
+			uv("1.2.3.4", "1999-06-15", "10.1", "e", "5"),
+		}, []string{"b,2,1", "c,3,5.5", "d,4,10"}},
+		{"Bob-Q5", workload.UserVisitsSchema(), bob[4].Query, []string{
+			uv("1.2.3.4", "1999-06-15", "0.99", "a", "1"),
+			uv("1.2.3.4", "1999-06-15", "1", "b", "2"),
+			uv("1.2.3.4", "1999-06-15", "100", "c", "3"),
+			uv("1.2.3.4", "1999-06-15", "100.1", "d", "4"),
+		}, []string{"b,2,1", "c,3,100"}},
+		{"trailing string", notes, late, []string{"7,late, but fine", "12,x", "5"}, []string{"late, but fine,7"}},
+	} {
+		c, _ := upload(t, 3, 64, tc.lines)
+		res, err := (&mapred.Engine{Cluster: c}).Run(&mapred.Job{
+			Name: tc.name, File: "/data",
+			Input:    &TextInputFormat{Cluster: c},
+			MapBatch: Map(tc.s, tc.q),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, kv := range res.Output {
+			got = append(got, kv.Key)
+		}
+		slices.Sort(got)
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s: %q, want %q", tc.name, got, tc.want)
+		}
 	}
 }

@@ -19,9 +19,6 @@ var auditMutations = []struct {
 	file     string // slash path from the module root
 	old, new string
 }{
-	{"spanend", SpanEnd, "Engine.Run never ends the schedule span",
-		"internal/mapred/engine.go",
-		"\tschedSpan.End()\n", ""},
 	{"genbump", GenBump, "UpdateReplica stops firing the change hook",
 		"internal/hdfs/namenode.go",
 		"nn.updateReplica(b, node, info, false); err != nil {\n\t\treturn err\n\t}\n\tnn.notifyChanged(nn.hook(), b)\n",

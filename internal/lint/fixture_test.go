@@ -18,7 +18,6 @@ import (
 // trailing line comment is already taken by a lint:allow directive). Every
 // diagnostic must match a want on its line and every want must be hit.
 
-func TestSpanEnd(t *testing.T)   { testFixture(t, SpanEnd, "spanend") }
 func TestGenBump(t *testing.T)   { testFixture(t, GenBump, "genbump") }
 func TestWallClock(t *testing.T) { testFixture(t, WallClock, "wallclock") }
 func TestErrSink(t *testing.T)   { testFixture(t, ErrSink, "errsink") }
@@ -142,11 +141,11 @@ func splitQuoted(t *testing.T, pos token.Position, s string) []string {
 
 // TestByName covers the analyzer registry the CLI's -analyzers flag uses.
 func TestByName(t *testing.T) {
-	got, err := ByName("spanend, errsink")
+	got, err := ByName("genbump, errsink")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0] != SpanEnd || got[1] != ErrSink {
+	if len(got) != 2 || got[0] != GenBump || got[1] != ErrSink {
 		t.Fatalf("ByName returned %v", names(got))
 	}
 	if _, err := ByName("nonesuch"); err == nil {

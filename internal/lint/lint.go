@@ -4,7 +4,6 @@
 // correctness rules at `go vet` time instead of trusting runtime checks to
 // be exercised:
 //
-//	spanend   every obs span reaches End() on all paths, or escapes
 //	genbump   hdfs replica/generation mutations fire notifyChanged
 //	wallclock bare time.Now/time.Since only where wall-clock is the point
 //	errsink   error results of repo-internal calls are never dropped
@@ -269,12 +268,11 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 	return diags, nil
 }
 
-// All returns the full hailint suite in stable order: the four per-package
-// rules, then the three whole-module dataflow analyzers built on the facts
-// mechanism.
+// All returns the full hailint suite in stable order: the three
+// per-package rules, then the three whole-module dataflow analyzers built
+// on the facts mechanism.
 func All() []*Analyzer {
 	return []*Analyzer{
-		SpanEnd,
 		GenBump,
 		WallClock,
 		ErrSink,
@@ -284,7 +282,7 @@ func All() []*Analyzer {
 	}
 }
 
-// ByName resolves a comma-separated analyzer list ("spanend,genbump").
+// ByName resolves a comma-separated analyzer list ("genbump,errsink").
 func ByName(names string) ([]*Analyzer, error) {
 	var out []*Analyzer
 	for _, name := range strings.Split(names, ",") {

@@ -17,7 +17,7 @@ func suppressedLineAbove() {
 
 // wrongAnalyzer: a directive for a different analyzer suppresses nothing.
 func wrongAnalyzer() {
-	save() /* want `error result of save dropped` */ //lint:allow spanend names the wrong analyzer on purpose
+	save() /* want `error result of save dropped` */ //lint:allow wallclock names the wrong analyzer on purpose
 }
 
 // tooFarAway: a directive two lines up is out of range.

@@ -50,16 +50,6 @@ func namedOrNil(t types.Type) *types.Named {
 	return n
 }
 
-// isNamedType reports whether t (possibly behind a pointer) is the named
-// type typeName declared in a package matching pkgName.
-func isNamedType(t types.Type, pkgName, typeName string) bool {
-	n := namedOrNil(t)
-	if n == nil || n.Obj().Name() != typeName || n.Obj().Pkg() == nil {
-		return false
-	}
-	return pkgPathMatches(n.Obj().Pkg().Path(), pkgName)
-}
-
 // recvNamed returns the named type of a method's receiver, nil for
 // functions.
 func recvNamed(f *types.Func) *types.Named {

@@ -32,7 +32,7 @@ var WallClock = &Analyzer{
 
 func wallclockExemptPath(rel string) bool {
 	return strings.HasPrefix(rel, "cmd/") || rel == "cmd" ||
-		pkgPathMatches(rel, "internal/obs") || rel == "obs" ||
+		pkgPathMatches(rel, "internal/obs") ||
 		pkgPathMatches(rel, "internal/experiments") || rel == "experiments"
 }
 

@@ -66,7 +66,13 @@ func ParseAnnotation(s *schema.Schema, ann string) (*Query, error) {
 //
 //	@2 = 172.101.11.46 and @3 between(1992-12-22,1992-12-22)
 //	@8 >= 1 and @8 <= 10
+//
+// A blank filter has no predicates: the full scan an annotation without
+// one asks for, and what Query.String writes for it.
 func ParseFilter(s *schema.Schema, filter string) ([]Predicate, error) {
+	if strings.TrimSpace(filter) == "" {
+		return nil, nil
+	}
 	var preds []Predicate
 	for _, part := range splitAnd(filter) {
 		p, err := parsePredicate(s, part)
@@ -103,7 +109,11 @@ func parsePredicate(s *schema.Schema, text string) (Predicate, error) {
 	rest := strings.TrimSpace(text[i:])
 
 	parseV := func(lit string) (schema.Value, error) {
-		return schema.ParseValue(t, strings.TrimSpace(lit))
+		lit = strings.TrimSpace(lit)
+		if len(splitAnd(" "+lit)) > 1 { // "and @2": String would split it off
+			return schema.Value{}, fmt.Errorf("query: value %q starts like a conjunct", lit)
+		}
+		return schema.ParseValue(t, lit)
 	}
 
 	switch {
@@ -195,27 +205,21 @@ func parseProjection(val string) ([]int, error) {
 	return out, nil
 }
 
-// splitAnd splits on the keyword "and" at top level (not inside parens).
+// splitAnd splits on the keyword "and" where the next conjunct's @attr
+// follows it, so a value may hold the word "and" itself: a conjunct starts
+// with '@', a value never holds " and @".
 func splitAnd(s string) []string {
 	var parts []string
-	depth := 0
-	start := 0
 	lower := strings.ToLower(s)
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '(':
-			depth++
-		case ')':
-			depth--
-		}
-		if depth == 0 && i+5 <= len(s) && lower[i:i+5] == " and " {
+	start := 0
+	for i := 0; i+5 <= len(s); i++ {
+		if lower[i:i+5] == " and " && strings.HasPrefix(strings.TrimLeft(s[i+5:], " "), "@") {
 			parts = append(parts, s[start:i])
 			start = i + 5
 			i += 4
 		}
 	}
-	parts = append(parts, s[start:])
-	return parts
+	return append(parts, s[start:])
 }
 
 // splitTopLevel splits on sep outside quotes, parens and braces.
@@ -243,9 +247,11 @@ func splitTopLevel(s string, sep byte) []string {
 	return parts
 }
 
+// unquote strips the quotes of the filter clause. The syntax has no
+// escapes, so a quote inside is malformed.
 func unquote(s string) (string, error) {
 	s = strings.TrimSpace(s)
-	if len(s) < 2 || s[0] != '"' || s[len(s)-1] != '"' {
+	if len(s) < 2 || s[0] != '"' || s[len(s)-1] != '"' || strings.Contains(s[1:len(s)-1], `"`) {
 		return "", fmt.Errorf("query: expected quoted string, got %q", s)
 	}
 	return s[1 : len(s)-1], nil

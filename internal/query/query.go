@@ -95,11 +95,16 @@ func (p Predicate) Canonical() string {
 	return fmt.Sprintf("@%d[%s..%s]", p.Column+1, canon(p.Lo, "-inf"), canon(p.Hi, "+inf"))
 }
 
-// String renders the predicate in annotation syntax.
+// String renders the predicate in annotation syntax, in a form that parses
+// back to the same bounds: a range whose lower bound holds the separator
+// is written as two conjuncts, and only bounds that print alike (not 0 and
+// -0) as a point.
 func (p Predicate) String() string {
 	switch {
-	case p.IsPoint():
+	case p.Lo != nil && p.Hi != nil && p.Lo.String() == p.Hi.String():
 		return fmt.Sprintf("@%d = %s", p.Column+1, p.Lo)
+	case p.Lo != nil && p.Hi != nil && strings.Contains(p.Lo.String(), ","):
+		return fmt.Sprintf("@%d >= %s and @%d <= %s", p.Column+1, p.Lo, p.Column+1, p.Hi)
 	case p.Lo != nil && p.Hi != nil:
 		return fmt.Sprintf("@%d between(%s,%s)", p.Column+1, p.Lo, p.Hi)
 	case p.Lo != nil:

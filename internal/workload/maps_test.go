@@ -4,28 +4,29 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/hadoop"
 	"repro/internal/mapred"
+	"repro/internal/query"
 	"repro/internal/schema"
 )
 
-// collect runs a map function over raw lines and returns the emitted keys.
-func collect(m mapred.MapFunc, lines []string) []string {
+// collect runs the standard-Hadoop map derived from q's annotation over
+// raw lines and returns the emitted keys.
+func collect(s *schema.Schema, q *query.Query, lines []string) []string {
 	var out []string
 	emit := func(k, v string) { out = append(out, k) }
-	for _, l := range lines {
-		m(mapred.Record{Raw: l}, emit)
-	}
+	hadoop.Map(s, q)(&mapred.Batch{Raw: lines}, emit)
 	return out
 }
 
 func TestHadoopMapsMatchHailSemantics(t *testing.T) {
-	// For every Bob query, the hand-written Hadoop map function over raw
-	// text must produce exactly what HAIL's declarative path produces:
-	// the projected attributes of matching rows.
+	// For every Bob query, the Hadoop map function over raw text must
+	// produce exactly what HAIL's declarative path produces: the projected
+	// attributes of matching rows.
 	lines := GenerateUserVisits(20000, 31, UserVisitsOptions{NeedleEvery: 2000, BadEvery: 500})
 	p := schema.NewParser(UserVisitsSchema())
 	for _, bq := range BobQueries() {
-		got := collect(bq.HadoopMap, lines)
+		got := collect(UserVisitsSchema(), bq.Query, lines)
 		var want []string
 		for _, l := range lines {
 			row, err := p.ParseLine(l)
@@ -61,7 +62,7 @@ func TestSynHadoopMapsMatchTypedPath(t *testing.T) {
 	lines := GenerateSynthetic(15000, 37)
 	p := schema.NewParser(SyntheticSchema())
 	for _, bq := range SynQueries() {
-		got := collect(bq.HadoopMap, lines)
+		got := collect(SyntheticSchema(), bq.Query, lines)
 		count := 0
 		for _, l := range lines {
 			row, err := p.ParseLine(l)
@@ -93,12 +94,12 @@ func TestHadoopMapsSkipMalformedLines(t *testing.T) {
 		"CORRUPT LINE 7 WITHOUT PROPER FIELDS",
 	}
 	for _, bq := range BobQueries() {
-		if got := collect(bq.HadoopMap, bad); len(got) != 0 {
+		if got := collect(UserVisitsSchema(), bq.Query, bad); len(got) != 0 {
 			t.Errorf("%s emitted %d rows for malformed input", bq.Name, len(got))
 		}
 	}
 	for _, bq := range SynQueries() {
-		if got := collect(bq.HadoopMap, bad); len(got) != 0 {
+		if got := collect(SyntheticSchema(), bq.Query, bad); len(got) != 0 {
 			t.Errorf("%s emitted %d rows for malformed input", bq.Name, len(got))
 		}
 	}
@@ -123,7 +124,7 @@ func TestBobQ4Q5BoundaryValues(t *testing.T) {
 	q4 := BobQueries()[3]
 	cases := map[string]bool{"0.9": false, "1": true, "5.5": true, "10": true, "10.1": false}
 	for rev, want := range cases {
-		got := len(collect(q4.HadoopMap, []string{mk(rev)})) == 1
+		got := len(collect(UserVisitsSchema(), q4.Query, []string{mk(rev)})) == 1
 		if got != want {
 			t.Errorf("Bob-Q4 Hadoop map at adRevenue=%s: %v, want %v", rev, got, want)
 		}

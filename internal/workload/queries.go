@@ -9,17 +9,15 @@ import (
 	"repro/internal/schema"
 )
 
-// BenchQuery is one benchmark query in all three systems' dialects: a
-// HailQuery annotation for HAIL and Hadoop++ (both get pre-filtered,
-// pre-projected records), and a hand-written text map function for
-// standard Hadoop (which must split and filter every record itself, §4.1).
+// BenchQuery is one benchmark query: its HailQuery annotation, which HAIL
+// and Hadoop++ read to deliver pre-filtered, pre-projected records, and
+// from which standard Hadoop's text map function is derived (hadoop.Map:
+// it splits and filters every record itself, §4.1).
 type BenchQuery struct {
 	Name        string
 	Annotation  string
 	Query       *query.Query
 	Selectivity float64 // paper-reported selectivity
-	// HadoopMap is the standard-Hadoop map function over raw text lines.
-	HadoopMap mapred.MapFunc
 }
 
 // PassthroughMap is the row form of the map function for HAIL and
@@ -54,95 +52,25 @@ func PassthroughMapBatch(b *mapred.Batch, emit mapred.Emit) {
 // signature so their cached block results interchange.
 const PassthroughMapSig = "workload.Passthrough"
 
-// mustQuery parses an annotation against a schema, panicking on error —
-// these are static benchmark definitions.
-func mustQuery(s *schema.Schema, ann string) *query.Query {
+// benchQuery parses a static benchmark annotation against its schema,
+// panicking on error.
+func benchQuery(s *schema.Schema, name, ann string, selectivity float64) BenchQuery {
 	q, err := query.ParseAnnotation(s, ann)
 	if err != nil {
 		panic(err)
 	}
-	return q
+	return BenchQuery{Name: name, Annotation: ann, Query: q, Selectivity: selectivity}
 }
 
 // BobQueries returns Bob's UserVisits workload (§6.2).
 func BobQueries() []BenchQuery {
 	s := UserVisitsSchema()
 	return []BenchQuery{
-		{
-			Name:        "Bob-Q1",
-			Annotation:  `@HailQuery(filter="@3 between(1999-01-01,2000-01-01)", projection={@1})`,
-			Query:       mustQuery(s, `@HailQuery(filter="@3 between(1999-01-01,2000-01-01)", projection={@1})`),
-			Selectivity: 3.1e-2,
-			HadoopMap: func(r mapred.Record, emit mapred.Emit) {
-				f := strings.Split(r.Raw, ",")
-				if len(f) != 9 {
-					return
-				}
-				if f[UVVisitDate] >= "1999-01-01" && f[UVVisitDate] <= "2000-01-01" {
-					emit(f[UVSourceIP], "")
-				}
-			},
-		},
-		{
-			Name:        "Bob-Q2",
-			Annotation:  `@HailQuery(filter="@1 = ` + NeedleIP + `", projection={@8,@9,@4})`,
-			Query:       mustQuery(s, `@HailQuery(filter="@1 = `+NeedleIP+`", projection={@8,@9,@4})`),
-			Selectivity: 3.2e-8,
-			HadoopMap: func(r mapred.Record, emit mapred.Emit) {
-				f := strings.Split(r.Raw, ",")
-				if len(f) != 9 {
-					return
-				}
-				if f[UVSourceIP] == NeedleIP {
-					emit(f[UVSearchWord]+","+f[UVDuration]+","+f[UVAdRevenue], "")
-				}
-			},
-		},
-		{
-			Name: "Bob-Q3",
-			Annotation: `@HailQuery(filter="@1 = ` + NeedleIP + ` and @3 = ` + NeedleDate +
-				`", projection={@8,@9,@4})`,
-			Query: mustQuery(s, `@HailQuery(filter="@1 = `+NeedleIP+` and @3 = `+NeedleDate+
-				`", projection={@8,@9,@4})`),
-			Selectivity: 6e-9,
-			HadoopMap: func(r mapred.Record, emit mapred.Emit) {
-				f := strings.Split(r.Raw, ",")
-				if len(f) != 9 {
-					return
-				}
-				if f[UVSourceIP] == NeedleIP && f[UVVisitDate] == NeedleDate {
-					emit(f[UVSearchWord]+","+f[UVDuration]+","+f[UVAdRevenue], "")
-				}
-			},
-		},
-		{
-			Name:        "Bob-Q4",
-			Annotation:  `@HailQuery(filter="@4 between(1,10)", projection={@8,@9,@4})`,
-			Query:       mustQuery(s, `@HailQuery(filter="@4 between(1,10)", projection={@8,@9,@4})`),
-			Selectivity: 1.7e-2,
-			HadoopMap:   adRevenueRangeMap(1, 10),
-		},
-		{
-			Name:        "Bob-Q5",
-			Annotation:  `@HailQuery(filter="@4 between(1,100)", projection={@8,@9,@4})`,
-			Query:       mustQuery(s, `@HailQuery(filter="@4 between(1,100)", projection={@8,@9,@4})`),
-			Selectivity: 2.04e-1,
-			HadoopMap:   adRevenueRangeMap(1, 100),
-		},
-	}
-}
-
-func adRevenueRangeMap(lo, hi float64) mapred.MapFunc {
-	return func(r mapred.Record, emit mapred.Emit) {
-		f := strings.Split(r.Raw, ",")
-		if len(f) != 9 {
-			return
-		}
-		rev, err := strconv.ParseFloat(f[UVAdRevenue], 64)
-		if err != nil || rev < lo || rev > hi {
-			return
-		}
-		emit(f[UVSearchWord]+","+f[UVDuration]+","+f[UVAdRevenue], "")
+		benchQuery(s, "Bob-Q1", `@HailQuery(filter="@3 between(1999-01-01,2000-01-01)", projection={@1})`, 3.1e-2),
+		benchQuery(s, "Bob-Q2", `@HailQuery(filter="@1 = `+NeedleIP+`", projection={@8,@9,@4})`, 3.2e-8),
+		benchQuery(s, "Bob-Q3", `@HailQuery(filter="@1 = `+NeedleIP+` and @3 = `+NeedleDate+`", projection={@8,@9,@4})`, 6e-9),
+		benchQuery(s, "Bob-Q4", `@HailQuery(filter="@4 between(1,10)", projection={@8,@9,@4})`, 1.7e-2),
+		benchQuery(s, "Bob-Q5", `@HailQuery(filter="@4 between(1,100)", projection={@8,@9,@4})`, 2.04e-1),
 	}
 }
 
@@ -154,31 +82,11 @@ func SynQueries() []BenchQuery {
 	s := SyntheticSchema()
 	mk := func(name string, hiVal int, width int, sel float64) BenchQuery {
 		proj := make([]string, width)
-		projIdx := make([]int, width)
-		for i := 0; i < width; i++ {
+		for i := range proj {
 			proj[i] = "@" + strconv.Itoa(i+1)
-			projIdx[i] = i
 		}
-		ann := `@HailQuery(filter="@1 between(0,` + strconv.Itoa(hiVal) + `)", projection={` +
-			strings.Join(proj, ",") + `})`
-		hi := hiVal
-		return BenchQuery{
-			Name:        name,
-			Annotation:  ann,
-			Query:       mustQuery(s, ann),
-			Selectivity: sel,
-			HadoopMap: func(r mapred.Record, emit mapred.Emit) {
-				f := strings.Split(r.Raw, ",")
-				if len(f) != SynNumAttrs {
-					return
-				}
-				v, err := strconv.Atoi(f[0])
-				if err != nil || v < 0 || v > hi {
-					return
-				}
-				emit(strings.Join(f[:width], ","), "")
-			},
-		}
+		return benchQuery(s, name, `@HailQuery(filter="@1 between(0,`+strconv.Itoa(hiVal)+`)", projection={`+
+			strings.Join(proj, ",")+`})`, sel)
 	}
 	return []BenchQuery{
 		mk("Syn-Q1a", 99, 19, 0.10),

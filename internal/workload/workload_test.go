@@ -206,9 +206,6 @@ func TestQueriesParseAgainstSchemas(t *testing.T) {
 		if err := q.Query.Validate(UserVisitsSchema()); err != nil {
 			t.Errorf("%s: %v", q.Name, err)
 		}
-		if q.HadoopMap == nil {
-			t.Errorf("%s: no Hadoop map function", q.Name)
-		}
 	}
 	widths := []int{19, 9, 1, 19, 9, 1}
 	for i, q := range SynQueries() {
