@@ -1,6 +1,6 @@
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (§6), plus ablation benches for the design choices DESIGN.md
-// calls out. Run with:
+// evaluation (§6), plus ablation benches for HAIL's design choices and the
+// trajectory experiments beyond the paper. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -251,7 +251,7 @@ func BenchmarkFig9cTotalWorkload(b *testing.B) {
 	})
 }
 
-// --- Ablations (DESIGN.md §5) ---
+// --- Ablations: clustered index, multi-level index, splitting, layout ---
 
 func BenchmarkAblationUnclusteredIndex(b *testing.B) {
 	benchFigure(b, "AblationUnclustered", benchRunner().AblationUnclusteredIndex,
@@ -286,27 +286,36 @@ func BenchmarkAblationLayout(b *testing.B) {
 		})
 }
 
-// --- Adaptive indexing (LIAH-style evolving workload) ---
+// --- Adaptive indexing (LIAH-style evolving workload, then a workload
+// shift under a replica budget with eviction) ---
+
+var adaptiveReport = sync.OnceValues(func() (*experiments.AdaptiveReport, error) {
+	return benchRunner().ExpAdaptive(experiments.UserVisits, 5, 0.5)
+})
 
 func BenchmarkFigAdaptive(b *testing.B) {
-	benchFigure(b, "FigAdaptive", func() (*experiments.Figure, error) {
-		rep, err := benchRunner().ExpAdaptive(experiments.UserVisits, 6, 0.25)
-		if err != nil {
-			return nil, err
-		}
-		return rep.Figure(), nil
-	}, func(f *experiments.Figure) {
-		metric(b, f, "runtime [s]", "job1", "job1_s")
-		metric(b, f, "runtime [s]", "job6", "job6_s")
-		metric(b, f, "idx splits [%]", "job6", "job6_idx_pct")
-	})
+	rep, err := adaptiveReport()
+	if err != nil {
+		b.Fatalf("FigAdaptive: %v", err)
+	}
+	shift := rep.ShiftFigure()
+	benchFigure(b, "FigAdaptive", func() (*experiments.Figure, error) { return rep.Figure(), nil },
+		func(f *experiments.Figure) {
+			metric(b, f, "runtime [s]", "job1", "job1_s")
+			metric(b, f, "runtime [s]", "job5", "job5_s")
+			metric(b, f, "idx splits [%]", "job5", "job5_idx_pct")
+			metric(b, shift, "runtime [s]", "job6", "shift_job1_s")
+			metric(b, shift, "idx splits [%]", "job10", "shift_job5_idx_pct")
+			metric(b, shift, "evicted", "job6", "shift_job1_evicted")
+		})
+	printFigure(shift)
 }
 
 // --- Block-level result cache (hot/cold/invalidation trajectory) ---
 
 func BenchmarkFigCache(b *testing.B) {
 	benchFigure(b, "FigCache", func() (*experiments.Figure, error) {
-		rep, err := benchRunner().ExpCache(experiments.UserVisits, 6, 0, 0.5, false)
+		rep, err := benchRunner().ExpCache(experiments.UserVisits, 6, 0.5)
 		if err != nil {
 			return nil, err
 		}
@@ -323,7 +332,7 @@ func BenchmarkFigCache(b *testing.B) {
 
 func BenchmarkFigDispatch(b *testing.B) {
 	benchFigure(b, "FigDispatch", func() (*experiments.Figure, error) {
-		rep, err := benchRunner().ExpDispatch(experiments.UserVisits, 0)
+		rep, err := benchRunner().ExpDispatch(experiments.UserVisits)
 		if err != nil {
 			return nil, err
 		}
@@ -333,22 +342,6 @@ func BenchmarkFigDispatch(b *testing.B) {
 		metric(b, f, "tasks cut [x]", "cache-hot", "hot_task_reduction_x")
 		metric(b, f, "per-block [s]", "cache-hot", "hot_perblock_s")
 		metric(b, f, "packed [s]", "cache-hot", "hot_packed_s")
-	})
-}
-
-// --- Adaptive replica lifecycle (workload shift + eviction) ---
-
-func BenchmarkFigLifecycle(b *testing.B) {
-	benchFigure(b, "FigLifecycle", func() (*experiments.Figure, error) {
-		rep, err := benchRunner().ExpLifecycle(experiments.UserVisits, 5, 0.5)
-		if err != nil {
-			return nil, err
-		}
-		return rep.Figure(), nil
-	}, func(f *experiments.Figure) {
-		metric(b, f, "runtime [s]", "colB-j6", "shift_job1_s")
-		metric(b, f, "idx splits [%]", "colB-j10", "shift_job5_idx_pct")
-		metric(b, f, "evicted", "colB-j6", "shift_job1_evicted")
 	})
 }
 

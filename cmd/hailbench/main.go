@@ -1,15 +1,13 @@
 // Command hailbench regenerates the paper's tables and figures, plus the
-// adaptive-indexing, result-cache, scan-packing and replica-lifecycle
+// adaptive-indexing, result-cache, scan-packing and resident-server
 // trajectory experiments.
 //
 // Usage:
 //
 //	hailbench [-quick] [-only Fig4a,Fig6a,...] [-json out.json]
-//	hailbench [-quick] -adaptive [-adaptive-evict] [-offer-rate 0.25] [-jobs 8] [-workload Synthetic] [-adaptive-budget N]
-//	hailbench [-quick] -cache [-pack-scans] [-cache-budget N] [-offer-rate 0.25] [-jobs 6] [-workload UserVisits]
-//	hailbench [-quick] -dispatch [-cache-budget N] [-workload UserVisits]
-//	hailbench [-quick] -lifecycle [-offer-rate 0.5] [-jobs 6] [-workload UserVisits] [-adaptive-budget N]
-//	hailbench [-quick] -obs [-workload UserVisits] [-json BENCH_obs.json]
+//	hailbench [-quick] -adaptive [-offer-rate 0.25] [-jobs 8] [-workload Synthetic]
+//	hailbench [-quick] -cache [-offer-rate 0.25] [-jobs 6] [-workload UserVisits]
+//	hailbench [-quick] -dispatch [-workload UserVisits]
 //	hailbench [-quick] -serve [-queries 240] [-tenants 4] [-workload UserVisits] [-json BENCH_serve.json]
 //
 // With no flags it runs every paper experiment at full fidelity (~64
@@ -18,40 +16,26 @@
 // granularity, same code paths). -only restricts to a comma-separated
 // list of experiment IDs.
 //
-// -adaptive instead runs a sequence of identical jobs filtering on an
-// attribute no replica is indexed on: the adaptive indexer converts a
-// bounded fraction (-offer-rate) of the remaining unindexed blocks during
-// each job, so job 1 pays a small penalty and jobs 2..k speed up until
-// every block is index-scanned. -adaptive-evict enables the lifecycle
-// manager's eviction policy: builds that would exceed -adaptive-budget
-// retire the coldest adaptive replicas instead of being denied.
+// -adaptive instead runs two phases of identical jobs under one
+// extra-storage budget. Phase A filters on an attribute no replica is
+// indexed on: the adaptive indexer converts a bounded fraction
+// (-offer-rate, in (0, 1]) of the remaining unindexed blocks during each
+// job, so job 1 pays a small penalty and jobs 2..k speed up until every
+// block is index-scanned. Phase B shifts the workload to a second
+// never-indexed attribute: eviction retires the cold column's replicas so
+// the new column converges inside the same budget. -jobs is the job count
+// per phase.
 //
 // -cache runs the block-level result-cache trajectory: a cold job
 // populates the cache, an identical hot job answers its blocks from it,
 // then the adaptive indexer is switched on so its replica conversions
-// invalidate affected entries. With -pack-scans the same trajectory runs under
-// packed scan splits (fully-cached blocks pinned at their cached
-// replica), so the hot jobs' dispatch bound falls alongside their map
-// work.
+// invalidate affected entries.
 //
 // -dispatch runs the scan-split packing experiment: the adaptive job-1
 // and cache-hot workloads execute with per-block and with packed scan
 // splits, reporting dispatch counts and simulated wall time for both; a
 // final phase kills a packed split's pinned node mid-job and verifies the
 // job completes with only the affected blocks re-resolved.
-//
-// -lifecycle runs the adaptive replica lifecycle experiment: converge on
-// one never-indexed column under a fixed extra-storage budget, then shift
-// the workload to a second never-indexed column. Eviction retires the
-// cold column's replicas so the new column converges inside the same
-// budget — the trajectory that was BudgetDenied forever before the
-// lifecycle manager.
-//
-// -obs runs the benchmark query set with the observability layer fully
-// wired (per-query trace spans, metrics registry, namenode gauges) and
-// reports each query's task-latency p50/p95/p99 from the registry's
-// histograms — gated on a validating span tree and the root span
-// covering ≥90% of wall-clock.
 //
 // -serve runs the resident-server storm: a server.Server (the haild
 // stack) is booted over a saved filesystem, the adaptive query is warmed
@@ -76,10 +60,8 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/adaptive"
 	"repro/internal/cliutil"
 	"repro/internal/experiments"
-	"repro/internal/qcache"
 )
 
 func run(args []string, stdout, stderr io.Writer) error {
@@ -87,21 +69,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	quick := fs.Bool("quick", false, "use small fixtures (faster, coarser index granularity)")
 	only := fs.String("only", "", "comma-separated experiment IDs (e.g. Fig4a,Fig6a)")
-	adaptiveMode := fs.Bool("adaptive", false, "run the adaptive-indexing experiment")
+	adaptiveMode := fs.Bool("adaptive", false, "run the adaptive-indexing experiment (convergence, then a workload shift with eviction)")
 	cacheMode := fs.Bool("cache", false, "run the result-cache trajectory experiment")
 	dispatchMode := fs.Bool("dispatch", false, "run the scan-split packing (dispatch) experiment")
-	lifecycleMode := fs.Bool("lifecycle", false, "run the adaptive replica lifecycle (workload shift + eviction) experiment")
-	obsMode := fs.Bool("obs", false, "run the observability experiment (traced benchmark queries, task-latency p50/p95/p99)")
 	serveMode := fs.Bool("serve", false, "run the resident-server storm (concurrent multi-tenant queries over one shared cache+indexer, p50/p99 + throughput)")
 	serveQueries := fs.Int("queries", 240, "serve: concurrent queries in the storm")
 	serveTenants := fs.Int("tenants", 4, "serve: tenants the storm's queries rotate through")
-	packScans := fs.Bool("pack-scans", false, "with -cache: run the trajectory under packed scan splits")
-	adaptiveEvict := fs.Bool("adaptive-evict", false, "with -adaptive: evict the coldest adaptive replicas when a build would exceed -adaptive-budget")
-	offerRate := fs.Float64("offer-rate", 0.25, "adaptive/cache/lifecycle: fraction of unindexed blocks converted per job (0 = observe demand only, build nothing)")
-	jobs := fs.Int("jobs", 8, "adaptive/cache: number of identical jobs in the sequence; lifecycle: jobs per phase")
-	workloadName := fs.String("workload", "UserVisits", "adaptive/cache/dispatch/lifecycle: workload (UserVisits or Synthetic)")
-	adaptiveBudget := fs.Int64("adaptive-budget", 0, "adaptive/cache/lifecycle: cap on extra replica bytes adaptive builds may store (0 = unlimited; lifecycle auto-sizes)")
-	cacheBudget := fs.Int64("cache-budget", qcache.DefaultBudget, "cache/dispatch: byte budget for cached block results")
+	offerRate := fs.Float64("offer-rate", 0.25, "adaptive/cache: fraction of unindexed blocks converted per job, in (0, 1]")
+	jobs := fs.Int("jobs", 8, "adaptive: jobs per phase; cache: identical jobs in the sequence")
+	workloadName := fs.String("workload", "UserVisits", "adaptive/cache/dispatch/serve: workload (UserVisits or Synthetic)")
 	jsonPath := fs.String("json", "", "write the run's report as JSON to this path")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
@@ -121,7 +97,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// than silently ignored), the experiment, and the figure it reports.
 	// The experiments read w when run, after -workload has been resolved.
 	w := experiments.UserVisits
-	rate := adaptive.RateFromFlag(*offerRate)
 	modes := []struct {
 		on     bool
 		flag   string
@@ -129,16 +104,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		run    func() (fmt.Stringer, error)
 		figure string
 	}{
-		{*adaptiveMode, "adaptive", "workload jobs offer-rate adaptive-budget adaptive-evict",
-			func() (fmt.Stringer, error) { return r.ExpAdaptive(w, *jobs, rate) }, "FigAdaptive"},
-		{*cacheMode, "cache", "workload jobs offer-rate adaptive-budget cache-budget pack-scans",
-			func() (fmt.Stringer, error) { return r.ExpCache(w, *jobs, *cacheBudget, rate, *packScans) }, "FigCache"},
-		{*dispatchMode, "dispatch", "workload cache-budget",
-			func() (fmt.Stringer, error) { return r.ExpDispatch(w, *cacheBudget) }, "FigDispatch"},
-		{*lifecycleMode, "lifecycle", "workload jobs offer-rate adaptive-budget",
-			func() (fmt.Stringer, error) { return r.ExpLifecycle(w, *jobs, rate) }, "FigLifecycle"},
-		{*obsMode, "obs", "workload",
-			func() (fmt.Stringer, error) { return r.ExpObs(w) }, "FigObs"},
+		{*adaptiveMode, "adaptive", "workload jobs offer-rate",
+			func() (fmt.Stringer, error) { return r.ExpAdaptive(w, *jobs, *offerRate) }, "FigAdaptive"},
+		{*cacheMode, "cache", "workload jobs offer-rate",
+			func() (fmt.Stringer, error) { return r.ExpCache(w, *jobs, *offerRate) }, "FigCache"},
+		{*dispatchMode, "dispatch", "workload",
+			func() (fmt.Stringer, error) { return r.ExpDispatch(w) }, "FigDispatch"},
 		{*serveMode, "serve", "workload queries tenants",
 			func() (fmt.Stringer, error) { return r.ExpServe(w, *serveQueries, *serveTenants) }, "FigServe"},
 	}
@@ -148,7 +119,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			continue
 		}
 		if mode >= 0 {
-			return fmt.Errorf("%w: -adaptive, -cache, -dispatch, -lifecycle, -obs and -serve are mutually exclusive", errUsage)
+			return fmt.Errorf("%w: -adaptive, -cache, -dispatch and -serve are mutually exclusive", errUsage)
 		}
 		mode = i
 	}
@@ -165,10 +136,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	for i, g := range []struct{ knobs, home string }{
-		{"offer-rate jobs workload adaptive-budget", "-adaptive, -cache or -lifecycle"},
-		{"cache-budget", "-cache or -dispatch"},
-		{"pack-scans", "-cache"},
-		{"adaptive-evict", "-adaptive (-lifecycle always evicts)"},
+		{"offer-rate jobs", "-adaptive or -cache"},
+		{"workload", "-adaptive, -cache, -dispatch or -serve"},
 		{"queries tenants", "-serve"},
 	} {
 		var unaccepted []string
@@ -185,6 +154,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return fmt.Errorf("%w: %s does not combine with -%s", errUsage, strings.Join(stray, ", "), modes[mode].flag)
 		}
 		return fmt.Errorf("%w: %s only applies with %s", errUsage, strings.Join(stray, ", "), g.home)
+	}
+	if !(*offerRate > 0 && *offerRate <= 1) {
+		return fmt.Errorf("%w: -offer-rate %v is not in (0, 1]", errUsage, *offerRate)
 	}
 
 	// writeJSON persists the run's report for the CI perf-trajectory
@@ -208,8 +180,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		default:
 			return fmt.Errorf("unknown workload %q (want UserVisits or Synthetic)", *workloadName)
 		}
-		r.AdaptiveBudget = *adaptiveBudget
-		r.AdaptiveEvict = *adaptiveEvict
 		start := time.Now()
 		rep, err := modes[mode].run()
 		if err != nil {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -29,6 +30,42 @@ func TestBenchAdaptiveSmoke(t *testing.T) {
 	}
 }
 
+// TestBenchLifecycleSmoke drives -adaptive's second phase end to end — the
+// workload shift with evictions, at the CI lane's (jobs, rate) — and checks
+// the printout and the JSON artifact.
+func TestBenchLifecycleSmoke(t *testing.T) {
+	jsonPath := filepath.Join(t.TempDir(), "BENCH_adaptive.json")
+	var out, errb bytes.Buffer
+	err := run([]string{"-quick", "-adaptive", "-jobs", "5", "-offer-rate", "0.5", "-json", jsonPath}, &out, &errb)
+	if err != nil {
+		t.Fatalf("run: %v (stderr: %s)", err, errb.String())
+	}
+	s := out.String()
+	for _, want := range []string{"FigAdaptiveShift", "job11", "evicted", "workload shift"} {
+		if !strings.Contains(s, want) {
+			t.Errorf("output missing %q:\n%s", want, s)
+		}
+	}
+	raw, err := os.ReadFile(jsonPath)
+	if err != nil {
+		t.Fatalf("JSON artifact not written: %v", err)
+	}
+	var rep experiments.AdaptiveReport
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatalf("bad JSON artifact: %v", err)
+	}
+	if len(rep.Jobs) != 5 || len(rep.Shift) != 6 {
+		t.Fatalf("artifact has %d + %d jobs, want 5 + 6", len(rep.Jobs), len(rep.Shift))
+	}
+	evicted := 0
+	for _, j := range rep.Shift {
+		evicted += j.Evicted
+	}
+	if last := rep.Shift[5]; last.IndexScanFraction != 1 || evicted == 0 {
+		t.Errorf("artifact shift implausible: frac %.2f, evicted %d", last.IndexScanFraction, evicted)
+	}
+}
+
 func TestBenchBadFlags(t *testing.T) {
 	var out, errb bytes.Buffer
 	if err := run([]string{"-adaptive", "-workload", "nope"}, &out, &errb); err == nil {
@@ -42,6 +79,11 @@ func TestBenchBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-jobs", "3"}, &out, &errb); err == nil {
 		t.Fatal("run accepted -jobs without -adaptive")
+	}
+	for _, rate := range []string{"0", "-1", "1.5"} {
+		if err := run([]string{"-adaptive", "-offer-rate", rate}, &out, &errb); !errors.Is(err, errUsage) {
+			t.Errorf("-offer-rate %s: err = %v, want the usage error", rate, err)
+		}
 	}
 }
 
@@ -112,9 +154,6 @@ func TestBenchDispatchSmoke(t *testing.T) {
 
 func TestBenchDispatchBadFlags(t *testing.T) {
 	var out, errb bytes.Buffer
-	if err := run([]string{"-pack-scans"}, &out, &errb); err == nil {
-		t.Error("accepted -pack-scans without -cache")
-	}
 	if err := run([]string{"-dispatch", "-jobs", "3"}, &out, &errb); err == nil {
 		t.Error("accepted -jobs with -dispatch")
 	}
@@ -126,84 +165,6 @@ func TestBenchDispatchBadFlags(t *testing.T) {
 	}
 }
 
-// TestBenchCachePackedSmoke drives the packed cache trajectory (the
-// ROADMAP's -pack-scans mode for ExpCache): same cold/hot/invalidate
-// sequence, with the dispatched task count falling to the per-node split
-// count.
-func TestBenchCachePackedSmoke(t *testing.T) {
-	jsonPath := filepath.Join(t.TempDir(), "BENCH_cache_packed.json")
-	var out, errb bytes.Buffer
-	err := run([]string{"-quick", "-cache", "-pack-scans", "-jobs", "4", "-offer-rate", "0.5", "-json", jsonPath}, &out, &errb)
-	if err != nil {
-		t.Fatalf("run: %v (stderr: %s)", err, errb.String())
-	}
-	s := out.String()
-	for _, want := range []string{"FigCache", "packed scans", "tasks", "hot job answers"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("output missing %q:\n%s", want, s)
-		}
-	}
-	raw, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatalf("JSON artifact not written: %v", err)
-	}
-	var rep experiments.CacheReport
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatalf("bad JSON artifact: %v", err)
-	}
-	if !rep.PackScans {
-		t.Error("artifact does not record PackScans")
-	}
-	if len(rep.Jobs) != 4 || rep.Jobs[1].Tasks*4 > rep.TotalBlocks {
-		t.Errorf("artifact trajectory implausible: %+v", rep.Jobs)
-	}
-}
-
-// TestBenchLifecycleSmoke drives the replica-lifecycle experiment end to
-// end and checks the JSON artifact: the workload shift must converge with
-// evictions.
-func TestBenchLifecycleSmoke(t *testing.T) {
-	jsonPath := filepath.Join(t.TempDir(), "BENCH_lifecycle.json")
-	var out, errb bytes.Buffer
-	err := run([]string{"-quick", "-lifecycle", "-jobs", "5", "-offer-rate", "0.5", "-json", jsonPath}, &out, &errb)
-	if err != nil {
-		t.Fatalf("run: %v (stderr: %s)", err, errb.String())
-	}
-	s := out.String()
-	for _, want := range []string{"FigLifecycle", "workload shift", "evicted", "colB"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("output missing %q:\n%s", want, s)
-		}
-	}
-	raw, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatalf("JSON artifact not written: %v", err)
-	}
-	var rep experiments.LifecycleReport
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatalf("bad JSON artifact: %v", err)
-	}
-	if rep.FinalFractionB < experiments.LifecycleConvergenceTarget || rep.TotalEvicted == 0 {
-		t.Errorf("artifact shift implausible: frac %.2f, evicted %d", rep.FinalFractionB, rep.TotalEvicted)
-	}
-}
-
-func TestBenchLifecycleBadFlags(t *testing.T) {
-	var out, errb bytes.Buffer
-	if err := run([]string{"-lifecycle", "-adaptive"}, &out, &errb); err == nil {
-		t.Error("accepted -lifecycle with -adaptive")
-	}
-	if err := run([]string{"-lifecycle", "-cache-budget", "1024"}, &out, &errb); err == nil {
-		t.Error("accepted -cache-budget with -lifecycle")
-	}
-	if err := run([]string{"-adaptive-evict"}, &out, &errb); err == nil {
-		t.Error("accepted -adaptive-evict without -adaptive")
-	}
-	if err := run([]string{"-lifecycle", "-adaptive-evict"}, &out, &errb); err == nil {
-		t.Error("accepted -adaptive-evict with -lifecycle (it always evicts)")
-	}
-}
-
 func TestBenchCacheBadFlags(t *testing.T) {
 	var out, errb bytes.Buffer
 	if err := run([]string{"-cache", "-adaptive"}, &out, &errb); err == nil {
@@ -212,8 +173,8 @@ func TestBenchCacheBadFlags(t *testing.T) {
 	if err := run([]string{"-cache", "-only", "Fig4a"}, &out, &errb); err == nil {
 		t.Error("accepted -cache with -only")
 	}
-	if err := run([]string{"-cache-budget", "1024"}, &out, &errb); err == nil {
-		t.Error("accepted -cache-budget without -cache")
+	if err := run([]string{"-cache", "-queries", "10"}, &out, &errb); err == nil {
+		t.Error("accepted -queries with -cache")
 	}
 }
 
@@ -321,65 +282,44 @@ func jsonDiff(path string, want, got any) string {
 	return ""
 }
 
-// TestBenchObsSmoke drives the observability experiment end to end:
-// traced benchmark queries, validity- and coverage-gated, with
-// non-zero latency quantiles per query in the JSON artifact.
-func TestBenchObsSmoke(t *testing.T) {
-	jsonPath := filepath.Join(t.TempDir(), "BENCH_obs.json")
-	var out, errb bytes.Buffer
-	err := run([]string{"-quick", "-obs", "-json", jsonPath}, &out, &errb)
-	if err != nil {
-		t.Fatalf("run: %v (stderr: %s)", err, errb.String())
-	}
-	s := out.String()
-	for _, want := range []string{"FigObs", "task p50 [ms]", "task p99 [ms]", "root covers"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("output missing %q:\n%s", want, s)
-		}
-	}
-	raw, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatalf("JSON artifact not written: %v", err)
-	}
-	var rep experiments.ObsReport
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatalf("bad JSON artifact: %v", err)
-	}
-	if len(rep.Queries) != 3 || len(rep.Metrics) == 0 {
-		t.Fatalf("artifact implausible: %d queries, %d metrics", len(rep.Queries), len(rep.Metrics))
-	}
-	for _, q := range rep.Queries {
-		if q.TaskP50Ms <= 0 || q.TaskP99Ms <= 0 {
-			t.Errorf("%s: zero latency quantiles: %+v", q.Name, q)
-		}
-		if q.RootCoverage < 0.9 {
-			t.Errorf("%s: root span covers %.0f%% of wall-clock", q.Name, 100*q.RootCoverage)
-		}
-	}
-}
-
-func TestBenchObsBadFlags(t *testing.T) {
-	var out, errb bytes.Buffer
-	if err := run([]string{"-obs", "-cache"}, &out, &errb); err == nil {
-		t.Error("accepted -obs with -cache")
-	}
-	if err := run([]string{"-obs", "-jobs", "3"}, &out, &errb); err == nil {
-		t.Error("accepted -jobs with -obs")
-	}
-	if err := run([]string{"-obs", "-only", "Fig4a"}, &out, &errb); err == nil {
-		t.Error("accepted -obs with -only")
-	}
-}
-
 // TestBenchVectorBadFlags: retired flags are unknown flags — a usage error
 // (exit status 2), not silently ignored. -vector selected the row-vs-batch
 // A/B mode (bench/ measures the one scan path end to end); -nn-shards
-// selected the namenode directory's shard count, now fixed.
+// selected the namenode directory's shard count, now fixed; -pack-scans
+// priced packed cache-hot jobs by a model that ignores packing
+// (-dispatch's cache-hot scenario prices them).
 func TestBenchVectorBadFlags(t *testing.T) {
-	for flag, args := range map[string][]string{
-		"-vector":    {"-quick", "-vector"},
-		"-nn-shards": {"-quick", "-adaptive", "-nn-shards", "8"},
-	} {
+	checkRetired(t, map[string][]string{
+		"-vector":     {"-quick", "-vector"},
+		"-nn-shards":  {"-quick", "-adaptive", "-nn-shards", "8"},
+		"-pack-scans": {"-quick", "-cache", "-pack-scans"},
+	})
+}
+
+// TestBenchLifecycleBadFlags: -lifecycle is -adaptive's second phase, with
+// the budget (-adaptive-budget) sized and eviction (-adaptive-evict) on,
+// and -cache-budget had no caller, so -cache and -dispatch use
+// qcache.DefaultBudget. All four are retired: usage errors.
+func TestBenchLifecycleBadFlags(t *testing.T) {
+	checkRetired(t, map[string][]string{
+		"-lifecycle":       {"-quick", "-lifecycle"},
+		"-adaptive-evict":  {"-quick", "-adaptive", "-adaptive-evict"},
+		"-adaptive-budget": {"-quick", "-adaptive", "-adaptive-budget", "1024"},
+		"-cache-budget":    {"-quick", "-dispatch", "-cache-budget", "1024"},
+	})
+}
+
+// TestBenchObsBadFlags: -obs is retired — its gates live in FuzzEngine and
+// TestTraceCoversWideScan — so it is a usage error.
+func TestBenchObsBadFlags(t *testing.T) {
+	checkRetired(t, map[string][]string{"-obs": {"-quick", "-obs"}})
+}
+
+// checkRetired asserts that each flag, run with its args, is rejected as
+// an unknown flag: the usage error (exit status 2), naming the flag.
+func checkRetired(t *testing.T, rows map[string][]string) {
+	t.Helper()
+	for flag, args := range rows {
 		var out, errb bytes.Buffer
 		if err := run(args, &out, &errb); err != errUsage {
 			t.Errorf("%s: err = %v, want the usage error", flag, err)
@@ -422,7 +362,7 @@ func TestBenchServeSmoke(t *testing.T) {
 func TestBenchServeBadFlags(t *testing.T) {
 	var out, errb bytes.Buffer
 	cases := [][]string{
-		{"-serve", "-obs"},                    // mutually exclusive modes
+		{"-serve", "-cache"},                  // mutually exclusive modes
 		{"-serve", "-jobs", "3"},              // -jobs does not combine
 		{"-queries", "100"},                   // -queries needs -serve
 		{"-tenants", "2"},                     // -tenants needs -serve

@@ -219,7 +219,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "-- split phase: %d namenode directory ops, 0 block-header reads\n",
 			res.SplitPhase.NameNodeOps)
 		// Uniform engine counters, sourced from the metrics registry (the
-		// same numbers -metrics prints and hailbench -obs aggregates).
+		// same numbers -metrics prints).
 		fmt.Fprintf(stdout, "-- engine: %d tasks (%d node-local), %d repacked, %d blocks rerun, %d namenode ops total\n",
 			reg.Counter("engine.tasks").Value(), reg.Counter("engine.tasks_local").Value(),
 			reg.Counter("engine.tasks_repacked").Value(), reg.Counter("engine.blocks_rerun").Value(),

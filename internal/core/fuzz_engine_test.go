@@ -39,6 +39,7 @@ const (
 	cacheOff  cacheMode = iota
 	cacheCold           // one run, filling a cache
 	cacheHot            // the cold run, then the same job again on its cache
+	cacheTiny           // cacheHot on a cache at qcache's 32 KiB floor, which evicts
 )
 
 type fault int
@@ -68,7 +69,6 @@ func decodeKnobs(w uint64) engineKnobs {
 		cache: cacheMode(w >> 4 & 3), trace: w&(1<<6) != 0, fault: fault(w >> 7 & 7),
 		bob: w&(1<<10) != 0, reverse: w&(1<<11) != 0,
 	}
-	k.cache = min(k.cache, cacheHot)
 	if k.fault > replaceOne {
 		k.fault = noFault
 	}
@@ -79,13 +79,14 @@ func decodeKnobs(w uint64) engineKnobs {
 // draws a schema, text data with bad records of every kind (NUL bytes
 // included), a replica layout, a block size and a query with its conjuncts
 // in any order; the knob word picks HailSplitting, PackScans, the engine's
-// parallelism, a cold or hot result cache or none, tracing, and at most one
-// fault. Every run is held to query.EvalText over the input lines — an
-// evaluator that shares no code with the parser, the PAX decoder or the
-// kernels:
+// parallelism, a cold, hot or evicting result cache or none, tracing, and
+// at most one fault. Every run is held to query.EvalText over the input
+// lines — an evaluator that shares no code with the parser, the PAX
+// decoder or the kernels:
 //
 //   - the output is EvalText's multiset of rows, and a hot run of the cold
-//     run's splits returns the cold output byte for byte;
+//     run's splits returns the cold output byte for byte, from a cache that
+//     evicted or one that kept every block;
 //   - a traced run equals an untraced one in output and TotalStats, and its
 //     trace validates, a failed run's included;
 //   - per block, RowsSelected is the good rows the query selects and
@@ -121,9 +122,28 @@ func FuzzEngine(f *testing.F) {
 	} {
 		f.Add(c.seed, c.k.encode())
 	}
+	// The evicting cache's seeds must evict and hit, so that neither the
+	// axis nor the recorder's hit checks on it go vacuous. A scan larger
+	// than the cache mostly thrashes it; at Parallelism 1 these hit a few
+	// blocks, the same ones every run.
+	evicting := []struct {
+		seed int64
+		k    engineKnobs
+	}{
+		{3006, engineKnobs{bob: true, splitting: true, par: 1, cache: cacheTiny, trace: true}},
+		{3003, engineKnobs{splitting: true, packScans: true, par: 1, cache: cacheTiny}},
+	}
+	for _, c := range evicting {
+		f.Add(c.seed, c.k.encode())
+	}
 	f.Fuzz(func(t *testing.T, seed int64, knobs uint64) {
 		baseline := runtime.NumGoroutine()
-		runEngineCase(t, seed, decodeKnobs(knobs))
+		st := runEngineCase(t, seed, decodeKnobs(knobs))
+		for _, c := range evicting {
+			if c.seed == seed && c.k.encode() == knobs && (st.Evictions == 0 || st.Hits == 0) {
+				t.Fatalf("seed %d, %+v: the tiny cache evicted %d entries and hit %d", seed, c.k, st.Evictions, st.Hits)
+			}
+		}
 		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > baseline; runtime.Gosched() {
 			if time.Now().After(deadline) {
 				t.Fatalf("%d goroutines, %d before the case", runtime.NumGoroutine(), baseline)
@@ -132,7 +152,8 @@ func FuzzEngine(f *testing.F) {
 	})
 }
 
-func runEngineCase(t *testing.T, seed int64, k engineKnobs) {
+// runEngineCase runs one input and returns its cache's counters.
+func runEngineCase(t *testing.T, seed int64, k engineKnobs) (cacheStats qcache.Stats) {
 	rng := rand.New(rand.NewSource(seed))
 	var (
 		sch    *schema.Schema
@@ -152,6 +173,11 @@ func runEngineCase(t *testing.T, seed int64, k engineKnobs) {
 				query.Eq(workload.UVSourceIP, schema.StringVal(workload.NeedleIP)),
 			},
 			Projection: []int{workload.UVSearchWord, workload.UVDuration, workload.UVAdRevenue},
+		}
+		if k.cache == cacheTiny {
+			// The needle's few rows fit any cache. The evicting one gets the
+			// revenue range alone, every attribute of about a fifth of the rows.
+			q = &query.Query{Filter: q.Filter[:1]}
 		}
 	} else {
 		sch = randomSchema(rng)
@@ -222,16 +248,20 @@ func runEngineCase(t *testing.T, seed int64, k engineKnobs) {
 			}
 		}
 	case replaceOne:
-		if k.cache != cacheHot {
+		if k.cache < cacheHot {
 			replace()
 		}
 	}
 
 	newCache := func() *cacheRecorder {
-		if k.cache == cacheOff {
+		budget := int64(0) // qcache.DefaultBudget
+		switch k.cache {
+		case cacheOff:
 			return nil
+		case cacheTiny:
+			budget = 1 // raised to the floor
 		}
-		return &cacheRecorder{Cache: qcache.New(0), nn: cluster.NameNode(), puts: make(map[mapred.CacheKey]bool)}
+		return &cacheRecorder{Cache: qcache.New(budget), nn: cluster.NameNode(), puts: make(map[mapred.CacheKey]bool)}
 	}
 	var killOnce sync.Once
 	run := func(c *cacheRecorder, traced, kill bool) (*mapred.JobResult, mapred.TaskStats, error) {
@@ -286,6 +316,9 @@ func runEngineCase(t *testing.T, seed int64, k engineKnobs) {
 	}
 
 	cache := newCache()
+	if cache != nil {
+		defer func() { cacheStats = cache.Stats() }()
+	}
 	cold, coldStats, err := run(cache, k.trace, k.fault == killNode)
 	if k.fault == flipAll {
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("block %d ", fb)) {
@@ -305,7 +338,7 @@ func runEngineCase(t *testing.T, seed int64, k engineKnobs) {
 			t.Fatalf("%s: traced and untraced runs differ:\ntraced:   %+v\nuntraced: %+v", desc, coldStats, plainStats)
 		}
 	}
-	if k.cache != cacheHot {
+	if k.cache < cacheHot {
 		return
 	}
 	if k.fault == replaceOne {
@@ -316,18 +349,21 @@ func runEngineCase(t *testing.T, seed int64, k engineKnobs) {
 	if err != nil {
 		t.Fatalf("%s: hot: %v", desc, err)
 	}
-	// A hot run of the cold run's splits returns its output byte for byte.
-	// PackScans may pack the fully cached blocks differently — the task
-	// order, and with it the output's, is then the hot plan's.
+	// A hot run of the cold run's splits returns its output byte for byte,
+	// hits and recomputed misses alike. PackScans may pack the fully cached
+	// blocks differently — the task order, and with it the output's, is
+	// then the hot plan's. Only a cache that holds the working set serves
+	// every block.
 	sameSplits := slices.EqualFunc(hot.Tasks, cold.Tasks, func(a, b mapred.TaskReport) bool {
 		return slices.Equal(a.Split.Blocks, b.Split.Blocks)
 	})
 	if k.fault == noFault || k.fault == flipOne {
-		if hotStats.BlocksFromCache != hotStats.Blocks || sameSplits && !slices.Equal(hot.Output, cold.Output) {
+		if k.cache == cacheHot && hotStats.BlocksFromCache != hotStats.Blocks || sameSplits && !slices.Equal(hot.Output, cold.Output) {
 			t.Fatalf("%s: the hot run served %d of %d blocks from cache; output equal to the cold run's: %v",
 				desc, hotStats.BlocksFromCache, hotStats.Blocks, slices.Equal(hot.Output, cold.Output))
 		}
 	}
+	return
 }
 
 // blockOracle is what EvalText says of one block's lines: its good rows,

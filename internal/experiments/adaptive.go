@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 
 	"repro/internal/adaptive"
 	"repro/internal/core"
+	"repro/internal/hdfs"
 	"repro/internal/mapred"
 	"repro/internal/query"
 	"repro/internal/schema"
@@ -14,12 +16,31 @@ import (
 )
 
 // ExpAdaptive reproduces the adaptive-indexing trajectory (the paper's
-// §4.1 evolving-workload story, executed LIAH-style): Bob's queries move
-// to an attribute no replica is indexed on — UserVisits.duration — and
-// the same query is run k times. With the adaptive indexer at offer rate
-// r, job 1 pays a bounded penalty (≈ r × the cost of indexing the whole
-// file) to convert the first batch of blocks; every following job sees
-// more index-scan splits and runs faster, until the fraction reaches 1.0.
+// §4.1 evolving-workload story, executed LIAH-style) in two phases on one
+// cluster, under one extra-storage budget with eviction on.
+//
+// Phase A: Bob's queries move to an attribute no replica is indexed on —
+// UserVisits.duration — and the same query is run k times. With the
+// adaptive indexer at offer rate r, job 1 pays a bounded penalty (≈ r ×
+// the cost of indexing the whole file) to convert the first batch of
+// blocks; every following job sees more index-scan splits and runs
+// faster, until the fraction reaches 1.0.
+//
+// Phase B: the workload shifts to a second never-indexed attribute. The
+// budget (about 1.25 columns' worth of replicas) cannot hold both columns,
+// so each new build retires the coldest phase-A replicas via
+// Cluster.DropReplica — generation bumps and all — and the new column
+// converges inside the same budget.
+//
+// Gates (the experiment errors out on violation):
+//   - every job's result is multiset-identical to non-adaptive execution
+//     of its query on the same cluster;
+//   - every evicted replica is unregistered from the namenode directory
+//     and its block's generation bumped (so no stale cache entry or
+//     ghost-replica pin can survive it);
+//   - the extra storage never exceeds the budget by more than two blocks;
+//   - phase B builds, job for job, what phase A built, and evicts at
+//     least once.
 //
 // All jobs are executed for real on a fresh in-process cluster; reported
 // seconds come from the same calibrated cost model as the paper figures,
@@ -28,7 +49,8 @@ import (
 
 // AdaptiveJob is one job of the sequence.
 type AdaptiveJob struct {
-	Job int
+	Job    int
+	Column int // the filter column
 	// IndexScanFraction is the fraction of the file's blocks that got an
 	// index-scan split in this job's split phase.
 	IndexScanFraction float64
@@ -39,10 +61,13 @@ type AdaptiveJob struct {
 	ReplicasAdded     int
 	ReplicasReplaced  int
 	// Lifecycle counters: builds denied at the budget, and adaptive
-	// replicas evicted (with AdaptiveEvict) to fund this job's builds.
+	// replicas evicted to fund this job's builds.
 	BudgetDenied int
 	Evicted      int
-	Rows         int // real result rows (must be identical across jobs)
+	EvictedBytes int64
+	// ExtraBytes is the budget consumption after the job.
+	ExtraBytes int64
+	Rows       int // real result rows (must be identical across a phase)
 }
 
 // AdaptiveReport is the full result of the adaptive experiment.
@@ -58,7 +83,13 @@ type AdaptiveReport struct {
 	// FullBuildSeconds is the simulated surcharge for converting every
 	// block in a single job — the worst case the offer rate bounds.
 	FullBuildSeconds float64
-	Jobs             []AdaptiveJob
+	// BudgetBytes is the fixed extra-storage budget of both phases.
+	BudgetBytes      int64
+	ColumnA, ColumnB int
+	Jobs             []AdaptiveJob // phase A
+	// Shift is phase B: one job more than phase A, since a job's coverage
+	// predates its own builds and the last one observes where it landed.
+	Shift []AdaptiveJob
 }
 
 // adaptiveQuery filters on an attribute the static layout never indexes:
@@ -79,38 +110,56 @@ func adaptiveQuery(w Workload) *query.Query {
 	}
 }
 
-// ExpAdaptive runs `jobs` identical jobs with the adaptive indexer at the
-// given offer rate (0 selects adaptive.DefaultOfferRate) and reports the
-// per-job trajectory.
-func (r *Runner) ExpAdaptive(w Workload, jobs int, offerRate float64) (*AdaptiveReport, error) {
-	if jobs < 1 {
-		return nil, fmt.Errorf("adaptive: need at least one job, got %d", jobs)
+// shiftQuery is phase B's query: it filters on a second attribute the
+// static layout never indexes, searchWord for UserVisits and attr9 for
+// Synthetic.
+func shiftQuery(w Workload) *query.Query {
+	if w == UserVisits {
+		return &query.Query{
+			Filter: []query.Predicate{
+				query.Between(workload.UVSearchWord, schema.StringVal("h"), schema.StringVal("n")),
+			},
+			Projection: []int{workload.UVSourceIP},
+		}
+	}
+	return &query.Query{
+		Filter:     []query.Predicate{query.Between(8, schema.IntVal(0), schema.IntVal(1<<20))},
+		Projection: []int{0},
+	}
+}
+
+// ExpAdaptive runs jobsPerPhase identical jobs on phase A's column, then
+// jobsPerPhase+1 on phase B's, with the adaptive indexer at the given offer
+// rate (0 selects adaptive.DefaultOfferRate), and reports both
+// trajectories.
+func (r *Runner) ExpAdaptive(w Workload, jobsPerPhase int, offerRate float64) (*AdaptiveReport, error) {
+	if jobsPerPhase < 2 {
+		return nil, fmt.Errorf("adaptive: need at least two jobs per phase, got %d", jobsPerPhase)
 	}
 
-	// The adaptive indexer mutates the cluster (new and replaced replicas).
+	// The adaptive indexer mutates the cluster (new, replaced and evicted
+	// replicas).
 	f, err := r.freshHAILFixture(w, r.blockTextBytes)
 	if err != nil {
 		return nil, err
 	}
 	cluster := f.cluster
-
-	idx := adaptive.New(cluster, offerRate)
-	idx.SetBudgetBytes(r.AdaptiveBudget)
-	idx.SetEvict(r.AdaptiveEvict)
-	engine := &mapred.Engine{Cluster: cluster, PostTask: idx.AfterTask}
-	q := adaptiveQuery(w)
-
-	rep := &AdaptiveReport{
-		Workload:    w,
-		OfferRate:   idx.EffectiveOfferRate(),
-		TotalBlocks: f.scale.RealBlocks,
+	blockSize := r.blockTextBytes(w, f.lines)
+	nn := cluster.NameNode()
+	blocks, err := nn.FileBlocks(f.file)
+	if err != nil {
+		return nil, err
 	}
-	for j := 1; j <= jobs; j++ {
-		res, err := engine.Run(&mapred.Job{
-			Name: fmt.Sprintf("adaptive-job-%d", j),
-			File: f.file,
+	qa, qb := adaptiveQuery(w), shiftQuery(w)
+
+	// Non-adaptive references for both phases, computed before any
+	// conversion mutates the cluster.
+	reference := func(q *query.Query) (map[string]int, error) {
+		e := &mapred.Engine{Cluster: cluster}
+		res, err := e.Run(&mapred.Job{
+			Name: "adaptive-reference", File: f.file,
 			Input: &core.InputFormat{
-				Cluster: cluster, Query: q, Adaptive: idx,
+				Cluster: cluster, Query: q,
 				Splitting: true, SplitsPerNode: SplitsPerNodePaper,
 			},
 			MapBatch: workload.PassthroughMapBatch,
@@ -118,57 +167,146 @@ func (r *Runner) ExpAdaptive(w Workload, jobs int, offerRate float64) (*Adaptive
 		if err != nil {
 			return nil, err
 		}
-		if err := idx.LastErr(); err != nil {
-			return nil, err
-		}
-		plan := idx.LastJob()
+		return multiset(res.Output), nil
+	}
+	refA, err := reference(qa)
+	if err != nil {
+		return nil, err
+	}
+	refB, err := reference(qb)
+	if err != nil {
+		return nil, err
+	}
 
-		e2e := r.adaptiveJobSeconds(f, res, plan)
-		build := r.adaptiveBuildSeconds(f, plan)
-		frac := 0.0
-		if plan.Indexed+plan.Missing > 0 {
-			frac = float64(plan.Indexed) / float64(plan.Indexed+plan.Missing)
+	// Budget: ~1.25 columns' worth of adaptive replicas (one stored
+	// replica per block, sized by block 0's first alive replica as Dir_rep
+	// records it).
+	var budget int64
+	for _, n := range cluster.ReplicaOrder(blocks[0], 0) {
+		if dn, err := cluster.DataNode(n); err == nil && dn.Alive() {
+			info, _ := nn.ReplicaInfo(blocks[0], n)
+			budget = int64(float64(info.Size) * float64(len(blocks)) * 1.25)
+			break
 		}
-		rep.Jobs = append(rep.Jobs, AdaptiveJob{
-			Job:               j,
-			IndexScanFraction: frac,
-			QuerySeconds:      e2e,
-			BuildSeconds:      build,
-			Seconds:           e2e + build,
-			BlocksBuilt:       plan.Built,
-			ReplicasAdded:     plan.ReplicasAdded,
-			ReplicasReplaced:  plan.ReplicasReplaced,
-			BudgetDenied:      plan.BudgetDenied,
-			Evicted:           plan.Evicted,
-			Rows:              len(res.Output),
-		})
-		if j == 1 {
-			rep.BaselineSeconds = e2e
-			if plan.Built > 0 {
-				rep.FullBuildSeconds = build * float64(f.scale.RealBlocks) / float64(plan.Built)
+	}
+
+	idx := adaptive.New(cluster, offerRate)
+	idx.SetBudgetBytes(budget)
+	idx.SetEvict(true)
+	engine := &mapred.Engine{Cluster: cluster, PostTask: idx.AfterTask}
+
+	rep := &AdaptiveReport{
+		Workload:    w,
+		OfferRate:   idx.EffectiveOfferRate(),
+		TotalBlocks: f.scale.RealBlocks,
+		BudgetBytes: budget,
+		ColumnA:     qa.Filter[0].Column,
+		ColumnB:     qb.Filter[0].Column,
+	}
+
+	jobNo := 0
+	runPhase := func(q *query.Query, ref map[string]int, count int) ([]AdaptiveJob, error) {
+		var jobs []AdaptiveJob
+		for range count {
+			jobNo++
+			gensBefore := make(map[hdfs.BlockID]uint64, len(blocks))
+			for _, b := range blocks {
+				gensBefore[b] = nn.Generation(b)
 			}
+			res, err := engine.Run(&mapred.Job{
+				Name: fmt.Sprintf("adaptive-job-%d", jobNo), File: f.file,
+				Input: &core.InputFormat{
+					Cluster: cluster, Query: q, Adaptive: idx,
+					Splitting: true, SplitsPerNode: SplitsPerNodePaper,
+				},
+				MapBatch: workload.PassthroughMapBatch,
+			})
+			if err != nil {
+				return nil, err
+			}
+			if err := idx.LastErr(); err != nil {
+				return nil, err
+			}
+			if !maps.Equal(multiset(res.Output), ref) {
+				return nil, fmt.Errorf("adaptive: job %d diverged from non-adaptive execution", jobNo)
+			}
+			plan := idx.LastJob()
+			// Every eviction left the directory consistent and bumped the
+			// block's generation. The freed node may legitimately host a
+			// *new* replica of the same block later in the job
+			// (pickFreeNode reuses it), so the check is column-precise:
+			// what must be gone is the evicted column's indexed replica at
+			// that node.
+			for _, ev := range plan.EvictedReplicas {
+				if info, ok := nn.ReplicaInfo(ev.Block, ev.Node); ok && info.HasIndex && info.SortColumn == ev.Column {
+					return nil, fmt.Errorf("adaptive: evicted replica (%d,%d,@%d) still registered", ev.Block, ev.Node, ev.Column+1)
+				}
+				if g := nn.Generation(ev.Block); g <= gensBefore[ev.Block] {
+					return nil, fmt.Errorf("adaptive: eviction of block %d did not bump its generation", ev.Block)
+				}
+			}
+			if extra := idx.ExtraBytes(); extra > budget+int64(blockSize)*2 {
+				return nil, fmt.Errorf("adaptive: extra storage %d far exceeds budget %d", extra, budget)
+			}
+
+			e2e, _ := r.adaptiveJobTimes(f, res, plan)
+			build := r.adaptiveBuildSeconds(f, plan)
+			frac := 0.0
+			if plan.Indexed+plan.Missing > 0 {
+				frac = float64(plan.Indexed) / float64(plan.Indexed+plan.Missing)
+			}
+			jobs = append(jobs, AdaptiveJob{
+				Job: jobNo, Column: plan.Column,
+				IndexScanFraction: frac,
+				QuerySeconds:      e2e,
+				BuildSeconds:      build,
+				Seconds:           e2e + build,
+				BlocksBuilt:       plan.Built,
+				ReplicasAdded:     plan.ReplicasAdded,
+				ReplicasReplaced:  plan.ReplicasReplaced,
+				BudgetDenied:      plan.BudgetDenied,
+				Evicted:           plan.Evicted,
+				EvictedBytes:      plan.EvictedBytes,
+				ExtraBytes:        idx.ExtraBytes(),
+				Rows:              len(res.Output),
+			})
 		}
+		return jobs, nil
+	}
+
+	if rep.Jobs, err = runPhase(qa, refA, jobsPerPhase); err != nil {
+		return nil, err
+	}
+	first := rep.Jobs[0]
+	rep.BaselineSeconds = first.QuerySeconds
+	if first.BlocksBuilt > 0 {
+		rep.FullBuildSeconds = first.BuildSeconds * float64(f.scale.RealBlocks) / float64(first.BlocksBuilt)
+	}
+	if rep.Shift, err = runPhase(qb, refB, jobsPerPhase+1); err != nil {
+		return nil, err
+	}
+
+	for i, a := range rep.Jobs {
+		if b := rep.Shift[i]; b.BlocksBuilt != a.BlocksBuilt {
+			return nil, fmt.Errorf("adaptive: shift job %d built %d blocks, phase A's job %d built %d — eviction failed to reclaim budget",
+				b.Job, b.BlocksBuilt, a.Job, a.BlocksBuilt)
+		}
+	}
+	if evicted, _ := rep.evicted(); evicted == 0 {
+		return nil, fmt.Errorf("adaptive: phase B evicted nothing — the budget was never binding")
 	}
 	return rep, nil
 }
 
-// adaptiveJobSeconds is the end-to-end model for a mixed adaptive job
+// adaptiveJobTimes is the end-to-end model for a mixed adaptive job
 // running under HailSplitting: blocks with a matching index are packed
 // into Nodes × SplitsPerNode locality splits (§4.3), while unindexed
 // blocks keep per-block full-scan splits — so early jobs are dominated by
 // the per-task dispatch bound (the paper's framework overhead, §6.4.1)
 // and converged jobs by the small index-scan work. jobTimes cannot be
-// reused here: it assumes every task of a splitting job is packed.
-func (r *Runner) adaptiveJobSeconds(f *fixture, res *mapred.JobResult, plan adaptive.JobPlan) float64 {
-	e2e, _ := r.adaptiveJobTimes(f, res, plan)
-	return e2e
-}
-
-// adaptiveJobTimes additionally reports the slot-parallel map-work
-// component on its own. For repeated selective workloads the job may be
-// bound by per-task dispatch either way (the scan-split packing item in
-// the ROADMAP); the work component is where a result cache's savings
-// show, which is why ExpCache reports both.
+// reused here: it assumes every task of a splitting job is packed. It
+// also reports the slot-parallel map-work component on its own: that is
+// where a result cache's savings show, which is why ExpCache reports both.
 func (r *Runner) adaptiveJobTimes(f *fixture, res *mapred.JobResult, plan adaptive.JobPlan) (e2e, workSeconds float64) {
 	c := r.cost(f, res)
 	p := r.Profile
@@ -217,52 +355,82 @@ func (r *Runner) adaptiveBuildSeconds(f *fixture, plan adaptive.JobPlan) float64
 	return builtPaper * perBlock / slots
 }
 
-// Figure renders the report as an experiments table: simulated runtime
-// and index-scan coverage per job.
-func (rep *AdaptiveReport) rateLabel() string {
-	if rep.OfferRate <= 0 {
-		return "observe only"
+// evicted totals phase B's eviction churn.
+func (rep *AdaptiveReport) evicted() (replicas int, bytes int64) {
+	for _, j := range rep.Shift {
+		replicas += j.Evicted
+		bytes += j.EvictedBytes
 	}
-	return fmt.Sprintf("offer rate %.2f", rep.OfferRate)
+	return replicas, bytes
 }
 
+// Figure renders phase A as an experiments table: simulated runtime,
+// index-scan coverage and conversions per job.
 func (rep *AdaptiveReport) Figure() *Figure {
-	fig := &Figure{
+	return &Figure{
 		ID: "FigAdaptive",
-		Title: fmt.Sprintf("Adaptive indexing, %s, %s (baseline scan %.1f s)",
-			rep.Workload, rep.rateLabel(), rep.BaselineSeconds),
-		Unit: "s / %",
+		Title: fmt.Sprintf("Adaptive indexing, %s, offer rate %.2f (baseline scan %.1f s)",
+			rep.Workload, rep.OfferRate, rep.BaselineSeconds),
+		Unit:   "s / %",
+		Series: trajectory(rep.Jobs, false),
 	}
-	var runtime, frac, built Series
-	runtime.Label = "runtime [s]"
-	frac.Label = "idx splits [%]"
-	built.Label = "blocks built"
-	for _, j := range rep.Jobs {
+}
+
+// ShiftFigure renders phase B: the same series plus eviction churn.
+func (rep *AdaptiveReport) ShiftFigure() *Figure {
+	return &Figure{
+		ID: "FigAdaptiveShift",
+		Title: fmt.Sprintf("Workload shift @%d → @%d, %s (budget %.1f MB)",
+			rep.ColumnA+1, rep.ColumnB+1, rep.Workload, float64(rep.BudgetBytes)/1e6),
+		Unit:   "s / %",
+		Series: trajectory(rep.Shift, true),
+	}
+}
+
+// trajectory is the per-job series of one phase.
+func trajectory(jobs []AdaptiveJob, withEvicted bool) []Series {
+	runtime := Series{Label: "runtime [s]"}
+	frac := Series{Label: "idx splits [%]"}
+	built := Series{Label: "blocks built"}
+	evicted := Series{Label: "evicted"}
+	for _, j := range jobs {
 		x := fmt.Sprintf("job%d", j.Job)
 		runtime.Points = append(runtime.Points, Point{x, j.Seconds})
 		frac.Points = append(frac.Points, Point{x, 100 * j.IndexScanFraction})
 		built.Points = append(built.Points, Point{x, float64(j.BlocksBuilt)})
+		evicted.Points = append(evicted.Points, Point{x, float64(j.Evicted)})
 	}
-	fig.Series = []Series{runtime, frac, built}
-	return fig
+	if withEvicted {
+		return []Series{runtime, frac, built, evicted}
+	}
+	return []Series{runtime, frac, built}
 }
 
-// String renders the report, including the convergence summary line.
+// String renders both phases, each with its summary line.
 func (rep *AdaptiveReport) String() string {
 	var b strings.Builder
 	b.WriteString(rep.Figure().String())
 	last := rep.Jobs[len(rep.Jobs)-1]
-	if rep.OfferRate <= 0 {
-		fmt.Fprintf(&b, "conversion disabled (observe only); job %d at %.0f%% index scans\n",
-			last.Job, 100*last.IndexScanFraction)
-		return b.String()
-	}
 	// The offer count is ceil(rate × missing), so the bound carries one
 	// block of rounding slack.
 	bound := rep.FullBuildSeconds * (rep.OfferRate + 1/float64(rep.TotalBlocks))
-	fmt.Fprintf(&b, "job 1 overhead %.1f s (offer-rate bound: (%.2f + 1/%d blocks) × full build %.1f s = %.1f s); job %d at %.0f%% index scans\n",
+	fmt.Fprintf(&b, "job 1 overhead %.1f s (offer-rate bound: (%.2f + 1/%d blocks) × full build %.1f s = %.1f s); job %d at %.0f%% index scans\n\n",
 		rep.Jobs[0].Seconds-rep.BaselineSeconds,
 		rep.OfferRate, rep.TotalBlocks, rep.FullBuildSeconds, bound,
 		last.Job, 100*last.IndexScanFraction)
+	b.WriteString(rep.ShiftFigure().String())
+	evicted, evictedBytes := rep.evicted()
+	fmt.Fprintf(&b, "workload shift @%d → @%d converged to %.0f%% index scans on the new column inside a %.1f MB budget: %d cold replicas (%.1f MB) evicted\n",
+		rep.ColumnA+1, rep.ColumnB+1, 100*rep.Shift[len(rep.Shift)-1].IndexScanFraction,
+		float64(rep.BudgetBytes)/1e6, evicted, float64(evictedBytes)/1e6)
 	return b.String()
+}
+
+// multiset builds the row→count map of a job output.
+func multiset(kvs []mapred.KV) map[string]int {
+	m := make(map[string]int, len(kvs))
+	for _, kv := range kvs {
+		m[kv.Key+"\x00"+kv.Value]++
+	}
+	return m
 }

@@ -21,7 +21,11 @@ func tinyAdaptiveRunner() *Runner {
 // subsystem: on a filter column no replica is indexed on, the fraction of
 // index-scan splits rises monotonically to 1.0 over a sequence of
 // identical jobs, simulated runtime is non-increasing from job 2 on, and
-// job 1's overhead stays within the offer-rate bound.
+// job 1's overhead stays within the offer-rate bound. Then the workload
+// shifts to a second column under the same budget, and evictions let it
+// converge too. Equivalence, generation-bump and budget gates live inside
+// ExpAdaptive itself (it errors out on any violation); the test pins the
+// shape of both trajectories.
 func TestAdaptiveConvergence(t *testing.T) {
 	const offerRate = 0.5
 	r := tinyAdaptiveRunner()
@@ -109,11 +113,77 @@ func TestAdaptiveConvergence(t *testing.T) {
 	if rep.Jobs[0].Rows == 0 {
 		t.Error("adaptive query selected no rows")
 	}
+
+	checkShift(t, rep)
+}
+
+// checkShift pins the shape of phase B: one job more than phase A on the
+// second column, none denied, extra bytes near the budget, converged to
+// full coverage, paid for by evicting phase A's replicas — which phase A
+// itself never needed.
+func checkShift(t *testing.T, rep *AdaptiveReport) {
+	t.Helper()
+	n := len(rep.Jobs)
+	if len(rep.Shift) != n+1 {
+		t.Fatalf("got %d shift jobs, want %d (phase A's count + the landing probe)", len(rep.Shift), n+1)
+	}
+	evicted := 0
+	for _, j := range rep.Jobs {
+		if j.Evicted != 0 || j.Column != rep.ColumnA {
+			t.Errorf("phase A job %d = %+v; it runs on column %d and fits the budget by construction", j.Job, j, rep.ColumnA)
+		}
+	}
+	for _, j := range rep.Shift {
+		if j.Column != rep.ColumnB || j.BudgetDenied != 0 || j.Rows != rep.Shift[0].Rows {
+			t.Errorf("shift job %d = %+v, want column %d, no denials, %d rows", j.Job, j, rep.ColumnB, rep.Shift[0].Rows)
+		}
+		if j.ExtraBytes > rep.BudgetBytes*2 {
+			t.Errorf("shift job %d extra bytes %d far exceed budget %d", j.Job, j.ExtraBytes, rep.BudgetBytes)
+		}
+		evicted += j.Evicted
+	}
+	if evicted == 0 {
+		t.Error("no evictions — the budget was never binding")
+	}
+	if landed := rep.Shift[n]; landed.IndexScanFraction != 1.0 || landed.Job != 2*n+1 {
+		t.Errorf("landing probe = %+v, want job %d at full coverage", landed, 2*n+1)
+	}
+}
+
+// TestExpLifecycle runs the replica lifecycle on the quick fixture at the
+// (jobs, rate) the CI lane uses: the workload shifts from column A to
+// column B under one fixed budget, and evictions let column B converge —
+// the trajectory that was BudgetDenied forever before eviction.
+// Equivalence, generation-bump and budget gates live inside ExpAdaptive
+// itself (it errors out on any violation); the test pins the shape of the
+// reported trajectory and its printout.
+func TestExpLifecycle(t *testing.T) {
+	rep, err := quickRunner().ExpAdaptive(UserVisits, 5, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkShift(t, rep)
+	for _, want := range []string{"FigAdaptiveShift", "workload shift", "evicted"} {
+		if !contains(rep.String(), want) {
+			t.Errorf("report misses %q:\n%s", want, rep.String())
+		}
+	}
+}
+
+// TestExpLifecycleSynthetic runs the same trajectory on the 19-attribute
+// workload — the shift is attr10 → attr9, both never indexed statically.
+func TestExpLifecycleSynthetic(t *testing.T) {
+	rep, err := quickRunner().ExpAdaptive(Synthetic, 5, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkShift(t, rep)
 }
 
 // TestAdaptiveSynthetic covers the second workload at a different offer
 // rate: convergence must hold there too, with replicas added (the
-// Synthetic layout has no unsorted replica to replace).
+// Synthetic layout has no unsorted replica to replace), and so must the
+// shift attr10 → attr9, both never indexed statically.
 func TestAdaptiveSynthetic(t *testing.T) {
 	r := tinyAdaptiveRunner()
 	rep, err := r.ExpAdaptive(Synthetic, 6, 1.0)
@@ -132,6 +202,12 @@ func TestAdaptiveSynthetic(t *testing.T) {
 			t.Errorf("job %d runtime rose after convergence", i+1)
 		}
 	}
+	if shift := rep.Shift[0]; shift.BlocksBuilt != rep.TotalBlocks || shift.Evicted == 0 {
+		t.Errorf("shift job 1 = %+v, want all %d blocks built, paid for by evictions", shift, rep.TotalBlocks)
+	}
+	if rep.Shift[1].IndexScanFraction != 1.0 {
+		t.Errorf("shift job 2 fraction = %f, want 1.0", rep.Shift[1].IndexScanFraction)
+	}
 }
 
 // TestAdaptiveReportRendering keeps the human-readable outputs stable
@@ -143,7 +219,8 @@ func TestAdaptiveReportRendering(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := rep.String()
-	for _, want := range []string{"FigAdaptive", "job1", "job2", "runtime [s]", "idx splits [%]", "overhead"} {
+	for _, want := range []string{"FigAdaptive", "job1", "job2", "runtime [s]", "idx splits [%]", "overhead",
+		"FigAdaptiveShift", "job5", "evicted", "workload shift"} {
 		if !contains(s, want) {
 			t.Errorf("report rendering missing %q:\n%s", want, s)
 		}

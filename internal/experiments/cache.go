@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/adaptive"
 	"repro/internal/core"
-	"repro/internal/hdfs"
 	"repro/internal/mapred"
 	"repro/internal/qcache"
 	"repro/internal/workload"
@@ -32,8 +31,8 @@ import (
 // Reported seconds come from the same calibrated cost model as the other
 // figures; WorkSeconds isolates the slot-parallel map work, where the
 // cache's savings land (the per-task dispatch bound of thousands of scan
-// splits is unaffected by caching — see the ROADMAP's scan-split packing
-// item).
+// splits is unaffected by caching; ExpDispatch's cache-hot scenario prices
+// the packed splits that remove it).
 
 // cacheAdaptiveFrom is the first job of the sequence with adaptive
 // conversions (and therefore invalidations) enabled.
@@ -49,13 +48,10 @@ type CacheJob struct {
 	// where cache hits save time even when the job is dispatch bound.
 	WorkSeconds  float64
 	BuildSeconds float64
-	// Tasks is the dispatched map-task count — with PackScans on, the hot
-	// jobs' dispatch bound visibly falls from per-block to per-node.
-	Tasks     int
-	Blocks    int // blocks processed by the job's tasks
-	HitBlocks int // blocks answered from the cache
-	HitRate   float64
-	Rows      int
+	Blocks       int // blocks processed by the job's tasks
+	HitBlocks    int // blocks answered from the cache
+	HitRate      float64
+	Rows         int
 	// Cache counter deltas for this job, and occupancy after it.
 	Hits          int64
 	Misses        int64
@@ -70,14 +66,8 @@ type CacheJob struct {
 
 // CacheReport is the full result of the cache experiment.
 type CacheReport struct {
-	Workload Workload
-	Budget   int64
-	// PackScans reports whether the trajectory ran with packed scan
-	// splits (the -pack-scans mode): the same cold/hot/invalidate
-	// sequence, but scan blocks grouped into per-node splits and
-	// fully-cached blocks pinned at their cached replica, so the hot
-	// jobs' dispatch bound falls alongside their map work.
-	PackScans   bool
+	Workload    Workload
+	Budget      int64
 	OfferRate   float64
 	TotalBlocks int
 	// BytesSaved is the cumulative data+index bytes hits avoided reading
@@ -87,63 +77,31 @@ type CacheReport struct {
 }
 
 // ExpCache runs `jobs` identical jobs (at least cacheAdaptiveFrom) with
-// the result cache enabled, switching the adaptive indexer on at job
-// cacheAdaptiveFrom so its replica replacements exercise invalidation.
-// budget 0 selects qcache.DefaultBudget; offerRate 0 selects
-// adaptive.DefaultOfferRate. With packScans the cached jobs run under the
-// PackScans split policy (scan blocks packed per node, fully-cached
-// blocks pinned at their cached replica), so the trajectory additionally
-// shows the hot jobs' dispatch bound falling.
-func (r *Runner) ExpCache(w Workload, jobs int, budget int64, offerRate float64, packScans bool) (*CacheReport, error) {
+// the result cache at qcache.DefaultBudget, switching the adaptive indexer
+// on at job cacheAdaptiveFrom so its replica replacements exercise
+// invalidation. offerRate 0 selects adaptive.DefaultOfferRate.
+func (r *Runner) ExpCache(w Workload, jobs int, offerRate float64) (*CacheReport, error) {
 	if jobs < cacheAdaptiveFrom {
 		return nil, fmt.Errorf("cache: need at least %d jobs (cold, hot, invalidate), got %d", cacheAdaptiveFrom, jobs)
 	}
 
-	// Fresh fixture: the adaptive phase mutates the cluster. The packed
-	// mode uses the dispatch experiment's finer block size: packing's win
-	// is blocks / (nodes × SplitsPerNode), so the trajectory needs many
-	// more blocks than packing slots for the dispatch drop to register.
-	blockSize := r.blockTextBytes
-	if packScans {
-		blockSize = r.dispatchBlockSize
-	}
-	f, err := r.freshHAILFixture(w, blockSize)
+	// Fresh fixture: the adaptive phase mutates the cluster.
+	f, err := r.freshHAILFixture(w, r.blockTextBytes)
 	if err != nil {
 		return nil, err
 	}
 	cluster := f.cluster
 
 	q := adaptiveQuery(w)
-	cache := qcache.New(budget)
-	newInput := func(idx *adaptive.Indexer) *core.InputFormat {
-		in := &core.InputFormat{
-			Cluster: cluster, Query: q,
-			Splitting: true, SplitsPerNode: SplitsPerNodePaper,
-		}
-		if idx != nil { // a typed nil in the interface would still be "set"
-			in.Adaptive = idx
-		}
-		if packScans {
-			in.PackScans = true
-			sig, _ := in.QuerySignature()
-			nn := cluster.NameNode()
-			in.CachedReplica = func(b hdfs.BlockID) (hdfs.NodeID, bool) {
-				return cache.CachedReplica(f.file, b, nn.Generation(b), sig, workload.PassthroughMapSig)
-			}
-		}
-		return in
-	}
-
+	cache := qcache.New(0)
 	cluster.NameNode().SetReplicaChangeHook(cache.InvalidateBlock)
 	defer cluster.NameNode().SetReplicaChangeHook(nil)
 	idx := adaptive.New(cluster, adaptive.Disabled)
-	idx.SetBudgetBytes(r.AdaptiveBudget)
 	engine := &mapred.Engine{Cluster: cluster, PostTask: idx.AfterTask, Cache: cache}
 
 	rep := &CacheReport{
 		Workload:    w,
 		Budget:      cache.Stats().Budget,
-		PackScans:   packScans,
 		OfferRate:   offerRate,
 		TotalBlocks: f.scale.RealBlocks,
 	}
@@ -159,8 +117,11 @@ func (r *Runner) ExpCache(w Workload, jobs int, budget int64, offerRate float64,
 		}
 		res, err := engine.Run(&mapred.Job{
 			Name: fmt.Sprintf("cache-job-%d", j), File: f.file,
-			Input: newInput(idx), MapBatch: workload.PassthroughMapBatch,
-			MapSig: workload.PassthroughMapSig,
+			Input: &core.InputFormat{
+				Cluster: cluster, Query: q, Adaptive: idx,
+				Splitting: true, SplitsPerNode: SplitsPerNodePaper,
+			},
+			MapBatch: workload.PassthroughMapBatch, MapSig: workload.PassthroughMapSig,
 		})
 		if err != nil {
 			return nil, err
@@ -183,7 +144,6 @@ func (r *Runner) ExpCache(w Workload, jobs int, budget int64, offerRate float64,
 		rep.Jobs = append(rep.Jobs, CacheJob{
 			Job: j, Phase: phase,
 			Seconds: e2e + build, WorkSeconds: work, BuildSeconds: build,
-			Tasks:  len(res.Tasks),
 			Blocks: st.Blocks, HitBlocks: st.BlocksFromCache, HitRate: hitRate,
 			Rows:          len(res.Output),
 			Hits:          d.Hits,
@@ -202,36 +162,25 @@ func (r *Runner) ExpCache(w Workload, jobs int, budget int64, offerRate float64,
 // Figure renders the trajectory: runtime, map work, hit rate and
 // invalidations per job.
 func (rep *CacheReport) Figure() *Figure {
-	mode := ""
-	if rep.PackScans {
-		mode = ", packed scans"
-	}
 	fig := &Figure{
 		ID: "FigCache",
-		Title: fmt.Sprintf("Block-level result cache, %s (budget %.0f MB, adaptive from job %d%s)",
-			rep.Workload, float64(rep.Budget)/1e6, cacheAdaptiveFrom, mode),
+		Title: fmt.Sprintf("Block-level result cache, %s (budget %.0f MB, adaptive from job %d)",
+			rep.Workload, float64(rep.Budget)/1e6, cacheAdaptiveFrom),
 		Unit: "s / %",
 	}
-	var runtime, work, hits, inval, tasks Series
+	var runtime, work, hits, inval Series
 	runtime.Label = "runtime [s]"
 	work.Label = "map work [s]"
 	hits.Label = "cache hits [%]"
 	inval.Label = "invalidated"
-	tasks.Label = "tasks"
 	for _, j := range rep.Jobs {
 		x := fmt.Sprintf("job%d", j.Job)
 		runtime.Points = append(runtime.Points, Point{x, j.Seconds})
 		work.Points = append(work.Points, Point{x, j.WorkSeconds})
 		hits.Points = append(hits.Points, Point{x, 100 * j.HitRate})
 		inval.Points = append(inval.Points, Point{x, float64(j.Invalidations)})
-		tasks.Points = append(tasks.Points, Point{x, float64(j.Tasks)})
 	}
 	fig.Series = []Series{runtime, work, hits, inval}
-	if rep.PackScans {
-		// The packed mode's headline: the hot jobs' dispatch count falls
-		// to the per-node split count.
-		fig.Series = append(fig.Series, tasks)
-	}
 	return fig
 }
 
@@ -249,10 +198,6 @@ func (rep *CacheReport) String() string {
 		hot.HitBlocks, hot.Blocks, 100*hot.HitRate,
 		cold.WorkSeconds, hot.WorkSeconds, speedup,
 		float64(rep.BytesSaved)/1e6)
-	if rep.PackScans {
-		fmt.Fprintf(&b, "packed scans: %d dispatched tasks per job (vs %d blocks)\n",
-			hot.Tasks, rep.TotalBlocks)
-	}
 	var invalidated int64
 	var rebuilt int
 	for _, j := range rep.Jobs {

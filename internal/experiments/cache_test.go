@@ -11,7 +11,7 @@ import (
 // entries.
 func TestExpCacheTrajectory(t *testing.T) {
 	r := quickRunner()
-	rep, err := r.ExpCache(UserVisits, 6, 0, 0.5, false)
+	rep, err := r.ExpCache(UserVisits, 6, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,30 +71,11 @@ func TestExpCacheTrajectory(t *testing.T) {
 	}
 }
 
-// TestExpCacheTinyBudgetStillCorrect: a budget too small to hold the
-// working set must cost performance only — evictions, zero-ish hit rate —
-// never correctness.
-func TestExpCacheTinyBudgetStillCorrect(t *testing.T) {
-	skipIfShort(t)
-	r := quickRunner()
-	rep, err := r.ExpCache(UserVisits, 3, 16<<10, 0.5, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var evictions int64
-	for _, j := range rep.Jobs {
-		evictions += j.Evictions
-	}
-	if evictions == 0 && rep.Jobs[1].HitRate == 1.0 {
-		t.Errorf("16 KB budget held the full working set: %+v", rep.Jobs)
-	}
-}
-
 // TestExpCacheFigure sanity-checks the printable report.
 func TestExpCacheFigure(t *testing.T) {
 	skipIfShort(t)
 	r := quickRunner()
-	rep, err := r.ExpCache(Synthetic, 3, 0, 0.5, false)
+	rep, err := r.ExpCache(Synthetic, 3, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}

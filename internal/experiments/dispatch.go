@@ -85,7 +85,6 @@ type DispatchReport struct {
 	TotalBlocks   int
 	Nodes         int
 	SplitsPerNode int
-	CacheBudget   int64
 	Scenarios     []DispatchScenario
 	Failover      DispatchFailover
 	// SplitPhaseNameNodeOps is the packed run's split-phase directory
@@ -94,26 +93,15 @@ type DispatchReport struct {
 	SplitPhaseNameNodeOps int
 }
 
-// dispatchBlockRows sizes the experiment's fixture: packing's win is
+// dispatchBlockSize sizes the experiment's fixture: packing's win is
 // blocks / (nodes × SplitsPerNode), so the fixture needs many more blocks
-// than packing slots — 1/16th of the standard block rows gives 160 blocks
-// at both quick and full fidelity.
-func (r *Runner) dispatchBlockRows(w Workload) int {
+// than packing slots — 1/16th of the standard block rows (at least 250)
+// gives 160 blocks at both quick and full fidelity.
+func (r *Runner) dispatchBlockSize(w Workload, lines []string) int {
 	rows := r.UVBlockRows
 	if w == Synthetic {
 		rows = r.SynBlockRows
 	}
-	rows /= 16
-	if rows < 250 {
-		rows = 250
-	}
-	return rows
-}
-
-// dispatchBlockSize converts dispatchBlockRows into a text block size for
-// the given workload's lines — shared by ExpDispatch and ExpCache's
-// packed mode.
-func (r *Runner) dispatchBlockSize(w Workload, lines []string) int {
 	avg := 0
 	sample := lines
 	if len(sample) > 2000 {
@@ -123,7 +111,7 @@ func (r *Runner) dispatchBlockSize(w Workload, lines []string) int {
 		avg += len(l) + 1
 	}
 	avg /= len(sample)
-	return avg * r.dispatchBlockRows(w)
+	return avg * max(rows/16, 250)
 }
 
 // dispatchJobTimes is the cost model for a mixed per-block/packed job:
@@ -159,9 +147,8 @@ func (r *Runner) dispatchJobTimes(f *fixture, res *mapred.JobResult) (e2e, workS
 }
 
 // ExpDispatch runs the packed-vs-unpacked dispatch experiment on a fresh
-// fixture. cacheBudget 0 selects qcache.DefaultBudget for the cache-hot
-// scenario.
-func (r *Runner) ExpDispatch(w Workload, cacheBudget int64) (*DispatchReport, error) {
+// fixture, with the cache-hot scenario's caches at qcache.DefaultBudget.
+func (r *Runner) ExpDispatch(w Workload) (*DispatchReport, error) {
 	f, err := r.freshHAILFixture(w, r.dispatchBlockSize)
 	if err != nil {
 		return nil, err
@@ -203,7 +190,6 @@ func (r *Runner) ExpDispatch(w Workload, cacheBudget int64) (*DispatchReport, er
 		TotalBlocks:   f.scale.RealBlocks,
 		Nodes:         r.Nodes,
 		SplitsPerNode: SplitsPerNodePaper,
-		CacheBudget:   cacheBudget,
 	}
 
 	toRun := func(res *mapred.JobResult, packed bool) DispatchRun {
@@ -233,7 +219,7 @@ func (r *Runner) ExpDispatch(w Workload, cacheBudget int64) (*DispatchReport, er
 	// variant gets its own cache: entries are keyed by the replica they
 	// were computed at, which packing pins differently. ---
 	hotRun := func(pack bool) (DispatchRun, error) {
-		cache := qcache.New(cacheBudget)
+		cache := qcache.New(0)
 		cluster.NameNode().SetReplicaChangeHook(cache.InvalidateBlock)
 		defer cluster.NameNode().SetReplicaChangeHook(nil)
 		label := "unpacked"

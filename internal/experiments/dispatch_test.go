@@ -12,7 +12,7 @@ import (
 // itself; the test additionally pins the report's invariants.
 func TestExpDispatch(t *testing.T) {
 	r := NewQuickRunner()
-	rep, err := r.ExpDispatch(UserVisits, 0)
+	rep, err := r.ExpDispatch(UserVisits)
 	if err != nil {
 		t.Fatal(err)
 	}

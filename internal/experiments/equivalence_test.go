@@ -6,8 +6,8 @@ import (
 	"repro/internal/workload"
 )
 
-// TestThreeSystemResultEquivalence is the repository's strongest
-// correctness invariant (DESIGN.md §6): for every benchmark query, the
+// TestThreeSystemResultEquivalence is the benchmark workload's
+// cross-system correctness invariant: for every benchmark query, the
 // full text scan (Hadoop), the trojan index scan (Hadoop++) and the
 // per-replica clustered index scan (HAIL, with and without HailSplitting)
 // must produce exactly the same multiset of result rows.

@@ -1,6 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§6). Each ExpXxx method on Runner corresponds to one figure
-// or table; the DESIGN.md per-experiment index maps them.
+// evaluation (§6): Runner's figure methods (Fig4a, Table2a, …, the
+// ablations) each return one, and its ExpXxx methods run the trajectory
+// experiments beyond the paper (adaptive indexing, result cache,
+// scan-split packing, resident server).
 //
 // Methodology: the three systems (Hadoop, Hadoop++, HAIL) execute real
 // uploads and real MapReduce jobs over a real in-process cluster at laptop
@@ -115,16 +117,6 @@ type Runner struct {
 	SynBlockRows int
 	Seed         int64
 	Nodes        int // real cluster size (also the simulated node count)
-	// AdaptiveBudget caps the adaptive indexer's extra storage in the
-	// adaptive, cache and lifecycle experiments (0 = unbounded for the
-	// first two; ExpLifecycle auto-sizes a one-column budget instead),
-	// mirroring the CLIs' -adaptive-budget flag.
-	AdaptiveBudget int64
-	// AdaptiveEvict enables the adaptive replica lifecycle manager's
-	// eviction policy in ExpAdaptive (ExpLifecycle always runs with it):
-	// builds that would exceed the budget retire the coldest adaptive
-	// replicas instead of being denied, mirroring -adaptive-evict.
-	AdaptiveEvict bool
 
 	mu       sync.Mutex
 	fixtures map[string]*fixture
@@ -251,7 +243,7 @@ func trojanIndexColumn(w Workload) int {
 // kills), so they must not share state with the memoized static-figure
 // fixtures. blockSize picks the block size from the generated lines:
 // r.blockTextBytes for the figures' granularity, r.dispatchBlockSize for
-// the packing experiments' finer one.
+// the packing experiment's finer one.
 func (r *Runner) freshHAILFixture(w Workload, blockSize func(Workload, []string) int) (*fixture, error) {
 	lines := r.lines(w)
 	cluster, err := hdfs.NewCluster(r.Nodes)

@@ -10,8 +10,8 @@ import (
 
 // The experiment tests run the full pipelines on quick fixtures and assert
 // the paper's qualitative claims: orderings, approximate ratios, and
-// crossover points. Exact paper-vs-measured numbers are recorded in
-// EXPERIMENTS.md from full-fidelity runs.
+// crossover points. Figure mode's exact numbers are frozen by
+// cmd/hailbench's TestFiguresGolden.
 
 func quickRunner() *Runner { return NewQuickRunner() }
 

@@ -55,7 +55,8 @@ func TestJobTraceSpanTree(t *testing.T) {
 	// execution order, inside the root and never overlapping — the
 	// structure that makes their durations sum to the job's wall-clock.
 	// How much of a sub-millisecond root they cover is scheduler noise;
-	// that ratio is gated where jobs run for milliseconds (ExpObs).
+	// that ratio is gated where jobs run for milliseconds
+	// (experiments.TestTraceCoversWideScan).
 	var phases []string
 	prevEnd := root.Start
 	for _, s := range spans {

@@ -28,8 +28,7 @@ const (
 // own per-record implications disagree between those figures (its Fig 6(b)
 // record-reader times imply ~20 µs per delivered HAIL record while its
 // Fig 9(a) multi-block tasks imply ~4 µs), we calibrate to Figure 9, the
-// headline end-to-end result, and note the Fig 6(b) deviation in
-// EXPERIMENTS.md.
+// headline end-to-end result, and accept the Fig 6(b) deviation.
 //
 //   - RecordDeliverHadoop: iterating a text record out of a stream and
 //     invoking map() with a Text value.
