@@ -8,15 +8,17 @@ build:
 test:
 	$(GO) test ./...
 
-# The decoders of stored bytes, the float formatter the scan prints with,
-# the annotation parser, and the engine against its text oracle
-# (FuzzEngine: a whole upload and one to three jobs per input), 20 s each
+# The decoders of stored bytes, the upload's line parser against ParseLine
+# + AppendRow, the float formatter the scan prints with, the annotation
+# parser, and the engine against its text oracle (FuzzEngine: a whole
+# upload and one to three jobs per input), 20 s each
 # (go test takes one fuzz target per run). Their seeds run as ordinary
 # tests under `make test`. Inputs are tens of KB, so minimizing each new
 # one for the default 60 s would eat the whole budget.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzNewReader$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/pax
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/pax
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendLine$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/pax
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFrame$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexUnmarshal$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/index
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendFloat$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/schema

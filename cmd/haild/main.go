@@ -140,7 +140,12 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, shutdown 
 		srv.Close() //lint:allow errsink best-effort cleanup; the listen failure is the error the caller needs
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	fmt.Fprintf(stdout, "haild: serving %s on %s\n", *fsDir, ln.Addr())
 	if ready != nil {
 		ready <- ln.Addr().String()
@@ -165,6 +170,16 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, shutdown 
 		return err
 	}
 }
+
+// Connection deadlines. A query body is at most 1 MiB and is read before
+// the query takes a slot, so these bound how long a slow or silent client
+// can hold a connection and its goroutine, not a slot. Responses get no
+// write deadline: a large query may run for minutes.
+const (
+	readHeaderTimeout = 10 * time.Second // request line and headers
+	readTimeout       = 30 * time.Second // headers and the whole body
+	idleTimeout       = 2 * time.Minute  // a keep-alive connection between requests
+)
 
 // errUsage marks usage errors, which exit with status 2 (the Unix
 // convention for bad invocations).

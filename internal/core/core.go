@@ -39,7 +39,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/hdfs"
 	"repro/internal/index"
@@ -117,17 +119,25 @@ type UploadSummary struct {
 }
 
 // BuildIndexedReplica converts a marshalled PAX block into the stored
-// form of a replica clustered and indexed on col: sort on col, build the
-// sparse clustered index, and frame both (§3.2 step 7). Every conversion
-// path shares it — the upload pipeline's per-replica transform, the
-// adaptive indexer's lazy query-time conversion and recovery — so the
-// stored layout and the registered ReplicaInfo cannot diverge between
-// them. The block is serialized once, straight into the frame.
+// form of a replica clustered and indexed on col (§3.2 step 7): Unmarshal,
+// then buildIndexed. Every conversion path shares buildIndexed — the upload
+// pipeline's per-replica transform, the adaptive indexer's lazy query-time
+// conversion and recovery — so the stored layout and the registered
+// ReplicaInfo cannot diverge between them.
 func BuildIndexedReplica(paxData []byte, col int) ([]byte, hdfs.ReplicaInfo, error) {
 	b, err := pax.Unmarshal(paxData)
 	if err != nil {
 		return nil, hdfs.ReplicaInfo{}, err
 	}
+	return buildIndexed(b, col)
+}
+
+// buildIndexed sorts a view of block on col, builds the sparse clustered
+// index and frames both, serializing the block once, straight into the
+// frame. block itself is only read, so every replica of one block can be
+// built from it at once.
+func buildIndexed(block *pax.Block, col int) ([]byte, hdfs.ReplicaInfo, error) {
+	b := block.View()
 	if _, err := b.SortBy(col); err != nil {
 		return nil, hdfs.ReplicaInfo{}, err
 	}
@@ -153,11 +163,18 @@ func BuildIndexedReplica(paxData []byte, col int) ([]byte, hdfs.ReplicaInfo, err
 // the replica clustered and indexed on col, or for col < 0 the block as
 // received — validated, framed, no index.
 func buildReplica(paxData []byte, col int) ([]byte, hdfs.ReplicaInfo, error) {
-	if col >= 0 {
-		return BuildIndexedReplica(paxData, col)
-	}
-	if _, err := pax.Unmarshal(paxData); err != nil {
+	b, err := pax.Unmarshal(paxData)
+	if err != nil {
 		return nil, hdfs.ReplicaInfo{}, err
+	}
+	return storedReplica(b, paxData, col)
+}
+
+// storedReplica is buildReplica for a block already validated: block is
+// paxData unmarshalled.
+func storedReplica(block *pax.Block, paxData []byte, col int) ([]byte, hdfs.ReplicaInfo, error) {
+	if col >= 0 {
+		return buildIndexed(block, col)
 	}
 	return FrameReplica(paxData, nil), hdfs.ReplicaInfo{SortColumn: -1}, nil
 }
@@ -171,9 +188,9 @@ type Client struct {
 
 // Upload parses, blocks, converts and ships the given lines (§3.1–3.2).
 // Bad records go to the block's bad-record section instead of failing the
-// upload. One row, one block and one serialization buffer serve the whole
-// upload: each line is parsed into the row and copied into the block's
-// arenas, and a full block is serialized and emptied for the next.
+// upload. One block and one serialization buffer serve the whole upload:
+// each line is parsed straight into the block's arenas, and a full block is
+// serialized and emptied for the next.
 //
 // The client streams on while the pipeline works, as in the paper: a
 // serialized block is written through the pipeline on its own goroutine
@@ -190,18 +207,10 @@ func (cl *Client) Upload(file string, lines []string) (UploadSummary, error) {
 		sep = ','
 	}
 	parser := &schema.Parser{Schema: cl.Config.Schema, Sep: sep}
-	sortColumns := cl.Config.SortColumns
-	// Each datanode reassembles the PAX block in memory (§3.2 step 6) —
-	// `data` here is exactly the reassembled packet payload — then sorts
-	// on its own attribute and builds its clustered index.
-	transform := func(pos int, _ hdfs.NodeID, data []byte) ([]byte, hdfs.ReplicaInfo, error) {
-		return buildReplica(data, sortColumns[pos])
-	}
 
 	var sum UploadSummary
 	block := pax.NewBlock(cl.Config.Schema)
 	blockText := 0
-	var row schema.Row
 	var paxData []byte
 
 	// The writer fills written's block-side counts, and owns it until the
@@ -236,7 +245,7 @@ func (cl *Client) Upload(file string, lines []string) (UploadSummary, error) {
 		}
 		inFlight = true
 		go func(data []byte) {
-			done <- cl.writeBlock(file, data, transform, &written)
+			done <- cl.writeBlock(file, data, &written)
 		}(paxData)
 		block.Reset()
 		blockText = 0
@@ -245,15 +254,13 @@ func (cl *Client) Upload(file string, lines []string) (UploadSummary, error) {
 
 	for _, line := range lines {
 		sum.TextBytes += int64(len(line) + 1)
-		var err error
-		if row, err = parser.ParseInto(row, line); err != nil {
+		if err := block.AppendLine(parser, line); err == nil {
+			sum.Rows++
+		} else if errors.Is(err, pax.ErrTooLarge) {
+			return finish(err)
+		} else {
 			block.AppendBad(line)
 			sum.BadRecords++
-		} else {
-			if err := block.AppendRow(row); err != nil {
-				return finish(err)
-			}
-			sum.Rows++
 		}
 		blockText += len(line) + 1
 		if blockText >= cl.Config.BlockSize {
@@ -267,8 +274,26 @@ func (cl *Client) Upload(file string, lines []string) (UploadSummary, error) {
 
 // writeBlock writes one serialized PAX block through the pipeline with the
 // per-replica sort+index transform and adds it to sum.
-func (cl *Client) writeBlock(file string, paxData []byte, transform hdfs.ReplicaTransform, sum *UploadSummary) error {
+func (cl *Client) writeBlock(file string, paxData []byte, sum *UploadSummary) error {
 	cfg := cl.Config
+	// Each datanode reassembles the PAX block in memory (§3.2 step 6) —
+	// data is exactly the reassembled packet payload — then sorts on its
+	// own attribute and builds its clustered index. The pipeline hands every
+	// position the same reassembled bytes, so the first position to get
+	// there validates them into a block, once, and each position sorts its
+	// own view of that block.
+	var (
+		once     sync.Once
+		block    *pax.Block
+		blockErr error
+	)
+	transform := func(pos int, _ hdfs.NodeID, data []byte) ([]byte, hdfs.ReplicaInfo, error) {
+		once.Do(func() { block, blockErr = pax.Unmarshal(data) })
+		if blockErr != nil {
+			return nil, hdfs.ReplicaInfo{}, blockErr
+		}
+		return storedReplica(block, data, cfg.SortColumns[pos])
+	}
 	id, stats, err := cl.Cluster.WriteBlock(file, paxData, cfg.Replication(), transform)
 	if err != nil {
 		return err

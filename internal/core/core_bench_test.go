@@ -1,7 +1,9 @@
 package core
 
 import (
+	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/hdfs"
 	"repro/internal/mapred"
@@ -58,10 +60,22 @@ func bobLayout() LayoutConfig {
 	}
 }
 
+// cpuTime is the process's user plus system CPU time so far.
+func cpuTime(tb testing.TB) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		tb.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
 // BenchmarkUploadBob is the ledger's upload op outside bench/: a fresh
 // 4-node cluster and one Upload of 100k generated lines with Bob's layout
 // (5k under -short, for CI's -benchtime=1x lane). `make profile-upload`
-// profiles it.
+// profiles it. Besides ns/op it reports cpu-ms/op, the CPU time of every
+// core: the upload builds replicas on one core while it parses on
+// another, so ns/op falls when work moves to the second core and cpu-ms/op
+// only when there is less of it.
 func BenchmarkUploadBob(b *testing.B) {
 	n := 100_000
 	if testing.Short() {
@@ -74,6 +88,7 @@ func BenchmarkUploadBob(b *testing.B) {
 	}
 	b.SetBytes(textBytes)
 	b.ReportAllocs()
+	cpu := cpuTime(b)
 	for b.Loop() {
 		cluster, err := hdfs.NewCluster(4)
 		if err != nil {
@@ -84,6 +99,7 @@ func BenchmarkUploadBob(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(cpuTime(b)-cpu)/1e6/float64(b.N), "cpu-ms/op")
 }
 
 // BenchmarkBuildIndexedReplica is the per-replica transform on one 2 MiB

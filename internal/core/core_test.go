@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"strings"
@@ -425,14 +426,22 @@ func TestBuildIndexedReplicaAllocationsDoNotGrowWithRows(t *testing.T) {
 
 // TestUploadAllocatesLittleMoreThanItStores is the allocation gate of the
 // whole upload: one 20k-line upload with Bob's replicas may allocate at
-// most three times the bytes it stores. Every replica is written once —
-// the sort is a permutation gathered while marshalling into the frame, the
-// pipeline reassembles each block once, the datanode keeps the bytes its
-// transform returned — which measures ≈2.2 ×; one more copy of every
-// replica anywhere on the path adds a whole StoredBytes (≈5.2 × with all
-// three). Blocks are 256 KiB so that the ten of them amortize the client
-// arenas' one-time growth, as the 2 MiB blocks of a large upload do.
+// most twice the bytes it stores. Every replica is written once — the sort
+// is a permutation gathered while marshalling into the frame, the pipeline
+// reassembles each block once, the datanode keeps the bytes its transform
+// returned — and each block is unmarshalled once for all its replicas,
+// whose sorts share pooled key arrays; lines are parsed straight into the
+// client's arenas. That measures ≈1.8 ×. Unmarshalling per replica and a
+// fresh key array per sort measured ≈2.2 ×, and one more copy of every
+// replica anywhere on the path adds a whole StoredBytes. Blocks are 256
+// KiB so that the ten of them amortize the client arenas' one-time growth,
+// as the 2 MiB blocks of a large upload do. It does not run under the race
+// detector, whose runtime drops a random quarter of what is put into a
+// sync.Pool, so there the key arrays are reallocated (≈2.0 ×).
 func TestUploadAllocatesLittleMoreThanItStores(t *testing.T) {
+	if raceBuild() {
+		t.Skip("the race runtime drops pooled key arrays at random")
+	}
 	lines := workload.GenerateUserVisits(20_000, 1, workload.UserVisitsOptions{NeedleEvery: 25_000, BadEvery: 10_007})
 	cluster, err := hdfs.NewCluster(4)
 	if err != nil {
@@ -451,9 +460,21 @@ func TestUploadAllocatesLittleMoreThanItStores(t *testing.T) {
 	allocated := after.TotalAlloc - before.TotalAlloc
 	ratio := float64(allocated) / float64(sum.StoredBytes)
 	t.Logf("%d B allocated for %d B stored in %d blocks (%.2f ×)", allocated, sum.StoredBytes, sum.Blocks, ratio)
-	if ratio > 3 {
-		t.Errorf("upload allocated %.2f × the bytes it stores, want at most 3 ×", ratio)
+	if ratio > 2 {
+		t.Errorf("upload allocated %.2f × the bytes it stores, want at most 2 ×", ratio)
 	}
+}
+
+// raceBuild reports whether the test binary was built with -race.
+func raceBuild() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
 }
 
 // TestUploadStoresNULLineAsBadRecord: a line with a NUL byte in a string

@@ -1,0 +1,286 @@
+package pax
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/schema"
+)
+
+// lineSchemas are the two shapes of a line's last field: a string, which
+// takes the rest of the line separators included, and a fixed-size type,
+// for which a separator there is one field too many.
+var lineSchemas = []*schema.Schema{
+	testSchema,
+	schema.MustNew(
+		schema.Field{Name: "url", Type: schema.String},
+		schema.Field{Name: "day", Type: schema.Date},
+		schema.Field{Name: "rev", Type: schema.Float64},
+		schema.Field{Name: "big", Type: schema.Int64},
+		schema.Field{Name: "id", Type: schema.Int32},
+	),
+}
+
+// checkAppendLine feeds lines to AppendLine on one block and to ParseLine +
+// AppendRow on another, keeping rejected lines with AppendBad on both as an
+// upload does. The two must agree on every line, error text included; a
+// rejected line must leave AppendLine's block marshalling as before; and
+// both blocks must marshal to the same bytes at the end. With sortAt ≥ 0
+// both blocks are sorted on that column after that many lines, so later
+// lines go behind sorted rows.
+func checkAppendLine(t *testing.T, s *schema.Schema, lines []string, sortAt, sortCol int) {
+	t.Helper()
+	p := schema.NewParser(s)
+	got, want := NewBlock(s), NewBlock(s)
+	for k, line := range lines {
+		if k == sortAt {
+			for _, b := range []*Block{got, want} {
+				if _, err := b.SortBy(sortCol); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		before, err := got.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendErr := got.AppendLine(p, line)
+		row, parseErr := p.ParseLine(line)
+		if fmt.Sprint(appendErr) != fmt.Sprint(parseErr) {
+			t.Fatalf("line %q: AppendLine says %v, ParseLine %v", line, appendErr, parseErr)
+		}
+		if parseErr != nil {
+			if after, err := got.Marshal(); err != nil || !bytes.Equal(after, before) {
+				t.Fatalf("rejected line %q changed the block (%v)", line, err)
+			}
+			got.AppendBad(line)
+			want.AppendBad(line)
+			continue
+		}
+		if err := want.AppendRow(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gotData, err := got.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantData, err := want.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotData, wantData) {
+		t.Fatalf("AppendLine's block (%d rows, %d bad) marshals differently from ParseLine + AppendRow's (%d rows, %d bad)",
+			got.NumRows(), got.NumBad(), want.NumRows(), want.NumBad())
+	}
+}
+
+// FuzzAppendLine: whatever the text, each of its lines is accepted by
+// AppendLine exactly when ParseLine accepts it, with the same error; a
+// rejected line leaves the block's serialized form unchanged; and the
+// block marshals byte for byte as the one ParseLine + AppendRow build.
+// Each input runs against both lineSchemas.
+func FuzzAppendLine(f *testing.F) {
+	for _, seed := range []string{
+		"7,1234567890123,12.5,1999-06-15,example.com/page",
+		"7,1,2.5,1999-06-15,exa\x00mple",               // NUL in a string field
+		"7,1,2.5,1999-06-15\x00,u",                     // NUL in a fixed-size field
+		"7,1,2.5",                                      // too few fields
+		"u,1999-06-15,2.5,1,7,8",                       // too many: separator in a last int32
+		"7,1,2.5,1999-06-15,a,b,c",                     // separator in a last string
+		"7,1,NaN,1999-06-15,u\n7,1,nan,1999-06-15,u",   // NaN
+		"7,1,+Inf,1999-06-15,u\n7,1,-Inf,1999-06-15,u", // ±Inf parse
+		"7,1,1e400,1999-06-15,u",                       // out of float64 range
+		"2147483647,1,2.5,1999-06-15,u\n2147483648,1,2.5,1999-06-15,u\n-2147483649,1,2.5,1999-06-15,u", // int32 bounds
+		"7,1,2.5,1999-02-29,u\n7,1,2.5,2000-02-29,u\n7,1,2.5,1900-02-29,u",                             // 29 Feb
+		",,,,\n7,1,2.5,1999-06-15,\n,1999-06-15,2.5,1,7\n\n",                                           // empty fields
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		lines := strings.Split(text, "\n")
+		for _, s := range lineSchemas {
+			checkAppendLine(t, s, lines, len(lines)/2, 0)
+		}
+	})
+}
+
+// goodText and badText are each type's field texts that schema.ParseFixed
+// accepts and rejects, edge values among them.
+var (
+	goodText = map[schema.Type][]string{
+		schema.Int32:   {"0", "-7", "2147483647", "-2147483648", "+3"},
+		schema.Int64:   {"1234567890123", "-9223372036854775808", "-0"},
+		schema.Float64: {"12.5", "-0", "0.1", "1e300", "+Inf", "-inf", ".5"},
+		schema.Date:    {"1999-06-15", "2000-02-29", "0001-01-01", "9999-12-31"},
+		schema.String:  {"", "example.com/page", "long-url-with-many-characters/and/segments"},
+	}
+	badText = map[schema.Type][]string{
+		schema.Int32:   {"2147483648", "0x10", " 1", ""},
+		schema.Int64:   {"9223372036854775808", "1.5"},
+		schema.Float64: {"1e400", "NaN", "1_0", ""},
+		schema.Date:    {"1999-02-29", "1999-6-15", "1999-13-01", "0000-01-01"},
+		schema.String:  {"x\x00y", "a,b"},
+	}
+)
+
+// randomLine draws a line for s: half the time every field is good text,
+// otherwise each field may be bad text or another type's text, and the
+// line may have a field too few or too many.
+func randomLine(rng *rand.Rand, s *schema.Schema) string {
+	bad := rng.Intn(2) == 0
+	n := s.NumFields()
+	if bad && rng.Intn(4) == 0 {
+		n += 1 - 2*rng.Intn(2)
+	}
+	fields := make([]string, n)
+	for i := range fields {
+		typ := schema.String
+		if i < s.NumFields() {
+			typ = s.Field(i).Type
+		}
+		pool := goodText
+		if bad && rng.Intn(3) == 0 {
+			pool = badText
+		}
+		if bad && rng.Intn(8) == 0 {
+			typ = schema.Type(1 + rng.Intn(int(schema.String)))
+		}
+		fields[i] = pool[typ][rng.Intn(len(pool[typ]))]
+	}
+	return strings.Join(fields, ",")
+}
+
+// TestAppendLineMatchesParseLine is FuzzAppendLine's property over 3,000
+// drawn lines per schema, sorted midway on each column in turn.
+func TestAppendLineMatchesParseLine(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	for _, s := range lineSchemas {
+		for col := range s.NumFields() {
+			lines := make([]string, 600)
+			for i := range lines {
+				lines[i] = randomLine(rng, s)
+			}
+			checkAppendLine(t, s, lines, len(lines)/2, col)
+		}
+	}
+}
+
+// TestAppendLineAllocatesNothingPerLine: once the arenas have grown, the
+// upload loop's parse allocates nothing per line — no row, no boxed values,
+// no closure — and a NUL byte anywhere makes a bad record.
+func TestAppendLineAllocatesNothingPerLine(t *testing.T) {
+	p := schema.NewParser(testSchema)
+	const line = "7,1234567890123,12.5,1999-06-15,example.com/page"
+	b := NewBlock(testSchema)
+	for range 200 {
+		if err := b.AppendLine(p, line); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b.Reset()
+	if allocs := testing.AllocsPerRun(100, func() { _ = b.AppendLine(p, line) }); allocs != 0 {
+		t.Errorf("AppendLine into grown arenas allocates %v times per line", allocs)
+	}
+	if b.NumRows() != 101 {
+		t.Fatalf("%d rows after 101 appends", b.NumRows())
+	}
+	for _, bad := range []string{"7,1,12.5,1999-06-15,exa\x00mple", "7,1,12.5,1999-06-15,u\x00", "7\x00,1,12.5,1999-06-15,u"} {
+		if err := b.AppendLine(p, bad); err == nil {
+			t.Errorf("AppendLine(%q) accepted a NUL byte", bad)
+		}
+		if r, err := p.ParseLine(bad); err == nil || r != nil {
+			t.Errorf("ParseLine(%q) = %v, %v", bad, r, err)
+		}
+	}
+}
+
+// TestAppendLineRejectsAnotherSchema: a parser for another schema is an
+// error, not a stream of bad records.
+func TestAppendLineRejectsAnotherSchema(t *testing.T) {
+	b := NewBlock(lineSchemas[0])
+	if err := b.AppendLine(schema.NewParser(lineSchemas[1]), "u,1999-06-15,2.5,1,7"); err == nil || b.NumRows() != 0 {
+		t.Errorf("AppendLine with another schema's parser: %v, %d rows", err, b.NumRows())
+	}
+}
+
+// TestNULFlagFollowsTheRows: the NUL AppendRow stores is remembered by
+// Clone and View, refused by Marshal, and forgotten by Reset.
+func TestNULFlagFollowsTheRows(t *testing.T) {
+	b := buildBlock(t, 10, 1)
+	row := testRow(rand.New(rand.NewSource(2)))
+	row[4] = schema.StringVal("a\x00b")
+	if err := b.AppendRow(row); err != nil {
+		t.Fatal(err)
+	}
+	for name, blk := range map[string]*Block{"block": b, "clone": b.Clone(), "view": b.View()} {
+		if _, err := blk.Marshal(); err == nil {
+			t.Errorf("%s: Marshal accepted a NUL inside a value", name)
+		}
+	}
+	b.Reset()
+	if err := b.AppendRow(testRow(rand.New(rand.NewSource(3)))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Marshal(); err != nil {
+		t.Errorf("after Reset: %v", err)
+	}
+}
+
+// TestViewsSortConcurrentlyOverOneBlock is the upload pipeline's use of
+// View: one Unmarshal'd block, one view per replica sorted on its own
+// column, all at once (run it under -race). Each view marshals as a clone
+// sorted alone would; the block and its input bytes are left as they were,
+// and appending to a view leaves the block alone too.
+func TestViewsSortConcurrentlyOverOneBlock(t *testing.T) {
+	src := buildBlock(t, 3*PartitionSize+5, 8)
+	src.AppendBad("not,a,row")
+	data, err := src.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := bytes.Clone(data)
+	base, err := Unmarshal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := testSchema.NumFields()
+	got := make([][]byte, cols)
+	errs := make([]error, cols)
+	var wg sync.WaitGroup
+	for col := range cols {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v := base.View()
+			if _, errs[col] = v.SortBy(col); errs[col] == nil {
+				got[col], errs[col] = v.Marshal()
+			}
+		}()
+	}
+	wg.Wait()
+	for col := range cols {
+		want := src.Clone()
+		if _, err := want.SortBy(col); err != nil {
+			t.Fatal(err)
+		}
+		wantData, err := want.Marshal()
+		if err != nil || errs[col] != nil {
+			t.Fatalf("column %d: %v / %v", col, err, errs[col])
+		}
+		if !bytes.Equal(got[col], wantData) {
+			t.Errorf("view sorted on %d marshals differently from a clone sorted alone", col)
+		}
+	}
+	v := base.View()
+	if err := v.AppendRow(testRow(rand.New(rand.NewSource(9)))); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := base.Marshal(); err != nil || !bytes.Equal(again, input) || !bytes.Equal(data, input) {
+		t.Errorf("sorting and appending to views changed the block or its input (%v)", err)
+	}
+}

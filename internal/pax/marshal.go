@@ -66,7 +66,7 @@ func (b *Block) MarshalAppend(dst []byte) ([]byte, error) {
 	for i := range b.cols {
 		// The terminator is what ends a value for every reader, so a value
 		// holding one cannot be stored.
-		if c := &b.cols[i]; c.typ == schema.String && c.holdsNUL(b.numRows) {
+		if b.cols[i].nul {
 			return nil, fmt.Errorf("pax: column %d (%s): string value contains NUL", i, b.sch.Field(i).Name)
 		}
 	}

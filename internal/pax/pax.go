@@ -22,10 +22,12 @@
 // A Block holds its columns in the serialized form's own layout — packed
 // little-endian bytes, zero-terminated strings behind a row directory, the
 // bad-record section as stored — so Unmarshal validates and aliases its
-// input instead of decoding it. SortBy sorts (key, row) pairs of the sort
-// column and records the order as a permutation; it moves no value bytes.
-// Marshal writes the header and then each column once, gathered through
-// that permutation straight into the output.
+// input instead of decoding it, AppendLine parses text straight into them,
+// and View shares them between blocks that differ only in their row order.
+// SortBy sorts (key, row) pairs of the sort column and records the order as
+// a permutation; it moves no value bytes. Marshal writes the header and
+// then each column once, gathered through that permutation straight into
+// the output.
 //
 // Reading has two granularities. Reader.ReadColumnRange boxes a row range
 // into []schema.Value eagerly — what the scan tests' row oracle reads
@@ -41,9 +43,11 @@ package pax
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 
 	"repro/internal/schema"
 )
@@ -64,26 +68,64 @@ type column struct {
 	// terminator are data[starts[r]:starts[r+1]], so it holds one entry
 	// more than there are rows. Nil for fixed-size attributes.
 	starts []uint32
+	// nul records that a string value holds a zero byte besides its
+	// terminator. Only AppendRow can store one: AppendLine's parser rejects
+	// the line, and Unmarshal's terminator scan rules it out.
+	nul bool
 }
 
+// append adds one value of the column's type.
 func (c *column) append(v schema.Value) {
 	switch c.typ {
-	case schema.Int32, schema.Date:
-		c.data = binary.LittleEndian.AppendUint32(c.data, uint32(v.Long()))
-	case schema.Int64:
-		c.data = binary.LittleEndian.AppendUint64(c.data, uint64(v.Long()))
+	case schema.Int32, schema.Date, schema.Int64:
+		c.appendFixed(uint64(v.Long()))
 	case schema.Float64:
-		c.data = binary.LittleEndian.AppendUint64(c.data, math.Float64bits(v.Float()))
+		c.appendFixed(math.Float64bits(v.Float()))
 	case schema.String:
-		c.data = append(append(c.data, v.Str()...), 0)
-		c.starts = append(c.starts, uint32(len(c.data)))
+		c.nul = c.nul || strings.IndexByte(v.Str(), 0) >= 0
+		c.appendString(v.Str())
 	}
 }
 
-// holdsNUL reports whether a value of the string column, which has the given
-// number of rows, contains a zero byte besides its terminator. AppendRow
-// does not look; Unmarshal's scan rules it out.
-func (c *column) holdsNUL(rows int) bool { return bytes.Count(c.data, []byte{0}) != rows }
+// appendText parses one field's text straight into the column.
+func (c *column) appendText(text string) error {
+	if c.typ == schema.String {
+		c.appendString(text)
+		return nil
+	}
+	bits, err := schema.ParseFixed(c.typ, text)
+	if err != nil {
+		return err
+	}
+	c.appendFixed(bits)
+	return nil
+}
+
+// appendString adds a string value and its terminator.
+func (c *column) appendString(s string) {
+	c.data = append(append(c.data, s...), 0)
+	c.starts = append(c.starts, uint32(len(c.data)))
+}
+
+// appendFixed adds a fixed-size value's bits, little-endian in the type's
+// width (schema.ParseFixed's form).
+func (c *column) appendFixed(bits uint64) {
+	if c.typ.Width() == 4 {
+		c.data = binary.LittleEndian.AppendUint32(c.data, uint32(bits))
+	} else {
+		c.data = binary.LittleEndian.AppendUint64(c.data, bits)
+	}
+}
+
+// truncate drops every value past the column's first rows.
+func (c *column) truncate(rows int) {
+	if c.typ == schema.String {
+		c.starts = c.starts[:rows+1]
+		c.data = c.data[:c.starts[rows]]
+		return
+	}
+	c.data = c.data[:rows*c.typ.Width()]
+}
 
 // str returns row i's bytes, without the terminator, aliasing the column.
 func (c *column) str(i int) []byte { return c.data[c.starts[i] : c.starts[i+1]-1] }
@@ -146,7 +188,7 @@ func (b *Block) Reset() {
 	}
 	for i := range b.cols {
 		c := &b.cols[i]
-		c.data = c.data[:0]
+		c.data, c.nul = c.data[:0], false
 		if c.typ == schema.String {
 			c.starts = append(c.starts[:0], 0)
 		}
@@ -167,6 +209,11 @@ func (b *Block) NumBad() int { return b.numBad }
 // if the block is in arrival order.
 func (b *Block) SortColumn() int { return b.sortCol }
 
+// ErrTooLarge reports that a row would take a column past the 4 GiB a
+// block's row directory and serialized form can address. It fails an
+// upload; it does not make the row a bad record.
+var ErrTooLarge = errors.New("pax: block too large")
+
 // AppendRow adds one parsed row. The row must match the schema. On a
 // sorted block it first moves every column into its sorted order, since a
 // new row goes behind the sorted ones.
@@ -181,12 +228,44 @@ func (b *Block) AppendRow(r schema.Row) error {
 		}
 		// The row directory, like the serialized block, counts in uint32.
 		if c.typ == schema.String && len(c.data)+len(r[i].Str())+1 > math.MaxUint32 {
-			return fmt.Errorf("pax: block too large: column %d would pass %d bytes", i, math.MaxUint32)
+			return fmt.Errorf("%w: column %d would pass %d bytes", ErrTooLarge, i, math.MaxUint32)
 		}
 	}
 	b.materialize()
 	for i := range r {
 		b.cols[i].append(r[i])
+	}
+	b.numRows++
+	b.sortCol = -1
+	return nil
+}
+
+// AppendLine parses one text line with p straight into the block's
+// arenas — a string's bytes and its terminator, a fixed-size value's
+// little-endian bits — without building a schema.Row. It accepts exactly
+// the lines p.ParseLine accepts (both split with p.Split and parse scalars
+// with schema.ParseFixed) and leaves the block as AppendRow of the parsed
+// row would. A rejected line leaves the block's rows as they were and
+// returns p's error: the line is a bad record, for the caller to keep with
+// AppendBad. ErrTooLarge is returned as AppendRow returns it, after the
+// line has parsed.
+func (b *Block) AppendLine(p *schema.Parser, line string) error {
+	if !p.Schema.Equal(b.sch) {
+		return fmt.Errorf("pax: parser schema %s, block schema %s", p.Schema, b.sch)
+	}
+	b.materialize()
+	err := p.Split(line, func(i int, text string) error { return b.cols[i].appendText(text) })
+	for i := 0; err == nil && i < len(b.cols); i++ {
+		if len(b.cols[i].data) > math.MaxUint32 {
+			err = fmt.Errorf("%w: column %d would pass %d bytes", ErrTooLarge, i, math.MaxUint32)
+		}
+	}
+	if err != nil {
+		// What the line appended is past row numRows in every column.
+		for i := range b.cols {
+			b.cols[i].truncate(b.numRows)
+		}
+		return err
 	}
 	b.numRows++
 	b.sortCol = -1
@@ -244,10 +323,27 @@ func (b *Block) Clone() *Block {
 	nb := *b
 	nb.cols = make([]column, len(b.cols))
 	for i, c := range b.cols {
-		nb.cols[i] = column{typ: c.typ, data: bytes.Clone(c.data), starts: slices.Clone(c.starts)}
+		nb.cols[i] = column{typ: c.typ, data: bytes.Clone(c.data), starts: slices.Clone(c.starts), nul: c.nul}
 	}
 	nb.bad, nb.perm, nb.aliased = bytes.Clone(b.bad), slices.Clone(b.perm), false
 	return &nb
+}
+
+// View returns a block over b's rows that shares b's arenas, row
+// directories and row order without copying them: it can be sorted, read
+// and marshalled on its own, concurrently with b and with b's other views,
+// while nobody appends to or resets b. It is what a pipeline builds its
+// replicas from: one validated block, one view — one sort order — per
+// replica. Appending to a view copies its columns first, as appending to an
+// Unmarshal'd block does.
+func (b *Block) View() *Block {
+	v := *b
+	v.cols = make([]column, len(b.cols))
+	for i, c := range b.cols {
+		v.cols[i] = column{typ: c.typ, data: slices.Clip(c.data), starts: slices.Clip(c.starts), nul: c.nul}
+	}
+	v.bad, v.aliased = slices.Clip(b.bad), true
+	return &v
 }
 
 // materialize rewrites every column in the block's row order into fresh

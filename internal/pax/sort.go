@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/schema"
 )
@@ -35,8 +36,9 @@ func (b *Block) SortBy(col int) ([]int, error) {
 		return nil, fmt.Errorf("pax: sort column %d out of range [0,%d)", col, len(b.cols))
 	}
 	n := b.numRows
-	keys := make([]sortKey, 2*n)
-	keys, scratch := keys[:n], keys[n:]
+	buf := getKeys(2 * n)
+	defer keyBufs.Put(buf)
+	keys, scratch := (*buf)[:n], (*buf)[n:]
 	// A key's row is physical, so the column is read as stored; keys start
 	// in the block's current order, which a stable sort keeps among equals.
 	for i := range keys {
@@ -59,7 +61,7 @@ func (b *Block) SortBy(col int) ([]int, error) {
 		}
 		radixSort(keys, scratch)
 	case schema.String:
-		if c.holdsNUL(n) {
+		if c.nul {
 			// A key's zero padding would pass for the NUL inside a value.
 			// The block cannot be marshalled; it can still be sorted, by
 			// comparison.
@@ -85,6 +87,22 @@ func (b *Block) SortBy(col int) ([]int, error) {
 	}
 	b.perm, b.sortCol = order, col
 	return perm, nil
+}
+
+// keyBufs holds SortBy's (key, row) arrays between calls. An upload sorts
+// each block once per indexed replica, the replicas at once, so a handful
+// of arrays the size of the largest block serve the whole upload instead of
+// one zeroed allocation per sort. Every pair is written before it is read.
+var keyBufs sync.Pool
+
+// getKeys returns a pooled array of n pairs; put it back into keyBufs.
+func getKeys(n int) *[]sortKey {
+	buf, _ := keyBufs.Get().(*[]sortKey)
+	if buf == nil {
+		buf = new([]sortKey)
+	}
+	*buf = slices.Grow((*buf)[:0], n)[:n]
+	return buf
 }
 
 // floatKey maps a float64's bits to its order-preserving image: negative

@@ -2,7 +2,6 @@ package schema
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 )
 
@@ -46,53 +45,57 @@ type Parser struct {
 // NewParser returns a Parser with the conventional comma separator.
 func NewParser(s *Schema) *Parser { return &Parser{Schema: s, Sep: ','} }
 
-// ParseLine parses one text line. On success it returns the typed row; on
-// failure it returns a descriptive error and the row is nil.
+// ParseLine parses one text line. On success it returns the typed row,
+// whose string values alias line; on failure it returns a descriptive
+// error and the row is nil.
 func (p *Parser) ParseLine(line string) (Row, error) {
-	row, err := p.ParseInto(make(Row, 0, p.Schema.NumFields()), line)
+	row := make(Row, p.Schema.NumFields())
+	err := p.Split(line, func(i int, text string) error {
+		var err error
+		row[i], err = ParseValue(p.Schema.fields[i].Type, text)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
 	return row, nil
 }
 
-// ParseInto is ParseLine into the caller's row: it overwrites dst from its
-// start and returns it, so a loop that copies each row out before parsing
-// the next line (pax.Block.AppendRow does) parses without allocating.
-// String values alias line. After an error dst holds nothing of use.
-//
-// A line holding a NUL byte is a bad record whatever its fields: no string
-// attribute can store one (PAX values are zero-terminated) and no other
-// type parses it.
-func (p *Parser) ParseInto(dst Row, line string) (Row, error) {
+// Split cuts line into the schema's fields and hands each field's text to
+// fn in order, stopping at the first error. It is the one definition of a
+// bad record, for ParseLine and for the upload path's
+// pax.Block.AppendLine, which parses fields straight into column arenas:
+//   - a line holding a NUL byte is bad whatever its fields: no string
+//     attribute can store one (PAX values are zero-terminated) and no other
+//     type parses it;
+//   - a line with fewer fields than the schema is bad;
+//   - the last field takes the rest of the line: a separator in it is part
+//     of a string value, and for any other type means too many fields;
+//   - a field fn rejects makes the line bad; fn's error is wrapped with the
+//     field's position and name.
+func (p *Parser) Split(line string, fn func(i int, text string) error) error {
 	if strings.IndexByte(line, 0) >= 0 {
-		return dst, fmt.Errorf("schema: NUL byte in %q", line)
+		return fmt.Errorf("schema: NUL byte in %q", line)
 	}
-	n := p.Schema.NumFields()
-	row := slices.Grow(dst[:0], n)[:n]
+	last := len(p.Schema.fields) - 1
 	rest := line
-	for i := range row {
+	for i := range p.Schema.fields {
 		f := &p.Schema.fields[i]
-		var fieldText string
-		if i == n-1 {
-			// Last field consumes the remainder; a stray separator in it
-			// means a field-count mismatch.
-			if f.Type != String && strings.IndexByte(rest, p.Sep) >= 0 {
-				return row, fmt.Errorf("schema: too many fields in %q", line)
-			}
-			fieldText = rest
-		} else {
+		text := rest
+		if i < last {
 			j := strings.IndexByte(rest, p.Sep)
 			if j < 0 {
-				return row, fmt.Errorf("schema: too few fields in %q", line)
+				return fmt.Errorf("schema: too few fields in %q", line)
 			}
-			fieldText, rest = rest[:j], rest[j+1:]
+			text, rest = rest[:j], rest[j+1:]
+		} else if f.Type != String && strings.IndexByte(rest, p.Sep) >= 0 {
+			return fmt.Errorf("schema: too many fields in %q", line)
 		}
-		if err := row[i].parse(f.Type, fieldText); err != nil {
-			return row, fmt.Errorf("schema: field %d (%s): %v", i, f.Name, err)
+		if err := fn(i, text); err != nil {
+			return fmt.Errorf("schema: field %d (%s): %w", i, f.Name, err)
 		}
 	}
-	return row, nil
+	return nil
 }
 
 // RowKey is a comparable, canonical encoding of a row, usable as a map key

@@ -191,8 +191,11 @@ func (s *Schema) FixedRowWidth() int {
 
 // Equal reports whether two schemas have identical fields.
 func (s *Schema) Equal(o *Schema) bool {
+	if s == o {
+		return true
+	}
 	if s == nil || o == nil {
-		return s == o
+		return false
 	}
 	if len(s.fields) != len(o.fields) {
 		return false

@@ -287,34 +287,6 @@ func TestFormatDateAgreesWithTimeFormat(t *testing.T) {
 	}
 }
 
-// TestParseIntoReusesTheRow: the upload loop's parse allocates nothing per
-// line, agrees with ParseLine, and a NUL byte anywhere makes a bad record.
-func TestParseIntoReusesTheRow(t *testing.T) {
-	p := NewParser(MustNew(Field{"ip", String}, Field{"day", Date}, Field{"rev", Float64}, Field{"n", Int32}, Field{"big", Int64}))
-	lines := []string{"134.96.223.160,1999-06-15,12.5,-7,1234567890123", ",1970-01-01,0,0,0"}
-	var row Row
-	for _, line := range lines {
-		want, err := p.ParseLine(line)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if row, err = p.ParseInto(row, line); err != nil || !row.Equal(want) {
-			t.Errorf("ParseInto(%q) = %v, %v; ParseLine gives %v", line, row, err, want)
-		}
-	}
-	if allocs := testing.AllocsPerRun(100, func() { row, _ = p.ParseInto(row, lines[0]) }); allocs != 0 {
-		t.Errorf("ParseInto into a row of sufficient capacity allocates %v times per line", allocs)
-	}
-	for _, line := range []string{"134.96.\x00223.160,1999-06-15,12.5,-7,1", "a,1999-06-15,12.5,-7,1\x00"} {
-		if _, err := p.ParseInto(row, line); err == nil {
-			t.Errorf("ParseInto(%q) accepted a NUL byte", line)
-		}
-		if r, err := p.ParseLine(line); err == nil || r != nil {
-			t.Errorf("ParseLine(%q) = %v, %v", line, r, err)
-		}
-	}
-}
-
 func TestParserParseLine(t *testing.T) {
 	s := MustNew(
 		Field{"sourceIP", String},

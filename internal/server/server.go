@@ -301,11 +301,27 @@ type httpError struct {
 
 func (e *httpError) Error() string { return e.msg }
 
-// handleQuery admits the request through the bounded in-flight semaphore
-// and executes it. Over capacity, the request waits up to QueueTimeout
+// maxBodyBytes bounds a POST /query body. A request is a file name, an
+// annotation and a few flags, so this is generous; a larger body gets 413.
+const maxBodyBytes = 1 << 20
+
+// handleQuery reads and decodes the request body, then admits the request
+// through the bounded in-flight semaphore and executes it. The body comes
+// first, under maxBodyBytes, so a client that sends slowly or too much
+// never holds a slot. Over capacity, the request waits up to QueueTimeout
 // for a slot and is rejected with 429 otherwise — backpressure instead of
 // an unbounded pile-up.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	var req QueryRequest
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			http.Error(w, fmt.Sprintf("request body over %d bytes", maxBodyBytes), http.StatusRequestEntityTooLarge)
+			return
+		}
+		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+
 	waitStart := time.Now()
 	timer := time.NewTimer(s.cfg.QueueTimeout)
 	select {
@@ -323,11 +339,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.reg.Histogram("server.queue_wait_seconds").Observe(time.Since(waitStart))
 	defer func() { <-s.sem }()
 
-	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
 	resp, err := s.runQuery(&req)
 	if err != nil {
 		status := http.StatusInternalServerError

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -255,6 +256,71 @@ func TestAdmissionBackpressure429(t *testing.T) {
 		t.Fatalf("after freeing a slot: status %d, want 200", code)
 	}
 	<-s.sem
+}
+
+// TestBodyIsReadBeforeAdmission: with one slot, a client whose body stalls
+// halfway holds no slot — a second query completes meanwhile — and an
+// oversized body gets 413 at once, without touching the semaphore or
+// server.rejected.
+func TestBodyIsReadBeforeAdmission(t *testing.T) {
+	dir := makeFS(t, 700)
+	s := newTestServer(t, dir, Config{MaxInFlight: 1, QueueTimeout: 2 * time.Second})
+	entered := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get("X-Stall") != "" {
+			close(entered)
+		}
+		s.Handler().ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	body, stall := io.Pipe()
+	defer stall.Close() // before ts.Close, which waits for the handler reading it
+	stalled := make(chan int, 1)
+	go func() {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/query", body)
+		if err != nil {
+			stalled <- 0
+			return
+		}
+		req.Header.Set("X-Stall", "1")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			stalled <- 0
+			return
+		}
+		resp.Body.Close()
+		stalled <- resp.StatusCode
+	}()
+	if _, err := stall.Write([]byte(`{"file":"/t",`)); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	if resp, code := postQuery(t, ts, QueryRequest{File: "/t", Query: indexedQ}); code != http.StatusOK {
+		t.Fatalf("query beside a stalled body: status %d: %v", code, resp.Rows)
+	}
+	q, _ := json.Marshal(indexedQ)
+	if _, err := stall.Write([]byte(`"query":` + string(q) + `}`)); err != nil {
+		t.Fatal(err)
+	}
+	stall.Close()
+	if code := <-stalled; code != http.StatusOK {
+		t.Fatalf("the stalled query, once its body arrived: status %d", code)
+	}
+
+	s.sem <- struct{}{} // the one slot is taken: any admission would wait
+	defer func() { <-s.sem }()
+	big := []byte(`{"file":"` + strings.Repeat("a", maxBodyBytes+1024) + `"}`)
+	start := time.Now()
+	if _, code := postBody(t, ts, big); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413", code)
+	}
+	if wait := time.Since(start); wait >= s.cfg.QueueTimeout {
+		t.Errorf("oversized body answered after %v, the queue timeout", wait)
+	}
+	if got := s.reg.Counter("server.rejected").Value(); got != 0 || len(s.sem) != 1 {
+		t.Errorf("after the oversized body: server.rejected = %d, %d slots taken; want 0, 1", got, len(s.sem))
+	}
 }
 
 func TestTenantCacheBudget(t *testing.T) {
