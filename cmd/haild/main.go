@@ -7,7 +7,7 @@
 //	haild -fs /tmp/hailfs [-addr :8648] \
 //	      [-max-in-flight 32] [-queue-timeout 2s] \
 //	      [-cache-budget N] \
-//	      [-offer-rate 0.25] [-adaptive-budget N] [-adaptive-evict] [-heat-decay 1h] \
+//	      [-offer-rate 0.25] [-adaptive-budget N] \
 //	      [-persist-every 30s] [-parallelism N] \
 //	      [-tenant name:cacheBytes:adaptiveBytes]...
 //
@@ -24,7 +24,10 @@
 // and the adaptive replicas hot across queries and across tenants: the
 // second identical query is served from the shared cache, and indexes
 // built as a by-product of one tenant's queries speed up everyone's.
-// -tenant caps what each named tenant may admit into that shared state
+// -offer-rate is the fraction of an adaptive query's unindexed blocks
+// converted (0 observes demand and builds nothing), and -adaptive-budget
+// caps the extra replica bytes, kept by evicting the coldest adaptive
+// replicas of other columns. -tenant caps what each named tenant may admit into that shared state
 // (bytes of cache admissions / bytes of triggered adaptive builds; 0
 // means unlimited, and unlisted tenants are unlimited). -max-in-flight
 // plus -queue-timeout bound concurrency: excess queries wait briefly for
@@ -97,10 +100,8 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, shutdown 
 	maxInFlight := fs.Int("max-in-flight", 32, "max concurrently executing queries")
 	queueTimeout := fs.Duration("queue-timeout", 2*time.Second, "how long an over-capacity query may wait for a slot before 429")
 	cacheBudget := fs.Int64("cache-budget", qcache.DefaultBudget, "shared result cache byte budget")
-	offerRate := fs.Float64("offer-rate", 0.25, "adaptive: fraction of unindexed blocks converted per adaptive query")
-	adaptiveBudget := fs.Int64("adaptive-budget", 0, "adaptive: global cap on extra replica bytes (0 = unlimited)")
-	adaptiveEvict := fs.Bool("adaptive-evict", false, "adaptive: evict coldest replicas at the budget instead of denying builds")
-	heatDecay := fs.Duration("heat-decay", 0, "adaptive: wall-clock interval per heat-decay step for eviction ranking (0 = off)")
+	offerRate := fs.Float64("offer-rate", 0.25, "adaptive: fraction of unindexed blocks converted per adaptive query (0 = observe demand only, build nothing)")
+	adaptiveBudget := fs.Int64("adaptive-budget", 0, "adaptive: global cap on extra replica bytes, kept by evicting the coldest adaptive replicas (0 = unlimited)")
 	persistEvery := fs.Duration("persist-every", 30*time.Second, "period of background manifest+registry persistence (0 = only at shutdown)")
 	parallelism := fs.Int("parallelism", 0, "per-query engine task parallelism (0 = GOMAXPROCS)")
 	traceBuffer := fs.Int("trace-buffer", 16, "how many opt-in query traces /trace retains")
@@ -124,8 +125,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, shutdown 
 		CacheBudget:    *cacheBudget,
 		OfferRate:      *offerRate,
 		AdaptiveBudget: *adaptiveBudget,
-		AdaptiveEvict:  *adaptiveEvict,
-		HeatDecay:      *heatDecay,
 		PersistEvery:   *persistEvery,
 		Parallelism:    *parallelism,
 		Tenants:        tenants.limits,

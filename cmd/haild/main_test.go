@@ -140,13 +140,21 @@ func TestUsageErrors(t *testing.T) {
 	if err := run([]string{"-fs", "x", "-tenant", ":1:2"}, &out, &errb, nil, nil); err == nil {
 		t.Fatal("empty tenant name accepted")
 	}
-	// The namenode directory has one layout; the flag that chose its shard
-	// count is an unknown flag, not a silently ignored one.
-	errb.Reset()
-	if err := run([]string{"-fs", "x", "-nn-shards", "8"}, &out, &errb, nil, nil); err != errUsage {
-		t.Fatalf("-nn-shards: err = %v, want the usage error", err)
-	}
-	if !strings.Contains(errb.String(), "flag provided but not defined: -nn-shards") {
-		t.Fatalf("stderr does not name the unknown flag:\n%s", errb.String())
+	// Retired flags are unknown flags, not silently ignored ones: the
+	// namenode directory has one layout (-nn-shards), the adaptive budget
+	// is always kept by eviction (-adaptive-evict), and eviction ranks by
+	// the logical heat clock alone (-heat-decay).
+	for flag, args := range map[string][]string{
+		"-nn-shards":      {"-nn-shards", "8"},
+		"-adaptive-evict": {"-adaptive-evict"},
+		"-heat-decay":     {"-heat-decay", "1h"},
+	} {
+		errb.Reset()
+		if err := run(append([]string{"-fs", "x"}, args...), &out, &errb, nil, nil); err != errUsage {
+			t.Fatalf("%s: err = %v, want the usage error", flag, err)
+		}
+		if !strings.Contains(errb.String(), "flag provided but not defined: "+flag) {
+			t.Fatalf("%s: stderr does not name the unknown flag:\n%s", flag, errb.String())
+		}
 	}
 }

@@ -5,7 +5,7 @@
 //
 //	hailquery -fs /tmp/hailfs -name /logs/uv \
 //	          -q '@HailQuery(filter="@3 between(1999-01-01,2000-01-01)", projection={@1})' \
-//	          [-splitting] [-pack-scans] [-adaptive] [-offer-rate 0.25] [-adaptive-budget N] [-adaptive-evict] \
+//	          [-splitting] [-pack-scans] [-adaptive] [-offer-rate 0.25] [-adaptive-budget N] \
 //	          [-cache] [-cache-budget N] [-stats] [-limit 20]
 //	          [-trace out.json] [-metrics]
 //
@@ -27,13 +27,14 @@
 // block is indexed on the filter attribute, up to -offer-rate of those
 // blocks are sorted and indexed as a by-product of this very query, the
 // new replicas are saved back into the filesystem directory, and repeated
-// invocations converge to all-index-scan execution. -adaptive-budget
-// caps the extra bytes those conversions may store (0 = unlimited), and
-// -adaptive-evict turns the cap into a working set: a conversion that
-// would exceed it drops the coldest previously built adaptive replicas
-// (heat-tracked across invocations of one process; least-recently-used
-// wins) instead of being denied, unregistering them from the namenode so
-// no reader or cache entry ever routes to a dropped replica.
+// invocations converge to all-index-scan execution; -offer-rate 0
+// observes demand and builds nothing. -adaptive-budget caps the extra
+// bytes those conversions may store (0 = unlimited) as a working set: a
+// conversion that would exceed it drops the coldest adaptive replicas of
+// other columns (heat is tracked across invocations in the registry
+// sidecar; least-recently-used goes first), unregistering them from the
+// namenode so no reader or cache entry ever routes to a dropped replica.
+// A conversion is denied only when nothing can be dropped.
 // Only newly built replicas are persisted — saves are incremental, and
 // evictions rewrite the manifest so dropped replicas stay dropped.
 //
@@ -86,8 +87,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	packScans := fs.Bool("pack-scans", false, "pack no-index scan blocks (and, with -cache, fully-cached blocks) into per-node splits")
 	adaptiveMode := fs.Bool("adaptive", false, "build missing indexes as a by-product of this query")
 	offerRate := fs.Float64("offer-rate", 0.25, "adaptive: fraction of unindexed blocks converted per query (0 = observe demand only, build nothing)")
-	adaptiveBudget := fs.Int64("adaptive-budget", 0, "adaptive: cap on extra replica bytes adaptive builds may store (0 = unlimited)")
-	adaptiveEvict := fs.Bool("adaptive-evict", false, "adaptive: evict the coldest adaptive replicas when a build would exceed -adaptive-budget, instead of denying it")
+	adaptiveBudget := fs.Int64("adaptive-budget", 0, "adaptive: cap on extra replica bytes adaptive builds may store, kept by evicting the coldest adaptive replicas of other columns (0 = unlimited)")
 	cacheMode := fs.Bool("cache", false, "enable the block-level result cache for this job")
 	cacheBudget := fs.Int64("cache-budget", qcache.DefaultBudget, "cache: byte budget for cached block results")
 	stats := fs.Bool("stats", false, "print access-path statistics")
@@ -107,7 +107,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("%w: missing required -fs or -q", errUsage)
 	}
 	if !*adaptiveMode {
-		if stray := cliutil.Stray(fs, "offer-rate", "adaptive-budget", "adaptive-evict"); len(stray) > 0 {
+		if stray := cliutil.Stray(fs, "offer-rate", "adaptive-budget"); len(stray) > 0 {
 			return fmt.Errorf("%w: %s only applies with -adaptive", errUsage, strings.Join(stray, ", "))
 		}
 	}
@@ -134,9 +134,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	engine := &mapred.Engine{Cluster: cluster}
 	var idx *adaptive.Indexer
 	if *adaptiveMode {
-		idx = adaptive.New(cluster, adaptive.RateFromFlag(*offerRate))
-		idx.SetBudgetBytes(*adaptiveBudget)
-		idx.SetEvict(*adaptiveEvict)
+		idx = adaptive.New(cluster, *offerRate, *adaptiveBudget)
 		// Re-adopt the replicas earlier invocations built: the lifecycle
 		// registry (budget charges, heat) is persisted as a sidecar next
 		// to the manifest, so the budget accumulates across queries and

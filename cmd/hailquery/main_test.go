@@ -297,11 +297,13 @@ func TestQueryCacheFlagValidation(t *testing.T) {
 		t.Error("accepted -adaptive-budget without -adaptive")
 	}
 	// Retired flags are unknown flags, rejected rather than silently
-	// ignored: there is one scan path (-row-path) and one namenode
-	// directory layout (-nn-shards).
+	// ignored: there is one scan path (-row-path), one namenode directory
+	// layout (-nn-shards), and a budget is always kept by eviction
+	// (-adaptive-evict).
 	for flag, args := range map[string][]string{
-		"-row-path":  {"-row-path"},
-		"-nn-shards": {"-nn-shards", "8"},
+		"-row-path":       {"-row-path"},
+		"-nn-shards":      {"-nn-shards", "8"},
+		"-adaptive-evict": {"-adaptive", "-adaptive-evict"},
 	} {
 		errb.Reset()
 		if err := run(append(base, args...), &out, &errb); err != errUsage {
@@ -348,9 +350,9 @@ func makeFSAllSorted(t *testing.T, n int) string {
 // TestQueryAdaptiveEvictAcrossInvocations drives the full CLI lifecycle:
 // converge on @3, which persists the adaptive replicas AND the registry
 // sidecar (budget charges, heat); then shift the workload to @2 under a
-// one-column budget with -adaptive-evict. The new invocation adopts the
-// registry, evicts the cold @3 replicas to fund @2 builds, and converges
-// — across separate processes' worth of state.
+// one-column -adaptive-budget. The new invocation adopts the registry,
+// evicts the cold @3 replicas to fund @2 builds, and converges — across
+// separate processes' worth of state.
 func TestQueryAdaptiveEvictAcrossInvocations(t *testing.T) {
 	dir := makeFSAllSorted(t, 700)
 	argsC := []string{
@@ -376,30 +378,24 @@ func TestQueryAdaptiveEvictAcrossInvocations(t *testing.T) {
 		used += r.Bytes
 	}
 
-	// Shift to @2 with a budget that fits one column only: without
-	// eviction this would deny every build (registry adoption seeds the
-	// spent budget); with it the @3 replicas are retired.
+	// Shift to @2 with a budget that fits one column only: registry
+	// adoption seeds the spent budget, so the @2 builds must retire the
+	// @3 replicas.
 	budget := fmt.Sprint(used + 16)
 	argsB := []string{
 		"-fs", dir, "-name", "/t",
 		"-q", `@HailQuery(filter="@2 between(word-1,word-2)", projection={@1})`,
 		"-adaptive", "-offer-rate", "1", "-adaptive-budget", budget, "-stats", "-limit", "1",
 	}
-	var denied bytes.Buffer
-	if err := run(argsB, &denied, &denied); err != nil {
-		t.Fatalf("shift without -adaptive-evict: %v\n%s", err, denied.String())
-	}
-	if !strings.Contains(denied.String(), "builds denied") {
-		t.Errorf("budget-bound shift without eviction should deny builds:\n%s", denied.String())
-	}
-
-	argsEvict := append(append([]string(nil), argsB...), "-adaptive-evict")
 	var shift bytes.Buffer
-	if err := run(argsEvict, &shift, &shift); err != nil {
-		t.Fatalf("shift with -adaptive-evict: %v\n%s", err, shift.String())
+	if err := run(argsB, &shift, &shift); err != nil {
+		t.Fatalf("shift under the budget: %v\n%s", err, shift.String())
 	}
 	if !strings.Contains(shift.String(), "evicted") {
-		t.Errorf("eviction-funded shift printed no eviction line:\n%s", shift.String())
+		t.Errorf("budget-bound shift printed no eviction line:\n%s", shift.String())
+	}
+	if strings.Contains(shift.String(), "builds denied") {
+		t.Errorf("budget-bound shift denied builds it could fund by eviction:\n%s", shift.String())
 	}
 
 	// Converge on @2; with offer rate 1 one more invocation suffices.
@@ -407,7 +403,7 @@ func TestQueryAdaptiveEvictAcrossInvocations(t *testing.T) {
 	var last string
 	for i := 0; i < 6 && !converged; i++ {
 		var out bytes.Buffer
-		if err := run(argsEvict, &out, &out); err != nil {
+		if err := run(argsB, &out, &out); err != nil {
 			t.Fatalf("shift query %d: %v\n%s", i+2, err, out.String())
 		}
 		last = out.String()

@@ -9,11 +9,11 @@
 // by-product of normal job execution:
 //
 //  1. The HailInputFormat reports, per job, which blocks have no replica
-//     indexed on the query's filter column (ObserveJob). Each miss is
-//     recorded in a per-file index-demand Ledger. The same report is the
-//     heat signal: every index-scan split an adaptive replica serves
-//     stamps that replica's (file, column, block) entry, so the lifecycle
-//     manager knows which replicas the current workload still uses.
+//     indexed on the query's filter column (ObserveJob). The misses are
+//     counted per (file, column). The same report is the heat signal:
+//     every index-scan split an adaptive replica serves stamps that
+//     replica's (file, column, block) entry, so the lifecycle manager
+//     knows which replicas the current workload still uses.
 //  2. A bounded fraction of the missing blocks — the offer rate — is
 //     marked for conversion in this job. After a map task finishes
 //     scanning such a block, the engine's PostTask hook (still holding
@@ -25,22 +25,22 @@
 //
 // The offer rate bounds the first job's penalty: with rate r, job 1 pays
 // roughly r times the cost of indexing the whole job, and after ~1/r
-// identical jobs every block is index-scanned.
+// identical jobs every block is index-scanned. A rate ≤ 0 observes demand
+// and builds nothing.
 //
 // Offers are kept per (file, column): concurrent jobs filtering on
 // different attributes share one Indexer without clobbering each other's
-// in-flight offers or plan counters, and a shifting workload accumulates
-// demand for several columns at once (Ledger.Demands ranks them).
+// in-flight offers or plan counters.
 //
-// With eviction enabled (SetEvict), the extra-storage budget becomes a
-// working set instead of a one-way ratchet: when a build would exceed
-// BudgetBytes, the coldest adaptive replicas — dead-node orphans first,
-// then least-recently-touched — are dropped via Cluster.DropReplica to
-// reclaim budget, so the workload's *current* hot column converges while
-// replicas built for a column the workload abandoned are retired. Every
-// drop bumps the block's replica generation and fires the namenode's
-// change hook, so cached results pinned at the dropped replica are purged
-// and split pinning never routes to a ghost replica.
+// A budget makes the extra storage a working set instead of a one-way
+// ratchet: when a build would exceed it, the coldest adaptive replicas of
+// other streams — dead-node orphans first, then least-recently-touched —
+// are dropped via Cluster.DropReplica to reclaim budget, so the workload's
+// *current* hot column converges while replicas built for a column the
+// workload abandoned are retired. A build is denied only when nothing can
+// be retired. Every drop bumps the block's replica generation and fires
+// the namenode's change hook, so cached results pinned at the dropped
+// replica are purged and split pinning never routes to a ghost replica.
 package adaptive
 
 import (
@@ -56,24 +56,6 @@ import (
 	"repro/internal/mapred"
 	"repro/internal/obs"
 )
-
-// DefaultOfferRate is the fraction of a job's unindexed blocks offered
-// for conversion when the offer rate is unset.
-const DefaultOfferRate = 0.25
-
-// Disabled is an OfferRate that records index demand in the ledger but
-// never converts a block.
-const Disabled = -1.0
-
-// RateFromFlag maps a CLI -offer-rate value to an OfferRate: flags use 0
-// to mean "observe only, build nothing", while OfferRate's zero value
-// means DefaultOfferRate.
-func RateFromFlag(v float64) float64 {
-	if v == 0 {
-		return Disabled
-	}
-	return v
-}
 
 // EvictedReplica records one adaptive replica the lifecycle manager
 // dropped to reclaim budget.
@@ -106,8 +88,8 @@ type JobPlan struct {
 	// races lost to a concurrent build or recovery land here too.
 	Skipped int
 	// BudgetDenied counts blocks whose conversion was refused because the
-	// indexer's extra-storage budget (BudgetBytes) is exhausted and (with
-	// eviction enabled) no adaptive replica was cold enough to retire.
+	// indexer's extra-storage budget (BudgetBytes) is exhausted and no
+	// adaptive replica could be retired to make room.
 	BudgetDenied int
 	Failed       int
 	// Eviction churn: adaptive replicas dropped to make room for this
@@ -156,12 +138,9 @@ type replicaRecord struct {
 	added   bool  // stored as an additional replica (evictable)
 	// Heat: the logical clock (one tick per ObserveJob) of the last job
 	// whose split phase index-scanned this replica, and how often that
-	// happened. Builds count as a touch. touchedAt is the wall-clock side
-	// of the same stamp, persisted so a long-idle process can decay heat
-	// on restart (heatDecay).
+	// happened. Builds count as a touch.
 	lastTouch uint64
 	touches   int
-	touchedAt time.Time
 }
 
 // repID keys the replica registry: one adaptive replica per (block,
@@ -191,39 +170,33 @@ type ReplicaHeat struct {
 	Added     bool
 	Touches   int
 	LastTouch uint64
-	// TouchedAt is the wall-clock time of the last touch. The logical
-	// clock orders replicas within a process lifetime; the wall-clock
-	// stamp is what lets decay see through restarts and idle stretches
-	// (omitted from old registries, in which case no decay applies).
-	TouchedAt time.Time `json:",omitempty"`
 }
 
 // Indexer piggybacks lazy index creation on MapReduce job execution and
 // manages the lifecycle of the replicas it creates. Wire it into a job by
 // setting core.InputFormat.Adaptive = idx and mapred.Engine.PostTask =
-// idx.AfterTask. All configuration (offer rate, budget, eviction) is read
-// under the indexer's lock, so it may be adjusted between jobs while
-// other goroutines still run AfterTask callbacks.
+// idx.AfterTask. Its policy — offer rate and budget — is fixed by New.
 type Indexer struct {
 	Cluster *hdfs.Cluster
-
-	mu sync.Mutex
 	// rate is the fraction of a job's unindexed blocks converted during
 	// that job, in (0, 1]; at least one block is offered whenever any
-	// block misses. 0 defaults to DefaultOfferRate; negative disables
-	// conversion (the ledger still records demand).
+	// block misses. A rate ≤ 0 converts nothing (misses are still
+	// counted).
 	rate float64
 	// budget caps the extra storage adaptive conversions may consume,
 	// summed across all jobs: a replica added on a free node counts its
 	// full stored size, an in-place replacement only its growth (the
-	// index). 0 means unbounded. Once the cap is reached the offer loop
-	// refuses further builds (JobPlan.BudgetDenied) — or, with evict set,
-	// drops the coldest adaptive replicas to make room; the last build
-	// before the cap may overshoot it by at most one replica.
+	// index). 0 means unbounded. A build that would cross the cap first
+	// drops the coldest evictable replicas of other streams; it is denied
+	// (JobPlan.BudgetDenied) only when they cannot make room. The last
+	// build before the cap may overshoot it by at most one replica.
 	budget int64
-	evict  bool
 
-	ledger *Ledger
+	mu sync.Mutex
+	// misses counts, per (file, column), the (job, block) full scans a
+	// missing index caused: the demand signal victim ranking breaks ties
+	// on.
+	misses map[planKey]int
 	clock  uint64 // logical job clock: one tick per ObserveJob
 	// pending maps each offered block to the (file, column) plans that
 	// offered it; AfterTask consumes entries as the blocks' tasks finish.
@@ -238,15 +211,6 @@ type Indexer struct {
 	dropping map[dropKey]bool
 	extra    int64 // extra storage consumed so far, against budget
 
-	// heatDecay is the wall-clock interval after which one logical-clock
-	// tick of replica heat evaporates: at eviction time and when adopting
-	// a persisted registry, a replica's effective lastTouch is its stamp
-	// minus one tick per full interval since its wall-clock touch. 0 (the
-	// default) disables decay — ranking is purely logical-clock LRU. now
-	// is the clock source, replaceable for tests (SetClockFunc).
-	heatDecay time.Duration
-	now       func() time.Time
-
 	// om/tr are the observability hooks (BindObs / SetTrace): registry
 	// handles for activity counters and the build-latency histogram, and
 	// the per-query trace receiving offer/build/evict/deny events. Both
@@ -255,13 +219,15 @@ type Indexer struct {
 	tr *obs.Trace
 }
 
-// New returns an Indexer for the cluster. offerRate 0 selects
-// DefaultOfferRate.
-func New(cluster *hdfs.Cluster, offerRate float64) *Indexer {
+// New returns an Indexer for the cluster that offers offerRate of each
+// job's unindexed blocks for conversion (≤ 0: none, demand is only
+// observed) and keeps the extra storage within budgetBytes (0: unbounded).
+func New(cluster *hdfs.Cluster, offerRate float64, budgetBytes int64) *Indexer {
 	return &Indexer{
 		Cluster:  cluster,
 		rate:     offerRate,
-		ledger:   NewLedger(),
+		budget:   budgetBytes,
+		misses:   make(map[planKey]int),
 		pending:  make(map[hdfs.BlockID]map[planKey]*JobPlan),
 		plans:    make(map[planKey]*JobPlan),
 		replicas: make(map[repID]*replicaRecord),
@@ -269,128 +235,11 @@ func New(cluster *hdfs.Cluster, offerRate float64) *Indexer {
 	}
 }
 
-// SetOfferRate changes the offer rate (0 selects DefaultOfferRate,
-// negative disables conversion). Safe to call while jobs run.
-func (i *Indexer) SetOfferRate(r float64) {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	i.rate = r
-}
+// BudgetBytes returns the extra-storage cap New was given.
+func (i *Indexer) BudgetBytes() int64 { return i.budget }
 
-// SetBudgetBytes sets the extra-storage cap (0 = unbounded).
-func (i *Indexer) SetBudgetBytes(n int64) {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	i.budget = n
-}
-
-// BudgetBytes returns the configured extra-storage cap.
-func (i *Indexer) BudgetBytes() int64 {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.budget
-}
-
-// SetEvict enables or disables the eviction policy: with it on, a build
-// that would exceed the budget drops the coldest adaptive replicas to
-// reclaim space instead of being denied.
-func (i *Indexer) SetEvict(on bool) {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	i.evict = on
-}
-
-// SetHeatDecay configures wall-clock heat decay: every full interval d
-// since a replica's last wall-clock touch subtracts one logical-clock
-// tick from its effective heat when ranking eviction victims and when
-// adopting a persisted registry. 0 disables decay. Safe to call while
-// jobs run.
-func (i *Indexer) SetHeatDecay(d time.Duration) {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	i.heatDecay = d
-}
-
-// HeatDecay returns the configured decay interval (0 = disabled).
-func (i *Indexer) HeatDecay() time.Duration {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.heatDecay
-}
-
-// SetClockFunc replaces the wall-clock source used for heat stamps and
-// decay. For tests; nil restores time.Now.
-func (i *Indexer) SetClockFunc(fn func() time.Time) {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	i.now = fn
-}
-
-// nowLocked returns the current wall-clock time from the configured
-// source. Caller holds i.mu.
-func (i *Indexer) nowLocked() time.Time {
-	if i.now != nil {
-		return i.now()
-	}
-	return time.Now() //lint:allow wallclock this IS the injectable clock's default source
-}
-
-// decayedTouchLocked returns a replica's effective logical last-touch
-// after wall-clock decay: one tick lost per full heatDecay interval since
-// touchedAt, floored at zero. With decay off, a zero stamp (old
-// registries), or a clock that went backwards, the logical stamp stands.
-// Caller holds i.mu.
-func (i *Indexer) decayedTouchLocked(last uint64, touchedAt time.Time) uint64 {
-	if i.heatDecay <= 0 || touchedAt.IsZero() {
-		return last
-	}
-	age := i.nowLocked().Sub(touchedAt)
-	if age <= 0 {
-		return last
-	}
-	steps := uint64(age / i.heatDecay)
-	if steps >= last {
-		return 0
-	}
-	return last - steps
-}
-
-// EvictEnabled reports whether the eviction policy is on.
-func (i *Indexer) EvictEnabled() bool {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.evict
-}
-
-// Ledger returns the indexer's index-demand ledger.
-func (i *Indexer) Ledger() *Ledger {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	if i.ledger == nil {
-		i.ledger = NewLedger()
-	}
-	return i.ledger
-}
-
-// offerRateLocked resolves the 0-means-default sentinel. Caller holds
-// i.mu.
-func (i *Indexer) offerRateLocked() float64 {
-	if i.rate == 0 {
-		return DefaultOfferRate
-	}
-	return i.rate
-}
-
-// EffectiveOfferRate resolves the 0-means-default sentinel: the rate the
-// indexer actually plans with (negative means conversion is disabled).
-func (i *Indexer) EffectiveOfferRate() float64 {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.offerRateLocked()
-}
-
-// ObserveJob implements core.AdaptiveObserver: it records every missing
-// (block, column) in the ledger, stamps the heat of the adaptive replicas
+// ObserveJob implements core.AdaptiveObserver: it counts the job's missing
+// blocks against (file, column), stamps the heat of the adaptive replicas
 // serving this job's index scans, and selects the offer-rate-bounded
 // subset of missing blocks to convert during this job. Offers pending for
 // the *same* (file, column) from a previous job are dropped — demand for
@@ -399,39 +248,29 @@ func (i *Indexer) EffectiveOfferRate() float64 {
 func (i *Indexer) ObserveJob(file string, column int, indexed, missing []hdfs.BlockID) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	if i.ledger == nil {
-		i.ledger = NewLedger()
-	}
 	i.clock++
-	for _, b := range missing {
-		i.ledger.RecordMiss(file, b, column)
-	}
+	key := planKey{file, column}
+	i.misses[key] += len(missing)
 	// Heat: an index-scan split over an adaptive replica is a touch.
-	touchNow := i.nowLocked()
 	for _, b := range indexed {
 		if r, ok := i.replicas[repID{b, column}]; ok && r.file == file {
 			r.lastTouch = i.clock
 			r.touches++
-			r.touchedAt = touchNow
 		}
 	}
 
-	key := planKey{file, column}
 	offer := 0
-	if rate := i.offerRateLocked(); rate > 0 && len(missing) > 0 {
-		offer = int(math.Ceil(rate * float64(len(missing))))
+	if i.rate > 0 && len(missing) > 0 {
+		offer = int(math.Ceil(i.rate * float64(len(missing))))
 		if offer > len(missing) {
 			offer = len(missing)
 		}
 	}
 	denied := 0
-	if offer > 0 && i.budget > 0 && i.extra >= i.budget &&
-		!(i.evict && i.extra-i.evictableBytesLocked(key) < i.budget) {
-		// Extra-storage budget exhausted and eviction — off, or unable to
-		// reclaim enough even by retiring every candidate — cannot make
-		// room: keep recording demand, build nothing more. With eviction
-		// enabled and sufficient evictable bytes the offers stand — the
-		// build step reclaims budget replica by replica.
+	if offer > 0 && i.budgetSpentLocked(key) {
+		// Keep counting demand, build nothing more. With enough evictable
+		// bytes the offers stand — the build step reclaims budget replica
+		// by replica.
 		denied = offer
 		offer = 0
 	}
@@ -562,7 +401,7 @@ func (i *Indexer) Replicas() []ReplicaHeat {
 		out = append(out, ReplicaHeat{
 			File: r.file, Column: r.col, Block: r.block, Node: r.node,
 			Bytes: r.charged, Added: r.added,
-			Touches: r.touches, LastTouch: r.lastTouch, TouchedAt: r.touchedAt,
+			Touches: r.touches, LastTouch: r.lastTouch,
 		})
 	}
 	sort.Slice(out, func(a, b int) bool {
@@ -623,7 +462,7 @@ func (i *Indexer) StreamErr(file string, col int) error {
 //     are always evictable and are retired first — they serve nobody.
 //
 // Among equally dead-or-alive candidates the order is least recently
-// touched first, then lower ledger demand (Misses for the victim's
+// touched first, then fewer misses counted for the victim's (file,
 // column), then block/column for determinism. If the evictable total
 // cannot cover `need`, nothing is evicted — retiring replicas without
 // unblocking the build would be pure churn. The selected records are
@@ -634,10 +473,6 @@ func (i *Indexer) selectVictimsLocked(requester planKey, need int64) []*replicaR
 		r      *replicaRecord
 		dead   bool
 		misses int
-		// touch is the decay-adjusted lastTouch the ranking uses: with
-		// heat decay configured, a replica untouched for many wall-clock
-		// intervals ranks colder than its logical stamp says.
-		touch uint64
 	}
 	aliveSurvivors := func(r *replicaRecord) int {
 		n := 0
@@ -663,18 +498,14 @@ func (i *Indexer) selectVictimsLocked(requester planKey, need int64) []*replicaR
 		if dn, err := i.Cluster.DataNode(r.node); err == nil && dn.Alive() {
 			dead = false
 		}
-		misses := 0
-		if d, ok := i.ledger.Demand(r.file, r.col); ok {
-			misses = d.Misses
-		}
-		cands = append(cands, cand{r, dead, misses, i.decayedTouchLocked(r.lastTouch, r.touchedAt)})
+		cands = append(cands, cand{r, dead, i.misses[planKey{r.file, r.col}]})
 	}
 	sort.Slice(cands, func(a, b int) bool {
 		if cands[a].dead != cands[b].dead {
 			return cands[a].dead // orphans on dead nodes go first
 		}
-		if cands[a].touch != cands[b].touch {
-			return cands[a].touch < cands[b].touch
+		if cands[a].r.lastTouch != cands[b].r.lastTouch {
+			return cands[a].r.lastTouch < cands[b].r.lastTouch
 		}
 		if cands[a].misses != cands[b].misses {
 			return cands[a].misses < cands[b].misses
@@ -716,23 +547,25 @@ func (i *Indexer) selectVictimsLocked(requester planKey, need int64) []*replicaR
 	return victims
 }
 
-// evictableBytesLocked sums the budget charges eviction could possibly
-// reclaim for requester — the cheap screen the offer and build paths use
-// to keep the pre-eviction early-deny behaviour when eviction is on but
-// can never succeed: a stream is hopeless when even retiring every
-// candidate leaves the budget full (extra − evictable ≥ budget), e.g.
-// because every conversion was in-place or the charges are too small. It
-// deliberately ignores heat and liveness — a false positive costs at
-// most one job's wasted builds, a false negative would freeze the
+// budgetSpentLocked reports whether requester's builds are hopeless: the
+// budget is exhausted and even retiring every replica eviction could
+// possibly reclaim for it would leave it full (extra − evictable ≥
+// budget), e.g. because every conversion was in-place or the charges are
+// too small. It is the cheap screen the offer and build paths run before
+// any work, and deliberately ignores heat and liveness — a false negative
+// costs at most one job's wasted builds, a false positive would freeze the
 // stream; the strict filters run at reservation time.
-func (i *Indexer) evictableBytesLocked(requester planKey) int64 {
-	var n int64
+func (i *Indexer) budgetSpentLocked(requester planKey) bool {
+	if i.budget <= 0 || i.extra < i.budget {
+		return false
+	}
+	evictable := int64(0)
 	for _, r := range i.replicas {
 		if r.added && (planKey{r.file, r.col}) != requester {
-			n += r.charged
+			evictable += r.charged
 		}
 	}
-	return n
+	return i.extra-evictable >= i.budget
 }
 
 // dropVictims retires the selected replicas from the cluster. Runs
@@ -770,8 +603,8 @@ func (i *Indexer) dropVictims(plan *JobPlan, victims []*replicaRecord) {
 	}
 }
 
-// buildOne converts one block for one (file, column) stream: read any
-// replica, re-sort on col, build the sparse clustered index, and store
+// buildOne converts one block for one (file, column) stream: rebuild any
+// replica re-sorted on col, build the sparse clustered index, and store
 // the result — in place of an unsorted replica when one exists (no extra
 // storage beyond the index), as an additional replica on a free node
 // otherwise.
@@ -797,15 +630,13 @@ func (i *Indexer) buildOne(key planKey, plan *JobPlan, b hdfs.BlockID, near hdfs
 	}
 
 	// Builds earlier in this very job may have exhausted the budget since
-	// the offer was made; re-check before paying for anything. With
-	// eviction on, the exact decision needs the replica's size (it
-	// happens at reservation time below), but when even retiring every
-	// evictable replica could not bring the budget under the cap the
-	// build is already hopeless — skip it before the read+sort+index
-	// work, like the pre-eviction path always did.
+	// the offer was made; re-check before paying for anything. The exact
+	// decision needs the replica's size (it happens at reservation time
+	// below), but when even retiring every evictable replica could not
+	// bring the budget under the cap the build is already hopeless — skip
+	// it before the read+sort+index work.
 	i.mu.Lock()
-	over := i.budget > 0 && i.extra >= i.budget &&
-		!(i.evict && i.extra-i.evictableBytesLocked(key) < i.budget)
+	over := i.budgetSpentLocked(key)
 	if over {
 		plan.BudgetDenied++
 	}
@@ -832,20 +663,11 @@ func (i *Indexer) buildOne(key planKey, plan *JobPlan, b hdfs.BlockID, near hdfs
 		}
 	}
 
-	// The map task just scanned this block, so in a real deployment these
-	// bytes are hot in the task's page cache; re-reading from the serving
-	// node models that (the cost model charges no extra read).
-	data, _, err := i.Cluster.ReadBlockAny(b, near)
-	if err != nil {
-		fail(err)
-		return
+	framed, info, err := i.rebuild(b, near, col)
+	var sorted []byte // the PAX section, for the cost model
+	if err == nil {
+		sorted, _, err = core.ParseFrame(framed)
 	}
-	paxData, _, err := core.ParseFrame(data)
-	if err != nil {
-		fail(err)
-		return
-	}
-	framed, info, err := core.BuildIndexedReplica(paxData, col)
 	if err != nil {
 		fail(err)
 		return
@@ -871,12 +693,12 @@ func (i *Indexer) buildOne(key planKey, plan *JobPlan, b hdfs.BlockID, near hdfs
 	// window would let every in-flight build pass while extra is still
 	// under the cap. Reserving caps the overshoot at one replica per
 	// budget crossing; the reservation is released if the store fails.
-	// With eviction enabled, a build that would cross the cap first
-	// retires the coldest adaptive replicas (selected under the same
-	// lock, dropped from the cluster after it is released).
+	// A build that would cross the cap first retires the coldest adaptive
+	// replicas (selected under the same lock, dropped from the cluster
+	// after it is released).
 	var victims []*replicaRecord
 	i.mu.Lock()
-	if i.budget > 0 && i.evict && i.extra+extraDelta > i.budget {
+	if i.budget > 0 && i.extra+extraDelta > i.budget {
 		victims = i.selectVictimsLocked(key, i.extra+extraDelta-i.budget)
 	}
 	if i.budget > 0 && i.extra >= i.budget {
@@ -945,7 +767,7 @@ func (i *Indexer) buildOne(key planKey, plan *JobPlan, b hdfs.BlockID, near hdfs
 	}
 	// Sorting rewrites the whole PAX payload; the sorted marshal is the
 	// same size as the input block.
-	plan.SortedBytes += int64(len(paxData))
+	plan.SortedBytes += int64(len(sorted))
 	plan.IndexBytes += int64(info.IndexSize)
 	plan.StoredBytes += int64(len(framed))
 	// Lifecycle registry: the new replica starts hot (a build is a
@@ -962,9 +784,8 @@ func (i *Indexer) buildOne(key planKey, plan *JobPlan, b hdfs.BlockID, near hdfs
 	i.replicas[id] = &replicaRecord{
 		file: file, col: col, block: b, node: target,
 		charged: extraDelta, added: !replace,
-		lastTouch: i.clock, touches: 1, touchedAt: i.nowLocked(),
+		lastTouch: i.clock, touches: 1,
 	}
-	i.ledger.RecordBuilt(file, b, col)
 	i.mu.Unlock()
 	if orphan != nil && orphan.node != target {
 		if err := i.Cluster.DropReplica(orphan.block, orphan.node); err != nil {
@@ -973,6 +794,33 @@ func (i *Indexer) buildOne(key planKey, plan *JobPlan, b hdfs.BlockID, near hdfs
 			i.mu.Unlock()
 		}
 	}
+}
+
+// rebuild builds block b's replica sorted and indexed on col from the
+// first holder, in ReplicaOrder from near, that is alive and reads back
+// verified: ReadBlockAny's failover, over views instead of copies. The map
+// task just scanned this block, so in a real deployment these bytes are
+// hot in the task's page cache; re-reading from the serving node models
+// that (the cost model charges no extra read).
+func (i *Indexer) rebuild(b hdfs.BlockID, near hdfs.NodeID, col int) ([]byte, hdfs.ReplicaInfo, error) {
+	hosts := i.Cluster.ReplicaOrder(b, near)
+	if len(hosts) == 0 {
+		return nil, hdfs.ReplicaInfo{}, fmt.Errorf("hdfs: block %d has no replicas", b)
+	}
+	var lastErr error
+	for _, h := range hosts {
+		v, err := i.Cluster.OpenBlockFrom(h, b)
+		if err != nil {
+			lastErr = err
+			continue
+		}
+		framed, info, err := core.RebuildReplica(v, col)
+		if !errors.Is(err, hdfs.ErrCorruptChunk) {
+			return framed, info, err
+		}
+		lastErr = err
+	}
+	return nil, hdfs.ReplicaInfo{}, fmt.Errorf("hdfs: all replicas of block %d unreadable: %v", b, lastErr)
 }
 
 // findUnsortedReplica returns an alive node holding an unsorted, unindexed

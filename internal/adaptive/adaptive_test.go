@@ -101,34 +101,35 @@ func runJob(t *testing.T, cluster *hdfs.Cluster, file string, idx *Indexer) *map
 	return runQueryJob(t, cluster, file, idx, cQuery())
 }
 
-func TestLedgerDemand(t *testing.T) {
-	l := NewLedger()
-	l.RecordMiss("/f", 1, 2)
-	l.RecordMiss("/f", 1, 2)
-	l.RecordMiss("/f", 2, 2)
-	l.RecordMiss("/f", 1, 5)
-	l.RecordBuilt("/f", 1, 2)
-	l.RecordBuilt("/f", 1, 2) // idempotent
+// missesOf reads the demand counted against one (file, column) stream.
+func missesOf(idx *Indexer, file string, col int) int {
+	idx.mu.Lock()
+	defer idx.mu.Unlock()
+	return idx.misses[planKey{file, col}]
+}
 
-	d, ok := l.Demand("/f", 2)
-	if !ok {
-		t.Fatal("no demand recorded for column 2")
-	}
-	if d.Misses != 3 || d.Blocks != 2 || d.Built != 1 {
-		t.Errorf("demand = %+v, want Misses=3 Blocks=2 Built=1", d)
-	}
-	ds := l.Demands("/f")
-	if len(ds) != 2 || ds[0].Column != 2 || ds[1].Column != 5 {
-		t.Errorf("Demands order = %+v, want column 2 (hotter) first", ds)
-	}
-	if _, ok := l.Demand("/other", 2); ok {
-		t.Error("unexpected demand for unrelated file")
+// TestLedgerDemand: every (job, block) full scan a missing index caused is
+// counted against its (file, column) stream, per stream and per job.
+func TestLedgerDemand(t *testing.T) {
+	cluster, file := upload(t, 6, 2000, []int{0, 1})
+	blocks, _ := cluster.NameNode().FileBlocks(file)
+	idx := New(cluster, 0, 0)
+	idx.ObserveJob(file, 2, nil, blocks)
+	idx.ObserveJob(file, 2, nil, blocks[:1])
+	idx.ObserveJob(file, 3, blocks[1:], blocks[:1])
+	for _, c := range []struct {
+		file      string
+		col, want int
+	}{{file, 2, len(blocks) + 1}, {file, 3, 1}, {file, 1, 0}, {"/other", 2, 0}} {
+		if got := missesOf(idx, c.file, c.col); got != c.want {
+			t.Errorf("misses for (%s, %d) = %d, want %d", c.file, c.col, got, c.want)
+		}
 	}
 }
 
 func TestFirstJobOffersBoundedFraction(t *testing.T) {
 	cluster, file := upload(t, 6, 2000, []int{0, 1})
-	idx := New(cluster, 0.5)
+	idx := New(cluster, 0.5, 0)
 	res := runJob(t, cluster, file, idx)
 
 	plan := idx.LastJob()
@@ -162,10 +163,9 @@ func TestFirstJobOffersBoundedFraction(t *testing.T) {
 		t.Errorf("%d blocks registered with an index on column 2, want %d", indexed, want)
 	}
 
-	// Demand was recorded for every block.
-	d, ok := idx.Ledger().Demand(file, 2)
-	if !ok || d.Blocks != nBlocks || d.Built != want {
-		t.Errorf("ledger demand = %+v, want Blocks=%d Built=%d", d, nBlocks, want)
+	// Demand was counted for every block.
+	if got := missesOf(idx, file, 2); got != nBlocks {
+		t.Errorf("misses = %d, want %d", got, nBlocks)
 	}
 }
 
@@ -177,7 +177,7 @@ func TestAdaptiveReplacesUnsortedReplica(t *testing.T) {
 		before[b] = cluster.NameNode().ReplicaCount(b)
 	}
 
-	idx := New(cluster, 1.0)
+	idx := New(cluster, 1.0, 0)
 	runJob(t, cluster, file, idx)
 	plan := idx.LastJob()
 	if plan.Built != len(blocks) || plan.ReplicasReplaced != len(blocks) || plan.ReplicasAdded != 0 {
@@ -197,7 +197,7 @@ func TestAdaptiveAddsReplicaWhenAllSorted(t *testing.T) {
 	cluster, file := upload(t, 6, 2000, []int{0, 1}) // both replicas sorted+indexed
 	blocks, _ := cluster.NameNode().FileBlocks(file)
 
-	idx := New(cluster, 1.0)
+	idx := New(cluster, 1.0, 0)
 	runJob(t, cluster, file, idx)
 	plan := idx.LastJob()
 	if plan.Built != len(blocks) || plan.ReplicasAdded != len(blocks) || plan.ReplicasReplaced != 0 {
@@ -216,7 +216,7 @@ func TestAdaptiveAddsReplicaWhenAllSorted(t *testing.T) {
 func TestConvergenceAndEquivalence(t *testing.T) {
 	cluster, file := upload(t, 8, 3000, []int{0, 1, -1})
 	blocks, _ := cluster.NameNode().FileBlocks(file)
-	idx := New(cluster, 0.34)
+	idx := New(cluster, 0.34, 0)
 
 	var baseline []string
 	lastFrac := -1.0
@@ -269,7 +269,7 @@ func TestConvergenceAndEquivalence(t *testing.T) {
 // entries must not count as coverage.
 func TestAdaptiveRebuildsAfterNodeLoss(t *testing.T) {
 	cluster, file := upload(t, 6, 2000, []int{0, 1})
-	idx := New(cluster, 1.0)
+	idx := New(cluster, 1.0, 0)
 	runJob(t, cluster, file, idx)
 	blocks, _ := cluster.NameNode().FileBlocks(file)
 
@@ -309,7 +309,7 @@ func TestAdaptiveSkipsWhenClusterFull(t *testing.T) {
 	cluster, file := upload(t, 2, 2000, []int{0, 1}) // replication 2 on 2 nodes
 	blocks, _ := cluster.NameNode().FileBlocks(file)
 
-	idx := New(cluster, 1.0)
+	idx := New(cluster, 1.0, 0)
 	res := runJob(t, cluster, file, idx) // runJob fails the test if LastErr is set
 	plan := idx.LastJob()
 	if plan.Built != 0 || plan.Failed != 0 || plan.Skipped != len(blocks) {
@@ -320,18 +320,20 @@ func TestAdaptiveSkipsWhenClusterFull(t *testing.T) {
 	}
 }
 
-// TestObserveOnlyWhenDisabled: a negative offer rate records demand but
-// never builds.
+// TestObserveOnlyWhenDisabled: an offer rate of 0 or below counts demand
+// but never builds.
 func TestObserveOnlyWhenDisabled(t *testing.T) {
-	cluster, file := upload(t, 6, 2000, []int{0, 1})
-	idx := New(cluster, -1)
-	runJob(t, cluster, file, idx)
-	plan := idx.LastJob()
-	if plan.Offered != 0 || plan.Built != 0 {
-		t.Fatalf("plan = %+v, want nothing offered or built", plan)
-	}
-	if d, ok := idx.Ledger().Demand(file, 2); !ok || d.Blocks != plan.Missing {
-		t.Errorf("ledger demand = %+v, want %d blocks recorded", d, plan.Missing)
+	for _, rate := range []float64{0, -1} {
+		cluster, file := upload(t, 6, 2000, []int{0, 1})
+		idx := New(cluster, rate, 0)
+		runJob(t, cluster, file, idx)
+		plan := idx.LastJob()
+		if plan.Missing == 0 || plan.Offered != 0 || plan.Built != 0 {
+			t.Fatalf("rate %v: plan = %+v, want blocks missing and nothing offered or built", rate, plan)
+		}
+		if got := missesOf(idx, file, 2); got != plan.Missing {
+			t.Errorf("rate %v: misses = %d, want %d", rate, got, plan.Missing)
+		}
 	}
 }
 
@@ -342,7 +344,6 @@ func TestBudgetCapsExtraStorage(t *testing.T) {
 	// All replicas sorted (on a and b): every conversion must add a
 	// replica, so each build costs a full block against the budget.
 	cluster, file := upload(t, 8, 2_000, []int{0, 1})
-	idx := New(cluster, 1.0)
 
 	// Discover a typical stored replica size from block 0.
 	blocks, err := cluster.NameNode().FileBlocks(file)
@@ -355,7 +356,9 @@ func TestBudgetCapsExtraStorage(t *testing.T) {
 		t.Fatal(err)
 	}
 	blockSize := int64(len(data))
-	idx.SetBudgetBytes(blockSize + blockSize/2) // room for ~1 replica, then deny
+	// Room for ~1 replica, then deny: a stream never evicts its own
+	// replicas.
+	idx := New(cluster, 1.0, blockSize+blockSize/2)
 
 	var denied, built int
 	for j := 0; j < 4; j++ {
@@ -382,7 +385,7 @@ func TestBudgetCapsExtraStorage(t *testing.T) {
 // TestBudgetUnlimitedByDefault: BudgetBytes == 0 never denies.
 func TestBudgetUnlimitedByDefault(t *testing.T) {
 	cluster, file := upload(t, 8, 1_200, []int{0, -1})
-	idx := New(cluster, 1.0)
+	idx := New(cluster, 1.0, 0)
 	for j := 0; j < 3; j++ {
 		runJob(t, cluster, file, idx)
 		if d := idx.LastJob().BudgetDenied; d != 0 {
@@ -392,75 +395,62 @@ func TestBudgetUnlimitedByDefault(t *testing.T) {
 }
 
 // TestLedgerConcurrentStress is the -race satellite for the demand
-// ledger: misses, builds and reads race from many goroutines, as they do
-// when parallel PostTask callbacks record builds while a split phase
-// records the next job's misses.
+// counts: split phases of concurrent jobs count their misses while other
+// goroutines read the indexer's state, and no miss is lost.
 func TestLedgerConcurrentStress(t *testing.T) {
-	l := NewLedger()
+	cluster, file := upload(t, 6, 2000, []int{0, 1})
+	blocks, _ := cluster.NameNode().FileBlocks(file)
+	idx := New(cluster, 0, 0)
 	const workers = 8
-	const ops = 1500
+	const ops = 300
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(seed int) {
 			defer wg.Done()
 			for i := 0; i < ops; i++ {
-				b := hdfs.BlockID((seed + i) % 17)
 				col := (seed + i) % 3
-				switch i % 5 {
+				switch i % 4 {
 				case 0:
-					l.RecordBuilt("/f", b, col)
+					_ = idx.Replicas()
 				case 1:
-					_, _ = l.Demand("/f", col)
-				case 2:
-					_ = l.Demands("/f")
+					_, _ = idx.Plan(file, col)
 				default:
-					l.RecordMiss("/f", b, col)
+					idx.ObserveJob(file, col, nil, blocks)
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	for _, d := range l.Demands("/f") {
-		if d.Blocks > 17 || d.Built > d.Blocks {
-			t.Errorf("implausible demand after stress: %+v", d)
-		}
-		if d.Misses == 0 {
-			t.Errorf("column %d lost all its misses", d.Column)
-		}
+	total := 0
+	for col := 0; col < 3; col++ {
+		total += missesOf(idx, file, col)
+	}
+	if want := workers * ops / 2 * len(blocks); total != want {
+		t.Errorf("%d misses counted across columns, want %d", total, want)
 	}
 }
 
 // TestIndexerConcurrentAfterTask races AfterTask callbacks (as the engine
-// fires them from parallel workers) against ledger reads and — the
-// satellite regression for the unlocked OfferRate/BudgetBytes fields —
-// concurrent configuration reads and writes, which the engine's build
-// goroutines consult mid-job.
+// fires them from parallel workers) against reads of the indexer's plans,
+// registry and budget.
 func TestIndexerConcurrentAfterTask(t *testing.T) {
 	cluster, file := upload(t, 8, 2_000, []int{0, -1})
-	idx := New(cluster, 1.0)
+	idx := New(cluster, 1.0, 0)
 	engine := &mapred.Engine{Cluster: cluster, PostTask: idx.AfterTask, Parallelism: 8}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		n := 0
 		for {
 			select {
 			case <-done:
 				return
 			default:
-				_ = idx.Ledger().Demands(file)
 				_ = idx.LastJob()
-				_ = idx.EffectiveOfferRate()
+				_, _ = idx.Plan(file, 2)
 				_ = idx.BudgetBytes()
+				_ = idx.ExtraBytes()
 				_ = idx.Replicas()
-				// Mutate the config while builds run: offer rate stays
-				// positive so the job still converges, the budget stays
-				// unbounded.
-				idx.SetOfferRate(1.0 - float64(n%3)*0.1)
-				idx.SetBudgetBytes(0)
-				idx.SetEvict(n%2 == 0)
-				n++
 			}
 		}
 	}()

@@ -55,11 +55,18 @@ func assertSameRows(t *testing.T, label string, got, want []string) {
 	}
 }
 
-// TestEvictionReclaimsBudgetOnWorkloadShift is the lifecycle tentpole's
-// acceptance test at unit scale: converge on column c, freeze the budget
-// at exactly the space those replicas occupy, then shift the workload to
-// column d. Without eviction the system would be BudgetDenied forever;
-// with it, each d-build retires the coldest c-replicas, every drop is
+// restart is what hailquery does on every invocation: a new Indexer with
+// the given budget adopts the registry the previous one leaves behind.
+func restart(cluster *hdfs.Cluster, old *Indexer, budget int64) *Indexer {
+	idx := New(cluster, 1.0, budget)
+	idx.AdoptReplicas(old.Replicas())
+	return idx
+}
+
+// TestEvictionReclaimsBudgetOnWorkloadShift is the lifecycle's acceptance
+// test at unit scale: converge on column c, restart with the budget at
+// exactly the space those replicas occupy, then shift the workload to
+// column d. Each d-build retires the coldest c-replicas, every drop is
 // unregistered from the directory with a generation bump, and the
 // workload converges on d — with results byte-equivalent to non-adaptive
 // execution throughout.
@@ -70,7 +77,7 @@ func TestEvictionReclaimsBudgetOnWorkloadShift(t *testing.T) {
 	refC := referenceRows(t, cluster, file, cQuery())
 	refD := referenceRows(t, cluster, file, dQuery())
 
-	idx := New(cluster, 1.0)
+	idx := New(cluster, 1.0, 0)
 
 	// Phase 1: converge on c (unbounded budget).
 	assertSameRows(t, "phase-c job", sortedRows(runJob(t, cluster, file, idx)), refC)
@@ -84,8 +91,7 @@ func TestEvictionReclaimsBudgetOnWorkloadShift(t *testing.T) {
 
 	// Freeze the budget at the current consumption: nothing new fits
 	// without retiring something first.
-	idx.SetBudgetBytes(used + 16)
-	idx.SetEvict(true)
+	idx = restart(cluster, idx, used+16)
 
 	gensBefore := make(map[hdfs.BlockID]uint64)
 	for _, b := range blocks {
@@ -102,7 +108,7 @@ func TestEvictionReclaimsBudgetOnWorkloadShift(t *testing.T) {
 		t.Fatalf("phase d plan = %+v, want builds funded by evictions", plan)
 	}
 	if plan.BudgetDenied != 0 || plan.Failed != 0 {
-		t.Fatalf("phase d plan = %+v, want no denials or failures with eviction on", plan)
+		t.Fatalf("phase d plan = %+v, want no denials or failures", plan)
 	}
 	// Every eviction unregistered the replica and bumped the generation.
 	// The freed node may legitimately host a new column-3 replica of the
@@ -137,25 +143,28 @@ func TestEvictionReclaimsBudgetOnWorkloadShift(t *testing.T) {
 	}
 }
 
-// TestBudgetDeniedForeverWithoutEviction pins the pre-eviction behaviour
-// the lifecycle manager exists to fix (and that SetEvict(false) must
-// preserve): once the budget is consumed by a stale column, a shifted
-// workload is denied every build, forever.
+// TestBudgetDeniedForeverWithoutEviction: a budget spent on in-place
+// conversions has nothing to evict — those reorganized one of the file's
+// original replicas — so a shifted workload is denied every build,
+// forever, and still answers correctly by full scan.
 func TestBudgetDeniedForeverWithoutEviction(t *testing.T) {
-	cluster, file := upload(t, 8, 2000, []int{0, 1})
+	cluster, file := upload(t, 8, 2000, []int{0, -1}) // c converts replica 1 in place
 	refD := referenceRows(t, cluster, file, dQuery())
-	idx := New(cluster, 1.0)
+	idx := New(cluster, 1.0, 0)
 	runJob(t, cluster, file, idx) // converge on c
-	// Freeze the budget at (not above) the consumed bytes: the historical
+	if plan := idx.LastJob(); plan.ReplicasReplaced == 0 || plan.ReplicasAdded != 0 || idx.ExtraBytes() == 0 {
+		t.Fatalf("phase c plan = %+v, extra %d: want in-place conversions that grew the storage", plan, idx.ExtraBytes())
+	}
+	// Freeze the budget at (not above) the consumed bytes: the
 	// overshoot-by-one allowance applies only while extra is still under
 	// the cap.
-	idx.SetBudgetBytes(idx.ExtraBytes())
+	idx = restart(cluster, idx, idx.ExtraBytes())
 
 	for j := 0; j < 2; j++ {
 		assertSameRows(t, "denied job", sortedRows(runQueryJob(t, cluster, file, idx, dQuery())), refD)
 		plan := idx.LastJob()
 		if plan.Built != 0 || plan.Evicted != 0 {
-			t.Fatalf("job %d plan = %+v, want nothing built or evicted without -adaptive-evict", j+1, plan)
+			t.Fatalf("job %d plan = %+v, want nothing built or evicted", j+1, plan)
 		}
 		if plan.BudgetDenied == 0 {
 			t.Fatalf("job %d plan = %+v, want offers denied at the exhausted budget", j+1, plan)
@@ -169,7 +178,7 @@ func TestBudgetDeniedForeverWithoutEviction(t *testing.T) {
 func TestEvictionPrefersDeadNodeOrphans(t *testing.T) {
 	cluster, file := upload(t, 8, 2000, []int{0, 1})
 	nn := cluster.NameNode()
-	idx := New(cluster, 1.0)
+	idx := New(cluster, 1.0, 0)
 	runJob(t, cluster, file, idx) // converge on c
 
 	// Strand one c-replica on a dead node.
@@ -186,9 +195,22 @@ func TestEvictionPrefersDeadNodeOrphans(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	idx.SetBudgetBytes(idx.ExtraBytes() + 16)
-	idx.SetEvict(true)
-	runQueryJob(t, cluster, file, idx, dQuery())
+	// One worker, tasks in order: builds select their victims one after
+	// another, so the first selection's first victim is the plan's first
+	// eviction. (With parallel builds, whichever drop lands first is.)
+	idx = restart(cluster, idx, idx.ExtraBytes()+16)
+	engine := &mapred.Engine{Cluster: cluster, PostTask: idx.AfterTask, Parallelism: 1}
+	if _, err := engine.Run(&mapred.Job{
+		Name:  "orphan-first",
+		File:  file,
+		Input: &core.InputFormat{Cluster: cluster, Query: dQuery(), Adaptive: idx},
+		Map:   func(mapred.Record, mapred.Emit) {},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := idx.LastErr(); err != nil {
+		t.Fatal(err)
+	}
 	plan := idx.LastJob()
 	if plan.Built == 0 || plan.Evicted == 0 {
 		t.Fatalf("plan = %+v, want evictions funding builds", plan)
@@ -212,7 +234,7 @@ func TestConcurrentJobsKeepPerColumnPlans(t *testing.T) {
 	cluster, file := upload(t, 8, 2000, []int{0, 1})
 	refC := referenceRows(t, cluster, file, cQuery())
 	refD := referenceRows(t, cluster, file, dQuery())
-	idx := New(cluster, 1.0)
+	idx := New(cluster, 1.0, 0)
 
 	var wg sync.WaitGroup
 	results := make([]*mapred.JobResult, 2)
@@ -285,7 +307,7 @@ func TestCollisionRepicksFreeNode(t *testing.T) {
 	// Plant ghost bytes on the free node pickFreeNode would choose for b:
 	// register a replica there, drop it while the node is dead (bytes
 	// linger), revive.
-	idxProbe := New(cluster, 1.0)
+	idxProbe := New(cluster, 1.0, 0)
 	ghost, ok := idxProbe.pickFreeNode(b, nil)
 	if !ok {
 		t.Fatal("no free node for the ghost")
@@ -307,7 +329,7 @@ func TestCollisionRepicksFreeNode(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	idx := New(cluster, 1.0)
+	idx := New(cluster, 1.0, 0)
 	runJob(t, cluster, file, idx)
 	plan := idx.LastJob()
 	if plan.Failed != 0 {
@@ -336,7 +358,7 @@ func TestCollisionSkipsWhenNoNodeLeft(t *testing.T) {
 	blocks, _ := nn.FileBlocks(file)
 
 	// Ghost every block's single free node.
-	probe := New(cluster, 1.0)
+	probe := New(cluster, 1.0, 0)
 	type ghostRep struct {
 		b hdfs.BlockID
 		n hdfs.NodeID
@@ -372,7 +394,7 @@ func TestCollisionSkipsWhenNoNodeLeft(t *testing.T) {
 		}
 	}
 
-	idx := New(cluster, 1.0)
+	idx := New(cluster, 1.0, 0)
 	res := runQueryJob(t, cluster, file, idx, cQuery())
 	plan := idx.LastJob()
 	if plan.Failed != 0 {
@@ -391,7 +413,7 @@ func TestCollisionSkipsWhenNoNodeLeft(t *testing.T) {
 // signal eviction ranks by.
 func TestHeatTracksIndexScanTouches(t *testing.T) {
 	cluster, file := upload(t, 8, 2000, []int{0, 1})
-	idx := New(cluster, 1.0)
+	idx := New(cluster, 1.0, 0)
 	runJob(t, cluster, file, idx) // builds everything: touch 1
 	runJob(t, cluster, file, idx) // all index scans: touch 2
 	runJob(t, cluster, file, idx) // touch 3
@@ -452,7 +474,7 @@ func TestEvictionNeverDropsLastReadableReplica(t *testing.T) {
 	b := blocks[0]
 	originals := append([]hdfs.NodeID(nil), nn.GetHosts(b)...)
 
-	idx := New(cluster, 1.0)
+	idx := New(cluster, 1.0, 0)
 	runQueryJob(t, cluster, file, idx, cQuery()) // adaptive replica on col 2
 	runQueryJob(t, cluster, file, idx, dQuery()) // adaptive replica on col 3
 	if got := len(idx.Replicas()); got != 2 {
@@ -470,9 +492,7 @@ func TestEvictionNeverDropsLastReadableReplica(t *testing.T) {
 	// A column-1 build now needs ~two replicas' worth of budget: only
 	// both adaptive replicas together could fund it — which must never
 	// be allowed.
-	perReplica := idx.ExtraBytes() / 2
-	idx.SetBudgetBytes(perReplica)
-	idx.SetEvict(true)
+	idx = restart(cluster, idx, idx.ExtraBytes()/2)
 	bQ := &query.Query{
 		Filter:     []query.Predicate{query.Between(1, schema.StringVal("word-0"), schema.StringVal("word-3"))},
 		Projection: []int{0, 1},
@@ -509,7 +529,7 @@ func TestEvictionNeverDropsLastReadableReplica(t *testing.T) {
 // pendingTTL job ticks.
 func TestStalePendingOffersExpire(t *testing.T) {
 	cluster, file := upload(t, 8, 2000, []int{0, 1})
-	idx := New(cluster, 1.0)
+	idx := New(cluster, 1.0, 0)
 	blocks, _ := cluster.NameNode().FileBlocks(file)
 
 	// A col-2 job offers every block, then dies: no task ever reaches

@@ -38,21 +38,14 @@ func (i *Indexer) AdoptReplicas(reps []ReplicaHeat) int {
 		if _, dup := i.replicas[id]; dup {
 			continue
 		}
-		// Wall-clock decay on load: a registry saved long ago carries
-		// logical stamps from a workload that may be ancient history. With
-		// decay configured, each full decay interval since the entry's last
-		// wall-clock touch knocks one tick off its logical stamp, so a
-		// week-idle replica adopts as cold even if it was the hottest entry
-		// at save time.
-		last := i.decayedTouchLocked(r.LastTouch, r.TouchedAt)
 		i.replicas[id] = &replicaRecord{
 			file: r.File, col: r.Column, block: r.Block, node: r.Node,
 			charged: r.Bytes, added: r.Added,
-			lastTouch: last, touches: r.Touches, touchedAt: r.TouchedAt,
+			lastTouch: r.LastTouch, touches: r.Touches,
 		}
 		i.extra += r.Bytes
-		if last > i.clock {
-			i.clock = last
+		if r.LastTouch > i.clock {
+			i.clock = r.LastTouch
 		}
 		adopted++
 	}
@@ -97,6 +90,8 @@ func SaveRegistry(path string, reps []ReplicaHeat) error {
 // AdoptReplicas re-validates against the namenode anyway, so a torn
 // sidecar (pre-atomic-write crash, disk corruption) degrades to a cold
 // start with a warning instead of wedging every subsequent invocation.
+// Fields older sidecars carry that ReplicaHeat no longer has (a
+// wall-clock TouchedAt) are ignored.
 func LoadRegistry(path string) ([]ReplicaHeat, error) {
 	raw, err := os.ReadFile(path)
 	if os.IsNotExist(err) {

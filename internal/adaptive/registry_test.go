@@ -1,24 +1,23 @@
 package adaptive
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/hdfs"
 )
 
 // TestSaveRegistryRoundTrip checks the sidecar survives a save/load cycle
-// with the wall-clock stamp intact and leaves no temp-file litter behind.
+// with the heat stamps intact and leaves no temp-file litter behind.
 func TestSaveRegistryRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, RegistryFile)
-	stamp := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
 	in := []ReplicaHeat{
 		{File: "/t", Column: 2, Block: 3, Node: 1, Bytes: 4096, Added: true,
-			Touches: 7, LastTouch: 9, TouchedAt: stamp},
+			Touches: 7, LastTouch: 9},
 	}
 	if err := SaveRegistry(path, in); err != nil {
 		t.Fatal(err)
@@ -44,9 +43,6 @@ func TestSaveRegistryRoundTrip(t *testing.T) {
 	}
 	if out[0] != in[0] {
 		t.Fatalf("round trip changed entry: got %+v want %+v", out[0], in[0])
-	}
-	if !out[0].TouchedAt.Equal(stamp) {
-		t.Fatalf("TouchedAt lost: got %v want %v", out[0].TouchedAt, stamp)
 	}
 }
 
@@ -127,13 +123,13 @@ func indexedHost(t *testing.T, cluster *hdfs.Cluster, b hdfs.BlockID, col int) h
 	return 0
 }
 
-// TestAdoptDecaysHeatFromWallClock is the fake-clock restart test: a
-// registry saved with wall-clock stamps is adopted through a decay window,
-// so entries idle for many intervals come back logically colder than
-// fresh ones, regardless of their saved logical stamps.
-func TestAdoptDecaysHeatFromWallClock(t *testing.T) {
-	// Replica 1 of each block is indexed on column 2, so crafted registry
-	// entries for (block, col 2) pass AdoptReplicas' directory validation.
+// TestAdoptKeepsSavedStampsOfOldRegistry: a sidecar written when entries
+// also carried a wall-clock "TouchedAt" still loads, and its entries adopt
+// with their logical stamps as saved, however long ago that was; the heat
+// clock fast-forwards to the hottest of them.
+func TestAdoptKeepsSavedStampsOfOldRegistry(t *testing.T) {
+	// Replica 1 of each block is indexed on column 2, so registry entries
+	// for (block, col 2) pass AdoptReplicas' directory validation.
 	cluster, file := upload(t, 4, 700, []int{0, 2})
 	blocks, err := cluster.NameNode().FileBlocks(file)
 	if err != nil {
@@ -142,118 +138,77 @@ func TestAdoptDecaysHeatFromWallClock(t *testing.T) {
 	if len(blocks) < 3 {
 		t.Fatalf("need ≥3 blocks, got %d", len(blocks))
 	}
-	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	reps := []ReplicaHeat{
-		// Hot logical stamp, but idle for 8 decay intervals → effective 2.
-		{File: file, Column: 2, Block: blocks[0], Node: indexedHost(t, cluster, blocks[0], 2),
-			Bytes: 100, Added: true, Touches: 10, LastTouch: 10, TouchedAt: now.Add(-8 * time.Hour)},
-		// Cooler logical stamp, touched recently → keeps 5.
-		{File: file, Column: 2, Block: blocks[1], Node: indexedHost(t, cluster, blocks[1], 2),
-			Bytes: 100, Added: true, Touches: 5, LastTouch: 5, TouchedAt: now.Add(-30 * time.Minute)},
-		// Idle past its whole stamp → floors at 0, never underflows.
-		{File: file, Column: 2, Block: blocks[2], Node: indexedHost(t, cluster, blocks[2], 2),
-			Bytes: 100, Added: true, Touches: 3, LastTouch: 3, TouchedAt: now.Add(-100 * time.Hour)},
+	var entries []string
+	want := map[hdfs.BlockID]uint64{}
+	for n, stamp := range []struct {
+		last uint64
+		at   string
+	}{{10, "2026-08-08T04:00:00Z"}, {5, "2026-08-08T11:30:00Z"}, {3, "2026-08-04T08:00:00Z"}} {
+		b := blocks[n]
+		entries = append(entries, fmt.Sprintf(`{"File": %q, "Column": 2, "Block": %d, "Node": %d, "Bytes": 100, "Added": true, "Touches": %d, "LastTouch": %d, "TouchedAt": %q}`,
+			file, b, indexedHost(t, cluster, b, 2), stamp.last, stamp.last, stamp.at))
+		want[b] = stamp.last
+	}
+	path := filepath.Join(t.TempDir(), RegistryFile)
+	if err := os.WriteFile(path, []byte("["+strings.Join(entries, ",\n")+"]\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reps, err := LoadRegistry(path)
+	if err != nil || len(reps) != 3 {
+		t.Fatalf("loaded %d entries, err %v; want 3", len(reps), err)
 	}
 
-	idx := New(cluster, Disabled)
-	idx.SetHeatDecay(time.Hour)
-	idx.SetClockFunc(func() time.Time { return now })
+	idx := New(cluster, 0, 0)
 	if n := idx.AdoptReplicas(reps); n != 3 {
 		t.Fatalf("adopted %d, want 3", n)
 	}
-	got := map[hdfs.BlockID]uint64{}
 	for _, r := range idx.Replicas() {
-		got[r.Block] = r.LastTouch
-	}
-	want := map[hdfs.BlockID]uint64{blocks[0]: 2, blocks[1]: 5, blocks[2]: 0}
-	for b, w := range want {
-		if got[b] != w {
-			t.Errorf("block %d: effective LastTouch = %d, want %d", b, got[b], w)
+		if r.LastTouch != want[r.Block] || r.Touches != int(want[r.Block]) {
+			t.Errorf("block %d: adopted LastTouch %d, Touches %d; want both %d as saved", r.Block, r.LastTouch, r.Touches, want[r.Block])
 		}
 	}
-	// The heat clock fast-forwards past the hottest *effective* stamp.
 	idx.mu.Lock()
 	clock := idx.clock
 	idx.mu.Unlock()
-	if clock != 5 {
-		t.Errorf("clock = %d, want 5 (hottest decayed stamp)", clock)
-	}
-
-	// Without decay configured the logical stamps adopt unchanged — the
-	// pre-existing behaviour (and the path old registries without
-	// TouchedAt always take).
-	plain := New(cluster, Disabled)
-	plain.SetClockFunc(func() time.Time { return now })
-	plain.AdoptReplicas(reps)
-	for _, r := range plain.Replicas() {
-		var orig uint64
-		for _, in := range reps {
-			if in.Block == r.Block {
-				orig = in.LastTouch
-			}
-		}
-		if r.LastTouch != orig {
-			t.Errorf("no-decay adopt changed block %d stamp: %d != %d", r.Block, r.LastTouch, orig)
-		}
+	if clock != 10 {
+		t.Errorf("clock = %d, want 10 (hottest saved stamp)", clock)
 	}
 }
 
-// TestEvictionDecayFlipsVictimOrder drives the eviction ranking with a
-// fake clock: a replica with the hotter logical stamp but a week of
-// wall-clock idleness must be retired before a logically-cooler replica
-// touched minutes ago — and without decay the order is the old pure-LRU
-// one.
-func TestEvictionDecayFlipsVictimOrder(t *testing.T) {
-	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	setup := func(t *testing.T, decay time.Duration) (*Indexer, hdfs.BlockID, hdfs.BlockID) {
-		cluster, file := upload(t, 4, 700, []int{0, -1})
-		blocks, err := cluster.NameNode().FileBlocks(file)
-		if err != nil || len(blocks) < 2 {
-			t.Fatalf("blocks: %v err %v", blocks, err)
-		}
-		idx := New(cluster, Disabled)
-		idx.SetClockFunc(func() time.Time { return now })
-		idx.SetHeatDecay(decay)
+// TestEvictionRanksByLogicalTouch: among alive candidates the victim is
+// the replica touched by the oldest job, and between equally cold ones the
+// column fewer jobs missed goes first.
+func TestEvictionRanksByLogicalTouch(t *testing.T) {
+	cluster, file := upload(t, 4, 700, []int{0, -1})
+	blocks, err := cluster.NameNode().FileBlocks(file)
+	if err != nil || len(blocks) < 2 {
+		t.Fatalf("blocks: %v err %v", blocks, err)
+	}
+	victim := func(stamps [2]uint64, misses [2]int) hdfs.BlockID {
+		t.Helper()
+		idx := New(cluster, 0, 0)
 		idx.mu.Lock()
+		defer idx.mu.Unlock()
 		idx.clock = 20
-		// Stale by the wall clock, hot by the logical clock.
-		idx.replicas[repID{blocks[0], 5}] = &replicaRecord{
-			file: file, col: 5, block: blocks[0], node: 3, charged: 100, added: true,
-			lastTouch: 10, touches: 10, touchedAt: now.Add(-9 * time.Hour),
-		}
-		// Fresh by the wall clock, cooler by the logical clock.
-		idx.replicas[repID{blocks[1], 5}] = &replicaRecord{
-			file: file, col: 5, block: blocks[1], node: 3, charged: 100, added: true,
-			lastTouch: 5, touches: 5, touchedAt: now.Add(-time.Minute),
+		for n, b := range blocks[:2] {
+			col := 5 + n
+			idx.replicas[repID{b, col}] = &replicaRecord{
+				file: file, col: col, block: b, node: 3, charged: 100, added: true,
+				lastTouch: stamps[n], touches: 1,
+			}
+			idx.misses[planKey{file, col}] = misses[n]
 		}
 		idx.extra = 200
-		idx.mu.Unlock()
-		return idx, blocks[0], blocks[1]
-	}
-	victimOf := func(t *testing.T, idx *Indexer) hdfs.BlockID {
-		t.Helper()
-		idx.mu.Lock()
-		victims := idx.selectVictimsLocked(planKey{"/t", 9}, 100)
-		idx.mu.Unlock()
+		victims := idx.selectVictimsLocked(planKey{file, 9}, 100)
 		if len(victims) != 1 {
 			t.Fatalf("selected %d victims, want 1", len(victims))
 		}
 		return victims[0].block
 	}
-
-	t.Run("decay", func(t *testing.T) {
-		idx, stale, _ := setup(t, time.Hour)
-		// Effective heat: stale 10−9=1, fresh 5−0=5 → the wall-clock-stale
-		// replica goes first despite its hotter logical stamp.
-		if got := victimOf(t, idx); got != stale {
-			t.Fatalf("victim = block %d, want wall-clock-stale block %d", got, stale)
-		}
-	})
-	t.Run("no-decay", func(t *testing.T) {
-		idx, _, fresh := setup(t, 0)
-		// Pure logical LRU: the lower stamp (5) loses, as before.
-		if got := victimOf(t, idx); got != fresh {
-			t.Fatalf("victim = block %d, want logically-cooler block %d", got, fresh)
-		}
-	})
+	if got := victim([2]uint64{10, 5}, [2]int{0, 9}); got != blocks[1] {
+		t.Errorf("victim = block %d, want block %d, touched by the older job", got, blocks[1])
+	}
+	if got := victim([2]uint64{7, 7}, [2]int{9, 2}); got != blocks[1] {
+		t.Errorf("victim = block %d, want block %d, whose column missed less", got, blocks[1])
+	}
 }

@@ -121,9 +121,10 @@ type UploadSummary struct {
 // BuildIndexedReplica converts a marshalled PAX block into the stored
 // form of a replica clustered and indexed on col (§3.2 step 7): Unmarshal,
 // then buildIndexed. Every conversion path shares buildIndexed — the upload
-// pipeline's per-replica transform, the adaptive indexer's lazy query-time
-// conversion and recovery — so the stored layout and the registered
-// ReplicaInfo cannot diverge between them.
+// pipeline's per-replica transform, RebuildReplica (recovery and the
+// adaptive indexer's lazy query-time conversion) and this function — so
+// the stored layout and the registered ReplicaInfo cannot diverge between
+// them.
 func BuildIndexedReplica(paxData []byte, col int) ([]byte, hdfs.ReplicaInfo, error) {
 	b, err := pax.Unmarshal(paxData)
 	if err != nil {

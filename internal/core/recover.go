@@ -97,22 +97,35 @@ func pickTarget(cluster *hdfs.Cluster, b hdfs.BlockID, alive []hdfs.NodeID) (hdf
 	return 0, false
 }
 
-// recoverReplica reads the block from a surviving holder, builds from its
-// rows the replica that was lost — re-sorted on col and re-indexed, or
-// unsorted for col < 0 — and stores it on the target node.
+// recoverReplica builds from a surviving holder's rows the replica that
+// was lost — re-sorted on col and re-indexed, or unsorted for col < 0 —
+// and stores it on the target node.
 func recoverReplica(cluster *hdfs.Cluster, b hdfs.BlockID, from, to hdfs.NodeID, col int) error {
-	data, err := cluster.ReadBlockFrom(from, b)
+	v, err := cluster.OpenBlockFrom(from, b)
 	if err != nil {
 		return err
+	}
+	framed, info, err := RebuildReplica(v, col)
+	if err != nil {
+		return err
+	}
+	return cluster.StoreAdditionalReplica(b, to, framed, info)
+}
+
+// RebuildReplica returns what a datanode stores for v's block clustered
+// and indexed on col, or for col < 0 unsorted, as buildReplica does. It is
+// the one replica builder of recovery and the adaptive indexer. The whole view is read verified — a corrupt chunk is
+// an hdfs.ErrCorruptChunk for the caller to fail over on — and nothing is
+// copied on the way in: stored bytes are immutable, and pax.Unmarshal
+// aliases its input without writing to it.
+func RebuildReplica(v hdfs.ReplicaView, col int) ([]byte, hdfs.ReplicaInfo, error) {
+	data, err := v.Range(0, v.Len())
+	if err != nil {
+		return nil, hdfs.ReplicaInfo{}, err
 	}
 	paxData, _, err := ParseFrame(data)
 	if err != nil {
-		return err
+		return nil, hdfs.ReplicaInfo{}, err
 	}
-	framed, info, err := buildReplica(paxData, col)
-	if err != nil {
-		return err
-	}
-	info.Size = len(framed)
-	return cluster.StoreRecoveredReplica(b, to, framed, info)
+	return buildReplica(paxData, col)
 }

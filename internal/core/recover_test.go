@@ -2,7 +2,10 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -266,15 +269,73 @@ func TestRecoverFileValidatesConfig(t *testing.T) {
 	}
 }
 
+// TestStoreRecoveredReplicaRejectsDuplicates: recovery never stores a
+// second replica of a block on a node that already holds one.
 func TestStoreRecoveredReplicaRejectsDuplicates(t *testing.T) {
-	cluster, _, sum, _ := uvFixture(t, 500, workload.UserVisitsOptions{})
+	cluster, client, sum, _ := uvFixture(t, 500, workload.UserVisitsOptions{})
 	b := sum.BlockIDs[0]
 	holder := cluster.NameNode().GetHosts(b)[0]
-	data, err := cluster.ReadBlockFrom(holder, b)
+	err := recoverReplica(cluster, b, holder, holder, client.Config.SortColumns[0])
+	if !errors.Is(err, hdfs.ErrReplicaExists) {
+		t.Errorf("recovering onto a holder: err = %v, want ErrReplicaExists", err)
+	}
+}
+
+// TestRebuildReplicaCopiesNothing: rebuilding a replica from its view
+// allocates at least one replica length less than the copying path it
+// replaced (ReadBlockFrom + BuildIndexedReplica), and builds the same
+// bytes.
+func TestRebuildReplicaCopiesNothing(t *testing.T) {
+	if raceBuild() {
+		t.Skip("the race runtime drops pooled sort keys at random")
+	}
+	cluster, client, sum, _ := uvFixture(t, 4000, workload.UserVisitsOptions{})
+	b := sum.BlockIDs[0]
+	node := cluster.NameNode().GetHosts(b)[0]
+	col := client.Config.SortColumns[1]
+	view, err := cluster.OpenBlockFrom(node, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cluster.StoreRecoveredReplica(b, holder, data, hdfs.ReplicaInfo{}); err == nil {
-		t.Error("duplicate replica accepted on the same node")
+	var copied, rebuilt []byte
+	copyPath := func() {
+		data, err := cluster.ReadBlockFrom(node, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paxData, _, err := ParseFrame(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if copied, _, err = BuildIndexedReplica(paxData, col); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rebuild := func() {
+		if rebuilt, _, err = RebuildReplica(view, col); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The fewest bytes one run allocated: a garbage collection that empties
+	// the sort keys' pool mid-loop adds the keys to one run, not to all.
+	perRun := func(f func()) uint64 {
+		least := uint64(math.MaxUint64)
+		for range 20 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			f()
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	copyBytes, rebuildBytes := perRun(copyPath), perRun(rebuild)
+	t.Logf("replica %d B: copying path %d B/run, rebuild %d B/run", view.Len(), copyBytes, rebuildBytes)
+	if copyBytes < rebuildBytes+uint64(view.Len()) {
+		t.Errorf("rebuild allocates %d B/run, the copying path %d: want at least one replica (%d B) less",
+			rebuildBytes, copyBytes, view.Len())
+	}
+	if !bytes.Equal(copied, rebuilt) {
+		t.Error("RebuildReplica built other bytes than ReadBlockFrom + BuildIndexedReplica")
 	}
 }

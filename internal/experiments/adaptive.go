@@ -130,8 +130,7 @@ func shiftQuery(w Workload) *query.Query {
 
 // ExpAdaptive runs jobsPerPhase identical jobs on phase A's column, then
 // jobsPerPhase+1 on phase B's, with the adaptive indexer at the given offer
-// rate (0 selects adaptive.DefaultOfferRate), and reports both
-// trajectories.
+// rate, and reports both trajectories.
 func (r *Runner) ExpAdaptive(w Workload, jobsPerPhase int, offerRate float64) (*AdaptiveReport, error) {
 	if jobsPerPhase < 2 {
 		return nil, fmt.Errorf("adaptive: need at least two jobs per phase, got %d", jobsPerPhase)
@@ -190,14 +189,12 @@ func (r *Runner) ExpAdaptive(w Workload, jobsPerPhase int, offerRate float64) (*
 		}
 	}
 
-	idx := adaptive.New(cluster, offerRate)
-	idx.SetBudgetBytes(budget)
-	idx.SetEvict(true)
+	idx := adaptive.New(cluster, offerRate, budget)
 	engine := &mapred.Engine{Cluster: cluster, PostTask: idx.AfterTask}
 
 	rep := &AdaptiveReport{
 		Workload:    w,
-		OfferRate:   idx.EffectiveOfferRate(),
+		OfferRate:   offerRate,
 		TotalBlocks: f.scale.RealBlocks,
 		BudgetBytes: budget,
 		ColumnA:     qa.Filter[0].Column,

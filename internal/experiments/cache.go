@@ -18,7 +18,7 @@ import (
 //   - job 1 runs cold and populates the cache (one entry per block);
 //   - job 2 is identical and answers its blocks from the cache — no block
 //     reads, no record-reader or map CPU, measurably lower task work;
-//   - from job `adaptiveFrom` on, the adaptive indexer is switched on: its
+//   - from job `cacheAdaptiveFrom` on, an adaptive indexer builds: its
 //     conversions replace/add replicas, each bumping the block's
 //     generation and purging the block's entries via the namenode's
 //     replica-change hook — the converted blocks are recomputed (now as
@@ -77,9 +77,9 @@ type CacheReport struct {
 }
 
 // ExpCache runs `jobs` identical jobs (at least cacheAdaptiveFrom) with
-// the result cache at qcache.DefaultBudget, switching the adaptive indexer
-// on at job cacheAdaptiveFrom so its replica replacements exercise
-// invalidation. offerRate 0 selects adaptive.DefaultOfferRate.
+// the result cache at qcache.DefaultBudget. The jobs before
+// cacheAdaptiveFrom run on an observe-only indexer, the rest on one at
+// offerRate, so its replica replacements exercise invalidation.
 func (r *Runner) ExpCache(w Workload, jobs int, offerRate float64) (*CacheReport, error) {
 	if jobs < cacheAdaptiveFrom {
 		return nil, fmt.Errorf("cache: need at least %d jobs (cold, hot, invalidate), got %d", cacheAdaptiveFrom, jobs)
@@ -96,7 +96,7 @@ func (r *Runner) ExpCache(w Workload, jobs int, offerRate float64) (*CacheReport
 	cache := qcache.New(0)
 	cluster.NameNode().SetReplicaChangeHook(cache.InvalidateBlock)
 	defer cluster.NameNode().SetReplicaChangeHook(nil)
-	idx := adaptive.New(cluster, adaptive.Disabled)
+	idx := adaptive.New(cluster, 0, 0)
 	engine := &mapred.Engine{Cluster: cluster, PostTask: idx.AfterTask, Cache: cache}
 
 	rep := &CacheReport{
@@ -111,9 +111,12 @@ func (r *Runner) ExpCache(w Workload, jobs int, offerRate float64) (*CacheReport
 		if j == 1 {
 			phase = "cold"
 		}
+		if j == cacheAdaptiveFrom {
+			idx = adaptive.New(cluster, offerRate, 0)
+			engine.PostTask = idx.AfterTask
+		}
 		if j >= cacheAdaptiveFrom {
 			phase = "adaptive"
-			idx.SetOfferRate(offerRate)
 		}
 		res, err := engine.Run(&mapred.Job{
 			Name: fmt.Sprintf("cache-job-%d", j), File: f.file,

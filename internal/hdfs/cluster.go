@@ -323,8 +323,8 @@ func (c *Cluster) WriteBlock(file string, data []byte, replication int, transfor
 
 // StoreAdditionalReplica places a block replica on a node outside the
 // normal upload pipeline and registers it with the namenode. Two paths
-// use it: re-replication after a datanode loss (StoreRecoveredReplica)
-// and the adaptive indexer, which stores a freshly sorted+indexed copy of
+// use it: re-replication after a datanode loss (core.RecoverFile) and
+// the adaptive indexer, which stores a freshly sorted+indexed copy of
 // a block so later jobs get index scans. The replica's checksum file is
 // computed here. data is handed over: the datanode stores it without a
 // copy, and the caller must not write to it afterwards.
@@ -369,12 +369,6 @@ func (c *Cluster) DropReplica(b BlockID, node NodeID) error {
 	return nil
 }
 
-// StoreRecoveredReplica is the re-replication path HDFS uses to restore
-// the replication factor after a datanode loss.
-func (c *Cluster) StoreRecoveredReplica(b BlockID, node NodeID, data []byte, info ReplicaInfo) error {
-	return c.StoreAdditionalReplica(b, node, data, info)
-}
-
 // ReplaceReplica overwrites an existing replica's stored bytes with a
 // reorganized copy (same rows, different sort order, new index) and
 // updates the namenode's Dir_rep entry — the adaptive indexer's in-place
@@ -406,9 +400,9 @@ func (c *Cluster) OpenBlockFrom(node NodeID, b BlockID) (ReplicaView, error) {
 
 // ReadBlockFrom reads a replica from a specific datanode in full: every
 // chunk verified, and the bytes copied so the caller owns them. It is for
-// callers that need the whole block (adaptive conversion, recovery, the
-// Hadoop and Trojan baselines); a query that needs a few column ranges
-// opens a view instead.
+// callers that need a whole block of their own (the Hadoop and Trojan
+// baselines); a reader that only reads — a query's column ranges, a
+// replica rebuild — opens a view instead.
 func (c *Cluster) ReadBlockFrom(node NodeID, b BlockID) ([]byte, error) {
 	v, err := c.OpenBlockFrom(node, b)
 	if err != nil {

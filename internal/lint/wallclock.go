@@ -6,11 +6,12 @@ import (
 	"strings"
 )
 
-// WallClock enforces the clock-injection discipline established with the
-// adaptive heat-decay work: bare time.Now()/time.Since() reads ambient
-// wall-clock state, which makes heat, decay and eviction decisions
-// untestable and irreproducible. Library code must take its clock through
-// an injected source (adaptive.Indexer.SetClockFunc is the template).
+// WallClock enforces the clock-injection discipline: bare
+// time.Now()/time.Since() reads ambient wall-clock state, which makes
+// decisions such as cache or replica eviction untestable and
+// irreproducible. Library code that decides by time takes its clock as a
+// parameter (or counts logical ticks, as the adaptive indexer's heat
+// does); code that only measures feeds an Observe timing.
 //
 // Allowed without comment:
 //   - cmd/ and internal/experiments — harness code, where wall time IS the
@@ -58,11 +59,11 @@ func runWallClock(pass *Pass) error {
 			switch fn.Name() {
 			case "Now":
 				if !exemptNow[call] {
-					pass.Reportf(call.Pos(), "bare time.Now(): inject a clock (cf. adaptive.Indexer.SetClockFunc) or feed an Observe timing")
+					pass.Reportf(call.Pos(), "bare time.Now(): take a clock as a parameter or feed an Observe timing")
 				}
 			case "Since":
 				if !exemptSince[call] {
-					pass.Reportf(call.Pos(), "bare time.Since(): inject a clock or feed the duration straight into a histogram Observe")
+					pass.Reportf(call.Pos(), "bare time.Since(): take a clock as a parameter or feed the duration straight into a histogram Observe")
 				}
 			}
 			return true

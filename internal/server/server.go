@@ -57,16 +57,15 @@ type Config struct {
 	// CacheBudget is the shared result cache's byte budget (0 defaults to
 	// qcache.DefaultBudget).
 	CacheBudget int64
-	// OfferRate is the shared adaptive indexer's offer rate (0 selects
-	// adaptive.DefaultOfferRate, negative disables builds). Queries opt
-	// into adaptive execution per request.
+	// OfferRate is the shared adaptive indexer's offer rate: the fraction
+	// of a query's unindexed blocks it converts. 0 (or less) means
+	// observe-only: demand is counted, nothing is built. Queries opt into
+	// adaptive execution per request.
 	OfferRate float64
-	// AdaptiveBudget / AdaptiveEvict configure the indexer's global
-	// extra-storage cap and eviction policy.
+	// AdaptiveBudget is the indexer's global extra-storage cap (0 =
+	// unlimited); a build that would exceed it evicts the coldest adaptive
+	// replicas of other columns first.
 	AdaptiveBudget int64
-	AdaptiveEvict  bool
-	// HeatDecay is the indexer's wall-clock heat decay interval (0 = off).
-	HeatDecay time.Duration
 
 	// PersistEvery is the period of the background persistence loop
 	// (cluster manifest + adaptive registry sidecar); 0 disables periodic
@@ -150,7 +149,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		cluster:  cluster,
 		cache:    qcache.New(cfg.CacheBudget),
-		idx:      adaptive.New(cluster, cfg.OfferRate),
+		idx:      adaptive.New(cluster, cfg.OfferRate, cfg.AdaptiveBudget),
 		reg:      obs.NewRegistry(),
 		tenants:  newTenantTable(cfg.Tenants, cfg.DefaultLimits),
 		sem:      make(chan struct{}, cfg.MaxInFlight),
@@ -158,9 +157,6 @@ func New(cfg Config) (*Server, error) {
 		stop:     make(chan struct{}),
 		loopDone: make(chan struct{}),
 	}
-	s.idx.SetBudgetBytes(cfg.AdaptiveBudget)
-	s.idx.SetEvict(cfg.AdaptiveEvict)
-	s.idx.SetHeatDecay(cfg.HeatDecay)
 	// Replica changes (adaptive builds/evictions, node loss) purge the
 	// affected cache entries; the shared indexer re-adopts what earlier
 	// processes built, re-validated against the directory.

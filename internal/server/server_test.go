@@ -472,6 +472,29 @@ func TestTenantAdaptiveBudget(t *testing.T) {
 	}
 }
 
+// TestZeroOfferRateObservesOnly: OfferRate 0 is observe-only, as
+// hailquery's -offer-rate 0 is — an adaptive query builds nothing, so a
+// repeat of it still full-scans.
+func TestZeroOfferRateObservesOnly(t *testing.T) {
+	dir := makeFS(t, 700)
+	s := newTestServer(t, dir, Config{OfferRate: 0})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for n := 1; n <= 2; n++ {
+		resp, code := postQuery(t, ts, QueryRequest{File: "/t", Query: adaptiveQ, Adaptive: true, NoCache: true})
+		if code != http.StatusOK {
+			t.Fatalf("query %d: status %d: %v", n, code, resp.Rows)
+		}
+		if resp.AdaptiveBuilt != 0 || resp.FullScans == 0 || resp.IndexScans != 0 {
+			t.Fatalf("query %d: built %d, %d full scans, %d index scans; want nothing built and full scans only",
+				n, resp.AdaptiveBuilt, resp.FullScans, resp.IndexScans)
+		}
+	}
+	if reps := s.Indexer().Replicas(); len(reps) != 0 {
+		t.Errorf("observe-only server registered %d adaptive replicas", len(reps))
+	}
+}
+
 func TestPersistAcrossRestart(t *testing.T) {
 	dir := makeFS(t, 700)
 	want := referenceRows(t, dir, "/t", adaptiveQ)
@@ -492,8 +515,8 @@ func TestPersistAcrossRestart(t *testing.T) {
 		t.Fatalf("registry after close: %d entries, err %v", len(reps), err)
 	}
 	for _, r := range reps {
-		if r.TouchedAt.IsZero() {
-			t.Errorf("replica %d/%d has no wall-clock stamp", r.Block, r.Column)
+		if r.LastTouch == 0 || r.Touches == 0 {
+			t.Errorf("replica %d/%d has no heat stamp", r.Block, r.Column)
 		}
 	}
 	// … and a fresh server adopts it: the query is all-index-scan with no
@@ -648,7 +671,7 @@ func TestRegistrySidecarNeverTorn(t *testing.T) {
 	path := filepath.Join(dir, adaptive.RegistryFile)
 	big := make([]adaptive.ReplicaHeat, 64)
 	for i := range big {
-		big[i] = adaptive.ReplicaHeat{File: "/t", Column: i, Block: hdfs.BlockID(i), Bytes: 1 << 20, TouchedAt: time.Now()}
+		big[i] = adaptive.ReplicaHeat{File: "/t", Column: i, Block: hdfs.BlockID(i), Bytes: 1 << 20, LastTouch: uint64(i)}
 	}
 	if err := adaptive.SaveRegistry(path, big); err != nil {
 		t.Fatal(err)
