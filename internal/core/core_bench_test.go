@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"syscall"
 	"testing"
 	"time"
@@ -163,10 +164,11 @@ func BenchmarkFullScanQuery(b *testing.B) {
 
 // uploadBob uploads n generated lines (short under -short) to a fresh
 // 4-node cluster with Bob's layout at the given block size.
-func uploadBob(b *testing.B, n, short, blockSize int) *hdfs.Cluster {
+func uploadBob(b testing.TB, n, short, blockSize int) *hdfs.Cluster {
 	b.Helper()
+	needle := 25_000
 	if testing.Short() {
-		n = short
+		n, needle = short, short // a short fixture still plants the needle once
 	}
 	cluster, err := hdfs.NewCluster(4)
 	if err != nil {
@@ -174,7 +176,7 @@ func uploadBob(b *testing.B, n, short, blockSize int) *hdfs.Cluster {
 	}
 	cfg := bobLayout()
 	cfg.BlockSize = blockSize
-	lines := workload.GenerateUserVisits(n, 1, workload.UserVisitsOptions{NeedleEvery: 25_000, BadEvery: 10_007})
+	lines := workload.GenerateUserVisits(n, 1, workload.UserVisitsOptions{NeedleEvery: needle, BadEvery: 10_007})
 	if _, err := (&Client{Cluster: cluster, Config: cfg}).Upload("/uv", lines); err != nil {
 		b.Fatal(err)
 	}
@@ -186,25 +188,31 @@ func uploadBob(b *testing.B, n, short, blockSize int) *hdfs.Cluster {
 // passthrough and hot-job benchmarks.
 var bobFix *hdfs.Cluster
 
-func getBobFix(b *testing.B) *hdfs.Cluster {
+func getBobFix(b testing.TB) *hdfs.Cluster {
 	if bobFix == nil {
 		bobFix = uploadBob(b, 200_000, 5_000, 2<<20)
 	}
 	return bobFix
 }
 
-func benchPassthrough(b *testing.B, annotation string) {
+// benchPassthrough runs one passthrough job per op, cycling through the
+// annotations.
+func benchPassthrough(b *testing.B, annotations ...string) {
 	cluster := getBobFix(b)
-	q, err := mustParse(annotation)
-	if err != nil {
-		b.Fatal(err)
+	qs := make([]*query.Query, len(annotations))
+	for i, ann := range annotations {
+		q, err := mustParse(ann)
+		if err != nil {
+			b.Fatal(err)
+		}
+		qs[i] = q
 	}
 	e := &mapred.Engine{Cluster: cluster, Parallelism: 1}
 	b.ReportAllocs()
-	for b.Loop() {
+	for i := 0; b.Loop(); i++ {
 		res, err := e.Run(&mapred.Job{
 			Name: "bench", File: "/uv",
-			Input:    &InputFormat{Cluster: cluster, Query: q},
+			Input:    &InputFormat{Cluster: cluster, Query: qs[i%len(qs)]},
 			Map:      workload.PassthroughMap,
 			MapBatch: workload.PassthroughMapBatch,
 		})
@@ -226,8 +234,20 @@ func BenchmarkWideScanPassthrough(b *testing.B) {
 	benchPassthrough(b, wideQ)
 }
 
+// BenchmarkIndexScanPassthrough cycles through the ledger's three
+// index-scan shapes, as bench/'s index-scan list does: one-year visitDate
+// windows projecting @1 (Bob-Q1's shape), width-9 adRevenue ranges
+// projecting {@8,@9,@4} (Bob-Q4's) and the sourceIP needle (Bob-Q2).
+// Every op is an index scan of every block; one op is one job.
 func BenchmarkIndexScanPassthrough(b *testing.B) {
-	benchPassthrough(b, `@HailQuery(filter="@3 between(1999-01-01,2000-01-01)", projection={@1})`)
+	var qs []string
+	for _, year := range []int{1975, 1983, 1991, 1999} {
+		qs = append(qs, fmt.Sprintf(`@HailQuery(filter="@3 between(%d-01-01,%d-01-01)", projection={@1})`, year, year+1))
+	}
+	for _, lo := range []int{10, 130, 250, 370} {
+		qs = append(qs, fmt.Sprintf(`@HailQuery(filter="@4 between(%d,%d)", projection={@8,@9,@4})`, lo, lo+9))
+	}
+	benchPassthrough(b, append(qs, `@HailQuery(filter="@1 = `+workload.NeedleIP+`", projection={@8,@9,@4})`)...)
 }
 
 // wideQ is the ledger's wide-scan query (every row, all attributes);

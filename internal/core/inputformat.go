@@ -468,14 +468,24 @@ func (f *splitPlanner) hailSplits(blocks []hdfs.BlockID, col int) ([]mapred.Spli
 	return splits, nil
 }
 
-// Open creates the HailRecordReader for a split.
+// Open returns the HailRecordReader for a split, taken from the pool with
+// the scratch an earlier Open left it (see recordReader.release).
 func (f *InputFormat) Open(split mapred.Split, node hdfs.NodeID) (mapred.BatchReader, error) {
-	return &recordReader{
+	r, _ := readers.Get().(*recordReader)
+	if r == nil {
+		r = new(recordReader)
+	}
+	*r = recordReader{
 		cluster: f.Cluster,
 		query:   f.Query,
 		split:   split,
 		node:    node,
-	}, nil
+		scan:    r.scan,
+		batch:   r.batch,
+		sel:     r.sel,
+		ident:   r.ident,
+	}
+	return r, nil
 }
 
 // QuerySignature implements mapred.QuerySigner: the HailRecordReader is a

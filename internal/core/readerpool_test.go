@@ -1,0 +1,229 @@
+package core
+
+import (
+	"fmt"
+	"runtime"
+	"slices"
+	"sync"
+	"testing"
+	"weak"
+
+	"repro/internal/hdfs"
+	"repro/internal/mapred"
+	"repro/internal/query"
+	"repro/internal/workload"
+)
+
+// drainReaders empties the record-reader pool and returns what it held.
+func drainReaders() []*recordReader {
+	var held []*recordReader
+	for r, _ := readers.Get().(*recordReader); r != nil; r, _ = readers.Get().(*recordReader) {
+		held = append(held, r)
+	}
+	return held
+}
+
+// poolJob is one job of the pooled-reader tests: a file and a query.
+type poolJob struct {
+	file string
+	q    *query.Query // nil: every row, every attribute
+}
+
+func (j poolJob) run(cluster *hdfs.Cluster, par int) (*mapred.JobResult, error) {
+	return (&mapred.Engine{Cluster: cluster, Parallelism: par}).Run(&mapred.Job{
+		Name: "pool " + j.file, File: j.file,
+		Input:    &InputFormat{Cluster: cluster, Query: j.q},
+		Map:      workload.PassthroughMap,
+		MapBatch: workload.PassthroughMapBatch,
+	})
+}
+
+// TestPooledReadersKeepJobsApart: readers pass from job to job through the
+// pool, so a reader laid out for one file's schema and one query meets
+// the next job's. Jobs over two files with different schemas — UserVisits
+// with strings, Synthetic with nineteen ints — and queries with different
+// filters and projections, index and full scans, run interleaved one after
+// another and then all at once, at Parallelism 1 and 4; every job's output
+// must be byte-identical to the same job run alone from an empty pool.
+// Under -race this is also the proof that no reader is shared between two
+// tasks.
+func TestPooledReadersKeepJobsApart(t *testing.T) {
+	cluster, _, _, _ := uvFixture(t, 6000, workload.UserVisitsOptions{NeedleEvery: 1500, BadEvery: 700})
+	syn := &Client{Cluster: cluster, Config: LayoutConfig{
+		Schema: workload.SyntheticSchema(), SortColumns: []int{0, -1, 5}, BlockSize: 64 << 10,
+	}}
+	if _, err := syn.Upload("/syn", workload.GenerateSynthetic(4000, 7)); err != nil {
+		t.Fatal(err)
+	}
+	var jobs []poolJob
+	for _, bq := range workload.BobQueries() {
+		jobs = append(jobs, poolJob{"/uv", bq.Query})
+	}
+	for _, sq := range workload.SynQueries()[:4] {
+		jobs = append(jobs, poolJob{"/syn", sq.Query})
+	}
+	wide, err := query.ParseAnnotation(workload.UserVisitsSchema(), `@HailQuery(filter="@9 between(1,500)")`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs = append(jobs, poolJob{"/uv", wide}, poolJob{"/syn", nil}, poolJob{"/uv", nil})
+
+	alone := make([][]mapred.KV, len(jobs))
+	for i, j := range jobs {
+		drainReaders()
+		res, err := j.run(cluster, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Output) == 0 {
+			t.Fatalf("job %d (%s %v) returns nothing", i, j.file, j.q)
+		}
+		alone[i] = res.Output
+	}
+	check := func(i int, res *mapred.JobResult, err error, how string) {
+		if err != nil {
+			t.Errorf("job %d %s: %v", i, how, err)
+			return
+		}
+		if !slices.Equal(res.Output, alone[i]) {
+			t.Errorf("job %d (%s %v) %s: %d records differ from its %d run alone", i, jobs[i].file, jobs[i].q, how, len(res.Output), len(alone[i]))
+		}
+	}
+	for _, par := range []int{1, 4} {
+		for round := 0; round < 2; round++ {
+			for i, j := range jobs {
+				res, err := j.run(cluster, par)
+				check(i, res, err, fmt.Sprintf("interleaved at parallelism %d", par))
+			}
+		}
+		var wg sync.WaitGroup
+		for i, j := range jobs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res, err := j.run(cluster, par)
+				check(i, res, err, fmt.Sprintf("concurrent at parallelism %d", par))
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+// TestPooledReaderRetainsNoClusterOrReplica: a reader back in the pool
+// holds scratch, not the job. After Run returns, the readers the pool
+// holds — and one opened and read directly, held past its ReadBatches —
+// must not keep the cluster or any replica's bytes reachable. The style
+// is TestRunnerDoesNotRetainClusters': a finalizer on the cluster, and
+// weak pointers into every stored replica.
+func TestPooledReaderRetainsNoClusterOrReplica(t *testing.T) {
+	drainReaders()
+	var held []*recordReader
+	var replicas []weak.Pointer[byte]
+	freed := make(chan struct{})
+	func() {
+		cluster, _, _, _ := uvFixture(t, 3000, workload.UserVisitsOptions{NeedleEvery: 1000, BadEvery: 400})
+		in := &InputFormat{Cluster: cluster, Query: workload.BobQueries()[0].Query}
+		if _, err := (&mapred.Engine{Cluster: cluster, Parallelism: 1}).Run(&mapred.Job{
+			Name: "retain", File: "/uv", Input: in,
+			Map: workload.PassthroughMap, MapBatch: workload.PassthroughMapBatch,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		held = drainReaders()
+		splits, _, err := in.SplitsWithStats("/uv")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rr, err := in.Open(splits[0], splits[0].Locations[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rr.ReadBatches(func(*mapred.Batch) {}); err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, rr.(*recordReader))
+		blocks, err := cluster.NameNode().FileBlocks("/uv")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range blocks {
+			for _, h := range cluster.NameNode().GetHosts(b) {
+				v, err := cluster.OpenBlockFrom(h, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				data, err := v.Range(0, v.Len())
+				if err != nil {
+					t.Fatal(err)
+				}
+				replicas = append(replicas, weak.Make(&data[0]))
+			}
+		}
+		runtime.SetFinalizer(cluster, func(*hdfs.Cluster) { close(freed) })
+	}()
+	gone := false
+	for i := 0; i < 50 && !gone; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			gone = true
+		default:
+		}
+	}
+	if !gone {
+		t.Fatalf("%d pooled readers keep the cluster reachable", len(held))
+	}
+	// The finalized cluster kept what it reaches alive for one more cycle.
+	runtime.GC()
+	kept := 0
+	for _, w := range replicas {
+		if w.Value() != nil {
+			kept++
+		}
+	}
+	if kept > 0 {
+		t.Errorf("%d pooled readers keep %d of %d replicas' bytes reachable", len(held), kept, len(replicas))
+	}
+	runtime.KeepAlive(held)
+}
+
+// TestIndexScanAllocatesPerBlockNotPerOpen is the allocation gate of the
+// index scan: a warm Bob-Q1 job over the ledger's 200k-line fixture
+// allocates at most indexScanAllocsPerBlock objects per block it reads,
+// job overhead included. A pooled reader brings its lay-out, vectors and
+// batch scratch, and every block of the file shares one decoded schema, so
+// what is left per block is its own: the PAX reader, the index, a cursor
+// per column, the bad records, the chunk and the batches' text (≈24). A
+// reader built per Open, a schema parsed per header, measured ≈60. The
+// race runtime drops pooled readers at random, so the gate does not run
+// there; it needs the full fixture, so not under -short either.
+func TestIndexScanAllocatesPerBlockNotPerOpen(t *testing.T) {
+	if raceBuild() {
+		t.Skip("the race runtime drops pooled readers at random")
+	}
+	if testing.Short() {
+		t.Skip("needs the 200k-line fixture")
+	}
+	const indexScanAllocsPerBlock = 30
+	cluster := getBobFix(t)
+	q := workload.BobQueries()[0].Query
+	var blocks int
+	run := func() {
+		res, err := (&mapred.Engine{Cluster: cluster, Parallelism: 1}).Run(&mapred.Job{
+			Name: "Bob-Q1", File: "/uv",
+			Input:    &InputFormat{Cluster: cluster, Query: q},
+			Map:      workload.PassthroughMap,
+			MapBatch: workload.PassthroughMapBatch,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks = res.TotalStats().Blocks
+	}
+	run()
+	perBlock := testing.AllocsPerRun(20, run) / float64(blocks)
+	t.Logf("%.1f allocations per block over %d blocks", perBlock, blocks)
+	if perBlock > indexScanAllocsPerBlock {
+		t.Errorf("a warm index scan allocates %.1f objects per block, want at most %d", perBlock, indexScanAllocsPerBlock)
+	}
+}

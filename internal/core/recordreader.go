@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/hdfs"
 	"repro/internal/index"
@@ -12,6 +13,10 @@ import (
 	"repro/internal/query"
 	"repro/internal/schema"
 )
+
+// selectAll is the query a reader without one runs: every row, every
+// attribute. It is one value so that a lay-out for it is reused.
+var selectAll = &query.Query{}
 
 // batchRows is the vectorized pipeline's batch size. It matches the PAX
 // partition granularity, so one batch never straddles more variable-size
@@ -59,15 +64,44 @@ type recordReader struct {
 
 // ReadBatches implements mapred.BatchReader: the split's blocks as a lazy
 // batch stream. The batch passed to fn is reused; it is valid only for
-// the duration of the call.
+// the duration of the call. ReadBatches is called once per Open: when it
+// returns, the reader is back in the pool.
 func (r *recordReader) ReadBatches(fn func(*mapred.Batch)) (mapred.TaskStats, error) {
 	var stats mapred.TaskStats
 	for _, b := range r.split.Blocks {
 		if err := r.readBlockBatches(b, fn, &stats); err != nil {
+			r.release()
 			return stats, err
 		}
 	}
+	r.release()
 	return stats, nil
+}
+
+// readers pools record readers across Opens: the engine opens one per
+// block, and a pooled one arrives with its lay-out, vectors, selection
+// vectors and batch scratch already grown by the blocks before. A reader
+// whose fn panicked is not put back.
+var readers sync.Pool
+
+// release drops every reference the reader holds into the job and the
+// replica it served — cluster, split, view, PAX reader, cursors, the
+// vectors' and the batch's views of column bytes, bad records — and puts
+// it in the pool. What it keeps is scratch: the lay-out with the schema
+// and query it was built for, the vectors' own arrays and the batch's
+// buffers.
+func (r *recordReader) release() {
+	bs := &r.scan
+	bs.reader, bs.bad = nil, nil
+	clear(bs.cursors)
+	for _, v := range bs.vecs {
+		if v != nil {
+			v.Bytes = nil
+		}
+	}
+	r.cluster, r.query, r.split, r.view = nil, nil, mapred.Split{}, hdfs.ReplicaView{}
+	r.batch.Cols, r.batch.Sel, r.batch.Bad = nil, nil, nil
+	readers.Put(r)
 }
 
 // blockScan is one block opened for scanning: the parsed PAX reader, the
@@ -75,16 +109,18 @@ func (r *recordReader) ReadBatches(fn func(*mapred.Batch)) (mapred.TaskStats, er
 // the scan will decode. A reader has one, valid until it opens the next
 // block (or the next replica of this one).
 //
-// The column lay-out below the line is scratch that outlives the block: it
-// is built for the first block's schema and kept while the next ones share
-// it, as the blocks of a file do, so the vectors keep their capacity and
-// nothing but the cursors is set up again per block.
+// The column lay-out below the line is scratch that outlives the block and
+// the Open: it is built for a (schema, query) pair and kept while the next
+// blocks bring the same pair, as the blocks of a file scanned by one job
+// do — and since the reader is pooled, the next job's blocks too when it
+// asks the same query. The vectors keep their capacity, and nothing but
+// the cursors is set up again per block.
 type blockScan struct {
 	reader         *pax.Reader
-	q              *query.Query
 	fromRow, toRow int
 	bad            []string
 
+	q                *query.Query        // the query the lay-out is for
 	sch              *schema.Schema      // the schema the lay-out is for
 	proj             []int               // the projection, resolved against sch
 	cols, filterCols []int               // filter ∪ projection, and the filter columns; ascending
@@ -94,25 +130,28 @@ type blockScan struct {
 	cursors          []*pax.ColumnCursor // by column; over [fromRow, toRow) once fetch has run
 }
 
-// layOut resolves the query's columns against a block's schema.
-func (bs *blockScan) layOut(sch *schema.Schema) error {
-	if bs.sch.Equal(sch) {
+// layOut resolves query q's columns against a block's schema, unless the
+// lay-out already is for that pair. A failed lay-out leaves the one before
+// it in place.
+func (bs *blockScan) layOut(sch *schema.Schema, q *query.Query) error {
+	if bs.q == q && bs.sch.Equal(sch) {
 		return nil
 	}
 	n := sch.NumFields()
-	proj := bs.q.ProjectionOrAll(sch)
-	cols, filterCols := neededColumns(bs.q, proj)
+	proj := q.ProjectionOrAll(sch)
+	cols, filterCols := neededColumns(q, proj)
 	if len(cols) > 0 && (cols[0] < 0 || cols[len(cols)-1] >= n) {
-		return fmt.Errorf("hail: query %s names a column outside the block's %d", bs.q, n)
+		return fmt.Errorf("hail: query %s names a column outside the block's %d", q, n)
 	}
-	bs.sch, bs.proj, bs.cols, bs.filterCols = sch, proj, cols, filterCols
+	bs.q, bs.sch, bs.proj, bs.cols, bs.filterCols = q, sch, proj, cols, filterCols
 	bs.isFilter = make([]bool, n)
 	for _, c := range filterCols {
 		bs.isFilter[c] = true
 	}
+	old := bs.vecs
 	bs.vecs = make([]*schema.Vector, n)
 	for _, c := range cols {
-		bs.vecs[c] = schema.NewVector(sch.Field(c).Type)
+		bs.vecs[c] = takeVector(old, sch.Field(c).Type)
 	}
 	bs.projVecs = make([]*schema.Vector, len(proj))
 	for j, c := range proj {
@@ -120,6 +159,18 @@ func (bs *blockScan) layOut(sch *schema.Schema) error {
 	}
 	bs.cursors = make([]*pax.ColumnCursor, n)
 	return nil
+}
+
+// takeVector takes a vector of type t out of vecs, so that a new lay-out
+// keeps the capacity the old one grew, or makes one.
+func takeVector(vecs []*schema.Vector, t schema.Type) *schema.Vector {
+	for i, v := range vecs {
+		if v != nil && v.Type() == t {
+			vecs[i] = nil
+			return v
+		}
+	}
+	return schema.NewVector(t)
 }
 
 // openBlockScan opens block b on the first replica that can serve every
@@ -199,11 +250,11 @@ func (r *recordReader) openView(b hdfs.BlockID, servedBy hdfs.NodeID, stats *map
 	}
 	q := r.query
 	if q == nil {
-		q = &query.Query{}
+		q = selectAll
 	}
 	bs := &r.scan
-	bs.reader, bs.q, bs.fromRow, bs.toRow, bs.bad = reader, q, 0, reader.NumRows(), nil
-	if err := bs.layOut(reader.Schema()); err != nil {
+	bs.reader, bs.fromRow, bs.toRow, bs.bad = reader, 0, reader.NumRows(), nil
+	if err := bs.layOut(reader.Schema(), q); err != nil {
 		return nil, err
 	}
 

@@ -249,11 +249,14 @@ func (e *Engine) Run(job *Job) (*JobResult, error) {
 	}
 
 	// The dispatcher: workers claim task indices in order from one counter
-	// until none is left. The caller is one of them, so Parallelism 1 runs
-	// the whole job inline, in task order, on no goroutine.
+	// until none is left, or until a task has failed — the job has then
+	// failed, and the tasks no worker claimed never run. The caller is one
+	// of the workers, so Parallelism 1 runs the whole job inline, in task
+	// order, on no goroutine.
 	var next, done atomic.Int64
+	var failed atomic.Bool
 	work := func() {
-		for {
+		for !failed.Load() {
 			i := int(next.Add(1)) - 1
 			if i >= len(tasks) {
 				return
@@ -275,10 +278,14 @@ func (e *Engine) Run(job *Job) (*JobResult, error) {
 				ptSpan.End()
 			}
 			t.tsp.End()
+			if t.err != nil {
+				failed.Store(true)
+			}
 			if e.OnProgress != nil {
 				err := e.hook(i, "OnProgress", t.report.Node, func() { e.OnProgress(int(done.Add(1)), len(tasks)) })
-				if t.err == nil {
+				if err != nil && t.err == nil {
 					t.err = err
+					failed.Store(true)
 				}
 			}
 		}
@@ -297,6 +304,12 @@ func (e *Engine) Run(job *Job) (*JobResult, error) {
 	}
 	work()
 	wg.Wait()
+	// Every task below the counter was claimed and has run; the ones above
+	// it were left when a task failed, and their spans end unclaimed.
+	for i := min(int(next.Load()), len(tasks)); i < len(tasks); i++ {
+		tasks[i].wsp.End()
+		tasks[i].tsp.End()
+	}
 	mapSpan.End()
 
 	assembleSpan := tr.StartSpan("assemble", "phase", 0, runSpan)

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"regexp"
 	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,8 +30,8 @@ func settledGoroutines(t *testing.T, baseline int) {
 
 // TestMapPanicFailsTheJob: a map function that panics on one record fails
 // that job with an error naming task, block and node — the process, the
-// other workers, the trace and the cache survive, and nothing of the
-// failed block is admitted.
+// other workers, the trace and the cache survive, nothing of the failed
+// block is admitted, and no task is claimed after the failure.
 func TestMapPanicFailsTheJob(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		t.Run(fmt.Sprintf("parallelism %d", par), func(t *testing.T) {
@@ -63,8 +66,11 @@ func TestMapPanicFailsTheJob(t *testing.T) {
 			}
 			cache.mu.Lock()
 			defer cache.mu.Unlock()
-			if len(cache.m) != 11 {
-				t.Errorf("cache holds %d blocks, want the 11 that completed", len(cache.m))
+			// The failed task stops the job: inline, the tasks before it
+			// completed and no later one ran; in parallel, the other workers
+			// finish only what they had claimed.
+			if len(cache.m) > 11 || par == 1 && len(cache.m) != 7 {
+				t.Errorf("cache holds %d blocks, want the 7 before the failed task inline, at most 11 in parallel", len(cache.m))
 			}
 			for k := range cache.m {
 				if k.Block == 7 {
@@ -182,5 +188,61 @@ func TestPostTaskPanicFailsTheJob(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// readerFunc is a BatchReader made of its one method.
+type readerFunc func(fn func(*Batch)) (TaskStats, error)
+
+func (f readerFunc) ReadBatches(fn func(*Batch)) (TaskStats, error) { return f(fn) }
+
+// stopInput fails every read of block 0 and holds every other block's read
+// until release is closed, counting the ones that get through.
+type stopInput struct {
+	*fakeInput
+	release chan struct{}
+	ran     atomic.Int32
+}
+
+func (f *stopInput) Open(split Split, node hdfs.NodeID) (BatchReader, error) {
+	if split.Blocks[0] == 0 {
+		return readerFunc(func(func(*Batch)) (TaskStats, error) {
+			return TaskStats{}, fmt.Errorf("block 0 unreadable")
+		}), nil
+	}
+	rr, err := f.fakeInput.Open(split, node)
+	return readerFunc(func(fn func(*Batch)) (TaskStats, error) {
+		<-f.release
+		f.ran.Add(1)
+		return rr.ReadBatches(fn)
+	}), err
+}
+
+// TestFailedTaskStopsTheJob: once a task has failed its last attempt no
+// worker claims another. Task 0 of 12 fails at Parallelism 2 while the
+// other worker is held inside its task until the failure is reported: at
+// most two more tasks may run, the error names task 0, and the spans of
+// the tasks nobody claimed are ended, so the trace validates.
+func TestFailedTaskStopsTheJob(t *testing.T) {
+	c, f := buildFake(t, 4, 12, 5)
+	in := &stopInput{fakeInput: f, release: make(chan struct{})}
+	var once sync.Once
+	tr := obs.NewTrace("stop")
+	e := &Engine{Cluster: c, Parallelism: 2, OnProgress: func(int, int) { once.Do(func() { close(in.release) }) }}
+	res, err := e.Run(&Job{
+		Name: "stop", File: "/fake", Input: in, Trace: tr,
+		Map: func(r Record, emit Emit) { emit(r.Raw, "") },
+	})
+	if err == nil {
+		t.Fatalf("job with an unreadable block succeeded: %d rows", len(res.Output))
+	}
+	if !strings.HasPrefix(err.Error(), "mapred: task 0 failed after 4 attempts") {
+		t.Errorf("error %q does not name task 0", err)
+	}
+	if ran := in.ran.Load(); ran > 2 {
+		t.Errorf("%d tasks ran after task 0 failed, want at most 2", ran)
+	}
+	if err := tr.Validate(); err != nil {
+		t.Errorf("trace of a stopped job: %v", err)
 	}
 }

@@ -92,7 +92,7 @@ func (r *Reader) NewColumnCursor(col, fromRow, toRow int) (*ColumnCursor, error)
 	}
 	c.raw = raw
 	c.long = len(raw) >= longTerm*(min((pTo+1)*PartitionSize, r.numRows)-pFrom*PartitionSize)
-	if err := c.nextString(fromRow-pFrom*PartitionSize, nil); err != nil {
+	if err := c.skip(fromRow - pFrom*PartitionSize); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -104,7 +104,8 @@ func (c *ColumnCursor) Remaining() int { return c.remaining }
 // Next decodes up to n rows into dst (which is Reset first and must have
 // the cursor's type) and returns the count delivered — less than n only
 // at the end of the range. A nil dst skips the rows instead of decoding
-// them: fixed-size columns jump, variable-size columns walk terminators.
+// them: fixed-size columns jump, variable-size columns count terminators
+// in bulk (skip).
 // The batch pipeline uses the skip form for projection-only columns of
 // batches in which no row survived the filters — late materialization at
 // batch granularity.
@@ -123,7 +124,13 @@ func (c *ColumnCursor) Next(n int, dst *schema.Vector) (int, error) {
 		c.remaining -= n
 		return n, nil
 	}
-	if err := c.nextString(n, dst); err != nil {
+	var err error
+	if dst == nil {
+		err = c.skip(n)
+	} else {
+		err = c.nextString(n, dst)
+	}
+	if err != nil {
 		return 0, err
 	}
 	c.remaining -= n
@@ -167,20 +174,30 @@ func (c *ColumnCursor) NextSelected(n int, sel []int32, dst *schema.Vector) (int
 		c.remaining -= n
 		return n, nil
 	}
+	// The gaps between selected rows, and the tail after the last one, are
+	// skipped in bulk; only the selected values are walked one by one. An
+	// entry out of order (or past n) is dropped: the walk only goes forward.
 	dst.Bytes = c.raw[:len(c.raw):len(c.raw)]
 	dst.Start, dst.End = slices.Grow(dst.Start, len(sel)), slices.Grow(dst.End, len(sel))
-	k := 0
-	for i := 0; i < n; i++ {
+	at := 0 // the batch row the cursor stands on
+	for _, s := range sel {
+		if int(s) < at || int(s) >= n {
+			continue
+		}
+		if err := c.skip(int(s) - at); err != nil {
+			return 0, err
+		}
 		z := c.term()
 		if z < 0 {
 			return 0, c.unterminated()
 		}
-		if k < len(sel) && int(sel[k]) == i {
-			dst.Start = append(dst.Start, uint32(c.bpos))
-			dst.End = append(dst.End, uint32(z))
-			k++
-		}
+		dst.Start = append(dst.Start, uint32(c.bpos))
+		dst.End = append(dst.End, uint32(z))
 		c.bpos = z + 1
+		at = int(s) + 1
+	}
+	if err := c.skip(n - at); err != nil {
+		return 0, err
 	}
 	c.remaining -= n
 	return n, nil
@@ -216,20 +233,48 @@ func (c *ColumnCursor) nextFixed(n int, dst *schema.Vector) {
 // where each value lies, not the value: dst.Bytes is the column range
 // itself, its capacity clamped so that appending to it copies.
 func (c *ColumnCursor) nextString(n int, dst *schema.Vector) error {
-	if dst != nil {
-		dst.Bytes = c.raw[:len(c.raw):len(c.raw)]
-		dst.Start, dst.End = slices.Grow(dst.Start, n), slices.Grow(dst.End, n)
-	}
+	dst.Bytes = c.raw[:len(c.raw):len(c.raw)]
+	dst.Start, dst.End = slices.Grow(dst.Start, n), slices.Grow(dst.End, n)
 	for i := 0; i < n; i++ {
 		z := c.term()
 		if z < 0 {
 			return c.unterminated()
 		}
-		if dst != nil {
-			dst.Start = append(dst.Start, uint32(c.bpos))
-			dst.End = append(dst.End, uint32(z))
-		}
+		dst.Start = append(dst.Start, uint32(c.bpos))
+		dst.End = append(dst.End, uint32(z))
 		c.bpos = z + 1
+	}
+	return nil
+}
+
+// skipChunk is how many bytes skip counts terminators in at a time. One
+// bytes.Count over a chunk is a single vector pass with no call per value;
+// the chunk that holds the last terminator is then walked value by value,
+// so a larger chunk trades fewer calls for a longer final walk.
+// BenchmarkTerminatorWalk's skip cases (1,024 values on a 2-core Xeon,
+// chunk 64 / 128 / 256 / 512 B: 3 B values 0.61 / 0.59 / 0.59 / 0.82 µs,
+// 12 B 1.40 / 1.22 / 0.65 / 0.78, 45 B 6.41 / 2.98 / 1.79 / 1.64) put it at
+// 256, against 7.0, 9.3 and 11.8 µs to walk the same values.
+const skipChunk = 256
+
+// skip advances past k string values without delivering them: whole
+// chunks are passed by counting their terminators, and only the chunk
+// that holds the k-th is walked. A range with fewer than k terminators
+// left is unterminated.
+func (c *ColumnCursor) skip(k int) error {
+	for k > 0 {
+		end := min(c.bpos+skipChunk, len(c.raw))
+		if n := bytes.Count(c.raw[c.bpos:end], []byte{0}); n < k {
+			if end == len(c.raw) {
+				return c.unterminated()
+			}
+			k -= n
+			c.bpos = end // mid-value, perhaps: term finds the same terminator from there
+			continue
+		}
+		for ; k > 0; k-- {
+			c.bpos = c.term() + 1 // found: the chunk holds k more terminators
+		}
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"strings"
@@ -458,11 +459,12 @@ var walkSchema = schema.MustNew(
 )
 
 // walkBlock builds n rows of walkSchema: empty and one-byte values in both
-// string columns, with a 200-byte value among the short ones now and then.
+// string columns, with a 200-byte value among the short ones now and then,
+// and among the long ones values longer than skip's chunk.
 func walkBlock(n int, seed int64) *Block {
 	rng := rand.New(rand.NewSource(seed))
 	short := []string{"", "a", "bc", "d"}
-	long := []string{"", "a", strings.Repeat("u", 30), strings.Repeat("w", 200)}
+	long := []string{"", "a", strings.Repeat("u", 30), strings.Repeat("w", 3*skipChunk-5)}
 	b := NewBlock(walkSchema)
 	for i := 0; i < n; i++ {
 		s := short[rng.Intn(len(short))]
@@ -556,12 +558,126 @@ func TestColumnCursorShortAndLongWalksAgree(t *testing.T) {
 			}
 		}
 	}
+
+	// The skip against a walk over every value: cursors opened mid-partition
+	// (the alignment prefix is skipped) and batches of each selection shape
+	// must deliver the same spans and stand on the same byte after each
+	// batch, on both columns and with either terminator walk.
+	for _, col := range []int{1, 2} {
+		for _, rg := range [][2]int{{0, b.NumRows()}, {17, 40}, {PartitionSize - 3, 2*PartitionSize + 5}, {PartitionSize + 500, b.NumRows()}, {3 * PartitionSize, 3*PartitionSize + 1}} {
+			for _, flip := range []bool{false, true} {
+				skipAgreesWithWalk(t, data, col, rg[0], rg[1], flip)
+			}
+		}
+	}
 }
 
+// skipSels are the ascending selection shapes of a batch of n rows the
+// skip is held to: empty, first row only, last row only, dense, every k-th,
+// head only and tail only.
+func skipSels(n int) map[string][]int32 {
+	seq := func(from, to, step int) []int32 {
+		out := []int32{}
+		for i := from; i < to; i += step {
+			out = append(out, int32(i))
+		}
+		return out
+	}
+	return map[string][]int32{
+		"empty": {}, "first": {0}, "last": {int32(n - 1)}, "dense": seq(0, n, 1),
+		"every 3rd": seq(1, n, 3), "every 40th": seq(7, n, 40), "head": seq(0, n/4, 1), "tail": seq(n-n/4, n, 1),
+	}
+}
+
+// walkSelected is NextSelected as it was before skip: every value's
+// terminator is found one at a time, selected or not.
+func walkSelected(c *ColumnCursor, n int, sel []int32, dst *schema.Vector) error {
+	dst.Reset()
+	dst.Bytes = c.raw
+	k := 0
+	for i := 0; i < n; i++ {
+		z := c.term()
+		if z < 0 {
+			return c.unterminated()
+		}
+		if k < len(sel) && int(sel[k]) == i {
+			dst.Start = append(dst.Start, uint32(c.bpos))
+			dst.End = append(dst.End, uint32(z))
+			k++
+		}
+		c.bpos = z + 1
+	}
+	c.remaining -= n
+	return nil
+}
+
+// skipAgreesWithWalk opens two cursors over rows [from, to) of column col:
+// one as NewColumnCursor does, the other at the partition boundary and
+// walked to from value by value. It then drains both, a shape per batch,
+// the first through NextSelected (and Next skipping, for the empty
+// shape), the second through walkSelected. flip swaps the terminator walk
+// both use.
+func skipAgreesWithWalk(t *testing.T, data []byte, col, from, to int, flip bool) {
+	t.Helper()
+	open := func(from int) *ColumnCursor {
+		r, err := NewReader(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := r.NewColumnCursor(col, from, to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.long = c.long != flip
+		return c
+	}
+	got, want := open(from), open(from/PartitionSize*PartitionSize)
+	vec, ref := schema.NewVector(schema.String), schema.NewVector(schema.String)
+	if err := walkSelected(want, from%PartitionSize, nil, ref); err != nil {
+		t.Fatal(err)
+	}
+	if got.bpos != want.bpos || got.remaining != want.remaining {
+		t.Fatalf("col %d [%d,%d) long=%v: opened at byte %d with %d rows left, the walk at %d with %d", col, from, to, got.long, got.bpos, got.remaining, want.bpos, want.remaining)
+	}
+	names := slices.Sorted(maps.Keys(skipSels(1)))
+	for i := 0; got.Remaining() > 0; i++ {
+		n := min(batchSizes[i%len(batchSizes)], got.Remaining())
+		name := names[i%len(names)]
+		sel := skipSels(n)[name]
+		var err error
+		if name == "empty" && i%2 == 0 {
+			_, err = got.Next(n, nil)
+			vec.Reset()
+		} else {
+			_, err = got.NextSelected(n, sel, vec)
+		}
+		if err != nil {
+			t.Fatalf("col %d [%d,%d) long=%v batch %d (%s): %v", col, from, to, got.long, i, name, err)
+		}
+		if err := walkSelected(want, n, sel, ref); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(vec.Start, ref.Start) || !slices.Equal(vec.End, ref.End) || got.bpos != want.bpos {
+			t.Fatalf("col %d [%d,%d) long=%v batch %d (%s, %d rows): spans %v–%v at byte %d, the walk %v–%v at byte %d",
+				col, from, to, got.long, i, name, n, vec.Start, vec.End, got.bpos, ref.Start, ref.End, want.bpos)
+		}
+	}
+	if want.Remaining() != 0 || got.bpos != want.bpos {
+		t.Fatalf("col %d [%d,%d) long=%v: drained at byte %d, the walk at %d with %d rows left", col, from, to, got.long, got.bpos, want.bpos, want.Remaining())
+	}
+}
+
+// batchSizes are the batch lengths skipAgreesWithWalk cycles through.
+var batchSizes = []int{PartitionSize, 100, 1, 333}
+
 // TestCursorUnterminatedErrorNamesTheColumn: a string column one
-// terminator short fails the same way wherever the walk meets it — at
-// cursor creation, in Next or in NextSelected, with either terminator walk
-// — and says which column.
+// terminator short fails the same way wherever the walk meets it — in
+// Next, in NextSelected, in a run of values skipped in bulk (Next
+// skipping, the gaps and tail of NextSelected, after a cursor opened past
+// an alignment prefix), with either terminator walk — and says which
+// column. The terminator knocked out is the last value's, or one in the
+// middle, so that every value after it is a run skip counts without
+// finding enough.
 func TestCursorUnterminatedErrorNamesTheColumn(t *testing.T) {
 	testBlock, walk := buildBlock(t, 10, 23), walkBlock(10, 23)
 	for _, tc := range []struct {
@@ -569,47 +685,59 @@ func TestCursorUnterminatedErrorNamesTheColumn(t *testing.T) {
 		col      int
 		wantLong bool
 	}{{testBlock, 4, false}, {walk, 1, false}, {walk, 2, true}} {
-		data, err := tc.b.Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		dirAt := fixedHeader + len(tc.b.Schema().String()) + 2
-		off := int(binary.LittleEndian.Uint32(data[dirAt+tc.col*8:]))
-		n := int(binary.LittleEndian.Uint32(data[dirAt+tc.col*8+4:]))
-		for i := off + n - 1; ; i-- { // the last value's terminator
-			if data[i] == 0 {
-				data[i] = 'x'
-				break
-			}
-		}
-		decode := map[string]func(c *ColumnCursor, vec *schema.Vector) error{
-			"Next": func(c *ColumnCursor, vec *schema.Vector) error {
-				_, err := c.Next(10, vec)
-				return err
-			},
-			"Next skipping": func(c *ColumnCursor, _ *schema.Vector) error {
-				_, err := c.Next(10, nil)
-				return err
-			},
-			"NextSelected": func(c *ColumnCursor, vec *schema.Vector) error {
-				_, err := c.NextSelected(10, []int32{2, 9}, vec)
-				return err
-			},
-		}
-		for name, fn := range decode {
-			r, err := NewReader(data)
+		for _, knock := range []int{9, 4} { // the value whose terminator goes
+			data, err := tc.b.Marshal()
 			if err != nil {
 				t.Fatal(err)
 			}
-			c, err := r.NewColumnCursor(tc.col, 0, 10)
-			if err != nil {
-				t.Fatal(err)
+			dirAt := fixedHeader + len(tc.b.Schema().String()) + 2
+			off := int(binary.LittleEndian.Uint32(data[dirAt+tc.col*8:]))
+			vals := off + numPartitions(10)*4
+			for i, v := vals, 0; ; i++ {
+				if data[i] != 0 {
+					continue
+				}
+				if v == knock {
+					data[i] = 'x'
+					break
+				}
+				v++
 			}
-			if c.long != tc.wantLong {
-				t.Fatalf("column %d: long walk %v, want %v", tc.col, c.long, tc.wantLong)
+			decode := map[string]func(c *ColumnCursor, vec *schema.Vector) error{
+				"Next": func(c *ColumnCursor, vec *schema.Vector) error {
+					_, err := c.Next(c.Remaining(), vec)
+					return err
+				},
+				"Next skipping": func(c *ColumnCursor, _ *schema.Vector) error {
+					_, err := c.Next(c.Remaining(), nil)
+					return err
+				},
+				"NextSelected": func(c *ColumnCursor, vec *schema.Vector) error {
+					_, err := c.NextSelected(c.Remaining(), []int32{0, int32(c.Remaining() - 1)}, vec)
+					return err
+				},
+				"NextSelected skipping the tail": func(c *ColumnCursor, vec *schema.Vector) error {
+					_, err := c.NextSelected(c.Remaining(), []int32{0}, vec)
+					return err
+				},
 			}
-			if err := fn(c, schema.NewVector(schema.String)); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unterminated string value in column %d", tc.col)) {
-				t.Errorf("%s over column %d one terminator short: %v", name, tc.col, err)
+			for name, fn := range decode {
+				for _, from := range []int{0, 6} {
+					r, err := NewReader(data)
+					if err != nil {
+						t.Fatal(err)
+					}
+					c, err := r.NewColumnCursor(tc.col, from, 10)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if c.long != tc.wantLong {
+						t.Fatalf("column %d: long walk %v, want %v", tc.col, c.long, tc.wantLong)
+					}
+					if err := fn(c, schema.NewVector(schema.String)); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unterminated string value in column %d", tc.col)) {
+						t.Errorf("%s from row %d over column %d without value %d's terminator: %v", name, from, tc.col, knock, err)
+					}
+				}
 			}
 		}
 	}

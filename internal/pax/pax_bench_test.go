@@ -112,9 +112,11 @@ func BenchmarkReadStringColumnRange(b *testing.B) {
 	}
 }
 
-// BenchmarkTerminatorWalk is the evidence behind longTerm: a cursor
-// decoding 1,024 string values of one length, its terminators found by the
-// byte loop and by bytes.IndexByte. One op is the whole 1,024 values.
+// BenchmarkTerminatorWalk is the evidence behind longTerm and skipChunk: a
+// cursor decoding 1,024 string values of one length, its terminators found
+// by the byte loop and by bytes.IndexByte, and the same cursor skipping
+// them (Next with a nil vector, counted a chunk at a time). One op is the
+// whole 1,024 values.
 func BenchmarkTerminatorWalk(b *testing.B) {
 	for _, size := range []int{3, 8, 12, 24, 45} {
 		raw := bytes.Repeat(append(bytes.Repeat([]byte{'v'}, size), 0), PartitionSize)
@@ -133,5 +135,16 @@ func BenchmarkTerminatorWalk(b *testing.B) {
 				}
 			})
 		}
+		if size != 3 && size != 12 && size != 45 {
+			continue
+		}
+		b.Run(fmt.Sprintf("%dB/skip", size), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c := ColumnCursor{typ: schema.String, raw: raw, remaining: PartitionSize, long: size >= longTerm}
+				if _, err := c.Next(PartitionSize, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

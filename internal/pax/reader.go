@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"repro/internal/schema"
 )
@@ -120,7 +121,7 @@ func (r *Reader) parseHeader() error {
 	if err != nil {
 		return err
 	}
-	sch, err := schema.ParseSchema(string(ddl[:schemaLen]))
+	sch, err := decodeSchema(ddl[:schemaLen])
 	if err != nil {
 		return err
 	}
@@ -167,6 +168,35 @@ func (r *Reader) parseHeader() error {
 		return fmt.Errorf("pax: sort column %d out of range", r.sortCol)
 	}
 	return nil
+}
+
+// decodedSchema is a schema together with the DDL it was parsed from.
+type decodedSchema struct {
+	ddl string
+	sch *schema.Schema
+}
+
+// lastSchema is the most recently decoded block schema. The blocks of a
+// file share one DDL, so nearly every header finds its schema here and
+// every Reader of the file hands out the same *schema.Schema, which
+// Schema.Equal answers by pointer.
+var lastSchema atomic.Pointer[decodedSchema]
+
+// decodeSchema returns the schema a header's DDL bytes describe: the last
+// one decoded when the bytes are equal, a fresh parse otherwise, which
+// then becomes the last one. A Schema is immutable, so sharing it is safe.
+func decodeSchema(ddl []byte) (*schema.Schema, error) {
+	if d := lastSchema.Load(); d != nil && d.ddl == string(ddl) {
+		return d.sch, nil
+	}
+	d := &decodedSchema{ddl: string(ddl)}
+	sch, err := schema.ParseSchema(d.ddl)
+	if err != nil {
+		return nil, err
+	}
+	d.sch = sch
+	lastSchema.Store(d)
+	return sch, nil
 }
 
 // Schema returns the block schema parsed from the header.
