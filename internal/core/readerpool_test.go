@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/hdfs"
 	"repro/internal/mapred"
+	"repro/internal/qcache"
 	"repro/internal/query"
 	"repro/internal/workload"
 )
@@ -29,25 +30,22 @@ type poolJob struct {
 	q    *query.Query // nil: every row, every attribute
 }
 
-func (j poolJob) run(cluster *hdfs.Cluster, par int) (*mapred.JobResult, error) {
-	return (&mapred.Engine{Cluster: cluster, Parallelism: par}).Run(&mapred.Job{
+// run runs the job through cache; a nil cache runs it uncached.
+func (j poolJob) run(cluster *hdfs.Cluster, par int, cache mapred.ResultCache) (*mapred.JobResult, error) {
+	return (&mapred.Engine{Cluster: cluster, Parallelism: par, Cache: cache}).Run(&mapred.Job{
 		Name: "pool " + j.file, File: j.file,
 		Input:    &InputFormat{Cluster: cluster, Query: j.q},
 		Map:      workload.PassthroughMap,
 		MapBatch: workload.PassthroughMapBatch,
+		MapSig:   workload.PassthroughMapSig,
 	})
 }
 
-// TestPooledReadersKeepJobsApart: readers pass from job to job through the
-// pool, so a reader laid out for one file's schema and one query meets
-// the next job's. Jobs over two files with different schemas — UserVisits
-// with strings, Synthetic with nineteen ints — and queries with different
-// filters and projections, index and full scans, run interleaved one after
-// another and then all at once, at Parallelism 1 and 4; every job's output
-// must be byte-identical to the same job run alone from an empty pool.
-// Under -race this is also the proof that no reader is shared between two
-// tasks.
-func TestPooledReadersKeepJobsApart(t *testing.T) {
+// twoSchemaJobs uploads UserVisits as /uv and Synthetic as /syn and
+// returns jobs over both: queries with different filters and projections,
+// index and full scans.
+func twoSchemaJobs(t *testing.T) (*hdfs.Cluster, []poolJob) {
+	t.Helper()
 	cluster, _, _, _ := uvFixture(t, 6000, workload.UserVisitsOptions{NeedleEvery: 1500, BadEvery: 700})
 	syn := &Client{Cluster: cluster, Config: LayoutConfig{
 		Schema: workload.SyntheticSchema(), SortColumns: []int{0, -1, 5}, BlockSize: 64 << 10,
@@ -67,11 +65,23 @@ func TestPooledReadersKeepJobsApart(t *testing.T) {
 		t.Fatal(err)
 	}
 	jobs = append(jobs, poolJob{"/uv", wide}, poolJob{"/syn", nil}, poolJob{"/uv", nil})
+	return cluster, jobs
+}
 
+// TestPooledReadersKeepJobsApart: readers pass from job to job through the
+// pool, so a reader laid out for one file's schema and one query meets
+// the next job's. Jobs over two files with different schemas — UserVisits
+// with strings, Synthetic with nineteen ints — run interleaved one after
+// another and then all at once, at Parallelism 1 and 4; every job's output
+// must be byte-identical to the same job run alone from an empty pool.
+// Under -race this is also the proof that no reader is shared between two
+// tasks.
+func TestPooledReadersKeepJobsApart(t *testing.T) {
+	cluster, jobs := twoSchemaJobs(t)
 	alone := make([][]mapred.KV, len(jobs))
 	for i, j := range jobs {
 		drainReaders()
-		res, err := j.run(cluster, 1)
+		res, err := j.run(cluster, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +102,7 @@ func TestPooledReadersKeepJobsApart(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		for round := 0; round < 2; round++ {
 			for i, j := range jobs {
-				res, err := j.run(cluster, par)
+				res, err := j.run(cluster, par, nil)
 				check(i, res, err, fmt.Sprintf("interleaved at parallelism %d", par))
 			}
 		}
@@ -101,11 +111,78 @@ func TestPooledReadersKeepJobsApart(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				res, err := j.run(cluster, par)
+				res, err := j.run(cluster, par, nil)
 				check(i, res, err, fmt.Sprintf("concurrent at parallelism %d", par))
 			}()
 		}
 		wg.Wait()
+	}
+}
+
+// TestRecycledChunksKeepJobsApart: the engine emits each computed block
+// into a pooled buffer and takes the buffers back when the job returns, so
+// a buffer one job filled is the next job's to overwrite. The jobs of
+// TestPooledReadersKeepJobsApart run all at once, at Parallelism 1 and 4,
+// uncached, into a cold cache and out of the warm one, with one replica of
+// a /uv block corrupt so that every read of it fails over to another
+// replica. Every job's output must be byte-identical to its serial
+// uncached run: a buffer recycled while a chunk of it was still to be
+// assembled, cached or returned would show here, and under -race as a
+// race.
+func TestRecycledChunksKeepJobsApart(t *testing.T) {
+	cluster, jobs := twoSchemaJobs(t)
+	blocks, err := cluster.NameNode().FileBlocks("/uv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := blocks[len(blocks)/2]
+	victim, _ := cluster.DataNode(cluster.NameNode().GetHosts(b)[0])
+	if err := victim.CorruptByte(b, 3); err != nil {
+		t.Fatal(err)
+	}
+	ref := make([][]mapred.KV, len(jobs))
+	failovers := 0
+	for i, j := range jobs {
+		res, err := j.run(cluster, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref[i], failovers = res.Output, failovers+res.TotalStats().ChecksumFailovers
+	}
+	if failovers == 0 {
+		t.Fatalf("a corrupt replica of block %d forced no failover", b)
+	}
+	for _, par := range []int{1, 4} {
+		var warm *qcache.Cache
+		for _, mode := range []string{"uncached", "cold-cached", "hot-cached"} {
+			var cache mapred.ResultCache
+			switch mode {
+			case "cold-cached":
+				warm = qcache.New(0)
+				cache = warm
+			case "hot-cached":
+				cache = warm
+			}
+			var wg sync.WaitGroup
+			for i, j := range jobs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					res, err := j.run(cluster, par, cache)
+					if err != nil {
+						t.Errorf("job %d %s at parallelism %d: %v", i, mode, par, err)
+						return
+					}
+					if !slices.Equal(res.Output, ref[i]) {
+						t.Errorf("job %d (%s %v) %s at parallelism %d: %d records differ from its %d serial uncached ones", i, j.file, j.q, mode, par, len(res.Output), len(ref[i]))
+					}
+					if st := res.TotalStats(); mode == "hot-cached" && st.BlocksFromCache != st.Blocks {
+						t.Errorf("job %d hot at parallelism %d: %d of %d blocks from the cache", i, par, st.BlocksFromCache, st.Blocks)
+					}
+				}()
+			}
+			wg.Wait()
+		}
 	}
 }
 
@@ -193,10 +270,11 @@ func TestPooledReaderRetainsNoClusterOrReplica(t *testing.T) {
 // job overhead included. A pooled reader brings its lay-out, vectors and
 // batch scratch, and every block of the file shares one decoded schema, so
 // what is left per block is its own: the PAX reader, the index, a cursor
-// per column, the bad records, the chunk and the batches' text (≈24). A
-// reader built per Open, a schema parsed per header, measured ≈60. The
-// race runtime drops pooled readers at random, so the gate does not run
-// there; it needs the full fixture, so not under -short either.
+// per column, the bad records and the batches' text (≈22; the block's
+// output buffer is pooled too). A reader built per Open, a schema parsed
+// per header, measured ≈60. The race runtime drops pooled readers at
+// random, so the gate does not run there; it needs the full fixture, so
+// not under -short either.
 func TestIndexScanAllocatesPerBlockNotPerOpen(t *testing.T) {
 	if raceBuild() {
 		t.Skip("the race runtime drops pooled readers at random")

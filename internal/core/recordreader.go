@@ -342,9 +342,8 @@ func (r *recordReader) readBlockBatches(b hdfs.BlockID, fn func(*mapred.Batch), 
 	if err != nil {
 		return err
 	}
-	selected := 0
 	if bs.toRow > bs.fromRow {
-		if selected, err = r.streamRange(bs, fn, stats); err != nil {
+		if err := r.streamRange(bs, fn, stats); err != nil {
 			return err
 		}
 	}
@@ -354,7 +353,6 @@ func (r *recordReader) readBlockBatches(b hdfs.BlockID, fn func(*mapred.Batch), 
 		stats.RecordsDelivered += int64(len(bs.bad))
 		stats.BatchesEmitted++
 		r.batch.Cols, r.batch.Sel, r.batch.Bad = nil, nil, bs.bad
-		r.batch.Expect = selected + len(bs.bad)
 		fn(&r.batch)
 	}
 	return nil
@@ -369,14 +367,8 @@ func (r *recordReader) readBlockBatches(b hdfs.BlockID, fn func(*mapred.Batch), 
 // columns are compacted in place, so every emitted batch is dense. A
 // selective scan therefore pays projection decoding proportional to its
 // selectivity, not its scan range — the late-materialization payoff.
-//
-// Every batch carries the block's expected record count (Batch.Expect):
-// the rows selected so far, the bad records, and the rows left at the
-// selectivity seen so far, empty batches included. It is exact when every
-// batch survives whole. streamRange returns the rows it selected.
-func (r *recordReader) streamRange(bs *blockScan, fn func(*mapred.Batch), stats *mapred.TaskStats) (selected int, err error) {
+func (r *recordReader) streamRange(bs *blockScan, fn func(*mapred.Batch), stats *mapred.TaskStats) (err error) {
 	cols, filterCols, cursors, vecs := bs.cols, bs.filterCols, bs.cursors, bs.vecs
-	scanned := 0
 	for remaining := bs.toRow - bs.fromRow; remaining > 0; {
 		n := batchRows
 		if n > remaining {
@@ -385,12 +377,10 @@ func (r *recordReader) streamRange(bs *blockScan, fn func(*mapred.Batch), stats 
 		remaining -= n
 		for _, col := range filterCols {
 			if _, err := cursors[col].Next(n, vecs[col]); err != nil {
-				return selected, err
+				return err
 			}
 		}
 		r.sel = bs.q.MatchesBatch(func(c int) *schema.Vector { return vecs[c] }, query.MakeSelection(r.sel, n))
-		scanned += n
-		selected += len(r.sel)
 		stats.RecordsScanned += int64(n)
 		stats.RowsScanned += int64(n)
 		stats.RowsSelected += int64(len(r.sel))
@@ -408,7 +398,7 @@ func (r *recordReader) streamRange(bs *blockScan, fn func(*mapred.Batch), stats 
 				_, err = cursors[col].Next(n, vecs[col])
 			}
 			if err != nil {
-				return selected, err
+				return err
 			}
 		}
 		if len(r.sel) == 0 {
@@ -428,10 +418,9 @@ func (r *recordReader) streamRange(bs *blockScan, fn func(*mapred.Batch), stats 
 		stats.AttrsDelivered += int64(len(sel) * len(bs.proj))
 		stats.BatchesEmitted++
 		r.batch.Cols, r.batch.Sel, r.batch.Bad = bs.projVecs, sel, nil
-		r.batch.Expect = selected + len(bs.bad) + (remaining*selected+scanned-1)/scanned
 		fn(&r.batch)
 	}
-	return selected, nil
+	return nil
 }
 
 // isProjected reports whether col appears in the (short, ascending)

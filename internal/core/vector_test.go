@@ -371,14 +371,20 @@ func TestPassthroughScanAllocationsNotPerRow(t *testing.T) {
 	}
 }
 
-// TestFullScanSizesEachBlockOnce: a block's output chunk is allocated once,
-// at the size the reader expects, not doubled up to it. The map emits one
-// empty KV per record, so the KV headers are all there is to allocate:
-// one exact chunk per block plus the assemble copy is 2 × the output's
-// headers, where doubling from 64 costs ≈ 5 ×. A map that emits two KVs
-// per record outgrows the estimate and falls back to doubling, with the
-// row path's output.
+// TestFullScanSizesEachBlockOnce: a warm job allocates its output's KV
+// headers once, in the assemble's exact-size copy. Each block emits into a
+// buffer the engine recycles from job to job, so a block's chunk is not
+// allocated at all once the pool holds buffers of its size. The map emits
+// one empty KV per record, so the KV headers are all there is to allocate:
+// the assemble copy is 1 × the output's headers, where a chunk allocated
+// per block as well costs 2 ×, and doubling each chunk up from 64 KVs ≈
+// 5 ×. A map that emits two KVs per record outgrows the buffers and doubles
+// them, with the row path's output. The race runtime drops pooled items at
+// random, so the bound does not hold there.
 func TestFullScanSizesEachBlockOnce(t *testing.T) {
+	if raceBuild() {
+		t.Skip("the race runtime drops pooled buffers at random")
+	}
 	const nLines = 50_000
 	cluster, err := hdfs.NewCluster(4)
 	if err != nil {
@@ -419,8 +425,8 @@ func TestFullScanSizesEachBlockOnce(t *testing.T) {
 	headers := float64(nLines) * float64(unsafe.Sizeof(mapred.KV{}))
 	const perBlock = 32 << 10 // the reader's own: cursors, vectors, views
 	t.Logf("%.0f B/run for %.0f B of KV headers in %d blocks (%.2f ×)", perRun, headers, len(sum.BlockIDs), perRun/headers)
-	if limit := 2.5*headers + perBlock*float64(len(sum.BlockIDs)); perRun > limit {
-		t.Errorf("a full scan allocates %.0f B/run, more than 2.5 × its %.0f B of KV headers plus %d B a block", perRun, headers, perBlock)
+	if limit := 1.25*headers + perBlock*float64(len(sum.BlockIDs)); perRun > limit {
+		t.Errorf("a full scan allocates %.0f B/run, more than 1.25 × its %.0f B of KV headers plus %d B a block", perRun, headers, perBlock)
 	}
 
 	line := func(r mapred.Record) string {

@@ -178,26 +178,6 @@ func (r *Runner) AblationLayout() (*Figure, error) {
 	return fig, nil
 }
 
-// UploadBreakdown is not a paper figure but a useful diagnostic: the
-// simulated per-node resource times behind Figure 4(a)'s HAIL bar.
-func (r *Runner) UploadBreakdown(w Workload, indexes int) (disk, net, cpu float64, err error) {
-	hailRatio, _, err := r.binRatio(w)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	gb := UVGBPerNode
-	if w == Synthetic {
-		gb = SynGBPerNode
-	}
-	c := hailUploadCost(gb*1e9, hailRatio, indexes, 3)
-	p := r.Profile
-	disk = (float64(c.DiskReadBytes) + float64(c.DiskStreamWriteBytes)/p.StreamWriteEff +
-		float64(c.DiskBlockWriteBytes)) / (p.DiskMBps * 1e6)
-	net = float64(c.NetBytes) / (p.NetMBps * 1e6)
-	cpu = c.CPUCoreSeconds / (float64(p.Cores) * p.CPUFactor)
-	return disk, net, cpu, nil
-}
-
 // Section5FullText reproduces the related-work micro-comparison of §5:
 // "[15] required 2,088 seconds to only create a full-text index on 20GB,
 // while HAIL takes 1,600 seconds to both upload and index 200GB." The

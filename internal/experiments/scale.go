@@ -47,11 +47,6 @@ func (r *Runner) newScale(w Workload, realTextBytes, realRows int64, realBlocks 
 	}
 }
 
-// BlocksPerNode is the paper-scale block count stored per node.
-func (s Scale) BlocksPerNode(nodes int) float64 {
-	return float64(s.PaperBlocks) / float64(nodes)
-}
-
 // upload cost builders — per-node resource demand at paper scale. These
 // encode the pipeline differences of §3.2:
 //

@@ -235,9 +235,6 @@ func (c *Cluster) WriteBlock(file string, data []byte, replication int, transfor
 		if err := p.Verify(); err != nil {
 			return 0, stats, fmt.Errorf("hdfs: tail datanode %d: %v", tail.ID(), err)
 		}
-		tail.mu.Lock()
-		tail.verifyCount++
-		tail.mu.Unlock()
 
 		// ACK chain: the ack for packet p travels tail→…→DN1→client with
 		// node IDs appended; the client checks sequence order (§3.2 step 15).

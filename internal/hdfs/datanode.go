@@ -26,9 +26,7 @@ type DataNode struct {
 	replicas map[BlockID]storedReplica
 
 	// Cumulative counters for tests and the cost model.
-	bytesFlushed int64
-	packetsRecv  int64
-	verifyCount  int64
+	packetsRecv int64
 
 	// Read-side counters, bumped by ReplicaView.Range outside the lock.
 	chunksVerified   atomic.Int64
@@ -81,7 +79,6 @@ func (dn *DataNode) flush(b BlockID, data []byte, sums []uint32) error {
 		return fmt.Errorf("hdfs: datanode %d already stores block %d", dn.id, b)
 	}
 	dn.replicas[b] = storedReplica{data: data, sums: sums}
-	dn.bytesFlushed += int64(len(data)) + int64(4*len(sums))
 	return nil
 }
 
@@ -100,7 +97,6 @@ func (dn *DataNode) replace(b BlockID, data []byte, sums []uint32) error {
 		return fmt.Errorf("hdfs: datanode %d has no replica of block %d to replace", dn.id, b)
 	}
 	dn.replicas[b] = storedReplica{data: data, sums: sums}
-	dn.bytesFlushed += int64(len(data)) + int64(4*len(sums))
 	return nil
 }
 
@@ -225,12 +221,4 @@ func (dn *DataNode) CorruptByte(b BlockID, offset int) error {
 	rep.data[offset] ^= 0x01
 	dn.replicas[b] = rep
 	return nil
-}
-
-// BytesFlushed returns the cumulative bytes written to this node's store
-// (data + checksum files).
-func (dn *DataNode) BytesFlushed() int64 {
-	dn.mu.RLock()
-	defer dn.mu.RUnlock()
-	return dn.bytesFlushed
 }

@@ -220,21 +220,27 @@ func (e *Engine) Run(job *Job) (*JobResult, error) {
 	// claim; both are zero Spans (inert, allocation-free) when tracing is
 	// off. A task's output is one chunk per block, in split order; the
 	// chunks of all tasks are windows of one array sized by the job's block
-	// count.
+	// count, and so are the buffers its computed blocks emitted into, one
+	// slot per block. The buffers go back to the pool when Run returns:
+	// after the assemble has copied them, or when the job has failed.
 	tasks := make([]struct {
 		tsp, wsp obs.Span
 		report   TaskReport
 		chunks   [][]KV
+		bufs     []*[]KV
 		err      error
 	}, len(splits))
 	nblocks := 0
 	for _, s := range splits {
 		nblocks += len(s.Blocks)
 	}
-	free := make([][]KV, nblocks)
+	chunks, bufs := make([][]KV, nblocks), make([]*[]KV, nblocks)
+	defer releaseBufs(bufs)
+	off := 0
 	for i, s := range splits {
 		n := len(s.Blocks)
-		tasks[i].chunks, free = free[:0:n], free[n:]
+		tasks[i].chunks, tasks[i].bufs = chunks[off:off:off+n], bufs[off:off+n:off+n]
+		off += n
 	}
 	mapSpan := tr.StartSpan("map", "phase", 0, runSpan)
 	if tr.Enabled() {
@@ -268,7 +274,7 @@ func (e *Engine) Run(job *Job) (*JobResult, error) {
 				m.taskWait.Observe(time.Since(mapStart))
 				execStart = time.Now()
 			}
-			t.report, t.chunks, t.err = e.runTask(job, cc, i, splits[i], assignments[i], t.tsp, t.chunks)
+			t.report, t.chunks, t.err = e.runTask(job, cc, i, splits[i], assignments[i], t.tsp, t.chunks, t.bufs)
 			if m != nil {
 				m.taskSeconds.Observe(time.Since(execStart))
 			}
@@ -313,8 +319,9 @@ func (e *Engine) Run(job *Job) (*JobResult, error) {
 	mapSpan.End()
 
 	assembleSpan := tr.StartSpan("assemble", "phase", 0, runSpan)
-	// The one place KV headers are copied: the chunks may be the cache's own
-	// slices, which nothing downstream of here may write through.
+	// The one place KV headers are copied: the chunks are the cache's own
+	// slices, which nothing downstream of here may write through, or windows
+	// of block buffers the pool gets back when Run returns.
 	outLen := 0
 	for i := range tasks {
 		for _, c := range tasks[i].chunks {
@@ -422,8 +429,10 @@ func (e *Engine) schedule(splits []Split) []hdfs.NodeID {
 // of the job's chunk array) in split order. Per block the loop probes the
 // result cache when the job is cacheable — a hit's chunk is the cache's own
 // slice, shared and read-only, not a copy — and otherwise opens the split
-// narrowed to that block and maps its records into a fresh chunk; a reader
-// that fails mid-block has its chunk dropped.
+// narrowed to that block and maps its records into the block's buffer,
+// bufs[pos], taken from the pool on first use; the chunk is a cap-clamped
+// window of it. A reader that fails mid-block has its chunk dropped, and its
+// buffer is cleared before the block is read again.
 //
 // Progress is a cursor: blocks [0,pos) are done and chunks holds their
 // output, so the result is byte-identical to a whole-split read. When the
@@ -438,7 +447,7 @@ func (e *Engine) schedule(splits []Split) []hdfs.NodeID {
 // is the task boundary's to catch: it fails the job with an error naming
 // task, block and executing node instead of killing the process, and the
 // failed block's output never reaches the cache.
-func (e *Engine) runTask(job *Job, cc *cacheContext, taskID int, split Split, node hdfs.NodeID, tsp obs.Span, chunks [][]KV) (report TaskReport, out [][]KV, err error) {
+func (e *Engine) runTask(job *Job, cc *cacheContext, taskID int, split Split, node hdfs.NodeID, tsp obs.Span, chunks [][]KV, bufs []*[]KV) (report TaskReport, out [][]KV, err error) {
 	const maxAttempts = 4
 	tr := job.Trace
 	var (
@@ -446,34 +455,20 @@ func (e *Engine) runTask(job *Job, cc *cacheContext, taskID int, split Split, no
 		pos, started   int
 		repacks, rerun int
 		runOn          = node
-		kvs            []KV // the chunk of the block being computed
+		kvs            *[]KV // the buffer of the block being computed
 	)
-	// A block's chunk is sized once, to the records its reader expects the
-	// block to deliver, when a batch would not fit and the estimate covers
-	// it. Past the estimate — a map that emits several KVs per record, a
-	// reader that sets no Expect — a full chunk doubles: append's own growth
-	// of a large slice, a quarter at a time, would allocate five times the
-	// block's final output.
-	reserve := func(b *Batch) {
-		if need := len(kvs) + b.NumRows(); need > cap(kvs) && b.Expect >= need {
-			kvs = append(make([]KV, 0, b.Expect), kvs...)
-		}
-	}
+	// A full buffer doubles: append's own growth of a large slice, a quarter
+	// at a time, would allocate five times the block's final output.
 	emit := func(k, v string) {
-		if len(kvs) == cap(kvs) {
-			kvs = slices.Grow(kvs, max(len(kvs), 64))
+		if len(*kvs) == cap(*kvs) {
+			*kvs = slices.Grow(*kvs, max(len(*kvs), 64))
 		}
-		kvs = append(kvs, KV{k, v})
+		*kvs = append(*kvs, KV{k, v})
 	}
-	// consume maps one batch: whole, after reserve has sized the block's
-	// chunk by it, for a MapBatch job; record by record for a Map job.
-	var consume func(*Batch)
-	if job.MapBatch != nil {
-		consume = func(b *Batch) {
-			reserve(b)
-			job.MapBatch(b, emit)
-		}
-	} else {
+	// consume maps one batch: whole for a MapBatch job, record by record
+	// for a Map job.
+	consume := func(b *Batch) { job.MapBatch(b, emit) }
+	if job.MapBatch == nil {
 		mapRecord := func(r Record) { job.Map(r, emit) }
 		consume = func(b *Batch) { b.Each(mapRecord) }
 	}
@@ -514,7 +509,12 @@ func (e *Engine) runTask(job *Job, cc *cacheContext, taskID int, split Split, no
 				}
 				tr.Count("qcache.block_miss", 1)
 			}
-			kvs = nil
+			if kvs = bufs[pos]; kvs == nil {
+				kvs = blockBufs.Get().(*[]KV)
+				bufs[pos] = kvs
+			}
+			clear(*kvs) // a failed attempt's partial output, past any shorter retry's
+			*kvs = (*kvs)[:0]
 			block := split
 			block.Blocks = split.Blocks[pos : pos+1 : pos+1]
 			rr, err := job.Input.Open(block, runOn)
@@ -525,10 +525,11 @@ func (e *Engine) runTask(job *Job, cc *cacheContext, taskID int, split Split, no
 			if err != nil {
 				return err
 			}
-			if cc != nil && cc.cache.Put(key, kvs, bstats) {
+			chunk := (*kvs)[:len(*kvs):len(*kvs)]
+			if cc != nil && cc.cache.Put(key, chunk, bstats) {
 				tr.Count("qcache.block_put", 1)
 			}
-			chunks = append(chunks, kvs)
+			chunks = append(chunks, chunk)
 			stats.Add(bstats)
 		}
 		return nil
@@ -583,6 +584,26 @@ func (e *Engine) runTask(job *Job, cc *cacheContext, taskID int, split Split, no
 		}, chunks, nil
 	}
 	return TaskReport{}, nil, fmt.Errorf("mapred: task %d failed after %d attempts: %v", taskID, maxAttempts, lastErr)
+}
+
+// blockBufs recycles the buffers computed blocks emit into, one buffer per
+// block: a job's buffers are all live until its assemble, so one buffer per
+// worker would not be enough, and a pool of large slabs misses more than
+// one of block-sized ones. A buffer in the pool holds zero KVs up to its
+// capacity, so it pins no job's text.
+var blockBufs = sync.Pool{New: func() any { return new([]KV) }}
+
+// releaseBufs returns a job's block buffers to the pool, cleared up to the
+// length each reached — a failed block's partial output included. A chunk
+// handed to ResultCache.Put was copied by it; nothing else outlives Run.
+func releaseBufs(bufs []*[]KV) {
+	for _, p := range bufs {
+		if p != nil {
+			clear(*p)
+			*p = (*p)[:0]
+			blockBufs.Put(p)
+		}
+	}
 }
 
 // taskPanic is the error a panic caught at the task boundary fails the job

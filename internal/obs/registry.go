@@ -1,9 +1,10 @@
 // Package obs is the process-wide observability layer: a concurrency-safe,
-// allocation-light metrics registry (counters, gauges, fixed-bucket latency
-// histograms) plus per-query trace spans (trace.go). Every handle is
-// nil-safe — a nil *Registry hands out nil *Counter/*Gauge/*Histogram whose
-// methods no-op without allocating, so subsystems wire observability
-// unconditionally and pay nothing when it is disabled.
+// allocation-light metrics registry (counters, gauges, fixed-bucket
+// log-linear latency histograms) plus per-query trace spans (trace.go).
+// Every handle is nil-safe — a nil *Registry hands out nil
+// *Counter/*Gauge/*Histogram whose methods no-op without allocating, so
+// subsystems wire observability unconditionally and pay nothing when it is
+// disabled.
 package obs
 
 import (
@@ -71,15 +72,23 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// histBuckets is the fixed bucket count: bucket k holds observations whose
-// microsecond value has bit length k, i.e. durations in [2^(k-1), 2^k) µs,
-// with bucket 0 catching sub-microsecond observations. 40 buckets cover up
-// to ~2^39 µs ≈ 6.4 days, far beyond any query this engine runs.
-const histBuckets = 40
+// A Histogram is log-linear: bucket 0 holds every sample under 1 µs, and
+// above that a sample of v nanoseconds lands in its power-of-two octave's
+// eighth named by the three bits after v's leading one. Every bucket is an
+// eighth of its octave wide, so the upper bound Quantile reports overstates
+// a sample by at most 12.5%. v's eighth is numbered 8·s + v>>s, where s is
+// v's bit length less four (v itself below 16); 1 µs is in eighth 63, so
+// bucket k is eighth k + histFloor. histBuckets reaches 2^49 ns ≈ 6.5 days,
+// far beyond any query this engine runs; longer samples share the last
+// bucket.
+const (
+	histFloor   = 62
+	histBuckets = 314
+)
 
-// Histogram is a fixed-bucket latency histogram over power-of-two
-// microsecond boundaries. Observations are lock-free atomic increments; a
-// nil Histogram ignores observations and reports zero quantiles.
+// Histogram is a fixed-bucket, log-linear latency histogram. Observations
+// are lock-free atomic increments; a nil Histogram ignores observations and
+// reports zero quantiles.
 type Histogram struct {
 	buckets [histBuckets]atomic.Int64
 	count   atomic.Int64
@@ -87,20 +96,20 @@ type Histogram struct {
 }
 
 func histBucket(d time.Duration) int {
-	us := d.Microseconds()
-	if us <= 0 {
+	if d < time.Microsecond {
 		return 0
 	}
-	b := bits.Len64(uint64(us))
-	if b >= histBuckets {
-		b = histBuckets - 1
-	}
-	return b
+	shift := bits.Len64(uint64(d)) - 4
+	return min(shift<<3+int(d>>shift)-histFloor, histBuckets-1)
 }
 
-// bucketUpper is the inclusive upper bound of bucket k as a duration.
+// bucketUpper is the exclusive upper bound of bucket k as a duration.
 func bucketUpper(k int) time.Duration {
-	return time.Duration(uint64(1)<<uint(k)) * time.Microsecond
+	if k == 0 {
+		return time.Microsecond
+	}
+	i := k + histFloor
+	return time.Duration(i&7+9) << (i>>3 - 1)
 }
 
 // Observe records one latency sample.
@@ -142,9 +151,10 @@ func (h *Histogram) Mean() time.Duration {
 }
 
 // Quantile returns an upper-bound estimate of the p-quantile (0 < p ≤ 1):
-// the upper boundary of the bucket containing the p·count-th sample. With
-// no samples it returns 0; any recorded sample yields a non-zero estimate
-// (bucket 0's upper bound is 1µs).
+// the upper boundary of the bucket containing the p·count-th sample, at
+// most 12.5% above it from 1 µs up. With no samples it returns 0; any
+// recorded sample yields a non-zero estimate (bucket 0's upper bound is
+// 1µs).
 func (h *Histogram) Quantile(p float64) time.Duration {
 	if h == nil {
 		return 0

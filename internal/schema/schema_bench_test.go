@@ -76,3 +76,18 @@ func BenchmarkAppendFloat(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkAppendDate: the date formatter on the days a scan prints — the
+// generator's visitDates, 1970 to 2010 — drawn at random so that neither
+// the year nor the day of the year repeats from one call to the next.
+func BenchmarkAppendDate(b *testing.B) {
+	rng := rand.New(rand.NewSource(47))
+	days := make([]int32, 1024)
+	for i := range days {
+		days[i] = int32(rng.Intn(40 * 365))
+	}
+	buf := make([]byte, 0, 16)
+	for i := 0; b.Loop(); i++ {
+		buf = AppendDate(buf[:0], days[i%len(days)])
+	}
+}

@@ -239,9 +239,11 @@ func FormatDate(days int32) string { return string(AppendDate(nil, days)) }
 
 // AppendDate appends FormatDate(days) to dst: the one date formatter, for
 // the row path (Value.String), the text baselines and the batch path
-// (Vector.AppendText). It is parseCivil's inverse, by arithmetic, for the
-// years ParseDate's fast path accepts; outside 0001–9999 the year is not
-// four digits and time words it.
+// (Vector.AppendText). It is parseCivil's inverse for the years ParseDate's
+// fast path accepts: the era arithmetic finds the year and the day of a
+// March-based year, a table gives that day's "-MM-DD", and another the
+// year's digits two at a time. Outside 0001–9999 the year is not four
+// digits and time words it.
 func AppendDate(dst []byte, days int32) []byte {
 	const minDays, maxDays = -719162, 2932896 // 0001-01-01 and 9999-12-31
 	if days < minDays || days > maxDays {
@@ -253,18 +255,36 @@ func AppendDate(dst []byte, days int32) []byte {
 	dayOfEra := z % 146097
 	yearOfEra := (dayOfEra - dayOfEra/1460 + dayOfEra/36524 - dayOfEra/146096) / 365
 	dayOfYear := dayOfEra - (365*yearOfEra + yearOfEra/4 - yearOfEra/100)
-	mp := (5*dayOfYear + 2) / 153 // months since March
-	d := dayOfYear - (153*mp+2)/5 + 1
-	y, m := z/146097*400+yearOfEra, mp+3
-	if m > 12 {
-		m -= 12
-		y++
+	y := z/146097*400 + yearOfEra
+	if dayOfYear >= marchJan1 {
+		y++ // January and February end the March-based year
 	}
-	return append(dst,
-		byte('0'+y/1000), byte('0'+y/100%10), byte('0'+y/10%10), byte('0'+y%10), '-',
-		byte('0'+m/10), byte('0'+m%10), '-',
-		byte('0'+d/10), byte('0'+d%10))
+	hi, lo := 2*(y/100), 2*(y%100)
+	dst = append(append(dst, digitPairs[hi:hi+2]...), digitPairs[lo:lo+2]...)
+	return append(dst, marchMonthDay[dayOfYear][:]...)
 }
+
+// digitPairs holds "00" to "99" back to back.
+const digitPairs = "00010203040506070809101112131415161718192021222324252627282930313233343536373839" +
+	"40414243444546474849505152535455565758596061626364656667686970717273747576777879" +
+	"8081828384858687888990919293949596979899"
+
+// marchJan1 is January 1st's day of a March-based year.
+const marchJan1 = 306
+
+// marchMonthDay is "-MM-DD" for each day of a March-based year, from
+// March 1st (0) to February 29th (365).
+var marchMonthDay = func() (t [366][6]byte) {
+	for doy := range t {
+		mp := (5*doy + 2) / 153 // months since March
+		d, m := doy-(153*mp+2)/5+1, mp+3
+		if m > 12 {
+			m -= 12
+		}
+		t[doy] = [6]byte{'-', byte('0' + m/10), byte('0' + m%10), '-', byte('0' + d/10), byte('0' + d%10)}
+	}
+	return t
+}()
 
 // AppendFloat appends f's shortest text — exactly strconv.AppendFloat(dst,
 // f, 'g', -1, 64) — to dst: the one float formatter, for the row path

@@ -145,7 +145,7 @@ func (r *recordReader) ReadBatches(fn func(*mapred.Batch)) (mapred.TaskStats, er
 			stats.RecordsDelivered += int64(delivered)
 			stats.AttrsDelivered += int64(delivered * len(proj))
 			r.sel = query.MakeSelection(r.sel, delivered)
-			r.batch.Cols, r.batch.Sel, r.batch.Expect = cols, r.sel, delivered
+			r.batch.Cols, r.batch.Sel = cols, r.sel
 			fn(&r.batch)
 		}
 	}
