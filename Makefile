@@ -8,7 +8,8 @@ build:
 test:
 	$(GO) test ./...
 
-# The decoders of stored bytes, the upload's line parser against ParseLine
+# The decoders of stored bytes (a saved directory's manifest and checksum
+# files among them), the upload's line parser against ParseLine
 # + AppendRow, the float formatter the scan prints with, the annotation
 # parser, and the engine against its text oracle (FuzzEngine: a whole
 # upload and one to three jobs per input), 20 s each
@@ -21,6 +22,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendLine$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/pax
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFrame$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexUnmarshal$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/index
+	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/hdfs
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendFloat$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/schema
 	$(GO) test -run '^$$' -fuzz '^FuzzParseAnnotation$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/query
 	$(GO) test -run '^$$' -fuzz '^FuzzEngine$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/core

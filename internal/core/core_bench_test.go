@@ -250,6 +250,31 @@ func BenchmarkIndexScanPassthrough(b *testing.B) {
 	benchPassthrough(b, append(qs, `@HailQuery(filter="@1 = `+workload.NeedleIP+`", projection={@8,@9,@4})`)...)
 }
 
+// BenchmarkConjScan is a two-conjunct index scan over two indexed
+// attributes: one-year visitDate windows (Bob-Q1's shape, ≈3% of the
+// rows) and adRevenue in [1, 100] (Bob-Q5's, ≈20%), projecting @1. The
+// planner takes the first conjunct with an indexed replica, so the two
+// orders read different runs: date-first searches the date run and
+// filters it by revenue with the kernel, revenue-first the other way
+// round, over about six times the rows. One op is one passthrough job
+// over the 200k-line fixture.
+func BenchmarkConjScan(b *testing.B) {
+	for _, order := range []string{"date-first", "revenue-first"} {
+		b.Run(order, func(b *testing.B) {
+			var qs []string
+			for _, year := range []int{1975, 1983, 1991, 1999} {
+				date := fmt.Sprintf("@3 between(%d-01-01,%d-01-01)", year, year+1)
+				filter := date + " and @4 between(1,100)"
+				if order == "revenue-first" {
+					filter = "@4 between(1,100) and " + date
+				}
+				qs = append(qs, fmt.Sprintf(`@HailQuery(filter="%s", projection={@1})`, filter))
+			}
+			benchPassthrough(b, qs...)
+		})
+	}
+}
+
 // wideQ is the ledger's wide-scan query (every row, all attributes);
 // selectiveQ a one-month index scan projecting one attribute.
 const (

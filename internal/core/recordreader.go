@@ -19,8 +19,8 @@ import (
 var selectAll = &query.Query{}
 
 // batchRows is the vectorized pipeline's batch size. It matches the PAX
-// partition granularity, so one batch never straddles more variable-size
-// partitions than the rows it carries.
+// partition granularity, so one batch straddles at most two variable-size
+// partitions.
 const batchRows = pax.PartitionSize
 
 // recordReader is the HailRecordReader (§4.3): per block it performs an
@@ -39,16 +39,23 @@ const batchRows = pax.PartitionSize
 // over to its next replica — exactly as an unreadable replica does — and
 // never after partial output.
 //
-// Execution is vectorized and streaming: the candidate row range flows
-// through the reader in fixed-size batches (batchRows rows). Per batch,
-// the filter columns are decoded from PAX bytes into typed vectors, the
-// conjunction runs as selection-vector kernels (query.MatchesBatch), and
-// the remaining projection columns are decoded only when the batch has
+// Execution is vectorized and streaming. An index scan on a fixed-size
+// sort column first narrows the index's partition range to the rows the
+// indexed conjunct selects: the replica is sorted on that column, so they
+// are one run, which a binary search over the column bytes finds
+// (pax.ColumnCursor.Run). The rows left — that run, or the whole candidate
+// range — flow through the reader in fixed-size batches (batchRows rows).
+// When the indexed conjunct is the whole filter every row of the run
+// qualifies and the batches are dense: no kernel runs. Otherwise, per
+// batch, the filter columns are decoded from PAX bytes into typed vectors,
+// the conjunction runs as selection-vector kernels (query.MatchesBatch),
+// and the remaining projection columns are decoded only when the batch has
 // surviving rows — late materialization. Column bytes are read (and
-// I/O-accounted) once per block at cursor creation, in ascending column
-// order, so BytesRead/Seeks/PartitionsScanned equal those of one
-// contiguous range read per needed column — the accounting the test-side
-// row oracle (rowOracleReader) holds this pipeline to.
+// I/O-accounted) once per block at cursor creation, over the whole
+// candidate range and in ascending column order, so
+// BytesRead/Seeks/PartitionsScanned equal those of one contiguous range
+// read per needed column — the accounting the test-side row oracle
+// (rowOracleReader) holds this pipeline to. Only decoding narrows.
 type recordReader struct {
 	cluster *hdfs.Cluster
 	query   *query.Query
@@ -105,9 +112,10 @@ func (r *recordReader) release() {
 }
 
 // blockScan is one block opened for scanning: the parsed PAX reader, the
-// index-resolved candidate row range and — once fetch has run — every byte
-// the scan will decode. A reader has one, valid until it opens the next
-// block (or the next replica of this one).
+// index-resolved candidate row range with the conjunct that resolved it,
+// and — once fetch has run — every byte the scan will decode. A reader
+// has one, valid until it opens the next block (or the next replica of
+// this one).
 //
 // The column lay-out below the line is scratch that outlives the block and
 // the Open: it is built for a (schema, query) pair and kept while the next
@@ -118,6 +126,7 @@ func (r *recordReader) release() {
 type blockScan struct {
 	reader         *pax.Reader
 	fromRow, toRow int
+	key            int // the conjunct of q the index resolved, or -1 for a full scan
 	bad            []string
 
 	q                *query.Query        // the query the lay-out is for
@@ -253,14 +262,13 @@ func (r *recordReader) openView(b hdfs.BlockID, servedBy hdfs.NodeID, stats *map
 		q = selectAll
 	}
 	bs := &r.scan
-	bs.reader, bs.fromRow, bs.toRow, bs.bad = reader, 0, reader.NumRows(), nil
+	bs.reader, bs.fromRow, bs.toRow, bs.key, bs.bad = reader, 0, reader.NumRows(), -1, nil
 	if err := bs.layOut(reader.Schema(), q); err != nil {
 		return nil, err
 	}
 
-	indexed := false
 	if ixLen > 0 {
-		for _, p := range q.Filter {
+		for i, p := range q.Filter {
 			if p.Column != reader.SortColumn() {
 				continue
 			}
@@ -277,7 +285,7 @@ func (r *recordReader) openView(b hdfs.BlockID, servedBy hdfs.NodeID, stats *map
 			stats.IndexBytesRead += int64(ixLen)
 			stats.Seeks++
 			f, t, ok := ix.PartitionRange(p.Lo, p.Hi)
-			indexed = true
+			bs.key = i
 			if !ok {
 				bs.fromRow, bs.toRow = 0, 0
 			} else {
@@ -286,7 +294,7 @@ func (r *recordReader) openView(b hdfs.BlockID, servedBy hdfs.NodeID, stats *map
 			break
 		}
 	}
-	if indexed {
+	if bs.key >= 0 {
 		stats.IndexScans++
 	} else {
 		stats.FullScans++
@@ -359,30 +367,59 @@ func (r *recordReader) readBlockBatches(b hdfs.BlockID, fn func(*mapred.Batch), 
 }
 
 // streamRange drives the candidate row range through the batch pipeline.
-// The cursors fetch opened hold every column byte already; each batch
-// decodes the filter columns and runs the selection-vector kernels.
-// Projection columns are materialized at row granularity: when the
-// filters discard part of a batch, the projection-only cursors decode
-// values for the surviving rows alone, and the already-decoded filter
-// columns are compacted in place, so every emitted batch is dense. A
-// selective scan therefore pays projection decoding proportional to its
-// selectivity, not its scan range — the late-materialization payoff.
+// The cursors fetch opened hold every column byte already. On an index
+// scan whose sort column has a fixed width, the indexed conjunct's cursor
+// binary-searches the run of rows it selects and every cursor skips to
+// the run's start; the rows after the run are never looked at. The range
+// still counts as scanned in full — RecordsScanned and RowsScanned are the
+// access path's candidate rows, which the cost model prices.
+//
+// When the indexed conjunct is the query's only one, the run is the
+// answer: each batch decodes the projected columns and nothing else, and
+// goes out dense. Otherwise each batch decodes the filter columns and runs
+// the selection-vector kernels. Projection columns are materialized at row
+// granularity: when the filters discard part of a batch, the
+// projection-only cursors decode values for the surviving rows alone, and
+// the already-decoded filter columns are compacted in place, so every
+// emitted batch is dense. A selective scan therefore pays projection
+// decoding proportional to its selectivity, not its scan range — the
+// late-materialization payoff.
 func (r *recordReader) streamRange(bs *blockScan, fn func(*mapred.Batch), stats *mapred.TaskStats) (err error) {
 	cols, filterCols, cursors, vecs := bs.cols, bs.filterCols, bs.cursors, bs.vecs
-	for remaining := bs.toRow - bs.fromRow; remaining > 0; {
+	rows := bs.toRow - bs.fromRow
+	stats.RecordsScanned += int64(rows)
+	stats.RowsScanned += int64(rows)
+	dense := false
+	if bs.key >= 0 {
+		p := bs.q.Filter[bs.key]
+		if from, to, ok := cursors[p.Column].Run(p.Lo, p.Hi); ok {
+			for _, col := range cols {
+				if _, err := cursors[col].Next(from, nil); err != nil {
+					return err
+				}
+			}
+			rows, dense = to-from, len(bs.q.Filter) == 1
+		}
+	}
+	for remaining := rows; remaining > 0; {
 		n := batchRows
 		if n > remaining {
 			n = remaining
 		}
 		remaining -= n
 		for _, col := range filterCols {
+			if dense && !isProjected(bs.proj, col) {
+				continue
+			}
 			if _, err := cursors[col].Next(n, vecs[col]); err != nil {
 				return err
 			}
 		}
-		r.sel = bs.q.MatchesBatch(func(c int) *schema.Vector { return vecs[c] }, query.MakeSelection(r.sel, n))
-		stats.RecordsScanned += int64(n)
-		stats.RowsScanned += int64(n)
+		if dense {
+			r.sel = query.MakeSelection(r.sel, n)
+		} else {
+			r.sel = bs.q.MatchesBatch(func(c int) *schema.Vector { return vecs[c] }, query.MakeSelection(r.sel, n))
+		}
 		stats.RowsSelected += int64(len(r.sel))
 		partial := len(r.sel) > 0 && len(r.sel) < n
 		for _, col := range cols {

@@ -95,10 +95,21 @@ func (c *Cluster) updateReplicaDirty(b BlockID, node NodeID, info ReplicaInfo) e
 	return nil
 }
 
-// NewCluster creates a cluster with n datanodes (IDs 0..n-1).
+// MaxNodes bounds a cluster's size. Every datanode is allocated up front
+// (about 160 bytes before it stores anything) and Load takes the count
+// from a manifest, so the count is bounded before it becomes an
+// allocation size. 1,024 is ten times the paper's largest cluster (100
+// nodes, §6.3.4).
+const MaxNodes = 1024
+
+// NewCluster creates a cluster with n datanodes (IDs 0..n-1), 1 <= n <=
+// MaxNodes.
 func NewCluster(n int) (*Cluster, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("hdfs: cluster needs at least one datanode")
+	}
+	if n > MaxNodes {
+		return nil, fmt.Errorf("hdfs: %d datanodes, more than the %d a cluster may have", n, MaxNodes)
 	}
 	c := &Cluster{nn: NewNameNode()}
 	for i := 0; i < n; i++ {

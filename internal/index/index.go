@@ -6,8 +6,8 @@
 // implicit: all partitions are contiguous on disk, so partition p starts at
 // row p × PartitionSize. For a range query the first and last qualifying
 // partitions are determined entirely in main memory (steps 1 and 2 in the
-// paper's Figure 2), the covering rows are read from disk, and boundary
-// partitions are post-filtered.
+// paper's Figure 2) and the covering rows are read from disk; the record
+// reader then finds the qualifying run inside them.
 //
 // The paper argues (§3.5 "Why not a multi-level tree?") that a single-level
 // directory is optimal for block sizes below ~5 GB; see the ablation bench
@@ -68,8 +68,9 @@ func (ix *Index) NumPartitions() int { return len(ix.keys) }
 
 // PartitionRange computes, in main memory, the contiguous row range
 // [fromRow, toRow) that covers every row possibly matching lo <= key <= hi
-// (nil bounds are unbounded). The range is partition-aligned; callers
-// post-filter the boundary partitions. ok is false when no row can match.
+// (nil bounds are unbounded). The range is partition-aligned; the reader
+// binary-searches the run inside it (pax.ColumnCursor.Run). ok is false
+// when no row can match.
 func (ix *Index) PartitionRange(lo, hi *schema.Value) (fromRow, toRow int, ok bool) {
 	if ix.numRows == 0 {
 		return 0, 0, false

@@ -103,10 +103,12 @@ type TaskStats struct {
 	// and those must be measured rather than hidden behind a zero struct.
 	NameNodeOps int
 	// RowsScanned, RowsSelected and BatchesEmitted are the vectorized
-	// pipeline's counters: rows pushed through the selection-vector
-	// kernels, rows surviving the full conjunction, and non-empty batches
-	// handed to the map layer. The baselines' readers (text and trojan),
-	// which run no selection kernels, leave them zero.
+	// pipeline's counters: the access path's candidate rows (every good
+	// row of a full-scanned block; the partitions an index scan's range
+	// covers, though the reader decodes only the run it binary-searches
+	// inside them), rows surviving the full conjunction, and non-empty
+	// batches handed to the map layer. The baselines' readers (text and
+	// trojan), which run no selection kernels, leave them zero.
 	RowsScanned    int64
 	RowsSelected   int64
 	BatchesEmitted int64

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 
 	"repro/internal/schema"
 )
@@ -100,6 +101,59 @@ func (r *Reader) NewColumnCursor(col, fromRow, toRow int) (*ColumnCursor, error)
 
 // Remaining returns the rows the cursor has yet to deliver.
 func (c *ColumnCursor) Remaining() int { return c.remaining }
+
+// Run finds by binary search the run of the cursor's remaining rows whose
+// values satisfy lo <= v <= hi, where a nil bound is unbounded. The column
+// must be sorted ascending over those rows, as a replica's sort column is.
+// Rows are counted from the cursor's position: the run is [from, to), and
+// the cursor does not move. Run compares in the column's native type,
+// exactly as query.Predicate.FilterVector does, so the run holds that
+// kernel's survivors. ok is false for a variable-size column, which has
+// no fixed stride to search.
+func (c *ColumnCursor) Run(lo, hi *schema.Value) (from, to int, ok bool) {
+	raw := c.raw[c.pos*c.width:]
+	switch c.typ {
+	case schema.Int32, schema.Date:
+		l, h := int32(math.MinInt32), int32(math.MaxInt32)
+		if lo != nil {
+			l = int32(lo.Long())
+		}
+		if hi != nil {
+			h = int32(hi.Long())
+		}
+		from, to = searchRun(c.remaining, func(i int) int32 { return int32(binary.LittleEndian.Uint32(raw[i*4:])) }, l, h)
+	case schema.Int64:
+		l, h := int64(math.MinInt64), int64(math.MaxInt64)
+		if lo != nil {
+			l = lo.Long()
+		}
+		if hi != nil {
+			h = hi.Long()
+		}
+		from, to = searchRun(c.remaining, func(i int) int64 { return int64(binary.LittleEndian.Uint64(raw[i*8:])) }, l, h)
+	case schema.Float64:
+		l, h := math.Inf(-1), math.Inf(1)
+		if lo != nil {
+			l = lo.Float()
+		}
+		if hi != nil {
+			h = hi.Float()
+		}
+		from, to = searchRun(c.remaining, func(i int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:])) }, l, h)
+	default:
+		return 0, 0, false
+	}
+	return from, to, true
+}
+
+// searchRun returns the rows [from, to) of the ascending values at(0..n-1)
+// with lo <= v <= hi. The second test is !(v <= hi), not v > hi, so that a
+// bound no value compares to (NaN) selects nothing, as the kernel does.
+func searchRun[T int32 | int64 | float64](n int, at func(int) T, lo, hi T) (from, to int) {
+	from = sort.Search(n, func(i int) bool { return at(i) >= lo })
+	to = from + sort.Search(n-from, func(i int) bool { return !(at(from+i) <= hi) })
+	return from, to
+}
 
 // Next decodes up to n rows into dst (which is Reset first and must have
 // the cursor's type) and returns the count delivered — less than n only

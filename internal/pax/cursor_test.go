@@ -5,12 +5,14 @@ import (
 	"encoding/binary"
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/hdfs"
+	"repro/internal/query"
 	"repro/internal/schema"
 )
 
@@ -162,6 +164,168 @@ func TestColumnCursorSkip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestColumnCursorRunMatchesKernel holds the binary search to the kernel
+// it stands in for: on a replica sorted by each fixed-size column, over
+// ranges inside and across partitions and after skipped rows, the run Run
+// finds is exactly the rows query.Predicate.FilterVector keeps of the same
+// rows, and those rows are contiguous. The values repeat in runs that
+// cross partition boundaries; they include both zeros and both infinities,
+// and so do the bounds, which are also nil, equal, crossed, between the
+// stored values or NaN, which the kernel compares false with everything.
+func TestColumnCursorRunMatchesKernel(t *testing.T) {
+	sch := schema.MustNew(
+		schema.Field{Name: "i32", Type: schema.Int32},
+		schema.Field{Name: "day", Type: schema.Date},
+		schema.Field{Name: "i64", Type: schema.Int64},
+		schema.Field{Name: "f64", Type: schema.Float64},
+	)
+	ints := func(mk func(int64) schema.Value, vs ...int64) []schema.Value {
+		out := make([]schema.Value, len(vs))
+		for i, v := range vs {
+			out[i] = mk(v)
+		}
+		return out
+	}
+	i32 := func(v int64) schema.Value { return schema.IntVal(int32(v)) }
+	day := func(v int64) schema.Value { return schema.DateVal(int32(v)) }
+	negZero := math.Copysign(0, -1)
+	stored := [][]schema.Value{
+		ints(i32, math.MinInt32, -3, 0, 7, math.MaxInt32),
+		ints(day, -719162, -1, 0, 11000, 2932896),
+		ints(schema.LongVal, math.MinInt64, -5, 0, 9, math.MaxInt64),
+		{schema.FloatVal(math.Inf(-1)), schema.FloatVal(-1.5), schema.FloatVal(negZero), schema.FloatVal(0), schema.FloatVal(2.5), schema.FloatVal(math.Inf(1))},
+	}
+	between := [][]schema.Value{
+		ints(i32, -4, 1, 8),
+		ints(day, -2, 1, 11001),
+		ints(schema.LongVal, -6, 1, 10),
+		{schema.FloatVal(-2), schema.FloatVal(1), schema.FloatVal(3), schema.FloatVal(math.NaN())},
+	}
+
+	const n = 3*PartitionSize + 100
+	rng := rand.New(rand.NewSource(37))
+	b := NewBlock(sch)
+	for i := 0; i < n; i++ {
+		row := make(schema.Row, len(stored))
+		for c, vs := range stored {
+			row[c] = vs[rng.Intn(len(vs))]
+		}
+		if err := b.AppendRow(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ranges := [][2]int{{0, n}, {0, PartitionSize}, {PartitionSize - 7, 2*PartitionSize + 5}, {2 * PartitionSize, n}, {n - 1, n}, {500, 500}}
+
+	var empty, atStart, atEnd, crossing int
+	for col, vs := range stored {
+		sorted := b.View()
+		if _, err := sorted.SortBy(col); err != nil {
+			t.Fatal(err)
+		}
+		if sorted.Value(PartitionSize-1, col).Compare(sorted.Value(PartitionSize, col)) != 0 {
+			t.Fatalf("col %d: no run of duplicates crosses the first partition boundary", col)
+		}
+		data, err := sorted.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewReader(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bounds := append([]*schema.Value{nil}, ptrs(append(slices.Clone(vs), between[col]...))...)
+		for _, rg := range ranges {
+			for _, skipped := range []int{0, (rg[1] - rg[0]) / 3} {
+				vec := schema.NewVector(sch.Field(col).Type)
+				ref, err := r.NewColumnCursor(col, rg[0], rg[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := ref.Next(skipped, nil); err != nil {
+					t.Fatal(err)
+				}
+				rows, err := ref.Next(ref.Remaining(), vec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, lo := range bounds {
+					for _, hi := range bounds {
+						c, err := r.NewColumnCursor(col, rg[0], rg[1])
+						if err != nil {
+							t.Fatal(err)
+						}
+						if _, err := c.Next(skipped, nil); err != nil {
+							t.Fatal(err)
+						}
+						from, to, ok := c.Run(lo, hi)
+						if !ok || c.Remaining() != rows {
+							t.Fatalf("col %d: Run ok=%v, Remaining %d after it, want true and %d", col, ok, c.Remaining(), rows)
+						}
+						p := query.Predicate{Column: col, Lo: lo, Hi: hi}
+						keep := p.FilterVector(vec, query.MakeSelection(nil, rows))
+						desc := fmt.Sprintf("col %d rows [%d,%d) after %d, %s", col, rg[0], rg[1], skipped, p)
+						for i, s := range keep {
+							if int(s) != int(keep[0])+i {
+								t.Fatalf("%s: survivors %v are not contiguous", desc, keep)
+							}
+						}
+						wantFrom, wantTo := from, from // an empty run may stand anywhere
+						if len(keep) > 0 {
+							wantFrom, wantTo = int(keep[0]), int(keep[len(keep)-1])+1
+						}
+						if from != wantFrom || to != wantTo || from < 0 || to > rows {
+							t.Fatalf("%s: run [%d,%d), the kernel keeps [%d,%d) of %d", desc, from, to, wantFrom, wantTo, rows)
+						}
+						switch start := rg[0] + skipped; {
+						case from == to:
+							empty++
+						case from == 0 && to == rows:
+							atStart++
+							atEnd++
+						case from == 0:
+							atStart++
+						case to == rows:
+							atEnd++
+						default:
+							if (start+from)/PartitionSize != (start+to-1)/PartitionSize {
+								crossing++
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if empty == 0 || atStart == 0 || atEnd == 0 || crossing == 0 {
+		t.Fatalf("cases: %d empty runs, %d at the start, %d at the end, %d inner runs crossing a partition; want each > 0", empty, atStart, atEnd, crossing)
+	}
+	t.Logf("%d empty runs, %d at the start, %d at the end, %d inner runs crossing a partition", empty, atStart, atEnd, crossing)
+
+	data, err := buildBlock(t, 100, 38).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	str, err := NewReader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := str.NewColumnCursor(4, 0, 100) // url: String
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := c.Run(nil, nil); ok {
+		t.Fatal("Run searched a variable-size column")
+	}
+}
+
+func ptrs(vs []schema.Value) []*schema.Value {
+	out := make([]*schema.Value, len(vs))
+	for i := range vs {
+		out[i] = &vs[i]
+	}
+	return out
 }
 
 // TestColumnCursorNextSelected: decoding only a selection out of each
