@@ -51,7 +51,7 @@
 // per-task scheduling/wait/execute, failover repacks, cache probes,
 // adaptive builds) and writes it as Chrome trace_event JSON — load the
 // file in chrome://tracing or https://ui.perfetto.dev. -metrics prints
-// the process metrics registry (engine counters, namenode shard ops,
+// the process metrics registry (engine counters, namenode directory ops,
 // cache and adaptive-indexer gauges, task-latency histograms) after the
 // query. Both are nil-safe pass-throughs: without the flags the engine
 // records nothing and the hot path allocates nothing extra.

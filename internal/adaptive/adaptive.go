@@ -569,7 +569,7 @@ func (i *Indexer) budgetSpentLocked(requester planKey) bool {
 }
 
 // dropVictims retires the selected replicas from the cluster. Runs
-// without i.mu held: DropReplica takes namenode shard locks and fires the
+// without i.mu held: DropReplica takes the namenode lock and fires the
 // replica-change hook (the result cache's purge path). Only successful
 // drops are reported as evictions; a failed drop restores the victim's
 // registry entry and budget charge so the accounting keeps matching the

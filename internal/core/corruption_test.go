@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
 	"sort"
 	"strings"
@@ -468,5 +470,77 @@ func TestFileSchemaReadsHeadersOnly(t *testing.T) {
 	}
 	if _, err := FileSchema(cluster, "/missing"); !errors.Is(err, hdfs.ErrNoSuchFile) {
 		t.Errorf("missing file: err = %v", err)
+	}
+}
+
+// TestDegradedLoadAnswersAsBeforeTheSave: a replica corrupted on disk is
+// quarantined when the directory loads, and the queries answer from the
+// block's other replicas — each of Bob's queries and a full scan returns
+// the rows the cluster returned before it was saved. The victim is the
+// visitDate replica of a middle block, so Bob-Q1 loses its index scan
+// there and reads a replica sorted another way: rows are compared as
+// sorted lists.
+func TestDegradedLoadAnswersAsBeforeTheSave(t *testing.T) {
+	cluster, _, sum, _ := uvFixture(t, 8000, workload.UserVisitsOptions{NeedleEvery: 500, BadEvery: 750})
+	var queries []*query.Query
+	for _, bq := range workload.BobQueries() {
+		queries = append(queries, bq.Query)
+	}
+	queries = append(queries, &query.Query{
+		Filter:     []query.Predicate{query.Between(workload.UVDuration, schema.IntVal(10), schema.IntVal(30))},
+		Projection: []int{workload.UVSourceIP},
+	})
+	answer := func(c *hdfs.Cluster) [][]string {
+		t.Helper()
+		var out [][]string
+		for _, q := range queries {
+			e := &mapred.Engine{Cluster: c, Parallelism: 1}
+			res, err := e.Run(&mapred.Job{Name: "degraded", File: "/uv", Input: &InputFormat{Cluster: c, Query: q},
+				MapBatch: workload.PassthroughMapBatch, MapSig: workload.PassthroughMapSig})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, sortedOutput(res))
+		}
+		return out
+	}
+	before := answer(cluster)
+	for i, rows := range before {
+		if len(rows) == 0 {
+			t.Fatalf("query %d returns no rows: nothing to compare", i)
+		}
+	}
+
+	dir := t.TempDir()
+	if err := cluster.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	b := sum.BlockIDs[len(sum.BlockIDs)/2]
+	node := cluster.NameNode().GetHostsWithIndex(b, workload.UVVisitDate)[0]
+	path := filepath.Join(dir, fmt.Sprintf("dn%d", node), fmt.Sprintf("blk_%d.dat", b))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x01
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	loaded, err := hdfs.Load(dir)
+	if err != nil {
+		t.Fatalf("Load refused a directory with two healthy copies of every block: %v", err)
+	}
+	nn := loaded.NameNode()
+	if q := nn.Quarantined(); len(q) != 1 || q[0].Block != b || q[0].Node != node {
+		t.Fatalf("Quarantined = %+v, want block %d on node %d", q, b, node)
+	}
+	if hosts := nn.GetHosts(b); slices.Contains(hosts, node) || len(hosts) != 2 {
+		t.Fatalf("block %d: GetHosts = %v, want the two replicas besides node %d", b, hosts, node)
+	}
+	for i, got := range answer(loaded) {
+		if !slices.Equal(got, before[i]) {
+			t.Errorf("query %d: %d rows after the degraded load, %d before the save", i, len(got), len(before[i]))
+		}
 	}
 }

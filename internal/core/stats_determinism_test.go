@@ -14,8 +14,8 @@ import (
 // columns in Go map order, so the seek count of an identical job varied
 // run to run (a read is a "seek" when not adjacent to the previous one).
 // Columns are now read in ascending order; repeated identical jobs must
-// report identical stats — which is also what lets the sharded-namenode
-// equivalence tests compare runs byte for byte.
+// report identical stats — which is also what lets the equivalence
+// tests compare runs byte for byte.
 func TestStatsDeterministic(t *testing.T) {
 	cluster, _, _, _ := uvFixture(t, 4000, workload.UserVisitsOptions{})
 	// Filter on one column, project two others: three distinct columns

@@ -61,8 +61,8 @@ type Cluster struct {
 
 	// Incremental-save bookkeeping: which directory the last save
 	// targeted (a different target forces a full rewrite) and what it
-	// wrote. The dirty-replica marks themselves live in the namenode's
-	// directory shards, next to the Dir_rep entries they annotate.
+	// wrote. The dirty-replica marks themselves live in the namenode,
+	// next to the Dir_rep entries they annotate.
 	// Guarded by saveMu, not mu — saves must not block uploads. saveOpMu
 	// serializes whole Save calls: two concurrent saves to different
 	// directories would otherwise race on consuming the dirty marks and
@@ -74,9 +74,9 @@ type Cluster struct {
 }
 
 // registerReplicaDirty registers a new replica and marks it dirty as one
-// atomic step under the block's directory-shard lock. Save snapshots each
-// shard and consumes its dirty marks under the same lock, so it can never
-// observe the registration without its dirty mark — the interleaving that
+// atomic step under the namenode's lock. Save snapshots the directory and
+// consumes its dirty marks under the same lock, so it can never observe
+// the registration without its dirty mark — the interleaving that
 // would persist a manifest entry while skipping the replica's changed
 // bytes. The replica-change hook fires after every lock is released, so
 // hooks may safely call back into the save API.

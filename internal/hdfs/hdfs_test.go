@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -483,6 +484,25 @@ func TestNameNodeFileOps(t *testing.T) {
 	bs, err := nn.FileBlocks("/b")
 	if err != nil || len(bs) != 2 || bs[0] != 1 || bs[1] != 3 {
 		t.Errorf("FileBlocks(/b) = %v, %v", bs, err)
+	}
+}
+
+// TestExtremeBlockIDs: every BlockID is a directory key. Block ids are
+// read back from manifest.json, so the namenode must not assume they are
+// the small non-negative numbers WriteBlock hands out.
+func TestExtremeBlockIDs(t *testing.T) {
+	nn := NewNameNode()
+	for _, b := range []BlockID{math.MinInt64, -1, math.MaxInt64} {
+		nn.RegisterReplica(b, 3, ReplicaInfo{Size: 7, SortColumn: -1})
+		if hosts := nn.GetHosts(b); len(hosts) != 1 || hosts[0] != 3 {
+			t.Errorf("block %d: GetHosts = %v, want [3]", b, hosts)
+		}
+		if info, ok := nn.ReplicaInfo(b, 3); !ok || info.Size != 7 {
+			t.Errorf("block %d: ReplicaInfo = %+v, %v", b, info, ok)
+		}
+		if g := nn.Generation(b); g != 1 {
+			t.Errorf("block %d: generation %d, want 1", b, g)
+		}
 	}
 }
 

@@ -25,10 +25,6 @@ type ReplicaInfo struct {
 	IndexSize  int
 }
 
-// numShards is how many independently locked partitions the namenode
-// directory has.
-const numShards = 8
-
 // NameNode keeps the paper's two directories (§3.3):
 //
 //	Dir_block: blockID            → set of datanodes
@@ -38,32 +34,11 @@ const numShards = 8
 // only Dir_block; Dir_rep is HAIL's extension, and is what lets the
 // scheduler send map tasks to the replica with the right index.
 //
-// The directories are partitioned into numShards independently locked
-// shards — block-keyed state by block id modulo numShards, file names by
-// a hash of the name — so concurrent map tasks, adaptive conversions and
-// cache generation reads contend per shard instead of on one global
-// lock. The NameNode type itself is a thin façade: every public method
-// keeps the exact observable behaviour of a single-map implementation
-// (the oracle-equivalence property test in oracle_test.go holds the two
-// to identical observations), and cross-shard aggregations return
-// deterministic, sorted results.
+// One lock guards the whole directory. Its critical sections are map
+// lookups that take no other lock, and multi-entry outputs (Files,
+// InvalidateNode's hook order, the save manifest's replicas) are sorted,
+// so no map iteration order leaks out.
 type NameNode struct {
-	shards [numShards]*dirShard
-
-	// onChange, if set, is called (outside every shard lock) with each
-	// block whose generation was bumped — the result cache's active
-	// invalidation hook. It fires exactly once per affected block per
-	// mutating call; multi-block mutations (InvalidateNode) fire it in
-	// ascending block order.
-	hookMu   sync.RWMutex
-	onChange func(BlockID)
-}
-
-// dirShard is one partition of the namenode directory. Each shard owns
-// the file table, Dir_block, Dir_rep, the replica generations and the
-// incremental-save dirty marks for the keys routed to it, under its own
-// lock.
-type dirShard struct {
 	mu     sync.RWMutex
 	ops    atomic.Uint64 // directory operations served (lock acquisitions)
 	files  map[string][]BlockID
@@ -77,9 +52,20 @@ type dirShard struct {
 	// of being served.
 	gens map[BlockID]uint64
 	// dirty marks replicas whose stored bytes changed since the last
-	// Save. It lives with the shard so registration and dirty-marking are
-	// one atomic step under the shard lock (see Cluster.Save).
+	// Save. It lives under the directory lock so registration and
+	// dirty-marking are one atomic step (see Cluster.Save).
 	dirty map[repKey]bool
+	// quarantined maps each replica QuarantineReplica took out of service
+	// to the reason it was given.
+	quarantined map[repKey]string
+
+	// onChange, if set, is called (outside the directory lock) with each
+	// block whose generation was bumped — the result cache's active
+	// invalidation hook. It fires exactly once per affected block per
+	// mutating call; multi-block mutations (InvalidateNode) fire it in
+	// ascending block order.
+	hookMu   sync.RWMutex
+	onChange func(BlockID)
 }
 
 type repKey struct {
@@ -93,57 +79,14 @@ type repEntry struct {
 	info ReplicaInfo
 }
 
-// lock/rlock count the acquisition so per-shard contention is measurable
-// (ShardOps, and the gauges BindObs puts on /metrics).
-func (s *dirShard) lock() *dirShard {
-	s.ops.Add(1)
-	s.mu.Lock()
-	return s
-}
-
-func (s *dirShard) rlock() *dirShard {
-	s.ops.Add(1)
-	s.mu.RLock()
-	return s
-}
-
 // NewNameNode returns an empty namenode.
 func NewNameNode() *NameNode {
-	nn := &NameNode{}
-	for i := range nn.shards {
-		nn.shards[i] = &dirShard{
-			files:  make(map[string][]BlockID),
-			blocks: make(map[BlockID][]NodeID),
-			reps:   make(map[repKey]ReplicaInfo),
-			gens:   make(map[BlockID]uint64),
-		}
+	return &NameNode{
+		files:  make(map[string][]BlockID),
+		blocks: make(map[BlockID][]NodeID),
+		reps:   make(map[repKey]ReplicaInfo),
+		gens:   make(map[BlockID]uint64),
 	}
-	return nn
-}
-
-// blockShard routes block-keyed state. The id goes through uint64 so that
-// any value a manifest can hold, negative ones included, has a shard.
-func (nn *NameNode) blockShard(b BlockID) *dirShard {
-	return nn.shards[uint64(b)%numShards]
-}
-
-// fileShard routes a file's block list by the FNV-1a hash of its name.
-func (nn *NameNode) fileShard(file string) *dirShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(file); i++ {
-		h = (h ^ uint32(file[i])) * 16777619
-	}
-	return nn.shards[h%numShards]
-}
-
-// ShardOps returns a snapshot of per-shard directory-operation counts
-// (every lock acquisition, read or write).
-func (nn *NameNode) ShardOps() []uint64 {
-	out := make([]uint64, len(nn.shards))
-	for i, s := range nn.shards {
-		out[i] = s.ops.Load()
-	}
-	return out
 }
 
 // SetReplicaChangeHook installs fn as the replica-change observer: it is
@@ -164,15 +107,17 @@ func (nn *NameNode) hook() func(BlockID) {
 }
 
 // Generation returns the block's replica-topology generation. It starts at
-// zero and is bumped by RegisterReplica, UpdateReplica and InvalidateNode.
+// zero and is bumped by RegisterReplica, UpdateReplica, UnregisterReplica,
+// QuarantineReplica and InvalidateNode.
 func (nn *NameNode) Generation(b BlockID) uint64 {
-	s := nn.blockShard(b).rlock()
-	defer s.mu.RUnlock()
-	return s.gens[b]
+	nn.ops.Add(1)
+	nn.mu.RLock()
+	defer nn.mu.RUnlock()
+	return nn.gens[b]
 }
 
 // notifyChanged fires the replica-change hook for the given blocks. Must
-// be called with NO shard lock held.
+// be called with the directory lock NOT held.
 func (nn *NameNode) notifyChanged(fn func(BlockID), blocks ...BlockID) {
 	if fn == nil {
 		return
@@ -187,23 +132,21 @@ func (nn *NameNode) notifyChanged(fn func(BlockID), blocks ...BlockID) {
 // event changes which replica a reader would open (replicas differ in sort
 // order), so cached per-block results keyed at the old generation must not
 // be served. The hook fires exactly once per affected block, in ascending
-// block order — deterministic regardless of how blocks are spread over
-// shards.
+// block order.
 func (nn *NameNode) InvalidateNode(node NodeID) {
 	var changed []BlockID
-	for _, s := range nn.shards {
-		s.lock()
-		for b, nodes := range s.blocks {
-			for _, n := range nodes {
-				if n == node {
-					s.gens[b]++
-					changed = append(changed, b)
-					break
-				}
+	nn.ops.Add(1)
+	nn.mu.Lock()
+	for b, nodes := range nn.blocks {
+		for _, n := range nodes {
+			if n == node {
+				nn.gens[b]++
+				changed = append(changed, b)
+				break
 			}
 		}
-		s.mu.Unlock()
 	}
+	nn.mu.Unlock()
 	sort.Slice(changed, func(i, j int) bool { return changed[i] < changed[j] })
 	nn.notifyChanged(nn.hook(), changed...)
 }
@@ -214,33 +157,33 @@ var ErrNoSuchFile = errors.New("hdfs: no such file")
 
 // AddBlock appends a block to a file's block list.
 func (nn *NameNode) AddBlock(file string, b BlockID) {
-	s := nn.fileShard(file).lock()
-	defer s.mu.Unlock()
-	s.files[file] = append(s.files[file], b)
+	nn.ops.Add(1)
+	nn.mu.Lock()
+	defer nn.mu.Unlock()
+	nn.files[file] = append(nn.files[file], b)
 }
 
 // FileBlocks returns the blocks of a file in order.
 func (nn *NameNode) FileBlocks(file string) ([]BlockID, error) {
-	s := nn.fileShard(file).rlock()
-	defer s.mu.RUnlock()
-	bs, ok := s.files[file]
+	nn.ops.Add(1)
+	nn.mu.RLock()
+	defer nn.mu.RUnlock()
+	bs, ok := nn.files[file]
 	if !ok {
 		return nil, fmt.Errorf("%w %q", ErrNoSuchFile, file)
 	}
 	return append([]BlockID(nil), bs...), nil
 }
 
-// Files lists all registered files, sorted — the cross-shard merge must
-// not leak shard (or map) iteration order.
+// Files lists all registered files, sorted.
 func (nn *NameNode) Files() []string {
-	var out []string
-	for _, s := range nn.shards {
-		s.rlock()
-		for f := range s.files {
-			out = append(out, f)
-		}
-		s.mu.RUnlock()
+	nn.ops.Add(1)
+	nn.mu.RLock()
+	out := make([]string, 0, len(nn.files))
+	for f := range nn.files {
+		out = append(out, f)
 	}
+	nn.mu.RUnlock()
 	sort.Strings(out)
 	return out
 }
@@ -253,51 +196,54 @@ func (nn *NameNode) RegisterReplica(b BlockID, node NodeID, info ReplicaInfo) {
 	nn.notifyChanged(nn.hook(), b)
 }
 
-// registerReplica performs the registration under the block's shard lock,
+// registerReplica performs the registration under the directory lock,
 // optionally marking the replica dirty for the next incremental Save in
 // the same atomic step — the cluster's register-and-mark-dirty path needs
 // the two inseparable so a save snapshot can never observe the
 // registration without its dirty mark. The caller fires the change hook
 // once it holds no locks.
 func (nn *NameNode) registerReplica(b BlockID, node NodeID, info ReplicaInfo, markDirty bool) {
-	s := nn.blockShard(b).lock()
-	defer s.mu.Unlock()
+	nn.ops.Add(1)
+	nn.mu.Lock()
+	defer nn.mu.Unlock()
 	key := repKey{b, node}
-	if _, dup := s.reps[key]; !dup {
-		s.blocks[b] = append(s.blocks[b], node)
+	if _, dup := nn.reps[key]; !dup {
+		nn.blocks[b] = append(nn.blocks[b], node)
 	}
-	s.reps[key] = info
-	s.gens[b]++
+	nn.reps[key] = info
+	nn.gens[b]++
 	if markDirty {
-		s.markDirtyLocked(key)
+		nn.markDirtyLocked(key)
 	}
 }
 
 // markDirtyLocked records a replica's bytes as changed since the last
-// Save. Caller holds the shard lock.
-func (s *dirShard) markDirtyLocked(key repKey) {
-	if s.dirty == nil {
-		s.dirty = make(map[repKey]bool)
+// Save. Caller holds nn.mu.
+func (nn *NameNode) markDirtyLocked(key repKey) {
+	if nn.dirty == nil {
+		nn.dirty = make(map[repKey]bool)
 	}
-	s.dirty[key] = true
+	nn.dirty[key] = true
 }
 
 // GetHosts is the BlockLocation.getHosts lookup: all datanodes holding a
 // replica of the block, in registration order.
 func (nn *NameNode) GetHosts(b BlockID) []NodeID {
-	s := nn.blockShard(b).rlock()
-	defer s.mu.RUnlock()
-	return append([]NodeID(nil), s.blocks[b]...)
+	nn.ops.Add(1)
+	nn.mu.RLock()
+	defer nn.mu.RUnlock()
+	return append([]NodeID(nil), nn.blocks[b]...)
 }
 
 // GetHostsWithIndex is HAIL's new lookup (§4.3): the datanodes whose
 // replica of the block carries a clustered index on the given attribute.
 func (nn *NameNode) GetHostsWithIndex(b BlockID, column int) []NodeID {
-	s := nn.blockShard(b).rlock()
-	defer s.mu.RUnlock()
+	nn.ops.Add(1)
+	nn.mu.RLock()
+	defer nn.mu.RUnlock()
 	var out []NodeID
-	for _, node := range s.blocks[b] {
-		info := s.reps[repKey{b, node}]
+	for _, node := range nn.blocks[b] {
+		info := nn.reps[repKey{b, node}]
 		if info.HasIndex && info.SortColumn == column {
 			out = append(out, node)
 		}
@@ -320,16 +266,17 @@ func (nn *NameNode) UpdateReplica(b BlockID, node NodeID, info ReplicaInfo) erro
 
 // updateReplica is registerReplica's counterpart for Dir_rep updates.
 func (nn *NameNode) updateReplica(b BlockID, node NodeID, info ReplicaInfo, markDirty bool) error {
-	s := nn.blockShard(b).lock()
-	defer s.mu.Unlock()
+	nn.ops.Add(1)
+	nn.mu.Lock()
+	defer nn.mu.Unlock()
 	key := repKey{b, node}
-	if _, ok := s.reps[key]; !ok {
+	if _, ok := nn.reps[key]; !ok {
 		return fmt.Errorf("hdfs: node %d holds no replica of block %d", node, b)
 	}
-	s.reps[key] = info
-	s.gens[b]++
+	nn.reps[key] = info
+	nn.gens[b]++
 	if markDirty {
-		s.markDirtyLocked(key)
+		nn.markDirtyLocked(key)
 	}
 	return nil
 }
@@ -349,105 +296,138 @@ func (nn *NameNode) UnregisterReplica(b BlockID, node NodeID) error {
 	return nil
 }
 
-// unregisterReplica performs the removal under the block's shard lock; the
-// caller fires the change hook once it holds no locks. Any pending dirty
-// mark is consumed too — a dropped replica must not make the next Save
-// fail looking for bytes the datanode no longer stores.
+// unregisterReplica performs the removal under the directory lock; the
+// caller fires the change hook once it holds no locks.
 func (nn *NameNode) unregisterReplica(b BlockID, node NodeID) error {
-	s := nn.blockShard(b).lock()
-	defer s.mu.Unlock()
+	nn.ops.Add(1)
+	nn.mu.Lock()
+	defer nn.mu.Unlock()
 	key := repKey{b, node}
-	if _, ok := s.reps[key]; !ok {
+	if _, ok := nn.reps[key]; !ok {
 		return fmt.Errorf("hdfs: node %d holds no replica of block %d", node, b)
 	}
-	delete(s.reps, key)
-	hosts := s.blocks[b]
+	nn.removeLocked(key)
+	return nil
+}
+
+// removeLocked drops a replica, if registered, from Dir_rep and Dir_block
+// and bumps its block's generation. Any pending dirty mark is consumed
+// too — a dropped replica must not make the next Save fail looking for
+// bytes the datanode no longer stores. Caller holds nn.mu.
+func (nn *NameNode) removeLocked(key repKey) {
+	b := key.block
+	delete(nn.reps, key)
+	hosts := nn.blocks[b]
 	for i, n := range hosts {
-		if n == node {
-			s.blocks[b] = append(hosts[:i], hosts[i+1:]...)
+		if n == key.node {
+			nn.blocks[b] = append(hosts[:i], hosts[i+1:]...)
 			break
 		}
 	}
-	if len(s.blocks[b]) == 0 {
-		delete(s.blocks, b)
+	if len(nn.blocks[b]) == 0 {
+		delete(nn.blocks, b)
 	}
-	delete(s.dirty, key)
-	s.gens[b]++
-	return nil
+	delete(nn.dirty, key)
+	nn.gens[b]++
+}
+
+// Quarantine is one replica taken out of service because its stored
+// bytes failed to verify, and why.
+type Quarantine struct {
+	Block  BlockID
+	Node   NodeID
+	Reason string
+}
+
+// QuarantineReplica takes (block, node) out of service: the replica is
+// unregistered if it was registered, the block's generation is bumped and
+// the change hook fires, as on any replica-topology change, and the reason
+// is kept for Quarantined. Load calls it for a replica whose data file is
+// missing or does not match its checksum file.
+func (nn *NameNode) QuarantineReplica(b BlockID, node NodeID, reason string) {
+	key := repKey{b, node}
+	nn.ops.Add(1)
+	nn.mu.Lock()
+	nn.removeLocked(key)
+	if nn.quarantined == nil {
+		nn.quarantined = make(map[repKey]string)
+	}
+	nn.quarantined[key] = reason
+	nn.mu.Unlock()
+	nn.notifyChanged(nn.hook(), b)
+}
+
+// Quarantined lists every quarantined replica, sorted by (block, node).
+func (nn *NameNode) Quarantined() []Quarantine {
+	nn.mu.RLock()
+	out := make([]Quarantine, 0, len(nn.quarantined))
+	for k, why := range nn.quarantined {
+		out = append(out, Quarantine{k.block, k.node, why})
+	}
+	nn.mu.RUnlock()
+	sort.Slice(out, func(i, j int) bool {
+		return repKey{out[i].Block, out[i].Node}.less(repKey{out[j].Block, out[j].Node})
+	})
+	return out
 }
 
 // ReplicaInfo returns Dir_rep's entry for (block, node).
 func (nn *NameNode) ReplicaInfo(b BlockID, node NodeID) (ReplicaInfo, bool) {
-	s := nn.blockShard(b).rlock()
-	defer s.mu.RUnlock()
-	info, ok := s.reps[repKey{b, node}]
+	nn.ops.Add(1)
+	nn.mu.RLock()
+	defer nn.mu.RUnlock()
+	info, ok := nn.reps[repKey{b, node}]
 	return info, ok
 }
 
 // ReplicaCount returns the number of registered replicas of a block.
 func (nn *NameNode) ReplicaCount(b BlockID) int {
-	s := nn.blockShard(b).rlock()
-	defer s.mu.RUnlock()
-	return len(s.blocks[b])
+	nn.ops.Add(1)
+	nn.mu.RLock()
+	defer nn.mu.RUnlock()
+	return len(nn.blocks[b])
+}
+
+// less orders replica keys by (block, node).
+func (k repKey) less(o repKey) bool {
+	if k.block != o.block {
+		return k.block < o.block
+	}
+	return k.node < o.node
 }
 
 // snapshotForSave copies the file table and Dir_rep and consumes the
-// dirty-replica marks, shard by shard. Within a shard the replica copy
-// and the dirty consumption are one atomic step under the shard lock, so
-// the snapshot can never contain a Dir_rep entry whose dirty mark it
-// missed; a registration racing on an already-snapshotted shard keeps
-// its mark for the next save.
-//
-// The two tables are snapshotted in two passes, file tables strictly
-// BEFORE replica tables. WriteBlock registers a block's replicas before
-// it calls AddBlock, so a block observed under a file in pass one
-// already had its replicas registered, and pass two — which starts
-// after pass one finishes — cannot miss them: a saved manifest never
-// lists a file block without its replicas (which Load would turn into a
-// permanently unreadable file). The opposite skew — replicas of a block
-// whose AddBlock hasn't landed yet — is benign and was possible under
-// the historical single-lock snapshot too: the replicas are persisted,
-// and the file entry arrives with the next save.
-//
-// Replicas are returned sorted by (block, node) so everything
-// downstream — the manifest's replica order above all — is
-// deterministic instead of leaking shard or map iteration order.
+// dirty-replica marks in one critical section, so the snapshot can never
+// contain a Dir_rep entry whose dirty mark it missed, nor a file block
+// whose replicas it missed (WriteBlock registers a block's replicas
+// before it calls AddBlock). A registration after the snapshot keeps its
+// mark for the next save. Replicas are returned sorted by (block, node),
+// so the manifest's replica order is deterministic.
 func (nn *NameNode) snapshotForSave() (files map[string][]BlockID, reps []repEntry, dirty map[repKey]bool) {
-	files = make(map[string][]BlockID)
-	dirty = make(map[repKey]bool)
-	for _, s := range nn.shards {
-		s.rlock()
-		for f, bs := range s.files {
-			files[f] = append([]BlockID(nil), bs...)
-		}
-		s.mu.RUnlock()
+	nn.ops.Add(1)
+	nn.mu.Lock()
+	files = make(map[string][]BlockID, len(nn.files))
+	for f, bs := range nn.files {
+		files[f] = append([]BlockID(nil), bs...)
 	}
-	for _, s := range nn.shards {
-		s.lock()
-		for k, info := range s.reps {
-			reps = append(reps, repEntry{k, info})
-		}
-		for k := range s.dirty {
-			dirty[k] = true
-		}
-		s.dirty = nil
-		s.mu.Unlock()
+	reps = make([]repEntry, 0, len(nn.reps))
+	for k, info := range nn.reps {
+		reps = append(reps, repEntry{k, info})
 	}
-	sort.Slice(reps, func(i, j int) bool {
-		if reps[i].key.block != reps[j].key.block {
-			return reps[i].key.block < reps[j].key.block
-		}
-		return reps[i].key.node < reps[j].key.node
-	})
+	dirty = nn.dirty
+	nn.dirty = nil
+	nn.mu.Unlock()
+	sort.Slice(reps, func(i, j int) bool { return reps[i].key.less(reps[j].key) })
 	return files, reps, dirty
 }
 
 // restoreDirty merges consumed dirty marks back after a failed save, so
 // no replica change is ever silently skipped by the next one.
 func (nn *NameNode) restoreDirty(dirty map[repKey]bool) {
+	nn.ops.Add(1)
+	nn.mu.Lock()
+	defer nn.mu.Unlock()
 	for k := range dirty {
-		s := nn.blockShard(k.block).lock()
-		s.markDirtyLocked(k)
-		s.mu.Unlock()
+		nn.markDirtyLocked(k)
 	}
 }

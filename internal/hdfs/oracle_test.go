@@ -7,15 +7,16 @@ import (
 	"testing"
 )
 
-// Oracle-equivalence property test for the sharded namenode directory:
-// the sharded implementation and a single-map reference (a direct port of
-// the historical unsharded NameNode) are driven with the same randomized
-// operation sequence and must produce identical observations after every
-// step — GetHosts order, GetHostsWithIndex, generations, Dir_rep entries,
-// file listings, and per-block replica-change hook counts.
+// Oracle-equivalence property test for the namenode directory: the
+// NameNode and a single-map reference model — plain maps, no lock, no
+// dirty marks, the directory's semantics and nothing else — are driven
+// with the same randomized operation sequence and must produce identical
+// observations after every step: GetHosts order, GetHostsWithIndex,
+// generations, Dir_rep entries, file listings, and per-block
+// replica-change hook counts.
 
-// oracleDir is the reference model: the seed's one-map-per-directory
-// namenode, observation-complete but unlocked (the property test is
+// oracleDir is the reference model: one map per directory,
+// observation-complete but unlocked (the property test is
 // single-goroutine).
 type oracleDir struct {
 	files  map[string][]BlockID
@@ -166,14 +167,14 @@ func TestOracleEquivalence(t *testing.T) {
 					gotErr := nn.UpdateReplica(b, node, info)
 					wantErr := oracle.updateReplica(b, node, info)
 					if (gotErr == nil) != (wantErr == nil) {
-						t.Fatalf("op %d: UpdateReplica(%d,%d) error mismatch: sharded %v, oracle %v",
+						t.Fatalf("op %d: UpdateReplica(%d,%d) error mismatch: namenode %v, oracle %v",
 							op, b, node, gotErr, wantErr)
 					}
 				case k < 9: // UnregisterReplica (may refuse)
 					gotErr := nn.UnregisterReplica(b, node)
 					wantErr := oracle.unregisterReplica(b, node)
 					if (gotErr == nil) != (wantErr == nil) {
-						t.Fatalf("op %d: UnregisterReplica(%d,%d) error mismatch: sharded %v, oracle %v",
+						t.Fatalf("op %d: UnregisterReplica(%d,%d) error mismatch: namenode %v, oracle %v",
 							op, b, node, gotErr, wantErr)
 					}
 				case k < 10: // InvalidateNode directly
@@ -240,7 +241,7 @@ func compareObservations(t *testing.T, op int, nn *NameNode, oracle *oracleDir, 
 		}
 		for i := range gotHosts {
 			if gotHosts[i] != wantHosts[i] {
-				t.Fatalf("op %d: GetHosts(%d) = %v, want %v (registration order must survive sharding)",
+				t.Fatalf("op %d: GetHosts(%d) = %v, want %v (registration order must survive)",
 					op, b, gotHosts, wantHosts)
 			}
 		}
@@ -277,8 +278,8 @@ func compareObservations(t *testing.T, op int, nn *NameNode, oracle *oracleDir, 
 }
 
 // compareFires asserts the replica-change hook fired exactly as often per
-// block on the sharded namenode as on the oracle — exactly once per
-// affected block per mutation, never duplicated or dropped across shards.
+// block on the namenode as on the oracle — exactly once per affected
+// block per mutation, never duplicated or dropped.
 func compareFires(t *testing.T, op int, got, want map[BlockID]int) {
 	t.Helper()
 	if len(got) != len(want) {

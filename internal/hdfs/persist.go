@@ -4,8 +4,11 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 )
 
 // On-disk persistence for a cluster, mirroring HDFS's storage layout: each
@@ -60,22 +63,16 @@ func (c *Cluster) Save(dir string) error {
 	// savedTo transition (the second save could treat itself as
 	// incremental against marks the first one consumed). Uploads are not
 	// blocked — they synchronize with the save only through the
-	// namenode's per-shard locks, which both sides hold briefly.
+	// namenode's lock, which both sides hold briefly.
 	c.saveOpMu.Lock()
 	defer c.saveOpMu.Unlock()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	// Snapshot the namenode and consume the dirty marks shard by shard.
-	// Replica mutations register with a directory shard and mark dirty
-	// atomically under that shard's lock (registerReplicaDirty), so the
-	// snapshot can never contain a Dir_rep entry whose dirty mark this
-	// save missed — the interleaving that would pair new manifest
-	// metadata with stale replica files on disk. Uploads racing with the
-	// save leave fresh marks, which the next Save consumes; on failure
-	// the consumed marks are merged back so no change is ever silently
-	// skipped. The snapshot's replicas arrive sorted by (block, node), so
-	// the manifest's replica order is deterministic.
+	// Snapshot the namenode and consume its dirty marks in one critical
+	// section (snapshotForSave): a manifest entry is never paired with
+	// stale replica files. Uploads racing with the save leave fresh marks
+	// for the next Save; on failure the consumed marks are merged back.
 	c.saveMu.Lock()
 	full := c.savedTo != dir
 	c.saveMu.Unlock()
@@ -163,7 +160,11 @@ func (c *Cluster) LastSaveReport() SaveReport {
 }
 
 // Load reconstructs a cluster from a directory written by Save, verifying
-// every replica against its checksum file.
+// every replica against its checksum file. A replica whose files cannot
+// be read or do not verify — a missing data file, a wrong length, a
+// checksum mismatch — is quarantined (NameNode.Quarantined names it and
+// why) and the cluster loads without it; Load fails only when that leaves
+// a file block with no replica.
 func Load(dir string) (*Cluster, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
 	if err != nil {
@@ -187,35 +188,60 @@ func Load(dir string) (*Cluster, error) {
 		if int(rp.Node) < 0 || int(rp.Node) >= m.Nodes {
 			return nil, fmt.Errorf("hdfs: manifest replica on unknown node %d", rp.Node)
 		}
-		data, err := os.ReadFile(replicaDataPath(dir, rp.Node, rp.Block))
+		data, sums, err := readReplica(dir, rp.Node, rp.Block)
 		if err != nil {
-			return nil, err
-		}
-		rawSums, err := os.ReadFile(replicaSumPath(dir, rp.Node, rp.Block))
-		if err != nil {
-			return nil, err
-		}
-		if len(rawSums)%4 != 0 {
-			return nil, fmt.Errorf("hdfs: corrupt checksum file for block %d on node %d", rp.Block, rp.Node)
-		}
-		sums := make([]uint32, len(rawSums)/4)
-		for i := range sums {
-			sums[i] = binary.LittleEndian.Uint32(rawSums[i*4:])
-		}
-		if err := VerifyStored(data, sums); err != nil {
-			return nil, fmt.Errorf("hdfs: block %d on node %d: %v", rp.Block, rp.Node, err)
+			c.nn.QuarantineReplica(rp.Block, rp.Node, err.Error())
+			continue
 		}
 		if err := c.dns[rp.Node].flush(rp.Block, data, sums); err != nil {
 			return nil, err
 		}
 		c.nn.RegisterReplica(rp.Block, rp.Node, rp.Info)
 	}
+	for _, f := range slices.Sorted(maps.Keys(m.Files)) {
+		for _, b := range m.Files[f] {
+			if c.nn.ReplicaCount(b) > 0 {
+				continue
+			}
+			var why []string
+			for _, q := range c.nn.Quarantined() {
+				if q.Block == b {
+					why = append(why, fmt.Sprintf("node %d: %s", q.Node, q.Reason))
+				}
+			}
+			return nil, fmt.Errorf("hdfs: block %d of %s has no replica that verifies (%s)", b, f, strings.Join(why, "; "))
+		}
+	}
 	// Everything just read from dir is by definition in sync with it: a
 	// later Save back to the same directory only writes what changes.
-	// (Load registers replicas through the non-dirty path, so no shard
-	// holds stale dirty marks.)
+	// (Load registers replicas through the non-dirty path, so the
+	// namenode holds no dirty marks.)
 	c.saveMu.Lock()
 	c.savedTo = dir
 	c.saveMu.Unlock()
 	return c, nil
+}
+
+// readReplica reads one replica's data and checksum files from dir and
+// verifies the one against the other.
+func readReplica(dir string, node NodeID, b BlockID) ([]byte, []uint32, error) {
+	data, err := os.ReadFile(replicaDataPath(dir, node, b))
+	if err != nil {
+		return nil, nil, err
+	}
+	rawSums, err := os.ReadFile(replicaSumPath(dir, node, b))
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(rawSums)%4 != 0 {
+		return nil, nil, fmt.Errorf("hdfs: checksum file of %d bytes is not whole checksums", len(rawSums))
+	}
+	sums := make([]uint32, len(rawSums)/4)
+	for i := range sums {
+		sums[i] = binary.LittleEndian.Uint32(rawSums[i*4:])
+	}
+	if err := VerifyStored(data, sums); err != nil {
+		return nil, nil, err
+	}
+	return data, sums, nil
 }

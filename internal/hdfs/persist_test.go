@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -84,19 +88,34 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLoadDetectsTamperedReplica(t *testing.T) {
+// savedThreeBlocks saves three HDFS-mode blocks of /f, three replicas each
+// on four nodes, and returns the directory, the cluster and the blocks'
+// pipelines.
+func savedThreeBlocks(t *testing.T) (string, *Cluster, [][]NodeID) {
+	t.Helper()
 	dir := t.TempDir()
-	c, _ := NewCluster(3)
-	id, stats, err := c.WriteBlock("/f", randBlock(50_000, 3), 3, nil)
+	c, err := NewCluster(4)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var pipelines [][]NodeID
+	for i := 0; i < 3; i++ {
+		_, stats, err := c.WriteBlock("/f", randBlock(50_000, int64(i)), 3, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pipelines = append(pipelines, stats.PipelineNodes)
 	}
 	if err := c.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	// Flip one byte in one stored data file.
-	victim := stats.PipelineNodes[1]
-	path := replicaDataPath(dir, victim, id)
+	return dir, c, pipelines
+}
+
+// flipStoredByte flips one byte of a saved replica's data file.
+func flipStoredByte(t *testing.T, dir string, node NodeID, b BlockID) {
+	t.Helper()
+	path := replicaDataPath(dir, node, b)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -105,8 +124,103 @@ func TestLoadDetectsTamperedReplica(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(dir); err == nil {
-		t.Error("Load accepted a tampered replica")
+}
+
+// TestLoadDetectsTamperedReplica: a replica whose stored bytes fail to
+// verify — a flipped byte, a truncated data file, a missing data file —
+// is quarantined, and the directory loads without it: the other replicas
+// serve, Quarantined names each bad one in (block, node) order, and the
+// gauge counts them.
+func TestLoadDetectsTamperedReplica(t *testing.T) {
+	dir, c, pipelines := savedThreeBlocks(t)
+	victims := []NodeID{pipelines[0][1], pipelines[1][0], pipelines[2][2]}
+	flipStoredByte(t, dir, victims[0], 0)
+	if err := os.Truncate(replicaDataPath(dir, victims[1], 1), 49_000); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(replicaDataPath(dir, victims[2], 2)); err != nil {
+		t.Fatal(err)
+	}
+
+	loaded, err := Load(dir)
+	if err != nil {
+		t.Fatalf("Load refused a directory with two healthy copies of every block: %v", err)
+	}
+	nn := loaded.NameNode()
+	q := nn.Quarantined()
+	if len(q) != 3 {
+		t.Fatalf("Quarantined = %+v, want the three tampered replicas", q)
+	}
+	for b, reason := range []string{ErrCorruptChunk.Error(), "checksum file has", "no such file"} {
+		if q[b].Block != BlockID(b) || q[b].Node != victims[b] || !strings.Contains(q[b].Reason, reason) {
+			t.Errorf("Quarantined[%d] = %+v, want block %d on node %d, reason containing %q", b, q[b], b, victims[b], reason)
+		}
+		hosts := nn.GetHosts(BlockID(b))
+		if slices.Contains(hosts, victims[b]) || len(hosts) != 2 {
+			t.Errorf("block %d: GetHosts = %v, want the two replicas besides node %d", b, hosts, victims[b])
+		}
+		for _, h := range hosts {
+			got, err := loaded.ReadBlockFrom(h, BlockID(b))
+			want, _ := c.ReadBlockFrom(h, BlockID(b))
+			if err != nil || !bytes.Equal(got, want) {
+				t.Errorf("block %d on node %d: read %v after a degraded load", b, h, err)
+			}
+		}
+	}
+	reg := obs.NewRegistry()
+	nn.BindObs(reg)
+	gauge := int64(-1)
+	for _, m := range reg.Snapshot() {
+		if m.Name == "hdfs.namenode.quarantined" {
+			gauge = m.Value
+		}
+	}
+	if gauge != 3 {
+		t.Errorf("hdfs.namenode.quarantined = %d, want 3 (-1: no such gauge)", gauge)
+	}
+}
+
+// TestLoadFailsWhenEveryReplicaOfABlockIsBad: with no replica of a file
+// block left to serve it, Load refuses the directory and names the block.
+func TestLoadFailsWhenEveryReplicaOfABlockIsBad(t *testing.T) {
+	dir, _, pipelines := savedThreeBlocks(t)
+	for _, node := range pipelines[1] {
+		flipStoredByte(t, dir, node, 1)
+	}
+	_, err := Load(dir)
+	if err == nil || !strings.Contains(err.Error(), "block 1 of /f") {
+		t.Fatalf("Load = %v, want an error naming block 1 of /f", err)
+	}
+	t.Log(err)
+}
+
+// TestSaveAfterDegradedLoad: a cluster loaded without a quarantined replica
+// saves a manifest that no longer lists it, so saving it back — to the
+// same directory or a fresh one — and loading again is clean.
+func TestSaveAfterDegradedLoad(t *testing.T) {
+	dir, _, pipelines := savedThreeBlocks(t)
+	flipStoredByte(t, dir, pipelines[0][0], 0)
+	degraded, err := Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, target := range []string{dir, t.TempDir()} {
+		if err := degraded.Save(target); err != nil {
+			t.Fatal(err)
+		}
+		reloaded, err := Load(target)
+		if err != nil {
+			t.Fatalf("reload of %s: %v", target, err)
+		}
+		nn := reloaded.NameNode()
+		if q := nn.Quarantined(); len(q) != 0 {
+			t.Errorf("reload of %s quarantined %+v", target, q)
+		}
+		for b := BlockID(0); b < 3; b++ {
+			if got, want := nn.GetHosts(b), degraded.NameNode().GetHosts(b); !slices.Equal(got, want) {
+				t.Errorf("reload of %s: block %d on %v, want %v", target, b, got, want)
+			}
+		}
 	}
 }
 

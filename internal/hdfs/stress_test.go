@@ -12,8 +12,8 @@ import (
 
 // assertManifestConsistent fails if a saved manifest lists a file block
 // with no replica entries — the interleaving a Save racing an upload
-// could produce if the snapshot read replica shards before file shards
-// (such a manifest Loads into a permanently unreadable file).
+// could produce if the snapshot read the replica table before the file
+// table (Load refuses such a manifest: the block has no replica).
 func assertManifestConsistent(t *testing.T, dir string) {
 	t.Helper()
 	raw, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
@@ -39,13 +39,13 @@ func assertManifestConsistent(t *testing.T, dir string) {
 	}
 }
 
-// Race-stress for the sharded namenode directory: concurrent replica
-// registrations and updates, generation and host reads, cross-shard
+// Race-stress for the namenode directory: concurrent replica
+// registrations and updates, generation and host reads, whole-directory
 // aggregations, node kill/revive cycles, real block uploads and
-// incremental saves all hammer the shards at once. Run under -race (the
-// CI has a dedicated lane for this package); the assertions only check
-// invariants that hold under any interleaving.
-func TestShardStress(t *testing.T) {
+// incremental saves all hammer the directory at once. Run under -race
+// (the CI has a dedicated lane for this package); the assertions only
+// check invariants that hold under any interleaving.
+func TestNameNodeStress(t *testing.T) {
 	const nodes = 6
 	iters := 400
 	if testing.Short() {
@@ -118,11 +118,18 @@ func TestShardStress(t *testing.T) {
 			if i%32 == 0 {
 				_ = nn.Files()
 				_, _ = nn.FileBlocks(fmt.Sprintf("/f%d", i%7))
+				_ = nn.Quarantined()
 			}
 		})
 	}
 
-	// Kill/revive cycles: cross-shard invalidations through the cluster.
+	// Quarantines of replicas nothing else touches: negative block ids,
+	// which WriteBlock never hands out.
+	spawn(func(i int) {
+		nn.QuarantineReplica(BlockID(-1-i%8), NodeID(i%nodes), "stress")
+	})
+
+	// Kill/revive cycles: whole-directory invalidations through the cluster.
 	spawn(func(i int) {
 		n := NodeID(1 + i%(nodes-1)) // keep node 0 alive for uploads
 		if i%2 == 0 {
@@ -133,7 +140,7 @@ func TestShardStress(t *testing.T) {
 	})
 
 	// Uploader + saver: real pipeline writes (register-and-mark-dirty)
-	// racing with incremental saves consuming the shard dirty marks. A
+	// racing with incremental saves consuming the dirty marks. A
 	// write may legitimately fail when its pipeline node is killed
 	// mid-upload; it must just never corrupt the directory.
 	var uploads atomic.Int64
@@ -179,21 +186,5 @@ func TestShardStress(t *testing.T) {
 		t.Fatalf("reload after stress: %v", err)
 	} else if len(loaded.NameNode().Files()) != len(nn.Files()) {
 		t.Fatalf("reload lost files: %d vs %d", len(loaded.NameNode().Files()), len(nn.Files()))
-	}
-
-	// The per-shard contention counters must account for real traffic on
-	// more than one shard.
-	ops := nn.ShardOps()
-	if len(ops) != numShards {
-		t.Fatalf("ShardOps returned %d shards, want %d", len(ops), numShards)
-	}
-	busy := 0
-	for _, n := range ops {
-		if n > 0 {
-			busy++
-		}
-	}
-	if busy < 2 {
-		t.Fatalf("only %d shard(s) saw traffic: %v", busy, ops)
 	}
 }

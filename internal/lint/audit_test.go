@@ -35,9 +35,9 @@ var auditMutations = []struct {
 	{"sigflow", SigFlow, "QuerySignature keys only the filter, not the projection",
 		"internal/core/inputformat.go",
 		"return f.Query.Signature(), true", "return fmt.Sprint(f.Query.Filter), true"},
-	{"lockgraph_shard", LockGraph, "a namenode lookup inside registerReplica's shard section",
+	{"lockgraph_shard", LockGraph, "a namenode lookup inside registerReplica's locked section",
 		"internal/hdfs/namenode.go",
-		"\tif _, dup := s.reps[key]; !dup {\n", "\t_ = nn.GetHosts(b)\n\tif _, dup := s.reps[key]; !dup {\n"},
+		"\tif _, dup := nn.reps[key]; !dup {\n", "\t_ = nn.GetHosts(b)\n\tif _, dup := nn.reps[key]; !dup {\n"},
 	{"lockgraph_datanode", LockGraph, "a namenode lookup inside WriteBlock's datanode section",
 		"internal/hdfs/cluster.go",
 		"\t\t\tdn.packetsRecv++\n", "\t\t\tdn.packetsRecv++\n\t\t\t_ = c.nn.GetHosts(id)\n"},

@@ -5,7 +5,11 @@ import (
 	"go/types"
 )
 
-// replicaMapFields are the dirShard maps whose mutation changes which
+// dirOwner is the type whose replica maps genbump guards: the namenode,
+// which holds Dir_block, Dir_rep and the block generations.
+const dirOwner = "NameNode"
+
+// replicaMapFields are the NameNode maps whose mutation changes which
 // replica a reader would resolve — exactly the events the block
 // generation counts and the qcache invalidates on. The file table and the
 // dirty-save marks are deliberately excluded: neither affects replica
@@ -14,7 +18,7 @@ var replicaMapFields = map[string]bool{"reps": true, "gens": true, "blocks": tru
 
 // GenBump is the compile-time mirror of the namenode oracle harness's
 // hook-fire accounting: every exported entry point that (transitively)
-// mutates a dirShard's replica/generation maps must also (transitively)
+// mutates the NameNode's replica/generation maps must also (transitively)
 // call notifyChanged, or the result cache serves stale bytes for every
 // block the silent mutation touched. The check is reachability over the
 // package call graph, so the registerReplica/RegisterReplica split —
@@ -23,17 +27,17 @@ var replicaMapFields = map[string]bool{"reps": true, "gens": true, "blocks": tru
 // wrapper fails.
 var GenBump = &Analyzer{
 	Name: "genbump",
-	Doc:  "exported mutators of dirShard replica/generation maps must fire notifyChanged",
+	Doc:  "exported mutators of NameNode replica/generation maps must fire notifyChanged",
 	Run:  runGenBump,
-	// Purely local: dirShard and notifyChanged are package-private, so the
+	// Purely local: the maps and notifyChanged are package-private, so the
 	// whole reachability question lives inside internal/hdfs.
 	FactTypes: nil,
 }
 
 func runGenBump(pass *Pass) error {
-	// Self-scoping: only packages declaring dirShard (internal/hdfs, or a
+	// Self-scoping: only packages declaring NameNode (internal/hdfs, or a
 	// fixture modeling it) have the invariant.
-	if pass.Pkg.Scope().Lookup("dirShard") == nil {
+	if pass.Pkg.Scope().Lookup(dirOwner) == nil {
 		return nil
 	}
 
@@ -94,14 +98,14 @@ func runGenBump(pass *Pass) error {
 		}
 		if reachesWrite[fn] && !reachesNotify[fn] {
 			pass.Reportf(fd.Name.Pos(),
-				"%s mutates dirShard replica/generation maps but never fires notifyChanged — cached results for the touched blocks go stale", fn.Name())
+				"%s mutates NameNode replica/generation maps but never fires notifyChanged — cached results for the touched blocks go stale", fn.Name())
 		}
 	}
 	return nil
 }
 
 // writesReplicaMap reports whether an assignment target is an entry of a
-// dirShard replica map (s.gens[b] = ..., s.blocks[b] = append(...)).
+// NameNode replica map (nn.gens[b] = ..., nn.blocks[b] = append(...)).
 func writesReplicaMap(pass *Pass, lhs ast.Expr) bool {
 	idx, ok := ast.Unparen(lhs).(*ast.IndexExpr)
 	if !ok {
@@ -111,7 +115,7 @@ func writesReplicaMap(pass *Pass, lhs ast.Expr) bool {
 }
 
 // isReplicaMapExpr reports whether an expression denotes one of a
-// dirShard's replica maps.
+// NameNode's replica maps.
 func isReplicaMapExpr(pass *Pass, e ast.Expr) bool {
 	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
 	if !ok || !replicaMapFields[sel.Sel.Name] {
@@ -122,5 +126,5 @@ func isReplicaMapExpr(pass *Pass, e ast.Expr) bool {
 		return false
 	}
 	owner := namedOrNil(s.Recv())
-	return owner != nil && owner.Obj().Name() == "dirShard"
+	return owner != nil && owner.Obj().Name() == dirOwner
 }

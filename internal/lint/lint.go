@@ -9,7 +9,7 @@
 //	errsink   error results of repo-internal calls are never dropped
 //	sigflow   every knob read on the block-scan path is cache-key material
 //	lockgraph the module-wide lock-acquisition graph is acyclic, and
-//	          shard/datanode locks are leaves
+//	          namenode/datanode locks are leaves
 //	goleak    every spawned goroutine has a provable termination path
 //
 // The last three are whole-module dataflow analyses: package passes export

@@ -49,31 +49,30 @@ func (*lockAcquiresFact) AFact() {}
 // callee transitively acquires. The module phase then reports (a)
 // read-to-write upgrades of one RWMutex instance, (b) nested acquisition
 // within one class (intra-class order is undefined: shard A→B here and B→A
-// elsewhere deadlocks), (c) any edge out of a leaf class — dirShard.mu and
+// elsewhere deadlocks), (c) any edge out of a leaf class — NameNode.mu and
 // DataNode.mu, whose critical sections do their own map work and take no
 // other lock, directly or through any callee — and (d) every strongly
 // connected component of the class graph: the deadlock cycles no single
 // package can see.
 //
 // An in-package function that returns holding a lock it acquired (net of
-// its deferred releases) — hdfs's counting lock()/rlock() — is an
-// acquisition at its call site; the held instance takes the name the
-// result is assigned to, so `s := nn.blockShard(b).lock()` is released by
-// `s.mu.Unlock()`. Goroutine and closure bodies are interpreted on their
+// its deferred releases) — a lock()/rlock() helper — is an acquisition at
+// its call site; the held instance takes the name the result is assigned
+// to, so `s := nn.lock()` is released by `s.mu.Unlock()`. Goroutine and closure bodies are interpreted on their
 // own empty stacks: their internal nesting is policed, but their
 // acquisitions are not attributed to the spawning function.
 var LockGraph = &Analyzer{
 	Name:      "lockgraph",
-	Doc:       "the module-wide lock-acquisition graph must stay acyclic, with leaf shard/datanode locks and no RWMutex upgrades",
+	Doc:       "the module-wide lock-acquisition graph must stay acyclic, with leaf namenode/datanode locks and no RWMutex upgrades",
 	Run:       runLockGraph,
 	Finish:    finishLockGraph,
 	FactTypes: []Fact{(*lockGraphFact)(nil), (*lockAcquiresFact)(nil)},
 }
 
 // leafClass reports whether a lock class is one of the storage layer's
-// leaf locks: the namenode directory shards and the datanodes.
+// leaf locks: the namenode directory and the datanodes.
 func leafClass(class string) bool {
-	return strings.HasSuffix(class, ".dirShard.mu") || strings.HasSuffix(class, ".DataNode.mu")
+	return strings.HasSuffix(class, ".NameNode.mu") || strings.HasSuffix(class, ".DataNode.mu")
 }
 
 // lgHeld is one held lock: class, mode ("R"/"W"), and the rendered
@@ -565,7 +564,7 @@ func finishLockGraph(mp *ModulePass) error {
 				"nested acquisition within lock class %s — intra-class ordering is undefined (A→B here, B→A elsewhere deadlocks)", e.From)
 		case leafClass(e.From):
 			mp.ReportfAt(e.Pos,
-				"acquiring %s while leaf lock %s is held — shard/datanode critical sections take no other lock", e.To, e.From)
+				"acquiring %s while leaf lock %s is held — namenode/datanode critical sections take no other lock", e.To, e.From)
 		default:
 			adj[e.From] = append(adj[e.From], e.To)
 			nodes[e.From], nodes[e.To] = true, true

@@ -1,20 +1,16 @@
-// Fixture for the genbump analyzer: exported entry points that mutate a
-// dirShard's replica/generation maps must (transitively) fire
-// notifyChanged. The package declares its own dirShard, which is how the
+// Fixture for the genbump analyzer: exported entry points that mutate the
+// NameNode's replica/generation maps must (transitively) fire
+// notifyChanged. The package declares its own NameNode, which is how the
 // analyzer self-scopes.
 package genbump
 
 type blockID int
 
-type dirShard struct {
+type NameNode struct {
 	reps   map[blockID][]int
 	gens   map[blockID]uint64
 	blocks map[blockID][]int
 	files  map[string][]blockID
-}
-
-type NameNode struct {
-	shard *dirShard
 }
 
 func (n *NameNode) notifyChanged(b blockID) {}
@@ -27,29 +23,29 @@ func (n *NameNode) RegisterReplica(b blockID, node int) {
 }
 
 func (n *NameNode) registerLocked(b blockID, node int) {
-	n.shard.reps[b] = append(n.shard.reps[b], node)
+	n.reps[b] = append(n.reps[b], node)
 }
 
 // SilentBump reaches a generation-map write through a helper but never
 // notifies: the cached results for the block go stale.
-func (n *NameNode) SilentBump(b blockID) { // want `SilentBump mutates dirShard replica/generation maps but never fires notifyChanged`
+func (n *NameNode) SilentBump(b blockID) { // want `SilentBump mutates NameNode replica/generation maps but never fires notifyChanged`
 	n.bumpGen(b)
 }
 
 func (n *NameNode) bumpGen(b blockID) {
-	n.shard.gens[b]++
+	n.gens[b]++
 }
 
 // Evict mutates through the delete built-in, which has no *types.Func.
-func (n *NameNode) Evict(b blockID) { // want `Evict mutates dirShard replica/generation maps but never fires notifyChanged`
-	delete(n.shard.reps, b)
+func (n *NameNode) Evict(b blockID) { // want `Evict mutates NameNode replica/generation maps but never fires notifyChanged`
+	delete(n.reps, b)
 }
 
 // Rename touches only the file table, which does not affect replica
 // routing: no notification required.
 func (n *NameNode) Rename(oldName, newName string) {
-	n.shard.files[newName] = n.shard.files[oldName]
-	delete(n.shard.files, oldName)
+	n.files[newName] = n.files[oldName]
+	delete(n.files, oldName)
 }
 
 // NotifyOnly fires the hook without writing anything: harmless.

@@ -2,18 +2,36 @@ package lockgraph
 
 import "sync"
 
-// The storage layer's leaf locks: a dirShard or DataNode critical section
+// The storage layer's leaf locks: a NameNode or DataNode critical section
 // does its own map work and takes no other lock, directly or through any
-// callee. lock/rlock return holding the shard lock, so their call sites
+// callee. lock/rlock return holding the namenode lock, so their call sites
 // are acquisitions.
-type dirShard struct {
+type NameNode struct {
 	mu    sync.RWMutex
 	reps  map[int][]int
 	locks int
 }
 
-func (s *dirShard) lock() *dirShard  { s.mu.Lock(); s.locks++; return s }
-func (s *dirShard) rlock() *dirShard { s.mu.RLock(); return s }
+func (n *NameNode) lock() *NameNode  { n.mu.Lock(); n.locks++; return n }
+func (n *NameNode) rlock() *NameNode { n.mu.RLock(); return n }
+
+// Lookup really locks the namenode, through the helper.
+func (n *NameNode) Lookup(b int) []int {
+	s := n.rlock()
+	defer s.mu.RUnlock()
+	return s.reps[b]
+}
+
+// helper takes no lock.
+func (n *NameNode) helper() {}
+
+// count is an unexported method that does lock.
+func (n *NameNode) count() int {
+	n.rlock()
+	total := len(n.reps)
+	n.mu.RUnlock()
+	return total
+}
 
 type DataNode struct {
 	mu     sync.Mutex
@@ -26,31 +44,6 @@ func (dn *DataNode) ID() int { return dn.id }
 
 // lockNode returns nothing but the lock it leaves held.
 func (dn *DataNode) lockNode() { dn.mu.Lock() }
-
-type NameNode struct {
-	shards []*dirShard
-}
-
-// Lookup really locks a shard, through the helper.
-func (n *NameNode) Lookup(b int) []int {
-	s := n.shards[b%len(n.shards)].rlock()
-	defer s.mu.RUnlock()
-	return s.reps[b]
-}
-
-// helper takes no lock.
-func (n *NameNode) helper() {}
-
-// count is an unexported method that does lock: every shard in turn.
-func (n *NameNode) count() int {
-	total := 0
-	for _, s := range n.shards {
-		s.rlock()
-		total += len(s.reps)
-		s.mu.RUnlock()
-	}
-	return total
-}
 
 type Cluster struct {
 	mu   sync.Mutex
@@ -67,55 +60,55 @@ func (c *Cluster) KillNode(id int) bool {
 	return !was
 }
 
-// nestTwoShards is the canonical deadlock shape: A→B here, B→A elsewhere.
-func nestTwoShards(a, b *dirShard) {
+// nestTwoNameNodes is the canonical deadlock shape: A→B here, B→A elsewhere.
+func nestTwoNameNodes(a, b *NameNode) {
 	a.mu.Lock()
-	b.mu.Lock() // want `nested acquisition within lock class lockgraph\.dirShard\.mu`
+	b.mu.Lock() // want `nested acquisition within lock class lockgraph\.NameNode\.mu`
 	b.mu.Unlock()
 	a.mu.Unlock()
 }
 
 // nestViaHelper: the counting helper acquires just as surely as mu.Lock.
-func nestViaHelper(s *dirShard, dn *DataNode) {
-	s.lock()
-	dn.mu.Lock() // want `acquiring lockgraph\.DataNode\.mu while leaf lock lockgraph\.dirShard\.mu is held`
+func nestViaHelper(nn *NameNode, dn *DataNode) {
+	nn.lock()
+	dn.mu.Lock() // want `acquiring lockgraph\.DataNode\.mu while leaf lock lockgraph\.NameNode\.mu is held`
 	dn.mu.Unlock()
-	s.mu.Unlock()
+	nn.mu.Unlock()
 }
 
 // nestViaVoidHelper: a helper with no return statement still returns
 // holding what it locked, under the caller's receiver expression — which
-// dn.mu.Unlock() then releases, so the second shard section is fine.
-func nestViaVoidHelper(dn *DataNode, s *dirShard) {
+// dn.mu.Unlock() then releases, so the second namenode section is fine.
+func nestViaVoidHelper(dn *DataNode, nn *NameNode) {
 	dn.lockNode()
-	s.mu.Lock() // want `acquiring lockgraph\.dirShard\.mu while leaf lock lockgraph\.DataNode\.mu is held`
-	s.mu.Unlock()
+	nn.mu.Lock() // want `acquiring lockgraph\.NameNode\.mu while leaf lock lockgraph\.DataNode\.mu is held`
+	nn.mu.Unlock()
 	dn.mu.Unlock()
-	s.mu.Lock()
-	s.mu.Unlock()
+	nn.mu.Lock()
+	nn.mu.Unlock()
 }
 
-// facadeUnderDeferredLock: a deferred RUnlock pins the section open to the
-// function's end, so Lookup's shard lock nests under the read lock.
-func facadeUnderDeferredLock(s *dirShard, nn *NameNode) []int {
+// lookupUnderDeferredLock: a deferred RUnlock pins the section open to the
+// function's end, so Lookup's lock nests under the read lock.
+func lookupUnderDeferredLock(s, nn *NameNode) []int {
 	s.rlock()
 	defer s.mu.RUnlock()
-	return nn.Lookup(1) // want `nested acquisition within lock class lockgraph\.dirShard\.mu`
+	return nn.Lookup(1) // want `nested acquisition within lock class lockgraph\.NameNode\.mu`
 }
 
-// facadeInCondition: locking calls hidden in an if condition count too.
-func facadeInCondition(s *dirShard, c *Cluster) {
-	s.mu.Lock()
-	if c.KillNode(1) { // want `acquiring lockgraph\.Cluster\.mu while leaf lock lockgraph\.dirShard\.mu is held`
-		s.mu.Unlock()
+// lockingCallInCondition: locking calls hidden in an if condition count too.
+func lockingCallInCondition(nn *NameNode, c *Cluster) {
+	nn.mu.Lock()
+	if c.KillNode(1) { // want `acquiring lockgraph\.Cluster\.mu while leaf lock lockgraph\.NameNode\.mu is held`
+		nn.mu.Unlock()
 		return
 	}
-	s.mu.Unlock()
+	nn.mu.Unlock()
 }
 
 // goroutineOwnStack: a spawned goroutine runs on its own stack and
 // synchronizes on its own; its lock use is not "under" ours.
-func goroutineOwnStack(s *dirShard, nn *NameNode) {
+func goroutineOwnStack(s, nn *NameNode) {
 	s.mu.Lock()
 	go func() {
 		nn.Lookup(1)
@@ -124,30 +117,31 @@ func goroutineOwnStack(s *dirShard, nn *NameNode) {
 }
 
 // unexportedUnderLock: a helper that takes no lock is fine under one.
-func unexportedUnderLock(s *dirShard, nn *NameNode) {
+func unexportedUnderLock(s, nn *NameNode) {
 	s.mu.Lock()
 	nn.helper()
 	s.mu.Unlock()
 }
 
 // unexportedLockingUnderLock: an unexported helper that does lock is a
-// nesting like any other — a name-based façade rule misses it.
-func unexportedLockingUnderLock(s *dirShard, nn *NameNode) int {
+// nesting like any other — a name-based rule for exported methods misses
+// it.
+func unexportedLockingUnderLock(s, nn *NameNode) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return nn.count() // want `nested acquisition within lock class lockgraph\.dirShard\.mu`
+	return nn.count() // want `nested acquisition within lock class lockgraph\.NameNode\.mu`
 }
 
 // exportedLockFreeUnderLock: an exported method that takes no lock is
 // fine under one.
-func exportedLockFreeUnderLock(s *dirShard, dn *DataNode) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+func exportedLockFreeUnderLock(nn *NameNode, dn *DataNode) int {
+	nn.mu.Lock()
+	defer nn.mu.Unlock()
 	return dn.ID()
 }
 
-// facadeAfterRelease: once the lock drops, locking calls are fine.
-func facadeAfterRelease(s *dirShard, nn *NameNode) []int {
+// lookupAfterRelease: once the lock drops, locking calls are fine.
+func lookupAfterRelease(s, nn *NameNode) []int {
 	s.mu.Lock()
 	s.mu.Unlock()
 	return nn.Lookup(1)
@@ -167,7 +161,7 @@ func deferredReleaseBalances(nn *NameNode, dn *DataNode) []int {
 // assignedHelperBalances: the helper's lock is held under the name its
 // result is assigned to, so s.mu.Unlock() releases it.
 func assignedHelperBalances(nn *NameNode, b int) []int {
-	s := nn.shards[b].lock()
+	s := nn.lock()
 	s.reps[b] = nil
 	s.mu.Unlock()
 	return nn.Lookup(b)

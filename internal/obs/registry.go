@@ -320,7 +320,7 @@ func (r *Registry) Snapshot() []Metric {
 	}
 	r.mu.RUnlock()
 	// Evaluate gauge funcs outside the registry lock: they may read locks
-	// owned by other subsystems (namenode shards, cache shards).
+	// owned by other subsystems (the namenode directory, cache shards).
 	for name, fn := range fns {
 		out = append(out, Metric{Name: name, Kind: "gauge", Value: fn()})
 	}
