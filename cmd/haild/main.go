@@ -33,10 +33,10 @@
 // plus -queue-timeout bound concurrency: excess queries wait briefly for
 // a slot and are rejected with 429 rather than piling up.
 //
-// The adaptive registry sidecar and the filesystem manifest are persisted
-// every -persist-every (atomically; a kill -9 mid-save never leaves a
-// torn sidecar) and once more on SIGINT/SIGTERM after in-flight requests
-// drain.
+// The filesystem, adaptive records and heat included, is saved every
+// -persist-every (committed by one rename: a kill -9 mid-save leaves the
+// last committed state or the new one) and once more on SIGINT/SIGTERM
+// after in-flight requests drain.
 package main
 
 import (
@@ -102,7 +102,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, shutdown 
 	cacheBudget := fs.Int64("cache-budget", qcache.DefaultBudget, "shared result cache byte budget")
 	offerRate := fs.Float64("offer-rate", 0.25, "adaptive: fraction of unindexed blocks converted per adaptive query (0 = observe demand only, build nothing)")
 	adaptiveBudget := fs.Int64("adaptive-budget", 0, "adaptive: global cap on extra replica bytes, kept by evicting the coldest adaptive replicas (0 = unlimited)")
-	persistEvery := fs.Duration("persist-every", 30*time.Second, "period of background manifest+registry persistence (0 = only at shutdown)")
+	persistEvery := fs.Duration("persist-every", 30*time.Second, "period of background filesystem saves (0 = only at shutdown)")
 	parallelism := fs.Int("parallelism", 0, "per-query engine task parallelism (0 = GOMAXPROCS)")
 	traceBuffer := fs.Int("trace-buffer", 16, "how many opt-in query traces /trace retains")
 	var tenants tenantFlags

@@ -50,7 +50,8 @@ func makeFS(t *testing.T, n int) string {
 
 // TestServeSmoke boots the daemon on an ephemeral port, runs queries over
 // HTTP (including an adaptive one), shuts it down with SIGTERM, and
-// checks the graceful path persisted the adaptive registry.
+// checks the graceful path persisted the adaptive replicas with their
+// records.
 func TestServeSmoke(t *testing.T) {
 	dir := makeFS(t, 700)
 	var out, errb bytes.Buffer
@@ -123,9 +124,12 @@ func TestServeSmoke(t *testing.T) {
 	if !strings.Contains(out.String(), "haild: stopped") {
 		t.Errorf("missing shutdown log, got:\n%s", out.String())
 	}
-	reps, err := adaptive.LoadRegistry(filepath.Join(dir, adaptive.RegistryFile))
-	if err != nil || len(reps) == 0 {
-		t.Fatalf("registry after shutdown: %d entries, err %v", len(reps), err)
+	loaded, err := hdfs.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reps := adaptive.New(loaded, 0, 0).Replicas(); len(reps) == 0 {
+		t.Fatal("the manifest after shutdown carries no adaptive replica")
 	}
 }
 

@@ -31,12 +31,11 @@
 // observes demand and builds nothing. -adaptive-budget caps the extra
 // bytes those conversions may store (0 = unlimited) as a working set: a
 // conversion that would exceed it drops the coldest adaptive replicas of
-// other columns (heat is tracked across invocations in the registry
-// sidecar; least-recently-used goes first), unregistering them from the
-// namenode so no reader or cache entry ever routes to a dropped replica.
-// A conversion is denied only when nothing can be dropped.
-// Only newly built replicas are persisted — saves are incremental, and
-// evictions rewrite the manifest so dropped replicas stay dropped.
+// other columns (heat is kept in the manifest across invocations;
+// least-recently-used goes first), unregistering them from the namenode so
+// no reader or cache entry ever routes to a dropped replica. A conversion
+// is denied only when nothing can be dropped. Every -adaptive query saves
+// once, incrementally: new replicas, the heat, and dropped replicas gone.
 //
 // -cache enables the block-level result cache (-cache-budget bytes): each
 // block's map output is admitted keyed by (block, replica generation,
@@ -63,7 +62,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"repro/internal/adaptive"
@@ -134,16 +132,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	engine := &mapred.Engine{Cluster: cluster}
 	var idx *adaptive.Indexer
 	if *adaptiveMode {
+		// The indexer starts from the manifest's adaptive records (budget
+		// charges, heat), so the budget accumulates across queries and
+		// eviction can rank replicas the workload went cold on.
 		idx = adaptive.New(cluster, *offerRate, *adaptiveBudget)
-		// Re-adopt the replicas earlier invocations built: the lifecycle
-		// registry (budget charges, heat) is persisted as a sidecar next
-		// to the manifest, so the budget accumulates across queries and
-		// eviction can rank replicas the current workload went cold on.
-		reps, err := adaptive.LoadRegistry(filepath.Join(*fsDir, adaptive.RegistryFile))
-		if err != nil {
-			return err
-		}
-		idx.AdoptReplicas(reps)
 		input.Adaptive = idx
 		engine.PostTask = idx.AfterTask
 	}
@@ -232,20 +224,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if idx != nil {
 		plan := idx.LastJob()
-		if plan.Built > 0 || plan.Evicted > 0 {
-			// Persist the new replicas so the next invocation benefits —
-			// even when some other block's build failed, the successful
-			// conversions must not be lost. Evictions rewrite the manifest
-			// too: a dropped replica must not resurface on the next Load.
-			if err := cluster.Save(*fsDir); err != nil {
-				return fmt.Errorf("saving adaptive indexes: %v", err)
-			}
-		}
-		// The registry sidecar tracks heat even when nothing was built:
-		// an all-index-scan query is exactly the touch signal eviction
-		// ranks by.
-		if err := adaptive.SaveRegistry(filepath.Join(*fsDir, adaptive.RegistryFile), idx.Replicas()); err != nil {
-			return fmt.Errorf("saving adaptive registry: %v", err)
+		// Persist the new replicas (even when another block's build
+		// failed) and the evictions, and the heat even when nothing was
+		// built: an all-index-scan query is exactly what eviction ranks by.
+		if err := cluster.Save(*fsDir); err != nil {
+			return fmt.Errorf("saving adaptive indexes: %v", err)
 		}
 		if plan.File == "" {
 			fmt.Fprintln(stdout, "-- adaptive: no filter column, nothing to index")

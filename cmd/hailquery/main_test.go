@@ -347,12 +347,23 @@ func makeFSAllSorted(t *testing.T, n int) string {
 	return dir
 }
 
+// persistedRegistry is the adaptive registry a new process would start
+// from: the one the directory's manifest records.
+func persistedRegistry(t *testing.T, dir string) *adaptive.Indexer {
+	t.Helper()
+	loaded, err := hdfs.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return adaptive.New(loaded, 0, 0)
+}
+
 // TestQueryAdaptiveEvictAcrossInvocations drives the full CLI lifecycle:
-// converge on @3, which persists the adaptive replicas AND the registry
-// sidecar (budget charges, heat); then shift the workload to @2 under a
-// one-column -adaptive-budget. The new invocation adopts the registry,
-// evicts the cold @3 replicas to fund @2 builds, and converges — across
-// separate processes' worth of state.
+// converge on @3, which persists the adaptive replicas with their records
+// (budget charges, heat); then shift the workload to @2 under a one-column
+// -adaptive-budget. The new invocation starts from those records, evicts
+// the cold @3 replicas to fund @2 builds, and converges — across separate
+// processes' worth of state.
 func TestQueryAdaptiveEvictAcrossInvocations(t *testing.T) {
 	dir := makeFSAllSorted(t, 700)
 	argsC := []string{
@@ -365,22 +376,14 @@ func TestQueryAdaptiveEvictAcrossInvocations(t *testing.T) {
 		t.Fatalf("converge on @3: %v\n%s", err, first.String())
 	}
 
-	// The registry sidecar records the built replicas and their charges.
-	reps, err := adaptive.LoadRegistry(filepath.Join(dir, adaptive.RegistryFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reps) == 0 {
-		t.Fatal("no registry sidecar after an adaptive build")
-	}
-	var used int64
-	for _, r := range reps {
-		used += r.Bytes
+	// The manifest records the built replicas and their charges.
+	used := persistedRegistry(t, dir).ExtraBytes()
+	if used == 0 {
+		t.Fatal("no adaptive record in the manifest after an adaptive build")
 	}
 
-	// Shift to @2 with a budget that fits one column only: registry
-	// adoption seeds the spent budget, so the @2 builds must retire the
-	// @3 replicas.
+	// Shift to @2 with a budget that fits one column only: the records
+	// seed the spent budget, so the @2 builds must retire the @3 replicas.
 	budget := fmt.Sprint(used + 16)
 	argsB := []string{
 		"-fs", dir, "-name", "/t",
@@ -397,6 +400,13 @@ func TestQueryAdaptiveEvictAcrossInvocations(t *testing.T) {
 	if strings.Contains(shift.String(), "builds denied") {
 		t.Errorf("budget-bound shift denied builds it could fund by eviction:\n%s", shift.String())
 	}
+	hottest := func() (last uint64, touches int) {
+		for _, r := range persistedRegistry(t, dir).Replicas() {
+			last, touches = max(last, r.LastTouch), max(touches, r.Touches)
+		}
+		return last, touches
+	}
+	shiftLast, _ := hottest()
 
 	// Converge on @2; with offer rate 1 one more invocation suffices.
 	converged := false
@@ -411,6 +421,12 @@ func TestQueryAdaptiveEvictAcrossInvocations(t *testing.T) {
 	}
 	if !converged {
 		t.Fatalf("shifted workload never converged under the fixed budget; last output:\n%s", last)
+	}
+	// Heat survives each invocation: every one index-scanned @2 replicas
+	// and advanced the clock the next one started from.
+	if last, touches := hottest(); last <= shiftLast || touches < 2 {
+		t.Errorf("after the @2 invocations the hottest replica was last touched at job %d (at %d after the shift) and touched %d times; the heat did not persist",
+			last, shiftLast, touches)
 	}
 
 	// The original query still answers correctly (by scan again).

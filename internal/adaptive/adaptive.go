@@ -222,8 +222,11 @@ type Indexer struct {
 // New returns an Indexer for the cluster that offers offerRate of each
 // job's unindexed blocks for conversion (≤ 0: none, demand is only
 // observed) and keeps the extra storage within budgetBytes (0: unbounded).
+// Its registry starts as the namenode's adaptive records, which a saved
+// and loaded cluster keeps: they count against the budget, and the clock
+// starts at the hottest, so relative coldness survives a restart.
 func New(cluster *hdfs.Cluster, offerRate float64, budgetBytes int64) *Indexer {
-	return &Indexer{
+	i := &Indexer{
 		Cluster:  cluster,
 		rate:     offerRate,
 		budget:   budgetBytes,
@@ -233,6 +236,21 @@ func New(cluster *hdfs.Cluster, offerRate float64, budgetBytes int64) *Indexer {
 		replicas: make(map[repID]*replicaRecord),
 		dropping: make(map[dropKey]bool),
 	}
+	for _, r := range cluster.NameNode().AdaptiveReplicas() {
+		rec := r.Info.Adaptive
+		id := repID{r.Block, r.Info.SortColumn}
+		if _, dup := i.replicas[id]; dup {
+			continue
+		}
+		i.replicas[id] = &replicaRecord{
+			file: rec.File, col: r.Info.SortColumn, block: r.Block, node: r.Node,
+			charged: rec.Charged, added: rec.Added,
+			lastTouch: rec.LastTouch, touches: rec.Touches,
+		}
+		i.extra += rec.Charged
+		i.clock = max(i.clock, rec.LastTouch)
+	}
+	return i
 }
 
 // BudgetBytes returns the extra-storage cap New was given.
@@ -251,12 +269,19 @@ func (i *Indexer) ObserveJob(file string, column int, indexed, missing []hdfs.Bl
 	i.clock++
 	key := planKey{file, column}
 	i.misses[key] += len(missing)
-	// Heat: an index-scan split over an adaptive replica is a touch.
+	// Heat: an index-scan split over an adaptive replica is a touch. The
+	// namenode keeps it with the replica's record, in one call a job,
+	// under i.mu so that calls land in clock order.
+	var heat []hdfs.Heat
 	for _, b := range indexed {
 		if r, ok := i.replicas[repID{b, column}]; ok && r.file == file {
 			r.lastTouch = i.clock
 			r.touches++
+			heat = append(heat, hdfs.Heat{Block: r.block, Node: r.node, Touches: r.touches, LastTouch: r.lastTouch})
 		}
+	}
+	if len(heat) > 0 {
+		i.Cluster.NameNode().SetHeat(heat)
 	}
 
 	offer := 0
@@ -710,8 +735,11 @@ func (i *Indexer) buildOne(key planKey, plan *JobPlan, b hdfs.BlockID, near hdfs
 		return
 	}
 	i.extra += extraDelta
+	// The replica's record goes into Dir_rep with it: a build is a touch.
+	rec := &hdfs.AdaptiveRecord{File: file, Charged: extraDelta, Added: !replace, Touches: 1, LastTouch: i.clock}
 	i.mu.Unlock()
 	i.dropVictims(plan, victims)
+	info.Adaptive = rec
 
 	collided := make(map[hdfs.NodeID]bool)
 	for {
@@ -784,7 +812,7 @@ func (i *Indexer) buildOne(key planKey, plan *JobPlan, b hdfs.BlockID, near hdfs
 	i.replicas[id] = &replicaRecord{
 		file: file, col: col, block: b, node: target,
 		charged: extraDelta, added: !replace,
-		lastTouch: i.clock, touches: 1,
+		lastTouch: rec.LastTouch, touches: 1,
 	}
 	i.mu.Unlock()
 	if orphan != nil && orphan.node != target {

@@ -1,6 +1,7 @@
 package adaptive
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -56,10 +57,14 @@ func assertSameRows(t *testing.T, label string, got, want []string) {
 }
 
 // restart is what hailquery does on every invocation: a new Indexer with
-// the given budget adopts the registry the previous one leaves behind.
-func restart(cluster *hdfs.Cluster, old *Indexer, budget int64) *Indexer {
+// the given budget, whose registry — rebuilt from the namenode's adaptive
+// records — is the one the previous Indexer leaves behind, heat included.
+func restart(t *testing.T, cluster *hdfs.Cluster, old *Indexer, budget int64) *Indexer {
+	t.Helper()
 	idx := New(cluster, 1.0, budget)
-	idx.AdoptReplicas(old.Replicas())
+	if got, want := idx.Replicas(), old.Replicas(); !slices.Equal(got, want) {
+		t.Fatalf("registry after the restart:\n%+v\nwant\n%+v", got, want)
+	}
 	return idx
 }
 
@@ -91,7 +96,7 @@ func TestEvictionReclaimsBudgetOnWorkloadShift(t *testing.T) {
 
 	// Freeze the budget at the current consumption: nothing new fits
 	// without retiring something first.
-	idx = restart(cluster, idx, used+16)
+	idx = restart(t, cluster, idx, used+16)
 
 	gensBefore := make(map[hdfs.BlockID]uint64)
 	for _, b := range blocks {
@@ -158,7 +163,7 @@ func TestBudgetDeniedForeverWithoutEviction(t *testing.T) {
 	// Freeze the budget at (not above) the consumed bytes: the
 	// overshoot-by-one allowance applies only while extra is still under
 	// the cap.
-	idx = restart(cluster, idx, idx.ExtraBytes())
+	idx = restart(t, cluster, idx, idx.ExtraBytes())
 
 	for j := 0; j < 2; j++ {
 		assertSameRows(t, "denied job", sortedRows(runQueryJob(t, cluster, file, idx, dQuery())), refD)
@@ -198,7 +203,7 @@ func TestEvictionPrefersDeadNodeOrphans(t *testing.T) {
 	// One worker, tasks in order: builds select their victims one after
 	// another, so the first selection's first victim is the plan's first
 	// eviction. (With parallel builds, whichever drop lands first is.)
-	idx = restart(cluster, idx, idx.ExtraBytes()+16)
+	idx = restart(t, cluster, idx, idx.ExtraBytes()+16)
 	engine := &mapred.Engine{Cluster: cluster, PostTask: idx.AfterTask, Parallelism: 1}
 	if _, err := engine.Run(&mapred.Job{
 		Name:  "orphan-first",
@@ -492,7 +497,7 @@ func TestEvictionNeverDropsLastReadableReplica(t *testing.T) {
 	// A column-1 build now needs ~two replicas' worth of budget: only
 	// both adaptive replicas together could fund it — which must never
 	// be allowed.
-	idx = restart(cluster, idx, idx.ExtraBytes()/2)
+	idx = restart(t, cluster, idx, idx.ExtraBytes()/2)
 	bQ := &query.Query{
 		Filter:     []query.Predicate{query.Between(1, schema.StringVal("word-0"), schema.StringVal("word-3"))},
 		Projection: []int{0, 1},

@@ -1,113 +1,11 @@
 package adaptive
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
+	"slices"
 	"testing"
 
 	"repro/internal/hdfs"
 )
-
-// TestSaveRegistryRoundTrip checks the sidecar survives a save/load cycle
-// with the heat stamps intact and leaves no temp-file litter behind.
-func TestSaveRegistryRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, RegistryFile)
-	in := []ReplicaHeat{
-		{File: "/t", Column: 2, Block: 3, Node: 1, Bytes: 4096, Added: true,
-			Touches: 7, LastTouch: 9},
-	}
-	if err := SaveRegistry(path, in); err != nil {
-		t.Fatal(err)
-	}
-	// Atomic write must not leave its temp file behind.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Name() != RegistryFile {
-		names := make([]string, len(entries))
-		for i, e := range entries {
-			names[i] = e.Name()
-		}
-		t.Fatalf("expected only %s in dir, got %v", RegistryFile, names)
-	}
-	out, err := LoadRegistry(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 1 {
-		t.Fatalf("got %d entries, want 1", len(out))
-	}
-	if out[0] != in[0] {
-		t.Fatalf("round trip changed entry: got %+v want %+v", out[0], in[0])
-	}
-}
-
-// TestLoadRegistryToleratesTornFile is the crash-safety gate: a corrupt or
-// truncated sidecar (a crash before writes were atomic, or disk damage)
-// must load as an empty registry with a warning, never wedge the caller.
-func TestLoadRegistryToleratesTornFile(t *testing.T) {
-	dir := t.TempDir()
-	good := []ReplicaHeat{{File: "/t", Column: 2, Block: 3, Node: 1, Bytes: 4096}}
-	path := filepath.Join(dir, RegistryFile)
-	if err := SaveRegistry(path, good); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, contents := range map[string][]byte{
-		"truncated": raw[:len(raw)/2],
-		"garbage":   []byte("not json at all\x00\x01"),
-		"empty":     {},
-	} {
-		t.Run(name, func(t *testing.T) {
-			torn := filepath.Join(dir, "torn-"+name+".json")
-			if err := os.WriteFile(torn, contents, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			reps, err := LoadRegistry(torn)
-			if err != nil {
-				t.Fatalf("torn file must not error, got: %v", err)
-			}
-			if len(reps) != 0 {
-				t.Fatalf("torn file must load empty, got %d entries", len(reps))
-			}
-		})
-	}
-	// The intact file still loads.
-	reps, err := LoadRegistry(path)
-	if err != nil || len(reps) != 1 {
-		t.Fatalf("intact registry: got %d entries, err %v", len(reps), err)
-	}
-}
-
-// TestSaveRegistryReplacesAtomically overwrites an existing sidecar and
-// verifies the new contents landed — the rename path, not a fresh create.
-func TestSaveRegistryReplacesAtomically(t *testing.T) {
-	path := filepath.Join(t.TempDir(), RegistryFile)
-	if err := SaveRegistry(path, []ReplicaHeat{{File: "/old", Column: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveRegistry(path, []ReplicaHeat{{File: "/new", Column: 2}}); err != nil {
-		t.Fatal(err)
-	}
-	reps, err := LoadRegistry(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reps) != 1 || reps[0].File != "/new" {
-		t.Fatalf("overwrite not visible: %+v", reps)
-	}
-	raw, _ := os.ReadFile(path)
-	if strings.Contains(string(raw), "/old") {
-		t.Fatal("old contents survived the overwrite")
-	}
-}
 
 // indexedHost returns a host of block b whose replica carries an index on
 // col, per the namenode directory.
@@ -123,49 +21,92 @@ func indexedHost(t *testing.T, cluster *hdfs.Cluster, b hdfs.BlockID, col int) h
 	return 0
 }
 
-// TestAdoptKeepsSavedStampsOfOldRegistry: a sidecar written when entries
-// also carried a wall-clock "TouchedAt" still loads, and its entries adopt
-// with their logical stamps as saved, however long ago that was; the heat
+// TestRegistryRoundTripsThroughTheManifest: the registry is the
+// namenode's adaptive records, so a cluster saved and loaded gives a new
+// Indexer the registry the old one had — charges, heat and budget — and a
+// heat clock at its hottest replica.
+func TestRegistryRoundTripsThroughTheManifest(t *testing.T) {
+	cluster, file := upload(t, 4, 700, []int{0, -1})
+	idx := New(cluster, 0.5, 0)
+	for j := 0; j < 3; j++ {
+		runJob(t, cluster, file, idx)
+	}
+	want := idx.Replicas()
+	if len(want) == 0 {
+		t.Fatal("three adaptive jobs built nothing")
+	}
+	touched := false
+	for _, r := range want {
+		touched = touched || r.Touches > 1
+	}
+	if !touched {
+		t.Fatal("no adaptive replica was index-scanned after its build: the heat is not exercised")
+	}
+	dir := t.TempDir()
+	if err := cluster.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := hdfs.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again := New(loaded, 0.5, 0)
+	if got := again.Replicas(); !slices.Equal(got, want) {
+		t.Fatalf("registry after save and load:\n%+v\nwant\n%+v", got, want)
+	}
+	if got, want := again.ExtraBytes(), idx.ExtraBytes(); got != want {
+		t.Errorf("ExtraBytes after save and load = %d, want %d", got, want)
+	}
+	var hottest uint64
+	for _, r := range want {
+		hottest = max(hottest, r.LastTouch)
+	}
+	again.mu.Lock()
+	clock := again.clock
+	again.mu.Unlock()
+	if clock != hottest {
+		t.Errorf("clock = %d, want %d (hottest saved stamp)", clock, hottest)
+	}
+}
+
+// TestNewKeepsSavedStamps: records the directory holds are adopted with
+// their logical stamps as saved, however long ago that was, and the heat
 // clock fast-forwards to the hottest of them.
-func TestAdoptKeepsSavedStampsOfOldRegistry(t *testing.T) {
-	// Replica 1 of each block is indexed on column 2, so registry entries
-	// for (block, col 2) pass AdoptReplicas' directory validation.
+func TestNewKeepsSavedStamps(t *testing.T) {
+	// Replica 1 of each block is indexed on column 2.
 	cluster, file := upload(t, 4, 700, []int{0, 2})
-	blocks, err := cluster.NameNode().FileBlocks(file)
+	nn := cluster.NameNode()
+	blocks, err := nn.FileBlocks(file)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(blocks) < 3 {
 		t.Fatalf("need ≥3 blocks, got %d", len(blocks))
 	}
-	var entries []string
 	want := map[hdfs.BlockID]uint64{}
-	for n, stamp := range []struct {
-		last uint64
-		at   string
-	}{{10, "2026-08-08T04:00:00Z"}, {5, "2026-08-08T11:30:00Z"}, {3, "2026-08-04T08:00:00Z"}} {
+	for n, last := range []uint64{10, 5, 3} {
 		b := blocks[n]
-		entries = append(entries, fmt.Sprintf(`{"File": %q, "Column": 2, "Block": %d, "Node": %d, "Bytes": 100, "Added": true, "Touches": %d, "LastTouch": %d, "TouchedAt": %q}`,
-			file, b, indexedHost(t, cluster, b, 2), stamp.last, stamp.last, stamp.at))
-		want[b] = stamp.last
-	}
-	path := filepath.Join(t.TempDir(), RegistryFile)
-	if err := os.WriteFile(path, []byte("["+strings.Join(entries, ",\n")+"]\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	reps, err := LoadRegistry(path)
-	if err != nil || len(reps) != 3 {
-		t.Fatalf("loaded %d entries, err %v; want 3", len(reps), err)
+		host := indexedHost(t, cluster, b, 2)
+		info, _ := nn.ReplicaInfo(b, host)
+		info.Adaptive = &hdfs.AdaptiveRecord{File: file, Charged: 100, Added: true, Touches: int(last), LastTouch: last}
+		if err := nn.UpdateReplica(b, host, info); err != nil {
+			t.Fatal(err)
+		}
+		want[b] = last
 	}
 
 	idx := New(cluster, 0, 0)
-	if n := idx.AdoptReplicas(reps); n != 3 {
-		t.Fatalf("adopted %d, want 3", n)
+	reps := idx.Replicas()
+	if len(reps) != 3 {
+		t.Fatalf("adopted %d, want 3", len(reps))
 	}
-	for _, r := range idx.Replicas() {
+	for _, r := range reps {
 		if r.LastTouch != want[r.Block] || r.Touches != int(want[r.Block]) {
 			t.Errorf("block %d: adopted LastTouch %d, Touches %d; want both %d as saved", r.Block, r.LastTouch, r.Touches, want[r.Block])
 		}
+	}
+	if got := idx.ExtraBytes(); got != 300 {
+		t.Errorf("ExtraBytes = %d, want the three charges, 300", got)
 	}
 	idx.mu.Lock()
 	clock := idx.clock

@@ -91,12 +91,13 @@ func chunksVerified(c *hdfs.Cluster) int64 {
 // partition of a projection-only column — and in a chunk it never looks
 // at, and runs the query through the engine. A bit flipped where the scan
 // looks must fail the block over to its next replica before anything of it
-// is emitted: the output has every row exactly once, and output and stats
-// are those of a run pinned at that replica from the start, plus the
-// counted failover. A bit flipped elsewhere in the replica must not be
+// is emitted: the output has every row exactly once, output and stats are
+// those of a run pinned at that replica from the start, plus the counted
+// failover, and the bad replica is quarantined: gone from GetHosts, with
+// the block's generation one up. A bit flipped elsewhere in the replica must not be
 // noticed at all, though a whole-replica read of it still fails. With the
 // same chunk bad on every replica the job fails with an error naming block
-// and chunk.
+// and chunk, and every replica but the last is quarantined.
 func TestCorruptionMatrix(t *testing.T) {
 	cluster, err := hdfs.NewCluster(3)
 	if err != nil {
@@ -154,6 +155,23 @@ func TestCorruptionMatrix(t *testing.T) {
 		t.Fatalf("block %d is not pinned", b)
 	}
 	pinnedDN, _ := cluster.DataNode(pinned)
+	// A failover quarantines the replica it left; restore re-registers
+	// every replica of the block a run quarantined, with its entry, once
+	// the flipped bit is flipped back.
+	nn := cluster.NameNode()
+	holders := nn.GetHosts(b)
+	entries := make(map[hdfs.NodeID]hdfs.ReplicaInfo)
+	for _, h := range holders {
+		entries[h], _ = nn.ReplicaInfo(b, h)
+	}
+	restore := func() {
+		held := nn.GetHosts(b)
+		for _, h := range holders {
+			if !slices.Contains(held, h) {
+				nn.RegisterReplica(b, h, entries[h])
+			}
+		}
+	}
 
 	// Replay the scan of that replica over a recorder to learn the byte
 	// ranges it touches.
@@ -236,13 +254,19 @@ chunks:
 		for _, tc := range cases {
 			name := fmt.Sprintf("par %d, bit flipped in the %s", par, tc.name)
 			fails0 := pinnedDN.ChecksumFailures()
+			gen := nn.Generation(b)
 			if err := pinnedDN.CorruptByte(b, tc.off); err != nil {
 				t.Fatal(err)
 			}
 			res := mustRun(f, par)
+			if slices.Contains(nn.GetHosts(b), pinned) || nn.Generation(b) != gen+1 {
+				t.Errorf("%s: after the failover block %d is on %v at generation %d (was %d); want node %d quarantined and one bump",
+					name, b, nn.GetHosts(b), nn.Generation(b), gen, pinned)
+			}
 			if err := pinnedDN.CorruptByte(b, tc.off); err != nil { // flip it back
 				t.Fatal(err)
 			}
+			restore()
 			stats := res.TotalStats()
 			if stats.ChecksumFailovers != 1 || pinnedDN.ChecksumFailures() != fails0+1 {
 				t.Errorf("%s: %d failovers in the stats, %d failures on the datanode; want one each",
@@ -306,12 +330,16 @@ chunks:
 		} else if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("block %d chunk 0: %v", b, hdfs.ErrCorruptChunk)) {
 			t.Errorf("par %d: error does not name block %d and chunk 0: %v", par, b, err)
 		}
+		if held := nn.GetHosts(b); len(held) != 1 {
+			t.Errorf("par %d: block %d corrupt everywhere is left on %v; want all but its last replica quarantined", par, b, held)
+		}
 		for _, h := range hosts {
 			dn, _ := cluster.DataNode(h)
 			if err := dn.CorruptByte(b, 3); err != nil {
 				t.Fatal(err)
 			}
 		}
+		restore()
 		if res := mustRun(f, par); !slices.Equal(res.Output, base.Output) {
 			t.Errorf("par %d: output changed after every flipped bit was flipped back", par)
 		}
@@ -350,6 +378,7 @@ chunks:
 	if err := pinnedDN.CorruptByte(b, ipVals[0]+ipVals[1]-2); err != nil {
 		t.Fatal(err)
 	}
+	restore()
 	if !slices.Equal(got, want) || st.ChecksumFailovers != 1 || st.Blocks != len(victimSplit.Blocks) {
 		t.Errorf("whole-split reader: %d records (healthy %d), stats %+v", len(got), len(want), st)
 	}

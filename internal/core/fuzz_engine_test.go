@@ -93,9 +93,12 @@ func decodeKnobs(w uint64) engineKnobs {
 //     RowsScanned is its access path's: the block's good rows for a full
 //     scan, for an index scan the partitions a conjunct's range covers in
 //     the replica sorted on its attribute;
-//   - ChecksumFailovers equals the checksum failures the datanodes saw, and
-//     a block corrupt on every replica fails the job with an error naming
-//     it;
+//   - ChecksumFailovers equals the checksum failures the datanodes saw, a
+//     failover quarantines the replica it left, and a block corrupt on
+//     every replica fails the job with an error naming it. After a
+//     quarantine the traced and untraced runs compared are both made after
+//     it, and the hot run repeats a run that recomputed the quarantined
+//     block alone;
 //   - no cache hit serves an entry from another generation of its block;
 //   - goroutines return to their baseline.
 func FuzzEngine(f *testing.F) {
@@ -329,22 +332,50 @@ func runEngineCase(t *testing.T, seed int64, k engineKnobs) (cacheStats qcache.S
 	if err != nil {
 		t.Fatalf("%s: %v", desc, err)
 	}
+	// A failover quarantines the replica it left — flipOne's block keeps
+	// its others — so every later run chooses among the replicas left, and
+	// the runs compared with the cold one are made after it.
+	quarantined := slices.ContainsFunc(cluster.NameNode().Quarantined(), func(q hdfs.Quarantine) bool {
+		return q.Block == fb && q.Node == fnode
+	})
+	if quarantined != (k.fault == flipOne && coldStats.ChecksumFailovers > 0) {
+		t.Fatalf("%s: %d checksum failovers; block %d on node %d quarantined: %v", desc, coldStats.ChecksumFailovers, fb, fnode, quarantined)
+	}
 	if k.trace && k.fault != killNode {
+		traced, tracedStats := cold, coldStats
+		if quarantined {
+			if traced, tracedStats, err = run(newCache(), true, false); err != nil {
+				t.Fatalf("%s: traced, after the quarantine: %v", desc, err)
+			}
+		}
 		plain, plainStats, err := run(newCache(), false, false)
 		if err != nil {
 			t.Fatalf("%s: untraced: %v", desc, err)
 		}
-		if !slices.Equal(plain.Output, cold.Output) || plainStats != coldStats {
-			t.Fatalf("%s: traced and untraced runs differ:\ntraced:   %+v\nuntraced: %+v", desc, coldStats, plainStats)
+		if !slices.Equal(plain.Output, traced.Output) || plainStats != tracedStats {
+			t.Fatalf("%s: traced and untraced runs differ:\ntraced:   %+v\nuntraced: %+v", desc, tracedStats, plainStats)
 		}
 	}
 	if k.cache < cacheHot {
 		return
 	}
+	cache.checkGen = true
+	if quarantined {
+		// The cold run put the block at the generation before the
+		// quarantine, so the next run recomputes it, from the replicas
+		// left, with every block whose split moved off the replica its key
+		// names; it serves every key the cold run put, and is the run the
+		// hot one repeats.
+		if cold, _, err = run(cache, k.trace, false); err != nil {
+			t.Fatalf("%s: after the quarantine: %v", desc, err)
+		}
+		if k.cache == cacheHot && len(cache.lost) > 0 {
+			t.Fatalf("%s: after the quarantine, blocks %v missed keys the cold run put", desc, cache.lost)
+		}
+	}
 	if k.fault == replaceOne {
 		replace()
 	}
-	cache.checkGen = true
 	hot, hotStats, err := run(cache, k.trace, false)
 	if err != nil {
 		t.Fatalf("%s: hot: %v", desc, err)
@@ -478,7 +509,8 @@ func (r oracleReader) ReadBatches(fn func(*mapred.Batch)) (mapred.TaskStats, err
 // cacheRecorder is the result cache with every hit checked: a hit must
 // return an entry put under exactly its key, and — once checkGen is set,
 // when no fault changes the topology during the run — a key of the
-// block's current generation.
+// block's current generation. It also keeps the misses on keys it put,
+// which a cache that holds the working set never has.
 type cacheRecorder struct {
 	*qcache.Cache
 	nn       *hdfs.NameNode
@@ -486,17 +518,19 @@ type cacheRecorder struct {
 	puts     map[mapred.CacheKey]bool
 	checkGen bool
 	stale    []string
+	lost     []hdfs.BlockID
 }
 
 func (c *cacheRecorder) Get(k mapred.CacheKey) ([]mapred.KV, mapred.TaskStats, bool) {
 	kvs, st, ok := c.Cache.Get(k)
-	if ok {
-		c.mu.Lock()
-		if gen := c.nn.Generation(k.Block); !c.puts[k] || c.checkGen && k.Gen != gen {
-			c.stale = append(c.stale, fmt.Sprintf("block %d: a hit at generation %d (now %d), put under that key: %v", k.Block, k.Gen, gen, c.puts[k]))
-		}
-		c.mu.Unlock()
+	c.mu.Lock()
+	if gen := c.nn.Generation(k.Block); ok && (!c.puts[k] || c.checkGen && k.Gen != gen) {
+		c.stale = append(c.stale, fmt.Sprintf("block %d: a hit at generation %d (now %d), put under that key: %v", k.Block, k.Gen, gen, c.puts[k]))
 	}
+	if !ok && c.puts[k] {
+		c.lost = append(c.lost, k.Block)
+	}
+	c.mu.Unlock()
 	return kvs, st, ok
 }
 

@@ -220,7 +220,8 @@ func (r *recordReader) openBlockScan(b hdfs.BlockID, stats *mapred.TaskStats) (*
 // that is the replica's rather than the block's — the node is dead, the
 // replica is gone, or a chunk failed verification — so another replica may
 // still serve the scan. A failed attempt leaves nothing in stats but, for
-// a corrupt chunk, the failover it caused.
+// a corrupt chunk, the failover it caused, and the corrupt replica is
+// quarantined.
 func (r *recordReader) scanReplica(b hdfs.BlockID, node hdfs.NodeID, stats *mapred.TaskStats) (bs *blockScan, next bool, err error) {
 	if r.view, err = r.cluster.OpenBlockFrom(node, b); err != nil {
 		return nil, true, err
@@ -234,7 +235,9 @@ func (r *recordReader) scanReplica(b hdfs.BlockID, node hdfs.NodeID, stats *mapr
 	}
 	*stats = before
 	if errors.Is(err, hdfs.ErrCorruptChunk) {
+		// Out of service, unless it is the block's last replica.
 		stats.ChecksumFailovers++
+		r.cluster.NameNode().QuarantineReplica(b, node, err.Error())
 		return nil, true, err
 	}
 	return nil, false, err

@@ -60,39 +60,39 @@ type Cluster struct {
 	cursor    int // round-robin placement cursor
 
 	// Incremental-save bookkeeping: which directory the last save
-	// targeted (a different target forces a full rewrite) and what it
-	// wrote. The dirty-replica marks themselves live in the namenode,
-	// next to the Dir_rep entries they annotate.
-	// Guarded by saveMu, not mu — saves must not block uploads. saveOpMu
-	// serializes whole Save calls: two concurrent saves to different
+	// committed to (a different target forces a full rewrite), the
+	// replicas its manifest lists and which of their two file pairs each
+	// is in, and what that save wrote. The dirty-replica marks themselves
+	// live in the namenode, next to the Dir_rep entries they annotate.
+	// saveMu guards them, not mu — saves must not block uploads — and is
+	// held across each whole Save: two concurrent saves to different
 	// directories would otherwise race on consuming the dirty marks and
 	// the savedTo transition, letting one of them skip a changed replica.
-	saveOpMu sync.Mutex
-	saveMu   sync.Mutex
-	savedTo  string
-	lastSave SaveReport
+	saveMu    sync.Mutex
+	savedTo   string
+	committed map[repKey]bool
+	lastSave  SaveReport
+	// storeMu pairs each Dir_rep entry with its bytes: a change to both
+	// holds it shared across both, a save snapshot holds it exclusively.
+	storeMu sync.RWMutex
+	fs      fileSystem // what Save writes through: the OS, or a test's faults
 }
 
-// registerReplicaDirty registers a new replica and marks it dirty as one
-// atomic step under the namenode's lock. Save snapshots the directory and
-// consumes its dirty marks under the same lock, so it can never observe
-// the registration without its dirty mark — the interleaving that
-// would persist a manifest entry while skipping the replica's changed
-// bytes. The replica-change hook fires after every lock is released, so
-// hooks may safely call back into the save API.
-func (c *Cluster) registerReplicaDirty(b BlockID, node NodeID, info ReplicaInfo) {
-	c.nn.registerReplica(b, node, info, true)
-	c.nn.notifyChanged(c.nn.hook(), b)
-}
-
-// updateReplicaDirty is registerReplicaDirty's counterpart for in-place
-// replica updates (adaptive conversions).
-func (c *Cluster) updateReplicaDirty(b BlockID, node NodeID, info ReplicaInfo) error {
-	if err := c.nn.updateReplica(b, node, info, true); err != nil {
-		return err
+// storeReplica flushes a new replica's bytes to a datanode, then registers
+// it and marks it dirty in one namenode critical section, so a save can
+// never see the registration without its mark. The change hook fires after
+// every lock is released, so hooks may call back into the save API.
+func (c *Cluster) storeReplica(dn *DataNode, b BlockID, data []byte, sums []uint32, info ReplicaInfo) error {
+	c.storeMu.RLock()
+	err := dn.flush(b, data, sums)
+	if err == nil {
+		c.nn.registerReplica(b, dn.ID(), info, true)
 	}
-	c.nn.notifyChanged(c.nn.hook(), b)
-	return nil
+	c.storeMu.RUnlock()
+	if err == nil {
+		c.nn.notifyChanged(c.nn.hook(), b)
+	}
+	return err
 }
 
 // MaxNodes bounds a cluster's size. Every datanode is allocated up front
@@ -111,7 +111,7 @@ func NewCluster(n int) (*Cluster, error) {
 	if n > MaxNodes {
 		return nil, fmt.Errorf("hdfs: %d datanodes, more than the %d a cluster may have", n, MaxNodes)
 	}
-	c := &Cluster{nn: NewNameNode()}
+	c := &Cluster{nn: NewNameNode(), fs: osFS{}}
 	for i := 0; i < n; i++ {
 		c.dns = append(c.dns, NewDataNode(NodeID(i)))
 	}
@@ -311,13 +311,12 @@ func (c *Cluster) WriteBlock(file string, data []byte, replication int, transfor
 	flushed := make([]NodeID, 0, len(pipeline))
 	for pos, dn := range pipeline {
 		r := replicas[pos]
-		if err := dn.flush(id, r.data, r.sums); err != nil {
+		// The datanode informs the namenode about its new replica,
+		// including size, index and sort order (§3.2 steps 11 and 14).
+		if err := c.storeReplica(dn, id, r.data, r.sums, r.info); err != nil {
 			return 0, stats, err
 		}
 		stats.ReplicaSizes = append(stats.ReplicaSizes, len(r.data))
-		// The datanode informs the namenode about its new replica,
-		// including size, index and sort order (§3.2 steps 11 and 14).
-		c.registerReplicaDirty(id, dn.ID(), r.info)
 		flushed = append(flushed, dn.ID())
 	}
 	if len(flushed) != replication {
@@ -344,12 +343,8 @@ func (c *Cluster) StoreAdditionalReplica(b BlockID, node NodeID, data []byte, in
 	if dn.HasReplica(b) {
 		return fmt.Errorf("hdfs: node %d, block %d: %w", node, b, ErrReplicaExists)
 	}
-	if err := dn.flush(b, data, checksumChunks(data)); err != nil {
-		return err
-	}
 	info.Size = len(data)
-	c.registerReplicaDirty(b, node, info)
-	return nil
+	return c.storeReplica(dn, b, data, checksumChunks(data), info)
 }
 
 // DropReplica removes one replica of a block — the storage side of
@@ -360,19 +355,22 @@ func (c *Cluster) StoreAdditionalReplica(b BlockID, node NodeID, data []byte, in
 // the node is alive (a dead node's disk is unreachable; the ghost bytes
 // are never served because the directory no longer lists them), and the
 // replica-change hook fires after all locks are released so result-cache
-// entries pinned at the dropped replica are purged. Replica files a
-// previous Save wrote become unreferenced — the manifest rewrite on the
-// next Save is authoritative, and Load reads only manifest-listed
-// replicas.
+// entries pinned at the dropped replica are purged. The next Save commits
+// a manifest without the replica and then removes its files.
 func (c *Cluster) DropReplica(b BlockID, node NodeID) error {
 	dn, err := c.DataNode(node)
 	if err != nil {
 		return err
 	}
-	if err := c.nn.unregisterReplica(b, node); err != nil {
+	c.storeMu.RLock()
+	err = c.nn.unregisterReplica(b, node)
+	if err == nil {
+		dn.drop(b)
+	}
+	c.storeMu.RUnlock()
+	if err != nil {
 		return err
 	}
-	dn.drop(b)
 	c.nn.notifyChanged(c.nn.hook(), b)
 	return nil
 }
@@ -380,18 +378,27 @@ func (c *Cluster) DropReplica(b BlockID, node NodeID) error {
 // ReplaceReplica overwrites an existing replica's stored bytes with a
 // reorganized copy (same rows, different sort order, new index) and
 // updates the namenode's Dir_rep entry — the adaptive indexer's in-place
-// conversion of an unsorted PAX replica into a sorted, indexed one. data
-// is handed over as in StoreAdditionalReplica.
+// conversion of an unsorted PAX replica into a sorted, indexed one. The
+// bytes and the entry change together under storeMu, so a Save commits
+// each entry with its own bytes. data is handed over as in
+// StoreAdditionalReplica.
 func (c *Cluster) ReplaceReplica(b BlockID, node NodeID, data []byte, info ReplicaInfo) error {
 	dn, err := c.DataNode(node)
 	if err != nil {
 		return err
 	}
-	if err := dn.replace(b, data, checksumChunks(data)); err != nil {
+	sums := checksumChunks(data)
+	info.Size = len(data)
+	c.storeMu.RLock()
+	if err = dn.replace(b, data, sums); err == nil {
+		err = c.nn.updateReplica(b, node, info, true)
+	}
+	c.storeMu.RUnlock()
+	if err != nil {
 		return err
 	}
-	info.Size = len(data)
-	return c.updateReplicaDirty(b, node, info)
+	c.nn.notifyChanged(c.nn.hook(), b)
+	return nil
 }
 
 // OpenBlockFrom opens a read-only view of the replica a specific datanode

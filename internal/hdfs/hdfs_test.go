@@ -701,3 +701,29 @@ func TestDropReplicaDeadNode(t *testing.T) {
 		t.Errorf("store over ghost bytes returned %v, want ErrReplicaExists", err)
 	}
 }
+
+// TestReplicaInfoAllocatesOnlyForAdaptive: looking up an upload's replica
+// allocates nothing; only an adaptive replica's record is copied out.
+func TestReplicaInfoAllocatesOnlyForAdaptive(t *testing.T) {
+	c, err := NewCluster(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, stats, err := c.WriteBlock("/f", randBlock(1_000, 1), 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := stats.PipelineNodes[0]
+	extra := NodeID(1 - plain)
+	rec := &AdaptiveRecord{File: "/f", Charged: 1_000, Added: true, Touches: 1, LastTouch: 1}
+	if err := c.StoreAdditionalReplica(id, extra, randBlock(1_000, 2), ReplicaInfo{SortColumn: 1, HasIndex: true, Adaptive: rec}); err != nil {
+		t.Fatal(err)
+	}
+	nn := c.NameNode()
+	if n := testing.AllocsPerRun(100, func() { _, _ = nn.ReplicaInfo(id, plain) }); n != 0 {
+		t.Errorf("ReplicaInfo of an upload's replica: %v allocations, want 0", n)
+	}
+	if info, _ := nn.ReplicaInfo(id, extra); info.Adaptive == nil || *info.Adaptive != *rec || info.Adaptive == rec {
+		t.Errorf("ReplicaInfo of the adaptive replica: record %+v, want a copy of %+v", info.Adaptive, *rec)
+	}
+}

@@ -1,8 +1,10 @@
 package hdfs
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -23,6 +25,29 @@ type ReplicaInfo struct {
 	SortColumn int // clustering/indexed attribute, -1 for unsorted replicas
 	HasIndex   bool
 	IndexSize  int
+	// Adaptive is set on a replica the adaptive indexer built, nil on
+	// every replica an upload stored.
+	Adaptive *AdaptiveRecord `json:",omitempty"`
+}
+
+// AdaptiveRecord is what the directory knows of a replica the adaptive
+// indexer built: the file whose jobs asked for it, its budget charge,
+// whether it was added (evictable) or converted an upload's replica in
+// place, and its heat — jobs that index-scanned it, and the latest one.
+type AdaptiveRecord struct {
+	File      string
+	Charged   int64
+	Added     bool
+	Touches   int
+	LastTouch uint64
+}
+
+// Heat is one adaptive replica's use, as SetHeat records it.
+type Heat struct {
+	Block     BlockID
+	Node      NodeID
+	Touches   int
+	LastTouch uint64
 }
 
 // NameNode keeps the paper's two directories (§3.3):
@@ -42,8 +67,11 @@ type NameNode struct {
 	mu     sync.RWMutex
 	ops    atomic.Uint64 // directory operations served (lock acquisitions)
 	files  map[string][]BlockID
-	blocks map[BlockID][]NodeID // Dir_block; insertion order = pipeline order
-	reps   map[repKey]ReplicaInfo
+	blocks map[BlockID][]NodeID   // Dir_block; insertion order = pipeline order
+	reps   map[repKey]ReplicaInfo // Adaptive is always nil here: see adaptive
+	// adaptive holds the adaptive replicas' records beside reps: their heat
+	// changes with every job, and heat is not topology (see SetHeat).
+	adaptive map[repKey]AdaptiveRecord
 	// gens counts replica-topology changes per block: any event that can
 	// alter which replica a reader would open — a new replica, an in-place
 	// reorganization, a node loss or return — bumps the block's
@@ -73,10 +101,12 @@ type repKey struct {
 	node  NodeID
 }
 
-// repEntry is a (key, info) pair from Dir_rep, used by save snapshots.
-type repEntry struct {
-	key  repKey
-	info ReplicaInfo
+// Replica is one Dir_rep entry: a block's replica on a node, and what
+// the directory knows of it.
+type Replica struct {
+	Block BlockID     `json:"block"`
+	Node  NodeID      `json:"node"`
+	Info  ReplicaInfo `json:"info"`
 }
 
 // NewNameNode returns an empty namenode.
@@ -210,11 +240,37 @@ func (nn *NameNode) registerReplica(b BlockID, node NodeID, info ReplicaInfo, ma
 	if _, dup := nn.reps[key]; !dup {
 		nn.blocks[b] = append(nn.blocks[b], node)
 	}
-	nn.reps[key] = info
-	nn.gens[b]++
+	nn.setInfoLocked(key, info)
 	if markDirty {
 		nn.markDirtyLocked(key)
 	}
+}
+
+// setInfoLocked stores a replica's Dir_rep entry, its adaptive record
+// apart, and bumps its block's generation. Caller holds nn.mu.
+func (nn *NameNode) setInfoLocked(key repKey, info ReplicaInfo) {
+	if info.Adaptive != nil {
+		if nn.adaptive == nil {
+			nn.adaptive = make(map[repKey]AdaptiveRecord)
+		}
+		nn.adaptive[key] = *info.Adaptive
+		info.Adaptive = nil
+	} else {
+		delete(nn.adaptive, key)
+	}
+	nn.reps[key] = info
+	nn.gens[key.block]++
+}
+
+// infoLocked returns a replica's Dir_rep entry with its adaptive record,
+// if it has one. Caller holds nn.mu.
+func (nn *NameNode) infoLocked(key repKey) (ReplicaInfo, bool) {
+	info, ok := nn.reps[key]
+	if rec, adaptive := nn.adaptive[key]; adaptive {
+		cp := rec // allocated only here: an upload's replicas cost nothing
+		info.Adaptive = &cp
+	}
+	return info, ok
 }
 
 // markDirtyLocked records a replica's bytes as changed since the last
@@ -273,8 +329,7 @@ func (nn *NameNode) updateReplica(b BlockID, node NodeID, info ReplicaInfo, mark
 	if _, ok := nn.reps[key]; !ok {
 		return fmt.Errorf("hdfs: node %d holds no replica of block %d", node, b)
 	}
-	nn.reps[key] = info
-	nn.gens[b]++
+	nn.setInfoLocked(key, info)
 	if markDirty {
 		nn.markDirtyLocked(key)
 	}
@@ -317,6 +372,7 @@ func (nn *NameNode) unregisterReplica(b BlockID, node NodeID) error {
 func (nn *NameNode) removeLocked(key repKey) {
 	b := key.block
 	delete(nn.reps, key)
+	delete(nn.adaptive, key)
 	hosts := nn.blocks[b]
 	for i, n := range hosts {
 		if n == key.node {
@@ -342,12 +398,18 @@ type Quarantine struct {
 // QuarantineReplica takes (block, node) out of service: the replica is
 // unregistered if it was registered, the block's generation is bumped and
 // the change hook fires, as on any replica-topology change, and the reason
-// is kept for Quarantined. Load calls it for a replica whose data file is
-// missing or does not match its checksum file.
-func (nn *NameNode) QuarantineReplica(b BlockID, node NodeID, reason string) {
+// is kept for Quarantined. It refuses, and reports false, when the replica
+// is the block's last registered one: a copy that fails some reads still
+// serves the others. Load calls it for a replica whose files are missing
+// or do not verify, a reader for one that failed a checksum.
+func (nn *NameNode) QuarantineReplica(b BlockID, node NodeID, reason string) bool {
 	key := repKey{b, node}
 	nn.ops.Add(1)
 	nn.mu.Lock()
+	if _, ok := nn.reps[key]; ok && len(nn.blocks[b]) == 1 {
+		nn.mu.Unlock()
+		return false
+	}
 	nn.removeLocked(key)
 	if nn.quarantined == nil {
 		nn.quarantined = make(map[repKey]string)
@@ -355,6 +417,7 @@ func (nn *NameNode) QuarantineReplica(b BlockID, node NodeID, reason string) {
 	nn.quarantined[key] = reason
 	nn.mu.Unlock()
 	nn.notifyChanged(nn.hook(), b)
+	return true
 }
 
 // Quarantined lists every quarantined replica, sorted by (block, node).
@@ -365,9 +428,7 @@ func (nn *NameNode) Quarantined() []Quarantine {
 		out = append(out, Quarantine{k.block, k.node, why})
 	}
 	nn.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		return repKey{out[i].Block, out[i].Node}.less(repKey{out[j].Block, out[j].Node})
-	})
+	slices.SortFunc(out, func(a, b Quarantine) int { return cmp.Or(cmp.Compare(a.Block, b.Block), cmp.Compare(a.Node, b.Node)) })
 	return out
 }
 
@@ -376,8 +437,38 @@ func (nn *NameNode) ReplicaInfo(b BlockID, node NodeID) (ReplicaInfo, bool) {
 	nn.ops.Add(1)
 	nn.mu.RLock()
 	defer nn.mu.RUnlock()
-	info, ok := nn.reps[repKey{b, node}]
-	return info, ok
+	return nn.infoLocked(repKey{b, node})
+}
+
+// AdaptiveReplicas lists the replicas with an adaptive record, sorted by
+// (block, node): the registry the adaptive indexer starts from.
+func (nn *NameNode) AdaptiveReplicas() []Replica {
+	nn.ops.Add(1)
+	nn.mu.RLock()
+	out := make([]Replica, 0, len(nn.adaptive))
+	for k := range nn.adaptive {
+		info, _ := nn.infoLocked(k)
+		out = append(out, Replica{Block: k.block, Node: k.node, Info: info})
+	}
+	nn.mu.RUnlock()
+	slices.SortFunc(out, func(a, b Replica) int { return cmp.Or(cmp.Compare(a.Block, b.Block), cmp.Compare(a.Node, b.Node)) })
+	return out
+}
+
+// SetHeat records the heat of adaptive replicas still registered with a
+// record. Heat is not topology: it bumps no generation and fires no hook,
+// so no cached result is purged for it.
+func (nn *NameNode) SetHeat(hs []Heat) {
+	nn.ops.Add(1)
+	nn.mu.Lock()
+	defer nn.mu.Unlock()
+	for _, h := range hs {
+		key := repKey{h.Block, h.Node}
+		if rec, ok := nn.adaptive[key]; ok {
+			rec.Touches, rec.LastTouch = h.Touches, h.LastTouch
+			nn.adaptive[key] = rec
+		}
+	}
 }
 
 // ReplicaCount returns the number of registered replicas of a block.
@@ -386,39 +477,6 @@ func (nn *NameNode) ReplicaCount(b BlockID) int {
 	nn.mu.RLock()
 	defer nn.mu.RUnlock()
 	return len(nn.blocks[b])
-}
-
-// less orders replica keys by (block, node).
-func (k repKey) less(o repKey) bool {
-	if k.block != o.block {
-		return k.block < o.block
-	}
-	return k.node < o.node
-}
-
-// snapshotForSave copies the file table and Dir_rep and consumes the
-// dirty-replica marks in one critical section, so the snapshot can never
-// contain a Dir_rep entry whose dirty mark it missed, nor a file block
-// whose replicas it missed (WriteBlock registers a block's replicas
-// before it calls AddBlock). A registration after the snapshot keeps its
-// mark for the next save. Replicas are returned sorted by (block, node),
-// so the manifest's replica order is deterministic.
-func (nn *NameNode) snapshotForSave() (files map[string][]BlockID, reps []repEntry, dirty map[repKey]bool) {
-	nn.ops.Add(1)
-	nn.mu.Lock()
-	files = make(map[string][]BlockID, len(nn.files))
-	for f, bs := range nn.files {
-		files[f] = append([]BlockID(nil), bs...)
-	}
-	reps = make([]repEntry, 0, len(nn.reps))
-	for k, info := range nn.reps {
-		reps = append(reps, repEntry{k, info})
-	}
-	dirty = nn.dirty
-	nn.dirty = nil
-	nn.mu.Unlock()
-	sort.Slice(reps, func(i, j int) bool { return reps[i].key.less(reps[j].key) })
-	return files, reps, dirty
 }
 
 // restoreDirty merges consumed dirty marks back after a failed save, so

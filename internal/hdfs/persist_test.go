@@ -2,6 +2,7 @@ package hdfs
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"slices"
@@ -10,6 +11,18 @@ import (
 
 	"repro/internal/obs"
 )
+
+// replicaDataPath and replicaSumPath are a replica's files in its primary
+// pair, where a first save puts them.
+func replicaDataPath(dir string, node NodeID, b BlockID) string {
+	data, _ := replicaFiles(dir, node, b, false)
+	return data
+}
+
+func replicaSumPath(dir string, node NodeID, b BlockID) string {
+	_, sums := replicaFiles(dir, node, b, false)
+	return sums
+}
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
@@ -318,17 +331,16 @@ func TestSaveIncremental(t *testing.T) {
 		t.Fatalf("post-load save wrote %+v, want 1 written / 12 skipped", rep)
 	}
 
-	// A deleted file is restored even when clean.
-	path := replicaDataPath(dir, loaded.nn.GetHosts(ids[2])[0], ids[2])
-	if err := os.Remove(path); err != nil {
+	// A deleted file is restored even when clean, in the pair the
+	// committed manifest did not name.
+	holder := loaded.nn.GetHosts(ids[2])[0]
+	if err := os.Remove(replicaDataPath(dir, holder, ids[2])); err != nil {
 		t.Fatal(err)
 	}
 	if err := loaded.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(path); err != nil {
-		t.Errorf("removed replica file not restored: %v", err)
-	}
+	assertRestored(t, dir, holder, ids[2])
 
 	// Saving to a fresh directory writes everything again.
 	dir2 := t.TempDir()
@@ -359,18 +371,41 @@ func TestSaveRestoresMissingChecksumFile(t *testing.T) {
 	if err := c.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	sumPath := replicaSumPath(dir, c.nn.GetHosts(id)[0], id)
-	if err := os.Remove(sumPath); err != nil {
+	holder := c.nn.GetHosts(id)[0]
+	if err := os.Remove(replicaSumPath(dir, holder, id)); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(sumPath); err != nil {
-		t.Fatalf("checksum file not restored: %v", err)
+	assertRestored(t, dir, holder, id)
+}
+
+// assertRestored checks that a save rewrote a replica whose committed
+// files were damaged into its alternate pair, removed what was left of the
+// old pair, and that the directory loads with nothing quarantined.
+func assertRestored(t *testing.T, dir string, node NodeID, b BlockID) {
+	t.Helper()
+	if alt := committedIn(dir)[repKey{b, node}]; !alt {
+		t.Errorf("block %d on node %d: the manifest names its primary pair, want the alternate", b, node)
 	}
-	if _, err := Load(dir); err != nil {
-		t.Fatalf("Load after checksum restore: %v", err)
+	data, sums := replicaFiles(dir, node, b, true)
+	for _, path := range []string{data, sums} {
+		if _, err := os.Stat(path); err != nil {
+			t.Errorf("replica file not restored: %v", err)
+		}
+	}
+	for _, path := range []string{replicaDataPath(dir, node, b), replicaSumPath(dir, node, b)} {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("%s outlived the save that stopped listing it (stat: %v)", path, err)
+		}
+	}
+	loaded, err := Load(dir)
+	if err != nil {
+		t.Fatalf("Load after the restore: %v", err)
+	}
+	if q := loaded.NameNode().Quarantined(); len(q) != 0 {
+		t.Errorf("Load after the restore quarantined %+v", q)
 	}
 }
 
@@ -422,5 +457,75 @@ func TestSaveConcurrentWithUploads(t *testing.T) {
 	}
 	if len(bs) != 21 {
 		t.Fatalf("loaded %d blocks, want 21", len(bs))
+	}
+}
+
+// TestSaveRemovesUnlistedReplicas: a dropped replica's files and a
+// quarantined one's go with the save that stops listing them, and the last
+// replica of a block is never quarantined.
+func TestSaveRemovesUnlistedReplicas(t *testing.T) {
+	dir, c, pipelines := savedThreeBlocks(t)
+	dropped, bad := pipelines[0][0], pipelines[1][1]
+	if err := c.DropReplica(0, dropped); err != nil {
+		t.Fatal(err)
+	}
+	if !c.nn.QuarantineReplica(1, bad, "checksum") {
+		t.Fatal("a replica with two siblings was not quarantined")
+	}
+	for _, node := range pipelines[2][1:] {
+		if err := c.DropReplica(2, node); err != nil {
+			t.Fatal(err)
+		}
+	}
+	last := pipelines[2][0]
+	if c.nn.QuarantineReplica(2, last, "checksum") || !slices.Equal(c.nn.GetHosts(2), []NodeID{last}) {
+		t.Fatalf("block 2's last replica was quarantined: hosts %v", c.nn.GetHosts(2))
+	}
+	if err := c.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	for _, gone := range []repKey{{0, dropped}, {1, bad}, {2, pipelines[2][1]}, {2, pipelines[2][2]}} {
+		for _, path := range []string{replicaDataPath(dir, gone.node, gone.block), replicaSumPath(dir, gone.node, gone.block)} {
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Errorf("%s outlived the save that stopped listing it (stat: %v)", path, err)
+			}
+		}
+	}
+	assertOnlyListed(t, dir)
+}
+
+// TestLoadQuarantinesAnEntryOfAnotherSize: a manifest entry whose size is
+// not its data file's length is quarantined, even though the files verify
+// against each other — they are some other version's bytes.
+func TestLoadQuarantinesAnEntryOfAnotherSize(t *testing.T) {
+	dir, _, pipelines := savedThreeBlocks(t)
+	path := filepath.Join(dir, "manifest.json")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m manifest
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	victim := repKey{1, pipelines[1][2]}
+	for i, rp := range m.Replicas {
+		if (repKey{rp.Block, rp.Node}) == victim {
+			m.Replicas[i].Info.Size--
+		}
+	}
+	if raw, err = json.Marshal(&m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := loaded.NameNode().Quarantined()
+	if len(q) != 1 || (repKey{q[0].Block, q[0].Node}) != victim || !strings.Contains(q[0].Reason, "the manifest says") {
+		t.Fatalf("Quarantined = %+v, want block %d on node %d for its size", q, victim.block, victim.node)
 	}
 }

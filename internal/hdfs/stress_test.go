@@ -63,8 +63,9 @@ func TestNameNodeStress(t *testing.T) {
 	defer nn.SetReplicaChangeHook(nil)
 
 	// Pre-store bytes for every (block, node) pair the registrars may
-	// announce — Save refuses a namenode entry the datanode cannot back —
-	// then register one replica per block so readers always have targets.
+	// announce — Save refuses a namenode entry the datanode cannot back,
+	// and Load one whose size is not its bytes' — then register one
+	// replica per block so readers always have targets.
 	const baseBlocks = 64
 	payload := []byte("stress-payload")
 	for b := BlockID(0); b < baseBlocks; b++ {
@@ -74,7 +75,7 @@ func TestNameNodeStress(t *testing.T) {
 			}
 		}
 		nn.AddBlock(fmt.Sprintf("/f%d", b%7), b)
-		nn.RegisterReplica(b, NodeID(int(b)%nodes), ReplicaInfo{SortColumn: -1})
+		nn.RegisterReplica(b, NodeID(int(b)%nodes), ReplicaInfo{Size: len(payload), SortColumn: -1})
 	}
 
 	dir := t.TempDir()
@@ -96,14 +97,14 @@ func TestNameNodeStress(t *testing.T) {
 		g := g
 		spawn(func(i int) {
 			b := BlockID((g*iters + i) % baseBlocks)
-			info := ReplicaInfo{SortColumn: i % 4, HasIndex: i%2 == 0, IndexSize: i}
+			info := ReplicaInfo{Size: len(payload), SortColumn: i % 4, HasIndex: i%2 == 0, IndexSize: i}
 			nn.RegisterReplica(b, NodeID((i+g)%nodes), info)
 		})
 	}
 
 	// Updaters: in-place Dir_rep updates; refusals are fine.
 	spawn(func(i int) {
-		_ = nn.UpdateReplica(BlockID(i%baseBlocks), NodeID(i%nodes), ReplicaInfo{SortColumn: 1, HasIndex: true})
+		_ = nn.UpdateReplica(BlockID(i%baseBlocks), NodeID(i%nodes), ReplicaInfo{Size: len(payload), SortColumn: 1, HasIndex: true})
 	})
 
 	// Readers: every lookup the scheduler and the caches use.

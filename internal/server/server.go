@@ -14,10 +14,9 @@
 // per-tenant ledgers cap how many bytes each tenant may admit into the
 // shared cache and trigger as adaptive storage.
 //
-// The adaptive registry sidecar is persisted periodically and on Close —
-// atomically, via adaptive.SaveRegistry's temp+rename — and re-validated
-// against the namenode on load, so a crashed or restarted server resumes
-// with exactly the replicas the directory still confirms.
+// The filesystem is persisted periodically and on Close by one
+// hdfs.Cluster.Save, whose manifest carries the adaptive records (budget
+// charges, heat), so a restarted server resumes where its last save left.
 package server
 
 import (
@@ -25,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"path/filepath"
 	"strconv"
 	"sync"
 	"time"
@@ -67,9 +65,9 @@ type Config struct {
 	// replicas of other columns first.
 	AdaptiveBudget int64
 
-	// PersistEvery is the period of the background persistence loop
-	// (cluster manifest + adaptive registry sidecar); 0 disables periodic
-	// persistence (Close still persists once).
+	// PersistEvery is the period of the background persistence loop (one
+	// cluster Save); 0 disables periodic persistence (Close still persists
+	// once).
 	PersistEvery time.Duration
 
 	// Parallelism is each query's engine task parallelism (0 =
@@ -123,8 +121,7 @@ type storedTrace struct {
 }
 
 // New loads the filesystem, builds the shared stack (cache, indexer,
-// metrics registry), adopts the persisted adaptive registry, and starts
-// the periodic persistence loop.
+// metrics registry), and starts the periodic persistence loop.
 func New(cfg Config) (*Server, error) {
 	if cfg.FSDir == "" {
 		return nil, fmt.Errorf("server: FSDir is required")
@@ -158,14 +155,8 @@ func New(cfg Config) (*Server, error) {
 		loopDone: make(chan struct{}),
 	}
 	// Replica changes (adaptive builds/evictions, node loss) purge the
-	// affected cache entries; the shared indexer re-adopts what earlier
-	// processes built, re-validated against the directory.
+	// affected cache entries.
 	cluster.NameNode().SetReplicaChangeHook(s.cache.InvalidateBlock)
-	reps, err := adaptive.LoadRegistry(filepath.Join(cfg.FSDir, adaptive.RegistryFile))
-	if err != nil {
-		return nil, err
-	}
-	s.idx.AdoptReplicas(reps)
 
 	cluster.NameNode().BindObs(s.reg)
 	s.cache.BindObs(s.reg)
@@ -198,11 +189,10 @@ func (s *Server) Indexer() *adaptive.Indexer { return s.idx }
 // CacheStats returns the shared result cache's counters.
 func (s *Server) CacheStats() qcache.Stats { return s.cache.Stats() }
 
-// persistLoop periodically saves the cluster manifest and the adaptive
-// registry sidecar, so a crash loses at most one period of lifecycle
-// state. Saves are incremental (dirty-block tracking in hdfs) and the
-// sidecar write is atomic, so the loop is safe to run while queries
-// execute and adaptive builds land.
+// persistLoop periodically saves the cluster, so a crash loses at most one
+// period of lifecycle state. Saves are incremental (dirty-block tracking
+// in hdfs) and commit by one rename, so the loop is safe to run while
+// queries execute and adaptive builds land.
 func (s *Server) persistLoop() {
 	defer close(s.loopDone)
 	if s.cfg.PersistEvery <= 0 {
@@ -223,17 +213,16 @@ func (s *Server) persistLoop() {
 	}
 }
 
-// persist saves the cluster (new adaptive replicas, dropped replicas) and
-// the registry sidecar.
+// persist saves the cluster: new and dropped replicas, and the adaptive
+// records with their heat.
 func (s *Server) persist() error {
 	s.persistMu.Lock()
 	defer s.persistMu.Unlock()
+	start := time.Now()
 	if err := s.cluster.Save(s.cfg.FSDir); err != nil {
 		return fmt.Errorf("server: saving filesystem: %v", err)
 	}
-	if err := adaptive.SaveRegistry(filepath.Join(s.cfg.FSDir, adaptive.RegistryFile), s.idx.Replicas()); err != nil {
-		return fmt.Errorf("server: saving adaptive registry: %v", err)
-	}
+	s.reg.Histogram("server.persist_seconds").Observe(time.Since(start))
 	s.reg.Counter("server.persists").Inc()
 	return nil
 }

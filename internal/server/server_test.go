@@ -7,16 +7,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/adaptive"
 	"repro/internal/core"
 	"repro/internal/hdfs"
 	"repro/internal/mapred"
@@ -509,21 +508,24 @@ func TestPersistAcrossRestart(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The sidecar is intact JSON (the atomic-write path) …
-	reps, err := adaptive.LoadRegistry(filepath.Join(dir, adaptive.RegistryFile))
-	if err != nil || len(reps) == 0 {
-		t.Fatalf("registry after close: %d entries, err %v", len(reps), err)
+	if persists, timed := s.reg.Counter("server.persists").Value(), s.reg.Histogram("server.persist_seconds").Count(); persists != 1 || timed != persists {
+		t.Errorf("after Close: %d persists, %d of them timed in server.persist_seconds; want the one, timed", persists, timed)
+	}
+	reps := s.Indexer().Replicas()
+	if len(reps) == 0 {
+		t.Fatal("no adaptive replica registered after the warmup")
 	}
 	for _, r := range reps {
 		if r.LastTouch == 0 || r.Touches == 0 {
 			t.Errorf("replica %d/%d has no heat stamp", r.Block, r.Column)
 		}
 	}
-	// … and a fresh server adopts it: the query is all-index-scan with no
-	// further builds.
+	// A fresh server starts from the records the save committed — the
+	// same replicas, charges and heat — and the query is all-index-scan
+	// with no further builds.
 	s2 := newTestServer(t, dir, Config{OfferRate: 1.0})
-	if len(s2.Indexer().Replicas()) == 0 {
-		t.Fatal("restarted server adopted no replicas")
+	if got := s2.Indexer().Replicas(); !slices.Equal(got, reps) {
+		t.Fatalf("restarted server's registry:\n%+v\nwant the closed one's\n%+v", got, reps)
 	}
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
@@ -659,58 +661,6 @@ func TestConcurrentQueriesByteEquivalent(t *testing.T) {
 	}
 	if s.CacheStats().Hits == 0 {
 		t.Error("storm produced no shared-cache hits")
-	}
-}
-
-// TestRegistrySidecarNeverTorn simulates the crash window: overwrite the
-// sidecar many times while a reader loads it concurrently — every load
-// must see a complete JSON snapshot (the rename is atomic), never a torn
-// prefix.
-func TestRegistrySidecarNeverTorn(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, adaptive.RegistryFile)
-	big := make([]adaptive.ReplicaHeat, 64)
-	for i := range big {
-		big[i] = adaptive.ReplicaHeat{File: "/t", Column: i, Block: hdfs.BlockID(i), Bytes: 1 << 20, LastTouch: uint64(i)}
-	}
-	if err := adaptive.SaveRegistry(path, big); err != nil {
-		t.Fatal(err)
-	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if err := adaptive.SaveRegistry(path, big[:1+i%len(big)]); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-	for i := 0; i < 200; i++ {
-		reps, err := adaptive.LoadRegistry(path)
-		if err != nil {
-			t.Fatalf("load %d: %v", i, err)
-		}
-		if len(reps) == 0 {
-			t.Fatalf("load %d: empty (torn write?)", i)
-		}
-	}
-	close(stop)
-	wg.Wait()
-	// And the temp files were all cleaned up.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Fatalf("leftover files in dir: %v", entries)
 	}
 }
 
