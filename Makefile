@@ -29,10 +29,14 @@ fuzz:
 
 # CPU and allocation profiles of the ledger's upload op (BenchmarkUploadBob:
 # 100k lines, Bob's layout, fresh 4-node cluster), for the perf PR that
-# acts on them: go tool pprof -top core.test upload.cpu.pprof
+# acts on them: go tool pprof -top core.test upload.cpu.pprof. The same
+# for its plain-text denominator (BenchmarkUploadPlain: hadoop.Uploader
+# over the same lines and cluster), into plain-upload.*.pprof.
 profile-upload:
 	$(GO) test -run '^$$' -bench '^BenchmarkUploadBob$$' -benchtime 10x -o core.test \
 		-cpuprofile upload.cpu.pprof -memprofile upload.mem.pprof ./internal/core
+	$(GO) test -run '^$$' -bench '^BenchmarkUploadPlain$$' -benchtime 10x -o core.test \
+		-cpuprofile plain-upload.cpu.pprof -memprofile plain-upload.mem.pprof ./internal/core
 
 # The same for the ledger's two scan ops as users run them, passthrough map
 # in both forms (BenchmarkWideScanPassthrough, BenchmarkIndexScanPassthrough;

@@ -31,7 +31,10 @@
 // (bytes of cache admissions / bytes of triggered adaptive builds; 0
 // means unlimited, and unlisted tenants are unlimited). -max-in-flight
 // plus -queue-timeout bound concurrency: excess queries wait briefly for
-// a slot and are rejected with 429 rather than piling up.
+// a slot and are rejected with 429 rather than piling up. Every /query
+// reply, whatever its status, carries the query's id in an X-Query-Id
+// header; /trace lists it, and each query writes one log line with it to
+// stderr.
 //
 // The filesystem, adaptive records and heat included, is saved every
 // -persist-every (committed by one rename: a kill -9 mid-save leaves the
@@ -45,6 +48,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -129,6 +133,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, shutdown 
 		Parallelism:    *parallelism,
 		Tenants:        tenants.limits,
 		TraceBuffer:    *traceBuffer,
+		Logger:         slog.New(slog.NewTextHandler(stderr, nil)),
 	})
 	if err != nil {
 		return err

@@ -139,7 +139,8 @@ func BuildIndexedReplica(paxData []byte, col int) ([]byte, hdfs.ReplicaInfo, err
 // built from it at once.
 func buildIndexed(block *pax.Block, col int) ([]byte, hdfs.ReplicaInfo, error) {
 	b := block.View()
-	if _, err := b.SortBy(col); err != nil {
+	defer b.Release()
+	if err := b.Sort(col); err != nil {
 		return nil, hdfs.ReplicaInfo{}, err
 	}
 	ix, err := index.Build(b, col)
@@ -180,6 +181,17 @@ func storedReplica(block *pax.Block, paxData []byte, col int) ([]byte, hdfs.Repl
 	return FrameReplica(paxData, nil), hdfs.ReplicaInfo{SortColumn: -1}, nil
 }
 
+// uploadBuffers is what an upload parses and serializes into: the block
+// whose arenas take the lines, and the serialized block the pipeline reads.
+type uploadBuffers struct {
+	block   *pax.Block
+	paxData []byte
+}
+
+// uploadBufs keeps an upload's buffers for the next, so an upload after
+// the first grows no arena.
+var uploadBufs sync.Pool
+
 // Client uploads text data to HDFS the HAIL way.
 type Client struct {
 	Cluster *hdfs.Cluster
@@ -191,7 +203,9 @@ type Client struct {
 // Bad records go to the block's bad-record section instead of failing the
 // upload. One block and one serialization buffer serve the whole upload:
 // each line is parsed straight into the block's arenas, and a full block is
-// serialized and emptied for the next.
+// serialized and emptied for the next. Both come from the last upload of a
+// block with an equal schema when one has finished, and go back for the
+// next once the last write has returned.
 //
 // The client streams on while the pipeline works, as in the paper: a
 // serialized block is written through the pipeline on its own goroutine
@@ -210,9 +224,13 @@ func (cl *Client) Upload(file string, lines []string) (UploadSummary, error) {
 	parser := &schema.Parser{Schema: cl.Config.Schema, Sep: sep}
 
 	var sum UploadSummary
-	block := pax.NewBlock(cl.Config.Schema)
+	bufs, _ := uploadBufs.Get().(*uploadBuffers)
+	if bufs == nil || !bufs.block.Schema().Equal(cl.Config.Schema) {
+		bufs = &uploadBuffers{block: pax.NewBlock(cl.Config.Schema)}
+	}
+	block, paxData := bufs.block, bufs.paxData
+	block.Reset()
 	blockText := 0
-	var paxData []byte
 
 	// The writer fills written's block-side counts, and owns it until the
 	// upload's last wait; the parser fills sum's text-side counts meanwhile.
@@ -230,6 +248,8 @@ func (cl *Client) Upload(file string, lines []string) (UploadSummary, error) {
 		if werr := wait(); err == nil {
 			err = werr
 		}
+		bufs.paxData = paxData
+		uploadBufs.Put(bufs)
 		written.TextBytes, written.Rows, written.BadRecords = sum.TextBytes, sum.Rows, sum.BadRecords
 		return written, err
 	}
@@ -281,21 +301,26 @@ func (cl *Client) writeBlock(file string, paxData []byte, sum *UploadSummary) er
 	// data is exactly the reassembled packet payload — then sorts on its
 	// own attribute and builds its clustered index. The pipeline hands every
 	// position the same reassembled bytes, so the first position to get
-	// there validates them into a block, once, and each position sorts its
-	// own view of that block.
+	// there validates them into a block, once, with pooled row directories,
+	// and each position sorts its own view of that block.
 	var (
 		once     sync.Once
 		block    *pax.Block
 		blockErr error
 	)
 	transform := func(pos int, _ hdfs.NodeID, data []byte) ([]byte, hdfs.ReplicaInfo, error) {
-		once.Do(func() { block, blockErr = pax.Unmarshal(data) })
+		once.Do(func() { block, blockErr = pax.UnmarshalPooled(data) })
 		if blockErr != nil {
 			return nil, hdfs.ReplicaInfo{}, blockErr
 		}
 		return storedReplica(block, data, cfg.SortColumns[pos])
 	}
 	id, stats, err := cl.Cluster.WriteBlock(file, paxData, cfg.Replication(), transform)
+	// Every transform has returned, and no replica aliases the block: each
+	// is a fresh frame.
+	if block != nil {
+		block.Release()
+	}
 	if err != nil {
 		return err
 	}

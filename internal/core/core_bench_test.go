@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/hadoop"
 	"repro/internal/hdfs"
 	"repro/internal/mapred"
 	"repro/internal/qcache"
@@ -97,6 +98,38 @@ func BenchmarkUploadBob(b *testing.B) {
 		}
 		client := &Client{Cluster: cluster, Config: bobLayout()}
 		if _, err := client.Upload("/uv", lines); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(cpuTime(b)-cpu)/1e6/float64(b.N), "cpu-ms/op")
+}
+
+// BenchmarkUploadPlain is BenchmarkUploadBob's denominator: the same lines,
+// block size, replication and fresh 4-node cluster, uploaded as plain text
+// by hadoop.Uploader, byte-identical replicas and no parse, sort or index.
+// upload ÷ plain, in wall time, CPU and bytes, is what HAIL's three sorted,
+// indexed replicas cost over an HDFS upload.
+func BenchmarkUploadPlain(b *testing.B) {
+	n := 100_000
+	if testing.Short() {
+		n = 5_000
+	}
+	lines := workload.GenerateUserVisits(n, 1, workload.UserVisitsOptions{NeedleEvery: 25_000, BadEvery: 10_007})
+	var textBytes int64
+	for _, l := range lines {
+		textBytes += int64(len(l) + 1)
+	}
+	layout := bobLayout()
+	b.SetBytes(textBytes)
+	b.ReportAllocs()
+	cpu := cpuTime(b)
+	for b.Loop() {
+		cluster, err := hdfs.NewCluster(4)
+		if err != nil {
+			b.Fatal(err)
+		}
+		up := &hadoop.Uploader{Cluster: cluster, BlockSize: layout.BlockSize, Replication: layout.Replication()}
+		if _, err := up.Upload("/uv", lines); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -426,42 +427,58 @@ func TestBuildIndexedReplicaAllocationsDoNotGrowWithRows(t *testing.T) {
 
 // TestUploadAllocatesLittleMoreThanItStores is the allocation gate of the
 // whole upload: one 20k-line upload with Bob's replicas may allocate at
-// most twice the bytes it stores. Every replica is written once — the sort
-// is a permutation gathered while marshalling into the frame, the pipeline
-// reassembles each block once, the datanode keeps the bytes its transform
-// returned — and each block is unmarshalled once for all its replicas,
-// whose sorts share pooled key arrays; lines are parsed straight into the
-// client's arenas. That measures ≈1.8 ×. Unmarshalling per replica and a
-// fresh key array per sort measured ≈2.2 ×, and one more copy of every
-// replica anywhere on the path adds a whole StoredBytes. Blocks are 256
-// KiB so that the ten of them amortize the client arenas' one-time growth,
-// as the 2 MiB blocks of a large upload do. It does not run under the race
+// most twice the bytes it stores, and a second upload of the same lines
+// into a fresh cluster at most 1.25 times. Every replica is written once —
+// the sort is a permutation gathered while marshalling into the frame, the
+// pipeline reassembles each block once, the datanode keeps the bytes its
+// transform returned — and each block is unmarshalled once for all its
+// replicas; lines are parsed straight into the client's arenas. What is
+// not stored is recycled: the client's block and serialization buffer
+// from one upload to the next, and the receive buffer, the row
+// directories, the sort orders and the sort keys from one block to the
+// next. The first upload grows all of them (≈1.4 ×); a later one finds
+// them grown (≈1.03–1.09 ×), so any garbage made per block shows there.
+// Before the recycling both read ≈1.8 ×. The warm figure is the least of
+// three uploads: two garbage collections while a buffer sits in its pool
+// drop it, and that regrowth belongs to one upload, not to all. Blocks
+// are 256 KiB so that ten of them amortize the pools' one-time growth, as
+// the 2 MiB blocks of a large upload do. It does not run under the race
 // detector, whose runtime drops a random quarter of what is put into a
-// sync.Pool, so there the key arrays are reallocated (≈2.0 ×).
+// sync.Pool.
 func TestUploadAllocatesLittleMoreThanItStores(t *testing.T) {
 	if raceBuild() {
-		t.Skip("the race runtime drops pooled key arrays at random")
+		t.Skip("the race runtime drops pooled buffers at random")
 	}
 	lines := workload.GenerateUserVisits(20_000, 1, workload.UserVisitsOptions{NeedleEvery: 25_000, BadEvery: 10_007})
-	cluster, err := hdfs.NewCluster(4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := bobLayout()
 	cfg.BlockSize = 256 << 10
-	client := &Client{Cluster: cluster, Config: cfg}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	sum, err := client.Upload("/uv", lines)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
+	upload := func() (ratio float64) {
+		cluster, err := hdfs.NewCluster(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		client := &Client{Cluster: cluster, Config: cfg}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sum, err := client.Upload("/uv", lines)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocated := after.TotalAlloc - before.TotalAlloc
+		ratio = float64(allocated) / float64(sum.StoredBytes)
+		t.Logf("%d B allocated for %d B stored in %d blocks (%.2f ×)", allocated, sum.StoredBytes, sum.Blocks, ratio)
+		return ratio
 	}
-	allocated := after.TotalAlloc - before.TotalAlloc
-	ratio := float64(allocated) / float64(sum.StoredBytes)
-	t.Logf("%d B allocated for %d B stored in %d blocks (%.2f ×)", allocated, sum.StoredBytes, sum.Blocks, ratio)
-	if ratio > 2 {
-		t.Errorf("upload allocated %.2f × the bytes it stores, want at most 2 ×", ratio)
+	if cold := upload(); cold > 2 {
+		t.Errorf("cold upload allocated %.2f × the bytes it stores, want at most 2 ×", cold)
+	}
+	warm := math.Inf(1)
+	for range 3 {
+		warm = min(warm, upload())
+	}
+	if warm > 1.25 {
+		t.Errorf("warm upload allocated %.2f × the bytes it stores, want at most 1.25 ×", warm)
 	}
 }
 

@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -141,6 +143,82 @@ func TestUploadFailureWaitsForTheWriter(t *testing.T) {
 	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > baseline; runtime.Gosched() {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines, %d before the upload: the writer leaked", runtime.NumGoroutine(), baseline)
+		}
+	}
+}
+
+// TestConcurrentUploadsKeepTheirBuffers: uploads share pooled buffers —
+// the client's block and serialization buffer, the pipeline's receive
+// buffer, row directories and sort orders — so uploads running at once
+// into one cluster must never see each other's: every file's replicas
+// are the bytes a lone upload of the same lines stores. Run it under
+// -race.
+func TestConcurrentUploadsKeepTheirBuffers(t *testing.T) {
+	cfg := bobLayout()
+	cfg.BlockSize = 32 << 10
+	const uploads = 4
+	inputs := make([][]string, uploads)
+	for i := range inputs {
+		inputs[i] = workload.GenerateUserVisits(800+300*i, int64(10+i), workload.UserVisitsOptions{BadEvery: 97})
+	}
+	replicasOf := func(cluster *hdfs.Cluster, file string) [][]byte {
+		blocks, err := cluster.NameNode().FileBlocks(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out [][]byte
+		for _, b := range blocks {
+			for _, node := range cluster.NameNode().GetHosts(b) {
+				data, err := cluster.ReadBlockFrom(node, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, data)
+			}
+		}
+		return out
+	}
+	want := make([][][]byte, uploads)
+	for i, lines := range inputs {
+		cluster, err := hdfs.NewCluster(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := (&Client{Cluster: cluster, Config: cfg}).Upload("/f", lines); err != nil {
+			t.Fatal(err)
+		}
+		want[i] = replicasOf(cluster, "/f")
+	}
+
+	cluster, err := hdfs.NewCluster(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i, lines := range inputs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			client := &Client{Cluster: cluster, Config: cfg}
+			for round := range 2 {
+				if _, err := client.Upload(fmt.Sprintf("/f%d.%d", i, round), lines); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range inputs {
+		for round := range 2 {
+			got := replicasOf(cluster, fmt.Sprintf("/f%d.%d", i, round))
+			if len(got) != len(want[i]) {
+				t.Fatalf("upload %d, round %d: %d replicas, a lone upload stores %d", i, round, len(got), len(want[i]))
+			}
+			for k := range got {
+				if !bytes.Equal(got[k], want[i][k]) {
+					t.Fatalf("upload %d, round %d: replica %d differs from a lone upload's", i, round, k)
+				}
+			}
 		}
 	}
 }

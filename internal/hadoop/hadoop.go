@@ -17,7 +17,6 @@ package hadoop
 import (
 	"bytes"
 	"fmt"
-	"strings"
 
 	"repro/internal/hdfs"
 	"repro/internal/mapred"
@@ -46,7 +45,8 @@ type UploadSummary struct {
 }
 
 // Upload cuts lines into blocks of roughly BlockSize bytes and writes each
-// through the HDFS pipeline with byte-identical replicas.
+// through the HDFS pipeline with byte-identical replicas. One block buffer
+// serves the whole upload: the pipeline stores a copy of what it is given.
 func (u *Uploader) Upload(file string, lines []string) (UploadSummary, error) {
 	if u.BlockSize <= 0 {
 		return UploadSummary{}, fmt.Errorf("hadoop: block size must be positive")
@@ -55,12 +55,11 @@ func (u *Uploader) Upload(file string, lines []string) (UploadSummary, error) {
 		return UploadSummary{}, fmt.Errorf("hadoop: replication must be positive")
 	}
 	var sum UploadSummary
-	var buf strings.Builder
+	var data []byte
 	flush := func() error {
-		if buf.Len() == 0 {
+		if len(data) == 0 {
 			return nil
 		}
-		data := []byte(buf.String())
 		id, _, err := u.Cluster.WriteBlock(file, data, u.Replication, nil)
 		if err != nil {
 			return err
@@ -69,14 +68,13 @@ func (u *Uploader) Upload(file string, lines []string) (UploadSummary, error) {
 		sum.BlockSizes = append(sum.BlockSizes, len(data))
 		sum.BlockIDs = append(sum.BlockIDs, id)
 		sum.StoredBytes += int64(len(data)) * int64(u.Replication)
-		buf.Reset()
+		data = data[:0]
 		return nil
 	}
 	for _, line := range lines {
-		buf.WriteString(line)
-		buf.WriteByte('\n')
+		data = append(append(data, line...), '\n')
 		sum.TextBytes += int64(len(line) + 1)
-		if buf.Len() >= u.BlockSize {
+		if len(data) >= u.BlockSize {
 			if err := flush(); err != nil {
 				return sum, err
 			}

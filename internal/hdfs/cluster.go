@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"sync"
 )
 
@@ -21,9 +23,13 @@ var ErrReplicaExists = errors.New("node already stores a replica of the block")
 // Dir_rep. A nil transform gives classic HDFS byte-identical replicas.
 //
 // block is the block reassembled once and shared by every position: it is
-// read-only, and may be returned as is. The returned bytes are handed to
-// the datanode, which stores them without a copy, so neither the transform
-// nor its caller may write to them afterwards.
+// read-only, and it lives until every position's transform has returned.
+// WriteBlock then reuses its buffer for a later block, so a transform
+// keeps nothing that aliases it past the build — except its result: block
+// may be returned as is, and a buffer that any position's result shares is
+// never recycled. The returned bytes are handed to the datanode, which
+// stores them without a copy, so neither the transform nor its caller may
+// write to them afterwards.
 //
 // Every datanode builds its replica on its own machine, so the transform is
 // called concurrently for the positions of one block: it must not share
@@ -193,7 +199,9 @@ func (c *Cluster) pickPipeline(replication int) ([]*DataNode, error) {
 // per-node flush. With a transform (HAIL mode) the block is reassembled in
 // memory once and every datanode transforms it and recomputes its own
 // checksums — all positions at once, position 0 on the caller's goroutine —
-// and flushes what its transform returned; without one (HDFS mode) nodes
+// and flushes what its transform returned; the buffer the block is
+// reassembled into is pooled, and recycled once the transforms are done
+// with it (see ReplicaTransform); without one (HDFS mode) nodes
 // store the packets' bytes and their checksums. data stays the caller's:
 // HDFS mode stores one copy of it and one checksum file, shared by every
 // replica. Nothing is flushed until every transform has succeeded, and
@@ -275,8 +283,13 @@ func (c *Cluster) WriteBlock(file string, data []byte, replication int, transfor
 			replicas[pos] = shared
 		}
 	} else {
-		block, err := Reassemble(pkts)
+		buf, _ := recvBufs.Get().(*[]byte)
+		if buf == nil {
+			buf = new([]byte)
+		}
+		block, err := Reassemble((*buf)[:0], pkts)
 		if err != nil {
+			recvBufs.Put(buf)
 			return 0, stats, err
 		}
 		build := func(pos int) {
@@ -298,6 +311,10 @@ func (c *Cluster) WriteBlock(file string, data []byte, replication int, transfor
 		}
 		build(0)
 		wg.Wait()
+		*buf = block
+		if !slices.ContainsFunc(replicas, func(r builtReplica) bool { return sharesArray(r.data, block) }) {
+			recvBufs.Put(buf)
+		}
 		// Every error is checked before anything is flushed, so a failed
 		// transform leaves no replica of the block behind.
 		for pos, r := range replicas {
@@ -326,6 +343,20 @@ func (c *Cluster) WriteBlock(file string, data []byte, replication int, transfor
 	c.nn.AddBlock(file, id)
 	stats.TailVerified = len(pkts)
 	return id, stats, nil
+}
+
+// recvBufs holds the buffers HAIL-mode pipelines reassemble blocks into:
+// one per block in flight, recycled when its transforms are done with it.
+var recvBufs sync.Pool
+
+// sharesArray reports whether a and b have an element of one backing
+// array in common: it compares the address ranges their capacities span.
+func sharesArray(a, b []byte) bool {
+	if cap(a) == 0 || cap(b) == 0 {
+		return false
+	}
+	pa, pb := reflect.ValueOf(a).Pointer(), reflect.ValueOf(b).Pointer()
+	return pa < pb+uintptr(cap(b)) && pb < pa+uintptr(cap(a))
 }
 
 // StoreAdditionalReplica places a block replica on a node outside the

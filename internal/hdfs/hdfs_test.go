@@ -67,7 +67,7 @@ func TestPacketVerifyDetectsCorruption(t *testing.T) {
 func TestReassembleRoundTrip(t *testing.T) {
 	f := func(seed int64, kb uint8) bool {
 		data := randBlock(int(kb)*1024+int(seed%512+512)%512, seed)
-		got, err := Reassemble(BuildPackets(data))
+		got, err := Reassemble(nil, BuildPackets(data))
 		return err == nil && bytes.Equal(got, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -78,10 +78,10 @@ func TestReassembleRoundTrip(t *testing.T) {
 func TestReassembleRejectsDisorder(t *testing.T) {
 	pkts := BuildPackets(randBlock(3*ChunksPerPacket*ChunkSize, 2))
 	swapped := []Packet{pkts[1], pkts[0], pkts[2]}
-	if _, err := Reassemble(swapped); err == nil {
+	if _, err := Reassemble(nil, swapped); err == nil {
 		t.Error("out-of-order packets reassembled")
 	}
-	if _, err := Reassemble(nil); err == nil {
+	if _, err := Reassemble(nil, nil); err == nil {
 		t.Error("empty packet list reassembled")
 	}
 }
@@ -725,5 +725,110 @@ func TestReplicaInfoAllocatesOnlyForAdaptive(t *testing.T) {
 	}
 	if info, _ := nn.ReplicaInfo(id, extra); info.Adaptive == nil || *info.Adaptive != *rec || info.Adaptive == rec {
 		t.Errorf("ReplicaInfo of the adaptive replica: record %+v, want a copy of %+v", info.Adaptive, *rec)
+	}
+}
+
+// TestReceiveBufferOutlivesIdentityReplicas pins the receive buffer's
+// rule: a block a transform returns as is is stored, so its buffer is
+// never reassembled into again. An identity transform writes blocks of
+// distinct content one after another, between writes whose copying
+// transform lets the buffer be recycled; after the last write every
+// replica still holds its own bytes under its own checksums. A transform
+// failing at position 2 leaves no replica, and the next write succeeds.
+func TestReceiveBufferOutlivesIdentityReplicas(t *testing.T) {
+	c, _ := NewCluster(4)
+	identity := func(_ int, _ NodeID, block []byte) ([]byte, ReplicaInfo, error) {
+		return block, ReplicaInfo{SortColumn: -1}, nil
+	}
+	copying := func(_ int, _ NodeID, block []byte) ([]byte, ReplicaInfo, error) {
+		return bytes.Clone(block), ReplicaInfo{SortColumn: -1}, nil
+	}
+	failAt2 := func(pos int, _ NodeID, block []byte) ([]byte, ReplicaInfo, error) {
+		if pos == 2 {
+			return nil, ReplicaInfo{}, fmt.Errorf("boom")
+		}
+		return block, ReplicaInfo{SortColumn: -1}, nil
+	}
+	want := map[BlockID][]byte{}
+	for i := range 6 {
+		data := randBlock(40_000+i*1_000, int64(100+i))
+		transform := identity
+		if i%2 == 1 {
+			transform = copying
+		}
+		id, _, err := c.WriteBlock("/f", data, 3, transform)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[id] = data
+		if i == 3 {
+			if _, _, err := c.WriteBlock("/f", randBlock(30_000, 99), 3, failAt2); err == nil {
+				t.Fatal("write whose transform fails at position 2 succeeded")
+			}
+		}
+	}
+	for n := range c.NumNodes() {
+		dn, _ := c.DataNode(NodeID(n))
+		dn.mu.RLock()
+		held := len(dn.replicas)
+		dn.mu.RUnlock()
+		for id := range want {
+			if dn.HasReplica(id) {
+				held--
+			}
+		}
+		if held != 0 {
+			t.Errorf("node %d holds %d replica(s) of no successful write", n, held)
+		}
+	}
+	for id, data := range want {
+		hosts := c.NameNode().GetHosts(id)
+		if len(hosts) != 3 {
+			t.Fatalf("block %d has %d holders, want 3", id, len(hosts))
+		}
+		for _, node := range hosts {
+			got, err := c.ReadBlockFrom(node, id)
+			if err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("block %d on node %d does not read back its own bytes (%v)", id, node, err)
+			}
+			dn, _ := c.DataNode(node)
+			dn.mu.RLock()
+			r := dn.replicas[id]
+			dn.mu.RUnlock()
+			if err := VerifyStored(r.data, r.sums); err != nil {
+				t.Errorf("block %d on node %d: %v", id, node, err)
+			}
+		}
+	}
+	if _, _, err := c.WriteBlock("/f", randBlock(20_000, 7), 3, identity); err != nil {
+		t.Errorf("write after the failed one: %v", err)
+	}
+}
+
+// TestSharesArray: the recycling check sees every way two slices can
+// share a backing array, and only those.
+func TestSharesArray(t *testing.T) {
+	buf := make([]byte, 100, 128)
+	other := make([]byte, 100)
+	for _, tc := range []struct {
+		name string
+		a    []byte
+		want bool
+	}{
+		{"the buffer itself", buf, true},
+		{"a prefix", buf[:10], true},
+		{"a clipped middle", buf[40:50:60], true},
+		{"the spare capacity", buf[100:110], true},
+		{"an empty slice of it", buf[:0], true},
+		{"another array", other, false},
+		{"a copy", bytes.Clone(buf), false},
+		{"nil", nil, false},
+	} {
+		if got := sharesArray(tc.a, buf); got != tc.want {
+			t.Errorf("%s: sharesArray = %v, want %v", tc.name, got, tc.want)
+		}
+		if got := sharesArray(buf, tc.a); got != tc.want {
+			t.Errorf("%s, swapped: sharesArray = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }

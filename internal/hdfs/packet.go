@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 )
 
 // ErrCorruptChunk is wrapped by every error that reports stored bytes
@@ -98,10 +99,10 @@ func (p *Packet) Verify() error {
 	return nil
 }
 
-// Reassemble concatenates packet payloads back into the block, validating
-// sequence numbers. This is the in-memory reassembly every HAIL datanode
-// performs before sorting (§3.2 step 6).
-func Reassemble(pkts []Packet) ([]byte, error) {
+// Reassemble appends the packet payloads to dst, putting the block back
+// together, and validates sequence numbers. This is the in-memory
+// reassembly every HAIL datanode performs before sorting (§3.2 step 6).
+func Reassemble(dst []byte, pkts []Packet) ([]byte, error) {
 	total := 0
 	for i, p := range pkts {
 		if p.Seq != i {
@@ -115,7 +116,7 @@ func Reassemble(pkts []Packet) ([]byte, error) {
 	if len(pkts) == 0 {
 		return nil, fmt.Errorf("hdfs: no packets")
 	}
-	out := make([]byte, 0, total)
+	out := slices.Grow(dst, total)
 	for i := range pkts {
 		out = append(out, pkts[i].Data...)
 	}

@@ -26,7 +26,7 @@ func fuzzSeedIndex(f *testing.F, col, rows int) []byte {
 		}
 	}
 	b.AppendBad("not,a,row")
-	if _, err := b.SortBy(col); err != nil {
+	if err := b.Sort(col); err != nil {
 		f.Fatal(err)
 	}
 	ix, err := Build(b, col)

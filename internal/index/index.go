@@ -33,7 +33,7 @@ type Index struct {
 }
 
 // Build creates the index for attribute col of block b. The block must
-// already be clustered on col (call (*pax.Block).SortBy first); requiring
+// already be clustered on col (call (*pax.Block).Sort first); requiring
 // this keeps "sort, then index" two explicit steps of the upload pipeline.
 func Build(b *pax.Block, col int) (*Index, error) {
 	if col < 0 || col >= b.Schema().NumFields() {

@@ -35,7 +35,7 @@ func sortedBlock(n int, col int, seed int64) *pax.Block {
 			panic(err)
 		}
 	}
-	if _, err := b.SortBy(col); err != nil {
+	if err := b.Sort(col); err != nil {
 		panic(err)
 	}
 	return b
@@ -172,7 +172,7 @@ func TestPartitionRangeEmptyResults(t *testing.T) {
 
 func TestPartitionRangeEmptyIndex(t *testing.T) {
 	b := pax.NewBlock(sch)
-	if _, err := b.SortBy(0); err != nil {
+	if err := b.Sort(0); err != nil {
 		t.Fatal(err)
 	}
 	ix, err := Build(b, 0)

@@ -39,7 +39,7 @@ func checkAppendLine(t *testing.T, s *schema.Schema, lines []string, sortAt, sor
 	for k, line := range lines {
 		if k == sortAt {
 			for _, b := range []*Block{got, want} {
-				if _, err := b.SortBy(sortCol); err != nil {
+				if err := b.Sort(sortCol); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -257,7 +257,7 @@ func TestViewsSortConcurrentlyOverOneBlock(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			v := base.View()
-			if _, errs[col] = v.SortBy(col); errs[col] == nil {
+			if errs[col] = v.Sort(col); errs[col] == nil {
 				got[col], errs[col] = v.Marshal()
 			}
 		}()
@@ -265,7 +265,7 @@ func TestViewsSortConcurrentlyOverOneBlock(t *testing.T) {
 	wg.Wait()
 	for col := range cols {
 		want := src.Clone()
-		if _, err := want.SortBy(col); err != nil {
+		if err := want.Sort(col); err != nil {
 			t.Fatal(err)
 		}
 		wantData, err := want.Marshal()
@@ -282,5 +282,92 @@ func TestViewsSortConcurrentlyOverOneBlock(t *testing.T) {
 	}
 	if again, err := base.Marshal(); err != nil || !bytes.Equal(again, input) || !bytes.Equal(data, input) {
 		t.Errorf("sorting and appending to views changed the block or its input (%v)", err)
+	}
+}
+
+// TestPooledBlocksRecycleWhatTheyBorrowed: blocks of several sizes go
+// through the pipeline's cycle one after another — UnmarshalPooled, one
+// view per attribute sorted at once, every view and then the block
+// released — so each takes arrays an earlier one gave back, and each
+// view marshals as a clone sorted alone does. The pool is stocked with
+// garbage-filled arrays first, so an entry read before it is written
+// shows. A view releases none of its parent's arrays, and a malformed
+// input borrows nothing it keeps.
+func TestPooledBlocksRecycleWhatTheyBorrowed(t *testing.T) {
+	cols := testSchema.NumFields()
+	for i, n := range []int{3*PartitionSize + 5, 100, 2 * PartitionSize, 0, PartitionSize + 1} {
+		for range cols + 1 {
+			buf := borrow[uint32](&u32Bufs, 4*PartitionSize)
+			for j := range *buf {
+				(*buf)[j] = 0xdeadbeef
+			}
+			u32Bufs.Put(buf)
+		}
+		src := buildBlock(t, n, int64(20+i))
+		src.AppendBad("bad")
+		data, err := src.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := UnmarshalPooled(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([][]byte, cols)
+		errs := make([]error, cols)
+		var wg sync.WaitGroup
+		for col := range cols {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				v := base.View()
+				defer v.Release()
+				if errs[col] = v.Sort(col); errs[col] == nil {
+					got[col], errs[col] = v.Marshal()
+				}
+			}()
+		}
+		wg.Wait()
+		for col := range cols {
+			want := src.Clone()
+			if err := want.Sort(col); err != nil {
+				t.Fatal(err)
+			}
+			wantData, err := want.Marshal()
+			if err != nil || errs[col] != nil {
+				t.Fatalf("n=%d, column %d: %v / %v", n, col, err, errs[col])
+			}
+			if !bytes.Equal(got[col], wantData) {
+				t.Fatalf("n=%d: view sorted on %d marshals differently from a clone sorted alone", n, col)
+			}
+		}
+		if again, err := base.Marshal(); err != nil || !bytes.Equal(again, data) {
+			t.Fatalf("n=%d: the pooled block no longer marshals to its input (%v)", n, err)
+		}
+		base.Release()
+	}
+
+	sorted := buildBlock(t, 2*PartitionSize, 30)
+	if err := sorted.Sort(1); err != nil {
+		t.Fatal(err)
+	}
+	want := sorted.Rows()
+	sorted.View().Release()
+	other := buildBlock(t, 2*PartitionSize, 31)
+	if err := other.Sort(2); err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range want {
+		if !sorted.Row(i).Equal(row) {
+			t.Fatalf("releasing a view gave away its parent's order: row %d changed", i)
+		}
+	}
+
+	data, err := buildBlock(t, 10, 32).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := UnmarshalPooled(data[:len(data)-3]); err == nil {
+		t.Error("UnmarshalPooled accepted a truncated block")
 	}
 }

@@ -221,7 +221,7 @@ func TestColumnCursorRunMatchesKernel(t *testing.T) {
 	var empty, atStart, atEnd, crossing int
 	for col, vs := range stored {
 		sorted := b.View()
-		if _, err := sorted.SortBy(col); err != nil {
+		if err := sorted.Sort(col); err != nil {
 			t.Fatal(err)
 		}
 		if sorted.Value(PartitionSize-1, col).Compare(sorted.Value(PartitionSize, col)) != 0 {

@@ -15,7 +15,7 @@ func fuzzSeedBlock(f *testing.F, rows int) []byte {
 	b := buildBlock(nil, rows, 31)
 	b.AppendBad("not,a,row")
 	b.AppendBad("")
-	if _, err := b.SortBy(3); err != nil {
+	if err := b.Sort(3); err != nil {
 		f.Fatal(err)
 	}
 	data, err := b.Marshal()
@@ -121,7 +121,7 @@ func FuzzUnmarshal(f *testing.F) {
 		for col := 0; col < b.Schema().NumFields(); col++ {
 			var out []byte
 			fuzzcheck.BoundedAlloc(t, len(data), func() {
-				if _, err = b.SortBy(col); err == nil {
+				if err = b.Sort(col); err == nil {
 					out, err = b.Marshal()
 				}
 			})

@@ -122,12 +122,40 @@ func (b *Block) MarshalAppend(dst []byte) ([]byte, error) {
 // the block never writes to it. The upload path uses this when a datanode
 // reassembles a block from packets; query-time access should prefer
 // Reader, which touches only the byte ranges a query needs.
-func Unmarshal(data []byte) (*Block, error) {
+func Unmarshal(data []byte) (*Block, error) { return unmarshal(data, false) }
+
+// UnmarshalPooled is Unmarshal with the string columns' row directories
+// taken from the package's pool: the caller calls Release when it, and
+// every view of the block, is done with it.
+func UnmarshalPooled(data []byte) (*Block, error) { return unmarshal(data, true) }
+
+func unmarshal(data []byte, pooled bool) (_ *Block, err error) {
 	r, err := NewReader(data)
 	if err != nil {
 		return nil, err
 	}
 	b := &Block{sch: r.sch, cols: make([]column, len(r.colOff)), numRows: r.numRows, numBad: r.numBad, sortCol: r.sortCol, aliased: true}
+	// One array holds every string column's directory, n+1 entries each.
+	strCols := 0
+	for i := range b.cols {
+		if !r.sch.Field(i).Type.FixedSize() {
+			strCols++
+		}
+	}
+	var dirs []uint32
+	if strCols > 0 {
+		if n := strCols * (r.numRows + 1); pooled {
+			b.dirs = borrow[uint32](&u32Bufs, n)
+			dirs = *b.dirs
+			defer func() {
+				if err != nil {
+					b.Release()
+				}
+			}()
+		} else {
+			dirs = make([]uint32, n)
+		}
+	}
 	for i := range b.cols {
 		c := &b.cols[i]
 		c.typ = r.sch.Field(i).Type
@@ -139,7 +167,8 @@ func Unmarshal(data []byte) (*Block, error) {
 		// The header parse has checked that the area can hold the offset
 		// list and a terminator per row.
 		vals := area[numPartitions(r.numRows)*4:]
-		c.starts = make([]uint32, r.numRows+1)
+		c.starts, dirs = dirs[:r.numRows+1:r.numRows+1], dirs[r.numRows+1:]
+		c.starts[0] = 0
 		at := 0
 		for row := range r.numRows {
 			if row%PartitionSize == 0 && binary.LittleEndian.Uint32(area[row/PartitionSize*4:]) != uint32(at) {

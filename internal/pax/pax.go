@@ -24,7 +24,7 @@
 // bad-record section as stored — so Unmarshal validates and aliases its
 // input instead of decoding it, AppendLine parses text straight into them,
 // and View shares them between blocks that differ only in their row order.
-// SortBy sorts (key, row) pairs of the sort column and records the order as
+// Sort sorts (key, row) pairs of the sort column and records the order as
 // a permutation; it moves no value bytes. Marshal writes the header and
 // then each column once, gathered through that permutation straight into
 // the output.
@@ -150,7 +150,7 @@ func (c *column) value(i int) schema.Value {
 //
 // A block returned by Unmarshal aliases the bytes it was decoded from and
 // never writes to them: its slices are cap-limited, so appending copies
-// first, and SortBy only records an order.
+// first, and Sort only records an order.
 type Block struct {
 	sch     *schema.Schema
 	cols    []column
@@ -160,9 +160,13 @@ type Block struct {
 	// sortCol is the attribute the good rows are clustered on, or -1.
 	sortCol int
 	// perm is the block's row order: logical row r is stored at physical
-	// row perm[r] of every column. Nil means arrival order. SortBy sets it;
+	// row perm[r] of every column. Nil means arrival order. Sort sets it;
 	// every accessor and Marshal read through it.
 	perm []uint32
+	// order and dirs are the pooled arrays this block borrowed for its
+	// last Sort's row order and for UnmarshalPooled's row directories;
+	// Release returns them. A view or a clone borrows nothing.
+	order, dirs *[]uint32
 	// aliased marks arenas that belong to Unmarshal's caller: Reset drops
 	// them where it would otherwise keep them to be overwritten.
 	aliased bool
@@ -326,6 +330,7 @@ func (b *Block) Clone() *Block {
 		nb.cols[i] = column{typ: c.typ, data: bytes.Clone(c.data), starts: slices.Clone(c.starts), nul: c.nul}
 	}
 	nb.bad, nb.perm, nb.aliased = bytes.Clone(b.bad), slices.Clone(b.perm), false
+	nb.order, nb.dirs = nil, nil
 	return &nb
 }
 
@@ -343,7 +348,21 @@ func (b *Block) View() *Block {
 		v.cols[i] = column{typ: c.typ, data: slices.Clip(c.data), starts: slices.Clip(c.starts), nul: c.nul}
 	}
 	v.bad, v.aliased = slices.Clip(b.bad), true
+	v.order, v.dirs = nil, nil
 	return &v
+}
+
+// Release returns the arrays the block borrowed from the package's pool —
+// its row order if Sort made it, its row directories if UnmarshalPooled
+// made them — for the next block to reuse. Neither the block nor any view
+// of it may be used afterwards.
+func (b *Block) Release() {
+	for _, buf := range []*[]uint32{b.order, b.dirs} {
+		if buf != nil {
+			u32Bufs.Put(buf)
+		}
+	}
+	b.order, b.dirs, b.perm, b.cols = nil, nil, nil, nil
 }
 
 // materialize rewrites every column in the block's row order into fresh

@@ -107,38 +107,35 @@ func TestAppendRowValidation(t *testing.T) {
 func TestSortByClustersRows(t *testing.T) {
 	b := buildBlock(t, 5000, 1)
 	before := b.Rows()
-	perm, err := b.SortBy(3) // day
-	if err != nil {
-		t.Fatalf("SortBy: %v", err)
-	}
-	if len(perm) != 5000 {
-		t.Fatalf("perm length = %d", len(perm))
+	if err := b.Sort(3); err != nil { // day
+		t.Fatalf("Sort: %v", err)
 	}
 	if b.SortColumn() != 3 {
 		t.Errorf("SortColumn = %d", b.SortColumn())
 	}
-	for i := 1; i < b.NumRows(); i++ {
-		if b.Value(i-1, 3).Compare(b.Value(i, 3)) > 0 {
-			t.Fatalf("rows %d,%d out of order on sort column", i-1, i)
+	// Row integrity and stability: the rows are the arrival rows, stably
+	// sorted on the day.
+	for i, want := range oracle(before, 3) {
+		if !b.Row(i).Equal(want) {
+			t.Fatalf("row %d is %v, the stable sort of the arrival rows has %v", i, b.Row(i), want)
 		}
 	}
-	if !sameMultiset(before, b.Rows()) {
-		t.Error("SortBy changed the multiset of rows")
-	}
-	// Row integrity: applying perm to the original rows gives the sorted rows.
-	for i, p := range perm {
-		if !b.Row(i).Equal(before[p]) {
-			t.Fatalf("row %d does not match original row %d", i, p)
-		}
-	}
+}
+
+// oracle is rows stable-sorted on col by Value.Compare: the row order
+// Sort must leave.
+func oracle(rows []schema.Row, col int) []schema.Row {
+	out := slices.Clone(rows)
+	sort.SliceStable(out, func(i, j int) bool { return out[i][col].Compare(out[j][col]) < 0 })
+	return out
 }
 
 func TestSortByEveryColumnPreservesRows(t *testing.T) {
 	for col := 0; col < testSchema.NumFields(); col++ {
 		b := buildBlock(t, 1200, int64(col+10))
 		before := b.Rows()
-		if _, err := b.SortBy(col); err != nil {
-			t.Fatalf("SortBy(%d): %v", col, err)
+		if err := b.Sort(col); err != nil {
+			t.Fatalf("Sort(%d): %v", col, err)
 		}
 		for i := 1; i < b.NumRows(); i++ {
 			if b.Value(i-1, col).Compare(b.Value(i, col)) > 0 {
@@ -153,17 +150,17 @@ func TestSortByEveryColumnPreservesRows(t *testing.T) {
 
 func TestSortByOutOfRange(t *testing.T) {
 	b := buildBlock(t, 10, 2)
-	if _, err := b.SortBy(-1); err == nil {
-		t.Error("SortBy(-1) succeeded")
+	if err := b.Sort(-1); err == nil {
+		t.Error("Sort(-1) succeeded")
 	}
-	if _, err := b.SortBy(99); err == nil {
-		t.Error("SortBy(99) succeeded")
+	if err := b.Sort(99); err == nil {
+		t.Error("Sort(99) succeeded")
 	}
 }
 
 func TestAppendInvalidatesSortOrder(t *testing.T) {
 	b := buildBlock(t, 100, 3)
-	if _, err := b.SortBy(0); err != nil {
+	if err := b.Sort(0); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(4))
@@ -179,7 +176,7 @@ func TestCloneIsDeep(t *testing.T) {
 	b := buildBlock(t, 500, 5)
 	b.AppendBad("oops")
 	c := b.Clone()
-	if _, err := c.SortBy(1); err != nil {
+	if err := c.Sort(1); err != nil {
 		t.Fatal(err)
 	}
 	if b.SortColumn() != -1 {
@@ -198,7 +195,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 	b.AppendBad("bad line 1")
 	b.AppendBad("")
 	b.AppendBad("another,malformed,record,with,fields")
-	if _, err := b.SortBy(4); err != nil {
+	if err := b.Sort(4); err != nil {
 		t.Fatal(err)
 	}
 	data, err := b.Marshal()
@@ -257,7 +254,7 @@ func TestRoundTripProperty(t *testing.T) {
 		n := int(nSmall) * 17 // 0 .. 4335, crosses partition boundaries scaled down
 		b := buildBlock(nil, n, seed)
 		if seed%2 == 0 && n > 0 {
-			if _, err := b.SortBy(int(uint(seed) % 5)); err != nil {
+			if err := b.Sort(int(uint(seed) % 5)); err != nil {
 				return false
 			}
 		}
@@ -469,7 +466,7 @@ func TestSortIsStable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := b.SortBy(0); err != nil {
+	if err := b.Sort(0); err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i < b.NumRows(); i++ {
@@ -500,7 +497,7 @@ func TestMarshalSizeIsReasonable(t *testing.T) {
 
 func TestSortedBlockBinarySearchable(t *testing.T) {
 	b := buildBlock(t, 4096, 15)
-	if _, err := b.SortBy(0); err != nil {
+	if err := b.Sort(0); err != nil {
 		t.Fatal(err)
 	}
 	// sort.Search over the clustered column must find every present value.
@@ -588,7 +585,7 @@ func TestUnmarshalAliasesWithoutWriting(t *testing.T) {
 	if !b.Row(b.NumRows()-1).Equal(extra) || b.BadRecord(0) != "bad one" || b.BadRecord(1) != "bad two" {
 		t.Error("appends to an unmarshalled block read back wrong")
 	}
-	if _, err := b.SortBy(4); err != nil {
+	if err := b.Sort(4); err != nil {
 		t.Fatal(err)
 	}
 
@@ -661,13 +658,7 @@ func TestSortedBlockReadsThroughItsOrder(t *testing.T) {
 	type sorted struct {
 		b            *Block
 		col          int
-		perm         []int        // what SortBy returned
 		before, want []schema.Row // arrival order, oracle order
-	}
-	oracle := func(rows []schema.Row, col int) []schema.Row {
-		out := slices.Clone(rows)
-		sort.SliceStable(out, func(i, j int) bool { return out[i][col].Compare(out[j][col]) < 0 })
-		return out
 	}
 	sameRows := func(t *testing.T, what string, got, want []schema.Row) {
 		t.Helper()
@@ -726,7 +717,7 @@ func TestSortedBlockReadsThroughItsOrder(t *testing.T) {
 			if err := c.AppendRow(testRow(rand.New(rand.NewSource(32)))); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := c.SortBy((s.col + 1) % testSchema.NumFields()); err != nil {
+			if err := c.Sort((s.col + 1) % testSchema.NumFields()); err != nil {
 				t.Fatal(err)
 			}
 			if s.b.SortColumn() != s.col {
@@ -751,14 +742,23 @@ func TestSortedBlockReadsThroughItsOrder(t *testing.T) {
 			sameRows(t, "refilled after Reset", s.b.Rows(), refill)
 		}},
 		{"SortBy's permutation is relative to the order before it", func(t *testing.T, s sorted) {
-			for i, p := range s.perm {
+			arrival := NewBlock(testSchema)
+			for _, r := range s.before {
+				if err := arrival.AppendRow(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			perm, err := arrival.SortBy(s.col)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range perm {
 				if !s.want[i].Equal(s.before[p]) {
 					t.Fatalf("first sort: row %d is not arrival row %d", i, p)
 				}
 			}
 			next := (s.col + 1) % testSchema.NumFields()
-			perm, err := s.b.SortBy(next)
-			if err != nil {
+			if perm, err = s.b.SortBy(next); err != nil {
 				t.Fatal(err)
 			}
 			for i, p := range perm {
@@ -785,11 +785,10 @@ func TestSortedBlockReadsThroughItsOrder(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					perm, err := b.SortBy(col)
-					if err != nil {
+					if err := b.Sort(col); err != nil {
 						t.Fatal(err)
 					}
-					tc.check(t, sorted{b: b, col: col, perm: perm, before: before, want: oracle(before, col)})
+					tc.check(t, sorted{b: b, col: col, before: before, want: oracle(before, col)})
 				})
 			}
 		}

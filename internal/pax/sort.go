@@ -19,24 +19,23 @@ type sortKey struct {
 	row uint32
 }
 
-// SortBy clusters the block on attribute col: it stable-sorts the rows by
-// that attribute and records the resulting permutation (the paper's "sort
+// Sort clusters the block on attribute col: it stable-sorts the rows by
+// that attribute and records the resulting order (the paper's "sort
 // index") as the block's row order, which every column then follows,
-// preserving row integrity. It returns the permutation relative to the
-// order the block had before the call — new row i is old row perm[i] — so
-// callers can account for the reorganization cost.
+// preserving row integrity. The order array comes from the package's pool;
+// Release returns it.
 //
 // Only the sort column is looked at to find the order — one (key, row)
 // pair per row, radix-sorted — and no value moves: Marshal gathers each
 // column through the order as it writes it. Rows with equal values keep
 // their order; -0.0 and +0.0 are equal values, as they are to
 // Value.Compare. NaN, which no parsed row holds, sorts somewhere.
-func (b *Block) SortBy(col int) ([]int, error) {
+func (b *Block) Sort(col int) error {
 	if col < 0 || col >= len(b.cols) {
-		return nil, fmt.Errorf("pax: sort column %d out of range [0,%d)", col, len(b.cols))
+		return fmt.Errorf("pax: sort column %d out of range [0,%d)", col, len(b.cols))
 	}
 	n := b.numRows
-	buf := getKeys(2 * n)
+	buf := borrow[sortKey](&keyBufs, 2*n)
 	defer keyBufs.Put(buf)
 	keys, scratch := (*buf)[:n], (*buf)[n:]
 	// A key's row is physical, so the column is read as stored; keys start
@@ -70,36 +69,59 @@ func (b *Block) SortBy(col int) ([]int, error) {
 			c.sortStrings(keys, scratch, 0)
 		}
 	}
-	// Old logical row of each physical row, for the permutation returned.
-	var logical []uint32
-	if b.perm != nil {
-		logical = make([]uint32, n)
-		for i, p := range b.perm {
-			logical[p] = uint32(i)
-		}
-	}
-	order, perm := make([]uint32, n), make([]int, n)
+	// A view may share the order this block had, so it is never written
+	// over: the block takes a fresh array and drops the old one.
+	b.order = borrow[uint32](&u32Bufs, n)
+	order := *b.order
 	for i, k := range keys {
-		order[i], perm[i] = k.row, int(k.row)
-		if logical != nil {
-			perm[i] = int(logical[k.row])
-		}
+		order[i] = k.row
 	}
 	b.perm, b.sortCol = order, col
+	return nil
+}
+
+// SortBy is Sort that also returns the permutation relative to the order
+// the block had before the call: new row i is old row perm[i]. Nothing in
+// the upload reads it; it stays for callers that time or check the sort
+// through it.
+func (b *Block) SortBy(col int) ([]int, error) {
+	before := b.perm
+	if err := b.Sort(col); err != nil {
+		return nil, err
+	}
+	// Old logical row of each physical row.
+	logical := make([]int, b.numRows)
+	for r := range logical {
+		logical[r] = r
+	}
+	for r, p := range before {
+		logical[p] = r
+	}
+	perm := make([]int, b.numRows)
+	for i, p := range b.perm {
+		perm[i] = logical[p]
+	}
 	return perm, nil
 }
 
-// keyBufs holds SortBy's (key, row) arrays between calls. An upload sorts
+// keyBufs holds Sort's (key, row) arrays between calls. An upload sorts
 // each block once per indexed replica, the replicas at once, so a handful
 // of arrays the size of the largest block serve the whole upload instead of
 // one zeroed allocation per sort. Every pair is written before it is read.
 var keyBufs sync.Pool
 
-// getKeys returns a pooled array of n pairs; put it back into keyBufs.
-func getKeys(n int) *[]sortKey {
-	buf, _ := keyBufs.Get().(*[]sortKey)
+// u32Bufs holds the uint32 arrays blocks borrow: Sort's row orders and
+// UnmarshalPooled's row directories. An upload's pipeline makes one of
+// each per replica or block and Release returns them, so a few arrays the
+// size of the largest block serve the whole upload.
+var u32Bufs sync.Pool
+
+// borrow returns an array of n Ts from pool, which holds only *[]T, not
+// zeroed; put it back into the same pool.
+func borrow[T any](pool *sync.Pool, n int) *[]T {
+	buf, _ := pool.Get().(*[]T)
 	if buf == nil {
-		buf = new([]sortKey)
+		buf = new([]T)
 	}
 	*buf = slices.Grow((*buf)[:0], n)[:n]
 	return buf

@@ -84,7 +84,7 @@ func blockOf(t *testing.T, rows []schema.Row) *pax.Block {
 	return b
 }
 
-// oracleSort is what SortBy replaced: the rows themselves, stable-sorted
+// oracleSort is what Sort replaced: the rows themselves, stable-sorted
 // through Value.Compare.
 func oracleSort(rows []schema.Row, col int) []schema.Row {
 	out := append([]schema.Row(nil), rows...)
@@ -108,7 +108,7 @@ func sortedBytes(t *testing.T, b *pax.Block, col int) (blockData, indexData []by
 	return blockData, indexData
 }
 
-// TestSortByMatchesRowSortOracle holds SortBy — on a block built by
+// TestSortByMatchesRowSortOracle holds Sort — on a block built by
 // AppendRow and on one that aliases marshalled bytes — to the bytes the
 // row-at-a-time stable sort produces, for every attribute type, at the
 // partition-boundary sizes, and again when the sorted block is re-sorted
@@ -127,12 +127,16 @@ func TestSortByMatchesRowSortOracle(t *testing.T) {
 				want := oracleSort(rows, col)
 				wantOracle := blockOf(t, want)
 				// The oracle block is in sorted order already; sorting it
-				// with the code under test must then be the identity, which
-				// stamps the sort column the index builder requires.
-				if perm, err := wantOracle.SortBy(col); err != nil {
+				// with the code under test must then leave every row where
+				// it is, and stamps the sort column the index builder
+				// requires.
+				if err := wantOracle.Sort(col); err != nil {
 					t.Fatal(err)
-				} else if !sort.IntsAreSorted(perm) {
-					t.Fatalf("%s: SortBy reorders rows the oracle has sorted", name)
+				}
+				for i, row := range want {
+					if !wantOracle.Row(i).Equal(row) {
+						t.Fatalf("%s: Sort moves row %d of the rows the oracle has sorted", name, i)
+					}
 				}
 				wantBlock, wantIndex := sortedBytes(t, wantOracle, col)
 
@@ -142,7 +146,7 @@ func TestSortByMatchesRowSortOracle(t *testing.T) {
 					t.Fatal(err)
 				}
 				for what, b := range map[string]*pax.Block{"built": built, "unmarshalled": decoded} {
-					if _, err := b.SortBy(col); err != nil {
+					if err := b.Sort(col); err != nil {
 						t.Fatal(err)
 					}
 					gotBlock, gotIndex := sortedBytes(t, b, col)
@@ -160,11 +164,11 @@ func TestSortByMatchesRowSortOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := resorted.SortBy(next); err != nil {
+				if err := resorted.Sort(next); err != nil {
 					t.Fatal(err)
 				}
 				again := blockOf(t, oracleSort(want, next))
-				if _, err := again.SortBy(next); err != nil {
+				if err := again.Sort(next); err != nil {
 					t.Fatal(err)
 				}
 				wantBlock, wantIndex = sortedBytes(t, again, next)
@@ -188,7 +192,7 @@ func TestSortByOrdersStringsHoldingNUL(t *testing.T) {
 		rows[i][4], rows[i][5] = schema.StringVal(strs[rng.Intn(len(strs))]), schema.IntVal(int32(i))
 	}
 	b := blockOf(t, rows)
-	if _, err := b.SortBy(4); err != nil {
+	if err := b.Sort(4); err != nil {
 		t.Fatal(err)
 	}
 	for i, want := range oracleSort(rows, 4) {

@@ -23,9 +23,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"log/slog"
 	"net/http"
+	"os"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/adaptive"
@@ -82,6 +86,10 @@ type Config struct {
 	// TraceBuffer is how many opt-in query traces /trace retains (ring
 	// buffer; 0 defaults to 16).
 	TraceBuffer int
+
+	// Logger gets one line per /query (see queryLog); nil logs text to
+	// stderr.
+	Logger *slog.Logger
 }
 
 // Server is the resident query service. Create with New, serve Handler(),
@@ -95,7 +103,8 @@ type Server struct {
 	tenants *tenantTable
 	mux     *http.ServeMux
 
-	sem chan struct{} // admission semaphore: buffered to MaxInFlight
+	sem       chan struct{} // admission semaphore: buffered to MaxInFlight
+	lastQuery atomic.Int64  // the last query id minted
 
 	schemaMu sync.Mutex
 	schemas  map[string]*schema.Schema
@@ -112,12 +121,13 @@ type Server struct {
 }
 
 type storedTrace struct {
-	ID     int    `json:"id"`
-	Tenant string `json:"tenant"`
-	File   string `json:"file"`
-	Query  string `json:"query"`
-	Spans  int    `json:"spans"`
-	tr     *obs.Trace
+	ID      int    `json:"id"`
+	QueryID int64  `json:"query_id"`
+	Tenant  string `json:"tenant"`
+	File    string `json:"file"`
+	Query   string `json:"query"`
+	Spans   int    `json:"spans"`
+	tr      *obs.Trace
 }
 
 // New loads the filesystem, builds the shared stack (cache, indexer,
@@ -137,6 +147,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.TraceBuffer <= 0 {
 		cfg.TraceBuffer = 16
+	}
+	if cfg.Logger == nil {
+		cfg.Logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 	}
 	cluster, err := hdfs.Load(cfg.FSDir)
 	if err != nil {
@@ -261,6 +274,14 @@ type QueryRequest struct {
 	Limit int `json:"limit,omitempty"`
 }
 
+// tenant is the ledger the request is charged to.
+func (r *QueryRequest) tenant() string {
+	if r.Tenant == "" {
+		return "default"
+	}
+	return r.Tenant
+}
+
 // QueryResponse is the POST /query result.
 type QueryResponse struct {
 	Tenant          string   `json:"tenant"`
@@ -290,50 +311,98 @@ func (e *httpError) Error() string { return e.msg }
 // annotation and a few flags, so this is generous; a larger body gets 413.
 const maxBodyBytes = 1 << 20
 
-// handleQuery reads and decodes the request body, then admits the request
-// through the bounded in-flight semaphore and executes it. The body comes
-// first, under maxBodyBytes, so a client that sends slowly or too much
-// never holds a slot. Over capacity, the request waits up to QueueTimeout
-// for a slot and is rejected with 429 otherwise — backpressure instead of
-// an unbounded pile-up.
+// queryIDHeader carries a /query's id on every reply, whatever its status,
+// so a client can find its query in /trace and in the server's log. The
+// JSON body does not carry it.
+const queryIDHeader = "X-Query-Id"
+
+// queryLog is the one log line each /query writes: its id, who sent it and
+// what it asked (the signature's hash, once the query parsed), how it
+// ended, how long it queued and, if it ran, what it read and how long it
+// took. Status 0 means the client left before a reply.
+type queryLog struct {
+	id        int64
+	tenant    string
+	sigHash   string
+	status    int
+	queueWait time.Duration
+	stats     mapred.TaskStats
+	latency   time.Duration
+}
+
+func (s *Server) logQuery(l *queryLog) {
+	s.cfg.Logger.Info("query",
+		"id", l.id,
+		"tenant", l.tenant,
+		"sig", l.sigHash,
+		"status", l.status,
+		"queue_wait_ms", float64(l.queueWait)/1e6,
+		"blocks", l.stats.Blocks,
+		"blocks_from_cache", l.stats.BlocksFromCache,
+		"index_scans", l.stats.IndexScans,
+		"full_scans", l.stats.FullScans,
+		"checksum_failovers", l.stats.ChecksumFailovers,
+		"latency_ms", float64(l.latency)/1e6,
+	)
+}
+
+// handleQuery mints the query's id, reads and decodes the request body,
+// then admits the request through the bounded in-flight semaphore and
+// executes it. The body comes first, under maxBodyBytes, so a client that
+// sends slowly or too much never holds a slot. Over capacity, the request
+// waits up to QueueTimeout for a slot and is rejected with 429 otherwise —
+// backpressure instead of an unbounded pile-up. Every reply carries the id
+// in its X-Query-Id header, and every request writes one log line.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	ql := queryLog{id: s.lastQuery.Add(1)}
+	defer s.logQuery(&ql)
+	w.Header().Set(queryIDHeader, strconv.FormatInt(ql.id, 10))
+	fail := func(msg string, status int) {
+		ql.status = status
+		http.Error(w, msg, status)
+	}
+
 	var req QueryRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
 		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
-			http.Error(w, fmt.Sprintf("request body over %d bytes", maxBodyBytes), http.StatusRequestEntityTooLarge)
+			fail(fmt.Sprintf("request body over %d bytes", maxBodyBytes), http.StatusRequestEntityTooLarge)
 			return
 		}
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+		fail("bad request body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
+	ql.tenant = req.tenant()
 
-	waitStart := time.Now()
+	waitStart := time.Now() //lint:allow wallclock the queue wait is logged per query as well as observed
 	timer := time.NewTimer(s.cfg.QueueTimeout)
 	select {
 	case s.sem <- struct{}{}:
 		timer.Stop()
 	case <-timer.C:
+		ql.queueWait = time.Since(waitStart) //lint:allow wallclock logged with the refusal
 		s.reg.Counter("server.rejected").Inc()
-		http.Error(w, "server at capacity, retry later", http.StatusTooManyRequests)
+		fail("server at capacity, retry later", http.StatusTooManyRequests)
 		return
 	case <-r.Context().Done():
 		timer.Stop()
 		s.reg.Counter("server.abandoned").Inc()
 		return
 	}
-	s.reg.Histogram("server.queue_wait_seconds").Observe(time.Since(waitStart))
+	ql.queueWait = time.Since(waitStart) //lint:allow wallclock logged per query as well as observed
+	s.reg.Histogram("server.queue_wait_seconds").Observe(ql.queueWait)
 	defer func() { <-s.sem }()
 
-	resp, err := s.runQuery(&req)
+	resp, err := s.runQuery(&req, &ql)
 	if err != nil {
 		status := http.StatusInternalServerError
 		if he, ok := err.(*httpError); ok {
 			status = he.status
 		}
 		s.reg.Counter("server.query_errors").Inc()
-		http.Error(w, err.Error(), status)
+		fail(err.Error(), status)
 		return
 	}
+	ql.status = http.StatusOK
 	writeJSON(w, resp)
 }
 
@@ -378,15 +447,13 @@ func (t *adaptiveTap) ObserveJob(file string, column int, indexed, missing []hdf
 }
 
 // runQuery executes one admitted query on a fresh engine + input format
-// over the shared stack.
-func (s *Server) runQuery(req *QueryRequest) (*QueryResponse, error) {
+// over the shared stack, and fills in ql what the query's log line says
+// about it.
+func (s *Server) runQuery(req *QueryRequest, ql *queryLog) (*QueryResponse, error) {
 	if req.File == "" || req.Query == "" {
 		return nil, &httpError{http.StatusBadRequest, "file and query are required"}
 	}
-	tenant := req.Tenant
-	if tenant == "" {
-		tenant = "default"
-	}
+	tenant := req.tenant()
 	ts := s.tenants.get(tenant)
 	ts.queries.Add(1)
 
@@ -398,6 +465,9 @@ func (s *Server) runQuery(req *QueryRequest) (*QueryResponse, error) {
 	if err != nil {
 		return nil, &httpError{http.StatusBadRequest, err.Error()}
 	}
+	sig := fnv.New64a()
+	sig.Write([]byte(q.Signature()))
+	ql.sigHash = fmt.Sprintf("%016x", sig.Sum64())
 
 	// Fresh per query: the input format (split-phase stats live on the
 	// call, but Adaptive/CachedReplica wiring is per-request) and the
@@ -474,6 +544,7 @@ func (s *Server) runQuery(req *QueryRequest) (*QueryResponse, error) {
 		LatencyMS:      float64(dur) / 1e6,
 	}
 	st := res.TotalStats()
+	ql.stats, ql.latency = st, dur
 	resp.IndexScans = st.IndexScans
 	resp.FullScans = st.FullScans
 	resp.BlocksFromCache = st.BlocksFromCache
@@ -508,24 +579,25 @@ func (s *Server) runQuery(req *QueryRequest) (*QueryResponse, error) {
 		}
 	}
 	if tr != nil {
-		resp.TraceID = s.storeTrace(tr, tenant, req)
+		resp.TraceID = s.storeTrace(tr, ql.id, tenant, req)
 	}
 	return resp, nil
 }
 
 // storeTrace appends a finished query trace to the /trace ring buffer and
 // returns its id.
-func (s *Server) storeTrace(tr *obs.Trace, tenant string, req *QueryRequest) int {
+func (s *Server) storeTrace(tr *obs.Trace, queryID int64, tenant string, req *QueryRequest) int {
 	s.traceMu.Lock()
 	defer s.traceMu.Unlock()
 	s.nextTrace++
 	st := storedTrace{
-		ID:     s.nextTrace,
-		Tenant: tenant,
-		File:   req.File,
-		Query:  req.Query,
-		Spans:  len(tr.SpanInfos()),
-		tr:     tr,
+		ID:      s.nextTrace,
+		QueryID: queryID,
+		Tenant:  tenant,
+		File:    req.File,
+		Query:   req.Query,
+		Spans:   len(tr.SpanInfos()),
+		tr:      tr,
 	}
 	s.traces = append(s.traces, st)
 	if len(s.traces) > s.cfg.TraceBuffer {

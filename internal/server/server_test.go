@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -104,6 +105,9 @@ func fsSchema(t *testing.T, cluster *hdfs.Cluster, file string) *schema.Schema {
 func newTestServer(t *testing.T, dir string, cfg Config) *Server {
 	t.Helper()
 	cfg.FSDir = dir
+	if cfg.Logger == nil {
+		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+	}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -715,7 +719,7 @@ func TestQueryPanicIsA500NotACrash(t *testing.T) {
 // slice to fill ten entries. The rows are the unlimited answer's prefix.
 func TestLimitSizesRowsByTheLimit(t *testing.T) {
 	s := newTestServer(t, makeFS(t, 700), Config{})
-	all, err := s.runQuery(&QueryRequest{File: "/t", Query: adaptiveQ})
+	all, err := s.runQuery(&QueryRequest{File: "/t", Query: adaptiveQ}, &queryLog{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -723,7 +727,7 @@ func TestLimitSizesRowsByTheLimit(t *testing.T) {
 		t.Fatalf("unlimited: row_count %d, %d rows, cap %d", all.RowCount, len(all.Rows), cap(all.Rows))
 	}
 	for _, limit := range []int{1, 10, all.RowCount, all.RowCount + 5} {
-		got, err := s.runQuery(&QueryRequest{File: "/t", Query: adaptiveQ, Limit: limit})
+		got, err := s.runQuery(&QueryRequest{File: "/t", Query: adaptiveQ, Limit: limit}, &queryLog{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -732,5 +736,129 @@ func TestLimitSizesRowsByTheLimit(t *testing.T) {
 			t.Errorf("limit %d: row_count %d (want %d), cap(rows) %d (want %d)", limit, got.RowCount, all.RowCount, cap(got.Rows), want)
 		}
 		sameRows(t, fmt.Sprintf("limit %d", limit), got.Rows, all.Rows[:want])
+	}
+}
+
+// lockedBuffer is a log sink the handlers write to while the test reads.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+// lines decodes every JSON log line written so far.
+func (l *lockedBuffer) lines(t *testing.T) []map[string]any {
+	t.Helper()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var out []map[string]any
+	dec := json.NewDecoder(bytes.NewReader(l.b.Bytes()))
+	for dec.More() {
+		var m map[string]any
+		if err := dec.Decode(&m); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, m)
+	}
+	return out
+}
+
+// postForID posts a query and returns the reply's X-Query-Id and status.
+func postForID(t *testing.T, ts *httptest.Server, req QueryRequest) (string, int) {
+	t.Helper()
+	body, _ := json.Marshal(req)
+	resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Error(err)
+		return "", 0
+	}
+	defer resp.Body.Close()
+	_, _ = io.Copy(io.Discard, resp.Body)
+	return resp.Header.Get(queryIDHeader), resp.StatusCode
+}
+
+// TestQueryIDs: concurrent queries get distinct ids in their X-Query-Id
+// header; a 429 and a 400 carry one too; each query's log line has its
+// header's id, tenant and status; and a traced query's /trace entry is
+// keyed by its id.
+func TestQueryIDs(t *testing.T) {
+	var logs lockedBuffer
+	s := newTestServer(t, makeFS(t, 700), Config{MaxInFlight: 4, QueueTimeout: 30 * time.Millisecond,
+		Logger: slog.New(slog.NewJSONHandler(&logs, nil))})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	statusOf := map[string]int{}
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for i := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			id, code := postForID(t, ts, QueryRequest{Tenant: "t1", File: "/t", Query: indexedQ, NoCache: i%2 == 0})
+			mu.Lock()
+			defer mu.Unlock()
+			if _, dup := statusOf[id]; dup || id == "" {
+				t.Errorf("query id %q is empty or was given twice", id)
+			}
+			statusOf[id] = code
+		}()
+	}
+	wg.Wait()
+
+	for range cap(s.sem) {
+		s.sem <- struct{}{}
+	}
+	id, code := postForID(t, ts, QueryRequest{Tenant: "t2", File: "/t", Query: indexedQ})
+	for range cap(s.sem) {
+		<-s.sem
+	}
+	if code != http.StatusTooManyRequests || id == "" {
+		t.Fatalf("refused query: status %d, id %q; want 429 with an id", code, id)
+	}
+	statusOf[id] = code
+	id, code = postForID(t, ts, QueryRequest{File: "/t"})
+	if code != http.StatusBadRequest || id == "" {
+		t.Fatalf("query without an annotation: status %d, id %q; want 400 with an id", code, id)
+	}
+	statusOf[id] = code
+
+	traced, code := postForID(t, ts, QueryRequest{File: "/t", Query: indexedQ, Trace: true})
+	if code != http.StatusOK {
+		t.Fatalf("traced query: status %d", code)
+	}
+	statusOf[traced] = code
+	resp, err := http.Get(ts.URL + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var list []storedTrace
+	err = json.NewDecoder(resp.Body).Decode(&list)
+	resp.Body.Close()
+	if err != nil || len(list) != 1 || fmt.Sprint(list[0].QueryID) != traced {
+		t.Errorf("/trace lists %+v (%v), want one entry for query %s", list, err, traced)
+	}
+
+	lines := logs.lines(t)
+	if len(lines) != len(statusOf) {
+		t.Fatalf("%d log lines for %d queries", len(lines), len(statusOf))
+	}
+	for _, l := range lines {
+		id := fmt.Sprint(l["id"])
+		want, ok := statusOf[id]
+		if !ok || fmt.Sprint(l["status"]) != fmt.Sprint(want) {
+			t.Errorf("log line %v: status %v, the reply with that id had %d", l, l["status"], want)
+		}
+		if want == http.StatusOK && (l["tenant"] == "" || l["sig"] == "" || l["blocks"] == float64(0)) {
+			t.Errorf("log line of a finished query lacks its tenant, signature or blocks: %v", l)
+		}
+		if want == http.StatusTooManyRequests && l["tenant"] != "t2" {
+			t.Errorf("refusal logged for tenant %v, want t2", l["tenant"])
+		}
 	}
 }
