@@ -11,6 +11,7 @@ import (
 	"repro/internal/mapred"
 	"repro/internal/qcache"
 	"repro/internal/query"
+	"repro/internal/trojan"
 	"repro/internal/workload"
 )
 
@@ -195,22 +196,27 @@ func BenchmarkFullScanQuery(b *testing.B) {
 	benchQuery(b, `@HailQuery(filter="@9 between(1,100)", projection={@1})`, false)
 }
 
-// uploadBob uploads n generated lines (short under -short) to a fresh
-// 4-node cluster with Bob's layout at the given block size.
-func uploadBob(b testing.TB, n, short, blockSize int) *hdfs.Cluster {
-	b.Helper()
+// scanLines generates the scan fixtures' n lines (short under -short), the
+// sourceIP needle planted every 25,000 and a bad record every 10,007.
+func scanLines(n, short int) []string {
 	needle := 25_000
 	if testing.Short() {
 		n, needle = short, short // a short fixture still plants the needle once
 	}
+	return workload.GenerateUserVisits(n, 1, workload.UserVisitsOptions{NeedleEvery: needle, BadEvery: 10_007})
+}
+
+// uploadBob uploads scanLines(n, short) to a fresh 4-node cluster with
+// Bob's layout at the given block size.
+func uploadBob(b testing.TB, n, short, blockSize int) *hdfs.Cluster {
+	b.Helper()
 	cluster, err := hdfs.NewCluster(4)
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfg := bobLayout()
 	cfg.BlockSize = blockSize
-	lines := workload.GenerateUserVisits(n, 1, workload.UserVisitsOptions{NeedleEvery: needle, BadEvery: 10_007})
-	if _, err := (&Client{Cluster: cluster, Config: cfg}).Upload("/uv", lines); err != nil {
+	if _, err := (&Client{Cluster: cluster, Config: cfg}).Upload("/uv", scanLines(n, short)); err != nil {
 		b.Fatal(err)
 	}
 	return cluster
@@ -282,6 +288,93 @@ func BenchmarkIndexScanPassthrough(b *testing.B) {
 	}
 	benchPassthrough(b, append(qs, `@HailQuery(filter="@1 = `+workload.NeedleIP+`", projection={@8,@9,@4})`)...)
 }
+
+// baselineFix holds bobFix's lines for the two baselines, on one 4-node
+// cluster with the same block size and replication: as plain text under
+// /text (Hadoop), and converted by Hadoop++ under /trojan with its one
+// index on visitDate, the attribute Bob-Q1 filters on.
+var baselineFix *trojan.System
+
+func getBaselineFix(tb testing.TB) *trojan.System {
+	if baselineFix != nil {
+		return baselineFix
+	}
+	cluster, err := hdfs.NewCluster(4)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	layout, lines := bobLayout(), scanLines(200_000, 5_000)
+	up := &hadoop.Uploader{Cluster: cluster, BlockSize: layout.BlockSize, Replication: layout.Replication()}
+	if _, err := up.Upload("/text", lines); err != nil {
+		tb.Fatal(err)
+	}
+	sys := &trojan.System{
+		Cluster: cluster, Schema: layout.Schema, BlockSize: layout.BlockSize,
+		Replication: layout.Replication(), IndexColumn: workload.UVVisitDate,
+	}
+	if _, err := sys.Upload("/trojan", lines); err != nil {
+		tb.Fatal(err)
+	}
+	baselineFix = sys
+	return sys
+}
+
+// bobQ1 returns Bob-Q1 (one year of visitDate, projecting sourceIP; §6.2)
+// on one system over the 200k-line fixture: its cluster, and a function
+// that returns a fresh job. HAIL and Hadoop++ read the annotation and map
+// with the passthrough; Hadoop's map splits and filters every line itself
+// (hadoop.Map).
+func bobQ1(tb testing.TB, system string) (*hdfs.Cluster, func() *mapred.Job) {
+	q := workload.BobQueries()[0].Query
+	switch system {
+	case "hail":
+		cluster := getBobFix(tb)
+		return cluster, func() *mapred.Job {
+			return &mapred.Job{Name: "Bob-Q1", File: "/uv", Input: &InputFormat{Cluster: cluster, Query: q}, MapBatch: workload.PassthroughMapBatch}
+		}
+	case "hadoop":
+		sys := getBaselineFix(tb)
+		return sys.Cluster, func() *mapred.Job {
+			return &mapred.Job{Name: "Bob-Q1", File: "/text", Input: &hadoop.TextInputFormat{Cluster: sys.Cluster}, MapBatch: hadoop.Map(sys.Schema, q)}
+		}
+	case "trojan":
+		sys := getBaselineFix(tb)
+		return sys.Cluster, func() *mapred.Job {
+			return &mapred.Job{Name: "Bob-Q1", File: "/trojan", Input: &trojan.InputFormat{System: sys, Query: q}, MapBatch: workload.PassthroughMapBatch}
+		}
+	}
+	tb.Fatalf("no system %q", system)
+	return nil, nil
+}
+
+// benchBobQ1 runs Bob-Q1 on one system, one job per op at Parallelism 1,
+// and reports cpu-ms/op beside ns/op.
+func benchBobQ1(b *testing.B, system string) {
+	cluster, job := bobQ1(b, system)
+	e := &mapred.Engine{Cluster: cluster, Parallelism: 1}
+	b.ReportAllocs()
+	cpu := cpuTime(b)
+	for b.Loop() {
+		res, err := e.Run(job())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Output) == 0 {
+			b.Fatal("no output")
+		}
+	}
+	b.ReportMetric(float64(cpuTime(b)-cpu)/1e6/float64(b.N), "cpu-ms/op")
+}
+
+// BenchmarkHadoopScanBobQ1 and BenchmarkTrojanScanBobQ1 are the paper's
+// two baselines (§6.4) answering Bob-Q1 over the lines
+// BenchmarkIndexScanPassthrough's fixture holds: Hadoop scans every block
+// and parses every line in its map, Hadoop++ scans its trojan index's
+// range of the row-layout blocks. TestPaperClaims divides each by HAIL's
+// index scan of the same query.
+func BenchmarkHadoopScanBobQ1(b *testing.B) { benchBobQ1(b, "hadoop") }
+
+func BenchmarkTrojanScanBobQ1(b *testing.B) { benchBobQ1(b, "trojan") }
 
 // BenchmarkConjScan is a two-conjunct index scan over two indexed
 // attributes: one-year visitDate windows (Bob-Q1's shape, ≈3% of the

@@ -103,7 +103,7 @@ func (r *recordReader) release() {
 	clear(bs.cursors)
 	for _, v := range bs.vecs {
 		if v != nil {
-			v.Bytes = nil
+			v.Reset()
 		}
 	}
 	r.cluster, r.query, r.split, r.view = nil, nil, mapred.Split{}, hdfs.ReplicaView{}
@@ -328,7 +328,8 @@ func (bs *blockScan) fetch(stats *mapred.TaskStats) error {
 		return err
 	}
 	bs.bad = bad
-	stats.AddIO(bs.reader.Stats())
+	io := bs.reader.Stats()
+	stats.BytesRead, stats.Seeks = stats.BytesRead+io.BytesRead, stats.Seeks+io.Seeks
 	return nil
 }
 

@@ -76,7 +76,8 @@ func (o *rowOracleReader) readBlockRows(b hdfs.BlockID, fn func(*mapred.Batch), 
 		stats.RecordsDelivered += int64(len(bad))
 		fn(&mapred.Batch{Bad: bad})
 	}
-	stats.AddIO(bs.reader.Stats())
+	io := bs.reader.Stats()
+	stats.BytesRead, stats.Seeks = stats.BytesRead+io.BytesRead, stats.Seeks+io.Seeks
 	return nil
 }
 

@@ -39,6 +39,7 @@ type Batch struct {
 	scratch schema.Row // Each's row
 	text    []byte     // Lines' output, rebuilt per batch
 	ends    []int32    // Lines' row-end directory
+	offs    []int      // Lines' running offset into each packed column
 }
 
 // NumRows returns the number of records the batch delivers: selected rows,
@@ -82,6 +83,12 @@ func (b *Batch) Each(fn func(Record)) {
 // one allocation per batch, not several per row; ends is reused by the
 // next call.
 //
+// When Sel is the identity selection (0, 1, 2, … — every batch HAIL's
+// reader emits is dense), a packed string column (schema.Vector.Pack) is
+// copied value after value from a running offset, each value's end found
+// as it is copied, and no span directory is built. Under any other
+// selection the columns are read by row index (AppendText).
+//
 // A substring of text keeps all of text reachable — about 120 KB for a
 // full batch of nine-attribute rows. Every retainer of map output today
 // (a cache entry, a job result, a haild response) holds a block's rows
@@ -89,12 +96,19 @@ func (b *Batch) Each(fn func(Record)) {
 // row in a thousand should clone it.
 func (b *Batch) Lines(sep byte) (text string, ends []int32) {
 	b.text, b.ends = b.text[:0], slices.Grow(b.ends[:0], len(b.Sel))
+	b.offs = slices.Grow(b.offs[:0], len(b.Cols))[:len(b.Cols)]
+	clear(b.offs)
+	dense := identity(b.Sel)
 	for k, i := range b.Sel {
 		for c, vec := range b.Cols {
 			if c > 0 {
 				b.text = append(b.text, sep)
 			}
-			b.text = vec.AppendText(b.text, int(i))
+			if dense && vec.Packed() {
+				b.text, b.offs[c] = vec.AppendPacked(b.text, b.offs[c])
+			} else {
+				b.text = vec.AppendText(b.text, int(i))
+			}
 		}
 		b.ends = append(b.ends, int32(len(b.text)))
 		if k == 0 {
@@ -108,6 +122,16 @@ func (b *Batch) Lines(sep byte) (text string, ends []int32) {
 		panic("mapred: a batch's text exceeds the row-end directory's 2 GiB")
 	}
 	return string(b.text), b.ends
+}
+
+// identity reports whether sel is 0, 1, …, len(sel)-1.
+func identity(sel []int32) bool {
+	for k, i := range sel {
+		if int(i) != k {
+			return false
+		}
+	}
+	return true
 }
 
 // MapBatchFunc is a map function that consumes whole batches. It must be

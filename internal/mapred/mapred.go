@@ -35,7 +35,6 @@ import (
 
 	"repro/internal/hdfs"
 	"repro/internal/obs"
-	"repro/internal/pax"
 	"repro/internal/schema"
 )
 
@@ -140,12 +139,6 @@ func (s *TaskStats) Add(other TaskStats) {
 	s.RowsSelected += other.RowsSelected
 	s.BatchesEmitted += other.BatchesEmitted
 	s.ChecksumFailovers += other.ChecksumFailovers
-}
-
-// AddIO folds a PAX reader's I/O statistics into the task stats.
-func (s *TaskStats) AddIO(io pax.IOStats) {
-	s.BytesRead += io.BytesRead
-	s.Seeks += io.Seeks
 }
 
 // Split is one unit of map-task input (§4.2). The default Hadoop policy

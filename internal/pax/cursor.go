@@ -33,7 +33,7 @@ type ColumnCursor struct {
 	// Variable-size columns: raw starts at a partition boundary at or
 	// before fromRow; bpos is the next undecoded byte. long is set when the
 	// range's values are long enough on average for term to find their
-	// terminators with bytes.IndexByte (see longTerm).
+	// terminators with bytes.IndexByte (schema.LongValues).
 	bpos int
 	long bool
 
@@ -92,7 +92,7 @@ func (r *Reader) NewColumnCursor(col, fromRow, toRow int) (*ColumnCursor, error)
 		return nil, err
 	}
 	c.raw = raw
-	c.long = len(raw) >= longTerm*(min((pTo+1)*PartitionSize, r.numRows)-pFrom*PartitionSize)
+	c.long = schema.LongValues(len(raw), min((pTo+1)*PartitionSize, r.numRows)-pFrom*PartitionSize)
 	if err := c.skip(fromRow - pFrom*PartitionSize); err != nil {
 		return nil, err
 	}
@@ -157,9 +157,11 @@ func searchRun[T int32 | int64 | float64](n int, at func(int) T, lo, hi T) (from
 
 // Next decodes up to n rows into dst (which is Reset first and must have
 // the cursor's type) and returns the count delivered — less than n only
-// at the end of the range. A nil dst skips the rows instead of decoding
-// them: fixed-size columns jump, variable-size columns count terminators
-// in bulk (skip).
+// at the end of the range. A string column is not walked: its n
+// terminators are counted in bulk (skip) and dst is packed with the run
+// of the range that holds them (schema.Vector.Pack), cap-clamped, so the
+// values are found when they are read. A nil dst skips the rows instead of
+// decoding them: fixed-size columns jump, variable-size columns count.
 // The batch pipeline uses the skip form for projection-only columns of
 // batches in which no row survived the filters — late materialization at
 // batch granularity.
@@ -178,14 +180,12 @@ func (c *ColumnCursor) Next(n int, dst *schema.Vector) (int, error) {
 		c.remaining -= n
 		return n, nil
 	}
-	var err error
-	if dst == nil {
-		err = c.skip(n)
-	} else {
-		err = c.nextString(n, dst)
-	}
-	if err != nil {
+	from := c.bpos
+	if err := c.skip(n); err != nil {
 		return 0, err
+	}
+	if dst != nil {
+		dst.Pack(c.raw[from:c.bpos:c.bpos], n, c.long)
 	}
 	c.remaining -= n
 	return n, nil
@@ -283,32 +283,15 @@ func (c *ColumnCursor) nextFixed(n int, dst *schema.Vector) {
 	c.pos += n
 }
 
-// nextString walks n values' terminators. What it delivers into dst is
-// where each value lies, not the value: dst.Bytes is the column range
-// itself, its capacity clamped so that appending to it copies.
-func (c *ColumnCursor) nextString(n int, dst *schema.Vector) error {
-	dst.Bytes = c.raw[:len(c.raw):len(c.raw)]
-	dst.Start, dst.End = slices.Grow(dst.Start, n), slices.Grow(dst.End, n)
-	for i := 0; i < n; i++ {
-		z := c.term()
-		if z < 0 {
-			return c.unterminated()
-		}
-		dst.Start = append(dst.Start, uint32(c.bpos))
-		dst.End = append(dst.End, uint32(z))
-		c.bpos = z + 1
-	}
-	return nil
-}
-
-// skipChunk is how many bytes skip counts terminators in at a time. One
-// bytes.Count over a chunk is a single vector pass with no call per value;
-// the chunk that holds the last terminator is then walked value by value,
-// so a larger chunk trades fewer calls for a longer final walk.
-// BenchmarkTerminatorWalk's skip cases (1,024 values on a 2-core Xeon,
-// chunk 64 / 128 / 256 / 512 B: 3 B values 0.61 / 0.59 / 0.59 / 0.82 µs,
-// 12 B 1.40 / 1.22 / 0.65 / 0.78, 45 B 6.41 / 2.98 / 1.79 / 1.64) put it at
-// 256, against 7.0, 9.3 and 11.8 µs to walk the same values.
+// skipChunk is how many bytes skip counts terminators in at a time — the
+// count behind every string Next, packed or skipping. One bytes.Count over
+// a chunk is a single vector pass with no call per value; the chunk that
+// holds the last terminator is then walked value by value, so a larger
+// chunk trades fewer calls for a longer final walk. BenchmarkTerminatorWalk's
+// count cases (1,024 values on a 2-core Xeon, median of three, chunk 64 /
+// 128 / 256 / 512 B: 3 B values 1.13 / 0.80 / 0.91 / 1.36 µs, 12 B 3.17 /
+// 1.69 / 1.34 / 1.22, 45 B 9.36 / 5.68 / 3.42 / 2.55) put it at 256,
+// against 9.6, 14.7 and 14.9 µs to walk the same values into a directory.
 const skipChunk = 256
 
 // skip advances past k string values without delivering them: whole
@@ -333,29 +316,9 @@ func (c *ColumnCursor) skip(k int) error {
 	return nil
 }
 
-// longTerm is the mean stored length of a value, terminator included, from
-// which a cursor finds terminators with bytes.IndexByte rather than a byte
-// loop. IndexByte pays a call and a vector set-up per value and then scans
-// a word or more per step; the loop pays per byte. BenchmarkTerminatorWalk
-// puts the crossover between 8 and 12 bytes of value (decoding 1,024
-// values on a 2-core Xeon, loop vs IndexByte: 3 B 6.4 vs 8.8 µs, 8 B 8.4
-// vs 8.4, 12 B 9.9 vs 8.5, 24 B 15.8 vs 8.6, 45 B 31.4 vs 9.4), so a range
-// switches where IndexByte is clearly ahead. The choice is a property of
-// the stored bytes, made once per cursor.
-const longTerm = 13
-
 // term returns the index in raw of the terminator of the value at bpos, or
 // -1 when the range ends first.
-func (c *ColumnCursor) term() int {
-	if !c.long {
-		return indexByteFrom(c.raw, c.bpos, 0)
-	}
-	z := bytes.IndexByte(c.raw[c.bpos:], 0)
-	if z < 0 {
-		return -1
-	}
-	return c.bpos + z
-}
+func (c *ColumnCursor) term() int { return schema.Terminator(c.raw, c.bpos, c.long) }
 
 func (c *ColumnCursor) unterminated() error {
 	return fmt.Errorf("pax: unterminated string value in column %d", c.col)

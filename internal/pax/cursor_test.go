@@ -614,7 +614,7 @@ func TestStringVectorNeverWritesTheReplica(t *testing.T) {
 	}
 }
 
-// walkSchema stores strings on both sides of longTerm: "short" averages a
+// walkSchema stores strings on both sides of schema's longTerm: "short" averages a
 // few bytes a value, "long" tens.
 var walkSchema = schema.MustNew(
 	schema.Field{Name: "id", Type: schema.Int32},
@@ -643,15 +643,31 @@ func walkBlock(n int, seed int64) *Block {
 }
 
 // TestColumnCursorShortAndLongWalksAgree: the byte loop and bytes.IndexByte
-// find the same terminators. Each string column is read with the walk its
-// mean length picks and with the other one, batch by batch through Next,
-// Next skipping, NextSelected and NextSelected with nothing selected; every
-// value delivered must be ReadColumnRange's, at the same span either way.
+// in schema.Terminator — the one walk the cursor, a packed vector's
+// directory and Batch.Lines share — find the same terminators. First the
+// walker itself, from every byte of each string column's value area; then
+// each column is read with the walk its mean length picks and with the
+// other one, batch by batch through Next (whose packed batch takes the
+// cursor's walk into its directory), Next skipping, NextSelected and
+// NextSelected with nothing selected; every value delivered must be
+// ReadColumnRange's, at the same span either way.
 func TestColumnCursorShortAndLongWalksAgree(t *testing.T) {
 	b := walkBlock(3*PartitionSize+77, 31)
 	data, err := b.Marshal()
 	if err != nil {
 		t.Fatal(err)
+	}
+	r, err := NewReader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, col := range []int{1, 2} {
+		area := data[r.colOff[col]+numPartitions(r.NumRows())*4 : r.colOff[col]+r.colLen[col]]
+		for from := 0; from <= len(area); from++ {
+			if loop, index := schema.Terminator(area, from, false), schema.Terminator(area, from, true); loop != index {
+				t.Fatalf("col %d from byte %d: the loop finds %d, IndexByte %d", col, from, loop, index)
+			}
+		}
 	}
 	type span struct{ row, start, end uint32 }
 	for col, wantLong := range map[int]bool{1: false, 2: true} {
@@ -901,6 +917,64 @@ func TestCursorUnterminatedErrorNamesTheColumn(t *testing.T) {
 					if err := fn(c, schema.NewVector(schema.String)); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unterminated string value in column %d", tc.col)) {
 						t.Errorf("%s from row %d over column %d without value %d's terminator: %v", name, from, tc.col, knock, err)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestNextOnAMissingTerminatorFailsTheBatch: Next packs a string batch by
+// counting its n terminators, so a range that holds only n-1 of them must
+// fail that batch with "unterminated string value" — no values delivered,
+// the vector empty — rather than pack a short run for a reader to trip on
+// later, or panic. The last value's terminator is knocked out; the batches
+// before it must still decode, with either walk.
+func TestNextOnAMissingTerminatorFailsTheBatch(t *testing.T) {
+	rows := 2*PartitionSize + 50
+	for _, col := range []int{1, 2} {
+		data, err := walkBlock(rows, 41).Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewReader(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := r.colOff[col] + r.colLen[col] - 1
+		if data[last] != 0 {
+			t.Fatalf("col %d: byte %d is %q, not the last value's terminator", col, last, data[last])
+		}
+		data[last] = 'x'
+		for _, batch := range []int{PartitionSize, 100, rows} {
+			for _, flip := range []bool{false, true} {
+				r, err := NewReader(data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c, err := r.NewColumnCursor(col, 0, rows)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.long = c.long != flip
+				vec := schema.NewVector(schema.String)
+				for {
+					left := c.Remaining()
+					want := min(batch, left)
+					n, err := c.Next(want, vec)
+					if err == nil {
+						if n != want || c.Remaining() == 0 {
+							t.Fatalf("col %d batch %d long=%v: delivered %d of %d rows with %d left and no error", col, batch, c.long, n, want, c.Remaining())
+						}
+						continue
+					}
+					if !strings.Contains(err.Error(), fmt.Sprintf("unterminated string value in column %d", col)) {
+						t.Fatalf("col %d batch %d long=%v: %v", col, batch, c.long, err)
+					}
+					if n != 0 || vec.Len() != 0 || vec.Packed() || want != left {
+						t.Fatalf("col %d batch %d long=%v: failed a batch of %d with %d rows left, %d values delivered, %d in the vector",
+							col, batch, c.long, want, left, n, vec.Len())
+					}
+					break
 				}
 			}
 		}

@@ -3,9 +3,13 @@ package pax
 import (
 	"bytes"
 	"encoding/binary"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/fuzzcheck"
+	"repro/internal/mapred"
+	"repro/internal/query"
 	"repro/internal/schema"
 )
 
@@ -30,13 +34,20 @@ func fuzzSeedBlock(f *testing.F, rows int) []byte {
 // whole batches and then selected rows, then the bad-record section —
 // yields values or an error, never a panic, and allocates in proportion to
 // the input. Every string value is looked at, so a span outside the
-// vector's Bytes is a failure here and not in a map function.
+// vector's Bytes is a failure here and not in a map function; and every
+// string batch Next packs is held to the same values walked one by one
+// (packedMatchesWalk).
 func FuzzNewReader(f *testing.F) {
 	f.Add(fuzzSeedBlock(f, 2*PartitionSize+17))
 	small := fuzzSeedBlock(f, 10)
 	f.Add(small)
 	f.Add(small[:len(small)/2])
 	f.Add([]byte(blockMagic))
+	walk, err := walkBlock(200, 5).Marshal()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(walk)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzcheck.BoundedAlloc(t, len(data), func() {
 			r, err := NewReader(data)
@@ -48,13 +59,23 @@ func FuzzNewReader(f *testing.F) {
 					_ = vec.StrAt(i)
 				}
 			}
+			rng := rand.New(rand.NewSource(int64(len(data))))
 			sel := []int32{0, 1, 5, PartitionSize - 1}
 			for col := 0; col < r.Schema().NumFields(); col++ {
-				vec := schema.NewVector(r.Schema().Field(col).Type)
+				typ := r.Schema().Field(col).Type
+				vec, ref := schema.NewVector(typ), schema.NewVector(typ)
 				if c, err := r.NewColumnCursor(col, 0, r.NumRows()); err == nil {
+					w, _ := r.NewColumnCursor(col, 0, r.NumRows())
 					for {
-						if n, err := c.Next(PartitionSize, vec); err != nil || n == 0 {
+						n, err := c.Next(PartitionSize, vec)
+						if err != nil || n == 0 {
 							break
+						}
+						if typ == schema.String {
+							if _, err := w.NextSelected(n, query.MakeSelection(nil, n), ref); err != nil {
+								t.Fatalf("Next delivered %d values that a walk fails on: %v", n, err)
+							}
+							packedMatchesWalk(t, vec, ref, rng)
 						}
 						touch(vec)
 					}
@@ -81,6 +102,53 @@ func FuzzNewReader(f *testing.F) {
 			}
 		})
 	})
+}
+
+// packedMatchesWalk holds vec, a string batch as Next packs it, to ref, the
+// same rows decoded by NextSelected with every row selected, which walks
+// each terminator and fills the span directory as it goes: Batch.Lines
+// under the identity selection (read first, while vec is still packed, so
+// it takes the running-offset path), Len, Lines under a random selection
+// (which builds vec's directory), every StrAt, and Gather over that
+// selection.
+func packedMatchesWalk(t *testing.T, vec, ref *schema.Vector, rng *rand.Rand) {
+	t.Helper()
+	n := ref.Len()
+	if !vec.Packed() || vec.Len() != n {
+		t.Fatalf("Next delivered %d values (packed %v), the walk %d", vec.Len(), vec.Packed(), n)
+	}
+	var some []int32
+	for i := 0; i < n; i++ {
+		if rng.Intn(3) == 0 {
+			some = append(some, int32(i))
+		}
+	}
+	lines := func(v *schema.Vector, sel []int32) (string, []int32) {
+		b := mapred.Batch{Cols: []*schema.Vector{v, v}, Sel: sel}
+		return b.Lines(',')
+	}
+	for _, sel := range [][]int32{query.MakeSelection(nil, n), some} {
+		got, gotEnds := lines(vec, sel)
+		want, wantEnds := lines(ref, sel)
+		if got != want || !slices.Equal(gotEnds, wantEnds) {
+			t.Fatalf("Lines over %d of %d rows: %q %v, the walk %q %v", len(sel), n, got, gotEnds, want, wantEnds)
+		}
+	}
+	for i := 0; i < n; i++ {
+		if !bytes.Equal(vec.StrAt(i), ref.StrAt(i)) {
+			t.Fatalf("value %d of %d: %q, the walk %q", i, n, vec.StrAt(i), ref.StrAt(i))
+		}
+	}
+	vec.Gather(some)
+	ref.Gather(some)
+	if vec.Len() != ref.Len() {
+		t.Fatalf("Gather of %d values left %d, the walk %d", len(some), vec.Len(), ref.Len())
+	}
+	for i := 0; i < vec.Len(); i++ {
+		if !bytes.Equal(vec.StrAt(i), ref.StrAt(i)) {
+			t.Fatalf("gathered value %d: %q, the walk %q", i, vec.StrAt(i), ref.StrAt(i))
+		}
+	}
 }
 
 // withGarbageAfterLastString returns the marshalled block data with junk

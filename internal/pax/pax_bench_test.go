@@ -112,11 +112,14 @@ func BenchmarkReadStringColumnRange(b *testing.B) {
 	}
 }
 
-// BenchmarkTerminatorWalk is the evidence behind longTerm and skipChunk: a
-// cursor decoding 1,024 string values of one length, its terminators found
-// by the byte loop and by bytes.IndexByte, and the same cursor skipping
-// them (Next with a nil vector, counted a chunk at a time). One op is the
-// whole 1,024 values.
+// BenchmarkTerminatorWalk is the evidence behind schema's longTerm and
+// skipChunk, over 1,024 string values of one length. walk builds a packed
+// vector's span directory, its terminators found by schema.Terminator's
+// byte loop and by its bytes.IndexByte — the walk that every random
+// access to a packed batch, and Batch.Lines, pays. count is the cursor's
+// Next on that range: it packs the batch after counting its terminators a
+// chunk at a time, walking only the last chunk. One op is the whole 1,024
+// values.
 func BenchmarkTerminatorWalk(b *testing.B) {
 	for _, size := range []int{3, 8, 12, 24, 45} {
 		raw := bytes.Repeat(append(bytes.Repeat([]byte{'v'}, size), 0), PartitionSize)
@@ -125,23 +128,19 @@ func BenchmarkTerminatorWalk(b *testing.B) {
 			if long {
 				walk = "IndexByte"
 			}
-			b.Run(fmt.Sprintf("%dB/%s", size, walk), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%dB/walk-%s", size, walk), func(b *testing.B) {
 				vec := schema.NewVector(schema.String)
 				for i := 0; i < b.N; i++ {
-					c := ColumnCursor{typ: schema.String, raw: raw, remaining: PartitionSize, long: long}
-					if _, err := c.Next(PartitionSize, vec); err != nil {
-						b.Fatal(err)
-					}
+					vec.Pack(raw, PartitionSize, long)
+					_ = vec.StrAt(0)
 				}
 			})
 		}
-		if size != 3 && size != 12 && size != 45 {
-			continue
-		}
-		b.Run(fmt.Sprintf("%dB/skip", size), func(b *testing.B) {
+		b.Run(fmt.Sprintf("%dB/count", size), func(b *testing.B) {
+			vec := schema.NewVector(schema.String)
 			for i := 0; i < b.N; i++ {
-				c := ColumnCursor{typ: schema.String, raw: raw, remaining: PartitionSize, long: size >= longTerm}
-				if _, err := c.Next(PartitionSize, nil); err != nil {
+				c := ColumnCursor{typ: schema.String, raw: raw, remaining: PartitionSize, long: schema.LongValues(len(raw), PartitionSize)}
+				if _, err := c.Next(PartitionSize, vec); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -325,7 +325,7 @@ func (r *Reader) readStringRange(col, fromRow, toRow int) ([]schema.Value, error
 	row := pFrom * PartitionSize
 	pos := 0
 	for row < toRow {
-		z := indexByteFrom(raw, pos, 0)
+		z := schema.Terminator(raw, pos, false)
 		if z < 0 {
 			return nil, fmt.Errorf("pax: unterminated string value in column %d", col)
 		}
@@ -390,12 +390,3 @@ func (r *Reader) ReadAllBad() ([]string, error) {
 
 // ColumnSize returns the serialized size of attribute col.
 func (r *Reader) ColumnSize(col int) int { return r.colLen[col] }
-
-func indexByteFrom(b []byte, from int, c byte) int {
-	for i := from; i < len(b); i++ {
-		if b[i] == c {
-			return i
-		}
-	}
-	return -1
-}
