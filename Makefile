@@ -40,12 +40,17 @@ profile-upload:
 
 # The same for the ledger's two scan ops as users run them, passthrough map
 # in both forms (BenchmarkWideScanPassthrough, BenchmarkIndexScanPassthrough;
-# 200k lines, Bob's layout): go tool pprof -top core.test wide-scan.cpu.pprof
+# 200k lines, Bob's layout): go tool pprof -top core.test wide-scan.cpu.pprof.
+# BenchmarkIndexScanOpen is the index scan's fixed per-block path alone
+# (windows below the data: every block opened, no row read), into
+# index-open.*.pprof.
 profile-scan:
 	$(GO) test -run '^$$' -bench '^BenchmarkWideScanPassthrough$$' -benchtime 30x -o core.test \
 		-cpuprofile wide-scan.cpu.pprof -memprofile wide-scan.mem.pprof ./internal/core
 	$(GO) test -run '^$$' -bench '^BenchmarkIndexScanPassthrough$$' -benchtime 2000x -o core.test \
 		-cpuprofile index-scan.cpu.pprof -memprofile index-scan.mem.pprof ./internal/core
+	$(GO) test -run '^$$' -bench '^BenchmarkIndexScanOpen$$' -benchtime 20000x -o core.test \
+		-cpuprofile index-open.cpu.pprof -memprofile index-open.mem.pprof ./internal/core
 
 # bench/ is its own module (the BENCHMARK.json ledger; see bench/README.md),
 # so the targets above never reach it.

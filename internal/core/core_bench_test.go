@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"syscall"
 	"testing"
@@ -235,8 +236,19 @@ func getBobFix(b testing.TB) *hdfs.Cluster {
 }
 
 // benchPassthrough runs one passthrough job per op, cycling through the
-// annotations.
+// annotations; every job must return output.
 func benchPassthrough(b *testing.B, annotations ...string) {
+	benchJobs(b, func(res *mapred.JobResult) error {
+		if len(res.Output) == 0 {
+			return errors.New("no output")
+		}
+		return nil
+	}, annotations...)
+}
+
+// benchJobs runs one passthrough job per op over Bob's 200k-line fixture,
+// cycling through the annotations, and holds every result to check.
+func benchJobs(b *testing.B, check func(*mapred.JobResult) error, annotations ...string) {
 	cluster := getBobFix(b)
 	qs := make([]*query.Query, len(annotations))
 	for i, ann := range annotations {
@@ -255,11 +267,11 @@ func benchPassthrough(b *testing.B, annotations ...string) {
 			Map:      workload.PassthroughMap,
 			MapBatch: workload.PassthroughMapBatch,
 		})
+		if err == nil {
+			err = check(res)
+		}
 		if err != nil {
 			b.Fatal(err)
-		}
-		if len(res.Output) == 0 {
-			b.Fatal("no output")
 		}
 	}
 }
@@ -287,6 +299,25 @@ func BenchmarkIndexScanPassthrough(b *testing.B) {
 		qs = append(qs, fmt.Sprintf(`@HailQuery(filter="@4 between(%d,%d)", projection={@8,@9,@4})`, lo, lo+9))
 	}
 	benchPassthrough(b, append(qs, `@HailQuery(filter="@1 = `+workload.NeedleIP+`", projection={@8,@9,@4})`)...)
+}
+
+// BenchmarkIndexScanOpen is an index scan's fixed cost per block: the
+// three shapes of BenchmarkIndexScanPassthrough with windows below the
+// data, so every block is planned, opened — replica view, frame and PAX
+// headers, the index — and ruled out by its index. No column byte is read
+// and no row formatted; what a job still emits is the bad records, which
+// pass through whatever the access path.
+func BenchmarkIndexScanOpen(b *testing.B) {
+	benchJobs(b, func(res *mapred.JobResult) error {
+		if st := res.TotalStats(); st.Blocks == 0 || st.IndexScans != st.Blocks || st.RowsScanned != 0 {
+			return fmt.Errorf("%d blocks, %d index scans, %d rows scanned; want every block ruled out by its index",
+				st.Blocks, st.IndexScans, st.RowsScanned)
+		}
+		return nil
+	},
+		`@HailQuery(filter="@3 between(1900-01-01,1901-01-01)", projection={@1})`,
+		`@HailQuery(filter="@4 between(-20,-11)", projection={@8,@9,@4})`,
+		`@HailQuery(filter="@1 = 0.0.0.0", projection={@8,@9,@4})`)
 }
 
 // baselineFix holds bobFix's lines for the two baselines, on one 4-node

@@ -45,12 +45,14 @@ type repinned struct {
 func (r repinned) SplitsWithStats(file string) ([]mapred.Split, mapred.TaskStats, error) {
 	splits, st, err := r.InputFormat.SplitsWithStats(file)
 	for i, s := range splits {
-		if _, ok := s.Replica[r.block]; !ok {
+		if _, ok := s.Replica[r.block]; !ok || !slices.Contains(s.Blocks, r.block) {
 			continue
 		}
-		pins := make(map[hdfs.BlockID]hdfs.NodeID, len(s.Replica))
-		for b, n := range s.Replica {
-			pins[b] = n
+		pins := make(map[hdfs.BlockID]hdfs.NodeID, len(s.Blocks))
+		for _, b := range s.Blocks {
+			if n, ok := s.Replica[b]; ok {
+				pins[b] = n
+			}
 		}
 		pins[r.block] = r.node
 		splits[i].Replica = pins
@@ -207,7 +209,7 @@ func TestCorruptionMatrix(t *testing.T) {
 		}
 		colRange[col] = rec.ranges[len(rec.ranges)-1]
 	}
-	if bad, err := reader.ReadAllBad(); err != nil || len(bad) == 0 {
+	if bad, err := reader.ReadAllBad(nil); err != nil || len(bad) == 0 {
 		t.Fatalf("victim block has %d bad records (%v); want some", len(bad), err)
 	}
 	touched := append([][2]int{{0, frameHeader}, {frameHeader + len(paxData), len(ixData)}}, rec.ranges...)
@@ -246,7 +248,7 @@ chunks:
 		}
 		var runOn hdfs.NodeID = -1
 		for _, task := range base.Tasks {
-			if _, ok := task.Split.Replica[b]; ok {
+			if slices.Contains(task.Split.Blocks, b) {
 				runOn = task.Node
 			}
 		}

@@ -77,20 +77,19 @@ func ParseFrame(data []byte) (paxData, indexData []byte, err error) {
 }
 
 // openFrame reads the two headers every reader of a stored replica starts
-// with — the frame header and, through it, the PAX header — and returns
-// the PAX reader over the view and where the index section sits.
-func openFrame(view *hdfs.ReplicaView) (reader *pax.Reader, ixOff, ixLen int, err error) {
+// with — the frame header and, through it, the PAX header — opening reader
+// over the view, and returns where the index section sits.
+func openFrame(view *hdfs.ReplicaView, reader *pax.Reader) (ixOff, ixLen int, err error) {
 	total := view.Len()
 	hdr, err := view.Range(0, min(frameHeader, total))
 	if err != nil {
-		return nil, 0, 0, err
+		return 0, 0, err
 	}
 	paxLen, ixLen, err := parseFrameHeader(hdr, total)
 	if err != nil {
-		return nil, 0, 0, err
+		return 0, 0, err
 	}
-	reader, err = pax.NewReaderAt(view, frameHeader, paxLen)
-	return reader, frameHeader + paxLen, ixLen, err
+	return frameHeader + paxLen, ixLen, reader.OpenAt(view, frameHeader, paxLen)
 }
 
 // FileSchema returns the schema of a HAIL file: every block carries it in
@@ -111,8 +110,8 @@ func FileSchema(cluster *hdfs.Cluster, file string) (*schema.Schema, error) {
 			lastErr = err
 			continue
 		}
-		reader, _, _, err := openFrame(&view)
-		if err == nil {
+		var reader pax.Reader
+		if _, _, err = openFrame(&view, &reader); err == nil {
 			return reader.Schema(), nil
 		}
 		if !errors.Is(err, hdfs.ErrCorruptChunk) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/hdfs"
@@ -62,14 +63,33 @@ type InputFormat struct {
 	CachedReplica func(b hdfs.BlockID) (hdfs.NodeID, bool)
 }
 
-// splitPlanner carries one SplitsWithStats call's state — today just the
-// namenode lookup counter. Every call gets a fresh planner, which is what
-// makes a single InputFormat shareable across concurrent jobs: the split
-// phase itself is pure directory reads, and the one mutable accumulator
-// lives here instead of on the shared struct.
+// splitPlanner carries one SplitsWithStats call's state: the namenode
+// lookup counter and the job's arrays the splits are carved from. Every
+// call gets a fresh planner, which is what makes a single InputFormat
+// shareable across concurrent jobs: the split phase itself is pure
+// directory reads, and what it accumulates lives here instead of on the
+// shared struct.
 type splitPlanner struct {
 	*InputFormat
-	nnOps int64
+	nnOps   int64
+	nblocks int                          // the job's blocks
+	hosts   []hdfs.NodeID                // the splits' Locations, back to back
+	pins    map[hdfs.BlockID]hdfs.NodeID // every split's Replica
+}
+
+// carve returns the hosts appended since from as one split's Locations,
+// cap-clamped so that the next carve's appends never reach it.
+func (f *splitPlanner) carve(from int) []hdfs.NodeID {
+	return f.hosts[from:len(f.hosts):len(f.hosts)]
+}
+
+// pin records block b's preferred replica in the map the job's splits
+// share as their Replica.
+func (f *splitPlanner) pin(b hdfs.BlockID, n hdfs.NodeID) {
+	if f.pins == nil {
+		f.pins = make(map[hdfs.BlockID]hdfs.NodeID, f.nblocks)
+	}
+	f.pins[b] = n
 }
 
 // AdaptiveObserver is the adaptive indexing layer's view of the split
@@ -113,27 +133,30 @@ func (f *splitPlanner) indexColumn(blocks []hdfs.BlockID) int {
 	return f.pickColumn(blocks, false)
 }
 
-// splitIndexedHosts partitions the block's matching-index holders by
-// liveness. The real namenode drops heartbeat-lost datanodes from block
-// locations; Dir_rep entries for dead nodes remain (the node may return),
-// so liveness is applied at lookup time. Both partitions are sorted by
-// node ID: Dir_block keeps registration order, which is deterministic for
-// a static upload but lets the adaptive path's concurrently registered
-// replicas (and any future multi-writer path) leak arrival order into
-// replica pinning — sorting makes Replica[b] = hosts[0] a pure function
-// of the directory's contents.
-func (f *splitPlanner) splitIndexedHosts(b hdfs.BlockID, col int) (alive, dead []hdfs.NodeID) {
+// indexedHosts returns the block's alive matching-index holders, sorted
+// by node ID, carved from the job's host array. The real namenode drops
+// heartbeat-lost datanodes from block locations; Dir_rep entries for dead
+// nodes remain (the node may return), so liveness is applied at lookup
+// time, and dead holders are dropped entirely: a split pinned at (or
+// located on) a dead node is a promise the engine cannot keep, and a
+// block whose matching replicas are all unreachable degrades to a scan
+// split — the same call the adaptive path's partitionByIndex makes.
+// Dir_block keeps registration order, which is deterministic for a static
+// upload but lets the adaptive path's concurrently registered replicas
+// (and any future multi-writer path) leak arrival order into replica
+// pinning — sorting makes Replica[b] = hosts[0] a pure function of the
+// directory's contents.
+func (f *splitPlanner) indexedHosts(b hdfs.BlockID, col int) []hdfs.NodeID {
 	f.nnOps++
+	from := len(f.hosts)
 	for _, h := range f.Cluster.NameNode().GetHostsWithIndex(b, col) {
 		if dn, err := f.Cluster.DataNode(h); err == nil && dn.Alive() {
-			alive = append(alive, h)
-		} else {
-			dead = append(dead, h)
+			f.hosts = append(f.hosts, h)
 		}
 	}
-	sort.Slice(alive, func(i, j int) bool { return alive[i] < alive[j] })
-	sort.Slice(dead, func(i, j int) bool { return dead[i] < dead[j] })
-	return alive, dead
+	alive := f.carve(from)
+	slices.Sort(alive)
+	return alive
 }
 
 // scanHosts resolves a scan block's candidate locations: the replica
@@ -141,30 +164,20 @@ func (f *splitPlanner) splitIndexedHosts(b hdfs.BlockID, col int) (alive, dead [
 // When no holder is alive the full list is returned — the engine then
 // schedules availability-only and the read fails honestly — but a block
 // with any alive replica never hands the engine a dead-only location
-// list (the scan-split counterpart of splitIndexedHosts' liveness rule).
+// list (the scan-split counterpart of indexedHosts' liveness rule).
 func (f *splitPlanner) scanHosts(b hdfs.BlockID) []hdfs.NodeID {
 	f.nnOps++
 	hosts := f.Cluster.NameNode().GetHosts(b)
-	alive := make([]hdfs.NodeID, 0, len(hosts))
+	from := len(f.hosts)
 	for _, h := range hosts {
 		if dn, err := f.Cluster.DataNode(h); err == nil && dn.Alive() {
-			alive = append(alive, h)
+			f.hosts = append(f.hosts, h)
 		}
 	}
-	if len(alive) > 0 {
-		return alive
+	if len(f.hosts) > from {
+		return f.carve(from)
 	}
 	return hosts
-}
-
-// indexedHosts returns the block's alive matching-index holders, sorted
-// by node ID. Dead holders are dropped entirely: a split pinned at (or
-// located on) a dead node is a promise the engine cannot keep, and a
-// block whose matching replicas are all unreachable degrades to a scan
-// split — the same call the adaptive path's partitionByIndex makes.
-func (f *splitPlanner) indexedHosts(b hdfs.BlockID, col int) []hdfs.NodeID {
-	alive, _ := f.splitIndexedHosts(b, col)
-	return alive
 }
 
 // adaptiveTarget picks the filter column the adaptive layer should index
@@ -184,7 +197,7 @@ func (f *splitPlanner) adaptiveTarget(blocks []hdfs.BlockID) int {
 // index on a surviving node.
 func (f *splitPlanner) partitionByIndex(blocks []hdfs.BlockID, col int) (indexed, missing []hdfs.BlockID) {
 	for _, b := range blocks {
-		if alive, _ := f.splitIndexedHosts(b, col); len(alive) > 0 {
+		if len(f.indexedHosts(b, col)) > 0 {
 			indexed = append(indexed, b)
 		} else {
 			missing = append(missing, b)
@@ -211,6 +224,9 @@ func (f *InputFormat) SplitsWithStats(file string) ([]mapred.Split, mapred.TaskS
 	if err != nil {
 		return nil, mapred.TaskStats{}, err
 	}
+	// Room for three holders a block, the default replication; a block's
+	// one-block split carves its Blocks from blocks.
+	p.nblocks, p.hosts = len(blocks), make([]hdfs.NodeID, 0, 3*len(blocks))
 	col := p.indexColumn(blocks)
 	if f.Adaptive != nil {
 		if col < 0 {
@@ -261,9 +277,9 @@ func (f *splitPlanner) scanSplits(blocks []hdfs.BlockID) []mapred.Split {
 		return f.packScanSplits(blocks)
 	}
 	splits := make([]mapred.Split, 0, len(blocks))
-	for _, b := range blocks {
+	for i, b := range blocks {
 		splits = append(splits, mapred.Split{
-			Blocks:    []hdfs.BlockID{b},
+			Blocks:    blocks[i : i+1 : i+1],
 			Locations: f.scanHosts(b),
 		})
 	}
@@ -376,7 +392,7 @@ func (f *splitPlanner) packScanSplits(blocks []hdfs.BlockID) []mapred.Split {
 func (f *splitPlanner) perBlockIndexSplits(blocks []hdfs.BlockID, col int) []mapred.Split {
 	splits := make([]mapred.Split, 0, len(blocks))
 	var packable []hdfs.BlockID
-	for _, b := range blocks {
+	for i, b := range blocks {
 		if _, ok := f.cachedAliveReplica(b); ok {
 			packable = append(packable, b)
 			continue
@@ -390,15 +406,16 @@ func (f *splitPlanner) perBlockIndexSplits(blocks []hdfs.BlockID, col int) []map
 				continue
 			}
 			splits = append(splits, mapred.Split{
-				Blocks:    []hdfs.BlockID{b},
+				Blocks:    blocks[i : i+1 : i+1],
 				Locations: f.scanHosts(b),
 			})
 			continue
 		}
+		f.pin(b, hosts[0])
 		splits = append(splits, mapred.Split{
-			Blocks:    []hdfs.BlockID{b},
+			Blocks:    blocks[i : i+1 : i+1],
 			Locations: hosts,
-			Replica:   map[hdfs.BlockID]hdfs.NodeID{b: hosts[0]},
+			Replica:   f.pins,
 		})
 	}
 	if len(packable) > 0 {
@@ -430,14 +447,12 @@ func (f *splitPlanner) packGroups(groups map[hdfs.NodeID][]hdfs.BlockID) []mapre
 			nSplits = len(bs)
 		}
 		for s := 0; s < nSplits; s++ {
-			split := mapred.Split{
-				Locations: []hdfs.NodeID{n},
-				Replica:   make(map[hdfs.BlockID]hdfs.NodeID),
-			}
+			split := mapred.Split{Locations: []hdfs.NodeID{n}}
 			for i := s; i < len(bs); i += nSplits {
 				split.Blocks = append(split.Blocks, bs[i])
-				split.Replica[bs[i]] = n
+				f.pin(bs[i], n)
 			}
+			split.Replica = f.pins
 			splits = append(splits, split)
 		}
 	}

@@ -124,8 +124,9 @@ func assertRegisteredPins(t *testing.T, cluster *hdfs.Cluster, splits []mapred.S
 	t.Helper()
 	nn := cluster.NameNode()
 	for _, s := range splits {
-		for b, n := range s.Replica {
-			if _, ok := nn.ReplicaInfo(b, n); ok {
+		for _, b := range s.Blocks {
+			n, pinned := s.Replica[b]
+			if _, ok := nn.ReplicaInfo(b, n); !pinned || ok {
 				continue
 			}
 			t.Errorf("block %d pinned to node %d, which the directory does not list as a holder", b, n)

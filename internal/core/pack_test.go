@@ -64,9 +64,11 @@ func assertAliveLocations(t *testing.T, cluster *hdfs.Cluster, splits []mapred.S
 				t.Errorf("split over %v located at dead node %d (locations %v)", s.Blocks, n, s.Locations)
 			}
 		}
-		for b, n := range s.Replica {
-			if dn, err := cluster.DataNode(n); err != nil || !dn.Alive() {
-				t.Errorf("block %d pinned to dead node %d", b, n)
+		for _, b := range s.Blocks {
+			if n, ok := s.Replica[b]; ok {
+				if dn, err := cluster.DataNode(n); err != nil || !dn.Alive() {
+					t.Errorf("block %d pinned to dead node %d", b, n)
+				}
 			}
 		}
 	}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/hdfs"
 	"repro/internal/mapred"
+	"repro/internal/pax"
 	"repro/internal/qcache"
 	"repro/internal/query"
 	"repro/internal/workload"
@@ -75,9 +76,11 @@ func twoSchemaJobs(t *testing.T) (*hdfs.Cluster, []poolJob) {
 // another and then all at once, at Parallelism 1 and 4; every job's output
 // must be byte-identical to the same job run alone from an empty pool.
 // Under -race this is also the proof that no reader is shared between two
-// tasks.
+// tasks. Then one reader serves block after block of unlike shapes
+// (oneReaderAcrossShapes).
 func TestPooledReadersKeepJobsApart(t *testing.T) {
 	cluster, jobs := twoSchemaJobs(t)
+	t.Run("one reader across shapes", func(t *testing.T) { oneReaderAcrossShapes(t, cluster) })
 	alone := make([][]mapred.KV, len(jobs))
 	for i, j := range jobs {
 		drainReaders()
@@ -116,6 +119,134 @@ func TestPooledReadersKeepJobsApart(t *testing.T) {
 			}()
 		}
 		wg.Wait()
+	}
+}
+
+// oneReaderAcrossShapes hands one pooled reader, alone in the pool, block
+// after block whose shapes differ from the block before: UserVisits' nine
+// columns and Synthetic's nineteen, index scans and full scans, blocks
+// with bad records and blocks without. Everything a reader re-opens in
+// place — the PAX reader's directory, the cursors, the index, the lay-out,
+// the bad records — meets a block unlike the last. Each block's answer,
+// stats included, must equal a fresh reader's, and the reader must hold no
+// bad record and no open cursor once it is back in the pool.
+func oneReaderAcrossShapes(t *testing.T, cluster *hdfs.Cluster) {
+	if raceBuild() {
+		t.Skip("the race runtime drops pooled readers at random")
+	}
+	nn := cluster.NameNode()
+	uv, err := nn.FileBlocks("/uv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	syn, err := nn.FileBlocks("/syn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	numBad := func(b hdfs.BlockID) int {
+		data, _, err := cluster.ReadBlockAny(b, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paxData, _, err := ParseFrame(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := pax.NewReader(paxData)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.NumBad()
+	}
+	dirty, clean := hdfs.BlockID(-1), hdfs.BlockID(-1)
+	for _, b := range uv {
+		if numBad(b) > 0 && dirty < 0 {
+			dirty = b
+		} else if numBad(b) == 0 && clean < 0 {
+			clean = b
+		}
+	}
+	if dirty < 0 || clean < 0 || numBad(syn[1]) != 0 {
+		t.Fatalf("want /uv blocks with and without bad records and a clean /syn block; have %d, %d", dirty, clean)
+	}
+	bob, synQ := workload.BobQueries(), workload.SynQueries()
+	wide, err := query.ParseAnnotation(workload.UserVisitsSchema(), `@HailQuery(filter="@9 between(1,500)")`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ips, err := query.ParseAnnotation(workload.UserVisitsSchema(), `@HailQuery(filter="@1 between(100,120)", projection={@8,@1})`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := []struct {
+		file  string
+		q     *query.Query
+		block hdfs.BlockID
+		index bool
+	}{
+		{"/uv", bob[0].Query, dirty, true},    // nine columns, an index scan, bad records
+		{"/syn", nil, syn[1], false},          // nineteen columns, a full scan, none
+		{"/uv", wide, dirty, false},           // nine, full, bad records
+		{"/uv", ips, clean, true},             // a string index, no bad records
+		{"/syn", synQ[1].Query, syn[1], true}, // an int index on nineteen columns
+		{"/uv", nil, dirty, false},            // every column, full, bad records
+		{"/uv", bob[3].Query, clean, true},    // a float index, none
+	}
+	held := new(recordReader)
+	for i, st := range steps {
+		in := &InputFormat{Cluster: cluster, Query: st.q}
+		splits, _, err := in.SplitsWithStats(st.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var split mapred.Split
+		for _, s := range splits {
+			if slices.Contains(s.Blocks, st.block) {
+				split = s
+				split.Blocks = []hdfs.BlockID{st.block}
+			}
+		}
+		read := func(want *recordReader) ([]string, mapred.TaskStats) {
+			drainReaders()
+			if want != nil {
+				readers.Put(want)
+			}
+			rr, err := in.Open(split, split.Locations[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r := rr.(*recordReader); (r == held) != (want != nil) {
+				t.Fatalf("step %d: the pool handed out another reader", i)
+			}
+			var out []string
+			stats, err := rr.ReadBatches(func(b *mapred.Batch) {
+				workload.PassthroughMapBatch(b, func(k, _ string) { out = append(out, k) })
+			})
+			if err != nil {
+				t.Fatalf("step %d: %v", i, err)
+			}
+			return out, stats
+		}
+		fresh, freshStats := read(nil)
+		got, gotStats := read(held)
+		if !slices.Equal(got, fresh) || gotStats != freshStats {
+			t.Errorf("step %d (%s block %d, %v): the reused reader returns %d records, %+v; a fresh one %d, %+v",
+				i, st.file, st.block, st.q, len(got), gotStats, len(fresh), freshStats)
+		}
+		if len(fresh) == 0 || (freshStats.IndexScans == 1) != st.index {
+			t.Fatalf("step %d: %d records, %d index scans; the step wants some and index scan %v", i, len(fresh), freshStats.IndexScans, st.index)
+		}
+		bs := &held.scan
+		for _, b := range bs.bad[:cap(bs.bad)] {
+			if b != "" {
+				t.Fatalf("step %d: the pooled reader holds bad record %q", i, b)
+			}
+		}
+		for col := range bs.cursors {
+			if bs.cursors[col].Remaining() != 0 {
+				t.Fatalf("step %d: the pooled reader's cursor on column %d has %d rows left", i, col, bs.cursors[col].Remaining())
+			}
+		}
 	}
 }
 
@@ -268,13 +399,15 @@ func TestPooledReaderRetainsNoClusterOrReplica(t *testing.T) {
 // index scan: a warm Bob-Q1 job over the ledger's 200k-line fixture
 // allocates at most indexScanAllocsPerBlock objects per block it reads,
 // job overhead included. A pooled reader brings its lay-out, vectors and
-// batch scratch, and every block of the file shares one decoded schema, so
-// what is left per block is its own: the PAX reader, the index, a cursor
-// per column, the bad records and the batches' text (≈22; the block's
-// output buffer is pooled too). A reader built per Open, a schema parsed
-// per header, measured ≈60. The race runtime drops pooled readers at
-// random, so the gate does not run there; it needs the full fixture, so
-// not under -short either.
+// batch scratch, and re-opens its PAX reader, cursors and index in place;
+// every block of the file shares one decoded schema, and the splits are
+// carved from the job's arrays. What is left per block is its own: the
+// batches' text, one bad-record string, the namenode's host list, and the
+// job's share (≈5.4). Building the PAX reader, the cursors and the index
+// per block and a pin map per split measured ≈21; a reader built per
+// Open, a schema parsed per header, ≈60. The race runtime drops pooled
+// readers at random, so the gate does not run there; it needs the full
+// fixture, so not under -short either.
 func TestIndexScanAllocatesPerBlockNotPerOpen(t *testing.T) {
 	if raceBuild() {
 		t.Skip("the race runtime drops pooled readers at random")
@@ -282,7 +415,7 @@ func TestIndexScanAllocatesPerBlockNotPerOpen(t *testing.T) {
 	if testing.Short() {
 		t.Skip("needs the 200k-line fixture")
 	}
-	const indexScanAllocsPerBlock = 30
+	const indexScanAllocsPerBlock = 8
 	cluster := getBobFix(t)
 	q := workload.BobQueries()[0].Query
 	var blocks int

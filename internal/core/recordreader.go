@@ -92,15 +92,18 @@ func (r *recordReader) ReadBatches(fn func(*mapred.Batch)) (mapred.TaskStats, er
 var readers sync.Pool
 
 // release drops every reference the reader holds into the job and the
-// replica it served — cluster, split, view, PAX reader, cursors, the
-// vectors' and the batch's views of column bytes, bad records — and puts
-// it in the pool. What it keeps is scratch: the lay-out with the schema
-// and query it was built for, the vectors' own arrays and the batch's
-// buffers.
+// replica it served — cluster, split, view, the PAX reader's source, the
+// cursors' ranges, the vectors' and the batch's views of column bytes, bad
+// records — and puts it in the pool. What it keeps is scratch: the PAX
+// reader's directory arrays, the cursors, the index's key array (its
+// string keys are its own copy), the lay-out with the schema and query it
+// was built for, the vectors' own arrays and the batch's buffers.
 func (r *recordReader) release() {
 	bs := &r.scan
-	bs.reader, bs.bad = nil, nil
+	bs.reader.Close()
 	clear(bs.cursors)
+	clear(bs.bad[:cap(bs.bad)])
+	bs.bad = bs.bad[:0]
 	for _, v := range bs.vecs {
 		if v != nil {
 			v.Reset()
@@ -111,63 +114,85 @@ func (r *recordReader) release() {
 	readers.Put(r)
 }
 
-// blockScan is one block opened for scanning: the parsed PAX reader, the
+// blockScan is one block opened for scanning: the PAX reader, the
 // index-resolved candidate row range with the conjunct that resolved it,
 // and — once fetch has run — every byte the scan will decode. A reader
 // has one, valid until it opens the next block (or the next replica of
-// this one).
+// this one). The PAX reader, the index and the cursors are values opened
+// in place, so a block opens without allocating.
 //
 // The column lay-out below the line is scratch that outlives the block and
 // the Open: it is built for a (schema, query) pair and kept while the next
 // blocks bring the same pair, as the blocks of a file scanned by one job
 // do — and since the reader is pooled, the next job's blocks too when it
-// asks the same query. The vectors keep their capacity, and nothing but
-// the cursors is set up again per block.
+// asks the same query. A new pair is laid out in the old one's arrays, the
+// vectors keep their capacity, and nothing but the cursors is set up again
+// per block.
 type blockScan struct {
-	reader         *pax.Reader
+	reader         pax.Reader
+	ix             index.Index // decoded when the scan uses the block's index
 	fromRow, toRow int
 	key            int // the conjunct of q the index resolved, or -1 for a full scan
 	bad            []string
 
-	q                *query.Query        // the query the lay-out is for
-	sch              *schema.Schema      // the schema the lay-out is for
-	proj             []int               // the projection, resolved against sch
-	cols, filterCols []int               // filter ∪ projection, and the filter columns; ascending
-	isFilter         []bool              // by column
-	vecs             []*schema.Vector    // by column; nil where the scan does not look
-	projVecs         []*schema.Vector    // vecs in projection order: a batch's Cols
-	cursors          []*pax.ColumnCursor // by column; over [fromRow, toRow) once fetch has run
+	q                *query.Query       // the query the lay-out is for
+	sch              *schema.Schema     // the schema the lay-out is for
+	proj             []int              // the projection, resolved against sch
+	all              []int              // proj when q has none: every column of sch
+	cols, filterCols []int              // filter ∪ projection, and the filter columns; ascending
+	isFilter         []bool             // by column
+	vecs             []*schema.Vector   // by column; nil where the scan does not look
+	spare            []*schema.Vector   // layOut's scratch: the vectors of the lay-out before
+	projVecs         []*schema.Vector   // vecs in projection order: a batch's Cols
+	cursors          []pax.ColumnCursor // by column; over [fromRow, toRow) once fetch has run
 }
 
 // layOut resolves query q's columns against a block's schema, unless the
-// lay-out already is for that pair. A failed lay-out leaves the one before
-// it in place.
+// lay-out already is for that pair. A failed lay-out leaves none: the next
+// block lays out afresh.
 func (bs *blockScan) layOut(sch *schema.Schema, q *query.Query) error {
 	if bs.q == q && bs.sch.Equal(sch) {
 		return nil
 	}
 	n := sch.NumFields()
-	proj := q.ProjectionOrAll(sch)
-	cols, filterCols := neededColumns(q, proj)
+	proj := q.Projection
+	if len(proj) == 0 {
+		bs.all = bs.all[:0]
+		for c := range n {
+			bs.all = append(bs.all, c)
+		}
+		proj = bs.all
+	}
+	cols, filterCols := neededColumns(q, proj, bs.cols[:0], bs.filterCols[:0])
+	bs.q, bs.sch, bs.proj, bs.cols, bs.filterCols = q, sch, proj, cols, filterCols
 	if len(cols) > 0 && (cols[0] < 0 || cols[len(cols)-1] >= n) {
+		bs.q = nil
 		return fmt.Errorf("hail: query %s names a column outside the block's %d", q, n)
 	}
-	bs.q, bs.sch, bs.proj, bs.cols, bs.filterCols = q, sch, proj, cols, filterCols
-	bs.isFilter = make([]bool, n)
+	bs.isFilter = reuse(bs.isFilter, n)
 	for _, c := range filterCols {
 		bs.isFilter[c] = true
 	}
-	old := bs.vecs
-	bs.vecs = make([]*schema.Vector, n)
+	bs.spare = append(bs.spare[:0], bs.vecs...)
+	bs.vecs = reuse(bs.vecs, n)
 	for _, c := range cols {
-		bs.vecs[c] = takeVector(old, sch.Field(c).Type)
+		bs.vecs[c] = takeVector(bs.spare, sch.Field(c).Type)
 	}
-	bs.projVecs = make([]*schema.Vector, len(proj))
-	for j, c := range proj {
-		bs.projVecs[j] = bs.vecs[c]
+	clear(bs.spare)
+	bs.projVecs = bs.projVecs[:0]
+	for _, c := range proj {
+		bs.projVecs = append(bs.projVecs, bs.vecs[c])
 	}
-	bs.cursors = make([]*pax.ColumnCursor, n)
+	bs.cursors = reuse(bs.cursors, n)
 	return nil
+}
+
+// reuse returns s resized to n zero values, in its own array when that has
+// room.
+func reuse[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }
 
 // takeVector takes a vector of type t out of vecs, so that a new lay-out
@@ -256,7 +281,9 @@ func (r *recordReader) openView(b hdfs.BlockID, servedBy hdfs.NodeID, stats *map
 	}
 	stats.Blocks++
 
-	reader, ixOff, ixLen, err := openFrame(&r.view)
+	bs := &r.scan
+	reader := &bs.reader
+	ixOff, ixLen, err := openFrame(&r.view, reader)
 	if err != nil {
 		return nil, err
 	}
@@ -264,8 +291,7 @@ func (r *recordReader) openView(b hdfs.BlockID, servedBy hdfs.NodeID, stats *map
 	if q == nil {
 		q = selectAll
 	}
-	bs := &r.scan
-	bs.reader, bs.fromRow, bs.toRow, bs.key, bs.bad = reader, 0, reader.NumRows(), -1, nil
+	bs.fromRow, bs.toRow, bs.key = 0, reader.NumRows(), -1
 	if err := bs.layOut(reader.Schema(), q); err != nil {
 		return nil, err
 	}
@@ -281,13 +307,12 @@ func (r *recordReader) openView(b hdfs.BlockID, servedBy hdfs.NodeID, stats *map
 			if err != nil {
 				return nil, err
 			}
-			ix, err := index.Unmarshal(ixData)
-			if err != nil {
+			if err := bs.ix.UnmarshalBinary(ixData); err != nil {
 				return nil, fmt.Errorf("hail: block %d index: %v", b, err)
 			}
 			stats.IndexBytesRead += int64(ixLen)
 			stats.Seeks++
-			f, t, ok := ix.PartitionRange(p.Lo, p.Hi)
+			f, t, ok := bs.ix.PartitionRange(p.Lo, p.Hi)
 			bs.key = i
 			if !ok {
 				bs.fromRow, bs.toRow = 0, 0
@@ -313,30 +338,26 @@ func (r *recordReader) openView(b hdfs.BlockID, servedBy hdfs.NodeID, stats *map
 // contiguous range per column, which is where the column bytes are read —
 // and then the bad-record section. After it returns the scan only decodes
 // bytes it already holds.
-func (bs *blockScan) fetch(stats *mapred.TaskStats) error {
+func (bs *blockScan) fetch(stats *mapred.TaskStats) (err error) {
 	if bs.toRow > bs.fromRow {
 		for _, col := range bs.cols {
-			cur, err := bs.reader.NewColumnCursor(col, bs.fromRow, bs.toRow)
-			if err != nil {
+			if err := bs.cursors[col].Open(&bs.reader, col, bs.fromRow, bs.toRow); err != nil {
 				return err
 			}
-			bs.cursors[col] = cur
 		}
 	}
-	bad, err := bs.reader.ReadAllBad()
-	if err != nil {
+	if bs.bad, err = bs.reader.ReadAllBad(bs.bad); err != nil {
 		return err
 	}
-	bs.bad = bad
 	io := bs.reader.Stats()
 	stats.BytesRead, stats.Seeks = stats.BytesRead+io.BytesRead, stats.Seeks+io.Seeks
 	return nil
 }
 
-// neededColumns returns the distinct columns the scan must touch
-// (filter ∪ projection) in ascending order — the read order — plus the
-// distinct filter columns, also ascending.
-func neededColumns(q *query.Query, proj []int) (cols, filterCols []int) {
+// neededColumns appends to cols the distinct columns the scan must touch
+// (filter ∪ projection) in ascending order — the read order — and to
+// filterCols the distinct filter columns, also ascending.
+func neededColumns(q *query.Query, proj, cols, filterCols []int) ([]int, []int) {
 	for _, p := range q.Filter {
 		filterCols = append(filterCols, p.Column)
 	}

@@ -68,7 +68,7 @@ func (o *rowOracleReader) readBlockRows(b hdfs.BlockID, fn func(*mapred.Batch), 
 			return err
 		}
 	}
-	bad, err := bs.reader.ReadAllBad()
+	bad, err := bs.reader.ReadAllBad(nil)
 	if err != nil {
 		return err
 	}
@@ -87,7 +87,7 @@ func (o *rowOracleReader) readBlockRows(b hdfs.BlockID, fn func(*mapred.Batch), 
 // values to vectors: one batch for the range, every row selected.
 func emitRange(bs *blockScan, fn func(*mapred.Batch), stats *mapred.TaskStats) error {
 	q, proj := bs.q, bs.proj
-	cols, _ := neededColumns(q, proj)
+	cols, _ := neededColumns(q, proj, nil, nil)
 	needed := make(map[int][]schema.Value, len(cols))
 	for _, col := range cols {
 		vals, err := bs.reader.ReadColumnRange(col, bs.fromRow, bs.toRow)

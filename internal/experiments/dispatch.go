@@ -275,8 +275,8 @@ func (r *Runner) ExpDispatch(w Workload) (*DispatchReport, error) {
 	}
 	victimBlocks := 0
 	for _, s := range splits {
-		for _, n := range s.Replica {
-			if n == victim {
+		for _, b := range s.Blocks {
+			if n, ok := s.Replica[b]; ok && n == victim {
 				victimBlocks++
 			}
 		}

@@ -150,7 +150,11 @@ func TestSynQueriesUseOnlyOneIndex(t *testing.T) {
 			t.Errorf("%s: %d index scans, want %d", bq.Name, st.IndexScans, f.scale.RealBlocks)
 		}
 		for _, task := range res.Tasks {
-			for b, node := range task.Split.Replica {
+			for _, b := range task.Split.Blocks {
+				node, pinned := task.Split.Replica[b]
+				if !pinned {
+					t.Fatalf("%s: block %d of an index-scan split is not pinned", bq.Name, b)
+				}
 				info, ok := f.cluster.NameNode().ReplicaInfo(b, node)
 				if !ok || info.SortColumn != 0 {
 					t.Fatalf("%s: block %d scheduled to replica indexed on %d, want attr1",

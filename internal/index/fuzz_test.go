@@ -3,6 +3,7 @@ package index
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/fuzzcheck"
@@ -42,7 +43,10 @@ func fuzzSeedIndex(f *testing.F, col, rows int) []byte {
 
 // FuzzIndexUnmarshal: whatever the bytes, decoding an index yields one
 // whose lookup from its first key to its last covers the whole block, or
-// an error, never a panic, and allocates in proportion to the input.
+// an error, never a panic, and allocates in proportion to the input. A
+// decode in place is a fresh decode: the same bytes decoded into an Index
+// that last held another index — of another key type, with more keys —
+// give the same index, or the same error.
 func FuzzIndexUnmarshal(f *testing.F) {
 	for col := 0; col < 3; col++ {
 		f.Add(fuzzSeedIndex(f, col, 3*pax.PartitionSize+5))
@@ -55,10 +59,14 @@ func FuzzIndexUnmarshal(f *testing.F) {
 	binary.LittleEndian.PutUint64(nan[19+8:], math.Float64bits(math.NaN()))
 	f.Add(nan)
 	f.Add([]byte(indexMagic))
+	// What the reused Index held before: string keys before any other
+	// input, int keys before string keys; more keys than every seed.
+	priorStr, priorInt := fuzzSeedIndex(f, 2, 9*pax.PartitionSize), fuzzSeedIndex(f, 0, 9*pax.PartitionSize)
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var ix *Index
+		var err error
 		fuzzcheck.BoundedAlloc(t, len(data), func() {
-			ix, err := Unmarshal(data)
-			if err != nil {
+			if ix, err = Unmarshal(data); err != nil {
 				return
 			}
 			if ix.NumPartitions() > 0 {
@@ -68,5 +76,25 @@ func FuzzIndexUnmarshal(f *testing.F) {
 				}
 			}
 		})
+		prior := priorStr
+		if ix != nil && ix.KeyType() == schema.String {
+			prior = priorInt
+		}
+		var re Index
+		if err := re.UnmarshalBinary(prior); err != nil {
+			t.Fatal(err)
+		}
+		reErr := re.UnmarshalBinary(data)
+		switch {
+		case (err == nil) != (reErr == nil):
+			t.Fatalf("fresh decode: %v; in place: %v", err, reErr)
+		case err != nil:
+			if err.Error() != reErr.Error() {
+				t.Fatalf("fresh decode fails with %q, in place with %q", err, reErr)
+			}
+		case re.column != ix.column || re.keyType != ix.keyType || re.numRows != ix.numRows || !slices.Equal(re.keys, ix.keys):
+			t.Fatalf("in place decoded column %d, %s keys, %d rows, keys %v; fresh %d, %s, %d, %v",
+				re.column, re.keyType, re.numRows, re.keys, ix.column, ix.keyType, ix.numRows, ix.keys)
+		}
 	})
 }

@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/pax"
@@ -165,18 +166,30 @@ func (ix *Index) Marshal() ([]byte, error) {
 
 // Unmarshal decodes a serialized index.
 func Unmarshal(data []byte) (*Index, error) {
+	ix := new(Index)
+	if err := ix.UnmarshalBinary(data); err != nil {
+		return nil, err
+	}
+	return ix, nil
+}
+
+// UnmarshalBinary decodes a serialized index into ix, in place of what ix
+// held: the key array is reused, so an Index kept across blocks decodes
+// the next block's index without allocating — string keys excepted, which
+// are one copy of their bytes, sliced. ix keeps no reference to data.
+// After a failed decode, ix must be decoded again before it is used.
+func (ix *Index) UnmarshalBinary(data []byte) error {
 	if len(data) < 4+2+4+1+4+4 {
-		return nil, fmt.Errorf("index: too short (%d bytes)", len(data))
+		return fmt.Errorf("index: too short (%d bytes)", len(data))
 	}
 	if string(data[:4]) != indexMagic {
-		return nil, fmt.Errorf("index: bad magic %q", data[:4])
+		return fmt.Errorf("index: bad magic %q", data[:4])
 	}
 	p := 4
 	if v := binary.LittleEndian.Uint16(data[p:]); v != indexVersion {
-		return nil, fmt.Errorf("index: unsupported version %d", v)
+		return fmt.Errorf("index: unsupported version %d", v)
 	}
 	p += 2
-	ix := &Index{}
 	ix.column = int(int32(binary.LittleEndian.Uint32(data[p:])))
 	p += 4
 	ix.keyType = schema.Type(data[p])
@@ -189,65 +202,70 @@ func Unmarshal(data []byte) (*Index, error) {
 	// count the remaining bytes cannot hold is corrupt — and must not be
 	// trusted as an allocation size.
 	if nKeys > (len(data)-p)/2 {
-		return nil, fmt.Errorf("index: %d keys cannot fit %d bytes", nKeys, len(data)-p)
+		return fmt.Errorf("index: %d keys cannot fit %d bytes", nKeys, len(data)-p)
 	}
-	ix.keys = make([]schema.Value, 0, nKeys)
+	ix.keys = slices.Grow(ix.keys[:0], nKeys)
+	var text string // a string key's bytes: data from p on, copied once
+	if ix.keyType == schema.String && nKeys > 0 {
+		text = string(data[p:])
+	}
+	base := p
 	for i := 0; i < nKeys; i++ {
 		switch ix.keyType {
 		case schema.Int32:
 			if p+4 > len(data) {
-				return nil, fmt.Errorf("index: truncated keys")
+				return fmt.Errorf("index: truncated keys")
 			}
 			ix.keys = append(ix.keys, schema.IntVal(int32(binary.LittleEndian.Uint32(data[p:]))))
 			p += 4
 		case schema.Date:
 			if p+4 > len(data) {
-				return nil, fmt.Errorf("index: truncated keys")
+				return fmt.Errorf("index: truncated keys")
 			}
 			ix.keys = append(ix.keys, schema.DateVal(int32(binary.LittleEndian.Uint32(data[p:]))))
 			p += 4
 		case schema.Int64:
 			if p+8 > len(data) {
-				return nil, fmt.Errorf("index: truncated keys")
+				return fmt.Errorf("index: truncated keys")
 			}
 			ix.keys = append(ix.keys, schema.LongVal(int64(binary.LittleEndian.Uint64(data[p:]))))
 			p += 8
 		case schema.Float64:
 			if p+8 > len(data) {
-				return nil, fmt.Errorf("index: truncated keys")
+				return fmt.Errorf("index: truncated keys")
 			}
 			k := math.Float64frombits(binary.LittleEndian.Uint64(data[p:]))
 			// Compare reads NaN as equal to everything, so it would pass
 			// the ascending check below and then misdirect the lookups'
 			// binary searches; no parsed row holds one (schema.ParseValue).
 			if math.IsNaN(k) {
-				return nil, fmt.Errorf("index: key %d is NaN", i)
+				return fmt.Errorf("index: key %d is NaN", i)
 			}
 			ix.keys = append(ix.keys, schema.FloatVal(k))
 			p += 8
 		case schema.String:
 			if p+2 > len(data) {
-				return nil, fmt.Errorf("index: truncated keys")
+				return fmt.Errorf("index: truncated keys")
 			}
 			n := int(binary.LittleEndian.Uint16(data[p:]))
 			p += 2
 			if p+n > len(data) {
-				return nil, fmt.Errorf("index: truncated string key")
+				return fmt.Errorf("index: truncated string key")
 			}
-			ix.keys = append(ix.keys, schema.StringVal(string(data[p:p+n])))
+			ix.keys = append(ix.keys, schema.StringVal(text[p-base:p-base+n]))
 			p += n
 		default:
-			return nil, fmt.Errorf("index: invalid key type %d", ix.keyType)
+			return fmt.Errorf("index: invalid key type %d", ix.keyType)
 		}
 	}
 	// Sanity: keys must be ascending or the index was corrupted.
 	for i := 1; i < len(ix.keys); i++ {
 		if ix.keys[i-1].Compare(ix.keys[i]) > 0 {
-			return nil, fmt.Errorf("index: keys out of order at %d", i)
+			return fmt.Errorf("index: keys out of order at %d", i)
 		}
 	}
 	if want := (ix.numRows + pax.PartitionSize - 1) / pax.PartitionSize; len(ix.keys) != want {
-		return nil, fmt.Errorf("index: %d keys for %d rows, want %d", len(ix.keys), ix.numRows, want)
+		return fmt.Errorf("index: %d keys for %d rows, want %d", len(ix.keys), ix.numRows, want)
 	}
-	return ix, nil
+	return nil
 }

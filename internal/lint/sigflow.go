@@ -27,8 +27,9 @@ func (*sigReadsFact) AFact() {}
 // facts, (a) the set of tracked fields the signature canonicalization
 // transitively reads (the keyed set, rooted at each QuerySignature
 // method) and (b) the set read on the block-scan path (rooted at the same
-// receiver's Open, expanded through the reader types it builds), and
-// reports every scan-path read outside the keyed set.
+// receiver's Open and nothing else — scanRoot — expanded through the
+// reader types it builds and everything they call, in any local package),
+// and reports every scan-path read outside the keyed set.
 //
 // Tracked fields are those of query-package types and of the
 // QuerySignature receiver itself. Three classes are exempt by
@@ -45,6 +46,11 @@ var SigFlow = &Analyzer{
 	Run:       runSigFlow,
 	FactTypes: []Fact{(*sigReadsFact)(nil)},
 }
+
+// scanRoot is the block-scan path's one root: the engine runs every split
+// block by block through the input format's Open, and nothing else
+// reaches a reader.
+const scanRoot = "Open"
 
 func runSigFlow(pass *Pass) error {
 	decls := funcDecls(pass)
@@ -146,12 +152,12 @@ func runSigFlow(pass *Pass) error {
 		}
 		keyed := reads[fn]
 
-		// Scan root: the receiver's Open, expanded through every local type
-		// it (transitively) constructs — the reader object Open returns is
+		// The scan root, expanded through every local type it
+		// (transitively) constructs — the reader object Open returns is
 		// driven by the engine, so its whole method set is on the scan path.
 		scanFns := make(map[*types.Func]bool)
 		for _, m := range methodsOf[recv.Obj().Name()] {
-			if m.Name() == "Open" {
+			if m.Name() == scanRoot {
 				scanFns[m] = true
 			}
 		}

@@ -262,6 +262,7 @@ func (e *Engine) Run(job *Job) (*JobResult, error) {
 	var next, done atomic.Int64
 	var failed atomic.Bool
 	work := func() {
+		bm := newBlockMapper(job)
 		for !failed.Load() {
 			i := int(next.Add(1)) - 1
 			if i >= len(tasks) {
@@ -274,7 +275,7 @@ func (e *Engine) Run(job *Job) (*JobResult, error) {
 				m.taskWait.Observe(time.Since(mapStart))
 				execStart = time.Now()
 			}
-			t.report, t.chunks, t.err = e.runTask(job, cc, i, splits[i], assignments[i], t.tsp, t.chunks, t.bufs)
+			t.report, t.chunks, t.err = e.runTask(job, cc, bm, i, splits[i], assignments[i], t.tsp, t.chunks, t.bufs)
 			if m != nil {
 				m.taskSeconds.Observe(time.Since(execStart))
 			}
@@ -423,16 +424,45 @@ func (e *Engine) schedule(splits []Split) []hdfs.NodeID {
 	return out
 }
 
+// blockMapper maps the batches of one block into that block's buffer,
+// kvs: whole for a MapBatch job, record by record for a Map job. A worker
+// builds one for the job and points it at each block it computes, so a
+// task builds no closures of its own.
+type blockMapper struct {
+	kvs     *[]KV
+	emit    Emit
+	consume func(*Batch)
+}
+
+func newBlockMapper(job *Job) *blockMapper {
+	m := new(blockMapper)
+	// A full buffer doubles: append's own growth of a large slice, a quarter
+	// at a time, would allocate five times the block's final output.
+	m.emit = func(k, v string) {
+		if len(*m.kvs) == cap(*m.kvs) {
+			*m.kvs = slices.Grow(*m.kvs, max(len(*m.kvs), 64))
+		}
+		*m.kvs = append(*m.kvs, KV{k, v})
+	}
+	m.consume = func(b *Batch) { job.MapBatch(b, m.emit) }
+	if job.MapBatch == nil {
+		mapRecord := func(r Record) { job.Map(r, m.emit) }
+		m.consume = func(b *Batch) { b.Each(mapRecord) }
+	}
+	return m
+}
+
 // runTask executes one map task: one loop over the split's blocks, the
 // same for every input format and every split size. A task's output is the
 // list of its blocks' outputs, appended to chunks (the task's empty window
 // of the job's chunk array) in split order. Per block the loop probes the
 // result cache when the job is cacheable — a hit's chunk is the cache's own
 // slice, shared and read-only, not a copy — and otherwise opens the split
-// narrowed to that block and maps its records into the block's buffer,
-// bufs[pos], taken from the pool on first use; the chunk is a cap-clamped
-// window of it. A reader that fails mid-block has its chunk dropped, and its
-// buffer is cleared before the block is read again.
+// narrowed to that block and maps its records, through the worker's bm,
+// into the block's buffer, bufs[pos], taken from the pool on first use;
+// the chunk is a cap-clamped window of it. A reader that fails mid-block
+// has its chunk dropped, and its buffer is cleared before the block is
+// read again.
 //
 // Progress is a cursor: blocks [0,pos) are done and chunks holds their
 // output, so the result is byte-identical to a whole-split read. When the
@@ -447,7 +477,7 @@ func (e *Engine) schedule(splits []Split) []hdfs.NodeID {
 // is the task boundary's to catch: it fails the job with an error naming
 // task, block and executing node instead of killing the process, and the
 // failed block's output never reaches the cache.
-func (e *Engine) runTask(job *Job, cc *cacheContext, taskID int, split Split, node hdfs.NodeID, tsp obs.Span, chunks [][]KV, bufs []*[]KV) (report TaskReport, out [][]KV, err error) {
+func (e *Engine) runTask(job *Job, cc *cacheContext, bm *blockMapper, taskID int, split Split, node hdfs.NodeID, tsp obs.Span, chunks [][]KV, bufs []*[]KV) (report TaskReport, out [][]KV, err error) {
 	const maxAttempts = 4
 	tr := job.Trace
 	var (
@@ -455,23 +485,7 @@ func (e *Engine) runTask(job *Job, cc *cacheContext, taskID int, split Split, no
 		pos, started   int
 		repacks, rerun int
 		runOn          = node
-		kvs            *[]KV // the buffer of the block being computed
 	)
-	// A full buffer doubles: append's own growth of a large slice, a quarter
-	// at a time, would allocate five times the block's final output.
-	emit := func(k, v string) {
-		if len(*kvs) == cap(*kvs) {
-			*kvs = slices.Grow(*kvs, max(len(*kvs), 64))
-		}
-		*kvs = append(*kvs, KV{k, v})
-	}
-	// consume maps one batch: whole for a MapBatch job, record by record
-	// for a Map job.
-	consume := func(b *Batch) { job.MapBatch(b, emit) }
-	if job.MapBatch == nil {
-		mapRecord := func(r Record) { job.Map(r, emit) }
-		consume = func(b *Batch) { b.Each(mapRecord) }
-	}
 	defer func() {
 		if p := recover(); p != nil {
 			where := "after its last block"
@@ -509,18 +523,20 @@ func (e *Engine) runTask(job *Job, cc *cacheContext, taskID int, split Split, no
 				}
 				tr.Count("qcache.block_miss", 1)
 			}
-			if kvs = bufs[pos]; kvs == nil {
+			kvs := bufs[pos]
+			if kvs == nil {
 				kvs = blockBufs.Get().(*[]KV)
 				bufs[pos] = kvs
 			}
 			clear(*kvs) // a failed attempt's partial output, past any shorter retry's
 			*kvs = (*kvs)[:0]
+			bm.kvs = kvs
 			block := split
 			block.Blocks = split.Blocks[pos : pos+1 : pos+1]
 			rr, err := job.Input.Open(block, runOn)
 			var bstats TaskStats
 			if err == nil {
-				bstats, err = rr.ReadBatches(consume)
+				bstats, err = rr.ReadBatches(bm.consume)
 			}
 			if err != nil {
 				return err
@@ -636,8 +652,8 @@ func (e *Engine) nodeAlive(n hdfs.NodeID) bool {
 // deadPins counts the split's blocks whose pinned replica node is dead.
 func (e *Engine) deadPins(split Split) int {
 	n := 0
-	for _, node := range split.Replica {
-		if !e.nodeAlive(node) {
+	for _, b := range split.Blocks {
+		if node, ok := split.Replica[b]; ok && !e.nodeAlive(node) {
 			n++
 		}
 	}

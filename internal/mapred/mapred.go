@@ -153,7 +153,11 @@ type Split struct {
 	Locations []hdfs.NodeID
 	// Replica maps each block to the preferred replica's node. Readers
 	// consult it to open the replica with the right clustered index; a
-	// missing entry means any replica will do.
+	// missing entry means any replica will do. The splits of one job may
+	// share one map, so it can hold other splits' blocks too: a split's
+	// pins are the entries of its Blocks, and are read by looking them up,
+	// never by ranging over the map. Nothing writes to it once the split
+	// phase has returned.
 	Replica map[hdfs.BlockID]hdfs.NodeID
 }
 
@@ -172,7 +176,7 @@ type Split struct {
 // split and the number of blocks whose pin changed.
 func (s Split) Fallback(nn *hdfs.NameNode, alive func(hdfs.NodeID) bool) (Split, int) {
 	out := s
-	out.Replica = make(map[hdfs.BlockID]hdfs.NodeID, len(s.Replica))
+	out.Replica = make(map[hdfs.BlockID]hdfs.NodeID, len(s.Blocks))
 	repinned := 0
 	for _, b := range s.Blocks {
 		n, pinned := s.Replica[b]

@@ -46,25 +46,32 @@ type ColumnCursor struct {
 // columns in ascending column order costs exactly the seeks of reading
 // those columns' ranges eagerly.
 func (r *Reader) NewColumnCursor(col, fromRow, toRow int) (*ColumnCursor, error) {
+	c := new(ColumnCursor)
+	return opened(c, c.Open(r, col, fromRow, toRow))
+}
+
+// Open re-opens c over attribute col of r for rows [fromRow, toRow),
+// reading what NewColumnCursor reads. Nothing of the range c covered
+// before is kept, so a cursor held by value opens the next block's range
+// without allocating. After a failed open, c must be opened again before
+// it is read.
+func (c *ColumnCursor) Open(r *Reader, col, fromRow, toRow int) error {
 	if col < 0 || col >= r.sch.NumFields() {
-		return nil, fmt.Errorf("pax: column %d out of range", col)
+		return fmt.Errorf("pax: column %d out of range", col)
 	}
 	if fromRow < 0 || toRow > r.numRows || fromRow > toRow {
-		return nil, fmt.Errorf("pax: row range [%d,%d) out of bounds (rows=%d)", fromRow, toRow, r.numRows)
+		return fmt.Errorf("pax: row range [%d,%d) out of bounds (rows=%d)", fromRow, toRow, r.numRows)
 	}
 	t := r.sch.Field(col).Type
-	c := &ColumnCursor{typ: t, col: col, remaining: toRow - fromRow}
+	*c = ColumnCursor{typ: t, col: col, remaining: toRow - fromRow}
 	if fromRow == toRow {
-		return c, nil
+		return nil
 	}
 	if t.FixedSize() {
 		c.width = t.Width()
 		raw, err := r.raw(r.colOff[col]+fromRow*c.width, (toRow-fromRow)*c.width)
-		if err != nil {
-			return nil, err
-		}
 		c.raw = raw
-		return c, nil
+		return err
 	}
 
 	// Variable-size: replicate readStringRange's reads, then skip the
@@ -76,27 +83,24 @@ func (r *Reader) NewColumnCursor(col, fromRow, toRow int) (*ColumnCursor, error)
 	pTo := (toRow - 1) / PartitionSize
 	offRaw, err := r.raw(r.colOff[col]+pFrom*4, (pTo-pFrom+1)*4)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	startOff := int(binary.LittleEndian.Uint32(offRaw[0:]))
 	endOff := valLen
 	if (pTo+1)*PartitionSize < r.numRows {
 		tail, err := r.raw(r.colOff[col]+(pTo+1)*4, 4)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		endOff = int(binary.LittleEndian.Uint32(tail))
 	}
 	raw, err := r.raw(valBase+startOff, endOff-startOff)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	c.raw = raw
 	c.long = schema.LongValues(len(raw), min((pTo+1)*PartitionSize, r.numRows)-pFrom*PartitionSize)
-	if err := c.skip(fromRow - pFrom*PartitionSize); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return c.skip(fromRow - pFrom*PartitionSize)
 }
 
 // Remaining returns the rows the cursor has yet to deliver.

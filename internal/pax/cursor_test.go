@@ -503,7 +503,7 @@ func TestReaderFetchesWhatIOStatsCounts(t *testing.T) {
 		}
 		cursors = append(cursors, c)
 	}
-	bad, err := r.ReadAllBad()
+	bad, err := r.ReadAllBad(nil)
 	if err != nil || len(bad) != 3 {
 		t.Fatalf("ReadAllBad: %d records, %v", len(bad), err)
 	}
@@ -534,7 +534,7 @@ func TestReaderFetchesWhatIOStatsCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := ref.ReadAllBad(); err != nil {
+	if _, err := ref.ReadAllBad(nil); err != nil {
 		t.Fatal(err)
 	}
 	if r.Stats() != ref.Stats() {

@@ -3,6 +3,7 @@ package pax
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -36,7 +37,9 @@ func fuzzSeedBlock(f *testing.F, rows int) []byte {
 // the input. Every string value is looked at, so a span outside the
 // vector's Bytes is a failure here and not in a map function; and every
 // string batch Next packs is held to the same values walked one by one
-// (packedMatchesWalk).
+// (packedMatchesWalk). One Reader and one cursor, re-opened in place on
+// input after input, read each block as a fresh NewReader does
+// (reopenMatchesFresh).
 func FuzzNewReader(f *testing.F) {
 	f.Add(fuzzSeedBlock(f, 2*PartitionSize+17))
 	small := fuzzSeedBlock(f, 10)
@@ -48,7 +51,11 @@ func FuzzNewReader(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(walk)
+	var reused Reader
+	var cur ColumnCursor
+	var bad []string
 	f.Fuzz(func(t *testing.T, data []byte) {
+		bad = reopenMatchesFresh(t, data, &reused, &cur, bad)
 		fuzzcheck.BoundedAlloc(t, len(data), func() {
 			r, err := NewReader(data)
 			if err != nil {
@@ -97,11 +104,74 @@ func FuzzNewReader(f *testing.F) {
 					}
 				}
 			}
-			if bad, err := r.ReadAllBad(); err == nil && len(bad) != r.NumBad() {
+			if bad, err := r.ReadAllBad(nil); err == nil && len(bad) != r.NumBad() {
 				t.Fatalf("ReadAllBad returned %d records, header says %d", len(bad), r.NumBad())
 			}
 		})
 	})
+}
+
+// reopenMatchesFresh opens data with NewReader and re-opens r, which last
+// served another block, on it in place, and holds the two to each other:
+// the same error, or the same header, then for every column the same
+// values through a fresh cursor and through c re-opened in place — over
+// every row, and over a range that starts and ends mid-partition — the
+// same I/O accounting, and the same bad records appended to bad. It
+// returns bad for the next input to reuse, and leaves r closed.
+func reopenMatchesFresh(t *testing.T, data []byte, r *Reader, c *ColumnCursor, bad []string) []string {
+	t.Helper()
+	fresh, err := NewReader(data)
+	if rerr := r.Open(data); fmt.Sprint(err) != fmt.Sprint(rerr) {
+		t.Fatalf("NewReader: %v; re-opened in place: %v", err, rerr)
+	}
+	defer r.Close()
+	if err != nil {
+		return bad
+	}
+	if !r.Schema().Equal(fresh.Schema()) || r.NumRows() != fresh.NumRows() || r.NumBad() != fresh.NumBad() ||
+		r.SortColumn() != fresh.SortColumn() || r.BlockSize() != fresh.BlockSize() {
+		t.Fatalf("re-opened in place: %s, %d rows, %d bad, sorted on %d, %d bytes; fresh: %s, %d, %d, %d, %d",
+			r.Schema(), r.NumRows(), r.NumBad(), r.SortColumn(), r.BlockSize(),
+			fresh.Schema(), fresh.NumRows(), fresh.NumBad(), fresh.SortColumn(), fresh.BlockSize())
+	}
+	n := r.NumRows()
+	for col := 0; col < r.Schema().NumFields(); col++ {
+		typ := r.Schema().Field(col).Type
+		for _, rg := range [][2]int{{0, n}, {n / 3, n - n/5}} {
+			fc, err := fresh.NewColumnCursor(col, rg[0], rg[1])
+			if cerr := c.Open(r, col, rg[0], rg[1]); fmt.Sprint(err) != fmt.Sprint(cerr) {
+				t.Fatalf("column %d rows %v: fresh cursor: %v; re-opened in place: %v", col, rg, err, cerr)
+			}
+			if err != nil {
+				continue
+			}
+			want, got := schema.NewVector(typ), schema.NewVector(typ)
+			for {
+				k, err := fc.Next(PartitionSize/3, want)
+				m, cerr := c.Next(PartitionSize/3, got)
+				if k != m || fmt.Sprint(err) != fmt.Sprint(cerr) {
+					t.Fatalf("column %d rows %v: fresh cursor delivers %d (%v), re-opened in place %d (%v)", col, rg, k, err, m, cerr)
+				}
+				if err != nil || k == 0 {
+					break
+				}
+				for i := 0; i < k; i++ {
+					if w, g := want.AppendText(nil, i), got.AppendText(nil, i); !bytes.Equal(w, g) {
+						t.Fatalf("column %d rows %v: fresh cursor reads %q, re-opened in place %q", col, rg, w, g)
+					}
+				}
+			}
+		}
+	}
+	wantBad, err := fresh.ReadAllBad(nil)
+	bad, berr := r.ReadAllBad(bad)
+	if fmt.Sprint(err) != fmt.Sprint(berr) || !slices.Equal(bad, wantBad) {
+		t.Fatalf("bad records: fresh %q (%v), re-opened in place %q (%v)", wantBad, err, bad, berr)
+	}
+	if r.Stats() != fresh.Stats() {
+		t.Fatalf("re-opened in place read %+v, fresh %+v", r.Stats(), fresh.Stats())
+	}
+	return bad
 }
 
 // packedMatchesWalk holds vec, a string batch as Next packs it, to ref, the

@@ -432,7 +432,7 @@ func TestReadBadRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.ReadAllBad()
+	got, err := r.ReadAllBad(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

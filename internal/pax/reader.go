@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/schema"
@@ -48,7 +49,7 @@ func (b *bytesSource) Range(off, n int) ([]byte, error) { return (*b)[off : off+
 // adjacent ranges count as one seek.
 type Reader struct {
 	src  RangeSource
-	mem  bytesSource // NewReader's source, held here so it costs no allocation of its own
+	mem  bytesSource // Open's source, held here so it costs no allocation of its own
 	base int         // offset of the block within src
 	size int         // serialized size of the block
 
@@ -70,23 +71,47 @@ const fixedHeader = 4 + 2 + 4 + 4 + 4 + 2
 
 // NewReader opens a block held in memory.
 func NewReader(data []byte) (*Reader, error) {
-	r := &Reader{mem: data}
-	return r.open(&r.mem, 0, len(data))
+	r := new(Reader)
+	return opened(r, r.Open(data))
 }
 
 // NewReaderAt opens the block serialized in bytes [off, off+size) of src,
 // fetching only the header.
 func NewReaderAt(src RangeSource, off, size int) (*Reader, error) {
-	return new(Reader).open(src, off, size)
+	r := new(Reader)
+	return opened(r, r.OpenAt(src, off, size))
 }
 
-func (r *Reader) open(src RangeSource, off, size int) (*Reader, error) {
-	r.src, r.base, r.size, r.lastEnd = src, off, size, -1
-	if err := r.parseHeader(); err != nil {
+// opened is what a constructor over an in-place open returns: the object,
+// or nil and the error.
+func opened[T any](p *T, err error) (*T, error) {
+	if err != nil {
 		return nil, err
 	}
-	return r, nil
+	return p, nil
 }
+
+// Open re-opens r on a block held in memory, as NewReader does.
+func (r *Reader) Open(data []byte) error {
+	r.mem = data
+	return r.OpenAt(&r.mem, 0, len(data))
+}
+
+// OpenAt re-opens r on the block serialized in bytes [off, off+size) of
+// src, fetching only the header, as NewReaderAt does. Whatever r held
+// before is forgotten — the accounting too — except the arrays it decodes
+// the column directory into, so a Reader kept across blocks opens the next
+// one without allocating. After a failed open, r must be opened again
+// before it is read.
+func (r *Reader) OpenAt(src RangeSource, off, size int) error {
+	r.src, r.base, r.size = src, off, size
+	r.ResetStats()
+	return r.parseHeader()
+}
+
+// Close drops r's source, so that a Reader kept for reuse holds no block
+// bytes; Open or OpenAt makes it serve again.
+func (r *Reader) Close() { r.src, r.mem = nil, nil }
 
 // parseHeader reads the block header and validates it against the block
 // size and against itself — the areas the directory lists must lie inside
@@ -138,8 +163,8 @@ func (r *Reader) parseHeader() error {
 	if err != nil {
 		return err
 	}
-	r.colOff = make([]int, nCols)
-	r.colLen = make([]int, nCols)
+	r.colOff = slices.Grow(r.colOff[:0], nCols)[:nCols]
+	r.colLen = slices.Grow(r.colLen[:0], nCols)[:nCols]
 	next := p + nCols*8 + 8 // areas follow the header in order, without overlap
 	for i := 0; i < nCols; i++ {
 		r.colOff[i] = int(binary.LittleEndian.Uint32(dir[i*8:]))
@@ -364,28 +389,32 @@ func (r *Reader) ReadBad(i int) (string, error) {
 	}
 }
 
-// ReadAllBad reads the whole bad-record section, as one range.
-func (r *Reader) ReadAllBad() ([]string, error) {
+// ReadAllBad reads the whole bad-record section, as one range, and
+// appends its records to dst[:0]. The records are one string, copied from
+// the section once, and sliced: they share its memory and none of the
+// block's.
+func (r *Reader) ReadAllBad(dst []string) ([]string, error) {
+	dst = dst[:0]
 	if r.numBad == 0 {
-		return nil, nil
+		return dst, nil
 	}
 	sec, err := r.raw(r.badOff, r.badLen)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	out := make([]string, 0, r.numBad)
-	for k := 0; k < r.numBad; k++ {
-		if len(sec) < 4 {
-			return nil, fmt.Errorf("pax: bad record %d truncated", k)
+	text := string(sec)
+	for p, k := 0, 0; k < r.numBad; k++ {
+		if len(sec)-p < 4 {
+			return dst[:0], fmt.Errorf("pax: bad record %d truncated", k)
 		}
-		n := int(binary.LittleEndian.Uint32(sec))
-		if n > len(sec)-4 {
-			return nil, fmt.Errorf("pax: bad record %d truncated", k)
+		n := int(binary.LittleEndian.Uint32(sec[p:]))
+		if n > len(sec)-p-4 {
+			return dst[:0], fmt.Errorf("pax: bad record %d truncated", k)
 		}
-		out = append(out, string(sec[4:4+n]))
-		sec = sec[4+n:]
+		dst = append(dst, text[p+4:p+4+n])
+		p += 4 + n
 	}
-	return out, nil
+	return dst, nil
 }
 
 // ColumnSize returns the serialized size of attribute col.
