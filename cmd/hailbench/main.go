@@ -14,7 +14,7 @@
 // partitions per block), printing each figure as an aligned table of
 // simulated seconds. -quick uses small fixtures (coarser index
 // granularity, same code paths). -only restricts to a comma-separated
-// list of experiment IDs.
+// list of experiment IDs; an unknown ID is a usage error.
 //
 // -adaptive instead runs two phases of identical jobs under one
 // extra-storage budget. Phase A filters on an attribute no replica is
@@ -57,6 +57,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -126,34 +128,20 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if mode >= 0 && *only != "" {
 		return fmt.Errorf("%w: -only does not combine with the trajectory experiments", errUsage)
 	}
-	// The tuning flags, grouped by where they apply. One set outside the
-	// active mode's knobs is a usage error; the trajectory knobs name the
-	// mode that fixes its own sequence instead of their homes.
-	accepted := map[string]bool{}
+	// A tuning flag set outside the active mode's knobs is a usage error
+	// rather than silently ignored; figure mode takes none.
+	knobs, in := "", "figure mode"
 	if mode >= 0 {
-		for _, k := range strings.Fields(modes[mode].knobs) {
-			accepted[k] = true
+		knobs, in = modes[mode].knobs, "-"+modes[mode].flag
+	}
+	var unaccepted []string
+	for _, k := range strings.Fields("workload jobs offer-rate queries tenants") {
+		if !slices.Contains(strings.Fields(knobs), k) {
+			unaccepted = append(unaccepted, k)
 		}
 	}
-	for i, g := range []struct{ knobs, home string }{
-		{"offer-rate jobs", "-adaptive or -cache"},
-		{"workload", "-adaptive, -cache, -dispatch or -serve"},
-		{"queries tenants", "-serve"},
-	} {
-		var unaccepted []string
-		for _, k := range strings.Fields(g.knobs) {
-			if !accepted[k] {
-				unaccepted = append(unaccepted, k)
-			}
-		}
-		stray := cliutil.Stray(fs, unaccepted...)
-		if len(stray) == 0 {
-			continue
-		}
-		if i == 0 && mode >= 0 {
-			return fmt.Errorf("%w: %s does not combine with -%s", errUsage, strings.Join(stray, ", "), modes[mode].flag)
-		}
-		return fmt.Errorf("%w: %s only applies with %s", errUsage, strings.Join(stray, ", "), g.home)
+	if stray := cliutil.Stray(fs, unaccepted...); len(stray) > 0 {
+		return fmt.Errorf("%w: %s does not take %s", errUsage, in, strings.Join(stray, ", "))
 	}
 	if !(*offerRate > 0 && *offerRate <= 1) {
 		return fmt.Errorf("%w: -offer-rate %v is not in (0, 1]", errUsage, *offerRate)
@@ -203,11 +191,21 @@ func run(args []string, stdout, stderr io.Writer) error {
 		{"Fig9a", r.Fig9a}, {"Fig9b", r.Fig9b}, {"Fig9c", r.Fig9c},
 	}
 
+	// -only names experiments by their exact IDs; one that names none is
+	// a usage error before any fixture is built, not an empty run.
 	want := map[string]bool{}
+	var unknown []string
 	if *only != "" {
 		for _, id := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(id)] = true
+			id = strings.TrimSpace(id)
+			if !slices.ContainsFunc(all, func(e exp) bool { return e.id == id }) {
+				unknown = append(unknown, strconv.Quote(id))
+			}
+			want[id] = true
 		}
+	}
+	if len(unknown) > 0 {
+		return fmt.Errorf("%w: -only: no such experiment: %s", errUsage, strings.Join(unknown, ", "))
 	}
 
 	failed := false

@@ -46,10 +46,7 @@ func TestBenchLifecycleSmoke(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", want, s)
 		}
 	}
-	raw, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatalf("JSON artifact not written: %v", err)
-	}
+	raw := matchGolden(t, "adaptive.quick.json", jsonPath)
 	var rep experiments.AdaptiveReport
 	if err := json.Unmarshal(raw, &rep); err != nil {
 		t.Fatalf("bad JSON artifact: %v", err)
@@ -85,6 +82,26 @@ func TestBenchBadFlags(t *testing.T) {
 			t.Errorf("-offer-rate %s: err = %v, want the usage error", rate, err)
 		}
 	}
+	// An unknown -only ID is a usage error naming it, before any fixture
+	// is built: IDs match exactly, so a typo must not run nothing and
+	// write an empty artifact.
+	jsonPath := filepath.Join(t.TempDir(), "out.json")
+	for _, ids := range []string{"Fig99", "Fig99,fig4a"} {
+		out.Reset()
+		err := run([]string{"-quick", "-only", ids, "-json", jsonPath}, &out, &errb)
+		if !errors.Is(err, errUsage) || !strings.Contains(err.Error(), `"Fig99"`) {
+			t.Errorf("-only %s: err = %v, want the usage error naming \"Fig99\"", ids, err)
+		}
+		if ids == "Fig99,fig4a" && (err == nil || !strings.Contains(err.Error(), `"fig4a"`)) {
+			t.Errorf("-only %s: err = %v does not name \"fig4a\"", ids, err)
+		}
+		if out.Len() > 0 {
+			t.Errorf("-only %s ran experiments:\n%s", ids, out.String())
+		}
+		if _, err := os.Stat(jsonPath); !os.IsNotExist(err) {
+			t.Errorf("-only %s wrote an artifact", ids)
+		}
+	}
 }
 
 // TestBenchCacheSmoke drives the result-cache trajectory end to end and
@@ -102,10 +119,7 @@ func TestBenchCacheSmoke(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", want, s)
 		}
 	}
-	raw, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatalf("JSON artifact not written: %v", err)
-	}
+	raw := matchGolden(t, "cache.quick.json", jsonPath)
 	var rep experiments.CacheReport
 	if err := json.Unmarshal(raw, &rep); err != nil {
 		t.Fatalf("bad JSON artifact: %v", err)
@@ -131,10 +145,7 @@ func TestBenchDispatchSmoke(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", want, s)
 		}
 	}
-	raw, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatalf("JSON artifact not written: %v", err)
-	}
+	raw := matchGolden(t, "dispatch.quick.json", jsonPath)
 	var rep experiments.DispatchReport
 	if err := json.Unmarshal(raw, &rep); err != nil {
 		t.Fatalf("bad JSON artifact: %v", err)
@@ -224,20 +235,56 @@ func TestFiguresGolden(t *testing.T) {
 	if err := run([]string{"-quick", "-json", jsonPath}, &out, &errb); err != nil {
 		t.Fatalf("run: %v (stderr: %s)", err, errb.String())
 	}
-	load := func(path string) any {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var v any
-		if err := json.Unmarshal(raw, &v); err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		return v
+	matchGolden(t, "figures.quick.json", jsonPath)
+}
+
+// TestBenchSyntheticAdaptiveGolden pins the Synthetic dataset's trajectory
+// (its schema, sort columns and both never-indexed predicates) the way the
+// smoke tests pin UserVisits':
+//
+//	go run ./cmd/hailbench -quick -adaptive -jobs 5 -offer-rate 0.5 -workload Synthetic \
+//	    -json cmd/hailbench/testdata/adaptive.synthetic.quick.json
+func TestBenchSyntheticAdaptiveGolden(t *testing.T) {
+	jsonPath := filepath.Join(t.TempDir(), "BENCH_adaptive.json")
+	var out, errb bytes.Buffer
+	err := run([]string{"-quick", "-adaptive", "-jobs", "5", "-offer-rate", "0.5", "-workload", "Synthetic", "-json", jsonPath}, &out, &errb)
+	if err != nil {
+		t.Fatalf("run: %v (stderr: %s)", err, errb.String())
 	}
-	if d := jsonDiff("$", load(filepath.Join("testdata", "figures.quick.json")), load(jsonPath)); d != "" {
-		t.Fatalf("figure mode no longer repeats the golden file: %s", d)
+	matchGolden(t, "adaptive.synthetic.quick.json", jsonPath)
+}
+
+// matchGolden fails the test unless the JSON artifact at path repeats
+// testdata/golden (see jsonDiff), and returns the artifact's bytes. The
+// trajectory goldens were written by the command with the smoke tests'
+// arguments, e.g.
+//
+//	go run ./cmd/hailbench -quick -adaptive -jobs 5 -offer-rate 0.5 -json cmd/hailbench/testdata/adaptive.quick.json
+//	go run ./cmd/hailbench -quick -cache -jobs 4 -offer-rate 0.5 -json cmd/hailbench/testdata/cache.quick.json
+//	go run ./cmd/hailbench -quick -dispatch -json cmd/hailbench/testdata/dispatch.quick.json
+//
+// and a change that moves a trajectory on purpose regenerates them so.
+func matchGolden(t *testing.T, golden, path string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("JSON artifact not written: %v", err)
 	}
+	wantRaw, err := os.ReadFile(filepath.Join("testdata", golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got any
+	if err := json.Unmarshal(wantRaw, &want); err != nil {
+		t.Fatalf("%s: %v", golden, err)
+	}
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatalf("bad JSON artifact: %v", err)
+	}
+	if d := jsonDiff("$", want, got); d != "" {
+		t.Fatalf("the run no longer repeats testdata/%s: %s", golden, d)
+	}
+	return raw
 }
 
 // jsonDiff describes the first difference between two decoded JSON

@@ -180,11 +180,11 @@ func (r *Runner) AblationLayout() (*Figure, error) {
 
 // Section5FullText reproduces the related-work micro-comparison of §5:
 // "[15] required 2,088 seconds to only create a full-text index on 20GB,
-// while HAIL takes 1,600 seconds to both upload and index 200GB." The
-// full-text cost uses the tokenize-and-materialize-postings pipeline of
-// internal/invidx, whose throughput per node is bounded by tokenization
-// CPU and postings write-out; the rate constant below reproduces the
-// published 20 GB / 2,088 s figure and is documented here rather than in
+// while HAIL takes 1,600 seconds to both upload and index 200GB." A
+// full-text index tokenizes every line and writes out its postings, so
+// its throughput per node is bounded by tokenization CPU and postings
+// write-out; the rate constant below is that throughput as the published
+// 20 GB / 2,088 s figure implies it, documented here rather than in
 // calibration.go because no paper figure depends on it.
 func (r *Runner) Section5FullText() (*Figure, error) {
 	fig4a, err := r.Fig4a()

@@ -10,7 +10,6 @@ import (
 	"repro/internal/hdfs"
 	"repro/internal/mapred"
 	"repro/internal/query"
-	"repro/internal/schema"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -92,42 +91,6 @@ type AdaptiveReport struct {
 	Shift []AdaptiveJob
 }
 
-// adaptiveQuery filters on an attribute the static layout never indexes:
-// duration for UserVisits (Bob's layout covers visitDate, sourceIP,
-// adRevenue), attr10 for Synthetic (its layout covers attr1..attr3).
-func adaptiveQuery(w Workload) *query.Query {
-	if w == UserVisits {
-		return &query.Query{
-			Filter: []query.Predicate{
-				query.Between(workload.UVDuration, schema.IntVal(100), schema.IntVal(199)),
-			},
-			Projection: []int{workload.UVSourceIP},
-		}
-	}
-	return &query.Query{
-		Filter:     []query.Predicate{query.Between(9, schema.IntVal(0), schema.IntVal(1<<20))},
-		Projection: []int{0},
-	}
-}
-
-// shiftQuery is phase B's query: it filters on a second attribute the
-// static layout never indexes, searchWord for UserVisits and attr9 for
-// Synthetic.
-func shiftQuery(w Workload) *query.Query {
-	if w == UserVisits {
-		return &query.Query{
-			Filter: []query.Predicate{
-				query.Between(workload.UVSearchWord, schema.StringVal("h"), schema.StringVal("n")),
-			},
-			Projection: []int{workload.UVSourceIP},
-		}
-	}
-	return &query.Query{
-		Filter:     []query.Predicate{query.Between(8, schema.IntVal(0), schema.IntVal(1<<20))},
-		Projection: []int{0},
-	}
-}
-
 // ExpAdaptive runs jobsPerPhase identical jobs on phase A's column, then
 // jobsPerPhase+1 on phase B's, with the adaptive indexer at the given offer
 // rate, and reports both trajectories.
@@ -138,41 +101,26 @@ func (r *Runner) ExpAdaptive(w Workload, jobsPerPhase int, offerRate float64) (*
 
 	// The adaptive indexer mutates the cluster (new, replaced and evicted
 	// replicas).
-	f, err := r.freshHAILFixture(w, r.blockTextBytes)
+	f, err := r.freshHAILFixture(w, r.BlockRows, specs[w].sortCols)
 	if err != nil {
 		return nil, err
 	}
 	cluster := f.cluster
-	blockSize := r.blockTextBytes(w, f.lines)
+	blockSize := blockTextBytes(f.lines, r.BlockRows)
 	nn := cluster.NameNode()
 	blocks, err := nn.FileBlocks(f.file)
 	if err != nil {
 		return nil, err
 	}
-	qa, qb := adaptiveQuery(w), shiftQuery(w)
+	qa, qb := specs[w].adaptive, specs[w].shift
 
 	// Non-adaptive references for both phases, computed before any
 	// conversion mutates the cluster.
-	reference := func(q *query.Query) (map[string]int, error) {
-		e := &mapred.Engine{Cluster: cluster}
-		res, err := e.Run(&mapred.Job{
-			Name: "adaptive-reference", File: f.file,
-			Input: &core.InputFormat{
-				Cluster: cluster, Query: q,
-				Splitting: true, SplitsPerNode: SplitsPerNodePaper,
-			},
-			MapBatch: workload.PassthroughMapBatch,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return multiset(res.Output), nil
-	}
-	refA, err := reference(qa)
+	refA, err := reference(f, qa)
 	if err != nil {
 		return nil, err
 	}
-	refB, err := reference(qb)
+	refB, err := reference(f, qb)
 	if err != nil {
 		return nil, err
 	}
@@ -246,8 +194,7 @@ func (r *Runner) ExpAdaptive(w Workload, jobsPerPhase int, offerRate float64) (*
 				return nil, fmt.Errorf("adaptive: extra storage %d far exceeds budget %d", extra, budget)
 			}
 
-			e2e, _ := r.adaptiveJobTimes(f, res, plan)
-			build := r.adaptiveBuildSeconds(f, plan)
+			e2e, _, build := r.adaptiveJobSeconds(f, res, plan)
 			frac := 0.0
 			if plan.Indexed+plan.Missing > 0 {
 				frac = float64(plan.Indexed) / float64(plan.Indexed+plan.Missing)
@@ -295,51 +242,25 @@ func (r *Runner) ExpAdaptive(w Workload, jobsPerPhase int, offerRate float64) (*
 	return rep, nil
 }
 
-// adaptiveJobTimes is the end-to-end model for a mixed adaptive job
-// running under HailSplitting: blocks with a matching index are packed
-// into Nodes × SplitsPerNode locality splits (§4.3), while unindexed
-// blocks keep per-block full-scan splits — so early jobs are dominated by
-// the per-task dispatch bound (the paper's framework overhead, §6.4.1)
-// and converged jobs by the small index-scan work. jobTimes cannot be
-// reused here: it assumes every task of a splitting job is packed. It
-// also reports the slot-parallel map-work component on its own: that is
-// where a result cache's savings show, which is why ExpCache reports both.
-func (r *Runner) adaptiveJobTimes(f *fixture, res *mapred.JobResult, plan adaptive.JobPlan) (e2e, workSeconds float64) {
-	c := r.cost(f, res)
-	p := r.Profile
-	total := plan.Indexed + plan.Missing
-	if total == 0 {
-		e2e, _, _ := r.jobTimes(f, res, false)
-		return e2e, e2e
-	}
-	paperBlocks := float64(f.scale.PaperBlocks)
-	scanTasks := float64(plan.Missing) / float64(total) * paperBlocks
-	var packedTasks, packedBlocks float64
-	if plan.Indexed > 0 {
-		packedTasks = float64(r.Nodes * SplitsPerNodePaper)
-		packedBlocks = paperBlocks - scanTasks
-	}
-	perBlock := c.perBlockIO + c.perBlockRRCPU + c.perBlockMapCPU + c.perBlockOut
-	work := paperBlocks*perBlock +
-		(scanTasks+packedTasks)*sim.TaskFixedSeconds +
-		packedBlocks*sim.BlockOpenSeconds
-	execute := work / float64(p.Nodes*sim.SlotsPerNode)
-	workSeconds = execute
-	if dispatch := (scanTasks + packedTasks) / sim.DispatchPerSecond; dispatch > execute {
-		execute = dispatch
-	}
-	return c.setup + execute, workSeconds
-}
-
-// adaptiveBuildSeconds converts one job's measured build volume into
+// adaptiveJobSeconds prices one adaptive job from its plan. The query
+// runs under HailSplitting: the unindexed blocks keep per-block scan
+// splits and the indexed ones are packed into Nodes × SplitsPerNode
+// locality splits (§4.3), so mixedJobTimes prices it, map work included.
+// The build surcharge converts the plan's measured build volume into
 // simulated seconds at paper scale. Per converted block the cluster pays
 // the in-memory sort + index creation (the block bytes were just read by
 // the scanning map task, so no extra read I/O) and the write of the
 // reorganized replica. Builds run inside the job's map slots, so the
 // total is spread over the cluster's slot count.
-func (r *Runner) adaptiveBuildSeconds(f *fixture, plan adaptive.JobPlan) float64 {
+func (r *Runner) adaptiveJobSeconds(f *fixture, res *mapred.JobResult, plan adaptive.JobPlan) (e2e, workSeconds, build float64) {
+	var packedTasks float64
+	if plan.Indexed > 0 {
+		packedTasks = float64(r.Nodes * SplitsPerNodePaper)
+	}
+	scanFrac := float64(plan.Missing) / float64(plan.Indexed+plan.Missing)
+	e2e, workSeconds, _ = r.mixedJobTimes(f, res, scanFrac, packedTasks)
 	if plan.Built == 0 {
-		return 0
+		return e2e, workSeconds, 0
 	}
 	p := r.Profile
 	rs := f.scale.RowScale
@@ -349,7 +270,7 @@ func (r *Runner) adaptiveBuildSeconds(f *fixture, plan adaptive.JobPlan) float64
 		storedPaper/(p.DiskMBps*1e6)
 	builtPaper := float64(plan.Built) * float64(f.scale.PaperBlocks) / float64(f.scale.RealBlocks)
 	slots := float64(p.Nodes * sim.SlotsPerNode)
-	return builtPaper * perBlock / slots
+	return e2e, workSeconds, builtPaper * perBlock / slots
 }
 
 // evicted totals phase B's eviction churn.
@@ -423,11 +344,27 @@ func (rep *AdaptiveReport) String() string {
 	return b.String()
 }
 
-// multiset builds the row→count map of a job output.
+// reference runs q on f's cluster as a plain job — no splitting, cache or
+// adaptive indexer — and returns its rows as a multiset: the answer an
+// experiment's runs of q are held to.
+func reference(f *fixture, q *query.Query) (map[string]int, error) {
+	res, err := (&mapred.Engine{Cluster: f.cluster}).Run(&mapred.Job{
+		Name: "reference", File: f.file,
+		Input:    &core.InputFormat{Cluster: f.cluster, Query: q},
+		MapBatch: workload.PassthroughMapBatch,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return multiset(res.Output), nil
+}
+
+// multiset builds the row→count map of a job output. The passthrough map
+// emits each row as a key with an empty value.
 func multiset(kvs []mapred.KV) map[string]int {
 	m := make(map[string]int, len(kvs))
 	for _, kv := range kvs {
-		m[kv.Key+"\x00"+kv.Value]++
+		m[kv.Key]++
 	}
 	return m
 }

@@ -10,10 +10,8 @@ import (
 // second while exercising every adaptive code path.
 func tinyAdaptiveRunner() *Runner {
 	r := NewQuickRunner()
-	r.UVRows = 8_000
-	r.UVBlockRows = 1_000
-	r.SynRows = 8_000
-	r.SynBlockRows = 1_000
+	r.Rows = 8_000
+	r.BlockRows = 1_000
 	return r
 }
 

@@ -86,13 +86,13 @@ func (r *Runner) ExpCache(w Workload, jobs int, offerRate float64) (*CacheReport
 	}
 
 	// Fresh fixture: the adaptive phase mutates the cluster.
-	f, err := r.freshHAILFixture(w, r.blockTextBytes)
+	f, err := r.freshHAILFixture(w, r.BlockRows, specs[w].sortCols)
 	if err != nil {
 		return nil, err
 	}
 	cluster := f.cluster
 
-	q := adaptiveQuery(w)
+	q := specs[w].adaptive
 	cache := qcache.New(0)
 	cluster.NameNode().SetReplicaChangeHook(cache.InvalidateBlock)
 	defer cluster.NameNode().SetReplicaChangeHook(nil)
@@ -134,8 +134,7 @@ func (r *Runner) ExpCache(w Workload, jobs int, offerRate float64) (*CacheReport
 		}
 
 		plan := idx.LastJob()
-		e2e, work := r.adaptiveJobTimes(f, res, plan)
-		build := r.adaptiveBuildSeconds(f, plan)
+		e2e, work, build := r.adaptiveJobSeconds(f, res, plan)
 		st := res.TotalStats()
 		cs := cache.Stats()
 		d := cs.Sub(prev)

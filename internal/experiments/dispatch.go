@@ -3,13 +3,11 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/hdfs"
 	"repro/internal/mapred"
 	"repro/internal/qcache"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -93,63 +91,14 @@ type DispatchReport struct {
 	SplitPhaseNameNodeOps int
 }
 
-// dispatchBlockSize sizes the experiment's fixture: packing's win is
-// blocks / (nodes × SplitsPerNode), so the fixture needs many more blocks
-// than packing slots — 1/16th of the standard block rows (at least 250)
-// gives 160 blocks at both quick and full fidelity.
-func (r *Runner) dispatchBlockSize(w Workload, lines []string) int {
-	rows := r.UVBlockRows
-	if w == Synthetic {
-		rows = r.SynBlockRows
-	}
-	avg := 0
-	sample := lines
-	if len(sample) > 2000 {
-		sample = sample[:2000]
-	}
-	for _, l := range sample {
-		avg += len(l) + 1
-	}
-	avg /= len(sample)
-	return avg * max(rows/16, 250)
-}
-
-// dispatchJobTimes is the cost model for a mixed per-block/packed job:
-// per-block tasks scale with the paper-scale block count, packed tasks
-// stay at their measured count (they depend on cluster size, not data
-// size) — the same decomposition adaptiveJobTimes uses, driven by the
-// actual split composition of the measured run.
-func (r *Runner) dispatchJobTimes(f *fixture, res *mapred.JobResult) (e2e, workSeconds, paperTasks float64) {
-	c := r.cost(f, res)
-	p := r.Profile
-	paperBlocks := float64(f.scale.PaperBlocks)
-	singles, packed := 0, 0
-	for _, t := range res.Tasks {
-		if len(t.Split.Blocks) > 1 {
-			packed++
-		} else {
-			singles++
-		}
-	}
-	scanTasks := float64(singles) / float64(f.scale.RealBlocks) * paperBlocks
-	packedTasks := float64(packed)
-	packedBlocks := paperBlocks - scanTasks
-	perBlock := c.perBlockIO + c.perBlockRRCPU + c.perBlockMapCPU + c.perBlockOut
-	work := paperBlocks*perBlock +
-		(scanTasks+packedTasks)*sim.TaskFixedSeconds +
-		packedBlocks*sim.BlockOpenSeconds
-	execute := work / float64(p.Nodes*sim.SlotsPerNode)
-	workSeconds = execute
-	if dispatch := (scanTasks + packedTasks) / sim.DispatchPerSecond; dispatch > execute {
-		execute = dispatch
-	}
-	return c.setup + execute, workSeconds, scanTasks + packedTasks
-}
-
 // ExpDispatch runs the packed-vs-unpacked dispatch experiment on a fresh
 // fixture, with the cache-hot scenario's caches at qcache.DefaultBudget.
 func (r *Runner) ExpDispatch(w Workload) (*DispatchReport, error) {
-	f, err := r.freshHAILFixture(w, r.dispatchBlockSize)
+	// Packing's win is blocks / (nodes × SplitsPerNode), so the fixture
+	// needs many more blocks than packing slots: 1/16th of the standard
+	// block rows (at least 250) gives 160 blocks at both quick and full
+	// fidelity.
+	f, err := r.freshHAILFixture(w, max(r.BlockRows/16, 250), specs[w].sortCols)
 	if err != nil {
 		return nil, err
 	}
@@ -157,7 +106,7 @@ func (r *Runner) ExpDispatch(w Workload) (*DispatchReport, error) {
 
 	// The query filters on an attribute no replica is indexed on — the
 	// adaptive sequence's job-1 shape: every block is a scan split.
-	q := adaptiveQuery(w)
+	q := specs[w].adaptive
 	newInput := func(pack bool, cache *qcache.Cache) *core.InputFormat {
 		in := &core.InputFormat{
 			Cluster: cluster, Query: q,
@@ -192,8 +141,19 @@ func (r *Runner) ExpDispatch(w Workload) (*DispatchReport, error) {
 		SplitsPerNode: SplitsPerNodePaper,
 	}
 
+	// A run's price follows its measured split composition: its
+	// one-block splits are per-block scan tasks, the rest packed.
 	toRun := func(res *mapred.JobResult, packed bool) DispatchRun {
-		e2e, work, paperTasks := r.dispatchJobTimes(f, res)
+		singles, packedTasks := 0, 0
+		for _, t := range res.Tasks {
+			if len(t.Split.Blocks) > 1 {
+				packedTasks++
+			} else {
+				singles++
+			}
+		}
+		e2e, work, paperTasks := r.mixedJobTimes(f, res,
+			float64(singles)/float64(f.scale.RealBlocks), float64(packedTasks))
 		st := res.TotalStats()
 		return DispatchRun{
 			Packed: packed, Tasks: len(res.Tasks), PaperTasks: paperTasks,
@@ -281,25 +241,12 @@ func (r *Runner) ExpDispatch(w Workload) (*DispatchReport, error) {
 			}
 		}
 	}
-	e := &mapred.Engine{Cluster: cluster, Parallelism: 1} // inline, in order: the kill lands at the same task every run
-	var once sync.Once
-	var killErr error
-	e.OnProgress = func(done, total int) {
-		if done >= total/2 {
-			once.Do(func() { killErr = cluster.KillNode(victim) })
-		}
-	}
-	killRes, err := e.Run(&mapred.Job{
+	killRes, err := runKilled(cluster, victim, &mapred.Job{
 		Name: "dispatch-packed-kill", File: f.file,
 		Input: newInput(true, nil), MapBatch: workload.PassthroughMapBatch,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: packed job with node kill failed: %v", err)
-	}
-	if killErr != nil {
-		// A failed kill means the failover path was never exercised and the
-		// comparison below would vacuously pass.
-		return nil, fmt.Errorf("dispatch: killing node %d failed: %v", victim, killErr)
 	}
 	if killRes.BlocksRerun > victimBlocks {
 		return nil, fmt.Errorf("dispatch: node kill re-ran %d blocks, more than the %d pinned to the victim",

@@ -15,7 +15,7 @@ func TestThreeSystemResultEquivalence(t *testing.T) {
 	skipIfShort(t)
 	r := quickRunner()
 	for _, w := range []Workload{UserVisits, Synthetic} {
-		for _, bq := range queriesFor(w) {
+		for _, bq := range specs[w].queries() {
 			var reference map[string]int
 			var refSys string
 			for _, sys := range []System{Hadoop, HadoopPP, HAIL} {

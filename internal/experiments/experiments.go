@@ -20,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hadoop"
 	"repro/internal/hdfs"
+	"repro/internal/query"
 	"repro/internal/schema"
 	"repro/internal/sim"
 	"repro/internal/trojan"
@@ -96,11 +97,9 @@ func (f *Figure) String() string {
 	return b.String()
 }
 
-// Paper-scale constants (§6.1–6.2): 10 nodes by default, 20 GB UserVisits
-// and 13 GB Synthetic per node, 64 MB blocks.
+// Paper-scale constants (§6.1–6.2): 10 nodes by default, 64 MB blocks;
+// each dataset's size per node is in its spec.
 const (
-	UVGBPerNode    = 20.0
-	SynGBPerNode   = 13.0
 	PaperBlockMB   = 64.0
 	paperBlockText = PaperBlockMB * 1e6 * 1.048576 // 64 MiB in bytes
 )
@@ -110,13 +109,11 @@ const (
 // index's 1,024-row partitions resolve selectivities more precisely.
 type Runner struct {
 	Profile sim.Profile
-	// Real-execution sizes.
-	UVRows       int // total UserVisits rows generated
-	UVBlockRows  int // rows per block (× ~115 B/row = block text size)
-	SynRows      int
-	SynBlockRows int
-	Seed         int64
-	Nodes        int // real cluster size (also the simulated node count)
+	// Real-execution sizes, the same for both datasets.
+	Rows      int // total rows generated
+	BlockRows int // rows per block (× ~115 B/row = block text size)
+	Seed      int64
+	Nodes     int // real cluster size (also the simulated node count)
 
 	mu       sync.Mutex
 	fixtures map[string]*fixture
@@ -126,13 +123,11 @@ type Runner struct {
 // per block so that index-scan fractions are within ~2% of paper-scale.
 func NewRunner() *Runner {
 	return &Runner{
-		Profile:      sim.Physical,
-		UVRows:       640_000,
-		UVBlockRows:  64_000,
-		SynRows:      640_000,
-		SynBlockRows: 64_000,
-		Seed:         2012,
-		Nodes:        10,
+		Profile:   sim.Physical,
+		Rows:      640_000,
+		BlockRows: 64_000,
+		Seed:      2012,
+		Nodes:     10,
 	}
 }
 
@@ -140,10 +135,8 @@ func NewRunner() *Runner {
 // partitions per block (coarser index pruning, same code paths).
 func NewQuickRunner() *Runner {
 	r := NewRunner()
-	r.UVRows = 40_000
-	r.UVBlockRows = 4_000
-	r.SynRows = 40_000
-	r.SynBlockRows = 4_000
+	r.Rows = 40_000
+	r.BlockRows = 4_000
 	return r
 }
 
@@ -157,11 +150,75 @@ const (
 )
 
 // String returns the dataset name.
-func (w Workload) String() string {
-	if w == UserVisits {
-		return "UserVisits"
+func (w Workload) String() string { return specs[w].name }
+
+// spec is what the experiments know about one dataset.
+type spec struct {
+	name     string
+	label    string // its workload's name in Fig9c
+	schema   *schema.Schema
+	generate func(rows int, seed int64) []string
+	// gbPerNode is the paper-scale input per node (§6.2).
+	gbPerNode float64
+	// sortCols are HAIL's three replicas' sort columns; trojanCol is the
+	// one index Hadoop++ gets for the whole dataset.
+	sortCols  []int
+	trojanCol int
+	queries   func() []workload.BenchQuery
+	// adaptive and shift filter on two attributes the static layout never
+	// indexes: the adaptive trajectory's phases A and B.
+	adaptive, shift *query.Query
+	// hot are the serve storm's selections on statically indexed
+	// attributes, beside adaptive.
+	hot []string
+}
+
+// specs holds each dataset's spec, indexed by Workload. UserVisits is
+// Bob's layout (§6.4.1: indexes on visitDate, sourceIP, adRevenue;
+// Hadoop++ on sourceIP). Synthetic sorts on attr1..attr3 and Hadoop++
+// indexes attr1: only attr1 is ever filtered, so §6.2 notes HAIL cannot
+// benefit from its other indexes there.
+var specs = [...]spec{
+	UserVisits: {
+		name: "UserVisits", label: "Bob", schema: workload.UserVisitsSchema(),
+		generate: func(rows int, seed int64) []string {
+			return workload.GenerateUserVisits(rows, seed, workload.UserVisitsOptions{NeedleEvery: rows / 12})
+		},
+		gbPerNode: 20,
+		sortCols:  []int{workload.UVVisitDate, workload.UVSourceIP, workload.UVAdRevenue},
+		trojanCol: workload.UVSourceIP,
+		queries:   workload.BobQueries,
+		adaptive:  annotated(workload.UserVisitsSchema(), `@HailQuery(filter="@9 between(100,199)", projection={@1})`), // duration
+		shift:     annotated(workload.UserVisitsSchema(), `@HailQuery(filter="@8 between(h,n)", projection={@1})`),     // searchWord
+		hot: []string{
+			`@HailQuery(filter="@3 between(1999-01-01,2000-01-01)", projection={@1})`,
+			`@HailQuery(filter="@3 between(1995-01-01,1996-06-30)", projection={@1,@4})`,
+		},
+	},
+	Synthetic: {
+		name: "Synthetic", label: "Synthetic", schema: workload.SyntheticSchema(),
+		generate:  workload.GenerateSynthetic,
+		gbPerNode: 13,
+		sortCols:  []int{0, 1, 2},
+		trojanCol: 0,
+		queries:   workload.SynQueries,
+		adaptive:  annotated(workload.SyntheticSchema(), `@HailQuery(filter="@10 between(0,1048576)", projection={@1})`),
+		shift:     annotated(workload.SyntheticSchema(), `@HailQuery(filter="@9 between(0,1048576)", projection={@1})`),
+		hot: []string{
+			`@HailQuery(filter="@1 between(0,40000)", projection={@2})`,
+			`@HailQuery(filter="@2 between(0,80000)", projection={@1,@3})`,
+		},
+	},
+}
+
+// annotated parses one of the specs' static annotations, panicking on
+// error.
+func annotated(s *schema.Schema, ann string) *query.Query {
+	q, err := query.ParseAnnotation(s, ann)
+	if err != nil {
+		panic(err)
 	}
-	return "Synthetic"
+	return q
 }
 
 // fixture is one uploaded dataset on one real cluster: the three systems
@@ -181,77 +238,33 @@ type fixture struct {
 	trojanSys *trojan.System
 }
 
-func (r *Runner) lines(w Workload) []string {
-	if w == UserVisits {
-		return workload.GenerateUserVisits(r.UVRows, r.Seed, workload.UserVisitsOptions{
-			NeedleEvery: r.UVRows / 12,
-		})
-	}
-	return workload.GenerateSynthetic(r.SynRows, r.Seed)
-}
-
-func (r *Runner) blockTextBytes(w Workload, lines []string) int {
-	rows := r.UVBlockRows
-	if w == Synthetic {
-		rows = r.SynBlockRows
-	}
-	// Average line length × rows per block.
-	var total int
-	sample := lines
-	if len(sample) > 2000 {
-		sample = sample[:2000]
-	}
+// blockTextBytes is the text size of a block of rows lines, at the
+// average line length of the first 2,000.
+func blockTextBytes(lines []string, rows int) int {
+	sample := lines[:min(len(lines), 2000)]
+	total := 0
 	for _, l := range sample {
 		total += len(l) + 1
 	}
-	avg := total / len(sample)
-	return avg * rows
+	return total / len(sample) * rows
 }
 
-// hailConfig returns the paper's Bob layout for UserVisits (§6.4.1:
-// indexes on visitDate, sourceIP, adRevenue) and attr1/attr2/attr3 for
-// Synthetic (only attr1 is ever filtered; §6.2 notes HAIL cannot benefit
-// from its other indexes there).
-func hailConfig(w Workload, blockSize int) core.LayoutConfig {
-	cols := []int{0, 1, 2}
-	if w == UserVisits {
-		cols = []int{workload.UVVisitDate, workload.UVSourceIP, workload.UVAdRevenue}
-	}
-	return core.LayoutConfig{Schema: schemaOf(w), SortColumns: cols, BlockSize: blockSize}
-}
-
-// schemaOf returns the workload's schema.
-func schemaOf(w Workload) *schema.Schema {
-	if w == UserVisits {
-		return workload.UserVisitsSchema()
-	}
-	return workload.SyntheticSchema()
-}
-
-// trojanIndexColumn: Hadoop++ gets one index for the whole dataset:
-// sourceIP for Bob's workload (§6.4.1), attr1 for Synthetic.
-func trojanIndexColumn(w Workload) int {
-	if w == UserVisits {
-		return workload.UVSourceIP
-	}
-	return 0
-}
-
-// freshHAILFixture uploads w into a new cluster under the paper's HAIL
-// layout. The fixture is private to the caller — the trajectory
-// experiments mutate their cluster (adaptive conversions, evictions, node
-// kills), so they must not share state with the memoized static-figure
-// fixtures. blockSize picks the block size from the generated lines:
-// r.blockTextBytes for the figures' granularity, r.dispatchBlockSize for
-// the packing experiment's finer one.
-func (r *Runner) freshHAILFixture(w Workload, blockSize func(Workload, []string) int) (*fixture, error) {
-	lines := r.lines(w)
+// freshHAILFixture uploads w into a new cluster, blockRows rows a block,
+// with its replicas sorted on sortCols. The fixture is private to the
+// caller — the trajectory experiments mutate their cluster (adaptive
+// conversions, evictions, node kills), so they must not share state with
+// the memoized static-figure fixtures.
+func (r *Runner) freshHAILFixture(w Workload, blockRows int, sortCols []int) (*fixture, error) {
+	s := &specs[w]
+	lines := s.generate(r.Rows, r.Seed)
 	cluster, err := hdfs.NewCluster(r.Nodes)
 	if err != nil {
 		return nil, err
 	}
-	client := &core.Client{Cluster: cluster, Config: hailConfig(w, blockSize(w, lines))}
-	f := &fixture{workload: w, system: HAIL, cluster: cluster, file: "/" + w.String(), lines: lines}
+	client := &core.Client{Cluster: cluster, Config: core.LayoutConfig{
+		Schema: s.schema, SortColumns: sortCols, BlockSize: blockTextBytes(lines, blockRows),
+	}}
+	f := &fixture{workload: w, system: HAIL, cluster: cluster, file: "/" + s.name, lines: lines}
 	f.hailSum, err = client.Upload(f.file, lines)
 	if err != nil {
 		return nil, err
@@ -271,15 +284,15 @@ func (r *Runner) fixture(w Workload, s System) (*fixture, error) {
 		return f, nil
 	}
 	if s == HAIL {
-		f, err := r.freshHAILFixture(w, r.blockTextBytes)
+		f, err := r.freshHAILFixture(w, r.BlockRows, specs[w].sortCols)
 		if err != nil {
 			return nil, err
 		}
 		r.fixtures[key] = f
 		return f, nil
 	}
-	lines := r.lines(w)
-	blockSize := r.blockTextBytes(w, lines)
+	lines := specs[w].generate(r.Rows, r.Seed)
+	blockSize := blockTextBytes(lines, r.BlockRows)
 	cluster, err := hdfs.NewCluster(r.Nodes)
 	if err != nil {
 		return nil, err
@@ -296,8 +309,8 @@ func (r *Runner) fixture(w Workload, s System) (*fixture, error) {
 		f.scale = r.newScale(w, f.hadoopSum.TextBytes, int64(len(lines)), f.hadoopSum.Blocks)
 	case HadoopPP:
 		sys := &trojan.System{
-			Cluster: cluster, Schema: schemaOf(w), BlockSize: blockSize,
-			Replication: 3, IndexColumn: trojanIndexColumn(w),
+			Cluster: cluster, Schema: specs[w].schema, BlockSize: blockSize,
+			Replication: 3, IndexColumn: specs[w].trojanCol,
 		}
 		f.trojanSys = sys
 		f.trojanSum, err = sys.Upload(f.file, lines)

@@ -32,7 +32,7 @@ func TestRunnerDoesNotRetainClusters(t *testing.T) {
 	r := quickRunner()
 	freed := make(chan struct{})
 	func() {
-		f, err := r.freshHAILFixture(Synthetic, r.blockTextBytes)
+		f, err := r.freshHAILFixture(Synthetic, r.BlockRows, specs[Synthetic].sortCols)
 		if err != nil {
 			t.Fatal(err)
 		}

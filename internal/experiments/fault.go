@@ -60,7 +60,7 @@ func (r *Runner) Fig8() (*Figure, error) {
 		cols  []int
 	}
 	variants := []hailVariant{
-		{"HAIL", []int{workload.UVVisitDate, workload.UVSourceIP, workload.UVAdRevenue}},
+		{"HAIL", specs[UserVisits].sortCols},
 		{"HAIL-1Idx", []int{workload.UVVisitDate, workload.UVVisitDate, workload.UVVisitDate}},
 	}
 	var hailPts, slowPts []Point
@@ -88,25 +88,9 @@ func (r *Runner) Fig8() (*Figure, error) {
 // cheaper than the paper's whole-block "standard Hadoop scanning"), then
 // re-runs with a mid-job node kill and composes the degraded time.
 func (r *Runner) hailFaultRun(sortCols []int, bq workload.BenchQuery) (e2e, slowdownPct float64, err error) {
-	lines := r.lines(UserVisits)
-	cluster, err := hdfs.NewCluster(r.Nodes)
+	f, err := r.freshHAILFixture(UserVisits, r.BlockRows, sortCols)
 	if err != nil {
 		return 0, 0, err
-	}
-	blockSize := r.blockTextBytes(UserVisits, lines)
-	client := &core.Client{Cluster: cluster, Config: core.LayoutConfig{
-		Schema:      workload.UserVisitsSchema(),
-		SortColumns: sortCols,
-		BlockSize:   blockSize,
-	}}
-	sum, err := client.Upload("/uv-fault", lines)
-	if err != nil {
-		return 0, 0, err
-	}
-	f := &fixture{
-		workload: UserVisits, system: HAIL, cluster: cluster, file: "/uv-fault",
-		scale:   r.newScale(UserVisits, sum.TextBytes, sum.Rows, sum.Blocks),
-		hailSum: sum,
 	}
 
 	// Healthy run.
@@ -134,30 +118,14 @@ func (r *Runner) hailFaultRun(sortCols []int, bq workload.BenchQuery) (e2e, slow
 
 	// Kill a node that holds replicas indexed on the filter attribute, at
 	// 50% progress, and measure how many blocks degraded to full scans.
-	// Parallelism 1 runs the tasks inline and in order, so which blocks
-	// degrade — and the figure — does not depend on who wins a race with
-	// the kill.
-	victim := cluster.NameNode().GetHostsWithIndex(sum.BlockIDs[0], bq.Query.Filter[0].Column)[0]
-	e := &mapred.Engine{Cluster: cluster, Parallelism: 1}
-	var once sync.Once
-	var killErr error
-	e.OnProgress = func(done, total int) {
-		if done >= total/2 {
-			once.Do(func() { killErr = cluster.KillNode(victim) })
-		}
-	}
-	resKill, err := e.Run(&mapred.Job{
+	victim := f.cluster.NameNode().GetHostsWithIndex(f.hailSum.BlockIDs[0], bq.Query.Filter[0].Column)[0]
+	resKill, err := runKilled(f.cluster, victim, &mapred.Job{
 		Name: bq.Name + "-kill", File: f.file,
-		Input:    &core.InputFormat{Cluster: cluster, Query: bq.Query},
+		Input:    &core.InputFormat{Cluster: f.cluster, Query: bq.Query},
 		MapBatch: workload.PassthroughMapBatch,
 	})
 	if err != nil {
-		return 0, 0, err
-	}
-	if killErr != nil {
-		// A failed kill means no failover happened and the degradation
-		// measurement below would be meaningless.
-		return 0, 0, fmt.Errorf("fault: killing node %d failed: %v", victim, killErr)
+		return 0, 0, fmt.Errorf("fault: %v", err)
 	}
 	st := resKill.TotalStats()
 	fallbackFraction := float64(st.FullScans) / float64(st.Blocks)
@@ -173,4 +141,25 @@ func (r *Runner) hailFaultRun(sortCols []int, bq workload.BenchQuery) (e2e, slow
 	}
 	slowdownPct = (sim.ExpirySeconds + rebalance + displacement) / e2e * 100
 	return e2e, slowdownPct, nil
+}
+
+// runKilled runs job and kills victim once half its tasks are done. The
+// engine runs the tasks inline and in order (Parallelism 1), so which
+// blocks the kill affects — and every figure built on it — does not depend
+// on who wins a race with the kill. A kill that failed is an error: no
+// failover happened, so nothing measured would mean anything.
+func runKilled(cluster *hdfs.Cluster, victim hdfs.NodeID, job *mapred.Job) (*mapred.JobResult, error) {
+	e := &mapred.Engine{Cluster: cluster, Parallelism: 1}
+	var once sync.Once
+	var killErr error
+	e.OnProgress = func(done, total int) {
+		if done >= total/2 {
+			once.Do(func() { killErr = cluster.KillNode(victim) })
+		}
+	}
+	res, err := e.Run(job)
+	if err == nil && killErr != nil {
+		err = fmt.Errorf("killing node %d failed: %v", victim, killErr)
+	}
+	return res, err
 }

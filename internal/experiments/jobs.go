@@ -25,7 +25,7 @@ func (r *Runner) runQuery(f *fixture, bq workload.BenchQuery, splitting bool) (*
 	switch f.system {
 	case Hadoop:
 		job.Input = &hadoop.TextInputFormat{Cluster: f.cluster}
-		job.MapBatch = hadoop.Map(schemaOf(f.workload), bq.Query)
+		job.MapBatch = hadoop.Map(specs[f.workload].schema, bq.Query)
 	case HadoopPP:
 		job.Input = &trojan.InputFormat{System: f.trojanSys, Query: bq.Query}
 		job.MapBatch = workload.PassthroughMapBatch
@@ -152,12 +152,28 @@ func (r *Runner) jobTimes(f *fixture, res *mapred.JobResult, splitting bool) (e2
 	return sim.JobTime(r.Profile, spec), c.rrSeconds(1), sim.IdealJobTime(r.Profile, idealSpec)
 }
 
-// queries returns the workload's benchmark queries.
-func queriesFor(w Workload) []workload.BenchQuery {
-	if w == UserVisits {
-		return workload.BobQueries()
-	}
-	return workload.SynQueries()
+// mixedJobTimes is the end-to-end model for a job under HailSplitting
+// whose splits are mixed: a scanFrac share of the file's blocks runs as
+// per-block scan tasks, which scale with the paper-scale block count, and
+// the rest is packed into packedTasks splits, whose count depends on the
+// cluster, not the data (§4.3). A job of many per-block tasks is
+// dominated by the per-task dispatch bound (the paper's framework
+// overhead, §6.4.1), a packed one by the small per-block work. jobTimes
+// cannot price it: it assumes every task of a splitting job is packed.
+// It also reports the slot-parallel map-work component on its own, where
+// a result cache's savings show, and the job's paper-scale task count.
+func (r *Runner) mixedJobTimes(f *fixture, res *mapred.JobResult, scanFrac, packedTasks float64) (e2e, workSeconds, paperTasks float64) {
+	c := r.cost(f, res)
+	paperBlocks := float64(f.scale.PaperBlocks)
+	scanTasks := scanFrac * paperBlocks
+	packedBlocks := paperBlocks - scanTasks
+	perBlock := c.perBlockIO + c.perBlockRRCPU + c.perBlockMapCPU + c.perBlockOut
+	work := paperBlocks*perBlock +
+		(scanTasks+packedTasks)*sim.TaskFixedSeconds +
+		packedBlocks*sim.BlockOpenSeconds
+	workSeconds = work / float64(r.Profile.Nodes*sim.SlotsPerNode)
+	execute := max(workSeconds, (scanTasks+packedTasks)/sim.DispatchPerSecond)
+	return c.setup + execute, workSeconds, scanTasks + packedTasks
 }
 
 // queryFigure runs all of a workload's queries on all three systems and
@@ -183,7 +199,7 @@ func (r *Runner) queryFigure(id, title string, w Workload, m queryMetric, hailSp
 			return nil, err
 		}
 		var pts []Point
-		for _, bq := range queriesFor(w) {
+		for _, bq := range specs[w].queries() {
 			splitting := hailSplitting && sys == HAIL
 			res, err := r.runQuery(f, bq, splitting)
 			if err != nil {
@@ -267,7 +283,7 @@ func (r *Runner) Fig9c() (*Figure, error) {
 				return nil, err
 			}
 			total := 0.0
-			for _, bq := range queriesFor(w) {
+			for _, bq := range specs[w].queries() {
 				splitting := sys == HAIL
 				res, err := r.runQuery(f, bq, splitting)
 				if err != nil {
@@ -276,11 +292,7 @@ func (r *Runner) Fig9c() (*Figure, error) {
 				e2e, _, _ := r.jobTimes(f, res, splitting)
 				total += e2e
 			}
-			label := "Bob"
-			if w == Synthetic {
-				label = "Synthetic"
-			}
-			pts = append(pts, Point{label, total})
+			pts = append(pts, Point{specs[w].label, total})
 		}
 		fig.Series = append(fig.Series, Series{Label: sys.String(), Points: pts})
 	}

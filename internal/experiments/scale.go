@@ -25,11 +25,7 @@ type Scale struct {
 
 // newScale derives scale factors from a measured upload.
 func (r *Runner) newScale(w Workload, realTextBytes, realRows int64, realBlocks int) Scale {
-	gbPerNode := UVGBPerNode
-	if w == Synthetic {
-		gbPerNode = SynGBPerNode
-	}
-	textPerNode := gbPerNode * 1e9
+	textPerNode := specs[w].gbPerNode * 1e9
 	totalText := textPerNode * float64(r.Nodes)
 	paperBlocks := int(totalText / paperBlockText)
 

@@ -4,18 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"log/slog"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"sort"
 	"sync"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/mapred"
 	"repro/internal/query"
 	"repro/internal/server"
-	"repro/internal/workload"
 )
 
 // ExpServe measures the resident query server (haild) under a concurrent
@@ -77,22 +75,6 @@ type ServeReport struct {
 	AdaptiveReplicas int   `json:"adaptive_replicas"`
 }
 
-// serveQueries returns the storm's query shapes for a workload: two hot
-// selections on statically indexed attributes plus the adaptive-territory
-// selection (the attribute the static layout never indexes).
-func serveQueries(w Workload) (hot []string, adaptive string) {
-	if w == UserVisits {
-		return []string{
-			`@HailQuery(filter="@3 between(1999-01-01,2000-01-01)", projection={@1})`,
-			`@HailQuery(filter="@3 between(1995-01-01,1996-06-30)", projection={@1,@4})`,
-		}, `@HailQuery(filter="@9 between(100,199)", projection={@1})`
-	}
-	return []string{
-		`@HailQuery(filter="@1 between(0,40000)", projection={@2}) `,
-		`@HailQuery(filter="@2 between(0,80000)", projection={@1,@3})`,
-	}, `@HailQuery(filter="@10 between(0,1048576)", projection={@1})`
-}
-
 // ExpServe runs the storm: `queries` concurrent requests (≥ 16) across
 // `tenants` tenants (≥ 1). The returned error is non-nil if any response
 // failed or diverged from the serial reference — the report is returned
@@ -109,7 +91,7 @@ func (r *Runner) ExpServe(w Workload, queries, tenants int) (*ServeReport, error
 	// serial references; its saved directory is what the server loads —
 	// the two share no state, so reference rows cannot be contaminated by
 	// the storm's cache entries or adaptive builds.
-	f, err := r.freshHAILFixture(w, r.blockTextBytes)
+	f, err := r.freshHAILFixture(w, r.BlockRows, specs[w].sortCols)
 	if err != nil {
 		return nil, err
 	}
@@ -123,31 +105,19 @@ func (r *Runner) ExpServe(w Workload, queries, tenants int) (*ServeReport, error
 		return nil, err
 	}
 
-	hot, adaptiveAnn := serveQueries(w)
-	shapes := append(append([]string(nil), hot...), adaptiveAnn)
-	sch := schemaOf(w)
-	refRows := make(map[string][]string, len(shapes))
+	// The storm's shapes: two hot selections on statically indexed
+	// attributes plus the adaptive-territory selection.
+	adaptiveAnn := specs[w].adaptive.String()
+	shapes := append(append([]string(nil), specs[w].hot...), adaptiveAnn)
+	refRows := make(map[string]map[string]int, len(shapes))
 	for _, ann := range shapes {
-		q, err := query.ParseAnnotation(sch, ann)
+		q, err := query.ParseAnnotation(specs[w].schema, ann)
 		if err != nil {
 			return nil, fmt.Errorf("serve: %v", err)
 		}
-		engine := &mapred.Engine{Cluster: cluster}
-		res, err := engine.Run(&mapred.Job{
-			Name:     "serve-reference",
-			File:     file,
-			Input:    &core.InputFormat{Cluster: cluster, Query: q},
-			MapBatch: workload.PassthroughMapBatch,
-		})
-		if err != nil {
+		if refRows[ann], err = reference(f, q); err != nil {
 			return nil, err
 		}
-		rows := make([]string, 0, len(res.Output))
-		for _, kv := range res.Output {
-			rows = append(rows, kv.Key)
-		}
-		sort.Strings(rows)
-		refRows[ann] = rows
 	}
 
 	// Phase 2: the server, plus serial adaptive warmup to convergence so
@@ -159,6 +129,7 @@ func (r *Runner) ExpServe(w Workload, queries, tenants int) (*ServeReport, error
 		QueueTimeout: 2 * time.Minute, // storms queue, they must not 429
 		OfferRate:    1.0,
 		Parallelism:  2, // many concurrent engines; keep each one narrow
+		Logger:       slog.New(slog.DiscardHandler),
 	})
 	if err != nil {
 		return nil, err
@@ -239,22 +210,14 @@ func (r *Runner) ExpServe(w Workload, queries, tenants int) (*ServeReport, error
 				return
 			}
 			rep.Queries++
-			got := append([]string(nil), qr.Rows...)
-			sort.Strings(got)
-			want := refRows[ann]
-			same := len(got) == len(want)
-			if same {
-				for j := range got {
-					if got[j] != want[j] {
-						same = false
-						break
-					}
-				}
+			got := make(map[string]int, len(qr.Rows))
+			for _, row := range qr.Rows {
+				got[row]++
 			}
-			if !same {
+			if !maps.Equal(got, refRows[ann]) {
 				rep.Mismatches++
 				if firstDiag == "" {
-					firstDiag = fmt.Sprintf("query %d (%s): %d rows, want %d", i, ann, len(got), len(want))
+					firstDiag = fmt.Sprintf("query %d (%s): %d rows differ from the serial reference", i, ann, len(qr.Rows))
 				}
 			}
 		}(i)

@@ -30,11 +30,7 @@ func (r *Runner) uploadFigure(id string, w Workload) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	gb := UVGBPerNode
-	if w == Synthetic {
-		gb = SynGBPerNode
-	}
-	textPerNode := gb * 1e9
+	textPerNode := specs[w].gbPerNode * 1e9
 	p := r.Profile
 
 	fig := &Figure{
@@ -78,7 +74,7 @@ func (r *Runner) Fig4c() (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	textPerNode := SynGBPerNode * 1e9
+	textPerNode := specs[Synthetic].gbPerNode * 1e9
 	p := r.Profile
 	fig := &Figure{
 		ID:    "Fig4c",
@@ -105,11 +101,7 @@ func (r *Runner) scaleUpTable(id string, w Workload) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	gb := UVGBPerNode
-	if w == Synthetic {
-		gb = SynGBPerNode
-	}
-	textPerNode := gb * 1e9
+	textPerNode := specs[w].gbPerNode * 1e9
 	fig := &Figure{
 		ID:    id,
 		Title: fmt.Sprintf("Scale-up: %s upload on EC2 node types vs. physical", w),
@@ -179,10 +171,7 @@ func (r *Runner) Fig5() (*Figure, error) {
 		{"HAIL Syn", hailSyn, Synthetic, true},
 		{"HAIL UV", hailUV, UserVisits, true},
 	} {
-		gb := UVGBPerNode
-		if sys.workload == Synthetic {
-			gb = SynGBPerNode
-		}
+		gb := specs[sys.workload].gbPerNode
 		var pts []Point
 		for _, nodes := range []int{10, 50, 100} {
 			p := sim.EC2Quad.WithNodes(nodes)
