@@ -9,19 +9,20 @@ test:
 	$(GO) test ./...
 
 # The decoders of stored bytes (a saved directory's manifest and checksum
-# files among them), the upload's line parser against ParseLine
-# + AppendRow, the float formatter the scan prints with, the annotation
-# parser, and the engine against its text oracle (FuzzEngine: a whole
-# upload and one to three jobs per input), 20 s each
-# (go test takes one fuzz target per run). Their seeds run as ordinary
-# tests under `make test`. Inputs are tens of KB, so minimizing each new
-# one for the default 60 s would eat the whole budget.
+# files and the Hadoop++ baseline's trojan blocks among them), the
+# upload's line parser against ParseLine + AppendRow, the float formatter
+# the scan prints with, the annotation parser, and the engine against its
+# text oracle (FuzzEngine: a whole upload and one to three jobs per
+# input), 20 s each (go test takes one fuzz target per run). Their seeds
+# run as ordinary tests under `make test`. Inputs are tens of KB, so
+# minimizing each new one for the default 60 s would eat the whole budget.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzNewReader$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/pax
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/pax
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendLine$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/pax
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFrame$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexUnmarshal$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/index
+	$(GO) test -run '^$$' -fuzz '^FuzzBlockReader$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/trojan
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/hdfs
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendFloat$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/schema
 	$(GO) test -run '^$$' -fuzz '^FuzzParseAnnotation$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/query

@@ -249,8 +249,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 					plan.BudgetDenied, float64(idx.ExtraBytes())/1e3, float64(idx.BudgetBytes())/1e3)
 			}
 		}
-		if err := idx.LastErr(); err != nil {
-			return err
+		if plan.Err != nil {
+			return plan.Err
 		}
 	}
 	if tr != nil {

@@ -106,10 +106,11 @@ type JobPlan struct {
 	// pending offers whose plan has aged past pendingTTL ticks are
 	// dropped (an abandoned job's offers must not fire builds later).
 	observedAt uint64
-	// err is the stream's most recent build error, read via LastErr /
-	// StreamErr. Per plan, like the counters: a concurrent stream's job
-	// start must not wipe another stream's failure.
-	err error
+	// Err is the stream's most recent build error. Per plan, like the
+	// counters: a concurrent stream's job start must not wipe another
+	// stream's failure; it clears when the stream's own next job is
+	// observed.
+	Err error
 }
 
 // pendingTTL is how many job-clock ticks a pending offer survives
@@ -441,34 +442,6 @@ func (i *Indexer) Replicas() []ReplicaHeat {
 	return out
 }
 
-// LastErr returns the most recently observed stream's build error, if
-// any. Errors live on the stream's plan, like the counters — a
-// concurrent stream starting a job never wipes another stream's failure;
-// a stream's error clears when its own next job is observed. StreamErr
-// reads a specific stream.
-func (i *Indexer) LastErr() error {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	if !i.hasLast {
-		return nil
-	}
-	if p := i.plans[i.lastKey]; p != nil {
-		return p.err
-	}
-	return nil
-}
-
-// StreamErr returns the most recent build error of one (file, column)
-// stream's current plan.
-func (i *Indexer) StreamErr(file string, col int) error {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	if p := i.plans[planKey{file, col}]; p != nil {
-		return p.err
-	}
-	return nil
-}
-
 // selectVictimsLocked picks the adaptive replicas to retire so that
 // `need` more budget bytes fit, never cannibalizing the requesting
 // (file, column) stream. Victims must be strictly colder than the
@@ -605,7 +578,7 @@ func (i *Indexer) dropVictims(plan *JobPlan, victims []*replicaRecord) {
 		i.mu.Lock()
 		delete(i.dropping, dropKey{v.block, v.node})
 		if err != nil {
-			plan.err = fmt.Errorf("adaptive: evict block %d column %d from node %d: %v", v.block, v.col, v.node, err)
+			plan.Err = fmt.Errorf("adaptive: evict block %d column %d from node %d: %v", v.block, v.col, v.node, err)
 			if _, taken := i.replicas[repID{v.block, v.col}]; !taken {
 				i.replicas[repID{v.block, v.col}] = v
 				i.extra += v.charged
@@ -650,7 +623,7 @@ func (i *Indexer) buildOne(key planKey, plan *JobPlan, b hdfs.BlockID, near hdfs
 		om.failed.Inc()
 		i.mu.Lock()
 		plan.Failed++
-		plan.err = fmt.Errorf("adaptive: block %d column %d: %v", b, col, err)
+		plan.Err = fmt.Errorf("adaptive: block %d column %d: %v", b, col, err)
 		i.mu.Unlock()
 	}
 
@@ -818,7 +791,7 @@ func (i *Indexer) buildOne(key planKey, plan *JobPlan, b hdfs.BlockID, near hdfs
 	if orphan != nil && orphan.node != target {
 		if err := i.Cluster.DropReplica(orphan.block, orphan.node); err != nil {
 			i.mu.Lock()
-			plan.err = fmt.Errorf("adaptive: retire orphaned replica of block %d on node %d: %v", orphan.block, orphan.node, err)
+			plan.Err = fmt.Errorf("adaptive: retire orphaned replica of block %d on node %d: %v", orphan.block, orphan.node, err)
 			i.mu.Unlock()
 		}
 	}

@@ -89,7 +89,7 @@ func runQueryJob(t *testing.T, cluster *hdfs.Cluster, file string, idx *Indexer,
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := idx.LastErr(); err != nil {
+	if err := idx.LastJob().Err; err != nil {
 		t.Fatal(err)
 	}
 	return res
@@ -310,7 +310,7 @@ func TestAdaptiveSkipsWhenClusterFull(t *testing.T) {
 	blocks, _ := cluster.NameNode().FileBlocks(file)
 
 	idx := New(cluster, 1.0, 0)
-	res := runJob(t, cluster, file, idx) // runJob fails the test if LastErr is set
+	res := runJob(t, cluster, file, idx) // runJob fails the test if the plan carries an error
 	plan := idx.LastJob()
 	if plan.Built != 0 || plan.Failed != 0 || plan.Skipped != len(blocks) {
 		t.Fatalf("plan = %+v, want all %d offered blocks skipped without error", plan, len(blocks))
@@ -469,7 +469,7 @@ func TestIndexerConcurrentAfterTask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := idx.LastErr(); err != nil {
+	if err := idx.LastJob().Err; err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Output) == 0 {

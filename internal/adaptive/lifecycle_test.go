@@ -213,7 +213,7 @@ func TestEvictionPrefersDeadNodeOrphans(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := idx.LastErr(); err != nil {
+	if err := idx.LastJob().Err; err != nil {
 		t.Fatal(err)
 	}
 	plan := idx.LastJob()
@@ -268,7 +268,7 @@ func TestConcurrentJobsKeepPerColumnPlans(t *testing.T) {
 			t.Fatalf("job %d: %v", n, err)
 		}
 	}
-	if err := idx.LastErr(); err != nil {
+	if err := idx.LastJob().Err; err != nil {
 		t.Fatal(err)
 	}
 	assertSameRows(t, "overlapping c job", sortedRows(results[0]), refC)
@@ -340,7 +340,7 @@ func TestCollisionRepicksFreeNode(t *testing.T) {
 	if plan.Failed != 0 {
 		t.Fatalf("plan = %+v: ghost-byte collision counted as Failed", plan)
 	}
-	if err := idx.LastErr(); err != nil {
+	if err := idx.LastJob().Err; err != nil {
 		t.Fatalf("collision surfaced as an error: %v", err)
 	}
 	if plan.Built != len(blocks) {
@@ -548,8 +548,8 @@ func TestStalePendingOffersExpire(t *testing.T) {
 
 	// A task finally covers the blocks: only col-3 builds may fire.
 	idx.AfterTask(mapred.TaskReport{Split: mapred.Split{Blocks: blocks}, Node: 0})
-	if err := idx.StreamErr(file, 3); err != nil {
-		t.Fatal(err)
+	if p, _ := idx.Plan(file, 3); p.Err != nil {
+		t.Fatal(p.Err)
 	}
 	if p, ok := idx.Plan(file, 2); !ok || p.Built != 0 {
 		t.Errorf("abandoned col-2 stream built %d blocks after %d silent ticks, want 0", p.Built, pendingTTL+1)

@@ -498,7 +498,6 @@ func (f *InputFormat) Open(split mapred.Split, node hdfs.NodeID) (mapred.BatchRe
 		scan:    r.scan,
 		batch:   r.batch,
 		sel:     r.sel,
-		ident:   r.ident,
 	}
 	return r, nil
 }

@@ -66,7 +66,6 @@ type recordReader struct {
 	scan  blockScan        // the block being scanned; its column scratch is reused across blocks
 	batch mapred.Batch     // reused across blocks; fn must not retain it
 	sel   query.Selection  // reused selection vector
-	ident query.Selection  // reused identity selection for compacted batches
 }
 
 // ReadBatches implements mapred.BatchReader: the split's blocks as a lazy
@@ -110,7 +109,7 @@ func (r *recordReader) release() {
 		}
 	}
 	r.cluster, r.query, r.split, r.view = nil, nil, mapred.Split{}, hdfs.ReplicaView{}
-	r.batch.Cols, r.batch.Sel, r.batch.Bad = nil, nil, nil
+	r.batch.Cols, r.batch.Rows, r.batch.Bad = nil, 0, nil
 	readers.Put(r)
 }
 
@@ -385,7 +384,7 @@ func (r *recordReader) readBlockBatches(b hdfs.BlockID, fn func(*mapred.Batch), 
 	if len(bs.bad) > 0 {
 		stats.RecordsDelivered += int64(len(bs.bad))
 		stats.BatchesEmitted++
-		r.batch.Cols, r.batch.Sel, r.batch.Bad = nil, nil, bs.bad
+		r.batch.Cols, r.batch.Rows, r.batch.Bad = nil, 0, bs.bad
 		fn(&r.batch)
 	}
 	return nil
@@ -466,20 +465,17 @@ func (r *recordReader) streamRange(bs *blockScan, fn func(*mapred.Batch), stats 
 		if len(r.sel) == 0 {
 			continue
 		}
-		sel := r.sel
 		if partial {
 			for _, col := range filterCols {
 				if isProjected(bs.proj, col) {
 					vecs[col].Gather(r.sel)
 				}
 			}
-			r.ident = query.MakeSelection(r.ident, len(r.sel))
-			sel = r.ident
 		}
-		stats.RecordsDelivered += int64(len(sel))
-		stats.AttrsDelivered += int64(len(sel) * len(bs.proj))
+		stats.RecordsDelivered += int64(len(r.sel))
+		stats.AttrsDelivered += int64(len(r.sel) * len(bs.proj))
 		stats.BatchesEmitted++
-		r.batch.Cols, r.batch.Sel, r.batch.Bad = bs.projVecs, sel, nil
+		r.batch.Cols, r.batch.Rows, r.batch.Bad = bs.projVecs, len(r.sel), nil
 		fn(&r.batch)
 	}
 	return nil

@@ -84,7 +84,7 @@ func (o *rowOracleReader) readBlockRows(b hdfs.BlockID, fn func(*mapred.Batch), 
 // emitRange reads the filter and projection columns over the candidate row
 // range — each as one contiguous boxed range, ascending column order —
 // post-filters row by row, and appends each qualifying row's projected
-// values to vectors: one batch for the range, every row selected.
+// values to vectors: one dense batch for the range.
 func emitRange(bs *blockScan, fn func(*mapred.Batch), stats *mapred.TaskStats) error {
 	q, proj := bs.q, bs.proj
 	cols, _ := neededColumns(q, proj, nil, nil)
@@ -113,11 +113,11 @@ rows:
 		for j, c := range proj {
 			batch.Cols[j].Append(needed[c][i])
 		}
-		batch.Sel = append(batch.Sel, int32(len(batch.Sel)))
+		batch.Rows++
 		stats.RecordsDelivered++
 		stats.AttrsDelivered += int64(len(proj))
 	}
-	if len(batch.Sel) > 0 {
+	if batch.Rows > 0 {
 		fn(batch)
 	}
 	return nil

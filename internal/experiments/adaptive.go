@@ -169,13 +169,13 @@ func (r *Runner) ExpAdaptive(w Workload, jobsPerPhase int, offerRate float64) (*
 			if err != nil {
 				return nil, err
 			}
-			if err := idx.LastErr(); err != nil {
-				return nil, err
+			plan := idx.LastJob()
+			if plan.Err != nil {
+				return nil, plan.Err
 			}
 			if !maps.Equal(multiset(res.Output), ref) {
 				return nil, fmt.Errorf("adaptive: job %d diverged from non-adaptive execution", jobNo)
 			}
-			plan := idx.LastJob()
 			// Every eviction left the directory consistent and bumped the
 			// block's generation. The freed node may legitimately host a
 			// *new* replica of the same block later in the job

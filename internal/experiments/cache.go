@@ -129,11 +129,10 @@ func (r *Runner) ExpCache(w Workload, jobs int, offerRate float64) (*CacheReport
 		if err != nil {
 			return nil, err
 		}
-		if err := idx.LastErr(); err != nil {
-			return nil, err
-		}
-
 		plan := idx.LastJob()
+		if plan.Err != nil {
+			return nil, plan.Err
+		}
 		e2e, work, build := r.adaptiveJobSeconds(f, res, plan)
 		st := res.TotalStats()
 		cs := cache.Stats()

@@ -125,8 +125,8 @@ func (ix *Index) SizeBytes() int {
 }
 
 // Binary layout: magic "HIDX", version uint16, column int32, keyType uint8,
-// numRows uint32, numKeys uint32, then the keys (packed little-endian for
-// fixed types; {len uint16, bytes} for strings).
+// numRows uint32, numKeys uint32, then the keys in their binary form
+// (schema.AppendBinary).
 const (
 	indexMagic   = "HIDX"
 	indexVersion = 1
@@ -143,22 +143,9 @@ func (ix *Index) Marshal() ([]byte, error) {
 	out = binary.LittleEndian.AppendUint32(out, uint32(ix.numRows))
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(ix.keys)))
 	for _, k := range ix.keys {
-		switch ix.keyType {
-		case schema.Int32, schema.Date:
-			out = binary.LittleEndian.AppendUint32(out, uint32(k.Int()))
-		case schema.Int64:
-			out = binary.LittleEndian.AppendUint64(out, uint64(k.Long()))
-		case schema.Float64:
-			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(k.Float()))
-		case schema.String:
-			s := k.Str()
-			if len(s) > math.MaxUint16 {
-				return nil, fmt.Errorf("index: key too long (%d bytes)", len(s))
-			}
-			out = binary.LittleEndian.AppendUint16(out, uint16(len(s)))
-			out = append(out, s...)
-		default:
-			return nil, fmt.Errorf("index: cannot marshal key type %s", ix.keyType)
+		var err error
+		if out, err = schema.AppendBinary(out, k); err != nil {
+			return nil, fmt.Errorf("index: %w", err)
 		}
 	}
 	return out, nil
@@ -205,58 +192,15 @@ func (ix *Index) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("index: %d keys cannot fit %d bytes", nKeys, len(data)-p)
 	}
 	ix.keys = slices.Grow(ix.keys[:0], nKeys)
-	var text string // a string key's bytes: data from p on, copied once
+	var err error
 	if ix.keyType == schema.String && nKeys > 0 {
-		text = string(data[p:])
+		// String keys are substrings of one copy of the key bytes.
+		ix.keys, err = appendKeys(ix.keys, ix.keyType, string(data[p:]), nKeys)
+	} else {
+		ix.keys, err = appendKeys(ix.keys, ix.keyType, data[p:], nKeys)
 	}
-	base := p
-	for i := 0; i < nKeys; i++ {
-		switch ix.keyType {
-		case schema.Int32:
-			if p+4 > len(data) {
-				return fmt.Errorf("index: truncated keys")
-			}
-			ix.keys = append(ix.keys, schema.IntVal(int32(binary.LittleEndian.Uint32(data[p:]))))
-			p += 4
-		case schema.Date:
-			if p+4 > len(data) {
-				return fmt.Errorf("index: truncated keys")
-			}
-			ix.keys = append(ix.keys, schema.DateVal(int32(binary.LittleEndian.Uint32(data[p:]))))
-			p += 4
-		case schema.Int64:
-			if p+8 > len(data) {
-				return fmt.Errorf("index: truncated keys")
-			}
-			ix.keys = append(ix.keys, schema.LongVal(int64(binary.LittleEndian.Uint64(data[p:]))))
-			p += 8
-		case schema.Float64:
-			if p+8 > len(data) {
-				return fmt.Errorf("index: truncated keys")
-			}
-			k := math.Float64frombits(binary.LittleEndian.Uint64(data[p:]))
-			// Compare reads NaN as equal to everything, so it would pass
-			// the ascending check below and then misdirect the lookups'
-			// binary searches; no parsed row holds one (schema.ParseValue).
-			if math.IsNaN(k) {
-				return fmt.Errorf("index: key %d is NaN", i)
-			}
-			ix.keys = append(ix.keys, schema.FloatVal(k))
-			p += 8
-		case schema.String:
-			if p+2 > len(data) {
-				return fmt.Errorf("index: truncated keys")
-			}
-			n := int(binary.LittleEndian.Uint16(data[p:]))
-			p += 2
-			if p+n > len(data) {
-				return fmt.Errorf("index: truncated string key")
-			}
-			ix.keys = append(ix.keys, schema.StringVal(text[p-base:p-base+n]))
-			p += n
-		default:
-			return fmt.Errorf("index: invalid key type %d", ix.keyType)
-		}
+	if err != nil {
+		return err
 	}
 	// Sanity: keys must be ascending or the index was corrupted.
 	for i := 1; i < len(ix.keys); i++ {
@@ -268,4 +212,22 @@ func (ix *Index) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("index: %d keys for %d rows, want %d", len(ix.keys), ix.numRows, want)
 	}
 	return nil
+}
+
+// appendKeys appends the n keys of type t stored at the start of src.
+func appendKeys[S []byte | string](keys []schema.Value, t schema.Type, src S, n int) ([]schema.Value, error) {
+	for i, off := 0, 0; i < n; i++ {
+		k, next, err := schema.ReadBinary(t, src, off)
+		if err != nil {
+			return keys, fmt.Errorf("index: key %d: %w", i, err)
+		}
+		// Compare reads NaN as equal to everything, so it would pass the
+		// ascending check and then misdirect the lookups' binary searches;
+		// no parsed row holds one (schema.ParseFixed).
+		if t == schema.Float64 && math.IsNaN(k.Float()) {
+			return keys, fmt.Errorf("index: key %d is NaN", i)
+		}
+		keys, off = append(keys, k), next
+	}
+	return keys, nil
 }

@@ -10,23 +10,24 @@ import (
 // Batch is one unit of the record stream every reader yields. A columnar
 // reader delivers a run of rows (pax.PartitionSize in the HAIL reader, a
 // whole block in the trojan one) as typed vectors of the projected
-// attributes plus the selection vector of rows that survived the job's
-// filter, and never materializes non-qualifying rows — late
-// materialization at the record-reader boundary. A text reader delivers
-// unparsed lines instead (Raw).
+// attributes, holding only the rows that survived the job's filter — it
+// never materializes non-qualifying rows: late materialization at the
+// record-reader boundary. A text reader delivers unparsed lines instead
+// (Raw).
 //
-// A batch's records are its selected rows, then its raw lines, then its
-// bad records. HAIL's reader puts a block's bad records in their own final
-// batch (Cols and Sel empty, Bad set): good rows first, then bad, per
+// A batch's records are its rows, then its raw lines, then its bad
+// records. HAIL's reader puts a block's bad records in their own final
+// batch (Cols empty, Rows 0, Bad set): good rows first, then bad, per
 // block.
 type Batch struct {
 	// Cols holds the projected attributes' vectors, in projection order.
 	// Vectors are owned by the reader and reused between batches; a string
 	// vector's bytes are a range of the replica being scanned.
 	Cols []*schema.Vector
-	// Sel is the selection vector: ascending row indexes into Cols'
-	// vectors for the rows that satisfy the filter.
-	Sel []int32
+	// Rows is the number of rows the batch delivers: rows 0 to Rows-1 of
+	// every vector in Cols. A batch is dense — a reader compacts away the
+	// rows its filter dropped before it emits.
+	Rows int
 	// Raw carries unparsed text lines, each one record: a text reader
 	// leaves splitting them to the map function (Hadoop's TextInputFormat,
 	// §4.1).
@@ -42,12 +43,12 @@ type Batch struct {
 	offs    []int      // Lines' running offset into each packed column
 }
 
-// NumRows returns the number of records the batch delivers: selected rows,
-// raw lines and bad records.
-func (b *Batch) NumRows() int { return len(b.Sel) + len(b.Raw) + len(b.Bad) }
+// NumRows returns the number of records the batch delivers: rows, raw
+// lines and bad records.
+func (b *Batch) NumRows() int { return b.Rows + len(b.Raw) + len(b.Bad) }
 
-// Each materializes the batch record by record, in order — selected rows,
-// then raw lines (Record.Raw), then bad records (Record.Bad) — the adapter
+// Each materializes the batch record by record, in order — rows, then raw
+// lines (Record.Raw), then bad records (Record.Bad) — the adapter
 // through which a row MapFunc consumes the batch stream. The Record's Row
 // is a scratch buffer reused across calls (Hadoop's object reuse
 // contract): it is valid only for the duration of fn and must be copied to
@@ -55,14 +56,14 @@ func (b *Batch) NumRows() int { return len(b.Sel) + len(b.Raw) + len(b.Bad) }
 // (schema.Vector.Value); a map function that only wants the rows' text
 // should use Lines.
 func (b *Batch) Each(fn func(Record)) {
-	if len(b.Sel) > 0 {
+	if b.Rows > 0 {
 		if cap(b.scratch) < len(b.Cols) {
 			b.scratch = make(schema.Row, len(b.Cols))
 		}
 		row := b.scratch[:len(b.Cols)]
-		for _, i := range b.Sel {
+		for i := 0; i < b.Rows; i++ {
 			for c, vec := range b.Cols {
-				row[c] = vec.Value(int(i))
+				row[c] = vec.Value(i)
 			}
 			fn(Record{Row: row})
 		}
@@ -75,19 +76,18 @@ func (b *Batch) Each(fn func(Record)) {
 	}
 }
 
-// Lines renders the selected rows as text, straight from the vectors: text
-// holds each row's schema.Row.Line(sep) form back to back, in selection
-// order, and row k is text[ends[k-1]:ends[k]] (from 0 for the first). Raw
-// lines and bad records are not part of it. The rows are formatted into a
-// scratch the batch owns and become one string per batch, so the cost is
-// one allocation per batch, not several per row; ends is reused by the
-// next call.
+// Lines renders the rows as text, straight from the vectors: text holds
+// each row's schema.Row.Line(sep) form back to back, and row k is
+// text[ends[k-1]:ends[k]] (from 0 for the first). Raw lines and bad
+// records are not part of it. The rows are formatted into a scratch the
+// batch owns and become one string per batch, so the cost is one
+// allocation per batch, not several per row; ends is reused by the next
+// call.
 //
-// When Sel is the identity selection (0, 1, 2, … — every batch HAIL's
-// reader emits is dense), a packed string column (schema.Vector.Pack) is
-// copied value after value from a running offset, each value's end found
-// as it is copied, and no span directory is built. Under any other
-// selection the columns are read by row index (AppendText).
+// A packed string column (schema.Vector.Pack) is copied value after value
+// from a running offset, each value's end found as it is copied, and no
+// span directory is built; any other column is read by row index
+// (AppendText).
 //
 // A substring of text keeps all of text reachable — about 120 KB for a
 // full batch of nine-attribute rows. Every retainer of map output today
@@ -95,43 +95,32 @@ func (b *Batch) Each(fn func(Record)) {
 // together, so nothing extra stays live; a map function that keeps one
 // row in a thousand should clone it.
 func (b *Batch) Lines(sep byte) (text string, ends []int32) {
-	b.text, b.ends = b.text[:0], slices.Grow(b.ends[:0], len(b.Sel))
+	b.text, b.ends = b.text[:0], slices.Grow(b.ends[:0], b.Rows)
 	b.offs = slices.Grow(b.offs[:0], len(b.Cols))[:len(b.Cols)]
 	clear(b.offs)
-	dense := identity(b.Sel)
-	for k, i := range b.Sel {
+	for i := 0; i < b.Rows; i++ {
 		for c, vec := range b.Cols {
 			if c > 0 {
 				b.text = append(b.text, sep)
 			}
-			if dense && vec.Packed() {
+			if vec.Packed() {
 				b.text, b.offs[c] = vec.AppendPacked(b.text, b.offs[c])
 			} else {
-				b.text = vec.AppendText(b.text, int(i))
+				b.text = vec.AppendText(b.text, i)
 			}
 		}
 		b.ends = append(b.ends, int32(len(b.text)))
-		if k == 0 {
+		if i == 0 {
 			// The first row sizes the scratch for the rest, with an eighth
 			// to spare: growing it a quarter at a time from nothing would
 			// allocate five times the batch.
-			b.text = slices.Grow(b.text, len(b.text)*len(b.Sel)*9/8)
+			b.text = slices.Grow(b.text, len(b.text)*b.Rows*9/8)
 		}
 	}
 	if len(b.text) > math.MaxInt32 {
 		panic("mapred: a batch's text exceeds the row-end directory's 2 GiB")
 	}
 	return string(b.text), b.ends
-}
-
-// identity reports whether sel is 0, 1, …, len(sel)-1.
-func identity(sel []int32) bool {
-	for k, i := range sel {
-		if int(i) != k {
-			return false
-		}
-	}
-	return true
 }
 
 // MapBatchFunc is a map function that consumes whole batches. It must be

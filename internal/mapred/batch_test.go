@@ -80,7 +80,7 @@ func strconvLine(r schema.Row, sep byte) string {
 }
 
 // TestLinesMatchesEachAndRowLine: Batch.Lines is Each + Row.Line without
-// the rows — the same text, row for row, for any selection — and both
+// the rows — the same text, row for row — and both
 // format floats as strconv does. The engine's passthrough job emits from
 // Lines and its caches and oracles were filled from Row.Line, so the two
 // may not differ by a byte.
@@ -90,18 +90,8 @@ func TestLinesMatchesEachAndRowLine(t *testing.T) {
 		n := 1 + rng.Intn(40)
 		b := randomBatch(rng, n)
 		b.Bad = []string{"a bad record is no part of Lines"}
-		switch round % 3 {
-		case 0: // every row
-			for i := 0; i < n; i++ {
-				b.Sel = append(b.Sel, int32(i))
-			}
-		case 1: // some rows
-			for i := 0; i < n; i++ {
-				if rng.Intn(3) == 0 {
-					b.Sel = append(b.Sel, int32(i))
-				}
-			}
-		case 2: // none
+		if round%2 == 0 { // every row; otherwise none
+			b.Rows = n
 		}
 		for _, sep := range []byte{',', '|'} {
 			var want []string
@@ -120,7 +110,7 @@ func TestLinesMatchesEachAndRowLine(t *testing.T) {
 			from := int32(0)
 			for k, to := range ends {
 				if got := text[from:to]; got != want[k] {
-					t.Fatalf("round %d row %d (batch row %d): Lines gives %q, Row.Line %q", round, k, b.Sel[k], got, want[k])
+					t.Fatalf("round %d row %d: Lines gives %q, Row.Line %q", round, k, got, want[k])
 				}
 				from = to
 			}
@@ -131,17 +121,17 @@ func TestLinesMatchesEachAndRowLine(t *testing.T) {
 	}
 }
 
-// TestEachDeliversRowsThenRawThenBad: a batch's records are its selected
-// rows in selection order, then its raw lines, then its bad records, and
-// NumRows counts all three.
+// TestEachDeliversRowsThenRawThenBad: a batch's records are its rows in
+// order, then its raw lines, then its bad records, and NumRows counts all
+// three.
 func TestEachDeliversRowsThenRawThenBad(t *testing.T) {
 	vec := schema.NewVector(schema.Int32)
-	for i := int32(0); i < 4; i++ {
-		vec.Append(schema.IntVal(10 * i))
+	for _, v := range []int32{10, 30, 50} {
+		vec.Append(schema.IntVal(v))
 	}
 	b := &Batch{
 		Cols: []*schema.Vector{vec},
-		Sel:  []int32{1, 3},
+		Rows: 2, // the vector's third value is past the batch
 		Raw:  []string{"raw one", "raw two"},
 		Bad:  []string{"bad"},
 	}
@@ -162,9 +152,7 @@ func TestEachDeliversRowsThenRawThenBad(t *testing.T) {
 // Lines costs the one string it returns.
 func TestLinesAllocatesPerBatchNotPerRow(t *testing.T) {
 	b := randomBatch(rand.New(rand.NewSource(31)), 1024)
-	for i := 0; i < 1024; i++ {
-		b.Sel = append(b.Sel, int32(i))
-	}
+	b.Rows = 1024
 	b.Lines(',')
 	if allocs := testing.AllocsPerRun(20, func() { b.Lines(',') }); allocs > 2 {
 		t.Errorf("Lines over 1,024 rows allocates %v times", allocs)

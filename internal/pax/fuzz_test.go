@@ -177,10 +177,9 @@ func reopenMatchesFresh(t *testing.T, data []byte, r *Reader, c *ColumnCursor, b
 // packedMatchesWalk holds vec, a string batch as Next packs it, to ref, the
 // same rows decoded by NextSelected with every row selected, which walks
 // each terminator and fills the span directory as it goes: Batch.Lines
-// under the identity selection (read first, while vec is still packed, so
-// it takes the running-offset path), Len, Lines under a random selection
-// (which builds vec's directory), every StrAt, and Gather over that
-// selection.
+// (read first, while vec is still packed, so it takes the running-offset
+// path), Len, every StrAt (which builds vec's directory), Gather over a
+// random selection, and Lines over what Gather kept.
 func packedMatchesWalk(t *testing.T, vec, ref *schema.Vector, rng *rand.Rand) {
 	t.Helper()
 	n := ref.Len()
@@ -193,17 +192,15 @@ func packedMatchesWalk(t *testing.T, vec, ref *schema.Vector, rng *rand.Rand) {
 			some = append(some, int32(i))
 		}
 	}
-	lines := func(v *schema.Vector, sel []int32) (string, []int32) {
-		b := mapred.Batch{Cols: []*schema.Vector{v, v}, Sel: sel}
-		return b.Lines(',')
-	}
-	for _, sel := range [][]int32{query.MakeSelection(nil, n), some} {
-		got, gotEnds := lines(vec, sel)
-		want, wantEnds := lines(ref, sel)
+	sameLines := func() {
+		t.Helper()
+		got, gotEnds := (&mapred.Batch{Cols: []*schema.Vector{vec, vec}, Rows: vec.Len()}).Lines(',')
+		want, wantEnds := (&mapred.Batch{Cols: []*schema.Vector{ref, ref}, Rows: ref.Len()}).Lines(',')
 		if got != want || !slices.Equal(gotEnds, wantEnds) {
-			t.Fatalf("Lines over %d of %d rows: %q %v, the walk %q %v", len(sel), n, got, gotEnds, want, wantEnds)
+			t.Fatalf("Lines over %d rows: %q %v, the walk %q %v", vec.Len(), got, gotEnds, want, wantEnds)
 		}
 	}
+	sameLines()
 	for i := 0; i < n; i++ {
 		if !bytes.Equal(vec.StrAt(i), ref.StrAt(i)) {
 			t.Fatalf("value %d of %d: %q, the walk %q", i, n, vec.StrAt(i), ref.StrAt(i))
@@ -219,6 +216,7 @@ func packedMatchesWalk(t *testing.T, vec, ref *schema.Vector, rng *rand.Rand) {
 			t.Fatalf("gathered value %d: %q, the walk %q", i, vec.StrAt(i), ref.StrAt(i))
 		}
 	}
+	sameLines()
 }
 
 // withGarbageAfterLastString returns the marshalled block data with junk

@@ -76,15 +76,12 @@ type column struct {
 
 // append adds one value of the column's type.
 func (c *column) append(v schema.Value) {
-	switch c.typ {
-	case schema.Int32, schema.Date, schema.Int64:
-		c.appendFixed(uint64(v.Long()))
-	case schema.Float64:
-		c.appendFixed(math.Float64bits(v.Float()))
-	case schema.String:
-		c.nul = c.nul || strings.IndexByte(v.Str(), 0) >= 0
-		c.appendString(v.Str())
+	if c.typ != schema.String {
+		c.data = schema.AppendFixed(c.data, c.typ, v.Bits())
+		return
 	}
+	c.nul = c.nul || strings.IndexByte(v.Str(), 0) >= 0
+	c.appendString(v.Str())
 }
 
 // appendText parses one field's text straight into the column.
@@ -97,7 +94,7 @@ func (c *column) appendText(text string) error {
 	if err != nil {
 		return err
 	}
-	c.appendFixed(bits)
+	c.data = schema.AppendFixed(c.data, c.typ, bits)
 	return nil
 }
 
@@ -105,16 +102,6 @@ func (c *column) appendText(text string) error {
 func (c *column) appendString(s string) {
 	c.data = append(append(c.data, s...), 0)
 	c.starts = append(c.starts, uint32(len(c.data)))
-}
-
-// appendFixed adds a fixed-size value's bits, little-endian in the type's
-// width (schema.ParseFixed's form).
-func (c *column) appendFixed(bits uint64) {
-	if c.typ.Width() == 4 {
-		c.data = binary.LittleEndian.AppendUint32(c.data, uint32(bits))
-	} else {
-		c.data = binary.LittleEndian.AppendUint64(c.data, bits)
-	}
 }
 
 // truncate drops every value past the column's first rows.
@@ -131,19 +118,10 @@ func (c *column) truncate(rows int) {
 func (c *column) str(i int) []byte { return c.data[c.starts[i] : c.starts[i+1]-1] }
 
 func (c *column) value(i int) schema.Value {
-	switch c.typ {
-	case schema.Int32:
-		return schema.IntVal(int32(binary.LittleEndian.Uint32(c.data[i*4:])))
-	case schema.Date:
-		return schema.DateVal(int32(binary.LittleEndian.Uint32(c.data[i*4:])))
-	case schema.Int64:
-		return schema.LongVal(int64(binary.LittleEndian.Uint64(c.data[i*8:])))
-	case schema.Float64:
-		return schema.FloatVal(math.Float64frombits(binary.LittleEndian.Uint64(c.data[i*8:])))
-	case schema.String:
+	if c.typ == schema.String {
 		return schema.StringVal(string(c.str(i)))
 	}
-	panic("pax: invalid column type")
+	return schema.FixedValue(c.typ, schema.LoadFixed(c.typ, c.data[i*c.typ.Width():]))
 }
 
 // Block is an in-memory PAX block: the unit HAIL sorts, indexes and flushes.

@@ -3,7 +3,6 @@ package pax
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"slices"
 	"sync/atomic"
 
@@ -301,16 +300,7 @@ func (r *Reader) readFixedRange(col int, t schema.Type, fromRow, toRow int) ([]s
 	}
 	out := make([]schema.Value, 0, toRow-fromRow)
 	for i := 0; i < toRow-fromRow; i++ {
-		switch t {
-		case schema.Int32:
-			out = append(out, schema.IntVal(int32(binary.LittleEndian.Uint32(raw[i*4:]))))
-		case schema.Date:
-			out = append(out, schema.DateVal(int32(binary.LittleEndian.Uint32(raw[i*4:]))))
-		case schema.Int64:
-			out = append(out, schema.LongVal(int64(binary.LittleEndian.Uint64(raw[i*8:]))))
-		case schema.Float64:
-			out = append(out, schema.FloatVal(math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))))
-		}
+		out = append(out, schema.FixedValue(t, schema.LoadFixed(t, raw[i*w:])))
 	}
 	return out, nil
 }

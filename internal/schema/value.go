@@ -8,8 +8,8 @@ import (
 	"time"
 )
 
-// Value is one typed attribute value. The zero Value is the Int32 value 0;
-// use the constructors to build values of other types.
+// Value is one typed attribute value. The zero Value has type Invalid and
+// holds nothing; use the constructors to build values.
 type Value struct {
 	typ Type
 	num int64   // Int32, Int64, Date (days since epoch)
@@ -137,15 +137,7 @@ func ParseValue(t Type, s string) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	switch t {
-	case Int32:
-		return IntVal(int32(bits)), nil
-	case Int64:
-		return LongVal(int64(bits)), nil
-	case Float64:
-		return FloatVal(math.Float64frombits(bits)), nil
-	}
-	return DateVal(int32(bits)), nil
+	return FixedValue(t, bits), nil
 }
 
 // ParseFixed parses the text of a value of the fixed-size type t into the

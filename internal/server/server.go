@@ -572,9 +572,9 @@ func (s *Server) runQuery(req *QueryRequest, ql *queryLog) (*QueryResponse, erro
 				if plan.StoredBytes > 0 {
 					ts.adaptiveCharged.Add(plan.StoredBytes)
 				}
-			}
-			if err := s.idx.StreamErr(file, col); err != nil {
-				s.reg.Counter("server.adaptive_errors").Inc()
+				if plan.Err != nil {
+					s.reg.Counter("server.adaptive_errors").Inc()
+				}
 			}
 		}
 	}

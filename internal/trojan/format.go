@@ -23,7 +23,6 @@ package trojan
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"repro/internal/schema"
 )
@@ -42,34 +41,28 @@ const IndexGranularity = 16
 //	numRows  uint32
 //	schemaLen uint16, schema DDL
 //	rowAreaLen uint32, indexAreaLen uint32
-//	row area: rows back to back (fixed fields packed LE, strings
-//	          {len uint16, bytes})
-//	index area: entries of {key, rowID uint32, byteOff uint32}, one per
-//	          IndexGranularity rows, keys ascending
+//	row area: rows back to back, each field in its binary form
+//	          (schema.AppendBinary)
+//	index area: entries of {key (binary form), rowID uint32, byteOff
+//	          uint32}, one per IndexGranularity rows, keys ascending
 const (
 	blockMagic   = "TRJB"
 	blockVersion = 1
 )
 
-// encodeRow appends the row-layout encoding of row to dst.
+// encodeRow appends the row-layout encoding of row to dst: each field's
+// binary form (schema.AppendBinary), back to back.
 func encodeRow(dst []byte, s *schema.Schema, row schema.Row) ([]byte, error) {
+	if len(row) != s.NumFields() {
+		return nil, fmt.Errorf("trojan: row has %d values, schema has %d", len(row), s.NumFields())
+	}
 	for i, v := range row {
-		switch s.Field(i).Type {
-		case schema.Int32, schema.Date:
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(v.Long()))
-		case schema.Int64:
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(v.Long()))
-		case schema.Float64:
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.Float()))
-		case schema.String:
-			str := v.Str()
-			if len(str) > math.MaxUint16 {
-				return nil, fmt.Errorf("trojan: string too long (%d bytes)", len(str))
-			}
-			dst = binary.LittleEndian.AppendUint16(dst, uint16(len(str)))
-			dst = append(dst, str...)
-		default:
-			return nil, fmt.Errorf("trojan: cannot encode type %s", s.Field(i).Type)
+		if v.Type() != s.Field(i).Type {
+			return nil, fmt.Errorf("trojan: value %d is %s, schema wants %s", i, v.Type(), s.Field(i).Type)
+		}
+		var err error
+		if dst, err = schema.AppendBinary(dst, v); err != nil {
+			return nil, fmt.Errorf("trojan: value %d: %w", i, err)
 		}
 	}
 	return dst, nil
@@ -79,45 +72,10 @@ func encodeRow(dst []byte, s *schema.Schema, row schema.Row) ([]byte, error) {
 // the offset past it.
 func decodeRow(data []byte, off int, s *schema.Schema) (schema.Row, int, error) {
 	row := make(schema.Row, s.NumFields())
-	for i := 0; i < s.NumFields(); i++ {
-		switch s.Field(i).Type {
-		case schema.Int32:
-			if off+4 > len(data) {
-				return nil, 0, fmt.Errorf("trojan: truncated row")
-			}
-			row[i] = schema.IntVal(int32(binary.LittleEndian.Uint32(data[off:])))
-			off += 4
-		case schema.Date:
-			if off+4 > len(data) {
-				return nil, 0, fmt.Errorf("trojan: truncated row")
-			}
-			row[i] = schema.DateVal(int32(binary.LittleEndian.Uint32(data[off:])))
-			off += 4
-		case schema.Int64:
-			if off+8 > len(data) {
-				return nil, 0, fmt.Errorf("trojan: truncated row")
-			}
-			row[i] = schema.LongVal(int64(binary.LittleEndian.Uint64(data[off:])))
-			off += 8
-		case schema.Float64:
-			if off+8 > len(data) {
-				return nil, 0, fmt.Errorf("trojan: truncated row")
-			}
-			row[i] = schema.FloatVal(math.Float64frombits(binary.LittleEndian.Uint64(data[off:])))
-			off += 8
-		case schema.String:
-			if off+2 > len(data) {
-				return nil, 0, fmt.Errorf("trojan: truncated row")
-			}
-			n := int(binary.LittleEndian.Uint16(data[off:]))
-			off += 2
-			if off+n > len(data) {
-				return nil, 0, fmt.Errorf("trojan: truncated string")
-			}
-			row[i] = schema.StringVal(string(data[off : off+n]))
-			off += n
-		default:
-			return nil, 0, fmt.Errorf("trojan: cannot decode type %s", s.Field(i).Type)
+	for i := range row {
+		var err error
+		if row[i], off, err = schema.ReadBinary(s.Field(i).Type, data, off); err != nil {
+			return nil, 0, fmt.Errorf("trojan: field %d: %w", i, err)
 		}
 	}
 	return row, off, nil
@@ -151,12 +109,10 @@ func MarshalBlock(s *schema.Schema, rows []schema.Row, sortCol int) ([]byte, err
 	}
 	var ixArea []byte
 	if sortCol >= 0 {
-		keyType := s.Field(sortCol).Type
 		for _, e := range entries {
 			var err error
-			ixArea, err = encodeKey(ixArea, keyType, e.key)
-			if err != nil {
-				return nil, err
+			if ixArea, err = schema.AppendBinary(ixArea, e.key); err != nil {
+				return nil, fmt.Errorf("trojan: key: %w", err)
 			}
 			ixArea = binary.LittleEndian.AppendUint32(ixArea, e.rowID)
 			ixArea = binary.LittleEndian.AppendUint32(ixArea, e.byteOff)
@@ -176,61 +132,6 @@ func MarshalBlock(s *schema.Schema, rows []schema.Row, sortCol int) ([]byte, err
 	out = append(out, rowArea...)
 	out = append(out, ixArea...)
 	return out, nil
-}
-
-func encodeKey(dst []byte, t schema.Type, v schema.Value) ([]byte, error) {
-	switch t {
-	case schema.Int32, schema.Date:
-		return binary.LittleEndian.AppendUint32(dst, uint32(v.Long())), nil
-	case schema.Int64:
-		return binary.LittleEndian.AppendUint64(dst, uint64(v.Long())), nil
-	case schema.Float64:
-		return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.Float())), nil
-	case schema.String:
-		s := v.Str()
-		if len(s) > math.MaxUint16 {
-			return nil, fmt.Errorf("trojan: key too long")
-		}
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(s)))
-		return append(dst, s...), nil
-	}
-	return nil, fmt.Errorf("trojan: cannot encode key type %s", t)
-}
-
-func decodeKey(data []byte, off int, t schema.Type) (schema.Value, int, error) {
-	switch t {
-	case schema.Int32:
-		if off+4 > len(data) {
-			return schema.Value{}, 0, fmt.Errorf("trojan: truncated key")
-		}
-		return schema.IntVal(int32(binary.LittleEndian.Uint32(data[off:]))), off + 4, nil
-	case schema.Date:
-		if off+4 > len(data) {
-			return schema.Value{}, 0, fmt.Errorf("trojan: truncated key")
-		}
-		return schema.DateVal(int32(binary.LittleEndian.Uint32(data[off:]))), off + 4, nil
-	case schema.Int64:
-		if off+8 > len(data) {
-			return schema.Value{}, 0, fmt.Errorf("trojan: truncated key")
-		}
-		return schema.LongVal(int64(binary.LittleEndian.Uint64(data[off:]))), off + 8, nil
-	case schema.Float64:
-		if off+8 > len(data) {
-			return schema.Value{}, 0, fmt.Errorf("trojan: truncated key")
-		}
-		return schema.FloatVal(math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))), off + 8, nil
-	case schema.String:
-		if off+2 > len(data) {
-			return schema.Value{}, 0, fmt.Errorf("trojan: truncated key")
-		}
-		n := int(binary.LittleEndian.Uint16(data[off:]))
-		off += 2
-		if off+n > len(data) {
-			return schema.Value{}, 0, fmt.Errorf("trojan: truncated key")
-		}
-		return schema.StringVal(string(data[off : off+n])), off + n, nil
-	}
-	return schema.Value{}, 0, fmt.Errorf("trojan: invalid key type %d", t)
 }
 
 // BlockReader gives access to a serialized trojan block.
@@ -271,6 +172,9 @@ func NewBlockReader(data []byte) (*BlockReader, error) {
 	sch, err := schema.ParseSchema(string(data[p : p+ddlLen]))
 	if err != nil {
 		return nil, err
+	}
+	if r.sortCol < -1 || r.sortCol >= sch.NumFields() {
+		return nil, fmt.Errorf("trojan: sort column %d outside the schema's %d fields", r.sortCol, sch.NumFields())
 	}
 	r.sch = sch
 	p += ddlLen
@@ -313,9 +217,9 @@ func (r *BlockReader) readIndex() ([]indexEntry, error) {
 	p := r.ixOff
 	end := r.ixOff + r.ixLen
 	for p < end {
-		key, np, err := decodeKey(r.data, p, keyType)
+		key, np, err := schema.ReadBinary(keyType, r.data, p)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("trojan: index key: %w", err)
 		}
 		p = np
 		if p+8 > end {

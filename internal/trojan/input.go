@@ -57,13 +57,12 @@ func (f *InputFormat) Open(split mapred.Split, node hdfs.NodeID) (mapred.BatchRe
 // scan otherwise. Row layout means every touched row is read completely —
 // projection saves no I/O (contrast with HAIL's PAX column ranges). The
 // qualifying rows' projected values are appended to typed vectors and
-// delivered as one batch per block, every row selected.
+// delivered as one batch per block.
 type recordReader struct {
 	format *InputFormat
 	split  mapred.Split
 	node   hdfs.NodeID
-	batch  mapred.Batch    // reused across blocks; fn must not retain it
-	sel    query.Selection // the identity selection over the batch's rows
+	batch  mapred.Batch // reused across blocks; fn must not retain it
 }
 
 func (r *recordReader) ReadBatches(fn func(*mapred.Batch)) (mapred.TaskStats, error) {
@@ -144,8 +143,7 @@ func (r *recordReader) ReadBatches(fn func(*mapred.Batch)) (mapred.TaskStats, er
 		if delivered > 0 {
 			stats.RecordsDelivered += int64(delivered)
 			stats.AttrsDelivered += int64(delivered * len(proj))
-			r.sel = query.MakeSelection(r.sel, delivered)
-			r.batch.Cols, r.batch.Sel = cols, r.sel
+			r.batch.Cols, r.batch.Rows = cols, delivered
 			fn(&r.batch)
 		}
 	}
