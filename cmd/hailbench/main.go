@@ -14,7 +14,9 @@
 // partitions per block), printing each figure as an aligned table of
 // simulated seconds. -quick uses small fixtures (coarser index
 // granularity, same code paths). -only restricts to a comma-separated
-// list of experiment IDs; an unknown ID is a usage error.
+// list of experiment IDs; an unknown ID is a usage error. The ablations
+// (AblationUnclustered, AblationMultiLevel, AblationSplitting,
+// AblationLayout) and Section5FullText run only when -only names them.
 //
 // -adaptive instead runs two phases of identical jobs under one
 // extra-storage budget. Phase A filters on an attribute no replica is
@@ -190,12 +192,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 		{"Fig8", r.Fig8},
 		{"Fig9a", r.Fig9a}, {"Fig9b", r.Fig9b}, {"Fig9c", r.Fig9c},
 	}
+	ablations := []exp{
+		{"AblationUnclustered", r.AblationUnclusteredIndex},
+		{"AblationMultiLevel", func() (*experiments.Figure, error) { return r.AblationMultiLevelIndex(), nil }},
+		{"AblationSplitting", r.AblationSplitting}, {"AblationLayout", r.AblationLayout},
+		{"Section5FullText", r.Section5FullText},
+	}
 
 	// -only names experiments by their exact IDs; one that names none is
 	// a usage error before any fixture is built, not an empty run.
 	want := map[string]bool{}
 	var unknown []string
 	if *only != "" {
+		all = append(all, ablations...)
 		for _, id := range strings.Split(*only, ",") {
 			id = strings.TrimSpace(id)
 			if !slices.ContainsFunc(all, func(e exp) bool { return e.id == id }) {

@@ -212,12 +212,12 @@ func TestBenchJSONFigures(t *testing.T) {
 	}
 }
 
-// TestFiguresGolden freezes the reproduction: figure mode — every paper
-// figure, table and ablation from the count-driven cost model — must
-// repeat testdata/figures.quick.json, structure exactly and numbers to
-// 1e-9 relative (an FMA platform may differ in a last digit). A change
-// that moves a paper number on purpose regenerates the file with the
-// command itself:
+// TestFiguresGolden freezes the reproduction: figure mode's default run —
+// the paper's Fig. 4–9 and Table 2 from the count-driven cost model —
+// must repeat testdata/figures.quick.json, structure exactly and numbers
+// to 1e-9 relative (an FMA platform may differ in a last digit). The
+// ablations are held by TestAblationsGolden. A change that moves a paper
+// number on purpose regenerates the file with the command itself:
 //
 //	go run ./cmd/hailbench -quick -json cmd/hailbench/testdata/figures.quick.json
 func TestFiguresGolden(t *testing.T) {
@@ -236,6 +236,24 @@ func TestFiguresGolden(t *testing.T) {
 		t.Fatalf("run: %v (stderr: %s)", err, errb.String())
 	}
 	matchGolden(t, "figures.quick.json", jsonPath)
+}
+
+// TestAblationsGolden freezes what the default figure run leaves out: the
+// four ablations (§3.5) and §5's full-text comparison, which run only when
+// -only names them, must repeat testdata/ablations.quick.json as
+// TestFiguresGolden's figures repeat theirs. A change that moves one on
+// purpose regenerates the file with
+//
+//	go run ./cmd/hailbench -quick -only AblationUnclustered,AblationMultiLevel,AblationSplitting,AblationLayout,Section5FullText \
+//	    -json cmd/hailbench/testdata/ablations.quick.json
+func TestAblationsGolden(t *testing.T) {
+	jsonPath := filepath.Join(t.TempDir(), "ablations.json")
+	var out, errb bytes.Buffer
+	only := "AblationUnclustered,AblationMultiLevel,AblationSplitting,AblationLayout,Section5FullText"
+	if err := run([]string{"-quick", "-only", only, "-json", jsonPath}, &out, &errb); err != nil {
+		t.Fatalf("run: %v (stderr: %s)", err, errb.String())
+	}
+	matchGolden(t, "ablations.quick.json", jsonPath)
 }
 
 // TestBenchSyntheticAdaptiveGolden pins the Synthetic dataset's trajectory

@@ -661,7 +661,9 @@ func (i *Indexer) buildOne(key planKey, plan *JobPlan, b hdfs.BlockID, near hdfs
 		}
 	}
 
-	framed, info, err := i.rebuild(b, near, col)
+	// The map task just scanned this block: in a real deployment these
+	// bytes are hot in its page cache, and the cost model charges no read.
+	framed, info, err := core.RebuildBlock(i.Cluster, b, near, col)
 	var sorted []byte // the PAX section, for the cost model
 	if err == nil {
 		sorted, _, err = core.ParseFrame(framed)
@@ -795,33 +797,6 @@ func (i *Indexer) buildOne(key planKey, plan *JobPlan, b hdfs.BlockID, near hdfs
 			i.mu.Unlock()
 		}
 	}
-}
-
-// rebuild builds block b's replica sorted and indexed on col from the
-// first holder, in ReplicaOrder from near, that is alive and reads back
-// verified: ReadBlockAny's failover, over views instead of copies. The map
-// task just scanned this block, so in a real deployment these bytes are
-// hot in the task's page cache; re-reading from the serving node models
-// that (the cost model charges no extra read).
-func (i *Indexer) rebuild(b hdfs.BlockID, near hdfs.NodeID, col int) ([]byte, hdfs.ReplicaInfo, error) {
-	hosts := i.Cluster.ReplicaOrder(b, near)
-	if len(hosts) == 0 {
-		return nil, hdfs.ReplicaInfo{}, fmt.Errorf("hdfs: block %d has no replicas", b)
-	}
-	var lastErr error
-	for _, h := range hosts {
-		v, err := i.Cluster.OpenBlockFrom(h, b)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		framed, info, err := core.RebuildReplica(v, col)
-		if !errors.Is(err, hdfs.ErrCorruptChunk) {
-			return framed, info, err
-		}
-		lastErr = err
-	}
-	return nil, hdfs.ReplicaInfo{}, fmt.Errorf("hdfs: all replicas of block %d unreadable: %v", b, lastErr)
 }
 
 // findUnsortedReplica returns an alive node holding an unsorted, unindexed

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"repro/internal/hdfs"
@@ -94,33 +93,20 @@ func openFrame(view *hdfs.ReplicaView, reader *pax.Reader) (ixOff, ixLen int, er
 
 // FileSchema returns the schema of a HAIL file: every block carries it in
 // its Block Metadata (§3.1), so the two headers of the first block's
-// replica are all it reads. Replicas are tried in ReplicaOrder(b, 0); a
-// dead node, a dropped replica or a corrupt header chunk moves on to the
-// next holder, as a whole-block ReadBlockAny would.
+// replica are all it reads, through the cluster's failover loop
+// (hdfs.Cluster.ReadFrom) from node 0.
 func FileSchema(cluster *hdfs.Cluster, file string) (*schema.Schema, error) {
 	blocks, err := cluster.NameNode().FileBlocks(file)
 	if err != nil {
 		return nil, err
 	}
 	b := blocks[0] // a file exists from its first AddBlock on
-	var lastErr error
-	for _, h := range cluster.ReplicaOrder(b, 0) {
-		view, err := cluster.OpenBlockFrom(h, b)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		var reader pax.Reader
-		if _, _, err = openFrame(&view, &reader); err == nil {
-			return reader.Schema(), nil
-		}
-		if !errors.Is(err, hdfs.ErrCorruptChunk) {
-			return nil, fmt.Errorf("hail: block %d on node %d: %w", b, h, err)
-		}
-		lastErr = err
+	var reader pax.Reader
+	if _, err := cluster.ReadFrom(b, hdfs.NoReplica, 0, func(_ hdfs.NodeID, v hdfs.ReplicaView) error {
+		_, _, err := openFrame(&v, &reader)
+		return err
+	}); err != nil {
+		return nil, fmt.Errorf("hail: schema of %s: %w", file, err)
 	}
-	if lastErr == nil {
-		return nil, fmt.Errorf("hail: block %d has no replicas", b)
-	}
-	return nil, fmt.Errorf("hail: all replicas of block %d unreadable: %w", b, lastErr)
+	return reader.Schema(), nil
 }

@@ -206,65 +206,33 @@ func takeVector(vecs []*schema.Vector, t schema.Type) *schema.Vector {
 	return schema.NewVector(t)
 }
 
-// openBlockScan opens block b on the first replica that can serve every
-// byte the scan needs: the split's pinned replica (the one with the
-// matching index, via getHostsWithIndex) if it recorded one, then the
-// executing node's own, then the remaining holders in registration order.
-// When the pinned replica is unreachable or corrupt the access path
-// degrades to a scan if the next replica's index does not match (§6.4.3,
-// HAIL vs HAIL-1Idx).
+// openBlockScan opens block b through hdfs.Cluster.ReadFrom on the first
+// replica — the split's pin (the matching index, via getHostsWithIndex),
+// then the executing node's, then registration order — where the prologue
+// and every range fetch succeed; a failed attempt leaves nothing in stats
+// but a corrupt chunk's failover. Past the pin the access path may degrade
+// to a scan (§6.4.3, HAIL vs HAIL-1Idx).
 func (r *recordReader) openBlockScan(b hdfs.BlockID, stats *mapred.TaskStats) (*blockScan, error) {
-	var lastErr error
-	pinned, isPinned := r.split.Replica[b]
-	if isPinned {
-		bs, next, err := r.scanReplica(b, pinned, stats)
-		if !next {
-			return bs, err
+	pinned, ok := r.split.Replica[b]
+	if !ok {
+		pinned = hdfs.NoReplica
+	}
+	_, err := r.cluster.ReadFrom(b, pinned, r.node, func(node hdfs.NodeID, v hdfs.ReplicaView) error {
+		r.view = v
+		before := *stats
+		bs, err := r.openView(b, node, stats)
+		if err == nil {
+			err = bs.fetch(stats)
 		}
-		lastErr = err
-	}
-	for _, h := range r.cluster.ReplicaOrder(b, r.node) {
-		if isPinned && h == pinned {
-			continue
+		if err != nil {
+			*stats = before
+			if errors.Is(err, hdfs.ErrCorruptChunk) {
+				stats.ChecksumFailovers++
+			}
 		}
-		bs, next, err := r.scanReplica(b, h, stats)
-		if !next {
-			return bs, err
-		}
-		lastErr = err
-	}
-	if lastErr == nil {
-		return nil, fmt.Errorf("hail: block %d has no replicas", b)
-	}
-	return nil, fmt.Errorf("hail: all replicas of block %d unreadable: %v", b, lastErr)
-}
-
-// scanReplica is one attempt at a block: open the replica on node, run the
-// prologue, fetch every range the scan will touch. next reports a failure
-// that is the replica's rather than the block's — the node is dead, the
-// replica is gone, or a chunk failed verification — so another replica may
-// still serve the scan. A failed attempt leaves nothing in stats but, for
-// a corrupt chunk, the failover it caused, and the corrupt replica is
-// quarantined.
-func (r *recordReader) scanReplica(b hdfs.BlockID, node hdfs.NodeID, stats *mapred.TaskStats) (bs *blockScan, next bool, err error) {
-	if r.view, err = r.cluster.OpenBlockFrom(node, b); err != nil {
-		return nil, true, err
-	}
-	before := *stats
-	if bs, err = r.openView(b, node, stats); err == nil {
-		err = bs.fetch(stats)
-	}
-	if err == nil {
-		return bs, false, nil
-	}
-	*stats = before
-	if errors.Is(err, hdfs.ErrCorruptChunk) {
-		// Out of service, unless it is the block's last replica.
-		stats.ChecksumFailovers++
-		r.cluster.NameNode().QuarantineReplica(b, node, err.Error())
-		return nil, true, err
-	}
-	return nil, false, err
+		return err
+	})
+	return &r.scan, err
 }
 
 // openView is the per-replica prologue over r.view, block b's replica on

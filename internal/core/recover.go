@@ -24,10 +24,11 @@ type RecoveryReport struct {
 }
 
 // RecoverFile restores the replication factor of every block of the file
-// whose replica set lost nodes. For each under-replicated block it reads a
-// surviving replica, determines which sort orders are missing relative to
-// the config, and writes a fresh replica — re-sorted and re-indexed — to
-// an alive node that does not yet hold one. It is deterministic: missing
+// whose replica set lost nodes. For each under-replicated block it
+// determines which sort orders are missing relative to the config, and
+// writes a fresh replica — re-sorted and re-indexed, from the first alive
+// holder whose replica reads back verified (RebuildBlock) — to an alive
+// node that does not yet hold one. It is deterministic: missing
 // orders are rebuilt in config order, each on the lowest-ID alive node
 // without a replica of the block, so equal states recover alike.
 func RecoverFile(cluster *hdfs.Cluster, file string, cfg LayoutConfig) (RecoveryReport, error) {
@@ -72,7 +73,11 @@ func RecoverFile(cluster *hdfs.Cluster, file string, cfg LayoutConfig) (Recovery
 				// replication; recover what is possible.
 				continue
 			}
-			if err := recoverReplica(cluster, b, holders[0], target, col); err != nil {
+			framed, info, err := RebuildBlock(cluster, b, holders[0], col)
+			if err == nil {
+				err = cluster.StoreAdditionalReplica(b, target, framed, info)
+			}
+			if err != nil {
 				return rep, err
 			}
 			rep.ReplicasRecovered++
@@ -86,30 +91,29 @@ func RecoverFile(cluster *hdfs.Cluster, file string, cfg LayoutConfig) (Recovery
 
 // pickTarget finds the first alive node that does not yet hold a replica
 // of b. A dead node's stale replica entry does not block re-replication:
-// only alive nodes are candidates.
+// only alive nodes are candidates. Nor does a node whose replica was
+// quarantined qualify: it still stores the bytes, so a store there would
+// collide.
 func pickTarget(cluster *hdfs.Cluster, b hdfs.BlockID, alive []hdfs.NodeID) (hdfs.NodeID, bool) {
 	hosts := cluster.NameNode().GetHosts(b)
 	for _, n := range alive {
-		if !slices.Contains(hosts, n) {
+		if dn, err := cluster.DataNode(n); err == nil && !slices.Contains(hosts, n) && !dn.HasReplica(b) {
 			return n, true
 		}
 	}
 	return 0, false
 }
 
-// recoverReplica builds from a surviving holder's rows the replica that
-// was lost — re-sorted on col and re-indexed, or unsorted for col < 0 —
-// and stores it on the target node.
-func recoverReplica(cluster *hdfs.Cluster, b hdfs.BlockID, from, to hdfs.NodeID, col int) error {
-	v, err := cluster.OpenBlockFrom(from, b)
-	if err != nil {
+// RebuildBlock is RebuildReplica over the first holder of block b, in
+// ReplicaOrder from near, whose replica reads back verified: the cluster's
+// failover loop (hdfs.Cluster.ReadFrom), which quarantines a corrupt
+// replica on the way.
+func RebuildBlock(cluster *hdfs.Cluster, b hdfs.BlockID, near hdfs.NodeID, col int) (framed []byte, info hdfs.ReplicaInfo, err error) {
+	_, err = cluster.ReadFrom(b, hdfs.NoReplica, near, func(_ hdfs.NodeID, v hdfs.ReplicaView) (err error) {
+		framed, info, err = RebuildReplica(v, col)
 		return err
-	}
-	framed, info, err := RebuildReplica(v, col)
-	if err != nil {
-		return err
-	}
-	return cluster.StoreAdditionalReplica(b, to, framed, info)
+	})
+	return framed, info, err
 }
 
 // RebuildReplica returns what a datanode stores for v's block clustered

@@ -222,6 +222,65 @@ func TestRecoverFileIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestRecoverFileFailsOverPastACorruptHolder: block 0 lives on nodes 0–3;
+// nodes 2 and 3 die and node 0's replica has a flipped bit in its header
+// chunk. Recovery reads past the corrupt holder — quarantining it — and
+// rebuilds both lost orders from node 1's rows, byte for byte what
+// RebuildReplica makes of node 1's replica, on nodes 4 and 5: node 0,
+// which still stores its quarantined copy, is no target.
+func TestRecoverFileFailsOverPastACorruptHolder(t *testing.T) {
+	cluster, err := hdfs.NewCluster(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := &Client{Cluster: cluster, Config: LayoutConfig{
+		Schema:      workload.UserVisitsSchema(),
+		SortColumns: []int{workload.UVVisitDate, workload.UVSourceIP, workload.UVAdRevenue, -1},
+		BlockSize:   64 << 10,
+	}}
+	sum, err := client.Upload("/uv", workload.GenerateUserVisits(2000, 42, workload.UserVisitsOptions{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nn := cluster.NameNode()
+	b := sum.BlockIDs[0]
+	if hosts := nn.GetHosts(b); !slices.Equal(hosts, []hdfs.NodeID{0, 1, 2, 3}) {
+		t.Fatalf("block %d is on %v; the test wants nodes 0 to 3", b, hosts)
+	}
+	lost := make(map[hdfs.NodeID]int) // node the lost order is rebuilt on -> its sort column
+	for dead, target := range map[hdfs.NodeID]hdfs.NodeID{2: 4, 3: 5} {
+		info, _ := nn.ReplicaInfo(b, dead)
+		lost[target] = info.SortColumn
+		if err := cluster.KillNode(dead); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dn0, _ := cluster.DataNode(0)
+	if err := dn0.CorruptByte(b, 3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RecoverFile(cluster, "/uv", client.Config); err != nil {
+		t.Fatalf("RecoverFile: %v", err)
+	}
+	if slices.Contains(nn.GetHosts(b), 0) {
+		t.Errorf("block %d is on %v; want node 0's corrupt replica quarantined", b, nn.GetHosts(b))
+	}
+	healthy, err := cluster.OpenBlockFrom(1, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for target, col := range lost {
+		want, _, err := RebuildReplica(healthy, col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := cluster.ReadBlockFrom(target, b); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("node %d's recovered replica of block %d: %d bytes (%v), want the %d RebuildReplica makes of node 1's sorted on %d",
+				target, b, len(got), err, len(want), col)
+		}
+	}
+}
+
 func TestRecoverFileNoopWhenHealthy(t *testing.T) {
 	cluster, client, sum, _ := uvFixture(t, 1500, workload.UserVisitsOptions{})
 	rep, err := RecoverFile(cluster, "/uv", client.Config)
@@ -275,7 +334,10 @@ func TestStoreRecoveredReplicaRejectsDuplicates(t *testing.T) {
 	cluster, client, sum, _ := uvFixture(t, 500, workload.UserVisitsOptions{})
 	b := sum.BlockIDs[0]
 	holder := cluster.NameNode().GetHosts(b)[0]
-	err := recoverReplica(cluster, b, holder, holder, client.Config.SortColumns[0])
+	framed, info, err := RebuildBlock(cluster, b, holder, client.Config.SortColumns[0])
+	if err == nil {
+		err = cluster.StoreAdditionalReplica(b, holder, framed, info)
+	}
 	if !errors.Is(err, hdfs.ErrReplicaExists) {
 		t.Errorf("recovering onto a holder: err = %v, want ErrReplicaExists", err)
 	}

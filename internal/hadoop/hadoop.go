@@ -115,7 +115,8 @@ func (f *TextInputFormat) Open(split mapred.Split, node hdfs.NodeID) (mapred.Bat
 	return &lineReader{cluster: f.Cluster, split: split, node: node}, nil
 }
 
-// lineReader reads whole blocks and delivers each block's text lines as
+// lineReader reads whole blocks (Cluster.ReadBlock: every chunk verified,
+// nothing copied) and delivers each block's text lines as
 // one batch of raw records (Batch.Raw), leaving parsing to the map
 // function — exactly what makes the Hadoop baseline pay full-scan I/O plus
 // per-record split CPU for every query.
@@ -129,7 +130,7 @@ type lineReader struct {
 func (r *lineReader) ReadBatches(fn func(*mapred.Batch)) (mapred.TaskStats, error) {
 	var stats mapred.TaskStats
 	for _, b := range r.split.Blocks {
-		data, servedBy, err := r.cluster.ReadBlockAny(b, r.node)
+		data, servedBy, err := r.cluster.ReadBlock(b, r.node)
 		if err != nil {
 			return stats, err
 		}

@@ -445,20 +445,16 @@ func (c *Cluster) OpenBlockFrom(node NodeID, b BlockID) (ReplicaView, error) {
 }
 
 // ReadBlockFrom reads a replica from a specific datanode in full: every
-// chunk verified, and the bytes copied so the caller owns them. It is for
-// callers that need a whole block of their own (the Hadoop and Trojan
-// baselines); a reader that only reads — a query's column ranges, a
-// replica rebuild — opens a view instead.
+// chunk verified, and the bytes copied so the caller owns them. It and
+// ReadBlockAny are for the benchmark and tests; every reader in the
+// engine reads through ReadFrom's views, which copy nothing.
 func (c *Cluster) ReadBlockFrom(node NodeID, b BlockID) ([]byte, error) {
 	v, err := c.OpenBlockFrom(node, b)
 	if err != nil {
 		return nil, err
 	}
 	data, err := v.Range(0, v.Len())
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), data...), nil
+	return append([]byte(nil), data...), err
 }
 
 // ReplicaOrder lists the block's replica holders in the order a reader
@@ -477,20 +473,73 @@ func (c *Cluster) ReplicaOrder(b BlockID, preferred NodeID) []NodeID {
 	return hosts
 }
 
-// ReadBlockAny reads the block in full from the first replica holder, in
-// ReplicaOrder, that is alive and passes verification.
-func (c *Cluster) ReadBlockAny(b BlockID, preferred NodeID) ([]byte, NodeID, error) {
-	hosts := c.ReplicaOrder(b, preferred)
-	if len(hosts) == 0 {
-		return nil, 0, fmt.Errorf("hdfs: block %d has no replicas", b)
-	}
-	var lastErr error
-	for _, h := range hosts {
-		data, err := c.ReadBlockFrom(h, b)
-		if err == nil {
-			return data, h, nil
+// NoReplica is ReadFrom's first when the reader has no replica to try
+// before the others.
+const NoReplica NodeID = -1
+
+// ReadFrom is the one failover loop of every reader of a stored block. It
+// tries the replica on first (a split's pin) unless first is NoReplica —
+// before asking the directory for the rest, so a pinned read that succeeds
+// costs no GetHosts — then the other holders in ReplicaOrder(b, near),
+// and hands each to read as a view whose Range verifies and copies
+// nothing. A replica that cannot be opened (dead node, dropped replica) or
+// whose read fails with ErrCorruptChunk is a fault and the loop moves on,
+// quarantining a corrupt one first (QuarantineReplica keeps a block's last
+// replica in service). Any other error stops the loop. ReadFrom returns
+// the node whose replica read took or stopped on; when every replica
+// faulted, NoReplica and an error naming the block that wraps the last.
+func (c *Cluster) ReadFrom(b BlockID, first, near NodeID, read func(NodeID, ReplicaView) error) (NodeID, error) {
+	var fault error
+	if first != NoReplica {
+		f, err := c.readReplica(b, first, read)
+		if f == nil {
+			return first, err
 		}
-		lastErr = err
+		fault = f
 	}
-	return nil, 0, fmt.Errorf("hdfs: all replicas of block %d unreadable: %v", b, lastErr)
+	for _, h := range c.ReplicaOrder(b, near) {
+		if h == first {
+			continue
+		}
+		f, err := c.readReplica(b, h, read)
+		if f == nil {
+			return h, err
+		}
+		fault = f
+	}
+	if fault == nil {
+		return NoReplica, fmt.Errorf("hdfs: block %d has no replicas", b)
+	}
+	return NoReplica, fmt.Errorf("hdfs: all replicas of block %d unreadable: %w", b, fault)
+}
+
+// readReplica is one attempt of ReadFrom: the replica's fault, or nil and
+// read's outcome.
+func (c *Cluster) readReplica(b BlockID, node NodeID, read func(NodeID, ReplicaView) error) (fault, err error) {
+	v, err := c.OpenBlockFrom(node, b)
+	if err != nil {
+		return err, nil
+	}
+	if err = read(node, v); errors.Is(err, ErrCorruptChunk) {
+		c.nn.QuarantineReplica(b, node, err.Error())
+		return err, nil
+	}
+	return nil, err
+}
+
+// ReadBlock is ReadFrom over whole replicas, with no replica tried first:
+// the bytes of the first that verifies in full, aliasing the stored ones
+// (the caller must not write to them), and the node that served them.
+func (c *Cluster) ReadBlock(b BlockID, near NodeID) (data []byte, served NodeID, err error) {
+	served, err = c.ReadFrom(b, NoReplica, near, func(_ NodeID, v ReplicaView) (err error) {
+		data, err = v.Range(0, v.Len())
+		return err
+	})
+	return data, served, err
+}
+
+// ReadBlockAny is ReadBlock plus a copy the caller owns.
+func (c *Cluster) ReadBlockAny(b BlockID, preferred NodeID) ([]byte, NodeID, error) {
+	data, node, err := c.ReadBlock(b, preferred)
+	return append([]byte(nil), data...), node, err
 }

@@ -401,7 +401,7 @@ type Quarantine struct {
 // is kept for Quarantined. It refuses, and reports false, when the replica
 // is the block's last registered one: a copy that fails some reads still
 // serves the others. Load calls it for a replica whose files are missing
-// or do not verify, a reader for one that failed a checksum.
+// or do not verify, Cluster.ReadFrom for one that failed a checksum.
 func (nn *NameNode) QuarantineReplica(b BlockID, node NodeID, reason string) bool {
 	key := repKey{b, node}
 	nn.ops.Add(1)

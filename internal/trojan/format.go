@@ -22,7 +22,9 @@ package trojan
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"sort"
 
 	"repro/internal/schema"
 )
@@ -207,34 +209,6 @@ func (r *BlockReader) IndexBytes() int { return r.ixLen }
 // RowAreaBytes returns the size of the row data area.
 func (r *BlockReader) RowAreaBytes() int { return r.rowLen }
 
-// readIndex decodes the index entries.
-func (r *BlockReader) readIndex() ([]indexEntry, error) {
-	if r.sortCol < 0 {
-		return nil, nil
-	}
-	keyType := r.sch.Field(r.sortCol).Type
-	var entries []indexEntry
-	p := r.ixOff
-	end := r.ixOff + r.ixLen
-	for p < end {
-		key, np, err := schema.ReadBinary(keyType, r.data, p)
-		if err != nil {
-			return nil, fmt.Errorf("trojan: index key: %w", err)
-		}
-		p = np
-		if p+8 > end {
-			return nil, fmt.Errorf("trojan: truncated index entry")
-		}
-		entries = append(entries, indexEntry{
-			key:     key,
-			rowID:   binary.LittleEndian.Uint32(r.data[p:]),
-			byteOff: binary.LittleEndian.Uint32(r.data[p+4:]),
-		})
-		p += 8
-	}
-	return entries, nil
-}
-
 // ScanRange iterates rows [fromRow, toRow) starting at the given byte
 // offset within the row area, calling fn with each decoded row. It returns
 // the number of bytes covered.
@@ -258,49 +232,77 @@ func (r *BlockReader) ScanRange(byteOff, fromRow, toRow int, fn func(rowID int, 
 }
 
 // LookupRange uses the trojan index to find the covering (byteOff, fromRow,
-// toRow) for lo <= key <= hi. ok is false when no row can match or there is
-// no index.
+// toRow) for lo <= key <= hi: from the entry before the first key >= lo
+// (duplicates can span an entry boundary) to the first key > hi. ok is
+// false when no row can match or there is no index. The index is searched
+// where it lies, no entry decoded: fixed-width keys by binary search over
+// the entries' stride, string keys in one pass that compares their bytes
+// in place. Either way a malformed index is an error.
 func (r *BlockReader) LookupRange(lo, hi *schema.Value) (byteOff, fromRow, toRow int, ok bool, err error) {
 	if r.sortCol < 0 || r.numRows == 0 {
 		return 0, 0, 0, false, nil
 	}
-	entries, err := r.readIndex()
-	if err != nil {
+	t := r.sch.Field(r.sortCol).Type
+	ix := r.data[r.ixOff : r.ixOff+r.ixLen]
+	// Entries [0, below) have keys < lo and [0, upTo) keys <= hi; first
+	// and end are where the row IDs of entries max(below-1, 0) and upTo lie,
+	// each followed by its row's offset.
+	var n, below, upTo, first, end int
+	stride := t.Width() + 8
+	switch {
+	case t == schema.String:
+		n, below, upTo, first, end, err = searchStrings(ix, lo, hi)
+	case len(ix)%stride != 0:
+		err = errTruncatedIndex
+	default:
+		n = len(ix) / stride
+		upTo = n
+		key := func(i int) schema.Value { return schema.FixedValue(t, schema.LoadFixed(t, ix[i*stride:])) }
+		if lo != nil {
+			below = sort.Search(n, func(i int) bool { return key(i).Compare(*lo) >= 0 })
+		}
+		if hi != nil {
+			upTo = sort.Search(n, func(i int) bool { return key(i).Compare(*hi) > 0 })
+		}
+		first, end = max(below-1, 0)*stride+t.Width(), upTo*stride+t.Width()
+	}
+	if err != nil || n == 0 || max(below-1, 0) >= upTo {
 		return 0, 0, 0, false, err
 	}
-	if len(entries) == 0 {
-		return 0, 0, 0, false, nil
-	}
-	// First entry whose key >= lo; start from its predecessor (duplicates
-	// can span an entry boundary).
-	first := 0
-	if lo != nil {
-		i := 0
-		for i < len(entries) && entries[i].key.Compare(*lo) < 0 {
-			i++
-		}
-		if i > 0 {
-			first = i - 1
-		}
-	}
-	last := len(entries) - 1
-	if hi != nil {
-		i := 0
-		for i < len(entries) && entries[i].key.Compare(*hi) <= 0 {
-			i++
-		}
-		if i == 0 {
-			return 0, 0, 0, false, nil
-		}
-		last = i - 1
-	}
-	if first > last {
-		return 0, 0, 0, false, nil
-	}
-	fromRow = int(entries[first].rowID)
+	fromRow, byteOff = int(binary.LittleEndian.Uint32(ix[first:])), int(binary.LittleEndian.Uint32(ix[first+4:]))
 	toRow = r.numRows
-	if last+1 < len(entries) {
-		toRow = int(entries[last+1].rowID)
+	if upTo < n {
+		toRow = int(binary.LittleEndian.Uint32(ix[end:]))
 	}
-	return int(entries[first].byteOff), fromRow, toRow, true, nil
+	return byteOff, fromRow, toRow, true, nil
+}
+
+var errTruncatedIndex = errors.New("trojan: truncated index entry")
+
+// searchStrings is LookupRange's pass over an index of string keys: it
+// counts the entries and returns below, upTo, first and end as
+// LookupRange defines them.
+func searchStrings(ix []byte, lo, hi *schema.Value) (n, below, upTo, first, end int, err error) {
+	upTo = -1
+	for p := 0; p < len(ix); n++ {
+		k := p + 2
+		if k > len(ix) || k+int(binary.LittleEndian.Uint16(ix[p:]))+8 > len(ix) {
+			return 0, 0, 0, 0, 0, errTruncatedIndex
+		}
+		key := ix[k : k+int(binary.LittleEndian.Uint16(ix[p:]))]
+		ref := k + len(key)
+		if below == n && lo != nil && string(key) < lo.Str() {
+			below, first = n+1, ref
+		} else if n == 0 {
+			first = ref
+		}
+		if hi != nil && upTo < 0 && string(key) > hi.Str() {
+			upTo, end = n, ref
+		}
+		p = ref + 8
+	}
+	if upTo < 0 {
+		upTo = n
+	}
+	return n, below, upTo, first, end, nil
 }

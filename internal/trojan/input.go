@@ -29,7 +29,7 @@ func (f *InputFormat) SplitsWithStats(file string) ([]mapred.Split, mapred.TaskS
 	splits := make([]mapred.Split, 0, len(blocks))
 	for _, b := range blocks {
 		// Header read: one seek plus a few hundred bytes per block.
-		data, _, err := f.System.Cluster.ReadBlockAny(b, 0)
+		data, _, err := f.System.Cluster.ReadBlock(b, 0)
 		if err != nil {
 			return nil, mapred.TaskStats{}, err
 		}
@@ -57,7 +57,8 @@ func (f *InputFormat) Open(split mapred.Split, node hdfs.NodeID) (mapred.BatchRe
 // scan otherwise. Row layout means every touched row is read completely —
 // projection saves no I/O (contrast with HAIL's PAX column ranges). The
 // qualifying rows' projected values are appended to typed vectors and
-// delivered as one batch per block.
+// delivered as one batch per block. Blocks are read whole (ReadBlock:
+// verified, not copied); the stats count what the cost model charges.
 type recordReader struct {
 	format *InputFormat
 	split  mapred.Split
@@ -72,7 +73,7 @@ func (r *recordReader) ReadBatches(fn func(*mapred.Batch)) (mapred.TaskStats, er
 		q = &query.Query{}
 	}
 	for _, b := range r.split.Blocks {
-		data, servedBy, err := r.format.System.Cluster.ReadBlockAny(b, r.node)
+		data, servedBy, err := r.format.System.Cluster.ReadBlock(b, r.node)
 		if err != nil {
 			return stats, err
 		}

@@ -65,9 +65,9 @@ func (s *System) Upload(file string, lines []string) (UploadSummary, error) {
 	// the stored block back, parsing, sorting, indexing and rewriting.
 	parser := &schema.Parser{Schema: s.Schema, Sep: sep}
 	for _, b := range textSum.BlockIDs {
-		data, _, err := s.Cluster.ReadBlockAny(b, 0)
+		data, _, err := s.Cluster.ReadBlock(b, 0)
 		if err != nil {
-			return sum, fmt.Errorf("trojan: conversion job: %v", err)
+			return sum, fmt.Errorf("trojan: conversion job: %w", err)
 		}
 		rows, skipped := parseLines(parser, data)
 		sum.SkippedRecords += skipped

@@ -139,6 +139,44 @@ func TestLookupRangeCoversMatches(t *testing.T) {
 
 func ptr(v schema.Value) *schema.Value { return &v }
 
+// TestLookupRangeMatchesTheDecodedIndex: on a block indexed on each of
+// sch's types, the in-place lookup returns what a walk over the decoded
+// index returns, for bounds below, inside and above the keys, open at
+// either end, and with lo > hi — and allocates nothing doing it.
+func TestLookupRangeMatchesTheDecodedIndex(t *testing.T) {
+	for col := range sch.NumFields() {
+		rows := randRows(40*IndexGranularity+7, int64(col+11))
+		sortRows(rows, col)
+		data, err := MarshalBlock(sch, rows, col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewBlockReader(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every key the block holds, one below the least and one above the
+		// greatest, as bounds.
+		bounds := []*schema.Value{nil}
+		typ := sch.Field(col).Type
+		for _, n := range []int64{-1, 1 << 30} {
+			bounds = append(bounds, ptr(boundOf(typ, n)))
+		}
+		for i := 0; i < len(rows); i += 7 {
+			bounds = append(bounds, ptr(rows[i][col]))
+		}
+		for _, lo := range bounds {
+			for _, hi := range bounds {
+				matchesRef(t, r, lo, hi)
+			}
+		}
+		lo, hi := rows[len(rows)/3][col], rows[len(rows)/2][col]
+		if n := testing.AllocsPerRun(20, func() { _, _, _, _, _ = r.LookupRange(&lo, &hi) }); n != 0 {
+			t.Errorf("column %d (%s): %.0f allocations per lookup, want 0", col, typ, n)
+		}
+	}
+}
+
 func TestTrojanIndexIsDense(t *testing.T) {
 	// The paper measures 304 KB trojan indexes vs 2 KB HAIL indexes: with
 	// entries every IndexGranularity rows the trojan index must be orders
