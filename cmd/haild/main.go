@@ -8,7 +8,7 @@
 //	      [-max-in-flight 32] [-queue-timeout 2s] \
 //	      [-cache-budget N] \
 //	      [-offer-rate 0.25] [-adaptive-budget N] \
-//	      [-persist-every 30s] [-parallelism N] \
+//	      [-persist-every 30s] [-parallelism N] [-pprof addr] \
 //	      [-tenant name:cacheBytes:adaptiveBytes]...
 //
 // Endpoints:
@@ -34,7 +34,14 @@
 // a slot and are rejected with 429 rather than piling up. Every /query
 // reply, whatever its status, carries the query's id in an X-Query-Id
 // header; /trace lists it, and each query writes one log line with it to
-// stderr.
+// stderr. A client that disconnects cancels its query, which frees its
+// slot within one block per worker.
+//
+// -pprof serves net/http/pprof's /debug/pprof/ endpoints on a listener of
+// their own (off when empty, the default), never on -addr. Each query
+// runs under the profiler labels tenant, query (its id) and sig (its
+// signature's hash), so a CPU profile splits by them:
+// go tool pprof -tagfocus tenant=capped http://ADDR/debug/pprof/profile.
 //
 // The filesystem, adaptive records and heat included, is saved every
 // -persist-every (committed by one rename: a kill -9 mid-save leaves the
@@ -51,6 +58,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	_ "net/http/pprof" // registers /debug/pprof/ on http.DefaultServeMux, which only -pprof serves
 	"os"
 	"os/signal"
 	"strconv"
@@ -109,6 +117,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, shutdown 
 	persistEvery := fs.Duration("persist-every", 30*time.Second, "period of background filesystem saves (0 = only at shutdown)")
 	parallelism := fs.Int("parallelism", 0, "per-query engine task parallelism (0 = GOMAXPROCS)")
 	traceBuffer := fs.Int("trace-buffer", 16, "how many opt-in query traces /trace retains")
+	pprofAddr := fs.String("pprof", "", "listen address of the net/http/pprof endpoints (empty = off)")
 	var tenants tenantFlags
 	fs.Var(&tenants, "tenant", "tenant budget spec name:cacheBytes:adaptiveBytes (repeatable; 0 = unlimited)")
 	if err := fs.Parse(args); err != nil {
@@ -120,6 +129,17 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, shutdown 
 	if *fsDir == "" {
 		fs.Usage()
 		return fmt.Errorf("%w: missing required -fs", errUsage)
+	}
+
+	if *pprofAddr != "" {
+		pln, err := net.Listen("tcp", *pprofAddr)
+		if err != nil {
+			return err
+		}
+		pprofSrv := &http.Server{Handler: http.DefaultServeMux, ReadHeaderTimeout: readHeaderTimeout}
+		defer pprofSrv.Close()
+		go func() { _ = pprofSrv.Serve(pln) }()
+		fmt.Fprintf(stdout, "haild: pprof on %s\n", pln.Addr())
 	}
 
 	srv, err := server.New(server.Config{

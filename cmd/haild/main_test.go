@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"syscall"
 	"testing"
@@ -160,5 +161,53 @@ func TestUsageErrors(t *testing.T) {
 		if !strings.Contains(errb.String(), "flag provided but not defined: "+flag) {
 			t.Fatalf("%s: stderr does not name the unknown flag:\n%s", flag, errb.String())
 		}
+	}
+}
+
+// TestPprofOnItsOwnListener: -pprof serves the profiler's endpoints on the
+// address it names and nowhere else; -addr does not serve them.
+func TestPprofOnItsOwnListener(t *testing.T) {
+	dir := makeFS(t, 100)
+	var out, errb bytes.Buffer
+	ready := make(chan string, 1)
+	sig := make(chan os.Signal, 1)
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{"-fs", dir, "-addr", "127.0.0.1:0", "-pprof", "127.0.0.1:0", "-persist-every", "0"},
+			&out, &errb, ready, sig)
+	}()
+	var addr string
+	select {
+	case addr = <-ready:
+	case err := <-done:
+		t.Fatalf("daemon exited early: %v (stderr: %s)", err, errb.String())
+	case <-time.After(10 * time.Second):
+		t.Fatal("daemon never became ready")
+	}
+	m := regexp.MustCompile(`haild: pprof on (\S+)`).FindStringSubmatch(out.String())
+	if m == nil {
+		t.Fatalf("no pprof address in the output:\n%s", out.String())
+	}
+	for url, want := range map[string]int{
+		"http://" + m[1] + "/debug/pprof/cmdline": http.StatusOK,
+		"http://" + addr + "/debug/pprof/cmdline": http.StatusNotFound,
+	} {
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("GET %s: status %d, want %d", url, resp.StatusCode, want)
+		}
+	}
+	sig <- syscall.SIGTERM
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("shutdown: %v", err)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("daemon never shut down")
 	}
 }

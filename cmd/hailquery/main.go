@@ -57,6 +57,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -173,26 +174,32 @@ func run(args []string, stdout, stderr io.Writer) error {
 		tr = obs.NewTrace("hailquery")
 		idx.SetTrace(tr)
 	}
-	res, err := engine.Run(&mapred.Job{
+	// The rows print as the engine delivers them, up to -limit.
+	printed := 0
+	res, err := engine.Stream(context.Background(), &mapred.Job{
 		Name:     "hailquery",
 		File:     *name,
 		Input:    input,
 		MapBatch: workload.PassthroughMapBatch,
 		MapSig:   workload.PassthroughMapSig, // required for the result cache to engage
 		Trace:    tr,
+	}, func(chunk []mapred.KV) bool {
+		for _, kv := range chunk {
+			if *limit > 0 && printed == *limit {
+				return false
+			}
+			fmt.Fprintln(stdout, kv.Key)
+			printed++
+		}
+		return true
 	})
 	if err != nil {
 		return err
 	}
-
-	for i, kv := range res.Output {
-		if *limit > 0 && i >= *limit {
-			fmt.Fprintf(stdout, "... (%d more rows)\n", len(res.Output)-i)
-			break
-		}
-		fmt.Fprintln(stdout, kv.Key)
+	if printed < res.Rows {
+		fmt.Fprintf(stdout, "... (%d more rows)\n", res.Rows-printed)
 	}
-	fmt.Fprintf(stdout, "-- %d rows, %d map tasks\n", len(res.Output), len(res.Tasks))
+	fmt.Fprintf(stdout, "-- %d rows, %d map tasks\n", res.Rows, len(res.Tasks))
 	if *stats {
 		st := res.TotalStats()
 		// A replica that failed checksum verification was left for another:

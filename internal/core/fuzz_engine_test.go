@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -50,6 +52,7 @@ const (
 	flipOne          // one byte flipped in one replica
 	flipAll          // one byte of chunk 0 flipped on every replica of a block: the job fails
 	replaceOne       // one replica rebuilt in another order before the hot run
+	cancelJob        // the cold run's context is cancelled when task k completes; the job is run again
 )
 
 func (k engineKnobs) encode() uint64 {
@@ -69,7 +72,7 @@ func decodeKnobs(w uint64) engineKnobs {
 		cache: cacheMode(w >> 4 & 3), trace: w&(1<<6) != 0, fault: fault(w >> 7 & 7),
 		bob: w&(1<<10) != 0, reverse: w&(1<<11) != 0,
 	}
-	if k.fault > replaceOne {
+	if k.fault > cancelJob {
 		k.fault = noFault
 	}
 	return k
@@ -99,6 +102,9 @@ func decodeKnobs(w uint64) engineKnobs {
 //     quarantine the traced and untraced runs compared are both made after
 //     it, and the hot run repeats a run that recomputed the quarantined
 //     block alone;
+//   - a job cancelled at task k fails with context.Canceled and delivers
+//     nothing, and the uncancelled run after it over the same cache is
+//     held to all of the above;
 //   - no cache hit serves an entry from another generation of its block;
 //   - goroutines return to their baseline.
 func FuzzEngine(f *testing.F) {
@@ -121,6 +127,8 @@ func FuzzEngine(f *testing.F) {
 		{2003, engineKnobs{bob: true, packScans: true, par: 1, cache: cacheHot, trace: true, fault: flipAll}},
 		{2004, engineKnobs{bob: true, splitting: true, par: 2, cache: cacheHot, trace: true, fault: replaceOne}},
 		{2004, engineKnobs{packScans: true, par: 1, cache: cacheHot, fault: replaceOne}},
+		{2001, engineKnobs{bob: true, par: 1, cache: cacheHot, trace: true, fault: cancelJob}},
+		{2002, engineKnobs{splitting: true, packScans: true, par: 3, cache: cacheCold, trace: true, fault: cancelJob}},
 		{4015, engineKnobs{par: 4, trace: true}}, // index ranges that start past the second partition
 	} {
 		f.Add(c.seed, c.k.encode())
@@ -267,7 +275,9 @@ func runEngineCase(t *testing.T, seed int64, k engineKnobs) (cacheStats qcache.S
 		return &cacheRecorder{Cache: qcache.New(budget), nn: cluster.NameNode(), puts: make(map[mapred.CacheKey]bool)}
 	}
 	var killOnce sync.Once
-	run := func(c *cacheRecorder, traced, kill bool) (*mapred.JobResult, mapred.TaskStats, error) {
+	// run runs the job once; f is killNode or cancelJob to inject that
+	// fault when task k completes, anything else for none.
+	run := func(c *cacheRecorder, traced bool, f fault) (*mapred.JobResult, mapred.TaskStats, error) {
 		e := &mapred.Engine{Cluster: cluster, Parallelism: k.par}
 		in := &InputFormat{Cluster: cluster, Query: q, Splitting: k.splitting, PackScans: k.packScans}
 		job := &mapred.Job{Name: "fuzz", File: "/fuzz", Input: &oracleInput{in, t, blocks}, MapBatch: workload.PassthroughMapBatch}
@@ -283,7 +293,10 @@ func runEngineCase(t *testing.T, seed int64, k engineKnobs) (cacheStats qcache.S
 		if traced {
 			job.Trace = obs.NewTrace("fuzz")
 		}
-		if kill {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		switch f {
+		case killNode:
 			e.OnProgress = func(done, total int) {
 				if done == min(killAt, total) {
 					killOnce.Do(func() {
@@ -293,9 +306,24 @@ func runEngineCase(t *testing.T, seed int64, k engineKnobs) (cacheStats qcache.S
 					})
 				}
 			}
+		case cancelJob:
+			e.OnProgress = func(done, total int) {
+				if done == min(killAt, total) {
+					cancel()
+				}
+			}
 		}
 		failures := checksumFailures(cluster)
-		res, err := e.Run(job)
+		var res *mapred.JobResult
+		var err error
+		if f == cancelJob {
+			res, err = e.Stream(ctx, job, func([]mapred.KV) bool {
+				t.Errorf("%s: the cancelled job delivered a chunk", desc)
+				return false
+			})
+		} else {
+			res, err = e.Run(job)
+		}
 		if err := job.Trace.Validate(); err != nil {
 			t.Fatalf("%s: %v", desc, err)
 		}
@@ -322,7 +350,14 @@ func runEngineCase(t *testing.T, seed int64, k engineKnobs) (cacheStats qcache.S
 	if cache != nil {
 		defer func() { cacheStats = cache.Stats() }()
 	}
-	cold, coldStats, err := run(cache, k.trace, k.fault == killNode)
+	coldFault := k.fault
+	if k.fault == cancelJob {
+		if _, _, err := run(cache, k.trace, cancelJob); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: cancelled at task %d, the job returned %v", desc, killAt, err)
+		}
+		coldFault = noFault
+	}
+	cold, coldStats, err := run(cache, k.trace, coldFault)
 	if k.fault == flipAll {
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("block %d ", fb)) {
 			t.Fatalf("%s: block %d is corrupt on every replica; the job returned %v", desc, fb, err)
@@ -343,12 +378,12 @@ func runEngineCase(t *testing.T, seed int64, k engineKnobs) (cacheStats qcache.S
 	}
 	if k.trace && k.fault != killNode {
 		traced, tracedStats := cold, coldStats
-		if quarantined {
-			if traced, tracedStats, err = run(newCache(), true, false); err != nil {
+		if quarantined || k.fault == cancelJob { // the cold run hit what the run before it put
+			if traced, tracedStats, err = run(newCache(), true, noFault); err != nil {
 				t.Fatalf("%s: traced, after the quarantine: %v", desc, err)
 			}
 		}
-		plain, plainStats, err := run(newCache(), false, false)
+		plain, plainStats, err := run(newCache(), false, noFault)
 		if err != nil {
 			t.Fatalf("%s: untraced: %v", desc, err)
 		}
@@ -366,7 +401,7 @@ func runEngineCase(t *testing.T, seed int64, k engineKnobs) (cacheStats qcache.S
 		// left, with every block whose split moved off the replica its key
 		// names; it serves every key the cold run put, and is the run the
 		// hot one repeats.
-		if cold, _, err = run(cache, k.trace, false); err != nil {
+		if cold, _, err = run(cache, k.trace, noFault); err != nil {
 			t.Fatalf("%s: after the quarantine: %v", desc, err)
 		}
 		if k.cache == cacheHot && len(cache.lost) > 0 {
@@ -376,7 +411,7 @@ func runEngineCase(t *testing.T, seed int64, k engineKnobs) (cacheStats qcache.S
 	if k.fault == replaceOne {
 		replace()
 	}
-	hot, hotStats, err := run(cache, k.trace, false)
+	hot, hotStats, err := run(cache, k.trace, noFault)
 	if err != nil {
 		t.Fatalf("%s: hot: %v", desc, err)
 	}
@@ -388,7 +423,7 @@ func runEngineCase(t *testing.T, seed int64, k engineKnobs) (cacheStats qcache.S
 	sameSplits := slices.EqualFunc(hot.Tasks, cold.Tasks, func(a, b mapred.TaskReport) bool {
 		return slices.Equal(a.Split.Blocks, b.Split.Blocks)
 	})
-	if k.fault == noFault || k.fault == flipOne {
+	if k.fault == noFault || k.fault == flipOne || k.fault == cancelJob {
 		if k.cache == cacheHot && hotStats.BlocksFromCache != hotStats.Blocks || sameSplits && !slices.Equal(hot.Output, cold.Output) {
 			t.Fatalf("%s: the hot run served %d of %d blocks from cache; output equal to the cold run's: %v",
 				desc, hotStats.BlocksFromCache, hotStats.Blocks, slices.Equal(hot.Output, cold.Output))

@@ -28,9 +28,12 @@ type RecoveryReport struct {
 // determines which sort orders are missing relative to the config, and
 // writes a fresh replica — re-sorted and re-indexed, from the first alive
 // holder whose replica reads back verified (RebuildBlock) — to an alive
-// node that does not yet hold one. It is deterministic: missing
-// orders are rebuilt in config order, each on the lowest-ID alive node
-// without a replica of the block, so equal states recover alike.
+// node that does not yet hold one. A rebuild that quarantined a corrupt
+// holder on the way lost that holder's order too, so the block is counted
+// again until a round quarantines none (each drops a holder, so the
+// rounds end). It is deterministic: missing orders are rebuilt in config
+// order, each on the lowest-ID alive node without a replica of the block,
+// so equal states recover alike.
 func RecoverFile(cluster *hdfs.Cluster, file string, cfg LayoutConfig) (RecoveryReport, error) {
 	var rep RecoveryReport
 	if err := cfg.Validate(); err != nil {
@@ -45,45 +48,49 @@ func RecoverFile(cluster *hdfs.Cluster, file string, cfg LayoutConfig) (Recovery
 
 	for _, b := range blocks {
 		rep.BlocksScanned++
-		// The configured sort orders alive holders still serve, counted:
-		// cfg.SortColumns is a multiset.
-		served := make(map[int]int)
-		var holders []hdfs.NodeID
-		for _, node := range nn.GetHosts(b) {
-			if !slices.Contains(alive, node) {
-				continue
+		for recount := true; recount; {
+			// The configured sort orders alive holders still serve, counted:
+			// cfg.SortColumns is a multiset.
+			served := make(map[int]int)
+			var holders []hdfs.NodeID
+			for _, node := range nn.GetHosts(b) {
+				if !slices.Contains(alive, node) {
+					continue
+				}
+				holders = append(holders, node)
+				if info, ok := nn.ReplicaInfo(b, node); ok {
+					served[info.SortColumn]++
+				}
 			}
-			holders = append(holders, node)
-			if info, ok := nn.ReplicaInfo(b, node); ok {
-				served[info.SortColumn]++
+			if len(holders) == 0 {
+				return rep, fmt.Errorf("hail: block %d has no alive replicas, cannot recover", b)
 			}
-		}
-		if len(holders) == 0 {
-			return rep, fmt.Errorf("hail: block %d has no alive replicas, cannot recover", b)
-		}
 
-		for _, col := range cfg.SortColumns {
-			if served[col] > 0 {
-				served[col]--
-				continue
+			for _, col := range cfg.SortColumns {
+				if served[col] > 0 {
+					served[col]--
+					continue
+				}
+				target, ok := pickTarget(cluster, b, alive)
+				if !ok {
+					// Not enough distinct alive nodes to restore full
+					// replication; recover what is possible.
+					continue
+				}
+				framed, info, err := RebuildBlock(cluster, b, holders[0], col)
+				if err == nil {
+					err = cluster.StoreAdditionalReplica(b, target, framed, info)
+				}
+				if err != nil {
+					return rep, err
+				}
+				rep.ReplicasRecovered++
+				if col >= 0 {
+					rep.IndexesRebuilt++
+				}
 			}
-			target, ok := pickTarget(cluster, b, alive)
-			if !ok {
-				// Not enough distinct alive nodes to restore full
-				// replication; recover what is possible.
-				continue
-			}
-			framed, info, err := RebuildBlock(cluster, b, holders[0], col)
-			if err == nil {
-				err = cluster.StoreAdditionalReplica(b, target, framed, info)
-			}
-			if err != nil {
-				return rep, err
-			}
-			rep.ReplicasRecovered++
-			if col >= 0 {
-				rep.IndexesRebuilt++
-			}
+			hosts := nn.GetHosts(b)
+			recount = slices.ContainsFunc(holders, func(h hdfs.NodeID) bool { return !slices.Contains(hosts, h) })
 		}
 	}
 	return rep, nil

@@ -227,9 +227,11 @@ func TestRecoverFileIsDeterministic(t *testing.T) {
 // chunk. Recovery reads past the corrupt holder — quarantining it — and
 // rebuilds both lost orders from node 1's rows, byte for byte what
 // RebuildReplica makes of node 1's replica, on nodes 4 and 5: node 0,
-// which still stores its quarantined copy, is no target.
+// which still stores its quarantined copy, is no target. The quarantine
+// lost node 0's order too, so the same pass rebuilds it, on node 6, and
+// leaves every configured order on an alive node.
 func TestRecoverFileFailsOverPastACorruptHolder(t *testing.T) {
-	cluster, err := hdfs.NewCluster(6)
+	cluster, err := hdfs.NewCluster(7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,6 +266,18 @@ func TestRecoverFileFailsOverPastACorruptHolder(t *testing.T) {
 	}
 	if slices.Contains(nn.GetHosts(b), 0) {
 		t.Errorf("block %d is on %v; want node 0's corrupt replica quarantined", b, nn.GetHosts(b))
+	}
+	var orders []int
+	for _, node := range nn.GetHosts(b) {
+		if info, ok := nn.ReplicaInfo(b, node); ok && slices.Contains(cluster.AliveNodes(), node) {
+			orders = append(orders, info.SortColumn)
+		}
+	}
+	want := slices.Clone(client.Config.SortColumns)
+	slices.Sort(orders)
+	slices.Sort(want)
+	if !slices.Equal(orders, want) {
+		t.Errorf("after one pass block %d's alive replicas are sorted on %v, want every configured order %v", b, orders, want)
 	}
 	healthy, err := cluster.OpenBlockFrom(1, b)
 	if err != nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"maps"
 	"strings"
@@ -158,14 +159,15 @@ func (r *Runner) ExpAdaptive(w Workload, jobsPerPhase int, offerRate float64) (*
 			for _, b := range blocks {
 				gensBefore[b] = nn.Generation(b)
 			}
-			res, err := engine.Run(&mapred.Job{
+			got := make(map[string]int, len(ref))
+			res, err := engine.Stream(context.Background(), &mapred.Job{
 				Name: fmt.Sprintf("adaptive-job-%d", jobNo), File: f.file,
 				Input: &core.InputFormat{
 					Cluster: cluster, Query: q, Adaptive: idx,
 					Splitting: true, SplitsPerNode: SplitsPerNodePaper,
 				},
 				MapBatch: workload.PassthroughMapBatch,
-			})
+			}, tally(got))
 			if err != nil {
 				return nil, err
 			}
@@ -173,7 +175,7 @@ func (r *Runner) ExpAdaptive(w Workload, jobsPerPhase int, offerRate float64) (*
 			if plan.Err != nil {
 				return nil, plan.Err
 			}
-			if !maps.Equal(multiset(res.Output), ref) {
+			if !maps.Equal(got, ref) {
 				return nil, fmt.Errorf("adaptive: job %d diverged from non-adaptive execution", jobNo)
 			}
 			// Every eviction left the directory consistent and bumped the
@@ -212,7 +214,7 @@ func (r *Runner) ExpAdaptive(w Workload, jobsPerPhase int, offerRate float64) (*
 				Evicted:           plan.Evicted,
 				EvictedBytes:      plan.EvictedBytes,
 				ExtraBytes:        idx.ExtraBytes(),
-				Rows:              len(res.Output),
+				Rows:              res.Rows,
 			})
 		}
 		return jobs, nil
@@ -348,23 +350,26 @@ func (rep *AdaptiveReport) String() string {
 // adaptive indexer — and returns its rows as a multiset: the answer an
 // experiment's runs of q are held to.
 func reference(f *fixture, q *query.Query) (map[string]int, error) {
-	res, err := (&mapred.Engine{Cluster: f.cluster}).Run(&mapred.Job{
+	rows := make(map[string]int)
+	_, err := (&mapred.Engine{Cluster: f.cluster}).Stream(context.Background(), &mapred.Job{
 		Name: "reference", File: f.file,
 		Input:    &core.InputFormat{Cluster: f.cluster, Query: q},
 		MapBatch: workload.PassthroughMapBatch,
-	})
+	}, tally(rows))
 	if err != nil {
 		return nil, err
 	}
-	return multiset(res.Output), nil
+	return rows, nil
 }
 
-// multiset builds the row→count map of a job output. The passthrough map
-// emits each row as a key with an empty value.
-func multiset(kvs []mapred.KV) map[string]int {
-	m := make(map[string]int, len(kvs))
-	for _, kv := range kvs {
-		m[kv.Key]++
+// tally is a Stream consumer that builds the row→count map of a job's
+// output in m. The passthrough map emits each row as a key with an empty
+// value.
+func tally(m map[string]int) func([]mapred.KV) bool {
+	return func(chunk []mapred.KV) bool {
+		for _, kv := range chunk {
+			m[kv.Key]++
+		}
+		return true
 	}
-	return m
 }

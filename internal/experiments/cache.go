@@ -146,7 +146,7 @@ func (r *Runner) ExpCache(w Workload, jobs int, offerRate float64) (*CacheReport
 			Job: j, Phase: phase,
 			Seconds: e2e + build, WorkSeconds: work, BuildSeconds: build,
 			Blocks: st.Blocks, HitBlocks: st.BlocksFromCache, HitRate: hitRate,
-			Rows:          len(res.Output),
+			Rows:          res.Rows,
 			Hits:          d.Hits,
 			Misses:        d.Misses,
 			Evictions:     d.Evictions,

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -127,11 +128,11 @@ func (r *Runner) ExpDispatch(w Workload) (*DispatchReport, error) {
 		if cache != nil {
 			e.Cache = cache
 		}
-		return e.Run(&mapred.Job{
+		return e.Stream(context.Background(), &mapred.Job{
 			Name: name, File: f.file,
 			Input: newInput(pack, cache), MapBatch: workload.PassthroughMapBatch,
 			MapSig: workload.PassthroughMapSig,
-		})
+		}, nil)
 	}
 
 	rep := &DispatchReport{
@@ -158,7 +159,7 @@ func (r *Runner) ExpDispatch(w Workload) (*DispatchReport, error) {
 		return DispatchRun{
 			Packed: packed, Tasks: len(res.Tasks), PaperTasks: paperTasks,
 			Blocks: st.Blocks, HitBlocks: st.BlocksFromCache,
-			Seconds: e2e, WorkSeconds: work, Rows: len(res.Output),
+			Seconds: e2e, WorkSeconds: work, Rows: res.Rows,
 		}
 	}
 
@@ -255,7 +256,7 @@ func (r *Runner) ExpDispatch(w Workload) (*DispatchReport, error) {
 	rep.Failover = DispatchFailover{
 		Victim: victim, VictimBlocks: victimBlocks,
 		TasksRepacked: killRes.Repacked, BlocksRerun: killRes.BlocksRerun,
-		ReExecuted: killRes.ReExecuted, Rows: len(killRes.Output),
+		ReExecuted: killRes.ReExecuted, Rows: killRes.Rows,
 	}
 	if err := cluster.ReviveNode(victim); err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package experiments
 import (
 	"testing"
 
+	"repro/internal/mapred"
 	"repro/internal/workload"
 )
 
@@ -28,7 +29,7 @@ func TestThreeSystemResultEquivalence(t *testing.T) {
 					modes = []bool{false, true} // splitting off and on
 				}
 				for _, splitting := range modes {
-					res, err := r.runQuery(f, bq, splitting)
+					res, err := (&mapred.Engine{Cluster: f.cluster}).Run(queryJob(f, bq, splitting))
 					if err != nil {
 						t.Fatalf("%s %s on %s: %v", w, bq.Name, sys, err)
 					}

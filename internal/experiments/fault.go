@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -157,7 +158,7 @@ func runKilled(cluster *hdfs.Cluster, victim hdfs.NodeID, job *mapred.Job) (*map
 			once.Do(func() { killErr = cluster.KillNode(victim) })
 		}
 	}
-	res, err := e.Run(job)
+	res, err := e.Stream(context.Background(), job, nil)
 	if err == nil && killErr != nil {
 		err = fmt.Errorf("killing node %d failed: %v", victim, killErr)
 	}

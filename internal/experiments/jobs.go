@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -18,9 +19,14 @@ import (
 // only 20").
 const SplitsPerNodePaper = 2
 
-// runQuery executes one benchmark query for real on a fixture.
+// runQuery executes one benchmark query for real on a fixture. The
+// experiments price a query by its stats; none reads its rows.
 func (r *Runner) runQuery(f *fixture, bq workload.BenchQuery, splitting bool) (*mapred.JobResult, error) {
-	e := &mapred.Engine{Cluster: f.cluster}
+	return (&mapred.Engine{Cluster: f.cluster}).Stream(context.Background(), queryJob(f, bq, splitting), nil)
+}
+
+// queryJob is the job that runs bq on f's system.
+func queryJob(f *fixture, bq workload.BenchQuery, splitting bool) *mapred.Job {
 	job := &mapred.Job{Name: bq.Name, File: f.file}
 	switch f.system {
 	case Hadoop:
@@ -36,7 +42,7 @@ func (r *Runner) runQuery(f *fixture, bq workload.BenchQuery, splitting bool) (*
 		}
 		job.MapBatch = workload.PassthroughMapBatch
 	}
-	return e.Run(job)
+	return job
 }
 
 // queryCost is the scaled per-block and per-job cost decomposition of a

@@ -1,6 +1,7 @@
 package mapred
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"slices"
@@ -30,7 +31,12 @@ type TaskReport struct {
 
 // JobResult is the full outcome of a job run.
 type JobResult struct {
-	Output     []KV // the blocks' chunks, in task order
+	// Output is the blocks' chunks copied into one slice, in task order.
+	// Only Run fills it; Stream hands the chunks to its caller instead.
+	Output []KV
+	// Rows is the number of KVs the job emitted: len(Output) after Run,
+	// the summed chunk lengths Stream had to deliver.
+	Rows       int
 	Tasks      []TaskReport
 	SplitPhase TaskStats // I/O performed during the split phase
 	// ReExecuted counts task attempts lost to node failures and retried.
@@ -92,7 +98,7 @@ type Engine struct {
 }
 
 // engineMetrics holds the engine's registry handles, resolved once per
-// Run. A nil *engineMetrics (no registry bound) disables all recording.
+// job. A nil *engineMetrics (no registry bound) disables all recording.
 type engineMetrics struct {
 	jobs          *obs.Counter
 	tasks         *obs.Counter
@@ -175,30 +181,61 @@ func (cc *cacheContext) key(split Split, b hdfs.BlockID, runOn hdfs.NodeID) Cach
 	}
 }
 
-// Run executes the job: the split phase, then the map phase with locality
-// scheduling and failure recovery, then the assembly of the blocks'
-// chunks into the job's output.
+// Stream executes the job — the split phase, then the map phase with
+// locality scheduling and failure recovery — and then hands each block's
+// non-empty chunk to yield, in task order. yield runs on the caller's
+// goroutine, once the whole map phase has succeeded; a chunk is read-only
+// and valid only during the call (it is the cache's own slice or a window
+// of a pooled buffer the pool gets back when Stream returns), so a
+// consumer copies what it keeps. yield returning false stops the
+// delivery, not the job: the result's counts, Rows among them, are the
+// whole job's. A nil yield delivers nothing.
 //
-// When job.Trace is set, Run records a span tree whose root ("run") has
-// contiguous phase children — plan, schedule, map, assemble — so
-// the phases' durations sum to the job's wall-clock; per-task spans (with
+// ctx is checked by the workers before they claim a task and before and
+// after each block. Once it is done no task is claimed and no block begun
+// or cached, the tasks in flight stop at their next block without a retry
+// (a cancellation is not a node fault), and Stream returns an error that
+// wraps ctx.Err() without calling yield.
+//
+// When job.Trace is set, Stream records a span tree whose root ("run") has
+// contiguous phase children — plan, schedule, map, assemble — so the
+// phases' durations sum to the job's wall-clock; per-task spans (with
 // wait/attempt/posttask children) live under "map" on their own trace
-// lanes. When e.Obs is set, task latencies and dispatch/failover counters
-// land in the registry. Both are independent and both default to off.
-func (e *Engine) Run(job *Job) (*JobResult, error) {
+// lanes, and the delivery runs under "assemble". When e.Obs is set, task
+// latencies and dispatch/failover counters land in the registry. Both are
+// independent and both default to off.
+func (e *Engine) Stream(ctx context.Context, job *Job, yield func(chunk []KV) bool) (*JobResult, error) {
+	return e.run(ctx, job, func(_ *JobResult, chunks [][]KV) {
+		if yield == nil {
+			return
+		}
+		for _, c := range chunks {
+			if len(c) > 0 && !yield(c) {
+				return
+			}
+		}
+	})
+}
+
+// run is the job body of Stream and Run: the split phase, the schedule and
+// the map phase, then deliver with the job's result and every block's
+// chunk in task order, under the assemble span. deliver is called only
+// when every task succeeded and ctx is not done, and the chunks are valid
+// only until it returns.
+func (e *Engine) run(ctx context.Context, job *Job, deliver func(res *JobResult, chunks [][]KV)) (*JobResult, error) {
 	if job.Map == nil && job.MapBatch == nil {
 		return nil, fmt.Errorf("mapred: job %q has no map function", job.Name)
 	}
 	tr := job.Trace
-	m := e.metrics()
 	runSpan := tr.StartSpan("run", "job", 0, obs.Span{})
+	defer runSpan.End()
 	runSpan.SetStr("job", job.Name)
+	m := e.metrics()
 
 	planSpan := tr.StartSpan("plan", "phase", 0, runSpan)
 	splits, splitStats, err := job.Input.SplitsWithStats(job.File)
 	if err != nil {
 		planSpan.End()
-		runSpan.End()
 		return nil, fmt.Errorf("mapred: split phase for %q: %v", job.Name, err)
 	}
 	res := &JobResult{SplitPhase: splitStats}
@@ -221,8 +258,8 @@ func (e *Engine) Run(job *Job) (*JobResult, error) {
 	// off. A task's output is one chunk per block, in split order; the
 	// chunks of all tasks are windows of one array sized by the job's block
 	// count, and so are the buffers its computed blocks emitted into, one
-	// slot per block. The buffers go back to the pool when Run returns:
-	// after the assemble has copied them, or when the job has failed.
+	// slot per block. The buffers go back to the pool when the job returns:
+	// after the delivery, or when the job has failed.
 	tasks := make([]struct {
 		tsp, wsp obs.Span
 		report   TaskReport
@@ -235,7 +272,6 @@ func (e *Engine) Run(job *Job) (*JobResult, error) {
 		nblocks += len(s.Blocks)
 	}
 	chunks, bufs := make([][]KV, nblocks), make([]*[]KV, nblocks)
-	defer releaseBufs(bufs)
 	off := 0
 	for i, s := range splits {
 		n := len(s.Blocks)
@@ -255,15 +291,15 @@ func (e *Engine) Run(job *Job) (*JobResult, error) {
 	}
 
 	// The dispatcher: workers claim task indices in order from one counter
-	// until none is left, or until a task has failed — the job has then
-	// failed, and the tasks no worker claimed never run. The caller is one
-	// of the workers, so Parallelism 1 runs the whole job inline, in task
-	// order, on no goroutine.
+	// until none is left, or until a task has failed or ctx is done — the
+	// job has then failed, and the tasks no worker claimed never run. The
+	// caller is one of the workers, so Parallelism 1 runs the whole job
+	// inline, in task order, on no goroutine.
 	var next, done atomic.Int64
 	var failed atomic.Bool
 	work := func() {
 		bm := newBlockMapper(job)
-		for !failed.Load() {
+		for !failed.Load() && ctx.Err() == nil {
 			i := int(next.Add(1)) - 1
 			if i >= len(tasks) {
 				return
@@ -275,7 +311,7 @@ func (e *Engine) Run(job *Job) (*JobResult, error) {
 				m.taskWait.Observe(time.Since(mapStart))
 				execStart = time.Now()
 			}
-			t.report, t.chunks, t.err = e.runTask(job, cc, bm, i, splits[i], assignments[i], t.tsp, t.chunks, t.bufs)
+			t.report, t.chunks, t.err = e.runTask(ctx, job, cc, bm, i, splits[i], assignments[i], t.tsp, t.chunks, t.bufs)
 			if m != nil {
 				m.taskSeconds.Observe(time.Since(execStart))
 			}
@@ -312,30 +348,26 @@ func (e *Engine) Run(job *Job) (*JobResult, error) {
 	work()
 	wg.Wait()
 	// Every task below the counter was claimed and has run; the ones above
-	// it were left when a task failed, and their spans end unclaimed.
+	// it were left when a task failed or ctx was done, and their spans end
+	// unclaimed.
 	for i := min(int(next.Load()), len(tasks)); i < len(tasks); i++ {
 		tasks[i].wsp.End()
 		tasks[i].tsp.End()
 	}
 	mapSpan.End()
 
+	// The buffers go back to the pool inside the assemble span, whose time
+	// they take: clearing a wide scan's is a share of its wall-clock.
 	assembleSpan := tr.StartSpan("assemble", "phase", 0, runSpan)
-	// The one place KV headers are copied: the chunks are the cache's own
-	// slices, which nothing downstream of here may write through, or windows
-	// of block buffers the pool gets back when Run returns.
-	outLen := 0
-	for i := range tasks {
-		for _, c := range tasks[i].chunks {
-			outLen += len(c)
-		}
+	defer assembleSpan.End()
+	defer releaseBufs(bufs)
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("mapred: job %q cancelled: %w", job.Name, err)
 	}
-	mapOut := make([]KV, 0, outLen)
 	res.Tasks = make([]TaskReport, 0, len(tasks))
 	for i := range tasks {
 		t := &tasks[i]
 		if t.err != nil {
-			assembleSpan.End()
-			runSpan.End()
 			return nil, t.err
 		}
 		res.Tasks = append(res.Tasks, t.report)
@@ -347,15 +379,17 @@ func (e *Engine) Run(job *Job) (*JobResult, error) {
 		}
 		res.BlocksRerun += t.report.BlocksRerun
 		for _, c := range t.chunks {
-			mapOut = append(mapOut, c...)
+			res.Rows += len(c)
 		}
 	}
 	if m != nil {
 		m.recordJob(res)
 	}
-	res.Output = mapOut
-	assembleSpan.End()
-	runSpan.End()
+	// Every task succeeded, so every block's chunk sits in its slot of
+	// chunks, in task order: the cache's own slices, which nothing
+	// downstream of here may write through, or windows of block buffers the
+	// pool gets back when the job returns.
+	deliver(res, chunks)
 	return res, nil
 }
 
@@ -471,13 +505,15 @@ func newBlockMapper(job *Job) *blockMapper {
 // replica pins are re-resolved via Split.Fallback — which never reorders
 // Blocks — and the retry resumes at pos, so a node loss costs only the
 // blocks not yet done. started is the high-water mark of blocks begun; a
-// block begun twice is one BlocksRerun.
+// block begun twice is one BlocksRerun. A done ctx is no node fault: the
+// attempt stops before the next block, or drops the block it interrupted,
+// and the task fails without a retry.
 //
 // A panic under this function — map function, batch accessor, decoder —
 // is the task boundary's to catch: it fails the job with an error naming
 // task, block and executing node instead of killing the process, and the
 // failed block's output never reaches the cache.
-func (e *Engine) runTask(job *Job, cc *cacheContext, bm *blockMapper, taskID int, split Split, node hdfs.NodeID, tsp obs.Span, chunks [][]KV, bufs []*[]KV) (report TaskReport, out [][]KV, err error) {
+func (e *Engine) runTask(ctx context.Context, job *Job, cc *cacheContext, bm *blockMapper, taskID int, split Split, node hdfs.NodeID, tsp obs.Span, chunks [][]KV, bufs []*[]KV) (report TaskReport, out [][]KV, err error) {
 	const maxAttempts = 4
 	tr := job.Trace
 	var (
@@ -503,6 +539,9 @@ func (e *Engine) runTask(job *Job, cc *cacheContext, bm *blockMapper, taskID int
 		defer asp.End()
 		asp.SetInt("node", int64(runOn))
 		for ; pos < len(split.Blocks); pos++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 			if pos < started {
 				rerun++
 			}
@@ -538,6 +577,9 @@ func (e *Engine) runTask(job *Job, cc *cacheContext, bm *blockMapper, taskID int
 			if err == nil {
 				bstats, err = rr.ReadBatches(bm.consume)
 			}
+			if err == nil {
+				err = ctx.Err() // a block the cancel interrupted is neither cached nor kept
+			}
 			if err != nil {
 				return err
 			}
@@ -572,6 +614,9 @@ func (e *Engine) runTask(job *Job, cc *cacheContext, bm *blockMapper, taskID int
 			}
 		}
 		if lastErr = attempt(); lastErr != nil {
+			if ctx.Err() != nil {
+				return TaskReport{}, nil, lastErr // a cancellation is not a node fault
+			}
 			continue
 		}
 		var outBytes int64
@@ -611,7 +656,7 @@ var blockBufs = sync.Pool{New: func() any { return new([]KV) }}
 
 // releaseBufs returns a job's block buffers to the pool, cleared up to the
 // length each reached — a failed block's partial output included. A chunk
-// handed to ResultCache.Put was copied by it; nothing else outlives Run.
+// handed to ResultCache.Put was copied by it; nothing else outlives the job.
 func releaseBufs(bufs []*[]KV) {
 	for _, p := range bufs {
 		if p != nil {

@@ -24,10 +24,10 @@
 //
 // A job's output is its blocks' chunks in task order. That is what makes
 // the block the only granularity the result cache needs: a cached block's
-// chunk is the cache's own slice, shared by every job that hits it and
-// copied exactly once, into the job's output. A computed block's chunk is
-// a window of a pooled buffer, copied once too and reused once the job
-// has returned.
+// chunk is the cache's own slice, shared by every job that hits it, and a
+// computed block's chunk is a window of a pooled buffer, reused once the
+// job has returned. Engine.Stream hands each chunk to its consumer as is;
+// Engine.Run copies them all into one slice.
 package mapred
 
 import (
@@ -281,7 +281,7 @@ type CacheKey struct {
 // (internal/qcache): per-block map outputs with the stats the computation
 // cost, so hits can account for the work they saved. Implementations must
 // be safe for concurrent use by many task goroutines. The slice Get returns
-// goes into the task's output as is, so it must never change afterwards.
+// is the block's chunk as is, so it must never change afterwards.
 // The kvs Put is given are valid only during the call: they are a window
 // of a buffer the engine clears and reuses once the job returns, so Put
 // must copy what it keeps. It reports whether it admitted the entry.

@@ -20,6 +20,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -27,6 +28,8 @@ import (
 	"log/slog"
 	"net/http"
 	"os"
+	"runtime/pprof"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -352,7 +355,10 @@ func (s *Server) logQuery(l *queryLog) {
 // sends slowly or too much never holds a slot. Over capacity, the request
 // waits up to QueueTimeout for a slot and is rejected with 429 otherwise —
 // backpressure instead of an unbounded pile-up. Every reply carries the id
-// in its X-Query-Id header, and every request writes one log line.
+// in its X-Query-Id header, and every request writes one log line. A
+// client that hangs up cancels its query: the engine stops claiming tasks,
+// the slot frees within one block per worker, and the query counts as
+// abandoned, as one that left while queued does.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ql := queryLog{id: s.lastQuery.Add(1)}
 	defer s.logQuery(&ql)
@@ -392,7 +398,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.reg.Histogram("server.queue_wait_seconds").Observe(ql.queueWait)
 	defer func() { <-s.sem }()
 
-	resp, err := s.runQuery(&req, &ql)
+	resp, err := s.runQuery(r.Context(), &req, &ql)
+	if err != nil && r.Context().Err() != nil {
+		s.reg.Counter("server.abandoned").Inc()
+		return
+	}
 	if err != nil {
 		status := http.StatusInternalServerError
 		if he, ok := err.(*httpError); ok {
@@ -447,9 +457,11 @@ func (t *adaptiveTap) ObserveJob(file string, column int, indexed, missing []hdf
 }
 
 // runQuery executes one admitted query on a fresh engine + input format
-// over the shared stack, and fills in ql what the query's log line says
-// about it.
-func (s *Server) runQuery(req *QueryRequest, ql *queryLog) (*QueryResponse, error) {
+// over the shared stack until ctx is done, and fills in ql what the
+// query's log line says about it. The job runs under the profiler labels
+// tenant, query (the id) and sig (the signature's hash), which the
+// engine's workers inherit, so a CPU profile of the daemon splits by them.
+func (s *Server) runQuery(ctx context.Context, req *QueryRequest, ql *queryLog) (*QueryResponse, error) {
 	if req.File == "" || req.Query == "" {
 		return nil, &httpError{http.StatusBadRequest, "file and query are required"}
 	}
@@ -518,14 +530,36 @@ func (s *Server) runQuery(req *QueryRequest, ql *queryLog) (*QueryResponse, erro
 		tr = obs.NewTrace("haild:" + tenant)
 	}
 
-	start := time.Now() //lint:allow wallclock query latency is reported to the tenant (LatencyMS), not just observed
-	res, err := engine.Run(&mapred.Job{
+	// The response keeps the answer's first Limit rows (all of them when
+	// Limit is 0), copied from the chunks as the engine delivers them into a
+	// buffer that doubles, then once into an exactly-sized slice; row_count
+	// is the whole answer's.
+	var rows []string
+	keep := func(chunk []mapred.KV) bool {
+		for _, kv := range chunk {
+			if req.Limit > 0 && len(rows) == req.Limit {
+				return false
+			}
+			if len(rows) == cap(rows) {
+				rows = slices.Grow(rows, max(len(rows), 64))
+			}
+			rows = append(rows, kv.Key)
+		}
+		return true
+	}
+	job := &mapred.Job{
 		Name:     "haild:" + tenant,
 		File:     req.File,
 		Input:    input,
 		MapBatch: workload.PassthroughMapBatch,
 		MapSig:   workload.PassthroughMapSig,
 		Trace:    tr,
+	}
+	start := time.Now() //lint:allow wallclock query latency is reported to the tenant (LatencyMS), not just observed
+	var res *mapred.JobResult
+	labels := pprof.Labels("tenant", tenant, "query", strconv.FormatInt(ql.id, 10), "sig", ql.sigHash)
+	pprof.Do(ctx, labels, func(ctx context.Context) {
+		res, err = engine.Stream(ctx, job, keep)
 	})
 	if err != nil {
 		return nil, err
@@ -537,26 +571,20 @@ func (s *Server) runQuery(req *QueryRequest, ql *queryLog) (*QueryResponse, erro
 
 	resp := &QueryResponse{
 		Tenant:         tenant,
-		RowCount:       len(res.Output),
+		Rows:           make([]string, len(rows)),
+		RowCount:       res.Rows,
 		Tasks:          len(res.Tasks),
 		NameNodeOps:    res.SplitPhase.NameNodeOps,
 		AdaptiveDenied: adaptiveDenied,
 		LatencyMS:      float64(dur) / 1e6,
 	}
+	copy(resp.Rows, rows)
 	st := res.TotalStats()
 	ql.stats, ql.latency = st, dur
 	resp.IndexScans = st.IndexScans
 	resp.FullScans = st.FullScans
 	resp.BlocksFromCache = st.BlocksFromCache
 	resp.BytesRead = st.BytesRead
-	n := len(res.Output)
-	if req.Limit > 0 && req.Limit < n {
-		n = req.Limit
-	}
-	resp.Rows = make([]string, n)
-	for i := range resp.Rows {
-		resp.Rows[i] = res.Output[i].Key
-	}
 
 	if tap != nil {
 		tap.mu.Lock()

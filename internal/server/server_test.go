@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -719,7 +720,7 @@ func TestQueryPanicIsA500NotACrash(t *testing.T) {
 // slice to fill ten entries. The rows are the unlimited answer's prefix.
 func TestLimitSizesRowsByTheLimit(t *testing.T) {
 	s := newTestServer(t, makeFS(t, 700), Config{})
-	all, err := s.runQuery(&QueryRequest{File: "/t", Query: adaptiveQ}, &queryLog{})
+	all, err := s.runQuery(context.Background(), &QueryRequest{File: "/t", Query: adaptiveQ}, &queryLog{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -727,7 +728,7 @@ func TestLimitSizesRowsByTheLimit(t *testing.T) {
 		t.Fatalf("unlimited: row_count %d, %d rows, cap %d", all.RowCount, len(all.Rows), cap(all.Rows))
 	}
 	for _, limit := range []int{1, 10, all.RowCount, all.RowCount + 5} {
-		got, err := s.runQuery(&QueryRequest{File: "/t", Query: adaptiveQ, Limit: limit}, &queryLog{})
+		got, err := s.runQuery(context.Background(), &QueryRequest{File: "/t", Query: adaptiveQ, Limit: limit}, &queryLog{})
 		if err != nil {
 			t.Fatal(err)
 		}
