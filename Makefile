@@ -40,8 +40,8 @@ profile-upload:
 		-cpuprofile plain-upload.cpu.pprof -memprofile plain-upload.mem.pprof ./internal/core
 
 # The same for the ledger's two scan ops as users run them, passthrough map
-# in both forms (BenchmarkWideScanPassthrough, BenchmarkIndexScanPassthrough;
-# 200k lines, Bob's layout): go tool pprof -top core.test wide-scan.cpu.pprof.
+# (BenchmarkWideScanPassthrough, BenchmarkIndexScanPassthrough; 200k
+# lines, Bob's layout): go tool pprof -top core.test wide-scan.cpu.pprof.
 # BenchmarkIndexScanOpen is the index scan's fixed per-block path alone
 # (windows below the data: every block opened, no row read), into
 # index-open.*.pprof.

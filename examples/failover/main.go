@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sync"
@@ -55,22 +56,23 @@ func run(label string, sortCols []int) map[string]int {
 			})
 		}
 	}
-	res, err := engine.Run(&mapred.Job{
+	out := make(map[string]int)
+	res, err := engine.Stream(context.Background(), &mapred.Job{
 		Name: bq.Name, File: "/uv",
-		Input: &core.InputFormat{Cluster: cluster, Query: bq.Query},
-		Map:   workload.PassthroughMap,
+		Input:    &core.InputFormat{Cluster: cluster, Query: bq.Query},
+		MapBatch: workload.PassthroughMapBatch,
+	}, func(chunk []mapred.KV) bool {
+		for _, kv := range chunk {
+			out[kv.Key]++
+		}
+		return true
 	})
 	if err != nil {
 		log.Fatalf("[%s] job failed despite failover: %v", label, err)
 	}
 	st := res.TotalStats()
 	fmt.Printf("  [%s] job completed: %d rows, %d index scans, %d full-scan fallbacks, %d remote reads\n",
-		label, len(res.Output), st.IndexScans, st.FullScans, st.RemoteReads)
-
-	out := make(map[string]int)
-	for _, kv := range res.Output {
-		out[kv.Key]++
-	}
+		label, res.Rows, st.IndexScans, st.FullScans, st.RemoteReads)
 	return out
 }
 

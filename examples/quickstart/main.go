@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -62,26 +63,32 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// The map function gets whole batches, pre-filtered and pre-projected:
+	// each row is {id, temp}, and Lines renders them as text. Bad records
+	// arrive flagged in b.Bad; this job skips them. Once the job has run,
+	// the engine hands each block's output to the consumer, in task order.
 	engine := &mapred.Engine{Cluster: cluster}
-	res, err := engine.Run(&mapred.Job{
+	fmt.Println("rows with city=Istanbul (id,temp):")
+	res, err := engine.Stream(context.Background(), &mapred.Job{
 		Name:  "istanbul-temps",
 		File:  "/weather",
 		Input: &core.InputFormat{Cluster: cluster, Query: q},
-		Map: func(r mapred.Record, emit mapred.Emit) {
-			if r.Bad {
-				return // bad records arrive flagged; this job skips them
+		MapBatch: func(b *mapred.Batch, emit mapred.Emit) {
+			text, ends := b.Lines(',')
+			from := int32(0)
+			for _, to := range ends {
+				emit(text[from:to], "")
+				from = to
 			}
-			// Pre-filtered and pre-projected: Row = {id, temp}.
-			emit(r.Row.Line(','), "")
 		},
+	}, func(chunk []mapred.KV) bool {
+		for _, kv := range chunk {
+			fmt.Println(" ", kv.Key)
+		}
+		return true
 	})
 	if err != nil {
 		log.Fatal(err)
-	}
-
-	fmt.Println("rows with city=Istanbul (id,temp):")
-	for _, kv := range res.Output {
-		fmt.Println(" ", kv.Key)
 	}
 	st := res.TotalStats()
 	fmt.Printf("access paths: %d index scan(s), %d full scan(s); %d bytes read\n",

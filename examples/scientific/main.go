@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -47,18 +48,19 @@ func main() {
 	engine := &mapred.Engine{Cluster: cluster}
 	fmt.Println("\nTable 1 grid: selectivity × projection width (all filter on attr1):")
 	for _, bq := range workload.SynQueries() {
-		res, err := engine.Run(&mapred.Job{
+		// Only the row count is printed, so nothing consumes the chunks.
+		res, err := engine.Stream(context.Background(), &mapred.Job{
 			Name: bq.Name, File: "/sdss",
-			Input: &core.InputFormat{Cluster: cluster, Query: bq.Query, Splitting: true},
-			Map:   workload.PassthroughMap,
-		})
+			Input:    &core.InputFormat{Cluster: cluster, Query: bq.Query, Splitting: true},
+			MapBatch: workload.PassthroughMapBatch,
+		}, nil)
 		if err != nil {
 			log.Fatalf("%s: %v", bq.Name, err)
 		}
 		st := res.TotalStats()
 		fmt.Printf("  %-8s sel=%.2f proj=%2d attrs: %6d rows, %6.2f MB read, %d tasks\n",
 			bq.Name, bq.Selectivity, len(bq.Query.Projection),
-			len(res.Output), float64(st.BytesRead)/1e6, len(res.Tasks))
+			res.Rows, float64(st.BytesRead)/1e6, len(res.Tasks))
 	}
 	fmt.Println("\nnote how bytes read shrink with both selectivity and projection width —")
 	fmt.Println("row-layout systems only benefit from the former (paper §6.4.2).")

@@ -10,12 +10,15 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"repro/internal/core"
 	"repro/internal/hdfs"
 	"repro/internal/mapred"
+	"repro/internal/query"
+	"repro/internal/schema"
 	"repro/internal/workload"
 )
 
@@ -49,41 +52,45 @@ func main() {
 	fmt.Printf("uploaded %d rows as %d blocks (%.1f MB text → %.1f MB PAX per copy)\n",
 		sum.Rows, sum.Blocks, float64(sum.TextBytes)/1e6, float64(sum.PaxBytes)/1e6)
 
+	// Only row counts are printed, so the jobs stream to no consumer.
 	engine := &mapred.Engine{Cluster: cluster}
+	ctx := context.Background()
 	for _, bq := range workload.BobQueries() {
 		// HAIL: index scan via the annotation, HailSplitting on.
-		hailRes, err := engine.Run(&mapred.Job{
+		hailRes, err := engine.Stream(ctx, &mapred.Job{
 			Name: bq.Name, File: "/logs/uservisits",
-			Input: &core.InputFormat{Cluster: cluster, Query: bq.Query, Splitting: true},
-			Map:   workload.PassthroughMap,
-		})
+			Input:    &core.InputFormat{Cluster: cluster, Query: bq.Query, Splitting: true},
+			MapBatch: workload.PassthroughMapBatch,
+		}, nil)
 		if err != nil {
 			log.Fatalf("%s: %v", bq.Name, err)
 		}
 		// Baseline: the same logical query as a full PAX scan (no filter
-		// pushed down, filtering in the map function via MatchesRow).
-		scanRes, err := engine.Run(&mapred.Job{
+		// pushed down, filtering in the map function). With no projection
+		// a batch holds every attribute, in schema order, so the query's
+		// own kernels run over the batch's vectors (MatchesBatch).
+		scanRes, err := engine.Stream(ctx, &mapred.Job{
 			Name: bq.Name + "-scan", File: "/logs/uservisits",
 			Input: &core.InputFormat{Cluster: cluster},
-			Map: func(r mapred.Record, emit mapred.Emit) {
-				if r.Bad || !bq.Query.MatchesRow(r.Row) {
-					return
+			MapBatch: func(b *mapred.Batch, emit mapred.Emit) {
+				col := func(c int) *schema.Vector { return b.Cols[c] }
+				for range bq.Query.MatchesBatch(col, query.MakeSelection(nil, b.Rows)) {
+					emit("match", "")
 				}
-				emit("match", "")
 			},
-		})
+		}, nil)
 		if err != nil {
 			log.Fatalf("%s scan: %v", bq.Name, err)
 		}
 
 		h, s := hailRes.TotalStats(), scanRes.TotalStats()
 		// Results must agree between access paths.
-		if len(hailRes.Output) != len(scanRes.Output) {
+		if hailRes.Rows != scanRes.Rows {
 			log.Fatalf("%s: index scan returned %d rows, full scan matched %d",
-				bq.Name, len(hailRes.Output), len(scanRes.Output))
+				bq.Name, hailRes.Rows, scanRes.Rows)
 		}
 		fmt.Printf("%-7s %7d result rows | HAIL: %2d tasks, %5.1f MB read, %d index scans | full scan: %5.1f MB read (%4.1fx more I/O)\n",
-			bq.Name, len(hailRes.Output), len(hailRes.Tasks),
+			bq.Name, hailRes.Rows, len(hailRes.Tasks),
 			float64(h.BytesRead)/1e6, h.IndexScans,
 			float64(s.BytesRead)/1e6, float64(s.BytesRead)/float64(max64(h.BytesRead, 1)))
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/mapred"
 	"repro/internal/query"
 	"repro/internal/schema"
+	"repro/internal/workload"
 )
 
 // testSchema: a (int32), b (string), c (int32), d (int32). The static
@@ -77,14 +78,10 @@ func runQueryJob(t *testing.T, cluster *hdfs.Cluster, file string, idx *Indexer,
 	t.Helper()
 	engine := &mapred.Engine{Cluster: cluster, PostTask: idx.AfterTask}
 	res, err := engine.Run(&mapred.Job{
-		Name:  "adaptive-test",
-		File:  file,
-		Input: &core.InputFormat{Cluster: cluster, Query: q, Adaptive: idx},
-		Map: func(r mapred.Record, emit mapred.Emit) {
-			if !r.Bad {
-				emit(r.Row.Line(','), "")
-			}
-		},
+		Name:     "adaptive-test",
+		File:     file,
+		Input:    &core.InputFormat{Cluster: cluster, Query: q, Adaptive: idx},
+		MapBatch: workload.PassthroughMapBatch,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -455,14 +452,10 @@ func TestIndexerConcurrentAfterTask(t *testing.T) {
 		}
 	}()
 	res, err := engine.Run(&mapred.Job{
-		Name:  "race",
-		File:  file,
-		Input: &core.InputFormat{Cluster: cluster, Query: cQuery(), Adaptive: idx},
-		Map: func(r mapred.Record, emit mapred.Emit) {
-			if !r.Bad {
-				emit(r.Row.Line(','), "")
-			}
-		},
+		Name:     "race",
+		File:     file,
+		Input:    &core.InputFormat{Cluster: cluster, Query: cQuery(), Adaptive: idx},
+		MapBatch: workload.PassthroughMapBatch,
 	})
 	done <- struct{}{}
 	<-done

@@ -11,6 +11,7 @@ import (
 	"repro/internal/mapred"
 	"repro/internal/query"
 	"repro/internal/schema"
+	"repro/internal/workload"
 )
 
 // sortedRows flattens a job result to sorted row strings for equivalence
@@ -29,14 +30,10 @@ func referenceRows(t *testing.T, cluster *hdfs.Cluster, file string, q *query.Qu
 	t.Helper()
 	engine := &mapred.Engine{Cluster: cluster}
 	res, err := engine.Run(&mapred.Job{
-		Name:  "reference",
-		File:  file,
-		Input: &core.InputFormat{Cluster: cluster, Query: q},
-		Map: func(r mapred.Record, emit mapred.Emit) {
-			if !r.Bad {
-				emit(r.Row.Line(','), "")
-			}
-		},
+		Name:     "reference",
+		File:     file,
+		Input:    &core.InputFormat{Cluster: cluster, Query: q},
+		MapBatch: workload.PassthroughMapBatch,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -206,10 +203,10 @@ func TestEvictionPrefersDeadNodeOrphans(t *testing.T) {
 	idx = restart(t, cluster, idx, idx.ExtraBytes()+16)
 	engine := &mapred.Engine{Cluster: cluster, PostTask: idx.AfterTask, Parallelism: 1}
 	if _, err := engine.Run(&mapred.Job{
-		Name:  "orphan-first",
-		File:  file,
-		Input: &core.InputFormat{Cluster: cluster, Query: dQuery(), Adaptive: idx},
-		Map:   func(mapred.Record, mapred.Emit) {},
+		Name:     "orphan-first",
+		File:     file,
+		Input:    &core.InputFormat{Cluster: cluster, Query: dQuery(), Adaptive: idx},
+		MapBatch: func(*mapred.Batch, mapred.Emit) {},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -251,14 +248,10 @@ func TestConcurrentJobsKeepPerColumnPlans(t *testing.T) {
 			defer wg.Done()
 			engine := &mapred.Engine{Cluster: cluster, PostTask: idx.AfterTask, Parallelism: 4}
 			results[n], errs[n] = engine.Run(&mapred.Job{
-				Name:  "overlap",
-				File:  file,
-				Input: &core.InputFormat{Cluster: cluster, Query: queries[n], Adaptive: idx},
-				Map: func(r mapred.Record, emit mapred.Emit) {
-					if !r.Bad {
-						emit(r.Row.Line(','), "")
-					}
-				},
+				Name:     "overlap",
+				File:     file,
+				Input:    &core.InputFormat{Cluster: cluster, Query: queries[n], Adaptive: idx},
+				MapBatch: workload.PassthroughMapBatch,
 			})
 		}(n)
 	}

@@ -174,8 +174,8 @@ func benchQuery(b *testing.B, annotation string, splitting bool) {
 	for i := 0; i < b.N; i++ {
 		res, err := e.Run(&mapred.Job{
 			Name: "bench", File: "/uv",
-			Input: &InputFormat{Cluster: f.cluster, Query: q, Splitting: splitting},
-			Map:   func(r mapred.Record, emit mapred.Emit) {},
+			Input:    &InputFormat{Cluster: f.cluster, Query: q, Splitting: splitting},
+			MapBatch: func(*mapred.Batch, mapred.Emit) {},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -264,7 +264,6 @@ func benchJobs(b *testing.B, check func(*mapred.JobResult) error, annotations ..
 		res, err := e.Run(&mapred.Job{
 			Name: "bench", File: "/uv",
 			Input:    &InputFormat{Cluster: cluster, Query: qs[i%len(qs)]},
-			Map:      workload.PassthroughMap,
 			MapBatch: workload.PassthroughMapBatch,
 		})
 		if err == nil {
@@ -277,8 +276,8 @@ func benchJobs(b *testing.B, check func(*mapred.JobResult) error, annotations ..
 }
 
 // BenchmarkWideScanPassthrough and BenchmarkIndexScanPassthrough are the
-// ledger's two scan ops as users run them — the passthrough map in both
-// forms, so decode, format, emit and output assembly are all in the
+// ledger's two scan ops as users run them — the passthrough map, so
+// decode, format, emit and output assembly are all in the
 // profile (the benchmarks above map to nothing). `make profile-scan`
 // profiles them.
 func BenchmarkWideScanPassthrough(b *testing.B) {
@@ -467,7 +466,6 @@ func cachedJob(tb testing.TB, cluster *hdfs.Cluster, cache probedCache, annotati
 		}
 		res, err := e.Run(&mapred.Job{
 			Name: "hot", File: "/uv", Input: in,
-			Map:      workload.PassthroughMap,
 			MapBatch: workload.PassthroughMapBatch,
 			MapSig:   workload.PassthroughMapSig,
 		})

@@ -184,10 +184,10 @@ func runHailQuery(t *testing.T, cluster *hdfs.Cluster, file string, q *query.Que
 	t.Helper()
 	e := &mapred.Engine{Cluster: cluster}
 	res, err := e.Run(&mapred.Job{
-		Name:  "hail-query",
-		File:  file,
-		Input: &InputFormat{Cluster: cluster, Query: q, Splitting: splitting},
-		Map:   workload.PassthroughMap,
+		Name:     "hail-query",
+		File:     file,
+		Input:    &InputFormat{Cluster: cluster, Query: q, Splitting: splitting},
+		MapBatch: workload.PassthroughMapBatch,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -383,13 +383,13 @@ func TestBadRecordsDeliveredFlagged(t *testing.T) {
 		Name:  "bad",
 		File:  "/uv",
 		Input: &InputFormat{Cluster: cluster, Query: workload.BobQueries()[0].Query},
-		Map: func(r mapred.Record, emit mapred.Emit) {
-			if r.Bad {
+		MapBatch: func(b *mapred.Batch, emit mapred.Emit) {
+			for _, raw := range b.Bad {
 				mu.Lock()
 				badSeen++
 				mu.Unlock()
-				if !strings.Contains(r.Raw, "CORRUPT") {
-					t.Errorf("bad record lost its raw text: %q", r.Raw)
+				if !strings.Contains(raw, "CORRUPT") {
+					t.Errorf("bad record lost its raw text: %q", raw)
 				}
 			}
 		},
@@ -522,11 +522,10 @@ func TestUploadStoresNULLineAsBadRecord(t *testing.T) {
 		Name:  "all",
 		File:  "/uv",
 		Input: &InputFormat{Cluster: cluster, Query: &query.Query{}},
-		Map: func(r mapred.Record, emit mapred.Emit) {
-			if r.Bad {
-				emit("bad", r.Raw)
-			} else {
-				emit("good", r.Row.Line(','))
+		MapBatch: func(b *mapred.Batch, emit mapred.Emit) {
+			workload.PassthroughMapBatch(b, func(row, _ string) { emit("good", row) })
+			for _, line := range b.Bad {
+				emit("bad", line)
 			}
 		},
 	})
@@ -679,6 +678,23 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// recordText is a batch's records as text, in delivery order: each row's
+// Line(','), then each raw line, then each bad record behind "bad\x00".
+func recordText(b *mapred.Batch) []string {
+	text, ends := b.Lines(',')
+	out := make([]string, 0, b.NumRows())
+	from := int32(0)
+	for _, to := range ends {
+		out = append(out, text[from:to])
+		from = to
+	}
+	out = append(out, b.Raw...)
+	for _, line := range b.Bad {
+		out = append(out, "bad\x00"+line)
+	}
+	return out
+}
+
 // TestBlockAtATimeMatchesWholeSplitRead is what the engine's one task loop
 // relies on, for every input format: opening a split one narrowed block at
 // a time delivers the records, order and summed TaskStats of one
@@ -716,9 +732,7 @@ func TestBlockAtATimeMatchesWholeSplitRead(t *testing.T) {
 			t.Fatal(err)
 		}
 		var rows []string
-		stats, err := rr.ReadBatches(func(b *mapred.Batch) {
-			b.Each(func(r mapred.Record) { rows = append(rows, r.Raw+"|"+r.Row.Line(',')) })
-		})
+		stats, err := rr.ReadBatches(func(b *mapred.Batch) { rows = append(rows, recordText(b)...) })
 		if err != nil {
 			t.Fatal(err)
 		}

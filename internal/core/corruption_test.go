@@ -62,12 +62,11 @@ func (r repinned) SplitsWithStats(file string) ([]mapred.Split, mapred.TaskStats
 
 // matrixMap passes good rows and bad records through, so a duplicated or
 // missing record of either kind shows in the output.
-func matrixMap(r mapred.Record, emit mapred.Emit) {
-	if r.Bad {
-		emit("bad", r.Raw)
-		return
+func matrixMap(b *mapred.Batch, emit mapred.Emit) {
+	workload.PassthroughMapBatch(b, emit)
+	for _, line := range b.Bad {
+		emit("bad", line)
 	}
-	emit(r.Row.Line(','), "")
 }
 
 func sortedOutput(res *mapred.JobResult) []string {
@@ -125,7 +124,7 @@ func TestCorruptionMatrix(t *testing.T) {
 	f := &InputFormat{Cluster: cluster, Query: q, Splitting: true, SplitsPerNode: 1}
 	run := func(input mapred.InputFormat, par int) (*mapred.JobResult, error) {
 		e := &mapred.Engine{Cluster: cluster, Parallelism: par}
-		return e.Run(&mapred.Job{Name: "matrix", File: "/uv", Input: input, Map: matrixMap, MapSig: "matrix"})
+		return e.Run(&mapred.Job{Name: "matrix", File: "/uv", Input: input, MapBatch: matrixMap, MapSig: "matrix"})
 	}
 	mustRun := func(input mapred.InputFormat, par int) *mapred.JobResult {
 		t.Helper()
@@ -357,15 +356,7 @@ chunks:
 			t.Fatal(err)
 		}
 		var out []string
-		st, err := rr.ReadBatches(func(b *mapred.Batch) {
-			b.Each(func(r mapred.Record) {
-				if r.Bad {
-					out = append(out, "bad\x00"+r.Raw)
-				} else {
-					out = append(out, r.Row.Line(','))
-				}
-			})
-		})
+		st, err := rr.ReadBatches(func(b *mapred.Batch) { out = append(out, recordText(b)...) })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -47,12 +47,13 @@ const (
 type fault int
 
 const (
-	noFault    fault = iota
-	killNode         // a node dies when task k completes
-	flipOne          // one byte flipped in one replica
-	flipAll          // one byte of chunk 0 flipped on every replica of a block: the job fails
-	replaceOne       // one replica rebuilt in another order before the hot run
-	cancelJob        // the cold run's context is cancelled when task k completes; the job is run again
+	noFault      fault = iota
+	killNode           // a node dies when task k completes
+	flipOne            // one byte flipped in one replica
+	flipAll            // one byte of chunk 0 flipped on every replica of a block: the job fails
+	replaceOne         // one replica rebuilt in another order before the hot run
+	cancelJob          // the cold run's context is cancelled when task k completes; the job is run again
+	stopDelivery       // a streamed run's consumer stops at chunk k, before the cold run
 )
 
 func (k engineKnobs) encode() uint64 {
@@ -72,7 +73,7 @@ func decodeKnobs(w uint64) engineKnobs {
 		cache: cacheMode(w >> 4 & 3), trace: w&(1<<6) != 0, fault: fault(w >> 7 & 7),
 		bob: w&(1<<10) != 0, reverse: w&(1<<11) != 0,
 	}
-	if k.fault > cancelJob {
+	if k.fault > stopDelivery {
 		k.fault = noFault
 	}
 	return k
@@ -105,6 +106,9 @@ func decodeKnobs(w uint64) engineKnobs {
 //   - a job cancelled at task k fails with context.Canceled and delivers
 //     nothing, and the uncancelled run after it over the same cache is
 //     held to all of the above;
+//   - a streamed job whose consumer stops at chunk k was handed exactly a
+//     prefix of the cold run's output, k chunks of it or all of it, and
+//     counts the whole job's rows;
 //   - no cache hit serves an entry from another generation of its block;
 //   - goroutines return to their baseline.
 func FuzzEngine(f *testing.F) {
@@ -129,6 +133,9 @@ func FuzzEngine(f *testing.F) {
 		{2004, engineKnobs{packScans: true, par: 1, cache: cacheHot, fault: replaceOne}},
 		{2001, engineKnobs{bob: true, par: 1, cache: cacheHot, trace: true, fault: cancelJob}},
 		{2002, engineKnobs{splitting: true, packScans: true, par: 3, cache: cacheCold, trace: true, fault: cancelJob}},
+		// Both stop mid-output: at chunk 1 of 11 rows, and chunk 2 of 51.
+		{2009, engineKnobs{bob: true, par: 2, cache: cacheHot, trace: true, fault: stopDelivery}},
+		{2006, engineKnobs{splitting: true, packScans: true, par: 4, cache: cacheCold, fault: stopDelivery}},
 		{4015, engineKnobs{par: 4, trace: true}}, // index ranges that start past the second partition
 	} {
 		f.Add(c.seed, c.k.encode())
@@ -274,10 +281,8 @@ func runEngineCase(t *testing.T, seed int64, k engineKnobs) (cacheStats qcache.S
 		}
 		return &cacheRecorder{Cache: qcache.New(budget), nn: cluster.NameNode(), puts: make(map[mapred.CacheKey]bool)}
 	}
-	var killOnce sync.Once
-	// run runs the job once; f is killNode or cancelJob to inject that
-	// fault when task k completes, anything else for none.
-	run := func(c *cacheRecorder, traced bool, f fault) (*mapred.JobResult, mapred.TaskStats, error) {
+	// newJob is the job and its engine, on cache c when it is not nil.
+	newJob := func(c *cacheRecorder, traced bool) (*mapred.Engine, *mapred.Job) {
 		e := &mapred.Engine{Cluster: cluster, Parallelism: k.par}
 		in := &InputFormat{Cluster: cluster, Query: q, Splitting: k.splitting, PackScans: k.packScans}
 		job := &mapred.Job{Name: "fuzz", File: "/fuzz", Input: &oracleInput{in, t, blocks}, MapBatch: workload.PassthroughMapBatch}
@@ -293,6 +298,13 @@ func runEngineCase(t *testing.T, seed int64, k engineKnobs) (cacheStats qcache.S
 		if traced {
 			job.Trace = obs.NewTrace("fuzz")
 		}
+		return e, job
+	}
+	var killOnce sync.Once
+	// run runs the job once; f is killNode or cancelJob to inject that
+	// fault when task k completes, anything else for none.
+	run := func(c *cacheRecorder, traced bool, f fault) (*mapred.JobResult, mapred.TaskStats, error) {
+		e, job := newJob(c, traced)
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		switch f {
@@ -357,6 +369,27 @@ func runEngineCase(t *testing.T, seed int64, k engineKnobs) (cacheStats qcache.S
 		}
 		coldFault = noFault
 	}
+	// The stopped stream runs on a cache of its own, so the cold run below
+	// starts from the same empty cache and plans the same splits.
+	var stopped []mapred.KV
+	var streamed *mapred.JobResult
+	if k.fault == stopDelivery {
+		e, job := newJob(newCache(), k.trace)
+		chunks := 0
+		if streamed, err = e.Stream(context.Background(), job, func(chunk []mapred.KV) bool {
+			if chunks++; chunks > killAt {
+				t.Errorf("%s: chunk %d delivered after the consumer stopped at %d", desc, chunks, killAt)
+			}
+			stopped = append(stopped, chunk...)
+			return chunks < killAt
+		}); err != nil {
+			t.Fatalf("%s: streamed: %v", desc, err)
+		}
+		if chunks < killAt && len(stopped) != streamed.Rows {
+			t.Fatalf("%s: %d chunks of %d rows delivered in full, the job counts %d", desc, chunks, len(stopped), streamed.Rows)
+		}
+		coldFault = noFault
+	}
 	cold, coldStats, err := run(cache, k.trace, coldFault)
 	if k.fault == flipAll {
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("block %d ", fb)) {
@@ -366,6 +399,10 @@ func runEngineCase(t *testing.T, seed int64, k engineKnobs) (cacheStats qcache.S
 	}
 	if err != nil {
 		t.Fatalf("%s: %v", desc, err)
+	}
+	if streamed != nil && (streamed.Rows != cold.Rows || !slices.Equal(stopped, cold.Output[:min(len(stopped), len(cold.Output))])) {
+		t.Fatalf("%s: a stream stopped at chunk %d delivered %d rows and counts %d; not a prefix of the cold run's %d",
+			desc, killAt, len(stopped), streamed.Rows, cold.Rows)
 	}
 	// A failover quarantines the replica it left — flipOne's block keeps
 	// its others — so every later run chooses among the replicas left, and
@@ -423,7 +460,7 @@ func runEngineCase(t *testing.T, seed int64, k engineKnobs) (cacheStats qcache.S
 	sameSplits := slices.EqualFunc(hot.Tasks, cold.Tasks, func(a, b mapred.TaskReport) bool {
 		return slices.Equal(a.Split.Blocks, b.Split.Blocks)
 	})
-	if k.fault == noFault || k.fault == flipOne || k.fault == cancelJob {
+	if k.fault == noFault || k.fault == flipOne || k.fault == cancelJob || k.fault == stopDelivery {
 		if k.cache == cacheHot && hotStats.BlocksFromCache != hotStats.Blocks || sameSplits && !slices.Equal(hot.Output, cold.Output) {
 			t.Fatalf("%s: the hot run served %d of %d blocks from cache; output equal to the cold run's: %v",
 				desc, hotStats.BlocksFromCache, hotStats.Blocks, slices.Equal(hot.Output, cold.Output))

@@ -27,14 +27,10 @@ func TestSharedInputFormatSplitStats(t *testing.T) {
 	shared := &InputFormat{Cluster: cluster, Query: q, Splitting: true}
 	job := func() *mapred.Job {
 		return &mapred.Job{
-			Name:  "shared-if",
-			File:  "/uv",
-			Input: shared,
-			Map: func(r mapred.Record, emit mapred.Emit) {
-				if !r.Bad {
-					emit(r.Row.Line(','), "")
-				}
-			},
+			Name:     "shared-if",
+			File:     "/uv",
+			Input:    shared,
+			MapBatch: workload.PassthroughMapBatch,
 		}
 	}
 	engine := &mapred.Engine{Cluster: cluster, Parallelism: 2}

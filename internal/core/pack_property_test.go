@@ -68,7 +68,7 @@ func TestPackingPolicyProperty(t *testing.T) {
 
 						e := &mapred.Engine{Cluster: cluster}
 						res, err := e.Run(&mapred.Job{
-							Name: "prop", File: "/uv", Input: &f, Map: workload.PassthroughMap,
+							Name: "prop", File: "/uv", Input: &f, MapBatch: workload.PassthroughMapBatch,
 						})
 						if err != nil {
 							t.Fatalf("%s q%d p%d: %v", step, qi, pi, err)
@@ -178,7 +178,7 @@ func TestDropReplicaCacheProperty(t *testing.T) {
 				e := &mapred.Engine{Cluster: cluster, Cache: cache}
 				res, err := e.Run(&mapred.Job{
 					Name: name, File: "/uv", Input: newInput(),
-					Map: workload.PassthroughMap, MapSig: workload.PassthroughMapSig,
+					MapBatch: workload.PassthroughMapBatch, MapSig: workload.PassthroughMapSig,
 				})
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)

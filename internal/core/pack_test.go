@@ -98,7 +98,7 @@ func TestPackedScanSplitsCoverage(t *testing.T) {
 	unpackedOut := outputMultiset(runHailQuery(t, cluster, "/uv", q, false))
 	e := &mapred.Engine{Cluster: cluster}
 	res, err := e.Run(&mapred.Job{
-		Name: "packed", File: "/uv", Input: packed, Map: workload.PassthroughMap,
+		Name: "packed", File: "/uv", Input: packed, MapBatch: workload.PassthroughMapBatch,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -252,8 +252,8 @@ func TestSplitPhaseStatsCountNameNodeOps(t *testing.T) {
 	e := &mapred.Engine{Cluster: cluster}
 	res, err := e.Run(&mapred.Job{
 		Name: "ops", File: "/uv",
-		Input: &InputFormat{Cluster: cluster, Query: scanOnlyQuery()},
-		Map:   workload.PassthroughMap,
+		Input:    &InputFormat{Cluster: cluster, Query: scanOnlyQuery()},
+		MapBatch: workload.PassthroughMapBatch,
 	})
 	if err != nil {
 		t.Fatal(err)

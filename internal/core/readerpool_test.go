@@ -36,7 +36,6 @@ func (j poolJob) run(cluster *hdfs.Cluster, par int, cache mapred.ResultCache) (
 	return (&mapred.Engine{Cluster: cluster, Parallelism: par, Cache: cache}).Run(&mapred.Job{
 		Name: "pool " + j.file, File: j.file,
 		Input:    &InputFormat{Cluster: cluster, Query: j.q},
-		Map:      workload.PassthroughMap,
 		MapBatch: workload.PassthroughMapBatch,
 		MapSig:   workload.PassthroughMapSig,
 	})
@@ -333,7 +332,7 @@ func TestPooledReaderRetainsNoClusterOrReplica(t *testing.T) {
 		in := &InputFormat{Cluster: cluster, Query: workload.BobQueries()[0].Query}
 		if _, err := (&mapred.Engine{Cluster: cluster, Parallelism: 1}).Run(&mapred.Job{
 			Name: "retain", File: "/uv", Input: in,
-			Map: workload.PassthroughMap, MapBatch: workload.PassthroughMapBatch,
+			MapBatch: workload.PassthroughMapBatch,
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -423,7 +422,6 @@ func TestIndexScanAllocatesPerBlockNotPerOpen(t *testing.T) {
 		res, err := (&mapred.Engine{Cluster: cluster, Parallelism: 1}).Run(&mapred.Job{
 			Name: "Bob-Q1", File: "/uv",
 			Input:    &InputFormat{Cluster: cluster, Query: q},
-			Map:      workload.PassthroughMap,
 			MapBatch: workload.PassthroughMapBatch,
 		})
 		if err != nil {

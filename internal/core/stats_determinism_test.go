@@ -31,8 +31,8 @@ func TestStatsDeterministic(t *testing.T) {
 		engine := &mapred.Engine{Cluster: cluster, Parallelism: 1}
 		res, err := engine.Run(&mapred.Job{
 			Name: "stats-determinism", File: "/uv",
-			Input: &InputFormat{Cluster: cluster, Query: q},
-			Map:   workload.PassthroughMap,
+			Input:    &InputFormat{Cluster: cluster, Query: q},
+			MapBatch: workload.PassthroughMapBatch,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -10,28 +10,26 @@ import (
 )
 
 // TestConcurrentBatchStreamsSharedCache stresses the seam the -race CI
-// lane exists for: two multi-threaded engines — one consuming records,
-// one consuming the vectorized batch stream via MapBatch — hammer the
-// same file through one shared qcache. Every run's output must stay
-// byte-identical to a cold single-threaded reference, whether a block
-// was computed by either form or replayed from the other's cache entry
-// (cache entries deliberately don't record which form produced them).
+// lane exists for: two multi-threaded engines hammer the same file
+// through one shared qcache, each mapping batches into its own pooled
+// block buffers. Every run's output must stay byte-identical to a cold
+// single-threaded reference, whether a block was computed by its engine
+// or replayed from an entry the other put.
 func TestConcurrentBatchStreamsSharedCache(t *testing.T) {
 	cluster, _, _, _ := uvFixture(t, 5_000, workload.UserVisitsOptions{BadEvery: 800})
 	bq := workload.BobQueries()[4] // 20% selectivity: many live batches per block
 
-	newJob := func(mb mapred.MapBatchFunc) *mapred.Job {
+	newJob := func() *mapred.Job {
 		return &mapred.Job{
 			Name:     "race-" + bq.Name,
 			File:     "/uv",
 			Input:    &InputFormat{Cluster: cluster, Query: bq.Query, Splitting: true},
-			Map:      workload.PassthroughMap,
-			MapBatch: mb,
+			MapBatch: workload.PassthroughMapBatch,
 			MapSig:   workload.PassthroughMapSig,
 		}
 	}
 
-	ref, err := (&mapred.Engine{Cluster: cluster, Parallelism: 1}).Run(newJob(nil))
+	ref, err := (&mapred.Engine{Cluster: cluster, Parallelism: 1}).Run(newJob())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,24 +50,18 @@ func TestConcurrentBatchStreamsSharedCache(t *testing.T) {
 
 	const rounds = 4
 	var wg sync.WaitGroup
-	for _, form := range []struct {
-		who string
-		mb  mapred.MapBatchFunc
-	}{
-		{"record-form", nil},
-		{"batch-form", workload.PassthroughMapBatch},
-	} {
+	for _, who := range []string{"engine A", "engine B"} {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			e := &mapred.Engine{Cluster: cluster, Parallelism: 4, Cache: cache}
 			for i := 0; i < rounds; i++ {
-				res, err := e.Run(newJob(form.mb))
+				res, err := e.Run(newJob())
 				if err != nil {
-					t.Errorf("%s: %v", form.who, err)
+					t.Errorf("%s: %v", who, err)
 					return
 				}
-				check(res, form.who)
+				check(res, who)
 			}
 		}()
 	}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/mapred"
 	"repro/internal/query"
 	"repro/internal/schema"
-	"repro/internal/trojan"
 	"repro/internal/workload"
 )
 
@@ -135,11 +134,11 @@ func runPath(t *testing.T, cluster *hdfs.Cluster, file string, q *query.Query, r
 	}
 	e := &mapred.Engine{Cluster: cluster, Parallelism: 1}
 	res, err := e.Run(&mapred.Job{
-		Name:   "vector-ab",
-		File:   file,
-		Input:  input,
-		Map:    workload.PassthroughMap,
-		MapSig: workload.PassthroughMapSig,
+		Name:     "vector-ab",
+		File:     file,
+		Input:    input,
+		MapBatch: workload.PassthroughMapBatch,
+		MapSig:   workload.PassthroughMapSig,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -218,65 +217,9 @@ func TestBatchPathMatchesRowPath(t *testing.T) {
 	}
 }
 
-// TestMapBatchMatchesMap: a job that maps whole batches must emit exactly
-// what the record form emits over Batch.Each, whether it sets MapBatch
-// beside Map or alone — over HAIL's batches and over the typed batches of
-// a baseline (Hadoop++'s trojan reader).
-func TestMapBatchMatchesMap(t *testing.T) {
-	cluster, _, _, lines := uvFixture(t, 4_000, workload.UserVisitsOptions{BadEvery: 900})
-	bq := workload.BobQueries()[0]
-	sys := &trojan.System{
-		Cluster: cluster, Schema: workload.UserVisitsSchema(), BlockSize: 64 << 10,
-		Replication: 3, IndexColumn: workload.UVVisitDate,
-	}
-	if _, err := sys.Upload("/trojan", lines); err != nil {
-		t.Fatal(err)
-	}
-	for _, in := range []struct {
-		name, file string
-		input      mapred.InputFormat
-	}{
-		{"hail", "/uv", &InputFormat{Cluster: cluster, Query: bq.Query, Splitting: true}},
-		{"trojan", "/trojan", &trojan.InputFormat{System: sys, Query: bq.Query}},
-	} {
-		run := func(m mapred.MapFunc, mb mapred.MapBatchFunc) *mapred.JobResult {
-			e := &mapred.Engine{Cluster: cluster, Parallelism: 1}
-			res, err := e.Run(&mapred.Job{
-				Name:     "mapbatch-ab",
-				File:     in.file,
-				Input:    in.input,
-				Map:      m,
-				MapBatch: mb,
-				MapSig:   workload.PassthroughMapSig,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res
-		}
-		record := run(workload.PassthroughMap, nil)
-		if len(record.Output) == 0 {
-			t.Fatalf("%s: the record form emitted nothing", in.name)
-		}
-		for form, batched := range map[string]*mapred.JobResult{
-			"Map and MapBatch": run(workload.PassthroughMap, workload.PassthroughMapBatch),
-			"MapBatch alone":   run(nil, workload.PassthroughMapBatch),
-		} {
-			if len(record.Output) != len(batched.Output) {
-				t.Fatalf("%s, %s: record form emitted %d, batch form %d", in.name, form, len(record.Output), len(batched.Output))
-			}
-			for i := range record.Output {
-				if record.Output[i] != batched.Output[i] {
-					t.Fatalf("%s, %s: output %d differs: %q vs %q", in.name, form, i, record.Output[i], batched.Output[i])
-				}
-			}
-		}
-	}
-}
-
 // TestScanAllocationsNotPerRow pins down the scratch-buffer reuse: on an
 // all-fixed-width schema, a whole-split read must not allocate per row
-// (reused vectors, selection and scratch row). The bound is generous for
+// (reused vectors and selection). The bound is generous for
 // per-block/per-batch setup but orders of magnitude below one allocation
 // per row.
 func TestScanAllocationsNotPerRow(t *testing.T) {
@@ -314,7 +257,7 @@ func TestScanAllocationsNotPerRow(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st, err := rr.ReadBatches(func(b *mapred.Batch) { b.Each(func(mapred.Record) {}) })
+			st, err := rr.ReadBatches(func(*mapred.Batch) {})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -354,7 +297,6 @@ func TestPassthroughScanAllocationsNotPerRow(t *testing.T) {
 	job := &mapred.Job{
 		Name: "alloc-gate", File: "/uv",
 		Input:    &InputFormat{Cluster: cluster, Query: &query.Query{}},
-		Map:      workload.PassthroughMap,
 		MapBatch: workload.PassthroughMapBatch,
 	}
 	allocs := testing.AllocsPerRun(3, func() {
@@ -380,8 +322,8 @@ func TestPassthroughScanAllocationsNotPerRow(t *testing.T) {
 // the assemble copy is 1 × the output's headers, where a chunk allocated
 // per block as well costs 2 ×, and doubling each chunk up from 64 KVs ≈
 // 5 ×. A map that emits two KVs per record outgrows the buffers and doubles
-// them, with the row path's output. The race runtime drops pooled items at
-// random, so the bound does not hold there.
+// them, and still emits every record's two KVs in order. The race runtime
+// drops pooled items at random, so the bound does not hold there.
 func TestFullScanSizesEachBlockOnce(t *testing.T) {
 	if raceBuild() {
 		t.Skip("the race runtime drops pooled buffers at random")
@@ -403,7 +345,6 @@ func TestFullScanSizesEachBlockOnce(t *testing.T) {
 
 	empty := &mapred.Job{
 		Name: "one-empty-kv", File: "/uv", Input: in,
-		Map: func(mapred.Record, mapred.Emit) {},
 		MapBatch: func(b *mapred.Batch, emit mapred.Emit) {
 			for range b.NumRows() {
 				emit("", "")
@@ -430,30 +371,35 @@ func TestFullScanSizesEachBlockOnce(t *testing.T) {
 		t.Errorf("a full scan allocates %.0f B/run, more than 1.25 × its %.0f B of KV headers plus %d B a block", perRun, headers, perBlock)
 	}
 
-	line := func(r mapred.Record) string {
-		if r.Bad {
-			return r.Raw
-		}
-		return r.Row.Line(',')
-	}
-	twice := &mapred.Job{
-		Name: "two-kvs", File: "/uv", Input: in,
-		Map: func(r mapred.Record, emit mapred.Emit) {
-			emit(line(r), "1")
-			emit(line(r), "2")
+	once, err := e.Run(&mapred.Job{
+		Name: "one-kv", File: "/uv", Input: in,
+		MapBatch: func(b *mapred.Batch, emit mapred.Emit) {
+			for _, r := range recordText(b) {
+				emit(r, "")
+			}
 		},
-	}
-	rows, err := e.Run(twice)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	twice.MapBatch = func(b *mapred.Batch, emit mapred.Emit) { b.Each(func(r mapred.Record) { twice.Map(r, emit) }) }
-	batches, err := e.Run(twice)
+	twice, err := e.Run(&mapred.Job{
+		Name: "two-kvs", File: "/uv", Input: in,
+		MapBatch: func(b *mapred.Batch, emit mapred.Emit) {
+			for _, r := range recordText(b) {
+				emit(r, "1")
+				emit(r, "2")
+			}
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows.Output) != 2*nLines || !slices.Equal(batches.Output, rows.Output) {
-		t.Errorf("two KVs per record: batch path gives %d KVs, row path %d (want %d, equal)", len(batches.Output), len(rows.Output), 2*nLines)
+	var want []mapred.KV
+	for _, kv := range once.Output {
+		want = append(want, mapred.KV{Key: kv.Key, Value: "1"}, mapred.KV{Key: kv.Key, Value: "2"})
+	}
+	if len(once.Output) != nLines || !slices.Equal(twice.Output, want) {
+		t.Errorf("two KVs per record: %d KVs, want each of the %d records' twice, in order", len(twice.Output), len(once.Output))
 	}
 }
 

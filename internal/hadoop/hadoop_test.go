@@ -86,17 +86,22 @@ func TestUploadValidation(t *testing.T) {
 	}
 }
 
+// emitLines is the identity map over raw text: each line as a key.
+func emitLines(b *mapred.Batch, emit mapred.Emit) {
+	for _, line := range b.Raw {
+		emit(line, "")
+	}
+}
+
 func TestFullScanJobSeesEveryLine(t *testing.T) {
 	data := lines(2000)
 	c, sum := upload(t, 4, 8192, data)
 	e := &mapred.Engine{Cluster: c}
 	job := &mapred.Job{
-		Name:  "scan",
-		File:  "/data",
-		Input: &TextInputFormat{Cluster: c},
-		Map: func(r mapred.Record, emit mapred.Emit) {
-			emit(r.Raw, "")
-		},
+		Name:     "scan",
+		File:     "/data",
+		Input:    &TextInputFormat{Cluster: c},
+		MapBatch: emitLines,
 	}
 	res, err := e.Run(job)
 	if err != nil {
@@ -159,10 +164,10 @@ func TestScanSurvivesNodeFailure(t *testing.T) {
 	c.KillNode(2)
 	e := &mapred.Engine{Cluster: c}
 	res, err := e.Run(&mapred.Job{
-		Name:  "scan-fo",
-		File:  "/data",
-		Input: &TextInputFormat{Cluster: c},
-		Map:   func(r mapred.Record, emit mapred.Emit) { emit(r.Raw, "") },
+		Name:     "scan-fo",
+		File:     "/data",
+		Input:    &TextInputFormat{Cluster: c},
+		MapBatch: emitLines,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -37,7 +37,7 @@ type Batch struct {
 	// §4.3).
 	Bad []string
 
-	scratch schema.Row // Each's row
+	scratch schema.Row // Each's row (compat.go)
 	text    []byte     // Lines' output, rebuilt per batch
 	ends    []int32    // Lines' row-end directory
 	offs    []int      // Lines' running offset into each packed column
@@ -46,35 +46,6 @@ type Batch struct {
 // NumRows returns the number of records the batch delivers: rows, raw
 // lines and bad records.
 func (b *Batch) NumRows() int { return b.Rows + len(b.Raw) + len(b.Bad) }
-
-// Each materializes the batch record by record, in order — rows, then raw
-// lines (Record.Raw), then bad records (Record.Bad) — the adapter
-// through which a row MapFunc consumes the batch stream. The Record's Row
-// is a scratch buffer reused across calls (Hadoop's object reuse
-// contract): it is valid only for the duration of fn and must be copied to
-// be retained. Boxing costs one allocation per string value
-// (schema.Vector.Value); a map function that only wants the rows' text
-// should use Lines.
-func (b *Batch) Each(fn func(Record)) {
-	if b.Rows > 0 {
-		if cap(b.scratch) < len(b.Cols) {
-			b.scratch = make(schema.Row, len(b.Cols))
-		}
-		row := b.scratch[:len(b.Cols)]
-		for i := 0; i < b.Rows; i++ {
-			for c, vec := range b.Cols {
-				row[c] = vec.Value(i)
-			}
-			fn(Record{Row: row})
-		}
-	}
-	for _, line := range b.Raw {
-		fn(Record{Raw: line})
-	}
-	for _, line := range b.Bad {
-		fn(Record{Raw: line, Bad: true})
-	}
-}
 
 // Lines renders the rows as text, straight from the vectors: text holds
 // each row's schema.Row.Line(sep) form back to back, and row k is
@@ -123,10 +94,8 @@ func (b *Batch) Lines(sep byte) (text string, ends []int32) {
 	return string(b.text), b.ends
 }
 
-// MapBatchFunc is a map function that consumes whole batches. It must be
-// observationally identical to the job's MapFunc applied to Each's record
-// stream — the engine caches block results under the job's MapSig without
-// distinguishing which form computed them.
+// MapBatchFunc is a map function that consumes whole batches: the form
+// every job's map function has.
 type MapBatchFunc func(b *Batch, emit Emit)
 
 // BatchReader is the record reader of one split, the one shape every input

@@ -15,8 +15,10 @@ import (
 // values that format differently from how a glance would write them:
 // negative and 64-bit integers, floats with exponents, ±Inf, dates outside
 // four-digit years, empty strings and strings holding the separator. The
-// last column is random floats: short decimals, as stored floats are, one
-// ulp off them, and raw bit patterns.
+// seventh column is random floats: short decimals, as stored floats are,
+// one ulp off them, and raw bit patterns. The last two are string columns
+// as a reader's cursor hands a stored run over whole (Vector.Pack), one
+// per terminator walk.
 func randomBatch(rng *rand.Rand, n int) *Batch {
 	types := []schema.Type{schema.String, schema.Int32, schema.Float64, schema.Date, schema.Int64, schema.String, schema.Float64}
 	floats := []float64{0, -0.25, 1e21, 1e-7, 123456.789, math.Inf(1), math.Inf(-1), math.MaxFloat64, math.SmallestNonzeroFloat64}
@@ -59,6 +61,16 @@ func randomBatch(rng *rand.Rand, n int) *Batch {
 		}
 		b.Cols = append(b.Cols, vec)
 	}
+	for _, long := range []bool{false, true} {
+		var run []byte
+		for i := 0; i < n; i++ {
+			run = append(run, strs[rng.Intn(len(strs))]...)
+			run = append(run, 0)
+		}
+		vec := schema.NewVector(schema.String)
+		vec.Pack(run, n, long)
+		b.Cols = append(b.Cols, vec)
+	}
 	return b
 }
 
@@ -80,10 +92,12 @@ func strconvLine(r schema.Row, sep byte) string {
 }
 
 // TestLinesMatchesEachAndRowLine: Batch.Lines is Each + Row.Line without
-// the rows — the same text, row for row — and both
-// format floats as strconv does. The engine's passthrough job emits from
-// Lines and its caches and oracles were filled from Row.Line, so the two
-// may not differ by a byte.
+// the rows — the same text, row for row — and both format floats as
+// strconv does. The engine's passthrough job emits from Lines and its
+// caches and oracles were filled from Row.Line, so the two may not differ
+// by a byte. The first separator's Lines reads the packed columns in
+// order, before Each's random access builds their directories; the second
+// reads them through the directories.
 func TestLinesMatchesEachAndRowLine(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for round := 0; round < 200; round++ {
@@ -93,7 +107,11 @@ func TestLinesMatchesEachAndRowLine(t *testing.T) {
 		if round%2 == 0 { // every row; otherwise none
 			b.Rows = n
 		}
+		if !b.Cols[len(b.Cols)-1].Packed() {
+			t.Fatalf("round %d: the last column is not packed", round)
+		}
 		for _, sep := range []byte{',', '|'} {
+			text, ends := b.Lines(sep)
 			var want []string
 			b.Each(func(r Record) {
 				if !r.Bad {
@@ -103,7 +121,6 @@ func TestLinesMatchesEachAndRowLine(t *testing.T) {
 					}
 				}
 			})
-			text, ends := b.Lines(sep)
 			if len(ends) != len(want) {
 				t.Fatalf("round %d: Lines has %d rows, Each delivered %d", round, len(ends), len(want))
 			}

@@ -38,7 +38,7 @@ func TestCancelledJobDeliversNothing(t *testing.T) {
 			yielded := 0
 			res, err := e.Stream(ctx, &Job{
 				Name: "cancel", File: "/fake", Input: f, MapSig: "raw", Trace: tr,
-				Map: func(r Record, emit Emit) { emit(r.Raw, "") },
+				MapBatch: emitRaw(""),
 			}, func([]KV) bool { yielded++; return true })
 			if !errors.Is(err, context.Canceled) || res != nil {
 				t.Fatalf("cancelled job: result %v, error %v; want none and context.Canceled", res, err)
@@ -79,11 +79,13 @@ func TestCancelMidBlockCachesNothingOfIt(t *testing.T) {
 	e := &Engine{Cluster: c, Cache: cache, Parallelism: 1}
 	job := &Job{
 		Name: "cancel", File: "/fake", Input: f, MapSig: "raw", Trace: tr,
-		Map: func(r Record, emit Emit) {
-			if r.Raw == "b5-r2" {
-				cancel()
+		MapBatch: func(b *Batch, emit Emit) {
+			for _, line := range b.Raw {
+				if line == "b5-r2" {
+					cancel()
+				}
+				emit(line, "")
 			}
-			emit(r.Raw, "")
 		},
 	}
 	_, err := e.Stream(ctx, job, func([]KV) bool { t.Error("yield ran for a cancelled job"); return false })
@@ -129,7 +131,7 @@ func TestCancelMidBlockCachesNothingOfIt(t *testing.T) {
 func TestStreamStopsDeliveryNotTheJob(t *testing.T) {
 	c, f := buildFake(t, 4, 6, 4)
 	e := &Engine{Cluster: c, Parallelism: 2}
-	job := &Job{Name: "stop", File: "/fake", Input: f, Map: func(r Record, emit Emit) { emit(r.Raw, "") }}
+	job := &Job{Name: "stop", File: "/fake", Input: f, MapBatch: emitRaw("")}
 	calls := 0
 	res, err := e.Stream(context.Background(), job, func(chunk []KV) bool {
 		calls++

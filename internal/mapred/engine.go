@@ -223,8 +223,8 @@ func (e *Engine) Stream(ctx context.Context, job *Job, yield func(chunk []KV) bo
 // when every task succeeded and ctx is not done, and the chunks are valid
 // only until it returns.
 func (e *Engine) run(ctx context.Context, job *Job, deliver func(res *JobResult, chunks [][]KV)) (*JobResult, error) {
-	if job.Map == nil && job.MapBatch == nil {
-		return nil, fmt.Errorf("mapred: job %q has no map function", job.Name)
+	if job.MapBatch == nil {
+		return nil, fmt.Errorf("mapred: job %q has no map function (MapBatch)", job.Name)
 	}
 	tr := job.Trace
 	runSpan := tr.StartSpan("run", "job", 0, obs.Span{})
@@ -459,9 +459,8 @@ func (e *Engine) schedule(splits []Split) []hdfs.NodeID {
 }
 
 // blockMapper maps the batches of one block into that block's buffer,
-// kvs: whole for a MapBatch job, record by record for a Map job. A worker
-// builds one for the job and points it at each block it computes, so a
-// task builds no closures of its own.
+// kvs. A worker builds one for the job and points it at each block it
+// computes, so a task builds no closures of its own.
 type blockMapper struct {
 	kvs     *[]KV
 	emit    Emit
@@ -479,10 +478,6 @@ func newBlockMapper(job *Job) *blockMapper {
 		*m.kvs = append(*m.kvs, KV{k, v})
 	}
 	m.consume = func(b *Batch) { job.MapBatch(b, m.emit) }
-	if job.MapBatch == nil {
-		mapRecord := func(r Record) { job.Map(r, m.emit) }
-		m.consume = func(b *Batch) { b.Each(mapRecord) }
-	}
 	return m
 }
 

@@ -14,13 +14,11 @@
 // time.
 //
 // Every record reader streams batches (BatchReader). A Batch carries the
-// projected attributes as typed vectors plus a selection vector of
-// qualifying rows, a text reader's raw lines, and bad records. A job maps
-// each batch whole (Job.MapBatch) or record by record (Job.Map, through
-// Batch.Each, the row adapter that materializes the batch through a reused
-// scratch row); either way the emitted output — and thus every qcache entry
-// keyed by (block, generation, query signature, MapSig, replica) — is
-// byte-identical.
+// projected attributes of its qualifying rows as typed vectors, a text
+// reader's raw lines, and bad records. A job maps each batch whole
+// (Job.MapBatch): HAIL's map function "does not have to split the record
+// into attributes" (§4.1), so no record is materialized on the way to it,
+// and a cached block's output is what that one map function emitted.
 //
 // A job's output is its blocks' chunks in task order. That is what makes
 // the block the only granularity the result cache needs: a cached block's
@@ -35,28 +33,7 @@ import (
 
 	"repro/internal/hdfs"
 	"repro/internal/obs"
-	"repro/internal/schema"
 )
-
-// Record is one input record delivered to a map function.
-type Record struct {
-	// Row holds the typed attribute values. For HAIL index/projection
-	// reads it contains exactly the projected attributes, in projection
-	// order (the map function "does not have to split the record into
-	// attributes", §4.1). For full-row readers it is the whole tuple.
-	//
-	// Readers may reuse the underlying buffer between records (Hadoop's
-	// object reuse contract, and how Batch.Each materializes batches):
-	// Row is valid only for the duration of the map call and must be
-	// copied to be retained.
-	Row schema.Row
-	// Raw is the unparsed text line, set by text-mode readers and for bad
-	// records.
-	Raw string
-	// Bad flags records that did not match the schema; HAIL passes them
-	// through for the map function to handle (§4.3).
-	Bad bool
-}
 
 // KV is one key/value pair emitted by a map function.
 type KV struct {
@@ -66,9 +43,6 @@ type KV struct {
 
 // Emit collects a map function's output.
 type Emit func(key, value string)
-
-// MapFunc is a user map function over one record.
-type MapFunc func(r Record, emit Emit)
 
 // TaskStats aggregates the real resource usage of one map task. The
 // experiment harness scales these with the block scale factor and feeds
@@ -290,22 +264,19 @@ type ResultCache interface {
 	Put(k CacheKey, kvs []KV, stats TaskStats) bool
 }
 
-// Job describes one map-only MapReduce job. At least one of Map and
-// MapBatch must be set.
+// Job describes one map-only MapReduce job.
 type Job struct {
 	Name  string
 	File  string
 	Input InputFormat
-	// Map is the record-at-a-time map function: the engine hands it every
-	// record of every batch, through Batch.Each. It is the form for a row
-	// UDF, such as a baseline's text map that splits each raw line itself.
-	Map MapFunc
-	// MapBatch is the batch-at-a-time map function: the engine hands it
-	// whole batches and materializes no record. When it is set, Map is not
-	// called. A job that sets both must have MapBatch emit exactly what Map
-	// would over Batch.Each's record stream — cached results do not record
-	// which form computed them.
+	// MapBatch is the job's map function: the engine hands it whole
+	// batches and materializes no record. A job without one is refused.
 	MapBatch MapBatchFunc
+	// Map is the record-at-a-time map function. The engine never calls
+	// it.
+	//
+	// Deprecated: bench/ only.
+	Map MapFunc
 	// MapSig declares a stable identity for the map function, e.g.
 	// "workload.Passthrough". Map functions are closures the engine cannot
 	// compare, so result caching is opt-in: jobs with an empty MapSig are

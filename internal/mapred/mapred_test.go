@@ -87,15 +87,23 @@ func buildFake(t *testing.T, nodes, blocks, recsPerBlock int) (*hdfs.Cluster, *f
 	return c, f
 }
 
+// emitRaw is the fake input's map function: every raw line of the batch,
+// keyed by itself, with value v.
+func emitRaw(v string) MapBatchFunc {
+	return func(b *Batch, emit Emit) {
+		for _, line := range b.Raw {
+			emit(line, v)
+		}
+	}
+}
+
 func TestEngineMapOnly(t *testing.T) {
 	c, f := buildFake(t, 4, 10, 50)
 	e := &Engine{Cluster: c}
 	job := &Job{
-		Name:  "count",
-		Input: f,
-		Map: func(r Record, emit Emit) {
-			emit(r.Raw, "1")
-		},
+		Name:     "count",
+		Input:    f,
+		MapBatch: emitRaw("1"),
 	}
 	res, err := e.Run(job)
 	if err != nil {
@@ -124,7 +132,7 @@ func TestEngineMapOnly(t *testing.T) {
 func TestEngineSchedulingBalance(t *testing.T) {
 	c, f := buildFake(t, 4, 40, 1)
 	e := &Engine{Cluster: c}
-	res, err := e.Run(&Job{Name: "bal", Input: f, Map: func(Record, Emit) {}})
+	res, err := e.Run(&Job{Name: "bal", Input: f, MapBatch: func(*Batch, Emit) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +156,7 @@ func TestEngineFailoverReassignsTasks(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := &Engine{Cluster: c}
-	res, err := e.Run(&Job{Name: "fo", Input: f, Map: func(Record, Emit) {}})
+	res, err := e.Run(&Job{Name: "fo", Input: f, MapBatch: func(*Batch, Emit) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +180,7 @@ func TestEngineMidJobKill(t *testing.T) {
 			once.Do(func() { c.KillNode(1) })
 		}
 	}
-	res, err := e.Run(&Job{Name: "kill50", Input: f, Map: func(Record, Emit) {}})
+	res, err := e.Run(&Job{Name: "kill50", Input: f, MapBatch: func(*Batch, Emit) {}})
 	if err != nil {
 		t.Fatalf("job failed after mid-job kill: %v", err)
 	}
@@ -181,42 +189,50 @@ func TestEngineMidJobKill(t *testing.T) {
 	}
 }
 
+// TestEngineRequiresMapFunc: a job without MapBatch is refused, naming
+// the job, even if it sets the row form the engine never calls.
 func TestEngineRequiresMapFunc(t *testing.T) {
 	c, f := buildFake(t, 2, 1, 1)
 	e := &Engine{Cluster: c}
-	_, err := e.Run(&Job{Name: "nomap", Input: f})
-	if err == nil || !strings.Contains(err.Error(), `job "nomap" has no map function`) {
-		t.Errorf("job with neither Map nor MapBatch: err = %v", err)
+	for _, job := range []*Job{
+		{Name: "nomap", Input: f},
+		{Name: "nomap", Input: f, Map: func(r Record, emit Emit) { emit(r.Raw, "1") }},
+	} {
+		if _, err := e.Run(job); err == nil || !strings.Contains(err.Error(), `job "nomap" has no map function`) {
+			t.Errorf("job without MapBatch (Map set: %v): err = %v", job.Map != nil, err)
+		}
 	}
 }
 
-// TestEngineRunsMapBatchOnly: Map is optional — a job that sets MapBatch
-// alone runs, gets every batch whole, and emits what the Map form emits.
+// TestEngineRunsMapBatchOnly: the engine hands MapBatch every batch whole,
+// one per block here, in task order, and never calls a Map set beside it
+// (the benchmark's jobs set both).
 func TestEngineRunsMapBatchOnly(t *testing.T) {
 	c, f := buildFake(t, 4, 6, 7)
 	e := &Engine{Cluster: c, Parallelism: 1}
-	rows, err := e.Run(&Job{Name: "map", Input: f, Map: func(r Record, emit Emit) { emit(r.Raw, "1") }})
-	if err != nil {
-		t.Fatal(err)
-	}
 	batches := 0
-	res, err := e.Run(&Job{Name: "mapbatch", Input: f, MapBatch: func(b *Batch, emit Emit) {
-		batches++
-		for _, line := range b.Raw {
-			emit(line, "1")
-		}
-	}})
+	res, err := e.Run(&Job{
+		Name: "mapbatch", Input: f,
+		MapBatch: func(b *Batch, emit Emit) {
+			batches++
+			emitRaw("1")(b, emit)
+		},
+		Map: func(Record, Emit) { t.Error("the engine called Map") },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Output) != 42 || !slices.Equal(res.Output, rows.Output) {
-		t.Errorf("MapBatch-only job emitted %d KVs, the Map job %d (want 42, equal)", len(res.Output), len(rows.Output))
+	var want []KV
+	for b := range 6 {
+		for _, line := range f.records[hdfs.BlockID(b)] {
+			want = append(want, KV{line, "1"})
+		}
+	}
+	if !slices.Equal(res.Output, want) {
+		t.Errorf("MapBatch job emitted %d KVs, want the 42 raw lines in block order", len(res.Output))
 	}
 	if batches != 6 {
 		t.Errorf("MapBatch saw %d batches, want one per block (6)", batches)
-	}
-	if res.TotalStats() != rows.TotalStats() {
-		t.Errorf("stats differ:\nMapBatch: %+v\nMap:      %+v", res.TotalStats(), rows.TotalStats())
 	}
 }
 
@@ -232,8 +248,10 @@ func TestTaskStatsAdd(t *testing.T) {
 func TestOutputBytesAccounted(t *testing.T) {
 	c, f := buildFake(t, 2, 2, 3)
 	e := &Engine{Cluster: c}
-	res, err := e.Run(&Job{Name: "out", Input: f, Map: func(r Record, emit Emit) {
-		emit("key", "value")
+	res, err := e.Run(&Job{Name: "out", Input: f, MapBatch: func(b *Batch, emit Emit) {
+		for range b.Raw {
+			emit("key", "value")
+		}
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +277,7 @@ func TestDefaultSchedulingBalancesLoad(t *testing.T) {
 		})
 	}
 	e := &Engine{Cluster: c}
-	res, err := e.Run(&Job{Name: "bal", Input: f, Map: func(Record, Emit) {}})
+	res, err := e.Run(&Job{Name: "bal", Input: f, MapBatch: func(*Batch, Emit) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,11 +337,11 @@ func (c *mapCache) Put(k CacheKey, kvs []KV, stats TaskStats) bool {
 func runCounting(t *testing.T, e *Engine, f *fakeInput, name string) *JobResult {
 	t.Helper()
 	res, err := e.Run(&Job{
-		Name:   name,
-		File:   "/fake",
-		Input:  f,
-		Map:    func(r Record, emit Emit) { emit(r.Raw, "1") },
-		MapSig: "raw-count",
+		Name:     name,
+		File:     "/fake",
+		Input:    f,
+		MapBatch: emitRaw("1"),
+		MapSig:   "raw-count",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -389,7 +407,7 @@ func TestEngineCacheDisabledWithoutMapSig(t *testing.T) {
 	cache := newMapCache()
 	e := &Engine{Cluster: c, Cache: cache}
 	job := &Job{Name: "nosig", File: "/fake", Input: f,
-		Map: func(r Record, emit Emit) { emit(r.Raw, "1") }} // no MapSig
+		MapBatch: emitRaw("1")} // no MapSig
 	if _, err := e.Run(job); err != nil {
 		t.Fatal(err)
 	}

@@ -44,10 +44,12 @@ func TestMapPanicFailsTheJob(t *testing.T) {
 			baseline := runtime.NumGoroutine()
 			res, err := e.Run(&Job{
 				Name: "boom", File: "/fake", Input: f, MapSig: "boom", Trace: tr,
-				Map: func(r Record, emit Emit) {
-					emit(r.Raw, "1")
-					if r.Raw == "b7-r2" {
-						panic("bad record")
+				MapBatch: func(b *Batch, emit Emit) {
+					for _, line := range b.Raw {
+						emit(line, "1")
+						if line == "b7-r2" {
+							panic("bad record")
+						}
 					}
 				},
 			})
@@ -90,11 +92,11 @@ func TestParallelismOneRunsInline(t *testing.T) {
 	var progress []int
 	e.OnProgress = func(done, total int) { progress = append(progress, done) }
 	var order []string
-	_, err := e.Run(&Job{Name: "inline", Input: f, Map: func(r Record, emit Emit) {
+	_, err := e.Run(&Job{Name: "inline", Input: f, MapBatch: func(b *Batch, emit Emit) {
 		if n := runtime.NumGoroutine(); n > baseline {
 			t.Errorf("%d goroutines during the map phase, %d before it", n, baseline)
 		}
-		order = append(order, r.Raw)
+		order = append(order, b.Raw...)
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +120,7 @@ func TestMidBlockFailureLeavesNoPartialOutput(t *testing.T) {
 		f.failOnce = map[hdfs.BlockID]bool{3: true}
 		f.failLate = true
 		e := &Engine{Cluster: c}
-		job := &Job{Name: "midblock", File: "/fake", Input: f, Map: func(r Record, emit Emit) { emit(r.Raw, "1") }}
+		job := &Job{Name: "midblock", File: "/fake", Input: f, MapBatch: emitRaw("1")}
 		cache := newMapCache()
 		if cached {
 			f.sig, job.MapSig, e.Cache = "f{}|p{*}", "raw-count", cache
@@ -175,7 +177,7 @@ func TestPostTaskPanicFailsTheJob(t *testing.T) {
 					}
 				}
 				baseline := runtime.NumGoroutine()
-				res, err := e.Run(&Job{Name: "hooked", File: "/fake", Input: f, Map: func(r Record, emit Emit) { emit(r.Raw, "1") }})
+				res, err := e.Run(&Job{Name: "hooked", File: "/fake", Input: f, MapBatch: emitRaw("1")})
 				if err == nil {
 					t.Fatalf("job with a panicking %s succeeded: %d rows", hook, len(res.Output))
 				}
@@ -231,7 +233,7 @@ func TestFailedTaskStopsTheJob(t *testing.T) {
 	e := &Engine{Cluster: c, Parallelism: 2, OnProgress: func(int, int) { once.Do(func() { close(in.release) }) }}
 	res, err := e.Run(&Job{
 		Name: "stop", File: "/fake", Input: in, Trace: tr,
-		Map: func(r Record, emit Emit) { emit(r.Raw, "") },
+		MapBatch: emitRaw(""),
 	})
 	if err == nil {
 		t.Fatalf("job with an unreadable block succeeded: %d rows", len(res.Output))

@@ -166,7 +166,7 @@ func TestPackedSplitRepackedWhenPinDies(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := &Engine{Cluster: c}
-	res, err := e.Run(&Job{Name: "repack", Input: f, Map: func(r Record, emit Emit) { emit(r.Raw, "1") }})
+	res, err := e.Run(&Job{Name: "repack", Input: f, MapBatch: emitRaw("1")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestPackedSplitMidTaskFailureRerunsOnlyAffectedBlocks(t *testing.T) {
 	c, f := packedFixture(t, 4, 6, 1, 2)
 	f.failOnce = map[hdfs.BlockID]bool{3: true}
 	e := &Engine{Cluster: c}
-	res, err := e.Run(&Job{Name: "midfail", Input: f, Map: func(r Record, emit Emit) { emit(r.Raw, "1") }})
+	res, err := e.Run(&Job{Name: "midfail", Input: f, MapBatch: emitRaw("1")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestPackedSplitMidTaskFailureRerunsOnlyAffectedBlocks(t *testing.T) {
 // the output is the uncached run's byte for byte.
 func TestPackedCachedSplitMidSplitKill(t *testing.T) {
 	job := func(f *fakeBlockInput) *Job {
-		return &Job{Name: "kill", File: "/fake", Input: f, MapSig: "raw", Map: func(r Record, emit Emit) { emit(r.Raw, "1") }}
+		return &Job{Name: "kill", File: "/fake", Input: f, MapSig: "raw", MapBatch: emitRaw("1")}
 	}
 	c, f := packedFixture(t, 4, 6, 1, 2)
 	want, err := (&Engine{Cluster: c}).Run(job(f))

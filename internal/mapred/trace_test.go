@@ -33,10 +33,10 @@ func TestJobTraceSpanTree(t *testing.T) {
 	tr := obs.NewTrace("test-job")
 	e := &Engine{Cluster: c, Parallelism: 4, Obs: reg}
 	job := &Job{
-		Name:  "traced",
-		Input: f,
-		Map:   func(r Record, emit Emit) { emit(r.Raw, "1") },
-		Trace: tr,
+		Name:     "traced",
+		Input:    f,
+		MapBatch: emitRaw("1"),
+		Trace:    tr,
 	}
 	res, err := e.Run(job)
 	if err != nil {
@@ -130,10 +130,10 @@ func TestJobTraceFailoverSpansClosedOnce(t *testing.T) {
 	reg := obs.NewRegistry()
 	e := &Engine{Cluster: c, Obs: reg}
 	res, err := e.Run(&Job{
-		Name:  "failover",
-		Input: f,
-		Map:   func(r Record, emit Emit) { emit(r.Raw, "1") },
-		Trace: tr,
+		Name:     "failover",
+		Input:    f,
+		MapBatch: emitRaw("1"),
+		Trace:    tr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -177,9 +177,9 @@ func TestObsDisabledOutputIdentical(t *testing.T) {
 		c, f := buildFake(t, 4, 8, 40)
 		e := &Engine{Cluster: c, Parallelism: 2}
 		job := &Job{
-			Name:  "equiv",
-			Input: f,
-			Map:   func(r Record, emit Emit) { emit(r.Raw, "1") },
+			Name:     "equiv",
+			Input:    f,
+			MapBatch: emitRaw("1"),
 		}
 		if wire {
 			e.Obs = obs.NewRegistry()

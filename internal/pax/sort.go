@@ -80,30 +80,6 @@ func (b *Block) Sort(col int) error {
 	return nil
 }
 
-// SortBy is Sort that also returns the permutation relative to the order
-// the block had before the call: new row i is old row perm[i]. Nothing in
-// the upload reads it; it stays for callers that time or check the sort
-// through it.
-func (b *Block) SortBy(col int) ([]int, error) {
-	before := b.perm
-	if err := b.Sort(col); err != nil {
-		return nil, err
-	}
-	// Old logical row of each physical row.
-	logical := make([]int, b.numRows)
-	for r := range logical {
-		logical[r] = r
-	}
-	for r, p := range before {
-		logical[p] = r
-	}
-	perm := make([]int, b.numRows)
-	for i, p := range b.perm {
-		perm[i] = logical[p]
-	}
-	return perm, nil
-}
-
 // keyBufs holds Sort's (key, row) arrays between calls. An upload sorts
 // each block once per indexed replica, the replicas at once, so a handful
 // of arrays the size of the largest block serve the whole upload instead of

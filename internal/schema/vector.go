@@ -161,8 +161,9 @@ func (v *Vector) Gather(sel []int32) {
 	}
 }
 
-// Value boxes the i-th value — Batch.Each's row adapter, and the one place
-// a string vector's value becomes a Go string (one allocation each).
+// Value boxes the i-th value — the row adapter bench/ times
+// (mapred.Batch.Each), and the one place a string vector's value becomes
+// a Go string (one allocation each).
 // Kernels read the typed slices and formatters use AppendText.
 func (v *Vector) Value(i int) Value {
 	switch v.typ {

@@ -77,10 +77,10 @@ func referenceRows(t *testing.T, dir, file, annotation string) []string {
 	}
 	engine := &mapred.Engine{Cluster: cluster}
 	res, err := engine.Run(&mapred.Job{
-		Name:  "reference",
-		File:  file,
-		Input: &core.InputFormat{Cluster: cluster, Query: q},
-		Map:   workload.PassthroughMap,
+		Name:     "reference",
+		File:     file,
+		Input:    &core.InputFormat{Cluster: cluster, Query: q},
+		MapBatch: workload.PassthroughMapBatch,
 	})
 	if err != nil {
 		t.Fatal(err)

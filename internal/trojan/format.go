@@ -70,17 +70,16 @@ func encodeRow(dst []byte, s *schema.Schema, row schema.Row) ([]byte, error) {
 	return dst, nil
 }
 
-// decodeRow decodes one row starting at data[off], returning the row and
-// the offset past it.
-func decodeRow(data []byte, off int, s *schema.Schema) (schema.Row, int, error) {
-	row := make(schema.Row, s.NumFields())
+// decodeRow decodes one row starting at data[off] into row, which holds
+// one value per field of s, and returns the offset past it.
+func decodeRow(data []byte, off int, s *schema.Schema, row schema.Row) (int, error) {
 	for i := range row {
 		var err error
 		if row[i], off, err = schema.ReadBinary(s.Field(i).Type, data, off); err != nil {
-			return nil, 0, fmt.Errorf("trojan: field %d: %w", i, err)
+			return 0, fmt.Errorf("trojan: field %d: %w", i, err)
 		}
 	}
-	return row, off, nil
+	return off, nil
 }
 
 // indexEntry is one trojan index entry.
@@ -210,13 +209,16 @@ func (r *BlockReader) IndexBytes() int { return r.ixLen }
 func (r *BlockReader) RowAreaBytes() int { return r.rowLen }
 
 // ScanRange iterates rows [fromRow, toRow) starting at the given byte
-// offset within the row area, calling fn with each decoded row. It returns
-// the number of bytes covered.
+// offset within the row area, calling fn with each decoded row. Every row
+// is decoded into one row the scan reuses (Hadoop's object reuse
+// contract): row is valid only during fn, and fn copies what it keeps. It
+// returns the number of bytes covered.
 func (r *BlockReader) ScanRange(byteOff, fromRow, toRow int, fn func(rowID int, row schema.Row) error) (int64, error) {
 	off := r.rowOff + byteOff
 	start := off
+	row := make(schema.Row, r.sch.NumFields())
 	for rowID := fromRow; rowID < toRow; rowID++ {
-		row, next, err := decodeRow(r.data, off, r.sch)
+		next, err := decodeRow(r.data, off, r.sch, row)
 		if err != nil {
 			return int64(off - start), err
 		}

@@ -2,6 +2,7 @@ package trojan
 
 import (
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/mapred"
 	"repro/internal/query"
 	"repro/internal/schema"
+	"repro/internal/workload"
 )
 
 var sch = schema.MustNew(
@@ -52,7 +54,7 @@ func TestBlockRoundTrip(t *testing.T) {
 	}
 	var got []schema.Row
 	if _, err := r.ScanRange(0, 0, r.NumRows(), func(_ int, row schema.Row) error {
-		got = append(got, row)
+		got = append(got, slices.Clone(row)) // row is valid only during the call
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -255,12 +257,10 @@ func TestSystemUploadAndIndexScan(t *testing.T) {
 	}
 	e := &mapred.Engine{Cluster: s.Cluster}
 	res, err := e.Run(&mapred.Job{
-		Name:  "idx",
-		File:  "/t",
-		Input: &InputFormat{System: s, Query: q},
-		Map: func(r mapred.Record, emit mapred.Emit) {
-			emit(r.Row.Line(','), "")
-		},
+		Name:     "idx",
+		File:     "/t",
+		Input:    &InputFormat{System: s, Query: q},
+		MapBatch: workload.PassthroughMapBatch,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -301,10 +301,10 @@ func TestSystemFullScanOnNonIndexedAttribute(t *testing.T) {
 	}
 	e := &mapred.Engine{Cluster: s.Cluster}
 	res, err := e.Run(&mapred.Job{
-		Name:  "scan",
-		File:  "/t",
-		Input: &InputFormat{System: s, Query: q},
-		Map:   func(r mapred.Record, emit mapred.Emit) { emit(r.Row.Line(','), "") },
+		Name:     "scan",
+		File:     "/t",
+		Input:    &InputFormat{System: s, Query: q},
+		MapBatch: workload.PassthroughMapBatch,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -343,8 +343,8 @@ func TestRowLayoutProjectionSavesNoIO(t *testing.T) {
 		e := &mapred.Engine{Cluster: s.Cluster}
 		res, err := e.Run(&mapred.Job{
 			Name: "p", File: "/t",
-			Input: &InputFormat{System: s, Query: q},
-			Map:   func(r mapred.Record, emit mapred.Emit) {},
+			Input:    &InputFormat{System: s, Query: q},
+			MapBatch: func(*mapred.Batch, mapred.Emit) {},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -105,13 +106,23 @@ func TestHadoopMapsSkipMalformedLines(t *testing.T) {
 	}
 }
 
+// TestPassthroughMap holds the row form, which only bench/ declares, to
+// PassthroughMapBatch: over a batch of rows and a bad record both emit the
+// rows' text and skip the bad record.
 func TestPassthroughMap(t *testing.T) {
-	var out []string
-	emit := func(k, v string) { out = append(out, k) }
-	PassthroughMap(mapred.Record{Row: schema.Row{schema.IntVal(1), schema.StringVal("x")}}, emit)
-	PassthroughMap(mapred.Record{Bad: true, Raw: "junk"}, emit)
-	if len(out) != 1 || out[0] != "1,x" {
-		t.Errorf("PassthroughMap output = %v", out)
+	ints, strs := schema.NewVector(schema.Int32), schema.NewVector(schema.String)
+	for i, s := range []string{"x", "a,b", ""} {
+		ints.Append(schema.IntVal(int32(i)))
+		strs.Append(schema.StringVal(s))
+	}
+	b := &mapred.Batch{Cols: []*schema.Vector{ints, strs}, Rows: 3, Bad: []string{"junk"}}
+	var rows, batch []string
+	emitTo := func(out *[]string) mapred.Emit { return func(k, _ string) { *out = append(*out, k) } }
+	//lint:ignore SA1019 the compatibility wrapper's own equivalence test
+	b.Each(func(r mapred.Record) { PassthroughMap(r, emitTo(&rows)) })
+	PassthroughMapBatch(b, emitTo(&batch))
+	if want := []string{"0,x", "1,a,b", "2,"}; !slices.Equal(rows, want) || !slices.Equal(batch, want) {
+		t.Errorf("PassthroughMap emitted %q, PassthroughMapBatch %q; want %q", rows, batch, want)
 	}
 }
 

@@ -20,24 +20,13 @@ type BenchQuery struct {
 	Selectivity float64 // paper-reported selectivity
 }
 
-// PassthroughMap is the row form of the map function for HAIL and
-// Hadoop++ jobs: records arrive filtered and projected, so it just emits
-// them (§4.1's two-line HAIL map function). Bad records are counted but not emitted, as Bob's
-// queries only concern well-formed rows.
-func PassthroughMap(r mapred.Record, emit mapred.Emit) {
-	if r.Bad {
-		return
-	}
-	emit(r.Row.Line(','), "")
-}
-
-// PassthroughMapBatch is PassthroughMap in batch form: a job that sets it
-// (alone or beside Map) maps the record reader's batches whole, with no
-// record materialized. The rows are formatted once per batch, from the
-// column bytes (Batch.Lines), and every emitted key is a substring of
-// that one text — no row is boxed and nothing is allocated per row. The
-// output is byte-identical to PassthroughMap's and the two share
-// PassthroughMapSig.
+// PassthroughMapBatch is the map function of HAIL and Hadoop++ jobs:
+// records arrive filtered and projected, so it just emits them (§4.1's
+// two-line HAIL map function). Bad records are not emitted, as Bob's
+// queries only concern well-formed rows. The rows are formatted once per
+// batch, from the column bytes (Batch.Lines), and every emitted key is a
+// substring of that one text — no row is boxed and nothing is allocated
+// per row.
 func PassthroughMapBatch(b *mapred.Batch, emit mapred.Emit) {
 	text, ends := b.Lines(',')
 	from := int32(0)
@@ -47,9 +36,9 @@ func PassthroughMapBatch(b *mapred.Batch, emit mapred.Emit) {
 	}
 }
 
-// PassthroughMapSig is PassthroughMap's stable identity for
-// mapred.Job.MapSig — every job that uses PassthroughMap must use this
-// signature so their cached block results interchange.
+// PassthroughMapSig is PassthroughMapBatch's stable identity for
+// mapred.Job.MapSig — every job that uses it must use this signature so
+// their cached block results interchange.
 const PassthroughMapSig = "workload.Passthrough"
 
 // benchQuery parses a static benchmark annotation against its schema,
