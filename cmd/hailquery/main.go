@@ -145,18 +145,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		cache = qcache.New(*cacheBudget)
 		engine.Cache = cache
 		cluster.NameNode().SetReplicaChangeHook(cache.InvalidateBlock)
-		if *packScans {
-			// Fully-cached blocks pack pinned at their cached replica,
-			// even when no index matches the filter.
-			sig, ok := input.QuerySignature()
-			if ok {
-				nn := cluster.NameNode()
-				file := *name
-				input.CachedReplica = func(b hdfs.BlockID) (hdfs.NodeID, bool) {
-					return cache.CachedReplica(file, b, nn.Generation(b), sig, workload.PassthroughMapSig)
-				}
-			}
-		}
 	}
 	// Observability: -stats, -metrics and -trace all ride on the same
 	// nil-safe handles — without them the engine's hot path records

@@ -438,32 +438,19 @@ const (
 	selectiveQ = `@HailQuery(filter="@3 between(1999-01-01,1999-02-01)", projection={@1})`
 )
 
-// probedCache is what a cached job needs of qcache.Cache: the engine's
-// view plus the split phase's packing probe.
-type probedCache interface {
-	mapred.ResultCache
-	CachedReplica(file string, b hdfs.BlockID, gen uint64, query, mapSig string) (hdfs.NodeID, bool)
-}
-
 // cachedJob returns a runner of one cached passthrough job over /uv — the
 // way hailquery -cache [-pack-scans] and haild wire it: every run gets a
-// fresh input format and, when packing, the cache's packing probe.
-func cachedJob(tb testing.TB, cluster *hdfs.Cluster, cache probedCache, annotation string, pack bool) func() *mapred.JobResult {
+// fresh input format, and the engine hands its split phase the cache's
+// packing probe.
+func cachedJob(tb testing.TB, cluster *hdfs.Cluster, cache mapred.ResultCache, annotation string, pack bool) func() *mapred.JobResult {
 	tb.Helper()
 	q, err := mustParse(annotation)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	nn := cluster.NameNode()
 	e := &mapred.Engine{Cluster: cluster, Parallelism: 1, Cache: cache}
 	return func() *mapred.JobResult {
 		in := &InputFormat{Cluster: cluster, Query: q, PackScans: pack}
-		if pack {
-			sig, _ := in.QuerySignature()
-			in.CachedReplica = func(blk hdfs.BlockID) (hdfs.NodeID, bool) {
-				return cache.CachedReplica("/uv", blk, nn.Generation(blk), sig, workload.PassthroughMapSig)
-			}
-		}
 		res, err := e.Run(&mapred.Job{
 			Name: "hot", File: "/uv", Input: in,
 			MapBatch: workload.PassthroughMapBatch,

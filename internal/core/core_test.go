@@ -311,7 +311,7 @@ func TestHailSplittingCoverage(t *testing.T) {
 	cluster, _, sum, _ := uvFixture(t, 8000, workload.UserVisitsOptions{})
 	q := workload.BobQueries()[0].Query
 	f := &InputFormat{Cluster: cluster, Query: q, Splitting: true, SplitsPerNode: 2}
-	splits, _, err := f.SplitsWithStats("/uv")
+	splits, _, err := f.Splits("/uv", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,9 +327,9 @@ func TestHailSplittingCoverage(t *testing.T) {
 		for _, b := range s.Blocks {
 			seen[b]++
 		}
-		for _, b := range s.Blocks {
-			if s.Replica[b] != s.Locations[0] {
-				t.Errorf("split block %d preferred replica %d != location %d", b, s.Replica[b], s.Locations[0])
+		for i, b := range s.Blocks {
+			if s.Pin(i) != s.Locations[0] {
+				t.Errorf("split block %d preferred replica %d != location %d", b, s.Pin(i), s.Locations[0])
 			}
 		}
 	}
@@ -748,7 +748,7 @@ func TestBlockAtATimeMatchesWholeSplitRead(t *testing.T) {
 		{"trojan", "/trojan", &trojan.InputFormat{System: sys, Query: q}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			splits, _, err := tc.input.SplitsWithStats(tc.file)
+			splits, _, err := tc.input.Splits(tc.file, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -771,9 +771,7 @@ func TestBlockAtATimeMatchesWholeSplitRead(t *testing.T) {
 				var got []string
 				var gotStats mapred.TaskStats
 				for i := range split.Blocks {
-					one := split
-					one.Blocks = split.Blocks[i : i+1 : i+1]
-					rows, stats := read(tc.input.Open(one, node))
+					rows, stats := read(tc.input.Open(split.Narrow(i), node))
 					got = append(got, rows...)
 					gotStats.Add(stats)
 				}

@@ -42,20 +42,13 @@ type repinned struct {
 	node  hdfs.NodeID
 }
 
-func (r repinned) SplitsWithStats(file string) ([]mapred.Split, mapred.TaskStats, error) {
-	splits, st, err := r.InputFormat.SplitsWithStats(file)
+func (r repinned) Splits(file string, cached func(hdfs.BlockID) (hdfs.NodeID, bool)) ([]mapred.Split, mapred.TaskStats, error) {
+	splits, st, err := r.InputFormat.Splits(file, cached)
 	for i, s := range splits {
-		if _, ok := s.Replica[r.block]; !ok || !slices.Contains(s.Blocks, r.block) {
-			continue
+		if j := slices.Index(s.Blocks, r.block); j >= 0 && s.Pin(j) != hdfs.NoReplica {
+			splits[i].Pins = slices.Clone(s.Pins)
+			splits[i].Pins[j] = r.node
 		}
-		pins := make(map[hdfs.BlockID]hdfs.NodeID, len(s.Blocks))
-		for _, b := range s.Blocks {
-			if n, ok := s.Replica[b]; ok {
-				pins[b] = n
-			}
-		}
-		pins[r.block] = r.node
-		splits[i].Replica = pins
 	}
 	return splits, st, err
 }
@@ -137,7 +130,7 @@ func TestCorruptionMatrix(t *testing.T) {
 
 	// The victim: a block in the middle of a packed split, at the replica
 	// the split phase pins.
-	splits, _, err := f.SplitsWithStats("/uv")
+	splits, _, err := f.Splits("/uv", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,9 +143,8 @@ func TestCorruptionMatrix(t *testing.T) {
 	if len(victimSplit.Blocks) < 3 {
 		t.Fatalf("no split packs three blocks: %+v", splits)
 	}
-	b := victimSplit.Blocks[1]
-	pinned, ok := victimSplit.Replica[b]
-	if !ok {
+	b, pinned := victimSplit.Blocks[1], victimSplit.Pin(1)
+	if pinned == hdfs.NoReplica {
 		t.Fatalf("block %d is not pinned", b)
 	}
 	pinnedDN, _ := cluster.DataNode(pinned)

@@ -94,7 +94,7 @@ func TestEveryReaderFollowsOneFailoverPolicy(t *testing.T) {
 			return drain(&hadoop.TextInputFormat{Cluster: f.cluster}, f.text, 0)
 		}},
 		{"Hadoop++ split phase", func(t *testing.T, f *failoverFixture) hdfs.BlockID { return f.hpp }, func(f *failoverFixture) error {
-			_, _, err := (&trojan.InputFormat{System: f.sys}).SplitsWithStats("/trojan")
+			_, _, err := (&trojan.InputFormat{System: f.sys}).Splits("/trojan", nil)
 			return err
 		}},
 		{"Hadoop++ reader", func(t *testing.T, f *failoverFixture) hdfs.BlockID { return f.hpp }, func(f *failoverFixture) error {

@@ -288,12 +288,6 @@ func runEngineCase(t *testing.T, seed int64, k engineKnobs) (cacheStats qcache.S
 		job := &mapred.Job{Name: "fuzz", File: "/fuzz", Input: &oracleInput{in, t, blocks}, MapBatch: workload.PassthroughMapBatch}
 		if c != nil {
 			e.Cache, job.MapSig = c, workload.PassthroughMapSig
-			if k.packScans {
-				sig, _ := in.QuerySignature()
-				in.CachedReplica = func(b hdfs.BlockID) (hdfs.NodeID, bool) {
-					return c.CachedReplica("/fuzz", b, cluster.NameNode().Generation(b), sig, workload.PassthroughMapSig)
-				}
-			}
 		}
 		if traced {
 			job.Trace = obs.NewTrace("fuzz")

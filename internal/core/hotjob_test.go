@@ -5,6 +5,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/hdfs"
 	"repro/internal/mapred"
 	"repro/internal/qcache"
 	"repro/internal/workload"
@@ -102,6 +103,41 @@ func TestHotJobOutputDoesNotAliasCache(t *testing.T) {
 				if kv != cold[i] {
 					t.Fatalf("%d rows, pack=%v: row %d = %q after the overwrite, cold run had %q", rows, pack, i, kv, cold[i])
 				}
+			}
+		}
+	}
+}
+
+// TestCachedPackScansPacksWithoutWiring: the engine hands the split phase
+// its own cache probe, so a cached PackScans job whose caller sets nothing
+// but Engine.Cache packs every fully-cached block, pinned at the replica
+// its entry was computed at — index-matched blocks too, which run as
+// per-block index splits while cold.
+func TestCachedPackScansPacksWithoutWiring(t *testing.T) {
+	cluster, _, sum, _ := uvFixture(t, 6000, workload.UserVisitsOptions{})
+	run := cachedJob(t, cluster, qcache.New(0), selectiveQ, true)
+	cold := run()
+	if len(cold.Tasks) != len(sum.BlockIDs) {
+		t.Fatalf("cold job ran %d tasks over %d blocks, want one index split a block", len(cold.Tasks), len(sum.BlockIDs))
+	}
+	computedAt := make(map[hdfs.BlockID]hdfs.NodeID)
+	for _, task := range cold.Tasks {
+		if task.Split.Pin(0) == hdfs.NoReplica {
+			t.Fatalf("cold index split over block %d is not pinned", task.Split.Blocks[0])
+		}
+		computedAt[task.Split.Blocks[0]] = task.Split.Pin(0)
+	}
+	hot := run()
+	if len(hot.Tasks) >= len(sum.BlockIDs) {
+		t.Fatalf("hot job ran %d tasks over %d blocks: not packed", len(hot.Tasks), len(sum.BlockIDs))
+	}
+	if st := hot.TotalStats(); st.BlocksFromCache != len(sum.BlockIDs) {
+		t.Fatalf("hot job answered %d of %d blocks from the cache", st.BlocksFromCache, len(sum.BlockIDs))
+	}
+	for _, task := range hot.Tasks {
+		for i, b := range task.Split.Blocks {
+			if got := task.Split.Pin(i); got != computedAt[b] {
+				t.Errorf("block %d pinned at %d, its cached output was computed at %d", b, got, computedAt[b])
 			}
 		}
 	}

@@ -44,37 +44,35 @@ type InputFormat struct {
 	// HAIL behaviour.
 	Adaptive AdaptiveObserver
 	// PackScans extends packing to the blocks §4.3 leaves per-block:
-	// blocks with no usable index — and, when CachedReplica is wired,
-	// blocks whose map output the result cache already holds — are grouped
-	// by a preferred alive replica node and packed into SplitsPerNode
-	// splits per node, exactly the HailSplitting shape. This removes the
-	// per-task dispatch bound from adaptive job 1 (nothing indexed yet)
-	// and from fully-cached hot jobs (~zero map work per block). Packing
-	// trades away the one-block failover granularity of per-block scan
-	// splits; the engine compensates by repacking a failed packed split
-	// and re-executing only the affected blocks (mapred.Split.Fallback).
+	// blocks with no usable index — and, for a job the engine runs
+	// cached, blocks whose map output the result cache already holds — are
+	// grouped by a preferred alive replica node and packed into
+	// SplitsPerNode splits per node, exactly the HailSplitting shape. A
+	// fully-cached block is packed pinned at the replica the cache holds
+	// its output at, found through the probe the engine passes Splits,
+	// even when its only claim to packing is that its work is already
+	// done. This removes the per-task dispatch bound from adaptive job 1
+	// (nothing indexed yet) and from fully-cached hot jobs (~zero map work
+	// per block). Packing trades away the one-block failover granularity
+	// of per-block scan splits; the engine compensates by repacking a
+	// failed packed split and re-executing only the affected blocks
+	// (mapred.Split.Fallback).
 	PackScans bool
-	// CachedReplica, if set alongside PackScans, reports whether the
-	// block-level result cache already holds this block's output for the
-	// job's query, and at which replica node. Fully-cached blocks are
-	// packed pinned at that replica — even blocks whose only claim to
-	// packing is that their work is already done (qcache.CachedReplica is
-	// the canonical implementation).
-	CachedReplica func(b hdfs.BlockID) (hdfs.NodeID, bool)
 }
 
-// splitPlanner carries one SplitsWithStats call's state: the namenode
-// lookup counter and the job's arrays the splits are carved from. Every
-// call gets a fresh planner, which is what makes a single InputFormat
-// shareable across concurrent jobs: the split phase itself is pure
-// directory reads, and what it accumulates lives here instead of on the
-// shared struct.
+// splitPlanner carries one Splits call's state: the namenode lookup
+// counter, the engine's cache probe and the job's arrays the splits are
+// carved from. Every call gets a fresh planner, which is what makes a
+// single InputFormat shareable across concurrent jobs: the split phase
+// itself is pure directory reads, and what it accumulates lives here
+// instead of on the shared struct.
 type splitPlanner struct {
 	*InputFormat
 	nnOps   int64
-	nblocks int                          // the job's blocks
-	hosts   []hdfs.NodeID                // the splits' Locations, back to back
-	pins    map[hdfs.BlockID]hdfs.NodeID // every split's Replica
+	cached  func(hdfs.BlockID) (hdfs.NodeID, bool) // nil: the job runs uncached
+	nblocks int                                    // the job's blocks
+	hosts   []hdfs.NodeID                          // the splits' Locations, back to back
+	pins    []hdfs.NodeID                          // the splits' Pins, back to back
 }
 
 // carve returns the hosts appended since from as one split's Locations,
@@ -83,17 +81,24 @@ func (f *splitPlanner) carve(from int) []hdfs.NodeID {
 	return f.hosts[from:len(f.hosts):len(f.hosts)]
 }
 
-// pin records block b's preferred replica in the map the job's splits
-// share as their Replica.
-func (f *splitPlanner) pin(b hdfs.BlockID, n hdfs.NodeID) {
+// pin appends one block's preferred replica to the job's pins array,
+// made on first use with room for every block, so that a scan job
+// allocates none.
+func (f *splitPlanner) pin(n hdfs.NodeID) {
 	if f.pins == nil {
-		f.pins = make(map[hdfs.BlockID]hdfs.NodeID, f.nblocks)
+		f.pins = make([]hdfs.NodeID, 0, f.nblocks)
 	}
-	f.pins[b] = n
+	f.pins = append(f.pins, n)
+}
+
+// carvePins is carve for the pins: the pins appended since from as one
+// split's Pins, aligned with its Blocks.
+func (f *splitPlanner) carvePins(from int) []hdfs.NodeID {
+	return f.pins[from:len(f.pins):len(f.pins)]
 }
 
 // AdaptiveObserver is the adaptive indexing layer's view of the split
-// phase. ObserveJob is called once per SplitsWithStats call that has a
+// phase. ObserveJob is called once per Splits call that has a
 // usable filter column: `indexed` blocks get index-scan splits, `missing`
 // blocks have no replica indexed on `column` and get full-scan splits.
 type AdaptiveObserver interface {
@@ -144,7 +149,7 @@ func (f *splitPlanner) indexColumn(blocks []hdfs.BlockID) int {
 // Dir_block keeps registration order, which is deterministic for a static
 // upload but lets the adaptive path's concurrently registered replicas
 // (and any future multi-writer path) leak arrival order into replica
-// pinning — sorting makes Replica[b] = hosts[0] a pure function of the
+// pinning — sorting makes a block's pin, hosts[0], a pure function of the
 // directory's contents.
 func (f *splitPlanner) indexedHosts(b hdfs.BlockID, col int) []hdfs.NodeID {
 	f.nnOps++
@@ -206,10 +211,11 @@ func (f *splitPlanner) partitionByIndex(blocks []hdfs.BlockID, col int) (indexed
 	return indexed, missing
 }
 
-// SplitsWithStats implements the split phase (§4.3) and returns that
-// call's own stats. All mutable split-phase state lives on a per-call
-// planner, so one InputFormat value may serve any number of concurrent
-// jobs.
+// Splits implements the split phase (§4.3) and returns that call's own
+// stats. All mutable split-phase state lives on a per-call planner, so one
+// InputFormat value may serve any number of concurrent jobs. cached is the
+// engine's result-cache probe, consulted under PackScans; nil for a job
+// the engine runs uncached.
 //
 // HAIL's split phase needs no block-header reads — all index information
 // lives in the namenode's Dir_rep (§6.4.1: HAIL "does not have to read any
@@ -218,8 +224,8 @@ func (f *splitPlanner) partitionByIndex(blocks []hdfs.BlockID, col int) (indexed
 // resolution and especially the adaptive path (partitionByIndex probes
 // every block) are namenode directory lookups, reported in NameNodeOps so
 // the metadata cost is measured rather than hidden behind a zero struct.
-func (f *InputFormat) SplitsWithStats(file string) ([]mapred.Split, mapred.TaskStats, error) {
-	p := &splitPlanner{InputFormat: f, nnOps: 1} // 1: the FileBlocks lookup below
+func (f *InputFormat) Splits(file string, cached func(hdfs.BlockID) (hdfs.NodeID, bool)) ([]mapred.Split, mapred.TaskStats, error) {
+	p := &splitPlanner{InputFormat: f, nnOps: 1, cached: cached} // 1: the FileBlocks lookup below
 	blocks, err := f.Cluster.NameNode().FileBlocks(file)
 	if err != nil {
 		return nil, mapred.TaskStats{}, err
@@ -254,12 +260,12 @@ func (f *InputFormat) SplitsWithStats(file string) ([]mapred.Split, mapred.TaskS
 
 // cachedAliveReplica is the packing probe for fully-cached blocks: the
 // replica node the result cache holds this block's output at, provided
-// packing is on, the probe is wired, and that node is alive.
+// packing is on, the job runs cached, and that node is alive.
 func (f *splitPlanner) cachedAliveReplica(b hdfs.BlockID) (hdfs.NodeID, bool) {
-	if !f.PackScans || f.CachedReplica == nil {
+	if !f.PackScans || f.cached == nil {
 		return 0, false
 	}
-	n, ok := f.CachedReplica(b)
+	n, ok := f.cached(b)
 	if !ok {
 		return 0, false
 	}
@@ -411,11 +417,12 @@ func (f *splitPlanner) perBlockIndexSplits(blocks []hdfs.BlockID, col int) []map
 			})
 			continue
 		}
-		f.pin(b, hosts[0])
+		from := len(f.pins)
+		f.pin(hosts[0])
 		splits = append(splits, mapred.Split{
 			Blocks:    blocks[i : i+1 : i+1],
 			Locations: hosts,
-			Replica:   f.pins,
+			Pins:      f.carvePins(from),
 		})
 	}
 	if len(packable) > 0 {
@@ -448,11 +455,12 @@ func (f *splitPlanner) packGroups(groups map[hdfs.NodeID][]hdfs.BlockID) []mapre
 		}
 		for s := 0; s < nSplits; s++ {
 			split := mapred.Split{Locations: []hdfs.NodeID{n}}
+			from := len(f.pins)
 			for i := s; i < len(bs); i += nSplits {
 				split.Blocks = append(split.Blocks, bs[i])
-				f.pin(bs[i], n)
+				f.pin(n)
 			}
-			split.Replica = f.pins
+			split.Pins = f.carvePins(from)
 			splits = append(splits, split)
 		}
 	}

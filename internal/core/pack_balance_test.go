@@ -44,8 +44,8 @@ func TestPackScanSplitsBalanceSkewedPlacement(t *testing.T) {
 	nn := cluster.NameNode()
 	perNode := map[hdfs.NodeID]int{}
 	for _, s := range splits {
-		for _, b := range s.Blocks {
-			pin := s.Replica[b]
+		for i, b := range s.Blocks {
+			pin := s.Pin(i)
 			perNode[pin]++
 			holder := false
 			for _, h := range nn.GetHosts(b) {
@@ -132,9 +132,9 @@ func TestPackScanSplitsEvenPlacementUnchanged(t *testing.T) {
 	splits := (&splitPlanner{InputFormat: f}).packScanSplits(blocks)
 	assertCoverage(t, splits, blocks)
 	for _, s := range splits {
-		for _, b := range s.Blocks {
-			if want := hdfs.NodeID(int(b) % nodes); s.Replica[b] != want {
-				t.Errorf("block %d pinned to %d, want head-of-list %d", b, s.Replica[b], want)
+		for i, b := range s.Blocks {
+			if want := hdfs.NodeID(int(b) % nodes); s.Pin(i) != want {
+				t.Errorf("block %d pinned to %d, want head-of-list %d", b, s.Pin(i), want)
 			}
 		}
 	}

@@ -59,7 +59,7 @@ func TestPackingPolicyProperty(t *testing.T) {
 					for pi, pol := range policies {
 						f := pol
 						f.Cluster, f.Query = cluster, q
-						splits, _, err := f.SplitsWithStats("/uv")
+						splits, _, err := f.Splits("/uv", nil)
 						if err != nil {
 							t.Fatalf("%s q%d p%d: %v", step, qi, pi, err)
 						}
@@ -124,9 +124,9 @@ func assertRegisteredPins(t *testing.T, cluster *hdfs.Cluster, splits []mapred.S
 	t.Helper()
 	nn := cluster.NameNode()
 	for _, s := range splits {
-		for _, b := range s.Blocks {
-			n, pinned := s.Replica[b]
-			if _, ok := nn.ReplicaInfo(b, n); !pinned || ok {
+		for i, b := range s.Blocks {
+			n := s.Pin(i)
+			if _, ok := nn.ReplicaInfo(b, n); n == hdfs.NoReplica || ok {
 				continue
 			}
 			t.Errorf("block %d pinned to node %d, which the directory does not list as a holder", b, n)
@@ -141,8 +141,8 @@ func assertRegisteredPins(t *testing.T, cluster *hdfs.Cluster, splits []mapred.S
 //
 //  1. after any DropReplica, no qcache entry survives for the dropped
 //     block — the generation bump's change hook must purge them;
-//  2. packed-scan pinning (including the CachedReplica probe's pins)
-//     never selects a dropped replica — no ghost pins;
+//  2. packed-scan pinning (including the pins of the engine's cache
+//     probe) never selects a dropped replica — no ghost pins;
 //  3. cached execution stays multiset-identical to the healthy-cluster
 //     uncached reference throughout.
 func TestDropReplicaCacheProperty(t *testing.T) {
@@ -163,21 +163,14 @@ func TestDropReplicaCacheProperty(t *testing.T) {
 			nn.SetReplicaChangeHook(cache.InvalidateBlock)
 			defer nn.SetReplicaChangeHook(nil)
 
-			newInput := func() *InputFormat {
-				in := &InputFormat{
-					Cluster: cluster, Query: q,
-					Splitting: true, SplitsPerNode: 2, PackScans: true,
-				}
-				sig, _ := in.QuerySignature()
-				in.CachedReplica = func(b hdfs.BlockID) (hdfs.NodeID, bool) {
-					return cache.CachedReplica("/uv", b, nn.Generation(b), sig, workload.PassthroughMapSig)
-				}
-				return in
-			}
 			runCached := func(name string) *mapred.JobResult {
 				e := &mapred.Engine{Cluster: cluster, Cache: cache}
 				res, err := e.Run(&mapred.Job{
-					Name: name, File: "/uv", Input: newInput(),
+					Name: name, File: "/uv",
+					Input: &InputFormat{
+						Cluster: cluster, Query: q,
+						Splitting: true, SplitsPerNode: 2, PackScans: true,
+					},
 					MapBatch: workload.PassthroughMapBatch, MapSig: workload.PassthroughMapSig,
 				})
 				if err != nil {
@@ -198,11 +191,14 @@ func TestDropReplicaCacheProperty(t *testing.T) {
 				}
 				return n
 			}
+			// checkSplits holds the splits a cached job executed — planned
+			// with the engine's cache probe, repacked if a pin died — to
+			// the invariants.
 			checkSplits := func(step string) {
-				in := newInput()
-				splits, _, err := in.SplitsWithStats("/uv")
-				if err != nil {
-					t.Fatalf("%s: %v", step, err)
+				res := runCached(step)
+				splits := make([]mapred.Split, len(res.Tasks))
+				for i, task := range res.Tasks {
+					splits[i] = task.Split
 				}
 				assertCoverage(t, splits, sum.BlockIDs)
 				assertAliveLocations(t, cluster, splits)

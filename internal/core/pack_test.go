@@ -36,9 +36,9 @@ func assertCoverage(t *testing.T, splits []mapred.Split, blocks []hdfs.BlockID) 
 			seen[b]++
 		}
 		if len(s.Blocks) > 1 {
-			for _, b := range s.Blocks {
-				if s.Replica[b] != s.Locations[0] {
-					t.Errorf("packed block %d pinned to %d, split located at %d", b, s.Replica[b], s.Locations[0])
+			for i, b := range s.Blocks {
+				if s.Pin(i) != s.Locations[0] {
+					t.Errorf("packed block %d pinned to %d, split located at %d", b, s.Pin(i), s.Locations[0])
 				}
 			}
 		}
@@ -64,8 +64,8 @@ func assertAliveLocations(t *testing.T, cluster *hdfs.Cluster, splits []mapred.S
 				t.Errorf("split over %v located at dead node %d (locations %v)", s.Blocks, n, s.Locations)
 			}
 		}
-		for _, b := range s.Blocks {
-			if n, ok := s.Replica[b]; ok {
+		for i, b := range s.Blocks {
+			if n := s.Pin(i); n != hdfs.NoReplica {
 				if dn, err := cluster.DataNode(n); err != nil || !dn.Alive() {
 					t.Errorf("block %d pinned to dead node %d", b, n)
 				}
@@ -81,7 +81,7 @@ func TestPackedScanSplitsCoverage(t *testing.T) {
 	cluster, _, sum, _ := uvFixture(t, 8000, workload.UserVisitsOptions{})
 	q := scanOnlyQuery()
 	packed := &InputFormat{Cluster: cluster, Query: q, Splitting: true, SplitsPerNode: 2, PackScans: true}
-	splits, _, err := packed.SplitsWithStats("/uv")
+	splits, _, err := packed.Splits("/uv", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestScanSplitLocationsAliveAfterKill(t *testing.T) {
 	} {
 		f := cfg.in
 		f.Cluster, f.Query = cluster, cfg.q
-		splits, _, err := f.SplitsWithStats("/uv")
+		splits, _, err := f.Splits("/uv", nil)
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.name, err)
 		}
@@ -177,15 +177,14 @@ func TestPerBlockIndexPinDeterministic(t *testing.T) {
 	f := &InputFormat{Cluster: cluster, Query: q}
 	var first []mapred.Split
 	for i := 0; i < 5; i++ {
-		splits, _, err := f.SplitsWithStats("/uv1")
+		splits, _, err := f.Splits("/uv1", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertAliveLocations(t, cluster, splits)
 		for _, s := range splits {
-			b := s.Blocks[0]
-			pin, ok := s.Replica[b]
-			if !ok {
+			b, pin := s.Blocks[0], s.Pin(0)
+			if pin == hdfs.NoReplica {
 				t.Fatalf("block %d has no pinned replica", b)
 			}
 			// The pin is the lowest alive indexed host — sorted, not
@@ -209,7 +208,7 @@ func TestPerBlockIndexPinDeterministic(t *testing.T) {
 		}
 		for j := range splits {
 			if splits[j].Blocks[0] != first[j].Blocks[0] ||
-				splits[j].Replica[splits[j].Blocks[0]] != first[j].Replica[first[j].Blocks[0]] {
+				splits[j].Pin(0) != first[j].Pin(0) {
 				t.Fatalf("run %d split %d diverged from first run", i, j)
 			}
 		}
@@ -231,7 +230,7 @@ func TestSplitPhaseStatsCountNameNodeOps(t *testing.T) {
 	cluster, _, sum, _ := uvFixture(t, 5000, workload.UserVisitsOptions{})
 	obs := &countingObserver{}
 	f := &InputFormat{Cluster: cluster, Query: scanOnlyQuery(), Adaptive: obs}
-	_, st, err := f.SplitsWithStats("/uv")
+	_, st, err := f.Splits("/uv", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

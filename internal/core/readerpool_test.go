@@ -194,7 +194,7 @@ func oneReaderAcrossShapes(t *testing.T, cluster *hdfs.Cluster) {
 	held := new(recordReader)
 	for i, st := range steps {
 		in := &InputFormat{Cluster: cluster, Query: st.q}
-		splits, _, err := in.SplitsWithStats(st.file)
+		splits, _, err := in.Splits(st.file, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -337,7 +337,7 @@ func TestPooledReaderRetainsNoClusterOrReplica(t *testing.T) {
 			t.Fatal(err)
 		}
 		held = drainReaders()
-		splits, _, err := in.SplitsWithStats("/uv")
+		splits, _, err := in.Splits("/uv", nil)
 		if err != nil {
 			t.Fatal(err)
 		}

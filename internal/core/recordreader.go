@@ -74,8 +74,8 @@ type recordReader struct {
 // returns, the reader is back in the pool.
 func (r *recordReader) ReadBatches(fn func(*mapred.Batch)) (mapred.TaskStats, error) {
 	var stats mapred.TaskStats
-	for _, b := range r.split.Blocks {
-		if err := r.readBlockBatches(b, fn, &stats); err != nil {
+	for i, b := range r.split.Blocks {
+		if err := r.readBlockBatches(b, r.split.Pin(i), fn, &stats); err != nil {
 			r.release()
 			return stats, err
 		}
@@ -207,17 +207,13 @@ func takeVector(vecs []*schema.Vector, t schema.Type) *schema.Vector {
 }
 
 // openBlockScan opens block b through hdfs.Cluster.ReadFrom on the first
-// replica — the split's pin (the matching index, via getHostsWithIndex),
-// then the executing node's, then registration order — where the prologue
-// and every range fetch succeed; a failed attempt leaves nothing in stats
-// but a corrupt chunk's failover. Past the pin the access path may degrade
-// to a scan (§6.4.3, HAIL vs HAIL-1Idx).
-func (r *recordReader) openBlockScan(b hdfs.BlockID, stats *mapred.TaskStats) (*blockScan, error) {
-	pinned, ok := r.split.Replica[b]
-	if !ok {
-		pinned = hdfs.NoReplica
-	}
-	_, err := r.cluster.ReadFrom(b, pinned, r.node, func(node hdfs.NodeID, v hdfs.ReplicaView) error {
+// replica — its pin (the matching index, via getHostsWithIndex; none when
+// pin is hdfs.NoReplica), then the executing node's, then registration
+// order — where the prologue and every range fetch succeed; a failed
+// attempt leaves nothing in stats but a corrupt chunk's failover. Past the
+// pin the access path may degrade to a scan (§6.4.3, HAIL vs HAIL-1Idx).
+func (r *recordReader) openBlockScan(b hdfs.BlockID, pin hdfs.NodeID, stats *mapred.TaskStats) (*blockScan, error) {
+	_, err := r.cluster.ReadFrom(b, pin, r.node, func(node hdfs.NodeID, v hdfs.ReplicaView) error {
 		r.view = v
 		before := *stats
 		bs, err := r.openView(b, node, stats)
@@ -337,8 +333,8 @@ func neededColumns(q *query.Query, proj, cols, filterCols []int) ([]int, []int) 
 
 // readBlockBatches is the vectorized per-block execution: stream the
 // candidate range as batches, then the bad records as one final batch.
-func (r *recordReader) readBlockBatches(b hdfs.BlockID, fn func(*mapred.Batch), stats *mapred.TaskStats) error {
-	bs, err := r.openBlockScan(b, stats)
+func (r *recordReader) readBlockBatches(b hdfs.BlockID, pin hdfs.NodeID, fn func(*mapred.Batch), stats *mapred.TaskStats) error {
+	bs, err := r.openBlockScan(b, pin, stats)
 	if err != nil {
 		return err
 	}

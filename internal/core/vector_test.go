@@ -24,8 +24,8 @@ import (
 // knows no failover; it reads the replica the pipeline would try first.
 type rowOracleInput struct{ f *InputFormat }
 
-func (o rowOracleInput) SplitsWithStats(file string) ([]mapred.Split, mapred.TaskStats, error) {
-	return o.f.SplitsWithStats(file)
+func (o rowOracleInput) Splits(file string, cached func(hdfs.BlockID) (hdfs.NodeID, bool)) ([]mapred.Split, mapred.TaskStats, error) {
+	return o.f.Splits(file, cached)
 }
 
 func (o rowOracleInput) Open(split mapred.Split, node hdfs.NodeID) (mapred.BatchReader, error) {
@@ -39,8 +39,8 @@ type rowOracleReader struct{ r recordReader }
 
 func (o *rowOracleReader) ReadBatches(fn func(*mapred.Batch)) (mapred.TaskStats, error) {
 	var stats mapred.TaskStats
-	for _, b := range o.r.split.Blocks {
-		if err := o.readBlockRows(b, fn, &stats); err != nil {
+	for i, b := range o.r.split.Blocks {
+		if err := o.readBlockRows(b, o.r.split.Pin(i), fn, &stats); err != nil {
 			return stats, err
 		}
 	}
@@ -49,9 +49,8 @@ func (o *rowOracleReader) ReadBatches(fn func(*mapred.Batch)) (mapred.TaskStats,
 
 // readBlockRows is the per-block row execution: the candidate range row
 // by row into one batch, then the bad records flagged in another.
-func (o *rowOracleReader) readBlockRows(b hdfs.BlockID, fn func(*mapred.Batch), stats *mapred.TaskStats) error {
-	node, pinned := o.r.split.Replica[b]
-	if !pinned {
+func (o *rowOracleReader) readBlockRows(b hdfs.BlockID, node hdfs.NodeID, fn func(*mapred.Batch), stats *mapred.TaskStats) error {
+	if node == hdfs.NoReplica {
 		node = o.r.cluster.ReplicaOrder(b, o.r.node)[0]
 	}
 	var err error
@@ -245,7 +244,7 @@ func TestScanAllocationsNotPerRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := &InputFormat{Cluster: cluster, Query: q, Splitting: true}
-	splits, _, err := f.SplitsWithStats("/synalloc")
+	splits, _, err := f.Splits("/synalloc", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

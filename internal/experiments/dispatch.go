@@ -108,20 +108,12 @@ func (r *Runner) ExpDispatch(w Workload) (*DispatchReport, error) {
 	// The query filters on an attribute no replica is indexed on — the
 	// adaptive sequence's job-1 shape: every block is a scan split.
 	q := specs[w].adaptive
-	newInput := func(pack bool, cache *qcache.Cache) *core.InputFormat {
-		in := &core.InputFormat{
+	newInput := func(pack bool) *core.InputFormat {
+		return &core.InputFormat{
 			Cluster: cluster, Query: q,
 			Splitting: true, SplitsPerNode: SplitsPerNodePaper,
 			PackScans: pack,
 		}
-		if pack && cache != nil {
-			sig, _ := in.QuerySignature()
-			nn := cluster.NameNode()
-			in.CachedReplica = func(b hdfs.BlockID) (hdfs.NodeID, bool) {
-				return cache.CachedReplica(f.file, b, nn.Generation(b), sig, workload.PassthroughMapSig)
-			}
-		}
-		return in
 	}
 	runJob := func(name string, pack bool, cache *qcache.Cache) (*mapred.JobResult, error) {
 		e := &mapred.Engine{Cluster: cluster}
@@ -130,7 +122,7 @@ func (r *Runner) ExpDispatch(w Workload) (*DispatchReport, error) {
 		}
 		return e.Stream(context.Background(), &mapred.Job{
 			Name: name, File: f.file,
-			Input: newInput(pack, cache), MapBatch: workload.PassthroughMapBatch,
+			Input: newInput(pack), MapBatch: workload.PassthroughMapBatch,
 			MapSig: workload.PassthroughMapSig,
 		}, nil)
 	}
@@ -219,8 +211,7 @@ func (r *Runner) ExpDispatch(w Workload) (*DispatchReport, error) {
 
 	// --- Failover: kill a packed split's pinned node at ~50% progress.
 	// The job must complete with only the victim's blocks re-resolved. ---
-	input := newInput(true, nil)
-	splits, _, err := input.SplitsWithStats(f.file)
+	splits, _, err := newInput(true).Splits(f.file, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -236,15 +227,15 @@ func (r *Runner) ExpDispatch(w Workload) (*DispatchReport, error) {
 	}
 	victimBlocks := 0
 	for _, s := range splits {
-		for _, b := range s.Blocks {
-			if n, ok := s.Replica[b]; ok && n == victim {
+		for _, n := range s.Pins {
+			if n == victim {
 				victimBlocks++
 			}
 		}
 	}
 	killRes, err := runKilled(cluster, victim, &mapred.Job{
 		Name: "dispatch-packed-kill", File: f.file,
-		Input: newInput(true, nil), MapBatch: workload.PassthroughMapBatch,
+		Input: newInput(true), MapBatch: workload.PassthroughMapBatch,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: packed job with node kill failed: %v", err)

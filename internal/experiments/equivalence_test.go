@@ -3,6 +3,7 @@ package experiments
 import (
 	"testing"
 
+	"repro/internal/hdfs"
 	"repro/internal/mapred"
 	"repro/internal/workload"
 )
@@ -151,9 +152,9 @@ func TestSynQueriesUseOnlyOneIndex(t *testing.T) {
 			t.Errorf("%s: %d index scans, want %d", bq.Name, st.IndexScans, f.scale.RealBlocks)
 		}
 		for _, task := range res.Tasks {
-			for _, b := range task.Split.Blocks {
-				node, pinned := task.Split.Replica[b]
-				if !pinned {
+			for i, b := range task.Split.Blocks {
+				node := task.Split.Pin(i)
+				if node == hdfs.NoReplica {
 					t.Fatalf("%s: block %d of an index-scan split is not pinned", bq.Name, b)
 				}
 				info, ok := f.cluster.NameNode().ReplicaInfo(b, node)

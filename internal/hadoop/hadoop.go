@@ -92,10 +92,10 @@ type TextInputFormat struct {
 	Cluster *hdfs.Cluster
 }
 
-// SplitsWithStats creates one split per HDFS block (the default policy,
-// §4.2). The standard split phase only consults the namenode, so its
-// stats are zero.
-func (f *TextInputFormat) SplitsWithStats(file string) ([]mapred.Split, mapred.TaskStats, error) {
+// Splits creates one split per HDFS block (the default policy, §4.2). The
+// standard split phase only consults the namenode, so its stats are zero;
+// every split is per-block, so the cache probe plans nothing.
+func (f *TextInputFormat) Splits(file string, _ func(hdfs.BlockID) (hdfs.NodeID, bool)) ([]mapred.Split, mapred.TaskStats, error) {
 	blocks, err := f.Cluster.NameNode().FileBlocks(file)
 	if err != nil {
 		return nil, mapred.TaskStats{}, err

@@ -138,7 +138,7 @@ func TestSplitsOnePerBlockWithLocations(t *testing.T) {
 	data := lines(500)
 	c, sum := upload(t, 5, 4096, data)
 	f := &TextInputFormat{Cluster: c}
-	splits, _, err := f.SplitsWithStats("/data")
+	splits, _, err := f.Splits("/data", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,8 +153,8 @@ func TestSplitsOnePerBlockWithLocations(t *testing.T) {
 			t.Errorf("split has %d locations, want 3 replicas", len(s.Locations))
 		}
 	}
-	if _, _, err := f.SplitsWithStats("/missing"); err == nil {
-		t.Error("SplitsWithStats on missing file succeeded")
+	if _, _, err := f.Splits("/missing", nil); err == nil {
+		t.Error("Splits on missing file succeeded")
 	}
 }
 

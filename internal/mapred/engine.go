@@ -165,20 +165,32 @@ func (e *Engine) cacheContext(job *Job) *cacheContext {
 	}
 }
 
-// key builds the cache key for one block of a split executing on runOn.
-// The replica component pins the node whose stored order the result
-// reflects: the split's pinned replica when the scheduler chose one (index
-// scans), otherwise the executing node (whose local replica the reader
-// prefers).
-func (cc *cacheContext) key(split Split, b hdfs.BlockID, runOn hdfs.NodeID) CacheKey {
-	replica, ok := split.Replica[b]
-	if !ok {
-		replica = runOn
-	}
+// blockKey is block b's cache key at its current generation, with no
+// replica: the one place the job's key material is assembled.
+func (cc *cacheContext) blockKey(b hdfs.BlockID) CacheKey {
 	return CacheKey{
 		File: cc.file, Block: b, Gen: cc.nn.Generation(b),
-		Query: cc.querySig, MapSig: cc.mapSig, Replica: replica,
+		Query: cc.querySig, MapSig: cc.mapSig,
 	}
+}
+
+// key builds the cache key for the split's i-th block executing on runOn.
+// The replica component pins the node whose stored order the result
+// reflects: the block's pin when the planner chose one (index scans,
+// packed splits), otherwise the executing node (whose local replica the
+// reader prefers).
+func (cc *cacheContext) key(split Split, i int, runOn hdfs.NodeID) CacheKey {
+	k := cc.blockKey(split.Blocks[i])
+	if k.Replica = split.Pin(i); k.Replica == hdfs.NoReplica {
+		k.Replica = runOn
+	}
+	return k
+}
+
+// cached is the split phase's packing probe: the replica node the cache
+// holds block b's output at for this job, if any.
+func (cc *cacheContext) cached(b hdfs.BlockID) (hdfs.NodeID, bool) {
+	return cc.cache.CachedReplica(cc.blockKey(b))
 }
 
 // Stream executes the job — the split phase, then the map phase with
@@ -232,8 +244,15 @@ func (e *Engine) run(ctx context.Context, job *Job, deliver func(res *JobResult,
 	runSpan.SetStr("job", job.Name)
 	m := e.metrics()
 
+	// The cache context comes first: the split phase plans around what the
+	// cache already holds.
+	cc := e.cacheContext(job)
+	var cached func(hdfs.BlockID) (hdfs.NodeID, bool)
+	if cc != nil {
+		cached = cc.cached
+	}
 	planSpan := tr.StartSpan("plan", "phase", 0, runSpan)
-	splits, splitStats, err := job.Input.SplitsWithStats(job.File)
+	splits, splitStats, err := job.Input.Splits(job.File, cached)
 	if err != nil {
 		planSpan.End()
 		return nil, fmt.Errorf("mapred: split phase for %q: %v", job.Name, err)
@@ -250,7 +269,6 @@ func (e *Engine) run(ctx context.Context, job *Job, deliver func(res *JobResult,
 	assignments := e.schedule(splits)
 	schedSpan.SetInt("tasks", int64(len(splits)))
 	schedSpan.End()
-	cc := e.cacheContext(job)
 
 	// One slot per task. Every task's span opens with the map phase, so its
 	// wait child (and engine.task_wait_seconds) measures map-phase start →
@@ -547,7 +565,7 @@ func (e *Engine) runTask(ctx context.Context, job *Job, cc *cacheContext, bm *bl
 				// Put: if a concurrent replica change bumps it mid-read, the
 				// admitted entry is keyed at the old generation and simply
 				// never found again.
-				key = cc.key(split, split.Blocks[pos], runOn)
+				key = cc.key(split, pos, runOn)
 				if ckvs, _, ok := cc.cache.Get(key); ok {
 					tr.Count("qcache.block_hit", 1)
 					chunks = append(chunks, ckvs)
@@ -565,9 +583,7 @@ func (e *Engine) runTask(ctx context.Context, job *Job, cc *cacheContext, bm *bl
 			clear(*kvs) // a failed attempt's partial output, past any shorter retry's
 			*kvs = (*kvs)[:0]
 			bm.kvs = kvs
-			block := split
-			block.Blocks = split.Blocks[pos : pos+1 : pos+1]
-			rr, err := job.Input.Open(block, runOn)
+			rr, err := job.Input.Open(split.Narrow(pos), runOn)
 			var bstats TaskStats
 			if err == nil {
 				bstats, err = rr.ReadBatches(bm.consume)
@@ -692,8 +708,8 @@ func (e *Engine) nodeAlive(n hdfs.NodeID) bool {
 // deadPins counts the split's blocks whose pinned replica node is dead.
 func (e *Engine) deadPins(split Split) int {
 	n := 0
-	for _, b := range split.Blocks {
-		if node, ok := split.Replica[b]; ok && !e.nodeAlive(node) {
+	for _, node := range split.Pins {
+		if node != hdfs.NoReplica && !e.nodeAlive(node) {
 			n++
 		}
 	}

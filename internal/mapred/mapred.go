@@ -29,6 +29,7 @@
 package mapred
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/hdfs"
@@ -125,55 +126,80 @@ type Split struct {
 	// first (for HAIL: nodes holding the replica with the matching index,
 	// via getHostsWithIndex).
 	Locations []hdfs.NodeID
-	// Replica maps each block to the preferred replica's node. Readers
-	// consult it to open the replica with the right clustered index; a
-	// missing entry means any replica will do. The splits of one job may
-	// share one map, so it can hold other splits' blocks too: a split's
-	// pins are the entries of its Blocks, and are read by looking them up,
-	// never by ranging over the map. Nothing writes to it once the split
-	// phase has returned.
+	// Pins holds each block's preferred replica node, aligned by index
+	// with Blocks: a reader opens Pins[i] first, for the replica with the
+	// right clustered index or the one the result cache holds the block's
+	// output at. hdfs.NoReplica marks a block any replica will do for, and
+	// a split with no pinned block (a scan split) has nil Pins. The splits
+	// of one job carve their Pins out of one array, so nothing writes to
+	// them once the split phase has returned.
+	Pins []hdfs.NodeID
+	// Replica maps each pinned block to its Pins entry. Nothing in the
+	// engine or the readers reads it.
+	//
+	// Deprecated: bench/ only.
 	Replica map[hdfs.BlockID]hdfs.NodeID
+}
+
+// Pin returns the preferred replica node of the split's i-th block, or
+// hdfs.NoReplica when the block is unpinned.
+func (s Split) Pin(i int) hdfs.NodeID {
+	if s.Pins == nil {
+		return hdfs.NoReplica
+	}
+	return s.Pins[i]
+}
+
+// Narrow returns the split narrowed to its i-th block, the block's pin
+// with it: the split the engine opens a reader on.
+func (s Split) Narrow(i int) Split {
+	s.Blocks = s.Blocks[i : i+1 : i+1]
+	if s.Pins != nil {
+		s.Pins = s.Pins[i : i+1 : i+1]
+	}
+	return s
 }
 
 // Fallback re-resolves the split's replica pinning against the namenode
 // after a node loss: every block whose pinned node fails the alive
 // predicate is re-pinned, per block, to the block's first alive replica
 // holder (registration order, the pipeline's locality preference); a
-// block with no alive holder loses its pin so the reader degrades to
-// any-replica resolution. Locations are recomputed from the surviving
-// pins — most-pinned node first, ties by ascending ID — so the packed
-// split keeps a meaningful scheduling preference. Packing trades away the
-// one-block failover granularity of per-block scan splits; this is the
-// compensating move: the engine repacks a failed packed split and re-runs
-// only the blocks that were actually affected, instead of failing the
-// task or rescanning the whole split elsewhere. Returns the repacked
-// split and the number of blocks whose pin changed.
+// block with no alive holder loses its pin (hdfs.NoReplica) so the reader
+// degrades to any-replica resolution. The repacked split's Pins are a
+// fresh slice: the input split's, shared with the job's other splits, are
+// never written. Locations are recomputed from the surviving pins —
+// most-pinned node first, ties by ascending ID — so the packed split keeps
+// a meaningful scheduling preference. Packing trades away the one-block
+// failover granularity of per-block scan splits; this is the compensating
+// move: the engine repacks a failed packed split and re-runs only the
+// blocks that were actually affected, instead of failing the task or
+// rescanning the whole split elsewhere. Returns the repacked split and the
+// number of blocks whose pin changed.
 func (s Split) Fallback(nn *hdfs.NameNode, alive func(hdfs.NodeID) bool) (Split, int) {
 	out := s
-	out.Replica = make(map[hdfs.BlockID]hdfs.NodeID, len(s.Blocks))
+	out.Pins = slices.Clone(s.Pins)
 	repinned := 0
-	for _, b := range s.Blocks {
-		n, pinned := s.Replica[b]
-		if !pinned {
+	counts := make(map[hdfs.NodeID]int)
+	for i, n := range out.Pins {
+		if n == hdfs.NoReplica {
 			continue // unpinned blocks already resolve any-replica
 		}
-		if alive(n) {
-			out.Replica[b] = n
-			continue
-		}
-		repinned++
-		for _, h := range nn.GetHosts(b) {
-			if alive(h) {
-				out.Replica[b] = h
-				break
+		if !alive(n) {
+			repinned++
+			n = hdfs.NoReplica
+			for _, h := range nn.GetHosts(s.Blocks[i]) {
+				if alive(h) {
+					n = h
+					break
+				}
 			}
+			out.Pins[i] = n
+		}
+		if n != hdfs.NoReplica {
+			counts[n]++
 		}
 	}
 	// Recompute the scheduling preference from the surviving pins.
-	counts := make(map[hdfs.NodeID]int)
-	for _, n := range out.Replica {
-		counts[n]++
-	}
 	if len(counts) > 0 {
 		nodes := make([]hdfs.NodeID, 0, len(counts))
 		for n := range counts {
@@ -206,16 +232,19 @@ func (s Split) Fallback(nn *hdfs.NameNode, alive func(hdfs.NodeID) bool) (Split,
 // them. Each system (Hadoop text scan, Hadoop++ trojan, HAIL) provides its
 // own implementation — the UDF surface the paper works through.
 type InputFormat interface {
-	// SplitsWithStats implements the job client's split phase and reports
-	// the I/O and namenode lookups that call itself performed (Hadoop++
-	// reads every block's index header at split time; HAIL and Hadoop read
+	// Splits implements the job client's split phase and reports the I/O
+	// and namenode lookups that call itself performed (Hadoop++ reads
+	// every block's index header at split time; HAIL and Hadoop read
 	// nothing, §6.4.1). Returning the stats from the call, rather than
 	// from an accumulator on the instance, is what lets one input format
-	// serve overlapping jobs.
-	SplitsWithStats(file string) ([]Split, TaskStats, error)
+	// serve overlapping jobs. cached is the engine's result-cache probe
+	// for the job: the node whose replica's output the cache holds for a
+	// block, if any. It is nil for a job the engine runs uncached, and an
+	// input format that does not plan around the cache ignores it.
+	Splits(file string, cached func(hdfs.BlockID) (hdfs.NodeID, bool)) ([]Split, TaskStats, error)
 	// Open creates the record reader for a split, executing on the given
 	// node. The engine opens every split one block at a time (the split
-	// narrowed to that block, replica pinning intact), so the reader of an
+	// narrowed to that block, its pin with it), so the reader of an
 	// n-block split must deliver exactly the n one-block readers' records,
 	// order and summed stats.
 	Open(split Split, node hdfs.NodeID) (BatchReader, error)
@@ -262,6 +291,10 @@ type CacheKey struct {
 type ResultCache interface {
 	Get(k CacheKey) ([]KV, TaskStats, bool)
 	Put(k CacheKey, kvs []KV, stats TaskStats) bool
+	// CachedReplica reports whether the cache holds the block's output
+	// for every component of k but Replica, which it ignores, and at
+	// which replica node. It is the split phase's packing probe.
+	CachedReplica(k CacheKey) (hdfs.NodeID, bool)
 }
 
 // Job describes one map-only MapReduce job.

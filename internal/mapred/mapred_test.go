@@ -29,7 +29,7 @@ type fakeInput struct {
 	opens map[hdfs.NodeID]int
 }
 
-func (f *fakeInput) SplitsWithStats(string) ([]Split, TaskStats, error) {
+func (f *fakeInput) Splits(string, func(hdfs.BlockID) (hdfs.NodeID, bool)) ([]Split, TaskStats, error) {
 	return f.splits, TaskStats{}, nil
 }
 
@@ -325,6 +325,21 @@ func (c *mapCache) Get(k CacheKey) ([]KV, TaskStats, bool) {
 	return kvs, c.s[k], ok
 }
 
+// CachedReplica is the packing probe, ignoring k.Replica; the lowest node
+// wins.
+func (c *mapCache) CachedReplica(k CacheKey) (hdfs.NodeID, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	best, found := hdfs.NoReplica, false
+	for ck := range c.m {
+		if ck.File == k.File && ck.Block == k.Block && ck.Gen == k.Gen && ck.Query == k.Query && ck.MapSig == k.MapSig &&
+			(!found || ck.Replica < best) {
+			best, found = ck.Replica, true
+		}
+	}
+	return best, found
+}
+
 func (c *mapCache) Put(k CacheKey, kvs []KV, stats TaskStats) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -398,6 +413,59 @@ func TestEngineCacheHitsSkipReads(t *testing.T) {
 	if hot.TotalStats().OutputBytes != cold.TotalStats().OutputBytes {
 		t.Errorf("OutputBytes differ: hot %d, cold %d",
 			hot.TotalStats().OutputBytes, cold.TotalStats().OutputBytes)
+	}
+}
+
+// probedInput is a fakeInput that keeps the cache probe its split phase
+// was handed.
+type probedInput struct {
+	*fakeInput
+	cached func(hdfs.BlockID) (hdfs.NodeID, bool)
+}
+
+func (p *probedInput) Splits(file string, cached func(hdfs.BlockID) (hdfs.NodeID, bool)) ([]Split, TaskStats, error) {
+	p.cached = cached
+	return p.fakeInput.Splits(file, cached)
+}
+
+// TestEngineHandsSplitsItsCacheProbe: the split phase of a cached job gets
+// a probe over the engine's own key — it finds each block at the node its
+// output was computed at, and loses it once the block's generation moves
+// on — and the split phase of an uncached job gets none.
+func TestEngineHandsSplitsItsCacheProbe(t *testing.T) {
+	c, f := buildFake(t, 4, 6, 3)
+	in := &probedInput{fakeInput: f}
+	job := &Job{Name: "probe", File: "/fake", Input: in, MapBatch: emitRaw("1"), MapSig: "raw"}
+	if _, err := (&Engine{Cluster: c, Cache: newMapCache()}).Run(job); err != nil {
+		t.Fatal(err)
+	}
+	if in.cached != nil {
+		t.Fatal("a job with no QuerySignature got a cache probe")
+	}
+
+	f.sig = "q"
+	e := &Engine{Cluster: c, Cache: newMapCache()}
+	res, err := e.Run(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, task := range res.Tasks {
+		b := task.Split.Blocks[0]
+		if n, ok := in.cached(b); !ok || n != task.Node {
+			t.Errorf("probe for block %d = %d, %v; want %d, true (computed there)", b, n, ok, task.Node)
+		}
+	}
+	c.NameNode().RegisterReplica(0, 3, hdfs.ReplicaInfo{}) // a new replica bumps block 0's generation
+	if _, ok := in.cached(0); ok {
+		t.Error("the probe found block 0 at a generation it was never cached at")
+	}
+
+	job.MapSig = ""
+	if _, err := e.Run(job); err != nil {
+		t.Fatal(err)
+	}
+	if in.cached != nil {
+		t.Error("a job with no MapSig got a cache probe")
 	}
 }
 

@@ -46,7 +46,7 @@ type fakeBlockReader struct {
 func (r *fakeBlockReader) ReadBatches(fn func(*Batch)) (TaskStats, error) {
 	f := r.input
 	var stats TaskStats
-	for _, b := range r.split.Blocks {
+	for i, b := range r.split.Blocks {
 		f.mu.Lock()
 		fail := f.failOnce[b]
 		delete(f.failOnce, b)
@@ -56,7 +56,7 @@ func (r *fakeBlockReader) ReadBatches(fn func(*Batch)) (TaskStats, error) {
 			return stats, failed
 		}
 		// A pinned replica on a dead node is unreadable.
-		if pin, ok := r.split.Replica[b]; ok {
+		if pin := r.split.Pin(i); pin != hdfs.NoReplica {
 			dn, err := f.cluster.DataNode(pin)
 			if err != nil || !dn.Alive() {
 				return stats, fmt.Errorf("block %d: pinned replica on dead node %d", b, pin)
@@ -95,7 +95,7 @@ func packedFixture(t *testing.T, nodes, blocks int, pin, backup hdfs.NodeID) (*h
 	f := &fakeBlockInput{}
 	f.cluster = c
 	f.records = make(map[hdfs.BlockID][]string)
-	split := Split{Locations: []hdfs.NodeID{pin}, Replica: make(map[hdfs.BlockID]hdfs.NodeID)}
+	split := Split{Locations: []hdfs.NodeID{pin}}
 	for b := 0; b < blocks; b++ {
 		id := hdfs.BlockID(b)
 		c.NameNode().RegisterReplica(id, pin, hdfs.ReplicaInfo{})
@@ -104,15 +104,16 @@ func packedFixture(t *testing.T, nodes, blocks int, pin, backup hdfs.NodeID) (*h
 			f.records[id] = append(f.records[id], fmt.Sprintf("b%d-r%d", b, i))
 		}
 		split.Blocks = append(split.Blocks, id)
-		split.Replica[id] = pin
+		split.Pins = append(split.Pins, pin)
 	}
 	f.splits = []Split{split}
 	return c, f
 }
 
 // TestSplitFallbackRepinsOnlyDeadPins: Split.Fallback re-resolves exactly
-// the blocks pinned to dead nodes, leaves alive pins untouched, and
-// recomputes the locations from the surviving pins.
+// the blocks pinned to dead nodes, leaves alive and absent pins untouched,
+// recomputes the locations from the surviving pins, and writes nothing
+// into the input split's Pins, which the job's other splits share.
 func TestSplitFallbackRepinsOnlyDeadPins(t *testing.T) {
 	c, err := hdfs.NewCluster(4)
 	if err != nil {
@@ -125,10 +126,14 @@ func TestSplitFallbackRepinsOnlyDeadPins(t *testing.T) {
 		nn.RegisterReplica(b, 2, hdfs.ReplicaInfo{})
 	}
 	nn.RegisterReplica(2, 3, hdfs.ReplicaInfo{})
+	nn.RegisterReplica(3, 1, hdfs.ReplicaInfo{})
+	// The job's pins array: the split carves its four, and a neighbour's
+	// pin follows them.
+	shared := []hdfs.NodeID{1, 1, 3, hdfs.NoReplica, 1}
 	split := Split{
-		Blocks:    []hdfs.BlockID{0, 1, 2},
+		Blocks:    []hdfs.BlockID{0, 1, 2, 3},
 		Locations: []hdfs.NodeID{1},
-		Replica:   map[hdfs.BlockID]hdfs.NodeID{0: 1, 1: 1, 2: 3},
+		Pins:      shared[:4:4],
 	}
 	if err := c.KillNode(1); err != nil {
 		t.Fatal(err)
@@ -141,19 +146,20 @@ func TestSplitFallbackRepinsOnlyDeadPins(t *testing.T) {
 	if repinned != 2 {
 		t.Fatalf("repinned = %d, want 2", repinned)
 	}
-	if out.Replica[0] != 2 || out.Replica[1] != 2 {
-		t.Errorf("blocks 0,1 re-pinned to %d,%d, want 2,2", out.Replica[0], out.Replica[1])
-	}
-	if out.Replica[2] != 3 {
-		t.Errorf("block 2's alive pin changed to %d", out.Replica[2])
+	if want := []hdfs.NodeID{2, 2, 3, hdfs.NoReplica}; !slices.Equal(out.Pins, want) {
+		t.Errorf("pins = %v, want %v (0,1 re-pinned, 2's alive pin kept, 3 still unpinned)", out.Pins, want)
 	}
 	// Locations: node 2 carries two pins, node 3 one.
 	if len(out.Locations) != 2 || out.Locations[0] != 2 || out.Locations[1] != 3 {
 		t.Errorf("locations = %v, want [2 3]", out.Locations)
 	}
-	// The original split is untouched (Fallback returns a copy).
-	if split.Replica[0] != 1 {
-		t.Error("Fallback mutated the original split")
+	// The original split and the array it shares are untouched: Fallback
+	// returns fresh Pins.
+	if want := []hdfs.NodeID{1, 1, 3, hdfs.NoReplica, 1}; !slices.Equal(shared, want) {
+		t.Errorf("Fallback wrote into the shared pins array: %v, was %v", shared, want)
+	}
+	if split.Pin(0) != 1 || len(split.Locations) != 1 || split.Locations[0] != 1 {
+		t.Errorf("Fallback mutated the original split: %+v", split)
 	}
 }
 
@@ -180,8 +186,8 @@ func TestPackedSplitRepackedWhenPinDies(t *testing.T) {
 		t.Errorf("rerun=%d reexecuted=%d, want 0,0 (repack precedes any read)", res.BlocksRerun, res.ReExecuted)
 	}
 	task := res.Tasks[0]
-	if task.Split.Replica[0] != 2 {
-		t.Errorf("executed split still pinned to dead node: %v", task.Split.Replica)
+	if task.Split.Pin(0) != 2 {
+		t.Errorf("executed split still pinned to dead node: %v", task.Split.Pins)
 	}
 }
 
@@ -238,7 +244,7 @@ func TestPackedCachedSplitMidSplitKill(t *testing.T) {
 	// Warm blocks 0–2 only.
 	whole := f.splits[0]
 	head := whole
-	head.Blocks = whole.Blocks[:3]
+	head.Blocks, head.Pins = whole.Blocks[:3], whole.Pins[:3]
 	f.splits = []Split{head}
 	if _, err := e.Run(job(f)); err != nil {
 		t.Fatal(err)

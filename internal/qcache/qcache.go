@@ -324,26 +324,27 @@ func (c *Cache) InvalidateBlock(b hdfs.BlockID) {
 	s.mu.Unlock()
 }
 
-// CachedReplica reports whether the cache holds the block's map output
-// for the given (generation, query signature, map identity), and at which
-// replica node — the split phase's packing probe: a fully-cached block
-// can be packed pinned at its cached replica even when no index matches
-// the query (core.InputFormat.CachedReplica). When several replicas'
-// results are resident the lowest node ID wins, keeping the packing
-// decision deterministic.
-func (c *Cache) CachedReplica(file string, b hdfs.BlockID, gen uint64, query, mapSig string) (hdfs.NodeID, bool) {
-	s := c.shard(b)
+// CachedReplica implements mapred.ResultCache: whether the cache holds
+// the block's map output for k's (file, generation, query signature, map
+// identity), whatever k.Replica says, and at which replica node. It is the
+// split phase's packing probe, which the engine builds from its own key:
+// under core.InputFormat.PackScans a fully-cached block is packed pinned
+// at its cached replica even when no index matches the query. When
+// several replicas' results are resident the lowest node ID wins, keeping
+// the packing decision deterministic.
+func (c *Cache) CachedReplica(k mapred.CacheKey) (hdfs.NodeID, bool) {
+	s := c.shard(k.Block)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var best hdfs.NodeID
 	found := false
-	for e := range s.byBlock[b] {
-		k := e.key
-		if k.File != file || k.Gen != gen || k.Query != query || k.MapSig != mapSig {
+	for e := range s.byBlock[k.Block] {
+		ek := e.key
+		if ek.File != k.File || ek.Gen != k.Gen || ek.Query != k.Query || ek.MapSig != k.MapSig {
 			continue
 		}
-		if !found || k.Replica < best {
-			best, found = k.Replica, true
+		if !found || ek.Replica < best {
+			best, found = ek.Replica, true
 		}
 	}
 	return best, found

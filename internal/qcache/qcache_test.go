@@ -290,27 +290,43 @@ func TestBlockEntriesAndInvalidation(t *testing.T) {
 }
 
 // TestCachedReplicaProbe: the split phase's packing probe finds resident
-// per-block entries by (file, block, generation, query, map identity) and
-// reports the replica deterministically (lowest node ID).
+// per-block entries by (file, block, generation, query, map identity),
+// whatever replica the probe's key names, and reports the replica
+// deterministically (lowest node ID).
 func TestCachedReplicaProbe(t *testing.T) {
 	c := New(1 << 20)
+	key := mapred.CacheKey{File: "/f", Block: 5, Gen: 3, Query: "q", MapSig: "m"}
 	put := func(b hdfs.BlockID, gen uint64, rep hdfs.NodeID) {
-		c.Put(mapred.CacheKey{File: "/f", Block: b, Gen: gen, Query: "q", MapSig: "m", Replica: rep},
-			kvs(1, "v"), mapred.TaskStats{})
+		k := key
+		k.Block, k.Gen, k.Replica = b, gen, rep
+		c.Put(k, kvs(1, "v"), mapred.TaskStats{})
 	}
 	put(5, 3, 2)
 	put(5, 3, 1)
 	put(5, 2, 0) // stale generation
-	if n, ok := c.CachedReplica("/f", 5, 3, "q", "m"); !ok || n != 1 {
-		t.Errorf("CachedReplica = %d, %v; want 1, true", n, ok)
+	probe := func(edit func(*mapred.CacheKey)) (hdfs.NodeID, bool) {
+		k := key
+		edit(&k)
+		return c.CachedReplica(k)
 	}
-	if _, ok := c.CachedReplica("/f", 5, 4, "q", "m"); ok {
+	for _, rep := range []hdfs.NodeID{0, 2, hdfs.NoReplica} {
+		if n, ok := probe(func(k *mapred.CacheKey) { k.Replica = rep }); !ok || n != 1 {
+			t.Errorf("CachedReplica with Replica %d = %d, %v; want 1, true", rep, n, ok)
+		}
+	}
+	if _, ok := probe(func(k *mapred.CacheKey) { k.Gen = 4 }); ok {
 		t.Error("probe hit at a generation never admitted")
 	}
-	if _, ok := c.CachedReplica("/f", 6, 3, "q", "m"); ok {
+	if _, ok := probe(func(k *mapred.CacheKey) { k.Block = 6 }); ok {
 		t.Error("probe hit for a block never admitted")
 	}
-	if _, ok := c.CachedReplica("/f", 5, 3, "other", "m"); ok {
+	if _, ok := probe(func(k *mapred.CacheKey) { k.Query = "other" }); ok {
 		t.Error("probe ignored the query signature")
+	}
+	if _, ok := probe(func(k *mapred.CacheKey) { k.MapSig = "other" }); ok {
+		t.Error("probe ignored the map identity")
+	}
+	if _, ok := probe(func(k *mapred.CacheKey) { k.File = "/g" }); ok {
+		t.Error("probe ignored the file")
 	}
 }

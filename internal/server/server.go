@@ -482,8 +482,8 @@ func (s *Server) runQuery(ctx context.Context, req *QueryRequest, ql *queryLog) 
 	ql.sigHash = fmt.Sprintf("%016x", sig.Sum64())
 
 	// Fresh per query: the input format (split-phase stats live on the
-	// call, but Adaptive/CachedReplica wiring is per-request) and the
-	// engine value (Cache and PostTask are per-tenant / per-request).
+	// call, but Adaptive wiring is per-request) and the engine value (Cache
+	// and PostTask are per-tenant / per-request).
 	// Shared: cluster, cache, indexer, registry.
 	input := &core.InputFormat{
 		Cluster:   s.cluster,
@@ -498,15 +498,6 @@ func (s *Server) runQuery(ctx context.Context, req *QueryRequest, ql *queryLog) 
 	}
 	if !req.NoCache {
 		engine.Cache = tenantCache{shared: s.cache, ts: ts}
-		if req.PackScans {
-			if sig, ok := input.QuerySignature(); ok {
-				nn := s.cluster.NameNode()
-				file := req.File
-				input.CachedReplica = func(b hdfs.BlockID) (hdfs.NodeID, bool) {
-					return s.cache.CachedReplica(file, b, nn.Generation(b), sig, workload.PassthroughMapSig)
-				}
-			}
-		}
 	}
 	var tap *adaptiveTap
 	adaptiveDenied := false

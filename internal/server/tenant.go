@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/hdfs"
 	"repro/internal/mapred"
 	"repro/internal/qcache"
 )
@@ -148,6 +149,10 @@ type tenantCache struct {
 
 func (c tenantCache) Get(k mapred.CacheKey) ([]mapred.KV, mapred.TaskStats, bool) {
 	return c.shared.Get(k)
+}
+
+func (c tenantCache) CachedReplica(k mapred.CacheKey) (hdfs.NodeID, bool) {
+	return c.shared.CachedReplica(k)
 }
 
 func (c tenantCache) Put(k mapred.CacheKey, kvs []mapred.KV, stats mapred.TaskStats) bool {

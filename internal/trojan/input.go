@@ -17,10 +17,11 @@ type InputFormat struct {
 	Query  *query.Query
 }
 
-// SplitsWithStats creates one split per trojan block, reading each
-// block's header (the cost HAIL avoids by keeping index metadata in the
-// namenode); the returned stats are those header reads.
-func (f *InputFormat) SplitsWithStats(file string) ([]mapred.Split, mapred.TaskStats, error) {
+// Splits creates one split per trojan block, reading each block's header
+// (the cost HAIL avoids by keeping index metadata in the namenode); the
+// returned stats are those header reads. Every split is per-block, so the
+// cache probe plans nothing.
+func (f *InputFormat) Splits(file string, _ func(hdfs.BlockID) (hdfs.NodeID, bool)) ([]mapred.Split, mapred.TaskStats, error) {
 	blocks, err := f.System.Cluster.NameNode().FileBlocks(binaryFile(file))
 	if err != nil {
 		return nil, mapred.TaskStats{}, err
