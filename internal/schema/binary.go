@@ -79,21 +79,68 @@ func AppendBinary(dst []byte, v Value) ([]byte, error) {
 // source is a substring of it and copies nothing; from a byte slice it is
 // one copy of its bytes.
 func ReadBinary[S []byte | string](t Type, b S, off int) (Value, int, error) {
-	w := t.Width()
 	if t == String {
-		w = 2
+		v, next, ok := stringAt(b, off)
+		if !ok {
+			return Value{}, 0, readError(t, next)
+		}
+		return v, next, nil
 	}
-	if w == 0 || off < 0 || len(b)-off < w {
+	w := fixedWidthAt(t, b, off)
+	if w == 0 {
 		return Value{}, 0, readError(t, off)
 	}
-	if t != String {
-		return FixedValue(t, LoadFixed(t, b[off:])), off + w, nil
+	return FixedValue(t, LoadFixed(t, b[off:])), off + w, nil
+}
+
+// ReadRow decodes a row of the schema's fields, each in its binary form,
+// back to back at b[off:], into row — one value a field, overwritten in
+// place — and returns the offset just past it. A string is one copy of its
+// bytes. It decodes what ReadBinary decodes field by field, without a call
+// a field.
+func (s *Schema) ReadRow(b []byte, off int, row Row) (int, error) {
+	for i := range row {
+		t := s.fields[i].Type
+		if t == String {
+			v, next, ok := stringAt(b, off)
+			if !ok {
+				return 0, fmt.Errorf("schema: field %d: %w", i, readError(t, next))
+			}
+			row[i], off = v, next
+			continue
+		}
+		w := fixedWidthAt(t, b, off)
+		if w == 0 {
+			return 0, fmt.Errorf("schema: field %d: %w", i, readError(t, off))
+		}
+		row[i] = FixedValue(t, LoadFixed(t, b[off:]))
+		off += w
+	}
+	return off, nil
+}
+
+// fixedWidthAt is the bounds check of the binary form's fixed-width half:
+// t's width when a value of the fixed-size type t lies whole at b[off:],
+// 0 otherwise.
+func fixedWidthAt[S []byte | string](t Type, b S, off int) int {
+	if w := t.Width(); w > 0 && off >= 0 && len(b)-off >= w {
+		return w
+	}
+	return 0
+}
+
+// stringAt is the binary form's length-prefixed half: the string at b[off:]
+// and the offset just past it. On bytes that end first it fails, returning
+// the offset of the part missing.
+func stringAt[S []byte | string](b S, off int) (Value, int, bool) {
+	if off < 0 || len(b)-off < 2 {
+		return Value{}, off, false
 	}
 	n := int(b[off]) | int(b[off+1])<<8
 	if off += 2; len(b)-off < n {
-		return Value{}, 0, readError(t, off)
+		return Value{}, off, false
 	}
-	return StringVal(string(b[off : off+n])), off + n, nil
+	return StringVal(string(b[off : off+n])), off + n, true
 }
 
 // readError is ReadBinary's failure: a type with no binary form, or bytes
