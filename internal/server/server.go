@@ -378,6 +378,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ql.tenant = req.tenant()
+	ts := s.tenants.get(ql.tenant)
 
 	waitStart := time.Now() //lint:allow wallclock the queue wait is logged per query as well as observed
 	timer := time.NewTimer(s.cfg.QueueTimeout)
@@ -387,6 +388,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	case <-timer.C:
 		ql.queueWait = time.Since(waitStart) //lint:allow wallclock logged with the refusal
 		s.reg.Counter("server.rejected").Inc()
+		ts.rejected.Add(1)
 		fail("server at capacity, retry later", http.StatusTooManyRequests)
 		return
 	case <-r.Context().Done():
@@ -396,6 +398,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	ql.queueWait = time.Since(waitStart) //lint:allow wallclock logged per query as well as observed
 	s.reg.Histogram("server.queue_wait_seconds").Observe(ql.queueWait)
+	s.reg.Histogram(ts.metrics + "queue_wait_seconds").Observe(ql.queueWait)
 	defer func() { <-s.sem }()
 
 	resp, err := s.runQuery(r.Context(), &req, &ql)
@@ -558,7 +561,7 @@ func (s *Server) runQuery(ctx context.Context, req *QueryRequest, ql *queryLog) 
 	dur := time.Since(start) //lint:allow wallclock feeds both histograms and the client-visible LatencyMS
 	s.reg.Counter("server.queries").Inc()
 	s.reg.Histogram("server.query_seconds").Observe(dur)
-	s.reg.Histogram("server.tenant." + tenant + ".query_seconds").Observe(dur)
+	s.reg.Histogram(ts.metrics + "query_seconds").Observe(dur)
 
 	resp := &QueryResponse{
 		Tenant:         tenant,
@@ -572,6 +575,8 @@ func (s *Server) runQuery(ctx context.Context, req *QueryRequest, ql *queryLog) 
 	copy(resp.Rows, rows)
 	st := res.TotalStats()
 	ql.stats, ql.latency = st, dur
+	ts.blocks.Add(int64(st.Blocks))
+	ts.blocksFromCache.Add(int64(st.BlocksFromCache))
 	resp.IndexScans = st.IndexScans
 	resp.FullScans = st.FullScans
 	resp.BlocksFromCache = st.BlocksFromCache

@@ -254,12 +254,24 @@ func TestAdmissionBackpressure429(t *testing.T) {
 	if got := s.reg.Counter("server.rejected").Value(); got != 1 {
 		t.Errorf("server.rejected = %d, want 1", got)
 	}
-	// Free a slot: the same request is admitted again.
+	// Free a slot: the same request is admitted again, twice, the second
+	// time from the cache.
 	<-s.sem
-	if _, code := postQuery(t, ts, QueryRequest{File: "/t", Query: indexedQ}); code != http.StatusOK {
-		t.Fatalf("after freeing a slot: status %d, want 200", code)
+	var blocks int
+	for i := 0; i < 2; i++ {
+		resp, code := postQuery(t, ts, QueryRequest{File: "/t", Query: indexedQ})
+		if code != http.StatusOK {
+			t.Fatalf("after freeing a slot: status %d, want 200", code)
+		}
+		blocks = resp.IndexScans + resp.FullScans + resp.BlocksFromCache
 	}
 	<-s.sem
+	// The tenant's ledger counts the refusal and the blocks its two
+	// queries read, half of them from the cache.
+	rep := tenantReports(t, ts)["default"]
+	if rep.Rejected != 1 || rep.Queries != 2 || rep.Blocks != int64(2*blocks) || rep.BlocksFromCache != int64(blocks) {
+		t.Errorf("default tenant: %+v, want 1 rejected, 2 queries, %d blocks, %d from the cache", rep, 2*blocks, blocks)
+	}
 }
 
 // TestBodyIsReadBeforeAdmission: with one slot, a client whose body stalls
@@ -376,6 +388,73 @@ func tenantReports(t *testing.T, ts *httptest.Server) map[string]TenantReport {
 		byName[rep.Tenant] = rep
 	}
 	return byName
+}
+
+// TestTenantLedgersAreBounded: a request may name any tenant, but the
+// server keeps a ledger and histograms for at most maxOtherTenants names
+// its config does not give, and charges every further one to a single
+// overflow ledger; a configured tenant keeps its own past the bound. Each
+// response keeps the name its request gave.
+func TestTenantLedgersAreBounded(t *testing.T) {
+	dir := makeFS(t, 700)
+	s := newTestServer(t, dir, Config{Tenants: map[string]TenantLimits{"named": {}}})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const extra = 5
+	names := []string{"named"}
+	for i := 0; i < maxOtherTenants+extra; i++ {
+		names = append(names, fmt.Sprintf("t%03d", i))
+	}
+	names = append(names, "named")
+	for _, name := range names {
+		resp, code := postQuery(t, ts, QueryRequest{Tenant: name, File: "/t", Query: indexedQ})
+		if code != http.StatusOK || resp.Tenant != name {
+			t.Fatalf("tenant %q: status %d, response names %q", name, code, resp.Tenant)
+		}
+	}
+
+	reports := tenantReports(t, ts)
+	if len(reports) != maxOtherTenants+2 {
+		t.Errorf("%d ledgers, want %d: %d others, the overflow and the named one", len(reports), maxOtherTenants+2, maxOtherTenants)
+	}
+	if over := reports[""]; !over.Overflow || over.Queries != extra {
+		t.Errorf("overflow ledger: %+v, want the last %d tenants' queries", over, extra)
+	}
+	if named := reports["named"]; named.Overflow || named.Queries != 2 {
+		t.Errorf("named tenant: %+v, want its own ledger with 2 queries", named)
+	}
+	if _, ok := reports[fmt.Sprintf("t%03d", maxOtherTenants)]; ok {
+		t.Error("a tenant past the bound got its own ledger")
+	}
+
+	m, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var metrics []struct {
+		Name  string `json:"name"`
+		Count int64  `json:"count"`
+	}
+	err = json.NewDecoder(m.Body).Decode(&metrics)
+	m.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hists := map[string]int{}
+	for _, met := range metrics {
+		if strings.HasPrefix(met.Name, "server.tenant") {
+			hists[met.Name[strings.LastIndexByte(met.Name, '.')+1:]]++
+		}
+		if met.Name == overflowMetrics+"query_seconds" && met.Count != extra {
+			t.Errorf("%s counts %d queries, want %d", met.Name, met.Count, extra)
+		}
+	}
+	for _, h := range []string{"query_seconds", "queue_wait_seconds"} {
+		if hists[h] != maxOtherTenants+2 {
+			t.Errorf("%d per-tenant %s histograms, want %d", hists[h], h, maxOtherTenants+2)
+		}
+	}
 }
 
 // TestPackedQueryChargesItsTenantOnce: packing changes how many tasks a

@@ -27,12 +27,19 @@ type TenantLimits struct {
 }
 
 // tenantState is the server's ledger for one tenant: configured limits
-// plus cumulative admission charges and denial counts.
+// plus cumulative admission charges, denial counts and the work its
+// queries did.
 type tenantState struct {
 	name   string
 	limits TenantLimits
+	// metrics prefixes the names of the ledger's histograms in the
+	// server's registry: "server.tenant.<name>.", or overflowMetrics.
+	metrics string
 
 	queries         atomic.Int64
+	rejected        atomic.Int64 // turned away at admission (429)
+	blocks          atomic.Int64
+	blocksFromCache atomic.Int64
 	cacheCharged    atomic.Int64
 	cacheDenied     atomic.Int64
 	adaptiveCharged atomic.Int64
@@ -67,12 +74,25 @@ func (t *tenantState) adaptiveAllowed() bool {
 	return lim <= 0 || t.adaptiveCharged.Load() < lim
 }
 
+// maxOtherTenants bounds the ledgers kept for tenants the server config
+// does not name. A request may give any tenant string, and a ledger and
+// its histograms live as long as the process, so past this many every
+// further name is charged to one overflow ledger.
+const maxOtherTenants = 64
+
+// overflowMetrics prefixes the overflow ledger's histograms. No tenant
+// name can produce it, since every ledger's prefix is "server.tenant.".
+const overflowMetrics = "server.tenant_overflow."
+
 // tenantTable creates tenant states on first use. Tenants named in the
-// server config get their configured limits; unknown tenants get the
-// default limits (typically unlimited).
+// server config get their configured limits; the first maxOtherTenants
+// others get the default limits (typically unlimited), and every one after
+// them shares the overflow ledger and its default limits.
 type tenantTable struct {
 	mu       sync.Mutex
 	tenants  map[string]*tenantState
+	others   int          // ledgers in tenants for names the config does not give
+	overflow *tenantState // nil until a name overflows; in no map, so no name reaches it
 	limits   map[string]TenantLimits
 	defaults TenantLimits
 }
@@ -85,45 +105,70 @@ func newTenantTable(limits map[string]TenantLimits, defaults TenantLimits) *tena
 	}
 }
 
+// get returns the ledger the tenant's queries are charged to.
 func (tt *tenantTable) get(name string) *tenantState {
 	tt.mu.Lock()
 	defer tt.mu.Unlock()
 	if t, ok := tt.tenants[name]; ok {
 		return t
 	}
-	lim, ok := tt.limits[name]
-	if !ok {
+	lim, named := tt.limits[name]
+	if !named {
+		if tt.others == maxOtherTenants {
+			if tt.overflow == nil {
+				tt.overflow = &tenantState{limits: tt.defaults, metrics: overflowMetrics}
+			}
+			return tt.overflow
+		}
 		lim = tt.defaults
+		tt.others++
 	}
-	t := &tenantState{name: name, limits: lim}
+	t := &tenantState{name: name, limits: lim, metrics: "server.tenant." + name + "."}
 	tt.tenants[name] = t
 	return t
 }
 
-// TenantReport is the /tenants view of one tenant's ledger.
+// TenantReport is the /tenants view of one tenant's ledger. The overflow
+// ledger, shared by the tenants past the bound on unnamed ones, reports
+// Overflow and an empty Tenant, which no request's tenant can be.
 type TenantReport struct {
-	Tenant          string `json:"tenant"`
-	Queries         int64  `json:"queries"`
-	CacheCharged    int64  `json:"cache_charged_bytes"`
-	CacheLimit      int64  `json:"cache_limit_bytes"`
-	CacheDenied     int64  `json:"cache_denied"`
-	AdaptiveCharged int64  `json:"adaptive_charged_bytes"`
-	AdaptiveLimit   int64  `json:"adaptive_limit_bytes"`
-	AdaptiveDenied  int64  `json:"adaptive_denied"`
+	Tenant   string `json:"tenant"`
+	Overflow bool   `json:"overflow,omitempty"`
+	Queries  int64  `json:"queries"`
+	// Rejected counts the queries turned away at admission (429).
+	Rejected int64 `json:"rejected"`
+	// Blocks and BlocksFromCache sum the blocks the tenant's queries read
+	// and the share of them the result cache answered: the hit ratio is
+	// their quotient.
+	Blocks          int64 `json:"blocks"`
+	BlocksFromCache int64 `json:"blocks_from_cache"`
+	CacheCharged    int64 `json:"cache_charged_bytes"`
+	CacheLimit      int64 `json:"cache_limit_bytes"`
+	CacheDenied     int64 `json:"cache_denied"`
+	AdaptiveCharged int64 `json:"adaptive_charged_bytes"`
+	AdaptiveLimit   int64 `json:"adaptive_limit_bytes"`
+	AdaptiveDenied  int64 `json:"adaptive_denied"`
 }
 
 func (tt *tenantTable) reports() []TenantReport {
 	tt.mu.Lock()
-	states := make([]*tenantState, 0, len(tt.tenants))
+	states := make([]*tenantState, 0, len(tt.tenants)+1)
 	for _, t := range tt.tenants {
 		states = append(states, t)
+	}
+	if tt.overflow != nil {
+		states = append(states, tt.overflow)
 	}
 	tt.mu.Unlock()
 	out := make([]TenantReport, 0, len(states))
 	for _, t := range states {
 		out = append(out, TenantReport{
 			Tenant:          t.name,
+			Overflow:        t.metrics == overflowMetrics,
 			Queries:         t.queries.Load(),
+			Rejected:        t.rejected.Load(),
+			Blocks:          t.blocks.Load(),
+			BlocksFromCache: t.blocksFromCache.Load(),
 			CacheCharged:    t.cacheCharged.Load(),
 			CacheLimit:      t.limits.CacheBytes,
 			CacheDenied:     t.cacheDenied.Load(),
