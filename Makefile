@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test fuzz profile-upload profile-scan bench-test bench-agree lint fmt loc
+.PHONY: build test fuzz profile-upload profile-scan bench-test bench-agree lint compat fmt loc
 
 build:
 	$(GO) build ./...
@@ -69,12 +69,22 @@ bench-agree:
 # lockgraph, goleak); see ARCHITECTURE.md "Statically enforced
 # invariants". staticcheck runs when installed — CI pins it; the offline
 # dev container may not have it.
-lint:
+lint: compat
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/hailint ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 	else echo "staticcheck not installed; skipped (CI runs it pinned)"; fi
+
+# The compatibility surface bench/ compiles against (each package's
+# compat.go, tagged Deprecated: bench/ only) stays bench/'s. staticcheck's
+# SA1019 does not report a deprecated identifier used inside its own
+# package, so the non-test files outside compat.go are searched for its
+# uses instead.
+compat:
+	@if grep -rnE --include='*.go' --exclude='*_test.go' --exclude=compat.go \
+		'\bSplitsWithStats\b|\.Replica\[|\.Output\b|\.SortBy\(|\bPassthroughMap\b|\.Each\(' internal cmd examples; \
+	then echo "the compatibility surface is used outside bench/ and compat.go (above)"; exit 1; fi
 
 fmt:
 	gofmt -w .

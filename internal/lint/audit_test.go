@@ -41,6 +41,10 @@ var auditMutations = []struct {
 	{"lockgraph_datanode", LockGraph, "a namenode lookup inside WriteBlock's datanode section",
 		"internal/hdfs/cluster.go",
 		"\t\t\tdn.packetsRecv++\n", "\t\t\tdn.packetsRecv++\n\t\t\t_ = c.nn.GetHosts(id)\n"},
+	{"lockgraph_cycle", LockGraph, "a save report read inside storeReplica's storeMu section, against Save's saveMu → storeMu",
+		"internal/hdfs/cluster.go",
+		"\tc.storeMu.RLock()\n\terr := dn.flush(b, data, sums)\n",
+		"\tc.storeMu.RLock()\n\t_ = c.LastSaveReport()\n\terr := dn.flush(b, data, sums)\n"},
 }
 
 // TestMutationAudit holds every analyzer to its keep on the real tree, not
