@@ -17,7 +17,7 @@
 //	                "adaptive","no_cache","trace","limit"}
 //	GET  /metrics  process metrics registry (JSON; ?format=text for the table)
 //	GET  /trace    retained query traces (?id=N → Chrome trace_event JSON)
-//	GET  /tenants  per-tenant budget ledgers
+//	GET  /tenants  per-tenant ledgers: budgets, charges, blocks, cache hits, 429s
 //	GET  /healthz  liveness
 //
 // Unlike hailquery (one process per query), haild keeps the cache warm
@@ -29,7 +29,10 @@
 // caps the extra replica bytes, kept by evicting the coldest adaptive
 // replicas of other columns. -tenant caps what each named tenant may admit into that shared state
 // (bytes of cache admissions / bytes of triggered adaptive builds; 0
-// means unlimited, and unlisted tenants are unlimited). -max-in-flight
+// means unlimited, and unlisted tenants are unlimited; past 64 unlisted
+// names, further ones share one overflow ledger). "pack_scans" packs
+// no-index scan blocks and, unless "no_cache", fully-cached blocks at the
+// replica the shared cache holds their output at. -max-in-flight
 // plus -queue-timeout bound concurrency: excess queries wait briefly for
 // a slot and are rejected with 429 rather than piling up. Every /query
 // reply, whatever its status, carries the query's id in an X-Query-Id

@@ -16,10 +16,11 @@
 // vectorized batch pipeline (selection-vector kernels, late
 // materialization). -splitting enables the HailSplitting policy, and
 // -pack-scans extends packing to the blocks HailSplitting leaves
-// per-block: no-index scan blocks (and, with -cache, fully-cached blocks)
-// are grouped by a preferred alive replica node into per-node splits,
-// removing the per-task dispatch bound from scan-heavy and fully-cached
-// jobs. Packed splits keep failover correctness: when a pinned node dies
+// per-block: no-index scan blocks (and, with -cache, fully-cached blocks,
+// pinned at the replica the cache holds their output at — the engine
+// hands the split phase its cache probe) are grouped by a preferred alive
+// replica node into per-node splits, removing the per-task dispatch bound
+// from scan-heavy and fully-cached jobs. Packed splits keep failover correctness: when a pinned node dies
 // mid-job, the engine re-resolves only the affected blocks' replicas via
 // the namenode instead of rescanning the split wholesale.
 //

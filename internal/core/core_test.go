@@ -771,7 +771,12 @@ func TestBlockAtATimeMatchesWholeSplitRead(t *testing.T) {
 				var got []string
 				var gotStats mapred.TaskStats
 				for i := range split.Blocks {
-					rows, stats := read(tc.input.Open(split.Narrow(i), node))
+					one := split
+					one.Blocks = split.Blocks[i : i+1 : i+1]
+					if split.Pins != nil {
+						one.Pins = split.Pins[i : i+1 : i+1]
+					}
+					rows, stats := read(tc.input.Open(one, node))
 					got = append(got, rows...)
 					gotStats.Add(stats)
 				}

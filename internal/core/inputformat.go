@@ -44,32 +44,28 @@ type InputFormat struct {
 	// HAIL behaviour.
 	Adaptive AdaptiveObserver
 	// PackScans extends packing to the blocks §4.3 leaves per-block:
-	// blocks with no usable index — and, for a job the engine runs
-	// cached, blocks whose map output the result cache already holds — are
-	// grouped by a preferred alive replica node and packed into
-	// SplitsPerNode splits per node, exactly the HailSplitting shape. A
-	// fully-cached block is packed pinned at the replica the cache holds
-	// its output at, found through the probe the engine passes Splits,
-	// even when its only claim to packing is that its work is already
-	// done. This removes the per-task dispatch bound from adaptive job 1
-	// (nothing indexed yet) and from fully-cached hot jobs (~zero map work
-	// per block). Packing trades away the one-block failover granularity
-	// of per-block scan splits; the engine compensates by repacking a
-	// failed packed split and re-executing only the affected blocks
-	// (mapred.Split.Fallback).
+	// blocks with no usable index — and, when the engine runs the job
+	// cached, blocks whose map output the result cache already holds,
+	// pinned at the replica its probe names — are grouped by a preferred
+	// alive replica node and packed into SplitsPerNode splits per node,
+	// exactly the HailSplitting shape. This removes the per-task dispatch
+	// bound from adaptive job 1 (nothing indexed yet) and from fully-cached
+	// hot jobs (~zero map work per block). Packing trades away the
+	// one-block failover granularity of per-block scan splits; the engine
+	// compensates by repacking a failed packed split and re-executing only
+	// the affected blocks (mapred.Split.Fallback).
 	PackScans bool
 }
 
 // splitPlanner carries one Splits call's state: the namenode lookup
-// counter, the engine's cache probe and the job's arrays the splits are
-// carved from. Every call gets a fresh planner, which is what makes a
-// single InputFormat shareable across concurrent jobs: the split phase
-// itself is pure directory reads, and what it accumulates lives here
-// instead of on the shared struct.
+// counter and the job's arrays the splits are carved from. Every call gets
+// a fresh planner, which is what makes a single InputFormat shareable
+// across concurrent jobs: the split phase itself is pure directory reads,
+// and what it accumulates lives here instead of on the shared struct.
 type splitPlanner struct {
 	*InputFormat
 	nnOps   int64
-	cached  func(hdfs.BlockID) (hdfs.NodeID, bool) // nil: the job runs uncached
+	cached  func(hdfs.BlockID) (hdfs.NodeID, bool) // the engine's cache probe; nil: uncached
 	nblocks int                                    // the job's blocks
 	hosts   []hdfs.NodeID                          // the splits' Locations, back to back
 	pins    []hdfs.NodeID                          // the splits' Pins, back to back
@@ -81,19 +77,17 @@ func (f *splitPlanner) carve(from int) []hdfs.NodeID {
 	return f.hosts[from:len(f.hosts):len(f.hosts)]
 }
 
-// pin appends one block's preferred replica to the job's pins array,
-// made on first use with room for every block, so that a scan job
-// allocates none.
-func (f *splitPlanner) pin(n hdfs.NodeID) {
+// pin returns k blocks' pins to node n as one split's Pins, carved from the
+// job's pins array; that is made on the first pin, with room for every
+// block, so a scan job allocates none.
+func (f *splitPlanner) pin(n hdfs.NodeID, k int) []hdfs.NodeID {
 	if f.pins == nil {
 		f.pins = make([]hdfs.NodeID, 0, f.nblocks)
 	}
-	f.pins = append(f.pins, n)
-}
-
-// carvePins is carve for the pins: the pins appended since from as one
-// split's Pins, aligned with its Blocks.
-func (f *splitPlanner) carvePins(from int) []hdfs.NodeID {
+	from := len(f.pins)
+	for range k {
+		f.pins = append(f.pins, n)
+	}
 	return f.pins[from:len(f.pins):len(f.pins)]
 }
 
@@ -213,9 +207,8 @@ func (f *splitPlanner) partitionByIndex(blocks []hdfs.BlockID, col int) (indexed
 
 // Splits implements the split phase (§4.3) and returns that call's own
 // stats. All mutable split-phase state lives on a per-call planner, so one
-// InputFormat value may serve any number of concurrent jobs. cached is the
-// engine's result-cache probe, consulted under PackScans; nil for a job
-// the engine runs uncached.
+// InputFormat value may serve any number of concurrent jobs. PackScans
+// consults cached, the engine's result-cache probe.
 //
 // HAIL's split phase needs no block-header reads — all index information
 // lives in the namenode's Dir_rep (§6.4.1: HAIL "does not have to read any
@@ -417,12 +410,10 @@ func (f *splitPlanner) perBlockIndexSplits(blocks []hdfs.BlockID, col int) []map
 			})
 			continue
 		}
-		from := len(f.pins)
-		f.pin(hosts[0])
 		splits = append(splits, mapred.Split{
 			Blocks:    blocks[i : i+1 : i+1],
 			Locations: hosts,
-			Pins:      f.carvePins(from),
+			Pins:      f.pin(hosts[0], 1),
 		})
 	}
 	if len(packable) > 0 {
@@ -455,12 +446,10 @@ func (f *splitPlanner) packGroups(groups map[hdfs.NodeID][]hdfs.BlockID) []mapre
 		}
 		for s := 0; s < nSplits; s++ {
 			split := mapred.Split{Locations: []hdfs.NodeID{n}}
-			from := len(f.pins)
 			for i := s; i < len(bs); i += nSplits {
 				split.Blocks = append(split.Blocks, bs[i])
-				f.pin(n)
 			}
-			split.Pins = f.carvePins(from)
+			split.Pins = f.pin(n, len(split.Blocks))
 			splits = append(splits, split)
 		}
 	}

@@ -166,7 +166,7 @@ func (e *Engine) cacheContext(job *Job) *cacheContext {
 }
 
 // blockKey is block b's cache key at its current generation, with no
-// replica: the one place the job's key material is assembled.
+// replica: the one place the job's key is assembled.
 func (cc *cacheContext) blockKey(b hdfs.BlockID) CacheKey {
 	return CacheKey{
 		File: cc.file, Block: b, Gen: cc.nn.Generation(b),
@@ -187,10 +187,14 @@ func (cc *cacheContext) key(split Split, i int, runOn hdfs.NodeID) CacheKey {
 	return k
 }
 
-// cached is the split phase's packing probe: the replica node the cache
-// holds block b's output at for this job, if any.
-func (cc *cacheContext) cached(b hdfs.BlockID) (hdfs.NodeID, bool) {
-	return cc.cache.CachedReplica(cc.blockKey(b))
+// probe is the split phase's packing probe for the job: the replica node
+// the cache holds a block's output at, if any. nil when the job runs
+// uncached.
+func (cc *cacheContext) probe() func(hdfs.BlockID) (hdfs.NodeID, bool) {
+	if cc == nil {
+		return nil
+	}
+	return func(b hdfs.BlockID) (hdfs.NodeID, bool) { return cc.cache.CachedReplica(cc.blockKey(b)) }
 }
 
 // Stream executes the job — the split phase, then the map phase with
@@ -244,15 +248,10 @@ func (e *Engine) run(ctx context.Context, job *Job, deliver func(res *JobResult,
 	runSpan.SetStr("job", job.Name)
 	m := e.metrics()
 
-	// The cache context comes first: the split phase plans around what the
-	// cache already holds.
+	// The split phase plans around what the cache already holds.
 	cc := e.cacheContext(job)
-	var cached func(hdfs.BlockID) (hdfs.NodeID, bool)
-	if cc != nil {
-		cached = cc.cached
-	}
 	planSpan := tr.StartSpan("plan", "phase", 0, runSpan)
-	splits, splitStats, err := job.Input.Splits(job.File, cached)
+	splits, splitStats, err := job.Input.Splits(job.File, cc.probe())
 	if err != nil {
 		planSpan.End()
 		return nil, fmt.Errorf("mapred: split phase for %q: %v", job.Name, err)
@@ -583,7 +582,12 @@ func (e *Engine) runTask(ctx context.Context, job *Job, cc *cacheContext, bm *bl
 			clear(*kvs) // a failed attempt's partial output, past any shorter retry's
 			*kvs = (*kvs)[:0]
 			bm.kvs = kvs
-			rr, err := job.Input.Open(split.Narrow(pos), runOn)
+			block := split
+			block.Blocks = split.Blocks[pos : pos+1 : pos+1]
+			if split.Pins != nil {
+				block.Pins = split.Pins[pos : pos+1 : pos+1]
+			}
+			rr, err := job.Input.Open(block, runOn)
 			var bstats TaskStats
 			if err == nil {
 				bstats, err = rr.ReadBatches(bm.consume)
@@ -610,14 +614,11 @@ func (e *Engine) runTask(ctx context.Context, job *Job, cc *cacheContext, bm *bl
 		// whether mid-task or between the split phase and now — re-resolve
 		// the affected blocks' replicas via the namenode instead of
 		// retrying against a pin that can never be read again.
-		if e.deadPins(split) > 0 {
-			var repinned int
-			split, repinned = split.Fallback(e.Cluster.NameNode(), e.nodeAlive)
-			if repinned > 0 {
-				repacks++
-				tr.Instant("repack", "task", taskID+1, tsp)
-				tr.Count("engine.blocks_repinned", int64(repinned))
-			}
+		var repinned int
+		if split, repinned = split.Fallback(e.Cluster.NameNode(), e.nodeAlive); repinned > 0 {
+			repacks++
+			tr.Instant("repack", "task", taskID+1, tsp)
+			tr.Count("engine.blocks_repinned", int64(repinned))
 		}
 		if runOn = node; !e.nodeAlive(runOn) {
 			if runOn = e.pickAliveFallback(split); runOn == -1 {
@@ -703,17 +704,6 @@ func (e *Engine) hook(taskID int, name string, node hdfs.NodeID, fn func()) (err
 func (e *Engine) nodeAlive(n hdfs.NodeID) bool {
 	dn, err := e.Cluster.DataNode(n)
 	return err == nil && dn.Alive()
-}
-
-// deadPins counts the split's blocks whose pinned replica node is dead.
-func (e *Engine) deadPins(split Split) int {
-	n := 0
-	for _, node := range split.Pins {
-		if node != hdfs.NoReplica && !e.nodeAlive(node) {
-			n++
-		}
-	}
-	return n
 }
 
 func (e *Engine) pickAliveFallback(split Split) hdfs.NodeID {

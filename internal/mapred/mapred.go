@@ -29,8 +29,9 @@
 package mapred
 
 import (
+	"cmp"
+	"maps"
 	"slices"
-	"sort"
 
 	"repro/internal/hdfs"
 	"repro/internal/obs"
@@ -126,23 +127,20 @@ type Split struct {
 	// first (for HAIL: nodes holding the replica with the matching index,
 	// via getHostsWithIndex).
 	Locations []hdfs.NodeID
-	// Pins holds each block's preferred replica node, aligned by index
-	// with Blocks: a reader opens Pins[i] first, for the replica with the
-	// right clustered index or the one the result cache holds the block's
-	// output at. hdfs.NoReplica marks a block any replica will do for, and
-	// a split with no pinned block (a scan split) has nil Pins. The splits
-	// of one job carve their Pins out of one array, so nothing writes to
-	// them once the split phase has returned.
+	// Pins holds each block's preferred replica node, aligned with Blocks:
+	// the replica with the matching clustered index, or the one the result
+	// cache holds the block's output at. hdfs.NoReplica marks an unpinned
+	// block, and a scan split has nil Pins. A job's splits carve their Pins
+	// out of one array, which nothing writes once the split phase returns.
 	Pins []hdfs.NodeID
-	// Replica maps each pinned block to its Pins entry. Nothing in the
-	// engine or the readers reads it.
+	// Replica maps each pinned block to its pin. Only core's compatibility
+	// SplitsWithStats fills it; the engine and the readers read Pins.
 	//
 	// Deprecated: bench/ only.
 	Replica map[hdfs.BlockID]hdfs.NodeID
 }
 
-// Pin returns the preferred replica node of the split's i-th block, or
-// hdfs.NoReplica when the block is unpinned.
+// Pin returns the pin of the split's i-th block, hdfs.NoReplica if none.
 func (s Split) Pin(i int) hdfs.NodeID {
 	if s.Pins == nil {
 		return hdfs.NoReplica
@@ -150,48 +148,37 @@ func (s Split) Pin(i int) hdfs.NodeID {
 	return s.Pins[i]
 }
 
-// Narrow returns the split narrowed to its i-th block, the block's pin
-// with it: the split the engine opens a reader on.
-func (s Split) Narrow(i int) Split {
-	s.Blocks = s.Blocks[i : i+1 : i+1]
-	if s.Pins != nil {
-		s.Pins = s.Pins[i : i+1 : i+1]
-	}
-	return s
-}
-
 // Fallback re-resolves the split's replica pinning against the namenode
 // after a node loss: every block whose pinned node fails the alive
 // predicate is re-pinned, per block, to the block's first alive replica
 // holder (registration order, the pipeline's locality preference); a
 // block with no alive holder loses its pin (hdfs.NoReplica) so the reader
-// degrades to any-replica resolution. The repacked split's Pins are a
-// fresh slice: the input split's, shared with the job's other splits, are
-// never written. Locations are recomputed from the surviving pins —
-// most-pinned node first, ties by ascending ID — so the packed split keeps
-// a meaningful scheduling preference. Packing trades away the one-block
-// failover granularity of per-block scan splits; this is the compensating
-// move: the engine repacks a failed packed split and re-runs only the
-// blocks that were actually affected, instead of failing the task or
-// rescanning the whole split elsewhere. Returns the repacked split and the
-// number of blocks whose pin changed.
+// degrades to any-replica resolution. The repacked split gets fresh Pins,
+// so the array the job's splits share is never written. Locations are
+// recomputed from the surviving pins — most-pinned node first, ties by
+// ascending ID — so the packed split keeps a meaningful scheduling
+// preference. Packing trades away the one-block failover granularity of
+// per-block scan splits; this is the compensating move: the engine
+// repacks a failed packed split and re-runs only the blocks that were
+// actually affected, instead of failing the task or rescanning the whole
+// split elsewhere. Returns the repacked split and the number of blocks
+// whose pin changed; a split with no dead pin comes back as it is.
 func (s Split) Fallback(nn *hdfs.NameNode, alive func(hdfs.NodeID) bool) (Split, int) {
+	dead := func(n hdfs.NodeID) bool { return n != hdfs.NoReplica && !alive(n) }
+	if !slices.ContainsFunc(s.Pins, dead) {
+		return s, 0
+	}
 	out := s
 	out.Pins = slices.Clone(s.Pins)
 	repinned := 0
 	counts := make(map[hdfs.NodeID]int)
 	for i, n := range out.Pins {
-		if n == hdfs.NoReplica {
-			continue // unpinned blocks already resolve any-replica
-		}
-		if !alive(n) {
+		if dead(n) {
 			repinned++
+			hosts := nn.GetHosts(s.Blocks[i])
 			n = hdfs.NoReplica
-			for _, h := range nn.GetHosts(s.Blocks[i]) {
-				if alive(h) {
-					n = h
-					break
-				}
+			if j := slices.IndexFunc(hosts, alive); j >= 0 {
+				n = hosts[j]
 			}
 			out.Pins[i] = n
 		}
@@ -199,30 +186,15 @@ func (s Split) Fallback(nn *hdfs.NameNode, alive func(hdfs.NodeID) bool) (Split,
 			counts[n]++
 		}
 	}
-	// Recompute the scheduling preference from the surviving pins.
 	if len(counts) > 0 {
-		nodes := make([]hdfs.NodeID, 0, len(counts))
-		for n := range counts {
-			nodes = append(nodes, n)
-		}
-		sort.Slice(nodes, func(i, j int) bool {
-			if counts[nodes[i]] != counts[nodes[j]] {
-				return counts[nodes[i]] > counts[nodes[j]]
-			}
-			return nodes[i] < nodes[j]
+		out.Locations = slices.SortedFunc(maps.Keys(counts), func(a, b hdfs.NodeID) int {
+			return cmp.Or(counts[b]-counts[a], cmp.Compare(a, b))
 		})
-		out.Locations = nodes
 		return out, repinned
 	}
 	// No pins survive: keep the alive subset of the old locations (the
 	// scheduler falls back to availability-only when none is left).
-	var locs []hdfs.NodeID
-	for _, n := range s.Locations {
-		if alive(n) {
-			locs = append(locs, n)
-		}
-	}
-	if len(locs) > 0 {
+	if locs := slices.DeleteFunc(slices.Clone(s.Locations), func(n hdfs.NodeID) bool { return !alive(n) }); len(locs) > 0 {
 		out.Locations = locs
 	}
 	return out, repinned

@@ -86,42 +86,33 @@ func ReadBinary[S []byte | string](t Type, b S, off int) (Value, int, error) {
 		}
 		return v, next, nil
 	}
-	w := fixedWidthAt(t, b, off)
-	if w == 0 {
-		return Value{}, 0, readError(t, off)
+	if w := fixedWidthAt(t, b, off); w > 0 {
+		return FixedValue(t, LoadFixed(t, b[off:])), off + w, nil
 	}
-	return FixedValue(t, LoadFixed(t, b[off:])), off + w, nil
+	return Value{}, 0, readError(t, off)
 }
 
-// ReadRow decodes a row of the schema's fields, each in its binary form,
-// back to back at b[off:], into row — one value a field, overwritten in
-// place — and returns the offset just past it. A string is one copy of its
-// bytes. It decodes what ReadBinary decodes field by field, without a call
-// a field.
+// ReadRow is ReadBinary over the schema's fields, back to back at b[off:],
+// into row in place: it returns the offset past the row, and leaves a row
+// that fails to decode partly overwritten.
 func (s *Schema) ReadRow(b []byte, off int, row Row) (int, error) {
 	for i := range row {
-		t := s.fields[i].Type
+		t, next, ok := s.fields[i].Type, off, false
 		if t == String {
-			v, next, ok := stringAt(b, off)
-			if !ok {
-				return 0, fmt.Errorf("schema: field %d: %w", i, readError(t, next))
-			}
-			row[i], off = v, next
-			continue
+			row[i], next, ok = stringAt(b, off)
+		} else if w := fixedWidthAt(t, b, off); w > 0 {
+			row[i], next, ok = FixedValue(t, LoadFixed(t, b[off:])), off+w, true
 		}
-		w := fixedWidthAt(t, b, off)
-		if w == 0 {
-			return 0, fmt.Errorf("schema: field %d: %w", i, readError(t, off))
+		if !ok {
+			return 0, fmt.Errorf("schema: field %d: %w", i, readError(t, next))
 		}
-		row[i] = FixedValue(t, LoadFixed(t, b[off:]))
-		off += w
+		off = next
 	}
 	return off, nil
 }
 
 // fixedWidthAt is the bounds check of the binary form's fixed-width half:
-// t's width when a value of the fixed-size type t lies whole at b[off:],
-// 0 otherwise.
+// the width of the fixed-size type t if a value lies whole at b[off:], else 0.
 func fixedWidthAt[S []byte | string](t Type, b S, off int) int {
 	if w := t.Width(); w > 0 && off >= 0 && len(b)-off >= w {
 		return w
@@ -130,8 +121,7 @@ func fixedWidthAt[S []byte | string](t Type, b S, off int) int {
 }
 
 // stringAt is the binary form's length-prefixed half: the string at b[off:]
-// and the offset just past it. On bytes that end first it fails, returning
-// the offset of the part missing.
+// and the offset past it, or false and where the bytes ran out.
 func stringAt[S []byte | string](b S, off int) (Value, int, bool) {
 	if off < 0 || len(b)-off < 2 {
 		return Value{}, off, false

@@ -500,7 +500,7 @@ func (s *Server) runQuery(ctx context.Context, req *QueryRequest, ql *queryLog) 
 		Obs:         s.reg,
 	}
 	if !req.NoCache {
-		engine.Cache = tenantCache{shared: s.cache, ts: ts}
+		engine.Cache = tenantCache{Cache: s.cache, ts: ts}
 	}
 	var tap *adaptiveTap
 	adaptiveDenied := false

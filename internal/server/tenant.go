@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/hdfs"
 	"repro/internal/mapred"
 	"repro/internal/qcache"
 )
@@ -28,13 +27,11 @@ type TenantLimits struct {
 
 // tenantState is the server's ledger for one tenant: configured limits
 // plus cumulative admission charges, denial counts and the work its
-// queries did.
+// queries did. metrics prefixes its histograms' names.
 type tenantState struct {
-	name   string
-	limits TenantLimits
-	// metrics prefixes the names of the ledger's histograms in the
-	// server's registry: "server.tenant.<name>.", or overflowMetrics.
-	metrics string
+	name    string
+	limits  TenantLimits
+	metrics string // "server.tenant.<name>.", or overflowMetrics
 
 	queries         atomic.Int64
 	rejected        atomic.Int64 // turned away at admission (429)
@@ -74,15 +71,14 @@ func (t *tenantState) adaptiveAllowed() bool {
 	return lim <= 0 || t.adaptiveCharged.Load() < lim
 }
 
-// maxOtherTenants bounds the ledgers kept for tenants the server config
-// does not name. A request may give any tenant string, and a ledger and
-// its histograms live as long as the process, so past this many every
-// further name is charged to one overflow ledger.
-const maxOtherTenants = 64
-
-// overflowMetrics prefixes the overflow ledger's histograms. No tenant
-// name can produce it, since every ledger's prefix is "server.tenant.".
-const overflowMetrics = "server.tenant_overflow."
+// A request may give any tenant string, and a ledger and its histograms
+// live as long as the process, so past maxOtherTenants names the config
+// does not give, every further one is charged to one overflow ledger. No
+// tenant name can produce its histograms' prefix.
+const (
+	maxOtherTenants = 64
+	overflowMetrics = "server.tenant_overflow."
+)
 
 // tenantTable creates tenant states on first use. Tenants named in the
 // server config get their configured limits; the first maxOtherTenants
@@ -91,8 +87,8 @@ const overflowMetrics = "server.tenant_overflow."
 type tenantTable struct {
 	mu       sync.Mutex
 	tenants  map[string]*tenantState
-	others   int          // ledgers in tenants for names the config does not give
-	overflow *tenantState // nil until a name overflows; in no map, so no name reaches it
+	others   int          // ledgers for names the config does not give
+	overflow *tenantState // made on the first overflow; no name maps to it
 	limits   map[string]TenantLimits
 	defaults TenantLimits
 }
@@ -128,26 +124,22 @@ func (tt *tenantTable) get(name string) *tenantState {
 	return t
 }
 
-// TenantReport is the /tenants view of one tenant's ledger. The overflow
-// ledger, shared by the tenants past the bound on unnamed ones, reports
-// Overflow and an empty Tenant, which no request's tenant can be.
+// TenantReport is the /tenants view of one tenant's ledger; the overflow
+// ledger's has Overflow and an empty Tenant. Rejected counts 429s, and
+// BlocksFromCache / Blocks is the tenant's cache hit ratio.
 type TenantReport struct {
-	Tenant   string `json:"tenant"`
-	Overflow bool   `json:"overflow,omitempty"`
-	Queries  int64  `json:"queries"`
-	// Rejected counts the queries turned away at admission (429).
-	Rejected int64 `json:"rejected"`
-	// Blocks and BlocksFromCache sum the blocks the tenant's queries read
-	// and the share of them the result cache answered: the hit ratio is
-	// their quotient.
-	Blocks          int64 `json:"blocks"`
-	BlocksFromCache int64 `json:"blocks_from_cache"`
-	CacheCharged    int64 `json:"cache_charged_bytes"`
-	CacheLimit      int64 `json:"cache_limit_bytes"`
-	CacheDenied     int64 `json:"cache_denied"`
-	AdaptiveCharged int64 `json:"adaptive_charged_bytes"`
-	AdaptiveLimit   int64 `json:"adaptive_limit_bytes"`
-	AdaptiveDenied  int64 `json:"adaptive_denied"`
+	Tenant          string `json:"tenant"`
+	Overflow        bool   `json:"overflow,omitempty"`
+	Queries         int64  `json:"queries"`
+	Rejected        int64  `json:"rejected"`
+	Blocks          int64  `json:"blocks"`
+	BlocksFromCache int64  `json:"blocks_from_cache"`
+	CacheCharged    int64  `json:"cache_charged_bytes"`
+	CacheLimit      int64  `json:"cache_limit_bytes"`
+	CacheDenied     int64  `json:"cache_denied"`
+	AdaptiveCharged int64  `json:"adaptive_charged_bytes"`
+	AdaptiveLimit   int64  `json:"adaptive_limit_bytes"`
+	AdaptiveDenied  int64  `json:"adaptive_denied"`
 }
 
 func (tt *tenantTable) reports() []TenantReport {
@@ -182,22 +174,14 @@ func (tt *tenantTable) reports() []TenantReport {
 }
 
 // tenantCache is the per-query view of the shared result cache through
-// one tenant's admission ledger: reads delegate straight to the shared
-// cache (a hit is a hit no matter who warmed it), writes are charged
-// against the tenant's CacheBytes allowance and silently dropped once it
-// is exhausted — the tenant's queries still run, they just stop warming
-// the shared cache at everyone else's expense.
+// one tenant's admission ledger: reads and the packing probe go straight
+// to the shared cache (a hit is a hit no matter who warmed it), writes are
+// charged against the tenant's CacheBytes allowance and silently dropped
+// once it is exhausted — the tenant's queries still run, they just stop
+// warming the shared cache at everyone else's expense.
 type tenantCache struct {
-	shared *qcache.Cache
-	ts     *tenantState
-}
-
-func (c tenantCache) Get(k mapred.CacheKey) ([]mapred.KV, mapred.TaskStats, bool) {
-	return c.shared.Get(k)
-}
-
-func (c tenantCache) CachedReplica(k mapred.CacheKey) (hdfs.NodeID, bool) {
-	return c.shared.CachedReplica(k)
+	*qcache.Cache
+	ts *tenantState
 }
 
 func (c tenantCache) Put(k mapred.CacheKey, kvs []mapred.KV, stats mapred.TaskStats) bool {
@@ -205,7 +189,7 @@ func (c tenantCache) Put(k mapred.CacheKey, kvs []mapred.KV, stats mapred.TaskSt
 	if !c.ts.admitCache(cost) {
 		return false
 	}
-	if !c.shared.Put(k, kvs, stats) {
+	if !c.Cache.Put(k, kvs, stats) {
 		// The cache refused it (larger than the whole budget): nothing
 		// became resident, so nothing is charged.
 		c.ts.cacheCharged.Add(-cost)

@@ -1,6 +1,7 @@
 package trojan
 
 import (
+	"repro/internal/hadoop"
 	"repro/internal/hdfs"
 	"repro/internal/mapred"
 	"repro/internal/query"
@@ -17,20 +18,18 @@ type InputFormat struct {
 	Query  *query.Query
 }
 
-// Splits creates one split per trojan block, reading each block's header
-// (the cost HAIL avoids by keeping index metadata in the namenode); the
-// returned stats are those header reads. Every split is per-block, so the
-// cache probe plans nothing.
+// Splits creates Hadoop's one split per block over the trojan blocks, and
+// reads each block's header (the cost HAIL avoids by keeping index
+// metadata in the namenode); the returned stats are those header reads.
+// The cache probe plans nothing.
 func (f *InputFormat) Splits(file string, _ func(hdfs.BlockID) (hdfs.NodeID, bool)) ([]mapred.Split, mapred.TaskStats, error) {
-	blocks, err := f.System.Cluster.NameNode().FileBlocks(binaryFile(file))
+	splits, stats, err := (&hadoop.TextInputFormat{Cluster: f.System.Cluster}).Splits(binaryFile(file), nil)
 	if err != nil {
-		return nil, mapred.TaskStats{}, err
+		return nil, stats, err
 	}
-	var stats mapred.TaskStats
-	splits := make([]mapred.Split, 0, len(blocks))
-	for _, b := range blocks {
+	for _, s := range splits {
 		// Header read: one seek plus a few hundred bytes per block.
-		data, _, err := f.System.Cluster.ReadBlock(b, 0)
+		data, _, err := f.System.Cluster.ReadBlock(s.Blocks[0], 0)
 		if err != nil {
 			return nil, mapred.TaskStats{}, err
 		}
@@ -40,10 +39,6 @@ func (f *InputFormat) Splits(file string, _ func(hdfs.BlockID) (hdfs.NodeID, boo
 		}
 		stats.Seeks++
 		stats.BytesRead += int64(r.HeaderBytes())
-		splits = append(splits, mapred.Split{
-			Blocks:    []hdfs.BlockID{b},
-			Locations: f.System.Cluster.NameNode().GetHosts(b),
-		})
 	}
 	return splits, stats, nil
 }
