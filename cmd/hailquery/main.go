@@ -20,9 +20,10 @@
 // pinned at the replica the cache holds their output at — the engine
 // hands the split phase its cache probe) are grouped by a preferred alive
 // replica node into per-node splits, removing the per-task dispatch bound
-// from scan-heavy and fully-cached jobs. Packed splits keep failover correctness: when a pinned node dies
-// mid-job, the engine re-resolves only the affected blocks' replicas via
-// the namenode instead of rescanning the split wholesale.
+// from scan-heavy and fully-cached jobs. Packed splits keep failover
+// correctness: when a pinned node dies mid-job, the engine re-resolves
+// only the affected blocks' replicas via the namenode instead of
+// rescanning the split wholesale.
 //
 // -adaptive enables query-time adaptive indexing: when no replica of a
 // block is indexed on the filter attribute, up to -offer-rate of those

@@ -14,17 +14,21 @@ import (
 // Deprecated: bench/ only.
 func (f *InputFormat) SplitsWithStats(file string) ([]mapred.Split, mapred.TaskStats, error) {
 	splits, st, err := f.Splits(file, nil)
-	pins := make(map[hdfs.BlockID]hdfs.NodeID)
+	var pins map[hdfs.BlockID]hdfs.NodeID
 	for i, s := range splits {
+		if s.Pins == nil {
+			continue
+		}
+		if pins == nil {
+			pins = make(map[hdfs.BlockID]hdfs.NodeID, len(splits))
+		}
 		for j, n := range s.Pins {
 			if n != hdfs.NoReplica {
 				pins[s.Blocks[j]] = n
 			}
 		}
-		if s.Pins != nil {
-			//lint:ignore SA1019 the compatibility form bench/ reads
-			splits[i].Replica = pins
-		}
+		//lint:ignore SA1019 the compatibility form bench/ reads
+		splits[i].Replica = pins
 	}
 	return splits, st, err
 }

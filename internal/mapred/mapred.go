@@ -133,8 +133,8 @@ type Split struct {
 	// block, and a scan split has nil Pins. A job's splits carve their Pins
 	// out of one array, which nothing writes once the split phase returns.
 	Pins []hdfs.NodeID
-	// Replica maps each pinned block to its pin. Only core's compatibility
-	// SplitsWithStats fills it; the engine and the readers read Pins.
+	// Replica maps each pinned block to its pin. Only core's compat.go
+	// fills it; the engine and the readers read Pins.
 	//
 	// Deprecated: bench/ only.
 	Replica map[hdfs.BlockID]hdfs.NodeID
@@ -209,10 +209,8 @@ type InputFormat interface {
 	// every block's index header at split time; HAIL and Hadoop read
 	// nothing, §6.4.1). Returning the stats from the call, rather than
 	// from an accumulator on the instance, is what lets one input format
-	// serve overlapping jobs. cached is the engine's result-cache probe
-	// for the job: the node whose replica's output the cache holds for a
-	// block, if any. It is nil for a job the engine runs uncached, and an
-	// input format that does not plan around the cache ignores it.
+	// serve overlapping jobs. cached is the engine's cache probe for the
+	// job (ResultCache.CachedReplica), nil when the job runs uncached.
 	Splits(file string, cached func(hdfs.BlockID) (hdfs.NodeID, bool)) ([]Split, TaskStats, error)
 	// Open creates the record reader for a split, executing on the given
 	// node. The engine opens every split one block at a time (the split
@@ -263,9 +261,8 @@ type CacheKey struct {
 type ResultCache interface {
 	Get(k CacheKey) ([]KV, TaskStats, bool)
 	Put(k CacheKey, kvs []KV, stats TaskStats) bool
-	// CachedReplica reports whether the cache holds the block's output
-	// for every component of k but Replica, which it ignores, and at
-	// which replica node. It is the split phase's packing probe.
+	// CachedReplica is the split phase's packing probe: the replica node
+	// the cache holds k's block output at, matching k but its Replica.
 	CachedReplica(k CacheKey) (hdfs.NodeID, bool)
 }
 

@@ -93,8 +93,8 @@ func ReadBinary[S []byte | string](t Type, b S, off int) (Value, int, error) {
 }
 
 // ReadRow is ReadBinary over the schema's fields, back to back at b[off:],
-// into row in place: it returns the offset past the row, and leaves a row
-// that fails to decode partly overwritten.
+// into row — one value a field — in place: it returns the offset past the
+// row, and leaves a row that fails to decode partly overwritten.
 func (s *Schema) ReadRow(b []byte, off int, row Row) (int, error) {
 	for i := range row {
 		t, next, ok := s.fields[i].Type, off, false
