@@ -52,7 +52,7 @@ func TestList(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("-list exited %d", code)
 	}
-	want := []string{"genbump", "wallclock", "errsink", "sigflow", "lockgraph", "goleak"}
+	want := []string{"genbump", "wallclock", "errsink", "benchonly", "sigflow", "lockgraph", "goleak"}
 	if lines := strings.Split(strings.TrimSpace(out), "\n"); len(lines) != len(want) {
 		t.Errorf("-list printed %d analyzers, want %d:\n%s", len(lines), len(want), out)
 	}

@@ -191,18 +191,37 @@ func TestDropReplicaCacheProperty(t *testing.T) {
 				}
 				return n
 			}
-			// checkSplits holds the splits a cached job executed — planned
-			// with the engine's cache probe, repacked if a pin died — to
-			// the invariants.
+			// probe is the packing probe a cached engine hands the
+			// planner: the cache's replica for the block's current key.
+			sig, _ := (&InputFormat{Cluster: cluster, Query: q}).QuerySignature()
+			probe := func(b hdfs.BlockID) (hdfs.NodeID, bool) {
+				return cache.CachedReplica(mapred.CacheKey{
+					File: "/uv", Block: b, Gen: nn.Generation(b),
+					Query: sig, MapSig: workload.PassthroughMapSig,
+				})
+			}
+			// checkSplits holds the splits the planner produces under the
+			// cache probe — before any Fallback repair — to the
+			// invariants, and then the splits a cached job executed.
 			checkSplits := func(step string) {
-				res := runCached(step)
-				splits := make([]mapred.Split, len(res.Tasks))
-				for i, task := range res.Tasks {
-					splits[i] = task.Split
+				in := &InputFormat{
+					Cluster: cluster, Query: q,
+					Splitting: true, SplitsPerNode: 2, PackScans: true,
 				}
-				assertCoverage(t, splits, sum.BlockIDs)
-				assertAliveLocations(t, cluster, splits)
-				assertRegisteredPins(t, cluster, splits)
+				planned, _, err := in.Splits("/uv", probe)
+				if err != nil {
+					t.Fatalf("%s: %v", step, err)
+				}
+				res := runCached(step)
+				executed := make([]mapred.Split, len(res.Tasks))
+				for i, task := range res.Tasks {
+					executed[i] = task.Split
+				}
+				for _, splits := range [][]mapred.Split{planned, executed} {
+					assertCoverage(t, splits, sum.BlockIDs)
+					assertAliveLocations(t, cluster, splits)
+					assertRegisteredPins(t, cluster, splits)
+				}
 			}
 
 			dead := map[hdfs.NodeID]bool{}
@@ -259,6 +278,20 @@ func TestDropReplicaCacheProperty(t *testing.T) {
 					}
 					dead[n] = true
 					checkSplits(fmt.Sprintf("step%d-kill", step))
+					// The kill bumps the node's blocks' generations, so the
+					// cache no longer names it; a probe that still does must
+					// not pin anything there either.
+					stale := func(hdfs.BlockID) (hdfs.NodeID, bool) { return n, true }
+					in := &InputFormat{
+						Cluster: cluster, Query: q,
+						Splitting: true, SplitsPerNode: 2, PackScans: true,
+					}
+					splits, _, err := in.Splits("/uv", stale)
+					if err != nil {
+						t.Fatalf("step %d stale probe: %v", step, err)
+					}
+					assertCoverage(t, splits, sum.BlockIDs)
+					assertAliveLocations(t, cluster, splits)
 				default: // revive
 					for n := range dead {
 						if err := cluster.ReviveNode(n); err != nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -118,14 +119,14 @@ func (r *Runner) ExpCache(w Workload, jobs int, offerRate float64) (*CacheReport
 		if j >= cacheAdaptiveFrom {
 			phase = "adaptive"
 		}
-		res, err := engine.Run(&mapred.Job{
+		res, err := engine.Stream(context.Background(), &mapred.Job{
 			Name: fmt.Sprintf("cache-job-%d", j), File: f.file,
 			Input: &core.InputFormat{
 				Cluster: cluster, Query: q, Adaptive: idx,
 				Splitting: true, SplitsPerNode: SplitsPerNodePaper,
 			},
 			MapBatch: workload.PassthroughMapBatch, MapSig: workload.PassthroughMapSig,
-		})
+		}, nil)
 		if err != nil {
 			return nil, err
 		}

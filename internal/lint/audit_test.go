@@ -32,6 +32,9 @@ var auditMutations = []struct {
 	{"errsink", ErrSink, "the periodic save's error is dropped",
 		"internal/server/server.go",
 		"if err := s.persist(); err != nil {", "if s.persist(); false {"},
+	{"benchonly", BenchOnly, "the engine keys a block's cache entry by the split's Replica map, not its Pins",
+		"internal/mapred/engine.go",
+		"if k.Replica = split.Pin(i);", "if k.Replica = split.Replica[split.Blocks[i]];"},
 	{"sigflow", SigFlow, "QuerySignature keys only the filter, not the projection",
 		"internal/core/inputformat.go",
 		"return f.Query.Signature(), true", "return fmt.Sprint(f.Query.Filter), true"},

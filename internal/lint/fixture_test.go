@@ -21,6 +21,7 @@ import (
 func TestGenBump(t *testing.T)   { testFixture(t, GenBump, "genbump") }
 func TestWallClock(t *testing.T) { testFixture(t, WallClock, "wallclock") }
 func TestErrSink(t *testing.T)   { testFixture(t, ErrSink, "errsink") }
+func TestBenchOnly(t *testing.T) { testFixture(t, BenchOnly, "benchonly") }
 
 // The whole-module dataflow analyzers: each fixture imports a model
 // dependency package (query, lockz, work) that RunAnalyzers pulls into

@@ -7,6 +7,7 @@
 //	genbump   hdfs replica/generation mutations fire notifyChanged
 //	wallclock bare time.Now/time.Since only where wall-clock is the point
 //	errsink   error results of repo-internal calls are never dropped
+//	benchonly bench/'s compatibility surface is used only from a compat.go
 //	sigflow   every knob read on the block-scan path is cache-key material
 //	lockgraph the module-wide lock-acquisition graph is acyclic, and
 //	          namenode/datanode locks are leaves
@@ -269,13 +270,14 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 }
 
 // All returns the full hailint suite in stable order: the three
-// per-package rules, then the three whole-module dataflow analyzers built
-// on the facts mechanism.
+// per-package rules, the compatibility-surface check, then the three
+// whole-module dataflow analyzers built on the facts mechanism.
 func All() []*Analyzer {
 	return []*Analyzer{
 		GenBump,
 		WallClock,
 		ErrSink,
+		BenchOnly,
 		SigFlow,
 		LockGraph,
 		GoLeak,

@@ -79,58 +79,21 @@ func AppendBinary(dst []byte, v Value) ([]byte, error) {
 // source is a substring of it and copies nothing; from a byte slice it is
 // one copy of its bytes.
 func ReadBinary[S []byte | string](t Type, b S, off int) (Value, int, error) {
+	w := t.Width()
 	if t == String {
-		v, next, ok := stringAt(b, off)
-		if !ok {
-			return Value{}, 0, readError(t, next)
-		}
-		return v, next, nil
+		w = 2
 	}
-	if w := fixedWidthAt(t, b, off); w > 0 {
+	if w == 0 || off < 0 || len(b)-off < w {
+		return Value{}, 0, readError(t, off)
+	}
+	if t != String {
 		return FixedValue(t, LoadFixed(t, b[off:])), off + w, nil
-	}
-	return Value{}, 0, readError(t, off)
-}
-
-// ReadRow is ReadBinary over the schema's fields, back to back at b[off:],
-// into row — one value a field — in place: it returns the offset past the
-// row, and leaves a row that fails to decode partly overwritten.
-func (s *Schema) ReadRow(b []byte, off int, row Row) (int, error) {
-	for i := range row {
-		t, next, ok := s.fields[i].Type, off, false
-		if t == String {
-			row[i], next, ok = stringAt(b, off)
-		} else if w := fixedWidthAt(t, b, off); w > 0 {
-			row[i], next, ok = FixedValue(t, LoadFixed(t, b[off:])), off+w, true
-		}
-		if !ok {
-			return 0, fmt.Errorf("schema: field %d: %w", i, readError(t, next))
-		}
-		off = next
-	}
-	return off, nil
-}
-
-// fixedWidthAt is the bounds check of the binary form's fixed-width half:
-// the width of the fixed-size type t if a value lies whole at b[off:], else 0.
-func fixedWidthAt[S []byte | string](t Type, b S, off int) int {
-	if w := t.Width(); w > 0 && off >= 0 && len(b)-off >= w {
-		return w
-	}
-	return 0
-}
-
-// stringAt is the binary form's length-prefixed half: the string at b[off:]
-// and the offset past it, or false and where the bytes ran out.
-func stringAt[S []byte | string](b S, off int) (Value, int, bool) {
-	if off < 0 || len(b)-off < 2 {
-		return Value{}, off, false
 	}
 	n := int(b[off]) | int(b[off+1])<<8
 	if off += 2; len(b)-off < n {
-		return Value{}, off, false
+		return Value{}, 0, readError(t, off)
 	}
-	return StringVal(string(b[off : off+n])), off + n, true
+	return StringVal(string(b[off : off+n])), off + n, nil
 }
 
 // readError is ReadBinary's failure: a type with no binary form, or bytes

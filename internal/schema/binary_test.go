@@ -95,52 +95,6 @@ func TestBinaryFormRefuses(t *testing.T) {
 	}
 }
 
-// TestReadRowIsReadBinaryPerField: ReadRow decodes a row of every type
-// into a row it overwrites to the values, and the offset, that ReadBinary
-// gives field by field, after a prefix so that offsets count; and every
-// truncation of the row, and an offset out of range, is an error naming
-// the field.
-func TestReadRowIsReadBinaryPerField(t *testing.T) {
-	s, err := New(Field{Name: "i", Type: Int32}, Field{Name: "s", Type: String}, Field{Name: "l", Type: Int64},
-		Field{Name: "f", Type: Float64}, Field{Name: "d", Type: Date}, Field{Name: "e", Type: String})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals := Row{IntVal(-7), StringVal("seven"), LongVal(math.MinInt64), FloatVal(math.Inf(-1)), DateVal(7), StringVal("")}
-	enc := []byte("pre")
-	for _, v := range vals {
-		if enc, err = AppendBinary(enc, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	row := Row{StringVal("stale"), IntVal(1), IntVal(2), IntVal(3), IntVal(4), IntVal(5)}
-	next, err := s.ReadRow(enc, 3, row)
-	if err != nil || next != len(enc) {
-		t.Fatalf("ReadRow: next %d, err %v; want %d, nil", next, err, len(enc))
-	}
-	off := 3
-	for i, got := range row {
-		want, n, err := ReadBinary(s.Field(i).Type, enc, off)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Type() != want.Type() || got.Bits() != want.Bits() || got.String() != want.String() {
-			t.Errorf("field %d: ReadRow gives %s %q, ReadBinary %s %q", i, got.Type(), got, want.Type(), want)
-		}
-		off = n
-	}
-	for cut := 3; cut < len(enc); cut++ {
-		if _, err := s.ReadRow(enc[:cut], 3, row); err == nil || !strings.Contains(err.Error(), "field") {
-			t.Errorf("the row cut to %d of %d bytes: err %v, want one naming the field", cut, len(enc), err)
-		}
-	}
-	for _, off := range []int{-1, len(enc) + 1} {
-		if _, err := s.ReadRow(enc, off, row); err == nil {
-			t.Errorf("a row decoded at offset %d of %d bytes", off, len(enc))
-		}
-	}
-}
-
 // TestReadBinaryFromAStringCopiesNothing: a string read from a string
 // source is a substring of it, and a fixed value from either source
 // allocates nothing.

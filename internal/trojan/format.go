@@ -70,6 +70,18 @@ func encodeRow(dst []byte, s *schema.Schema, row schema.Row) ([]byte, error) {
 	return dst, nil
 }
 
+// decodeRow decodes one row starting at data[off] into row, which holds
+// one value per field of s, and returns the offset past it.
+func decodeRow(data []byte, off int, s *schema.Schema, row schema.Row) (int, error) {
+	for i := range row {
+		var err error
+		if row[i], off, err = schema.ReadBinary(s.Field(i).Type, data, off); err != nil {
+			return 0, fmt.Errorf("trojan: field %d: %w", i, err)
+		}
+	}
+	return off, nil
+}
+
 // indexEntry is one trojan index entry.
 type indexEntry struct {
 	key     schema.Value
@@ -206,9 +218,9 @@ func (r *BlockReader) ScanRange(byteOff, fromRow, toRow int, fn func(rowID int, 
 	start := off
 	row := make(schema.Row, r.sch.NumFields())
 	for rowID := fromRow; rowID < toRow; rowID++ {
-		next, err := r.sch.ReadRow(r.data, off, row)
+		next, err := decodeRow(r.data, off, r.sch, row)
 		if err != nil {
-			return int64(off - start), fmt.Errorf("trojan: row %d: %w", rowID, err)
+			return int64(off - start), err
 		}
 		if next > r.rowOff+r.rowLen {
 			return int64(off - start), fmt.Errorf("trojan: row %d overruns row area", rowID)
