@@ -10,9 +10,9 @@ test:
 
 # The decoders of stored bytes (a saved directory's manifest and checksum
 # files and the Hadoop++ baseline's trojan blocks among them), the
-# upload's line parser against ParseLine + AppendRow, the float formatter
-# the scan prints with, the annotation parser, and the engine against its
-# text oracle (FuzzEngine: a whole upload and one to three jobs per
+# upload's line parser against ParseLine + AppendRow and its scalar
+# scanners against ParseFixed, the float formatter the scan prints with,
+# the annotation parser, and the engine against its text oracle (FuzzEngine: a whole upload and one to three jobs per
 # input), 20 s each (go test takes one fuzz target per run). Their seeds
 # run as ordinary tests under `make test`. Inputs are tens of KB, so
 # minimizing each new one for the default 60 s would eat the whole budget.
@@ -25,6 +25,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzBlockReader$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/trojan
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/hdfs
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendFloat$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/schema
+	$(GO) test -run '^$$' -fuzz '^FuzzScanFixed$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/schema
 	$(GO) test -run '^$$' -fuzz '^FuzzParseAnnotation$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/query
 	$(GO) test -run '^$$' -fuzz '^FuzzEngine$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/core
 
@@ -32,7 +33,9 @@ fuzz:
 # 100k lines, Bob's layout, fresh 4-node cluster), for the perf PR that
 # acts on them: go tool pprof -top core.test upload.cpu.pprof. The same
 # for its plain-text denominator (BenchmarkUploadPlain: hadoop.Uploader
-# over the same lines and cluster), into plain-upload.*.pprof.
+# over the same lines and cluster), into plain-upload.*.pprof. The parse
+# alone, one 2 MB block of lines through pax.Block.AppendLine, is
+# BenchmarkAppendLine: go test -run '^$' -bench AppendLine ./internal/pax.
 profile-upload:
 	$(GO) test -run '^$$' -bench '^BenchmarkUploadBob$$' -benchtime 10x -o core.test \
 		-cpuprofile upload.cpu.pprof -memprofile upload.mem.pprof ./internal/core

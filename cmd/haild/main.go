@@ -18,6 +18,8 @@
 //	GET  /metrics  process metrics registry (JSON; ?format=text for the table)
 //	GET  /trace    retained query traces (?id=N → Chrome trace_event JSON)
 //	GET  /tenants  per-tenant ledgers: budgets, charges, blocks, cache hits, 429s
+//	GET  /shapes   per query shape (signature hash): queries and total time,
+//	               the largest total first; past 64 shapes one overflow row
 //	GET  /healthz  liveness
 //
 // Unlike hailquery (one process per query), haild keeps the cache warm

@@ -6,7 +6,7 @@
 //	hailquery -fs /tmp/hailfs -name /logs/uv \
 //	          -q '@HailQuery(filter="@3 between(1999-01-01,2000-01-01)", projection={@1})' \
 //	          [-splitting] [-pack-scans] [-adaptive] [-offer-rate 0.25] [-adaptive-budget N] \
-//	          [-cache] [-cache-budget N] [-stats] [-limit 20]
+//	          [-stats] [-limit 20]
 //	          [-trace out.json] [-metrics]
 //
 // The job uses the HailInputFormat: if some replica of each block carries
@@ -16,14 +16,12 @@
 // vectorized batch pipeline (selection-vector kernels, late
 // materialization). -splitting enables the HailSplitting policy, and
 // -pack-scans extends packing to the blocks HailSplitting leaves
-// per-block: no-index scan blocks (and, with -cache, fully-cached blocks,
-// pinned at the replica the cache holds their output at — the engine
-// hands the split phase its cache probe) are grouped by a preferred alive
+// per-block: no-index scan blocks are grouped by a preferred alive
 // replica node into per-node splits, removing the per-task dispatch bound
-// from scan-heavy and fully-cached jobs. Packed splits keep failover
-// correctness: when a pinned node dies mid-job, the engine re-resolves
-// only the affected blocks' replicas via the namenode instead of
-// rescanning the split wholesale.
+// from scan-heavy jobs. Packed splits keep failover correctness: when a
+// pinned node dies mid-job, the engine re-resolves only the affected
+// blocks' replicas via the namenode instead of rescanning the split
+// wholesale.
 //
 // -adaptive enables query-time adaptive indexing: when no replica of a
 // block is indexed on the filter attribute, up to -offer-rate of those
@@ -35,27 +33,22 @@
 // conversion that would exceed it drops the coldest adaptive replicas of
 // other columns (heat is kept in the manifest across invocations;
 // least-recently-used goes first), unregistering them from the namenode so
-// no reader or cache entry ever routes to a dropped replica. A conversion
-// is denied only when nothing can be dropped. Every -adaptive query saves
-// once, incrementally: new replicas, the heat, and dropped replicas gone.
+// no reader ever routes to a dropped replica. A conversion is denied only
+// when nothing can be dropped. Every -adaptive query saves once,
+// incrementally: new replicas, the heat, and dropped replicas gone.
 //
-// -cache enables the block-level result cache (-cache-budget bytes): each
-// block's map output is admitted keyed by (block, replica generation,
-// normalized query, projection), and blocks whose exact work was already
-// done are answered without touching storage. Within one hailquery
-// process this shows as per-block hits when splits revisit blocks; its
-// main consumers are the engine-embedded uses (hailbench -cache shows
-// the cross-job trajectory). Replica changes — adaptive builds, node
-// loss — invalidate affected entries via the namenode's change hook.
+// A hailquery process runs one job, which reads each block once, so it
+// keeps no result cache: the cache lives where jobs repeat, in haild and
+// in hailbench -cache's trajectory.
 //
 // -trace records the query as a tree of timed spans (split planning,
-// per-task scheduling/wait/execute, failover repacks, cache probes,
-// adaptive builds) and writes it as Chrome trace_event JSON — load the
-// file in chrome://tracing or https://ui.perfetto.dev. -metrics prints
-// the process metrics registry (engine counters, namenode directory ops,
-// cache and adaptive-indexer gauges, task-latency histograms) after the
-// query. Both are nil-safe pass-throughs: without the flags the engine
-// records nothing and the hot path allocates nothing extra.
+// per-task scheduling/wait/execute, failover repacks, adaptive builds)
+// and writes it as Chrome trace_event JSON — load the file in
+// chrome://tracing or https://ui.perfetto.dev. -metrics prints the
+// process metrics registry (engine counters, namenode directory ops,
+// adaptive-indexer gauges, task-latency histograms) after the query.
+// Both are nil-safe pass-throughs: without the flags the engine records
+// nothing and the hot path allocates nothing extra.
 package main
 
 import (
@@ -73,7 +66,6 @@ import (
 	"repro/internal/hdfs"
 	"repro/internal/mapred"
 	"repro/internal/obs"
-	"repro/internal/qcache"
 	"repro/internal/query"
 	"repro/internal/workload"
 )
@@ -85,12 +77,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	name := fs.String("name", "/data", "file inside the filesystem")
 	annotation := fs.String("q", "", "HailQuery annotation (required)")
 	splitting := fs.Bool("splitting", false, "enable the HailSplitting policy")
-	packScans := fs.Bool("pack-scans", false, "pack no-index scan blocks (and, with -cache, fully-cached blocks) into per-node splits")
+	packScans := fs.Bool("pack-scans", false, "pack no-index scan blocks into per-node splits")
 	adaptiveMode := fs.Bool("adaptive", false, "build missing indexes as a by-product of this query")
 	offerRate := fs.Float64("offer-rate", 0.25, "adaptive: fraction of unindexed blocks converted per query (0 = observe demand only, build nothing)")
 	adaptiveBudget := fs.Int64("adaptive-budget", 0, "adaptive: cap on extra replica bytes adaptive builds may store, kept by evicting the coldest adaptive replicas of other columns (0 = unlimited)")
-	cacheMode := fs.Bool("cache", false, "enable the block-level result cache for this job")
-	cacheBudget := fs.Int64("cache-budget", qcache.DefaultBudget, "cache: byte budget for cached block results")
 	stats := fs.Bool("stats", false, "print access-path statistics")
 	tracePath := fs.String("trace", "", "write the query's trace as Chrome trace_event JSON to this path (load in chrome://tracing or ui.perfetto.dev)")
 	metrics := fs.Bool("metrics", false, "print the process metrics registry (counters, gauges, latency histograms) after the query")
@@ -110,11 +100,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if !*adaptiveMode {
 		if stray := cliutil.Stray(fs, "offer-rate", "adaptive-budget"); len(stray) > 0 {
 			return fmt.Errorf("%w: %s only applies with -adaptive", errUsage, strings.Join(stray, ", "))
-		}
-	}
-	if !*cacheMode {
-		if stray := cliutil.Stray(fs, "cache-budget"); len(stray) > 0 {
-			return fmt.Errorf("%w: %s only applies with -cache", errUsage, strings.Join(stray, ", "))
 		}
 	}
 
@@ -142,12 +127,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		input.Adaptive = idx
 		engine.PostTask = idx.AfterTask
 	}
-	var cache *qcache.Cache
-	if *cacheMode {
-		cache = qcache.New(*cacheBudget)
-		engine.Cache = cache
-		cluster.NameNode().SetReplicaChangeHook(cache.InvalidateBlock)
-	}
 	// Observability: -stats, -metrics and -trace all ride on the same
 	// nil-safe handles — without them the engine's hot path records
 	// nothing and allocates nothing.
@@ -156,7 +135,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		reg = obs.NewRegistry()
 		engine.Obs = reg
 		cluster.NameNode().BindObs(reg)
-		cache.BindObs(reg)
 		idx.BindObs(reg)
 	}
 	var tr *obs.Trace
@@ -171,7 +149,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		File:     *name,
 		Input:    input,
 		MapBatch: workload.PassthroughMapBatch,
-		MapSig:   workload.PassthroughMapSig, // required for the result cache to engage
 		Trace:    tr,
 	}, func(chunk []mapred.KV) bool {
 		for _, kv := range chunk {
@@ -211,13 +188,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			reg.Counter("engine.tasks").Value(), reg.Counter("engine.tasks_local").Value(),
 			reg.Counter("engine.tasks_repacked").Value(), reg.Counter("engine.blocks_rerun").Value(),
 			reg.Counter("engine.namenode_ops").Value())
-	}
-	if cache != nil {
-		cs := cache.Stats()
-		fmt.Fprintf(stdout, "-- cache: %d hits, %d misses, %d entries (%.1f KB of %.1f MB budget), %d evicted, %d invalidated, %d rejected, %.1f KB reads saved\n",
-			cs.Hits, cs.Misses, cs.Entries,
-			float64(cs.Bytes)/1e3, float64(cs.Budget)/1e6,
-			cs.Evictions, cs.Invalidations, cs.Rejected, float64(cs.BytesSaved)/1e3)
 	}
 	if idx != nil {
 		plan := idx.LastJob()

@@ -129,28 +129,6 @@ func rowCount(t *testing.T, out string) int {
 	return -1
 }
 
-// TestQueryCacheSmoke: -cache runs the job through the result cache and
-// reports its stats; results are unchanged.
-func TestQueryCacheSmoke(t *testing.T) {
-	dir := makeFS(t, 700)
-	var out, errb bytes.Buffer
-	err := run([]string{
-		"-fs", dir, "-name", "/t",
-		"-q", `@HailQuery(filter="@1 = 3", projection={@2})`,
-		"-cache", "-cache-budget", "1048576", "-limit", "1",
-	}, &out, &errb)
-	if err != nil {
-		t.Fatalf("run: %v (stderr: %s)", err, errb.String())
-	}
-	s := out.String()
-	if !strings.Contains(s, "100 rows") {
-		t.Errorf("cached run changed the result:\n%s", s)
-	}
-	if !strings.Contains(s, "-- cache:") || !strings.Contains(s, "misses") {
-		t.Errorf("missing cache stats line:\n%s", s)
-	}
-}
-
 // TestQueryPackScans: -pack-scans packs the scan splits of an unindexed
 // filter into per-node splits — fewer map tasks, identical rows — and
 // -stats reports the split phase's namenode directory ops.
@@ -188,13 +166,6 @@ func TestQueryPackScans(t *testing.T) {
 	}
 	if !strings.Contains(packedOut, "split phase:") || !strings.Contains(packedOut, "namenode directory ops") {
 		t.Errorf("-stats missing split-phase namenode ops line:\n%s", packedOut)
-	}
-
-	// -pack-scans composes with -cache (fully-cached blocks pack at their
-	// cached replica; within one invocation this is just a smoke path).
-	_, cachedRows, _ := query("-pack-scans", "-cache")
-	if cachedRows != rows {
-		t.Errorf("-pack-scans -cache changed the result: %d rows vs %d", cachedRows, rows)
 	}
 }
 
@@ -235,7 +206,7 @@ func TestQueryTraceAndMetrics(t *testing.T) {
 
 	tracePath := filepath.Join(t.TempDir(), "trace.json")
 	args := append(append([]string(nil), base...),
-		"-stats", "-metrics", "-trace", tracePath, "-cache")
+		"-stats", "-metrics", "-trace", tracePath)
 	var out, errb bytes.Buffer
 	if err := run(args, &out, &errb); err != nil {
 		t.Fatalf("run: %v (stderr: %s)", err, errb.String())
@@ -254,7 +225,7 @@ func TestQueryTraceAndMetrics(t *testing.T) {
 	if !strings.Contains(s, "engine.tasks") || !strings.Contains(s, "engine.task_seconds") {
 		t.Errorf("-metrics output missing engine metrics:\n%s", s)
 	}
-	if !strings.Contains(s, "qcache.hits") || !strings.Contains(s, "hdfs.namenode.dir_ops") {
+	if !strings.Contains(s, "hdfs.namenode.dir_ops") {
 		t.Errorf("-metrics output missing bound subsystem gauges:\n%s", s)
 	}
 
@@ -290,20 +261,20 @@ func TestQueryCacheFlagValidation(t *testing.T) {
 	dir := makeFS(t, 100)
 	base := []string{"-fs", dir, "-name", "/t", "-q", `@HailQuery(filter="@1 = 3")`}
 	var out, errb bytes.Buffer
-	if err := run(append(base, "-cache-budget", "1024"), &out, &errb); err == nil {
-		t.Error("accepted -cache-budget without -cache")
-	}
 	if err := run(append(base, "-adaptive-budget", "1024"), &out, &errb); err == nil {
 		t.Error("accepted -adaptive-budget without -adaptive")
 	}
 	// Retired flags are unknown flags, rejected rather than silently
 	// ignored: there is one scan path (-row-path), one namenode directory
-	// layout (-nn-shards), and a budget is always kept by eviction
-	// (-adaptive-evict).
+	// layout (-nn-shards), a budget is always kept by eviction
+	// (-adaptive-evict), and a one-job process keeps no result cache
+	// (-cache, -cache-budget).
 	for flag, args := range map[string][]string{
 		"-row-path":       {"-row-path"},
 		"-nn-shards":      {"-nn-shards", "8"},
 		"-adaptive-evict": {"-adaptive", "-adaptive-evict"},
+		"-cache":          {"-cache"},
+		"-cache-budget":   {"-cache-budget", "1024"},
 	} {
 		errb.Reset()
 		if err := run(append(base, args...), &out, &errb); err != errUsage {

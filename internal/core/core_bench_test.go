@@ -439,7 +439,7 @@ const (
 )
 
 // cachedJob returns a runner of one cached passthrough job over /uv — the
-// way hailquery -cache [-pack-scans] and haild wire it: every run gets a
+// way haild wires it: every run gets a
 // fresh input format, and the engine hands its split phase the cache's
 // packing probe.
 func cachedJob(tb testing.TB, cluster *hdfs.Cluster, cache mapred.ResultCache, annotation string, pack bool) func() *mapred.JobResult {

@@ -3,11 +3,14 @@ package hdfs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -411,8 +414,12 @@ func assertRestored(t *testing.T, dir string, node NodeID, b BlockID) {
 
 // TestSaveConcurrentWithUploads races Save against WriteBlock — the
 // dirty map is consumed atomically, so `go test -race` must stay quiet
-// and no marks may be lost.
+// and no marks may be lost. The race runs under a deadline of its own
+// (it takes about 0.1 s under -race), so that a lock-order deadlock
+// between the two fails in seconds with every goroutine's stack, not at
+// go test's timeout.
 func TestSaveConcurrentWithUploads(t *testing.T) {
+	const deadline = 5 * time.Second
 	dir := t.TempDir()
 	c, err := NewCluster(4)
 	if err != nil {
@@ -424,7 +431,7 @@ func TestSaveConcurrentWithUploads(t *testing.T) {
 	if err := c.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan error, 1)
+	done := make(chan error, 2)
 	go func() {
 		for i := 1; i <= 20; i++ {
 			if _, _, err := c.WriteBlock("/f", randBlock(4_000+i, int64(i)), 3, nil); err != nil {
@@ -434,13 +441,26 @@ func TestSaveConcurrentWithUploads(t *testing.T) {
 		}
 		done <- nil
 	}()
-	for i := 0; i < 10; i++ {
-		if err := c.Save(dir); err != nil {
-			t.Fatalf("save %d: %v", i, err)
+	go func() {
+		for i := 0; i < 10; i++ {
+			if err := c.Save(dir); err != nil {
+				done <- fmt.Errorf("save %d: %w", i, err)
+				return
+			}
 		}
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
+		done <- nil
+	}()
+	timeout := time.After(deadline)
+	for range 2 {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-timeout:
+			stacks := make([]byte, 1<<20)
+			t.Fatalf("saves and uploads still running after %v: deadlocked?\n%s", deadline, stacks[:runtime.Stack(stacks, true)])
+		}
 	}
 	// A final save flushes whatever the races left dirty; the directory
 	// must load with all 21 blocks intact.

@@ -11,18 +11,26 @@ import (
 	"repro/internal/schema"
 )
 
-// lineSchemas are the two shapes of a line's last field: a string, which
-// takes the rest of the line separators included, and a fixed-size type,
-// for which a separator there is one field too many.
-var lineSchemas = []*schema.Schema{
-	testSchema,
-	schema.MustNew(
-		schema.Field{Name: "url", Type: schema.String},
-		schema.Field{Name: "day", Type: schema.Date},
-		schema.Field{Name: "rev", Type: schema.Float64},
-		schema.Field{Name: "big", Type: schema.Int64},
-		schema.Field{Name: "id", Type: schema.Int32},
-	),
+// lastFixed is a schema whose last field is fixed-size.
+var lastFixed = schema.MustNew(
+	schema.Field{Name: "url", Type: schema.String},
+	schema.Field{Name: "day", Type: schema.Date},
+	schema.Field{Name: "rev", Type: schema.Float64},
+	schema.Field{Name: "big", Type: schema.Int64},
+	schema.Field{Name: "id", Type: schema.Int32},
+)
+
+// lineParsers are the shapes of a line AppendLine must agree with
+// ParseLine on. Its last field is a string, which takes the rest of the
+// line separators included, or a fixed-size type, for which a separator
+// there is one field too many. Its separator is a comma, or one a value can
+// hold ('.' and '-'), with which AppendLine leaves every line to the
+// reference parser.
+var lineParsers = []*schema.Parser{
+	schema.NewParser(testSchema),
+	schema.NewParser(lastFixed),
+	{Schema: testSchema, Sep: '.'},
+	{Schema: lastFixed, Sep: '-'},
 }
 
 // checkAppendLine feeds lines to AppendLine on one block and to ParseLine +
@@ -32,10 +40,9 @@ var lineSchemas = []*schema.Schema{
 // both blocks must marshal to the same bytes at the end. With sortAt ≥ 0
 // both blocks are sorted on that column after that many lines, so later
 // lines go behind sorted rows.
-func checkAppendLine(t *testing.T, s *schema.Schema, lines []string, sortAt, sortCol int) {
+func checkAppendLine(t *testing.T, p *schema.Parser, lines []string, sortAt, sortCol int) {
 	t.Helper()
-	p := schema.NewParser(s)
-	got, want := NewBlock(s), NewBlock(s)
+	got, want := NewBlock(p.Schema), NewBlock(p.Schema)
 	for k, line := range lines {
 		if k == sortAt {
 			for _, b := range []*Block{got, want} {
@@ -83,7 +90,8 @@ func checkAppendLine(t *testing.T, s *schema.Schema, lines []string, sortAt, sor
 // AppendLine exactly when ParseLine accepts it, with the same error; a
 // rejected line leaves the block's serialized form unchanged; and the
 // block marshals byte for byte as the one ParseLine + AppendRow build.
-// Each input runs against both lineSchemas.
+// Each input runs against every one of lineParsers, its commas turned into
+// the parser's separator.
 func FuzzAppendLine(f *testing.F) {
 	for _, seed := range []string{
 		"7,1234567890123,12.5,1999-06-15,example.com/page",
@@ -98,13 +106,22 @@ func FuzzAppendLine(f *testing.F) {
 		"2147483647,1,2.5,1999-06-15,u\n2147483648,1,2.5,1999-06-15,u\n-2147483649,1,2.5,1999-06-15,u", // int32 bounds
 		"7,1,2.5,1999-02-29,u\n7,1,2.5,2000-02-29,u\n7,1,2.5,1900-02-29,u",                             // 29 Feb
 		",,,,\n7,1,2.5,1999-06-15,\n,1999-06-15,2.5,1,7\n\n",                                           // empty fields
+		// The edges of AppendLine's one pass (schema.ScanFixed's forms):
+		"+5,-0,5.,1999-06-15,u\n-0,+5,.5,1999-06-15,u\n7,1,00.50,1999-06-15,u",                                             // signs and points
+		"7,1,123456789012345,1999-06-15,u\n7,1,12345678.9012345,1999-06-15,u\n7,1,9.568871211445515,1999-06-15,u",          // 15 and 16 digits
+		"7,1,1e5,1999-06-15,u\n7,1,1.5e-3,1999-06-15,u\nu,1999-06-15,2.5,1,1e5",                                            // exponents
+		"1234567890,1,2.5,1999-06-15,u\n12345678901,1,2.5,1999-06-15,u\n-1234567890,99999999999999999999,2.5,1999-06-15,u", // 10 and 11 digits
+		"2147483646,1,2.5,1999-06-15,u\n-2147483647,1,2.5,1999-06-15,u\nu,1999-06-15,2.5,1,2147483648",                     // int32 bounds ±1
+		"7,1,2.5,1999-6-15,u\n7,1,2.5,1999-04-31,u\n7,1,2.5,1999-04-30,u",                                                  // short and 31 April
+		"u,1999-06-15,2.5,1,7,\nu,1999-06-15,2.5,1,\n7,1,2.5,1999-06-15,",                                                  // a trailing separator
+		"7x1,2.5,1999-06-15,u\n7,1,2.5x,1999-06-15,u\n7,1,2.5,1999-06-15x,u",                                               // a value not followed by the separator
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, text string) {
-		lines := strings.Split(text, "\n")
-		for _, s := range lineSchemas {
-			checkAppendLine(t, s, lines, len(lines)/2, 0)
+		for _, p := range lineParsers {
+			lines := strings.Split(strings.ReplaceAll(text, ",", string(p.Sep)), "\n")
+			checkAppendLine(t, p, lines, len(lines)/2, 0)
 		}
 	})
 }
@@ -114,8 +131,8 @@ func FuzzAppendLine(f *testing.F) {
 var (
 	goodText = map[schema.Type][]string{
 		schema.Int32:   {"0", "-7", "2147483647", "-2147483648", "+3"},
-		schema.Int64:   {"1234567890123", "-9223372036854775808", "-0"},
-		schema.Float64: {"12.5", "-0", "0.1", "1e300", "+Inf", "-inf", ".5"},
+		schema.Int64:   {"1234567890123", "-9223372036854775808", "-0", "999999999999999999", "1000000000000000000"},
+		schema.Float64: {"12.5", "-0", "0.1", "1e300", "+Inf", "-inf", ".5", "5.", "00.50", "123456789012345", "9.568871211445515"},
 		schema.Date:    {"1999-06-15", "2000-02-29", "0001-01-01", "9999-12-31"},
 		schema.String:  {"", "example.com/page", "long-url-with-many-characters/and/segments"},
 	}
@@ -128,10 +145,11 @@ var (
 	}
 )
 
-// randomLine draws a line for s: half the time every field is good text,
+// randomLine draws a line for p: half the time every field is good text,
 // otherwise each field may be bad text or another type's text, and the
 // line may have a field too few or too many.
-func randomLine(rng *rand.Rand, s *schema.Schema) string {
+func randomLine(rng *rand.Rand, p *schema.Parser) string {
+	s := p.Schema
 	bad := rng.Intn(2) == 0
 	n := s.NumFields()
 	if bad && rng.Intn(4) == 0 {
@@ -152,20 +170,20 @@ func randomLine(rng *rand.Rand, s *schema.Schema) string {
 		}
 		fields[i] = pool[typ][rng.Intn(len(pool[typ]))]
 	}
-	return strings.Join(fields, ",")
+	return strings.Join(fields, string(p.Sep))
 }
 
 // TestAppendLineMatchesParseLine is FuzzAppendLine's property over 3,000
-// drawn lines per schema, sorted midway on each column in turn.
+// drawn lines per parser, sorted midway on each column in turn.
 func TestAppendLineMatchesParseLine(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
-	for _, s := range lineSchemas {
-		for col := range s.NumFields() {
+	for _, p := range lineParsers {
+		for col := range p.Schema.NumFields() {
 			lines := make([]string, 600)
 			for i := range lines {
-				lines[i] = randomLine(rng, s)
+				lines[i] = randomLine(rng, p)
 			}
-			checkAppendLine(t, s, lines, len(lines)/2, col)
+			checkAppendLine(t, p, lines, len(lines)/2, col)
 		}
 	}
 }
@@ -202,8 +220,8 @@ func TestAppendLineAllocatesNothingPerLine(t *testing.T) {
 // TestAppendLineRejectsAnotherSchema: a parser for another schema is an
 // error, not a stream of bad records.
 func TestAppendLineRejectsAnotherSchema(t *testing.T) {
-	b := NewBlock(lineSchemas[0])
-	if err := b.AppendLine(schema.NewParser(lineSchemas[1]), "u,1999-06-15,2.5,1,7"); err == nil || b.NumRows() != 0 {
+	b := NewBlock(testSchema)
+	if err := b.AppendLine(schema.NewParser(lastFixed), "u,1999-06-15,2.5,1,7"); err == nil || b.NumRows() != 0 {
 		t.Errorf("AppendLine with another schema's parser: %v, %d rows", err, b.NumRows())
 	}
 }

@@ -224,34 +224,89 @@ func (b *Block) AppendRow(r schema.Row) error {
 
 // AppendLine parses one text line with p straight into the block's
 // arenas — a string's bytes and its terminator, a fixed-size value's
-// little-endian bits — without building a schema.Row. It accepts exactly
-// the lines p.ParseLine accepts (both split with p.Split and parse scalars
-// with schema.ParseFixed) and leaves the block as AppendRow of the parsed
-// row would. A rejected line leaves the block's rows as they were and
-// returns p's error: the line is a bad record, for the caller to keep with
-// AppendBad. ErrTooLarge is returned as AppendRow returns it, after the
-// line has parsed.
+// little-endian bits — and leaves the block as AppendRow of p.ParseLine's
+// row would. It is the upload's fast path: one pass over the line cuts
+// each string at the separator and parses each fixed-size value with
+// schema.ScanFixed while finding its end, with no call per field and no
+// row. A line the pass does not take — a NUL, a value in another form, a
+// field count that does not fit, or a separator a value can hold — is
+// truncated off and parsed again with ParseLine's own reference, p.Split
+// and schema.ParseFixed. So AppendLine accepts exactly the lines ParseLine
+// accepts and stores the same bits (FuzzAppendLine); a rejected line
+// returns p's error and leaves the block's rows as they were, a bad record
+// for the caller to keep with AppendBad. ErrTooLarge is returned as
+// AppendRow returns it, after the line has parsed.
 func (b *Block) AppendLine(p *schema.Parser, line string) error {
 	if !p.Schema.Equal(b.sch) {
 		return fmt.Errorf("pax: parser schema %s, block schema %s", p.Schema, b.sch)
 	}
 	b.materialize()
-	err := p.Split(line, func(i int, text string) error { return b.cols[i].appendText(text) })
+	var err error
+	if !b.appendScanned(p.Sep, line) {
+		b.truncate()
+		err = p.Split(line, func(i int, text string) error { return b.cols[i].appendText(text) })
+	}
 	for i := 0; err == nil && i < len(b.cols); i++ {
 		if len(b.cols[i].data) > math.MaxUint32 {
 			err = fmt.Errorf("%w: column %d would pass %d bytes", ErrTooLarge, i, math.MaxUint32)
 		}
 	}
 	if err != nil {
-		// What the line appended is past row numRows in every column.
-		for i := range b.cols {
-			b.cols[i].truncate(b.numRows)
-		}
+		b.truncate()
 		return err
 	}
 	b.numRows++
 	b.sortCol = -1
 	return nil
+}
+
+// appendScanned is AppendLine's one pass. It reports false, with part of
+// the line possibly appended, when the line needs the reference parser.
+// The separator must be one no scanned value holds, so that a value ends
+// where Split cuts the field; and no line may hold a NUL, which Split
+// rejects wherever it is.
+func (b *Block) appendScanned(sep byte, line string) bool {
+	if sep == 0 || sep-'0' <= 9 || sep == '+' || sep == '-' || sep == '.' || strings.IndexByte(line, 0) >= 0 {
+		return false
+	}
+	last := len(b.cols) - 1
+	rest := line
+	for i := range b.cols {
+		c := &b.cols[i]
+		if c.typ == schema.String {
+			text := rest
+			if i < last {
+				j := strings.IndexByte(rest, sep)
+				if j < 0 {
+					return false
+				}
+				text, rest = rest[:j], rest[j+1:]
+			}
+			c.appendString(text)
+			continue
+		}
+		bits, n, ok := schema.ScanFixed(c.typ, rest)
+		if !ok {
+			return false
+		}
+		if i < last {
+			if n == len(rest) || rest[n] != sep {
+				return false
+			}
+			rest = rest[n+1:]
+		} else if n != len(rest) {
+			return false
+		}
+		c.data = schema.AppendFixed(c.data, c.typ, bits)
+	}
+	return true
+}
+
+// truncate drops whatever a line appended past row numRows.
+func (b *Block) truncate() {
+	for i := range b.cols {
+		b.cols[i].truncate(b.numRows)
+	}
 }
 
 // AppendBad adds one bad record (the unparsed input line).

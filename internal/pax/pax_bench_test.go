@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/schema"
+	"repro/internal/workload"
 )
 
 // Micro-benchmarks for the PAX block operations that sit on HAIL's upload
@@ -37,6 +38,40 @@ func BenchmarkAppendRow(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkAppendLine is the upload's parse on its own: one op is one
+// 2 MB block's worth of generated UserVisits lines (Bob's layout's block
+// size, as BenchmarkUploadBob in internal/core uploads them) appended to a
+// reset block with AppendLine, its arenas grown by a first fill.
+func BenchmarkAppendLine(b *testing.B) {
+	sch := workload.UserVisitsSchema()
+	var lines []string
+	text := 0
+	for _, line := range workload.GenerateUserVisits(40_000, 1, workload.UserVisitsOptions{}) {
+		if text >= 2<<20 {
+			break
+		}
+		lines = append(lines, line)
+		text += len(line) + 1
+	}
+	p := schema.NewParser(sch)
+	blk := NewBlock(sch)
+	fill := func() {
+		blk.Reset()
+		for _, line := range lines {
+			if err := blk.AppendLine(p, line); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	fill()
+	b.SetBytes(int64(text))
+	b.ReportAllocs()
+	for b.Loop() {
+		fill()
+	}
+	b.ReportMetric(float64(len(lines)), "lines/op")
 }
 
 func BenchmarkSort(b *testing.B) {

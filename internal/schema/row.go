@@ -62,9 +62,11 @@ func (p *Parser) ParseLine(line string) (Row, error) {
 }
 
 // Split cuts line into the schema's fields and hands each field's text to
-// fn in order, stopping at the first error. It is the one definition of a
-// bad record, for ParseLine and for the upload path's
-// pax.Block.AppendLine, which parses fields straight into column arenas:
+// fn in order, stopping at the first error. It is the reference parser's
+// cut and the one definition of a bad record: ParseLine goes through it,
+// and so does the upload path's pax.Block.AppendLine for every line its
+// one-pass fast path (schema.ScanFixed's forms) does not take, which
+// includes every bad record, so Split words each error:
 //   - a line holding a NUL byte is bad whatever its fields: no string
 //     attribute can store one (PAX values are zero-terminated) and no other
 //     type parses it;

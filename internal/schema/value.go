@@ -143,9 +143,11 @@ func ParseValue(t Type, s string) (Value, error) {
 // ParseFixed parses the text of a value of the fixed-size type t into the
 // bits a PAX column stores for it, little-endian in t.Width() bytes: an
 // int32 or a date (days since the Unix epoch) in the low 32 bits, an int64
-// or a float64's IEEE 754 bits in all 64. It is the one scalar parser:
-// ParseValue and the upload path's pax.Block.AppendLine both go through it,
-// so both reject the same text. Float parsing rejects NaN.
+// or a float64's IEEE 754 bits in all 64. It is the reference scalar
+// parser: ParseValue goes through it, and so does the upload path's
+// pax.Block.AppendLine for any value ScanFixed, its fast path, does not
+// take; ScanFixed is held to give the same bits (FuzzScanFixed), so both
+// paths reject the same text. Float parsing rejects NaN.
 func ParseFixed(t Type, s string) (uint64, error) {
 	switch t {
 	case Int32:
@@ -210,7 +212,6 @@ func parseCivil(s string) (days int32, ok bool) {
 	if y < 1 || m < 1 || m > 12 || d < 1 {
 		return 0, false
 	}
-	monthDays := [...]int{31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31}
 	if leap := y%4 == 0 && (y%100 != 0 || y%400 == 0); d > monthDays[m-1] && !(leap && m == 2 && d == 29) {
 		return 0, false
 	}
@@ -225,6 +226,9 @@ func parseCivil(s string) (days int32, ok bool) {
 	dayOfEra := yearOfEra*365 + yearOfEra/4 - yearOfEra/100 + dayOfYear
 	return int32(y/400*146097 + dayOfEra - 719468), true
 }
+
+// monthDays is each month's length in a common year.
+var monthDays = [...]int{31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31}
 
 // FormatDate renders days since the Unix epoch as YYYY-MM-DD.
 func FormatDate(days int32) string { return string(AppendDate(nil, days)) }

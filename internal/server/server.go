@@ -104,6 +104,7 @@ type Server struct {
 	idx     *adaptive.Indexer
 	reg     *obs.Registry
 	tenants *tenantTable
+	shapes  *shapeTable
 	mux     *http.ServeMux
 
 	sem       chan struct{} // admission semaphore: buffered to MaxInFlight
@@ -165,6 +166,7 @@ func New(cfg Config) (*Server, error) {
 		idx:      adaptive.New(cluster, cfg.OfferRate, cfg.AdaptiveBudget),
 		reg:      obs.NewRegistry(),
 		tenants:  newTenantTable(cfg.Tenants, cfg.DefaultLimits),
+		shapes:   newShapeTable(),
 		sem:      make(chan struct{}, cfg.MaxInFlight),
 		schemas:  make(map[string]*schema.Schema),
 		stop:     make(chan struct{}),
@@ -184,6 +186,7 @@ func New(cfg Config) (*Server, error) {
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /trace", s.handleTrace)
 	mux.HandleFunc("GET /tenants", s.handleTenants)
+	mux.HandleFunc("GET /shapes", s.handleShapes)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
@@ -562,6 +565,7 @@ func (s *Server) runQuery(ctx context.Context, req *QueryRequest, ql *queryLog) 
 	s.reg.Counter("server.queries").Inc()
 	s.reg.Histogram("server.query_seconds").Observe(dur)
 	s.reg.Histogram(ts.metrics + "query_seconds").Observe(dur)
+	s.shapes.record(ql.sigHash, dur)
 
 	resp := &QueryResponse{
 		Tenant:         tenant,
@@ -678,6 +682,10 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleTenants(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, s.tenants.reports())
+}
+
+func (s *Server) handleShapes(w http.ResponseWriter, _ *http.Request) {
+	writeJSON(w, s.shapes.reports())
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -457,6 +457,69 @@ func TestTenantLedgersAreBounded(t *testing.T) {
 	}
 }
 
+// TestShapeLedgersAreBounded: /shapes reports a row per query shape —
+// the signature's hash each query's log line carries — with its count and
+// total time, the largest total first. Past maxShapes shapes every further
+// one is charged to one overflow row, and a shape seen again is charged to
+// its own row, whichever tenant sends it.
+func TestShapeLedgersAreBounded(t *testing.T) {
+	dir := makeFS(t, 700)
+	s := newTestServer(t, dir, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const extra = 5
+	shape := func(i int) string { return fmt.Sprintf(`@HailQuery(filter="@1 = %d", projection={@2})`, i) }
+	for i := 0; i < maxShapes+extra; i++ {
+		if _, code := postQuery(t, ts, QueryRequest{Tenant: "a", File: "/t", Query: shape(i)}); code != http.StatusOK {
+			t.Fatalf("shape %d: status %d", i, code)
+		}
+	}
+	if _, code := postQuery(t, ts, QueryRequest{Tenant: "b", File: "/t", Query: shape(0)}); code != http.StatusOK {
+		t.Fatalf("shape 0 again: status %d", code)
+	}
+
+	r, err := http.Get(ts.URL + "/shapes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reports []ShapeReport
+	err = json.NewDecoder(r.Body).Decode(&reports)
+	r.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reports) != maxShapes+1 {
+		t.Fatalf("%d shape rows, want %d: %d shapes and the overflow", len(reports), maxShapes+1, maxShapes)
+	}
+	var queries, overflows, twice int64
+	for i, rep := range reports {
+		if i > 0 && rep.TotalMS > reports[i-1].TotalMS {
+			t.Errorf("row %d (%.3f ms) outweighs row %d (%.3f ms): not sorted by total time", i, rep.TotalMS, i-1, reports[i-1].TotalMS)
+		}
+		if rep.TotalMS <= 0 {
+			t.Errorf("row %+v has no time", rep)
+		}
+		queries += rep.Queries
+		switch {
+		case rep.Overflow:
+			overflows++
+			if rep.Shape != "" || rep.Queries != extra {
+				t.Errorf("overflow row %+v, want the last %d shapes' queries and no shape", rep, extra)
+			}
+		case len(rep.Shape) != 16:
+			t.Errorf("row %+v: the shape is not a signature hash", rep)
+		case rep.Queries == 2:
+			twice++
+		case rep.Queries != 1:
+			t.Errorf("row %+v, want 1 query", rep)
+		}
+	}
+	if queries != maxShapes+extra+1 || overflows != 1 || twice != 1 {
+		t.Errorf("%d queries in %d overflow rows and %d rows of 2; want %d, 1 and 1", queries, overflows, twice, maxShapes+extra+1)
+	}
+}
+
 // TestPackedQueryChargesItsTenantOnce: packing changes how many tasks a
 // query runs as, not what it leaves in the cache or what its tenant pays
 // for it — the same query packed and unpacked, each on a fresh server,
