@@ -42,9 +42,13 @@ profile-upload:
 	$(GO) test -run '^$$' -bench '^BenchmarkUploadPlain$$' -benchtime 10x -o core.test \
 		-cpuprofile plain-upload.cpu.pprof -memprofile plain-upload.mem.pprof ./internal/core
 
-# The same for the ledger's two scan ops as users run them, passthrough map
-# (BenchmarkWideScanPassthrough, BenchmarkIndexScanPassthrough; 200k
-# lines, Bob's layout): go tool pprof -top core.test wide-scan.cpu.pprof.
+# The same for the ledger's two scan ops as bench/ runs them, the
+# compatibility Run (BenchmarkWideScanPassthrough,
+# BenchmarkIndexScanPassthrough; 200k lines, Bob's layout): go tool pprof
+# -top core.test wide-scan.cpu.pprof. The Stream pair is the same two
+# shapes as haild and hailquery run them, a passthrough job streamed and
+# its rows taken as haild's handler takes them (BenchmarkWideScanStream,
+# BenchmarkIndexScanStream), into *-stream.*.pprof.
 # BenchmarkIndexScanOpen is the index scan's fixed per-block path alone
 # (windows below the data: every block opened, no row read), into
 # index-open.*.pprof.
@@ -53,6 +57,10 @@ profile-scan:
 		-cpuprofile wide-scan.cpu.pprof -memprofile wide-scan.mem.pprof ./internal/core
 	$(GO) test -run '^$$' -bench '^BenchmarkIndexScanPassthrough$$' -benchtime 2000x -o core.test \
 		-cpuprofile index-scan.cpu.pprof -memprofile index-scan.mem.pprof ./internal/core
+	$(GO) test -run '^$$' -bench '^BenchmarkWideScanStream$$' -benchtime 30x -o core.test \
+		-cpuprofile wide-scan-stream.cpu.pprof -memprofile wide-scan-stream.mem.pprof ./internal/core
+	$(GO) test -run '^$$' -bench '^BenchmarkIndexScanStream$$' -benchtime 2000x -o core.test \
+		-cpuprofile index-scan-stream.cpu.pprof -memprofile index-scan-stream.mem.pprof ./internal/core
 	$(GO) test -run '^$$' -bench '^BenchmarkIndexScanOpen$$' -benchtime 20000x -o core.test \
 		-cpuprofile index-open.cpu.pprof -memprofile index-open.mem.pprof ./internal/core
 

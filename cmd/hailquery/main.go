@@ -52,6 +52,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -67,7 +68,6 @@ import (
 	"repro/internal/mapred"
 	"repro/internal/obs"
 	"repro/internal/query"
-	"repro/internal/workload"
 )
 
 func run(args []string, stdout, stderr io.Writer) error {
@@ -142,24 +142,30 @@ func run(args []string, stdout, stderr io.Writer) error {
 		tr = obs.NewTrace("hailquery")
 		idx.SetTrace(tr)
 	}
-	// The rows print as the engine delivers them, up to -limit.
+	// The job is a passthrough (no map function), and its rows print as
+	// the engine delivers them, up to -limit, each written straight from
+	// its chunk's text.
 	printed := 0
+	w := bufio.NewWriter(stdout)
 	res, err := engine.Stream(context.Background(), &mapred.Job{
-		Name:     "hailquery",
-		File:     *name,
-		Input:    input,
-		MapBatch: workload.PassthroughMapBatch,
-		Trace:    tr,
-	}, func(chunk []mapred.KV) bool {
-		for _, kv := range chunk {
+		Name:  "hailquery",
+		File:  *name,
+		Input: input,
+		Trace: tr,
+	}, func(chunk mapred.Chunk) bool {
+		for row := range chunk.All() {
 			if *limit > 0 && printed == *limit {
 				return false
 			}
-			fmt.Fprintln(stdout, kv.Key)
+			w.WriteString(row)
+			w.WriteByte('\n')
 			printed++
 		}
 		return true
 	})
+	if err == nil {
+		err = w.Flush()
+	}
 	if err != nil {
 		return err
 	}

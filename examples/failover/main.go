@@ -59,11 +59,10 @@ func run(label string, sortCols []int) map[string]int {
 	out := make(map[string]int)
 	res, err := engine.Stream(context.Background(), &mapred.Job{
 		Name: bq.Name, File: "/uv",
-		Input:    &core.InputFormat{Cluster: cluster, Query: bq.Query},
-		MapBatch: workload.PassthroughMapBatch,
-	}, func(chunk []mapred.KV) bool {
-		for _, kv := range chunk {
-			out[kv.Key]++
+		Input: &core.InputFormat{Cluster: cluster, Query: bq.Query},
+	}, func(chunk mapred.Chunk) bool {
+		for row := range chunk.All() {
+			out[row]++
 		}
 		return true
 	})

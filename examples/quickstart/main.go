@@ -64,26 +64,23 @@ func main() {
 	}
 
 	// The map function gets whole batches, pre-filtered and pre-projected:
-	// each row is {id, temp}, and Lines renders them as text. Bad records
-	// arrive flagged in b.Bad; this job skips them. Once the job has run,
-	// the engine hands each block's output to the consumer, in task order.
+	// each row is {id, temp}, Lines renders them as text, and EmitLines
+	// hands that text over whole (a job with no MapBatch does the same).
+	// Bad records arrive flagged in b.Bad; this job skips them. Once the
+	// job has run, the engine hands each block's output to the consumer,
+	// in task order, as text and row ends.
 	engine := &mapred.Engine{Cluster: cluster}
 	fmt.Println("rows with city=Istanbul (id,temp):")
 	res, err := engine.Stream(context.Background(), &mapred.Job{
 		Name:  "istanbul-temps",
 		File:  "/weather",
 		Input: &core.InputFormat{Cluster: cluster, Query: q},
-		MapBatch: func(b *mapred.Batch, emit mapred.Emit) {
-			text, ends := b.Lines(',')
-			from := int32(0)
-			for _, to := range ends {
-				emit(text[from:to], "")
-				from = to
-			}
+		MapBatch: func(b *mapred.Batch, out mapred.Emitter) {
+			out.EmitLines(b.Lines(','))
 		},
-	}, func(chunk []mapred.KV) bool {
-		for _, kv := range chunk {
-			fmt.Println(" ", kv.Key)
+	}, func(chunk mapred.Chunk) bool {
+		for row := range chunk.All() {
+			fmt.Println(" ", row)
 		}
 		return true
 	})

@@ -51,8 +51,7 @@ func main() {
 		// Only the row count is printed, so nothing consumes the chunks.
 		res, err := engine.Stream(context.Background(), &mapred.Job{
 			Name: bq.Name, File: "/sdss",
-			Input:    &core.InputFormat{Cluster: cluster, Query: bq.Query, Splitting: true},
-			MapBatch: workload.PassthroughMapBatch,
+			Input: &core.InputFormat{Cluster: cluster, Query: bq.Query, Splitting: true},
 		}, nil)
 		if err != nil {
 			log.Fatalf("%s: %v", bq.Name, err)

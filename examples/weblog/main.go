@@ -59,8 +59,7 @@ func main() {
 		// HAIL: index scan via the annotation, HailSplitting on.
 		hailRes, err := engine.Stream(ctx, &mapred.Job{
 			Name: bq.Name, File: "/logs/uservisits",
-			Input:    &core.InputFormat{Cluster: cluster, Query: bq.Query, Splitting: true},
-			MapBatch: workload.PassthroughMapBatch,
+			Input: &core.InputFormat{Cluster: cluster, Query: bq.Query, Splitting: true},
 		}, nil)
 		if err != nil {
 			log.Fatalf("%s: %v", bq.Name, err)
@@ -72,10 +71,10 @@ func main() {
 		scanRes, err := engine.Stream(ctx, &mapred.Job{
 			Name: bq.Name + "-scan", File: "/logs/uservisits",
 			Input: &core.InputFormat{Cluster: cluster},
-			MapBatch: func(b *mapred.Batch, emit mapred.Emit) {
+			MapBatch: func(b *mapred.Batch, out mapred.Emitter) {
 				col := func(c int) *schema.Vector { return b.Cols[c] }
 				for range bq.Query.MatchesBatch(col, query.MakeSelection(nil, b.Rows)) {
-					emit("match", "")
+					out.Emit("match", "")
 				}
 			},
 		}, nil)

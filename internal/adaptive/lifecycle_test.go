@@ -206,7 +206,7 @@ func TestEvictionPrefersDeadNodeOrphans(t *testing.T) {
 		Name:     "orphan-first",
 		File:     file,
 		Input:    &core.InputFormat{Cluster: cluster, Query: dQuery(), Adaptive: idx},
-		MapBatch: func(*mapred.Batch, mapred.Emit) {},
+		MapBatch: func(*mapred.Batch, mapred.Emitter) {},
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"syscall"
 	"testing"
 	"time"
@@ -75,17 +77,13 @@ func cpuTime(tb testing.TB) time.Duration {
 
 // BenchmarkUploadBob is the ledger's upload op outside bench/: a fresh
 // 4-node cluster and one Upload of 100k generated lines with Bob's layout
-// (5k under -short, for CI's -benchtime=1x lane). `make profile-upload`
+// (5k under -short, for CI's -benchtime=1x lane; uploadLines). `make profile-upload`
 // profiles it. Besides ns/op it reports cpu-ms/op, the CPU time of every
 // core: the upload builds replicas on one core while it parses on
 // another, so ns/op falls when work moves to the second core and cpu-ms/op
 // only when there is less of it.
 func BenchmarkUploadBob(b *testing.B) {
-	n := 100_000
-	if testing.Short() {
-		n = 5_000
-	}
-	lines := workload.GenerateUserVisits(n, 1, workload.UserVisitsOptions{NeedleEvery: 25_000, BadEvery: 10_007})
+	lines := uploadLines()
 	var textBytes int64
 	for _, l := range lines {
 		textBytes += int64(len(l) + 1)
@@ -112,11 +110,7 @@ func BenchmarkUploadBob(b *testing.B) {
 // upload ÷ plain, in wall time, CPU and bytes, is what HAIL's three sorted,
 // indexed replicas cost over an HDFS upload.
 func BenchmarkUploadPlain(b *testing.B) {
-	n := 100_000
-	if testing.Short() {
-		n = 5_000
-	}
-	lines := workload.GenerateUserVisits(n, 1, workload.UserVisitsOptions{NeedleEvery: 25_000, BadEvery: 10_007})
+	lines := uploadLines()
 	var textBytes int64
 	for _, l := range lines {
 		textBytes += int64(len(l) + 1)
@@ -175,7 +169,7 @@ func benchQuery(b *testing.B, annotation string, splitting bool) {
 		res, err := e.Run(&mapred.Job{
 			Name: "bench", File: "/uv",
 			Input:    &InputFormat{Cluster: f.cluster, Query: q, Splitting: splitting},
-			MapBatch: func(*mapred.Batch, mapred.Emit) {},
+			MapBatch: func(*mapred.Batch, mapred.Emitter) {},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -285,11 +279,17 @@ func BenchmarkWideScanPassthrough(b *testing.B) {
 }
 
 // BenchmarkIndexScanPassthrough cycles through the ledger's three
-// index-scan shapes, as bench/'s index-scan list does: one-year visitDate
-// windows projecting @1 (Bob-Q1's shape), width-9 adRevenue ranges
-// projecting {@8,@9,@4} (Bob-Q4's) and the sourceIP needle (Bob-Q2).
-// Every op is an index scan of every block; one op is one job.
+// index-scan shapes (indexScanShapes). Every op is an index scan of every
+// block; one op is one job.
 func BenchmarkIndexScanPassthrough(b *testing.B) {
+	benchPassthrough(b, indexScanShapes()...)
+}
+
+// indexScanShapes are the ledger's three index-scan shapes, as bench/'s
+// index-scan list has them: one-year visitDate windows projecting @1
+// (Bob-Q1's shape), width-9 adRevenue ranges projecting {@8,@9,@4}
+// (Bob-Q4's) and the sourceIP needle (Bob-Q2).
+func indexScanShapes() []string {
 	var qs []string
 	for _, year := range []int{1975, 1983, 1991, 1999} {
 		qs = append(qs, fmt.Sprintf(`@HailQuery(filter="@3 between(%d-01-01,%d-01-01)", projection={@1})`, year, year+1))
@@ -297,7 +297,58 @@ func BenchmarkIndexScanPassthrough(b *testing.B) {
 	for _, lo := range []int{10, 130, 250, 370} {
 		qs = append(qs, fmt.Sprintf(`@HailQuery(filter="@4 between(%d,%d)", projection={@8,@9,@4})`, lo, lo+9))
 	}
-	benchPassthrough(b, append(qs, `@HailQuery(filter="@1 = `+workload.NeedleIP+`", projection={@8,@9,@4})`)...)
+	return append(qs, `@HailQuery(filter="@1 = `+workload.NeedleIP+`", projection={@8,@9,@4})`)
+}
+
+// BenchmarkWideScanStream and BenchmarkIndexScanStream are the two scan
+// shapes on the production path: a job with no map function, streamed,
+// each chunk's rows taken as haild's handler takes them with no limit —
+// substrings into a buffer that doubles, then one exactly-sized copy.
+// `make profile-scan` profiles them beside the Passthrough pair, which
+// measure the compatibility Run the ledger runs.
+func BenchmarkWideScanStream(b *testing.B) {
+	benchStream(b, wideQ)
+}
+
+func BenchmarkIndexScanStream(b *testing.B) {
+	benchStream(b, indexScanShapes()...)
+}
+
+// benchStream streams one passthrough job per op over Bob's 200k-line
+// fixture, cycling through the annotations; every job must return rows.
+func benchStream(b *testing.B, annotations ...string) {
+	cluster := getBobFix(b)
+	qs := make([]*query.Query, len(annotations))
+	for i, ann := range annotations {
+		q, err := mustParse(ann)
+		if err != nil {
+			b.Fatal(err)
+		}
+		qs[i] = q
+	}
+	e := &mapred.Engine{Cluster: cluster, Parallelism: 1}
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		var rows []string
+		res, err := e.Stream(context.Background(), &mapred.Job{
+			Name: "bench", File: "/uv",
+			Input: &InputFormat{Cluster: cluster, Query: qs[i%len(qs)]},
+		}, func(chunk mapred.Chunk) bool {
+			for row := range chunk.All() {
+				if len(rows) == cap(rows) {
+					rows = slices.Grow(rows, max(len(rows), 64))
+				}
+				rows = append(rows, row)
+			}
+			return true
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if kept := slices.Clone(rows); len(kept) == 0 || len(kept) != res.Rows {
+			b.Fatalf("%d rows kept, the job emitted %d", len(kept), res.Rows)
+		}
+	}
 }
 
 // BenchmarkIndexScanOpen is an index scan's fixed cost per block: the

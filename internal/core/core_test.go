@@ -383,7 +383,7 @@ func TestBadRecordsDeliveredFlagged(t *testing.T) {
 		Name:  "bad",
 		File:  "/uv",
 		Input: &InputFormat{Cluster: cluster, Query: workload.BobQueries()[0].Query},
-		MapBatch: func(b *mapred.Batch, emit mapred.Emit) {
+		MapBatch: func(b *mapred.Batch, out mapred.Emitter) {
 			for _, raw := range b.Bad {
 				mu.Lock()
 				badSeen++
@@ -522,10 +522,10 @@ func TestUploadStoresNULLineAsBadRecord(t *testing.T) {
 		Name:  "all",
 		File:  "/uv",
 		Input: &InputFormat{Cluster: cluster, Query: &query.Query{}},
-		MapBatch: func(b *mapred.Batch, emit mapred.Emit) {
-			workload.PassthroughMapBatch(b, func(row, _ string) { emit("good", row) })
+		MapBatch: func(b *mapred.Batch, out mapred.Emitter) {
+			workload.PassthroughMapBatch(b, mapred.Emit(func(row, _ string) { out.Emit("good", row) }))
 			for _, line := range b.Bad {
-				emit("bad", line)
+				out.Emit("bad", line)
 			}
 		},
 	})

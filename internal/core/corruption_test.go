@@ -55,10 +55,10 @@ func (r repinned) Splits(file string, cached func(hdfs.BlockID) (hdfs.NodeID, bo
 
 // matrixMap passes good rows and bad records through, so a duplicated or
 // missing record of either kind shows in the output.
-func matrixMap(b *mapred.Batch, emit mapred.Emit) {
-	workload.PassthroughMapBatch(b, emit)
+func matrixMap(b *mapred.Batch, out mapred.Emitter) {
+	workload.PassthroughMapBatch(b, out)
 	for _, line := range b.Bad {
-		emit("bad", line)
+		out.Emit("bad", line)
 	}
 }
 

@@ -285,9 +285,9 @@ func runEngineCase(t *testing.T, seed int64, k engineKnobs) (cacheStats qcache.S
 	newJob := func(c *cacheRecorder, traced bool) (*mapred.Engine, *mapred.Job) {
 		e := &mapred.Engine{Cluster: cluster, Parallelism: k.par}
 		in := &InputFormat{Cluster: cluster, Query: q, Splitting: k.splitting, PackScans: k.packScans}
-		job := &mapred.Job{Name: "fuzz", File: "/fuzz", Input: &oracleInput{in, t, blocks}, MapBatch: workload.PassthroughMapBatch}
+		job := &mapred.Job{Name: "fuzz", File: "/fuzz", Input: &oracleInput{in, t, blocks}}
 		if c != nil {
-			e.Cache, job.MapSig = c, workload.PassthroughMapSig
+			e.Cache = c
 		}
 		if traced {
 			job.Trace = obs.NewTrace("fuzz")
@@ -323,7 +323,7 @@ func runEngineCase(t *testing.T, seed int64, k engineKnobs) (cacheStats qcache.S
 		var res *mapred.JobResult
 		var err error
 		if f == cancelJob {
-			res, err = e.Stream(ctx, job, func([]mapred.KV) bool {
+			res, err = e.Stream(ctx, job, func(mapred.Chunk) bool {
 				t.Errorf("%s: the cancelled job delivered a chunk", desc)
 				return false
 			})
@@ -370,11 +370,13 @@ func runEngineCase(t *testing.T, seed int64, k engineKnobs) (cacheStats qcache.S
 	if k.fault == stopDelivery {
 		e, job := newJob(newCache(), k.trace)
 		chunks := 0
-		if streamed, err = e.Stream(context.Background(), job, func(chunk []mapred.KV) bool {
+		if streamed, err = e.Stream(context.Background(), job, func(chunk mapred.Chunk) bool {
 			if chunks++; chunks > killAt {
 				t.Errorf("%s: chunk %d delivered after the consumer stopped at %d", desc, chunks, killAt)
 			}
-			stopped = append(stopped, chunk...)
+			for k, v := range chunk.All() {
+				stopped = append(stopped, mapred.KV{Key: k, Value: v})
+			}
 			return chunks < killAt
 		}); err != nil {
 			t.Fatalf("%s: streamed: %v", desc, err)
@@ -587,8 +589,8 @@ type cacheRecorder struct {
 	lost     []hdfs.BlockID
 }
 
-func (c *cacheRecorder) Get(k mapred.CacheKey) ([]mapred.KV, mapred.TaskStats, bool) {
-	kvs, st, ok := c.Cache.Get(k)
+func (c *cacheRecorder) Get(k mapred.CacheKey) (mapred.Chunk, mapred.TaskStats, bool) {
+	chunk, st, ok := c.Cache.Get(k)
 	c.mu.Lock()
 	if gen := c.nn.Generation(k.Block); ok && (!c.puts[k] || c.checkGen && k.Gen != gen) {
 		c.stale = append(c.stale, fmt.Sprintf("block %d: a hit at generation %d (now %d), put under that key: %v", k.Block, k.Gen, gen, c.puts[k]))
@@ -597,11 +599,11 @@ func (c *cacheRecorder) Get(k mapred.CacheKey) ([]mapred.KV, mapred.TaskStats, b
 		c.lost = append(c.lost, k.Block)
 	}
 	c.mu.Unlock()
-	return kvs, st, ok
+	return chunk, st, ok
 }
 
-func (c *cacheRecorder) Put(k mapred.CacheKey, kvs []mapred.KV, st mapred.TaskStats) bool {
-	ok := c.Cache.Put(k, kvs, st)
+func (c *cacheRecorder) PutChunk(k mapred.CacheKey, chunk mapred.Chunk, st mapred.TaskStats) bool {
+	ok := c.Cache.PutChunk(k, chunk, st)
 	if ok {
 		c.mu.Lock()
 		c.puts[k] = true

@@ -13,16 +13,17 @@ import (
 
 // ledgerCache is a qcache that sums what it admitted, entry by entry, in
 // the cache's own currency. Embedding exposes every admission path the
-// cache has to the engine, so the sum misses anything not admitted by Put.
+// cache has to the engine, so the sum misses anything not admitted by
+// PutChunk.
 type ledgerCache struct {
 	*qcache.Cache
 	admitted map[mapred.CacheKey]int64
 }
 
-func (c *ledgerCache) Put(k mapred.CacheKey, kvs []mapred.KV, stats mapred.TaskStats) bool {
-	ok := c.Cache.Put(k, kvs, stats)
+func (c *ledgerCache) PutChunk(k mapred.CacheKey, chunk mapred.Chunk, stats mapred.TaskStats) bool {
+	ok := c.Cache.PutChunk(k, chunk, stats)
 	if ok {
-		c.admitted[k] = qcache.EntryCost(k, kvs)
+		c.admitted[k] = qcache.EntryCost(k, chunk)
 	}
 	return ok
 }

@@ -35,9 +35,7 @@ type poolJob struct {
 func (j poolJob) run(cluster *hdfs.Cluster, par int, cache mapred.ResultCache) (*mapred.JobResult, error) {
 	return (&mapred.Engine{Cluster: cluster, Parallelism: par, Cache: cache}).Run(&mapred.Job{
 		Name: "pool " + j.file, File: j.file,
-		Input:    &InputFormat{Cluster: cluster, Query: j.q},
-		MapBatch: workload.PassthroughMapBatch,
-		MapSig:   workload.PassthroughMapSig,
+		Input: &InputFormat{Cluster: cluster, Query: j.q},
 	})
 }
 
@@ -219,7 +217,7 @@ func oneReaderAcrossShapes(t *testing.T, cluster *hdfs.Cluster) {
 			}
 			var out []string
 			stats, err := rr.ReadBatches(func(b *mapred.Batch) {
-				workload.PassthroughMapBatch(b, func(k, _ string) { out = append(out, k) })
+				workload.PassthroughMapBatch(b, mapred.Emit(func(k, _ string) { out = append(out, k) }))
 			})
 			if err != nil {
 				t.Fatalf("step %d: %v", i, err)

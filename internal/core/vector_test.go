@@ -344,9 +344,9 @@ func TestFullScanSizesEachBlockOnce(t *testing.T) {
 
 	empty := &mapred.Job{
 		Name: "one-empty-kv", File: "/uv", Input: in,
-		MapBatch: func(b *mapred.Batch, emit mapred.Emit) {
+		MapBatch: func(b *mapred.Batch, out mapred.Emitter) {
 			for range b.NumRows() {
-				emit("", "")
+				out.Emit("", "")
 			}
 		},
 	}
@@ -372,9 +372,9 @@ func TestFullScanSizesEachBlockOnce(t *testing.T) {
 
 	once, err := e.Run(&mapred.Job{
 		Name: "one-kv", File: "/uv", Input: in,
-		MapBatch: func(b *mapred.Batch, emit mapred.Emit) {
+		MapBatch: func(b *mapred.Batch, out mapred.Emitter) {
 			for _, r := range recordText(b) {
-				emit(r, "")
+				out.Emit(r, "")
 			}
 		},
 	})
@@ -383,10 +383,10 @@ func TestFullScanSizesEachBlockOnce(t *testing.T) {
 	}
 	twice, err := e.Run(&mapred.Job{
 		Name: "two-kvs", File: "/uv", Input: in,
-		MapBatch: func(b *mapred.Batch, emit mapred.Emit) {
+		MapBatch: func(b *mapred.Batch, out mapred.Emitter) {
 			for _, r := range recordText(b) {
-				emit(r, "1")
-				emit(r, "2")
+				out.Emit(r, "1")
+				out.Emit(r, "2")
 			}
 		},
 	})

@@ -12,7 +12,6 @@ import (
 	"repro/internal/mapred"
 	"repro/internal/query"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // ExpAdaptive reproduces the adaptive-indexing trajectory (the paper's
@@ -166,7 +165,6 @@ func (r *Runner) ExpAdaptive(w Workload, jobsPerPhase int, offerRate float64) (*
 					Cluster: cluster, Query: q, Adaptive: idx,
 					Splitting: true, SplitsPerNode: SplitsPerNodePaper,
 				},
-				MapBatch: workload.PassthroughMapBatch,
 			}, tally(got))
 			if err != nil {
 				return nil, err
@@ -353,8 +351,7 @@ func reference(f *fixture, q *query.Query) (map[string]int, error) {
 	rows := make(map[string]int)
 	_, err := (&mapred.Engine{Cluster: f.cluster}).Stream(context.Background(), &mapred.Job{
 		Name: "reference", File: f.file,
-		Input:    &core.InputFormat{Cluster: f.cluster, Query: q},
-		MapBatch: workload.PassthroughMapBatch,
+		Input: &core.InputFormat{Cluster: f.cluster, Query: q},
 	}, tally(rows))
 	if err != nil {
 		return nil, err
@@ -362,13 +359,12 @@ func reference(f *fixture, q *query.Query) (map[string]int, error) {
 	return rows, nil
 }
 
-// tally is a Stream consumer that builds the row→count map of a job's
-// output in m. The passthrough map emits each row as a key with an empty
-// value.
-func tally(m map[string]int) func([]mapred.KV) bool {
-	return func(chunk []mapred.KV) bool {
-		for _, kv := range chunk {
-			m[kv.Key]++
+// tally is a Stream consumer that builds the row→count map of a
+// passthrough job's output in m.
+func tally(m map[string]int) func(mapred.Chunk) bool {
+	return func(chunk mapred.Chunk) bool {
+		for row := range chunk.All() {
+			m[row]++
 		}
 		return true
 	}

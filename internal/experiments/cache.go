@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/mapred"
 	"repro/internal/qcache"
-	"repro/internal/workload"
 )
 
 // ExpCache demonstrates the block-level result cache end to end on the
@@ -125,7 +124,6 @@ func (r *Runner) ExpCache(w Workload, jobs int, offerRate float64) (*CacheReport
 				Cluster: cluster, Query: q, Adaptive: idx,
 				Splitting: true, SplitsPerNode: SplitsPerNodePaper,
 			},
-			MapBatch: workload.PassthroughMapBatch, MapSig: workload.PassthroughMapSig,
 		}, nil)
 		if err != nil {
 			return nil, err

@@ -9,7 +9,6 @@ import (
 	"repro/internal/hdfs"
 	"repro/internal/mapred"
 	"repro/internal/qcache"
-	"repro/internal/workload"
 )
 
 // ExpDispatch measures what scan-split packing buys on the two workloads
@@ -122,8 +121,7 @@ func (r *Runner) ExpDispatch(w Workload) (*DispatchReport, error) {
 		}
 		return e.Stream(context.Background(), &mapred.Job{
 			Name: name, File: f.file,
-			Input: newInput(pack), MapBatch: workload.PassthroughMapBatch,
-			MapSig: workload.PassthroughMapSig,
+			Input: newInput(pack),
 		}, nil)
 	}
 
@@ -235,7 +233,7 @@ func (r *Runner) ExpDispatch(w Workload) (*DispatchReport, error) {
 	}
 	killRes, err := runKilled(cluster, victim, &mapred.Job{
 		Name: "dispatch-packed-kill", File: f.file,
-		Input: newInput(true), MapBatch: workload.PassthroughMapBatch,
+		Input: newInput(true),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: packed job with node kill failed: %v", err)

@@ -122,8 +122,7 @@ func (r *Runner) hailFaultRun(sortCols []int, bq workload.BenchQuery) (e2e, slow
 	victim := f.cluster.NameNode().GetHostsWithIndex(f.hailSum.BlockIDs[0], bq.Query.Filter[0].Column)[0]
 	resKill, err := runKilled(f.cluster, victim, &mapred.Job{
 		Name: bq.Name + "-kill", File: f.file,
-		Input:    &core.InputFormat{Cluster: f.cluster, Query: bq.Query},
-		MapBatch: workload.PassthroughMapBatch,
+		Input: &core.InputFormat{Cluster: f.cluster, Query: bq.Query},
 	})
 	if err != nil {
 		return 0, 0, fmt.Errorf("fault: %v", err)

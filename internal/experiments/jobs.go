@@ -25,7 +25,9 @@ func (r *Runner) runQuery(f *fixture, bq workload.BenchQuery, splitting bool) (*
 	return (&mapred.Engine{Cluster: f.cluster}).Stream(context.Background(), queryJob(f, bq, splitting), nil)
 }
 
-// queryJob is the job that runs bq on f's system.
+// queryJob is the job that runs bq on f's system: Hadoop's map splits,
+// filters and projects each text line; HAIL's and Hadoop++'s readers
+// deliver the rows filtered and projected, so their jobs are passthroughs.
 func queryJob(f *fixture, bq workload.BenchQuery, splitting bool) *mapred.Job {
 	job := &mapred.Job{Name: bq.Name, File: f.file}
 	switch f.system {
@@ -34,13 +36,11 @@ func queryJob(f *fixture, bq workload.BenchQuery, splitting bool) *mapred.Job {
 		job.MapBatch = hadoop.Map(specs[f.workload].schema, bq.Query)
 	case HadoopPP:
 		job.Input = &trojan.InputFormat{System: f.trojanSys, Query: bq.Query}
-		job.MapBatch = workload.PassthroughMapBatch
 	case HAIL:
 		job.Input = &core.InputFormat{
 			Cluster: f.cluster, Query: bq.Query,
 			Splitting: splitting, SplitsPerNode: SplitsPerNodePaper,
 		}
-		job.MapBatch = workload.PassthroughMapBatch
 	}
 	return job
 }

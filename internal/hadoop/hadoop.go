@@ -171,10 +171,10 @@ func (r *lineReader) ReadBatches(fn func(*mapred.Batch)) (mapred.TaskStats, erro
 // emit the projected row. A line that does not parse is dropped, as a
 // hand-written map that checks its input drops it.
 func Map(s *schema.Schema, q *query.Query) mapred.MapBatchFunc {
-	return func(b *mapred.Batch, emit mapred.Emit) {
+	return func(b *mapred.Batch, out mapred.Emitter) {
 		for _, line := range b.Raw {
 			if row, ok := q.EvalText(s, line); ok {
-				emit(row, "")
+				out.Emit(row, "")
 			}
 		}
 	}

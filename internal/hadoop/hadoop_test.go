@@ -87,9 +87,9 @@ func TestUploadValidation(t *testing.T) {
 }
 
 // emitLines is the identity map over raw text: each line as a key.
-func emitLines(b *mapred.Batch, emit mapred.Emit) {
+func emitLines(b *mapred.Batch, out mapred.Emitter) {
 	for _, line := range b.Raw {
-		emit(line, "")
+		out.Emit(line, "")
 	}
 }
 

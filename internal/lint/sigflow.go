@@ -39,7 +39,8 @@ func (*sigReadsFact) AFact() {}
 // not knobs), and split-phase-only fields (the cache is per block, and
 // how blocks are grouped into splits changes no block's output). MapSig's
 // side of the key is enforced at runtime — mapred.Engine refuses to cache
-// when Job.MapSig is empty.
+// a job whose map function has an empty Job.MapSig, and keys a job with
+// none by mapred.PassthroughSig.
 var SigFlow = &Analyzer{
 	Name:      "sigflow",
 	Doc:       "every knob read on the block-scan path must flow into QuerySignature",

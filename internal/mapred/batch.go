@@ -61,10 +61,10 @@ func (b *Batch) NumRows() int { return b.Rows + len(b.Raw) + len(b.Bad) }
 // (AppendText).
 //
 // A substring of text keeps all of text reachable — about 120 KB for a
-// full batch of nine-attribute rows. Every retainer of map output today
-// (a cache entry, a job result, a haild response) holds a block's rows
-// together, so nothing extra stays live; a map function that keeps one
-// row in a thousand should clone it.
+// full batch of nine-attribute rows. A chunk holds text whole (Chunk), and
+// every retainer of map output (a cache entry, a job result, a haild
+// response) holds a block's rows together, so nothing extra stays live; a
+// map function that keeps one row in a thousand should clone it.
 func (b *Batch) Lines(sep byte) (text string, ends []int32) {
 	b.text, b.ends = b.text[:0], slices.Grow(b.ends[:0], b.Rows)
 	b.offs = slices.Grow(b.offs[:0], len(b.Cols))[:len(b.Cols)]
@@ -95,8 +95,8 @@ func (b *Batch) Lines(sep byte) (text string, ends []int32) {
 }
 
 // MapBatchFunc is a map function that consumes whole batches: the form
-// every job's map function has.
-type MapBatchFunc func(b *Batch, emit Emit)
+// every job's map function has. It writes the batch's output to out.
+type MapBatchFunc func(b *Batch, out Emitter)
 
 // BatchReader is the record reader of one split, the one shape every input
 // format's reader has: it streams the split's records as batches, block

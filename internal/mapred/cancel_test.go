@@ -39,7 +39,7 @@ func TestCancelledJobDeliversNothing(t *testing.T) {
 			res, err := e.Stream(ctx, &Job{
 				Name: "cancel", File: "/fake", Input: f, MapSig: "raw", Trace: tr,
 				MapBatch: emitRaw(""),
-			}, func([]KV) bool { yielded++; return true })
+			}, func(Chunk) bool { yielded++; return true })
 			if !errors.Is(err, context.Canceled) || res != nil {
 				t.Fatalf("cancelled job: result %v, error %v; want none and context.Canceled", res, err)
 			}
@@ -79,16 +79,16 @@ func TestCancelMidBlockCachesNothingOfIt(t *testing.T) {
 	e := &Engine{Cluster: c, Cache: cache, Parallelism: 1}
 	job := &Job{
 		Name: "cancel", File: "/fake", Input: f, MapSig: "raw", Trace: tr,
-		MapBatch: func(b *Batch, emit Emit) {
+		MapBatch: func(b *Batch, out Emitter) {
 			for _, line := range b.Raw {
 				if line == "b5-r2" {
 					cancel()
 				}
-				emit(line, "")
+				out.Emit(line, "")
 			}
 		},
 	}
-	_, err := e.Stream(ctx, job, func([]KV) bool { t.Error("yield ran for a cancelled job"); return false })
+	_, err := e.Stream(ctx, job, func(Chunk) bool { t.Error("yield ran for a cancelled job"); return false })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v, want context.Canceled", err)
 	}
@@ -108,9 +108,9 @@ func TestCancelMidBlockCachesNothingOfIt(t *testing.T) {
 
 	job.Trace = nil
 	var rows []string
-	res, err := e.Stream(context.Background(), job, func(chunk []KV) bool {
-		for _, kv := range chunk {
-			rows = append(rows, kv.Key)
+	res, err := e.Stream(context.Background(), job, func(chunk Chunk) bool {
+		for row := range chunk.All() {
+			rows = append(rows, row)
 		}
 		return true
 	})
@@ -133,7 +133,7 @@ func TestStreamStopsDeliveryNotTheJob(t *testing.T) {
 	e := &Engine{Cluster: c, Parallelism: 2}
 	job := &Job{Name: "stop", File: "/fake", Input: f, MapBatch: emitRaw("")}
 	calls := 0
-	res, err := e.Stream(context.Background(), job, func(chunk []KV) bool {
+	res, err := e.Stream(context.Background(), job, func(Chunk) bool {
 		calls++
 		return calls < 2
 	})
@@ -144,8 +144,8 @@ func TestStreamStopsDeliveryNotTheJob(t *testing.T) {
 		t.Errorf("yield called %d times, Rows %d, %d tasks, Output %d; want 2, 24, 6, nil", calls, res.Rows, len(res.Tasks), len(res.Output))
 	}
 	var streamed []KV
-	if _, err := e.Stream(context.Background(), job, func(chunk []KV) bool {
-		streamed = append(streamed, chunk...)
+	if _, err := e.Stream(context.Background(), job, func(chunk Chunk) bool {
+		streamed = appendRows(streamed, chunk)
 		return true
 	}); err != nil {
 		t.Fatal(err)

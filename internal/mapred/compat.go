@@ -2,6 +2,7 @@ package mapred
 
 import (
 	"context"
+	"iter"
 
 	"repro/internal/schema"
 )
@@ -10,22 +11,60 @@ import (
 // compiles against. Production maps batches and streams chunks; nothing
 // outside bench/ and this package's own tests uses what is here.
 
-// Run executes the job as Stream does, uncancellable, and copies every
-// block's chunk into one exactly-sized JobResult.Output. It is the form
+// Run executes the job as Stream does, uncancellable, and writes every
+// block's rows into one exactly-sized JobResult.Output. It is the form
 // the benchmark measures, and tests compare whole answers with; a
-// consumer that reads the rows once takes them from Stream, which copies
-// nothing.
+// consumer that reads the rows once takes them from Stream, which writes
+// no header per row.
 func (e *Engine) Run(job *Job) (*JobResult, error) {
 	return e.run(context.Background(), job, assemble)
 }
 
-// assemble copies the chunks into res.Output: the one place Run copies KV
-// headers.
-func assemble(res *JobResult, chunks [][]KV) {
-	res.Output = make([]KV, 0, res.Rows)
+// assemble writes the chunks' rows into res.Output: the one place a KV
+// header is written, once per row, from text and ends.
+func assemble(res *JobResult, chunks []Chunk) {
+	res.Output = make([]KV, res.Rows)
+	i := 0
 	for _, c := range chunks {
-		res.Output = append(res.Output, c...)
+		for _, s := range c.segs {
+			from := int32(0)
+			if s.pairs {
+				for k := 0; k+1 < len(s.ends); k += 2 {
+					res.Output[i] = KV{s.text[from:s.ends[k]], s.text[s.ends[k]:s.ends[k+1]]}
+					from = s.ends[k+1]
+					i++
+				}
+				continue
+			}
+			for _, to := range s.ends {
+				res.Output[i].Key = s.text[from:to]
+				from = to
+				i++
+			}
+		}
 	}
+}
+
+// All yields Output's rows, key and value, in order: Run's answer, row
+// by row. A result Stream returned has no Output and yields nothing.
+func (r *JobResult) All() iter.Seq2[string, string] {
+	return func(yield func(string, string) bool) {
+		for _, kv := range r.Output {
+			if !yield(kv.Key, kv.Value) {
+				return
+			}
+		}
+	}
+}
+
+// ChunkOf returns a chunk holding kvs' pairs in order, copied into one
+// text.
+func ChunkOf(kvs []KV) Chunk {
+	var b blockBuf
+	for _, kv := range kvs {
+		b.Emit(kv.Key, kv.Value)
+	}
+	return b.chunk()
 }
 
 // Record is one input record, as Batch.Each materializes it.

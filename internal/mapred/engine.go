@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,10 +30,10 @@ type TaskReport struct {
 
 // JobResult is the full outcome of a job run.
 type JobResult struct {
-	// Output is the blocks' chunks copied into one slice, in task order.
+	// Output is the blocks' rows written into one slice, in task order.
 	// Only Run fills it; Stream hands the chunks to its caller instead.
 	Output []KV
-	// Rows is the number of KVs the job emitted: len(Output) after Run,
+	// Rows is the number of rows the job emitted: len(Output) after Run,
 	// the summed chunk lengths Stream had to deliver.
 	Rows       int
 	Tasks      []TaskReport
@@ -49,6 +48,9 @@ type JobResult struct {
 	Repacked    int
 	BlocksRerun int
 }
+
+// Len returns the number of rows the job emitted, Rows.
+func (r *JobResult) Len() int { return r.Rows }
 
 // TotalStats sums all task stats.
 func (r *JobResult) TotalStats() TaskStats {
@@ -148,7 +150,11 @@ type cacheContext struct {
 // cacheContext decides whether this job's per-block results are cacheable
 // and assembles the context if so.
 func (e *Engine) cacheContext(job *Job) *cacheContext {
-	if e.Cache == nil || job.MapSig == "" {
+	mapSig := job.MapSig
+	if job.MapBatch == nil {
+		mapSig = PassthroughSig
+	}
+	if e.Cache == nil || mapSig == "" {
 		return nil
 	}
 	signer, ok := job.Input.(QuerySigner)
@@ -161,7 +167,7 @@ func (e *Engine) cacheContext(job *Job) *cacheContext {
 	}
 	return &cacheContext{
 		cache: e.Cache, nn: e.Cluster.NameNode(),
-		file: job.File, querySig: sig, mapSig: job.MapSig,
+		file: job.File, querySig: sig, mapSig: mapSig,
 	}
 }
 
@@ -201,11 +207,12 @@ func (cc *cacheContext) probe() func(hdfs.BlockID) (hdfs.NodeID, bool) {
 // locality scheduling and failure recovery — and then hands each block's
 // non-empty chunk to yield, in task order. yield runs on the caller's
 // goroutine, once the whole map phase has succeeded; a chunk is read-only
-// and valid only during the call (it is the cache's own slice or a window
-// of a pooled buffer the pool gets back when Stream returns), so a
-// consumer copies what it keeps. yield returning false stops the
-// delivery, not the job: the result's counts, Rows among them, are the
-// whole job's. A nil yield delivers nothing.
+// and valid only during the call (it is the cache's own, or keeps its row
+// ends in a pooled buffer the pool gets back when Stream returns), so a
+// consumer keeps rows, not the chunk: a row is a substring of the chunk's
+// text and stays valid. yield returning false stops the delivery, not the
+// job: the result's counts, Rows among them, are the whole job's. A nil
+// yield delivers nothing.
 //
 // ctx is checked by the workers before they claim a task and before and
 // after each block. Once it is done no task is claimed and no block begun
@@ -220,13 +227,13 @@ func (cc *cacheContext) probe() func(hdfs.BlockID) (hdfs.NodeID, bool) {
 // lanes, and the delivery runs under "assemble". When e.Obs is set, task
 // latencies and dispatch/failover counters land in the registry. Both are
 // independent and both default to off.
-func (e *Engine) Stream(ctx context.Context, job *Job, yield func(chunk []KV) bool) (*JobResult, error) {
-	return e.run(ctx, job, func(_ *JobResult, chunks [][]KV) {
+func (e *Engine) Stream(ctx context.Context, job *Job, yield func(Chunk) bool) (*JobResult, error) {
+	return e.run(ctx, job, func(_ *JobResult, chunks []Chunk) {
 		if yield == nil {
 			return
 		}
 		for _, c := range chunks {
-			if len(c) > 0 && !yield(c) {
+			if len(c.segs) > 0 && !yield(c) {
 				return
 			}
 		}
@@ -238,10 +245,7 @@ func (e *Engine) Stream(ctx context.Context, job *Job, yield func(chunk []KV) bo
 // chunk in task order, under the assemble span. deliver is called only
 // when every task succeeded and ctx is not done, and the chunks are valid
 // only until it returns.
-func (e *Engine) run(ctx context.Context, job *Job, deliver func(res *JobResult, chunks [][]KV)) (*JobResult, error) {
-	if job.MapBatch == nil {
-		return nil, fmt.Errorf("mapred: job %q has no map function (MapBatch)", job.Name)
-	}
+func (e *Engine) run(ctx context.Context, job *Job, deliver func(res *JobResult, chunks []Chunk)) (*JobResult, error) {
 	tr := job.Trace
 	runSpan := tr.StartSpan("run", "job", 0, obs.Span{})
 	defer runSpan.End()
@@ -274,21 +278,21 @@ func (e *Engine) run(ctx context.Context, job *Job, deliver func(res *JobResult,
 	// claim; both are zero Spans (inert, allocation-free) when tracing is
 	// off. A task's output is one chunk per block, in split order; the
 	// chunks of all tasks are windows of one array sized by the job's block
-	// count, and so are the buffers its computed blocks emitted into, one
+	// count, and so are the buffers its computed blocks were built in, one
 	// slot per block. The buffers go back to the pool when the job returns:
 	// after the delivery, or when the job has failed.
 	tasks := make([]struct {
 		tsp, wsp obs.Span
 		report   TaskReport
-		chunks   [][]KV
-		bufs     []*[]KV
+		chunks   []Chunk
+		bufs     []*blockBuf
 		err      error
 	}, len(splits))
 	nblocks := 0
 	for _, s := range splits {
 		nblocks += len(s.Blocks)
 	}
-	chunks, bufs := make([][]KV, nblocks), make([]*[]KV, nblocks)
+	chunks, bufs := make([]Chunk, nblocks), make([]*blockBuf, nblocks)
 	off := 0
 	for i, s := range splits {
 		n := len(s.Blocks)
@@ -374,7 +378,7 @@ func (e *Engine) run(ctx context.Context, job *Job, deliver func(res *JobResult,
 	mapSpan.End()
 
 	// The buffers go back to the pool inside the assemble span, whose time
-	// they take: clearing a wide scan's is a share of its wall-clock.
+	// they take: one cleared segment header per batch.
 	assembleSpan := tr.StartSpan("assemble", "phase", 0, runSpan)
 	defer assembleSpan.End()
 	defer releaseBufs(bufs)
@@ -396,16 +400,16 @@ func (e *Engine) run(ctx context.Context, job *Job, deliver func(res *JobResult,
 		}
 		res.BlocksRerun += t.report.BlocksRerun
 		for _, c := range t.chunks {
-			res.Rows += len(c)
+			res.Rows += c.Len()
 		}
 	}
 	if m != nil {
 		m.recordJob(res)
 	}
 	// Every task succeeded, so every block's chunk sits in its slot of
-	// chunks, in task order: the cache's own slices, which nothing
-	// downstream of here may write through, or windows of block buffers the
-	// pool gets back when the job returns.
+	// chunks, in task order: the cache's own, which nothing downstream of
+	// here may write through, or windows of block buffers the pool gets
+	// back when the job returns.
 	deliver(res, chunks)
 	return res, nil
 }
@@ -476,25 +480,22 @@ func (e *Engine) schedule(splits []Split) []hdfs.NodeID {
 }
 
 // blockMapper maps the batches of one block into that block's buffer,
-// kvs. A worker builds one for the job and points it at each block it
-// computes, so a task builds no closures of its own.
+// buf, which is the map function's Emitter. A worker builds one for the
+// job and points it at each block it computes, so a task builds no
+// closures of its own. A passthrough job hands each batch's Lines over
+// whole: only the row ends are copied.
 type blockMapper struct {
-	kvs     *[]KV
-	emit    Emit
+	buf     *blockBuf
 	consume func(*Batch)
 }
 
 func newBlockMapper(job *Job) *blockMapper {
 	m := new(blockMapper)
-	// A full buffer doubles: append's own growth of a large slice, a quarter
-	// at a time, would allocate five times the block's final output.
-	m.emit = func(k, v string) {
-		if len(*m.kvs) == cap(*m.kvs) {
-			*m.kvs = slices.Grow(*m.kvs, max(len(*m.kvs), 64))
-		}
-		*m.kvs = append(*m.kvs, KV{k, v})
+	if job.MapBatch == nil {
+		m.consume = func(b *Batch) { m.buf.EmitLines(b.Lines(',')) }
+	} else {
+		m.consume = func(b *Batch) { job.MapBatch(b, m.buf) }
 	}
-	m.consume = func(b *Batch) { job.MapBatch(b, m.emit) }
 	return m
 }
 
@@ -502,13 +503,13 @@ func newBlockMapper(job *Job) *blockMapper {
 // same for every input format and every split size. A task's output is the
 // list of its blocks' outputs, appended to chunks (the task's empty window
 // of the job's chunk array) in split order. Per block the loop probes the
-// result cache when the job is cacheable — a hit's chunk is the cache's own
-// slice, shared and read-only, not a copy — and otherwise opens the split
+// result cache when the job is cacheable — a hit's chunk is the cache's
+// own, shared and read-only, not a copy — and otherwise opens the split
 // narrowed to that block and maps its records, through the worker's bm,
 // into the block's buffer, bufs[pos], taken from the pool on first use;
 // the chunk is a cap-clamped window of it. A reader that fails mid-block
-// has its chunk dropped, and its buffer is cleared before the block is
-// read again.
+// has its chunk dropped, and its buffer is reset before the block is read
+// again.
 //
 // Progress is a cursor: blocks [0,pos) are done and chunks holds their
 // output, so the result is byte-identical to a whole-split read. When the
@@ -525,7 +526,7 @@ func newBlockMapper(job *Job) *blockMapper {
 // is the task boundary's to catch: it fails the job with an error naming
 // task, block and executing node instead of killing the process, and the
 // failed block's output never reaches the cache.
-func (e *Engine) runTask(ctx context.Context, job *Job, cc *cacheContext, bm *blockMapper, taskID int, split Split, node hdfs.NodeID, tsp obs.Span, chunks [][]KV, bufs []*[]KV) (report TaskReport, out [][]KV, err error) {
+func (e *Engine) runTask(ctx context.Context, job *Job, cc *cacheContext, bm *blockMapper, taskID int, split Split, node hdfs.NodeID, tsp obs.Span, chunks []Chunk, bufs []*blockBuf) (report TaskReport, out []Chunk, err error) {
 	const maxAttempts = 4
 	tr := job.Trace
 	var (
@@ -565,23 +566,22 @@ func (e *Engine) runTask(ctx context.Context, job *Job, cc *cacheContext, bm *bl
 				// admitted entry is keyed at the old generation and simply
 				// never found again.
 				key = cc.key(split, pos, runOn)
-				if ckvs, _, ok := cc.cache.Get(key); ok {
+				if hit, _, ok := cc.cache.Get(key); ok {
 					tr.Count("qcache.block_hit", 1)
-					chunks = append(chunks, ckvs)
+					chunks = append(chunks, hit)
 					stats.Blocks++
 					stats.BlocksFromCache++
 					continue
 				}
 				tr.Count("qcache.block_miss", 1)
 			}
-			kvs := bufs[pos]
-			if kvs == nil {
-				kvs = blockBufs.Get().(*[]KV)
-				bufs[pos] = kvs
+			buf := bufs[pos]
+			if buf == nil {
+				buf = blockBufs.Get().(*blockBuf)
+				bufs[pos] = buf
 			}
-			clear(*kvs) // a failed attempt's partial output, past any shorter retry's
-			*kvs = (*kvs)[:0]
-			bm.kvs = kvs
+			buf.reset() // a failed attempt's partial output
+			bm.buf = buf
 			block := split
 			block.Blocks = split.Blocks[pos : pos+1 : pos+1]
 			if split.Pins != nil {
@@ -598,8 +598,8 @@ func (e *Engine) runTask(ctx context.Context, job *Job, cc *cacheContext, bm *bl
 			if err != nil {
 				return err
 			}
-			chunk := (*kvs)[:len(*kvs):len(*kvs)]
-			if cc != nil && cc.cache.Put(key, chunk, bstats) {
+			chunk := buf.chunk()
+			if cc != nil && cc.cache.PutChunk(key, chunk, bstats) {
 				tr.Count("qcache.block_put", 1)
 			}
 			chunks = append(chunks, chunk)
@@ -633,9 +633,7 @@ func (e *Engine) runTask(ctx context.Context, job *Job, cc *cacheContext, bm *bl
 		}
 		var outBytes int64
 		for _, c := range chunks {
-			for _, kv := range c {
-				outBytes += int64(len(kv.Key) + len(kv.Value) + 2)
-			}
+			outBytes += c.outputBytes()
 		}
 		stats.OutputBytes = outBytes
 		local := false
@@ -659,22 +657,14 @@ func (e *Engine) runTask(ctx context.Context, job *Job, cc *cacheContext, bm *bl
 	return TaskReport{}, nil, fmt.Errorf("mapred: task %d failed after %d attempts: %v", taskID, maxAttempts, lastErr)
 }
 
-// blockBufs recycles the buffers computed blocks emit into, one buffer per
-// block: a job's buffers are all live until its assemble, so one buffer per
-// worker would not be enough, and a pool of large slabs misses more than
-// one of block-sized ones. A buffer in the pool holds zero KVs up to its
-// capacity, so it pins no job's text.
-var blockBufs = sync.Pool{New: func() any { return new([]KV) }}
-
-// releaseBufs returns a job's block buffers to the pool, cleared up to the
-// length each reached — a failed block's partial output included. A chunk
-// handed to ResultCache.Put was copied by it; nothing else outlives the job.
-func releaseBufs(bufs []*[]KV) {
-	for _, p := range bufs {
-		if p != nil {
-			clear(*p)
-			*p = (*p)[:0]
-			blockBufs.Put(p)
+// releaseBufs returns a job's block buffers to the pool, reset — a failed
+// block's partial output included. A chunk handed to
+// ResultCache.PutChunk was cloned by it; nothing else outlives the job.
+func releaseBufs(bufs []*blockBuf) {
+	for _, b := range bufs {
+		if b != nil {
+			b.reset()
+			blockBufs.Put(b)
 		}
 	}
 }

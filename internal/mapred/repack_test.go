@@ -250,8 +250,8 @@ func TestPackedCachedSplitMidSplitKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	warm := make(map[CacheKey][]KV)
-	for k, kvs := range cache.m {
-		warm[k] = append([]KV(nil), kvs...)
+	for k, chunk := range cache.m {
+		warm[k] = appendRows(nil, chunk)
 	}
 
 	f.splits = []Split{whole}
@@ -280,8 +280,8 @@ func TestPackedCachedSplitMidSplitKill(t *testing.T) {
 		t.Errorf("output differs from the uncached run:\n got %v\nwant %v", res.Output, want.Output)
 	}
 	for k, kvs := range warm {
-		if !slices.Equal(cache.m[k], kvs) {
-			t.Errorf("cached entry %+v changed under the failed task: %v, was %v", k, cache.m[k], kvs)
+		if got := appendRows(nil, cache.m[k]); !slices.Equal(got, kvs) {
+			t.Errorf("cached entry %+v changed under the failed task: %v, was %v", k, got, kvs)
 		}
 	}
 }

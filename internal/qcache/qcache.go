@@ -1,15 +1,16 @@
 // Package qcache is a block-level query result cache: it remembers, per
 // (file, block, replica generation, normalized query, map identity,
-// replica), the KV output a map task produced over that block, so a
-// repeated job replays the output instead of re-reading the block and
-// re-running the record reader and map function over it. It is the only
-// tier: a task's output is the list of its blocks' outputs, so a hit hands
-// the engine the entry's own slice and a packed split of cached blocks
-// costs one lookup per block and no copy. HAIL's workloads are exactly the
-// shape this pays off for — the adaptive experiment's job sequence repeats
-// one selection until the file converges — and the data-skipping
-// literature (PAPERS.md, "Provenance-based Data Skipping") frames the same
-// idea as not re-touching data a prior query already answered over.
+// replica), the chunk a map task produced over that block — its text and
+// row ends (mapred.Chunk) — so a repeated job replays the output instead
+// of re-reading the block and re-running the record reader and map
+// function over it. It is the only tier: a task's output is the list of
+// its blocks' outputs, so a hit hands the engine the entry's own chunk and
+// a packed split of cached blocks costs one lookup per block and no copy.
+// HAIL's workloads are exactly the shape this pays off for — the adaptive
+// experiment's job sequence repeats one selection until the file
+// converges — and the data-skipping literature (PAPERS.md,
+// "Provenance-based Data Skipping") frames the same idea as not
+// re-touching data a prior query already answered over.
 //
 // Correctness rests on the replica generation baked into every key
 // (hdfs.NameNode.Generation): adaptive re-indexing, node-loss healing and
@@ -54,10 +55,6 @@ const entryOverhead = 96
 // would silently cache almost nothing.
 const minBudget = numShards * 2048
 
-// kvOverhead approximates the per-KV slice/header bytes beyond the string
-// payloads.
-const kvOverhead = 32
-
 // Stats is a point-in-time snapshot of the cache's counters. Counters are
 // cumulative; Bytes and Entries are current occupancy. Sub yields per-job
 // deltas.
@@ -91,7 +88,7 @@ func (s Stats) Sub(prev Stats) Stats {
 
 type entry struct {
 	key       mapred.CacheKey
-	kvs       []mapred.KV
+	chunk     mapred.Chunk
 	stats     mapred.TaskStats
 	bytes     int64
 	elem      *list.Element
@@ -159,32 +156,30 @@ func (c *Cache) shard(b hdfs.BlockID) *shard {
 	return &c.shards[i]
 }
 
-// entryBytes is the budget charge for one entry.
-func entryBytes(k mapred.CacheKey, kvs []mapred.KV) int64 {
-	n := int64(entryOverhead + len(k.File) + len(k.Query) + len(k.MapSig))
-	for _, kv := range kvs {
-		n += int64(len(kv.Key) + len(kv.Value) + kvOverhead)
-	}
-	return n
+// entryBytes is the budget charge for one entry: the key's strings, the
+// bookkeeping and what the chunk holds (mapred.Chunk.Size: its texts and
+// four bytes a row).
+func entryBytes(k mapred.CacheKey, c mapred.Chunk) int64 {
+	return int64(entryOverhead+len(k.File)+len(k.Query)+len(k.MapSig)) + c.Size()
 }
 
-// EntryCost is the budget charge Put would levy for this entry — exported
-// so admission layers above the cache (per-tenant budget ledgers) account
-// in exactly the cache's own currency.
-func EntryCost(k mapred.CacheKey, kvs []mapred.KV) int64 { return entryBytes(k, kvs) }
+// EntryCost is the budget charge PutChunk would levy for this entry —
+// exported so admission layers above the cache (per-tenant budget
+// ledgers) account in exactly the cache's own currency.
+func EntryCost(k mapred.CacheKey, c mapred.Chunk) int64 { return entryBytes(k, c) }
 
 // Get returns the cached map output for the key. On a hit the entry is
 // promoted (probation → protected, or refreshed within protected). The
-// returned slice is the entry's own, shared with every other hit: the
+// returned chunk is the entry's own, shared with every other hit: the
 // engine puts it into the task's output as is, so it is read-only.
-func (c *Cache) Get(k mapred.CacheKey) ([]mapred.KV, mapred.TaskStats, bool) {
+func (c *Cache) Get(k mapred.CacheKey) (mapred.Chunk, mapred.TaskStats, bool) {
 	s := c.shard(k.Block)
 	s.mu.Lock()
 	e, ok := s.entries[k]
 	if !ok {
 		s.mu.Unlock()
 		c.misses.Add(1)
-		return nil, mapred.TaskStats{}, false
+		return mapred.Chunk{}, mapred.TaskStats{}, false
 	}
 	if e.protected {
 		s.protected.MoveToFront(e.elem)
@@ -194,21 +189,23 @@ func (c *Cache) Get(k mapred.CacheKey) ([]mapred.KV, mapred.TaskStats, bool) {
 		e.elem = s.protected.PushFront(e)
 		e.protected = true
 	}
-	kvs, stats := e.kvs, e.stats
+	chunk, stats := e.chunk, e.stats
 	s.mu.Unlock()
 	c.hits.Add(1)
 	c.bytesSaved.Add(stats.BytesRead + stats.IndexBytesRead)
-	return kvs, stats, true
+	return chunk, stats, true
 }
 
-// Put admits one block's map output. Entries larger than the whole
-// budget are rejected outright; otherwise colder entries are evicted —
-// probationary entries across all shards before any protected one —
-// until the total fits. Re-putting an existing key replaces its value in
-// place. The result reports whether the entry was admitted, so a ledger
-// above the cache charges only for what is resident.
-func (c *Cache) Put(k mapred.CacheKey, kvs []mapred.KV, stats mapred.TaskStats) bool {
-	cost := entryBytes(k, kvs)
+// PutChunk admits one block's map output, keeping a clone of the chunk
+// (mapred.Chunk.Clone: its texts shared, its ends copied into one array),
+// so no buffer of the caller's stays reachable. Entries larger than the
+// whole budget are rejected outright; otherwise colder entries are
+// evicted — probationary entries across all shards before any protected
+// one — until the total fits. Re-putting an existing key replaces its
+// value in place. The result reports whether the entry was admitted, so
+// a ledger above the cache charges only for what is resident.
+func (c *Cache) PutChunk(k mapred.CacheKey, chunk mapred.Chunk, stats mapred.TaskStats) bool {
+	cost := entryBytes(k, chunk)
 	if cost > c.budget {
 		c.rejected.Add(1)
 		return false
@@ -221,7 +218,7 @@ func (c *Cache) Put(k mapred.CacheKey, kvs []mapred.KV, stats mapred.TaskStats) 
 	}
 	e := &entry{
 		key:   k,
-		kvs:   append([]mapred.KV(nil), kvs...),
+		chunk: chunk.Clone(),
 		stats: stats,
 		bytes: cost,
 	}

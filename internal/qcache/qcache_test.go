@@ -25,14 +25,24 @@ func kvs(n int, tag string) []mapred.KV {
 	return out
 }
 
+// rowsOf is a chunk's rows as KVs.
+func rowsOf(c mapred.Chunk) []mapred.KV {
+	var out []mapred.KV
+	for k, v := range c.All() {
+		out = append(out, mapred.KV{Key: k, Value: v})
+	}
+	return out
+}
+
 func TestGetPutRoundTrip(t *testing.T) {
 	c := New(1 << 20)
 	want := kvs(10, "a")
 	c.Put(key(1, 1), want, mapred.TaskStats{BytesRead: 1000})
-	got, stats, ok := c.Get(key(1, 1))
+	hit, stats, ok := c.Get(key(1, 1))
 	if !ok {
 		t.Fatal("miss after put")
 	}
+	got := rowsOf(hit)
 	if len(got) != len(want) || got[0] != want[0] || got[9] != want[9] {
 		t.Fatalf("got %v, want %v", got, want)
 	}
@@ -110,8 +120,11 @@ func TestInvalidateBlockPurgesAllGenerationsAndQueries(t *testing.T) {
 func TestBudgetEviction2Q(t *testing.T) {
 	// Room for ~3 entries (payloads sized so 3 × entry ≥ the budget
 	// floor). All keys land in one shard (block IDs ≡ 0 mod numShards).
-	payload := kvs(300, "p")
-	one := entryBytes(key(0, 1), payload)
+	payload := kvs(1000, "p")
+	one := entryBytes(key(0, 1), mapred.ChunkOf(payload))
+	if 3*one < minBudget {
+		t.Fatalf("3 entries of %d bytes no longer reach the budget floor %d", one, minBudget)
+	}
 	c := New(3 * one)
 
 	put := func(b int) { c.Put(key(b*numShards, 1), payload, mapred.TaskStats{}) }
@@ -145,7 +158,7 @@ func TestBudgetEviction2Q(t *testing.T) {
 func TestOversizedEntryRejected(t *testing.T) {
 	c := New(1) // floored to minBudget
 	huge := kvs(2000, "hugepayload")
-	if entryBytes(key(0, 1), huge) <= c.budget {
+	if entryBytes(key(0, 1), mapred.ChunkOf(huge)) <= c.budget {
 		t.Fatal("test payload no longer exceeds the floored budget")
 	}
 	if c.Put(key(0, 1), huge, mapred.TaskStats{}) {
@@ -161,7 +174,7 @@ func TestOversizedEntryRejected(t *testing.T) {
 func TestLargeEntryFitsGlobalBudget(t *testing.T) {
 	c := New(minBudget)
 	big := kvs(500, "big") // ≈ 19 KB: over minBudget/16, under minBudget
-	cost := entryBytes(key(3, 1), big)
+	cost := entryBytes(key(3, 1), mapred.ChunkOf(big))
 	if cost >= c.budget || cost <= c.budget/numShards {
 		t.Fatalf("test payload %d outside (budget/shards, budget) = (%d, %d)", cost, c.budget/numShards, c.budget)
 	}
@@ -180,8 +193,8 @@ func TestRePutReplaces(t *testing.T) {
 	c := New(1 << 20)
 	c.Put(key(1, 1), kvs(5, "old"), mapred.TaskStats{})
 	c.Put(key(1, 1), kvs(5, "new"), mapred.TaskStats{})
-	got, _, ok := c.Get(key(1, 1))
-	if !ok || got[0].Key != "new-0" {
+	hit, _, ok := c.Get(key(1, 1))
+	if got := rowsOf(hit); !ok || got[0].Key != "new-0" {
 		t.Fatalf("re-put did not replace: %v", got)
 	}
 	if st := c.Stats(); st.Entries != 1 {
@@ -194,8 +207,8 @@ func TestPutCopiesInput(t *testing.T) {
 	in := kvs(3, "a")
 	c.Put(key(1, 1), in, mapred.TaskStats{})
 	in[0] = mapred.KV{Key: "mutated", Value: "!"}
-	got, _, _ := c.Get(key(1, 1))
-	if got[0].Key != "a-0" {
+	hit, _, _ := c.Get(key(1, 1))
+	if got := rowsOf(hit); got[0].Key != "a-0" {
 		t.Error("cache shares the caller's backing array")
 	}
 }
@@ -228,8 +241,8 @@ func TestConcurrentGetPutInvalidate(t *testing.T) {
 				case 2, 3, 4:
 					c.Put(key(b, gen), kvs(1+rng.Intn(20), "w"), mapred.TaskStats{BytesRead: int64(b)})
 				default:
-					if got, _, ok := c.Get(key(b, gen)); ok {
-						if len(got) == 0 || got[0].Value != "v" {
+					if hit, _, ok := c.Get(key(b, gen)); ok {
+						if got := rowsOf(hit); len(got) == 0 || got[0].Value != "v" {
 							t.Errorf("hit returned corrupt entry: %v", got)
 							return
 						}
@@ -284,7 +297,7 @@ func TestBlockEntriesAndInvalidation(t *testing.T) {
 	if n := c.BlockEntries(2); n != 1 {
 		t.Errorf("BlockEntries(2) = %d after invalidating block 1, want 1", n)
 	}
-	if st := c.Stats(); st.Invalidations != 2 || st.Bytes != EntryCost(key(2, 1), kvs(4, "c")) {
+	if st := c.Stats(); st.Invalidations != 2 || st.Bytes != EntryCost(key(2, 1), mapred.ChunkOf(kvs(4, "c"))) {
 		t.Errorf("after invalidation: %+v, want 2 invalidations and block 2's bytes", st)
 	}
 }

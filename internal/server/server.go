@@ -43,7 +43,6 @@ import (
 	"repro/internal/qcache"
 	"repro/internal/query"
 	"repro/internal/schema"
-	"repro/internal/workload"
 )
 
 // Config configures a Server.
@@ -528,29 +527,29 @@ func (s *Server) runQuery(ctx context.Context, req *QueryRequest, ql *queryLog) 
 	}
 
 	// The response keeps the answer's first Limit rows (all of them when
-	// Limit is 0), copied from the chunks as the engine delivers them into a
-	// buffer that doubles, then once into an exactly-sized slice; row_count
-	// is the whole answer's.
+	// Limit is 0), each a substring of its chunk's text, taken as the
+	// engine delivers the chunks into a buffer that doubles, then once into
+	// an exactly-sized slice; row_count is the whole answer's. The job is a
+	// passthrough (no map function), cached under the engine's own
+	// identity.
 	var rows []string
-	keep := func(chunk []mapred.KV) bool {
-		for _, kv := range chunk {
+	keep := func(chunk mapred.Chunk) bool {
+		for row := range chunk.All() {
 			if req.Limit > 0 && len(rows) == req.Limit {
 				return false
 			}
 			if len(rows) == cap(rows) {
 				rows = slices.Grow(rows, max(len(rows), 64))
 			}
-			rows = append(rows, kv.Key)
+			rows = append(rows, row)
 		}
 		return true
 	}
 	job := &mapred.Job{
-		Name:     "haild:" + tenant,
-		File:     req.File,
-		Input:    input,
-		MapBatch: workload.PassthroughMapBatch,
-		MapSig:   workload.PassthroughMapSig,
-		Trace:    tr,
+		Name:  "haild:" + tenant,
+		File:  req.File,
+		Input: input,
+		Trace: tr,
 	}
 	start := time.Now() //lint:allow wallclock query latency is reported to the tenant (LatencyMS), not just observed
 	var res *mapred.JobResult

@@ -882,6 +882,47 @@ func TestLimitSizesRowsByTheLimit(t *testing.T) {
 	}
 }
 
+// TestCachedQueryAllocatesByTheLimit: a query whose every block is in the
+// cache allocates for the rows it returns, not for the answer's: the rows
+// are substrings of the cached chunks' text, taken up to the limit, so
+// with limit 10 a hot query over a 20,000-row answer allocates a small
+// fraction of what the same query returning every row does.
+func TestCachedQueryAllocatesByTheLimit(t *testing.T) {
+	s := newTestServer(t, makeFSBlocks(t, 20_000, 64<<10), Config{})
+	req := &QueryRequest{File: "/t", Query: `@HailQuery(filter="@1 between(0,6)", projection={@2,@1,@3})`}
+	all, err := s.runQuery(context.Background(), req, &queryLog{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if all.RowCount != 20_000 {
+		t.Fatalf("row_count %d, want every row", all.RowCount)
+	}
+	allocated := func(limit int) uint64 {
+		t.Helper()
+		r := *req
+		r.Limit = limit
+		var before, after runtime.MemStats
+		const runs = 10
+		runtime.ReadMemStats(&before)
+		for range runs {
+			got, err := s.runQuery(context.Background(), &r, &queryLog{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.BlocksFromCache != all.IndexScans+all.FullScans || got.RowCount != all.RowCount {
+				t.Fatalf("limit %d: %d blocks from the cache, %d rows; want every block and row", limit, got.BlocksFromCache, got.RowCount)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	whole, limited := allocated(0), allocated(10)
+	t.Logf("hot query: %d B every row, %d B with limit 10", whole, limited)
+	if limited*8 > whole {
+		t.Errorf("a hot query with limit 10 allocates %d B, the whole answer %d B: more than an eighth", limited, whole)
+	}
+}
+
 // lockedBuffer is a log sink the handlers write to while the test reads.
 type lockedBuffer struct {
 	mu sync.Mutex

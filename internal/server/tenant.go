@@ -184,12 +184,12 @@ type tenantCache struct {
 	ts *tenantState
 }
 
-func (c tenantCache) Put(k mapred.CacheKey, kvs []mapred.KV, stats mapred.TaskStats) bool {
-	cost := qcache.EntryCost(k, kvs)
+func (c tenantCache) PutChunk(k mapred.CacheKey, chunk mapred.Chunk, stats mapred.TaskStats) bool {
+	cost := qcache.EntryCost(k, chunk)
 	if !c.ts.admitCache(cost) {
 		return false
 	}
-	if !c.Cache.Put(k, kvs, stats) {
+	if !c.Cache.PutChunk(k, chunk, stats) {
 		// The cache refused it (larger than the whole budget): nothing
 		// became resident, so nothing is charged.
 		c.ts.cacheCharged.Add(-cost)

@@ -344,7 +344,7 @@ func TestRowLayoutProjectionSavesNoIO(t *testing.T) {
 		res, err := e.Run(&mapred.Job{
 			Name: "p", File: "/t",
 			Input:    &InputFormat{System: s, Query: q},
-			MapBatch: func(*mapred.Batch, mapred.Emit) {},
+			MapBatch: func(*mapred.Batch, mapred.Emitter) {},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -15,7 +15,7 @@ import (
 // raw lines and returns the emitted keys.
 func collect(s *schema.Schema, q *query.Query, lines []string) []string {
 	var out []string
-	emit := func(k, v string) { out = append(out, k) }
+	emit := mapred.Emit(func(k, v string) { out = append(out, k) })
 	hadoop.Map(s, q)(&mapred.Batch{Raw: lines}, emit)
 	return out
 }

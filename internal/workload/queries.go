@@ -4,7 +4,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/mapred"
 	"repro/internal/query"
 	"repro/internal/schema"
 )
@@ -19,27 +18,6 @@ type BenchQuery struct {
 	Query       *query.Query
 	Selectivity float64 // paper-reported selectivity
 }
-
-// PassthroughMapBatch is the map function of HAIL and Hadoop++ jobs:
-// records arrive filtered and projected, so it just emits them (§4.1's
-// two-line HAIL map function). Bad records are not emitted, as Bob's
-// queries only concern well-formed rows. The rows are formatted once per
-// batch, from the column bytes (Batch.Lines), and every emitted key is a
-// substring of that one text — no row is boxed and nothing is allocated
-// per row.
-func PassthroughMapBatch(b *mapred.Batch, emit mapred.Emit) {
-	text, ends := b.Lines(',')
-	from := int32(0)
-	for _, to := range ends {
-		emit(text[from:to], "")
-		from = to
-	}
-}
-
-// PassthroughMapSig is PassthroughMapBatch's stable identity for
-// mapred.Job.MapSig — every job that uses it must use this signature so
-// their cached block results interchange.
-const PassthroughMapSig = "workload.Passthrough"
 
 // benchQuery parses a static benchmark annotation against its schema,
 // panicking on error.
