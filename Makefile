@@ -97,9 +97,12 @@ fmt:
 	gofmt -w .
 
 # The size ROADMAP item 4 tracks, so every simplicity PR quotes the same
-# two numbers: non-test Go lines outside bench/ and the lint fixtures, and
-# the two top-level documents.
+# numbers: non-test and test Go lines outside bench/ and the lint
+# fixtures, and the two top-level documents. A helper moved into a
+# _test.go file shows on both sides of the count.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' -print0 \
 		| xargs -0 cat | wc -l | xargs echo "non-test Go lines:"
+	@find . -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' -print0 \
+		| xargs -0 cat | wc -l | xargs echo "test Go lines:"
 	@cat README.md ARCHITECTURE.md | wc -l | xargs echo "README.md + ARCHITECTURE.md lines:"

@@ -84,20 +84,6 @@ func (c *LayoutConfig) Validate() error {
 // Replication returns the replication factor implied by the config.
 func (c *LayoutConfig) Replication() int { return len(c.SortColumns) }
 
-// IndexedColumns returns the distinct attributes that get a clustered
-// index on some replica.
-func (c *LayoutConfig) IndexedColumns() []int {
-	seen := make(map[int]bool)
-	var out []int
-	for _, col := range c.SortColumns {
-		if col >= 0 && !seen[col] {
-			seen[col] = true
-			out = append(out, col)
-		}
-	}
-	return out
-}
-
 // UploadSummary reports the real measured sizes of a HAIL upload; the
 // experiment harness converts them into simulated upload time.
 type UploadSummary struct {
@@ -123,7 +109,7 @@ type UploadSummary struct {
 // pipeline's per-replica transform, RebuildReplica (recovery and the
 // adaptive indexer's lazy query-time conversion) and this function — so
 // the stored layout and the registered ReplicaInfo cannot diverge between
-// them.
+// them. bench/ and tests call it; no binary does.
 func BuildIndexedReplica(paxData []byte, col int) ([]byte, hdfs.ReplicaInfo, error) {
 	b, err := pax.Unmarshal(paxData)
 	if err != nil {

@@ -65,9 +65,6 @@ func TestLayoutConfigValidate(t *testing.T) {
 	if got := good.Replication(); got != 3 {
 		t.Errorf("Replication = %d", got)
 	}
-	if cols := good.IndexedColumns(); len(cols) != 2 {
-		t.Errorf("IndexedColumns = %v", cols)
-	}
 }
 
 func TestUploadCreatesDivergentIndexedReplicas(t *testing.T) {

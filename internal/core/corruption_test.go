@@ -177,8 +177,8 @@ func TestCorruptionMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := &rangeRecorder{buf: replica}
-	reader, err := pax.NewReaderAt(rec, frameHeader, len(paxData))
-	if err != nil {
+	reader := new(pax.Reader)
+	if err := reader.OpenAt(rec, frameHeader, len(paxData)); err != nil {
 		t.Fatal(err)
 	}
 	paxHeaderLen := 0

@@ -33,7 +33,8 @@ type RecoveryReport struct {
 // again until a round quarantines none (each drops a holder, so the
 // rounds end). It is deterministic: missing orders are rebuilt in config
 // order, each on the lowest-ID alive node without a replica of the block,
-// so equal states recover alike.
+// so equal states recover alike. No binary calls it yet: the daemon does
+// not re-replicate.
 func RecoverFile(cluster *hdfs.Cluster, file string, cfg LayoutConfig) (RecoveryReport, error) {
 	var rep RecoveryReport
 	if err := cfg.Validate(); err != nil {

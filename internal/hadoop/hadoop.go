@@ -24,10 +24,6 @@ import (
 	"repro/internal/schema"
 )
 
-// DefaultBlockSize is HDFS's default of 64 MB (§2.1). Experiments use much
-// smaller real blocks and scale costs with sim's block scale factor.
-const DefaultBlockSize = 64 << 20
-
 // Uploader writes text files to HDFS the standard way.
 type Uploader struct {
 	Cluster     *hdfs.Cluster

@@ -371,9 +371,6 @@ func (c *Cluster) StoreAdditionalReplica(b BlockID, node NodeID, data []byte, in
 	if err != nil {
 		return err
 	}
-	if dn.HasReplica(b) {
-		return fmt.Errorf("hdfs: node %d, block %d: %w", node, b, ErrReplicaExists)
-	}
 	info.Size = len(data)
 	return c.storeReplica(dn, b, data, checksumChunks(data), info)
 }

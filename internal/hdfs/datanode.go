@@ -68,15 +68,16 @@ func (dn *DataNode) Revive() {
 // stores the slices it is given: the caller hands them over and never
 // writes to them again. Replicas on different nodes may share bytes; that
 // is safe because stored bytes are immutable and CorruptByte copies on
-// write, so corruption on one node cannot leak to its siblings.
+// write, so corruption on one node cannot leak to its siblings. A second
+// store of the block is ErrReplicaExists: of two racing stores, one wins.
 func (dn *DataNode) flush(b BlockID, data []byte, sums []uint32) error {
 	dn.mu.Lock()
 	defer dn.mu.Unlock()
+	if _, dup := dn.replicas[b]; dup {
+		return fmt.Errorf("hdfs: node %d, block %d: %w", dn.id, b, ErrReplicaExists)
+	}
 	if !dn.alive {
 		return fmt.Errorf("hdfs: datanode %d is dead", dn.id)
-	}
-	if _, dup := dn.replicas[b]; dup {
-		return fmt.Errorf("hdfs: datanode %d already stores block %d", dn.id, b)
 	}
 	dn.replicas[b] = storedReplica{data: data, sums: sums}
 	return nil

@@ -663,6 +663,49 @@ func TestDropReplica(t *testing.T) {
 	}
 }
 
+// TestSecondStoreIsReplicaExists: a second store of one (block, node),
+// the loser of a placement race, sees ErrReplicaExists, the collision the
+// adaptive indexer re-picks around; of many concurrent stores, one wins.
+func TestSecondStoreIsReplicaExists(t *testing.T) {
+	c, err := NewCluster(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const b = BlockID(7)
+	dn, _ := c.DataNode(2)
+	data := randBlock(3_000, 1)
+	if err := c.storeReplica(dn, b, data, checksumChunks(data), ReplicaInfo{SortColumn: -1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.storeReplica(dn, b, data, checksumChunks(data), ReplicaInfo{SortColumn: -1}); !errors.Is(err, ErrReplicaExists) {
+		t.Errorf("second storeReplica: err = %v, want ErrReplicaExists", err)
+	}
+
+	const racers = 8
+	errs := make([]error, racers)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = c.StoreAdditionalReplica(b+1, 2, randBlock(3_000, int64(i)), ReplicaInfo{SortColumn: -1})
+		}()
+	}
+	wg.Wait()
+	won := 0
+	for _, err := range errs {
+		switch {
+		case err == nil:
+			won++
+		case !errors.Is(err, ErrReplicaExists):
+			t.Errorf("losing store: err = %v, want ErrReplicaExists", err)
+		}
+	}
+	if won != 1 {
+		t.Errorf("%d of %d concurrent stores won, want exactly 1", won, racers)
+	}
+}
+
 // TestDropReplicaDeadNode: a dead node's replica can still be dropped from
 // the directory — its disk is unreachable, so the bytes linger as a ghost
 // — and a post-revival store collides with ErrReplicaExists, the benign

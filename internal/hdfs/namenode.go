@@ -137,7 +137,7 @@ func (nn *NameNode) hook() func(BlockID) {
 }
 
 // Generation returns the block's replica-topology generation. It starts at
-// zero and is bumped by RegisterReplica, UpdateReplica, UnregisterReplica,
+// zero and is bumped by RegisterReplica, UpdateReplica, Cluster.DropReplica,
 // QuarantineReplica and InvalidateNode.
 func (nn *NameNode) Generation(b BlockID) uint64 {
 	nn.ops.Add(1)
@@ -203,19 +203,6 @@ func (nn *NameNode) FileBlocks(file string) ([]BlockID, error) {
 		return nil, fmt.Errorf("%w %q", ErrNoSuchFile, file)
 	}
 	return append([]BlockID(nil), bs...), nil
-}
-
-// Files lists all registered files, sorted.
-func (nn *NameNode) Files() []string {
-	nn.ops.Add(1)
-	nn.mu.RLock()
-	out := make([]string, 0, len(nn.files))
-	for f := range nn.files {
-		out = append(out, f)
-	}
-	nn.mu.RUnlock()
-	sort.Strings(out)
-	return out
 }
 
 // RegisterReplica records that node stores a replica of block with the
@@ -312,6 +299,7 @@ func (nn *NameNode) GetHostsWithIndex(b BlockID, column int) []NodeID {
 // replica (sorts it and adds a clustered index) after the initial upload,
 // it reports the new sort order and index metadata here. Unlike
 // RegisterReplica it refuses to invent a replica that was never uploaded.
+// No binary calls it; it is the genbump audit mutant's target.
 func (nn *NameNode) UpdateReplica(b BlockID, node NodeID, info ReplicaInfo) error {
 	if err := nn.updateReplica(b, node, info, false); err != nil {
 		return err
@@ -336,23 +324,10 @@ func (nn *NameNode) updateReplica(b BlockID, node NodeID, info ReplicaInfo, mark
 	return nil
 }
 
-// UnregisterReplica removes (block, node) from Dir_block and Dir_rep — the
-// namenode side of adaptive replica eviction: when the lifecycle manager
-// drops a cold adaptive replica to reclaim budget, the directory must stop
-// routing readers to it. The block's generation is bumped (the replica
-// topology changed exactly as it does on a register or a node loss) and
-// the change hook fires, so cached results pinned at the dropped replica
-// are purged. Refuses to unregister a replica that was never registered.
-func (nn *NameNode) UnregisterReplica(b BlockID, node NodeID) error {
-	if err := nn.unregisterReplica(b, node); err != nil {
-		return err
-	}
-	nn.notifyChanged(nn.hook(), b)
-	return nil
-}
-
-// unregisterReplica performs the removal under the directory lock; the
-// caller fires the change hook once it holds no locks.
+// unregisterReplica removes (block, node) from Dir_block and Dir_rep
+// under the directory lock and bumps the block's generation — the
+// namenode side of Cluster.DropReplica, which fires the change hook once
+// it holds no locks. Refuses a replica that was never registered.
 func (nn *NameNode) unregisterReplica(b BlockID, node NodeID) error {
 	nn.ops.Add(1)
 	nn.mu.Lock()

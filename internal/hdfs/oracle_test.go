@@ -170,11 +170,11 @@ func TestOracleEquivalence(t *testing.T) {
 						t.Fatalf("op %d: UpdateReplica(%d,%d) error mismatch: namenode %v, oracle %v",
 							op, b, node, gotErr, wantErr)
 					}
-				case k < 9: // UnregisterReplica (may refuse)
-					gotErr := nn.UnregisterReplica(b, node)
+				case k < 9: // DropReplica through the cluster (may refuse)
+					gotErr := cluster.DropReplica(b, node)
 					wantErr := oracle.unregisterReplica(b, node)
 					if (gotErr == nil) != (wantErr == nil) {
-						t.Fatalf("op %d: UnregisterReplica(%d,%d) error mismatch: namenode %v, oracle %v",
+						t.Fatalf("op %d: DropReplica(%d,%d) error mismatch: namenode %v, oracle %v",
 							op, b, node, gotErr, wantErr)
 					}
 				case k < 10: // InvalidateNode directly

@@ -43,9 +43,6 @@ type Packet struct {
 	Last bool     // marks the final packet of the block
 }
 
-// NumChunks returns the number of chunks in the packet.
-func (p *Packet) NumChunks() int { return len(p.Sums) }
-
 // numChunks returns how many 512-byte chunks cover n bytes.
 func numChunks(n int) int { return (n + ChunkSize - 1) / ChunkSize }
 

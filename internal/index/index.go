@@ -58,14 +58,8 @@ func Build(b *pax.Block, col int) (*Index, error) {
 // Column returns the indexed attribute position.
 func (ix *Index) Column() int { return ix.column }
 
-// KeyType returns the type of the indexed attribute.
-func (ix *Index) KeyType() schema.Type { return ix.keyType }
-
 // NumRows returns the number of rows the index covers.
 func (ix *Index) NumRows() int { return ix.numRows }
-
-// NumPartitions returns the number of partitions (index entries).
-func (ix *Index) NumPartitions() int { return len(ix.keys) }
 
 // PartitionRange computes, in main memory, the contiguous row range
 // [fromRow, toRow) that covers every row possibly matching lo <= key <= hi
@@ -111,17 +105,6 @@ func (ix *Index) PartitionRange(lo, hi *schema.Value) (fromRow, toRow int, ok bo
 		toRow = ix.numRows
 	}
 	return fromRow, toRow, true
-}
-
-// SizeBytes returns the serialized size of the index. For the paper's
-// datasets this is a few KB (they report 2 KB vs. Hadoop++'s 304 KB), which
-// is why reading the whole index into memory per block is cheap.
-func (ix *Index) SizeBytes() int {
-	data, err := ix.Marshal()
-	if err != nil {
-		return 0
-	}
-	return len(data)
 }
 
 // Binary layout: magic "HIDX", version uint16, column int32, keyType uint8,

@@ -297,8 +297,11 @@ func TestIndexIsSparse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sz := ix.SizeBytes()
-	if sz == 0 || sz > 1024 {
+	data, err := ix.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sz := len(data); sz == 0 || sz > 1024 {
 		t.Errorf("index size = %d bytes, want sparse (<=1KB for 64 partitions)", sz)
 	}
 }
@@ -327,3 +330,11 @@ func TestLookupProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Probes that only this package's tests call.
+
+// KeyType returns the type of the indexed attribute.
+func (ix *Index) KeyType() schema.Type { return ix.keyType }
+
+// NumPartitions returns the number of partitions (index entries).
+func (ix *Index) NumPartitions() int { return len(ix.keys) }

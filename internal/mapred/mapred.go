@@ -49,8 +49,8 @@ type KV struct {
 }
 
 // TaskStats aggregates the real resource usage of one map task. The
-// experiment harness scales these with the block scale factor and feeds
-// them to sim.TaskTime.
+// experiment harness scales these with the block scale factor into its
+// per-block cost model (experiments' queryCost).
 type TaskStats struct {
 	Blocks         int   // blocks processed by the task
 	BytesRead      int64 // data bytes read (PAX column ranges or raw text)

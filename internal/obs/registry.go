@@ -1,8 +1,8 @@
 // Package obs is the process-wide observability layer: a concurrency-safe,
-// allocation-light metrics registry (counters, gauges, fixed-bucket
-// log-linear latency histograms) plus per-query trace spans (trace.go).
-// Every handle is nil-safe — a nil *Registry hands out nil
-// *Counter/*Gauge/*Histogram whose methods no-op without allocating, so
+// allocation-light metrics registry (counters, gauge functions,
+// fixed-bucket log-linear latency histograms) plus per-query trace spans
+// (trace.go). Every handle is nil-safe — a nil *Registry hands out nil
+// *Counter/*Histogram whose methods no-op without allocating, so
 // subsystems wire observability unconditionally and pay nothing when it is
 // disabled.
 package obs
@@ -40,36 +40,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is a metric that can move in both directions. A nil Gauge ignores
-// all updates and reads as zero.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(n)
-}
-
-// Add moves the gauge by n (n may be negative).
-func (g *Gauge) Add(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(n)
-}
-
-// Value returns the current gauge reading.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
 }
 
 // A Histogram is log-linear: bucket 0 holds every sample under 1 µs, and
@@ -187,7 +157,6 @@ func (h *Histogram) Quantile(p float64) time.Duration {
 type Registry struct {
 	mu         sync.RWMutex
 	counters   map[string]*Counter
-	gauges     map[string]*Gauge
 	gaugeFuncs map[string]func() int64
 	hists      map[string]*Histogram
 }
@@ -196,7 +165,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
 		gaugeFuncs: make(map[string]func() int64),
 		hists:      make(map[string]*Histogram),
 	}
@@ -221,26 +189,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns the gauge registered under name, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns the histogram registered under name, creating it on
@@ -298,12 +246,9 @@ func (r *Registry) Snapshot() []Metric {
 		return nil
 	}
 	r.mu.RLock()
-	out := make([]Metric, 0, len(r.counters)+len(r.gauges)+len(r.gaugeFuncs)+len(r.hists))
+	out := make([]Metric, 0, len(r.counters)+len(r.gaugeFuncs)+len(r.hists))
 	for name, c := range r.counters {
 		out = append(out, Metric{Name: name, Kind: "counter", Value: c.Value()})
-	}
-	for name, g := range r.gauges {
-		out = append(out, Metric{Name: name, Kind: "gauge", Value: g.Value()})
 	}
 	fns := make(map[string]func() int64, len(r.gaugeFuncs))
 	for name, fn := range r.gaugeFuncs {

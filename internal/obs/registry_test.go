@@ -18,17 +18,11 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if again := r.Counter("engine.tasks"); again != c {
 		t.Fatalf("Counter did not return the registered instance")
 	}
-	g := r.Gauge("engine.inflight")
-	g.Set(7)
-	g.Add(-2)
-	if got := g.Value(); got != 5 {
-		t.Fatalf("gauge = %d, want 5", got)
-	}
 	r.SetGaugeFunc("engine.lazy", func() int64 { return 42 })
 
 	snap := r.Snapshot()
-	if len(snap) != 3 {
-		t.Fatalf("snapshot has %d metrics, want 3", len(snap))
+	if len(snap) != 2 {
+		t.Fatalf("snapshot has %d metrics, want 2", len(snap))
 	}
 	for i := 1; i < len(snap); i++ {
 		if snap[i-1].Name >= snap[i].Name {
@@ -128,16 +122,15 @@ func TestHistogramRelativeError(t *testing.T) {
 
 func TestNilRegistryHandles(t *testing.T) {
 	var r *Registry
-	c, g, h := r.Counter("x"), r.Gauge("y"), r.Histogram("z")
-	if c != nil || g != nil || h != nil {
+	c, h := r.Counter("x"), r.Histogram("z")
+	if c != nil || h != nil {
 		t.Fatalf("nil registry must hand out nil handles")
 	}
 	c.Inc()
 	c.Add(3)
-	g.Set(1)
 	h.Observe(time.Second)
 	r.SetGaugeFunc("w", func() int64 { return 1 })
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Quantile(0.5) != 0 {
+	if c.Value() != 0 || h.Count() != 0 || h.Quantile(0.5) != 0 {
 		t.Fatalf("nil handles must read as zero")
 	}
 	if r.Snapshot() != nil || r.String() != "" {
@@ -166,7 +159,6 @@ func TestDisabledObsZeroAlloc(t *testing.T) {
 		c.Add(1)
 		c.Inc()
 		h.Observe(time.Millisecond)
-		_ = tr.Now()
 		_ = tr.Enabled()
 	})
 	if allocs != 0 {
@@ -191,9 +183,9 @@ func TestRegistryRaceStress(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				name := names[(w+i)%len(names)]
 				r.Counter(name).Inc()
-				r.Gauge(name).Add(1)
 				r.Histogram(name).Observe(time.Duration(i) * time.Microsecond)
 				if i%50 == 0 {
+					r.SetGaugeFunc(name+".fn", r.Counter(name).Value)
 					_ = r.Snapshot()
 					_ = r.String()
 				}
@@ -204,9 +196,6 @@ func TestRegistryRaceStress(t *testing.T) {
 	var total int64
 	for _, name := range names {
 		total += r.Counter(name).Value()
-		if r.Counter(name).Value() != r.Gauge(name).Value() {
-			t.Fatalf("counter/gauge diverged for %q", name)
-		}
 		if r.Histogram(name).Count() != r.Counter(name).Value() {
 			t.Fatalf("histogram count diverged for %q", name)
 		}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -50,14 +49,6 @@ func NewTrace(name string) *Trace {
 // Enabled reports whether the trace is live; callers may use it to skip
 // work (e.g. fmt.Sprintf for span names) on the disabled path.
 func (t *Trace) Enabled() bool { return t != nil }
-
-// Now returns the elapsed time since the trace started, or 0 when nil.
-func (t *Trace) Now() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return time.Since(t.start)
-}
 
 // Span is a lightweight handle to one recorded span: a value type holding
 // the trace pointer and a 1-based index, so the zero Span is inert and
@@ -153,7 +144,7 @@ func (t *Trace) Count(name string, n int64) {
 	t.mu.Unlock()
 }
 
-// Counts returns a copy of the trace-level counters.
+// Counts returns a copy of the trace-level counters (for tests).
 func (t *Trace) Counts() map[string]int64 {
 	if t == nil {
 		return nil
@@ -314,50 +305,4 @@ func (t *Trace) WriteChrome(w io.Writer) error {
 	t.mu.Unlock()
 	enc := json.NewEncoder(w)
 	return enc.Encode(&out)
-}
-
-// Summary renders the span tree as indented text with durations, followed
-// by the trace-level counters — the human-readable counterpart of the
-// Chrome export.
-func (t *Trace) Summary() string {
-	if t == nil {
-		return ""
-	}
-	spans := t.SpanInfos()
-	children := make(map[int][]int)
-	var roots []int
-	for i, s := range spans {
-		if s.Parent < 0 {
-			roots = append(roots, i)
-		} else {
-			children[s.Parent] = append(children[s.Parent], i)
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "trace %s\n", t.name)
-	var walk func(i, depth int)
-	walk = func(i, depth int) {
-		s := spans[i]
-		fmt.Fprintf(&b, "%s%-24s %10.3fms  @%.3fms\n",
-			strings.Repeat("  ", depth+1), s.Name, ms(s.Dur()), ms(s.Start))
-		for _, c := range children[i] {
-			walk(c, depth+1)
-		}
-	}
-	for _, r := range roots {
-		walk(r, 0)
-	}
-	counts := t.Counts()
-	if len(counts) > 0 {
-		names := make([]string, 0, len(counts))
-		for name := range counts {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		b.WriteString("  counts:\n")
-		for _, name := range names {
-			fmt.Fprintf(&b, "    %-28s %d\n", name, counts[name])
-		}
-	}
-	return b.String()
 }

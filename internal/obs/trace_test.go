@@ -33,14 +33,13 @@ func TestTraceSpanTreeAndValidate(t *testing.T) {
 	if spans[1].Parent != 0 || spans[3].Parent != 2 {
 		t.Fatalf("parent links wrong: %+v", spans)
 	}
+	for i, want := range []string{"run", "plan", "task 0", "attempt", "repack"} {
+		if spans[i].Name != want {
+			t.Fatalf("span %d is %q, want %q", i, spans[i].Name, want)
+		}
+	}
 	if got := tr.Counts()["qcache.block_hit"]; got != 3 {
 		t.Fatalf("count = %d, want 3", got)
-	}
-	sum := tr.Summary()
-	for _, want := range []string{"run", "plan", "attempt", "qcache.block_hit"} {
-		if !strings.Contains(sum, want) {
-			t.Fatalf("Summary missing %q:\n%s", want, sum)
-		}
 	}
 }
 
@@ -177,7 +176,7 @@ func TestNilTraceChromeExport(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("nil export invalid JSON: %v", err)
 	}
-	if tr.Summary() != "" || tr.Validate() != nil || tr.SpanInfos() != nil {
+	if tr.Counts() != nil || tr.Validate() != nil || tr.SpanInfos() != nil {
 		t.Fatalf("nil trace accessors must be empty")
 	}
 }

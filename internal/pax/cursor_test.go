@@ -479,8 +479,8 @@ func TestReaderFetchesWhatIOStatsCounts(t *testing.T) {
 	// inside a framed replica.
 	const base = 37
 	src := &recordingSource{buf: append(append(make([]byte, base), data...), "trailing index bytes"...)}
-	r, err := NewReaderAt(src, base, len(data))
-	if err != nil {
+	r := new(Reader)
+	if err := r.OpenAt(src, base, len(data)); err != nil {
 		t.Fatal(err)
 	}
 	headerEnd := base + r.colOff[0]

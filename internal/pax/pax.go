@@ -16,7 +16,7 @@
 //
 // A Reader looks at a serialized block through a RangeSource — the block's
 // bytes in memory (NewReader) or a window of any store that serves byte
-// ranges (NewReaderAt; the record reader passes an hdfs replica view) —
+// ranges (OpenAt; the record reader passes an hdfs replica view) —
 // and asks it only for the header and the ranges a caller reads.
 //
 // A Block holds its columns in the serialized form's own layout — packed
@@ -41,7 +41,6 @@
 package pax
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -198,7 +197,8 @@ var ErrTooLarge = errors.New("pax: block too large")
 
 // AppendRow adds one parsed row. The row must match the schema. On a
 // sorted block it first moves every column into its sorted order, since a
-// new row goes behind the sorted ones.
+// new row goes behind the sorted ones. bench/ and tests build blocks with
+// it; the upload parses text with AppendLine.
 func (b *Block) AppendRow(r schema.Row) error {
 	if len(r) != len(b.cols) {
 		return fmt.Errorf("pax: row has %d values, schema has %d", len(r), len(b.cols))
@@ -335,7 +335,7 @@ func (b *Block) physical(r int) int {
 // Value returns the value of attribute col in row r.
 func (b *Block) Value(r, col int) schema.Value { return b.cols[col].value(b.physical(r)) }
 
-// Row materializes row r across all attributes.
+// Row materializes row r across all attributes (a test oracle).
 func (b *Block) Row(r int) schema.Row {
 	row := make(schema.Row, len(b.cols))
 	p := b.physical(r)
@@ -343,28 +343,6 @@ func (b *Block) Row(r int) schema.Row {
 		row[i] = b.cols[i].value(p)
 	}
 	return row
-}
-
-// Rows materializes every good row (test helper; O(rows × cols)).
-func (b *Block) Rows() []schema.Row {
-	out := make([]schema.Row, b.NumRows())
-	for i := range out {
-		out[i] = b.Row(i)
-	}
-	return out
-}
-
-// Clone deep-copies the block. Each replica of a block starts from the same
-// logical content and is then sorted independently (paper §3.2).
-func (b *Block) Clone() *Block {
-	nb := *b
-	nb.cols = make([]column, len(b.cols))
-	for i, c := range b.cols {
-		nb.cols[i] = column{typ: c.typ, data: bytes.Clone(c.data), starts: slices.Clone(c.starts), nul: c.nul}
-	}
-	nb.bad, nb.perm, nb.aliased = bytes.Clone(b.bad), slices.Clone(b.perm), false
-	nb.order, nb.dirs = nil, nil
-	return &nb
 }
 
 // View returns a block over b's rows that shares b's arenas, row

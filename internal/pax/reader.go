@@ -19,12 +19,6 @@ type IOStats struct {
 	Seeks     int   // non-contiguous range starts
 }
 
-// Add accumulates other into s.
-func (s *IOStats) Add(other IOStats) {
-	s.BytesRead += other.BytesRead
-	s.Seeks += other.Seeks
-}
-
 // RangeSource is what a Reader reads a serialized block through: bytes
 // [off, off+n) of some store, valid and unchanged for as long as the
 // Reader and its cursors are used. A source may verify what it hands out
@@ -74,13 +68,6 @@ func NewReader(data []byte) (*Reader, error) {
 	return opened(r, r.Open(data))
 }
 
-// NewReaderAt opens the block serialized in bytes [off, off+size) of src,
-// fetching only the header.
-func NewReaderAt(src RangeSource, off, size int) (*Reader, error) {
-	r := new(Reader)
-	return opened(r, r.OpenAt(src, off, size))
-}
-
 // opened is what a constructor over an in-place open returns: the object,
 // or nil and the error.
 func opened[T any](p *T, err error) (*T, error) {
@@ -97,7 +84,7 @@ func (r *Reader) Open(data []byte) error {
 }
 
 // OpenAt re-opens r on the block serialized in bytes [off, off+size) of
-// src, fetching only the header, as NewReaderAt does. Whatever r held
+// src, fetching only the header. Whatever r held
 // before is forgotten — the accounting too — except the arrays it decodes
 // the column directory into, so a Reader kept across blocks opens the next
 // one without allocating. After a failed open, r must be opened again
@@ -274,7 +261,8 @@ func (r *Reader) raw(off, n int) ([]byte, error) {
 // ReadColumnRange reads the values of attribute col for rows [fromRow,
 // toRow). For variable-size attributes it reads whole partitions covering
 // the range, as the on-disk format only records every PartitionSize-th
-// offset, but returns exactly the requested values.
+// offset, but returns exactly the requested values. No binary calls it: it
+// is the cursor path's independent reference, values and IOStats both.
 func (r *Reader) ReadColumnRange(col, fromRow, toRow int) ([]schema.Value, error) {
 	if col < 0 || col >= r.sch.NumFields() {
 		return nil, fmt.Errorf("pax: column %d out of range", col)
@@ -353,32 +341,6 @@ func (r *Reader) readStringRange(col, fromRow, toRow int) ([]schema.Value, error
 	return out, nil
 }
 
-// ReadBad reads the i-th bad record. Bad records are delivered to the map
-// function flagged as such (paper §4.3).
-func (r *Reader) ReadBad(i int) (string, error) {
-	if i < 0 || i >= r.numBad {
-		return "", fmt.Errorf("pax: bad record %d out of range (have %d)", i, r.numBad)
-	}
-	// Walk the length-prefixed sequence. Bad records are few; jobs that
-	// touch them scan the whole section anyway.
-	p := r.badOff
-	for k := 0; ; k++ {
-		hdr, err := r.raw(p, 4)
-		if err != nil {
-			return "", err
-		}
-		n := int(binary.LittleEndian.Uint32(hdr))
-		if k == i {
-			body, err := r.raw(p+4, n)
-			if err != nil {
-				return "", err
-			}
-			return string(body), nil
-		}
-		p += 4 + n
-	}
-}
-
 // ReadAllBad reads the whole bad-record section, as one range, and
 // appends its records to dst[:0]. The records are one string, copied from
 // the section once, and sliced: they share its memory and none of the
@@ -406,6 +368,3 @@ func (r *Reader) ReadAllBad(dst []string) ([]string, error) {
 	}
 	return dst, nil
 }
-
-// ColumnSize returns the serialized size of attribute col.
-func (r *Reader) ColumnSize(col int) int { return r.colLen[col] }

@@ -70,11 +70,6 @@ func (p Predicate) Matches(v schema.Value) bool {
 	return true
 }
 
-// IsPoint reports whether the predicate is an equality.
-func (p Predicate) IsPoint() bool {
-	return p.Lo != nil && p.Hi != nil && p.Lo.Equal(*p.Hi)
-}
-
 // Canonical renders the predicate as a whitespace-free interval,
 // independent of how it was constructed: `@8 >= 1 and @8 <= 10`,
 // `@8 between(1,10)` and `@8 between( 1 , 10 )` all canonicalize to

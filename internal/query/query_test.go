@@ -48,6 +48,11 @@ func TestParseBobQ1Annotation(t *testing.T) {
 	}
 }
 
+// isPoint reports whether p is an equality: both bounds set and equal.
+func isPoint(p Predicate) bool {
+	return p.Lo != nil && p.Hi != nil && p.Lo.Equal(*p.Hi)
+}
+
 func TestParseEqualityAndConjunction(t *testing.T) {
 	// Bob-Q3: sourceIP = '172.101.11.46' AND visitDate = '1992-12-22'.
 	q, err := ParseAnnotation(userVisits,
@@ -58,7 +63,7 @@ func TestParseEqualityAndConjunction(t *testing.T) {
 	if len(q.Filter) != 2 {
 		t.Fatalf("got %d predicates, want 2", len(q.Filter))
 	}
-	if !q.Filter[0].IsPoint() || !q.Filter[1].IsPoint() {
+	if !isPoint(q.Filter[0]) || !isPoint(q.Filter[1]) {
 		t.Error("expected two point predicates")
 	}
 	if got := q.Projection; len(got) != 3 || got[0] != 7 || got[1] != 8 || got[2] != 3 {
@@ -131,7 +136,7 @@ func TestPredicateMatches(t *testing.T) {
 		t.Error("AtMost misbehaves")
 	}
 	eq := Eq(0, schema.StringVal("x"))
-	if !eq.IsPoint() || !eq.Matches(schema.StringVal("x")) || eq.Matches(schema.StringVal("y")) {
+	if !isPoint(eq) || !eq.Matches(schema.StringVal("x")) || eq.Matches(schema.StringVal("y")) {
 		t.Error("Eq misbehaves")
 	}
 }

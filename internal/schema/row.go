@@ -8,7 +8,8 @@ import (
 // Row is one parsed record: one Value per schema attribute.
 type Row []Value
 
-// Line renders the row back to its delimited text form.
+// Line renders the row back to its delimited text form. No binary calls
+// it: it is the oracle Batch.Lines is held to.
 func (r Row) Line(sep byte) string {
 	var b strings.Builder
 	for i, v := range r {
@@ -20,7 +21,7 @@ func (r Row) Line(sep byte) string {
 	return b.String()
 }
 
-// Equal reports whether two rows have identical values.
+// Equal reports whether two rows have identical values (a test oracle).
 func (r Row) Equal(o Row) bool {
 	if len(r) != len(o) {
 		return false

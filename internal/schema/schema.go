@@ -151,9 +151,6 @@ func (s *Schema) NumFields() int { return len(s.fields) }
 // Field returns the i-th (0-based) attribute.
 func (s *Schema) Field(i int) Field { return s.fields[i] }
 
-// Fields returns a copy of all attributes.
-func (s *Schema) Fields() []Field { return append([]Field(nil), s.fields...) }
-
 // Index returns the 0-based position of the named attribute, or -1.
 func (s *Schema) Index(name string) int {
 	if i, ok := s.byName[name]; ok {
@@ -174,19 +171,6 @@ func (s *Schema) String() string {
 		b.WriteString(f.Type.String())
 	}
 	return b.String()
-}
-
-// FixedRowWidth returns the total width of the fixed-size attributes plus,
-// for each variable-size attribute, the width of its offset entry. It is a
-// lower bound on the binary footprint of one row.
-func (s *Schema) FixedRowWidth() int {
-	w := 0
-	for _, f := range s.fields {
-		if f.Type.FixedSize() {
-			w += f.Type.Width()
-		}
-	}
-	return w
 }
 
 // Equal reports whether two schemas have identical fields.

@@ -95,13 +95,6 @@ func TestTypeProperties(t *testing.T) {
 	}
 }
 
-func TestFixedRowWidth(t *testing.T) {
-	s := MustNew(Field{"a", Int32}, Field{"b", Float64}, Field{"c", String}, Field{"d", Date})
-	if got := s.FixedRowWidth(); got != 16 {
-		t.Errorf("FixedRowWidth = %d, want 16", got)
-	}
-}
-
 func TestValueRoundTrip(t *testing.T) {
 	cases := []struct {
 		t    Type

@@ -121,31 +121,10 @@ func UploadTime(p Profile, c UploadCost) float64 {
 	return t + InterferenceBeta*lo + c.ExtraSeconds
 }
 
-// TaskCost is the resource demand of one map task, filled from the real
-// record-reader I/O statistics (scaled) by the experiment harness.
-type TaskCost struct {
-	FixedSeconds     float64 // task JVM/stream setup (per task, not per block)
-	Seeks            int     // disk seeks
-	DiskReadBytes    int64   // block bytes read
-	CPUSeconds       float64 // parsing / deserialization / filtering work
-	RecordsDelivered int64   // records passed to the map function
-	RecordCPUSeconds float64 // per-record delivery + reconstruction work, total
-	MapCPUSeconds    float64 // user map-function work (e.g. Hadoop text split)
-	OutputBytes      int64   // map output written back to HDFS (× replication)
-}
-
-// TaskTime evaluates one task's duration on profile p.
-func TaskTime(p Profile, c TaskCost) float64 {
-	io := float64(c.Seeks)*p.SeekMS/1e3 + float64(c.DiskReadBytes)/(p.DiskMBps*1e6)
-	cpu := (c.CPUSeconds + c.RecordCPUSeconds + c.MapCPUSeconds) / p.CPUFactor
-	out := float64(c.OutputBytes) / (p.DiskMBps * 1e6)
-	return c.FixedSeconds + io + cpu + out
-}
-
 // JobSpec describes a MapReduce job for the end-to-end runtime model.
 type JobSpec struct {
 	NTasks       int
-	TaskSeconds  float64 // average task duration (from TaskTime)
+	TaskSeconds  float64 // average task duration (experiments' queryCost.taskSeconds)
 	SetupSeconds float64 // job client split phase + submission
 }
 

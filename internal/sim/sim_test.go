@@ -75,24 +75,6 @@ func TestStreamWritesSlowerThanBlockWrites(t *testing.T) {
 	}
 }
 
-func TestTaskTime(t *testing.T) {
-	c := TaskCost{
-		FixedSeconds:  0.2,
-		Seeks:         3,
-		DiskReadBytes: 64 << 20,
-	}
-	got := TaskTime(Physical, c)
-	want := 0.2 + 3*0.005 + float64(64<<20)/(53*1e6)
-	if diff := got - want; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("TaskTime = %v, want %v", got, want)
-	}
-	// CPUFactor scales CPU terms only.
-	cpu := TaskCost{CPUSeconds: 1}
-	if TaskTime(EC2Large, cpu) <= TaskTime(Physical, cpu) {
-		t.Error("weak CPU should make CPU-bound tasks slower")
-	}
-}
-
 func TestJobTimeDispatchLimited(t *testing.T) {
 	// Short tasks: the JobTracker's dispatch rate dominates, which is the
 	// paper's core observation in §6.4.1 — Figure 6(a)'s HAIL times are
