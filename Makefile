@@ -10,8 +10,9 @@ test:
 
 # The decoders of stored bytes (a saved directory's manifest and checksum
 # files and the Hadoop++ baseline's trojan blocks among them), the
-# upload's line parser against ParseLine + AppendRow and its scalar
-# scanners against ParseFixed, the float formatter the scan prints with,
+# upload's line parser against ParseLine + AppendRow, its scalar
+# scanners against ParseFixed and its date parse against time.Parse, the
+# float formatter the scan prints with,
 # the annotation parser, and the engine against its text oracle (FuzzEngine: a whole upload and one to three jobs per
 # input), 20 s each (go test takes one fuzz target per run). Their seeds
 # run as ordinary tests under `make test`. Inputs are tens of KB, so
@@ -26,6 +27,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/hdfs
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendFloat$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/schema
 	$(GO) test -run '^$$' -fuzz '^FuzzScanFixed$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/schema
+	$(GO) test -run '^$$' -fuzz '^FuzzParseDate$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/schema
 	$(GO) test -run '^$$' -fuzz '^FuzzParseAnnotation$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/query
 	$(GO) test -run '^$$' -fuzz '^FuzzEngine$$' -fuzztime 20s -fuzzminimizetime 10x ./internal/core
 

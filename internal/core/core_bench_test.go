@@ -203,30 +203,17 @@ func scanLines(n, short int) []string {
 
 // uploadBob uploads scanLines(n, short) to a fresh 4-node cluster with
 // Bob's layout at the given block size.
-func uploadBob(b testing.TB, n, short, blockSize int) *hdfs.Cluster {
-	b.Helper()
+func uploadBob(n, short, blockSize int) (*hdfs.Cluster, error) {
 	cluster, err := hdfs.NewCluster(4)
 	if err != nil {
-		b.Fatal(err)
+		return nil, err
 	}
 	cfg := bobLayout()
 	cfg.BlockSize = blockSize
 	if _, err := (&Client{Cluster: cluster, Config: cfg}).Upload("/uv", scanLines(n, short)); err != nil {
-		b.Fatal(err)
+		return nil, err
 	}
-	return cluster
-}
-
-// bobFix is the ledger's scan fixture outside bench/: 200k generated
-// lines (5k under -short) uploaded with Bob's layout, shared by the
-// passthrough and hot-job benchmarks.
-var bobFix *hdfs.Cluster
-
-func getBobFix(b testing.TB) *hdfs.Cluster {
-	if bobFix == nil {
-		bobFix = uploadBob(b, 200_000, 5_000, 2<<20)
-	}
-	return bobFix
+	return cluster, nil
 }
 
 // benchPassthrough runs one passthrough job per op, cycling through the
@@ -539,7 +526,10 @@ func benchHotJobShapes(b *testing.B, pack bool) {
 	b.Run("wide", func(b *testing.B) { benchHotJob(b, getBobFix(b), wideQ, pack) })
 	b.Run("small-blocks", func(b *testing.B) {
 		if smallFix == nil {
-			smallFix = uploadBob(b, 20_000, 2_000, 32<<10)
+			var err error
+			if smallFix, err = uploadBob(20_000, 2_000, 32<<10); err != nil {
+				b.Fatal(err)
+			}
 		}
 		benchHotJob(b, smallFix, selectiveQ, pack)
 	})

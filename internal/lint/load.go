@@ -135,6 +135,11 @@ func (l *loader) load(path string) (*Package, error) {
 		if !l.testFiles && strings.HasSuffix(name, "_test.go") {
 			continue
 		}
+		// What the default build leaves out (a //go:build tag, a GOOS
+		// suffix) is not part of the package it checks.
+		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
+			continue
+		}
 		names = append(names, name)
 	}
 	sort.Strings(names)

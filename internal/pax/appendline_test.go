@@ -319,7 +319,7 @@ func TestPooledBlocksRecycleWhatTheyBorrowed(t *testing.T) {
 			for j := range *buf {
 				(*buf)[j] = 0xdeadbeef
 			}
-			u32Bufs.Put(buf)
+			giveBack(&u32Bufs, buf)
 		}
 		src := buildBlock(t, n, int64(20+i))
 		src.AppendBad("bad")

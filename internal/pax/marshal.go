@@ -99,18 +99,19 @@ func (b *Block) MarshalAppend(dst []byte) ([]byte, error) {
 			out = append(out, c.data...)
 			continue
 		}
-		if c.typ == schema.String {
-			// The offset list: where each partition's first value will sit
-			// once the values before it are gathered.
-			at := uint32(0)
-			for r, p := range b.perm {
-				if r%PartitionSize == 0 {
-					out = binary.LittleEndian.AppendUint32(out, at)
-				}
-				at += c.starts[p+1] - c.starts[p]
-			}
+		if c.typ != schema.String {
+			out = c.appendGathered(out, b.perm)
+			continue
 		}
-		out = c.appendGathered(out, b.perm)
+		// The offset list is reserved, and each entry written as the gather
+		// reaches its partition: where that partition's first value landed.
+		list := len(out)
+		out = out[:list+numPartitions(b.numRows)*4]
+		vals := len(out)
+		for r := 0; r < b.numRows; r += PartitionSize {
+			binary.LittleEndian.PutUint32(out[list+r/PartitionSize*4:], uint32(len(out)-vals))
+			out = c.appendGathered(out, b.perm[r:min(r+PartitionSize, b.numRows)])
+		}
 	}
 	return append(out, b.bad...), nil
 }

@@ -368,11 +368,8 @@ func (b *Block) View() *Block {
 // made them — for the next block to reuse. Neither the block nor any view
 // of it may be used afterwards.
 func (b *Block) Release() {
-	for _, buf := range []*[]uint32{b.order, b.dirs} {
-		if buf != nil {
-			u32Bufs.Put(buf)
-		}
-	}
+	giveBack(&u32Bufs, b.order)
+	giveBack(&u32Bufs, b.dirs)
 	b.order, b.dirs, b.perm, b.cols = nil, nil, nil, nil
 }
 

@@ -40,14 +40,10 @@ func BenchmarkAppendRow(b *testing.B) {
 	}
 }
 
-// BenchmarkAppendLine is the upload's parse on its own: one op is one
-// 2 MB block's worth of generated UserVisits lines (Bob's layout's block
-// size, as BenchmarkUploadBob in internal/core uploads them) appended to a
-// reset block with AppendLine, its arenas grown by a first fill.
-func BenchmarkAppendLine(b *testing.B) {
-	sch := workload.UserVisitsSchema()
-	var lines []string
-	text := 0
+// userVisitsLines returns generated UserVisits lines, as many as fill one
+// 2 MB block (Bob's layout's block size, as BenchmarkUploadBob in
+// internal/core uploads them), and their text bytes.
+func userVisitsLines() (lines []string, text int) {
 	for _, line := range workload.GenerateUserVisits(40_000, 1, workload.UserVisitsOptions{}) {
 		if text >= 2<<20 {
 			break
@@ -55,6 +51,16 @@ func BenchmarkAppendLine(b *testing.B) {
 		lines = append(lines, line)
 		text += len(line) + 1
 	}
+	return lines, text
+}
+
+// BenchmarkAppendLine is the upload's parse on its own: one op is one
+// 2 MB block's worth of generated UserVisits lines (userVisitsLines)
+// appended to a reset block with AppendLine, its arenas grown by a first
+// fill.
+func BenchmarkAppendLine(b *testing.B) {
+	sch := workload.UserVisitsSchema()
+	lines, text := userVisitsLines()
 	p := schema.NewParser(sch)
 	blk := NewBlock(sch)
 	fill := func() {
@@ -74,16 +80,64 @@ func BenchmarkAppendLine(b *testing.B) {
 	b.ReportMetric(float64(len(lines)), "lines/op")
 }
 
-func BenchmarkSort(b *testing.B) {
-	// The per-replica in-memory sort of §3.5: "two or three seconds" for
-	// a 64 MB block on the paper's hardware.
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		blk := benchBlock(64 * 1024)
-		b.StartTimer()
-		if err := blk.Sort(0); err != nil {
+// userVisitsBlock is userVisitsLines appended to one block, and the sort
+// columns of Bob's layout.
+func userVisitsBlock(b *testing.B) (*Block, []int) {
+	sch := workload.UserVisitsSchema()
+	lines, _ := userVisitsLines()
+	blk := NewBlock(sch)
+	p := schema.NewParser(sch)
+	for _, line := range lines {
+		if err := blk.AppendLine(p, line); err != nil {
 			b.Fatal(err)
 		}
+	}
+	return blk, []int{workload.UVSourceIP, workload.UVVisitDate, workload.UVAdRevenue}
+}
+
+// BenchmarkSort is the per-replica in-memory sort of §3.5 ("two or three
+// seconds" for a 64 MB block on the paper's hardware) on the keys the
+// upload sorts: one 2 MB block of UserVisits lines, built once, and one
+// sub-benchmark per sort column of Bob's layout. An op sorts a view of the
+// block and releases it, as each replica's transform does.
+func BenchmarkSort(b *testing.B) {
+	blk, cols := userVisitsBlock(b)
+	for _, col := range cols {
+		b.Run(blk.sch.Field(col).Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				v := blk.View()
+				if err := v.Sort(col); err != nil {
+					b.Fatal(err)
+				}
+				v.Release()
+			}
+		})
+	}
+}
+
+// BenchmarkMarshalSorted is the other half of a replica's transform: the
+// same block sorted on each of those columns once, and an op one
+// MarshalAppend of it — every column gathered through the row order — into
+// a buffer reserved beforehand, as the replica's frame is.
+func BenchmarkMarshalSorted(b *testing.B) {
+	blk, cols := userVisitsBlock(b)
+	for _, col := range cols {
+		b.Run(blk.sch.Field(col).Name, func(b *testing.B) {
+			v := blk.View()
+			defer v.Release()
+			if err := v.Sort(col); err != nil {
+				b.Fatal(err)
+			}
+			buf := make([]byte, 0, v.MarshalSize())
+			b.SetBytes(int64(cap(buf)))
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := v.MarshalAppend(buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -36,7 +36,7 @@ func (b *Block) Sort(col int) error {
 	}
 	n := b.numRows
 	buf := borrow[sortKey](&keyBufs, 2*n)
-	defer keyBufs.Put(buf)
+	defer giveBack(&keyBufs, buf)
 	keys, scratch := (*buf)[:n], (*buf)[n:]
 	// A key's row is physical, so the column is read as stored; keys start
 	// in the block's current order, which a stable sort keeps among equals.
@@ -93,7 +93,7 @@ var keyBufs sync.Pool
 var u32Bufs sync.Pool
 
 // borrow returns an array of n Ts from pool, which holds only *[]T, not
-// zeroed; put it back into the same pool.
+// zeroed; giveBack returns it to the same pool.
 func borrow[T any](pool *sync.Pool, n int) *[]T {
 	buf, _ := pool.Get().(*[]T)
 	if buf == nil {
@@ -101,6 +101,15 @@ func borrow[T any](pool *sync.Pool, n int) *[]T {
 	}
 	*buf = slices.Grow((*buf)[:0], n)[:n]
 	return buf
+}
+
+// giveBack returns an array borrow lent, if any, to its pool: the only Put
+// on either pool. With the poolcheck build tag it poisons the array first.
+func giveBack[T any](pool *sync.Pool, buf *[]T) {
+	if buf != nil {
+		poison(*buf)
+		pool.Put(buf)
+	}
 }
 
 // floatKey maps a float64's bits to its order-preserving image: negative
@@ -159,11 +168,19 @@ func radixSort(keys, scratch []sortKey) {
 		slices.SortStableFunc(keys, func(x, y sortKey) int { return cmp.Compare(x.key, y.key) })
 		return
 	}
+	// All eight histograms in one pass, written out: the compiler does not
+	// unroll a loop over the digits.
 	var counts [8][256]uint32
 	for _, k := range keys {
-		for d := range counts {
-			counts[d][byte(k.key>>(8*d))]++
-		}
+		x := k.key
+		counts[0][byte(x)]++
+		counts[1][byte(x>>8)]++
+		counts[2][byte(x>>16)]++
+		counts[3][byte(x>>24)]++
+		counts[4][byte(x>>32)]++
+		counts[5][byte(x>>40)]++
+		counts[6][byte(x>>48)]++
+		counts[7][byte(x>>56)]++
 	}
 	src, dst := keys, scratch
 	for d := range counts {
@@ -187,11 +204,12 @@ func radixSort(keys, scratch []sortKey) {
 	}
 }
 
-// appendGathered appends the column's values to dst in the order perm
-// gives — perm[i] is the physical row that goes i-th — terminators
-// included and without a string column's offset list.
+// appendGathered appends the values of perm's rows to dst in the order
+// perm gives — perm[i] is the physical row that goes i-th — terminators
+// included and without a string column's offset list. dst must have room
+// for them: the callers reserve the whole column, or the whole block,
+// once.
 func (c *column) appendGathered(dst []byte, perm []uint32) []byte {
-	dst = slices.Grow(dst, len(c.data))
 	at := len(dst)
 	switch c.typ.Width() {
 	case 4:

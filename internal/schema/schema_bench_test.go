@@ -91,3 +91,19 @@ func BenchmarkAppendDate(b *testing.B) {
 		buf = AppendDate(buf[:0], days[i%len(days)])
 	}
 }
+
+// BenchmarkParseDate: the upload's date parse (parseCivil, which ScanFixed
+// and ParseDate share) on the generator's visitDates, 1970 to 2010, drawn
+// at random as BenchmarkAppendDate draws them.
+func BenchmarkParseDate(b *testing.B) {
+	rng := rand.New(rand.NewSource(47))
+	dates := make([]string, 1024)
+	for i := range dates {
+		dates[i] = FormatDate(int32(rng.Intn(40 * 365)))
+	}
+	for i := 0; b.Loop(); i++ {
+		if _, err := ParseDate(dates[i%len(dates)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -236,6 +236,33 @@ func TestParseDateAgreesWithTimeParse(t *testing.T) {
 	}
 }
 
+// FuzzParseDate holds ParseDate to time.Parse on any text: the same
+// verdict, and on a date the same day. Every date in the one form
+// parseCivil reads — YYYY-MM-DD with a year from 0001, as time formats it
+// back — must also be taken by that fast path, so a rejection of
+// parseCivil's is checked against the reference too, not only its
+// acceptances. The seeds are TestParseDateAgreesWithTimeParse's edge forms.
+func FuzzParseDate(f *testing.F) {
+	for _, s := range []string{
+		"0001-01-01", "0001-03-01", "0000-01-01", "0000-12-31", "9999-12-31", "0400-02-29", "0100-02-29",
+		"1900-02-29", "2000-02-29", "1999-02-29", "1999-04-31", "1999-06-30", "1999-13-01", "1999-00-10",
+		"1999-01-00", "1999-01-32", "199a-01-01", "1999-1-01", "1999-01-1", " 1999-01-01", "1999-01-01 ",
+		"1999/01/01", "+999-01-01", "1999-0a-01", "", "1999-01-011",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		ref, refErr := time.Parse("2006-01-02", s)
+		got, err := ParseDate(s)
+		if (err == nil) != (refErr == nil) || (err == nil && int64(got) != ref.Unix()/86400) {
+			t.Fatalf("ParseDate(%q) = %d, %v; time.Parse says %d, %v", s, got, err, ref.Unix()/86400, refErr)
+		}
+		if _, ok := parseCivil(s); !ok && refErr == nil && ref.Year() >= 1 && ref.Format("2006-01-02") == s {
+			t.Fatalf("parseCivil declines %q, a date in its own form", s)
+		}
+	})
+}
+
 // TestFormatDateAgreesWithTimeFormat holds the one date formatter to the
 // layout-driven format it replaced: the same text for every day of the
 // years 0001 to 9999 — which is also every date parseCivil accepts, so the

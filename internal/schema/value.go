@@ -198,37 +198,38 @@ func parseCivil(s string) (days int32, ok bool) {
 	if len(s) != 10 || s[4] != '-' || s[7] != '-' {
 		return 0, false
 	}
-	num := func(s string) int {
-		n := 0
-		for i := 0; i < len(s); i++ {
-			if s[i] < '0' || s[i] > '9' {
-				return -1
-			}
-			n = n*10 + int(s[i]-'0')
-		}
-		return n
+	// A byte below '0' wraps past 9 too.
+	y0, y1, y2, y3 := s[0]-'0', s[1]-'0', s[2]-'0', s[3]-'0'
+	m0, m1, d0, d1 := s[5]-'0', s[6]-'0', s[8]-'0', s[9]-'0'
+	if y0 > 9 || y1 > 9 || y2 > 9 || y3 > 9 || m0 > 9 || m1 > 9 || d0 > 9 || d1 > 9 {
+		return 0, false
 	}
-	y, m, d := num(s[:4]), num(s[5:7]), num(s[8:])
+	y := uint(y0)*1000 + uint(y1)*100 + uint(y2)*10 + uint(y3)
+	m, d := uint(m0)*10+uint(m1), uint(d0)*10+uint(d1)
 	if y < 1 || m < 1 || m > 12 || d < 1 {
 		return 0, false
 	}
-	if leap := y%4 == 0 && (y%100 != 0 || y%400 == 0); d > monthDays[m-1] && !(leap && m == 2 && d == 29) {
+	leap := y%4 == 0 && (y%100 != 0 || y%400 == 0)
+	if d > monthDays[m-1] && !(leap && m == 2 && d == 29) {
 		return 0, false
 	}
-	// Days from the civil date, counting years from March so that the leap
-	// day is the last of its year (the proleptic Gregorian calendar time
-	// uses; http://howardhinnant.github.io/date_algorithms.html).
-	if m <= 2 {
-		y--
+	// Days since 0001-01-01 in the proleptic Gregorian calendar time uses:
+	// the years before this one with their leap days, the months before
+	// this one, and this year's leap day once it is past.
+	p := y - 1
+	n := p*365 + p/4 - p/100 + p/400 + monthStart[m-1] + d - 1
+	if leap && m > 2 {
+		n++
 	}
-	yearOfEra := y % 400
-	dayOfYear := (153*((m+9)%12)+2)/5 + d - 1
-	dayOfEra := yearOfEra*365 + yearOfEra/4 - yearOfEra/100 + dayOfYear
-	return int32(y/400*146097 + dayOfEra - 719468), true
+	return int32(n) - 719162, true // 1970-01-01 is day 719,162
 }
 
-// monthDays is each month's length in a common year.
-var monthDays = [...]int{31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31}
+// monthDays is each month's length in a common year, and monthStart the
+// days of a common year before each month.
+var (
+	monthDays  = [...]uint{31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31}
+	monthStart = [...]uint{0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334}
+)
 
 // FormatDate renders days since the Unix epoch as YYYY-MM-DD.
 func FormatDate(days int32) string { return string(AppendDate(nil, days)) }
@@ -245,8 +246,8 @@ func AppendDate(dst []byte, days int32) []byte {
 	if days < minDays || days > maxDays {
 		return time.Unix(int64(days)*86400, 0).UTC().AppendFormat(dst, "2006-01-02")
 	}
-	// Days since 0000-03-01 (positive here), then the same March-based
-	// year parseCivil counts in.
+	// Days since 0000-03-01 (positive here), then the year counted from
+	// March, so that the leap day is the last of its year.
 	z := int(days) + 719468
 	dayOfEra := z % 146097
 	yearOfEra := (dayOfEra - dayOfEra/1460 + dayOfEra/36524 - dayOfEra/146096) / 365
