@@ -78,8 +78,8 @@ bench-agree:
 
 # The same lane CI's lint job runs: formatting, vet, and the repo's own
 # invariant analyzers — all seven, the per-package rules (genbump,
-# wallclock, errsink), the compatibility-surface check (benchonly) and
-# the whole-module dataflow proofs (sigflow, lockgraph, goleak); see
+# wallclock, errsink, leaflock), the compatibility-surface check
+# (benchonly) and the whole-module dataflow proofs (sigflow, goleak); see
 # ARCHITECTURE.md "Statically enforced invariants". staticcheck runs
 # when installed — CI pins it; the offline dev container may not have it.
 lint:

@@ -52,7 +52,7 @@ func TestList(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("-list exited %d", code)
 	}
-	want := []string{"genbump", "wallclock", "errsink", "benchonly", "sigflow", "lockgraph", "goleak"}
+	want := []string{"genbump", "wallclock", "errsink", "leaflock", "benchonly", "sigflow", "goleak"}
 	if lines := strings.Split(strings.TrimSpace(out), "\n"); len(lines) != len(want) {
 		t.Errorf("-list printed %d analyzers, want %d:\n%s", len(lines), len(want), out)
 	}
@@ -64,8 +64,9 @@ func TestList(t *testing.T) {
 }
 
 // TestUnknownAnalyzer covers the usage errors: an unknown analyzer name —
-// including the retired lockorder, atomicfield and spanend — and the retired
-// -factdir flag each exit 2 and name the offender on stderr.
+// including the retired lockorder, atomicfield, spanend and lockgraph —
+// and the retired -factdir flag each exit 2 and name the offender on
+// stderr.
 func TestUnknownAnalyzer(t *testing.T) {
 	for _, c := range []struct {
 		args []string
@@ -75,6 +76,7 @@ func TestUnknownAnalyzer(t *testing.T) {
 		{[]string{"-analyzers", "lockorder"}, "lockorder"},
 		{[]string{"-analyzers", "atomicfield"}, "atomicfield"},
 		{[]string{"-analyzers", "spanend"}, "spanend"},
+		{[]string{"-analyzers", "lockgraph"}, "lockgraph"},
 		{[]string{"-factdir", "x"}, "factdir"},
 	} {
 		code, _, errOut := runCapture(t, c.args...)

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"slices"
 	"sync"
+
+	"repro/internal/pool"
 )
 
 // ErrReplicaExists reports that the target node already stores a replica
@@ -283,13 +285,10 @@ func (c *Cluster) WriteBlock(file string, data []byte, replication int, transfor
 			replicas[pos] = shared
 		}
 	} else {
-		buf, _ := recvBufs.Get().(*[]byte)
-		if buf == nil {
-			buf = new([]byte)
-		}
-		block, err := Reassemble((*buf)[:0], pkts)
+		buf := pool.Borrow[byte](&recvBufs, 0)
+		block, err := Reassemble(*buf, pkts)
 		if err != nil {
-			recvBufs.Put(buf)
+			pool.GiveBack(&recvBufs, buf)
 			return 0, stats, err
 		}
 		build := func(pos int) {
@@ -313,7 +312,7 @@ func (c *Cluster) WriteBlock(file string, data []byte, replication int, transfor
 		wg.Wait()
 		*buf = block
 		if !slices.ContainsFunc(replicas, func(r builtReplica) bool { return sharesArray(r.data, block) }) {
-			recvBufs.Put(buf)
+			pool.GiveBack(&recvBufs, buf)
 		}
 		// Every error is checked before anything is flushed, so a failed
 		// transform leaves no replica of the block behind.

@@ -225,10 +225,13 @@ func TestHDFSModeKeepsNoCallerBytes(t *testing.T) {
 func TestHAILModeStoresWhatTheTransformReturns(t *testing.T) {
 	c, _ := NewCluster(4)
 	data := randBlock(2*ChunksPerPacket*ChunkSize+5, 13)
-	// Transforms run concurrently: each records into its own position.
+	// Transforms run concurrently: each records into its own position. The
+	// block's bytes are compared while the transform runs: once they have
+	// all returned, its buffer may be recycled.
 	seen, returned := make([][]byte, 3), make([][]byte, 3)
+	same := make([]bool, 3)
 	transform := func(pos int, node NodeID, block []byte) ([]byte, ReplicaInfo, error) {
-		seen[pos] = block
+		seen[pos], same[pos] = block, bytes.Equal(block, data)
 		out := append([]byte{byte(pos)}, block...)
 		returned[pos] = out
 		return out, ReplicaInfo{SortColumn: pos}, nil
@@ -238,7 +241,7 @@ func TestHAILModeStoresWhatTheTransformReturns(t *testing.T) {
 		t.Fatal(err)
 	}
 	for pos, node := range stats.PipelineNodes {
-		if !bytes.Equal(seen[pos], data) {
+		if !same[pos] {
 			t.Fatalf("position %d's transform read other bytes than the block", pos)
 		}
 		if &seen[pos][0] != &seen[0][0] {

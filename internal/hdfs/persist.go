@@ -314,14 +314,6 @@ func (c *Cluster) replicaFilesIn(dir string) map[string]bool {
 	return present
 }
 
-// LastSaveReport returns what the most recent Save wrote and skipped.
-// Tests and hailint's lockgraph_cycle audit mutant call it; no binary does.
-func (c *Cluster) LastSaveReport() SaveReport {
-	c.saveMu.Lock()
-	defer c.saveMu.Unlock()
-	return c.lastSave
-}
-
 // Load reconstructs a cluster from a directory written by Save, verifying
 // every replica against its checksum file. A replica whose files cannot
 // be read or do not verify — a missing data file, a length other than its

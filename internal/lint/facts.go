@@ -2,15 +2,13 @@ package lint
 
 import (
 	"fmt"
-	"go/token"
 	"go/types"
 	"reflect"
-	"sort"
 )
 
-// A Fact is a typed datum an analyzer attaches to a types.Object or a
-// package while analyzing the package that declares it, and reads back
-// when analyzing a dependent package — the dependency-free mirror of
+// A Fact is a typed datum an analyzer attaches to a types.Object while
+// analyzing the package that declares it, and reads back when analyzing
+// a dependent package — the dependency-free mirror of
 // golang.org/x/tools/go/analysis facts. Because every package in one run
 // is type-checked by one shared loader, object identity is stable across
 // packages and the store can live in memory; RunAnalyzers guarantees
@@ -30,24 +28,8 @@ type objFactKey struct {
 	t   reflect.Type
 }
 
-type pkgFactKey struct {
-	a   *Analyzer
-	pkg *types.Package
-	t   reflect.Type
-}
-
 // A factSet is the in-memory fact store for one RunAnalyzers call.
-type factSet struct {
-	obj map[objFactKey]Fact
-	pkg map[pkgFactKey]Fact
-}
-
-func newFactSet() *factSet {
-	return &factSet{
-		obj: make(map[objFactKey]Fact),
-		pkg: make(map[pkgFactKey]Fact),
-	}
-}
+type factSet map[objFactKey]Fact
 
 // validFact panics unless fact is a registered pointer fact type of a.
 func validFact(a *Analyzer, fact Fact) reflect.Type {
@@ -68,31 +50,18 @@ func copyFact(dst, src Fact) {
 	reflect.ValueOf(dst).Elem().Set(reflect.ValueOf(src).Elem())
 }
 
-func (fs *factSet) exportObject(a *Analyzer, obj types.Object, fact Fact) {
+func (fs factSet) exportObject(a *Analyzer, obj types.Object, fact Fact) {
 	if obj == nil {
 		panic(fmt.Sprintf("lint: %s: ExportObjectFact on nil object", a.Name))
 	}
-	fs.obj[objFactKey{a, obj, validFact(a, fact)}] = fact
+	fs[objFactKey{a, obj, validFact(a, fact)}] = fact
 }
 
-func (fs *factSet) importObject(a *Analyzer, obj types.Object, fact Fact) bool {
+func (fs factSet) importObject(a *Analyzer, obj types.Object, fact Fact) bool {
 	if obj == nil {
 		return false
 	}
-	got, ok := fs.obj[objFactKey{a, obj, validFact(a, fact)}]
-	if !ok {
-		return false
-	}
-	copyFact(fact, got)
-	return true
-}
-
-func (fs *factSet) exportPackage(a *Analyzer, pkg *types.Package, fact Fact) {
-	fs.pkg[pkgFactKey{a, pkg, validFact(a, fact)}] = fact
-}
-
-func (fs *factSet) importPackage(a *Analyzer, pkg *types.Package, fact Fact) bool {
-	got, ok := fs.pkg[pkgFactKey{a, pkg, validFact(a, fact)}]
+	got, ok := fs[objFactKey{a, obj, validFact(a, fact)}]
 	if !ok {
 		return false
 	}
@@ -101,7 +70,7 @@ func (fs *factSet) importPackage(a *Analyzer, pkg *types.Package, fact Fact) boo
 }
 
 // ExportObjectFact attaches a fact to obj for dependent packages' passes
-// (and the module Finish phase) to read.
+// to read.
 func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
 	p.facts.exportObject(p.Analyzer, obj, fact)
 }
@@ -110,70 +79,4 @@ func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
 // fact, reporting whether one was found.
 func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 	return p.facts.importObject(p.Analyzer, obj, fact)
-}
-
-// ExportPackageFact attaches a fact to the package under analysis.
-func (p *Pass) ExportPackageFact(fact Fact) {
-	p.facts.exportPackage(p.Analyzer, p.Pkg, fact)
-}
-
-// ImportPackageFact copies the fact of fact's type attached to pkg into
-// fact, reporting whether one was found.
-func (p *Pass) ImportPackageFact(pkg *types.Package, fact Fact) bool {
-	return p.facts.importPackage(p.Analyzer, pkg, fact)
-}
-
-// A PackageFact pairs a package with one fact attached to it.
-type PackageFact struct {
-	Pkg  *types.Package
-	Fact Fact
-}
-
-// A ModulePass is the view an analyzer's Finish hook gets after every
-// package pass has run: the whole-module fact store plus allow-aware
-// reporting. Module-phase diagnostics (a lock cycle spanning three
-// packages has no single home package) are positioned at a representative
-// site and respect lint:allow directives on that site like any other.
-type ModulePass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
-	Pkgs     []*Package
-
-	facts  *factSet
-	allows map[string][]allowDirective
-	diags  *[]Diagnostic
-}
-
-// AllPackageFacts returns every package fact exported by this analyzer,
-// sorted by package path for deterministic module-phase output.
-func (mp *ModulePass) AllPackageFacts() []PackageFact {
-	var out []PackageFact
-	for k, f := range mp.facts.pkg {
-		if k.a == mp.Analyzer {
-			out = append(out, PackageFact{Pkg: k.pkg, Fact: f})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Pkg.Path() < out[j].Pkg.Path() })
-	return out
-}
-
-// ImportPackageFact reads one package's fact, as in a package pass.
-func (mp *ModulePass) ImportPackageFact(pkg *types.Package, fact Fact) bool {
-	return mp.facts.importPackage(mp.Analyzer, pkg, fact)
-}
-
-// ReportfAt records a module-phase diagnostic at a previously resolved
-// position (facts carry token.Position, not token.Pos, so no package's
-// FileSet is needed), honoring lint:allow directives at that position.
-func (mp *ModulePass) ReportfAt(pos token.Position, format string, args ...any) {
-	for _, d := range mp.allows[pos.Filename] {
-		if d.analyzer == mp.Analyzer.Name && (d.line == pos.Line || d.line == pos.Line-1) {
-			return
-		}
-	}
-	*mp.diags = append(*mp.diags, Diagnostic{
-		Pos:      pos,
-		Analyzer: mp.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
 }

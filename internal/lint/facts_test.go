@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -16,15 +17,15 @@ func (*otherFact) AFact() {}
 
 // TestFactExportImport drives the store end to end through a probe
 // analyzer over the sigflow fixture, which imports the query fixture:
-// object and package facts round-trip by value (the imported copy does not
-// alias the store), a dependent package's pass reads back both facts its
-// dependency exported, and the Finish phase sees every package fact.
+// object facts round-trip by value (the imported copy does not alias the
+// store), and a dependent package's pass reads back the fact its
+// dependency exported.
 func TestFactExportImport(t *testing.T) {
 	pkg, err := LoadFixture("testdata", "sigflow")
 	if err != nil {
 		t.Fatal(err)
 	}
-	finished, imported := false, false
+	imported := false
 	probe := &Analyzer{
 		Name:      "factprobe",
 		Doc:       "test probe",
@@ -32,17 +33,14 @@ func TestFactExportImport(t *testing.T) {
 	}
 	probe.Run = func(p *Pass) error {
 		if p.PkgPath != "query" {
-			// The dependent: both of query's facts arrive through the store.
+			// The dependent: query's fact arrives through the store.
 			for _, dep := range p.Pkg.Imports() {
 				if dep.Path() != "query" {
 					continue
 				}
-				var of, pf testFact
+				var of testFact
 				if !p.ImportObjectFact(dep.Scope().Lookup("Query"), &of) || of.N != 7 {
 					t.Errorf("cross-package object fact: got %+v, want N=7", of)
-				}
-				if !p.ImportPackageFact(dep, &pf) || pf.N != 9 {
-					t.Errorf("cross-package package fact: got %+v, want N=9", pf)
 				}
 				imported = true
 			}
@@ -53,7 +51,6 @@ func TestFactExportImport(t *testing.T) {
 			t.Fatal("fixture query package lost its Query type")
 		}
 		p.ExportObjectFact(obj, &testFact{N: 7})
-		p.ExportPackageFact(&testFact{N: 9})
 
 		var f testFact
 		if !p.ImportObjectFact(obj, &f) || f.N != 7 {
@@ -64,33 +61,14 @@ func TestFactExportImport(t *testing.T) {
 		if !p.ImportObjectFact(obj, &again) || again.N != 7 {
 			t.Errorf("imported fact aliases the store: got %+v after caller mutation", again)
 		}
-		var pf testFact
-		if !p.ImportPackageFact(p.Pkg, &pf) || pf.N != 9 {
-			t.Errorf("package fact round-trip: got %+v, want N=9", pf)
-		}
 		if p.ImportObjectFact(nil, &f) {
 			t.Error("ImportObjectFact(nil) reported a fact")
-		}
-		return nil
-	}
-	probe.Finish = func(mp *ModulePass) error {
-		finished = true
-		pfs := mp.AllPackageFacts()
-		if len(pfs) != 1 || pfs[0].Fact.(*testFact).N != 9 {
-			t.Errorf("Finish sees %d package facts, want the one with N=9", len(pfs))
-		}
-		var f testFact
-		if !mp.ImportPackageFact(pfs[0].Pkg, &f) || f.N != 9 {
-			t.Errorf("ModulePass.ImportPackageFact: got %+v", f)
 		}
 		return nil
 	}
 	diags, err := RunAnalyzers([]*Package{pkg}, []*Analyzer{probe})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !finished {
-		t.Fatal("Finish hook never ran")
 	}
 	if !imported {
 		t.Fatal("the dependent package's pass never saw the query import")
@@ -113,7 +91,7 @@ func TestUnregisteredFactPanics(t *testing.T) {
 		Doc:       "exports an undeclared fact type",
 		FactTypes: []Fact{(*testFact)(nil)},
 		Run: func(p *Pass) error {
-			p.ExportPackageFact(&otherFact{S: "undeclared"})
+			p.ExportObjectFact(p.Pkg.Scope().Lookup("Query"), &otherFact{S: "undeclared"})
 			return nil
 		},
 	}
@@ -131,9 +109,13 @@ func TestUnregisteredFactPanics(t *testing.T) {
 // their diagnostics are discarded — they belong to runs that request
 // those packages.
 func TestUniverseOrder(t *testing.T) {
-	pkg, err := LoadFixture("testdata", "lockgraph")
-	if err != nil {
-		t.Fatal(err)
+	var pkgs []*Package
+	for _, path := range []string{"sigflow", "goleak"} {
+		pkg, err := LoadFixture("testdata", path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkgs = append(pkgs, pkg)
 	}
 	var order []string
 	marker := &Analyzer{
@@ -145,14 +127,14 @@ func TestUniverseOrder(t *testing.T) {
 			return nil
 		},
 	}
-	diags, err := RunAnalyzers([]*Package{pkg}, []*Analyzer{marker})
+	diags, err := RunAnalyzers(pkgs, []*Analyzer{marker})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(order) != 2 || order[0] != "lockz" || order[1] != "lockgraph" {
-		t.Fatalf("analysis order %v, want [lockz lockgraph] (imports before importers)", order)
+	if want := []string{"query", "sigflow", "work", "goleak"}; !slices.Equal(order, want) {
+		t.Fatalf("analysis order %v, want %v (imports before importers)", order, want)
 	}
-	if len(diags) != 1 || !strings.Contains(diags[0].Message, "lockgraph") {
-		t.Fatalf("diagnostics %v, want only the requested package's marker", diags)
+	if len(diags) != 2 || !strings.Contains(diags[0].Message, "goleak") || !strings.Contains(diags[1].Message, "sigflow") {
+		t.Fatalf("diagnostics %v, want only the requested packages' markers", diags)
 	}
 }

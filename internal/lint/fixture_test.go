@@ -22,14 +22,14 @@ func TestGenBump(t *testing.T)   { testFixture(t, GenBump, "genbump") }
 func TestWallClock(t *testing.T) { testFixture(t, WallClock, "wallclock") }
 func TestErrSink(t *testing.T)   { testFixture(t, ErrSink, "errsink") }
 func TestBenchOnly(t *testing.T) { testFixture(t, BenchOnly, "benchonly") }
+func TestLeafLock(t *testing.T)  { testFixture(t, LeafLock, "leaflock") }
 
 // The whole-module dataflow analyzers: each fixture imports a model
-// dependency package (query, lockz, work) that RunAnalyzers pulls into
-// the universe and analyzes facts-only, so the true positives below are
+// dependency package (query, work) that RunAnalyzers pulls into the
+// universe and analyzes facts-only, so the true positives below are
 // caught through cross-package facts, not single-package inspection.
-func TestSigFlow(t *testing.T)   { testFixture(t, SigFlow, "sigflow") }
-func TestLockGraph(t *testing.T) { testFixture(t, LockGraph, "lockgraph") }
-func TestGoLeak(t *testing.T)    { testFixture(t, GoLeak, "goleak") }
+func TestSigFlow(t *testing.T) { testFixture(t, SigFlow, "sigflow") }
+func TestGoLeak(t *testing.T)  { testFixture(t, GoLeak, "goleak") }
 
 // TestAllowDirectives drives the suppression machinery end to end:
 // same-line and line-above directives silence, wrong-analyzer and

@@ -7,17 +7,16 @@
 //	genbump   hdfs replica/generation mutations fire notifyChanged
 //	wallclock bare time.Now/time.Since only where wall-clock is the point
 //	errsink   error results of repo-internal calls are never dropped
+//	leaflock  namenode/datanode critical sections call no module code
+//	          that may lock
 //	benchonly bench/'s compatibility surface is used only from a compat.go
 //	sigflow   every knob read on the block-scan path is cache-key material
-//	lockgraph the module-wide lock-acquisition graph is acyclic, and
-//	          namenode/datanode locks are leaves
 //	goleak    every spawned goroutine has a provable termination path
 //
-// The last three are whole-module dataflow analyses: package passes export
-// typed facts (per-function field-read summaries, lock-acquisition edges,
-// nontermination marks) that dependent packages' passes and a module-level
-// Finish phase consume — the dependency-free mirror of x/tools analysis
-// facts over the shared loader.
+// The last two are whole-module dataflow analyses: package passes export
+// typed object facts (per-function field-read summaries, nontermination
+// marks) that dependent packages' passes consume — the dependency-free
+// mirror of x/tools analysis facts over the shared loader.
 //
 // Each analyzer documents the invariant it enforces next to its Run
 // function; ARCHITECTURE.md's "Invariants" section lists them all.
@@ -50,11 +49,6 @@ type Analyzer struct {
 	// FactTypes declares the fact types this analyzer exports; exporting an
 	// undeclared type panics. Analyzers with no entry are purely local.
 	FactTypes []Fact
-
-	// Finish, if set, runs once after every package pass, with the
-	// whole-module fact store — the place for properties no single package
-	// can see (a lock-acquisition cycle through three packages).
-	Finish func(*ModulePass) error
 }
 
 // A Pass holds one analyzer's view of one loaded package.
@@ -80,7 +74,7 @@ type Pass struct {
 
 	diags  *[]Diagnostic
 	allows map[string][]allowDirective // filename → directives
-	facts  *factSet
+	facts  factSet
 }
 
 // Diagnostic is one reported violation.
@@ -191,22 +185,17 @@ func expandUniverse(pkgs []*Package) []*Package {
 // RunAnalyzers applies each analyzer to each package and returns every
 // diagnostic, sorted by position. Packages are analyzed in dependency
 // order — including dependencies of the requested set, whose passes run
-// facts-only (their diagnostics belong to runs that request them) — then
-// each analyzer's Finish hook sees the whole module. Malformed lint:allow
-// comments are reported once per package set regardless of which
-// analyzers run.
+// facts-only (their diagnostics belong to runs that request them).
+// Malformed lint:allow comments are reported once per package set
+// regardless of which analyzers run.
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
-	facts := newFactSet()
+	facts := make(factSet)
 	requested := make(map[*Package]bool, len(pkgs))
 	for _, p := range pkgs {
 		requested[p] = true
 	}
-	universe := expandUniverse(pkgs)
-	allAllows := make(map[string][]allowDirective)
-	var fset *token.FileSet
-	for _, pkg := range universe {
-		fset = pkg.Fset
+	for _, pkg := range expandUniverse(pkgs) {
 		var discard []Diagnostic
 		sink := &diags
 		if !requested[pkg] {
@@ -216,7 +205,6 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 		for _, f := range pkg.Files {
 			name := pkg.Fset.Position(f.Pos()).Filename
 			allows[name] = parseAllows(pkg.Fset, f, func(d Diagnostic) { *sink = append(*sink, d) })
-			allAllows[name] = allows[name]
 		}
 		for _, a := range analyzers {
 			pass := &Pass{
@@ -237,22 +225,6 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 			}
 		}
 	}
-	for _, a := range analyzers {
-		if a.Finish == nil {
-			continue
-		}
-		mp := &ModulePass{
-			Analyzer: a,
-			Fset:     fset,
-			Pkgs:     universe,
-			facts:    facts,
-			allows:   allAllows,
-			diags:    &diags,
-		}
-		if err := a.Finish(mp); err != nil {
-			return nil, fmt.Errorf("%s: finish: %v", a.Name, err)
-		}
-	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -269,17 +241,17 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 	return diags, nil
 }
 
-// All returns the full hailint suite in stable order: the three
-// per-package rules, the compatibility-surface check, then the three
+// All returns the full hailint suite in stable order: the four
+// per-package rules, the compatibility-surface check, then the two
 // whole-module dataflow analyzers built on the facts mechanism.
 func All() []*Analyzer {
 	return []*Analyzer{
 		GenBump,
 		WallClock,
 		ErrSink,
+		LeafLock,
 		BenchOnly,
 		SigFlow,
-		LockGraph,
 		GoLeak,
 	}
 }

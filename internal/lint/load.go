@@ -44,13 +44,12 @@ type Package struct {
 // in offline builds, where golang.org/x/tools/go/packages cannot be
 // vendored and no export data is installed.
 type loader struct {
-	fset      *token.FileSet
-	root      string // filesystem root local paths resolve under
-	prefix    string // import-path prefix mapping to root ("repro/" or "")
-	stdlib    types.Importer
-	loaded    map[string]*Package
-	inFlight  map[string]bool
-	testFiles bool
+	fset     *token.FileSet
+	root     string // filesystem root local paths resolve under
+	prefix   string // import-path prefix mapping to root ("repro/" or "")
+	stdlib   types.Importer
+	loaded   map[string]*Package
+	inFlight map[string]bool
 }
 
 func newLoader(root, prefix string) *loader {
@@ -132,7 +131,7 @@ func (l *loader) load(path string) (*Package, error) {
 		if e.IsDir() || !strings.HasSuffix(name, ".go") {
 			continue
 		}
-		if !l.testFiles && strings.HasSuffix(name, "_test.go") {
+		if strings.HasSuffix(name, "_test.go") {
 			continue
 		}
 		// What the default build leaves out (a //go:build tag, a GOOS

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/pool"
 	"repro/internal/schema"
 )
 
@@ -315,11 +316,11 @@ func TestPooledBlocksRecycleWhatTheyBorrowed(t *testing.T) {
 	cols := testSchema.NumFields()
 	for i, n := range []int{3*PartitionSize + 5, 100, 2 * PartitionSize, 0, PartitionSize + 1} {
 		for range cols + 1 {
-			buf := borrow[uint32](&u32Bufs, 4*PartitionSize)
+			buf := pool.Borrow[uint32](&u32Bufs, 4*PartitionSize)
 			for j := range *buf {
 				(*buf)[j] = 0xdeadbeef
 			}
-			giveBack(&u32Bufs, buf)
+			pool.GiveBack(&u32Bufs, buf)
 		}
 		src := buildBlock(t, n, int64(20+i))
 		src.AppendBad("bad")

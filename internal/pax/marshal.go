@@ -7,6 +7,7 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/pool"
 	"repro/internal/schema"
 )
 
@@ -146,7 +147,7 @@ func unmarshal(data []byte, pooled bool) (_ *Block, err error) {
 	var dirs []uint32
 	if strCols > 0 {
 		if n := strCols * (r.numRows + 1); pooled {
-			b.dirs = borrow[uint32](&u32Bufs, n)
+			b.dirs = pool.Borrow[uint32](&u32Bufs, n)
 			dirs = *b.dirs
 			defer func() {
 				if err != nil {

@@ -48,6 +48,7 @@ import (
 	"slices"
 	"strings"
 
+	"repro/internal/pool"
 	"repro/internal/schema"
 )
 
@@ -368,8 +369,8 @@ func (b *Block) View() *Block {
 // made them — for the next block to reuse. Neither the block nor any view
 // of it may be used afterwards.
 func (b *Block) Release() {
-	giveBack(&u32Bufs, b.order)
-	giveBack(&u32Bufs, b.dirs)
+	pool.GiveBack(&u32Bufs, b.order)
+	pool.GiveBack(&u32Bufs, b.dirs)
 	b.order, b.dirs, b.perm, b.cols = nil, nil, nil, nil
 }
 

@@ -488,6 +488,29 @@ func TestMarshalSizeIsReasonable(t *testing.T) {
 	}
 }
 
+// TestMarshalSizeAllocatesNothing: sizing a built block, sorted or not,
+// reads the schema's DDL as New built it, and allocates nothing.
+func TestMarshalSizeAllocatesNothing(t *testing.T) {
+	b := buildBlock(t, 1000, 16)
+	for _, sortCol := range []int{-1, 4} {
+		if sortCol >= 0 {
+			if err := b.Sort(sortCol); err != nil {
+				t.Fatal(err)
+			}
+		}
+		data, err := b.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := b.MarshalSize(); got != len(data) {
+			t.Errorf("sort column %d: MarshalSize = %d, Marshal wrote %d bytes", sortCol, got, len(data))
+		}
+		if allocs := testing.AllocsPerRun(100, func() { _ = b.MarshalSize() }); allocs != 0 {
+			t.Errorf("sort column %d: MarshalSize allocates %v times per call", sortCol, allocs)
+		}
+	}
+}
+
 func TestSortedBlockBinarySearchable(t *testing.T) {
 	b := buildBlock(t, 4096, 15)
 	if err := b.Sort(0); err != nil {

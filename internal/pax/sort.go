@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sync"
 
+	"repro/internal/pool"
 	"repro/internal/schema"
 )
 
@@ -35,8 +36,8 @@ func (b *Block) Sort(col int) error {
 		return fmt.Errorf("pax: sort column %d out of range [0,%d)", col, len(b.cols))
 	}
 	n := b.numRows
-	buf := borrow[sortKey](&keyBufs, 2*n)
-	defer giveBack(&keyBufs, buf)
+	buf := pool.Borrow[sortKey](&keyBufs, 2*n)
+	defer pool.GiveBack(&keyBufs, buf)
 	keys, scratch := (*buf)[:n], (*buf)[n:]
 	// A key's row is physical, so the column is read as stored; keys start
 	// in the block's current order, which a stable sort keeps among equals.
@@ -71,7 +72,7 @@ func (b *Block) Sort(col int) error {
 	}
 	// A view may share the order this block had, so it is never written
 	// over: the block takes a fresh array and drops the old one.
-	b.order = borrow[uint32](&u32Bufs, n)
+	b.order = pool.Borrow[uint32](&u32Bufs, n)
 	order := *b.order
 	for i, k := range keys {
 		order[i] = k.row
@@ -91,26 +92,6 @@ var keyBufs sync.Pool
 // each per replica or block and Release returns them, so a few arrays the
 // size of the largest block serve the whole upload.
 var u32Bufs sync.Pool
-
-// borrow returns an array of n Ts from pool, which holds only *[]T, not
-// zeroed; giveBack returns it to the same pool.
-func borrow[T any](pool *sync.Pool, n int) *[]T {
-	buf, _ := pool.Get().(*[]T)
-	if buf == nil {
-		buf = new([]T)
-	}
-	*buf = slices.Grow((*buf)[:0], n)[:n]
-	return buf
-}
-
-// giveBack returns an array borrow lent, if any, to its pool: the only Put
-// on either pool. With the poolcheck build tag it poisons the array first.
-func giveBack[T any](pool *sync.Pool, buf *[]T) {
-	if buf != nil {
-		poison(*buf)
-		pool.Put(buf)
-	}
-}
 
 // floatKey maps a float64's bits to its order-preserving image: negative
 // values have all bits flipped, others the sign bit, and the two zeros,

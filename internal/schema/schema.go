@@ -92,6 +92,7 @@ type Field struct {
 type Schema struct {
 	fields []Field
 	byName map[string]int
+	ddl    string // String's result, built once by New
 }
 
 // New builds a schema from the given fields. Field names must be non-empty
@@ -101,7 +102,12 @@ func New(fields ...Field) (*Schema, error) {
 		return nil, fmt.Errorf("schema: no fields")
 	}
 	byName := make(map[string]int, len(fields))
+	var ddl strings.Builder
 	for i, f := range fields {
+		if i > 0 {
+			ddl.WriteByte(',')
+		}
+		ddl.WriteString(f.Name + ":" + f.Type.String())
 		if f.Name == "" {
 			return nil, fmt.Errorf("schema: field %d has empty name", i)
 		}
@@ -113,7 +119,7 @@ func New(fields ...Field) (*Schema, error) {
 		}
 		byName[f.Name] = i
 	}
-	return &Schema{fields: append([]Field(nil), fields...), byName: byName}, nil
+	return &Schema{fields: append([]Field(nil), fields...), byName: byName, ddl: ddl.String()}, nil
 }
 
 // MustNew is like New but panics on error. Intended for statically known
@@ -160,18 +166,7 @@ func (s *Schema) Index(name string) int {
 }
 
 // String formats the schema in the DDL form accepted by ParseSchema.
-func (s *Schema) String() string {
-	var b strings.Builder
-	for i, f := range s.fields {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(f.Name)
-		b.WriteByte(':')
-		b.WriteString(f.Type.String())
-	}
-	return b.String()
-}
+func (s *Schema) String() string { return s.ddl }
 
 // Equal reports whether two schemas have identical fields.
 func (s *Schema) Equal(o *Schema) bool {
