@@ -11,26 +11,43 @@ import (
 // from x.mu.Lock() or RLock() on a NameNode or DataNode to the matching
 // Unlock in the same statement list, or to the list's end when the unlock
 // is deferred. Inside one, a call may go to the standard library, or to a
-// function of the same package whose own body takes no lock; any other
-// call to module code is reported. One function at a time, no call graph;
-// a goroutine's or closure's body runs on its own stack. Lock-order
-// cycles, RWMutex upgrades and nesting within one lock class are left to
-// tests (TestSaveConcurrentWithUploads catches the cycle the tree could close).
+// function of the same package that takes no lock, itself or through the
+// package's functions it calls; any other call to module code, and any
+// second lock, is reported. No facts and no module pass: a goroutine's or
+// closure's body runs on its own stack. Lock-order cycles among the other
+// mutexes are left to tests (TestSaveConcurrentWithUploads catches the one
+// the tree could close).
 var LeafLock = &Analyzer{
 	Name: "leaflock",
-	Doc:  "NameNode.mu and DataNode.mu sections call no module code that may take a lock",
+	Doc:  "NameNode.mu and DataNode.mu sections take no second lock and call no module code that may take one",
 	Run:  runLeafLock,
 }
 
 func runLeafLock(pass *Pass) error {
-	locks := make(map[*types.Func]bool) // this package's functions: does the body lock?
+	declared := make(map[*types.Func]bool) // this package's functions
+	direct := make(map[*types.Func]bool)   // ... whose own body locks
+	callees := make(map[*types.Func][]*types.Func)
 	for _, fd := range funcDecls(pass) {
-		if fn := declaredFunc(pass.Info, fd); fn != nil {
-			locks[fn] = takesLock(pass.Info, fd.Body)
+		fn := declaredFunc(pass.Info, fd)
+		if fn == nil {
+			continue
 		}
+		declared[fn] = true
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if isLockCall(pass.Info, call) {
+					direct[fn] = true
+				}
+				if c := calleeFunc(pass.Info, call); c != nil && c.Pkg() == pass.Pkg {
+					callees[fn] = append(callees[fn], c.Origin())
+				}
+			}
+			return true
+		})
 	}
+	locks := closure(direct, callees) // ... or calls one of this package's that does
 	for _, fd := range funcDecls(pass) {
-		checkLeaf(pass, locks, fd.Body.List, nil)
+		checkLeaf(pass, declared, locks, fd.Body.List, nil)
 	}
 	return nil
 }
@@ -38,12 +55,12 @@ func runLeafLock(pass *Pass) error {
 // checkLeaf checks a statement list given the leaf mutexes held where it
 // starts. A nested list (a branch, a loop body, a case) starts from what
 // is held where it begins, and what it locks or unlocks stays inside it.
-func checkLeaf(pass *Pass, locks map[*types.Func]bool, list []ast.Stmt, held []string) {
+func checkLeaf(pass *Pass, declared, locks map[*types.Func]bool, list []ast.Stmt, held []string) {
 	visit := func(n ast.Node) bool {
 		var inner []ast.Stmt
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			checkLeaf(pass, locks, n.Body.List, nil)
+			checkLeaf(pass, declared, locks, n.Body.List, nil)
 			return false
 		case *ast.BlockStmt:
 			inner = n.List
@@ -55,17 +72,22 @@ func checkLeaf(pass *Pass, locks map[*types.Func]bool, list []ast.Stmt, held []s
 		case *ast.CommClause:
 			inner = append([]ast.Stmt{n.Comm}, n.Body...)
 		case *ast.CallExpr:
-			// Of module code, only this package's lock-free functions.
-			if fn := calleeFunc(pass.Info, n); len(held) > 0 && fn != nil && fn.Pkg() != nil && (fn.Pkg() == pass.Pkg || pass.IsLocalPkg(fn.Pkg().Path())) {
-				if takes, declared := locks[fn.Origin()]; !declared || takes {
-					pass.Reportf(n.Pos(), "%s called while leaf lock %s is held — namenode/datanode critical sections call only the standard library and lock-free functions of their package", fn.Name(), held[len(held)-1])
-				}
+			// No second lock, and of module code only this package's
+			// lock-free functions.
+			fn := calleeFunc(pass.Info, n)
+			if len(held) == 0 || fn == nil || fn.Pkg() == nil {
+				break
+			}
+			if isLockCall(pass.Info, n) {
+				pass.Reportf(n.Pos(), "%s taken while leaf lock %s is held — a leaf lock is the last lock its goroutine takes", types.ExprString(ast.Unparen(n.Fun).(*ast.SelectorExpr).X), held[len(held)-1])
+			} else if (fn.Pkg() == pass.Pkg || pass.IsLocalPkg(fn.Pkg().Path())) && (!declared[fn.Origin()] || locks[fn.Origin()]) {
+				pass.Reportf(n.Pos(), "%s called while leaf lock %s is held — namenode/datanode critical sections call only the standard library and lock-free functions of their package", fn.Name(), held[len(held)-1])
 			}
 		}
 		if inner == nil {
 			return true
 		}
-		checkLeaf(pass, locks, inner, held)
+		checkLeaf(pass, declared, locks, inner, held)
 		return false
 	}
 	for _, s := range list {
@@ -77,6 +99,7 @@ func checkLeaf(pass *Pass, locks map[*types.Func]bool, list []ast.Stmt, held []s
 		}
 		switch {
 		case op == "Lock" || op == "RLock":
+			ast.Inspect(s, visit) // a leaf lock under another is reported too
 			held = append(slices.Clip(held), mu)
 		case op == "Unlock" || op == "RUnlock":
 			held = slices.DeleteFunc(slices.Clone(held), func(h string) bool { return h == mu })
@@ -86,14 +109,9 @@ func checkLeaf(pass *Pass, locks map[*types.Func]bool, list []ast.Stmt, held []s
 	}
 }
 
-// takesLock reports whether a function body locks any mutex.
-func takesLock(info *types.Info, body *ast.BlockStmt) (found bool) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		found = found || ok && slices.Contains([]string{"Lock", "RLock", "TryLock", "TryRLock"}, syncMethod(info, call))
-		return !found
-	})
-	return found
+// isLockCall reports whether a call locks a sync mutex.
+func isLockCall(info *types.Info, call *ast.CallExpr) bool {
+	return slices.Contains([]string{"Lock", "RLock", "TryLock", "TryRLock"}, syncMethod(info, call))
 }
 
 // syncMethod returns the name of the sync method a call invokes, or "".

@@ -7,8 +7,8 @@
 //	genbump   hdfs replica/generation mutations fire notifyChanged
 //	wallclock bare time.Now/time.Since only where wall-clock is the point
 //	errsink   error results of repo-internal calls are never dropped
-//	leaflock  namenode/datanode critical sections call no module code
-//	          that may lock
+//	leaflock  namenode/datanode critical sections take no second lock and
+//	          call no module code that may lock
 //	benchonly bench/'s compatibility surface is used only from a compat.go
 //	sigflow   every knob read on the block-scan path is cache-key material
 //	goleak    every spawned goroutine has a provable termination path

@@ -117,6 +117,46 @@ func sectionInGoroutine(dn *DataNode, nn *NameNode) {
 	}()
 }
 
+// nestNameNodeDataNode: a datanode lock under the namenode's is a second
+// lock, as if one process held the other's.
+func nestNameNodeDataNode(nn *NameNode, dn *DataNode) {
+	nn.mu.Lock()
+	defer nn.mu.Unlock()
+	dn.mu.Lock() // want `dn\.mu taken while leaf lock nn\.mu is held`
+	dn.blocks[1] = nil
+	dn.mu.Unlock()
+}
+
+// nestDataNodeNameNode: the reverse order is reported too.
+func nestDataNodeNameNode(nn *NameNode, dn *DataNode) {
+	dn.mu.Lock()
+	nn.mu.RLock() // want `nn\.mu taken while leaf lock dn\.mu is held`
+	_ = nn.reps[1]
+	nn.mu.RUnlock()
+	dn.mu.Unlock()
+}
+
+// clusterLockUnderLeaf: so is any other mutex.
+func (c *Cluster) clusterLockUnderLeaf(dn *DataNode) {
+	dn.mu.Lock()
+	defer dn.mu.Unlock()
+	c.mu.Lock() // want `c\.mu taken while leaf lock dn\.mu is held`
+	c.dead[dn.id] = true
+	c.mu.Unlock()
+}
+
+// hosts takes no lock itself, but calls one of this package's functions
+// that does.
+func (n *NameNode) hosts(b int) int { return len(n.Lookup(b)) }
+
+// lockingViaWrapper: a lock-free wrapper around a locking call is reported
+// at the call under the lock.
+func lockingViaWrapper(nn *NameNode, dn *DataNode) int {
+	dn.mu.Lock()
+	defer dn.mu.Unlock()
+	return nn.hosts(1) // want `hosts called while leaf lock dn\.mu is held`
+}
+
 // exportedLockFreeUnderLock: an exported method that takes no lock is
 // fine under one.
 func exportedLockFreeUnderLock(nn *NameNode, dn *DataNode) int {
